@@ -14,7 +14,7 @@ int main() {
   using namespace setm;
   bench::Banner(
       "ablation_buffer_pool",
-      "DESIGN.md A2 (the paper's analysis assumes pages re-read per pass)",
+      "Section 4.3 (the paper's analysis assumes pages re-read per pass)",
       "reads fall with pool size, then flatten; writes ~constant");
 
   const TransactionDb& txns = bench::RetailDb();

@@ -17,7 +17,7 @@ int main() {
   using namespace setm;
   bench::Banner(
       "ablation_count_method",
-      "DESIGN.md A5: Figure 4's sort-based counting vs hash aggregation",
+      "Figure 4's sort-based counting vs hash aggregation",
       "identical itemsets; hash path avoids the R'_k item sort and its I/O");
 
   const TransactionDb& txns = bench::RetailDb();

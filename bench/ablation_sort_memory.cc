@@ -15,7 +15,7 @@ int main() {
   using namespace setm;
   bench::Banner(
       "ablation_sort_memory",
-      "DESIGN.md A1 (design choice behind Section 4.3's pipelined sorts)",
+      "the design choice behind Section 4.3's pipelined sorts",
       "page accesses fall as the sort budget grows, flat once nothing spills");
 
   const TransactionDb& txns = bench::RetailDb();

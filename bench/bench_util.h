@@ -2,7 +2,7 @@
 #define SETM_BENCH_BENCH_UTIL_H_
 
 // Shared helpers for the experiment binaries. Each binary regenerates one
-// table or figure of the paper (see DESIGN.md section 5) and prints both
+// table or figure of the paper (listed in bench/README.md) and prints both
 // the measured values and, where applicable, the numbers the paper reports,
 // so the *shape* comparison is visible at a glance.
 

@@ -18,8 +18,7 @@ namespace setm {
 /// Simplification vs. the original: AIS's support-estimation machinery
 /// (extending by several items at once when the expected support allows)
 /// is omitted; every extension is by exactly one item, which matches how
-/// SETM (and the comparison in this library) iterates. Documented in
-/// DESIGN.md.
+/// SETM (and the comparison in this library) iterates.
 class AisMiner {
  public:
   Result<MiningResult> Mine(const TransactionDb& transactions,

@@ -7,7 +7,7 @@ namespace setm {
 
 /// Apriori (Agrawal & Srikant, VLDB'94) — the algorithm that superseded
 /// SETM in practice and the natural modern baseline for the extension
-/// benchmark (A3 in DESIGN.md).
+/// benchmark (`ext_setm_vs_apriori` in bench/README.md).
 ///
 /// Pass k: candidates C_k are generated by self-joining L_{k-1} on the first
 /// k-2 items and pruned by the anti-monotone subset test; one scan of the

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "exec/hash_operators.h"
@@ -77,24 +78,11 @@ Result<ClassedMiningResult> ClassedSetmMiner::Mine(
     result.per_class[cls].num_transactions = n;
   }
 
-  auto make_table = [&](const std::string& name,
-                        Schema schema) -> Result<std::unique_ptr<Table>> {
-    if (setm_options_.storage == TableBacking::kMemory) {
-      return std::unique_ptr<Table>(
-          std::make_unique<MemTable>(name, std::move(schema)));
-    }
-    // Scratch relations of the classed pass are dropped with the run:
-    // unlogged, so they never inflate the write-ahead log.
-    auto t = HeapTable::Create(name, std::move(schema), db_->pool(),
-                               db_->UnloggedPageTagger());
-    if (!t.ok()) return t.status();
-    return std::unique_ptr<Table>(std::move(t).value());
-  };
-
   // --- R_1 := SALES ⋈ CUSTOMERS, sorted on (trans_id, item). -------------
   // (Logically the join of the paper's extension; built directly since the
   // class is a function of trans_id.)
-  auto r1_or = make_table("cr1", ClassedRkSchema(1));
+  const TableBacking backing = setm_options_.storage;
+  auto r1_or = NewScratchRelation(db_, backing, "cr1", ClassedRkSchema(1));
   if (!r1_or.ok()) return r1_or.status();
   std::unique_ptr<Table> r1 = std::move(r1_or).value();
   for (const Transaction& t : transactions) {
@@ -165,7 +153,7 @@ Result<ClassedMiningResult> ClassedSetmMiner::Mine(
     }
     auto sorted_or = sort.Finish();
     if (!sorted_or.ok()) return sorted_or.status();
-    auto fresh = make_table("cr1s", ClassedRkSchema(1));
+    auto fresh = NewScratchRelation(db_, backing, "cr1s", ClassedRkSchema(1));
     if (!fresh.ok()) return fresh.status();
     SETM_RETURN_IF_ERROR(
         MaterializeInto(sorted_or.value().get(), fresh.value().get()));
@@ -182,8 +170,8 @@ Result<ClassedMiningResult> ClassedSetmMiner::Mine(
     if (left->num_rows() == 0) break;
 
     // R'_k := merge-scan(R_{k-1}, R_1) on trans_id, q.item > p.item_{k-1}.
-    auto rk_prime_or =
-        make_table("cr" + std::to_string(k) + "p", ClassedRkSchema(k));
+    auto rk_prime_or = NewScratchRelation(
+        db_, backing, "cr" + std::to_string(k) + "p", ClassedRkSchema(k));
     if (!rk_prime_or.ok()) return rk_prime_or.status();
     std::unique_ptr<Table> rk_prime = std::move(rk_prime_or).value();
     {
@@ -213,7 +201,8 @@ Result<ClassedMiningResult> ClassedSetmMiner::Mine(
     auto kept = count_level(rk_prime.get(), k, &keep);
     if (!kept.ok()) return kept.status();
 
-    auto rk_or = make_table("cr" + std::to_string(k), ClassedRkSchema(k));
+    auto rk_or = NewScratchRelation(db_, backing, "cr" + std::to_string(k),
+                                    ClassedRkSchema(k));
     if (!rk_or.ok()) return rk_or.status();
     std::unique_ptr<Table> rk = std::move(rk_or).value();
     if (!keep.empty()) {

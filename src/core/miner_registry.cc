@@ -8,7 +8,6 @@
 #include "baselines/brute_force.h"
 #include "baselines/parallel_apriori.h"
 #include "core/nested_loop_miner.h"
-#include "core/parallel_setm.h"
 #include "core/setm.h"
 #include "core/setm_sql.h"
 #include "shard/sharded_setm.h"
@@ -81,21 +80,6 @@ class SetmAdapter : public MinerAdapter {
   Result<MiningResult> MineWith(const MiningRequest& request,
                                 const SetmOptions& knobs) override {
     SetmMiner miner(db(), knobs);
-    if (request.table != nullptr) {
-      return miner.MineTable(*request.table, request.options);
-    }
-    return miner.Mine(*request.transactions, request.options);
-  }
-};
-
-class ParallelSetmAdapter : public MinerAdapter {
- public:
-  using MinerAdapter::MinerAdapter;
-
- protected:
-  Result<MiningResult> MineWith(const MiningRequest& request,
-                                const SetmOptions& knobs) override {
-    ParallelSetmMiner miner(db(), knobs);
     if (request.table != nullptr) {
       return miner.MineTable(*request.table, request.options);
     }
@@ -238,13 +222,8 @@ class RegistryState {
     AddBuiltin<SetmAdapter>(MinerInfo{
         "setm",
         "Algorithm SETM (Figure 4): external sort + merge-scan join "
-        "pipeline; routes to the partitioned executor when num_threads > 1",
-        /*honors_storage=*/true, /*honors_count_method=*/true,
-        /*honors_threads=*/true});
-    AddBuiltin<ParallelSetmAdapter>(MinerInfo{
-        "setm-parallel",
-        "partition-parallel SETM: trans_id ranges mined on a worker pool, "
-        "partial counts shard-merged before the global support filter",
+        "pipeline; num_threads > 1 runs it as trans_id shards under the "
+        "setm-sharded coordinator",
         /*honors_storage=*/true, /*honors_count_method=*/true,
         /*honors_threads=*/true});
     AddBuiltin<ShardedSetmAdapter>(MinerInfo{

@@ -4,11 +4,11 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/parallel_setm.h"
 #include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "exec/operators.h"
+#include "shard/sharded_setm.h"
 
 namespace setm {
 
@@ -33,20 +33,6 @@ std::vector<size_t> SetmMiner::TidItemColumns(size_t k) {
   return cols;
 }
 
-Result<std::unique_ptr<Table>> SetmMiner::NewRelation(const std::string& name,
-                                                      Schema schema) {
-  if (setm_options_.storage == TableBacking::kMemory) {
-    return std::unique_ptr<Table>(
-        std::make_unique<MemTable>(name, std::move(schema)));
-  }
-  // Intermediate relations are dropped at the end of the run; tagging their
-  // pages unlogged keeps them out of the write-ahead log.
-  auto t = HeapTable::Create(name, std::move(schema), db_->pool(),
-                             db_->UnloggedPageTagger());
-  if (!t.ok()) return t.status();
-  return std::unique_ptr<Table>(std::move(t).value());
-}
-
 Result<Table*> LoadSalesTable(Database* db, const std::string& name,
                               const TransactionDb& transactions,
                               TableBacking backing) {
@@ -67,12 +53,14 @@ Result<Table*> LoadSalesTable(Database* db, const std::string& name,
 Result<MiningResult> SetmMiner::Mine(const TransactionDb& transactions,
                                      const MiningOptions& options) {
   if (setm_options_.num_threads > 1) {
-    // Route before materializing SALES: the partitioned executor builds its
-    // row slices straight from the transaction database.
-    return ParallelSetmMiner(db_, setm_options_).Mine(transactions, options);
+    // Route before materializing SALES: the shard slices are built straight
+    // from the transaction database.
+    return shard::ShardedSetmMiner(db_, setm_options_)
+        .Mine(transactions, options);
   }
   SETM_RETURN_IF_ERROR(ValidateTransactions(transactions));
-  auto sales_or = NewRelation("sales", SalesSchema());
+  auto sales_or =
+      NewScratchRelation(db_, setm_options_.storage, "sales", SalesSchema());
   if (!sales_or.ok()) return sales_or.status();
   std::unique_ptr<Table> sales = std::move(sales_or).value();
   for (const Transaction& t : transactions) {
@@ -90,7 +78,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
   }
   if (setm_options_.num_threads > 1) {
-    return ParallelSetmMiner(db_, setm_options_).MineTable(sales, options);
+    return shard::ShardedSetmMiner(db_, setm_options_)
+        .MineTable(sales, options);
   }
   WallTimer total_timer;
   const IoStats io_before = *db_->io_stats();
@@ -98,7 +87,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
   MiningResult result;
 
   // --- R_1 := SALES sorted on (trans_id, item); count transactions. ------
-  auto r1_or = NewRelation("r1", RkSchema(1));
+  const TableBacking backing = setm_options_.storage;
+  auto r1_or = NewScratchRelation(db_, backing, "r1", RkSchema(1));
   if (!r1_or.ok()) return r1_or.status();
   std::unique_ptr<Table> r1 = std::move(r1_or).value();
   uint64_t num_transactions = 0;
@@ -148,7 +138,7 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
 
   // Optional ablation: restrict R_1 to frequent items before the loop.
   if (options.filter_r1) {
-    auto filtered_or = NewRelation("r1f", RkSchema(1));
+    auto filtered_or = NewScratchRelation(db_, backing, "r1f", RkSchema(1));
     if (!filtered_or.ok()) return filtered_or.status();
     std::unique_ptr<Table> filtered = std::move(filtered_or).value();
     SETM_RETURN_IF_ERROR(FilterR1Into(
@@ -171,7 +161,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
     // Both inputs are maintained sorted on (trans_id, items...), so no sort
     // is needed here — the "sort order tracked across iterations" remark of
     // Section 4.1.
-    auto rk_prime_or = NewRelation("r" + std::to_string(k) + "p", RkSchema(k));
+    auto rk_prime_or = NewScratchRelation(
+        db_, backing, "r" + std::to_string(k) + "p", RkSchema(k));
     if (!rk_prime_or.ok()) return rk_prime_or.status();
     std::unique_ptr<Table> rk_prime = std::move(rk_prime_or).value();
     SETM_RETURN_IF_ERROR(
@@ -188,7 +179,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
         }));
 
     // R_k := filter R'_k by C_k membership, sorted on (trans_id, items).
-    auto rk_or = NewRelation("r" + std::to_string(k), RkSchema(k));
+    auto rk_or = NewScratchRelation(db_, backing, "r" + std::to_string(k),
+                                    RkSchema(k));
     if (!rk_or.ok()) return rk_or.status();
     std::unique_ptr<Table> rk = std::move(rk_or).value();
     if (!ck_keys.empty()) {

@@ -36,6 +36,7 @@ class SetmMiner {
 
   /// Mines a transaction database. Loads it into a SALES-shaped relation
   /// first (items within a transaction must be sorted and unique).
+  /// num_threads > 1 routes this and MineTable to shard::ShardedSetmMiner.
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
@@ -51,13 +52,10 @@ class SetmMiner {
   static Schema RkSchema(size_t k);
 
   /// Sort-key columns (trans_id, item_1 .. item_k) of an R_k row — the
-  /// order every R_k is maintained in. Shared with the parallel executor.
+  /// order every R_k is maintained in. Shared with the shard backend.
   static std::vector<size_t> TidItemColumns(size_t k);
 
  private:
-  Result<std::unique_ptr<Table>> NewRelation(const std::string& name,
-                                             Schema schema);
-
   Database* db_;
   SetmOptions setm_options_;
 };

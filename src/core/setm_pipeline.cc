@@ -21,6 +21,20 @@ std::vector<size_t> ItemColumns(size_t k) {
 
 }  // namespace
 
+Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
+                                                  TableBacking backing,
+                                                  const std::string& name,
+                                                  Schema schema) {
+  if (backing == TableBacking::kMemory) {
+    return std::unique_ptr<Table>(
+        std::make_unique<MemTable>(name, std::move(schema)));
+  }
+  auto t = HeapTable::Create(name, std::move(schema), db->pool(),
+                             db->UnloggedPageTagger());
+  if (!t.ok()) return t.status();
+  return std::unique_ptr<Table>(std::move(t).value());
+}
+
 Status JoinIntoRkPrime(const Table& left, const Table& r1, size_t k,
                        Table* rk_prime, const CountSink& sink) {
   // Combined row: (trans_id, item_1..item_{k-1}, trans_id, item).

@@ -12,13 +12,24 @@
 namespace setm {
 
 // The join/filter bodies of Algorithm SETM, shared verbatim by the serial
-// executor (setm.cc) and the partitioned executor (parallel_setm.cc). Each
-// helper is parameterized by a sink or membership probe, which is the only
-// thing the two executors legitimately differ in: the serial pipeline
-// aggregates into one global C_k, a partition aggregates local counts that
-// merge later. Everything else — the residual predicate, the column
-// indices, the projection, the (trans_id, items) sort order — exists once,
-// so the executors cannot drift apart by construction.
+// executor (setm.cc) and the shard backend (shard/local_backend.cc), which
+// is the one partitioned executor: threaded, sharded and remote mines all
+// run it under the shard coordinator. Each helper is parameterized by a
+// sink or membership probe, which is the only thing the two legitimately
+// differ in: the serial pipeline aggregates into one global C_k, a shard
+// aggregates local counts that merge later. Everything else — the residual
+// predicate, the column indices, the projection, the (trans_id, items) sort
+// order, the scratch-relation factory — exists once, so the executors
+// cannot drift apart by construction.
+
+/// Creates a standalone scratch relation (never entered in the catalog):
+/// a MemTable under kMemory, otherwise a HeapTable in `db`'s buffer pool
+/// whose pages are tagged unlogged, since scratch never outlives the run
+/// and so never needs the write-ahead log.
+Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
+                                                  TableBacking backing,
+                                                  const std::string& name,
+                                                  Schema schema);
 
 /// Receives the item vector of each candidate row the R'_k join produces.
 /// Pass an empty function when the caller counts some other way.
@@ -35,7 +46,7 @@ using GroupSink = std::function<void(std::vector<ItemId> items,
 /// with `r1` (R_1) on trans_id, keeping extensions with q.item >
 /// p.item_{k-1}, projected to (trans_id, item_1..item_k) and materialized
 /// into `rk_prime`. When `sink` is set it sees each produced row's items —
-/// how the partitioned executor aggregates hash counts in the same pass.
+/// how a shard aggregates hash counts in the same pass.
 Status JoinIntoRkPrime(const Table& left, const Table& r1, size_t k,
                        Table* rk_prime, const CountSink& sink);
 
@@ -58,9 +69,9 @@ std::unique_ptr<TupleIterator> MakeGroupCount(
 /// Streams MakeGroupCount over `relation`'s item columns (an R'_k-shaped
 /// relation of width k+1) into `sink`, keeping groups with count >=
 /// `min_count`. The serial executor calls it with the global minsupport;
-/// a partition calls it with min_count = 1 (support is a global property,
+/// a shard calls it with min_count = 1 (support is a global property,
 /// so local counts must all survive to the merge) — which is exactly how
-/// CountMethod::kSortMerge is honored per partition.
+/// CountMethod::kSortMerge is honored per shard.
 Status CountInto(ExecContext ctx, const Table& relation, size_t k,
                  int64_t min_count, CountMethod method, const GroupSink& sink);
 

@@ -12,7 +12,7 @@ namespace setm {
 struct DeltaOptions {
   /// Physical options for the delta mine and the full-remine fallback
   /// (storage backing, thread count, count method). num_threads > 1 runs
-  /// the delta partition through the parallel partitioned executor.
+  /// the delta partition through the sharded executor.
   SetmOptions setm;
   /// When the appended batch exceeds this fraction of the *combined*
   /// transaction count, incremental maintenance stops paying off (the
@@ -46,7 +46,7 @@ struct DeltaMineResult {
 /// its delta count is >= s - s_old + 1. So the update
 ///
 ///   1. mines *only* the delta partition (reusing SetmMiner, and through it
-///      the parallel partitioned executor) at that reduced threshold;
+///      the sharded executor) at that reduced threshold;
 ///   2. combines stored supports with exact delta counts for every stored
 ///      itemset — decidable without touching old data;
 ///   3. re-counts only the "borderline" itemsets (delta-frequent, not

@@ -57,7 +57,7 @@ struct ServerOptions {
 
   // -- execution ------------------------------------------------------------
   /// Workers executing mining jobs. This pool is distinct from the
-  /// database's worker pool (which parallel miners use for partitions), so
+  /// database's worker pool (which threaded miners use for shards), so
   /// a job can fan out without deadlocking its own slot.
   size_t job_threads = 4;
   /// THREADS default for MINE requests that do not specify one.
@@ -112,7 +112,7 @@ struct ServerStats {
 ///
 /// Threading: the loop thread owns all sessions and the listener; jobs run
 /// on the job pool with the database serialized under an internal mutex
-/// (intra-job parallelism comes from the planner's partitioned executors);
+/// (intra-job parallelism comes from the planner's sharded executor);
 /// completions return to the loop through a CompletionPipe. A client
 /// disconnect, request timeout or shutdown cancels its job cooperatively —
 /// the per-job observer vetoes the next iteration, which is the same

@@ -25,14 +25,17 @@ ShardMetrics* Metrics() {
   static ShardMetrics* metrics = [] {
     auto* registry = obs::MetricsRegistry::Global();
     auto* m = new ShardMetrics();
-    m->runs = registry->GetCounter("setm_shard_runs_total",
-                                   "Distributed mining runs started");
+    m->runs = registry->GetCounter(
+        "setm_shard_runs_total",
+        "Coordinator mining runs started (distributed, sharded and "
+        "threaded in-process mines)");
     m->failures =
         registry->GetCounter("setm_shard_run_failures_total",
-                             "Distributed mining runs that returned an error");
-    m->iterations =
-        registry->GetCounter("setm_shard_iterations_total",
-                             "Distributed iterations (both phases) completed");
+                             "Coordinator mining runs that returned an error");
+    m->iterations = registry->GetCounter(
+        "setm_shard_iterations_total",
+        "Coordinator iterations (both phases) completed, threaded "
+        "in-process mines included");
     return m;
   }();
   return metrics;
@@ -266,7 +269,7 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &ck);
 
     // Phase 2 always runs, C_k empty or not: every shard materializes its
-    // (possibly empty) R_k, exactly like the in-process executors, so the
+    // (possibly empty) R_k, exactly like the serial executor, so the
     // iteration stats and observer callbacks stay aligned.
     ShardFilterStats total;
     s = FilterPhase(coord.pool, &states, k, &ck, &total);

@@ -18,7 +18,7 @@ namespace setm::shard {
 /// Knobs of one distributed run that are the coordinator's, not the query's.
 struct CoordinatorOptions {
   /// Physical knobs forwarded to every shard (filter_r1 is taken from the
-  /// MiningOptions, like the in-process executors do).
+  /// MiningOptions, like the serial executor does).
   ShardRunOptions run;
   /// Fan-out pool for the per-shard phases; null runs them serially on the
   /// calling thread. The pool is only ever entered from the coordinator —

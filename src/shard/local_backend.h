@@ -17,16 +17,20 @@ struct ShardRow {
   ItemId item = 0;
 };
 
+/// Appends the (trans_id, item) pairs of a SALES-shaped table to `rows`;
+/// InvalidArgument unless the table has exactly two columns.
+Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
+
 /// The in-process shard: runs the SETM pipeline bodies (the same
-/// JoinIntoRkPrime / FilterRkPrimeIntoRk / CountInto the serial and
-/// partitioned executors share) over one SALES slice, reporting full local
-/// counts with min_count = 1. This class is both the coordinator's local
-/// execution path and the server-side implementation of LCOUNT/MERGE, so
-/// local and remote shards cannot drift apart.
+/// JoinIntoRkPrime / FilterRkPrimeIntoRk / CountInto the serial executor
+/// uses) over one SALES slice, reporting full local counts with
+/// min_count = 1. This class is both the coordinator's local execution path
+/// and the server-side implementation of LCOUNT/MERGE, so local and remote
+/// shards cannot drift apart.
 ///
 /// The slice comes from one of two sources, chosen before BeginRun:
-///   - SetRows(rows): a fixed in-memory slice (the partition-parallel
-///     "setm-sharded" miner and tests use this).
+///   - SetRows(rows): a fixed in-memory slice (ShardedSetmMiner — threaded
+///     "setm" and "setm-sharded" — and tests use this).
 ///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun,
 ///     so a long-lived backend sees rows appended between runs (the server
 ///     and file-shard members use this).
@@ -54,8 +58,6 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardHealth> Health() override;
 
  private:
-  Result<std::unique_ptr<Table>> NewRelation(const std::string& name,
-                                             Schema schema);
   void AddCount(const std::vector<ItemId>& items, int64_t count);
 
   Database* db_;

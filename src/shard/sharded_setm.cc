@@ -20,8 +20,8 @@ Result<MiningResult> RunSharded(Database* db, const SetmOptions& so,
                                 const MiningOptions& options) {
   const IoStats io_before = *db->io_stats();
 
-  // Same row-balanced trans_id partitioning as the partitioned executor:
-  // sort once, then cut at transaction boundaries.
+  // Row-balanced trans_id partitioning: sort once, then cut at transaction
+  // boundaries.
   std::sort(rows.begin(), rows.end(),
             [](const ShardRow& a, const ShardRow& b) {
               return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
@@ -91,19 +91,8 @@ Result<MiningResult> ShardedSetmMiner::Mine(const TransactionDb& transactions,
 
 Result<MiningResult> ShardedSetmMiner::MineTable(const Table& sales,
                                                  const MiningOptions& options) {
-  if (sales.schema().NumColumns() != 2) {
-    return Status::InvalidArgument("SALES must have schema (trans_id, item)");
-  }
   std::vector<ShardRow> rows;
-  rows.reserve(sales.num_rows());
-  auto it = sales.Scan();
-  Tuple row;
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    rows.push_back(ShardRow{row.value(0).AsInt32(), row.value(1).AsInt32()});
-  }
+  SETM_RETURN_IF_ERROR(ExtractRows(sales, &rows));
   return RunSharded(db_, setm_options_, std::move(rows), options);
 }
 

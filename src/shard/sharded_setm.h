@@ -7,17 +7,24 @@
 
 namespace setm::shard {
 
-/// SETM through the distributed coordinator, entirely in process: SALES is
-/// range-partitioned on trans_id into `num_threads` shard slices (never
-/// splitting a transaction), each slice gets a LocalShardBackend, and
-/// DistributedMine drives the two-phase count over them on a worker pool.
+/// The partitioned SETM executor: SALES is range-partitioned on trans_id
+/// into `num_threads` row-balanced shard slices (never splitting a
+/// transaction), each slice gets a LocalShardBackend, and DistributedMine
+/// drives the two-phase count over them on a worker pool. Splitting on
+/// trans_id is exact — the R'_k join matches rows of one transaction only
+/// and support counts are plain sums — so the output is identical to the
+/// serial SetmMiner for any shard count (asserted by
+/// miners_equivalence_test).
 ///
-/// Functionally this mirrors ParallelSetmMiner — identical output for any
-/// shard count, asserted by miners_equivalence_test under the registry name
-/// "setm-sharded" — but it exercises the exact coordinator/backend seam the
-/// multi-database ShardedDatabase and the remote LCOUNT/MERGE protocol use,
-/// so the scale-out path is covered by the same equivalence suite that
-/// guards the in-process executors.
+/// SetmMiner routes every num_threads > 1 mine here, and the registry
+/// exposes it directly as "setm-sharded". In-process threading therefore
+/// runs the exact coordinator/backend seam the multi-database
+/// ShardedDatabase and the remote LCOUNT/MERGE protocol use, so one
+/// implementation serves every deployment shape.
+///
+///     SetmOptions o;
+///     o.num_threads = 4;
+///     MiningResult r = SetmMiner(&db, o).Mine(transactions, options).value();
 class ShardedSetmMiner {
  public:
   /// Uses the database's shared worker pool when it has one, otherwise

@@ -1,5 +1,5 @@
 // Cross-miner integration tests, driven entirely through the MinerRegistry:
-// every registered algorithm (the seven built-ins, plus anything a future
+// every registered algorithm (the eight built-ins, plus anything a future
 // PR registers) must find exactly the same frequent itemsets as the
 // brute-force oracle, across table backings, thread counts, count methods
 // and both MiningRequest sources. No miner is constructed by hand here —
@@ -182,7 +182,7 @@ TEST_P(ParallelSetmTest, IdenticalToSerialMiner) {
   SetmOptions parallel_opts = serial_opts;
   parallel_opts.num_threads = std::get<2>(GetParam());
   Database parallel_db;
-  // Through "setm" (not "setm-parallel") so the num_threads routing knob is
+  // Through "setm" so the num_threads routing to the sharded executor is
   // covered too.
   auto result =
       MineVia("setm", &parallel_db, &txns, nullptr, options, parallel_opts);
@@ -248,8 +248,7 @@ TEST(ParallelSetmTest, SharedDatabaseWorkerPoolAndOptions) {
   ASSERT_NE(db.worker_pool(), nullptr);
   SetmOptions setm_options;
   setm_options.num_threads = 3;
-  auto result =
-      MineVia("setm-parallel", &db, &txns, nullptr, options, setm_options);
+  auto result = MineVia("setm", &db, &txns, nullptr, options, setm_options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
 }
@@ -264,8 +263,8 @@ TEST(ParallelSetmTest, MoreThreadsThanTransactions) {
   Database db;
   SetmOptions setm_options;
   setm_options.num_threads = 64;  // far more than the example's transactions
-  auto result = MineVia("setm-parallel", &db, &txns, nullptr,
-                        PaperExampleOptions(), setm_options);
+  auto result = MineVia("setm", &db, &txns, nullptr, PaperExampleOptions(),
+                        setm_options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
 }
@@ -276,8 +275,7 @@ TEST(ParallelSetmTest, EmptyDatabase) {
   setm_options.num_threads = 4;
   TransactionDb empty;
   auto result =
-      MineVia("setm-parallel", &db, &empty, nullptr, MiningOptions{},
-              setm_options);
+      MineVia("setm", &db, &empty, nullptr, MiningOptions{}, setm_options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().itemsets.TotalPatterns(), 0u);
 }

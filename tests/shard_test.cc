@@ -20,6 +20,7 @@
 #include "exec/worker_pool.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "persist/shard_manifest.h"
 #include "shard/coordinator.h"
 #include "shard/local_backend.h"
@@ -427,6 +428,83 @@ TEST(ShardedDatabaseTest, FileShardsMatchSingleNode) {
     EXPECT_GT(member.health.transactions, 0u) << member.name;
   }
   EXPECT_TRUE(sharded.Close().ok());
+}
+
+// A threaded "setm" on a WAL file database — what `MINE ... THREADS n` on a
+// served .db runs. Its in-process shards build kHeap scratch relations in
+// the file's buffer pool; they must match serial bit-for-bit, stay out of
+// the catalog and out of the WAL, and leave a database that reopens intact.
+TEST(ThreadedFileMineTest, WalDatabaseMatchesSerialAndKeepsCatalogClean) {
+  TransactionDb txns = QuestDb(43, 300);
+  MiningOptions options;
+  options.min_support = 0.04;
+  TempDir dir;
+  const std::string path = dir.File("threaded.db");
+  auto wal_page_records = [] {
+    return obs::MetricsRegistry::Global()
+        ->GetCounter("setm_wal_page_records_total", "")
+        ->Value();
+  };
+  auto mine = [&](Database* db, const Table* sales, size_t threads,
+                  CountMethod method) -> Result<MiningResult> {
+    SetmOptions knobs;
+    knobs.storage = TableBacking::kHeap;
+    knobs.num_threads = threads;
+    knobs.count_method = method;
+    auto miner = MinerRegistry::Create("setm", db, knobs);
+    if (!miner.ok()) return miner.status();
+    MiningRequest request;
+    request.table = sales;
+    request.options = options;
+    return miner.value()->Mine(request);
+  };
+
+  std::vector<std::string> tables;
+  FrequentItemsets serial_itemsets;
+  {
+    DatabaseOptions db_options;
+    db_options.file_path = path;
+    auto db_or = Database::Open(std::move(db_options));
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    Database* db = db_or.value().get();
+    auto sales = LoadSalesTable(db, "sales", txns, TableBacking::kHeap);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    ASSERT_TRUE(db->Commit().ok());
+    tables = db->catalog()->TableNames();
+
+    for (CountMethod method : {CountMethod::kSortMerge, CountMethod::kHash}) {
+      SCOPED_TRACE(method == CountMethod::kHash ? "hash" : "sort-merge");
+      auto serial = mine(db, sales.value(), 1, method);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      const uint64_t wal_before = wal_page_records();
+      auto threaded = mine(db, sales.value(), 3, method);
+      ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+      ASSERT_TRUE(db->Commit().ok());
+      // Shard scratch pages are tagged unlogged: committing after the mine
+      // logs none of them.
+      EXPECT_EQ(wal_page_records(), wal_before);
+
+      EXPECT_TRUE(threaded.value().itemsets == serial.value().itemsets);
+      EXPECT_EQ(threaded.value().itemsets.num_transactions, txns.size());
+      ExpectSameIterations(threaded.value(), serial.value());
+      EXPECT_EQ(db->catalog()->TableNames(), tables);
+      serial_itemsets = serial.value().itemsets;
+    }
+    ASSERT_TRUE(db->Close().ok());
+  }
+
+  DatabaseOptions db_options;
+  db_options.file_path = path;
+  auto reopened_or = Database::Open(std::move(db_options));
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  Database* reopened = reopened_or.value().get();
+  EXPECT_EQ(reopened->catalog()->TableNames(), tables);
+  auto sales = reopened->catalog()->ResolveTable("sales");
+  ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+  auto again = mine(reopened, sales.value(), 1, CountMethod::kSortMerge);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again.value().itemsets == serial_itemsets);
+  EXPECT_TRUE(reopened->Close().ok());
 }
 
 TEST(ShardedDatabaseTest, MissingShardFileFailsOpenNamingTheShard) {
