@@ -1,9 +1,9 @@
 // S1 — scaling: threaded SETM at 1/2/4/8 threads on a Quest-generated
 // workload (post-paper: Houtsma & Swami ran SETM single-threaded; this
 // measures how far the "mining = sort + merge-scan join" reduction
-// parallelizes once SALES is range-partitioned on trans_id). At
-// num_threads > 1 SetmMiner runs that many in-process shards under the
-// shard coordinator (shard/sharded_setm.h).
+// parallelizes once SALES is range-partitioned on trans_id). SetmMiner runs
+// num_threads in-process shards under the shard coordinator
+// (shard/coordinator.h); 1 thread is the one-shard run.
 //
 // Asserted: pattern counts and itemsets are identical at every thread
 // count (exit 1 otherwise). The speedups are printed for the record but not

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Cross-algorithm smoke for the unified `--algo` dispatch:
 #
-#   1. `setm_mine --algo list` must enumerate the registry (all eight
+#   1. `setm_mine --algo list` must enumerate the registry (all seven
 #      built-in algorithms present);
 #   2. every listed algorithm mines the paper's Section 4.2 example and its
 #      rule output must be byte-identical to the committed SETM golden file
 #      (tests/golden/paper_example_rules.csv);
 #   3. every listed algorithm mines a deterministic Quest-style workload
 #      and is diffed against the SETM run's output — setm additionally at
-#      --threads 4, its sharded in-process executor.
+#      --threads 4, four in-process shards instead of one.
 #
 # A newly registered algorithm is covered automatically: it appears in
 # `--algo list` and therefore in both sweeps.
@@ -25,8 +25,7 @@ echo "== --algo list enumerates the registry"
 "$SETM_MINE" --algo list > "$WORK/algos.tsv"
 ALGOS="$(cut -f1 "$WORK/algos.tsv")"
 [ -n "$ALGOS" ] || { echo "FAIL: --algo list printed nothing"; exit 1; }
-for a in setm setm-sharded setm-sql nested-loop apriori apriori-parallel ais \
-         brute-force; do
+for a in setm setm-sql nested-loop apriori apriori-parallel ais brute-force; do
   grep -qx "$a" <<< "$ALGOS" || {
     echo "FAIL: built-in '$a' missing from --algo list"; exit 1;
   }

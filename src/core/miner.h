@@ -35,24 +35,22 @@ struct SetmOptions {
   /// kMemory mirrors the paper's Section 6 implementation, which "ran in
   /// main memory" for the timing experiments.
   TableBacking storage = TableBacking::kMemory;
-  /// Physical strategy for the C_k aggregation. Honored by both SETM
-  /// executors: the serial pipeline counts the materialized R'_k through a
-  /// sort+stream or hash aggregation, and the sharded executor
-  /// (num_threads > 1) applies the same choice to each shard's local
-  /// counts — kSortMerge sorts the shard's R'_k slice before counting,
-  /// reproducing the sort-based I/O profile per shard. The coordinator's
-  /// merge of partial counts is always hash-based (shards must combine
-  /// before the global minsupport filter), so only the shard-local
-  /// aggregation differs between the methods; results are identical
-  /// either way.
+  /// Physical strategy for the C_k aggregation, applied to each shard's
+  /// local counts: kSortMerge sorts the shard's materialized R'_k and
+  /// stream-counts it, reproducing the paper's sort-based I/O profile;
+  /// kHash aggregates candidates in a hash table while the R'_k join
+  /// produces them. The coordinator's merge of partial counts is always
+  /// hash-based (shards must combine before the global minsupport filter),
+  /// so only the shard-local aggregation differs between the methods;
+  /// results are identical either way.
   CountMethod count_method = CountMethod::kSortMerge;
-  /// Degree of partition parallelism. 1 runs the classic single-threaded
-  /// pipeline; > 1 routes to the sharded executor (shard/sharded_setm.h):
-  /// SALES is range-partitioned on trans_id into that many in-process
-  /// shards, the shard coordinator runs candidate generation and local
-  /// counting per shard on a worker pool, and merges partial C_k counts
-  /// before the global minsupport filter. Itemsets and rules are identical
-  /// to the serial pipeline for any thread count.
+  /// Degree of partition parallelism. SETM always runs under the shard
+  /// coordinator (shard/coordinator.h): SALES is range-partitioned on
+  /// trans_id into this many in-process shards (1 = one shard on the
+  /// calling thread), candidate generation and local counting run per
+  /// shard on a worker pool, and partial C_k counts merge before the
+  /// global minsupport filter. Itemsets, rules and per-iteration relation
+  /// sizes are identical for any thread count.
   size_t num_threads = 1;
 };
 

@@ -10,7 +10,6 @@
 #include "core/nested_loop_miner.h"
 #include "core/setm.h"
 #include "core/setm_sql.h"
-#include "shard/sharded_setm.h"
 
 namespace setm {
 
@@ -80,21 +79,6 @@ class SetmAdapter : public MinerAdapter {
   Result<MiningResult> MineWith(const MiningRequest& request,
                                 const SetmOptions& knobs) override {
     SetmMiner miner(db(), knobs);
-    if (request.table != nullptr) {
-      return miner.MineTable(*request.table, request.options);
-    }
-    return miner.Mine(*request.transactions, request.options);
-  }
-};
-
-class ShardedSetmAdapter : public MinerAdapter {
- public:
-  using MinerAdapter::MinerAdapter;
-
- protected:
-  Result<MiningResult> MineWith(const MiningRequest& request,
-                                const SetmOptions& knobs) override {
-    shard::ShardedSetmMiner miner(db(), knobs);
     if (request.table != nullptr) {
       return miner.MineTable(*request.table, request.options);
     }
@@ -222,15 +206,9 @@ class RegistryState {
     AddBuiltin<SetmAdapter>(MinerInfo{
         "setm",
         "Algorithm SETM (Figure 4): external sort + merge-scan join "
-        "pipeline; num_threads > 1 runs it as trans_id shards under the "
-        "setm-sharded coordinator",
-        /*honors_storage=*/true, /*honors_count_method=*/true,
-        /*honors_threads=*/true});
-    AddBuiltin<ShardedSetmAdapter>(MinerInfo{
-        "setm-sharded",
-        "SETM through the distributed two-phase count coordinator: trans_id "
-        "shard slices behind the ShardBackend seam, local counts merged "
-        "before the global support filter",
+        "pipeline under the shard coordinator, as one shard or, with "
+        "num_threads > 1, as that many trans_id shards whose local counts "
+        "merge before the global support filter",
         /*honors_storage=*/true, /*honors_count_method=*/true,
         /*honors_threads=*/true});
     AddBuiltin<SetmSqlAdapter>(MinerInfo{

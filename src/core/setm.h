@@ -16,6 +16,12 @@ namespace setm {
 /// Algorithm SETM (Figure 4 of the paper), implemented directly on the
 /// engine's two primitives: external sort and merge-scan join.
 ///
+/// Every mine runs under the shard coordinator (shard::DistributedMine):
+/// SALES is cut on trans_id into SetmOptions::num_threads in-process
+/// shard::LocalShardBackend slices, and a serial mine is simply the
+/// one-shard run, on the calling thread. The iteration below therefore
+/// lives once, in the backend and the coordinator.
+///
 /// Per iteration k:
 ///   1. R'_k := merge-scan join of R_{k-1} (sorted on trans_id, items) with
 ///      R_1 (sorted on trans_id, item) on trans_id, keeping extensions with
@@ -34,14 +40,14 @@ class SetmMiner {
   explicit SetmMiner(Database* db, SetmOptions setm_options = {})
       : db_(db), setm_options_(setm_options) {}
 
-  /// Mines a transaction database. Loads it into a SALES-shaped relation
-  /// first (items within a transaction must be sorted and unique).
-  /// num_threads > 1 routes this and MineTable to shard::ShardedSetmMiner.
+  /// Mines a transaction database (items within a transaction must be
+  /// sorted and unique); its rows go straight into the shard slices.
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
   /// Mines an existing relation with schema (trans_id INT32, item INT32);
-  /// rows need not be sorted.
+  /// rows need not be sorted. The result's I/O ledger includes the one
+  /// SALES scan.
   Result<MiningResult> MineTable(const Table& sales,
                                  const MiningOptions& options);
 
@@ -50,10 +56,6 @@ class SetmMiner {
 
   /// Schema of R_k: (trans_id, item_1, .., item_k), all INT32.
   static Schema RkSchema(size_t k);
-
-  /// Sort-key columns (trans_id, item_1 .. item_k) of an R_k row — the
-  /// order every R_k is maintained in. Shared with the shard backend.
-  static std::vector<size_t> TidItemColumns(size_t k);
 
  private:
   Database* db_;

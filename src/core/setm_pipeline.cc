@@ -4,18 +4,17 @@
 
 #include "exec/expression.h"
 #include "exec/external_sort.h"
-#include "exec/hash_operators.h"
 #include "exec/operators.h"
 
 namespace setm {
 
 namespace {
 
-/// Key columns (item_1 .. item_k) of an R_k row.
-std::vector<size_t> ItemColumns(size_t k) {
+/// Columns [first, k] of an R_k row: from 1, its items (the C_k group
+/// key); from 0, (trans_id, items) — the order every R_k is kept in.
+std::vector<size_t> Columns(size_t first, size_t k) {
   std::vector<size_t> cols;
-  cols.reserve(k);
-  for (size_t i = 1; i <= k; ++i) cols.push_back(i);
+  for (size_t i = first; i <= k; ++i) cols.push_back(i);
   return cols;
 }
 
@@ -65,9 +64,9 @@ Status JoinIntoRkPrime(const Table& left, const Table& r1, size_t k,
 }
 
 Status FilterRkPrimeIntoRk(ExecContext ctx, const Table& rk_prime, size_t k,
-                           const CkProbe& in_ck, Table* rk) {
+                           const CkKeys& ck, Table* rk) {
   ExternalSort sort(ctx, SetmMiner::RkSchema(k),
-                    TupleComparator(SetmMiner::TidItemColumns(k)));
+                    TupleComparator(Columns(0, k)));
   auto it = rk_prime.Scan();
   Tuple row;
   std::vector<ItemId> items(k);
@@ -76,7 +75,7 @@ Status FilterRkPrimeIntoRk(ExecContext ctx, const Table& rk_prime, size_t k,
     if (!more.ok()) return more.status();
     if (!more.value()) break;
     for (size_t i = 0; i < k; ++i) items[i] = row.value(i + 1).AsInt32();
-    if (in_ck(ItemsetKey(items))) {
+    if (ck.count(ItemsetKey(items)) != 0) {
       SETM_RETURN_IF_ERROR(sort.Add(row));
     }
   }
@@ -85,47 +84,36 @@ Status FilterRkPrimeIntoRk(ExecContext ctx, const Table& rk_prime, size_t k,
   return MaterializeInto(sorted_or.value().get(), rk);
 }
 
-Status FilterR1Into(const Table& r1, const CkProbe& keep, Table* out) {
+Status FilterR1Into(const Table& r1, const CkKeys& c1, Table* out) {
   auto it = r1.Scan();
   Tuple row;
   while (true) {
     auto more = it->Next(&row);
     if (!more.ok()) return more.status();
     if (!more.value()) break;
-    if (keep(ItemsetKey({row.value(1).AsInt32()}))) {
+    if (c1.count(ItemsetKey({row.value(1).AsInt32()})) != 0) {
       SETM_RETURN_IF_ERROR(out->Insert(row));
     }
   }
   return Status::OK();
 }
 
-std::unique_ptr<TupleIterator> MakeGroupCount(
-    ExecContext ctx, std::unique_ptr<TupleIterator> input,
-    std::vector<size_t> group_columns, int64_t min_count, CountMethod method) {
-  if (method == CountMethod::kHash) {
-    return std::make_unique<HashGroupCountIterator>(
-        std::move(input), std::move(group_columns), min_count);
-  }
-  auto sorted = std::make_unique<SortIterator>(
-      ctx, std::move(input), TupleComparator(group_columns));
-  return std::make_unique<SortedGroupCountIterator>(
-      std::move(sorted), std::move(group_columns), min_count);
-}
-
 Status CountInto(ExecContext ctx, const Table& relation, size_t k,
-                 int64_t min_count, CountMethod method,
-                 const GroupSink& sink) {
-  auto counts = MakeGroupCount(ctx, relation.Scan(), ItemColumns(k),
-                               min_count, method);
+                 int64_t min_count, std::vector<PatternCount>* out) {
+  std::vector<size_t> group_columns = Columns(1, k);
+  auto sorted = std::make_unique<SortIterator>(ctx, relation.Scan(),
+                                               TupleComparator(group_columns));
+  SortedGroupCountIterator counts(std::move(sorted), std::move(group_columns),
+                                  min_count);
   Tuple row;
   while (true) {
-    auto more = counts->Next(&row);
+    auto more = counts.Next(&row);
     if (!more.ok()) return more.status();
     if (!more.value()) break;
     std::vector<ItemId> items;
     items.reserve(k);
     for (size_t i = 0; i < k; ++i) items.push_back(row.value(i).AsInt32());
-    sink(std::move(items), row.value(k).AsInt64());
+    out->push_back(PatternCount{std::move(items), row.value(k).AsInt64()});
   }
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/setm.h"
@@ -11,16 +12,13 @@
 
 namespace setm {
 
-// The join/filter bodies of Algorithm SETM, shared verbatim by the serial
-// executor (setm.cc) and the shard backend (shard/local_backend.cc), which
-// is the one partitioned executor: threaded, sharded and remote mines all
-// run it under the shard coordinator. Each helper is parameterized by a
-// sink or membership probe, which is the only thing the two legitimately
-// differ in: the serial pipeline aggregates into one global C_k, a shard
-// aggregates local counts that merge later. Everything else — the residual
-// predicate, the column indices, the projection, the (trans_id, items) sort
-// order, the scratch-relation factory — exists once, so the executors
-// cannot drift apart by construction.
+// The join/count/filter bodies of Algorithm SETM. Their one iteration
+// driver is shard::LocalShardBackend under shard::DistributedMine: every
+// SetmMiner mine (serial as one shard, threaded as N), every sharded
+// database and every remote LCOUNT/MERGE session runs them there. The
+// residual predicate, the column indices, the projection, the
+// (trans_id, items) sort order and the scratch-relation factory exist
+// once, here.
 
 /// Creates a standalone scratch relation (never entered in the catalog):
 /// a MemTable under kMemory, otherwise a HeapTable in `db`'s buffer pool
@@ -35,12 +33,8 @@ Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
 /// Pass an empty function when the caller counts some other way.
 using CountSink = std::function<void(const std::vector<ItemId>& items)>;
 
-/// Membership probe over C_k (keys are ItemsetKey-serialized item vectors).
-using CkProbe = std::function<bool(const std::string& key)>;
-
-/// Receives one counted group: its items and the group's count.
-using GroupSink = std::function<void(std::vector<ItemId> items,
-                                     int64_t count)>;
+/// The itemsets of a C_k, as ItemsetKey-serialized item vectors.
+using CkKeys = std::unordered_set<std::string>;
 
 /// R'_k := merge-scan join of `left` (R_{k-1}, sorted on trans_id, items)
 /// with `r1` (R_1) on trans_id, keeping extensions with q.item >
@@ -50,30 +44,25 @@ using GroupSink = std::function<void(std::vector<ItemId> items,
 Status JoinIntoRkPrime(const Table& left, const Table& r1, size_t k,
                        Table* rk_prime, const CountSink& sink);
 
-/// R_k := rows of `rk_prime` whose item key passes `in_ck` ("simple table
+/// R_k := rows of `rk_prime` whose items are in `ck` ("simple table
 /// look-ups on relation C_k"), sorted back on (trans_id, item_1..item_k)
 /// and materialized into `rk`.
 Status FilterRkPrimeIntoRk(ExecContext ctx, const Table& rk_prime, size_t k,
-                           const CkProbe& in_ck, Table* rk);
+                           const CkKeys& ck, Table* rk);
 
-/// The filter_r1 ablation body: copies rows of `r1` whose single-item key
-/// passes `keep` into `out` (order preserved, so `out` stays sorted).
-Status FilterR1Into(const Table& r1, const CkProbe& keep, Table* out);
+/// The filter_r1 ablation body: copies rows of `r1` whose item is in `c1`
+/// into `out` (order preserved, so `out` stays sorted).
+Status FilterR1Into(const Table& r1, const CkKeys& c1, Table* out);
 
-/// The C_k aggregation pipeline under either physical strategy. Both emit
-/// identical rows (group columns + count, ordered by the group columns).
-std::unique_ptr<TupleIterator> MakeGroupCount(
-    ExecContext ctx, std::unique_ptr<TupleIterator> input,
-    std::vector<size_t> group_columns, int64_t min_count, CountMethod method);
-
-/// Streams MakeGroupCount over `relation`'s item columns (an R'_k-shaped
-/// relation of width k+1) into `sink`, keeping groups with count >=
-/// `min_count`. The serial executor calls it with the global minsupport;
-/// a shard calls it with min_count = 1 (support is a global property,
-/// so local counts must all survive to the merge) — which is exactly how
-/// CountMethod::kSortMerge is honored per shard.
+/// Sorts `relation` (an R'_k-shaped relation of width k+1) on its item
+/// columns and stream-counts the groups, appending them to `out` in item
+/// order, keeping groups with count >= `min_count` — the kSortMerge C_k
+/// count. A shard passes min_count = 1 (support is a global property, so
+/// local counts must all survive to the merge) unless it is the run's only
+/// shard, whose local counts are global: then it passes minsupport, as the
+/// paper's single pipeline does.
 Status CountInto(ExecContext ctx, const Table& relation, size_t k,
-                 int64_t min_count, CountMethod method, const GroupSink& sink);
+                 int64_t min_count, std::vector<PatternCount>* out);
 
 }  // namespace setm
 

@@ -13,8 +13,9 @@ namespace {
 //
 // Both node kinds fit exactly one page:
 //   leaf:     [NodeHeader | Entry entries[kLeafCap]]
-//   internal: [NodeHeader | PageId children[kInternalCap+1]
+//   internal: [NodeHeader | PageId children[kInternalCap+1] | padding
 //                         | Entry separators[kInternalCap]]
+// (the padding aligns the separators for Entry's uint64_t fields).
 //
 // Internal separators are full (key, payload) pairs: the tree orders by the
 // pair, which keeps duplicate keys exact instead of "mostly sorted".
@@ -28,9 +29,27 @@ struct NodeHeader {
 
 constexpr size_t kHeaderSize = sizeof(NodeHeader);
 constexpr size_t kLeafCap = (kPageSize - kHeaderSize) / sizeof(BPlusTree::Entry);
-constexpr size_t kInternalCap =
-    (kPageSize - kHeaderSize - sizeof(PageId)) /
-    (sizeof(BPlusTree::Entry) + sizeof(PageId));
+
+static_assert(kHeaderSize % alignof(BPlusTree::Entry) == 0,
+              "leaf entries must be aligned");
+
+// Internal separators start at the first Entry-aligned offset after the
+// children array.
+constexpr size_t SepOffset(size_t cap) {
+  const size_t align = alignof(BPlusTree::Entry);
+  return (kHeaderSize + (cap + 1) * sizeof(PageId) + align - 1) / align *
+         align;
+}
+
+// The largest separator count whose node (padding included) fits a page.
+constexpr size_t InternalCap() {
+  size_t cap = (kPageSize - kHeaderSize - sizeof(PageId)) /
+               (sizeof(BPlusTree::Entry) + sizeof(PageId));
+  while (SepOffset(cap) + cap * sizeof(BPlusTree::Entry) > kPageSize) --cap;
+  return cap;
+}
+
+constexpr size_t kInternalCap = InternalCap();
 
 static_assert(kLeafCap >= 4, "page too small");
 static_assert(kInternalCap >= 4, "page too small");
@@ -48,7 +67,7 @@ const BPlusTree::Entry* LeafEntries(const Page* p) {
 PageId* Children(Page* p) { return p->As<PageId>(kHeaderSize); }
 const PageId* Children(const Page* p) { return p->As<PageId>(kHeaderSize); }
 
-constexpr size_t kSepOffset = kHeaderSize + (kInternalCap + 1) * sizeof(PageId);
+constexpr size_t kSepOffset = SepOffset(kInternalCap);
 
 BPlusTree::Entry* Separators(Page* p) {
   return p->As<BPlusTree::Entry>(kSepOffset);

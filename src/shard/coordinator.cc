@@ -27,15 +27,15 @@ ShardMetrics* Metrics() {
     auto* m = new ShardMetrics();
     m->runs = registry->GetCounter(
         "setm_shard_runs_total",
-        "Coordinator mining runs started (distributed, sharded and "
-        "threaded in-process mines)");
+        "Coordinator mining runs started: every SETM mine (serial ones run "
+        "as one shard), sharded-database and remote mines included");
     m->failures =
         registry->GetCounter("setm_shard_run_failures_total",
                              "Coordinator mining runs that returned an error");
     m->iterations = registry->GetCounter(
         "setm_shard_iterations_total",
-        "Coordinator iterations (both phases) completed, threaded "
-        "in-process mines included");
+        "Coordinator iterations (both phases) completed by every SETM mine, "
+        "serial ones included");
     return m;
   }();
   return metrics;
@@ -222,6 +222,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     }
     result.itemsets.num_transactions = num_transactions;
     minsup = ResolveMinSupportCount(options, num_transactions);
+    // A sole shard's local counts are global: let it prune at minsupport.
+    if (states.size() == 1) states[0].backend->SetCountFloor(minsup);
 
     IterationStats stats;
     stats.k = 1;
@@ -269,8 +271,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &ck);
 
     // Phase 2 always runs, C_k empty or not: every shard materializes its
-    // (possibly empty) R_k, exactly like the serial executor, so the
-    // iteration stats and observer callbacks stay aligned.
+    // (possibly empty) R_k, as Figure 4's loop does, so the iteration stats
+    // and observer callbacks match setm-sql's.
     ShardFilterStats total;
     s = FilterPhase(coord.pool, &states, k, &ck, &total);
     if (!s.ok()) return fail(s);

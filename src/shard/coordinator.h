@@ -18,7 +18,7 @@ namespace setm::shard {
 /// Knobs of one distributed run that are the coordinator's, not the query's.
 struct CoordinatorOptions {
   /// Physical knobs forwarded to every shard (filter_r1 is taken from the
-  /// MiningOptions, like the serial executor does).
+  /// MiningOptions).
   ShardRunOptions run;
   /// Fan-out pool for the per-shard phases; null runs them serially on the
   /// calling thread. The pool is only ever entered from the coordinator —
@@ -33,16 +33,20 @@ struct CoordinatorOptions {
 /// The two-phase distributed count over `shards` (Section 5's partitioned
 /// reading of Algorithm SETM, stretched across databases):
 ///
-///   phase 1  every shard locally counts iteration k with min_count = 1;
+///   phase 1  every shard locally counts iteration k with min_count = 1
+///            (a sole shard, whose counts are global, prunes at minsupport
+///            from k = 2 on);
 ///   merge    the coordinator sums partial counts and applies the global
 ///            minsupport — resolved from the summed per-shard transaction
 ///            counts, exact because transactions never span shards;
 ///   phase 2  the surviving C_k is broadcast and every shard filters its
 ///            R'_k slice down to R_k.
 ///
-/// Results are bit-identical to single-node SETM for any shard count: the
-/// shards run the same pipeline bodies, the merge applies the same
-/// threshold, and the final Normalize() makes merge order irrelevant.
+/// This is the one SETM iteration loop: SetmMiner runs every mine through
+/// it (one in-process shard when serial, one per thread when threaded).
+/// Results are identical for any shard count: the shards run the same
+/// pipeline bodies, the merge applies the same threshold, and the final
+/// Normalize() makes merge order irrelevant.
 ///
 /// Failure semantics: one shard failing fails the whole run — partial
 /// results are never returned. Connection-level errors (IOError,

@@ -1,6 +1,7 @@
 #include "shard/local_backend.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -45,6 +46,9 @@ LocalShardBackend::LocalShardBackend(Database* db, std::string name,
     : db_(db), name_(std::move(name)), prefix_(std::move(scratch_prefix)) {}
 
 void LocalShardBackend::SetRows(std::vector<ShardRow> rows) {
+  if (!std::is_sorted(rows.begin(), rows.end())) {
+    std::sort(rows.begin(), rows.end());
+  }
   rows_ = std::move(rows);
   bound_to_table_ = false;
 }
@@ -56,28 +60,16 @@ void LocalShardBackend::BindTable(std::string table_name) {
   rows_.shrink_to_fit();
 }
 
-void LocalShardBackend::AddCount(const std::vector<ItemId>& items,
-                                 int64_t count) {
-  PatternCount& pc = counts_[ItemsetKey(items)];
-  if (pc.count == 0) pc.items = items;
-  pc.count += count;
-}
-
 Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
   SETM_RETURN_IF_ERROR(EndRun());
   run_ = options;
+  count_floor_ = 1;
   if (bound_to_table_) {
     auto table_or = db_->catalog()->ResolveTable(table_name_);
     if (!table_or.ok()) return table_or.status();
     SETM_RETURN_IF_ERROR(ExtractRows(*table_or.value(), &run_rows_));
-  } else {
-    run_rows_ = rows_;
+    std::sort(run_rows_.begin(), run_rows_.end());
   }
-  // The same (trans_id, item) order the serial pipeline establishes for R_1.
-  std::sort(run_rows_.begin(), run_rows_.end(),
-            [](const ShardRow& a, const ShardRow& b) {
-              return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
-            });
   running_ = true;
   return Status::OK();
 }
@@ -89,39 +81,43 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   }
   WallTimer timer;
   ShardLocalCounts out;
-  counts_.clear();
-  const ExecContext ctx = LocalContext(db_);
+  const bool hash = run_.count_method == CountMethod::kHash;
+  // kHash aggregates while R'_k is produced; kSortMerge counts the
+  // materialized relation afterwards, one row per group.
+  std::unordered_map<std::string, PatternCount> hashed;
+  const auto tally = [&hashed](const std::vector<ItemId>& items) {
+    PatternCount& pc = hashed[ItemsetKey(items)];
+    if (pc.count == 0) pc.items = items;
+    ++pc.count;
+  };
+  const Table* counted = nullptr;
 
   if (k == 1) {
     auto r1_or = NewScratchRelation(db_, run_.storage, prefix_ + "r1",
                                     SetmMiner::RkSchema(1));
     if (!r1_or.ok()) return r1_or.status();
     r1_ = std::move(r1_or).value();
+    // R_1 := the slice, already in (trans_id, item) order.
+    const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
     std::vector<ItemId> item(1);
     uint64_t transactions = 0;
-    for (size_t i = 0; i < run_rows_.size(); ++i) {
-      const ShardRow& row = run_rows_[i];
-      if (i == 0 || row.tid != run_rows_[i - 1].tid) ++transactions;
+    for (size_t i = 0; i < slice.size(); ++i) {
+      const ShardRow& row = slice[i];
+      if (i == 0 || row.tid != slice[i - 1].tid) ++transactions;
       SETM_RETURN_IF_ERROR(r1_->Insert(
           Tuple({Value::Int32(row.tid), Value::Int32(row.item)})));
-      if (run_.count_method == CountMethod::kHash) {
+      if (hash) {
         item[0] = row.item;
-        AddCount(item, 1);
+        tally(item);
       }
     }
     run_rows_.clear();
     run_rows_.shrink_to_fit();
-    if (run_.count_method == CountMethod::kSortMerge) {
-      SETM_RETURN_IF_ERROR(CountInto(
-          ctx, *r1_, 1, /*min_count=*/1, CountMethod::kSortMerge,
-          [this](std::vector<ItemId> items, int64_t count) {
-            AddCount(items, count);
-          }));
-    }
     out.transactions = transactions;
     out.r_prime_rows = r1_->num_rows();
     out.r_bytes = r1_->size_bytes();
     out.r_pages = r1_->num_pages();
+    counted = r1_.get();
   } else {
     const Table* left = r_prev_ != nullptr ? r_prev_.get() : r1_.get();
     if (left == nullptr) {
@@ -132,28 +128,22 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
                                      SetmMiner::RkSchema(k));
     if (!rkp_or.ok()) return rkp_or.status();
     rk_prime_ = std::move(rkp_or).value();
-    CountSink sink;
-    if (run_.count_method == CountMethod::kHash) {
-      sink = [this](const std::vector<ItemId>& items) { AddCount(items, 1); };
-    }
     SETM_RETURN_IF_ERROR(JoinIntoRkPrime(*left, *r1_, k, rk_prime_.get(),
-                                         sink));
-    if (run_.count_method == CountMethod::kSortMerge) {
-      SETM_RETURN_IF_ERROR(CountInto(
-          ctx, *rk_prime_, k, /*min_count=*/1, CountMethod::kSortMerge,
-          [this](std::vector<ItemId> items, int64_t count) {
-            AddCount(items, count);
-          }));
-    }
+                                         hash ? CountSink(tally) : nullptr));
     out.r_prime_rows = rk_prime_->num_rows();
+    counted = rk_prime_.get();
   }
 
-  out.counts.reserve(counts_.size());
-  for (auto& entry : counts_) {
-    out.counts.push_back(
-        PatternCount{std::move(entry.second.items), entry.second.count});
+  if (hash) {
+    for (auto& entry : hashed) {
+      if (entry.second.count >= count_floor_) {
+        out.counts.push_back(std::move(entry.second));
+      }
+    }
+  } else {
+    SETM_RETURN_IF_ERROR(
+        CountInto(LocalContext(db_), *counted, k, count_floor_, &out.counts));
   }
-  counts_.clear();
   out.seconds = timer.ElapsedSeconds();
   return out;
 }
@@ -163,12 +153,9 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   if (!running_) {
     return Status::Internal("ApplyGlobalCk before BeginRun on shard " + name_);
   }
-  std::unordered_set<std::string> keys;
+  CkKeys keys;
   keys.reserve(ck.size());
   for (const std::vector<ItemId>& items : ck) keys.insert(ItemsetKey(items));
-  const CkProbe probe = [&keys](const std::string& key) {
-    return keys.count(key) != 0;
-  };
   ShardFilterStats stats;
 
   if (k == 1) {
@@ -180,7 +167,7 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
                                           SetmMiner::RkSchema(1));
     if (!filtered_or.ok()) return filtered_or.status();
     std::unique_ptr<Table> filtered = std::move(filtered_or).value();
-    SETM_RETURN_IF_ERROR(FilterR1Into(*r1_, probe, filtered.get()));
+    SETM_RETURN_IF_ERROR(FilterR1Into(*r1_, keys, filtered.get()));
     r1_ = std::move(filtered);
     stats.r_rows = r1_->num_rows();
     stats.r_bytes = r1_->size_bytes();
@@ -196,11 +183,11 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
                                   SetmMiner::RkSchema(k));
   if (!rk_or.ok()) return rk_or.status();
   std::unique_ptr<Table> rk = std::move(rk_or).value();
-  // Matches the serial executor: an empty global C_k still creates (and
-  // reports) an empty R_k.
+  // An empty global C_k still creates (and reports) an empty R_k, as
+  // Figure 4's loop does.
   if (!keys.empty()) {
     SETM_RETURN_IF_ERROR(
-        FilterRkPrimeIntoRk(LocalContext(db_), *rk_prime_, k, probe,
+        FilterRkPrimeIntoRk(LocalContext(db_), *rk_prime_, k, keys,
                             rk.get()));
   }
   stats.r_rows = rk->num_rows();
@@ -215,7 +202,6 @@ Status LocalShardBackend::EndRun() {
   r1_.reset();
   r_prev_.reset();
   rk_prime_.reset();
-  counts_.clear();
   run_rows_.clear();
   run_rows_.shrink_to_fit();
   running_ = false;

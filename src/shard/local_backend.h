@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/setm.h"
@@ -15,22 +14,32 @@ namespace setm::shard {
 struct ShardRow {
   TransactionId tid = 0;
   ItemId item = 0;
+
+  /// (trans_id, item) order: the order R_1 is kept in.
+  bool operator<(const ShardRow& o) const {
+    return tid != o.tid ? tid < o.tid : item < o.item;
+  }
 };
 
 /// Appends the (trans_id, item) pairs of a SALES-shaped table to `rows`;
 /// InvalidArgument unless the table has exactly two columns.
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 
-/// The in-process shard: runs the SETM pipeline bodies (the same
-/// JoinIntoRkPrime / FilterRkPrimeIntoRk / CountInto the serial executor
-/// uses) over one SALES slice, reporting full local counts with
-/// min_count = 1. This class is both the coordinator's local execution path
-/// and the server-side implementation of LCOUNT/MERGE, so local and remote
-/// shards cannot drift apart.
+/// The in-process shard and the only place Algorithm SETM iterates: runs
+/// the pipeline bodies of core/setm_pipeline (JoinIntoRkPrime /
+/// FilterRkPrimeIntoRk / CountInto) over one SALES slice and reports its
+/// local counts. Every SetmMiner mine — serial (one backend) or threaded
+/// (one per thread) — runs here under DistributedMine, and so does the
+/// server-side implementation of LCOUNT/MERGE, so local, threaded, serial
+/// and remote mines cannot drift apart.
+///
+/// Local counts use min_count = 1 unless the coordinator sets a count floor
+/// (SetCountFloor): a sole shard's counts are global, so it counts with
+/// the global minsupport from k = 2 on, like the paper's single pipeline.
 ///
 /// The slice comes from one of two sources, chosen before BeginRun:
-///   - SetRows(rows): a fixed in-memory slice (ShardedSetmMiner — threaded
-///     "setm" and "setm-sharded" — and tests use this).
+///   - SetRows(rows): a fixed in-memory slice, held (sorted) across runs
+///     (SetmMiner and tests use this).
 ///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun,
 ///     so a long-lived backend sees rows appended between runs (the server
 ///     and file-shard members use this).
@@ -43,7 +52,8 @@ class LocalShardBackend : public ShardBackend {
   LocalShardBackend(Database* db, std::string name,
                     std::string scratch_prefix = "");
 
-  /// Fixes the slice directly. Rows need not be sorted.
+  /// Fixes the slice directly, sorting it unless already in (trans_id,
+  /// item) order.
   void SetRows(std::vector<ShardRow> rows);
 
   /// Binds the slice to a catalog table, re-read at every BeginRun.
@@ -51,6 +61,7 @@ class LocalShardBackend : public ShardBackend {
 
   const std::string& name() const override { return name_; }
   Status BeginRun(const ShardRunOptions& options) override;
+  void SetCountFloor(int64_t floor) override { count_floor_ = floor; }
   Result<ShardLocalCounts> CountIteration(size_t k) override;
   Result<ShardFilterStats> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) override;
@@ -58,8 +69,6 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardHealth> Health() override;
 
  private:
-  void AddCount(const std::vector<ItemId>& items, int64_t count);
-
   Database* db_;
   std::string name_;
   std::string prefix_;
@@ -67,14 +76,14 @@ class LocalShardBackend : public ShardBackend {
   bool bound_to_table_ = false;
   bool running_ = false;
 
-  std::vector<ShardRow> rows_;      ///< pristine slice when SetRows-sourced
-  std::vector<ShardRow> run_rows_;  ///< this run's slice, consumed by k=1
+  std::vector<ShardRow> rows_;      ///< sorted slice when SetRows-sourced
+  std::vector<ShardRow> run_rows_;  ///< BindTable run's slice, freed by k=1
   ShardRunOptions run_;
+  int64_t count_floor_ = 1;         ///< local counts below it are dropped
 
   std::unique_ptr<Table> r1_;        ///< R_1 slice (filtered when asked)
   std::unique_ptr<Table> r_prev_;    ///< R_{k-1}; null means use r1
   std::unique_ptr<Table> rk_prime_;  ///< R'_k awaiting the global filter
-  std::unordered_map<std::string, PatternCount> counts_;
 };
 
 }  // namespace setm::shard

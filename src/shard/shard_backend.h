@@ -19,10 +19,11 @@ struct ShardRunOptions {
   bool filter_r1 = false;
 };
 
-/// What one shard reports after locally counting iteration k: its full
-/// (minsupport-free) candidate counts plus the cardinalities the coordinator
-/// needs for IterationStats. Support is a property of the whole database, so
-/// local counts always use min_count = 1.
+/// What one shard reports after locally counting iteration k: its local
+/// candidate counts plus the cardinalities the coordinator needs for
+/// IterationStats. Support is a property of the whole database, so local
+/// counts use min_count = 1 unless the coordinator set a count floor
+/// (ShardBackend::SetCountFloor).
 struct ShardLocalCounts {
   /// Transactions in this shard's SALES slice (filled for k == 1 only; the
   /// coordinator sums them to resolve the global minsupport).
@@ -33,7 +34,8 @@ struct ShardLocalCounts {
   /// first iteration's stats). Zero for k >= 2 — those come from the filter.
   uint64_t r_bytes = 0;
   uint64_t r_pages = 0;
-  /// Full local counts of every candidate this shard saw.
+  /// Local counts, one entry per distinct candidate this shard saw whose
+  /// count reached the floor.
   std::vector<PatternCount> counts;
   /// Shard-side wall time of the local count (remote shards report their
   /// own clock, so the coordinator can separate compute from transport).
@@ -61,6 +63,7 @@ struct ShardHealth {
 ///
 ///   BeginRun(options)
 ///   CountIteration(1)        -> local R_1 + item counts + |D_shard|
+///   [SetCountFloor(minsup)]  -> only when this is the sole shard
 ///   [ApplyGlobalCk(1, C_1)]  -> only when options.filter_r1
 ///   for k = 2, 3, ...:
 ///     CountIteration(k)      -> local R'_k join + candidate counts
@@ -85,8 +88,16 @@ class ShardBackend {
   virtual Status BeginRun(const ShardRunOptions& options) = 0;
 
   /// Phase 1 of iteration k: local join (k >= 2) or R_1 build (k == 1) plus
-  /// full local candidate counts.
+  /// local candidate counts.
   virtual Result<ShardLocalCounts> CountIteration(size_t k) = 0;
+
+  /// Lets this run's later CountIteration calls drop candidates counted
+  /// below `floor`. The coordinator sets it to the global minsupport, once
+  /// resolved after iteration 1, when this is the run's only shard: a sole
+  /// shard's local counts are the global counts. The merge still applies
+  /// minsupport, so the floor is a pruning bound only and a backend may
+  /// ignore it (the default). BeginRun resets it to 1.
+  virtual void SetCountFloor(int64_t floor) { (void)floor; }
 
   /// Phase 2 of iteration k: filters the local R'_k down to the rows whose
   /// pattern survived the global minsupport filter (`ck` lists the surviving

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "baselines/brute_force.h"
 #include "core/paper_example.h"
 #include "core/rules.h"
@@ -313,6 +316,59 @@ TEST(SetmModesTest, IterationStatsAreConsistent) {
     EXPECT_EQ(iters[i].r_bytes, iters[i].r_rows * (i + 2) * 4);
   }
 }
+
+// MiningResult::io must be the database ledger's delta across the whole
+// mine, the SALES scan included — at one shard and at several. SALES lives
+// in a file database whose pool is much smaller than it, and a filler table
+// loaded after it evicts every SALES page, so the scan really reads.
+class SetmIoLedgerTest : public testing::TestWithParam<size_t> {};
+
+TEST_P(SetmIoLedgerTest, ResultIoIsTheDatabaseDelta) {
+  const size_t threads = GetParam();
+  const std::string path = testing::TempDir() + "/setm_io_ledger_" +
+                           std::to_string(threads) + ".db";
+  const auto remove_files = [&path] {
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  };
+  remove_files();  // a crashed earlier run may have left them
+  QuestOptions gen;
+  gen.seed = 5;
+  gen.num_transactions = 2000;
+  gen.avg_transaction_size = 5;
+  gen.num_items = 30;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.04;
+  {
+    DatabaseOptions db_options;
+    db_options.file_path = path;
+    db_options.pool_frames = 8;
+    auto db_or = Database::Open(db_options);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    Database* db = db_or.value().get();
+    auto sales = LoadSalesTable(db, "sales", txns, TableBacking::kHeap);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    auto filler = LoadSalesTable(db, "filler", txns, TableBacking::kHeap);
+    ASSERT_TRUE(filler.ok()) << filler.status().ToString();
+    ASSERT_GT(sales.value()->num_pages(), 2 * db_options.pool_frames);
+    ASSERT_GT(filler.value()->num_pages(), db_options.pool_frames);
+
+    SetmOptions knobs{TableBacking::kHeap};
+    knobs.num_threads = threads;
+    const IoStats before = *db->io_stats();
+    auto result = SetmMiner(db, knobs).MineTable(*sales.value(), options);
+    const IoStats delta = Diff(*db->io_stats(), before);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().io.page_reads, delta.page_reads);
+    EXPECT_EQ(result.value().io.page_writes, delta.page_writes);
+    EXPECT_GE(result.value().io.page_reads, sales.value()->num_pages());
+  }
+  remove_files();
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SetmIoLedgerTest,
+                         testing::Values(size_t{1}, size_t{3}));
 
 // Support anti-monotonicity: every (k-1)-subset of a frequent k-pattern is
 // frequent with at least the same count.

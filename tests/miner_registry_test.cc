@@ -19,9 +19,9 @@
 namespace setm {
 namespace {
 
-const char* kBuiltins[] = {"setm",        "setm-sharded", "setm-sql",
-                           "nested-loop", "apriori",      "apriori-parallel",
-                           "ais",         "brute-force"};
+const char* kBuiltins[] = {"setm",    "setm-sql",         "nested-loop",
+                           "apriori", "apriori-parallel", "ais",
+                           "brute-force"};
 
 TransactionDb TestTransactions() {
   QuestOptions gen;

@@ -1,5 +1,5 @@
 // Cross-miner integration tests, driven entirely through the MinerRegistry:
-// every registered algorithm (the eight built-ins, plus anything a future
+// every registered algorithm (the seven built-ins, plus anything a future
 // PR registers) must find exactly the same frequent itemsets as the
 // brute-force oracle, across table backings, thread counts, count methods
 // and both MiningRequest sources. No miner is constructed by hand here —
@@ -149,70 +149,81 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{15, 0.04, 200, 5, 18}));
 
 // --------------------------------------------------------------------------
-// Parallel partitioned SETM: any thread count, either storage backing and
-// either count method must reproduce the serial miner bit-for-bit — same
-// itemsets, same rules, same per-iteration relation sizes. (kSortMerge at
-// num_threads > 1 is the per-partition sort-based counting path.)
+// Threaded SETM: any thread count, either storage backing and either count
+// method must reproduce the one-shard run bit-for-bit — same itemsets, same
+// rules, same per-iteration relation sizes. (kSortMerge at num_threads > 1
+// is the per-partition sort-based counting path.)
 // --------------------------------------------------------------------------
 
 class ParallelSetmTest
     : public testing::TestWithParam<
-          std::tuple<uint64_t, TableBacking, size_t, CountMethod>> {};
+          std::tuple<uint64_t, TableBacking, CountMethod>> {};
 
-TEST_P(ParallelSetmTest, IdenticalToSerialMiner) {
+/// The ThreadSweep workload: small enough to sweep, deep enough (k >= 4)
+/// to exercise several iterations.
+TransactionDb SweepDb(uint64_t seed) {
   QuestOptions gen;
-  gen.seed = std::get<0>(GetParam());
+  gen.seed = seed;
   gen.num_transactions = 250;
   gen.avg_transaction_size = 5;
   gen.num_items = 22;
   gen.num_patterns = 15;
-  TransactionDb txns = QuestGenerator(gen).Generate();
+  return QuestGenerator(gen).Generate();
+}
 
-  MiningOptions options;
-  options.min_support = 0.04;
-
-  SetmOptions serial_opts;
-  serial_opts.storage = std::get<1>(GetParam());
-  serial_opts.count_method = std::get<3>(GetParam());
-  Database serial_db;
-  auto expected =
-      MineVia("setm", &serial_db, &txns, nullptr, options, serial_opts);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-  SetmOptions parallel_opts = serial_opts;
-  parallel_opts.num_threads = std::get<2>(GetParam());
-  Database parallel_db;
-  // Through "setm" so the num_threads routing to the sharded executor is
-  // covered too.
-  auto result =
-      MineVia("setm", &parallel_db, &txns, nullptr, options, parallel_opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
-  EXPECT_EQ(result.value().itemsets.num_transactions,
-            expected.value().itemsets.num_transactions);
-
-  // Per-iteration relation cardinalities are exact sums over partitions.
-  ASSERT_EQ(result.value().iterations.size(),
-            expected.value().iterations.size());
-  for (size_t i = 0; i < expected.value().iterations.size(); ++i) {
-    const IterationStats& e = expected.value().iterations[i];
-    const IterationStats& r = result.value().iterations[i];
+/// Same k, |R'_k|, |R_k|, R_k bytes and |C_k| at every iteration.
+void ExpectSameIterations(const MiningResult& got, const MiningResult& want) {
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  for (size_t i = 0; i < want.iterations.size(); ++i) {
+    const IterationStats& e = want.iterations[i];
+    const IterationStats& r = got.iterations[i];
     EXPECT_EQ(r.k, e.k);
     EXPECT_EQ(r.r_prime_rows, e.r_prime_rows) << "k=" << e.k;
     EXPECT_EQ(r.r_rows, e.r_rows) << "k=" << e.k;
     EXPECT_EQ(r.r_bytes, e.r_bytes) << "k=" << e.k;
     EXPECT_EQ(r.c_size, e.c_size) << "k=" << e.k;
   }
+}
 
-  // Identical itemsets must yield identical rules.
+TEST_P(ParallelSetmTest, IdenticalToSerialMiner) {
+  TransactionDb txns = SweepDb(std::get<0>(GetParam()));
+
+  MiningOptions options;
+  options.min_support = 0.04;
+
+  SetmOptions serial_opts;
+  serial_opts.storage = std::get<1>(GetParam());
+  serial_opts.count_method = std::get<2>(GetParam());
+  Database serial_db;
+  auto expected =
+      MineVia("setm", &serial_db, &txns, nullptr, options, serial_opts);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   auto expected_rules = GenerateRules(expected.value().itemsets, options,
                                       RuleMode::kSingleConsequent)
                             .value();
-  auto rules = GenerateRules(result.value().itemsets, options,
-                             RuleMode::kSingleConsequent)
-                   .value();
-  EXPECT_EQ(rules, expected_rules);
+
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    SetmOptions parallel_opts = serial_opts;
+    parallel_opts.num_threads = threads;
+    Database parallel_db;
+    auto result =
+        MineVia("setm", &parallel_db, &txns, nullptr, options, parallel_opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
+    EXPECT_EQ(result.value().itemsets.num_transactions,
+              expected.value().itemsets.num_transactions);
+
+    // Per-iteration relation cardinalities are exact sums over partitions.
+    ExpectSameIterations(result.value(), expected.value());
+
+    // Identical itemsets must yield identical rules.
+    auto rules = GenerateRules(result.value().itemsets, options,
+                               RuleMode::kSingleConsequent)
+                     .value();
+    EXPECT_EQ(rules, expected_rules);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -220,9 +231,44 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(uint64_t{101}, uint64_t{303}),
                      testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
-                     testing::Values(size_t{2}, size_t{4}, size_t{8}),
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash)));
+
+// Serial "setm" is the one-shard coordinator run, which the thread sweep
+// above uses as its reference. Anchor it to an implementation that shares
+// none of its code: the literal Section 4.1 statements of setm-sql must
+// produce the same relation sizes at every iteration, under every backing
+// and count method. (filter_r1 stays off: setm-sql ignores it, so R'_2
+// legitimately differs when it is on.)
+class SerialSetmTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(SerialSetmTest, PerIterationStatsMatchSetmSql) {
+  TransactionDb txns = SweepDb(GetParam());
+  MiningOptions options;
+  options.min_support = 0.04;
+
+  Database sql_db;
+  auto expected = MineVia("setm-sql", &sql_db, &txns, nullptr, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_GE(expected.value().iterations.size(), 4u);
+
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    for (CountMethod method : {CountMethod::kSortMerge, CountMethod::kHash}) {
+      SetmOptions knobs;
+      knobs.storage = backing;
+      knobs.count_method = method;
+      SCOPED_TRACE(KnobLabel(knobs));
+      Database db;
+      auto result = MineVia("setm", &db, &txns, nullptr, options, knobs);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
+      ExpectSameIterations(result.value(), expected.value());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SqlReference, SerialSetmTest,
+                         testing::Values(uint64_t{101}, uint64_t{303}));
 
 TEST(ParallelSetmTest, SharedDatabaseWorkerPoolAndOptions) {
   QuestOptions gen;

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/miner_registry.h"
@@ -79,6 +81,9 @@ std::vector<ShardRow> RowsOf(const TransactionDb& txns) {
   return rows;
 }
 
+/// The reference: 1-thread "setm", i.e. the one-shard coordinator run,
+/// itself anchored to setm-sql's per-iteration stats by
+/// miners_equivalence_test.
 Result<MiningResult> SingleNode(const TransactionDb& txns,
                                 const MiningOptions& options,
                                 const SetmOptions& knobs = {}) {
@@ -228,6 +233,47 @@ TEST(DistributedMineTest, SkewedShardsStayExact) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
   ExpectSameIterations(result.value(), expected.value());
+}
+
+// A sole shard's counts are global, so the coordinator lets it prune at
+// minsupport. The floor must drop exactly the sub-floor candidates, under
+// either count method, and last only until the next BeginRun.
+TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
+  const TransactionDb txns = QuestDb(33);
+  const int64_t floor = 10;
+  for (CountMethod method : {CountMethod::kSortMerge, CountMethod::kHash}) {
+    SCOPED_TRACE(method == CountMethod::kHash ? "hash" : "sort-merge");
+    ShardRunOptions run;
+    run.count_method = method;
+    Database db;
+    LocalShardBackend backend(&db, "s0");
+    backend.SetRows(RowsOf(txns));
+    using Counts = std::vector<std::pair<std::vector<ItemId>, int64_t>>;
+    // Sorted C_2 counts of one run, optionally with a floor set after k=1.
+    auto c2 = [&](bool with_floor) {
+      Counts out;
+      EXPECT_TRUE(backend.BeginRun(run).ok());
+      EXPECT_TRUE(backend.CountIteration(1).ok());
+      if (with_floor) backend.SetCountFloor(floor);
+      auto counts = backend.CountIteration(2);
+      EXPECT_TRUE(counts.ok()) << counts.status().ToString();
+      if (!counts.ok()) return out;
+      for (const PatternCount& pc : counts.value().counts) {
+        out.emplace_back(pc.items, pc.count);
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    const Counts full = c2(false);
+    const Counts floored = c2(true);
+    Counts expected;
+    for (const auto& entry : full) {
+      if (entry.second >= floor) expected.push_back(entry);
+    }
+    ASSERT_LT(expected.size(), full.size());  // the floor really prunes
+    EXPECT_EQ(floored, expected);
+    EXPECT_EQ(c2(false), full);  // BeginRun reset the floor
+  }
 }
 
 TEST(DistributedMineTest, NoShardsIsInvalidArgument) {
@@ -698,12 +744,12 @@ TEST(ShardManifestTest, SaveLoadAndMissingFile) {
 // only pin the metadata that drives that sweep.
 // --------------------------------------------------------------------------
 
-TEST(ShardRegistryTest, ShardedMinerAndParallelAprioriAreRegistered) {
-  bool saw_sharded = false;
+TEST(ShardRegistryTest, SetmAndParallelAprioriHonorThreads) {
+  bool saw_setm = false;
   bool saw_parallel_apriori = false;
   for (const MinerInfo& info : MinerRegistry::List()) {
-    if (info.name == "setm-sharded") {
-      saw_sharded = true;
+    if (info.name == "setm") {
+      saw_setm = true;
       EXPECT_TRUE(info.honors_storage);
       EXPECT_TRUE(info.honors_count_method);
       EXPECT_TRUE(info.honors_threads);
@@ -713,7 +759,7 @@ TEST(ShardRegistryTest, ShardedMinerAndParallelAprioriAreRegistered) {
       EXPECT_TRUE(info.honors_threads);
     }
   }
-  EXPECT_TRUE(saw_sharded);
+  EXPECT_TRUE(saw_setm);
   EXPECT_TRUE(saw_parallel_apriori);
 }
 
