@@ -131,7 +131,7 @@ int Run(bool smoke) {
     auto slices = SplitRows(txns, num_shards);
     for (size_t i = 0; i < slices.size(); ++i) {
       auto backend = std::make_unique<LocalShardBackend>(
-          &db, "s" + std::to_string(i), "s" + std::to_string(i) + "_");
+          &db, "s" + std::to_string(i));
       backend->SetRows(std::move(slices[i]));
       backends.push_back(backend.get());
       owned.push_back(std::move(backend));
@@ -184,9 +184,9 @@ int Run(bool smoke) {
   {
     Database db;
     auto slices = SplitRows(txns, 3);
-    LocalShardBackend s0(&db, "s0", "s0_");
+    LocalShardBackend s0(&db, "s0");
     s0.SetRows(std::move(slices[0]));
-    LocalShardBackend s1(&db, "s1", "s1_");
+    LocalShardBackend s1(&db, "s1");
     s1.SetRows(std::move(slices[1]));
     DyingShard bad(&db);
     bad.SetRows(std::move(slices[2]));

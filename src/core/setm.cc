@@ -85,7 +85,7 @@ Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
   backends.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     auto backend = std::make_unique<shard::LocalShardBackend>(
-        db, "s" + std::to_string(i), "s" + std::to_string(i) + "_");
+        db, "s" + std::to_string(i));
     backend->SetRows(std::move(slices[i]));
     shards.push_back(backend.get());
     backends.push_back(std::move(backend));

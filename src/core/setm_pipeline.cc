@@ -1,24 +1,11 @@
 #include "core/setm_pipeline.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "exec/expression.h"
 #include "exec/external_sort.h"
-#include "exec/operators.h"
 
 namespace setm {
-
-namespace {
-
-/// Columns [first, k] of an R_k row: from 1, its items (the C_k group
-/// key); from 0, (trans_id, items) — the order every R_k is kept in.
-std::vector<size_t> Columns(size_t first, size_t k) {
-  std::vector<size_t> cols;
-  for (size_t i = first; i <= k; ++i) cols.push_back(i);
-  return cols;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
                                                   TableBacking backing,
@@ -34,88 +21,117 @@ Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
   return std::unique_ptr<Table>(std::move(t).value());
 }
 
-Status JoinIntoRkPrime(const Table& left, const Table& r1, size_t k,
-                       Table* rk_prime, const CountSink& sink) {
-  // Combined row: (trans_id, item_1..item_{k-1}, trans_id, item).
-  const size_t last_left_item = k - 1;  // index of item_{k-1}
-  const size_t right_item = k + 1;
-  ExprPtr residual = Binary(BinaryOp::kGt, Col(right_item, "q.item"),
-                            Col(last_left_item, "p.item_last"));
-  MergeJoinIterator join(left.Scan(), r1.Scan(), {0}, {0},
-                         std::move(residual));
-  // Project to (trans_id, item_1 .. item_k).
-  Tuple row;
-  std::vector<Value> values;
-  std::vector<ItemId> items(k);
-  while (true) {
-    auto more = join.Next(&row);
+Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
+                   IntRelation* rk_prime, ItemsetCounts* counts) {
+  const size_t k = left.width();  // R_{k-1}: trans_id + k-1 items
+  SETM_DCHECK(r1.width() == 2 && rk_prime->width() == k + 1);
+  SETM_DCHECK(counts == nullptr || counts->k() == k);
+  auto left_rows = left.Scan();
+  auto r1_rows = r1.Scan();
+  const int32_t* p = nullptr;  // the current R_{k-1} row
+  const int32_t* q = nullptr;  // the current R_1 row
+  bool p_valid = false;
+  bool q_valid = false;
+  const auto next_p = [&]() -> Status {
+    auto more = left_rows->Next(&p);
     if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    values.clear();
-    for (size_t i = 0; i < k; ++i) values.push_back(row.value(i));
-    values.push_back(row.value(right_item));
-    SETM_RETURN_IF_ERROR(rk_prime->Insert(Tuple(values)));
-    if (sink) {
-      for (size_t i = 0; i < k; ++i) items[i] = values[i + 1].AsInt32();
-      sink(items);
+    p_valid = more.value();
+    return Status::OK();
+  };
+  const auto next_q = [&]() -> Status {
+    auto more = r1_rows->Next(&q);
+    if (!more.ok()) return more.status();
+    q_valid = more.value();
+    return Status::OK();
+  };
+  SETM_RETURN_IF_ERROR(next_p());
+  SETM_RETURN_IF_ERROR(next_q());
+  std::vector<ItemId> items;         // R_1 items of the joined transaction
+  std::vector<int32_t> row(k + 1);   // the R'_k row being assembled
+  IntRowBatch out(rk_prime);
+  while (p_valid && q_valid) {
+    if (p[0] < q[0]) {
+      SETM_RETURN_IF_ERROR(next_p());
+      continue;
     }
+    if (p[0] > q[0]) {
+      SETM_RETURN_IF_ERROR(next_q());
+      continue;
+    }
+    const TransactionId tid = p[0];
+    items.clear();
+    do {
+      items.push_back(q[1]);
+      SETM_RETURN_IF_ERROR(next_q());
+    } while (q_valid && q[0] == tid);
+    do {
+      // q.item > p.item_{k-1}: the items are in order, so the qualifying
+      // ones are a suffix.
+      std::copy_n(p, k, row.begin());
+      for (auto it = std::upper_bound(items.begin(), items.end(), p[k - 1]);
+           it != items.end(); ++it) {
+        row[k] = *it;
+        SETM_RETURN_IF_ERROR(out.Add(row.data()));
+        if (counts != nullptr) counts->Add(row.data() + 1, 1);
+      }
+      SETM_RETURN_IF_ERROR(next_p());
+    } while (p_valid && p[0] == tid);
   }
-  return Status::OK();
+  return out.Flush();
 }
 
-Status FilterRkPrimeIntoRk(ExecContext ctx, const Table& rk_prime, size_t k,
-                           const CkKeys& ck, Table* rk) {
-  ExternalSort sort(ctx, SetmMiner::RkSchema(k),
-                    TupleComparator(Columns(0, k)));
-  auto it = rk_prime.Scan();
-  Tuple row;
-  std::vector<ItemId> items(k);
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    for (size_t i = 0; i < k; ++i) items[i] = row.value(i + 1).AsInt32();
-    if (ck.count(ItemsetKey(items)) != 0) {
-      SETM_RETURN_IF_ERROR(sort.Add(row));
-    }
-  }
+Status CountSorted(ExecContext ctx, const IntRelation& relation,
+                   int64_t min_count, std::vector<PatternCount>* out) {
+  const size_t width = relation.width();
+  IntRowSort sort(ctx, width, /*key_begin=*/1, /*key_end=*/width);
+  SETM_RETURN_IF_ERROR(ForEachRow(
+      relation.Scan().get(), [&sort](const int32_t* row) {
+        return sort.Add(row);
+      }));
   auto sorted_or = sort.Finish();
   if (!sorted_or.ok()) return sorted_or.status();
-  return MaterializeInto(sorted_or.value().get(), rk);
-}
-
-Status FilterR1Into(const Table& r1, const CkKeys& c1, Table* out) {
-  auto it = r1.Scan();
-  Tuple row;
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    if (c1.count(ItemsetKey({row.value(1).AsInt32()})) != 0) {
-      SETM_RETURN_IF_ERROR(out->Insert(row));
-    }
-  }
+  std::vector<ItemId> group;
+  int64_t count = 0;
+  const auto emit = [&] {
+    if (count >= min_count) out->push_back(PatternCount{group, count});
+  };
+  SETM_RETURN_IF_ERROR(ForEachRow(
+      sorted_or.value().get(), [&](const int32_t* row) {
+        if (count > 0 && std::equal(row + 1, row + width, group.begin())) {
+          ++count;
+          return Status::OK();
+        }
+        if (count > 0) emit();
+        group.assign(row + 1, row + width);
+        count = 1;
+        return Status::OK();
+      }));
+  if (count > 0) emit();
   return Status::OK();
 }
 
-Status CountInto(ExecContext ctx, const Table& relation, size_t k,
-                 int64_t min_count, std::vector<PatternCount>* out) {
-  std::vector<size_t> group_columns = Columns(1, k);
-  auto sorted = std::make_unique<SortIterator>(ctx, relation.Scan(),
-                                               TupleComparator(group_columns));
-  SortedGroupCountIterator counts(std::move(sorted), std::move(group_columns),
-                                  min_count);
-  Tuple row;
-  while (true) {
-    auto more = counts.Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    std::vector<ItemId> items;
-    items.reserve(k);
-    for (size_t i = 0; i < k; ++i) items.push_back(row.value(i).AsInt32());
-    out->push_back(PatternCount{std::move(items), row.value(k).AsInt64()});
+Status FilterByCk(ExecContext ctx, const IntRelation& in,
+                  const ItemsetCounts& ck, IntRelation* out) {
+  const size_t width = in.width();
+  SETM_DCHECK(ck.k() + 1 == width && out->width() == width);
+  IntRowBatch batch(out);
+  if (width == 2) {
+    SETM_RETURN_IF_ERROR(
+        ForEachRow(in.Scan().get(), [&](const int32_t* row) {
+          return ck.Count(row + 1) != 0 ? batch.Add(row) : Status::OK();
+        }));
+    return batch.Flush();
   }
-  return Status::OK();
+  IntRowSort sort(ctx, width, /*key_begin=*/0, /*key_end=*/width);
+  SETM_RETURN_IF_ERROR(ForEachRow(in.Scan().get(), [&](const int32_t* row) {
+    return ck.Count(row + 1) != 0 ? sort.Add(row) : Status::OK();
+  }));
+  auto sorted_or = sort.Finish();
+  if (!sorted_or.ok()) return sorted_or.status();
+  SETM_RETURN_IF_ERROR(ForEachRow(
+      sorted_or.value().get(),
+      [&batch](const int32_t* row) { return batch.Add(row); }));
+  return batch.Flush();
 }
 
 }  // namespace setm

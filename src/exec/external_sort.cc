@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <queue>
+#include <string>
 
 #include "common/logging.h"
+#include "exec/worker_pool.h"
 #include "obs/metrics.h"
+#include "storage/table_heap.h"
 
 namespace setm {
 
@@ -43,37 +46,188 @@ size_t EffectiveFanIn(const ExecContext& ctx) {
   return std::max<size_t>(2, std::min(kMaxFanIn, budget));
 }
 
-/// Streams one spilled run back as tuples.
-class RunReader {
- public:
-  RunReader(const TableHeap* heap, const Schema* schema)
-      : it_(heap->Begin()), schema_(schema) {}
+}  // namespace
 
-  Result<bool> Next(Tuple* out) {
-    if (!it_.Valid()) return false;
-    auto t = Tuple::Deserialize(*schema_, it_.record());
-    if (!t.ok()) return t.status();
-    *out = std::move(t).value();
-    SETM_RETURN_IF_ERROR(it_.Next());
-    return true;
+namespace sort_internal {
+
+// The row kinds. What the one algorithm below (RunSort, RunMerge,
+// MergeRunGroup) asks of a row kind `Rows`:
+//   Buffer, Input                  rows awaiting a run; what Add() takes
+//   size_t Push(Buffer*, Input)    buffers a row, returns its budget charge
+//   void Sort(Buffer*)             stable sort on the key
+//   Status Spill(const Buffer&, TableHeap*)   writes a sorted buffer as a run
+//   Reader(const Rows&, const TableHeap&)     streams one run: Next(), row
+//   int Compare(const Reader&, const Reader&) orders two readers' rows
+//   Writer(const Rows&, TableHeap*)           Add(const Reader&), Finish()
+
+/// Tuples of any schema, serialized into runs: the SQL engine's rows.
+struct TupleRows {
+  using Buffer = std::vector<Tuple>;
+  using Input = Tuple;
+
+  Schema schema;
+  TupleComparator cmp;
+
+  size_t Push(Buffer* buffer, Tuple row) const {
+    const size_t bytes = row.SerializedSize(schema);
+    buffer->push_back(std::move(row));
+    return bytes;
   }
 
- private:
-  TableHeap::Iterator it_;
-  const Schema* schema_;
+  void Sort(Buffer* buffer) const {
+    std::stable_sort(buffer->begin(), buffer->end(), cmp);
+  }
+
+  Status Spill(const Buffer& buffer, TableHeap* run) const {
+    Writer writer(*this, run);
+    for (const Tuple& row : buffer) SETM_RETURN_IF_ERROR(writer.Add(row));
+    return Status::OK();
+  }
+
+  class Reader {
+   public:
+    Reader(const TupleRows& rows, const TableHeap& run)
+        : it_(run.Begin()), schema_(&rows.schema) {}
+
+    Result<bool> Next() {
+      auto more = it_.Next();
+      if (!more.ok() || !more.value()) return more;
+      auto t = Tuple::Deserialize(*schema_, it_.record());
+      if (!t.ok()) return t.status();
+      row = std::move(t).value();
+      return true;
+    }
+
+    Tuple row;
+
+   private:
+    TableHeap::Iterator it_;
+    const Schema* schema_;
+  };
+
+  int Compare(const Reader& a, const Reader& b) const {
+    return cmp.Compare(a.row, b.row);
+  }
+
+  class Writer {
+   public:
+    Writer(const TupleRows& rows, TableHeap* run)
+        : schema_(&rows.schema), run_(run) {}
+
+    Status Add(const Reader& reader) { return Add(reader.row); }
+    Status Add(const Tuple& row) {
+      record_.clear();
+      row.SerializeTo(*schema_, &record_);
+      return run_->Insert(record_).status();
+    }
+    Status Finish() { return Status::OK(); }
+
+   private:
+    const Schema* schema_;
+    TableHeap* run_;
+    std::string record_;
+  };
 };
 
-/// K-way merge over runs. Stability: ties broken by run index, and runs are
-/// created in arrival order, so equal keys keep their original order.
-class MergeIterator : public TupleIterator {
- public:
-  MergeIterator(std::vector<RunReader> readers, const Schema* schema,
-                const TupleComparator* cmp)
-      : readers_(std::move(readers)), schema_(schema), cmp_(cmp) {
-    heads_.resize(readers_.size());
-    live_.resize(readers_.size(), false);
+/// Fixed-width int32 rows stored back to back: SETM's relations. Runs hold
+/// each row's bytes as one record, written and read a page at a time.
+struct IntRows {
+  using Buffer = std::vector<int32_t>;
+  using Input = const int32_t*;
+
+  size_t width;
+  size_t key_begin;
+  size_t key_end;
+
+  size_t Push(Buffer* buffer, const int32_t* row) const {
+    buffer->insert(buffer->end(), row, row + width);
+    return width * sizeof(int32_t);
   }
 
+  int CompareRows(const int32_t* a, const int32_t* b) const {
+    for (size_t c = key_begin; c < key_end; ++c) {
+      if (a[c] != b[c]) return a[c] < b[c] ? -1 : 1;
+    }
+    return 0;
+  }
+
+  void Sort(Buffer* buffer) const {
+    // Stable-sort row indices on the key, then gather the rows.
+    const size_t n = buffer->size() / width;
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    const int32_t* data = buffer->data();
+    std::stable_sort(order.begin(), order.end(),
+                     [this, data](size_t x, size_t y) {
+                       return CompareRows(data + x * width,
+                                          data + y * width) < 0;
+                     });
+    Buffer sorted(buffer->size());
+    for (size_t i = 0; i < n; ++i) {
+      std::copy_n(data + order[i] * width, width, sorted.data() + i * width);
+    }
+    buffer->swap(sorted);
+  }
+
+  Status Spill(const Buffer& buffer, TableHeap* run) const {
+    return AppendIntRows(run, buffer.data(), width, buffer.size() / width);
+  }
+
+  class Reader {
+   public:
+    Reader(const IntRows& rows, const TableHeap& run)
+        : cursor_(run, rows.width) {}
+
+    Result<bool> Next() { return cursor_.Next(&row); }
+
+    const int32_t* row = nullptr;
+
+   private:
+    IntHeapCursor cursor_;
+  };
+
+  int Compare(const Reader& a, const Reader& b) const {
+    return CompareRows(a.row, b.row);
+  }
+
+  class Writer {
+   public:
+    Writer(const IntRows& rows, TableHeap* run) : rows_(&rows), run_(run) {}
+
+    Status Add(const Reader& reader) {
+      batch_.insert(batch_.end(), reader.row, reader.row + rows_->width);
+      return batch_.size() >= kBatchInts ? Finish() : Status::OK();
+    }
+    /// Appends the batched rows.
+    Status Finish() {
+      SETM_RETURN_IF_ERROR(rows_->Spill(batch_, run_));
+      batch_.clear();
+      return Status::OK();
+    }
+
+   private:
+    static constexpr size_t kBatchInts = 8 * kPageSize / sizeof(int32_t);
+
+    const IntRows* rows_;
+    TableHeap* run_;
+    Buffer batch_;
+  };
+};
+
+/// K-way merge over runs. Stability: ties go to the lower run index, and
+/// runs are created in arrival order, so equal keys keep their original
+/// order. The run holding the current row advances only on the next
+/// Next(), so the row stays valid until then.
+template <typename Rows>
+class RunMerge {
+ public:
+  RunMerge(const Rows* rows, std::vector<TableHeap> runs)
+      : rows_(rows), runs_(std::move(runs)), live_(runs_.size(), false) {
+    readers_.reserve(runs_.size());
+    for (const TableHeap& run : runs_) readers_.emplace_back(*rows_, run);
+  }
+
+  /// Reads every run's first row.
   Status Prime() {
     for (size_t i = 0; i < readers_.size(); ++i) {
       SETM_RETURN_IF_ERROR(Advance(i));
@@ -81,135 +235,126 @@ class MergeIterator : public TupleIterator {
     return Status::OK();
   }
 
-  Result<bool> Next(Tuple* out) override {
-    // Linear scan over run heads. Fan-in is <= 64 and comparisons are
-    // cheap relative to deserialization, so a loser tree is not needed.
-    int best = -1;
+  /// Moves to the smallest remaining row; false when every run is drained.
+  Result<bool> Next() {
+    if (current_ >= 0) SETM_RETURN_IF_ERROR(Advance(current_));
+    // Linear scan over run heads: fan-in is <= 64, so a loser tree is not
+    // needed.
+    current_ = -1;
     for (size_t i = 0; i < readers_.size(); ++i) {
       if (!live_[i]) continue;
-      if (best < 0 || cmp_->Compare(heads_[i], heads_[best]) < 0) {
-        best = static_cast<int>(i);
+      if (current_ < 0 || rows_->Compare(readers_[i], readers_[current_]) < 0) {
+        current_ = static_cast<int>(i);
       }
     }
-    if (best < 0) return false;
-    *out = std::move(heads_[best]);
-    SETM_RETURN_IF_ERROR(Advance(static_cast<size_t>(best)));
-    return true;
+    return current_ >= 0;
   }
 
-  const Schema& schema() const override { return *schema_; }
+  /// The reader positioned on the current row.
+  typename Rows::Reader& current() { return readers_[current_]; }
 
  private:
   Status Advance(size_t i) {
-    auto more = readers_[i].Next(&heads_[i]);
+    auto more = readers_[i].Next();
     if (!more.ok()) return more.status();
     live_[i] = more.value();
     return Status::OK();
   }
 
-  std::vector<RunReader> readers_;
-  const Schema* schema_;
-  const TupleComparator* cmp_;
-  std::vector<Tuple> heads_;
-  std::vector<bool> live_;
-};
-
-/// Iterator over an owned, already-sorted vector (in-memory fast path).
-class VectorIterator : public TupleIterator {
- public:
-  VectorIterator(std::vector<Tuple> rows, Schema schema)
-      : rows_(std::move(rows)), schema_(std::move(schema)) {}
-
-  Result<bool> Next(Tuple* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = std::move(rows_[pos_++]);
-    return true;
-  }
-  const Schema& schema() const override { return schema_; }
-
- private:
-  std::vector<Tuple> rows_;
-  Schema schema_;
-  size_t pos_ = 0;
-};
-
-/// Owns the merge state (runs + comparator) for the streaming final merge.
-class OwningMergeIterator : public TupleIterator {
- public:
-  OwningMergeIterator(std::vector<TableHeap> runs, Schema schema,
-                      TupleComparator cmp)
-      : runs_(std::move(runs)),
-        schema_(std::move(schema)),
-        cmp_(std::move(cmp)) {
-    std::vector<RunReader> readers;
-    readers.reserve(runs_.size());
-    for (const TableHeap& run : runs_) {
-      readers.emplace_back(&run, &schema_);
-    }
-    merge_ = std::make_unique<MergeIterator>(std::move(readers), &schema_,
-                                             &cmp_);
-  }
-
-  Status Prime() { return merge_->Prime(); }
-
-  Result<bool> Next(Tuple* out) override { return merge_->Next(out); }
-  const Schema& schema() const override { return schema_; }
-
- private:
+  const Rows* rows_;
   std::vector<TableHeap> runs_;
-  Schema schema_;
-  TupleComparator cmp_;
-  std::unique_ptr<MergeIterator> merge_;
+  std::vector<typename Rows::Reader> readers_;
+  std::vector<bool> live_;
+  int current_ = -1;
 };
 
 /// Merges one group of runs into a single fresh run in temp storage — the
-/// body of one cascaded-merge step. Self-contained (pool, schema and
-/// comparator are read-only here) so independent groups of a pass can run
-/// concurrently on the worker pool.
-Result<TableHeap> MergeRunGroup(BufferPool* temp_pool, const Schema& schema,
-                                const TupleComparator& cmp,
+/// body of one cascaded-merge step. Self-contained (pool and row kind are
+/// read-only here) so independent groups of a pass can run concurrently on
+/// the worker pool.
+template <typename Rows>
+Result<TableHeap> MergeRunGroup(BufferPool* temp_pool, const Rows& rows,
                                 std::vector<TableHeap> group) {
-  OwningMergeIterator merge(std::move(group), schema, cmp);
+  RunMerge<Rows> merge(&rows, std::move(group));
   SETM_RETURN_IF_ERROR(merge.Prime());
   auto out_or = TableHeap::Create(temp_pool);
   if (!out_or.ok()) return out_or.status();
   TableHeap out = std::move(out_or).value();
-  Tuple row;
-  std::string record;
+  typename Rows::Writer writer(rows, &out);
   while (true) {
-    auto more = merge.Next(&row);
+    auto more = merge.Next();
     if (!more.ok()) return more.status();
     if (!more.value()) break;
-    record.clear();
-    row.SerializeTo(schema, &record);
-    auto rid = out.Insert(record);
-    if (!rid.ok()) return rid.status();
+    SETM_RETURN_IF_ERROR(writer.Add(merge.current()));
   }
+  SETM_RETURN_IF_ERROR(writer.Finish());
   return out;
 }
 
-}  // namespace
+/// Run generation and the merge cascade, shared by both front ends.
+template <typename Rows>
+class RunSort {
+ public:
+  using Buffer = typename Rows::Buffer;
 
-ExternalSort::ExternalSort(ExecContext ctx, Schema schema, TupleComparator cmp)
-    : ctx_(ctx),
-      schema_(std::move(schema)),
-      cmp_(std::move(cmp)),
-      spill_group_(ctx.workers) {}
+  RunSort(ExecContext ctx, Rows rows)
+      : ctx_(ctx), rows_(std::move(rows)), spill_group_(ctx.workers) {}
 
-Status ExternalSort::Add(Tuple row) {
-  if (finished_) {
-    return Status::Internal("ExternalSort::Add() called after Finish()");
+  Status Add(typename Rows::Input row) {
+    if (finished_) {
+      return Status::Internal("ExternalSort::Add() called after Finish()");
+    }
+    ++stats_.rows;
+    buffer_bytes_ += rows_.Push(&buffer_, std::move(row));
+    if (buffer_bytes_ >= ctx_.sort_memory_bytes) {
+      SETM_RETURN_IF_ERROR(SpillRun());
+    }
+    return Status::OK();
   }
-  ++stats_.rows;
-  buffer_bytes_ += row.SerializedSize(schema_);
-  buffer_.push_back(std::move(row));
-  if (buffer_bytes_ >= ctx_.sort_memory_bytes) {
-    SETM_RETURN_IF_ERROR(SpillRun());
-  }
-  return Status::OK();
-}
 
-Status ExternalSort::SpillRun() {
+  /// Ends intake. Rows that never spilled come back sorted in `*memory`;
+  /// otherwise `*runs` holds the sorted runs, cascaded down to at most the
+  /// merge fan-in, for the caller's final streaming merge.
+  Status Finish(Buffer* memory, std::vector<TableHeap>* runs);
+
+  const Rows& rows() const { return rows_; }
+  const SortStats& stats() const { return stats_; }
+
+ private:
+  /// A spill slot filled by a worker task; slots keep submission order so
+  /// the merge's run-index tie-break stays stable.
+  struct PendingRun {
+    std::unique_ptr<TableHeap> heap;
+  };
+
+  Status SpillRun();
+  /// Waits for outstanding spill tasks and moves their heaps into runs_.
+  Status CollectPendingRuns();
+  Status WriteRun(Buffer* buffer, std::unique_ptr<TableHeap>* out) const {
+    rows_.Sort(buffer);
+    auto heap_or = TableHeap::Create(ctx_.temp_pool);
+    if (!heap_or.ok()) return heap_or.status();
+    auto heap = std::make_unique<TableHeap>(std::move(heap_or).value());
+    SETM_RETURN_IF_ERROR(rows_.Spill(*buffer, heap.get()));
+    *out = std::move(heap);
+    return Status::OK();
+  }
+
+  ExecContext ctx_;
+  Rows rows_;
+  Buffer buffer_;
+  size_t buffer_bytes_ = 0;
+  std::vector<TableHeap> runs_;
+  std::vector<std::unique_ptr<PendingRun>> pending_;
+  SortStats stats_;
+  bool finished_ = false;
+  /// Declared last: its destructor waits for in-flight spill tasks, which
+  /// read the members above.
+  TaskGroup spill_group_;
+};
+
+template <typename Rows>
+Status RunSort<Rows>::SpillRun() {
   if (buffer_.empty()) return Status::OK();
   ++stats_.runs;
   ++stats_.spilled_runs;
@@ -219,45 +364,24 @@ Status ExternalSort::SpillRun() {
     // the merge's stability tie-break (run index) is unaffected.
     pending_.push_back(std::make_unique<PendingRun>());
     PendingRun* slot = pending_.back().get();
-    auto rows = std::make_shared<std::vector<Tuple>>(std::move(buffer_));
-    spill_group_.Submit([this, slot, rows] {
-      std::stable_sort(rows->begin(), rows->end(), cmp_);
-      auto heap_or = TableHeap::Create(ctx_.temp_pool);
-      if (!heap_or.ok()) return heap_or.status();
-      auto heap = std::make_unique<TableHeap>(std::move(heap_or).value());
-      std::string record;
-      for (const Tuple& t : *rows) {
-        record.clear();
-        t.SerializeTo(schema_, &record);
-        auto rid = heap->Insert(record);
-        if (!rid.ok()) return rid.status();
-      }
-      slot->heap = std::move(heap);
-      return Status::OK();
-    });
+    auto rows = std::make_shared<Buffer>(std::move(buffer_));
+    spill_group_.Submit(
+        [this, slot, rows] { return WriteRun(rows.get(), &slot->heap); });
     buffer_ = {};
     buffer_bytes_ = 0;
     return Status::OK();
   }
 
-  std::stable_sort(buffer_.begin(), buffer_.end(), cmp_);
-  auto heap_or = TableHeap::Create(ctx_.temp_pool);
-  if (!heap_or.ok()) return heap_or.status();
-  TableHeap heap = std::move(heap_or).value();
-  std::string record;
-  for (const Tuple& t : buffer_) {
-    record.clear();
-    t.SerializeTo(schema_, &record);
-    auto rid = heap.Insert(record);
-    if (!rid.ok()) return rid.status();
-  }
-  runs_.push_back(std::move(heap));
+  std::unique_ptr<TableHeap> heap;
+  SETM_RETURN_IF_ERROR(WriteRun(&buffer_, &heap));
+  runs_.push_back(std::move(*heap));
   buffer_.clear();
   buffer_bytes_ = 0;
   return Status::OK();
 }
 
-Status ExternalSort::CollectPendingRuns() {
+template <typename Rows>
+Status RunSort<Rows>::CollectPendingRuns() {
   if (pending_.empty()) return Status::OK();
   SETM_RETURN_IF_ERROR(spill_group_.Wait());
   for (std::unique_ptr<PendingRun>& slot : pending_) {
@@ -270,7 +394,8 @@ Status ExternalSort::CollectPendingRuns() {
   return Status::OK();
 }
 
-Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
+template <typename Rows>
+Status RunSort<Rows>::Finish(Buffer* memory, std::vector<TableHeap>* runs) {
   if (finished_) {
     return Status::Internal("ExternalSort::Finish() called twice");
   }
@@ -278,11 +403,11 @@ Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
 
   if (runs_.empty() && pending_.empty()) {
     // Fully in-memory (possibly zero rows — an empty stream, not an error).
-    std::stable_sort(buffer_.begin(), buffer_.end(), cmp_);
+    rows_.Sort(&buffer_);
     if (!buffer_.empty()) stats_.runs = 1;
     FlushSortMetrics(stats_);
-    return std::unique_ptr<TupleIterator>(
-        std::make_unique<VectorIterator>(std::move(buffer_), schema_));
+    *memory = std::move(buffer_);
+    return Status::OK();
   }
 
   SETM_RETURN_IF_ERROR(SpillRun());
@@ -330,8 +455,7 @@ Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
       }
       ++in_flight;
       merge_tasks.Submit([this, group, out] {
-        auto merged =
-            MergeRunGroup(ctx_.temp_pool, schema_, cmp_, std::move(*group));
+        auto merged = MergeRunGroup(ctx_.temp_pool, rows_, std::move(*group));
         if (!merged.ok()) return merged.status();
         *out = std::move(merged).value();
         return Status::OK();
@@ -349,11 +473,131 @@ Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
     runs_ = std::move(collected);
   }
 
-  auto merge = std::make_unique<OwningMergeIterator>(std::move(runs_), schema_,
-                                                     cmp_);
-  SETM_RETURN_IF_ERROR(merge->Prime());
   FlushSortMetrics(stats_);
+  *runs = std::move(runs_);
+  return Status::OK();
+}
+
+}  // namespace sort_internal
+
+namespace {
+
+using sort_internal::IntRows;
+using sort_internal::RunMerge;
+using sort_internal::TupleRows;
+
+/// Iterator over an owned, already-sorted vector (in-memory fast path).
+class VectorIterator : public TupleIterator {
+ public:
+  VectorIterator(std::vector<Tuple> rows, Schema schema)
+      : rows_(std::move(rows)), schema_(std::move(schema)) {}
+
+  Result<bool> Next(Tuple* out) override {
+    if (pos_ >= rows_.size()) return false;
+    *out = std::move(rows_[pos_++]);
+    return true;
+  }
+  const Schema& schema() const override { return schema_; }
+
+ private:
+  std::vector<Tuple> rows_;
+  Schema schema_;
+  size_t pos_ = 0;
+};
+
+/// The streaming final merge of spilled Tuple runs.
+class TupleMergeIterator : public TupleIterator {
+ public:
+  TupleMergeIterator(TupleRows rows, std::vector<TableHeap> runs)
+      : rows_(std::move(rows)), merge_(&rows_, std::move(runs)) {}
+
+  Status Prime() { return merge_.Prime(); }
+
+  Result<bool> Next(Tuple* out) override {
+    auto more = merge_.Next();
+    if (!more.ok() || !more.value()) return more;
+    *out = std::move(merge_.current().row);
+    return true;
+  }
+  const Schema& schema() const override { return rows_.schema; }
+
+ private:
+  TupleRows rows_;
+  RunMerge<TupleRows> merge_;
+};
+
+/// The streaming final merge of spilled int runs.
+class IntMergeCursor : public IntRowCursor {
+ public:
+  IntMergeCursor(IntRows rows, std::vector<TableHeap> runs)
+      : rows_(rows), merge_(&rows_, std::move(runs)) {}
+
+  Status Prime() { return merge_.Prime(); }
+
+  Result<bool> Next(const int32_t** row) override {
+    auto more = merge_.Next();
+    if (!more.ok() || !more.value()) return more;
+    *row = merge_.current().row;
+    return true;
+  }
+
+ private:
+  IntRows rows_;
+  RunMerge<IntRows> merge_;
+};
+
+}  // namespace
+
+ExternalSort::ExternalSort(ExecContext ctx, Schema schema, TupleComparator cmp)
+    : sort_(std::make_unique<sort_internal::RunSort<TupleRows>>(
+          ctx, TupleRows{std::move(schema), std::move(cmp)})) {}
+
+ExternalSort::~ExternalSort() = default;
+
+Status ExternalSort::Add(Tuple row) { return sort_->Add(std::move(row)); }
+
+const SortStats& ExternalSort::stats() const { return sort_->stats(); }
+
+Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
+  std::vector<Tuple> memory;
+  std::vector<TableHeap> runs;
+  SETM_RETURN_IF_ERROR(sort_->Finish(&memory, &runs));
+  if (runs.empty()) {
+    return std::unique_ptr<TupleIterator>(
+        std::make_unique<VectorIterator>(std::move(memory),
+                                         sort_->rows().schema));
+  }
+  auto merge =
+      std::make_unique<TupleMergeIterator>(sort_->rows(), std::move(runs));
+  SETM_RETURN_IF_ERROR(merge->Prime());
   return std::unique_ptr<TupleIterator>(std::move(merge));
+}
+
+IntRowSort::IntRowSort(ExecContext ctx, size_t width, size_t key_begin,
+                       size_t key_end)
+    : sort_(std::make_unique<sort_internal::RunSort<IntRows>>(
+          ctx, IntRows{width, key_begin, key_end})) {
+  SETM_CHECK(key_begin <= key_end && key_end <= width);
+}
+
+IntRowSort::~IntRowSort() = default;
+
+Status IntRowSort::Add(const int32_t* row) { return sort_->Add(row); }
+
+const SortStats& IntRowSort::stats() const { return sort_->stats(); }
+
+Result<std::unique_ptr<IntRowCursor>> IntRowSort::Finish() {
+  std::vector<int32_t> memory;
+  std::vector<TableHeap> runs;
+  SETM_RETURN_IF_ERROR(sort_->Finish(&memory, &runs));
+  const IntRows& rows = sort_->rows();
+  if (runs.empty()) {
+    return std::unique_ptr<IntRowCursor>(
+        std::make_unique<IntArrayCursor>(std::move(memory), rows.width));
+  }
+  auto merge = std::make_unique<IntMergeCursor>(rows, std::move(runs));
+  SETM_RETURN_IF_ERROR(merge->Prime());
+  return std::unique_ptr<IntRowCursor>(std::move(merge));
 }
 
 Result<bool> SortIterator::Next(Tuple* out) {

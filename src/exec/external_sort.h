@@ -6,10 +6,9 @@
 
 #include "common/result.h"
 #include "exec/exec_context.h"
-#include "exec/worker_pool.h"
+#include "relational/int_relation.h"
 #include "relational/table.h"
 #include "relational/tuple.h"
-#include "storage/table_heap.h"
 
 namespace setm {
 
@@ -21,6 +20,13 @@ struct SortStats {
   uint64_t merge_passes = 0;   ///< intermediate merge passes (0 or more)
 };
 
+namespace sort_internal {
+template <typename Rows>
+class RunSort;
+struct TupleRows;
+struct IntRows;
+}  // namespace sort_internal
+
 /// Bounded-memory external merge sort — one of the two primitives Algorithm
 /// SETM is made of ("basic steps are sorting and merge scan join").
 ///
@@ -29,6 +35,12 @@ struct SortStats {
 /// I/O lands in the shared IoStats ledger). Finish() merges the runs with a
 /// bounded fan-in, cascading extra merge passes when the run count exceeds
 /// it. The overall sort is stable: equal keys keep arrival order.
+///
+/// The algorithm exists once (exec/external_sort.cc, a template over the
+/// row buffer) and has two front ends: ExternalSort sorts Tuples for the
+/// SQL engine, IntRowSort sorts SETM's fixed-width int32 rows. A row's
+/// budget charge is its serialized size, so both front ends put the same
+/// rows in the same runs.
 ///
 /// When `ctx.workers` is set, run generation overlaps with row intake:
 /// each full buffer is handed to the pool, sorted and spilled off-thread
@@ -42,7 +54,8 @@ struct SortStats {
 /// API misuse is reported through Status in every build mode: Add() after
 /// Finish() and a second Finish() fail with an Internal error instead of
 /// corrupting the sort. Finish() on a sort that never saw a row succeeds
-/// and yields an empty stream.
+/// and yields an empty stream. Run read errors (I/O, corruption) surface
+/// from Finish() or the stream's Next(), never as a short stream.
 ///
 ///     ExternalSort sort(ctx, schema, TupleComparator({0, 1}));
 ///     for (...) sort.Add(row);
@@ -50,6 +63,7 @@ struct SortStats {
 class ExternalSort {
  public:
   ExternalSort(ExecContext ctx, Schema schema, TupleComparator cmp);
+  ~ExternalSort();
 
   /// Buffers one row, spilling if the budget fills. Fails with an Internal
   /// status when called after Finish().
@@ -59,31 +73,37 @@ class ExternalSort {
   /// with an Internal status.
   Result<std::unique_ptr<TupleIterator>> Finish();
 
-  const SortStats& stats() const { return stats_; }
+  const SortStats& stats() const;
 
  private:
-  /// A spill slot filled by a worker task; slots keep submission order so
-  /// the merge's run-index tie-break stays stable.
-  struct PendingRun {
-    std::unique_ptr<TableHeap> heap;
-  };
+  std::unique_ptr<sort_internal::RunSort<sort_internal::TupleRows>> sort_;
+};
 
-  Status SpillRun();
-  /// Waits for outstanding spill tasks and moves their heaps into runs_.
-  Status CollectPendingRuns();
+/// The external sort over fixed-width rows of `width` int32 columns, ordered
+/// on columns [key_begin, key_end). Each row is charged 4 bytes per column
+/// against the budget — the serialized size of the same row as an all-INT32
+/// Tuple — and runs hold the same record bytes, so an IntRowSort spills,
+/// merges and counts (SortStats, sort metrics) exactly as an ExternalSort
+/// of the equivalent Tuples.
+///
+///     IntRowSort sort(ctx, /*width=*/3, /*key_begin=*/1, /*key_end=*/3);
+///     for (...) sort.Add(row);           // row: 3 ints
+///     auto cursor = sort.Finish().value();
+class IntRowSort {
+ public:
+  IntRowSort(ExecContext ctx, size_t width, size_t key_begin, size_t key_end);
+  ~IntRowSort();
 
-  ExecContext ctx_;
-  Schema schema_;
-  TupleComparator cmp_;
-  std::vector<Tuple> buffer_;
-  size_t buffer_bytes_ = 0;
-  std::vector<TableHeap> runs_;
-  std::vector<std::unique_ptr<PendingRun>> pending_;
-  SortStats stats_;
-  bool finished_ = false;
-  /// Declared last: its destructor waits for in-flight spill tasks, which
-  /// read the members above.
-  TaskGroup spill_group_;
+  /// Buffers one row (width ints, copied).
+  Status Add(const int32_t* row);
+
+  /// Completes the sort and returns the sorted rows.
+  Result<std::unique_ptr<IntRowCursor>> Finish();
+
+  const SortStats& stats() const;
+
+ private:
+  std::unique_ptr<sort_internal::RunSort<sort_internal::IntRows>> sort_;
 };
 
 /// Volcano operator wrapping ExternalSort: drains `child` on first Next().

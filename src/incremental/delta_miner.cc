@@ -62,7 +62,7 @@ Result<std::vector<int64_t>> CountCandidatesInOldPartition(
   if (candidates.empty()) return counts;
 
   ExecContext ctx = ExecContext::From(db);
-  ExternalSort sort(ctx, SetmMiner::SalesSchema(), TupleComparator({0, 1}));
+  IntRowSort sort(ctx, /*width=*/2, /*key_begin=*/0, /*key_end=*/2);
   {
     auto it = sales.Scan();
     Tuple row;
@@ -70,14 +70,12 @@ Result<std::vector<int64_t>> CountCandidatesInOldPartition(
       auto more = it->Next(&row);
       if (!more.ok()) return more.status();
       if (!more.value()) break;
-      if (row.value(0).AsInt32() <= watermark) {
-        SETM_RETURN_IF_ERROR(sort.Add(row));
-      }
+      const int32_t pair[2] = {row.value(0).AsInt32(), row.value(1).AsInt32()};
+      if (pair[0] <= watermark) SETM_RETURN_IF_ERROR(sort.Add(pair));
     }
   }
   auto sorted_or = sort.Finish();
   if (!sorted_or.ok()) return sorted_or.status();
-  std::unique_ptr<TupleIterator> sorted = std::move(sorted_or).value();
 
   std::unordered_set<ItemId> txn_items;
   bool in_txn = false;
@@ -88,20 +86,17 @@ Result<std::vector<int64_t>> CountCandidatesInOldPartition(
       if (ContainsPattern(txn_items, candidates[c].items)) ++counts[c];
     }
   };
-  Tuple row;
-  while (true) {
-    auto more = sorted->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    const TransactionId tid = row.value(0).AsInt32();
-    if (!in_txn || tid != current) {
-      flush_txn();
-      txn_items.clear();
-      current = tid;
-      in_txn = true;
-    }
-    txn_items.insert(row.value(1).AsInt32());
-  }
+  SETM_RETURN_IF_ERROR(ForEachRow(
+      sorted_or.value().get(), [&](const int32_t* pair) {
+        if (!in_txn || pair[0] != current) {
+          flush_txn();
+          txn_items.clear();
+          current = pair[0];
+          in_txn = true;
+        }
+        txn_items.insert(pair[1]);
+        return Status::OK();
+      }));
   flush_txn();
   return counts;
 }

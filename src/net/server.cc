@@ -582,7 +582,7 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
     job->verb = Verb::kLcount;
     job->shard_backend =
         begins_run ? std::make_shared<shard::LocalShardBackend>(
-                         db_, "srv:" + cmd.table, "lcount_")
+                         db_, "srv:" + cmd.table)
                    : session->shard_run;
     job->cmd = std::move(cmd);
     DispatchJob(session, std::move(job));

@@ -34,11 +34,11 @@ class HeapTableIterator : public TupleIterator {
       : it_(std::move(it)), schema_(schema) {}
 
   Result<bool> Next(Tuple* out) override {
-    if (!it_.Valid()) return false;
+    auto more = it_.Next();
+    if (!more.ok() || !more.value()) return more;
     auto tuple_or = Tuple::Deserialize(*schema_, it_.record());
     if (!tuple_or.ok()) return tuple_or.status();
     *out = std::move(tuple_or).value();
-    SETM_RETURN_IF_ERROR(it_.Next());
     return true;
   }
 
@@ -121,8 +121,9 @@ std::unique_ptr<TupleIterator> HeapTable::Scan() const {
 }
 
 Status HeapTable::Truncate() {
-  // Start a fresh chain; old pages are abandoned (no free-list in this
-  // engine — acceptable for mining workloads that drop whole relations).
+  // Start a fresh chain. The old pages are abandoned: the database free
+  // list only takes the chains of dropped catalog tables, and returning a
+  // standalone table's pages is still open (ROADMAP direction 1).
   auto heap_or = TableHeap::Create(pool_, page_hook_);
   if (!heap_or.ok()) return heap_or.status();
   heap_ = std::move(heap_or).value();

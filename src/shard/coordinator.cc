@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
+#include "core/itemset_counts.h"
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -117,31 +117,37 @@ Status FilterPhase(WorkerPool* pool, std::vector<ShardState>* states,
   return Status::OK();
 }
 
-/// Sums every shard's partial counts and applies the global minsupport.
-/// Survivors land in `itemsets` and (in canonical sorted order, so remote
-/// broadcast payloads are deterministic) in `ck`.
-void MergeCounts(std::vector<ShardState>* states, int64_t minsup,
-                 uint64_t* c_size, FrequentItemsets* itemsets,
-                 std::vector<std::vector<ItemId>>* ck) {
-  std::unordered_map<std::string, PatternCount> merged;
+/// Sums every shard's partial counts of k-itemsets and applies the global
+/// minsupport. Survivors land in `itemsets` and (in canonical sorted order,
+/// so remote broadcast payloads are deterministic) in `ck`. A count of the
+/// wrong arity (a remote shard's bug) is Corruption, not a silent miss.
+Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
+                   uint64_t* c_size, FrequentItemsets* itemsets,
+                   std::vector<std::vector<ItemId>>* ck) {
+  ItemsetCounts merged(k);
   for (ShardState& s : *states) {
-    for (PatternCount& pc : s.counts.counts) {
-      PatternCount& g = merged[ItemsetKey(pc.items)];
-      if (g.count == 0) g.items = std::move(pc.items);
-      g.count += pc.count;
+    for (const PatternCount& pc : s.counts.counts) {
+      if (pc.items.size() != k || pc.count <= 0) {
+        return Status::Corruption(
+            "shard '" + s.backend->name() + "' reported a count of " +
+            std::to_string(pc.count) + " for a " +
+            std::to_string(pc.items.size()) + "-itemset at iteration " +
+            std::to_string(k));
+      }
+      merged.Add(pc.items.data(), pc.count);
     }
     s.counts.counts.clear();
     s.counts.counts.shrink_to_fit();
   }
   ck->clear();
-  for (auto& entry : merged) {
-    if (entry.second.count >= minsup) {
-      ck->push_back(entry.second.items);
-      itemsets->Add(std::move(entry.second.items), entry.second.count);
-      ++*c_size;
-    }
-  }
+  merged.ForEach([&](const ItemId* items, int64_t count) {
+    if (count < minsup) return;
+    ck->emplace_back(items, items + k);
+    itemsets->Add(ck->back(), count);
+    ++*c_size;
+  });
   std::sort(ck->begin(), ck->end());
+  return Status::OK();
 }
 
 /// Attaches one completed iteration span with nested per-shard children.
@@ -234,7 +240,9 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     }
     stats.r_rows = stats.r_prime_rows;
     std::vector<std::vector<ItemId>> c1;
-    MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &c1);
+    s = MergeCounts(&states, 1, minsup, &stats.c_size, &result.itemsets,
+                    &c1);
+    if (!s.ok()) return fail(s);
     stats.seconds = iter_timer.ElapsedSeconds();
     RecordIterationTrace(coord.trace, stats, states);
     result.iterations.push_back(stats);
@@ -268,7 +276,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
       stats.r_prime_rows += st.counts.r_prime_rows;
     }
     std::vector<std::vector<ItemId>> ck;
-    MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &ck);
+    s = MergeCounts(&states, k, minsup, &stats.c_size, &result.itemsets, &ck);
+    if (!s.ok()) return fail(s);
 
     // Phase 2 always runs, C_k empty or not: every shard materializes its
     // (possibly empty) R_k, as Figure 4's loop does, so the iteration stats

@@ -1,7 +1,7 @@
 #include "shard/local_backend.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -41,9 +41,8 @@ ExecContext LocalContext(Database* db) {
 
 }  // namespace
 
-LocalShardBackend::LocalShardBackend(Database* db, std::string name,
-                                     std::string scratch_prefix)
-    : db_(db), name_(std::move(name)), prefix_(std::move(scratch_prefix)) {}
+LocalShardBackend::LocalShardBackend(Database* db, std::string name)
+    : db_(db), name_(std::move(name)) {}
 
 void LocalShardBackend::SetRows(std::vector<ShardRow> rows) {
   if (!std::is_sorted(rows.begin(), rows.end())) {
@@ -79,38 +78,30 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     return Status::Internal("CountIteration before BeginRun on shard " +
                             name_);
   }
+  if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
   WallTimer timer;
   ShardLocalCounts out;
-  const bool hash = run_.count_method == CountMethod::kHash;
   // kHash aggregates while R'_k is produced; kSortMerge counts the
   // materialized relation afterwards, one row per group.
-  std::unordered_map<std::string, PatternCount> hashed;
-  const auto tally = [&hashed](const std::vector<ItemId>& items) {
-    PatternCount& pc = hashed[ItemsetKey(items)];
-    if (pc.count == 0) pc.items = items;
-    ++pc.count;
-  };
-  const Table* counted = nullptr;
+  std::optional<ItemsetCounts> hashed;
+  if (run_.count_method == CountMethod::kHash) hashed.emplace(k);
+  const IntRelation* counted = nullptr;
 
   if (k == 1) {
-    auto r1_or = NewScratchRelation(db_, run_.storage, prefix_ + "r1",
-                                    SetmMiner::RkSchema(1));
+    auto r1_or = IntRelation::Create(db_, run_.storage, 2);
     if (!r1_or.ok()) return r1_or.status();
     r1_ = std::move(r1_or).value();
     // R_1 := the slice, already in (trans_id, item) order.
     const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
-    std::vector<ItemId> item(1);
+    IntRowBatch batch(r1_.get());
     uint64_t transactions = 0;
     for (size_t i = 0; i < slice.size(); ++i) {
-      const ShardRow& row = slice[i];
-      if (i == 0 || row.tid != slice[i - 1].tid) ++transactions;
-      SETM_RETURN_IF_ERROR(r1_->Insert(
-          Tuple({Value::Int32(row.tid), Value::Int32(row.item)})));
-      if (hash) {
-        item[0] = row.item;
-        tally(item);
-      }
+      const int32_t row[2] = {slice[i].tid, slice[i].item};
+      if (i == 0 || row[0] != slice[i - 1].tid) ++transactions;
+      SETM_RETURN_IF_ERROR(batch.Add(row));
+      if (hashed) hashed->Add(&row[1], 1);
     }
+    SETM_RETURN_IF_ERROR(batch.Flush());
     run_rows_.clear();
     run_rows_.shrink_to_fit();
     out.transactions = transactions;
@@ -119,30 +110,29 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     out.r_pages = r1_->num_pages();
     counted = r1_.get();
   } else {
-    const Table* left = r_prev_ != nullptr ? r_prev_.get() : r1_.get();
+    const IntRelation* left = r_prev_ != nullptr ? r_prev_.get() : r1_.get();
     if (left == nullptr) {
       return Status::Internal("CountIteration(k>=2) before CountIteration(1)");
     }
-    auto rkp_or = NewScratchRelation(db_, run_.storage,
-                                     prefix_ + "r" + std::to_string(k) + "p",
-                                     SetmMiner::RkSchema(k));
+    if (left->width() != k) {
+      return Status::InvalidArgument(
+          "CountIteration(" + std::to_string(k) + ") after iteration " +
+          std::to_string(left->width() - 1) + " on shard " + name_);
+    }
+    auto rkp_or = IntRelation::Create(db_, run_.storage, k + 1);
     if (!rkp_or.ok()) return rkp_or.status();
     rk_prime_ = std::move(rkp_or).value();
-    SETM_RETURN_IF_ERROR(JoinIntoRkPrime(*left, *r1_, k, rk_prime_.get(),
-                                         hash ? CountSink(tally) : nullptr));
+    SETM_RETURN_IF_ERROR(JoinRkPrime(*left, *r1_, rk_prime_.get(),
+                                     hashed ? &*hashed : nullptr));
     out.r_prime_rows = rk_prime_->num_rows();
     counted = rk_prime_.get();
   }
 
-  if (hash) {
-    for (auto& entry : hashed) {
-      if (entry.second.count >= count_floor_) {
-        out.counts.push_back(std::move(entry.second));
-      }
-    }
+  if (hashed) {
+    hashed->AppendAtLeast(count_floor_, &out.counts);
   } else {
-    SETM_RETURN_IF_ERROR(
-        CountInto(LocalContext(db_), *counted, k, count_floor_, &out.counts));
+    SETM_RETURN_IF_ERROR(CountSorted(LocalContext(db_), *counted,
+                                     count_floor_, &out.counts));
   }
   out.seconds = timer.ElapsedSeconds();
   return out;
@@ -153,48 +143,44 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   if (!running_) {
     return Status::Internal("ApplyGlobalCk before BeginRun on shard " + name_);
   }
-  CkKeys keys;
-  keys.reserve(ck.size());
-  for (const std::vector<ItemId>& items : ck) keys.insert(ItemsetKey(items));
-  ShardFilterStats stats;
-
-  if (k == 1) {
-    // The filter_r1 ablation: drop rows of non-frequent items from R_1.
-    if (r1_ == nullptr) {
-      return Status::Internal("ApplyGlobalCk(1) before CountIteration(1)");
-    }
-    auto filtered_or = NewScratchRelation(db_, run_.storage, prefix_ + "r1f",
-                                          SetmMiner::RkSchema(1));
-    if (!filtered_or.ok()) return filtered_or.status();
-    std::unique_ptr<Table> filtered = std::move(filtered_or).value();
-    SETM_RETURN_IF_ERROR(FilterR1Into(*r1_, keys, filtered.get()));
-    r1_ = std::move(filtered);
-    stats.r_rows = r1_->num_rows();
-    stats.r_bytes = r1_->size_bytes();
-    stats.r_pages = r1_->num_pages();
-    return stats;
-  }
-
-  if (rk_prime_ == nullptr) {
+  if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
+  const IntRelation* in = k == 1 ? r1_.get() : rk_prime_.get();
+  if (in == nullptr) {
     return Status::Internal("ApplyGlobalCk(k) before CountIteration(k)");
   }
-  auto rk_or = NewScratchRelation(db_, run_.storage,
-                                  prefix_ + "r" + std::to_string(k),
-                                  SetmMiner::RkSchema(k));
+  if (in->width() != k + 1) {
+    return Status::InvalidArgument(
+        "ApplyGlobalCk(" + std::to_string(k) + ") after CountIteration(" +
+        std::to_string(in->width() - 1) + ") on shard " + name_);
+  }
+  ItemsetCounts keys(k);
+  for (const std::vector<ItemId>& items : ck) {
+    if (items.size() != k) {
+      return Status::InvalidArgument(
+          "C_" + std::to_string(k) + " holds a " +
+          std::to_string(items.size()) + "-itemset");
+    }
+    keys.Add(items.data(), 1);
+  }
+  auto rk_or = IntRelation::Create(db_, run_.storage, k + 1);
   if (!rk_or.ok()) return rk_or.status();
-  std::unique_ptr<Table> rk = std::move(rk_or).value();
+  std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
   // An empty global C_k still creates (and reports) an empty R_k, as
   // Figure 4's loop does.
-  if (!keys.empty()) {
-    SETM_RETURN_IF_ERROR(
-        FilterRkPrimeIntoRk(LocalContext(db_), *rk_prime_, k, keys,
-                            rk.get()));
+  if (keys.size() != 0) {
+    SETM_RETURN_IF_ERROR(FilterByCk(LocalContext(db_), *in, keys, rk.get()));
   }
+  ShardFilterStats stats;
   stats.r_rows = rk->num_rows();
   stats.r_bytes = rk->size_bytes();
   stats.r_pages = rk->num_pages();
-  r_prev_ = std::move(rk);
-  rk_prime_.reset();
+  if (k == 1) {
+    // The filter_r1 ablation: R_1 without the non-frequent items.
+    r1_ = std::move(rk);
+  } else {
+    r_prev_ = std::move(rk);
+    rk_prime_.reset();
+  }
   return stats;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/setm.h"
+#include "relational/int_relation.h"
 #include "shard/shard_backend.h"
 
 namespace setm::shard {
@@ -26,9 +27,8 @@ struct ShardRow {
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 
 /// The in-process shard and the only place Algorithm SETM iterates: runs
-/// the pipeline bodies of core/setm_pipeline (JoinIntoRkPrime /
-/// FilterRkPrimeIntoRk / CountInto) over one SALES slice and reports its
-/// local counts. Every SetmMiner mine — serial (one backend) or threaded
+/// the pipeline bodies of core/setm_pipeline (JoinRkPrime / CountSorted /
+/// FilterByCk) over one SALES slice and reports its local counts. Every SetmMiner mine — serial (one backend) or threaded
 /// (one per thread) — runs here under DistributedMine, and so does the
 /// server-side implementation of LCOUNT/MERGE, so local, threaded, serial
 /// and remote mines cannot drift apart.
@@ -44,13 +44,15 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     so a long-lived backend sees rows appended between runs (the server
 ///     and file-shard members use this).
 ///
-/// Scratch relations are named "<prefix>r1", "<prefix>r2p", ... — standalone
-/// tables that never enter the catalog; kHeap scratch uses unlogged pages.
+/// R_1, R'_k and R_k are fixed-width int32 relations (IntRelation) that
+/// never enter the catalog: flat arrays under kMemory, heap chains of
+/// unlogged pages under kHeap. Local kHash counts, the C_k probe and (in
+/// the coordinator) the merge of partial counts use packed itemset keys
+/// (ItemsetCounts), so no row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {
  public:
   /// `db` is borrowed and must outlive the backend.
-  LocalShardBackend(Database* db, std::string name,
-                    std::string scratch_prefix = "");
+  LocalShardBackend(Database* db, std::string name);
 
   /// Fixes the slice directly, sorting it unless already in (trans_id,
   /// item) order.
@@ -71,7 +73,6 @@ class LocalShardBackend : public ShardBackend {
  private:
   Database* db_;
   std::string name_;
-  std::string prefix_;
   std::string table_name_;
   bool bound_to_table_ = false;
   bool running_ = false;
@@ -81,9 +82,9 @@ class LocalShardBackend : public ShardBackend {
   ShardRunOptions run_;
   int64_t count_floor_ = 1;         ///< local counts below it are dropped
 
-  std::unique_ptr<Table> r1_;        ///< R_1 slice (filtered when asked)
-  std::unique_ptr<Table> r_prev_;    ///< R_{k-1}; null means use r1
-  std::unique_ptr<Table> rk_prime_;  ///< R'_k awaiting the global filter
+  std::unique_ptr<IntRelation> r1_;        ///< R_1 slice (filtered when asked)
+  std::unique_ptr<IntRelation> r_prev_;    ///< R_{k-1}; null means use r1
+  std::unique_ptr<IntRelation> rk_prime_;  ///< R'_k awaiting the global filter
 };
 
 }  // namespace setm::shard

@@ -30,7 +30,7 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
       }
       db->file_dbs_.push_back(std::move(member_db_or).value());
       auto backend = std::make_unique<LocalShardBackend>(
-          db->file_dbs_.back().get(), id + ":" + member.path, id + "_");
+          db->file_dbs_.back().get(), id + ":" + member.path);
       backend->BindTable(member.table);
       db->owned_backends_.push_back(std::move(backend));
     } else {

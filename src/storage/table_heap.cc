@@ -1,5 +1,6 @@
 #include "storage/table_heap.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -53,6 +54,50 @@ void InitHeapPage(Page* p) {
   h->free_space_end = static_cast<uint16_t>(kPageSize);
 }
 
+/// Checks the slot directory of heap page `id` before anyone trusts it: the
+/// directory ends inside the page and before the record area, and the live
+/// records lie after the directory, inside the page, and fit in it together
+/// (so a reader copying them all cannot overrun a page-sized buffer).
+Status CheckHeapPage(const Page* p, PageId id) {
+  const HeapPageHeader* h = Header(p);
+  const size_t slots_end = kHeaderSize + size_t{h->num_slots} * kSlotSize;
+  auto corrupt = [id](const std::string& what) {
+    return Status::Corruption("heap page " + std::to_string(id) + ": " + what);
+  };
+  if (slots_end > kPageSize || h->free_space_end > kPageSize ||
+      h->free_space_end < slots_end) {
+    return corrupt(std::to_string(h->num_slots) +
+                   " slots with free space ending at " +
+                   std::to_string(h->free_space_end) +
+                   " do not fit the page");
+  }
+  size_t live_bytes = 0;
+  for (uint16_t i = 0; i < h->num_slots; ++i) {
+    const Slot* slot = SlotAt(p, i);
+    if (slot->length == kTombstone) continue;
+    if (slot->offset < slots_end ||
+        size_t{slot->offset} + slot->length > kPageSize) {
+      return corrupt("slot " + std::to_string(i) + " record [" +
+                     std::to_string(slot->offset) + ", +" +
+                     std::to_string(slot->length) + ") lies outside the " +
+                     "record area");
+    }
+    live_bytes += slot->length;
+  }
+  if (live_bytes > kPageSize - slots_end) {
+    return corrupt("live records overlap");
+  }
+  return Status::OK();
+}
+
+/// Pins heap page `id` and checks its slot directory.
+Result<PageGuard> FetchHeapPage(BufferPool* pool, PageId id) {
+  auto guard_or = pool->FetchPage(id);
+  if (!guard_or.ok()) return guard_or.status();
+  SETM_RETURN_IF_ERROR(CheckHeapPage(guard_or.value().page(), id));
+  return guard_or;
+}
+
 }  // namespace
 
 /// Largest record a single heap page can hold.
@@ -84,7 +129,7 @@ Result<TableHeap> TableHeap::Open(BufferPool* pool, PageId first_page) {
           " does not terminate within the file's " +
           std::to_string(max_pages) + " pages (cycle or corrupt link)");
     }
-    auto guard_or = pool->FetchPage(cur);
+    auto guard_or = FetchHeapPage(pool, cur);
     if (!guard_or.ok()) return guard_or.status();
     const Page* p = guard_or.value().page();
     const HeapPageHeader* h = Header(p);
@@ -131,22 +176,54 @@ Status TableHeap::CollectChainPages(BufferPool* pool, PageId first,
 }
 
 Result<Rid> TableHeap::Insert(std::string_view record) {
-  if (record.size() > kMaxRecordSize) {
-    return Status::InvalidArgument("record of " +
-                                   std::to_string(record.size()) +
+  return Append(record.data(), record.size(), 1);
+}
+
+Status TableHeap::AppendRecords(const char* records, size_t record_size,
+                                size_t n) {
+  if (n == 0) return Status::OK();
+  return Append(records, record_size, n).status();
+}
+
+Result<Rid> TableHeap::Append(const char* records, size_t record_size,
+                              size_t n) {
+  if (record_size > kMaxRecordSize) {
+    return Status::InvalidArgument("record of " + std::to_string(record_size) +
                                    " bytes exceeds page capacity");
   }
   auto guard_or = pool_->FetchPage(last_page_);
   if (!guard_or.ok()) return guard_or.status();
   PageGuard guard = std::move(guard_or).value();
-
-  if (FreeSpace(guard.page()) < record.size() + kSlotSize) {
+  const size_t per_record = record_size + kSlotSize;
+  size_t done = 0;
+  while (true) {
+    // Fill the tail with as many records as fit: the records a sequence of
+    // single inserts would place there before chaining a page.
+    Page* p = guard.page();
+    HeapPageHeader* h = Header(p);
+    const size_t fit = std::min(n - done, FreeSpace(p) / per_record);
+    for (size_t i = 0; i < fit; ++i) {
+      h->free_space_end = static_cast<uint16_t>(h->free_space_end - record_size);
+      Slot* slot = SlotAt(p, h->num_slots);
+      slot->offset = h->free_space_end;
+      slot->length = static_cast<uint16_t>(record_size);
+      std::memcpy(p->data + slot->offset, records + (done + i) * record_size,
+                  record_size);
+      ++h->num_slots;
+    }
+    if (fit > 0) guard.MarkDirty();
+    done += fit;
+    live_records_ += fit;
+    live_bytes_ += fit * record_size;
+    if (done == n) {
+      return Rid{guard.id(), static_cast<uint16_t>(h->num_slots - 1)};
+    }
     // Tail page is full: chain a fresh page.
     auto new_or = pool_->NewPage();
     if (!new_or.ok()) return new_or.status();
     PageGuard new_guard = std::move(new_or).value();
     InitHeapPage(new_guard.page());
-    Header(guard.page())->next_page = new_guard.id();
+    h->next_page = new_guard.id();
     guard.MarkDirty();
     new_guard.MarkDirty();
     last_page_ = new_guard.id();
@@ -154,24 +231,10 @@ Result<Rid> TableHeap::Insert(std::string_view record) {
     if (page_hook_) page_hook_(new_guard.id());
     guard = std::move(new_guard);
   }
-
-  Page* p = guard.page();
-  HeapPageHeader* h = Header(p);
-  const uint16_t slot_index = h->num_slots;
-  h->free_space_end = static_cast<uint16_t>(h->free_space_end - record.size());
-  Slot* slot = SlotAt(p, slot_index);
-  slot->offset = h->free_space_end;
-  slot->length = static_cast<uint16_t>(record.size());
-  std::memcpy(p->data + slot->offset, record.data(), record.size());
-  ++h->num_slots;
-  guard.MarkDirty();
-  ++live_records_;
-  live_bytes_ += record.size();
-  return Rid{guard.id(), slot_index};
 }
 
 Status TableHeap::Get(const Rid& rid, std::string* out) const {
-  auto guard_or = pool_->FetchPage(rid.page_id);
+  auto guard_or = FetchHeapPage(pool_, rid.page_id);
   if (!guard_or.ok()) return guard_or.status();
   const Page* p = guard_or.value().page();
   const HeapPageHeader* h = Header(p);
@@ -187,7 +250,7 @@ Status TableHeap::Get(const Rid& rid, std::string* out) const {
 }
 
 Status TableHeap::Delete(const Rid& rid) {
-  auto guard_or = pool_->FetchPage(rid.page_id);
+  auto guard_or = FetchHeapPage(pool_, rid.page_id);
   if (!guard_or.ok()) return guard_or.status();
   PageGuard guard = std::move(guard_or).value();
   Page* p = guard.page();
@@ -207,42 +270,58 @@ Status TableHeap::Delete(const Rid& rid) {
   return Status::OK();
 }
 
-TableHeap::Iterator TableHeap::Begin() const {
-  Iterator it(this, first_page_, 0);
-  Status s = it.SeekForward();
-  if (!s.ok()) {
-    SETM_LOG(kError) << "TableHeap iteration failed: " << s.ToString();
-    it.valid_ = false;
-  }
-  return it;
-}
-
-Status TableHeap::Iterator::SeekForward() {
-  valid_ = false;
-  while (rid_.page_id != kInvalidPageId) {
-    auto guard_or = heap_->pool_->FetchPage(rid_.page_id);
-    if (!guard_or.ok()) return guard_or.status();
-    const Page* p = guard_or.value().page();
-    const HeapPageHeader* h = Header(p);
-    while (rid_.slot < h->num_slots) {
-      const Slot* slot = SlotAt(p, rid_.slot);
-      if (slot->length != kTombstone) {
-        record_.assign(p->data + slot->offset, slot->length);
-        valid_ = true;
-        return Status::OK();
+Result<bool> TableHeap::Iterator::Next() {
+  if (on_page_) ++rid_.slot;
+  while (true) {
+    if (on_page_) {
+      const Page* p = copy_.get();
+      for (; rid_.slot < Header(p)->num_slots; ++rid_.slot) {
+        if (SlotAt(p, rid_.slot)->length != kTombstone) return true;
       }
-      ++rid_.slot;
+      on_page_ = false;
     }
-    rid_.page_id = h->next_page;
-    rid_.slot = 0;
+    if (next_page_ == kInvalidPageId) return false;
+    auto guard_or = FetchHeapPage(pool_, next_page_);
+    if (!guard_or.ok()) return guard_or.status();
+    if (copy_ == nullptr) copy_ = std::make_unique<Page>();
+    std::memcpy(copy_->data, guard_or.value().page()->data, kPageSize);
+    rid_ = Rid{next_page_, 0};
+    next_page_ = Header(copy_.get())->next_page;
+    on_page_ = true;
   }
-  return Status::OK();
 }
 
-Status TableHeap::Iterator::Next() {
-  SETM_DCHECK(valid_);
-  ++rid_.slot;
-  return SeekForward();
+std::string_view TableHeap::Iterator::record() const {
+  SETM_DCHECK(on_page_);
+  const Slot* slot = SlotAt(copy_.get(), rid_.slot);
+  return std::string_view(copy_->data + slot->offset, slot->length);
+}
+
+Result<bool> TableHeap::PageReader::Next(size_t record_size, char* out,
+                                         size_t* count) {
+  *count = 0;
+  if (next_ == kInvalidPageId) return false;
+  auto guard_or = FetchHeapPage(pool_, next_);
+  if (!guard_or.ok()) return guard_or.status();
+  const Page* p = guard_or.value().page();
+  const HeapPageHeader* h = Header(p);
+  size_t n = 0;
+  for (uint16_t i = 0; i < h->num_slots; ++i) {
+    const Slot* slot = SlotAt(p, i);
+    if (slot->length == kTombstone) continue;
+    if (slot->length != record_size) {
+      return Status::Corruption(
+          "heap page " + std::to_string(next_) + " slot " + std::to_string(i) +
+          " holds a " + std::to_string(slot->length) +
+          "-byte record where " + std::to_string(record_size) +
+          " bytes were expected");
+    }
+    std::memcpy(out + n * record_size, p->data + slot->offset, record_size);
+    ++n;
+  }
+  *count = n;
+  next_ = h->next_page;
+  return true;
 }
 
 }  // namespace setm

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,13 @@ struct Rid {
 /// tombstones the slot. Inserts append to the tail page and allocate a new
 /// page when the record does not fit — exactly the sequential write pattern
 /// SETM's intermediate relations R_k rely on.
+///
+/// Page-at-a-time I/O: AppendRecords pins the tail once per page it fills,
+/// and both readers (Iterator, PageReader) pin each page once, copy what
+/// they need and unpin it, so a scan costs one FetchPage per page rather
+/// than one per record. Every page a reader or Open() visits has its slot
+/// directory checked first: a directory or record reaching past the page
+/// is Corruption, never an out-of-bounds read.
 class TableHeap {
  public:
   /// Observes every page id added to the chain — the seam the database uses
@@ -57,6 +65,13 @@ class TableHeap {
   /// Appends a record; fails with InvalidArgument if it can never fit in a
   /// page, IOError/ResourceExhausted on storage trouble.
   Result<Rid> Insert(std::string_view record);
+
+  /// Appends `n` records of `record_size` bytes each, stored back to back
+  /// in `records`. The page images, chain split points and page-hook calls
+  /// are exactly those of `n` Insert calls, but the tail is pinned once per
+  /// page instead of once per record — the bulk write path of SETM's
+  /// fixed-width relations and sort runs.
+  Status AppendRecords(const char* records, size_t record_size, size_t n);
 
   /// Reads the record at `rid` into `*out`. NotFound for tombstoned slots.
   Status Get(const Rid& rid, std::string* out) const;
@@ -92,43 +107,71 @@ class TableHeap {
   static Status CollectChainPages(BufferPool* pool, PageId first,
                                   std::vector<PageId>* out);
 
-  /// Forward iterator over live records in storage order.
+  /// Forward cursor over live records in storage order. Each page is
+  /// pinned once: its image is checked, copied and unpinned, and the
+  /// records are then served from the copy. I/O and corruption errors
+  /// surface from Next() — the first call included — never as a silently
+  /// empty scan.
   ///
-  ///     for (auto it = heap.Begin(); it.Valid(); ) {
+  ///     TableHeap::Iterator it = heap.Begin();
+  ///     while (true) {
+  ///       auto more = it.Next();
+  ///       if (!more.ok()) return more.status();
+  ///       if (!more.value()) break;
   ///       use(it.record());
-  ///       if (!it.Next().ok()) break;
   ///     }
   class Iterator {
    public:
-    /// True when positioned on a live record.
-    bool Valid() const { return valid_; }
-    /// The current record bytes (owned copy, stable until Next()).
-    const std::string& record() const { return record_; }
+    /// Advances to the next live record (the first one on the first call);
+    /// false at the end of the chain.
+    Result<bool> Next();
+    /// The current record's bytes, valid until the next Next().
+    std::string_view record() const;
     /// The current record's address.
     const Rid& rid() const { return rid_; }
-    /// Advances to the next live record; Valid() turns false at the end.
-    Status Next();
 
    private:
     friend class TableHeap;
-    Iterator(const TableHeap* heap, PageId page, uint16_t slot)
-        : heap_(heap), rid_{page, slot} {}
-    /// Positions on the first live record at or after rid_.
-    Status SeekForward();
+    Iterator(BufferPool* pool, PageId first)
+        : pool_(pool), next_page_(first) {}
 
-    const TableHeap* heap_ = nullptr;
+    BufferPool* pool_;
+    PageId next_page_;            ///< page to load once copy_ is exhausted
+    std::unique_ptr<Page> copy_;  ///< image of rid_.page_id
     Rid rid_;
-    std::string record_;
-    bool valid_ = false;
+    bool on_page_ = false;        ///< copy_ holds rid_.page_id
   };
 
-  /// Iterator positioned at the first live record.
-  /// On I/O error the iterator is invalid (treated as empty).
-  Iterator Begin() const;
+  /// Cursor positioned before the first record. Performs no I/O.
+  Iterator Begin() const { return Iterator(pool_, first_page_); }
+
+  /// Reads a heap of fixed-size records one page per FetchPage.
+  class PageReader {
+   public:
+    /// Copies the live records of the next page, back to back, into `out`
+    /// (room for kPageSize bytes) and sets `*count`, which is 0 for a page
+    /// of tombstones. False past the tail. A live record whose length is
+    /// not `record_size` is Corruption.
+    Result<bool> Next(size_t record_size, char* out, size_t* count);
+
+   private:
+    friend class TableHeap;
+    PageReader(BufferPool* pool, PageId first) : pool_(pool), next_(first) {}
+
+    BufferPool* pool_;
+    PageId next_;
+  };
+
+  /// Page reader positioned before the first page. Performs no I/O.
+  PageReader ReadPages() const { return PageReader(pool_, first_page_); }
 
  private:
   TableHeap(BufferPool* pool, PageId first, PageId last, uint64_t pages)
       : pool_(pool), first_page_(first), last_page_(last), num_pages_(pages) {}
+
+  /// Insert and AppendRecords: appends `n` >= 1 records and returns the
+  /// last one's address.
+  Result<Rid> Append(const char* records, size_t record_size, size_t n);
 
   BufferPool* pool_;
   PageId first_page_;

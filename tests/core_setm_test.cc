@@ -370,6 +370,67 @@ TEST_P(SetmIoLedgerTest, ResultIoIsTheDatabaseDelta) {
 INSTANTIATE_TEST_SUITE_P(Threads, SetmIoLedgerTest,
                          testing::Values(size_t{1}, size_t{3}));
 
+// SETM's relations and sort runs move a page at a time: a kHeap mine on a
+// file database whose pools are far smaller than its relations fetches
+// pool pages at most twice per page it reads or writes. One FetchPage per
+// row anywhere on the path puts the ratio in the hundreds.
+class SetmPoolFetchTest : public testing::TestWithParam<CountMethod> {};
+
+TEST_P(SetmPoolFetchTest, FetchesStayWithinTwicePageTraffic) {
+  const std::string path = testing::TempDir() + "/setm_pool_fetches_" +
+                           std::to_string(static_cast<int>(GetParam())) +
+                           ".db";
+  const auto remove_files = [&path] {
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  };
+  remove_files();
+  QuestOptions gen;
+  gen.seed = 11;
+  gen.num_transactions = 3000;
+  gen.avg_transaction_size = 8;
+  gen.num_items = 60;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.03;
+  {
+    DatabaseOptions db_options;
+    db_options.file_path = path;
+    db_options.pool_frames = 16;
+    db_options.temp_pool_frames = 16;
+    db_options.sort_memory_bytes = 64 << 10;
+    auto db_or = Database::Open(db_options);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    Database* db = db_or.value().get();
+    auto sales = LoadSalesTable(db, "sales", txns, TableBacking::kHeap);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    ASSERT_TRUE(db->Commit().ok());
+
+    const auto fetches = [db] {
+      const BufferPool::PoolStats main = db->pool()->Stats();
+      const BufferPool::PoolStats temp = db->temp_pool()->Stats();
+      return main.hits + main.misses + temp.hits + temp.misses;
+    };
+    const uint64_t fetches_before = fetches();
+    SetmOptions knobs{TableBacking::kHeap};
+    knobs.count_method = GetParam();
+    auto result = SetmMiner(db, knobs).MineTable(*sales.value(), options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GE(result.value().iterations.size(), 3u);
+    const uint64_t pages =
+        result.value().io.page_reads + result.value().io.page_writes;
+    const uint64_t fetched = fetches() - fetches_before;
+    EXPECT_GT(pages, 20 * db_options.pool_frames);
+    EXPECT_LE(fetched, 2 * pages)
+        << fetched << " pool fetches for " << pages << " pages read+written";
+  }
+  remove_files();
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, SetmPoolFetchTest,
+                         testing::Values(CountMethod::kSortMerge,
+                                         CountMethod::kHash));
+
 // Support anti-monotonicity: every (k-1)-subset of a frequent k-pattern is
 // frequent with at least the same count.
 TEST(SetmPropertiesTest, SupportIsAntiMonotone) {

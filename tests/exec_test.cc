@@ -328,6 +328,102 @@ TEST_F(ExternalSortTest, SpillIoLandsInLedger) {
             writes_before);
 }
 
+// IntRowSort is ExternalSort's algorithm over fixed-width int rows: on the
+// same rows, budget and temp pool it must produce the same order (stability
+// included) and the same SortStats — serial and with workers, in memory
+// and through cascaded merge passes.
+struct IntSortCase {
+  size_t sort_memory_bytes;
+  size_t worker_threads;
+};
+
+class IntRowSortTest : public testing::TestWithParam<IntSortCase> {};
+
+TEST_P(IntRowSortTest, MatchesExternalSort) {
+  DatabaseOptions options;
+  options.temp_pool_frames = 8;  // effective fan-in: 4 runs
+  options.sort_memory_bytes = GetParam().sort_memory_bytes;
+  options.worker_threads = GetParam().worker_threads;
+  Database db(options);
+  const ExecContext ctx = ExecContext::From(&db);
+
+  // Width 4, keyed on columns [1, 3); column 3 records arrival order, so
+  // the comparison also checks stability.
+  const Schema schema({Column{"t", ValueType::kInt32},
+                       Column{"i1", ValueType::kInt32},
+                       Column{"i2", ValueType::kInt32},
+                       Column{"seq", ValueType::kInt32}});
+  ExternalSort tuples(ctx, schema, TupleComparator({1, 2}));
+  IntRowSort ints(ctx, 4, 1, 3);
+  Rng rng(GetParam().sort_memory_bytes + GetParam().worker_threads);
+  for (int32_t seq = 0; seq < 6000; ++seq) {
+    const int32_t row[4] = {static_cast<int32_t>(rng.Uniform(1000)),
+                            static_cast<int32_t>(rng.Uniform(12)),
+                            static_cast<int32_t>(rng.Uniform(12)) - 6, seq};
+    ASSERT_TRUE(ints.Add(row).ok());
+    ASSERT_TRUE(tuples
+                    .Add(Tuple({Value::Int32(row[0]), Value::Int32(row[1]),
+                                Value::Int32(row[2]), Value::Int32(row[3])}))
+                    .ok());
+  }
+  auto tuple_it = tuples.Finish();
+  ASSERT_TRUE(tuple_it.ok()) << tuple_it.status().ToString();
+  auto int_it = ints.Finish();
+  ASSERT_TRUE(int_it.ok()) << int_it.status().ToString();
+
+  std::vector<std::vector<int32_t>> expected;
+  Tuple t;
+  while (true) {
+    auto more = tuple_it.value()->Next(&t);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.value()) break;
+    expected.push_back({t.value(0).AsInt32(), t.value(1).AsInt32(),
+                        t.value(2).AsInt32(), t.value(3).AsInt32()});
+  }
+  std::vector<std::vector<int32_t>> actual;
+  ASSERT_TRUE(ForEachRow(int_it.value().get(), [&actual](const int32_t* r) {
+                actual.emplace_back(r, r + 4);
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(actual, expected);
+  ASSERT_EQ(actual.size(), 6000u);
+
+  const SortStats& a = ints.stats();
+  const SortStats& b = tuples.stats();
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.spilled_runs, b.spilled_runs);
+  EXPECT_EQ(a.merge_passes, b.merge_passes);
+  if (GetParam().sort_memory_bytes < 4096) {
+    EXPECT_GE(a.merge_passes, 2u);
+  } else {
+    EXPECT_EQ(a.spilled_runs, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Budgets, IntRowSortTest,
+    testing::Values(IntSortCase{1 << 20, 0}, IntSortCase{320, 0},
+                    IntSortCase{1000, 0}, IntSortCase{320, 4}),
+    [](const testing::TestParamInfo<IntSortCase>& param_info) {
+      return "Bytes" + std::to_string(param_info.param.sort_memory_bytes) +
+             "Workers" + std::to_string(param_info.param.worker_threads);
+    });
+
+TEST(IntRowSortApiTest, EmptyInputAndMisuse) {
+  Database db;
+  IntRowSort sort(ExecContext::From(&db), 2, 0, 2);
+  auto cursor = sort.Finish();
+  ASSERT_TRUE(cursor.ok());
+  const int32_t* row = nullptr;
+  auto more = cursor.value()->Next(&row);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(more.value());
+  const int32_t late[2] = {1, 2};
+  EXPECT_EQ(sort.Add(late).code(), StatusCode::kInternal);
+  EXPECT_EQ(sort.Finish().status().code(), StatusCode::kInternal);
+}
+
 TEST_F(ExternalSortTest, SortIteratorWrapsChild) {
   auto t = MakeTable({{3, 0}, {1, 1}, {2, 2}});
   SortIterator sorted(ctx_, t->Scan(), TupleComparator({0}));

@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "index/bplus_tree.h"
+#include "relational/int_relation.h"
+#include "relational/table.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection.h"
 #include "storage/table_heap.h"
@@ -235,11 +240,199 @@ TEST(FaultInjectionTest, HealedBackendResumesCleanly) {
   // still readable through iteration.
   ASSERT_TRUE(heap->Insert(record).ok());
   int count = 0;
-  for (auto it = heap->Begin(); it.Valid();) {
+  auto it = heap->Begin();
+  while (true) {
+    auto more = it.Next();
+    ASSERT_TRUE(more.ok());
+    if (!more.value()) break;
     ++count;
-    ASSERT_TRUE(it.Next().ok());
   }
   EXPECT_EQ(count, inserted + 1);
+}
+
+// An append that fails while chaining a page keeps the records it already
+// placed on the tail: they count as live and reach the backend on the next
+// flush, as the inserts before a failing one would.
+TEST(FaultInjectionTest, FailedAppendKeepsPlacedRecords) {
+  IoStats stats;
+  MemoryBackend real(&stats);
+  // Op 1 allocates the heap's page, op 2 flushes it; op 3, the allocation
+  // of the second page, fails.
+  FaultInjectionBackend flaky(&real, 2);
+  BufferPool pool(&flaky, 8);
+  auto heap = TableHeap::Create(&pool);
+  ASSERT_TRUE(heap.ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  const std::vector<char> records(1000 * 8, 'r');
+  Status s = heap->AppendRecords(records.data(), 8, 1000);
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  ASSERT_GT(heap->live_records(), 0u);
+  ASSERT_LT(heap->live_records(), 1000u);
+
+  flaky.Heal();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  BufferPool fresh(&real, 8);
+  auto reopened = TableHeap::Open(&fresh, heap->first_page());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->live_records(), heap->live_records());
+}
+
+// A scan whose first page cannot be read must report the error, not an
+// empty table: a SALES scan that silently read nothing would mine zero
+// itemsets "successfully".
+TEST(FaultInjectionTest, HeapScanFirstPageFailureIsAnError) {
+  IoStats stats;
+  MemoryBackend real(&stats);
+  const Schema schema({Column{"trans_id", ValueType::kInt32},
+                       Column{"item", ValueType::kInt32}});
+  PageId first = kInvalidPageId;
+  PageId last = kInvalidPageId;
+  uint64_t pages = 0;
+  {
+    BufferPool warm(&real, 4);
+    auto table = HeapTable::Create("sales", schema, &warm);
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(table.value()
+                      ->Insert(Tuple({Value::Int32(i / 10), Value::Int32(i)}))
+                      .ok());
+    }
+    first = table.value()->first_page();
+    last = table.value()->last_page();
+    pages = table.value()->num_pages();
+  }
+  ASSERT_GE(pages, 3u);
+
+  const auto expect_scan_fails = [](const Table& table, StatusCode code) {
+    auto it = table.Scan();
+    Tuple row;
+    auto more = it->Next(&row);
+    ASSERT_FALSE(more.ok());
+    EXPECT_EQ(more.status().code(), code) << more.status().ToString();
+  };
+  {
+    // Open walks the chain through a one-frame pool (one read per page);
+    // the scan's first read is the next backend operation, and it fails.
+    FaultInjectionBackend flaky(&real, pages);
+    BufferPool pool(&flaky, 1);
+    auto table = HeapTable::Open("sales", schema, &pool, first, 1000);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    expect_scan_fails(*table.value(), StatusCode::kIOError);
+  }
+  {
+    // The pool's only frame is pinned: the first page cannot be fetched.
+    BufferPool pool(&real, 1);
+    auto table = HeapTable::Open("sales", schema, &pool, first, 1000);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    auto pin = pool.FetchPage(last);
+    ASSERT_TRUE(pin.ok());
+    expect_scan_fails(*table.value(), StatusCode::kResourceExhausted);
+  }
+}
+
+// Spilled runs are read back during the cascade and the final merge. A
+// failure at any backend operation must surface from Finish() or from the
+// sorted stream — never as a stream that ends early. Both sort front ends
+// run every failure point from the first run read to a clean finish.
+constexpr int kSpillRows = 8192;
+
+/// Sorts kSpillRows (key, arrival) rows through an 8-frame temp pool over
+/// `backend` (512 rows per run, so runs outgrow the pool and cascade).
+/// Returns the drained (key, payload) rows or the first error;
+/// `*ops_after_adds` receives the backend op count once intake is done.
+template <typename AddFn, typename DrainFn>
+Result<std::vector<std::pair<int, int>>> SpillSort(
+    FaultInjectionBackend* backend, uint64_t* ops_after_adds, AddFn add,
+    DrainFn drain) {
+  BufferPool temp_pool(backend, 8);
+  ExecContext ctx;
+  ctx.temp_pool = &temp_pool;
+  ctx.sort_memory_bytes = 4096;
+  auto sort = add(ctx);
+  *ops_after_adds = backend->ops();
+  Result<std::vector<std::pair<int, int>>> rows = drain(&sort);
+  backend->Heal();  // let the pool's final flush succeed quietly
+  return rows;
+}
+
+int SpillKey(int i) { return (i * 7919) % 97; }
+
+template <typename AddFn, typename DrainFn>
+void ExpectNoShortStream(AddFn add, DrainFn drain) {
+  std::vector<std::pair<int, int>> expected;
+  for (int i = 0; i < kSpillRows; ++i) expected.emplace_back(SpillKey(i), i);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  IoStats clean_stats;
+  MemoryBackend clean_real(&clean_stats);
+  FaultInjectionBackend clean(&clean_real, ~0ull);
+  uint64_t intake_ops = 0;
+  auto clean_rows = SpillSort(&clean, &intake_ops, add, drain);
+  ASSERT_TRUE(clean_rows.ok()) << clean_rows.status().ToString();
+  ASSERT_EQ(clean_rows.value(), expected);
+  const uint64_t total_ops = clean.ops();
+  ASSERT_GT(total_ops, intake_ops);
+
+  for (uint64_t budget = intake_ops; budget < total_ops; ++budget) {
+    IoStats stats;
+    MemoryBackend real(&stats);
+    FaultInjectionBackend flaky(&real, budget);
+    uint64_t ops = 0;
+    auto rows = SpillSort(&flaky, &ops, add, drain);
+    ASSERT_FALSE(rows.ok()) << "budget " << budget << " of " << total_ops
+                            << " read " << rows.value().size() << " rows";
+    EXPECT_TRUE(rows.status().IsIOError()) << rows.status().ToString();
+  }
+}
+
+TEST(FaultInjectionTest, SpilledSortRunReadFailureIsAnError) {
+  using Rows = std::vector<std::pair<int, int>>;
+  const Schema schema({Column{"key", ValueType::kInt32},
+                       Column{"payload", ValueType::kInt32}});
+  ExpectNoShortStream(
+      [&schema](ExecContext ctx) {
+        auto sort = std::make_shared<ExternalSort>(ctx, schema,
+                                                   TupleComparator({0}));
+        for (int i = 0; i < kSpillRows; ++i) {
+          EXPECT_TRUE(
+              sort->Add(Tuple({Value::Int32(SpillKey(i)), Value::Int32(i)}))
+                  .ok());
+        }
+        return sort;
+      },
+      [](std::shared_ptr<ExternalSort>* sort) -> Result<Rows> {
+        auto it = (*sort)->Finish();
+        if (!it.ok()) return it.status();
+        Rows rows;
+        Tuple row;
+        while (true) {
+          auto more = it.value()->Next(&row);
+          if (!more.ok()) return more.status();
+          if (!more.value()) return rows;
+          rows.emplace_back(row.value(0).AsInt32(), row.value(1).AsInt32());
+        }
+      });
+  ExpectNoShortStream(
+      [](ExecContext ctx) {
+        auto sort = std::make_shared<IntRowSort>(ctx, 2, 0, 1);
+        for (int i = 0; i < kSpillRows; ++i) {
+          const int32_t row[2] = {SpillKey(i), i};
+          EXPECT_TRUE(sort->Add(row).ok());
+        }
+        return sort;
+      },
+      [](std::shared_ptr<IntRowSort>* sort) -> Result<Rows> {
+        auto cursor = (*sort)->Finish();
+        if (!cursor.ok()) return cursor.status();
+        Rows rows;
+        Status s = ForEachRow(cursor.value().get(), [&rows](const int32_t* r) {
+          rows.emplace_back(r[0], r[1]);
+          return Status::OK();
+        });
+        if (!s.ok()) return s;
+        return rows;
+      });
 }
 
 }  // namespace

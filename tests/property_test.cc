@@ -120,12 +120,15 @@ TEST_P(TableHeapFuzzTest, MatchesReferenceModel) {
   }
   // Full iteration visits exactly the live set.
   size_t seen = 0;
-  for (auto it = heap->Begin(); it.Valid();) {
+  auto it = heap->Begin();
+  while (true) {
+    auto more = it.Next();
+    ASSERT_TRUE(more.ok());
+    if (!more.value()) break;
     auto ref = reference.find({it.rid().page_id, it.rid().slot});
     ASSERT_NE(ref, reference.end());
     EXPECT_EQ(it.record(), ref->second);
     ++seen;
-    ASSERT_TRUE(it.Next().ok());
   }
   EXPECT_EQ(seen, reference.size());
 }

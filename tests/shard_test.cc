@@ -106,7 +106,7 @@ Result<MiningResult> MineSlices(Database* db,
   std::vector<ShardBackend*> backends;
   for (size_t i = 0; i < slices.size(); ++i) {
     auto backend = std::make_unique<LocalShardBackend>(
-        db, "s" + std::to_string(i), "s" + std::to_string(i) + "_");
+        db, "s" + std::to_string(i));
     backend->SetRows(RowsOf(slices[i]));
     backends.push_back(backend.get());
     owned.push_back(std::move(backend));
@@ -276,6 +276,30 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
   }
 }
 
+// LCOUNT/MERGE put the iteration number and C_k on the wire, so the
+// backend must reject calls out of protocol order, and itemsets of the
+// wrong size, with a Status rather than read rows at the wrong width.
+TEST(LocalShardBackendTest, OutOfOrderIterationsAreRejected) {
+  Database db;
+  LocalShardBackend backend(&db, "s0");
+  backend.SetRows(RowsOf(QuestDb(34)));
+  ASSERT_TRUE(backend.BeginRun(ShardRunOptions{}).ok());
+  EXPECT_TRUE(backend.CountIteration(0).status().IsInvalidArgument());
+  EXPECT_TRUE(backend.ApplyGlobalCk(0, {}).status().IsInvalidArgument());
+  ASSERT_TRUE(backend.CountIteration(1).ok());
+  EXPECT_TRUE(backend.CountIteration(3).status().IsInvalidArgument());
+  EXPECT_FALSE(backend.ApplyGlobalCk(2, {{1, 2}}).ok());  // no R'_2 yet
+  ASSERT_TRUE(backend.CountIteration(2).ok());
+  EXPECT_TRUE(
+      backend.ApplyGlobalCk(3, {{1, 2, 3}}).status().IsInvalidArgument());
+  EXPECT_TRUE(backend.ApplyGlobalCk(2, {{1, 2, 3}}).status().IsInvalidArgument());
+  EXPECT_TRUE(backend.ApplyGlobalCk(1, {{1, 2}}).status().IsInvalidArgument());
+  // The run is still usable in order.
+  auto stats = backend.ApplyGlobalCk(2, {{1, 2}});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(backend.CountIteration(3).ok());
+}
+
 TEST(DistributedMineTest, NoShardsIsInvalidArgument) {
   auto result = DistributedMine({}, MiningOptions{}, CoordinatorOptions{});
   ASSERT_FALSE(result.ok());
@@ -339,9 +363,9 @@ TEST(DistributedMineTest, DownShardIsUnavailableNamingTheShard) {
   for (FailingBackend::FailAt fail_at :
        {FailingBackend::FailAt::kBegin, FailingBackend::FailAt::kCount}) {
     Database db;
-    LocalShardBackend healthy0(&db, "s0", "s0_");
+    LocalShardBackend healthy0(&db, "s0");
     healthy0.SetRows(RowsOf(slices[0]));
-    LocalShardBackend healthy1(&db, "s1", "s1_");
+    LocalShardBackend healthy1(&db, "s1");
     healthy1.SetRows(RowsOf(slices[1]));
     FailingBackend bad("flaky-shard", fail_at, 2);
     bad.SetRows(RowsOf(slices[2]));
@@ -363,7 +387,7 @@ TEST(DistributedMineTest, NonTransportErrorKeepsItsCode) {
   // Unknown table on a bound backend is NotFound, not a transport failure:
   // the coordinator must keep the code, naming the shard.
   Database db;
-  LocalShardBackend backend(&db, "s0", "s0_");
+  LocalShardBackend backend(&db, "s0");
   backend.BindTable("nosuch");
   auto result =
       DistributedMine({&backend}, MiningOptions{}, CoordinatorOptions{});
