@@ -1,7 +1,7 @@
 // The paper's announced extension: "relating association rules to customer
 // classes." Two synthetic customer segments share a store; the classed
-// miner produces per-class count relations in one set-oriented pass, and
-// the rules differ sharply between segments.
+// miner runs the SETM pipeline once per class, over that class's slice of
+// the transactions, and the rules differ sharply between segments.
 //
 // Usage:   ./build/examples/customer_classes
 
@@ -76,7 +76,8 @@ int main() {
     }
     if (rules.empty()) std::printf("  (no rules at these thresholds)\n");
   }
-  std::printf("\none pass over %zu transactions, %.3f ms\n", txns.size(),
+  std::printf("\n%zu transactions in %zu classes, %.3f ms\n", txns.size(),
+              result.value().per_class.size(),
               result.value().total_seconds * 1000.0);
   return 0;
 }

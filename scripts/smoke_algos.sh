@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Cross-algorithm smoke for the unified `--algo` dispatch:
 #
-#   1. `setm_mine --algo list` must enumerate the registry (all seven
+#   1. `setm_mine --algo list` must enumerate the registry (all six
 #      built-in algorithms present);
 #   2. every listed algorithm mines the paper's Section 4.2 example and its
 #      rule output must be byte-identical to the committed SETM golden file
 #      (tests/golden/paper_example_rules.csv);
 #   3. every listed algorithm mines a deterministic Quest-style workload
-#      and is diffed against the SETM run's output — setm additionally at
-#      --threads 4, four in-process shards instead of one.
+#      and is diffed against the SETM run's output — setm and apriori
+#      additionally at --threads 4 (four in-process shards for setm, four
+#      counting chunks for apriori).
 #
 # A newly registered algorithm is covered automatically: it appears in
 # `--algo list` and therefore in both sweeps.
@@ -25,7 +26,7 @@ echo "== --algo list enumerates the registry"
 "$SETM_MINE" --algo list > "$WORK/algos.tsv"
 ALGOS="$(cut -f1 "$WORK/algos.tsv")"
 [ -n "$ALGOS" ] || { echo "FAIL: --algo list printed nothing"; exit 1; }
-for a in setm setm-sql nested-loop apriori apriori-parallel ais brute-force; do
+for a in setm setm-sql nested-loop apriori ais brute-force; do
   grep -qx "$a" <<< "$ALGOS" || {
     echo "FAIL: built-in '$a' missing from --algo list"; exit 1;
   }
@@ -65,11 +66,13 @@ for a in $ALGOS; do
     echo "FAIL: --algo $a diverges from setm on the Quest workload"; exit 1;
   }
 done
-"$SETM_MINE" --input "$WORK/quest.csv" --algo setm --threads 4 \
-  --minsup 10 --format csv > "$WORK/quest_par4.csv"
-diff "$WORK/quest_par4.csv" "$WORK/quest_ref.csv" > /dev/null || {
-  echo "FAIL: setm --threads 4 diverges from serial setm"; exit 1;
-}
+for a in setm apriori; do
+  "$SETM_MINE" --input "$WORK/quest.csv" --algo "$a" --threads 4 \
+    --minsup 10 --format csv > "$WORK/quest_${a}_par4.csv"
+  diff "$WORK/quest_${a}_par4.csv" "$WORK/quest_$a.csv" > /dev/null || {
+    echo "FAIL: $a --threads 4 diverges from serial $a"; exit 1;
+  }
+done
 rules=$(($(wc -l < "$WORK/quest_ref.csv") - 1))
 echo "all algorithms identical on the Quest workload ($rules rules)"
 

@@ -1,13 +1,41 @@
 #include "baselines/apriori.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "baselines/hash_tree.h"
 #include "common/timer.h"
+#include "exec/worker_pool.h"
 
 namespace setm {
+
+namespace {
+
+/// One contiguous transaction range [begin, end).
+struct Chunk {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Cuts `n` transactions into at most `want` contiguous chunks of equal
+/// size (the last may be shorter); always at least one, empty when n is 0.
+std::vector<Chunk> SplitChunks(size_t n, size_t want) {
+  const size_t most = std::max<size_t>(1, std::min(want, n));
+  const size_t target = std::max<size_t>(1, (n + most - 1) / most);
+  std::vector<Chunk> chunks;
+  for (size_t begin = 0; begin < n || chunks.empty(); begin += target) {
+    chunks.push_back(Chunk{begin, std::min(n, begin + target)});
+  }
+  return chunks;
+}
+
+bool ByItems(const PatternCount& a, const PatternCount& b) {
+  return a.items < b.items;
+}
+
+}  // namespace
 
 std::vector<std::vector<ItemId>> AprioriMiner::GenerateCandidates(
     const std::vector<std::vector<ItemId>>& prev) {
@@ -56,22 +84,42 @@ Result<MiningResult> AprioriMiner::Mine(const TransactionDb& transactions,
   result.itemsets.num_transactions = transactions.size();
   const int64_t minsup = ResolveMinSupportCount(options, transactions.size());
 
-  // Pass 1: plain item counting.
+  const std::vector<Chunk> chunks =
+      SplitChunks(transactions.size(), std::max<size_t>(1, num_threads_));
+  // One chunk counts inline on the calling thread.
+  WorkerPool* pool = chunks.size() > 1 ? pool_ : nullptr;
+  std::unique_ptr<WorkerPool> owned_pool;
+  if (pool == nullptr && chunks.size() > 1) {
+    owned_pool = std::make_unique<WorkerPool>(chunks.size());
+    pool = owned_pool.get();
+  }
+
+  // Pass 1: per-chunk item counts, summed into chunk 0's before the filter.
   std::vector<std::vector<ItemId>> frontier;
   {
     WallTimer iter_timer;
-    std::unordered_map<ItemId, int64_t> counts;
-    for (const Transaction& t : transactions) {
-      for (ItemId item : t.items) ++counts[item];
+    std::vector<std::unordered_map<ItemId, int64_t>> partial(chunks.size());
+    TaskGroup group(pool);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      const Chunk chunk = chunks[c];
+      std::unordered_map<ItemId, int64_t>* out = &partial[c];
+      group.Submit([&transactions, chunk, out] {
+        for (size_t t = chunk.begin; t < chunk.end; ++t) {
+          for (ItemId item : transactions[t].items) ++(*out)[item];
+        }
+        return Status::OK();
+      });
+    }
+    SETM_RETURN_IF_ERROR(group.Wait());
+    std::unordered_map<ItemId, int64_t>& counts = partial[0];
+    for (size_t c = 1; c < partial.size(); ++c) {
+      for (const auto& [item, count] : partial[c]) counts[item] += count;
     }
     std::vector<PatternCount> l1;
     for (const auto& [item, count] : counts) {
       if (count >= minsup) l1.push_back(PatternCount{{item}, count});
     }
-    std::sort(l1.begin(), l1.end(),
-              [](const PatternCount& a, const PatternCount& b) {
-                return a.items < b.items;
-              });
+    std::sort(l1.begin(), l1.end(), ByItems);
     for (PatternCount& pc : l1) {
       frontier.push_back(pc.items);
       result.itemsets.Add(std::move(pc.items), pc.count);
@@ -94,21 +142,43 @@ Result<MiningResult> AprioriMiner::Mine(const TransactionDb& transactions,
         GenerateCandidates(frontier);
     if (candidates.empty()) break;
 
-    HashTree tree(k);
-    for (const auto& cand : candidates) tree.Insert(cand);
-    for (const Transaction& t : transactions) {
-      tree.CountTransaction(t.items);
+    // One hash tree per chunk over the identical candidate list. The same
+    // insertion sequence builds the same tree shape, so every tree visits
+    // the candidates in the same order and the counts sum by position.
+    std::vector<std::unique_ptr<HashTree>> trees(chunks.size());
+    TaskGroup group(pool);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      const Chunk chunk = chunks[c];
+      std::unique_ptr<HashTree>* tree = &trees[c];
+      group.Submit([&transactions, &candidates, chunk, k, tree] {
+        *tree = std::make_unique<HashTree>(k);
+        for (const auto& cand : candidates) (*tree)->Insert(cand);
+        for (size_t t = chunk.begin; t < chunk.end; ++t) {
+          (*tree)->CountTransaction(transactions[t].items);
+        }
+        return Status::OK();
+      });
+    }
+    SETM_RETURN_IF_ERROR(group.Wait());
+    std::vector<int64_t> other_counts;  // chunks 1.., by visit position
+    if (trees.size() > 1) {
+      other_counts.assign(candidates.size(), 0);
+      for (size_t c = 1; c < trees.size(); ++c) {
+        size_t pos = 0;
+        trees[c]->ForEach([&](const std::vector<ItemId>&, int64_t count) {
+          other_counts[pos++] += count;
+        });
+      }
     }
 
     frontier.clear();
     std::vector<PatternCount> lk;
-    tree.ForEach([&](const std::vector<ItemId>& items, int64_t count) {
+    size_t pos = 0;
+    trees[0]->ForEach([&](const std::vector<ItemId>& items, int64_t count) {
+      if (!other_counts.empty()) count += other_counts[pos++];
       if (count >= minsup) lk.push_back(PatternCount{items, count});
     });
-    std::sort(lk.begin(), lk.end(),
-              [](const PatternCount& a, const PatternCount& b) {
-                return a.items < b.items;
-              });
+    std::sort(lk.begin(), lk.end(), ByItems);
     for (PatternCount& pc : lk) {
       frontier.push_back(pc.items);
       result.itemsets.Add(std::move(pc.items), pc.count);

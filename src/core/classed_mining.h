@@ -24,7 +24,9 @@ struct CustomerClasses {
 /// Result of classed mining: one count-relation family per class.
 struct ClassedMiningResult {
   std::map<ClassId, FrequentItemsets> per_class;
-  std::vector<IterationStats> iterations;  ///< aggregated over classes
+  /// Per k, the sum of the per-class runs' IterationStats over the classes
+  /// that reached iteration k.
+  std::vector<IterationStats> iterations;
   double total_seconds = 0.0;
 };
 
@@ -32,13 +34,16 @@ struct ClassedMiningResult {
 /// algorithm in order to handle additional kinds of mining, e.g., relating
 /// association rules to customer classes."
 ///
-/// Set-oriented realization: the class joins into R_1 (logically
-/// SALES ⋈ CUSTOMERS on trans_id) and simply rides through every
-/// merge-scan extension; the count relations group by
-/// (class, item_1 .. item_k), so one pass produces C_k for every class at
-/// once — no per-class re-mining. Minimum support is evaluated per class
+/// The class is a function of trans_id (logically SALES ⋈ CUSTOMERS on
+/// trans_id), so the classes partition SALES exactly. Mine cuts the
+/// transactions by class and runs SetmMiner — the one SETM pipeline, under
+/// the shard coordinator — once per class, in ascending class order, with
+/// this miner's SetmOptions (storage, count method, threads) and the
+/// caller's MiningOptions. Minimum support is therefore evaluated per class
 /// against that class's own transaction count (a 1% rule for a 100-
-/// transaction class needs 1 transaction, not 469).
+/// transaction class needs 1 transaction, not 469). The options' observer
+/// sees each class's iterations in turn, ascending class order, k = 1, 2,
+/// .. within a class; vetoing any of them cancels the whole mine.
 ///
 ///     ClassedSetmMiner miner(&db);
 ///     auto result = miner.Mine(txns, classes, options).value();
@@ -51,13 +56,10 @@ class ClassedSetmMiner {
 
   /// Mines per-class frequent itemsets. Transactions not named in
   /// `classes` fall into CustomerClasses::kDefaultClass; a transaction id
-  /// assigned twice is InvalidArgument.
+  /// assigned twice is InvalidArgument; an observer veto is Cancelled.
   Result<ClassedMiningResult> Mine(const TransactionDb& transactions,
                                    const CustomerClasses& classes,
                                    const MiningOptions& options);
-
-  /// Schema of the classed R_k: (class, trans_id, item_1 .. item_k).
-  static Schema ClassedRkSchema(size_t k);
 
  private:
   Database* db_;

@@ -6,7 +6,6 @@
 #include "baselines/ais.h"
 #include "baselines/apriori.h"
 #include "baselines/brute_force.h"
-#include "baselines/parallel_apriori.h"
 #include "core/nested_loop_miner.h"
 #include "core/setm.h"
 #include "core/setm_sql.h"
@@ -86,7 +85,7 @@ class SetmAdapter : public MinerAdapter {
   }
 };
 
-class ParallelAprioriAdapter : public MinerAdapter {
+class AprioriAdapter : public MinerAdapter {
  public:
   using MinerAdapter::MinerAdapter;
 
@@ -96,7 +95,7 @@ class ParallelAprioriAdapter : public MinerAdapter {
     TransactionDb storage;
     auto txns = SourceTransactions(request, &storage);
     if (!txns.ok()) return txns.status();
-    return ParallelAprioriMiner(knobs.num_threads, db()->worker_pool())
+    return AprioriMiner(knobs.num_threads, db()->worker_pool())
         .Mine(*txns.value(), request.options);
   }
 };
@@ -146,7 +145,7 @@ class NestedLoopAdapter : public MinerAdapter {
   }
 };
 
-/// Adapter for the in-memory baselines (apriori, ais, brute-force), which
+/// Adapter for the serial in-memory baselines (ais, brute-force), which
 /// share one calling convention.
 template <typename Algorithm>
 class BaselineAdapter : public MinerAdapter {
@@ -223,17 +222,12 @@ class RegistryState {
         "nested-loop joins over two B+-tree SALES indexes",
         /*honors_storage=*/false, /*honors_count_method=*/false,
         /*honors_threads=*/false});
-    AddBuiltin<BaselineAdapter<AprioriMiner>>(MinerInfo{
+    AddBuiltin<AprioriAdapter>(MinerInfo{
         "apriori",
         "Apriori (VLDB'94): level-wise candidate generation, subset "
-        "pruning and hash-tree counting",
-        /*honors_storage=*/false, /*honors_count_method=*/false,
-        /*honors_threads=*/false});
-    AddBuiltin<ParallelAprioriAdapter>(MinerInfo{
-        "apriori-parallel",
-        "count-distribution Apriori (TKDE'96): transaction chunks count the "
-        "same candidate hash tree in parallel, partial counts summed before "
-        "the support filter",
+        "pruning and hash-tree counting; with num_threads > 1, transaction "
+        "chunks count the same candidates in parallel (count distribution, "
+        "TKDE'96) and their counts are summed before the support filter",
         /*honors_storage=*/false, /*honors_count_method=*/false,
         /*honors_threads=*/true});
     AddBuiltin<BaselineAdapter<AisMiner>>(MinerInfo{

@@ -27,9 +27,9 @@ struct MinerInfo {
   bool honors_threads = false;
 };
 
-/// Process-wide name -> Miner factory map. The seven built-in algorithms
+/// Process-wide name -> Miner factory map. The six built-in algorithms
 ///
-///   setm setm-sql nested-loop apriori apriori-parallel ais brute-force
+///   setm setm-sql nested-loop apriori ais brute-force
 ///
 /// are registered on first use, in that (stable) enumeration order;
 /// libraries and tests may Register additional algorithms, which then

@@ -1,25 +1,10 @@
 #include "core/setm_pipeline.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "exec/external_sort.h"
 
 namespace setm {
-
-Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
-                                                  TableBacking backing,
-                                                  const std::string& name,
-                                                  Schema schema) {
-  if (backing == TableBacking::kMemory) {
-    return std::unique_ptr<Table>(
-        std::make_unique<MemTable>(name, std::move(schema)));
-  }
-  auto t = HeapTable::Create(name, std::move(schema), db->pool(),
-                             db->UnloggedPageTagger());
-  if (!t.ok()) return t.status();
-  return std::unique_ptr<Table>(std::move(t).value());
-}
 
 Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
                    IntRelation* rk_prime, ItemsetCounts* counts) {

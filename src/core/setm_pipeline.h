@@ -1,8 +1,6 @@
 #ifndef SETM_CORE_SETM_PIPELINE_H_
 #define SETM_CORE_SETM_PIPELINE_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/itemset_counts.h"
@@ -15,20 +13,11 @@ namespace setm {
 // The join/count/filter bodies of Algorithm SETM over fixed-width int32
 // rows. They iterate in one place, shard::LocalShardBackend under
 // shard::DistributedMine: every SetmMiner mine (serial as one shard,
-// threaded as N), every sharded database and every remote LCOUNT/MERGE
-// request runs them there. An R_k is an IntRelation of width k+1,
+// threaded as N, and each per-class run of ClassedSetmMiner), every
+// sharded database and every remote LCOUNT/MERGE request runs them there. An R_k is an IntRelation of width k+1,
 // (trans_id, item_1..item_k), kept sorted on all of its columns; a C_k is
 // an ItemsetCounts keyed by the k items. The SQL engine's Tuple/Value path
 // (and with it setm-sql, the paper's SQL formulation) is not used here.
-
-/// Creates a standalone Table-based scratch relation (never entered in the
-/// catalog): a MemTable under kMemory, otherwise a HeapTable in `db`'s
-/// buffer pool whose pages are tagged unlogged. Used by ClassedSetmMiner,
-/// whose class-keyed relations have a leading class column.
-Result<std::unique_ptr<Table>> NewScratchRelation(Database* db,
-                                                  TableBacking backing,
-                                                  const std::string& name,
-                                                  Schema schema);
 
 /// R'_k := merge-scan join of `left` (R_{k-1}, width k) with `r1` (R_1,
 /// width 2) on trans_id, keeping extensions with q.item > p.item_{k-1},

@@ -1,7 +1,7 @@
 #include "exec/hash_operators.h"
 
-#include <algorithm>
-#include <cstring>
+#include <string>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -39,76 +39,6 @@ void AppendKey(const Value& v, std::string* out) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// HashGroupCountIterator
-// ---------------------------------------------------------------------------
-
-HashGroupCountIterator::HashGroupCountIterator(
-    std::unique_ptr<TupleIterator> child, std::vector<size_t> group_columns,
-    int64_t min_count)
-    : child_(std::move(child)),
-      group_columns_(std::move(group_columns)),
-      min_count_(min_count) {
-  for (size_t c : group_columns_) {
-    schema_.AddColumn(child_->schema().column(c));
-  }
-  schema_.AddColumn(Column{"count", ValueType::kInt64});
-}
-
-Status HashGroupCountIterator::Build() {
-  built_ = true;
-  struct Group {
-    Tuple representative;
-    int64_t count = 0;
-  };
-  std::unordered_map<std::string, Group> table;
-  Tuple row;
-  std::string key;
-  while (true) {
-    auto more = child_->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    key.clear();
-    std::vector<Value> group_values;
-    group_values.reserve(group_columns_.size());
-    for (size_t c : group_columns_) {
-      if (c >= row.NumValues()) {
-        return Status::Internal("group column out of range");
-      }
-      AppendKey(row.value(c), &key);
-      group_values.push_back(row.value(c));
-    }
-    Group& g = table[key];
-    if (g.count == 0) g.representative = Tuple(std::move(group_values));
-    ++g.count;
-  }
-  groups_.reserve(table.size());
-  for (auto& [k, g] : table) {
-    if (g.count >= min_count_) {
-      groups_.emplace_back(std::move(g.representative), g.count);
-    }
-  }
-  // Deterministic, sort-pipeline-identical output order.
-  std::vector<size_t> all_cols(group_columns_.size());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  TupleComparator cmp(all_cols);
-  std::sort(groups_.begin(), groups_.end(),
-            [&](const auto& a, const auto& b) {
-              return cmp.Compare(a.first, b.first) < 0;
-            });
-  return Status::OK();
-}
-
-Result<bool> HashGroupCountIterator::Next(Tuple* out) {
-  if (!built_) SETM_RETURN_IF_ERROR(Build());
-  if (pos_ >= groups_.size()) return false;
-  Tuple row = groups_[pos_].first;
-  row.Append(Value::Int64(groups_[pos_].second));
-  *out = std::move(row);
-  ++pos_;
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // HashJoinIterator

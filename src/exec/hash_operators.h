@@ -10,36 +10,6 @@
 
 namespace setm {
 
-/// Hash-based GROUP BY/COUNT(*): the modern alternative to the paper's
-/// sort-then-count pipeline. Consumes the child on first Next(), counts
-/// groups in a hash table, and emits groups *sorted by group value* so the
-/// operator is a drop-in, result-identical replacement for
-/// SortIterator + SortedGroupCountIterator (the ablation
-/// `ablation_count_method` compares the two physically).
-///
-/// Output schema: the group columns followed by an INT64 "count"; groups
-/// with count < min_count are dropped.
-class HashGroupCountIterator : public TupleIterator {
- public:
-  HashGroupCountIterator(std::unique_ptr<TupleIterator> child,
-                         std::vector<size_t> group_columns, int64_t min_count);
-
-  Result<bool> Next(Tuple* out) override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  Status Build();
-
-  std::unique_ptr<TupleIterator> child_;
-  std::vector<size_t> group_columns_;
-  int64_t min_count_;
-  Schema schema_;
-
-  bool built_ = false;
-  std::vector<std::pair<Tuple, int64_t>> groups_;  // sorted by group values
-  size_t pos_ = 0;
-};
-
 /// In-memory hash equi-join. The right side is built into a hash table on
 /// first Next(); left rows stream and probe. Output is the concatenation
 /// (left columns, right columns); an optional residual predicate filters

@@ -252,16 +252,6 @@ Result<bool> SortedGroupCountIterator::Next(Tuple* out) {
 // Helpers
 // ---------------------------------------------------------------------------
 
-Status MaterializeInto(TupleIterator* it, Table* table) {
-  Tuple row;
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) return Status::OK();
-    SETM_RETURN_IF_ERROR(table->Insert(row));
-  }
-}
-
 Result<std::vector<Tuple>> Collect(TupleIterator* it) {
   std::vector<Tuple> rows;
   Tuple row;

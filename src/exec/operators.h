@@ -135,9 +135,6 @@ class SortedGroupCountIterator : public TupleIterator {
   bool pending_valid_ = false;
 };
 
-/// Drains `it` into `table` (schemas must have equal arity).
-Status MaterializeInto(TupleIterator* it, Table* table);
-
 /// Drains `it` into a fresh vector.
 Result<std::vector<Tuple>> Collect(TupleIterator* it);
 

@@ -13,7 +13,7 @@ namespace setm::obs {
 /// child span under `parent`, carrying the iteration's wall time, tuple
 /// cardinalities (|R'_k|, |R_k|, |C_k|) and — when a ledger is supplied —
 /// the page reads the iteration cost. Because every miner already reports
-/// through NotifyIteration, this traces all seven algorithms without a
+/// through NotifyIteration, this traces all six algorithms without a
 /// line of per-algorithm code.
 ///
 /// Chains an optional inner observer so tracing composes with user

@@ -10,7 +10,9 @@
 #include "baselines/brute_force.h"
 #include "baselines/hash_tree.h"
 #include "common/random.h"
+#include "core/paper_example.h"
 #include "datagen/quest_generator.h"
+#include "exec/worker_pool.h"
 
 namespace setm {
 namespace {
@@ -117,6 +119,65 @@ TEST(AprioriCandidatesTest, EmptyInput) {
 
 TEST(AprioriCandidatesTest, NoJoinableMembers) {
   EXPECT_TRUE(AprioriMiner::GenerateCandidates({{1, 2}, {3, 4}}).empty());
+}
+
+// --------------------------------------------------------------------------
+// Apriori count distribution: any thread count is identical to serial
+// --------------------------------------------------------------------------
+
+void ExpectSameAsSerial(const TransactionDb& txns, const MiningOptions& options,
+                        AprioriMiner miner) {
+  auto serial = AprioriMiner().Mine(txns, options);
+  auto threaded = miner.Mine(txns, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  EXPECT_TRUE(threaded.value().itemsets == serial.value().itemsets);
+  EXPECT_EQ(threaded.value().itemsets.num_transactions, txns.size());
+  const auto& want = serial.value().iterations;
+  const auto& got = threaded.value().iterations;
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].k, want[i].k);
+    EXPECT_EQ(got[i].r_prime_rows, want[i].r_prime_rows) << "k=" << want[i].k;
+    EXPECT_EQ(got[i].c_size, want[i].c_size) << "k=" << want[i].k;
+  }
+}
+
+TransactionDb AprioriTestData() {
+  QuestOptions gen;
+  gen.seed = 4321;
+  gen.num_transactions = 500;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 25;
+  return QuestGenerator(gen).Generate();
+}
+
+TEST(AprioriThreadsTest, MatchesSerialAtAnyThreadCount) {
+  const TransactionDb txns = AprioriTestData();
+  MiningOptions options;
+  options.min_support = 0.03;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    ExpectSameAsSerial(txns, options, AprioriMiner(threads));
+  }
+}
+
+TEST(AprioriThreadsTest, MoreThreadsThanTransactions) {
+  ExpectSameAsSerial(PaperExampleTransactions(), PaperExampleOptions(),
+                     AprioriMiner(/*num_threads=*/64));
+}
+
+TEST(AprioriThreadsTest, EmptyDatabase) {
+  ExpectSameAsSerial(TransactionDb{}, PaperExampleOptions(),
+                     AprioriMiner(/*num_threads=*/4));
+}
+
+TEST(AprioriThreadsTest, CallerSuppliedPool) {
+  const TransactionDb txns = AprioriTestData();
+  MiningOptions options;
+  options.min_support = 0.03;
+  WorkerPool pool(3);
+  ExpectSameAsSerial(txns, options, AprioriMiner(/*num_threads=*/4, &pool));
 }
 
 // --------------------------------------------------------------------------

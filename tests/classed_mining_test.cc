@@ -1,7 +1,11 @@
 // Tests for the customer-class extension (the paper's announced future
-// work): per-class frequent itemsets from one set-oriented pass.
+// work): per-class frequent itemsets from per-class runs of the SETM
+// pipeline, under every physical knob.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "baselines/brute_force.h"
 #include "core/classed_mining.h"
@@ -13,12 +17,15 @@ namespace setm {
 namespace {
 
 // Partition-equivalence: classed mining over labeled transactions must
-// equal mining each class's transactions separately.
-class ClassedEquivalenceTest : public testing::TestWithParam<uint64_t> {};
+// equal mining each class's transactions separately — for every storage
+// backing, count method and thread count.
+using ClassedParam = std::tuple<uint64_t, TableBacking, CountMethod, size_t>;
+
+class ClassedEquivalenceTest : public testing::TestWithParam<ClassedParam> {};
 
 TEST_P(ClassedEquivalenceTest, MatchesPerPartitionMining) {
   QuestOptions gen;
-  gen.seed = GetParam();
+  gen.seed = std::get<0>(GetParam());
   gen.num_transactions = 300;
   gen.avg_transaction_size = 5;
   gen.num_items = 20;
@@ -36,8 +43,12 @@ TEST_P(ClassedEquivalenceTest, MatchesPerPartitionMining) {
   MiningOptions options;
   options.min_support = 0.05;
 
+  SetmOptions knobs;
+  knobs.storage = std::get<1>(GetParam());
+  knobs.count_method = std::get<2>(GetParam());
+  knobs.num_threads = std::get<3>(GetParam());
   Database db;
-  ClassedSetmMiner miner(&db);
+  ClassedSetmMiner miner(&db, knobs);
   auto classed = miner.Mine(txns, classes, options);
   ASSERT_TRUE(classed.ok()) << classed.status().ToString();
 
@@ -54,8 +65,122 @@ TEST_P(ClassedEquivalenceTest, MatchesPerPartitionMining) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ClassedEquivalenceTest,
-                         testing::Values(101, 102, 103, 104));
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndKnobs, ClassedEquivalenceTest,
+    testing::Combine(testing::Values(101, 102, 103, 104),
+                     testing::Values(TableBacking::kMemory,
+                                     TableBacking::kHeap),
+                     testing::Values(CountMethod::kSortMerge,
+                                     CountMethod::kHash),
+                     testing::Values(size_t{1}, size_t{3})),
+    [](const testing::TestParamInfo<ClassedParam>& p) {
+      return "seed" + std::to_string(std::get<0>(p.param)) +
+             (std::get<1>(p.param) == TableBacking::kHeap ? "_heap"
+                                                             : "_memory") +
+             (std::get<2>(p.param) == CountMethod::kHash ? "_hash"
+                                                            : "_sortmerge") +
+             "_threads" + std::to_string(std::get<3>(p.param));
+    });
+
+// ClassedMiningResult::iterations is, per k, the sum of the per-class
+// serial setm runs' relation sizes, for both count methods and with the
+// filter_r1 ablation on or off.
+class ClassedIterationStatsTest
+    : public testing::TestWithParam<std::tuple<CountMethod, bool>> {};
+
+TEST_P(ClassedIterationStatsTest, SumPerPartitionSerialRuns) {
+  QuestOptions gen;
+  gen.seed = 17;
+  gen.num_transactions = 900;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 150;  // enough rare items for filter_r1 to bite
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  CustomerClasses classes;
+  std::map<ClassId, TransactionDb> partitions;
+  for (size_t i = 0; i < txns.size(); ++i) {
+    const ClassId cls = static_cast<ClassId>(i % 3);
+    classes.assignments.emplace_back(txns[i].id, cls);
+    partitions[cls].push_back(txns[i]);
+  }
+  MiningOptions options;
+  options.min_support = 0.02;
+  options.filter_r1 = std::get<1>(GetParam());
+  SetmOptions knobs;
+  knobs.count_method = std::get<0>(GetParam());
+
+  Database db;
+  auto classed = ClassedSetmMiner(&db, knobs).Mine(txns, classes, options);
+  ASSERT_TRUE(classed.ok()) << classed.status().ToString();
+
+  std::vector<IterationStats> expected;
+  for (const auto& [cls, partition] : partitions) {
+    Database part_db;
+    auto serial = SetmMiner(&part_db, knobs).Mine(partition, options);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    for (const IterationStats& stats : serial.value().iterations) {
+      if (expected.size() < stats.k) expected.resize(stats.k);
+      IterationStats& sum = expected[stats.k - 1];
+      sum.k = stats.k;
+      sum.r_prime_rows += stats.r_prime_rows;
+      sum.r_rows += stats.r_rows;
+      sum.c_size += stats.c_size;
+    }
+  }
+  const std::vector<IterationStats>& got = classed.value().iterations;
+  ASSERT_GE(expected.size(), 3u);  // the input reaches 3-itemsets
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("k=" + std::to_string(i + 1));
+    EXPECT_EQ(got[i].k, expected[i].k);
+    EXPECT_EQ(got[i].r_prime_rows, expected[i].r_prime_rows);
+    EXPECT_EQ(got[i].r_rows, expected[i].r_rows);
+    EXPECT_EQ(got[i].c_size, expected[i].c_size);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CountMethods, ClassedIterationStatsTest,
+    testing::Combine(testing::Values(CountMethod::kSortMerge,
+                                     CountMethod::kHash),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<CountMethod, bool>>& p) {
+      return std::string(std::get<0>(p.param) == CountMethod::kHash
+                             ? "hash"
+                             : "sortmerge") +
+             (std::get<1>(p.param) ? "_filter_r1" : "");
+    });
+
+/// Vetoes the run once iteration `veto_k` completes.
+class VetoObserver : public MiningObserver {
+ public:
+  explicit VetoObserver(size_t veto_k) : veto_k_(veto_k) {}
+  bool OnIteration(const IterationStats& stats) override {
+    ks.push_back(stats.k);
+    return stats.k != veto_k_;
+  }
+  std::vector<size_t> ks;
+
+ private:
+  size_t veto_k_;
+};
+
+TEST(ClassedMiningTest, ObserverVetoCancels) {
+  CustomerClasses classes;
+  for (TransactionId tid : {60, 70, 80, 90, 99}) {
+    classes.assignments.emplace_back(tid, 2);
+  }
+  MiningOptions options = PaperExampleOptions();
+  VetoObserver observer(/*veto_k=*/2);
+  options.observer = &observer;
+  Database db;
+  auto result =
+      ClassedSetmMiner(&db).Mine(PaperExampleTransactions(), classes, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  // Class 0 (the default class, first in ascending order) reached k = 2 and
+  // was vetoed there; class 2 never started.
+  EXPECT_EQ(observer.ks, (std::vector<size_t>{1, 2}));
+}
 
 TEST(ClassedMiningTest, UnlabeledTransactionsFallIntoDefaultClass) {
   Database db;

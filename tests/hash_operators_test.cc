@@ -1,4 +1,4 @@
-// Tests for the hash-based aggregation/join alternatives and their
+// Tests for the hash-based join and count alternatives and their
 // result-equivalence with the paper's sort-based pipeline.
 
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include "core/paper_example.h"
 #include "core/setm.h"
 #include "datagen/quest_generator.h"
-#include "exec/external_sort.h"
 #include "exec/hash_operators.h"
 #include "exec/operators.h"
 #include "sql/engine.h"
@@ -44,50 +43,6 @@ std::vector<std::vector<int>> DrainWide(TupleIterator* it) {
     out.push_back(std::move(vals));
   }
   return out;
-}
-
-// --------------------------------------------------------------------------
-// HashGroupCountIterator
-// --------------------------------------------------------------------------
-
-TEST(HashGroupCountTest, CountsUnsortedInput) {
-  auto t = MakeTable({{3, 0}, {1, 0}, {3, 0}, {2, 0}, {3, 0}, {1, 0}});
-  HashGroupCountIterator counts(t->Scan(), {0}, 0);
-  EXPECT_EQ(DrainWide(&counts),
-            (std::vector<std::vector<int>>{{1, 2}, {2, 1}, {3, 3}}));
-}
-
-TEST(HashGroupCountTest, MinCountFilters) {
-  auto t = MakeTable({{1, 0}, {1, 0}, {2, 0}});
-  HashGroupCountIterator counts(t->Scan(), {0}, 2);
-  EXPECT_EQ(DrainWide(&counts), (std::vector<std::vector<int>>{{1, 2}}));
-}
-
-TEST(HashGroupCountTest, MatchesSortBasedPipeline) {
-  Database db;
-  ExecContext ctx = ExecContext::From(&db);
-  Rng rng(55);
-  std::vector<std::pair<int, int>> rows;
-  for (int i = 0; i < 3000; ++i) {
-    rows.emplace_back(static_cast<int>(rng.Uniform(40)),
-                      static_cast<int>(rng.Uniform(40)));
-  }
-  auto t1 = MakeTable(rows);
-  auto t2 = MakeTable(rows);
-  auto sorted = std::make_unique<SortIterator>(ctx, t1->Scan(),
-                                               TupleComparator({0, 1}));
-  SortedGroupCountIterator sort_counts(std::move(sorted), {0, 1}, 3);
-  HashGroupCountIterator hash_counts(t2->Scan(), {0, 1}, 3);
-  EXPECT_EQ(DrainWide(&sort_counts), DrainWide(&hash_counts));
-}
-
-TEST(HashGroupCountTest, EmptyInput) {
-  auto t = MakeTable({});
-  HashGroupCountIterator counts(t->Scan(), {0}, 0);
-  Tuple row;
-  auto more = counts.Next(&row);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(more.value());
 }
 
 // --------------------------------------------------------------------------

@@ -19,9 +19,8 @@
 namespace setm {
 namespace {
 
-const char* kBuiltins[] = {"setm",    "setm-sql",         "nested-loop",
-                           "apriori", "apriori-parallel", "ais",
-                           "brute-force"};
+const char* kBuiltins[] = {"setm",    "setm-sql", "nested-loop",
+                           "apriori", "ais",      "brute-force"};
 
 TransactionDb TestTransactions() {
   QuestOptions gen;
@@ -199,8 +198,8 @@ TEST(MinerRegistryTest, PhysicalKnobsInRequestOverrideCreateKnobs) {
   Database db;
   TransactionDb txns = PaperExampleTransactions();
   SetmOptions create_knobs;
-  create_knobs.num_threads = 8;  // would be rejected by apriori...
-  auto miner = MinerRegistry::Create("apriori", &db, create_knobs);
+  create_knobs.num_threads = 8;  // would be rejected by ais...
+  auto miner = MinerRegistry::Create("ais", &db, create_knobs);
   ASSERT_TRUE(miner.ok());
   MiningRequest request;
   request.transactions = &txns;

@@ -768,9 +768,9 @@ TEST(ShardManifestTest, SaveLoadAndMissingFile) {
 // only pin the metadata that drives that sweep.
 // --------------------------------------------------------------------------
 
-TEST(ShardRegistryTest, SetmAndParallelAprioriHonorThreads) {
+TEST(ShardRegistryTest, SetmAndAprioriHonorThreads) {
   bool saw_setm = false;
-  bool saw_parallel_apriori = false;
+  bool saw_apriori = false;
   for (const MinerInfo& info : MinerRegistry::List()) {
     if (info.name == "setm") {
       saw_setm = true;
@@ -778,13 +778,13 @@ TEST(ShardRegistryTest, SetmAndParallelAprioriHonorThreads) {
       EXPECT_TRUE(info.honors_count_method);
       EXPECT_TRUE(info.honors_threads);
     }
-    if (info.name == "apriori-parallel") {
-      saw_parallel_apriori = true;
+    if (info.name == "apriori") {
+      saw_apriori = true;
       EXPECT_TRUE(info.honors_threads);
     }
   }
   EXPECT_TRUE(saw_setm);
-  EXPECT_TRUE(saw_parallel_apriori);
+  EXPECT_TRUE(saw_apriori);
 }
 
 }  // namespace
