@@ -3,16 +3,17 @@
 // The ROADMAP's serving ambition needs mined results that stay fresh as
 // transactions arrive without re-reading the whole history. This experiment
 // appends batches of increasing size to a mined-and-stored base database
-// and compares, per batch size, the DeltaMiner's incremental update against
-// a full remine of the combined SALES relation: wall-clock time and the
-// IoStats page traffic of each path, plus a bit-identity check of the
-// resulting itemsets (the DeltaMiner is exact, not approximate).
+// and compares, per batch size, the MiningPlanner's answer to the append
+// (FUP-style delta derivation within the 25% budget, a full mine above it)
+// against a full remine of the combined SALES relation: wall-clock time
+// and the IoStats page traffic of each path, plus a bit-identity check of
+// the resulting itemsets (the derivation is exact, not approximate).
 //
 // Expected shape: for small batches the delta path reads far fewer pages
 // (it mines only the delta partition and scans the old partition at most
 // once, for borderline candidates) and is correspondingly faster; as the
-// batch fraction grows the advantage shrinks until the configured fallback
-// threshold routes the update to a full remine anyway.
+// batch fraction grows the advantage shrinks until the planner's derivation
+// budget routes the update to a full mine anyway.
 //
 // usage: incremental_updates [--smoke]   (--smoke: tiny sizes for CI)
 
@@ -22,9 +23,9 @@
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
+#include "core/mining_planner.h"
 #include "core/setm.h"
 #include "datagen/quest_generator.h"
-#include "incremental/delta_miner.h"
 #include "incremental/itemset_store.h"
 
 namespace {
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
 
   bench::Banner(
       "incremental_updates",
-      "ROADMAP: incremental mining subsystem (ItemsetStore + DeltaMiner)",
+      "ROADMAP: incremental mining subsystem (ItemsetStore + delta-derive)",
       "delta update reads fewer pages than full remine for small batches");
 
   QuestOptions gen;
@@ -90,8 +91,9 @@ int main(int argc, char** argv) {
     const TransactionDb batch =
         MakeBatch(batch_size, gen.seed + 1000, base_watermark);
 
-    // Incremental side: full mine + store once (unmeasured), then the
-    // delta update is the measured operation.
+    // Incremental side: a cold planner request mines the base and writes
+    // the store (unmeasured), then the append request is the measured
+    // operation.
     Database delta_db(db_options);
     auto sales_or =
         LoadSalesTable(&delta_db, "sales", base, TableBacking::kHeap);
@@ -100,33 +102,30 @@ int main(int argc, char** argv) {
                    sales_or.status().ToString().c_str());
       return 1;
     }
-    ItemsetStore store(&delta_db, "fi", TableBacking::kHeap);
-    {
-      auto mined = SetmMiner(&delta_db, setm_options)
-                       .MineTable(*sales_or.value(), options);
-      if (!mined.ok() ||
-          !store
-               .Save(mined.value().itemsets,
-                     MakeRunMeta(mined.value().itemsets, options,
-                                 base_watermark, "sales"))
-               .ok()) {
-        std::fprintf(stderr, "base mine/store failed\n");
-        return 1;
-      }
+    PlannerOptions planner_options;
+    planner_options.store_prefix = "fi";
+    planner_options.store_backing = TableBacking::kHeap;
+    planner_options.setm = setm_options;
+    MiningPlanner planner(&delta_db, planner_options);
+    PlanRequest request;
+    request.table = sales_or.value();
+    request.options = options;
+    if (!planner.Execute(request).ok()) {
+      std::fprintf(stderr, "base mine/store failed\n");
+      return 1;
     }
-    DeltaOptions delta_options;
-    delta_options.setm = setm_options;
-    DeltaMiner delta_miner(&delta_db, delta_options);
+    request.append = &batch;
     WallTimer delta_timer;
-    auto delta_or =
-        delta_miner.AppendAndUpdate(&store, sales_or.value(), batch, options);
+    auto delta_or = planner.Execute(request);
     if (!delta_or.ok()) {
       std::fprintf(stderr, "delta update failed: %s\n",
                    delta_or.status().ToString().c_str());
       return 1;
     }
     const double delta_seconds = delta_timer.ElapsedSeconds();
-    const DeltaMineResult& delta_result = delta_or.value();
+    const PlanExecution& delta_result = delta_or.value();
+    const bool derived =
+        delta_result.plan.strategy == PlanStrategy::kDeltaDerive;
     const uint64_t delta_reads = delta_result.result.io.page_reads;
 
     // Full-remine side: same combined relation, mined from scratch.
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
         delta_result.result.itemsets == full_or.value().itemsets;
     std::printf("%-8.0f%% %-13s %10.3f %12llu %10.3f %12llu %7.2fx %7s\n",
                 fraction * 100.0,
-                delta_result.full_remine ? "full-fallback" : "delta",
+                PlanStrategyName(delta_result.plan.strategy),
                 delta_seconds, static_cast<unsigned long long>(delta_reads),
                 full_seconds, static_cast<unsigned long long>(full_reads),
                 delta_reads == 0
@@ -181,7 +180,7 @@ int main(int argc, char** argv) {
     // must read fewer pages than remining everything.
     if (!small_batch_checked) {
       small_batch_checked = true;
-      if (delta_result.full_remine || delta_reads >= full_reads) {
+      if (!derived || delta_reads >= full_reads) {
         std::fprintf(stderr,
                      "smallest batch did not beat full remine "
                      "(delta %llu reads vs full %llu)!\n",

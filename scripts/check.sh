@@ -17,8 +17,9 @@ cmake --build --preset "$preset" -j
 ctest --preset "$preset" ${label:+-L "$label"}
 
 # Bench smoke-run: the incremental-maintenance bench self-checks that the
-# delta path matches a full remine bit-for-bit and reads fewer pages on the
-# smallest batch. Skipped when benches were not built for this preset.
+# planner's append answer matches a full remine bit-for-bit and that the
+# smallest batch is delta-derived with fewer page reads. Skipped when
+# benches were not built for this preset.
 bench_bin="build/$preset/bench/incremental_updates"
 if [[ -x "$bench_bin" ]]; then
   "$bench_bin" --smoke

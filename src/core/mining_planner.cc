@@ -68,12 +68,62 @@ uint64_t CountNonEmpty(const TransactionDb& txns) {
 }
 
 /// The stored run answers the same question iff the support spec and the
-/// pattern cap match — the DeltaMiner's compatibility rule, reproduced here
-/// so the planner decides the fallback before handing work over.
+/// pattern cap match; anything else makes its supports useless for
+/// derivation.
 bool SpecCompatible(const StoredRunMeta& meta, const MiningOptions& options) {
   return meta.spec_min_support == options.min_support &&
          meta.spec_min_support_count == options.min_support_count &&
          meta.max_pattern_length == options.max_pattern_length;
+}
+
+/// The batch-id rule: ids are unique and, when there is a `floor`, above
+/// it. An id at or below the floor is already counted and a repeated one
+/// would be counted twice, so either is refused rather than answered
+/// wrongly. `floor_name` names the floor in the message. Raises
+/// `*watermark` to the highest batch id.
+Status CheckBatchIds(const TransactionDb& batch,
+                     std::optional<TransactionId> floor,
+                     const char* floor_name, TransactionId* watermark) {
+  std::unordered_set<TransactionId> seen;
+  for (const Transaction& t : batch) {
+    if (floor.has_value() && t.id <= *floor) {
+      return Status::InvalidArgument(
+          "delta transaction " + std::to_string(t.id) + " is at or below " +
+          floor_name + " " + std::to_string(*floor));
+    }
+    if (!seen.insert(t.id).second) {
+      return Status::InvalidArgument("duplicate delta transaction id " +
+                                     std::to_string(t.id));
+    }
+    *watermark = std::max(*watermark, t.id);
+  }
+  return Status::OK();
+}
+
+/// The orphan rule. Rows beyond the stored watermark that no store refresh
+/// accounts for are a crash-interrupted append: its batch committed but
+/// the save after it did not. Commit() marks whole batches only, so the
+/// orphans are complete transactions, and the retry contract is that the
+/// caller re-submits the same batch, whose orphan ids are then skipped on
+/// insert. A batch that leaves an orphan out means the table and the retry
+/// diverged; refuse it under every strategy rather than mix two batches.
+Status CheckOrphansResubmitted(const TransactionDb& batch,
+                               const std::vector<TransactionId>& orphans,
+                               const Table& table, TransactionId watermark) {
+  if (orphans.empty()) return Status::OK();
+  std::unordered_set<TransactionId> batch_ids;
+  for (const Transaction& t : batch) batch_ids.insert(t.id);
+  for (TransactionId tid : orphans) {
+    if (batch_ids.count(tid) == 0) {
+      return Status::InvalidArgument(
+          "table '" + table.name() + "' already holds transaction " +
+          std::to_string(tid) + " beyond the stored watermark " +
+          std::to_string(watermark) +
+          " (a crash-interrupted append), and this batch does not "
+          "re-submit it — retry the interrupted batch first");
+    }
+  }
+  return Status::OK();
 }
 
 /// One decimal place is plenty for plan reasons ("12.5% of the combined
@@ -85,6 +135,15 @@ std::string Percent(double fraction) {
 }
 
 }  // namespace
+
+std::string PlanStats::ToString() const {
+  return "plans=" + std::to_string(plans) +
+         " cache_filters=" + std::to_string(cache_filters) +
+         " delta_derives=" + std::to_string(delta_derives) +
+         " full_mines=" + std::to_string(full_mines) +
+         " write_backs=" + std::to_string(write_backs) +
+         " invalidations=" + std::to_string(invalidations);
+}
 
 const char* PlanStrategyName(PlanStrategy strategy) {
   switch (strategy) {
@@ -130,8 +189,8 @@ std::string MiningPlan::Explain() const {
 MiningPlanner::MiningPlanner(Database* db, PlannerOptions options)
     : db_(db), options_(std::move(options)) {
   if (!options_.store_prefix.empty()) {
-    cache_ = std::make_unique<MiningCache>(db_, options_.store_prefix,
-                                           options_.store_backing);
+    store_ = std::make_unique<ItemsetStore>(db_, options_.store_prefix,
+                                            options_.store_backing);
   }
 }
 
@@ -155,72 +214,71 @@ Status MiningPlanner::ValidateRequest(const PlanRequest& request) const {
 }
 
 Result<MiningPlan> MiningPlanner::Plan(const PlanRequest& request) {
-  return PlanInternal(request);
-}
-
-Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
   SETM_RETURN_IF_ERROR(ValidateRequest(request));
   ++stats_.plans;
   PlanMetrics().requests->Increment();
+  auto invalidate = [this] {
+    ++stats_.invalidations;
+    PlanMetrics().invalidations->Increment();
+  };
 
   MiningPlan plan;
+  plan.strategy = PlanStrategy::kFullMine;
+  plan.resolved_min_support_count = request.options.min_support_count;
   const bool has_batch =
       request.append != nullptr && !request.append->empty();
   if (has_batch) plan.delta = *request.append;
 
   // In-memory sources have no catalog identity to key a cache entry on.
   if (request.transactions != nullptr) {
-    plan.strategy = PlanStrategy::kFullMine;
     plan.reason =
         "in-memory transaction source — caching needs a catalog relation";
-    if (request.options.min_support_count > 0) {
-      plan.resolved_min_support_count = request.options.min_support_count;
-    }
     return plan;
   }
 
   Table* table = request.table;
 
-  if (cache_ == nullptr) {
-    plan.strategy = PlanStrategy::kFullMine;
+  if (store_ == nullptr) {
     plan.reason = "result cache disabled (no store prefix configured)";
-    if (request.options.min_support_count > 0) {
-      plan.resolved_min_support_count = request.options.min_support_count;
-    }
+    // Without a store there is no watermark; only in-batch duplicates
+    // can be rejected cheaply.
     if (has_batch) {
-      // Without a store there is no watermark; only in-batch duplicates
-      // can be rejected cheaply.
-      std::unordered_set<TransactionId> seen;
-      for (const Transaction& t : *request.append) {
-        if (!seen.insert(t.id).second) {
-          return Status::InvalidArgument("duplicate delta transaction id " +
-                                         std::to_string(t.id));
-        }
-        plan.new_watermark = std::max(plan.new_watermark, t.id);
-      }
+      SETM_RETURN_IF_ERROR(CheckBatchIds(*request.append, std::nullopt, "",
+                                         &plan.new_watermark));
     }
     return plan;
   }
 
-  auto meta_or = cache_->Probe();
-  if (!meta_or.ok()) {
-    if (meta_or.status().code() != StatusCode::kNotFound) {
-      return meta_or.status();
+  // With a store every plan but kCacheFilter writes its answer back.
+  plan.save_after_mine = true;
+  auto meta_or = store_->LoadMeta();
+  if (meta_or.ok()) {
+    plan.store_found = true;
+    plan.stored = std::move(meta_or).value();
+  } else if (meta_or.status().code() != StatusCode::kNotFound) {
+    return meta_or.status();
+  }
+  const StoredRunMeta& stored = plan.stored;
+
+  // A stored run speaks only for the relation it was mined from.
+  if (!plan.store_found ||
+      (!stored.source_table.empty() && stored.source_table != table->name())) {
+    if (plan.store_found) {
+      plan.reason = "stored run was mined from '" + stored.source_table +
+                    "', not '" + table->name() + "'";
+      invalidate();
+    } else {
+      // Cache miss: either nothing stored under the prefix or the stored
+      // run's source table has been dropped — the probe's message says
+      // which.
+      plan.reason = meta_or.status().message();
     }
-    // Cache miss: either nothing stored under the prefix or the stored
-    // run's source table has been dropped — the probe's message says which.
-    plan.strategy = PlanStrategy::kFullMine;
-    plan.reason = meta_or.status().message();
-    plan.save_after_mine = options_.write_back;
-    if (request.options.min_support_count > 0) {
-      plan.resolved_min_support_count = request.options.min_support_count;
-    }
-    // Watermark discipline without a store: batch ids must clear whatever
-    // the table already holds, and the write-back must record the true
-    // high-water mark, so establish it with one scan (skipped when the
-    // table is empty and nothing needs it).
+    // Watermark discipline without a usable store: batch ids must clear
+    // whatever the table already holds, and the write-back must record the
+    // true high-water mark, so establish it with one scan (skipped when the
+    // table is empty).
     TransactionId existing_max = 0;
-    if (table->num_rows() > 0 && (has_batch || plan.save_after_mine)) {
+    if (table->num_rows() > 0) {
       auto it = table->Scan();
       Tuple row;
       while (true) {
@@ -232,60 +290,18 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
     }
     plan.new_watermark = existing_max;
     if (has_batch) {
-      std::unordered_set<TransactionId> seen;
-      for (const Transaction& t : *request.append) {
-        if (t.id <= existing_max) {
-          return Status::InvalidArgument(
-              "append transaction " + std::to_string(t.id) +
-              " is at or below the highest existing trans_id " +
-              std::to_string(existing_max));
-        }
-        if (!seen.insert(t.id).second) {
-          return Status::InvalidArgument("duplicate delta transaction id " +
-                                         std::to_string(t.id));
-        }
-        plan.new_watermark = std::max(plan.new_watermark, t.id);
-      }
+      SETM_RETURN_IF_ERROR(CheckBatchIds(*request.append, existing_max,
+                                         "the highest existing trans_id",
+                                         &plan.new_watermark));
     }
     return plan;
   }
 
-  plan.store_found = true;
-  plan.stored = std::move(meta_or).value();
-  const StoredRunMeta& stored = plan.stored;
   plan.new_watermark = stored.watermark;
-
-  // A stored run speaks only for the relation it was mined from.
-  if (!stored.source_table.empty() &&
-      stored.source_table != table->name()) {
-    plan.strategy = PlanStrategy::kFullMine;
-    plan.reason = "stored run was mined from '" + stored.source_table +
-                  "', not '" + table->name() + "'";
-    plan.save_after_mine = options_.write_back;
-    ++stats_.invalidations;
-    PlanMetrics().invalidations->Increment();
-    return plan;
-  }
-
-  // Batch ids must respect the watermark: ids at or below it are already
-  // counted in the store, so reusing one would double-count silently. The
-  // wording matches the DeltaMiner's so both layers report the same
-  // violation identically.
   if (has_batch) {
-    std::unordered_set<TransactionId> seen;
-    for (const Transaction& t : *request.append) {
-      if (t.id <= stored.watermark) {
-        return Status::InvalidArgument(
-            "delta transaction " + std::to_string(t.id) +
-            " is at or below the stored watermark " +
-            std::to_string(stored.watermark));
-      }
-      if (!seen.insert(t.id).second) {
-        return Status::InvalidArgument("duplicate delta transaction id " +
-                                       std::to_string(t.id));
-      }
-      plan.new_watermark = std::max(plan.new_watermark, t.id);
-    }
+    SETM_RETURN_IF_ERROR(CheckBatchIds(*request.append, stored.watermark,
+                                       "the stored watermark",
+                                       &plan.new_watermark));
   }
 
   // Freshness. Source tables are append-only, so a live row count equal to
@@ -295,9 +311,9 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
   // added without a store refresh, or a legacy store without source_rows).
   const bool rows_match =
       stored.source_rows != 0 && table->num_rows() == stored.source_rows;
-  uint64_t tail_rows = 0;
   if (!rows_match) {
     std::map<TransactionId, std::vector<ItemId>> tail;
+    uint64_t tail_rows = 0;
     auto it = table->Scan();
     Tuple row;
     while (true) {
@@ -314,14 +330,11 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
         stored.source_rows + tail_rows != table->num_rows()) {
       // The table changed at or below the watermark (or shrank) — the
       // stored counts describe data that no longer exists as saved.
-      plan.strategy = PlanStrategy::kFullMine;
       plan.reason = "table '" + table->name() +
                     "' changed at or below the stored watermark " +
                     std::to_string(stored.watermark) +
                     " — stored counts are unusable";
-      plan.save_after_mine = options_.write_back;
-      ++stats_.invalidations;
-    PlanMetrics().invalidations->Increment();
+      invalidate();
       return plan;
     }
     for (auto& [tid, items] : tail) {
@@ -337,6 +350,10 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
       }
     }
   }
+  if (has_batch) {
+    SETM_RETURN_IF_ERROR(CheckOrphansResubmitted(
+        *request.append, plan.orphans, *table, stored.watermark));
+  }
 
   const bool stale = has_batch || !plan.orphans.empty();
   if (!stale) {
@@ -344,13 +361,14 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
     // threshold-and-cap comparison against the meta row.
     const int64_t query_minsup =
         ResolveMinSupportCount(request.options, stored.num_transactions);
+    plan.resolved_min_support_count = query_minsup;
     const bool cap_ok =
         stored.max_pattern_length == 0 ||
         (request.options.max_pattern_length != 0 &&
          request.options.max_pattern_length <= stored.max_pattern_length);
     if (query_minsup >= stored.min_support_count && cap_ok) {
       plan.strategy = PlanStrategy::kCacheFilter;
-      plan.resolved_min_support_count = query_minsup;
+      plan.save_after_mine = false;
       plan.reason = "stored run at support " +
                     std::to_string(stored.min_support_count) +
                     " dominates the query at support " +
@@ -358,9 +376,6 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
                     " — filter stored levels, no mining";
       return plan;
     }
-    plan.strategy = PlanStrategy::kFullMine;
-    plan.save_after_mine = options_.write_back;
-    plan.resolved_min_support_count = query_minsup;
     if (!cap_ok) {
       plan.reason =
           "stored run is capped at patterns of length " +
@@ -374,22 +389,17 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
                     std::to_string(stored.min_support_count) +
                     " — the store cannot contain every answer";
     }
-    ++stats_.invalidations;
-    PlanMetrics().invalidations->Increment();
+    invalidate();
     return plan;
   }
 
   // Stale store. Derivation needs the stored run to answer the same
-  // question (the DeltaMiner's compatibility rule) and the delta to stay
-  // within the budget.
+  // question and the delta to stay within the budget.
   if (!SpecCompatible(stored, request.options)) {
-    plan.strategy = PlanStrategy::kFullMine;
     plan.reason =
         "stored run answers a different question (support spec or pattern "
         "cap differ) — derivation impossible";
-    plan.save_after_mine = options_.write_back;
-    ++stats_.invalidations;
-    PlanMetrics().invalidations->Increment();
+    invalidate();
     return plan;
   }
 
@@ -400,12 +410,7 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
   const double fraction =
       static_cast<double>(delta_txns) /
       static_cast<double>(std::max<uint64_t>(combined, 1));
-  const bool too_large =
-      static_cast<double>(delta_txns) >
-      options_.full_remine_fraction *
-          static_cast<double>(std::max<uint64_t>(combined, 1));
-  if (too_large) {
-    plan.strategy = PlanStrategy::kFullMine;
+  if (fraction > options_.full_remine_fraction) {
     plan.reason =
         options_.full_remine_fraction <= 0.0
             ? "incremental derivation disabled (budget 0%) — full remine"
@@ -413,9 +418,7 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
                   " of the combined database, above the " +
                   Percent(options_.full_remine_fraction) +
                   " derivation budget";
-    plan.save_after_mine = options_.write_back;
-    ++stats_.invalidations;
-    PlanMetrics().invalidations->Increment();
+    invalidate();
     return plan;
   }
   plan.strategy = PlanStrategy::kDeltaDerive;
@@ -423,8 +426,6 @@ Result<MiningPlan> MiningPlanner::PlanInternal(const PlanRequest& request) {
                 " of the combined database, within the " +
                 Percent(options_.full_remine_fraction) +
                 " derivation budget";
-  // The DeltaMiner refreshes the store itself.
-  plan.save_after_mine = false;
   return plan;
 }
 
@@ -435,7 +436,7 @@ Result<PlanExecution> MiningPlanner::Execute(const PlanRequest& request) {
 
   obs::TraceSpan* plan_span =
       root != nullptr ? root->StartChild("plan") : nullptr;
-  auto plan_or = PlanInternal(request);
+  auto plan_or = Plan(request);
   if (plan_span != nullptr) plan_span->End();
   if (!plan_or.ok()) return plan_or.status();
 
@@ -473,23 +474,21 @@ Result<PlanExecution> MiningPlanner::Execute(const PlanRequest& request) {
   Status status;
   switch (out.plan.strategy) {
     case PlanStrategy::kCacheFilter:
-      status = ExecuteCacheFilter(run, &out.plan, &out);
+      status = ExecuteCacheFilter(run, &out);
       if (status.ok()) {
         ++stats_.cache_filters;
         PlanMetrics().cache_filters->Increment();
       }
       break;
     case PlanStrategy::kDeltaDerive:
-      status = ExecuteDeltaDerive(run, &out.plan, &out);
+      status = ExecuteDeltaDerive(run, &out);
       if (status.ok()) {
         ++stats_.delta_derives;
-        ++stats_.write_backs;
         PlanMetrics().delta_derives->Increment();
-        PlanMetrics().write_backs->Increment();
       }
       break;
     case PlanStrategy::kFullMine:
-      status = ExecuteFullMine(run, &out.plan, &out);
+      status = ExecuteFullMine(run, &out);
       if (status.ok()) {
         ++stats_.full_mines;
         PlanMetrics().full_mines->Increment();
@@ -510,10 +509,9 @@ Result<PlanExecution> MiningPlanner::Execute(const PlanRequest& request) {
 }
 
 Status MiningPlanner::ExecuteCacheFilter(const PlanRequest& request,
-                                         MiningPlan* plan,
                                          PlanExecution* out) {
-  auto loaded_or = cache_->LoadFiltered(plan->resolved_min_support_count,
-                                        request.options.max_pattern_length);
+  auto loaded_or = store_->LoadAtSupport(out->plan.resolved_min_support_count,
+                                         request.options.max_pattern_length);
   if (!loaded_or.ok()) return loaded_or.status();
   out->result.itemsets = std::move(loaded_or.value().itemsets);
   // Zero mining happened: no iterations, and the observer is never called.
@@ -522,43 +520,27 @@ Status MiningPlanner::ExecuteCacheFilter(const PlanRequest& request,
 }
 
 Status MiningPlanner::ExecuteDeltaDerive(const PlanRequest& request,
-                                         MiningPlan* plan,
                                          PlanExecution* out) {
-  DeltaOptions delta_options;
-  delta_options.setm = options_.setm;
-  delta_options.full_remine_fraction = options_.full_remine_fraction;
-  DeltaMiner delta_miner(db_, delta_options);
-  auto derived_or = delta_miner.AppendAndUpdate(
-      cache_->store(), request.table, plan->delta, request.options);
+  auto stored_or = store_->Load();
+  if (!stored_or.ok()) return stored_or.status();
+  auto derived_or =
+      DeriveWithDelta(db_, stored_or.value(), out->plan.delta, *request.table,
+                      options_.setm, request.options);
   if (!derived_or.ok()) return derived_or.status();
-  DeltaMineResult derived = std::move(derived_or).value();
-  out->result = std::move(derived.result);
-  out->delta_full_remine = derived.full_remine;
-  out->delta_transactions = derived.delta_transactions;
-  out->borderline_candidates = derived.borderline_candidates;
-  return Status::OK();
+  out->result = std::move(derived_or.value().result);
+  out->borderline_candidates = derived_or.value().borderline_candidates;
+  // The whole answer is computed, so an error above left the table
+  // untouched. Only now does the batch reach the table, and only once it is
+  // committed does the store move past it.
+  SETM_RETURN_IF_ERROR(AppendDelta(request, out->plan));
+  return SaveRun(request, out->plan, out->result.itemsets);
 }
 
 Status MiningPlanner::ExecuteFullMine(const PlanRequest& request,
-                                      MiningPlan* plan, PlanExecution* out) {
-  // Append the batch first (skipping transactions a crash-interrupted
-  // append already left in the table), so the mine below sees the combined
-  // relation.
-  if (request.table != nullptr && !plan->delta.empty()) {
-    std::unordered_set<TransactionId> already(plan->orphans.begin(),
-                                              plan->orphans.end());
-    bool inserted = false;
-    for (const Transaction& t : plan->delta) {
-      if (already.count(t.id) != 0) continue;
-      for (ItemId item : t.items) {
-        SETM_RETURN_IF_ERROR(request.table->Insert(
-            Tuple({Value::Int32(t.id), Value::Int32(item)})));
-      }
-      inserted = true;
-    }
-    if (inserted && db_->persistent()) {
-      SETM_RETURN_IF_ERROR(db_->Commit());
-    }
+                                      PlanExecution* out) {
+  // Append the batch first, so the mine below sees the combined relation.
+  if (request.table != nullptr) {
+    SETM_RETURN_IF_ERROR(AppendDelta(request, out->plan));
   }
 
   auto miner_or =
@@ -572,15 +554,38 @@ Status MiningPlanner::ExecuteFullMine(const PlanRequest& request,
   if (!mined_or.ok()) return mined_or.status();
   out->result = std::move(mined_or).value();
 
-  if (plan->save_after_mine && cache_ != nullptr &&
-      request.table != nullptr) {
-    StoredRunMeta meta = MakeRunMeta(
-        out->result.itemsets, request.options, plan->new_watermark,
-        request.table->name(), request.table->num_rows());
-    SETM_RETURN_IF_ERROR(cache_->Put(out->result.itemsets, meta));
-    ++stats_.write_backs;
-    PlanMetrics().write_backs->Increment();
+  if (!out->plan.save_after_mine) return Status::OK();
+  return SaveRun(request, out->plan, out->result.itemsets);
+}
+
+Status MiningPlanner::AppendDelta(const PlanRequest& request,
+                                  const MiningPlan& plan) {
+  const std::unordered_set<TransactionId> orphans(plan.orphans.begin(),
+                                                  plan.orphans.end());
+  bool inserted = false;
+  for (const Transaction& t : plan.delta) {
+    if (orphans.count(t.id) != 0) continue;  // already in the table
+    for (ItemId item : t.items) {
+      SETM_RETURN_IF_ERROR(request.table->Insert(
+          Tuple({Value::Int32(t.id), Value::Int32(item)})));
+      inserted = true;
+    }
   }
+  // Batch boundary: from here the rows are crash-durable, and replay-atomic
+  // as a unit, while the store save that follows still has to checkpoint.
+  // A kill in between leaves exactly the orphans Plan() recognises on retry.
+  return inserted ? db_->Commit() : Status::OK();
+}
+
+Status MiningPlanner::SaveRun(const PlanRequest& request,
+                              const MiningPlan& plan,
+                              const FrequentItemsets& itemsets) {
+  SETM_RETURN_IF_ERROR(store_->Save(
+      itemsets,
+      MakeRunMeta(itemsets, request.options, plan.new_watermark,
+                  request.table->name(), request.table->num_rows())));
+  ++stats_.write_backs;
+  PlanMetrics().write_backs->Increment();
   return Status::OK();
 }
 

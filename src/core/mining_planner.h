@@ -1,12 +1,13 @@
 #ifndef SETM_CORE_MINING_PLANNER_H_
 #define SETM_CORE_MINING_PLANNER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/mining_cache.h"
 #include "core/miner.h"
+#include "incremental/itemset_store.h"
 #include "obs/trace.h"
 #include "relational/database.h"
 
@@ -19,22 +20,41 @@ enum class PlanStrategy {
   /// relations by the requested threshold. Zero mining iterations.
   kCacheFilter,
   /// The store is stale (an appended batch and/or rows beyond the stored
-  /// watermark) but close enough: derive the combined answer through the
-  /// incremental DeltaMiner and refresh the store.
+  /// watermark) but close enough: derive the combined answer with the FUP
+  /// derivation (incremental/delta_miner.h) and refresh the store.
   kDeltaDerive,
-  /// Mine from scratch through the MinerRegistry, optionally writing the
-  /// result back into the store.
+  /// Mine from scratch through the MinerRegistry, writing the result back
+  /// into the store when there is one.
   kFullMine,
 };
 
 /// Registry name for display ("cache-filter", "delta-derive", "full-mine").
 const char* PlanStrategyName(PlanStrategy strategy);
 
+/// Counters of planner decisions — the cache's hit/miss ledger, reported
+/// next to IoStats wherever mining statistics are printed. A "hit" is any
+/// plan that avoided full mining (cache_filters + delta_derives); a "miss"
+/// is a full_mines increment.
+struct PlanStats {
+  uint64_t plans = 0;          ///< mining requests planned
+  uint64_t cache_filters = 0;  ///< answered by filtering stored levels
+  uint64_t delta_derives = 0;  ///< answered through incremental derivation
+  uint64_t full_mines = 0;     ///< answered by mining from scratch
+  uint64_t write_backs = 0;    ///< store refreshes (Save) after answering
+  uint64_t invalidations = 0;  ///< stored runs found unusable for the query
+
+  /// One-line rendering, e.g.
+  /// "plans=4 cache_filters=2 delta_derives=1 full_mines=1 write_backs=2
+  ///  invalidations=0".
+  std::string ToString() const;
+};
+
 /// Knobs of the plan layer — what the CLI's --store/--append/--incremental/
 /// --fallback flags configure.
 struct PlannerOptions {
   /// ItemsetStore prefix the cache lives under; "" disables caching and
-  /// write-back entirely (every plan is kFullMine).
+  /// write-back entirely (every plan is kFullMine). With a prefix, every
+  /// mine or derivation over a table source is written back.
   std::string store_prefix;
   /// Backing for store relations created by write-back.
   TableBacking store_backing = TableBacking::kMemory;
@@ -42,15 +62,12 @@ struct PlannerOptions {
   /// cache itself requires exact supports, which every registered algorithm
   /// produces, so any of them may fill it.
   std::string algorithm = "setm";
-  /// Physical knobs handed to the registry miner and the DeltaMiner.
+  /// Physical knobs handed to the registry miner and the delta mine.
   SetmOptions setm;
   /// Staleness budget: a delta larger than this fraction of the combined
   /// transaction count is answered by kFullMine instead of kDeltaDerive.
   /// 0 disables derivation (every stale store forces a full mine).
   double full_remine_fraction = 0.25;
-  /// Refresh the store after a full mine (ignored without a store_prefix or
-  /// for in-memory transaction sources).
-  bool write_back = true;
 };
 
 /// One mining request as the planner sees it. Exactly one of `table` /
@@ -62,8 +79,10 @@ struct PlanRequest {
   Table* table = nullptr;
   /// In-memory source; caching is disabled for it (no relation to key on).
   const TransactionDb* transactions = nullptr;
-  /// Batch to append. Ids must be unique and above the stored watermark
-  /// (crash-orphaned ids already in the table are tolerated and skipped).
+  /// Batch to append. Ids must be unique and above the stored watermark.
+  /// Transactions a crash-interrupted append already left in the table
+  /// beyond the watermark must all be re-submitted; they are skipped on
+  /// insert.
   const TransactionDb* append = nullptr;
   /// The logical question: thresholds, pattern cap, observer.
   MiningOptions options;
@@ -112,10 +131,9 @@ struct MiningPlan {
 struct PlanExecution {
   MiningPlan plan;
   MiningResult result;
-  /// kDeltaDerive only: whether the DeltaMiner itself fell back to a full
-  /// remine, and its batch statistics.
-  bool delta_full_remine = false;
+  /// Non-empty transactions in the plan's delta.
   uint64_t delta_transactions = 0;
+  /// kDeltaDerive only: itemsets re-counted against the old partition.
   uint64_t borderline_candidates = 0;
 };
 
@@ -145,30 +163,40 @@ class MiningPlanner {
   /// Plans and runs the request. Results are bit-identical across the three
   /// strategies; InvalidArgument for malformed requests (no source, both
   /// sources, append on an in-memory source, batch ids at or below the
-  /// stored watermark or duplicated).
+  /// stored watermark or duplicated, a crash-interrupted append the batch
+  /// does not re-submit).
+  ///
+  /// Ordering contract for append-carrying plans. kDeltaDerive computes the
+  /// whole answer before the table is touched, then appends the batch and
+  /// commits it as one batch, and only then saves the store; kFullMine
+  /// appends and commits first, then mines. A crash after the commit but
+  /// before the save leaves the batch's rows beyond the stored watermark,
+  /// and re-submitting the same batch completes it.
   Result<PlanExecution> Execute(const PlanRequest& request);
 
   const PlanStats& stats() const { return stats_; }
-  /// The cache, or null when store_prefix is empty.
-  MiningCache* cache() { return cache_.get(); }
+  /// The store the cache lives in, or null when store_prefix is empty.
+  ItemsetStore* store() { return store_.get(); }
   const PlannerOptions& options() const { return options_; }
 
  private:
   Status ValidateRequest(const PlanRequest& request) const;
-  /// The planning body shared by Plan and Execute; `counting` selects
-  /// whether strategy counters are charged.
-  Result<MiningPlan> PlanInternal(const PlanRequest& request);
 
-  Status ExecuteCacheFilter(const PlanRequest& request, MiningPlan* plan,
-                            PlanExecution* out);
-  Status ExecuteDeltaDerive(const PlanRequest& request, MiningPlan* plan,
-                            PlanExecution* out);
-  Status ExecuteFullMine(const PlanRequest& request, MiningPlan* plan,
-                         PlanExecution* out);
+  /// Each runs `out->plan` and fills `out->result`.
+  Status ExecuteCacheFilter(const PlanRequest& request, PlanExecution* out);
+  Status ExecuteDeltaDerive(const PlanRequest& request, PlanExecution* out);
+  Status ExecuteFullMine(const PlanRequest& request, PlanExecution* out);
+  /// Inserts the plan's delta into the request table, skipping the orphan
+  /// ids already there, then commits once.
+  Status AppendDelta(const PlanRequest& request, const MiningPlan& plan);
+  /// Writes `itemsets` back into the store as the run over the request
+  /// table up to the plan's new watermark.
+  Status SaveRun(const PlanRequest& request, const MiningPlan& plan,
+                 const FrequentItemsets& itemsets);
 
   Database* db_;
   PlannerOptions options_;
-  std::unique_ptr<MiningCache> cache_;
+  std::unique_ptr<ItemsetStore> store_;
   PlanStats stats_;
 };
 

@@ -17,7 +17,7 @@ struct StoredRunMeta {
   /// The resolved support threshold the stored run was mined with, in
   /// transactions. Every itemset *not* in the store is known to have had
   /// count <= min_support_count - 1 over the covered transactions — the
-  /// inequality the DeltaMiner's borderline rule is built on.
+  /// inequality the delta derivation's borderline rule is built on.
   int64_t min_support_count = 0;
   /// The original MiningOptions spec (fraction and absolute forms). An
   /// incremental update must be asked with the same spec; otherwise the
@@ -57,8 +57,8 @@ struct StoredResult {
 ///
 /// In a file-backed database with kHeap backing the store is durable: the
 /// catalog manifest (src/persist/) records the relations at every DDL, so
-/// Save() in one process and Load() — or DeltaMiner::AppendAndUpdate — in
-/// a later one operate on the same run (persist_test and
+/// Save() in one process and Load() — or a MiningPlanner append — in a
+/// later one operate on the same run (persist_test and
 /// scripts/smoke_db_persist.sh exercise the cross-process round trip).
 ///
 ///     ItemsetStore store(&db, "fi", TableBacking::kHeap);

@@ -1,8 +1,9 @@
 // Incremental mining subsystem: ItemsetStore round-trips (store -> load ->
 // identical result) across both TableBackings and the edge cases, SQL
-// visibility of the materialized relations, and the DeltaMiner's exactness
-// — bit-identical itemsets vs a full remine of the combined database over
-// seeds x backings x batch sizes, on both the delta and the fallback path.
+// visibility of the materialized relations, and the exactness of appends
+// answered through the MiningPlanner — bit-identical itemsets vs a full
+// remine of the combined database over seeds x backings x batch sizes, on
+// both the delta-derive path and the full-mine path above the budget.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,10 @@
 #include <tuple>
 #include <vector>
 
+#include "core/mining_planner.h"
 #include "core/paper_example.h"
 #include "core/setm.h"
 #include "datagen/quest_generator.h"
-#include "incremental/delta_miner.h"
 #include "incremental/itemset_store.h"
 #include "sql/engine.h"
 
@@ -38,6 +39,27 @@ TransactionDb MakeBatch(uint64_t seed, uint32_t count,
   TransactionDb batch = MakeQuestDb(seed, count, num_items);
   for (Transaction& t : batch) t.id += start_after;
   return batch;
+}
+
+/// A planner keeping its run under the store prefix "fi".
+PlannerOptions StoreOptions(TableBacking backing) {
+  PlannerOptions options;
+  options.store_prefix = "fi";
+  options.store_backing = backing;
+  options.setm.storage = backing;
+  return options;
+}
+
+/// One planner request over `sales`, appending `append` when given. The
+/// first request of a planner mines `sales` and writes the run back.
+Result<PlanExecution> Request(MiningPlanner* planner, Table* sales,
+                              const MiningOptions& options,
+                              const TransactionDb* append = nullptr) {
+  PlanRequest request;
+  request.table = sales;
+  request.append = append;
+  request.options = options;
+  return planner->Execute(request);
 }
 
 // --------------------------------------------------------------------------
@@ -220,15 +242,15 @@ TEST(ItemsetStoreSqlTest, MaterializedRelationsAreQueryable) {
 }
 
 // --------------------------------------------------------------------------
-// DeltaMiner vs full remine: the equivalence sweep of the acceptance
+// Planner appends vs full remine: the equivalence sweep of the acceptance
 // criteria — seeds x backings x batch sizes, exact itemsets everywhere.
 // --------------------------------------------------------------------------
 
-class DeltaMinerSweepTest
+class DeltaDeriveSweepTest
     : public testing::TestWithParam<
           std::tuple<uint64_t, TableBacking, double>> {};
 
-TEST_P(DeltaMinerSweepTest, BitIdenticalToFullRemine) {
+TEST_P(DeltaDeriveSweepTest, BitIdenticalToFullRemine) {
   const uint64_t seed = std::get<0>(GetParam());
   const TableBacking backing = std::get<1>(GetParam());
   const double batch_fraction = std::get<2>(GetParam());
@@ -243,27 +265,14 @@ TEST_P(DeltaMinerSweepTest, BitIdenticalToFullRemine) {
   MiningOptions options;
   options.min_support = 0.04;
 
-  SetmOptions setm_options;
-  setm_options.storage = backing;
-
-  // Incremental path: mine base, store, append + delta update.
+  // Incremental path: mine base and store it, then append.
   Database db;
   auto sales_or = LoadSalesTable(&db, "sales", base, backing);
   ASSERT_TRUE(sales_or.ok());
-  auto base_mined =
-      SetmMiner(&db, setm_options).MineTable(*sales_or.value(), options);
-  ASSERT_TRUE(base_mined.ok());
-  ItemsetStore store(&db, "fi", backing);
-  ASSERT_TRUE(store
-                  .Save(base_mined.value().itemsets,
-                        MakeRunMeta(base_mined.value().itemsets, options,
-                                    MaxTransactionId(base), "sales"))
-                  .ok());
-  DeltaOptions delta_options;
-  delta_options.setm = setm_options;
-  DeltaMiner miner(&db, delta_options);
-  auto updated =
-      miner.AppendAndUpdate(&store, sales_or.value(), batch, options);
+  const PlannerOptions planner_options = StoreOptions(backing);
+  MiningPlanner planner(&db, planner_options);
+  ASSERT_TRUE(Request(&planner, sales_or.value(), options).ok());
+  auto updated = Request(&planner, sales_or.value(), options, &batch);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
 
   // Oracle: full remine of the combined database in a fresh engine.
@@ -271,39 +280,39 @@ TEST_P(DeltaMinerSweepTest, BitIdenticalToFullRemine) {
   combined.insert(combined.end(), batch.begin(), batch.end());
   Database oracle_db;
   auto oracle =
-      SetmMiner(&oracle_db, setm_options).Mine(combined, options);
+      SetmMiner(&oracle_db, planner_options.setm).Mine(combined, options);
   ASSERT_TRUE(oracle.ok());
 
   EXPECT_TRUE(updated.value().result.itemsets == oracle.value().itemsets);
   EXPECT_EQ(updated.value().result.itemsets.num_transactions,
             oracle.value().itemsets.num_transactions);
 
-  // Batches above the fallback fraction must have taken the remine path;
-  // small ones must not.
-  EXPECT_EQ(updated.value().full_remine,
-            batch_fraction / (1.0 + batch_fraction) >
-                delta_options.full_remine_fraction);
+  // Batches within the derivation budget are derived; larger ones are
+  // answered by a full mine.
+  EXPECT_EQ(updated.value().plan.strategy == PlanStrategy::kDeltaDerive,
+            batch_fraction / (1.0 + batch_fraction) <=
+                planner_options.full_remine_fraction);
 
   // The refreshed store must hold exactly the combined result, ready for
   // the next batch.
-  auto reloaded = store.Load();
+  auto reloaded = ItemsetStore(&db, "fi", backing).Load();
   ASSERT_TRUE(reloaded.ok());
   EXPECT_TRUE(reloaded.value().itemsets == oracle.value().itemsets);
   EXPECT_EQ(reloaded.value().meta.watermark, MaxTransactionId(batch));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsBackingsBatches, DeltaMinerSweepTest,
+    SeedsBackingsBatches, DeltaDeriveSweepTest,
     testing::Combine(testing::Values(uint64_t{101}, uint64_t{202}),
                      testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
                      testing::Values(0.02, 0.10, 0.50)));
 
 // --------------------------------------------------------------------------
-// DeltaMiner specifics.
+// Delta-derive specifics.
 // --------------------------------------------------------------------------
 
-TEST(DeltaMinerTest, SequentialBatchesStayExact) {
+TEST(DeltaDeriveTest, SequentialBatchesStayExact) {
   TransactionDb base = MakeQuestDb(303, 200);
   MiningOptions options;
   options.min_support = 0.04;
@@ -311,24 +320,16 @@ TEST(DeltaMinerTest, SequentialBatchesStayExact) {
   Database db;
   auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kMemory);
   ASSERT_TRUE(sales_or.ok());
-  auto base_mined = SetmMiner(&db).MineTable(*sales_or.value(), options);
-  ASSERT_TRUE(base_mined.ok());
-  ItemsetStore store(&db, "fi");
-  ASSERT_TRUE(store
-                  .Save(base_mined.value().itemsets,
-                        MakeRunMeta(base_mined.value().itemsets, options,
-                                    MaxTransactionId(base), "sales"))
-                  .ok());
+  MiningPlanner planner(&db, StoreOptions(TableBacking::kMemory));
+  ASSERT_TRUE(Request(&planner, sales_or.value(), options).ok());
 
   TransactionDb combined = base;
-  DeltaMiner miner(&db);
   for (int round = 0; round < 3; ++round) {
     TransactionDb batch = MakeBatch(9000 + round, 20,
                                     MaxTransactionId(combined));
-    auto updated =
-        miner.AppendAndUpdate(&store, sales_or.value(), batch, options);
+    auto updated = Request(&planner, sales_or.value(), options, &batch);
     ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-    EXPECT_FALSE(updated.value().full_remine);
+    EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
 
     combined.insert(combined.end(), batch.begin(), batch.end());
     Database oracle_db;
@@ -339,7 +340,7 @@ TEST(DeltaMinerTest, SequentialBatchesStayExact) {
   }
 }
 
-TEST(DeltaMinerTest, BorderlinePromotionIsExact) {
+TEST(DeltaDeriveTest, BorderlinePromotionIsExact) {
   // Items 1,2 co-occur once in the base; the batch adds two more
   // co-occurrences so {1,2} crosses an absolute threshold of 3 — frequent
   // in the combined database yet absent from the store: the borderline
@@ -355,31 +356,24 @@ TEST(DeltaMinerTest, BorderlinePromotionIsExact) {
   Database db;
   auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kMemory);
   ASSERT_TRUE(sales_or.ok());
-  auto base_mined = SetmMiner(&db).MineTable(*sales_or.value(), options);
+  PlannerOptions planner_options = StoreOptions(TableBacking::kMemory);
+  planner_options.full_remine_fraction = 0.5;  // keep the delta path
+  MiningPlanner planner(&db, planner_options);
+  auto base_mined = Request(&planner, sales_or.value(), options);
   ASSERT_TRUE(base_mined.ok());
-  EXPECT_EQ(base_mined.value().itemsets.CountOf({1, 2}), 0);
-  ItemsetStore store(&db, "fi");
-  ASSERT_TRUE(store
-                  .Save(base_mined.value().itemsets,
-                        MakeRunMeta(base_mined.value().itemsets, options, 10,
-                                    "sales"))
-                  .ok());
+  EXPECT_EQ(base_mined.value().result.itemsets.CountOf({1, 2}), 0);
 
   TransactionDb batch;
   batch.push_back({11, {1, 2}});
   batch.push_back({12, {1, 2}});
-  DeltaOptions delta_options;
-  delta_options.full_remine_fraction = 0.5;  // keep the delta path
-  DeltaMiner miner(&db, delta_options);
-  auto updated =
-      miner.AppendAndUpdate(&store, sales_or.value(), batch, options);
+  auto updated = Request(&planner, sales_or.value(), options, &batch);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  EXPECT_FALSE(updated.value().full_remine);
+  EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
   EXPECT_GE(updated.value().borderline_candidates, 1u);
   EXPECT_EQ(updated.value().result.itemsets.CountOf({1, 2}), 3);
 }
 
-TEST(DeltaMinerTest, ParallelDeltaMineMatchesSerial) {
+TEST(DeltaDeriveTest, ParallelDeltaMineMatchesSerial) {
   TransactionDb base = MakeQuestDb(404, 240);
   TransactionDb batch = MakeBatch(405, 24, MaxTransactionId(base));
   MiningOptions options;
@@ -390,66 +384,20 @@ TEST(DeltaMinerTest, ParallelDeltaMineMatchesSerial) {
     Database db;
     auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kMemory);
     ASSERT_TRUE(sales_or.ok());
-    SetmOptions setm_options;
-    setm_options.num_threads = threads;
-    auto base_mined =
-        SetmMiner(&db, setm_options).MineTable(*sales_or.value(), options);
-    ASSERT_TRUE(base_mined.ok());
-    ItemsetStore store(&db, "fi");
-    ASSERT_TRUE(store
-                    .Save(base_mined.value().itemsets,
-                          MakeRunMeta(base_mined.value().itemsets, options,
-                                      MaxTransactionId(base), "sales"))
-                    .ok());
-    DeltaOptions delta_options;
-    delta_options.setm = setm_options;
-    DeltaMiner miner(&db, delta_options);
-    auto updated =
-        miner.AppendAndUpdate(&store, sales_or.value(), batch, options);
+    PlannerOptions planner_options = StoreOptions(TableBacking::kMemory);
+    planner_options.setm.num_threads = threads;
+    MiningPlanner planner(&db, planner_options);
+    ASSERT_TRUE(Request(&planner, sales_or.value(), options).ok());
+    auto updated = Request(&planner, sales_or.value(), options, &batch);
     ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
     (threads == 1 ? serial_result : parallel_result) =
         std::move(updated.value().result);
   }
   EXPECT_TRUE(serial_result.itemsets == parallel_result.itemsets);
 }
 
-TEST(DeltaMinerTest, RejectsWatermarkViolations) {
-  TransactionDb base = MakeQuestDb(505, 100);
-  MiningOptions options;
-  options.min_support = 0.05;
-
-  Database db;
-  auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kMemory);
-  ASSERT_TRUE(sales_or.ok());
-  auto mined = SetmMiner(&db).MineTable(*sales_or.value(), options);
-  ASSERT_TRUE(mined.ok());
-  ItemsetStore store(&db, "fi");
-  ASSERT_TRUE(store
-                  .Save(mined.value().itemsets,
-                        MakeRunMeta(mined.value().itemsets, options,
-                                    MaxTransactionId(base), "sales"))
-                  .ok());
-  DeltaMiner miner(&db);
-
-  // A transaction id at/below the watermark is already counted.
-  TransactionDb stale;
-  stale.push_back({MaxTransactionId(base), {1, 2}});
-  auto rejected =
-      miner.AppendAndUpdate(&store, sales_or.value(), stale, options);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsInvalidArgument());
-
-  // Duplicate ids inside the batch would double-count too.
-  TransactionDb dupes;
-  dupes.push_back({MaxTransactionId(base) + 1, {1, 2}});
-  dupes.push_back({MaxTransactionId(base) + 1, {2, 3}});
-  auto rejected2 =
-      miner.AppendAndUpdate(&store, sales_or.value(), dupes, options);
-  ASSERT_FALSE(rejected2.ok());
-  EXPECT_TRUE(rejected2.status().IsInvalidArgument());
-}
-
-TEST(DeltaMinerTest, ChangedOptionsForceFullRemine) {
+TEST(DeltaDeriveTest, SpecMismatchForcesFullMine) {
   TransactionDb base = MakeQuestDb(606, 150);
   MiningOptions options;
   options.min_support = 0.05;
@@ -457,25 +405,17 @@ TEST(DeltaMinerTest, ChangedOptionsForceFullRemine) {
   Database db;
   auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kMemory);
   ASSERT_TRUE(sales_or.ok());
-  auto mined = SetmMiner(&db).MineTable(*sales_or.value(), options);
-  ASSERT_TRUE(mined.ok());
-  ItemsetStore store(&db, "fi");
-  ASSERT_TRUE(store
-                  .Save(mined.value().itemsets,
-                        MakeRunMeta(mined.value().itemsets, options,
-                                    MaxTransactionId(base), "sales"))
-                  .ok());
+  MiningPlanner planner(&db, StoreOptions(TableBacking::kMemory));
+  ASSERT_TRUE(Request(&planner, sales_or.value(), options).ok());
 
   // Asking a different question (lower threshold) cannot reuse the stored
-  // counts; the update must remine and still be exact.
+  // counts; the append must be answered by a full mine and still be exact.
   MiningOptions changed = options;
   changed.min_support = 0.02;
   TransactionDb batch = MakeBatch(607, 10, MaxTransactionId(base));
-  DeltaMiner miner(&db);
-  auto updated =
-      miner.AppendAndUpdate(&store, sales_or.value(), batch, changed);
+  auto updated = Request(&planner, sales_or.value(), changed, &batch);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  EXPECT_TRUE(updated.value().full_remine);
+  EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kFullMine);
 
   TransactionDb combined = base;
   combined.insert(combined.end(), batch.begin(), batch.end());
@@ -485,7 +425,7 @@ TEST(DeltaMinerTest, ChangedOptionsForceFullRemine) {
   EXPECT_TRUE(updated.value().result.itemsets == oracle.value().itemsets);
 }
 
-TEST(DeltaMinerTest, EmptyBatchIsANoOpUpdate) {
+TEST(DeltaDeriveTest, EmptyBatchIsANoOpUpdate) {
   TransactionDb base = MakeQuestDb(707, 120);
   MiningOptions options;
   options.min_support = 0.05;
@@ -493,21 +433,20 @@ TEST(DeltaMinerTest, EmptyBatchIsANoOpUpdate) {
   Database db;
   auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kMemory);
   ASSERT_TRUE(sales_or.ok());
-  auto mined = SetmMiner(&db).MineTable(*sales_or.value(), options);
+  MiningPlanner planner(&db, StoreOptions(TableBacking::kMemory));
+  auto mined = Request(&planner, sales_or.value(), options);
   ASSERT_TRUE(mined.ok());
-  ItemsetStore store(&db, "fi");
-  ASSERT_TRUE(store
-                  .Save(mined.value().itemsets,
-                        MakeRunMeta(mined.value().itemsets, options,
-                                    MaxTransactionId(base), "sales"))
-                  .ok());
-  DeltaMiner miner(&db);
-  auto updated =
-      miner.AppendAndUpdate(&store, sales_or.value(), TransactionDb{}, options);
+  const uint64_t rows = sales_or.value()->num_rows();
+
+  // Nothing to derive: the fresh store answers the question as it stands.
+  const TransactionDb empty;
+  auto updated = Request(&planner, sales_or.value(), options, &empty);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  EXPECT_FALSE(updated.value().full_remine);
+  EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kCacheFilter);
   EXPECT_EQ(updated.value().delta_transactions, 0u);
-  EXPECT_TRUE(updated.value().result.itemsets == mined.value().itemsets);
+  EXPECT_EQ(sales_or.value()->num_rows(), rows);
+  EXPECT_TRUE(updated.value().result.itemsets ==
+              mined.value().result.itemsets);
 }
 
 }  // namespace

@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "core/mining_planner.h"
 #include "core/setm.h"
 #include "datagen/quest_generator.h"
-#include "incremental/delta_miner.h"
 #include "incremental/itemset_store.h"
 #include "persist/catalog_codec.h"
 #include "persist/manifest.h"
@@ -612,7 +612,7 @@ TransactionDb MakeQuestDb(uint64_t seed, uint32_t num_transactions) {
   return QuestGenerator(gen).Generate();
 }
 
-TEST(PersistTest, ItemsetStoreSurvivesReopenAndFeedsDeltaMiner) {
+TEST(PersistTest, ItemsetStoreSurvivesReopenAndFeedsPlannerAppend) {
   TempDbFile file("persist_store.db");
   TransactionDb base = MakeQuestDb(814, 200);
   MiningOptions options;
@@ -638,7 +638,8 @@ TEST(PersistTest, ItemsetStoreSurvivesReopenAndFeedsDeltaMiner) {
                     .ok());
   }
 
-  // Process B: reopen, load the store (identical), run a delta batch.
+  // Process B: reopen, load the store (identical), append a delta batch
+  // through a planner over the reopened store.
   TransactionDb batch = MakeQuestDb(815, 20);
   for (Transaction& t : batch) t.id += MaxTransactionId(base);
   {
@@ -654,11 +655,18 @@ TEST(PersistTest, ItemsetStoreSurvivesReopenAndFeedsDeltaMiner) {
 
     auto sales = (*db)->catalog()->GetTable("sales");
     ASSERT_TRUE(sales.ok());
-    DeltaMiner miner(db->get());
-    auto updated =
-        miner.AppendAndUpdate(&store, sales.value(), batch, options);
+    PlannerOptions planner_options;
+    planner_options.store_prefix = "fi";
+    planner_options.store_backing = TableBacking::kHeap;
+    planner_options.setm.storage = TableBacking::kHeap;
+    MiningPlanner planner(db->get(), planner_options);
+    PlanRequest request;
+    request.table = sales.value();
+    request.append = &batch;
+    request.options = options;
+    auto updated = planner.Execute(request);
     ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-    EXPECT_FALSE(updated.value().full_remine);
+    EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
 
     // Identity: the cross-process incremental result equals a one-process
     // full remine of the combined database.

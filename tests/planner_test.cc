@@ -1,8 +1,9 @@
 // The plan/execute layer: MiningPlanner strategy selection across the
 // decision matrix (cold, dominated, stale-within-budget, stale-over-budget,
-// malformed batches), bit-identity of the answer regardless of the chosen
-// strategy, the PlanStats ledger, and the zero-iteration guarantee of
-// cache-filter plans — all over both TableBackings.
+// malformed batches, crash-interrupted appends), bit-identity of the answer
+// regardless of the chosen strategy, the PlanStats ledger, the
+// zero-iteration guarantee of cache-filter plans — all over both
+// TableBackings — and the page budget of a derived append.
 
 #include <gtest/gtest.h>
 
@@ -91,7 +92,7 @@ TEST_P(PlannerTest, ColdQueryFullMinesAndWritesBack) {
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   EXPECT_EQ(exec.value().plan.strategy, PlanStrategy::kFullMine);
   EXPECT_TRUE(exec.value().plan.save_after_mine);
-  EXPECT_TRUE(planner.cache()->Probe().ok());
+  EXPECT_TRUE(planner.store()->LoadMeta().ok());
   EXPECT_EQ(planner.stats().plans, 1u);
   EXPECT_EQ(planner.stats().full_mines, 1u);
   EXPECT_EQ(planner.stats().write_backs, 1u);
@@ -228,7 +229,7 @@ TEST_P(PlannerTest, InMemorySourceNeverCaches) {
   EXPECT_EQ(exec.value().plan.strategy, PlanStrategy::kFullMine);
   EXPECT_FALSE(exec.value().plan.save_after_mine);
   // Nothing keyed on a relation, nothing stored.
-  EXPECT_EQ(planner.cache()->Probe().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(planner.store()->LoadMeta().status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(exec.value().result.itemsets == Oracle(txns, request.options));
 }
 
@@ -251,7 +252,7 @@ TEST_P(PlannerTest, PlanInspectsWithoutMiningOrMutating) {
   EXPECT_FALSE(plan.value().reason.empty());
   EXPECT_FALSE(plan.value().Explain().empty());
   // Planned but not executed: no store was written, no strategy charged.
-  EXPECT_EQ(planner.cache()->Probe().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(planner.store()->LoadMeta().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(planner.stats().plans, 1u);
   EXPECT_EQ(planner.stats().full_mines, 0u);
   EXPECT_EQ(planner.stats().write_backs, 0u);
@@ -279,20 +280,30 @@ TEST_P(PlannerTest, BatchAtOrBelowWatermarkIsRejected) {
   request.options.min_support_count = 4;
   ASSERT_TRUE(planner.Execute(request).ok());
 
-  // Re-submitting already-applied ids must fail loudly, not double-count.
-  request.append = &base;
-  auto exec = planner.Execute(request);
-  ASSERT_FALSE(exec.ok());
-  EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(exec.status().message().find("at or below the stored watermark"),
-            std::string::npos)
-      << exec.status().ToString();
+  // Re-submitting already-applied ids must fail loudly, not double-count:
+  // the whole base, and a lone transaction exactly at the watermark.
+  TransactionDb at_watermark;
+  at_watermark.push_back({MaxTransactionId(base), {1, 2}});
+  for (const TransactionDb* batch : {&base, &at_watermark}) {
+    request.append = batch;
+    auto exec = planner.Execute(request);
+    ASSERT_FALSE(exec.ok());
+    EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(
+        exec.status().message().find("at or below the stored watermark"),
+        std::string::npos)
+        << exec.status().ToString();
+  }
 }
 
 TEST_P(PlannerTest, DuplicateBatchIdsAreRejected) {
   TransactionDb base = MakeQuestDb(21, 100);
-  TransactionDb delta = MakeBatch(22, 10, MaxTransactionId(base));
-  delta.push_back(delta.front());
+  // A repeated transaction, and one id carrying two different baskets.
+  TransactionDb repeated = MakeBatch(22, 10, MaxTransactionId(base));
+  repeated.push_back(repeated.front());
+  TransactionDb reused;
+  reused.push_back({MaxTransactionId(base) + 1, {1, 2}});
+  reused.push_back({MaxTransactionId(base) + 1, {2, 3}});
   Database db;
   Table* sales = MakeSales(&db, base);
   MiningPlanner planner(&db, Options());
@@ -302,13 +313,115 @@ TEST_P(PlannerTest, DuplicateBatchIdsAreRejected) {
   request.options.min_support_count = 4;
   ASSERT_TRUE(planner.Execute(request).ok());
 
-  request.append = &delta;
-  auto exec = planner.Execute(request);
-  ASSERT_FALSE(exec.ok());
-  EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(exec.status().message().find("duplicate delta transaction id"),
-            std::string::npos)
-      << exec.status().ToString();
+  for (const TransactionDb* batch : {&repeated, &reused}) {
+    request.append = batch;
+    auto exec = planner.Execute(request);
+    ASSERT_FALSE(exec.ok());
+    EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(exec.status().message().find("duplicate delta transaction id"),
+              std::string::npos)
+        << exec.status().ToString();
+  }
+}
+
+// --------------------------------------------------------------------------
+// Crash-interrupted appends: the batch's rows committed to SALES, but the
+// store was never refreshed. One rule holds under every strategy: the same
+// batch completes, any other batch is refused.
+// --------------------------------------------------------------------------
+
+/// Leaves `batch` in SALES as a crash after the append's commit would:
+/// rows inserted and committed, store untouched.
+void AppendWithoutRefresh(Database* db, Table* sales,
+                          const TransactionDb& batch) {
+  for (const Transaction& t : batch) {
+    for (ItemId item : t.items) {
+      ASSERT_TRUE(
+          sales->Insert(Tuple({Value::Int32(t.id), Value::Int32(item)})).ok());
+    }
+  }
+  ASSERT_TRUE(db->Commit().ok());
+}
+
+uint64_t RowCount(const TransactionDb& txns) {
+  uint64_t rows = 0;
+  for (const Transaction& t : txns) rows += t.items.size();
+  return rows;
+}
+
+TEST_P(PlannerTest, InterruptedAppendIsCompletedByRetryUnderEveryBudget) {
+  TransactionDb base = MakeQuestDb(26, 200);
+  TransactionDb batch = MakeBatch(27, 10, MaxTransactionId(base));
+  TransactionDb combined = base;
+  combined.insert(combined.end(), batch.begin(), batch.end());
+
+  for (double budget : {0.25, 0.0}) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    Database db;
+    Table* sales = MakeSales(&db, base);
+    PlannerOptions options = Options();
+    options.full_remine_fraction = budget;
+    MiningPlanner planner(&db, options);
+
+    PlanRequest request;
+    request.table = sales;
+    request.options.min_support_count = 5;
+    ASSERT_TRUE(planner.Execute(request).ok());
+    AppendWithoutRefresh(&db, sales, batch);
+
+    request.append = &batch;
+    auto exec = planner.Execute(request);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    EXPECT_EQ(exec.value().plan.strategy, budget > 0.0
+                                              ? PlanStrategy::kDeltaDerive
+                                              : PlanStrategy::kFullMine);
+    EXPECT_FALSE(exec.value().plan.orphans.empty());
+    EXPECT_TRUE(exec.value().result.itemsets ==
+                Oracle(combined, request.options));
+    // The orphans were skipped, not inserted twice.
+    EXPECT_EQ(sales->num_rows(), RowCount(combined));
+
+    // The store now covers the batch: the same question is a cache hit.
+    request.append = nullptr;
+    auto requery = planner.Execute(request);
+    ASSERT_TRUE(requery.ok()) << requery.status().ToString();
+    EXPECT_EQ(requery.value().plan.strategy, PlanStrategy::kCacheFilter);
+  }
+}
+
+TEST_P(PlannerTest, InterruptedAppendRefusesADifferentBatchUnderEveryBudget) {
+  TransactionDb base = MakeQuestDb(28, 200);
+  TransactionDb interrupted = MakeBatch(29, 10, MaxTransactionId(base));
+  TransactionDb other = MakeBatch(30, 10, MaxTransactionId(base) + 100);
+
+  for (double budget : {0.25, 0.0}) {
+    SCOPED_TRACE(testing::Message() << "budget " << budget);
+    Database db;
+    Table* sales = MakeSales(&db, base);
+    PlannerOptions options = Options();
+    options.full_remine_fraction = budget;
+    MiningPlanner planner(&db, options);
+
+    PlanRequest request;
+    request.table = sales;
+    request.options.min_support_count = 5;
+    ASSERT_TRUE(planner.Execute(request).ok());
+    AppendWithoutRefresh(&db, sales, interrupted);
+    const uint64_t rows = sales->num_rows();
+
+    // Refused before any strategy is chosen, so EXPLAIN reports it too.
+    request.append = &other;
+    auto plan = planner.Plan(request);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    auto exec = planner.Execute(request);
+    ASSERT_FALSE(exec.ok());
+    EXPECT_EQ(exec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(exec.status().message().find("crash-interrupted append"),
+              std::string::npos)
+        << exec.status().ToString();
+    EXPECT_EQ(sales->num_rows(), rows);
+  }
 }
 
 TEST_P(PlannerTest, RequestsNeedExactlyOneSource) {
@@ -339,6 +452,63 @@ INSTANTIATE_TEST_SUITE_P(Backings, PlannerTest,
                                          TableBacking::kHeap));
 
 // --------------------------------------------------------------------------
+// Page budget of the derive path.
+// --------------------------------------------------------------------------
+
+// On the derive path SALES is scanned only by the borderline recount, and
+// only when there are candidates. An append whose delta-frequent itemsets
+// are all stored therefore reads fewer pages than SALES holds, even when
+// SALES is much larger than the pool.
+TEST(PlannerPagesTest, ZeroBorderlineAppendReadsFewerPagesThanSales) {
+  QuestOptions gen;
+  gen.seed = 31;
+  gen.num_transactions = 3000;
+  gen.avg_transaction_size = 10;
+  gen.num_items = 400;
+  gen.num_patterns = 60;
+  const TransactionDb base = QuestGenerator(gen).Generate();
+
+  DatabaseOptions db_options;
+  db_options.pool_frames = 16;
+  Database db(db_options);
+  auto sales_or = LoadSalesTable(&db, "sales", base, TableBacking::kHeap);
+  ASSERT_TRUE(sales_or.ok()) << sales_or.status().ToString();
+  Table* sales = sales_or.value();
+  ASSERT_GT(sales->num_pages(), 4 * db_options.pool_frames);
+
+  PlannerOptions options;
+  options.store_prefix = "fi";
+  options.store_backing = TableBacking::kHeap;
+  MiningPlanner planner(&db, options);
+  PlanRequest request;
+  request.table = sales;
+  request.options.min_support = 0.02;
+  request.options.max_pattern_length = 2;  // keeps the mines cheap
+  auto mined = planner.Execute(request);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  ASSERT_FALSE(mined.value().result.itemsets.OfSize(1).empty());
+
+  // Twenty one-item baskets of a stored frequent item: the only
+  // delta-frequent itemset is already stored, so nothing is borderline.
+  const ItemId item = mined.value().result.itemsets.OfSize(1).front().items[0];
+  TransactionDb batch;
+  for (TransactionId i = 1; i <= 20; ++i) {
+    batch.push_back({MaxTransactionId(base) + i, {item}});
+  }
+  request.append = &batch;
+  auto exec = planner.Execute(request);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_EQ(exec.value().plan.strategy, PlanStrategy::kDeltaDerive);
+  EXPECT_EQ(exec.value().borderline_candidates, 0u);
+  EXPECT_LT(exec.value().result.io.page_reads, sales->num_pages());
+
+  TransactionDb combined = base;
+  combined.insert(combined.end(), batch.begin(), batch.end());
+  EXPECT_TRUE(exec.value().result.itemsets ==
+              Oracle(combined, request.options));
+}
+
+// --------------------------------------------------------------------------
 // Prefix-less planner: the pure dispatch path.
 // --------------------------------------------------------------------------
 
@@ -354,7 +524,7 @@ TEST(PlannerNoStoreTest, EmptyPrefixDisablesCaching) {
   auto exec = planner.Execute(request);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   EXPECT_EQ(exec.value().plan.strategy, PlanStrategy::kFullMine);
-  EXPECT_EQ(planner.cache(), nullptr);
+  EXPECT_EQ(planner.store(), nullptr);
   EXPECT_TRUE(exec.value().result.itemsets == Oracle(txns, request.options));
 }
 

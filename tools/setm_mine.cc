@@ -15,9 +15,10 @@
 //   cache-filter  a stored run dominates the query: filter the stored
 //                 level relations, zero mining iterations;
 //   delta-derive  the store is stale but the batch fits the --fallback
-//                 budget: incremental derivation via the DeltaMiner;
-//   full-mine     registry dispatch of --algo, optionally writing the
-//                 result back into the store.
+//                 budget: FUP-style incremental derivation from the stored
+//                 run, then the batch is appended and the store refreshed;
+//   full-mine     registry dispatch of --algo, writing the result back
+//                 into the store in store mode.
 //
 // Algorithms are dispatched uniformly through the MinerRegistry: `--algo
 // list` enumerates every registered algorithm (one "name<TAB>description"
@@ -362,7 +363,7 @@ Result<MiningResult> RunStoreAppend(const Args& args, Database* db,
   Table* sales = nullptr;
   const bool have_sales = db->catalog()->HasTable("sales");
   if (have_sales) {
-    auto probe = planner.cache()->Probe();
+    auto probe = planner.store()->LoadMeta();
     if (!probe.ok() && probe.status().code() != StatusCode::kNotFound) {
       return probe.status();
     }
@@ -382,8 +383,8 @@ Result<MiningResult> RunStoreAppend(const Args& args, Database* db,
     sales = sales_or.value();
     if (probe.ok()) {
       // Pattern count for the narration: one cheap load of the stored
-      // levels (the planner re-reads what it needs through the cache).
-      auto stored_or = planner.cache()->LoadAll();
+      // levels (the planner re-reads what it needs from the store).
+      auto stored_or = planner.store()->Load();
       if (!stored_or.ok()) return stored_or.status();
       std::fprintf(stderr,
                    "reopened database: %llu rows in sales, %zu stored "
@@ -425,7 +426,7 @@ Result<MiningResult> RunStoreAppend(const Args& args, Database* db,
   MaybeExplain(args, base.plan);
   if (!have_sales) {
     // First materialization: narrate the store DDL like CREATE TABLE would.
-    ItemsetStore* store = planner.cache()->store();
+    ItemsetStore* store = planner.store();
     if (base.result.itemsets.MaxSize() == 0) {
       std::fprintf(stderr, "stored empty result as relation %s\n",
                    store->MetaTableName().c_str());
@@ -460,13 +461,12 @@ Result<MiningResult> RunStoreAppend(const Args& args, Database* db,
   PlanExecution appended = std::move(appended_or).value();
   MaybeExplain(args, appended.plan);
   if (args.incremental) {
-    const bool full_remine =
-        appended.plan.strategy != PlanStrategy::kDeltaDerive ||
-        appended.delta_full_remine;
     std::fprintf(
         stderr, "incremental update: %s, %llu delta transactions, "
                 "%llu borderline re-counts\n",
-        full_remine ? "full-remine fallback" : "delta path",
+        appended.plan.strategy == PlanStrategy::kDeltaDerive
+            ? "delta path"
+            : "full-remine fallback",
         static_cast<unsigned long long>(appended.delta_transactions),
         static_cast<unsigned long long>(appended.borderline_candidates));
   }
