@@ -1,9 +1,10 @@
 // A2 — ablation: buffer-pool size vs real page traffic for SETM in heap
 // mode on the calibrated retail data.
 //
-// Expected shape: page reads fall as the pool grows (more of R_1/R'_k stays
-// cached across the per-iteration passes) and flatten once the working set
-// fits; writes are dominated by materialization and barely move.
+// Expected shape: page reads fall as the pool grows (more of R_1/R_{k-1}
+// stays cached across the two join passes of each iteration, since R'_k is
+// streamed, never stored) and flatten once the working set fits; writes
+// are dominated by materialization and barely move.
 
 #include <cstdio>
 

@@ -25,11 +25,16 @@ namespace setm {
 /// Per iteration k:
 ///   1. R'_k := merge-scan join of R_{k-1} (sorted on trans_id, items) with
 ///      R_1 (sorted on trans_id, item) on trans_id, keeping extensions with
-///      q.item > p.item_{k-1} — lexicographic candidate patterns;
-///   2. sort R'_k on (item_1 .. item_k) and stream-count groups, keeping
-///      those with count >= minsupport: the count relation C_k;
-///   3. R_k := R'_k filtered to patterns present in C_k ("simple table
-///      look-ups on relation C_k"), sorted back on (trans_id, items).
+///      q.item > p.item_{k-1} — lexicographic candidate patterns. R'_k is
+///      a stream in (trans_id, items) order, never a stored relation;
+///   2. the count pass: the join's rows are sorted on (item_1 .. item_k)
+///      and the groups stream-counted, keeping those with count >=
+///      minsupport: the count relation C_k;
+///   3. the filter pass: the join runs again and R_k := its rows whose
+///      pattern is in C_k ("simple table look-ups on relation C_k"),
+///      written in join order, which already is (trans_id, items) order.
+///      Figure 4 instead stores R'_k and sorts R_k back on trans_id, since
+///      its count sort reorders R'_k in place.
 /// The loop ends when R_k (equivalently C_k) is empty.
 ///
 ///     Database db;

@@ -67,6 +67,10 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// (i+1) x 4 bytes. The paper's worked example stops after R'_2 (R_3
 /// empty): 3 x ||R1|| + 4 x ||R'_2|| = 120,000 accesses ~ 10 minutes,
 /// all sequential.
+/// This models the paper's plan, which stores R'_k and sorts R_k back on
+/// trans_id. The engine streams R'_k out of the join twice instead (count
+/// and filter pass): no R'_k write, no R_k sort, one extra read of R_{k-1}
+/// and R_1 per iteration. Its measured pages do not map term for term.
 struct SortMergeAnalysis {
   uint64_t r1_pages = 0;
   std::vector<uint64_t> r_prime_pages;  ///< ||R'_2||, ||R'_3||, ...

@@ -81,16 +81,30 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
   WallTimer timer;
   ShardLocalCounts out;
-  // kHash aggregates while R'_k is produced; kSortMerge counts the
-  // materialized relation afterwards, one row per group.
+  // The count pass: every R'_k row goes straight into the count, the
+  // item-keyed sort under kSortMerge or the hash map under kHash.
   std::optional<ItemsetCounts> hashed;
-  if (run_.count_method == CountMethod::kHash) hashed.emplace(k);
-  const IntRelation* counted = nullptr;
+  std::optional<IntRowSort> sorted;
+  if (run_.count_method == CountMethod::kHash) {
+    hashed.emplace(k);
+  } else {
+    sorted.emplace(LocalContext(db_), k + 1, /*key_begin=*/1,
+                   /*key_end=*/k + 1);
+  }
+  const auto count = [&](const int32_t* row) -> Status {
+    ++out.r_prime_rows;
+    if (hashed) {
+      hashed->Add(row + 1, 1);
+      return Status::OK();
+    }
+    return sorted->Add(row);
+  };
 
   if (k == 1) {
     auto r1_or = IntRelation::Create(db_, run_.storage, 2);
     if (!r1_or.ok()) return r1_or.status();
     r1_ = std::move(r1_or).value();
+    r_prev_.reset();
     // R_1 := the slice, already in (trans_id, item) order.
     const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
     IntRowBatch batch(r1_.get());
@@ -99,16 +113,14 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
       const int32_t row[2] = {slice[i].tid, slice[i].item};
       if (i == 0 || row[0] != slice[i - 1].tid) ++transactions;
       SETM_RETURN_IF_ERROR(batch.Add(row));
-      if (hashed) hashed->Add(&row[1], 1);
+      SETM_RETURN_IF_ERROR(count(row));
     }
     SETM_RETURN_IF_ERROR(batch.Flush());
     run_rows_.clear();
     run_rows_.shrink_to_fit();
     out.transactions = transactions;
-    out.r_prime_rows = r1_->num_rows();
     out.r_bytes = r1_->size_bytes();
     out.r_pages = r1_->num_pages();
-    counted = r1_.get();
   } else {
     const IntRelation* left = r_prev_ != nullptr ? r_prev_.get() : r1_.get();
     if (left == nullptr) {
@@ -119,21 +131,16 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
           "CountIteration(" + std::to_string(k) + ") after iteration " +
           std::to_string(left->width() - 1) + " on shard " + name_);
     }
-    auto rkp_or = IntRelation::Create(db_, run_.storage, k + 1);
-    if (!rkp_or.ok()) return rkp_or.status();
-    rk_prime_ = std::move(rkp_or).value();
-    SETM_RETURN_IF_ERROR(JoinRkPrime(*left, *r1_, rk_prime_.get(),
-                                     hashed ? &*hashed : nullptr));
-    out.r_prime_rows = rk_prime_->num_rows();
-    counted = rk_prime_.get();
+    SETM_RETURN_IF_ERROR(JoinRkPrime(*left, *r1_, count));
   }
 
   if (hashed) {
     hashed->AppendAtLeast(count_floor_, &out.counts);
   } else {
-    SETM_RETURN_IF_ERROR(CountSorted(LocalContext(db_), *counted,
-                                     count_floor_, &out.counts));
+    SETM_RETURN_IF_ERROR(
+        CountSorted(&*sorted, k + 1, count_floor_, &out.counts));
   }
+  counted_k_ = k;
   out.seconds = timer.ElapsedSeconds();
   return out;
 }
@@ -144,14 +151,10 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
     return Status::Internal("ApplyGlobalCk before BeginRun on shard " + name_);
   }
   if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
-  const IntRelation* in = k == 1 ? r1_.get() : rk_prime_.get();
-  if (in == nullptr) {
-    return Status::Internal("ApplyGlobalCk(k) before CountIteration(k)");
-  }
-  if (in->width() != k + 1) {
+  if (k != counted_k_) {
     return Status::InvalidArgument(
-        "ApplyGlobalCk(" + std::to_string(k) + ") after CountIteration(" +
-        std::to_string(in->width() - 1) + ") on shard " + name_);
+        "ApplyGlobalCk(" + std::to_string(k) + ") without CountIteration(" +
+        std::to_string(k) + ") on shard " + name_);
   }
   ItemsetCounts keys(k);
   for (const std::vector<ItemId>& items : ck) {
@@ -166,9 +169,11 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   if (!rk_or.ok()) return rk_or.status();
   std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
   // An empty global C_k still creates (and reports) an empty R_k, as
-  // Figure 4's loop does.
+  // Figure 4's loop does. Otherwise the filter pass re-runs the count
+  // pass's join (R_1 itself for k == 1).
   if (keys.size() != 0) {
-    SETM_RETURN_IF_ERROR(FilterByCk(LocalContext(db_), *in, keys, rk.get()));
+    const IntRelation& left = r_prev_ != nullptr ? *r_prev_ : *r1_;
+    SETM_RETURN_IF_ERROR(FilterByCk(left, *r1_, keys, rk.get()));
   }
   ShardFilterStats stats;
   stats.r_rows = rk->num_rows();
@@ -179,15 +184,15 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
     r1_ = std::move(rk);
   } else {
     r_prev_ = std::move(rk);
-    rk_prime_.reset();
   }
+  counted_k_ = 0;
   return stats;
 }
 
 Status LocalShardBackend::EndRun() {
   r1_.reset();
   r_prev_.reset();
-  rk_prime_.reset();
+  counted_k_ = 0;
   run_rows_.clear();
   run_rows_.shrink_to_fit();
   running_ = false;

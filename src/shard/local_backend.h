@@ -27,11 +27,19 @@ struct ShardRow {
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 
 /// The in-process shard and the only place Algorithm SETM iterates: runs
-/// the pipeline bodies of core/setm_pipeline (JoinRkPrime / CountSorted /
-/// FilterByCk) over one SALES slice and reports its local counts. Every SetmMiner mine — serial (one backend) or threaded
-/// (one per thread) — runs here under DistributedMine, and so does the
-/// server-side implementation of LCOUNT/MERGE, so local, threaded, serial
-/// and remote mines cannot drift apart.
+/// the pipeline bodies of core/setm_pipeline over one SALES slice and
+/// reports its local counts. Every SetmMiner mine — serial (one backend)
+/// or threaded (one per thread) — runs here under DistributedMine, and so
+/// does the server-side implementation of LCOUNT/MERGE, so local, threaded,
+/// serial and remote mines cannot drift apart.
+///
+/// Each iteration k >= 2 runs the merge-scan join of R_{k-1} with R_1
+/// twice, so R'_k is never stored. CountIteration(k), the count pass, feeds
+/// JoinRkPrime's rows straight into the count (the sort CountSorted
+/// finishes, or an ItemsetCounts under kHash). ApplyGlobalCk(k), the filter
+/// pass, is FilterByCk: the join again, the C_k probe, and R_k appended in
+/// join order, already its (trans_id, items) order. ApplyGlobalCk(k) is
+/// accepted once per CountIteration(k); anything else is InvalidArgument.
 ///
 /// Local counts use min_count = 1 unless the coordinator sets a count floor
 /// (SetCountFloor): a sole shard's counts are global, so it counts with
@@ -44,10 +52,10 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     so a long-lived backend sees rows appended between runs (the server
 ///     and file-shard members use this).
 ///
-/// R_1, R'_k and R_k are fixed-width int32 relations (IntRelation) that
-/// never enter the catalog: flat arrays under kMemory, heap chains of
-/// unlogged pages under kHeap. Local kHash counts, the C_k probe and (in
-/// the coordinator) the merge of partial counts use packed itemset keys
+/// R_1 and R_k are fixed-width int32 relations (IntRelation) that never
+/// enter the catalog: flat arrays under kMemory, heap chains of unlogged
+/// pages under kHeap. Local kHash counts, the C_k probe and (in the
+/// coordinator) the merge of partial counts use packed itemset keys
 /// (ItemsetCounts), so no row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {
  public:
@@ -82,9 +90,9 @@ class LocalShardBackend : public ShardBackend {
   ShardRunOptions run_;
   int64_t count_floor_ = 1;         ///< local counts below it are dropped
 
-  std::unique_ptr<IntRelation> r1_;        ///< R_1 slice (filtered when asked)
-  std::unique_ptr<IntRelation> r_prev_;    ///< R_{k-1}; null means use r1
-  std::unique_ptr<IntRelation> rk_prime_;  ///< R'_k awaiting the global filter
+  std::unique_ptr<IntRelation> r1_;      ///< R_1 slice (filtered when asked)
+  std::unique_ptr<IntRelation> r_prev_;  ///< R_{k-1}; null means use r1
+  size_t counted_k_ = 0;  ///< k counted and awaiting ApplyGlobalCk; 0: none
 };
 
 }  // namespace setm::shard

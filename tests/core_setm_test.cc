@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
 
 #include "baselines/brute_force.h"
+#include "common/random.h"
 #include "core/paper_example.h"
 #include "core/rules.h"
 #include "core/setm.h"
+#include "core/setm_pipeline.h"
 #include "datagen/quest_generator.h"
+#include "obs/metrics.h"
 
 namespace setm {
 namespace {
@@ -430,6 +435,161 @@ TEST_P(SetmPoolFetchTest, FetchesStayWithinTwicePageTraffic) {
 INSTANTIATE_TEST_SUITE_P(Methods, SetmPoolFetchTest,
                          testing::Values(CountMethod::kSortMerge,
                                          CountMethod::kHash));
+
+// R'_k is a stream, never a relation, and R_k is written in join order:
+// the only sort in a mine is the kSortMerge count, which sorts each R'_k
+// row once, and a kHash mine sorts nothing. A small sort budget makes
+// every sort spill, so a stored R'_k or a re-sorted R_k would also show as
+// page traffic in a kMemory kHash mine, which must move no page at all.
+class SetmStreamedRkPrimeTest
+    : public testing::TestWithParam<
+          std::tuple<TableBacking, CountMethod, size_t>> {};
+
+TEST_P(SetmStreamedRkPrimeTest, SortsEachCandidateRowOnceForTheCountOnly) {
+  const auto [storage, method, threads] = GetParam();
+  QuestOptions gen;
+  gen.seed = 21;
+  gen.num_transactions = 1500;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 40;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+
+  FrequentItemsets expected;
+  {
+    Database db;
+    auto reference = SetmMiner(&db).Mine(txns, options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    expected = std::move(reference).value().itemsets;
+  }
+
+  DatabaseOptions db_options;
+  db_options.sort_memory_bytes = 16 << 10;
+  Database db(db_options);
+  SetmOptions knobs{storage};
+  knobs.count_method = method;
+  knobs.num_threads = threads;
+  obs::Counter* sort_rows =
+      obs::MetricsRegistry::Global()->GetCounter("setm_sort_rows_total");
+  const uint64_t sorted_before = sort_rows->Value();
+  auto result = SetmMiner(&db, knobs).Mine(txns, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const uint64_t sorted = sort_rows->Value() - sorted_before;
+  EXPECT_TRUE(result.value().itemsets == expected);
+
+  const auto& iterations = result.value().iterations;
+  ASSERT_GE(iterations.size(), 3u);
+  uint64_t r_prime_rows = 0;
+  for (const IterationStats& it : iterations) r_prime_rows += it.r_prime_rows;
+  if (method == CountMethod::kSortMerge) {
+    EXPECT_EQ(sorted, r_prime_rows);
+  } else {
+    EXPECT_EQ(sorted, 0u);
+  }
+  if (storage == TableBacking::kMemory && method == CountMethod::kHash) {
+    EXPECT_EQ(result.value().io.page_reads, 0u);
+    EXPECT_EQ(result.value().io.page_writes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SetmStreamedRkPrimeTest,
+    testing::Combine(testing::Values(TableBacking::kMemory,
+                                     TableBacking::kHeap),
+                     testing::Values(CountMethod::kSortMerge,
+                                     CountMethod::kHash),
+                     testing::Values(size_t{1}, size_t{3})));
+
+// The streamed join is what lets R_k skip its sort: over random R_{k-1}
+// and R_1 it must emit exactly the nested-loop join's rows, strictly
+// ascending on (trans_id, item_1..item_k). The inputs cover single-item
+// transactions, trans_ids on one side only, and an R_1 whose dropped items
+// (the filter_r1 ablation) still appear in R_{k-1}.
+TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
+  using Row = std::vector<int32_t>;
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t k = 2 + rng.Uniform(3);  // R_{k-1} has k-1 items
+    const TableBacking backing =
+        trial % 2 == 0 ? TableBacking::kMemory : TableBacking::kHeap;
+    std::vector<bool> dropped(12);
+    if (trial % 3 == 0) {
+      for (size_t i = 0; i < dropped.size(); ++i) {
+        dropped[i] = rng.Bernoulli(0.3);
+      }
+    }
+    std::vector<Row> left_rows;
+    std::vector<Row> r1_rows;
+    for (int32_t tid = 0; tid < 30; ++tid) {
+      if (rng.Bernoulli(0.2)) continue;  // absent from both sides
+      std::vector<int32_t> items;
+      const size_t size = 1 + rng.Uniform(6);
+      while (items.size() < size) {
+        const int32_t item = static_cast<int32_t>(rng.Uniform(12));
+        if (std::find(items.begin(), items.end(), item) == items.end()) {
+          items.push_back(item);
+        }
+      }
+      std::sort(items.begin(), items.end());
+      const bool in_r1 = !rng.Bernoulli(0.15);
+      const bool in_left = !rng.Bernoulli(0.15);
+      if (in_r1) {
+        for (int32_t item : items) {
+          if (!dropped[item]) r1_rows.push_back({tid, item});
+        }
+      }
+      if (!in_left) continue;
+      // Some (k-1)-subsets of the transaction, in lexicographic order.
+      std::vector<bool> pick(items.size());
+      if (k - 1 > items.size()) continue;
+      std::fill(pick.begin(), pick.begin() + (k - 1), true);
+      do {
+        if (!rng.Bernoulli(0.7)) continue;
+        Row row{tid};
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (pick[i]) row.push_back(items[i]);
+        }
+        left_rows.push_back(row);
+      } while (std::prev_permutation(pick.begin(), pick.end()));
+    }
+    std::sort(left_rows.begin(), left_rows.end());
+
+    Database db;
+    auto left = IntRelation::Create(&db, backing, k);
+    auto r1 = IntRelation::Create(&db, backing, 2);
+    ASSERT_TRUE(left.ok() && r1.ok());
+    for (const Row& row : left_rows) {
+      ASSERT_TRUE(left.value()->Append(row.data(), 1).ok());
+    }
+    for (const Row& row : r1_rows) {
+      ASSERT_TRUE(r1.value()->Append(row.data(), 1).ok());
+    }
+
+    std::vector<Row> streamed;
+    ASSERT_TRUE(JoinRkPrime(*left.value(), *r1.value(),
+                            [&](const int32_t* row) {
+                              streamed.emplace_back(row, row + k + 1);
+                              return Status::OK();
+                            })
+                    .ok());
+    for (size_t i = 1; i < streamed.size(); ++i) {
+      ASSERT_LT(streamed[i - 1], streamed[i]) << "trial " << trial;
+    }
+
+    std::vector<Row> nested;
+    for (const Row& p : left_rows) {
+      for (const Row& q : r1_rows) {
+        if (q[0] != p[0] || q[1] <= p[k - 1]) continue;
+        Row row = p;
+        row.push_back(q[1]);
+        nested.push_back(row);
+      }
+    }
+    std::sort(nested.begin(), nested.end());
+    EXPECT_EQ(streamed, nested) << "trial " << trial << ", k = " << k;
+  }
+}
 
 // Support anti-monotonicity: every (k-1)-subset of a frequent k-pattern is
 // frequent with at least the same count.

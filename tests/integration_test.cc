@@ -41,7 +41,7 @@ TEST(IntegrationTest, FileBackedDatabaseMinesCorrectly) {
   {
     DatabaseOptions db_options;
     db_options.file_path = path;
-    db_options.pool_frames = 64;
+    db_options.pool_frames = 16;  // smaller than the relations: they spill
     auto db = Database::Open(db_options);
     ASSERT_TRUE(db.ok());
     SetmMiner miner(db->get(), SetmOptions{TableBacking::kHeap});

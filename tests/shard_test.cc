@@ -288,7 +288,8 @@ TEST(LocalShardBackendTest, OutOfOrderIterationsAreRejected) {
   EXPECT_TRUE(backend.ApplyGlobalCk(0, {}).status().IsInvalidArgument());
   ASSERT_TRUE(backend.CountIteration(1).ok());
   EXPECT_TRUE(backend.CountIteration(3).status().IsInvalidArgument());
-  EXPECT_FALSE(backend.ApplyGlobalCk(2, {{1, 2}}).ok());  // no R'_2 yet
+  // No count of iteration 2 yet.
+  EXPECT_TRUE(backend.ApplyGlobalCk(2, {{1, 2}}).status().IsInvalidArgument());
   ASSERT_TRUE(backend.CountIteration(2).ok());
   EXPECT_TRUE(
       backend.ApplyGlobalCk(3, {{1, 2, 3}}).status().IsInvalidArgument());
@@ -297,6 +298,8 @@ TEST(LocalShardBackendTest, OutOfOrderIterationsAreRejected) {
   // The run is still usable in order.
   auto stats = backend.ApplyGlobalCk(2, {{1, 2}});
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // One apply per count: a repeated MERGE K 2 is a client error.
+  EXPECT_TRUE(backend.ApplyGlobalCk(2, {{1, 2}}).status().IsInvalidArgument());
   EXPECT_TRUE(backend.CountIteration(3).ok());
 }
 
