@@ -108,24 +108,6 @@ void BM_BPlusTreeProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeProbe)->Arg(100000)->Arg(1000000);
 
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(11);
-  for (auto _ : state) {
-    state.PauseTiming();
-    IoStats stats;
-    MemoryBackend backend(&stats);
-    BufferPool pool(&backend, 4096);
-    auto tree = BPlusTree::Create(&pool);
-    state.ResumeTiming();
-    for (int64_t i = 0; i < n; ++i) {
-      (void)tree->Insert(rng.Next(), i);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BPlusTreeInsert)->Arg(100000)->Unit(benchmark::kMillisecond);
-
 void BM_HashTreeCount(benchmark::State& state) {
   const int64_t candidates = state.range(0);
   Rng rng(13);

@@ -1,11 +1,14 @@
 #include "datagen/transaction_io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cctype>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace setm {
@@ -17,6 +20,17 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+/// Parses one base-10 integer at `*p` and advances `*p` past it. Values
+/// beyond int64 saturate (strtoll), so they fail every int32 range check.
+bool ParseInt(const char** p, int64_t* out) {
+  char* end = nullptr;
+  const long long v = std::strtoll(*p, &end, 10);
+  if (end == *p) return false;
+  *p = end;
+  *out = v;
+  return true;
+}
 }  // namespace
 
 Status SaveTransactionsCsv(const std::string& path, const TransactionDb& db) {
@@ -49,10 +63,18 @@ Result<TransactionDb> LoadTransactionsCsv(const std::string& path) {
       continue;
     }
     if (line[0] == '\n' || line[0] == '\0') continue;
-    long tid, item;
-    if (std::sscanf(line, "%ld,%ld", &tid, &item) != 2) {
-      return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
-                                     ": expected 'trans_id,item'");
+    const std::string where = path + ":" + std::to_string(lineno);
+    const char* p = line;
+    int64_t tid = 0, item = 0;
+    if (!ParseInt(&p, &tid) || *p++ != ',' || !ParseInt(&p, &item)) {
+      return Status::InvalidArgument(where + ": expected 'trans_id,item'");
+    }
+    if (tid < INT32_MIN || tid > INT32_MAX) {
+      return Status::InvalidArgument(where + ": trans_id outside int32");
+    }
+    if (item < 0 || item > INT32_MAX) {
+      return Status::InvalidArgument(where +
+                                     ": item outside [0, 2147483647]");
     }
     grouped[static_cast<TransactionId>(tid)].push_back(
         static_cast<ItemId>(item));
@@ -63,57 +85,6 @@ Result<TransactionDb> LoadTransactionsCsv(const std::string& path) {
     std::sort(items.begin(), items.end());
     items.erase(std::unique(items.begin(), items.end()), items.end());
     db.push_back(Transaction{tid, std::move(items)});
-  }
-  return db;
-}
-
-Status SaveTransactionsBinary(const std::string& path,
-                              const TransactionDb& db) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IOError("cannot open " + path + " for writing");
-  const uint32_t n = static_cast<uint32_t>(db.size());
-  if (std::fwrite(&n, sizeof(n), 1, f.get()) != 1) {
-    return Status::IOError("write failed on " + path);
-  }
-  for (const Transaction& t : db) {
-    const int32_t id = t.id;
-    const uint32_t len = static_cast<uint32_t>(t.items.size());
-    if (std::fwrite(&id, sizeof(id), 1, f.get()) != 1 ||
-        std::fwrite(&len, sizeof(len), 1, f.get()) != 1) {
-      return Status::IOError("write failed on " + path);
-    }
-    if (len > 0 &&
-        std::fwrite(t.items.data(), sizeof(ItemId), len, f.get()) != len) {
-      return Status::IOError("write failed on " + path);
-    }
-  }
-  return Status::OK();
-}
-
-Result<TransactionDb> LoadTransactionsBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path + " for reading");
-  uint32_t n;
-  if (std::fread(&n, sizeof(n), 1, f.get()) != 1) {
-    return Status::Corruption(path + ": truncated header");
-  }
-  TransactionDb db;
-  db.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t id;
-    uint32_t len;
-    if (std::fread(&id, sizeof(id), 1, f.get()) != 1 ||
-        std::fread(&len, sizeof(len), 1, f.get()) != 1) {
-      return Status::Corruption(path + ": truncated transaction header");
-    }
-    Transaction t;
-    t.id = id;
-    t.items.resize(len);
-    if (len > 0 &&
-        std::fread(t.items.data(), sizeof(ItemId), len, f.get()) != len) {
-      return Status::Corruption(path + ": truncated item list");
-    }
-    db.push_back(std::move(t));
   }
   return db;
 }

@@ -14,14 +14,9 @@ Status SaveTransactionsCsv(const std::string& path, const TransactionDb& db);
 
 /// Reads a CSV produced by SaveTransactionsCsv (or any two-column integer
 /// CSV, header optional). Rows may arrive in any order; items are grouped
-/// by trans_id, sorted and deduplicated.
+/// by trans_id, sorted and deduplicated. A trans_id outside int32 or an
+/// item outside [0, INT32_MAX] is InvalidArgument naming `path:line`.
 Result<TransactionDb> LoadTransactionsCsv(const std::string& path);
-
-/// Compact binary form: u32 transaction count, then per transaction
-/// (i32 id, u32 n, i32 items[n]). Little-endian, for fast bench reloads.
-Status SaveTransactionsBinary(const std::string& path,
-                              const TransactionDb& db);
-Result<TransactionDb> LoadTransactionsBinary(const std::string& path);
 
 }  // namespace setm
 

@@ -8,26 +8,18 @@
 
 namespace setm {
 
-class WorkerPool;
-
 /// Resources physical operators draw on: the temp-space buffer pool for
-/// sort runs, the memory budget at which the external sort spills, and an
-/// optional worker pool for parallel run generation.
+/// sort runs and the memory budget at which the external sort spills.
+/// Operators run on the calling thread; none of them uses a worker pool.
 struct ExecContext {
   BufferPool* temp_pool = nullptr;
   size_t sort_memory_bytes = 1 << 20;
-  /// When non-null, operators may offload CPU-heavy work (sorting and
-  /// writing spill runs) to these workers. Leave null inside tasks that
-  /// already run *on* the pool — a task blocking on sub-tasks of the same
-  /// pool can starve the queue.
-  WorkerPool* workers = nullptr;
 
   /// Context bound to a database's temp pool and configured sort budget.
   static ExecContext From(Database* db) {
     ExecContext ctx;
     ctx.temp_pool = db->temp_pool();
     ctx.sort_memory_bytes = db->options().sort_memory_bytes;
-    ctx.workers = db->worker_pool();
     return ctx;
   }
 };

@@ -1,13 +1,12 @@
 #include "exec/external_sort.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 
 #include "common/logging.h"
-#include "exec/worker_pool.h"
 #include "obs/metrics.h"
 #include "storage/table_heap.h"
 
@@ -269,9 +268,7 @@ class RunMerge {
 };
 
 /// Merges one group of runs into a single fresh run in temp storage — the
-/// body of one cascaded-merge step. Self-contained (pool and row kind are
-/// read-only here) so independent groups of a pass can run concurrently on
-/// the worker pool.
+/// body of one cascaded-merge step.
 template <typename Rows>
 Result<TableHeap> MergeRunGroup(BufferPool* temp_pool, const Rows& rows,
                                 std::vector<TableHeap> group) {
@@ -297,8 +294,7 @@ class RunSort {
  public:
   using Buffer = typename Rows::Buffer;
 
-  RunSort(ExecContext ctx, Rows rows)
-      : ctx_(ctx), rows_(std::move(rows)), spill_group_(ctx.workers) {}
+  RunSort(ExecContext ctx, Rows rows) : ctx_(ctx), rows_(std::move(rows)) {}
 
   Status Add(typename Rows::Input row) {
     if (finished_) {
@@ -321,36 +317,16 @@ class RunSort {
   const SortStats& stats() const { return stats_; }
 
  private:
-  /// A spill slot filled by a worker task; slots keep submission order so
-  /// the merge's run-index tie-break stays stable.
-  struct PendingRun {
-    std::unique_ptr<TableHeap> heap;
-  };
-
+  /// Sorts the buffer and writes it as the next run.
   Status SpillRun();
-  /// Waits for outstanding spill tasks and moves their heaps into runs_.
-  Status CollectPendingRuns();
-  Status WriteRun(Buffer* buffer, std::unique_ptr<TableHeap>* out) const {
-    rows_.Sort(buffer);
-    auto heap_or = TableHeap::Create(ctx_.temp_pool);
-    if (!heap_or.ok()) return heap_or.status();
-    auto heap = std::make_unique<TableHeap>(std::move(heap_or).value());
-    SETM_RETURN_IF_ERROR(rows_.Spill(*buffer, heap.get()));
-    *out = std::move(heap);
-    return Status::OK();
-  }
 
   ExecContext ctx_;
   Rows rows_;
   Buffer buffer_;
   size_t buffer_bytes_ = 0;
   std::vector<TableHeap> runs_;
-  std::vector<std::unique_ptr<PendingRun>> pending_;
   SortStats stats_;
   bool finished_ = false;
-  /// Declared last: its destructor waits for in-flight spill tasks, which
-  /// read the members above.
-  TaskGroup spill_group_;
 };
 
 template <typename Rows>
@@ -358,39 +334,13 @@ Status RunSort<Rows>::SpillRun() {
   if (buffer_.empty()) return Status::OK();
   ++stats_.runs;
   ++stats_.spilled_runs;
-
-  if (ctx_.workers != nullptr) {
-    // Hand the full buffer to the pool; the slot keeps submission order so
-    // the merge's stability tie-break (run index) is unaffected.
-    pending_.push_back(std::make_unique<PendingRun>());
-    PendingRun* slot = pending_.back().get();
-    auto rows = std::make_shared<Buffer>(std::move(buffer_));
-    spill_group_.Submit(
-        [this, slot, rows] { return WriteRun(rows.get(), &slot->heap); });
-    buffer_ = {};
-    buffer_bytes_ = 0;
-    return Status::OK();
-  }
-
-  std::unique_ptr<TableHeap> heap;
-  SETM_RETURN_IF_ERROR(WriteRun(&buffer_, &heap));
-  runs_.push_back(std::move(*heap));
+  rows_.Sort(&buffer_);
+  auto heap_or = TableHeap::Create(ctx_.temp_pool);
+  if (!heap_or.ok()) return heap_or.status();
+  runs_.push_back(std::move(heap_or).value());
+  SETM_RETURN_IF_ERROR(rows_.Spill(buffer_, &runs_.back()));
   buffer_.clear();
   buffer_bytes_ = 0;
-  return Status::OK();
-}
-
-template <typename Rows>
-Status RunSort<Rows>::CollectPendingRuns() {
-  if (pending_.empty()) return Status::OK();
-  SETM_RETURN_IF_ERROR(spill_group_.Wait());
-  for (std::unique_ptr<PendingRun>& slot : pending_) {
-    if (slot->heap == nullptr) {
-      return Status::Internal("spill task finished without producing a run");
-    }
-    runs_.push_back(std::move(*slot->heap));
-  }
-  pending_.clear();
   return Status::OK();
 }
 
@@ -401,7 +351,7 @@ Status RunSort<Rows>::Finish(Buffer* memory, std::vector<TableHeap>* runs) {
   }
   finished_ = true;
 
-  if (runs_.empty() && pending_.empty()) {
+  if (runs_.empty()) {
     // Fully in-memory (possibly zero rows — an empty stream, not an error).
     rows_.Sort(&buffer_);
     if (!buffer_.empty()) stats_.runs = 1;
@@ -411,66 +361,28 @@ Status RunSort<Rows>::Finish(Buffer* memory, std::vector<TableHeap>* runs) {
   }
 
   SETM_RETURN_IF_ERROR(SpillRun());
-  SETM_RETURN_IF_ERROR(CollectPendingRuns());
 
-  // Cascade merge passes while the run count exceeds the fan-in. The
-  // groups of one pass read disjoint runs and write independent outputs,
-  // so with a worker pool they merge concurrently; slots keep group order,
-  // preserving the run-index stability tie-break across passes. Each
-  // in-flight group transiently pins up to two temp-pool frames (a reader
-  // page, or the two sides of an output page split), so concurrency is
-  // capped in waves to keep worst-case pins inside the pool's capacity —
-  // otherwise many workers over a tiny pool could hit ResourceExhausted
-  // where the serial cascade succeeded.
+  // Cascade merge passes while the run count exceeds the fan-in. Each pass
+  // merges consecutive groups in run order into one run per group, so the
+  // run-index stability tie-break holds across passes.
   const size_t fan_in = EffectiveFanIn(ctx_);
-  const size_t pool_frames =
-      ctx_.temp_pool != nullptr ? ctx_.temp_pool->capacity() : fan_in;
-  const size_t max_concurrent_groups =
-      ctx_.workers == nullptr ? 1
-                              : std::max<size_t>(1, pool_frames / 2 - 1);
   while (runs_.size() > fan_in) {
     ++stats_.merge_passes;
-    const size_t num_groups = (runs_.size() + fan_in - 1) / fan_in;
-    std::vector<std::optional<TableHeap>> next(num_groups);
-    TaskGroup merge_tasks(ctx_.workers);
-    size_t in_flight = 0;
-    size_t i = 0;
-    for (size_t slot = 0; slot < num_groups; ++slot) {
+    std::vector<TableHeap> next;
+    for (size_t i = 0; i < runs_.size(); i += fan_in) {
       const size_t take = std::min(fan_in, runs_.size() - i);
       if (take == 1) {
-        next[slot] = std::move(runs_[i]);
-        ++i;
+        next.push_back(std::move(runs_[i]));
         continue;
       }
-      auto group = std::make_shared<std::vector<TableHeap>>();
-      group->reserve(take);
-      for (size_t j = 0; j < take; ++j) {
-        group->push_back(std::move(runs_[i + j]));
-      }
-      i += take;
-      std::optional<TableHeap>* out = &next[slot];
-      if (in_flight == max_concurrent_groups) {
-        SETM_RETURN_IF_ERROR(merge_tasks.Wait());
-        in_flight = 0;
-      }
-      ++in_flight;
-      merge_tasks.Submit([this, group, out] {
-        auto merged = MergeRunGroup(ctx_.temp_pool, rows_, std::move(*group));
-        if (!merged.ok()) return merged.status();
-        *out = std::move(merged).value();
-        return Status::OK();
-      });
+      std::vector<TableHeap> group(
+          std::make_move_iterator(runs_.begin() + i),
+          std::make_move_iterator(runs_.begin() + i + take));
+      auto merged = MergeRunGroup(ctx_.temp_pool, rows_, std::move(group));
+      if (!merged.ok()) return merged.status();
+      next.push_back(std::move(merged).value());
     }
-    SETM_RETURN_IF_ERROR(merge_tasks.Wait());
-    std::vector<TableHeap> collected;
-    collected.reserve(num_groups);
-    for (std::optional<TableHeap>& run : next) {
-      if (!run.has_value()) {
-        return Status::Internal("merge task finished without producing a run");
-      }
-      collected.push_back(std::move(*run));
-    }
-    runs_ = std::move(collected);
+    runs_ = std::move(next);
   }
 
   FlushSortMetrics(stats_);

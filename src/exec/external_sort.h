@@ -42,14 +42,9 @@ struct IntRows;
 /// budget charge is its serialized size, so both front ends put the same
 /// rows in the same runs.
 ///
-/// When `ctx.workers` is set, run generation overlaps with row intake:
-/// each full buffer is handed to the pool, sorted and spilled off-thread
-/// while Add() keeps filling the next buffer. Run order — and therefore
-/// stability — is preserved by assigning each run its slot at submission.
-/// Cascaded merge passes parallelize the same way: the independent merge
-/// groups of one pass (disjoint input runs, independent output runs) are
-/// dispatched to the pool and joined at the pass boundary, with outputs
-/// slotted in group order so the stability tie-break is unaffected.
+/// Run generation and the merge cascade are one serial loop on the calling
+/// thread: SETM mines run their sorts inside shard tasks that already sit
+/// on the worker pool, and the SQL engine's sorts are single-threaded.
 ///
 /// API misuse is reported through Status in every build mode: Add() after
 /// Finish() and a second Finish() fail with an Internal error instead of

@@ -113,23 +113,21 @@ uint16_t ChildIndex(const Page* p, const BPlusTree::Entry& e) {
 // Construction
 // ---------------------------------------------------------------------------
 
-Result<BPlusTree> BPlusTree::Create(BufferPool* pool) {
-  BPlusTree tree(pool);
-  auto guard_or = pool->NewPage();
-  if (!guard_or.ok()) return guard_or.status();
-  InitLeaf(guard_or.value().page());
-  guard_or.value().MarkDirty();
-  tree.root_ = guard_or.value().id();
-  tree.num_pages_ = 1;
-  return tree;
-}
-
 Result<BPlusTree> BPlusTree::BulkLoad(
     BufferPool* pool, const std::vector<Entry>& sorted_entries) {
   SETM_DCHECK(std::is_sorted(sorted_entries.begin(), sorted_entries.end()));
-  if (sorted_entries.empty()) return Create(pool);
-
   BPlusTree tree(pool);
+  if (sorted_entries.empty()) {
+    // The empty tree is a single empty root leaf.
+    auto guard_or = pool->NewPage();
+    if (!guard_or.ok()) return guard_or.status();
+    InitLeaf(guard_or.value().page());
+    guard_or.value().MarkDirty();
+    tree.root_ = guard_or.value().id();
+    tree.num_pages_ = 1;
+    return tree;
+  }
+
   // Level 0: pack leaves left to right.
   struct NodeRef {
     PageId id;
@@ -195,159 +193,6 @@ Result<BPlusTree> BPlusTree::BulkLoad(
 }
 
 // ---------------------------------------------------------------------------
-// Insert
-// ---------------------------------------------------------------------------
-
-Status BPlusTree::Insert(uint64_t key, uint64_t value) {
-  auto split_or = InsertRecursive(root_, key, value);
-  if (!split_or.ok()) return split_or.status();
-  const SplitResult& split = split_or.value();
-  if (split.split) {
-    // Grow a new root.
-    auto guard_or = pool_->NewPage();
-    if (!guard_or.ok()) return guard_or.status();
-    PageGuard guard = std::move(guard_or).value();
-    InitInternal(guard.page());
-    ++num_pages_;
-    NodeHeader* h = Header(guard.page());
-    Children(guard.page())[0] = root_;
-    Children(guard.page())[1] = split.right;
-    Separators(guard.page())[0] = Entry{split.sep_key, split.sep_value};
-    h->num_keys = 1;
-    guard.MarkDirty();
-    root_ = guard.id();
-    ++height_;
-  }
-  ++num_entries_;
-  return Status::OK();
-}
-
-Result<BPlusTree::SplitResult> BPlusTree::InsertRecursive(PageId node,
-                                                          uint64_t key,
-                                                          uint64_t value) {
-  auto guard_or = pool_->FetchPage(node);
-  if (!guard_or.ok()) return guard_or.status();
-  PageGuard guard = std::move(guard_or).value();
-  Page* p = guard.page();
-  NodeHeader* h = Header(p);
-  const Entry e{key, value};
-
-  if (h->is_leaf) {
-    Entry* entries = LeafEntries(p);
-    uint16_t pos = LowerBound(entries, h->num_keys, e);
-    if (pos < h->num_keys && entries[pos] == e) {
-      return Status::AlreadyExists("duplicate index entry");
-    }
-    if (h->num_keys < kLeafCap) {
-      std::memmove(entries + pos + 1, entries + pos,
-                   (h->num_keys - pos) * sizeof(Entry));
-      entries[pos] = e;
-      ++h->num_keys;
-      guard.MarkDirty();
-      return SplitResult{};
-    }
-    // Split the leaf: upper half moves right.
-    auto right_or = pool_->NewPage();
-    if (!right_or.ok()) return right_or.status();
-    PageGuard right = std::move(right_or).value();
-    InitLeaf(right.page());
-    ++num_pages_;
-    NodeHeader* rh = Header(right.page());
-    Entry* rentries = LeafEntries(right.page());
-    const uint16_t mid = static_cast<uint16_t>(kLeafCap / 2);
-    const uint16_t move = static_cast<uint16_t>(kLeafCap - mid);
-    std::memcpy(rentries, entries + mid, move * sizeof(Entry));
-    rh->num_keys = move;
-    h->num_keys = mid;
-    rh->next_leaf = h->next_leaf;
-    h->next_leaf = right.id();
-    // Insert into the proper half.
-    if (e < rentries[0]) {
-      uint16_t ipos = LowerBound(entries, h->num_keys, e);
-      std::memmove(entries + ipos + 1, entries + ipos,
-                   (h->num_keys - ipos) * sizeof(Entry));
-      entries[ipos] = e;
-      ++h->num_keys;
-    } else {
-      uint16_t ipos = LowerBound(rentries, rh->num_keys, e);
-      std::memmove(rentries + ipos + 1, rentries + ipos,
-                   (rh->num_keys - ipos) * sizeof(Entry));
-      rentries[ipos] = e;
-      ++rh->num_keys;
-    }
-    guard.MarkDirty();
-    right.MarkDirty();
-    SplitResult out;
-    out.split = true;
-    out.sep_key = rentries[0].key;
-    out.sep_value = rentries[0].value;
-    out.right = right.id();
-    return out;
-  }
-
-  // Internal node.
-  const uint16_t child_idx = ChildIndex(p, e);
-  const PageId child = Children(p)[child_idx];
-  auto child_split_or = InsertRecursive(child, key, value);
-  if (!child_split_or.ok()) return child_split_or.status();
-  const SplitResult child_split = child_split_or.value();
-  if (!child_split.split) return SplitResult{};
-
-  const Entry sep{child_split.sep_key, child_split.sep_value};
-  Entry* seps = Separators(p);
-  PageId* children = Children(p);
-  uint16_t pos = LowerBound(seps, h->num_keys, sep);
-  if (h->num_keys < kInternalCap) {
-    std::memmove(seps + pos + 1, seps + pos,
-                 (h->num_keys - pos) * sizeof(Entry));
-    std::memmove(children + pos + 2, children + pos + 1,
-                 (h->num_keys - pos) * sizeof(PageId));
-    seps[pos] = sep;
-    children[pos + 1] = child_split.right;
-    ++h->num_keys;
-    guard.MarkDirty();
-    return SplitResult{};
-  }
-
-  // Split this internal node. Assemble the full sequence, then cut at the
-  // middle separator (which is promoted, not retained).
-  std::vector<Entry> all_seps(seps, seps + h->num_keys);
-  std::vector<PageId> all_children(children, children + h->num_keys + 1);
-  all_seps.insert(all_seps.begin() + pos, sep);
-  all_children.insert(all_children.begin() + pos + 1, child_split.right);
-
-  const size_t total = all_seps.size();  // kInternalCap + 1
-  const size_t mid = total / 2;
-  auto right_or = pool_->NewPage();
-  if (!right_or.ok()) return right_or.status();
-  PageGuard right = std::move(right_or).value();
-  InitInternal(right.page());
-  ++num_pages_;
-
-  // Left keeps separators [0, mid) and children [0, mid].
-  h->num_keys = static_cast<uint16_t>(mid);
-  std::memcpy(seps, all_seps.data(), mid * sizeof(Entry));
-  std::memcpy(children, all_children.data(), (mid + 1) * sizeof(PageId));
-
-  // Right takes separators (mid, total) and children [mid+1, total].
-  NodeHeader* rh = Header(right.page());
-  rh->num_keys = static_cast<uint16_t>(total - mid - 1);
-  std::memcpy(Separators(right.page()), all_seps.data() + mid + 1,
-              rh->num_keys * sizeof(Entry));
-  std::memcpy(Children(right.page()), all_children.data() + mid + 1,
-              (rh->num_keys + 1) * sizeof(PageId));
-
-  guard.MarkDirty();
-  right.MarkDirty();
-  SplitResult out;
-  out.split = true;
-  out.sep_key = all_seps[mid].key;
-  out.sep_value = all_seps[mid].value;
-  out.right = right.id();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Point operations
 // ---------------------------------------------------------------------------
 
@@ -361,28 +206,6 @@ Result<PageId> BPlusTree::FindLeaf(uint64_t key, uint64_t value) const {
     if (Header(p)->is_leaf) return node;
     node = Children(p)[ChildIndex(p, e)];
   }
-}
-
-Status BPlusTree::Delete(uint64_t key, uint64_t value) {
-  auto leaf_or = FindLeaf(key, value);
-  if (!leaf_or.ok()) return leaf_or.status();
-  auto guard_or = pool_->FetchPage(leaf_or.value());
-  if (!guard_or.ok()) return guard_or.status();
-  PageGuard guard = std::move(guard_or).value();
-  Page* p = guard.page();
-  NodeHeader* h = Header(p);
-  Entry* entries = LeafEntries(p);
-  const Entry e{key, value};
-  uint16_t pos = LowerBound(entries, h->num_keys, e);
-  if (pos >= h->num_keys || !(entries[pos] == e)) {
-    return Status::NotFound("index entry not found");
-  }
-  std::memmove(entries + pos, entries + pos + 1,
-               (h->num_keys - pos - 1) * sizeof(Entry));
-  --h->num_keys;
-  guard.MarkDirty();
-  --num_entries_;
-  return Status::OK();
 }
 
 Result<bool> BPlusTree::Contains(uint64_t key, uint64_t value) const {
@@ -414,7 +237,7 @@ Status BPlusTree::Iterator::LoadCurrent() {
       valid_ = true;
       return Status::OK();
     }
-    leaf_ = h->next_leaf;  // skip exhausted/empty leaves
+    leaf_ = h->next_leaf;  // past this leaf's last entry
     slot_ = 0;
   }
   return Status::OK();
@@ -456,13 +279,6 @@ Status BPlusTree::GetAll(uint64_t key, std::vector<uint64_t>* values) const {
 // ---------------------------------------------------------------------------
 // Invariant checking (test hook)
 // ---------------------------------------------------------------------------
-
-namespace {
-struct CheckContext {
-  const BufferPool* pool;
-  uint64_t entries_seen = 0;
-};
-}  // namespace
 
 Status BPlusTree::CheckInvariants() const {
   // Recursive structural check with (lo, hi) pair bounds.

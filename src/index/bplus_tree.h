@@ -32,10 +32,8 @@ inline uint32_t KeyLow(uint64_t key) { return static_cast<uint32_t>(key); }
 /// so every node access is one page access in the IoStats ledger — the
 /// measurements behind the Section 3.2 analysis.
 ///
-/// Deletion removes entries in place; structurally empty leaves are kept in
-/// the chain and skipped by scans (lazy space reclamation, documented
-/// engine-wide; mining workloads drop whole relations rather than trickle-
-/// delete).
+/// A tree is built once by BulkLoad and is read-only afterwards: the
+/// nested-loop strategy indexes SALES up front and then only probes.
 class BPlusTree {
  public:
   /// An entry is a (key, payload) pair.
@@ -50,29 +48,19 @@ class BPlusTree {
     }
   };
 
-  /// Creates an empty tree whose nodes are allocated from `pool`.
-  static Result<BPlusTree> Create(BufferPool* pool);
-
-  /// Builds a tree from entries sorted by (key, value) — duplicates allowed.
-  /// Leaves are filled to a fill factor of ~100% and written once; this is
-  /// how the experiments construct the SALES indexes in bulk.
+  /// Builds a tree, with nodes allocated from `pool`, from entries sorted
+  /// by (key, value); keys may repeat. Leaves are filled to a fill factor of
+  /// ~100% and written once. Empty input yields one empty root leaf.
   static Result<BPlusTree> BulkLoad(BufferPool* pool,
                                     const std::vector<Entry>& sorted_entries);
 
   BPlusTree(BPlusTree&&) = default;
   BPlusTree& operator=(BPlusTree&&) = default;
 
-  /// Inserts one entry. AlreadyExists if the identical (key, value) pair is
-  /// present.
-  Status Insert(uint64_t key, uint64_t value);
-
-  /// Removes one entry; NotFound if absent.
-  Status Delete(uint64_t key, uint64_t value);
-
   /// True iff the exact (key, value) entry exists.
   Result<bool> Contains(uint64_t key, uint64_t value) const;
 
-  /// Number of live entries.
+  /// Number of entries.
   uint64_t num_entries() const { return num_entries_; }
 
   /// Height of the tree (1 = root is a leaf).
@@ -127,15 +115,6 @@ class BPlusTree {
  private:
   explicit BPlusTree(BufferPool* pool) : pool_(pool) {}
 
-  struct SplitResult {
-    bool split = false;
-    uint64_t sep_key = 0;    // smallest (key,value).key in the right node
-    uint64_t sep_value = 0;  // payload part of the separator pair
-    PageId right = kInvalidPageId;
-  };
-
-  Result<SplitResult> InsertRecursive(PageId node, uint64_t key,
-                                      uint64_t value);
   Result<PageId> FindLeaf(uint64_t key, uint64_t value) const;
 
   BufferPool* pool_;

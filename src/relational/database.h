@@ -29,8 +29,9 @@ struct DatabaseOptions {
   /// Memory budget for in-memory sort runs, in bytes. The external sort
   /// spills once a run exceeds this budget.
   size_t sort_memory_bytes = 1 << 20;
-  /// Worker threads shared by parallel operators (0 = no pool; operators
-  /// run serially unless a miner brings its own pool).
+  /// Threads of the shared worker pool that threaded miners fan out on:
+  /// SETM's in-process shards and apriori's counting chunks (0 = no pool; a
+  /// threaded mine then brings its own). Physical operators never use it.
   size_t worker_threads = 0;
   /// If non-empty, base tables live in this file instead of RAM, and the
   /// database is durable: pages 0/1 are alternating versioned superblock

@@ -27,20 +27,6 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   return Status::OK();
 }
 
-namespace {
-
-ExecContext LocalContext(Database* db) {
-  // Backends run on the coordinator's fan-out pool (or a server job thread):
-  // never re-enter a pool from inside, so sorts get a worker-free context.
-  ExecContext ctx;
-  ctx.temp_pool = db->temp_pool();
-  ctx.sort_memory_bytes = db->options().sort_memory_bytes;
-  ctx.workers = nullptr;
-  return ctx;
-}
-
-}  // namespace
-
 LocalShardBackend::LocalShardBackend(Database* db, std::string name)
     : db_(db), name_(std::move(name)) {}
 
@@ -88,7 +74,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   if (run_.count_method == CountMethod::kHash) {
     hashed.emplace(k);
   } else {
-    sorted.emplace(LocalContext(db_), k + 1, /*key_begin=*/1,
+    sorted.emplace(ExecContext::From(db_), k + 1, /*key_begin=*/1,
                    /*key_end=*/k + 1);
   }
   const auto count = [&](const int32_t* row) -> Status {

@@ -1,5 +1,8 @@
 #include "shard/remote_backend.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/timer.h"
@@ -37,8 +40,13 @@ Status StatusFromError(const net::ClientResponse& response) {
                           response.info);
 }
 
-/// Pulls "<key>=<uint>" out of an info line; the fields the server omits
-/// stay at their zero defaults, and a malformed value reads as Corruption.
+/// A shard's trans_ids are distinct int32 values, so it cannot hold more
+/// transactions than this, and no itemset count can exceed its transactions.
+constexpr uint64_t kMaxShardTransactions = uint64_t{1} << 32;
+
+/// Pulls "<key>=<uint>" out of an info line. A missing field, a value that
+/// does not start with a digit (so no sign) and one beyond uint64 are
+/// Corruption.
 Status InfoField(const std::string& info, const std::string& key,
                  uint64_t* out) {
   const std::string needle = key + "=";
@@ -54,17 +62,21 @@ Status InfoField(const std::string& info, const std::string& key,
   }
   const char* begin = info.c_str() + pos + needle.size();
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(begin, &end, 10);
-  if (end == begin || (*end != '\0' && *end != ' ')) {
+  if (!std::isdigit(static_cast<unsigned char>(*begin)) || errno == ERANGE ||
+      (*end != '\0' && *end != ' ')) {
     return Status::Corruption("shard response info field '" + key +
-                              "' is not a number: " + info);
+                              "' is not an unsigned 64-bit number: " + info);
   }
   *out = static_cast<uint64_t>(value);
   return Status::OK();
 }
 
-/// Parses one "<item_1> ... <item_k> <count>" payload line.
-Result<PatternCount> ParseCountLine(const std::string& line, size_t k) {
+/// Parses one "<item_1> ... <item_k> <count>" payload line. Items must be
+/// sorted and in [0, INT32_MAX], and the count in [1, max_count].
+Result<PatternCount> ParseCountLine(const std::string& line, size_t k,
+                                    uint64_t max_count) {
   PatternCount pattern;
   const char* p = line.c_str();
   char* end = nullptr;
@@ -72,8 +84,9 @@ Result<PatternCount> ParseCountLine(const std::string& line, size_t k) {
   while (true) {
     while (*p == ' ' || *p == '\t') ++p;
     if (*p == '\0') break;
+    errno = 0;
     const long long value = std::strtoll(p, &end, 10);
-    if (end == p) {
+    if (end == p || errno == ERANGE) {
       return Status::Corruption("bad shard count line: " + line);
     }
     values.push_back(value);
@@ -87,15 +100,17 @@ Result<PatternCount> ParseCountLine(const std::string& line, size_t k) {
   }
   pattern.items.reserve(k);
   for (size_t i = 0; i < k; ++i) {
-    if (values[i] < 0 ||
+    if (values[i] < 0 || values[i] > INT32_MAX ||
         (i > 0 && values[i] <= values[i - 1])) {
       return Status::Corruption("shard count line is not a sorted itemset: " +
                                 line);
     }
     pattern.items.push_back(static_cast<ItemId>(values[i]));
   }
-  if (values[k] < 1) {
-    return Status::Corruption("shard count line has count < 1: " + line);
+  if (values[k] < 1 || static_cast<uint64_t>(values[k]) > max_count) {
+    return Status::Corruption("shard count line has a count outside [1, " +
+                              std::to_string(max_count) +
+                              "], the shard's transactions: " + line);
   }
   pattern.count = values[k];
   return pattern;
@@ -165,6 +180,11 @@ Result<ShardLocalCounts> RemoteShardBackend::CountIteration(size_t k) {
         InfoField(response.info, "transactions", &out.transactions));
     SETM_RETURN_IF_ERROR(InfoField(response.info, "rbytes", &out.r_bytes));
     SETM_RETURN_IF_ERROR(InfoField(response.info, "rpages", &out.r_pages));
+    if (out.transactions > kMaxShardTransactions) {
+      return Status::Corruption(
+          "shard reported " + std::to_string(out.transactions) +
+          " transactions, more than the 2^32 distinct int32 trans_ids");
+    }
     last_transactions_ = out.transactions;
     last_rows_ = out.r_prime_rows;
     last_bytes_ = out.r_bytes;
@@ -179,7 +199,7 @@ Result<ShardLocalCounts> RemoteShardBackend::CountIteration(size_t k) {
                                          : nl - pos);
     pos = nl == std::string::npos ? response.payload.size() : nl + 1;
     if (line.empty()) continue;
-    auto pattern_or = ParseCountLine(line, k);
+    auto pattern_or = ParseCountLine(line, k, last_transactions_);
     if (!pattern_or.ok()) return pattern_or.status();
     out.counts.push_back(std::move(pattern_or).value());
   }

@@ -50,7 +50,8 @@ class RemoteShardBackend : public ShardBackend {
   ShardRunOptions run_;
   std::unique_ptr<net::BlockingClient> client_;
   /// Occupancy from the last k == 1 count, reported by Health (a PING
-  /// answers liveness; the protocol has no occupancy probe).
+  /// answers liveness; the protocol has no occupancy probe). The run's
+  /// transactions also bound every count the shard reports in that run.
   uint64_t last_transactions_ = 0;
   uint64_t last_rows_ = 0;
   uint64_t last_bytes_ = 0;

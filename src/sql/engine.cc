@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "exec/external_sort.h"
-#include "exec/hash_operators.h"
 #include "exec/operators.h"
 
 namespace setm::sql {
@@ -380,26 +379,20 @@ Result<QueryResult> SqlEngine::RunSelect(const SelectStatement& stmt,
     std::unique_ptr<TupleIterator> right = std::move(right_or).value();
 
     if (!edges[i].empty()) {
-      // Equi-join on all available equality edges, using the configured
-      // physical strategy.
+      // Equi-join on all available equality edges: sort both sides on the
+      // join keys, then merge-scan.
       std::vector<size_t> left_keys, right_keys;
       for (const JoinEdge& e : edges[i]) {
         left_keys.push_back(e.left_col);
         right_keys.push_back(e.right_col - bindings[i].offset);
       }
-      if (options_.join_strategy == JoinStrategy::kHash) {
-        current = std::make_unique<HashJoinIterator>(
-            std::move(current), std::move(right), left_keys, right_keys,
-            nullptr);
-      } else {
-        current = std::make_unique<SortIterator>(
-            ctx, std::move(current), TupleComparator(left_keys));
-        right = std::make_unique<SortIterator>(ctx, std::move(right),
-                                               TupleComparator(right_keys));
-        current = std::make_unique<MergeJoinIterator>(
-            std::move(current), std::move(right), left_keys, right_keys,
-            nullptr);
-      }
+      current = std::make_unique<SortIterator>(ctx, std::move(current),
+                                               TupleComparator(left_keys));
+      right = std::make_unique<SortIterator>(ctx, std::move(right),
+                                             TupleComparator(right_keys));
+      current = std::make_unique<MergeJoinIterator>(
+          std::move(current), std::move(right), left_keys, right_keys,
+          nullptr);
     } else {
       current = std::make_unique<NestedLoopJoinIterator>(
           std::move(current), std::move(right), nullptr);

@@ -27,24 +27,13 @@ struct QueryResult {
   uint64_t rows_affected = 0;
 };
 
-/// Physical strategy for equi-joins chosen by the planner.
-enum class JoinStrategy {
-  kSortMerge,  ///< the paper's plan: sort both sides, merge-scan
-  kHash,       ///< build/probe hash join (no sorting of inputs)
-};
-
-/// Planner/executor configuration.
-struct SqlEngineOptions {
-  JoinStrategy join_strategy = JoinStrategy::kSortMerge;
-};
-
 /// Plans and executes SQL statements against a Database.
 ///
 /// Planning follows the textbook recipe the paper leans on: single-table
 /// predicates are pushed to scans; equality predicates between tables become
-/// sort-merge joins (sort both sides on the join keys, then merge-scan) —
-/// or hash joins under SqlEngineOptions::kHash; table pairs without an
-/// equality predicate fall back to a nested-loop cross join;
+/// sort-merge joins (sort both sides on the join keys, then merge-scan),
+/// the paper's plan; table pairs without an equality predicate fall back
+/// to a nested-loop cross join;
 /// GROUP BY/COUNT(*) is sort-based aggregation, with
 /// `HAVING COUNT(*) >= x` folded into the aggregation as the paper's
 /// minimum-support filter. Joins are composed left-deep in FROM order.
@@ -58,8 +47,7 @@ struct SqlEngineOptions {
 ///         {{"minsupport", Value::Int64(2)}});
 class SqlEngine {
  public:
-  explicit SqlEngine(Database* db, SqlEngineOptions options = {})
-      : db_(db), options_(options) {}
+  explicit SqlEngine(Database* db) : db_(db) {}
 
   /// Parses and executes one statement.
   Result<QueryResult> Execute(const std::string& sql,
@@ -79,7 +67,6 @@ class SqlEngine {
                                 const Params& params);
 
   Database* db_;
-  SqlEngineOptions options_;
 };
 
 /// Coerces `v` to `target` (integer width changes with range checks,

@@ -196,6 +196,17 @@ INSTANTIATE_TEST_SUITE_P(
 // Storage-mode and option behaviour.
 // --------------------------------------------------------------------------
 
+TEST(SetmCountMethodTest, PaperExampleUnderHashCounting) {
+  Database db;
+  SetmOptions opts;
+  opts.count_method = CountMethod::kHash;
+  auto result = SetmMiner(&db, opts).Mine(PaperExampleTransactions(),
+                                          PaperExampleOptions());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().itemsets.OfSize(2).size(), 6u);
+  EXPECT_EQ(result.value().itemsets.OfSize(3).size(), 1u);
+}
+
 TEST(SetmModesTest, HeapAndMemoryBackingsAgree) {
   QuestOptions gen;
   gen.num_transactions = 300;

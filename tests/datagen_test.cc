@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "baselines/apriori.h"
@@ -201,23 +202,6 @@ TEST(TransactionIoTest, CsvRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TransactionIoTest, BinaryRoundTrip) {
-  QuestOptions gen;
-  gen.num_transactions = 80;
-  gen.seed = 4;
-  TransactionDb db = QuestGenerator(gen).Generate();
-  const std::string path = testing::TempDir() + "/txns.bin";
-  ASSERT_TRUE(SaveTransactionsBinary(path, db).ok());
-  auto loaded = LoadTransactionsBinary(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().size(), db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ(loaded.value()[i].id, db[i].id);
-    EXPECT_EQ(loaded.value()[i].items, db[i].items);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(TransactionIoTest, CsvGroupsAndDeduplicates) {
   const std::string path = testing::TempDir() + "/manual.csv";
   FILE* f = fopen(path.c_str(), "w");
@@ -235,7 +219,6 @@ TEST(TransactionIoTest, CsvGroupsAndDeduplicates) {
 
 TEST(TransactionIoTest, MissingFileFails) {
   EXPECT_FALSE(LoadTransactionsCsv("/no/such/file.csv").ok());
-  EXPECT_FALSE(LoadTransactionsBinary("/no/such/file.bin").ok());
 }
 
 TEST(TransactionIoTest, MalformedCsvFails) {
@@ -248,16 +231,44 @@ TEST(TransactionIoTest, MalformedCsvFails) {
   std::remove(path.c_str());
 }
 
-TEST(TransactionIoTest, TruncatedBinaryFails) {
-  const std::string path = testing::TempDir() + "/trunc.bin";
-  FILE* f = fopen(path.c_str(), "wb");
+// Ids that do not fit the engine's int32 columns must be refused, not
+// wrapped: 4294967297 would otherwise become trans_id 1 and merge into it.
+TEST(TransactionIoTest, OutOfRangeIdsFailNamingTheLine) {
+  const std::string path = testing::TempDir() + "/range.csv";
+  const struct {
+    const char* row;
+    const char* message;
+  } cases[] = {
+      {"4294967297,3", "trans_id outside int32"},
+      {"2147483648,3", "trans_id outside int32"},
+      {"-2147483649,3", "trans_id outside int32"},
+      {"99999999999999999999999,3", "trans_id outside int32"},
+      {"2,4294967296", "item outside [0, 2147483647]"},
+      {"2,2147483648", "item outside [0, 2147483647]"},
+      {"2,-1", "item outside [0, 2147483647]"},
+  };
+  for (const auto& c : cases) {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fprintf(f, "trans_id,item\n1,1\n1,2\n%s\n", c.row);
+    fclose(f);
+    auto loaded = LoadTransactionsCsv(path);
+    ASSERT_FALSE(loaded.ok()) << c.row;
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << c.row;
+    EXPECT_NE(loaded.status().message().find(path + ":4: " + c.message),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  // The int32 bounds themselves load.
+  FILE* f = fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
-  uint32_t n = 5;  // promises 5 transactions, delivers none
-  fwrite(&n, sizeof(n), 1, f);
+  fputs("trans_id,item\n-2147483648,0\n2147483647,2147483647\n", f);
   fclose(f);
-  auto loaded = LoadTransactionsBinary(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsCorruption());
+  auto loaded = LoadTransactionsCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().size(), 2u);
+  EXPECT_EQ(loaded.value()[0].id, INT32_MIN);
+  EXPECT_EQ(loaded.value()[1].items, (std::vector<ItemId>{INT32_MAX}));
   std::remove(path.c_str());
 }
 

@@ -224,42 +224,6 @@ TEST_F(ExternalSortTest, CascadedMergeKeepsOrderAndStability) {
   }
 }
 
-// With workers present the independent merge groups of each cascade pass
-// run concurrently on the pool; order, stability and content must be
-// indistinguishable from the serial cascade.
-TEST_F(ExternalSortTest, ParallelCascadedMergeKeepsOrderAndStability) {
-  DatabaseOptions options;
-  options.temp_pool_frames = 8;  // effective fan-in: 8 - 4 = 4 runs
-  options.sort_memory_bytes = 256;
-  options.worker_threads = 4;
-  Database small(options);
-  ExecContext ctx = ExecContext::From(&small);
-  ASSERT_NE(ctx.workers, nullptr);
-
-  ExternalSort sort(ctx, TwoIntSchema(), TupleComparator({0}));  // key: a only
-  for (int round = 0; round < 400; ++round) {
-    for (int key = 0; key < 4; ++key) {
-      ASSERT_TRUE(sort.Add(Row(key, round)).ok());
-    }
-  }
-  auto it = sort.Finish();
-  ASSERT_TRUE(it.ok()) << it.status().ToString();
-  EXPECT_GT(sort.stats().spilled_runs, 16u);
-  EXPECT_GE(sort.stats().merge_passes, 2u);
-  auto rows = Drain(it.value().get());
-  ASSERT_EQ(rows.size(), 1600u);
-  int prev_key = -1, prev_payload = -1;
-  for (const auto& [key, payload] : rows) {
-    if (key == prev_key) {
-      EXPECT_GT(payload, prev_payload) << "stability violated at key " << key;
-    } else {
-      EXPECT_EQ(key, prev_key + 1);
-    }
-    prev_key = key;
-    prev_payload = payload;
-  }
-}
-
 // API misuse must surface as Status in every build mode, not corrupt state.
 TEST_F(ExternalSortTest, AddAfterFinishFailsWithStatus) {
   ExternalSort sort(ctx_, TwoIntSchema(), TupleComparator({0}));
@@ -277,32 +241,6 @@ TEST_F(ExternalSortTest, DoubleFinishFailsWithStatus) {
   auto again = sort.Finish();
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kInternal);
-}
-
-// With a worker pool in the context, run generation happens off-thread;
-// results (order, stability, content) must be indistinguishable.
-TEST_F(ExternalSortTest, ParallelRunGenerationMatchesSerial) {
-  DatabaseOptions options;
-  options.sort_memory_bytes = 512;
-  options.worker_threads = 4;
-  Database parallel_db(options);
-  ExecContext ctx = ExecContext::From(&parallel_db);
-  ASSERT_NE(ctx.workers, nullptr);
-
-  ExternalSort sort(ctx, TwoIntSchema(), TupleComparator({0}));
-  Rng rng(123);
-  std::vector<std::pair<int, int>> expected;
-  for (int i = 0; i < 4000; ++i) {
-    int a = static_cast<int>(rng.Uniform(50));
-    expected.emplace_back(a, i);  // payload = arrival order
-    ASSERT_TRUE(sort.Add(Row(a, i)).ok());
-  }
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& x, const auto& y) { return x.first < y.first; });
-  auto it = sort.Finish();
-  ASSERT_TRUE(it.ok()) << it.status().ToString();
-  EXPECT_GT(sort.stats().spilled_runs, 1u);
-  EXPECT_EQ(Drain(it.value().get()), expected);
 }
 
 TEST_F(ExternalSortTest, EmptyInput) {
@@ -330,20 +268,14 @@ TEST_F(ExternalSortTest, SpillIoLandsInLedger) {
 
 // IntRowSort is ExternalSort's algorithm over fixed-width int rows: on the
 // same rows, budget and temp pool it must produce the same order (stability
-// included) and the same SortStats — serial and with workers, in memory
-// and through cascaded merge passes.
-struct IntSortCase {
-  size_t sort_memory_bytes;
-  size_t worker_threads;
-};
-
-class IntRowSortTest : public testing::TestWithParam<IntSortCase> {};
+// included) and the same SortStats, in memory and through cascaded merge
+// passes. The parameter is the sort budget in bytes.
+class IntRowSortTest : public testing::TestWithParam<size_t> {};
 
 TEST_P(IntRowSortTest, MatchesExternalSort) {
   DatabaseOptions options;
   options.temp_pool_frames = 8;  // effective fan-in: 4 runs
-  options.sort_memory_bytes = GetParam().sort_memory_bytes;
-  options.worker_threads = GetParam().worker_threads;
+  options.sort_memory_bytes = GetParam();
   Database db(options);
   const ExecContext ctx = ExecContext::From(&db);
 
@@ -355,7 +287,7 @@ TEST_P(IntRowSortTest, MatchesExternalSort) {
                        Column{"seq", ValueType::kInt32}});
   ExternalSort tuples(ctx, schema, TupleComparator({1, 2}));
   IntRowSort ints(ctx, 4, 1, 3);
-  Rng rng(GetParam().sort_memory_bytes + GetParam().worker_threads);
+  Rng rng(GetParam());
   for (int32_t seq = 0; seq < 6000; ++seq) {
     const int32_t row[4] = {static_cast<int32_t>(rng.Uniform(1000)),
                             static_cast<int32_t>(rng.Uniform(12)),
@@ -394,7 +326,7 @@ TEST_P(IntRowSortTest, MatchesExternalSort) {
   EXPECT_EQ(a.runs, b.runs);
   EXPECT_EQ(a.spilled_runs, b.spilled_runs);
   EXPECT_EQ(a.merge_passes, b.merge_passes);
-  if (GetParam().sort_memory_bytes < 4096) {
+  if (GetParam() < 4096) {
     EXPECT_GE(a.merge_passes, 2u);
   } else {
     EXPECT_EQ(a.spilled_runs, 0u);
@@ -403,11 +335,9 @@ TEST_P(IntRowSortTest, MatchesExternalSort) {
 
 INSTANTIATE_TEST_SUITE_P(
     Budgets, IntRowSortTest,
-    testing::Values(IntSortCase{1 << 20, 0}, IntSortCase{320, 0},
-                    IntSortCase{1000, 0}, IntSortCase{320, 4}),
-    [](const testing::TestParamInfo<IntSortCase>& param_info) {
-      return "Bytes" + std::to_string(param_info.param.sort_memory_bytes) +
-             "Workers" + std::to_string(param_info.param.worker_threads);
+    testing::Values(size_t{1} << 20, size_t{320}, size_t{1000}),
+    [](const testing::TestParamInfo<size_t>& param_info) {
+      return "Bytes" + std::to_string(param_info.param);
     });
 
 TEST(IntRowSortApiTest, EmptyInputAndMisuse) {

@@ -206,18 +206,16 @@ TEST(FaultInjectionTest, ExternalSortSpillFailureIsReported) {
   EXPECT_TRUE(last.IsIOError()) << last.ToString();
 }
 
-TEST(FaultInjectionTest, BPlusTreeInsertFailureIsReported) {
+TEST(FaultInjectionTest, BPlusTreeBulkLoadFailureIsReported) {
   IoStats stats;
   MemoryBackend real(&stats);
   FaultInjectionBackend flaky(&real, 64);
   BufferPool pool(&flaky, 8);
-  auto tree = BPlusTree::Create(&pool);
-  ASSERT_TRUE(tree.ok());
-  Status last = Status::OK();
-  for (uint64_t k = 0; k < 100000 && last.ok(); ++k) {
-    last = tree->Insert(k, 0);
-  }
-  EXPECT_TRUE(last.IsIOError()) << last.ToString();
+  std::vector<BPlusTree::Entry> entries;
+  for (uint64_t k = 0; k < 100000; ++k) entries.push_back({k, 0});
+  auto tree = BPlusTree::BulkLoad(&pool, entries);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsIOError()) << tree.status().ToString();
 }
 
 TEST(FaultInjectionTest, HealedBackendResumesCleanly) {

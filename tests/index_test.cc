@@ -1,4 +1,4 @@
-// Unit and property tests for the B+-tree index.
+// Unit and property tests for the bulk-loaded, read-only B+-tree index.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 namespace setm {
 namespace {
 
+using Entry = BPlusTree::Entry;
+
 class BPlusTreeTest : public testing::Test {
  protected:
   BPlusTreeTest() : backend_(&stats_), pool_(&backend_, 128) {}
@@ -20,6 +22,23 @@ class BPlusTreeTest : public testing::Test {
   BufferPool pool_;
 };
 
+// A sorted multiset of `n` distinct (key, value) entries whose keys repeat:
+// keys are drawn from [0, key_range), payloads from a wide range.
+std::vector<Entry> RandomEntries(Rng* rng, size_t n, uint64_t key_range) {
+  std::set<std::pair<uint64_t, uint64_t>> unique;
+  while (unique.size() < n) {
+    unique.insert({rng->Uniform(key_range), rng->Uniform(1 << 20)});
+  }
+  std::vector<Entry> entries;
+  entries.reserve(n);
+  for (const auto& [k, v] : unique) entries.push_back({k, v});
+  return entries;
+}
+
+bool ReferenceContains(const std::vector<Entry>& ref, const Entry& e) {
+  return std::binary_search(ref.begin(), ref.end(), e);
+}
+
 TEST_F(BPlusTreeTest, ComposeKeyOrderPreserving) {
   EXPECT_LT(ComposeKey(1, 99), ComposeKey(2, 0));
   EXPECT_LT(ComposeKey(5, 1), ComposeKey(5, 2));
@@ -27,85 +46,32 @@ TEST_F(BPlusTreeTest, ComposeKeyOrderPreserving) {
   EXPECT_EQ(KeyLow(ComposeKey(7, 9)), 9u);
 }
 
-TEST_F(BPlusTreeTest, EmptyTree) {
-  auto tree = BPlusTree::Create(&pool_);
+TEST_F(BPlusTreeTest, BulkLoadEmptyInput) {
+  auto tree = BPlusTree::BulkLoad(&pool_, {});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->num_entries(), 0u);
+  EXPECT_EQ(tree->num_pages(), 1u);
+  EXPECT_EQ(tree->height(), 1u);
+  ASSERT_TRUE(tree->CheckInvariants().ok());
   auto it = tree->Begin();
   ASSERT_TRUE(it.ok());
   EXPECT_FALSE(it.value().Valid());
+  auto seek = tree->Seek(5);
+  ASSERT_TRUE(seek.ok());
+  EXPECT_FALSE(seek.value().Valid());
   auto contains = tree->Contains(5, 0);
   ASSERT_TRUE(contains.ok());
   EXPECT_FALSE(contains.value());
-}
-
-TEST_F(BPlusTreeTest, InsertAndContains) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Insert(10, 1).ok());
-  ASSERT_TRUE(tree->Insert(20, 2).ok());
-  EXPECT_TRUE(tree->Contains(10, 1).value());
-  EXPECT_FALSE(tree->Contains(10, 2).value());
-  EXPECT_FALSE(tree->Contains(15, 0).value());
-  EXPECT_EQ(tree->num_entries(), 2u);
-}
-
-TEST_F(BPlusTreeTest, DuplicateEntryRejected) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(tree->Insert(1, 1).ok());
-  EXPECT_EQ(tree->Insert(1, 1).code(), StatusCode::kAlreadyExists);
-  // Same key, different payload is a distinct entry (duplicate key support).
-  EXPECT_TRUE(tree->Insert(1, 2).ok());
-}
-
-TEST_F(BPlusTreeTest, SplitsAcrossManyInserts) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  const int n = 5000;  // forces leaf and internal splits (255/leaf)
-  Rng rng(99);
-  std::vector<uint64_t> keys;
-  for (int i = 0; i < n; ++i) keys.push_back(i);
-  rng.Shuffle(&keys);
-  for (uint64_t k : keys) ASSERT_TRUE(tree->Insert(k, k * 7).ok());
-  EXPECT_EQ(tree->num_entries(), static_cast<uint64_t>(n));
-  EXPECT_GE(tree->height(), 2u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  for (uint64_t k = 0; k < static_cast<uint64_t>(n); ++k) {
-    ASSERT_TRUE(tree->Contains(k, k * 7).value()) << k;
-  }
-}
-
-TEST_F(BPlusTreeTest, IterationIsSorted) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  Rng rng(3);
-  std::set<std::pair<uint64_t, uint64_t>> expected;
-  for (int i = 0; i < 3000; ++i) {
-    uint64_t k = rng.Uniform(500);
-    uint64_t v = rng.Uniform(1000);
-    if (expected.insert({k, v}).second) {
-      ASSERT_TRUE(tree->Insert(k, v).ok());
-    }
-  }
-  auto it_or = tree->Begin();
-  ASSERT_TRUE(it_or.ok());
-  auto it = std::move(it_or).value();
-  auto exp = expected.begin();
-  while (it.Valid()) {
-    ASSERT_NE(exp, expected.end());
-    EXPECT_EQ(it.entry().key, exp->first);
-    EXPECT_EQ(it.entry().value, exp->second);
-    ++exp;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(exp, expected.end());
+  std::vector<uint64_t> values;
+  ASSERT_TRUE(tree->GetAll(5, &values).ok());
+  EXPECT_TRUE(values.empty());
 }
 
 TEST_F(BPlusTreeTest, SeekFindsLowerBound) {
-  auto tree = BPlusTree::Create(&pool_);
+  std::vector<Entry> entries;
+  for (uint64_t k = 0; k < 100; k += 10) entries.push_back({k, 0});
+  auto tree = BPlusTree::BulkLoad(&pool_, entries);
   ASSERT_TRUE(tree.ok());
-  for (uint64_t k = 0; k < 100; k += 10) ASSERT_TRUE(tree->Insert(k, 0).ok());
   auto it = tree->Seek(35);
   ASSERT_TRUE(it.ok());
   ASSERT_TRUE(it.value().Valid());
@@ -116,173 +82,121 @@ TEST_F(BPlusTreeTest, SeekFindsLowerBound) {
   EXPECT_FALSE(end.value().Valid());
 }
 
+// One key's payloads span several leaves; GetAll follows the leaf chain.
 TEST_F(BPlusTreeTest, GetAllReturnsDuplicatePayloads) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t v = 0; v < 50; ++v) ASSERT_TRUE(tree->Insert(7, v).ok());
-  ASSERT_TRUE(tree->Insert(6, 99).ok());
-  ASSERT_TRUE(tree->Insert(8, 99).ok());
-  std::vector<uint64_t> values;
-  ASSERT_TRUE(tree->GetAll(7, &values).ok());
-  ASSERT_EQ(values.size(), 50u);
-  for (uint64_t v = 0; v < 50; ++v) EXPECT_EQ(values[v], v);
-}
-
-TEST_F(BPlusTreeTest, DeleteRemovesEntry) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(tree->Insert(k, 0).ok());
-  for (uint64_t k = 0; k < 1000; k += 2) {
-    ASSERT_TRUE(tree->Delete(k, 0).ok());
-  }
-  EXPECT_EQ(tree->num_entries(), 500u);
-  EXPECT_TRUE(tree->Delete(998, 0).IsNotFound());  // already deleted
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  for (uint64_t k = 0; k < 1000; ++k) {
-    EXPECT_EQ(tree->Contains(k, 0).value(), k % 2 == 1) << k;
-  }
-  // Iteration skips deleted entries and stays sorted.
-  auto it_or = tree->Begin();
-  ASSERT_TRUE(it_or.ok());
-  auto it = std::move(it_or).value();
-  uint64_t expect = 1;
-  while (it.Valid()) {
-    EXPECT_EQ(it.entry().key, expect);
-    expect += 2;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(expect, 1001u);
-}
-
-TEST_F(BPlusTreeTest, DeleteEverythingThenReinsert) {
-  auto tree = BPlusTree::Create(&pool_);
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t k = 0; k < 600; ++k) ASSERT_TRUE(tree->Insert(k, 1).ok());
-  for (uint64_t k = 0; k < 600; ++k) ASSERT_TRUE(tree->Delete(k, 1).ok());
-  EXPECT_EQ(tree->num_entries(), 0u);
-  auto it = tree->Begin();
-  ASSERT_TRUE(it.ok());
-  EXPECT_FALSE(it.value().Valid());
-  // Tree remains usable after total deletion.
-  for (uint64_t k = 0; k < 600; ++k) ASSERT_TRUE(tree->Insert(k, 2).ok());
-  EXPECT_EQ(tree->num_entries(), 600u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-}
-
-TEST_F(BPlusTreeTest, BulkLoadMatchesIncrementalInserts) {
-  std::vector<BPlusTree::Entry> entries;
-  Rng rng(17);
-  std::set<std::pair<uint64_t, uint64_t>> unique;
-  while (unique.size() < 4000) {
-    unique.insert({rng.Uniform(10000), rng.Uniform(16)});
-  }
-  for (const auto& [k, v] : unique) entries.push_back({k, v});
-  auto bulk = BPlusTree::BulkLoad(&pool_, entries);
-  ASSERT_TRUE(bulk.ok());
-  EXPECT_EQ(bulk->num_entries(), entries.size());
-  ASSERT_TRUE(bulk->CheckInvariants().ok());
-  // Same content when iterated.
-  auto it_or = bulk->Begin();
-  ASSERT_TRUE(it_or.ok());
-  auto it = std::move(it_or).value();
-  size_t i = 0;
-  while (it.Valid()) {
-    ASSERT_LT(i, entries.size());
-    EXPECT_EQ(it.entry(), entries[i]);
-    ++i;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(i, entries.size());
-}
-
-TEST_F(BPlusTreeTest, BulkLoadEmptyInput) {
-  auto tree = BPlusTree::BulkLoad(&pool_, {});
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->num_entries(), 0u);
-}
-
-TEST_F(BPlusTreeTest, BulkLoadedTreeAcceptsInserts) {
-  std::vector<BPlusTree::Entry> entries;
-  for (uint64_t k = 0; k < 2000; ++k) entries.push_back({k * 2, 0});
+  std::vector<Entry> entries;
+  entries.push_back({6, 99});
+  for (uint64_t v = 0; v < 600; ++v) entries.push_back({7, v});
+  entries.push_back({8, 99});
   auto tree = BPlusTree::BulkLoad(&pool_, entries);
   ASSERT_TRUE(tree.ok());
-  for (uint64_t k = 0; k < 2000; ++k) {
-    ASSERT_TRUE(tree->Insert(k * 2 + 1, 0).ok());
-  }
-  EXPECT_EQ(tree->num_entries(), 4000u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  // Full ascending iteration.
-  auto it_or = tree->Begin();
-  ASSERT_TRUE(it_or.ok());
-  auto it = std::move(it_or).value();
-  uint64_t expect = 0;
-  while (it.Valid()) {
-    EXPECT_EQ(it.entry().key, expect);
-    ++expect;
-    ASSERT_TRUE(it.Next().ok());
-  }
-  EXPECT_EQ(expect, 4000u);
+  EXPECT_GE(tree->num_pages(), 4u);  // three leaves and a root
+  std::vector<uint64_t> values;
+  ASSERT_TRUE(tree->GetAll(7, &values).ok());
+  ASSERT_EQ(values.size(), 600u);
+  for (uint64_t v = 0; v < 600; ++v) EXPECT_EQ(values[v], v);
 }
 
 TEST_F(BPlusTreeTest, NodeAccessesHitIoLedgerWithTinyPool) {
   // A pool smaller than the tree forces real page traffic on probes.
   BufferPool tiny(&backend_, 4);
-  std::vector<BPlusTree::Entry> entries;
-  for (uint64_t k = 0; k < 20000; ++k) entries.push_back({k, 0});
+  Rng rng(5);
+  const std::vector<Entry> entries = RandomEntries(&rng, 20000, 2500);
   auto tree = BPlusTree::BulkLoad(&tiny, entries);
   ASSERT_TRUE(tree.ok());
   EXPECT_GT(tree->num_pages(), 64u);
   const uint64_t reads_before = stats_.page_reads;
-  Rng rng(5);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree->Contains(rng.Uniform(20000), 0).ok());
+    // Alternate stored entries (hits) with random pairs (mostly misses).
+    const Entry probe = i % 2 == 0
+                            ? entries[rng.Uniform(entries.size())]
+                            : Entry{rng.Uniform(2600), rng.Uniform(1 << 20)};
+    auto found = tree->Contains(probe.key, probe.value);
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value(), ReferenceContains(entries, probe));
   }
   EXPECT_GT(stats_.page_reads, reads_before + 150);
 }
 
-// Property sweep: random interleavings of inserts and deletes preserve
-// invariants and match a reference std::set.
-class BPlusTreeFuzzTest : public testing::TestWithParam<uint64_t> {};
+// Property sweep: a tree bulk-loaded from a random sorted multiset keeps
+// its invariants and answers every probe as the sorted reference does.
+struct FuzzCase {
+  uint64_t seed;
+  size_t num_entries;  // 255 entries fill one leaf
+};
 
-TEST_P(BPlusTreeFuzzTest, MatchesReferenceSet) {
+class BPlusTreeFuzzTest : public testing::TestWithParam<FuzzCase> {};
+
+TEST_P(BPlusTreeFuzzTest, MatchesSortedReference) {
   IoStats stats;
   MemoryBackend backend(&stats);
   BufferPool pool(&backend, 256);
-  auto tree = BPlusTree::Create(&pool);
-  ASSERT_TRUE(tree.ok());
-  Rng rng(GetParam());
-  std::set<std::pair<uint64_t, uint64_t>> reference;
-  for (int op = 0; op < 4000; ++op) {
-    const uint64_t k = rng.Uniform(300);
-    const uint64_t v = rng.Uniform(8);
-    if (rng.Bernoulli(0.6)) {
-      const bool inserted = reference.insert({k, v}).second;
-      Status s = tree->Insert(k, v);
-      EXPECT_EQ(s.ok(), inserted);
-    } else {
-      const bool erased = reference.erase({k, v}) > 0;
-      Status s = tree->Delete(k, v);
-      EXPECT_EQ(s.ok(), erased);
-    }
-  }
-  EXPECT_EQ(tree->num_entries(), reference.size());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  auto it_or = tree->Begin();
+  Rng rng(GetParam().seed);
+  const size_t n = GetParam().num_entries;
+  const uint64_t key_range = std::max<uint64_t>(1, n / 8);
+  const std::vector<Entry> reference = RandomEntries(&rng, n, key_range);
+  auto tree_or = BPlusTree::BulkLoad(&pool, reference);
+  ASSERT_TRUE(tree_or.ok()) << tree_or.status().ToString();
+  const BPlusTree& tree = tree_or.value();
+  EXPECT_EQ(tree.num_entries(), n);
+  EXPECT_EQ(tree.height() == 1, n <= 255);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+
+  // Full iteration.
+  auto it_or = tree.Begin();
   ASSERT_TRUE(it_or.ok());
   auto it = std::move(it_or).value();
-  auto ref = reference.begin();
+  size_t i = 0;
   while (it.Valid()) {
-    ASSERT_NE(ref, reference.end());
-    EXPECT_EQ(it.entry().key, ref->first);
-    EXPECT_EQ(it.entry().value, ref->second);
-    ++ref;
+    ASSERT_LT(i, n);
+    EXPECT_EQ(it.entry(), reference[i]);
+    ++i;
     ASSERT_TRUE(it.Next().ok());
   }
-  EXPECT_EQ(ref, reference.end());
+  EXPECT_EQ(i, n);
+
+  for (int probe = 0; probe < 300; ++probe) {
+    // Contains: a stored entry, then a random pair (usually a miss).
+    const Entry hit = reference[rng.Uniform(n)];
+    auto found = tree.Contains(hit.key, hit.value);
+    ASSERT_TRUE(found.ok());
+    EXPECT_TRUE(found.value());
+    const Entry other{rng.Uniform(key_range + 2), rng.Uniform(1 << 20)};
+    found = tree.Contains(other.key, other.value);
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value(), ReferenceContains(reference, other));
+
+    // Seek lands on the lower bound of (key, 0).
+    const uint64_t key = rng.Uniform(key_range + 2);
+    auto seek = tree.Seek(key);
+    ASSERT_TRUE(seek.ok());
+    const auto lower = std::lower_bound(reference.begin(), reference.end(),
+                                        Entry{key, 0});
+    ASSERT_EQ(seek.value().Valid(), lower != reference.end()) << key;
+    if (lower != reference.end()) {
+      EXPECT_EQ(seek.value().entry(), *lower);
+    }
+
+    // GetAll returns that key's payloads in order.
+    std::vector<uint64_t> values;
+    ASSERT_TRUE(tree.GetAll(key, &values).ok());
+    std::vector<uint64_t> expected;
+    for (auto e = lower; e != reference.end() && e->key == key; ++e) {
+      expected.push_back(e->value);
+    }
+    EXPECT_EQ(values, expected) << key;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeFuzzTest,
-                         testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, BPlusTreeFuzzTest,
+    testing::Values(FuzzCase{1, 1}, FuzzCase{2, 255}, FuzzCase{3, 256},
+                    FuzzCase{5, 3000}, FuzzCase{8, 12000},
+                    FuzzCase{13, 60000}),
+    [](const testing::TestParamInfo<FuzzCase>& param_info) {
+      return "Seed" + std::to_string(param_info.param.seed) + "N" +
+             std::to_string(param_info.param.num_entries);
+    });
 
 }  // namespace
 }  // namespace setm

@@ -5,13 +5,19 @@
 // backing and either transport must reproduce single-node SETM exactly —
 // itemsets, per-iteration cardinalities, everything but wall-clock.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -668,6 +674,103 @@ TEST(RemoteShardTest, DeadEndpointIsUnavailableBeforeAnyCounting) {
   EXPECT_NE(result.status().message().find("shard 's-gone'"),
             std::string::npos)
       << result.status().ToString();
+}
+
+/// A one-connection loopback server that answers each request line with
+/// the next scripted reply ("ERR Internal ..." once the script runs out),
+/// then drains until the client hangs up.
+class ScriptedShardServer {
+ public:
+  explicit ScriptedShardServer(std::vector<std::string> replies)
+      : replies_(std::move(replies)) {
+    listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(listen(listen_fd_, 1), 0);
+    EXPECT_EQ(
+        getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~ScriptedShardServer() {
+    thread_.join();
+    close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void Serve() {
+    pollfd pfd{listen_fd_, POLLIN, 0};
+    if (poll(&pfd, 1, 10000) != 1) return;
+    const int fd = accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval timeout{10, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::string pending;
+    size_t next = 0;
+    char buf[4096];
+    while (true) {
+      const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;  // the client hung up
+      pending.append(buf, static_cast<size_t>(n));
+      for (size_t nl; (nl = pending.find('\n')) != std::string::npos;) {
+        pending.erase(0, nl + 1);
+        const std::string reply = next < replies_.size()
+                                      ? replies_[next++]
+                                      : "ERR Internal unscripted request\n";
+        send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      }
+    }
+    close(fd);
+  }
+
+  std::vector<std::string> replies_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// Shard replies are untrusted input: every out-of-range value must fail the
+// run as Corruption naming the shard, never wrap, saturate or overflow.
+TEST(RemoteShardTest, OutOfRangeRepliesAreCorruptionNamingTheShard) {
+  const std::string k1_info = "OK lcount k=1 transactions=5 rprime=2 ";
+  const std::vector<std::vector<std::string>> scripts = {
+      // An item beyond int32 would be cast to item 0.
+      {k1_info + "rbytes=0 rpages=0\n4294967296 3\n.\n"},
+      // A count beyond int64 saturates in strtoll.
+      {k1_info + "rbytes=0 rpages=0\n1 99999999999999999999\n.\n"},
+      // Two in-range int64 counts of one itemset overflow the merged sum.
+      {k1_info + "rbytes=0 rpages=0\n1 9223372036854775807\n"
+                 "1 9223372036854775807\n.\n"},
+      // A count above the shard's transactions.
+      {k1_info + "rbytes=0 rpages=0\n1 6\n.\n"},
+      // Info fields: negative, beyond uint64, beyond 2^32 transactions.
+      {"OK lcount k=1 transactions=-1 rprime=1 rbytes=0 rpages=0\n.\n"},
+      {k1_info + "rbytes=18446744073709551616 rpages=0\n1 1\n.\n"},
+      {"OK lcount k=1 transactions=4294967297 rprime=1 rbytes=0 "
+       "rpages=0\n1 1\n.\n"},
+      // At k = 2 a count is still bounded by k = 1's transactions.
+      {"OK lcount k=1 transactions=2 rprime=3 rbytes=0 rpages=0\n1 2\n2 1\n"
+       ".\n",
+       "OK lcount k=2 rprime=1\n1 2 3\n.\n"},
+  };
+  for (const std::vector<std::string>& script : scripts) {
+    ScriptedShardServer server(script);
+    RemoteShardBackend backend("127.0.0.1", server.port(), "sales",
+                               "scripted", /*timeout_ms=*/5000);
+    auto result =
+        DistributedMine({&backend}, MiningOptions{}, CoordinatorOptions{});
+    ASSERT_FALSE(result.ok()) << script.back();
+    EXPECT_TRUE(result.status().IsCorruption())
+        << script.back() << " -> " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("shard 'scripted'"),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 // --------------------------------------------------------------------------
