@@ -37,12 +37,14 @@ size_t ItemsetCounts::Slot(const ItemId* items) const {
   return slot;
 }
 
-void ItemsetCounts::Add(const ItemId* items, int64_t delta) {
+bool ItemsetCounts::TryAdd(const ItemId* items, int64_t delta,
+                           size_t max_bytes) {
   SETM_DCHECK(delta > 0);
   size_t slot = Slot(items);
   if (counts_[slot] == 0) {
     // Keep the load at or below one half.
     if (2 * (size_ + 1) > counts_.size()) {
+      if (bytes() > max_bytes / 2) return false;
       Grow();
       slot = Slot(items);
     }
@@ -50,6 +52,12 @@ void ItemsetCounts::Add(const ItemId* items, int64_t delta) {
     ++size_;
   }
   counts_[slot] += delta;
+  return true;
+}
+
+void ItemsetCounts::Clear() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  size_ = 0;
 }
 
 int64_t ItemsetCounts::Count(const ItemId* items) const {
@@ -68,6 +76,22 @@ void ItemsetCounts::Grow() {
     std::copy_n(&keys[old * k_], k_, &keys_[slot * k_]);
     counts_[slot] = counts[old];
   }
+}
+
+std::vector<size_t> ItemsetCounts::SortedSlots() const {
+  std::vector<size_t> slots;
+  slots.reserve(size_);
+  for (size_t slot = 0; slot < counts_.size(); ++slot) {
+    if (counts_[slot] != 0) slots.push_back(slot);
+  }
+  // Keys are unique, so the order is total and needs no stable sort.
+  const ItemId* keys = keys_.data();
+  const size_t k = k_;
+  std::sort(slots.begin(), slots.end(), [keys, k](size_t a, size_t b) {
+    return std::lexicographical_compare(keys + a * k, keys + a * k + k,
+                                        keys + b * k, keys + b * k + k);
+  });
+  return slots;
 }
 
 void ItemsetCounts::AppendAtLeast(int64_t min_count,

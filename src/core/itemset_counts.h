@@ -1,6 +1,7 @@
 #ifndef SETM_CORE_ITEMSET_COUNTS_H_
 #define SETM_CORE_ITEMSET_COUNTS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,11 +11,11 @@ namespace setm {
 
 /// Support counts of k-itemsets, keyed by the k items packed side by side
 /// (open addressing, linear probing). The SETM path's one itemset map: the
-/// kHash local count, the C_k filter probe and the coordinator's merge of
-/// partial counts. A key is read straight out of an R_k row (its columns
-/// 1..k), so probing allocates nothing.
+/// budgeted local count (core/setm_pipeline.h), the C_k filter probe and
+/// the coordinator's merge of partial counts. A key is read straight out of
+/// an R_k row (its columns 1..k), so probing allocates nothing.
 ///
-/// Iteration order is slot order: deterministic for a given insertion
+/// ForEach's order is slot order: deterministic for a given insertion
 /// sequence, but not sorted.
 class ItemsetCounts {
  public:
@@ -25,8 +26,22 @@ class ItemsetCounts {
   /// Number of distinct itemsets.
   size_t size() const { return size_; }
 
+  /// Bytes allocated for the slots. Growing doubles it; Clear() keeps it.
+  size_t bytes() const {
+    return keys_.size() * sizeof(ItemId) + counts_.size() * sizeof(int64_t);
+  }
+
   /// Adds `delta` (> 0) to the count of `items` (k ints), inserting it.
-  void Add(const ItemId* items, int64_t delta);
+  void Add(const ItemId* items, int64_t delta) {
+    TryAdd(items, delta, SIZE_MAX);
+  }
+
+  /// Add(), unless `items` is absent and inserting it would grow bytes()
+  /// past `max_bytes`: then the map is unchanged and the result is false.
+  bool TryAdd(const ItemId* items, int64_t delta, size_t max_bytes);
+
+  /// Removes every itemset, keeping the allocated slots.
+  void Clear();
 
   /// The count of `items` (k ints); 0 when absent.
   int64_t Count(const ItemId* items) const;
@@ -39,11 +54,19 @@ class ItemsetCounts {
     }
   }
 
+  /// ForEach in ascending item order.
+  template <typename Fn>
+  void ForEachSorted(Fn fn) const {
+    for (size_t slot : SortedSlots()) fn(&keys_[slot * k_], counts_[slot]);
+  }
+
   /// Appends every itemset counted at least `min_count` to `out`.
   void AppendAtLeast(int64_t min_count, std::vector<PatternCount>* out) const;
 
  private:
   size_t Slot(const ItemId* items) const;
+  /// The occupied slots, ordered on their keys.
+  std::vector<size_t> SortedSlots() const;
   void Grow();
 
   size_t k_;

@@ -9,15 +9,18 @@
 
 namespace setm {
 
-/// How the support counts C_k are produced from R'_k.
+/// The memory budget of the C_k count (core/setm_pipeline.h BudgetedCount):
+/// one code path that aggregates R'_k rows into an itemset table and, when
+/// the table would outgrow its budget, spills its (itemset, count) entries
+/// as sorted runs that are merged and summed at the end. Results are
+/// identical for both values (`bench/ablation_count_method` sweeps the
+/// budget).
 enum class CountMethod {
-  /// The paper's pipeline: sort R'_k on its item columns, then one
-  /// streaming group-count scan (Figure 4's "sort R'_k on item_1..item_k;
-  /// C_k := generate counts").
+  /// The budget is the sort budget (DatabaseOptions::sort_memory_bytes):
+  /// the paper's "sort R'_k on item_1..item_k; C_k := generate counts"
+  /// within bounded memory, spilling like an external sort.
   kSortMerge,
-  /// Hash aggregation, the post-1995 alternative; skips the sort entirely.
-  /// Results are identical (the ablation `ablation_count_method` compares
-  /// the physical behaviour).
+  /// No budget: the table grows with the candidates and never spills.
   kHash,
 };
 
@@ -35,14 +38,13 @@ struct SetmOptions {
   /// kMemory mirrors the paper's Section 6 implementation, which "ran in
   /// main memory" for the timing experiments.
   TableBacking storage = TableBacking::kMemory;
-  /// Physical strategy for the C_k aggregation, applied to each shard's
-  /// local counts: kSortMerge sorts the shard's materialized R'_k and
-  /// stream-counts it, reproducing the paper's sort-based I/O profile;
-  /// kHash aggregates candidates in a hash table while the R'_k join
-  /// produces them. The coordinator's merge of partial counts is always
-  /// hash-based (shards must combine before the global minsupport filter),
-  /// so only the shard-local aggregation differs between the methods;
-  /// results are identical either way.
+  /// Memory budget of each shard's local C_k count, which aggregates the
+  /// R'_k rows as the join produces them: kSortMerge bounds the count table
+  /// by the sort budget and spills sorted (itemset, count) runs beyond it;
+  /// kHash lets the table grow and never spills. The coordinator's merge of
+  /// partial counts is always an unbounded hash merge (shards must combine
+  /// before the global minsupport filter); results are identical either
+  /// way.
   CountMethod count_method = CountMethod::kSortMerge;
   /// Degree of partition parallelism. SETM always runs under the shard
   /// coordinator (shard/coordinator.h): SALES is range-partitioned on

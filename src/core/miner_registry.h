@@ -20,7 +20,7 @@ struct MinerInfo {
   std::string description;
   /// Honors SetmOptions::storage (kMemory vs kHeap relations).
   bool honors_storage = false;
-  /// Honors SetmOptions::count_method (sort-merge vs hash C_k counting).
+  /// Honors SetmOptions::count_method (the C_k count's memory budget).
   bool honors_count_method = false;
   /// Honors SetmOptions::num_threads; algorithms with false reject
   /// num_threads > 1 with InvalidArgument.

@@ -2,6 +2,7 @@
 #define SETM_CORE_SETM_PIPELINE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -69,15 +70,67 @@ Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
   });
 }
 
-/// Finishes `sort` — R'_k rows (width k+1) keyed on their item columns —
-/// and stream-counts the groups, appending them to `out` in item order and
-/// keeping groups with count >= `min_count`: the kSortMerge C_k count. A
-/// shard passes min_count = 1 (support is a global property, so local
-/// counts must all survive to the merge) unless it is the run's only shard,
-/// whose local counts are global: then it passes minsupport, as the
-/// paper's single pipeline does.
-Status CountSorted(IntRowSort* sort, size_t width, int64_t min_count,
-                   std::vector<PatternCount>* out);
+/// What one BudgetedCount did.
+struct CountStats {
+  uint64_t rows = 0;             ///< itemsets counted: the |R'_k| rows
+  uint64_t spilled_runs = 0;     ///< runs of aggregated entries written
+  uint64_t spilled_entries = 0;  ///< (itemset, count) rows in those runs
+  uint64_t peak_bytes = 0;  ///< the table's largest allocation, at Finish()
+};
+
+/// The count pass, "sort R'_k on item_1..item_k; C_k := generate counts",
+/// within a memory budget. Each R'_k row's itemset is aggregated into an
+/// ItemsetCounts. When a new itemset would grow the table past the budget,
+/// the table's entries are sorted on their items and written to temp
+/// storage as one IntRowSort run of (item_1..item_k, count) rows, and the
+/// table is emptied. Finish() merges the runs with the table's remainder,
+/// sums the counts of equal itemsets and only then applies the count
+/// floor, so an itemset counted across runs survives on its total.
+///
+/// With no spill this is hash aggregation; under a small budget it is
+/// early aggregation ahead of the paper's sort-merge (Graefe 1993, Larson
+/// 2002), which writes at most one row per itemset per run instead of one
+/// per R'_k row. Results are identical for every budget. A budget below
+/// the table's initial 64 slots spills every 32 new itemsets.
+///
+/// Finish() records rows and spilled runs in setm_count_rows_total and
+/// setm_count_spilled_runs_total, and raises the setm_mem_count_bytes
+/// high-water mark to peak_bytes.
+class BudgetedCount {
+ public:
+  /// No budget: the table grows as needed and never spills.
+  static constexpr size_t kUnbounded = SIZE_MAX;
+
+  /// Counts k-itemsets in at most `budget_bytes` of table (ItemsetCounts::
+  /// bytes()), spilling runs to `ctx`'s temp pool.
+  BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes);
+
+  /// Counts one occurrence of `items` (k ints).
+  Status Add(const ItemId* items) {
+    ++stats_.rows;
+    if (table_.TryAdd(items, 1, budget_bytes_)) return Status::OK();
+    return SpillAndAdd(items);
+  }
+
+  /// Appends every itemset counted at least `min_count` times to `out`: in
+  /// item order after a spill, in table order otherwise. Call once.
+  /// A shard passes min_count = 1 (support is a global property, so local
+  /// counts must all survive to the merge) unless it is the run's only
+  /// shard, whose local counts are global: then it passes minsupport, as
+  /// the paper's single pipeline does.
+  Status Finish(int64_t min_count, std::vector<PatternCount>* out);
+
+  const CountStats& stats() const { return stats_; }
+
+ private:
+  Status SpillAndAdd(const ItemId* items);
+
+  size_t k_;
+  size_t budget_bytes_;
+  ItemsetCounts table_;
+  IntRowSort runs_;  ///< rows: item_1..item_k, count; key: the items
+  CountStats stats_;
+};
 
 /// The filter pass: appends to `out` (width k+1, for ck.k() == k) the rows
 /// of R'_k whose items are in `ck` ("simple table look-ups on relation

@@ -70,7 +70,11 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// This models the paper's plan, which stores R'_k and sorts R_k back on
 /// trans_id. The engine streams R'_k out of the join twice instead (count
 /// and filter pass): no R'_k write, no R_k sort, one extra read of R_{k-1}
-/// and R_1 per iteration. Its measured pages do not map term for term.
+/// and R_1 per iteration. Nor does the engine sort R'_k for the count, as
+/// the paper charges: it aggregates R'_k rows into a table within the sort
+/// budget and spills only sorted (itemset, count) entries, at most one per
+/// candidate per run, nothing when the candidates fit. Its measured pages
+/// do not map term for term; the paper figures here stay unchanged.
 struct SortMergeAnalysis {
   uint64_t r1_pages = 0;
   std::vector<uint64_t> r_prime_pages;  ///< ||R'_2||, ||R'_3||, ...

@@ -308,6 +308,18 @@ class RunSort {
     return Status::OK();
   }
 
+  /// Writes `sorted` (rows already in key order, counted in stats().rows as
+  /// `n`) as the next spilled run, after any buffered rows.
+  Status AddSortedRun(const Buffer& sorted, size_t n) {
+    if (finished_) {
+      return Status::Internal("ExternalSort::Add() called after Finish()");
+    }
+    if (n == 0) return Status::OK();
+    SETM_RETURN_IF_ERROR(SpillRun());
+    stats_.rows += n;
+    return WriteRun(sorted);
+  }
+
   /// Ends intake. Rows that never spilled come back sorted in `*memory`;
   /// otherwise `*runs` holds the sorted runs, cascaded down to at most the
   /// merge fan-in, for the caller's final streaming merge.
@@ -319,6 +331,8 @@ class RunSort {
  private:
   /// Sorts the buffer and writes it as the next run.
   Status SpillRun();
+  /// Writes sorted rows as the next run.
+  Status WriteRun(const Buffer& sorted);
 
   ExecContext ctx_;
   Rows rows_;
@@ -332,16 +346,21 @@ class RunSort {
 template <typename Rows>
 Status RunSort<Rows>::SpillRun() {
   if (buffer_.empty()) return Status::OK();
-  ++stats_.runs;
-  ++stats_.spilled_runs;
   rows_.Sort(&buffer_);
-  auto heap_or = TableHeap::Create(ctx_.temp_pool);
-  if (!heap_or.ok()) return heap_or.status();
-  runs_.push_back(std::move(heap_or).value());
-  SETM_RETURN_IF_ERROR(rows_.Spill(buffer_, &runs_.back()));
+  SETM_RETURN_IF_ERROR(WriteRun(buffer_));
   buffer_.clear();
   buffer_bytes_ = 0;
   return Status::OK();
+}
+
+template <typename Rows>
+Status RunSort<Rows>::WriteRun(const Buffer& sorted) {
+  ++stats_.runs;
+  ++stats_.spilled_runs;
+  auto heap_or = TableHeap::Create(ctx_.temp_pool);
+  if (!heap_or.ok()) return heap_or.status();
+  runs_.push_back(std::move(heap_or).value());
+  return rows_.Spill(sorted, &runs_.back());
 }
 
 template <typename Rows>
@@ -495,6 +514,12 @@ IntRowSort::IntRowSort(ExecContext ctx, size_t width, size_t key_begin,
 IntRowSort::~IntRowSort() = default;
 
 Status IntRowSort::Add(const int32_t* row) { return sort_->Add(row); }
+
+Status IntRowSort::AddSortedRun(const std::vector<int32_t>& rows) {
+  const size_t width = sort_->rows().width;
+  SETM_CHECK(rows.size() % width == 0);
+  return sort_->AddSortedRun(rows, rows.size() / width);
+}
 
 const SortStats& IntRowSort::stats() const { return sort_->stats(); }
 

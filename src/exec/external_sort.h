@@ -92,6 +92,13 @@ class IntRowSort {
   /// Buffers one row (width ints, copied).
   Status Add(const int32_t* row);
 
+  /// Writes `rows` (width ints each, already in key order) to temp storage
+  /// as one run, after spilling any buffered rows: for a caller that forms
+  /// its own runs, such as the budgeted C_k count's aggregated entries.
+  /// The rows count in stats().rows and the run in spilled_runs; Finish()
+  /// merges it with the other runs.
+  Status AddSortedRun(const std::vector<int32_t>& rows);
+
   /// Completes the sort and returns the sorted rows.
   Result<std::unique_ptr<IntRowCursor>> Finish();
 

@@ -27,7 +27,10 @@ namespace setm::net {
 ///                             begins a shard run over <table>: builds the
 ///                             local R_1 and answers the full local item
 ///                             counts ("<item> <count>" lines) — phase 1 of
-///                             the distributed two-phase count
+///                             the distributed two-phase count. METHOD sets
+///                             the run's count budget: sortmerge counts
+///                             within the server's sort budget, spilling
+///                             sorted runs; hash counts unbounded
 ///   LCOUNT K <k>              continues the connection's shard run (k >= 2):
 ///                             local R'_k join, answers candidate counts
 ///                             ("<item_1> ... <item_k> <count>" lines)

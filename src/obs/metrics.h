@@ -23,7 +23,7 @@ namespace setm::obs {
 ///
 /// Three metric kinds, Prometheus-compatible by construction:
 ///   Counter    monotone uint64 (events, pages, bytes);
-///   Gauge      signed level (queue depth);
+///   Gauge      signed level (queue depth) or high-water mark;
 ///   Histogram  log2-bucketed distribution (latencies, batch sizes) with
 ///              count/sum and quantile estimates on snapshot.
 
@@ -44,6 +44,13 @@ class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
+  /// Raises the level to `v` when `v` is higher: a high-water mark.
+  void RaiseTo(int64_t v) {
+    int64_t cur = value_.load(std::memory_order_relaxed);
+    while (cur < v && !value_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
+    }
+  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -1,7 +1,6 @@
 #include "shard/local_backend.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -67,23 +66,16 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
   WallTimer timer;
   ShardLocalCounts out;
-  // The count pass: every R'_k row goes straight into the count, the
-  // item-keyed sort under kSortMerge or the hash map under kHash.
-  std::optional<ItemsetCounts> hashed;
-  std::optional<IntRowSort> sorted;
-  if (run_.count_method == CountMethod::kHash) {
-    hashed.emplace(k);
-  } else {
-    sorted.emplace(ExecContext::From(db_), k + 1, /*key_begin=*/1,
-                   /*key_end=*/k + 1);
-  }
-  const auto count = [&](const int32_t* row) -> Status {
+  // The count pass: every R'_k row's itemset goes straight into the count,
+  // within the sort budget under kSortMerge and without one under kHash.
+  const ExecContext ctx = ExecContext::From(db_);
+  BudgetedCount counts(ctx, k,
+                       run_.count_method == CountMethod::kHash
+                           ? BudgetedCount::kUnbounded
+                           : ctx.sort_memory_bytes);
+  const auto count = [&](const int32_t* row) {
     ++out.r_prime_rows;
-    if (hashed) {
-      hashed->Add(row + 1, 1);
-      return Status::OK();
-    }
-    return sorted->Add(row);
+    return counts.Add(row + 1);
   };
 
   if (k == 1) {
@@ -120,12 +112,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     SETM_RETURN_IF_ERROR(JoinRkPrime(*left, *r1_, count));
   }
 
-  if (hashed) {
-    hashed->AppendAtLeast(count_floor_, &out.counts);
-  } else {
-    SETM_RETURN_IF_ERROR(
-        CountSorted(&*sorted, k + 1, count_floor_, &out.counts));
-  }
+  SETM_RETURN_IF_ERROR(counts.Finish(count_floor_, &out.counts));
   counted_k_ = k;
   out.seconds = timer.ElapsedSeconds();
   return out;

@@ -35,11 +35,12 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///
 /// Each iteration k >= 2 runs the merge-scan join of R_{k-1} with R_1
 /// twice, so R'_k is never stored. CountIteration(k), the count pass, feeds
-/// JoinRkPrime's rows straight into the count (the sort CountSorted
-/// finishes, or an ItemsetCounts under kHash). ApplyGlobalCk(k), the filter
-/// pass, is FilterByCk: the join again, the C_k probe, and R_k appended in
-/// join order, already its (trans_id, items) order. ApplyGlobalCk(k) is
-/// accepted once per CountIteration(k); anything else is InvalidArgument.
+/// JoinRkPrime's rows straight into a BudgetedCount, whose budget is the
+/// sort budget under kSortMerge and unbounded under kHash. ApplyGlobalCk(k),
+/// the filter pass, is FilterByCk: the join again, the C_k probe, and R_k
+/// appended in join order, already its (trans_id, items) order.
+/// ApplyGlobalCk(k) is accepted once per CountIteration(k); anything else
+/// is InvalidArgument.
 ///
 /// Local counts use min_count = 1 unless the coordinator sets a count floor
 /// (SetCountFloor): a sole shard's counts are global, so it counts with
@@ -54,7 +55,7 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///
 /// R_1 and R_k are fixed-width int32 relations (IntRelation) that never
 /// enter the catalog: flat arrays under kMemory, heap chains of unlogged
-/// pages under kHeap. Local kHash counts, the C_k probe and (in the
+/// pages under kHeap. Local counts, the C_k probe and (in the
 /// coordinator) the merge of partial counts use packed itemset keys
 /// (ItemsetCounts), so no row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {

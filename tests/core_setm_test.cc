@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -447,17 +448,83 @@ INSTANTIATE_TEST_SUITE_P(Methods, SetmPoolFetchTest,
                          testing::Values(CountMethod::kSortMerge,
                                          CountMethod::kHash));
 
-// R'_k is a stream, never a relation, and R_k is written in join order:
-// the only sort in a mine is the kSortMerge count, which sorts each R'_k
-// row once, and a kHash mine sorts nothing. A small sort budget makes
-// every sort spill, so a stored R'_k or a re-sorted R_k would also show as
-// page traffic in a kMemory kHash mine, which must move no page at all.
-class SetmStreamedRkPrimeTest
+// The number of distinct k-itemsets of R'_k: the candidates the count pass
+// groups its rows into. R_{k-1} holds (t, s) for every frequent
+// (k-1)-itemset s contained in transaction t, and R'_k extends each s with
+// the items of t above its last one.
+uint64_t DistinctCandidates(const TransactionDb& txns,
+                            const FrequentItemsets& frequent, size_t k) {
+  std::set<std::vector<ItemId>> candidates;
+  for (const Transaction& t : txns) {
+    if (k == 1) {
+      for (ItemId item : t.items) candidates.insert({item});
+      continue;
+    }
+    for (const PatternCount& s : frequent.OfSize(k - 1)) {
+      if (!std::includes(t.items.begin(), t.items.end(), s.items.begin(),
+                         s.items.end())) {
+        continue;
+      }
+      for (auto it = std::upper_bound(t.items.begin(), t.items.end(),
+                                      s.items.back());
+           it != t.items.end(); ++it) {
+        std::vector<ItemId> candidate = s.items;
+        candidate.push_back(*it);
+        candidates.insert(std::move(candidate));
+      }
+    }
+  }
+  return candidates.size();
+}
+
+// Reads, at each finished iteration, how far three counters moved during
+// it.
+class CounterDeltas : public MiningObserver {
+ public:
+  struct Delta {
+    uint64_t count_rows = 0;
+    uint64_t spilled_runs = 0;
+    uint64_t sort_rows = 0;
+  };
+
+  CounterDeltas() { last_ = Now(); }
+
+  bool OnIteration(const IterationStats&) override {
+    const Delta now = Now();
+    deltas.push_back({now.count_rows - last_.count_rows,
+                      now.spilled_runs - last_.spilled_runs,
+                      now.sort_rows - last_.sort_rows});
+    last_ = now;
+    return true;
+  }
+
+  std::vector<Delta> deltas;  ///< one per iteration, in k order
+
+ private:
+  static Delta Now() {
+    auto* registry = obs::MetricsRegistry::Global();
+    return {registry->GetCounter("setm_count_rows_total")->Value(),
+            registry->GetCounter("setm_count_spilled_runs_total")->Value(),
+            registry->GetCounter("setm_sort_rows_total")->Value()};
+  }
+
+  Delta last_;
+};
+
+// R'_k is a stream, never a relation, R_k is written in join order, and the
+// C_k count aggregates each R'_k row into a table within its budget. Under
+// kSortMerge the budget is the sort budget, 16 KiB here, below the
+// distinct-candidate footprint: the count spills runs of aggregated
+// (itemset, count) entries, the only rows a mine sorts, yet returns an
+// unbounded mine's itemsets and IterationStats. kHash counts without a
+// budget and sorts nothing, so a kMemory kHash mine moves no page at all.
+class SetmCountBudgetTest
     : public testing::TestWithParam<
           std::tuple<TableBacking, CountMethod, size_t>> {};
 
-TEST_P(SetmStreamedRkPrimeTest, SortsEachCandidateRowOnceForTheCountOnly) {
+TEST_P(SetmCountBudgetTest, SpillsOnlyAggregatedEntriesWithinTheBudget) {
   const auto [storage, method, threads] = GetParam();
+  constexpr size_t kBudget = 16 << 10;
   QuestOptions gen;
   gen.seed = 21;
   gen.num_transactions = 1500;
@@ -466,37 +533,74 @@ TEST_P(SetmStreamedRkPrimeTest, SortsEachCandidateRowOnceForTheCountOnly) {
   TransactionDb txns = QuestGenerator(gen).Generate();
   MiningOptions options;
   options.min_support = 0.02;
+  SetmOptions knobs{storage};
+  knobs.num_threads = threads;
+  obs::Gauge* peak =
+      obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
 
-  FrequentItemsets expected;
+  // The unbounded count of the same mine, and its table footprint.
+  MiningResult expected;
+  int64_t footprint = 0;
   {
     Database db;
-    auto reference = SetmMiner(&db).Mine(txns, options);
+    SetmOptions unbounded = knobs;
+    unbounded.count_method = CountMethod::kHash;
+    peak->Set(0);
+    auto reference = SetmMiner(&db, unbounded).Mine(txns, options);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    expected = std::move(reference).value().itemsets;
+    expected = std::move(reference).value();
+    footprint = peak->Value();
   }
 
   DatabaseOptions db_options;
-  db_options.sort_memory_bytes = 16 << 10;
+  db_options.sort_memory_bytes = kBudget;
   Database db(db_options);
-  SetmOptions knobs{storage};
   knobs.count_method = method;
-  knobs.num_threads = threads;
-  obs::Counter* sort_rows =
-      obs::MetricsRegistry::Global()->GetCounter("setm_sort_rows_total");
-  const uint64_t sorted_before = sort_rows->Value();
+  CounterDeltas deltas;
+  options.observer = &deltas;
+  peak->Set(0);
   auto result = SetmMiner(&db, knobs).Mine(txns, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const uint64_t sorted = sort_rows->Value() - sorted_before;
-  EXPECT_TRUE(result.value().itemsets == expected);
+  EXPECT_TRUE(result.value().itemsets == expected.itemsets);
 
   const auto& iterations = result.value().iterations;
   ASSERT_GE(iterations.size(), 3u);
-  uint64_t r_prime_rows = 0;
-  for (const IterationStats& it : iterations) r_prime_rows += it.r_prime_rows;
+  ASSERT_EQ(iterations.size(), expected.iterations.size());
+  ASSERT_EQ(deltas.deltas.size(), iterations.size());
+  uint64_t spilled_runs = 0;
+  uint64_t sorted_rows = 0;
+  for (size_t i = 0; i < iterations.size(); ++i) {
+    const IterationStats& it = iterations[i];
+    const IterationStats& want = expected.iterations[i];
+    SCOPED_TRACE("k=" + std::to_string(it.k));
+    EXPECT_EQ(it.k, want.k);
+    EXPECT_EQ(it.r_prime_rows, want.r_prime_rows);
+    EXPECT_EQ(it.r_rows, want.r_rows);
+    EXPECT_EQ(it.r_bytes, want.r_bytes);
+    EXPECT_EQ(it.r_pages, want.r_pages);
+    EXPECT_EQ(it.c_size, want.c_size);
+
+    const CounterDeltas::Delta& d = deltas.deltas[i];
+    EXPECT_EQ(d.count_rows, it.r_prime_rows);
+    // Each spilled run holds one entry per itemset it counted.
+    if (d.spilled_runs == 0) {
+      EXPECT_EQ(d.sort_rows, 0u);
+    } else {
+      EXPECT_GE(d.sort_rows, d.spilled_runs);
+      EXPECT_LE(d.sort_rows,
+                DistinctCandidates(txns, expected.itemsets, it.k) *
+                    d.spilled_runs);
+    }
+    spilled_runs += d.spilled_runs;
+    sorted_rows += d.sort_rows;
+  }
   if (method == CountMethod::kSortMerge) {
-    EXPECT_EQ(sorted, r_prime_rows);
+    EXPECT_GT(footprint, static_cast<int64_t>(kBudget));
+    EXPECT_GT(spilled_runs, 0u);
+    EXPECT_LE(peak->Value(), static_cast<int64_t>(kBudget));
   } else {
-    EXPECT_EQ(sorted, 0u);
+    EXPECT_EQ(spilled_runs, 0u);
+    EXPECT_EQ(sorted_rows, 0u);
   }
   if (storage == TableBacking::kMemory && method == CountMethod::kHash) {
     EXPECT_EQ(result.value().io.page_reads, 0u);
@@ -505,12 +609,43 @@ TEST_P(SetmStreamedRkPrimeTest, SortsEachCandidateRowOnceForTheCountOnly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, SetmStreamedRkPrimeTest,
+    Sweep, SetmCountBudgetTest,
     testing::Combine(testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash),
                      testing::Values(size_t{1}, size_t{3})));
+
+// The count floor applies to an itemset's total, after the runs are summed:
+// {7} is counted once in each of three spilled runs and once more in the
+// table's remainder, below a floor of 4 every time, and survives with 4.
+TEST(BudgetedCountTest, FloorAppliesAfterTheCrossRunSum) {
+  Database db;
+  // A k = 1 table starts at 64 slots of 12 bytes and holds 32 itemsets; a
+  // budget of exactly that size never lets it grow.
+  BudgetedCount count(ExecContext::From(&db), 1, 64 * 12);
+  ItemId other = 100;
+  for (int run = 0; run < 3; ++run) {
+    const ItemId seven = 7;
+    ASSERT_TRUE(count.Add(&seven).ok());
+    // 32 more itemsets: the last one finds the table full and spills it.
+    for (int i = 0; i < 32; ++i, ++other) {
+      ASSERT_TRUE(count.Add(&other).ok());
+    }
+  }
+  const ItemId seven = 7;
+  ASSERT_TRUE(count.Add(&seven).ok());
+  EXPECT_EQ(count.stats().spilled_runs, 3u);
+  EXPECT_EQ(count.stats().spilled_entries, 3u * 32);
+  EXPECT_EQ(count.stats().rows, 100u);
+
+  std::vector<PatternCount> out;
+  ASSERT_TRUE(count.Finish(/*min_count=*/4, &out).ok());
+  EXPECT_EQ(count.stats().peak_bytes, 64u * 12);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].items, Items({7}));
+  EXPECT_EQ(out[0].count, 4);
+}
 
 // The streamed join is what lets R_k skip its sort: over random R_{k-1}
 // and R_1 it must emit exactly the nested-loop join's rows, strictly

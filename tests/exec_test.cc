@@ -351,7 +351,53 @@ TEST(IntRowSortApiTest, EmptyInputAndMisuse) {
   EXPECT_FALSE(more.value());
   const int32_t late[2] = {1, 2};
   EXPECT_EQ(sort.Add(late).code(), StatusCode::kInternal);
+  EXPECT_EQ(sort.AddSortedRun({1, 2}).code(), StatusCode::kInternal);
   EXPECT_EQ(sort.Finish().status().code(), StatusCode::kInternal);
+}
+
+// A run handed over already sorted joins the one merge, after the rows
+// buffered before it: the output is the stable sort of every row in the
+// order it arrived, and the run counts as a spilled run of its rows.
+TEST(IntRowSortApiTest, SortedRunsJoinTheMerge) {
+  DatabaseOptions options;
+  options.temp_pool_frames = 8;  // effective fan-in: 4 runs
+  options.sort_memory_bytes = 400;
+  Database db(options);
+  IntRowSort sort(ExecContext::From(&db), 2, 0, 1);
+  Rng rng(5);
+  std::vector<std::vector<int32_t>> all;  // (key, arrival) in arrival order
+  const auto add = [&](int32_t key) {
+    const int32_t row[2] = {key, static_cast<int32_t>(all.size())};
+    all.push_back({row[0], row[1]});
+    return sort.Add(row);
+  };
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(add(static_cast<int32_t>(rng.Uniform(20))).ok());
+  }
+  for (int run = 0; run < 6; ++run) {
+    std::vector<int32_t> sorted_run;
+    for (int32_t key = 0; key < 20; key += 1 + run) {
+      sorted_run.insert(sorted_run.end(),
+                        {key, static_cast<int32_t>(all.size())});
+      all.push_back({key, static_cast<int32_t>(all.size())});
+    }
+    ASSERT_TRUE(sort.AddSortedRun(sorted_run).ok());
+    ASSERT_TRUE(add(static_cast<int32_t>(rng.Uniform(20))).ok());
+  }
+  const uint64_t spilled_before_finish = sort.stats().spilled_runs;
+  auto cursor = sort.Finish();
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  std::vector<std::vector<int32_t>> actual;
+  ASSERT_TRUE(ForEachRow(cursor.value().get(), [&actual](const int32_t* r) {
+                actual.emplace_back(r, r + 2);
+                return Status::OK();
+              }).ok());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const auto& a, const auto& b) { return a[0] < b[0]; });
+  EXPECT_EQ(actual, all);
+  EXPECT_EQ(sort.stats().rows, all.size());
+  EXPECT_GE(spilled_before_finish, 6u + 1);  // the six runs, after spills
+  EXPECT_GE(sort.stats().merge_passes, 1u);
 }
 
 TEST_F(ExternalSortTest, SortIteratorWrapsChild) {
