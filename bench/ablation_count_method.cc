@@ -13,12 +13,14 @@
 //
 // usage: ablation_count_method [--smoke]
 //   --smoke: the lowest minsup only. Exits 1 if the itemsets differ across
-//   budgets or the smallest budget does not spill (checked in both modes).
+//   budgets, the smallest budget does not spill, or a budget at or above
+//   the unbounded count's peak table bytes spills (checked in both modes).
 
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
@@ -37,14 +39,18 @@ int main(int argc, char** argv) {
   constexpr size_t kUnbounded = 0;
   const size_t kBudgets[] = {16 << 10, 256 << 10, 1 << 20, kUnbounded};
 
-  std::printf("%-10s %-12s %10s %12s %10s %14s %10s\n", "minsup(%)",
+  obs::Gauge* peak =
+      obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
+  std::printf("%-10s %-12s %10s %12s %10s %14s %12s %10s\n", "minsup(%)",
               "budget", "time(s)", "accesses", "runs", "entries",
-              "patterns");
+              "table(KiB)", "patterns");
   for (double pct : bench::PaperMinSupSweep()) {
     if (smoke && pct != bench::PaperMinSupSweep().front()) break;
     MiningOptions options;
     options.min_support = pct / 100.0;
     std::optional<FrequentItemsets> first;
+    std::vector<uint64_t> spilled;  // runs per bounded budget
+    int64_t unbounded_peak = 0;
     for (size_t budget : kBudgets) {
       DatabaseOptions db_options;
       db_options.pool_frames = 512;
@@ -57,6 +63,7 @@ int main(int argc, char** argv) {
         db_options.sort_memory_bytes = budget;
       }
       bench::MetricsDelta delta;
+      peak->Set(0);
       WallTimer timer;
       const MiningResult result =
           bench::RunAlgo("setm", txns, options, knobs, db_options);
@@ -67,12 +74,18 @@ int main(int argc, char** argv) {
       const std::string label =
           budget == kUnbounded ? "unbounded" : std::to_string(budget >> 10) +
                                                    " KiB";
-      std::printf("%-10.1f %-12s %10.3f %12llu %10llu %14llu %10zu\n", pct,
-                  label.c_str(), seconds,
+      std::printf("%-10.1f %-12s %10.3f %12llu %10llu %14llu %12.1f %10zu\n",
+                  pct, label.c_str(), seconds,
                   static_cast<unsigned long long>(result.io.TotalAccesses()),
                   static_cast<unsigned long long>(runs),
                   static_cast<unsigned long long>(entries),
+                  static_cast<double>(peak->Value()) / 1024.0,
                   result.itemsets.TotalPatterns());
+      if (budget == kUnbounded) {
+        unbounded_peak = peak->Value();
+      } else {
+        spilled.push_back(runs);
+      }
       if (!first) {
         first = result.itemsets;
         if (runs == 0) {
@@ -86,6 +99,20 @@ int main(int argc, char** argv) {
                      "FAIL: minsup %.1f%%: itemsets at %s differ from %zu "
                      "KiB's\n",
                      pct, label.c_str(), kBudgets[0] >> 10);
+        return 1;
+      }
+    }
+    // A budget that holds the unbounded count's largest table never needs
+    // to spill.
+    for (size_t i = 0; i < spilled.size(); ++i) {
+      if (static_cast<int64_t>(kBudgets[i]) >= unbounded_peak &&
+          spilled[i] != 0) {
+        std::fprintf(stderr,
+                     "FAIL: minsup %.1f%%: the %zu KiB budget holds the "
+                     "unbounded table (%lld bytes) yet spilled %llu runs\n",
+                     pct, kBudgets[i] >> 10,
+                     static_cast<long long>(unbounded_peak),
+                     static_cast<unsigned long long>(spilled[i]));
         return 1;
       }
     }

@@ -27,14 +27,18 @@ namespace setm {
 ///      R_1 (sorted on trans_id, item) on trans_id, keeping extensions with
 ///      q.item > p.item_{k-1} — lexicographic candidate patterns. R'_k is
 ///      a stream in (trans_id, items) order, never a stored relation;
-///   2. the count pass: the join's rows are sorted on (item_1 .. item_k)
-///      and the groups stream-counted, keeping those with count >=
-///      minsupport: the count relation C_k;
-///   3. the filter pass: the join runs again and R_k := its rows whose
-///      pattern is in C_k ("simple table look-ups on relation C_k"),
-///      written in join order, which already is (trans_id, items) order.
-///      Figure 4 instead stores R'_k and sorts R_k back on trans_id, since
-///      its count sort reorders R'_k in place.
+///   2. the count: R'_k's itemsets are grouped and counted within the sort
+///      budget, keeping those with count >= minsupport: the count
+///      relation C_k;
+///   3. the filter: R_k := the rows of R'_k whose pattern is in C_k
+///      ("simple table look-ups on relation C_k"), written in join order,
+///      which already is (trans_id, items) order. Figure 4 instead stores
+///      R'_k and sorts R_k back on trans_id, since its count sort reorders
+///      R'_k in place.
+/// Steps 1 and 3 of iteration k and step 2 of iteration k+1 are one pass:
+/// the join that writes R_k also counts each kept row's extensions, the
+/// rows of R'_{k+1}. Iteration 1 builds R_1 and counts R'_2 alike. So each
+/// iteration reads R_{k-1} and R_1 once.
 /// The loop ends when R_k (equivalently C_k) is empty.
 ///
 ///     Database db;

@@ -53,7 +53,8 @@ BudgetedCount::BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes)
     : k_(k),
       budget_bytes_(budget_bytes),
       table_(k),
-      runs_(ctx, k + 1, /*key_begin=*/0, /*key_end=*/k) {}
+      runs_(ctx, k + 1, /*key_begin=*/0, /*key_end=*/k),
+      key_(k) {}
 
 Status BudgetedCount::SpillAndAdd(const ItemId* items) {
   std::vector<int32_t> run;
@@ -105,12 +106,24 @@ Status BudgetedCount::Finish(int64_t min_count,
   return Status::OK();
 }
 
+Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs) {
+  SETM_DCHECK(pairs->k() == 2);
+  const ItemId* end = items.data() + items.size();
+  for (const ItemId* it = items.data(); it != end; ++it) {
+    SETM_RETURN_IF_ERROR(
+        pairs->AddExtensions(it, std::upper_bound(it, end, *it), end));
+  }
+  return Status::OK();
+}
+
 Status FilterByCk(const IntRelation& left, const IntRelation& r1,
-                  const ItemsetCounts& ck, IntRelation* out) {
+                  const ItemsetCounts& ck, IntRelation* out,
+                  BudgetedCount* next) {
   SETM_DCHECK(ck.k() + 1 == out->width());
+  SETM_DCHECK(next == nullptr || next->k() == ck.k() + 1);
   IntRowBatch batch(out);
   std::vector<int32_t> last;  // the previous row, for the order check
-  const auto keep = [&](const int32_t* row) {
+  const auto in_ck = [&](const int32_t* row) {
 #ifndef NDEBUG
     // R_k is appended in arrival order and never sorted, so the rows must
     // arrive in (trans_id, item_1..item_k) order.
@@ -119,11 +132,36 @@ Status FilterByCk(const IntRelation& left, const IntRelation& r1,
                                    row, end, last.begin(), last.end()));
     last.assign(row, end);
 #endif
-    return ck.Count(row + 1) != 0 ? batch.Add(row) : Status::OK();
+    return ck.Count(row + 1) != 0;
   };
   if (ck.k() == 1) {
+    // R'_2 pairs the kept items of a transaction, so they are gathered
+    // until the transaction ends.
+    std::optional<TransactionId> tid;
+    std::vector<ItemId> kept;
+    const auto count_pairs = [&]() {
+      return next == nullptr ? Status::OK() : CountPairs(kept, next);
+    };
+    const auto keep = [&](const int32_t* row) -> Status {
+      if (tid != row[0]) {
+        SETM_RETURN_IF_ERROR(count_pairs());
+        tid = row[0];
+        kept.clear();
+      }
+      if (!in_ck(row)) return Status::OK();
+      kept.push_back(row[1]);
+      return batch.Add(row);
+    };
     SETM_RETURN_IF_ERROR(ForEachRow(left.Scan().get(), keep));
+    SETM_RETURN_IF_ERROR(count_pairs());
   } else {
+    const auto keep = [&](const int32_t* row, const ItemId* rest,
+                          const ItemId* rest_end) -> Status {
+      if (!in_ck(row)) return Status::OK();
+      SETM_RETURN_IF_ERROR(batch.Add(row));
+      return next == nullptr ? Status::OK()
+                             : next->AddExtensions(row + 1, rest, rest_end);
+    };
     SETM_RETURN_IF_ERROR(JoinRkPrime(left, r1, keep));
   }
   return batch.Flush();

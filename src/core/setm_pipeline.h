@@ -20,17 +20,25 @@ namespace setm {
 // sharded database and every remote LCOUNT/MERGE request runs them there.
 // An R_k is an IntRelation of width k+1, (trans_id, item_1..item_k), kept
 // sorted on all of its columns; a C_k is an ItemsetCounts keyed by the k
-// items. R'_k is never stored: it is a stream of join rows, produced once
-// for the count and once more for the filter. The SQL engine's Tuple/Value
-// path (and with it setm-sql, the paper's SQL formulation) is not used here.
+// items. R'_k is never stored. Each iteration k makes one pass, the one
+// that writes R_k: the merge-scan join of R_{k-1} with R_1 streams R'_k,
+// the rows whose items are in C_k are appended to R_k, and each kept
+// row's extensions, the rows of R'_{k+1}, go straight into the next
+// level's BudgetedCount. So C_{k+1} is counted without a join of its own
+// and each iteration reads R_{k-1} and R_1 once (the fusion of AprioriTid,
+// Agrawal and Srikant 1994). The SQL engine's Tuple/Value path (and with
+// it setm-sql, the paper's SQL formulation) is not used here.
 
 /// Streams R'_k: the merge-scan join of `left` (R_{k-1}, width k) with `r1`
 /// (R_1, width 2) on trans_id, keeping extensions with q.item >
 /// p.item_{k-1}, projected to (trans_id, item_1..item_k). Calls
-/// `visit(row)` (k+1 ints, valid for the call only; returns a Status) once
-/// per row, in merge-join order — each left row followed by its
-/// transaction's qualifying R_1 items, in order — so the rows arrive sorted
-/// on (trans_id, item_1..item_k) like the inputs. Stops at the first error.
+/// `visit(row, rest, rest_end)` (returns a Status) once per row, in
+/// merge-join order — each left row followed by its transaction's
+/// qualifying R_1 items, in order — so the rows arrive sorted on
+/// (trans_id, item_1..item_k) like the inputs. `row` is k+1 ints and
+/// [rest, rest_end) the transaction's R_1 items greater than item_k: the
+/// row's own extensions, R'_{k+1}'s rows should it be kept. Both are valid
+/// for the call only. Stops at the first error.
 template <typename Visit>
 Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
                    Visit visit) {
@@ -61,10 +69,15 @@ Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
     // q.item > p.item_{k-1}: the items are in order, so the qualifying ones
     // are a suffix.
     std::copy_n(p, k, row.begin());
-    for (auto it = std::upper_bound(items.begin(), items.end(), p[k - 1]);
-         it != items.end(); ++it) {
+    const ItemId* begin = items.data();
+    const ItemId* end = begin + items.size();
+    for (const ItemId* it = std::upper_bound(begin, end, p[k - 1]);
+         it != end; ++it) {
       row[k] = *it;
-      SETM_RETURN_IF_ERROR(visit(row.data()));
+      // The row's extensions start past every copy of item_k: a
+      // transaction that repeats an item does not extend with it again.
+      SETM_RETURN_IF_ERROR(
+          visit(row.data(), std::upper_bound(it, end, *it), end));
     }
     return Status::OK();
   });
@@ -78,7 +91,7 @@ struct CountStats {
   uint64_t peak_bytes = 0;  ///< the table's largest allocation, at Finish()
 };
 
-/// The count pass, "sort R'_k on item_1..item_k; C_k := generate counts",
+/// The count, "sort R'_k on item_1..item_k; C_k := generate counts",
 /// within a memory budget. Each R'_k row's itemset is aggregated into an
 /// ItemsetCounts. When a new itemset would grow the table past the budget,
 /// the table's entries are sorted on their items and written to temp
@@ -90,8 +103,9 @@ struct CountStats {
 /// With no spill this is hash aggregation; under a small budget it is
 /// early aggregation ahead of the paper's sort-merge (Graefe 1993, Larson
 /// 2002), which writes at most one row per itemset per run instead of one
-/// per R'_k row. Results are identical for every budget. A budget below
-/// the table's initial 64 slots spills every 32 new itemsets.
+/// per R'_k row. Results are identical for every budget. The table fills
+/// its budget (ItemsetCounts::MaxEntriesWithin); a budget below the
+/// table's initial allocation spills every 32 new itemsets.
 ///
 /// Finish() records rows and spilled runs in setm_count_rows_total and
 /// setm_count_spilled_runs_total, and raises the setm_mem_count_bytes
@@ -105,6 +119,8 @@ class BudgetedCount {
   /// bytes()), spilling runs to `ctx`'s temp pool.
   BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes);
 
+  size_t k() const { return k_; }
+
   /// Counts one occurrence of `items` (k ints).
   Status Add(const ItemId* items) {
     ++stats_.rows;
@@ -112,8 +128,20 @@ class BudgetedCount {
     return SpillAndAdd(items);
   }
 
+  /// Counts `prefix` (k-1 ints) extended by each item of [first, last):
+  /// the R'_k rows of one kept R_{k-1} row.
+  Status AddExtensions(const ItemId* prefix, const ItemId* first,
+                       const ItemId* last) {
+    std::copy_n(prefix, k_ - 1, key_.begin());
+    for (; first != last; ++first) {
+      key_[k_ - 1] = *first;
+      SETM_RETURN_IF_ERROR(Add(key_.data()));
+    }
+    return Status::OK();
+  }
+
   /// Appends every itemset counted at least `min_count` times to `out`: in
-  /// item order after a spill, in table order otherwise. Call once.
+  /// item order after a spill, in insertion order otherwise. Call once.
   /// A shard passes min_count = 1 (support is a global property, so local
   /// counts must all survive to the merge) unless it is the run's only
   /// shard, whose local counts are global: then it passes minsupport, as
@@ -130,16 +158,24 @@ class BudgetedCount {
   ItemsetCounts table_;
   IntRowSort runs_;  ///< rows: item_1..item_k, count; key: the items
   CountStats stats_;
+  std::vector<ItemId> key_;  ///< AddExtensions' itemset being counted
 };
 
-/// The filter pass: appends to `out` (width k+1, for ck.k() == k) the rows
-/// of R'_k whose items are in `ck` ("simple table look-ups on relation
-/// C_k"), in the order they arrive. For k >= 2 R'_k is the join of `left`
-/// (R_{k-1}) with `r1`, run again, so R_k comes out sorted on (trans_id,
-/// item_1..item_k) without a sort. For k == 1 (the filter_r1 ablation)
-/// `left` is R_1 itself and is filtered as is.
+/// Counts the R'_2 rows of one transaction whose R_1 items are `items`
+/// (ascending): each item extended by every larger one.
+Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs);
+
+/// The one pass of iteration k, the filter: appends to `out` (width k+1,
+/// for ck.k() == k) the rows of R'_k whose items are in `ck` ("simple
+/// table look-ups on relation C_k"), in the order they arrive, and counts
+/// the kept rows' extensions, R'_{k+1}, into `next` unless it is null. For
+/// k >= 2 R'_k is the join of `left` (R_{k-1}) with `r1`, so R_k comes out
+/// sorted on (trans_id, item_1..item_k) without a sort. For k == 1 (the
+/// filter_r1 ablation) `left` is R_1 itself, filtered as is; `out` is the
+/// new R_1, and R'_2 the pairs of each transaction's kept items.
 Status FilterByCk(const IntRelation& left, const IntRelation& r1,
-                  const ItemsetCounts& ck, IntRelation* out);
+                  const ItemsetCounts& ck, IntRelation* out,
+                  BudgetedCount* next);
 
 }  // namespace setm
 

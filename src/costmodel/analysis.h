@@ -68,13 +68,15 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// empty): 3 x ||R1|| + 4 x ||R'_2|| = 120,000 accesses ~ 10 minutes,
 /// all sequential.
 /// This models the paper's plan, which stores R'_k and sorts R_k back on
-/// trans_id. The engine streams R'_k out of the join twice instead (count
-/// and filter pass): no R'_k write, no R_k sort, one extra read of R_{k-1}
-/// and R_1 per iteration. Nor does the engine sort R'_k for the count, as
-/// the paper charges: it aggregates R'_k rows into a table within the sort
-/// budget and spills only sorted (itemset, count) entries, at most one per
-/// candidate per run, nothing when the candidates fit. Its measured pages
-/// do not map term for term; the paper figures here stay unchanged.
+/// trans_id. The engine instead makes one pass per iteration: the join of
+/// R_{k-1} with R_1 streams R'_k, the C_k probe writes R_k, and the kept
+/// rows' extensions are counted as R'_{k+1} in the same pass. So it reads
+/// R_{k-1} and R_1 once per iteration, never writes R'_k and never sorts
+/// R_k. Nor does it sort R'_k for the count, as the paper charges: it
+/// aggregates R'_k rows into a table within the sort budget and spills
+/// only sorted (itemset, count) entries, at most one per candidate per
+/// run, nothing when the candidates fit. Its measured pages do not map
+/// term for term; the paper figures here stay unchanged.
 struct SortMergeAnalysis {
   uint64_t r1_pages = 0;
   std::vector<uint64_t> r_prime_pages;  ///< ||R'_2||, ||R'_3||, ...

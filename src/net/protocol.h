@@ -32,13 +32,16 @@ namespace setm::net {
 ///                             within the server's sort budget, spilling
 ///                             sorted runs; hash counts unbounded
 ///   LCOUNT K <k>              continues the connection's shard run (k >= 2):
-///                             local R'_k join, answers candidate counts
-///                             ("<item_1> ... <item_k> <count>" lines)
+///                             answers the local candidate counts of R'_k
+///                             ("<item_1> ... <item_k> <count>" lines),
+///                             counted by the previous MERGE (or, for k == 2
+///                             without FILTER, by LCOUNT K 1)
 ///   MERGE K <k>               then one surviving global itemset per line
 ///                             ("<item_1> ... <item_k>", ascending),
 ///                             terminated by "."; filters the local R'_k
 ///                             (or R_1, for k == 1 under FILTER) down to
-///                             R_k — phase 2 of the distributed count
+///                             R_k — phase 2 of the distributed count — and
+///                             counts R'_{k+1} in the same pass
 ///   STATS [text|json|prom]
 ///   PING
 ///   QUIT

@@ -184,6 +184,7 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
 
   ShardRunOptions run = coord.run;
   run.filter_r1 = options.filter_r1;
+  run.max_pattern_length = options.max_pattern_length;
 
   std::vector<ShardState> states(shards.size());
   auto* registry = obs::MetricsRegistry::Global();

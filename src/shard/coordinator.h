@@ -17,8 +17,8 @@ namespace setm::shard {
 
 /// Knobs of one distributed run that are the coordinator's, not the query's.
 struct CoordinatorOptions {
-  /// Physical knobs forwarded to every shard (filter_r1 is taken from the
-  /// MiningOptions).
+  /// Physical knobs forwarded to every shard (filter_r1 and
+  /// max_pattern_length are taken from the MiningOptions).
   ShardRunOptions run;
   /// Fan-out pool for the per-shard phases; null runs them serially on the
   /// calling thread. The pool is only ever entered from the coordinator —

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 
 namespace setm::shard {
@@ -58,6 +57,18 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
   return Status::OK();
 }
 
+std::unique_ptr<BudgetedCount> LocalShardBackend::NewCount(size_t k) const {
+  if (run_.max_pattern_length != 0 && k > run_.max_pattern_length) {
+    return nullptr;
+  }
+  // Within the sort budget under kSortMerge, without one under kHash.
+  const ExecContext ctx = ExecContext::From(db_);
+  return std::make_unique<BudgetedCount>(
+      ctx, k,
+      run_.count_method == CountMethod::kHash ? BudgetedCount::kUnbounded
+                                              : ctx.sort_memory_bytes);
+}
+
 Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   if (!running_) {
     return Status::Internal("CountIteration before BeginRun on shard " +
@@ -66,32 +77,34 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
   WallTimer timer;
   ShardLocalCounts out;
-  // The count pass: every R'_k row's itemset goes straight into the count,
-  // within the sort budget under kSortMerge and without one under kHash.
-  const ExecContext ctx = ExecContext::From(db_);
-  BudgetedCount counts(ctx, k,
-                       run_.count_method == CountMethod::kHash
-                           ? BudgetedCount::kUnbounded
-                           : ctx.sort_memory_bytes);
-  const auto count = [&](const int32_t* row) {
-    ++out.r_prime_rows;
-    return counts.Add(row + 1);
-  };
-
+  std::unique_ptr<BudgetedCount> counts;
   if (k == 1) {
+    counts = NewCount(1);
     auto r1_or = IntRelation::Create(db_, run_.storage, 2);
     if (!r1_or.ok()) return r1_or.status();
     r1_ = std::move(r1_or).value();
     r_prev_.reset();
+    // R'_2 pairs the items of each transaction; under filter_r1 it is
+    // counted over the filtered R_1 instead, by ApplyGlobalCk(1).
+    next_count_ = run_.filter_r1 ? nullptr : NewCount(2);
     // R_1 := the slice, already in (trans_id, item) order.
     const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
     IntRowBatch batch(r1_.get());
+    std::vector<ItemId> items;  // the current transaction's
     uint64_t transactions = 0;
     for (size_t i = 0; i < slice.size(); ++i) {
       const int32_t row[2] = {slice[i].tid, slice[i].item};
-      if (i == 0 || row[0] != slice[i - 1].tid) ++transactions;
+      if (i == 0 || row[0] != slice[i - 1].tid) {
+        ++transactions;
+        items.clear();
+      }
+      items.push_back(row[1]);
       SETM_RETURN_IF_ERROR(batch.Add(row));
-      SETM_RETURN_IF_ERROR(count(row));
+      SETM_RETURN_IF_ERROR(counts->Add(&row[1]));
+      const bool last = i + 1 == slice.size() || slice[i + 1].tid != row[0];
+      if (last && next_count_ != nullptr) {
+        SETM_RETURN_IF_ERROR(CountPairs(items, next_count_.get()));
+      }
     }
     SETM_RETURN_IF_ERROR(batch.Flush());
     run_rows_.clear();
@@ -100,19 +113,22 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     out.r_bytes = r1_->size_bytes();
     out.r_pages = r1_->num_pages();
   } else {
-    const IntRelation* left = r_prev_ != nullptr ? r_prev_.get() : r1_.get();
-    if (left == nullptr) {
-      return Status::Internal("CountIteration(k>=2) before CountIteration(1)");
+    // R'_k was counted by the pass that wrote R_{k-1}: only the stored
+    // count is left to finish, with the floor that applies now.
+    if (next_count_ == nullptr || next_count_->k() != k) {
+      const std::string previous =
+          k == 2 && !run_.filter_r1 ? "CountIteration(1)"
+                                    : "ApplyGlobalCk(" +
+                                          std::to_string(k - 1) + ")";
+      return Status::InvalidArgument("CountIteration(" + std::to_string(k) +
+                                     ") without " + previous +
+                                     " on shard " + name_);
     }
-    if (left->width() != k) {
-      return Status::InvalidArgument(
-          "CountIteration(" + std::to_string(k) + ") after iteration " +
-          std::to_string(left->width() - 1) + " on shard " + name_);
-    }
-    SETM_RETURN_IF_ERROR(JoinRkPrime(*left, *r1_, count));
+    counts = std::move(next_count_);
   }
 
-  SETM_RETURN_IF_ERROR(counts.Finish(count_floor_, &out.counts));
+  out.r_prime_rows = counts->stats().rows;
+  SETM_RETURN_IF_ERROR(counts->Finish(count_floor_, &out.counts));
   counted_k_ = k;
   out.seconds = timer.ElapsedSeconds();
   return out;
@@ -141,13 +157,17 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   auto rk_or = IntRelation::Create(db_, run_.storage, k + 1);
   if (!rk_or.ok()) return rk_or.status();
   std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
-  // An empty global C_k still creates (and reports) an empty R_k, as
-  // Figure 4's loop does. Otherwise the filter pass re-runs the count
-  // pass's join (R_1 itself for k == 1).
+  // The one pass of the iteration: the join (R_1 itself for k == 1), the
+  // C_k probe, R_k appended and R'_{k+1} counted. An empty global C_k
+  // still creates (and reports) an empty R_k, as Figure 4's loop does,
+  // and leaves an empty count of R'_{k+1}.
+  std::unique_ptr<BudgetedCount> next = NewCount(k + 1);
   if (keys.size() != 0) {
     const IntRelation& left = r_prev_ != nullptr ? *r_prev_ : *r1_;
-    SETM_RETURN_IF_ERROR(FilterByCk(left, *r1_, keys, rk.get()));
+    SETM_RETURN_IF_ERROR(
+        FilterByCk(left, *r1_, keys, rk.get(), next.get()));
   }
+  next_count_ = std::move(next);
   ShardFilterStats stats;
   stats.r_rows = rk->num_rows();
   stats.r_bytes = rk->size_bytes();
@@ -165,6 +185,7 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
 Status LocalShardBackend::EndRun() {
   r1_.reset();
   r_prev_.reset();
+  next_count_.reset();
   counted_k_ = 0;
   run_rows_.clear();
   run_rows_.shrink_to_fit();

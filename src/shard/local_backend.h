@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/setm.h"
+#include "core/setm_pipeline.h"
 #include "relational/int_relation.h"
 #include "shard/shard_backend.h"
 
@@ -33,14 +34,24 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// does the server-side implementation of LCOUNT/MERGE, so local, threaded,
 /// serial and remote mines cannot drift apart.
 ///
-/// Each iteration k >= 2 runs the merge-scan join of R_{k-1} with R_1
-/// twice, so R'_k is never stored. CountIteration(k), the count pass, feeds
-/// JoinRkPrime's rows straight into a BudgetedCount, whose budget is the
-/// sort budget under kSortMerge and unbounded under kHash. ApplyGlobalCk(k),
-/// the filter pass, is FilterByCk: the join again, the C_k probe, and R_k
-/// appended in join order, already its (trans_id, items) order.
+/// Each iteration makes one pass over its inputs, the one that writes its
+/// R_k, and that pass also counts the next iteration's R'_{k+1}, so R'_k
+/// is never stored and no join runs twice:
+///   - CountIteration(1) builds R_1 from the slice, counts C_1's items and
+///     R'_2, the item pairs of each transaction (under filter_r1, R'_2
+///     waits for the filtered R_1).
+///   - ApplyGlobalCk(k) is FilterByCk: the merge-scan join of R_{k-1} with
+///     R_1, the C_k probe, R_k appended in join order (already its
+///     (trans_id, items) order), and each kept row's extensions counted
+///     into the BudgetedCount of R'_{k+1}. Under filter_r1,
+///     ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it.
+///   - CountIteration(k >= 2) only finishes that stored count, with the
+///     floor that applies then; it is InvalidArgument without the pass
+///     that counted R'_k.
+/// A count's budget is the sort budget under kSortMerge and unbounded
+/// under kHash. No count is started past the run's max_pattern_length.
 /// ApplyGlobalCk(k) is accepted once per CountIteration(k); anything else
-/// is InvalidArgument.
+/// is InvalidArgument. EndRun (and so BeginRun) drops a pending count.
 ///
 /// Local counts use min_count = 1 unless the coordinator sets a count floor
 /// (SetCountFloor): a sole shard's counts are global, so it counts with
@@ -80,6 +91,9 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardHealth> Health() override;
 
  private:
+  /// A count of R'_k (null past max_pattern_length).
+  std::unique_ptr<BudgetedCount> NewCount(size_t k) const;
+
   Database* db_;
   std::string name_;
   std::string table_name_;
@@ -94,6 +108,9 @@ class LocalShardBackend : public ShardBackend {
   std::unique_ptr<IntRelation> r1_;      ///< R_1 slice (filtered when asked)
   std::unique_ptr<IntRelation> r_prev_;  ///< R_{k-1}; null means use r1
   size_t counted_k_ = 0;  ///< k counted and awaiting ApplyGlobalCk; 0: none
+  /// R'_{k+1}, counted by the pass that wrote R_k (or by CountIteration(1))
+  /// and finished by CountIteration(k+1).
+  std::unique_ptr<BudgetedCount> next_count_;
 };
 
 }  // namespace setm::shard

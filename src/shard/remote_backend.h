@@ -14,6 +14,9 @@ namespace setm::shard {
 /// protocol's LCOUNT/MERGE verbs (net/protocol.h). The server's handler is
 /// a LocalShardBackend over the named table, so a remote shard computes
 /// bit-identical counts to a local one — this class only moves them.
+/// LCOUNT does not carry ShardRunOptions::max_pattern_length, so the
+/// server's last MERGE of a length-limited run counts one more level,
+/// which no LCOUNT then reads.
 ///
 /// One connection per backend, established at BeginRun (BlockingClient
 /// already retries transient refusals with backoff) and kept across runs.

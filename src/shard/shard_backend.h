@@ -17,6 +17,10 @@ struct ShardRunOptions {
   TableBacking storage = TableBacking::kMemory;
   CountMethod count_method = CountMethod::kSortMerge;
   bool filter_r1 = false;
+  /// The run's longest pattern (0: no limit), so that a shard's last pass
+  /// does not count a level the coordinator never asks for. Remote shards
+  /// are not sent it: their last pass counts one level more, unread.
+  size_t max_pattern_length = 0;
 };
 
 /// What one shard reports after locally counting iteration k: its local
@@ -66,9 +70,13 @@ struct ShardHealth {
 ///   [SetCountFloor(minsup)]  -> only when this is the sole shard
 ///   [ApplyGlobalCk(1, C_1)]  -> only when options.filter_r1
 ///   for k = 2, 3, ...:
-///     CountIteration(k)      -> local R'_k join + candidate counts
+///     CountIteration(k)      -> local candidate counts of R'_k
 ///     ApplyGlobalCk(k, C_k)  -> local R_k := R'_k filtered by global C_k
 ///   EndRun()
+///
+/// A backend may count R'_k in the phase before CountIteration(k), as
+/// LocalShardBackend does: the pass that writes R_{k-1} (or R_1) counts
+/// R'_k too.
 ///
 /// Implementations: LocalShardBackend runs the SETM pipeline bodies in
 /// process over a SALES slice; RemoteShardBackend speaks LCOUNT/MERGE to a
@@ -87,8 +95,8 @@ class ShardBackend {
   /// Starts a fresh run; any previous run's state is released.
   virtual Status BeginRun(const ShardRunOptions& options) = 0;
 
-  /// Phase 1 of iteration k: local join (k >= 2) or R_1 build (k == 1) plus
-  /// local candidate counts.
+  /// Phase 1 of iteration k: local candidate counts of R'_k, plus the R_1
+  /// build when k == 1.
   virtual Result<ShardLocalCounts> CountIteration(size_t k) = 0;
 
   /// Lets this run's later CountIteration calls drop candidates counted

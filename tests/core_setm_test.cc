@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
@@ -621,30 +623,285 @@ INSTANTIATE_TEST_SUITE_P(
 // table's remainder, below a floor of 4 every time, and survives with 4.
 TEST(BudgetedCountTest, FloorAppliesAfterTheCrossRunSum) {
   Database db;
-  // A k = 1 table starts at 64 slots of 12 bytes and holds 32 itemsets; a
-  // budget of exactly that size never lets it grow.
-  BudgetedCount count(ExecContext::From(&db), 1, 64 * 12);
+  // A budget of exactly a new k = 1 table's allocation never lets it grow:
+  // each run holds as many itemsets as that allocation does.
+  const size_t budget = ItemsetCounts(1).bytes();
+  const size_t per_run = ItemsetCounts::MaxEntriesWithin(1, budget);
+  ASSERT_GT(per_run, 1u);
+  BudgetedCount count(ExecContext::From(&db), 1, budget);
   ItemId other = 100;
   for (int run = 0; run < 3; ++run) {
     const ItemId seven = 7;
     ASSERT_TRUE(count.Add(&seven).ok());
-    // 32 more itemsets: the last one finds the table full and spills it.
-    for (int i = 0; i < 32; ++i, ++other) {
+    // per_run more itemsets: the last one finds the table full and spills.
+    for (size_t i = 0; i < per_run; ++i, ++other) {
       ASSERT_TRUE(count.Add(&other).ok());
     }
   }
   const ItemId seven = 7;
   ASSERT_TRUE(count.Add(&seven).ok());
   EXPECT_EQ(count.stats().spilled_runs, 3u);
-  EXPECT_EQ(count.stats().spilled_entries, 3u * 32);
-  EXPECT_EQ(count.stats().rows, 100u);
+  EXPECT_EQ(count.stats().spilled_entries, 3 * per_run);
+  EXPECT_EQ(count.stats().rows, 3 * (per_run + 1) + 1);
 
   std::vector<PatternCount> out;
   ASSERT_TRUE(count.Finish(/*min_count=*/4, &out).ok());
-  EXPECT_EQ(count.stats().peak_bytes, 64u * 12);
+  EXPECT_LE(count.stats().peak_bytes, budget);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].items, Items({7}));
   EXPECT_EQ(out[0].count, 4);
+}
+
+// The dense layout fills its budget: at the default 1 MiB, a table takes
+// over 30,000 distinct 3- or 4-itemsets before TryAdd refuses one, and
+// stays within the budget. Entry ids are 32 bits, so no budget buys more
+// than 2^32 - 1 entries.
+TEST(ItemsetCountsTest, FillsItsBudget) {
+  constexpr size_t kBudget = 1 << 20;
+  for (size_t k : {size_t{3}, size_t{4}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ItemsetCounts table(k);
+    std::vector<ItemId> items(k);
+    size_t accepted = 0;
+    for (;; ++accepted) {
+      for (size_t i = 0; i < k; ++i) {
+        items[i] = static_cast<ItemId>(accepted * k + i);
+      }
+      if (!table.TryAdd(items.data(), 1, kBudget)) break;
+    }
+    EXPECT_GE(accepted, 30000u);
+    EXPECT_EQ(accepted, ItemsetCounts::MaxEntriesWithin(k, kBudget));
+    EXPECT_EQ(table.size(), accepted);
+    EXPECT_LE(table.bytes(), kBudget);
+    // A refused itemset leaves the table as it was; a present one is
+    // still counted.
+    EXPECT_EQ(table.Count(items.data()), 0);
+    std::iota(items.begin(), items.end(), 0);  // the first itemset added
+    EXPECT_TRUE(table.TryAdd(items.data(), 2, kBudget));
+    EXPECT_EQ(table.Count(items.data()), 3);
+  }
+  EXPECT_EQ(ItemsetCounts::MaxEntriesWithin(1, SIZE_MAX), size_t{UINT32_MAX});
+  EXPECT_EQ(ItemsetCounts::MaxEntriesWithin(8, SIZE_MAX), size_t{UINT32_MAX});
+}
+
+// Entries come back in insertion order from ForEach and in item order from
+// ForEachSorted, with their counts, across growth and Clear().
+TEST(ItemsetCountsTest, OrdersAndCountsAcrossGrowth) {
+  ItemsetCounts table(2);
+  std::vector<std::vector<ItemId>> inserted;
+  Rng rng(5);
+  std::map<std::vector<ItemId>, int64_t> want;
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<ItemId> items = {static_cast<ItemId>(rng.Uniform(100)),
+                                 static_cast<ItemId>(rng.Uniform(100))};
+    if (want.count(items) == 0) inserted.push_back(items);
+    want[items] += 1 + i % 3;
+    table.Add(items.data(), 1 + i % 3);
+  }
+  std::vector<std::vector<ItemId>> order;
+  table.ForEach([&](const ItemId* items, int64_t count) {
+    order.emplace_back(items, items + 2);
+    EXPECT_EQ(count, want[order.back()]);
+  });
+  EXPECT_EQ(order, inserted);
+  std::vector<std::vector<ItemId>> sorted;
+  table.ForEachSorted([&](const ItemId* items, int64_t) {
+    sorted.emplace_back(items, items + 2);
+  });
+  std::sort(inserted.begin(), inserted.end());
+  EXPECT_EQ(sorted, inserted);
+
+  const size_t bytes = table.bytes();
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.bytes(), bytes);
+  EXPECT_EQ(table.Count(inserted[0].data()), 0);
+  table.Add(inserted[0].data(), 4);
+  EXPECT_EQ(table.Count(inserted[0].data()), 4);
+}
+
+// --------------------------------------------------------------------------
+// One pass per iteration: the pass that writes R_k counts R'_{k+1}.
+// --------------------------------------------------------------------------
+
+// Each iteration k >= 2 reads R_{k-1} and R_1 once, in the pass that
+// writes R_k and counts R'_{k+1}; iteration 1 only writes. Over a pool far
+// smaller than R_1, so no input stays cached between passes, a mine's page
+// reads stay within one scan of both inputs per iteration. The bound has
+// no slack term. The count does not spill at this size. The only other
+// reads are R_k's tail page, fetched back at most once per 8-page batch
+// append, a few pages per iteration; the k = 2 term covers them, since
+// R_1 joined with itself reads R_1 once for both inputs. Two scans per
+// iteration (a count pass and a filter pass) read about twice the bound.
+TEST(SetmOnePassTest, EachIterationReadsItsInputsOnce) {
+  QuestOptions gen;
+  gen.seed = 3;
+  gen.num_transactions = 2000;
+  gen.avg_transaction_size = 8;
+  gen.num_items = 100;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  DatabaseOptions db_options;
+  db_options.pool_frames = 8;
+  Database db(db_options);
+  auto result =
+      SetmMiner(&db, SetmOptions{TableBacking::kHeap}).Mine(txns, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto& iterations = result.value().iterations;
+  ASSERT_GE(iterations.size(), 4u);
+  ASSERT_GT(iterations[0].r_pages, 4 * db_options.pool_frames);
+  uint64_t one_scan = 0;  // Σ_{k≥2} pages(R_{k-1}) + pages(R_1)
+  for (size_t i = 1; i < iterations.size(); ++i) {
+    one_scan += iterations[i - 1].r_pages + iterations[0].r_pages;
+  }
+  EXPECT_GT(result.value().io.page_reads, 0u);
+  EXPECT_LE(result.value().io.page_reads, one_scan);
+}
+
+// The count table fills its budget: a mine of mine_heap's shape counts
+// every level within the default 1 MiB without spilling a run.
+TEST(SetmOnePassTest, MineHeapShapeCountsWithoutSpilling) {
+  QuestOptions gen;
+  gen.seed = 1;
+  gen.num_transactions = 5000;
+  gen.avg_transaction_size = 10;
+  gen.avg_pattern_size = 4;
+  gen.num_items = 400;
+  gen.num_patterns = 60;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  Database db;  // default 1 MiB sort budget
+  auto* registry = obs::MetricsRegistry::Global();
+  obs::Counter* spilled = registry->GetCounter("setm_count_spilled_runs_total");
+  obs::Gauge* peak = registry->GetGauge("setm_mem_count_bytes");
+  const uint64_t spilled_before = spilled->Value();
+  peak->Set(0);
+  SetmOptions knobs{TableBacking::kHeap};
+  knobs.count_method = CountMethod::kSortMerge;
+  auto result = SetmMiner(&db, knobs).Mine(txns, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result.value().iterations.size(), 4u);
+  EXPECT_EQ(spilled->Value() - spilled_before, 0u);
+  EXPECT_LE(peak->Value(),
+            static_cast<int64_t>(DatabaseOptions{}.sort_memory_bytes));
+}
+
+// With max_pattern_length = 2 the pass that writes R_2 counts nothing:
+// the count operator sees exactly |R'_1| + |R'_2| rows.
+TEST(SetmOnePassTest, NoCountPastMaxPatternLength) {
+  QuestOptions gen;
+  gen.seed = 8;
+  gen.num_transactions = 400;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 30;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  options.max_pattern_length = 2;
+  obs::Counter* rows =
+      obs::MetricsRegistry::Global()->GetCounter("setm_count_rows_total");
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Database db;
+    SetmOptions knobs;
+    knobs.num_threads = threads;
+    const uint64_t before = rows->Value();
+    auto result = SetmMiner(&db, knobs).Mine(txns, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const auto& iterations = result.value().iterations;
+    ASSERT_EQ(iterations.size(), 2u);
+    ASSERT_GT(iterations[1].r_rows, 0u);  // R'_3 would not be empty
+    EXPECT_EQ(rows->Value() - before,
+              iterations[0].r_prime_rows + iterations[1].r_prime_rows);
+  }
+}
+
+// The fused count under the options that change its inputs: filter_r1
+// (R'_2 pairs the filtered R_1) and max_pattern_length (the last pass
+// counts nothing), serial and threaded, with a budget small enough to
+// spill, all equal to the oracle.
+TEST(SetmOnePassTest, FilterR1AndMaxLengthMatchTheOracle) {
+  QuestOptions gen;
+  gen.seed = 12;
+  gen.num_transactions = 400;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 30;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  for (bool filter_r1 : {false, true}) {
+    for (size_t max_length : {size_t{0}, size_t{1}, size_t{2}, size_t{3}}) {
+      MiningOptions options;
+      options.min_support = 0.02;
+      options.filter_r1 = filter_r1;
+      options.max_pattern_length = max_length;
+      auto oracle = BruteForceMiner().Mine(txns, options);
+      ASSERT_TRUE(oracle.ok());
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
+                     " max_length=" + std::to_string(max_length) +
+                     " threads=" + std::to_string(threads));
+        DatabaseOptions db_options;
+        db_options.sort_memory_bytes = 4 << 10;
+        Database db(db_options);
+        SetmOptions knobs{TableBacking::kHeap};
+        knobs.num_threads = threads;
+        auto result = SetmMiner(&db, knobs).Mine(txns, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result.value().itemsets == oracle.value().itemsets);
+      }
+    }
+  }
+}
+
+// A SALES table may repeat a (trans_id, item) row; setm counts every row,
+// so the repeated item counts twice, but an itemset never holds an item
+// twice: a row's extensions are the items greater than its last one, in
+// the fused count as in the join. Four transactions {1, 2, 2, 3} and one
+// {1, 3}: R'_2 = 4 x {12, 12, 13, 23, 23} + {13}, R'_3 = 4 x {123, 123},
+// R'_4 is empty.
+TEST(SetmOnePassTest, RepeatedSalesRowsNeverRepeatAnItem) {
+  for (bool filter_r1 : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
+                   " threads=" + std::to_string(threads));
+      Database db;
+      auto sales = db.catalog()->CreateTable(
+          "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
+      ASSERT_TRUE(sales.ok());
+      const auto insert = [&](int32_t tid, int32_t item) {
+        const Tuple row({Value::Int32(tid), Value::Int32(item)});
+        ASSERT_TRUE(sales.value()->Insert(row).ok());
+      };
+      for (int32_t tid = 1; tid <= 4; ++tid) {
+        for (int32_t item : {1, 2, 2, 3}) insert(tid, item);
+      }
+      insert(5, 1);
+      insert(5, 3);
+      MiningOptions options;
+      options.min_support_count = 2;
+      options.filter_r1 = filter_r1;
+      SetmOptions knobs;
+      knobs.num_threads = threads;
+      auto result = SetmMiner(&db, knobs).MineTable(*sales.value(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const MiningResult& mined = result.value();
+      std::vector<uint64_t> r_prime_rows;
+      for (const IterationStats& it : mined.iterations) {
+        r_prime_rows.push_back(it.r_prime_rows);
+      }
+      EXPECT_EQ(r_prime_rows, (std::vector<uint64_t>{18, 21, 8, 0}));
+      ASSERT_EQ(mined.itemsets.MaxSize(), 3u);
+      EXPECT_EQ(mined.itemsets.OfSize(1).size(), 3u);
+      EXPECT_EQ(mined.itemsets.OfSize(2).size(), 3u);
+      EXPECT_EQ(mined.itemsets.OfSize(3).size(), 1u);
+      EXPECT_EQ(mined.itemsets.CountOf({2}), 8);
+      EXPECT_EQ(mined.itemsets.CountOf({1, 2}), 8);
+      EXPECT_EQ(mined.itemsets.CountOf({1, 3}), 5);
+      EXPECT_EQ(mined.itemsets.CountOf({2, 3}), 8);
+      EXPECT_EQ(mined.itemsets.CountOf({1, 2, 3}), 8);
+    }
+  }
 }
 
 // The streamed join is what lets R_k skip its sort: over random R_{k-1}
@@ -714,8 +971,19 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
 
     std::vector<Row> streamed;
     ASSERT_TRUE(JoinRkPrime(*left.value(), *r1.value(),
-                            [&](const int32_t* row) {
+                            [&](const int32_t* row, const ItemId* rest,
+                                const ItemId* rest_end) {
                               streamed.emplace_back(row, row + k + 1);
+                              // The row's extensions: its transaction's R_1
+                              // items after its last item.
+                              Row extensions;
+                              for (const Row& q : r1_rows) {
+                                if (q[0] == row[0] && q[1] > row[k]) {
+                                  extensions.push_back(q[1]);
+                                }
+                              }
+                              EXPECT_EQ(Row(rest, rest_end), extensions)
+                                  << "trial " << trial;
                               return Status::OK();
                             })
                     .ok());

@@ -309,6 +309,47 @@ TEST(LocalShardBackendTest, OutOfOrderIterationsAreRejected) {
   EXPECT_TRUE(backend.CountIteration(3).ok());
 }
 
+// CountIteration(k >= 2) only finishes the count that the previous pass
+// made: without that pass (ApplyGlobalCk(k-1), or CountIteration(1) when
+// R'_2 is counted there) there is nothing to finish, and the error names
+// the shard.
+TEST(LocalShardBackendTest, CountWithoutThePreviousPassIsInvalidArgument) {
+  Database db;
+  LocalShardBackend backend(&db, "s7");
+  backend.SetRows(RowsOf(QuestDb(35)));
+  const auto expect_invalid = [](const Result<shard::ShardLocalCounts>& r) {
+    ASSERT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("shard s7"), std::string::npos)
+        << r.status().message();
+  };
+  ASSERT_TRUE(backend.BeginRun(ShardRunOptions{}).ok());
+  expect_invalid(backend.CountIteration(2));  // no CountIteration(1)
+  ASSERT_TRUE(backend.CountIteration(1).ok());
+  auto c2 = backend.CountIteration(2);
+  ASSERT_TRUE(c2.ok()) << c2.status().ToString();
+  expect_invalid(backend.CountIteration(2));  // finished already
+  expect_invalid(backend.CountIteration(3));  // no ApplyGlobalCk(2)
+
+  // Under filter_r1, R'_2 is counted over the filtered R_1, by
+  // ApplyGlobalCk(1).
+  ShardRunOptions filtered;
+  filtered.filter_r1 = true;
+  ASSERT_TRUE(backend.BeginRun(filtered).ok());
+  ASSERT_TRUE(backend.CountIteration(1).ok());
+  expect_invalid(backend.CountIteration(2));
+  ASSERT_TRUE(backend.ApplyGlobalCk(1, {{1}, {2}, {3}}).ok());
+  EXPECT_TRUE(backend.CountIteration(2).ok());
+
+  // Past the run's max_pattern_length no pass counts.
+  ShardRunOptions short_run;
+  short_run.max_pattern_length = 2;
+  ASSERT_TRUE(backend.BeginRun(short_run).ok());
+  ASSERT_TRUE(backend.CountIteration(1).ok());
+  ASSERT_TRUE(backend.CountIteration(2).ok());
+  ASSERT_TRUE(backend.ApplyGlobalCk(2, {{1, 2}}).ok());
+  expect_invalid(backend.CountIteration(3));
+}
+
 TEST(DistributedMineTest, NoShardsIsInvalidArgument) {
   auto result = DistributedMine({}, MiningOptions{}, CoordinatorOptions{});
   ASSERT_FALSE(result.ok());
@@ -434,6 +475,50 @@ TEST(DistributedMineTest, CancellationStopsWithinOneIteration) {
   // Unprefixed: cancellation is the caller's veto, not a shard failure.
   EXPECT_EQ(result.status().message().find("shard '"), std::string::npos);
   EXPECT_EQ(observer.max_k_seen(), 2u);  // nothing ran past the veto
+}
+
+// A run the observer cancels mid-way ends on every shard, dropping the
+// count its last pass started (spilled runs included, under a budget this
+// small); the same backends then mine bit-identically to a fresh run.
+TEST(DistributedMineTest, CancelledRunLeavesNoCountBehind) {
+  const TransactionDb txns = QuestDb(19, 400);
+  MiningOptions options;
+  options.min_support = 0.02;
+  ShardRunOptions run;
+  run.storage = TableBacking::kHeap;
+  DatabaseOptions db_options;
+  db_options.sort_memory_bytes = 4 << 10;
+
+  Database fresh_db(db_options);
+  auto fresh = MineSlices(&fresh_db, SplitTxns(txns, 2), options, run);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_GE(fresh.value().iterations.size(), 4u);
+
+  Database db(db_options);
+  std::vector<std::unique_ptr<LocalShardBackend>> owned;
+  std::vector<ShardBackend*> backends;
+  const std::vector<TransactionDb> slices = SplitTxns(txns, 2);
+  for (size_t i = 0; i < slices.size(); ++i) {
+    owned.push_back(
+        std::make_unique<LocalShardBackend>(&db, "s" + std::to_string(i)));
+    owned.back()->SetRows(RowsOf(slices[i]));
+    backends.push_back(owned.back().get());
+  }
+  CoordinatorOptions coord;
+  coord.run = run;
+  for (size_t cancel_k : {size_t{1}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("cancelled at k=" + std::to_string(cancel_k));
+    CancelAt observer(cancel_k);
+    MiningOptions cancelled = options;
+    cancelled.observer = &observer;
+    auto stopped = DistributedMine(backends, cancelled, coord);
+    ASSERT_TRUE(stopped.status().IsCancelled()) << stopped.status().ToString();
+
+    auto again = DistributedMine(backends, options, coord);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again.value().itemsets == fresh.value().itemsets);
+    ExpectSameIterations(again.value(), fresh.value());
+  }
 }
 
 // --------------------------------------------------------------------------
