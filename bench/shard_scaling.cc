@@ -1,4 +1,4 @@
-// S2 — scale-out: the two-phase distributed count coordinator over 1/2/4/8
+// S2 — scale-out: the distributed count coordinator over 1/2/4/8
 // in-process shards (post-paper: Houtsma & Swami ran SETM on one database;
 // this measures the partitioned-databases reading of their Section 5 once
 // SALES is split at transaction boundaries across shard databases).
@@ -69,7 +69,7 @@ obs::HistogramSnapshot Diff(const obs::HistogramSnapshot& before,
   return d;
 }
 
-/// A shard whose disk fails on the second iteration's local count.
+/// A shard whose disk fails on the second iteration's pass.
 class DyingShard : public ShardBackend {
  public:
   explicit DyingShard(Database* db) : real_(db, "inner") {}
@@ -77,12 +77,12 @@ class DyingShard : public ShardBackend {
   Status BeginRun(const shard::ShardRunOptions& options) override {
     return real_.BeginRun(options);
   }
-  Result<shard::ShardLocalCounts> CountIteration(size_t k) override {
-    if (k >= 2) return Status::IOError("injected disk failure");
-    return real_.CountIteration(k);
+  Result<shard::ShardReply> CountFirstIteration() override {
+    return real_.CountFirstIteration();
   }
-  Result<shard::ShardFilterStats> ApplyGlobalCk(
+  Result<shard::ShardReply> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) override {
+    if (k >= 2) return Status::IOError("injected disk failure");
     return real_.ApplyGlobalCk(k, ck);
   }
   Status EndRun() override { return real_.EndRun(); }
@@ -99,7 +99,7 @@ class DyingShard : public ShardBackend {
 int Run(bool smoke) {
   bench::Banner(
       "shard_scaling",
-      "ROADMAP: scale-out — two-phase distributed count over shard databases",
+      "ROADMAP: scale-out — distributed count over shard databases",
       "speedup with shard count, flattening at the serial C_k merge; "
       "bit-identical patterns at every shard count; a failing shard "
       "yields Unavailable, never wrong output");
@@ -142,8 +142,8 @@ int Run(bool smoke) {
     for (size_t i = 0; i < num_shards; ++i) {
       lat[i] = registry->GetHistogram(
           "setm_shard_s" + std::to_string(i) + "_lcount_micros",
-          "Coordinator-observed local-count latency of shard slot " +
-              std::to_string(i));
+          "Coordinator-observed latency of each per-iteration call to shard "
+          "slot " + std::to_string(i));
       before[i] = lat[i]->Snapshot();
     }
 
@@ -165,8 +165,8 @@ int Run(bool smoke) {
                 match ? "yes" : "NO");
     for (size_t i = 0; i < num_shards; ++i) {
       const obs::HistogramSnapshot h = Diff(before[i], lat[i]->Snapshot());
-      std::printf("         shard s%zu local-count latency: p50 <= %lluus, "
-                  "p99 <= %lluus (%llu counts)\n",
+      std::printf("         shard s%zu call latency: p50 <= %lluus, "
+                  "p99 <= %lluus (%llu calls)\n",
                   i,
                   static_cast<unsigned long long>(h.Quantile(0.5)),
                   static_cast<unsigned long long>(h.Quantile(0.99)),

@@ -7,7 +7,8 @@
 #             to `setm_mine --format csv` on the unsplit CSV, including the
 #             per-iteration |R'| / |R| / |C| stats;
 #   remote    the same query through THREE live setm_served daemons (one
-#             per shard, remote manifest) must also be byte-identical;
+#             per shard, remote manifest) must also be byte-identical, and
+#             so must a --max-k 2 mine against `setm_mine --max-k 2`;
 #   failure   with one daemon killed, the distributed mine must fail with
 #             a clean Unavailable naming the dead shard — never wrong
 #             output — `shardctl stats` must exit 3, and the survivors
@@ -120,7 +121,33 @@ cmp -s "$WORK/remote.iters" "$WORK/cli.iters" || {
   echo "FAIL: remote per-iteration stats diverge from single-node"
   diff "$WORK/cli.iters" "$WORK/remote.iters"; exit 1
 }
-echo "socket shards byte-identical to the CLI"
+
+# A length-limited mine: the limit rides on LCOUNT, and the answer matches
+# the CLI's at the same limit.
+"$SETM_MINE" --input "$WORK/sales.csv" --minsup "$MINSUP" \
+  --minconf "$MINCONF" --max-k 2 --format csv --stats \
+  > "$WORK/rules_cli_k2.csv" 2> "$WORK/cli_k2.stats"
+"$SHARDCTL" mine --manifest "$WORK/remote.manifest" --minsup "$MINSUP" \
+  --minconf "$MINCONF" --max-k 2 --format csv --stats \
+  > "$WORK/rules_remote_k2.csv" 2> "$WORK/remote_k2.stats"
+cmp -s "$WORK/rules_remote_k2.csv" "$WORK/rules_cli_k2.csv" || {
+  echo "FAIL: --max-k 2 socket-shard rules differ from setm_mine --max-k 2"
+  diff "$WORK/rules_cli_k2.csv" "$WORK/rules_remote_k2.csv" | head -10
+  exit 1
+}
+for f in cli_k2 remote_k2; do
+  grep '^  k=' "$WORK/$f.stats" | awk '{print $1, $2, $3, $4}' \
+    > "$WORK/$f.iters"
+done
+[[ "$(wc -l < "$WORK/cli_k2.iters")" -eq 2 ]] || {
+  echo "FAIL: --max-k 2 should stop after 2 iterations"
+  cat "$WORK/cli_k2.iters"; exit 1
+}
+cmp -s "$WORK/remote_k2.iters" "$WORK/cli_k2.iters" || {
+  echo "FAIL: --max-k 2 remote per-iteration stats diverge from single-node"
+  diff "$WORK/cli_k2.iters" "$WORK/remote_k2.iters"; exit 1
+}
+echo "socket shards byte-identical to the CLI (unlimited and --max-k 2)"
 
 echo "== failure: kill shard 1's daemon, the mine must go Unavailable"
 disown "${SERVER_PIDS[1]}"   # suppress the shell's job-kill notification

@@ -179,30 +179,21 @@ Result<Command> ParseCommand(const std::string& line) {
     return cmd;
   }
   if (verb == "LCOUNT") {
-    cmd.verb = Verb::kLcount;
-    // Continuation form: LCOUNT K <k> drives the connection's shard run.
-    if (tokens.size() == 3 && Upper(tokens[1]) == "K") {
-      SETM_RETURN_IF_ERROR(ParsePositive(tokens[2], "K", 64, &cmd.shard_k));
-      if (cmd.shard_k < 2) {
-        return Status::InvalidArgument(
-            "a shard run starts with LCOUNT <table> K 1 "
-            "[METHOD sortmerge|hash] [FILTER]");
-      }
-      return cmd;
-    }
-    // Begin form: LCOUNT <table> K 1 [METHOD sortmerge|hash] [FILTER].
+    // LCOUNT <table> K 1 [METHOD sortmerge|hash] [FILTER] [MAXK <k>].
     if (tokens.size() < 4) {
       return Status::InvalidArgument(
           "usage: LCOUNT <table> K 1 [METHOD sortmerge|hash] [FILTER] "
-          "or LCOUNT K <k>");
+          "[MAXK <k>]");
     }
+    cmd.verb = Verb::kLcount;
     cmd.table = tokens[1];
     if (!ValidTableName(cmd.table)) {
       return Status::InvalidArgument("invalid table name: " + tokens[1]);
     }
     if (Upper(tokens[2]) != "K" || tokens[3] != "1") {
       return Status::InvalidArgument(
-          "a new shard run must begin at K 1: " + line);
+          "a shard run begins at K 1; later iterations are MERGE K <k>: " +
+          line);
     }
     cmd.shard_k = 1;
     size_t i = 4;
@@ -211,10 +202,18 @@ Result<Command> ParseCommand(const std::string& line) {
       if (key == "FILTER") {
         cmd.shard_filter = true;
         i += 1;
-      } else if (key == "METHOD") {
-        if (i + 1 >= tokens.size()) {
-          return Status::InvalidArgument("METHOD requires a value");
-        }
+        continue;
+      }
+      if (key != "METHOD" && key != "MAXK") {
+        return Status::InvalidArgument("unknown option: " + tokens[i]);
+      }
+      if (i + 1 >= tokens.size()) {
+        return Status::InvalidArgument(key + " requires a value");
+      }
+      if (key == "MAXK") {
+        SETM_RETURN_IF_ERROR(
+            ParsePositive(tokens[i + 1], "MAXK", 64, &cmd.max_k));
+      } else {
         std::string method = tokens[i + 1];
         std::transform(method.begin(), method.end(), method.begin(),
                        [](unsigned char c) { return std::tolower(c); });
@@ -223,10 +222,8 @@ Result<Command> ParseCommand(const std::string& line) {
               "METHOD must be sortmerge or hash: " + tokens[i + 1]);
         }
         cmd.shard_method = method;
-        i += 2;
-      } else {
-        return Status::InvalidArgument("unknown option: " + tokens[i]);
       }
+      i += 2;
     }
     return cmd;
   }

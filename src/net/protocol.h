@@ -23,25 +23,24 @@ namespace setm::net {
 ///                             the response is the refreshed mining answer
 ///   RULES <conf>[%] [MODE single|subsets]
 ///   EXPLAIN <table> SUPPORT <spec> [ALGO <name>] [THREADS <n>] [MAXK <k>]
-///   LCOUNT <table> K 1 [METHOD sortmerge|hash] [FILTER]
+///   LCOUNT <table> K 1 [METHOD sortmerge|hash] [FILTER] [MAXK <k>]
 ///                             begins a shard run over <table>: builds the
 ///                             local R_1 and answers the full local item
-///                             counts ("<item> <count>" lines) — phase 1 of
-///                             the distributed two-phase count. METHOD sets
-///                             the run's count budget: sortmerge counts
-///                             within the server's sort budget, spilling
-///                             sorted runs; hash counts unbounded
-///   LCOUNT K <k>              continues the connection's shard run (k >= 2):
-///                             answers the local candidate counts of R'_k
-///                             ("<item_1> ... <item_k> <count>" lines),
-///                             counted by the previous MERGE (or, for k == 2
-///                             without FILTER, by LCOUNT K 1)
+///                             counts ("<item> <count>" lines), iteration
+///                             1 of the distributed count. METHOD sets the
+///                             run's count budget: sortmerge counts within
+///                             the server's sort budget, spilling sorted
+///                             runs; hash counts unbounded. MAXK is the
+///                             run's longest pattern: no pass counts a
+///                             longer level
 ///   MERGE K <k>               then one surviving global itemset per line
 ///                             ("<item_1> ... <item_k>", ascending),
-///                             terminated by "."; filters the local R'_k
-///                             (or R_1, for k == 1 under FILTER) down to
-///                             R_k — phase 2 of the distributed count — and
-///                             counts R'_{k+1} in the same pass
+///                             terminated by "."; the one pass of
+///                             iteration k: filters the local join down to
+///                             R_k (for k == 1, R_1 itself, rewritten only
+///                             under FILTER) and answers the local counts
+///                             of R'_{k+1} ("<item_1> ... <item_{k+1}>
+///                             <count>" lines) counted in the same pass
 ///   STATS [text|json|prom]
 ///   PING
 ///   QUIT
@@ -79,7 +78,7 @@ struct Command {
   int64_t min_support_count = 0; ///< MINE/EXPLAIN: absolute, when bare int
   std::string algo = "setm";     ///< MINE/EXPLAIN ALGO
   size_t threads = 0;            ///< MINE/EXPLAIN THREADS (0 = server default)
-  size_t max_k = 0;              ///< MINE/EXPLAIN MAXK (0 = unbounded)
+  size_t max_k = 0;              ///< MINE/EXPLAIN/LCOUNT MAXK (0 = unbounded)
   double min_confidence = 0.0;   ///< RULES: fraction
   RuleMode rule_mode = RuleMode::kSingleConsequent;  ///< RULES MODE
   std::string stats_format = "text";                 ///< STATS

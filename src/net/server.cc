@@ -126,8 +126,8 @@ struct MiningServer::Session {
   Command append_cmd;
   TransactionDb append_batch;
   Status append_error;
-  /// The connection's shard run (installed by a successful "LCOUNT ... K 1",
-  /// driven by later LCOUNT/MERGE requests, replaced by the next K 1).
+  /// The connection's shard run (installed by a successful LCOUNT, driven
+  /// by MERGE requests, replaced by the next LCOUNT).
   std::shared_ptr<shard::LocalShardBackend> shard_run;
   /// MERGE collection state.
   Command merge_cmd;
@@ -151,15 +151,15 @@ struct MiningServer::Job {
   TransactionDb append_batch;                             ///< APPEND input
   std::shared_ptr<const FrequentItemsets> rules_input;    ///< RULES input
   /// LCOUNT/MERGE: the shard backend this job drives. A fresh backend for
-  /// "LCOUNT ... K 1" (installed into the session on success), the session's
-  /// current run otherwise.
+  /// LCOUNT (installed into the session on success), the session's current
+  /// run for MERGE.
   std::shared_ptr<shard::LocalShardBackend> shard_backend;
   std::vector<std::vector<ItemId>> merge_keys;            ///< MERGE input
 
   // Worker-filled results.
   std::string response;  ///< fully framed (OK payload or ERR line)
   std::shared_ptr<const FrequentItemsets> result_itemsets;
-  /// LCOUNT K 1 success: FinishJob installs shard_backend as the session's
+  /// LCOUNT success: FinishJob installs shard_backend as the session's
   /// run. Any shard-job failure instead tears the session's run down.
   bool shard_install = false;
   bool shard_teardown = false;
@@ -198,6 +198,26 @@ class JobObserver : public MiningObserver {
   const WallTimer* dispatched_;
   const ServerOptions* options_;
 };
+
+/// A shard reply's counts as "<item_1> ... <item_k> <count>" lines, sorted
+/// by itemset. Replies carry no timings, so responses to the same question
+/// are byte-identical.
+std::string RenderCounts(std::vector<PatternCount> counts) {
+  std::sort(counts.begin(), counts.end(),
+            [](const PatternCount& a, const PatternCount& b) {
+              return a.items < b.items;
+            });
+  std::string payload;
+  for (const PatternCount& pattern : counts) {
+    for (ItemId item : pattern.items) {
+      payload += std::to_string(item);
+      payload += ' ';
+    }
+    payload += std::to_string(pattern.count);
+    payload += '\n';
+  }
+  return payload;
+}
 
 }  // namespace
 
@@ -560,30 +580,26 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
     }
   }
 
-  if (cmd.verb == Verb::kLcount || cmd.verb == Verb::kMerge) {
-    // Continuations need a run; a fresh "LCOUNT <table> K 1" never does (it
-    // replaces whatever run the connection had).
-    const bool begins_run = cmd.verb == Verb::kLcount && cmd.shard_k == 1;
-    if (!begins_run && session->shard_run == nullptr) {
+  if (cmd.verb == Verb::kMerge) {
+    // MERGE continues the connection's run; LCOUNT replaces it.
+    if (session->shard_run == nullptr) {
       Send(session,
            FrameError(Status::NotFound(
                "no shard run on this connection; start with "
                "LCOUNT <table> K 1")));
       return;
     }
-    if (cmd.verb == Verb::kMerge) {
-      session->state = Session::State::kMerge;
-      session->merge_cmd = cmd;
-      session->merge_keys.clear();
-      session->merge_error = Status::OK();
-      return;  // itemsets follow; the response comes after "."
-    }
+    session->state = Session::State::kMerge;
+    session->merge_cmd = cmd;
+    session->merge_keys.clear();
+    session->merge_error = Status::OK();
+    return;  // itemsets follow; the response comes after "."
+  }
+  if (cmd.verb == Verb::kLcount) {
     auto job = std::make_shared<Job>();
     job->verb = Verb::kLcount;
     job->shard_backend =
-        begins_run ? std::make_shared<shard::LocalShardBackend>(
-                         db_, "srv:" + cmd.table)
-                   : session->shard_run;
+        std::make_shared<shard::LocalShardBackend>(db_, "srv:" + cmd.table);
     job->cmd = std::move(cmd);
     DispatchJob(session, std::move(job));
     return;
@@ -869,71 +885,47 @@ Status MiningServer::ExecuteExplainJob(Job* job) {
 }
 
 Status MiningServer::ExecuteLcountJob(Job* job) {
-  const size_t k = job->cmd.shard_k;
-  if (k == 1) {
-    // A new run. Scratch stays in memory regardless of the database's
-    // backing: shard relations are per-request transients, and the remote
-    // coordinator retries elsewhere on failure, so durability buys nothing.
-    shard::ShardRunOptions run;
-    run.storage = TableBacking::kMemory;
-    run.count_method = job->cmd.shard_method == "hash" ? CountMethod::kHash
-                                                       : CountMethod::kSortMerge;
-    run.filter_r1 = job->cmd.shard_filter;
-    job->shard_backend->BindTable(job->cmd.table);
-    SETM_RETURN_IF_ERROR(job->shard_backend->BeginRun(run));
-  }
-  auto counts_or = job->shard_backend->CountIteration(k);
-  if (!counts_or.ok()) return counts_or.status();
-  shard::ShardLocalCounts counts = std::move(counts_or).value();
-
-  // Deterministic payload: counts sorted by itemset. The info line carries
-  // the cardinalities the coordinator folds into IterationStats — and no
-  // timings, so responses to the same question are byte-identical.
-  std::sort(counts.counts.begin(), counts.counts.end(),
-            [](const PatternCount& a, const PatternCount& b) {
-              return a.items < b.items;
-            });
-  std::string payload;
-  for (const PatternCount& pattern : counts.counts) {
-    for (ItemId item : pattern.items) {
-      payload += std::to_string(item);
-      payload += ' ';
-    }
-    payload += std::to_string(pattern.count);
-    payload += '\n';
-  }
-
+  // A new run. Scratch stays in memory regardless of the database's
+  // backing: shard relations are per-request transients, and the remote
+  // coordinator retries elsewhere on failure, so durability buys nothing.
+  shard::ShardRunOptions run;
+  run.storage = TableBacking::kMemory;
+  run.count_method = job->cmd.shard_method == "hash" ? CountMethod::kHash
+                                                     : CountMethod::kSortMerge;
+  run.filter_r1 = job->cmd.shard_filter;
+  run.max_pattern_length = job->cmd.max_k;
+  job->shard_backend->BindTable(job->cmd.table);
+  SETM_RETURN_IF_ERROR(job->shard_backend->BeginRun(run));
+  auto reply_or = job->shard_backend->CountFirstIteration();
+  if (!reply_or.ok()) return reply_or.status();
+  shard::ShardReply reply = std::move(reply_or).value();
   char info[160];
-  if (k == 1) {
-    std::snprintf(info, sizeof(info),
-                  "lcount k=1 transactions=%llu rprime=%llu rbytes=%llu "
-                  "rpages=%llu",
-                  static_cast<unsigned long long>(counts.transactions),
-                  static_cast<unsigned long long>(counts.r_prime_rows),
-                  static_cast<unsigned long long>(counts.r_bytes),
-                  static_cast<unsigned long long>(counts.r_pages));
-    job->shard_install = true;
-  } else {
-    std::snprintf(info, sizeof(info), "lcount k=%zu rprime=%llu", k,
-                  static_cast<unsigned long long>(counts.r_prime_rows));
-  }
-  job->response = FrameOk(info, payload);
+  std::snprintf(info, sizeof(info),
+                "lcount k=1 transactions=%llu rprime=%llu rbytes=%llu "
+                "rpages=%llu",
+                static_cast<unsigned long long>(reply.transactions),
+                static_cast<unsigned long long>(reply.r_prime_rows),
+                static_cast<unsigned long long>(reply.r_bytes),
+                static_cast<unsigned long long>(reply.r_pages));
+  job->response = FrameOk(info, RenderCounts(std::move(reply.counts)));
+  job->shard_install = true;
   return Status::OK();
 }
 
 Status MiningServer::ExecuteMergeJob(Job* job) {
-  auto stats_or = job->shard_backend->ApplyGlobalCk(job->cmd.shard_k,
+  auto reply_or = job->shard_backend->ApplyGlobalCk(job->cmd.shard_k,
                                                     job->merge_keys);
-  if (!stats_or.ok()) return stats_or.status();
-  const shard::ShardFilterStats& stats = stats_or.value();
+  if (!reply_or.ok()) return reply_or.status();
+  shard::ShardReply reply = std::move(reply_or).value();
   char info[160];
   std::snprintf(info, sizeof(info),
-                "merge k=%zu rows=%llu bytes=%llu pages=%llu",
+                "merge k=%zu rows=%llu bytes=%llu pages=%llu rprime=%llu",
                 job->cmd.shard_k,
-                static_cast<unsigned long long>(stats.r_rows),
-                static_cast<unsigned long long>(stats.r_bytes),
-                static_cast<unsigned long long>(stats.r_pages));
-  job->response = FrameOk(info, "");
+                static_cast<unsigned long long>(reply.r_rows),
+                static_cast<unsigned long long>(reply.r_bytes),
+                static_cast<unsigned long long>(reply.r_pages),
+                static_cast<unsigned long long>(reply.r_prime_rows));
+  job->response = FrameOk(info, RenderCounts(std::move(reply.counts)));
   return Status::OK();
 }
 

@@ -106,7 +106,7 @@ struct ServerStats {
 /// The resident mining daemon's engine: one event loop serving the line
 /// protocol (net/protocol.h) over a non-blocking listener, dispatching
 /// MINE / APPEND / RULES / EXPLAIN — and LCOUNT / MERGE, the shard half of
-/// the distributed two-phase count — onto a WorkerPool as cancellable jobs,
+/// the distributed count — onto a WorkerPool as cancellable jobs,
 /// and answering PING / STATS / QUIT inline. One instance serves one open Database; the database stays open
 /// (buffer pool warm, stored runs fresh) across every client.
 ///

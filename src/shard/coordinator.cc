@@ -34,8 +34,8 @@ ShardMetrics* Metrics() {
                              "Coordinator mining runs that returned an error");
     m->iterations = registry->GetCounter(
         "setm_shard_iterations_total",
-        "Coordinator iterations (both phases) completed by every SETM mine, "
-        "serial ones included");
+        "Coordinator iterations completed by every SETM mine, serial ones "
+        "included");
     return m;
   }();
   return metrics;
@@ -55,66 +55,38 @@ Status WrapShardError(const std::string& shard, const char* phase,
                 "shard '" + shard + "' " + phase + ": " + s.message());
 }
 
-/// Per-shard state owned by exactly one fan-out task per phase; the
-/// coordinator reads it only after the phase barrier (TaskGroup::Wait).
+/// Per-shard state owned by exactly one fan-out task per call; the
+/// coordinator reads it only after the barrier (TaskGroup::Wait).
 struct ShardState {
   ShardBackend* backend = nullptr;
-  ShardLocalCounts counts;   ///< last CountIteration result
-  uint64_t left_rows = 0;    ///< |R_k| rows still alive on this shard
-  double last_seconds = 0.0; ///< coordinator-observed latency of the count
+  ShardReply reply;           ///< the last call's reply
+  double last_seconds = 0.0;  ///< coordinator-observed latency of that call
   obs::Histogram* latency = nullptr;
 };
 
-/// Phase 1 of iteration k: every shard counts locally, in parallel.
-Status CountPhase(WorkerPool* pool, std::vector<ShardState>* states,
-                  size_t k) {
+/// One shard call per shard, in parallel: CountFirstIteration when `ck` is
+/// null, else ApplyGlobalCk(k, *ck), the broadcast of the surviving C_k.
+Status CallShards(WorkerPool* pool, std::vector<ShardState>* states,
+                  size_t k, const std::vector<std::vector<ItemId>>* ck) {
   TaskGroup group(pool);
   for (ShardState& s : *states) {
     ShardState* state = &s;
-    group.Submit([state, k] {
+    group.Submit([state, k, ck] {
       WallTimer timer;
-      auto counts_or = state->backend->CountIteration(k);
+      auto reply_or = ck == nullptr ? state->backend->CountFirstIteration()
+                                    : state->backend->ApplyGlobalCk(k, *ck);
       state->last_seconds = timer.ElapsedSeconds();
       state->latency->ObserveDurationMicros(state->last_seconds);
-      if (!counts_or.ok()) {
-        return WrapShardError(state->backend->name(), "local count",
-                              counts_or.status());
+      if (!reply_or.ok()) {
+        return WrapShardError(state->backend->name(),
+                              ck == nullptr ? "local count" : "C_k pass",
+                              reply_or.status());
       }
-      state->counts = std::move(counts_or).value();
-      if (k == 1) state->left_rows = state->counts.r_prime_rows;
+      state->reply = std::move(reply_or).value();
       return Status::OK();
     });
   }
   return group.Wait();
-}
-
-/// Phase 2 of iteration k: broadcast the surviving C_k, filter in parallel.
-Status FilterPhase(WorkerPool* pool, std::vector<ShardState>* states,
-                   size_t k, const std::vector<std::vector<ItemId>>* ck,
-                   ShardFilterStats* total) {
-  std::vector<ShardFilterStats> per_shard(states->size());
-  TaskGroup group(pool);
-  for (size_t i = 0; i < states->size(); ++i) {
-    ShardState* state = &(*states)[i];
-    ShardFilterStats* out = &per_shard[i];
-    group.Submit([state, k, ck, out] {
-      auto stats_or = state->backend->ApplyGlobalCk(k, *ck);
-      if (!stats_or.ok()) {
-        return WrapShardError(state->backend->name(), "C_k filter",
-                              stats_or.status());
-      }
-      *out = stats_or.value();
-      state->left_rows = out->r_rows;
-      return Status::OK();
-    });
-  }
-  SETM_RETURN_IF_ERROR(group.Wait());
-  for (const ShardFilterStats& s : per_shard) {
-    total->r_rows += s.r_rows;
-    total->r_bytes += s.r_bytes;
-    total->r_pages += s.r_pages;
-  }
-  return Status::OK();
 }
 
 /// Sums every shard's partial counts of k-itemsets and applies the global
@@ -126,7 +98,7 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
                    std::vector<std::vector<ItemId>>* ck) {
   ItemsetCounts merged(k);
   for (ShardState& s : *states) {
-    for (const PatternCount& pc : s.counts.counts) {
+    for (const PatternCount& pc : s.reply.counts) {
       if (pc.items.size() != k || pc.count <= 0) {
         return Status::Corruption(
             "shard '" + s.backend->name() + "' reported a count of " +
@@ -136,8 +108,8 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
       }
       merged.Add(pc.items.data(), pc.count);
     }
-    s.counts.counts.clear();
-    s.counts.counts.shrink_to_fit();
+    s.reply.counts.clear();
+    s.reply.counts.shrink_to_fit();
   }
   ck->clear();
   merged.ForEach([&](const ItemId* items, int64_t count) {
@@ -192,7 +164,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     states[i].backend = shards[i];
     states[i].latency = registry->GetHistogram(
         "setm_shard_s" + std::to_string(i) + "_lcount_micros",
-        "Coordinator-observed local-count latency of shard slot " +
+        "Coordinator-observed latency of each per-iteration call to shard "
+        "slot " +
             std::to_string(i));
   }
 
@@ -217,85 +190,84 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     if (!s.ok()) return fail(s);
   }
 
+  // Records a completed iteration and asks the observer whether to go on.
+  auto finish_iteration = [&](const IterationStats& stats) {
+    RecordIterationTrace(coord.trace, stats, states);
+    result.iterations.push_back(stats);
+    Metrics()->iterations->Increment();
+    return NotifyIteration(options, stats);
+  };
+
   // --- Iteration 1: R_1 slices and the global C_1. ------------------------
   int64_t minsup = 0;
+  IterationStats stats;
+  std::vector<std::vector<ItemId>> ck;  // the global C_k, sorted
   {
     WallTimer iter_timer;
-    Status s = CountPhase(coord.pool, &states, 1);
+    Status s = CallShards(coord.pool, &states, 1, nullptr);
     if (!s.ok()) return fail(s);
     uint64_t num_transactions = 0;
     for (const ShardState& st : states) {
-      num_transactions += st.counts.transactions;
+      num_transactions += st.reply.transactions;
     }
     result.itemsets.num_transactions = num_transactions;
     minsup = ResolveMinSupportCount(options, num_transactions);
     // A sole shard's local counts are global: let it prune at minsupport.
     if (states.size() == 1) states[0].backend->SetCountFloor(minsup);
 
-    IterationStats stats;
     stats.k = 1;
     for (const ShardState& st : states) {
-      stats.r_prime_rows += st.counts.r_prime_rows;
-      stats.r_bytes += st.counts.r_bytes;
-      stats.r_pages += st.counts.r_pages;
+      stats.r_prime_rows += st.reply.r_prime_rows;
+      stats.r_rows += st.reply.r_rows;
+      stats.r_bytes += st.reply.r_bytes;
+      stats.r_pages += st.reply.r_pages;
     }
-    stats.r_rows = stats.r_prime_rows;
-    std::vector<std::vector<ItemId>> c1;
-    s = MergeCounts(&states, 1, minsup, &stats.c_size, &result.itemsets,
-                    &c1);
+    s = MergeCounts(&states, 1, minsup, &stats.c_size, &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
     stats.seconds = iter_timer.ElapsedSeconds();
-    RecordIterationTrace(coord.trace, stats, states);
-    result.iterations.push_back(stats);
-    Metrics()->iterations->Increment();
-    s = NotifyIteration(options, stats);
+    s = finish_iteration(stats);
     if (!s.ok()) return fail(s);
-
-    if (options.filter_r1) {
-      ShardFilterStats total;
-      s = FilterPhase(coord.pool, &states, 1, &c1, &total);
-      if (!s.ok()) return fail(s);
-    }
   }
 
   // --- Main loop (Figure 4, distributed). ---------------------------------
-  for (size_t k = 2;; ++k) {
-    if (options.max_pattern_length != 0 && k > options.max_pattern_length) {
-      break;
-    }
-    uint64_t left_rows = 0;
-    for (const ShardState& st : states) left_rows += st.left_rows;
-    if (left_rows == 0) break;
-    WallTimer iter_timer;
-
-    Status s = CountPhase(coord.pool, &states, k);
-    if (!s.ok()) return fail(s);
-
-    IterationStats stats;
-    stats.k = k;
-    for (const ShardState& st : states) {
-      stats.r_prime_rows += st.counts.r_prime_rows;
-    }
-    std::vector<std::vector<ItemId>> ck;
-    s = MergeCounts(&states, k, minsup, &stats.c_size, &result.itemsets, &ck);
-    if (!s.ok()) return fail(s);
-
-    // Phase 2 always runs, C_k empty or not: every shard materializes its
+  // One shard call per iteration: pass k writes every shard's R_k from the
+  // global C_k (for k == 1, R_1 itself, filtered under filter_r1) and
+  // returns the local counts of R'_{k+1}, merged here into C_{k+1}. Pass
+  // 1, which finishes R'_2's count, is timed with iteration 2.
+  WallTimer iter_timer;
+  for (size_t k = 1;; ++k) {
+    // The pass always runs, C_k empty or not: every shard materializes its
     // (possibly empty) R_k, as Figure 4's loop does, so the iteration stats
     // and observer callbacks match setm-sql's.
-    ShardFilterStats total;
-    s = FilterPhase(coord.pool, &states, k, &ck, &total);
+    Status s = CallShards(coord.pool, &states, k, &ck);
     if (!s.ok()) return fail(s);
-    stats.r_rows = total.r_rows;
-    stats.r_bytes = total.r_bytes;
-    stats.r_pages = total.r_pages;
-    stats.seconds = iter_timer.ElapsedSeconds();
-    RecordIterationTrace(coord.trace, stats, states);
-    result.iterations.push_back(stats);
-    Metrics()->iterations->Increment();
-    s = NotifyIteration(options, stats);
+    uint64_t r_rows = 0;
+    for (const ShardState& st : states) r_rows += st.reply.r_rows;
+    if (k >= 2) {
+      stats.r_rows = r_rows;
+      for (const ShardState& st : states) {
+        stats.r_bytes += st.reply.r_bytes;
+        stats.r_pages += st.reply.r_pages;
+      }
+      stats.seconds = iter_timer.ElapsedSeconds();
+      s = finish_iteration(stats);
+      if (!s.ok()) return fail(s);
+      iter_timer.Restart();
+    }
+    if (r_rows == 0) break;
+    if (options.max_pattern_length != 0 && k >= options.max_pattern_length) {
+      break;
+    }
+
+    // Iteration k + 1 begins: the summed counts of R'_{k+1} give C_{k+1}.
+    stats = IterationStats{};
+    stats.k = k + 1;
+    for (const ShardState& st : states) {
+      stats.r_prime_rows += st.reply.r_prime_rows;
+    }
+    s = MergeCounts(&states, k + 1, minsup, &stats.c_size, &result.itemsets,
+                    &ck);
     if (!s.ok()) return fail(s);
-    if (stats.r_rows == 0) break;
   }
 
   {

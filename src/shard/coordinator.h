@@ -20,7 +20,7 @@ struct CoordinatorOptions {
   /// Physical knobs forwarded to every shard (filter_r1 and
   /// max_pattern_length are taken from the MiningOptions).
   ShardRunOptions run;
-  /// Fan-out pool for the per-shard phases; null runs them serially on the
+  /// Fan-out pool for the per-shard calls; null runs them serially on the
   /// calling thread. The pool is only ever entered from the coordinator —
   /// backends never re-enter it.
   WorkerPool* pool = nullptr;
@@ -30,17 +30,20 @@ struct CoordinatorOptions {
   obs::TraceSpan* trace = nullptr;
 };
 
-/// The two-phase distributed count over `shards` (Section 5's partitioned
-/// reading of Algorithm SETM, stretched across databases):
+/// The distributed count over `shards` (Section 5's partitioned reading of
+/// Algorithm SETM, stretched across databases), in the shape of Count
+/// Distribution: local counts are exchanged once per pass.
 ///
-///   phase 1  every shard locally counts iteration k with min_count = 1
-///            (a sole shard, whose counts are global, prunes at minsupport
-///            from k = 2 on);
-///   merge    the coordinator sums partial counts and applies the global
-///            minsupport — resolved from the summed per-shard transaction
-///            counts, exact because transactions never span shards;
-///   phase 2  the surviving C_k is broadcast and every shard filters its
-///            R'_k slice down to R_k.
+///   count    every shard builds its R_1 slice and counts its items with
+///            min_count = 1 (a sole shard, whose counts are global, prunes
+///            at minsupport from k = 2 on);
+///   merge    the coordinator sums partial counts of k-itemsets and
+///            applies the global minsupport — resolved from the summed
+///            per-shard transaction counts, exact because transactions
+///            never span shards;
+///   pass     the surviving C_k is broadcast, and in one call every shard
+///            filters its slice of the join down to R_k and returns its
+///            local counts of R'_{k+1}, which the next merge sums.
 ///
 /// This is the one SETM iteration loop: SetmMiner runs every mine through
 /// it (one in-process shard when serial, one per thread when threaded).

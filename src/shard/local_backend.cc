@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/timer.h"
 #include "exec/exec_context.h"
 
 namespace setm::shard {
@@ -69,81 +68,65 @@ std::unique_ptr<BudgetedCount> LocalShardBackend::NewCount(size_t k) const {
                                               : ctx.sort_memory_bytes);
 }
 
-Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
+Result<ShardReply> LocalShardBackend::CountFirstIteration() {
   if (!running_) {
-    return Status::Internal("CountIteration before BeginRun on shard " +
+    return Status::Internal("CountFirstIteration before BeginRun on shard " +
                             name_);
   }
-  if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
-  WallTimer timer;
-  ShardLocalCounts out;
-  std::unique_ptr<BudgetedCount> counts;
-  if (k == 1) {
-    counts = NewCount(1);
-    auto r1_or = IntRelation::Create(db_, run_.storage, 2);
-    if (!r1_or.ok()) return r1_or.status();
-    r1_ = std::move(r1_or).value();
-    r_prev_.reset();
-    // R'_2 pairs the items of each transaction; under filter_r1 it is
-    // counted over the filtered R_1 instead, by ApplyGlobalCk(1).
-    next_count_ = run_.filter_r1 ? nullptr : NewCount(2);
-    // R_1 := the slice, already in (trans_id, item) order.
-    const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
-    IntRowBatch batch(r1_.get());
-    std::vector<ItemId> items;  // the current transaction's
-    uint64_t transactions = 0;
-    for (size_t i = 0; i < slice.size(); ++i) {
-      const int32_t row[2] = {slice[i].tid, slice[i].item};
-      if (i == 0 || row[0] != slice[i - 1].tid) {
-        ++transactions;
-        items.clear();
-      }
-      items.push_back(row[1]);
-      SETM_RETURN_IF_ERROR(batch.Add(row));
-      SETM_RETURN_IF_ERROR(counts->Add(&row[1]));
-      const bool last = i + 1 == slice.size() || slice[i + 1].tid != row[0];
-      if (last && next_count_ != nullptr) {
-        SETM_RETURN_IF_ERROR(CountPairs(items, next_count_.get()));
-      }
-    }
-    SETM_RETURN_IF_ERROR(batch.Flush());
-    run_rows_.clear();
-    run_rows_.shrink_to_fit();
-    out.transactions = transactions;
-    out.r_bytes = r1_->size_bytes();
-    out.r_pages = r1_->num_pages();
-  } else {
-    // R'_k was counted by the pass that wrote R_{k-1}: only the stored
-    // count is left to finish, with the floor that applies now.
-    if (next_count_ == nullptr || next_count_->k() != k) {
-      const std::string previous =
-          k == 2 && !run_.filter_r1 ? "CountIteration(1)"
-                                    : "ApplyGlobalCk(" +
-                                          std::to_string(k - 1) + ")";
-      return Status::InvalidArgument("CountIteration(" + std::to_string(k) +
-                                     ") without " + previous +
-                                     " on shard " + name_);
-    }
-    counts = std::move(next_count_);
+  if (next_k_ != 0) {
+    return Status::InvalidArgument(
+        "CountFirstIteration twice in one run on shard " + name_);
   }
-
+  std::unique_ptr<BudgetedCount> counts = NewCount(1);
+  auto r1_or = IntRelation::Create(db_, run_.storage, 2);
+  if (!r1_or.ok()) return r1_or.status();
+  r1_ = std::move(r1_or).value();
+  r_prev_.reset();
+  // R'_2 pairs the items of each transaction; under filter_r1 it is
+  // counted over the filtered R_1 instead, by ApplyGlobalCk(1).
+  r2_count_ = run_.filter_r1 ? nullptr : NewCount(2);
+  // R_1 := the slice, already in (trans_id, item) order.
+  const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
+  IntRowBatch batch(r1_.get());
+  std::vector<ItemId> items;  // the current transaction's
+  ShardReply out;
+  for (size_t i = 0; i < slice.size(); ++i) {
+    const int32_t row[2] = {slice[i].tid, slice[i].item};
+    if (i == 0 || row[0] != slice[i - 1].tid) {
+      ++out.transactions;
+      items.clear();
+    }
+    items.push_back(row[1]);
+    SETM_RETURN_IF_ERROR(batch.Add(row));
+    SETM_RETURN_IF_ERROR(counts->Add(&row[1]));
+    const bool last = i + 1 == slice.size() || slice[i + 1].tid != row[0];
+    if (last && r2_count_ != nullptr) {
+      SETM_RETURN_IF_ERROR(CountPairs(items, r2_count_.get()));
+    }
+  }
+  SETM_RETURN_IF_ERROR(batch.Flush());
+  run_rows_.clear();
+  run_rows_.shrink_to_fit();
+  out.r_rows = r1_->num_rows();
+  out.r_bytes = r1_->size_bytes();
+  out.r_pages = r1_->num_pages();
   out.r_prime_rows = counts->stats().rows;
   SETM_RETURN_IF_ERROR(counts->Finish(count_floor_, &out.counts));
-  counted_k_ = k;
-  out.seconds = timer.ElapsedSeconds();
+  next_k_ = 1;
   return out;
 }
 
-Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
+Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     size_t k, const std::vector<std::vector<ItemId>>& ck) {
   if (!running_) {
     return Status::Internal("ApplyGlobalCk before BeginRun on shard " + name_);
   }
-  if (k == 0) return Status::InvalidArgument("iteration k must be >= 1");
-  if (k != counted_k_) {
+  if (k == 0 || k != next_k_) {
     return Status::InvalidArgument(
-        "ApplyGlobalCk(" + std::to_string(k) + ") without CountIteration(" +
-        std::to_string(k) + ") on shard " + name_);
+        "ApplyGlobalCk(" + std::to_string(k) + ") on shard " + name_ +
+        ", which expects " +
+        (next_k_ == 0 ? std::string("CountFirstIteration")
+                      : "ApplyGlobalCk(" + std::to_string(next_k_) + ")"));
   }
   ItemsetCounts keys(k);
   for (const std::vector<ItemId>& items : ck) {
@@ -154,39 +137,49 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
     }
     keys.Add(items.data(), 1);
   }
-  auto rk_or = IntRelation::Create(db_, run_.storage, k + 1);
-  if (!rk_or.ok()) return rk_or.status();
-  std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
-  // The one pass of the iteration: the join (R_1 itself for k == 1), the
-  // C_k probe, R_k appended and R'_{k+1} counted. An empty global C_k
-  // still creates (and reports) an empty R_k, as Figure 4's loop does,
-  // and leaves an empty count of R'_{k+1}.
-  std::unique_ptr<BudgetedCount> next = NewCount(k + 1);
-  if (keys.size() != 0) {
-    const IntRelation& left = r_prev_ != nullptr ? *r_prev_ : *r1_;
-    SETM_RETURN_IF_ERROR(
-        FilterByCk(left, *r1_, keys, rk.get(), next.get()));
-  }
-  next_count_ = std::move(next);
-  ShardFilterStats stats;
-  stats.r_rows = rk->num_rows();
-  stats.r_bytes = rk->size_bytes();
-  stats.r_pages = rk->num_pages();
-  if (k == 1) {
-    // The filter_r1 ablation: R_1 without the non-frequent items.
-    r1_ = std::move(rk);
+  std::unique_ptr<BudgetedCount> next;
+  if (k == 1 && !run_.filter_r1) {
+    // R_1 stays as built; R'_2 was counted alongside it.
+    next = std::move(r2_count_);
   } else {
-    r_prev_ = std::move(rk);
+    auto rk_or = IntRelation::Create(db_, run_.storage, k + 1);
+    if (!rk_or.ok()) return rk_or.status();
+    std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
+    // The one pass of the iteration: the join (R_1 itself for k == 1), the
+    // C_k probe, R_k appended and R'_{k+1} counted. An empty global C_k
+    // still creates (and reports) an empty R_k, as Figure 4's loop does,
+    // and leaves an empty count of R'_{k+1}.
+    next = NewCount(k + 1);
+    if (keys.size() != 0) {
+      const IntRelation& left = r_prev_ != nullptr ? *r_prev_ : *r1_;
+      SETM_RETURN_IF_ERROR(
+          FilterByCk(left, *r1_, keys, rk.get(), next.get()));
+    }
+    if (k == 1) {
+      // The filter_r1 ablation: R_1 without the non-frequent items.
+      r1_ = std::move(rk);
+    } else {
+      r_prev_ = std::move(rk);
+    }
   }
-  counted_k_ = 0;
-  return stats;
+  const IntRelation& rk = k == 1 ? *r1_ : *r_prev_;
+  ShardReply out;
+  out.r_rows = rk.num_rows();
+  out.r_bytes = rk.size_bytes();
+  out.r_pages = rk.num_pages();
+  if (next != nullptr) {
+    out.r_prime_rows = next->stats().rows;
+    SETM_RETURN_IF_ERROR(next->Finish(count_floor_, &out.counts));
+  }
+  next_k_ = k + 1;
+  return out;
 }
 
 Status LocalShardBackend::EndRun() {
   r1_.reset();
   r_prev_.reset();
-  next_count_.reset();
-  counted_k_ = 0;
+  r2_count_.reset();
+  next_k_ = 0;
   run_rows_.clear();
   run_rows_.shrink_to_fit();
   running_ = false;

@@ -37,21 +37,21 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// Each iteration makes one pass over its inputs, the one that writes its
 /// R_k, and that pass also counts the next iteration's R'_{k+1}, so R'_k
 /// is never stored and no join runs twice:
-///   - CountIteration(1) builds R_1 from the slice, counts C_1's items and
-///     R'_2, the item pairs of each transaction (under filter_r1, R'_2
-///     waits for the filtered R_1).
+///   - CountFirstIteration builds R_1 from the slice and counts C_1's
+///     items and R'_2, the item pairs of each transaction (under
+///     filter_r1, R'_2 waits for the filtered R_1).
 ///   - ApplyGlobalCk(k) is FilterByCk: the merge-scan join of R_{k-1} with
 ///     R_1, the C_k probe, R_k appended in join order (already its
 ///     (trans_id, items) order), and each kept row's extensions counted
-///     into the BudgetedCount of R'_{k+1}. Under filter_r1,
-///     ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it.
-///   - CountIteration(k >= 2) only finishes that stored count, with the
-///     floor that applies then; it is InvalidArgument without the pass
-///     that counted R'_k.
+///     into the BudgetedCount of R'_{k+1}, finished before it returns.
+///     ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it under
+///     filter_r1, and otherwise finishes the count of R'_2 that
+///     CountFirstIteration made.
 /// A count's budget is the sort budget under kSortMerge and unbounded
 /// under kHash. No count is started past the run's max_pattern_length.
-/// ApplyGlobalCk(k) is accepted once per CountIteration(k); anything else
-/// is InvalidArgument. EndRun (and so BeginRun) drops a pending count.
+/// CountFirstIteration comes once, first; then ApplyGlobalCk(1), (2), ...
+/// in order. Anything else is InvalidArgument naming the shard. EndRun
+/// (and so BeginRun) drops R'_2's count if ApplyGlobalCk(1) never came.
 ///
 /// Local counts use min_count = 1 unless the coordinator sets a count floor
 /// (SetCountFloor): a sole shard's counts are global, so it counts with
@@ -84,8 +84,8 @@ class LocalShardBackend : public ShardBackend {
   const std::string& name() const override { return name_; }
   Status BeginRun(const ShardRunOptions& options) override;
   void SetCountFloor(int64_t floor) override { count_floor_ = floor; }
-  Result<ShardLocalCounts> CountIteration(size_t k) override;
-  Result<ShardFilterStats> ApplyGlobalCk(
+  Result<ShardReply> CountFirstIteration() override;
+  Result<ShardReply> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) override;
   Status EndRun() override;
   Result<ShardHealth> Health() override;
@@ -107,10 +107,11 @@ class LocalShardBackend : public ShardBackend {
 
   std::unique_ptr<IntRelation> r1_;      ///< R_1 slice (filtered when asked)
   std::unique_ptr<IntRelation> r_prev_;  ///< R_{k-1}; null means use r1
-  size_t counted_k_ = 0;  ///< k counted and awaiting ApplyGlobalCk; 0: none
-  /// R'_{k+1}, counted by the pass that wrote R_k (or by CountIteration(1))
-  /// and finished by CountIteration(k+1).
-  std::unique_ptr<BudgetedCount> next_count_;
+  /// The k the next ApplyGlobalCk must carry; 0 before CountFirstIteration.
+  size_t next_k_ = 0;
+  /// R'_2, counted by CountFirstIteration and finished by ApplyGlobalCk(1)
+  /// (null under filter_r1, where ApplyGlobalCk(1) counts it).
+  std::unique_ptr<BudgetedCount> r2_count_;
 };
 
 }  // namespace setm::shard

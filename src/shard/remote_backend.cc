@@ -1,11 +1,10 @@
 #include "shard/remote_backend.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
-
-#include "common/timer.h"
 
 namespace setm::shard {
 
@@ -116,6 +115,23 @@ Result<PatternCount> ParseCountLine(const std::string& line, size_t k,
   return pattern;
 }
 
+/// Parses a reply payload of "<item_1> ... <item_k> <count>" lines.
+Status ParseCounts(const std::string& payload, size_t k, uint64_t max_count,
+                   std::vector<PatternCount>* counts) {
+  size_t pos = 0;
+  while (pos < payload.size()) {
+    const size_t nl = payload.find('\n', pos);
+    const std::string line = payload.substr(
+        pos, nl == std::string::npos ? std::string::npos : nl - pos);
+    pos = nl == std::string::npos ? payload.size() : nl + 1;
+    if (line.empty()) continue;
+    auto pattern_or = ParseCountLine(line, k, max_count);
+    if (!pattern_or.ok()) return pattern_or.status();
+    counts->push_back(std::move(pattern_or).value());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 RemoteShardBackend::RemoteShardBackend(std::string host, uint16_t port,
@@ -157,61 +173,46 @@ Status RemoteShardBackend::BeginRun(const ShardRunOptions& options) {
   return EnsureConnected();
 }
 
-Result<ShardLocalCounts> RemoteShardBackend::CountIteration(size_t k) {
-  std::string command;
-  if (k == 1) {
-    command = "LCOUNT " + table_ + " K 1";
-    if (run_.count_method == CountMethod::kHash) command += " METHOD hash";
-    if (run_.filter_r1) command += " FILTER";
-  } else {
-    command = "LCOUNT K " + std::to_string(k);
+Result<ShardReply> RemoteShardBackend::CountFirstIteration() {
+  std::string command = "LCOUNT " + table_ + " K 1";
+  if (run_.count_method == CountMethod::kHash) command += " METHOD hash";
+  if (run_.filter_r1) command += " FILTER";
+  if (run_.max_pattern_length != 0) {
+    // MERGE's K stops at 64, so no run reaches a longer limit.
+    command += " MAXK " +
+               std::to_string(std::min<size_t>(run_.max_pattern_length, 64));
   }
-  WallTimer timer;
   auto response_or = Exec(command);
   if (!response_or.ok()) return response_or.status();
   const net::ClientResponse& response = response_or.value();
   if (!response.ok) return StatusFromError(response);
 
-  ShardLocalCounts out;
-  out.seconds = timer.ElapsedSeconds();
+  ShardReply out;
+  SETM_RETURN_IF_ERROR(
+      InfoField(response.info, "transactions", &out.transactions));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "rprime", &out.r_prime_rows));
-  if (k == 1) {
-    SETM_RETURN_IF_ERROR(
-        InfoField(response.info, "transactions", &out.transactions));
-    SETM_RETURN_IF_ERROR(InfoField(response.info, "rbytes", &out.r_bytes));
-    SETM_RETURN_IF_ERROR(InfoField(response.info, "rpages", &out.r_pages));
-    if (out.transactions > kMaxShardTransactions) {
-      return Status::Corruption(
-          "shard reported " + std::to_string(out.transactions) +
-          " transactions, more than the 2^32 distinct int32 trans_ids");
-    }
-    last_transactions_ = out.transactions;
-    last_rows_ = out.r_prime_rows;
-    last_bytes_ = out.r_bytes;
+  SETM_RETURN_IF_ERROR(InfoField(response.info, "rbytes", &out.r_bytes));
+  SETM_RETURN_IF_ERROR(InfoField(response.info, "rpages", &out.r_pages));
+  if (out.transactions > kMaxShardTransactions) {
+    return Status::Corruption(
+        "shard reported " + std::to_string(out.transactions) +
+        " transactions, more than the 2^32 distinct int32 trans_ids");
   }
-
-  size_t pos = 0;
-  while (pos < response.payload.size()) {
-    const size_t nl = response.payload.find('\n', pos);
-    const std::string line =
-        response.payload.substr(pos, nl == std::string::npos
-                                         ? std::string::npos
-                                         : nl - pos);
-    pos = nl == std::string::npos ? response.payload.size() : nl + 1;
-    if (line.empty()) continue;
-    auto pattern_or = ParseCountLine(line, k, last_transactions_);
-    if (!pattern_or.ok()) return pattern_or.status();
-    out.counts.push_back(std::move(pattern_or).value());
-  }
+  out.r_rows = out.r_prime_rows;  // R_1 is the slice it counted
+  last_transactions_ = out.transactions;
+  last_rows_ = out.r_rows;
+  last_bytes_ = out.r_bytes;
+  SETM_RETURN_IF_ERROR(
+      ParseCounts(response.payload, 1, last_transactions_, &out.counts));
   return out;
 }
 
-Result<ShardFilterStats> RemoteShardBackend::ApplyGlobalCk(
+Result<ShardReply> RemoteShardBackend::ApplyGlobalCk(
     size_t k, const std::vector<std::vector<ItemId>>& ck) {
-  // The whole phase-2 exchange is one Exec: the command line, every
-  // surviving itemset and the "." terminator ride in a single send (the
-  // protocol is line-oriented, not packet-oriented), so a large C_k does
-  // not become thousands of TCP_NODELAY-sized packets.
+  // The whole exchange is one Exec: the command line, every surviving
+  // itemset and the "." terminator ride in a single send (the protocol is
+  // line-oriented, not packet-oriented), so a large C_k does not become
+  // thousands of TCP_NODELAY-sized packets.
   std::string command = "MERGE K " + std::to_string(k);
   for (const std::vector<ItemId>& items : ck) {
     command += '\n';
@@ -226,10 +227,13 @@ Result<ShardFilterStats> RemoteShardBackend::ApplyGlobalCk(
   const net::ClientResponse& response = response_or.value();
   if (!response.ok) return StatusFromError(response);
 
-  ShardFilterStats out;
+  ShardReply out;
   SETM_RETURN_IF_ERROR(InfoField(response.info, "rows", &out.r_rows));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "bytes", &out.r_bytes));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "pages", &out.r_pages));
+  SETM_RETURN_IF_ERROR(InfoField(response.info, "rprime", &out.r_prime_rows));
+  SETM_RETURN_IF_ERROR(
+      ParseCounts(response.payload, k + 1, last_transactions_, &out.counts));
   return out;
 }
 

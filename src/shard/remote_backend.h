@@ -13,10 +13,10 @@ namespace setm::shard {
 /// A shard served by a remote setm_served instance, driven over the line
 /// protocol's LCOUNT/MERGE verbs (net/protocol.h). The server's handler is
 /// a LocalShardBackend over the named table, so a remote shard computes
-/// bit-identical counts to a local one — this class only moves them.
-/// LCOUNT does not carry ShardRunOptions::max_pattern_length, so the
-/// server's last MERGE of a length-limited run counts one more level,
-/// which no LCOUNT then reads.
+/// bit-identical counts to a local one — this class only moves them. A run
+/// is one LCOUNT (CountFirstIteration, carrying the run's options and
+/// length limit) and one MERGE per iteration (ApplyGlobalCk), whose reply
+/// holds R_k's size and the local counts of R'_{k+1}.
 ///
 /// One connection per backend, established at BeginRun (BlockingClient
 /// already retries transient refusals with backoff) and kept across runs.
@@ -33,8 +33,8 @@ class RemoteShardBackend : public ShardBackend {
 
   const std::string& name() const override { return name_; }
   Status BeginRun(const ShardRunOptions& options) override;
-  Result<ShardLocalCounts> CountIteration(size_t k) override;
-  Result<ShardFilterStats> ApplyGlobalCk(
+  Result<ShardReply> CountFirstIteration() override;
+  Result<ShardReply> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) override;
   Status EndRun() override;
   Result<ShardHealth> Health() override;
@@ -52,7 +52,7 @@ class RemoteShardBackend : public ShardBackend {
   int timeout_ms_;
   ShardRunOptions run_;
   std::unique_ptr<net::BlockingClient> client_;
-  /// Occupancy from the last k == 1 count, reported by Health (a PING
+  /// Occupancy from the last LCOUNT, reported by Health (a PING
   /// answers liveness; the protocol has no occupancy probe). The run's
   /// transactions also bound every count the shard reports in that run.
   uint64_t last_transactions_ = 0;

@@ -18,39 +18,31 @@ struct ShardRunOptions {
   CountMethod count_method = CountMethod::kSortMerge;
   bool filter_r1 = false;
   /// The run's longest pattern (0: no limit), so that a shard's last pass
-  /// does not count a level the coordinator never asks for. Remote shards
-  /// are not sent it: their last pass counts one level more, unread.
+  /// does not count a level the coordinator never asks for.
   size_t max_pattern_length = 0;
 };
 
-/// What one shard reports after locally counting iteration k: its local
-/// candidate counts plus the cardinalities the coordinator needs for
-/// IterationStats. Support is a property of the whole database, so local
-/// counts use min_count = 1 unless the coordinator set a count floor
-/// (ShardBackend::SetCountFloor).
-struct ShardLocalCounts {
-  /// Transactions in this shard's SALES slice (filled for k == 1 only; the
-  /// coordinator sums them to resolve the global minsupport).
+/// What one shard reports from one call of the iteration protocol: the
+/// relation the call wrote and its local counts of the level that the
+/// coordinator merges next. Support is a property of the whole database,
+/// so local counts use min_count = 1 unless the coordinator set a count
+/// floor (ShardBackend::SetCountFloor).
+struct ShardReply {
+  /// Transactions in this shard's SALES slice (CountFirstIteration only;
+  /// the coordinator sums them to resolve the global minsupport).
   uint64_t transactions = 0;
-  /// |R'_k| of this shard (for k == 1: |R_1|, the slice itself).
-  uint64_t r_prime_rows = 0;
-  /// Size/pages of the k == 1 relation (R_1 doubles as R'_1 and R_1 in the
-  /// first iteration's stats). Zero for k >= 2 — those come from the filter.
-  uint64_t r_bytes = 0;
-  uint64_t r_pages = 0;
-  /// Local counts, one entry per distinct candidate this shard saw whose
-  /// count reached the floor.
-  std::vector<PatternCount> counts;
-  /// Shard-side wall time of the local count (remote shards report their
-  /// own clock, so the coordinator can separate compute from transport).
-  double seconds = 0.0;
-};
-
-/// What one shard reports after filtering R'_k by the global C_k.
-struct ShardFilterStats {
+  /// The relation the call wrote: R_1 for CountFirstIteration and
+  /// ApplyGlobalCk(1), R_k for ApplyGlobalCk(k).
   uint64_t r_rows = 0;
   uint64_t r_bytes = 0;
   uint64_t r_pages = 0;
+  /// Rows counted into `counts`: |R_1| for CountFirstIteration, |R'_{k+1}|
+  /// for ApplyGlobalCk(k).
+  uint64_t r_prime_rows = 0;
+  /// Local counts, one entry per distinct itemset this shard saw whose
+  /// count reached the floor: C_1's items for CountFirstIteration,
+  /// (k+1)-itemsets for ApplyGlobalCk(k).
+  std::vector<PatternCount> counts;
 };
 
 /// Per-shard health/occupancy, the dinomo-style membership view surfaced by
@@ -62,21 +54,21 @@ struct ShardHealth {
   uint64_t sales_bytes = 0;
 };
 
-/// One shard's half of the two-phase distributed count. The coordinator
-/// drives every backend through the same iteration protocol:
+/// One shard's half of the distributed count. The coordinator drives every
+/// backend through the same iteration protocol, one call per iteration:
 ///
 ///   BeginRun(options)
-///   CountIteration(1)        -> local R_1 + item counts + |D_shard|
+///   CountFirstIteration()    -> local R_1 + item counts + |D_shard|
 ///   [SetCountFloor(minsup)]  -> only when this is the sole shard
-///   [ApplyGlobalCk(1, C_1)]  -> only when options.filter_r1
-///   for k = 2, 3, ...:
-///     CountIteration(k)      -> local candidate counts of R'_k
-///     ApplyGlobalCk(k, C_k)  -> local R_k := R'_k filtered by global C_k
+///   for k = 1, 2, ...:
+///     ApplyGlobalCk(k, C_k)  -> local R_k from the global C_k, and the
+///                               local counts of R'_{k+1}
 ///   EndRun()
 ///
-/// A backend may count R'_k in the phase before CountIteration(k), as
-/// LocalShardBackend does: the pass that writes R_{k-1} (or R_1) counts
-/// R'_k too.
+/// Each ApplyGlobalCk is the iteration's one pass: the join of R_{k-1}
+/// with R_1, the C_k probe and the R_k append, counting R'_{k+1} as it
+/// goes. ApplyGlobalCk(1) rewrites R_1 only under filter_r1; otherwise it
+/// returns the counts of R'_2 that CountFirstIteration made alongside R_1.
 ///
 /// Implementations: LocalShardBackend runs the SETM pipeline bodies in
 /// process over a SALES slice; RemoteShardBackend speaks LCOUNT/MERGE to a
@@ -95,22 +87,23 @@ class ShardBackend {
   /// Starts a fresh run; any previous run's state is released.
   virtual Status BeginRun(const ShardRunOptions& options) = 0;
 
-  /// Phase 1 of iteration k: local candidate counts of R'_k, plus the R_1
-  /// build when k == 1.
-  virtual Result<ShardLocalCounts> CountIteration(size_t k) = 0;
+  /// Iteration 1's count: builds the local R_1 and counts its items (and
+  /// R'_2, which ApplyGlobalCk(1) returns).
+  virtual Result<ShardReply> CountFirstIteration() = 0;
 
-  /// Lets this run's later CountIteration calls drop candidates counted
-  /// below `floor`. The coordinator sets it to the global minsupport, once
-  /// resolved after iteration 1, when this is the run's only shard: a sole
-  /// shard's local counts are the global counts. The merge still applies
-  /// minsupport, so the floor is a pruning bound only and a backend may
-  /// ignore it (the default). BeginRun resets it to 1.
+  /// Lets this run's later counts drop candidates counted below `floor`.
+  /// The coordinator sets it to the global minsupport, once resolved after
+  /// iteration 1, when this is the run's only shard: a sole shard's local
+  /// counts are the global counts. The merge still applies minsupport, so
+  /// the floor is a pruning bound only and a backend may ignore it (the
+  /// default). BeginRun resets it to 1.
   virtual void SetCountFloor(int64_t floor) { (void)floor; }
 
-  /// Phase 2 of iteration k: filters the local R'_k down to the rows whose
-  /// pattern survived the global minsupport filter (`ck` lists the surviving
-  /// itemsets, sorted). For k == 1 this is the filter_r1 ablation.
-  virtual Result<ShardFilterStats> ApplyGlobalCk(
+  /// The one pass of iteration k: keeps the local rows whose pattern
+  /// survived the global minsupport filter (`ck` lists the surviving
+  /// itemsets, sorted) as R_k and returns R_k's size with the local counts
+  /// of R'_{k+1}. For k == 1 R_1 is filtered only under filter_r1.
+  virtual Result<ShardReply> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) = 0;
 
   /// Releases run state (scratch relations, remote session). Idempotent.

@@ -40,7 +40,7 @@ struct ShardMemberHealth {
 
 /// A multi-shard database: N member shards — local database files and/or
 /// remote setm_served instances, as listed in a ShardManifest — mined as one
-/// logical database through the two-phase distributed count coordinator
+/// logical database through the distributed count coordinator
 /// (shard/coordinator.h). Every member is a completely ordinary database
 /// (own WAL, own catalog); this class only owns the membership view, the
 /// backends and the fan-out pool.

@@ -13,8 +13,9 @@ namespace setm {
 namespace {
 
 // Process-wide page-traffic series, shared by every backend instance (the
-// per-operation ledgers stay per-IoStats). Resolved once; reads after the
-// magic-static init are lock-free.
+// per-operation ledgers stay per-IoStats). A page counts where a ledger
+// counts it, so a backend without one (a WAL decorator's inner file) moves
+// neither. Resolved once; reads after the magic-static init are lock-free.
 struct GlobalIoMetrics {
   obs::Counter* reads;
   obs::Counter* writes;
@@ -54,8 +55,8 @@ bool StorageBackend::ClassifySequential(PageId id) {
 }
 
 void StorageBackend::AccountRead(PageId id) {
-  IoMetrics().reads->Increment();
   if (stats_ == nullptr) return;
+  IoMetrics().reads->Increment();
   ++stats_->page_reads;
   if (ClassifySequential(id)) {
     ++stats_->sequential_reads;
@@ -65,8 +66,8 @@ void StorageBackend::AccountRead(PageId id) {
 }
 
 void StorageBackend::AccountWrite(PageId id) {
-  IoMetrics().writes->Increment();
   if (stats_ == nullptr) return;
+  IoMetrics().writes->Increment();
   ++stats_->page_writes;
   if (ClassifySequential(id)) {
     ++stats_->sequential_writes;
@@ -76,8 +77,9 @@ void StorageBackend::AccountWrite(PageId id) {
 }
 
 void StorageBackend::AccountAllocation() {
+  if (stats_ == nullptr) return;
   IoMetrics().allocations->Increment();
-  if (stats_ != nullptr) ++stats_->pages_allocated;
+  ++stats_->pages_allocated;
 }
 
 // ---------------------------------------------------------------------------

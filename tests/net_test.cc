@@ -177,12 +177,12 @@ TEST(ProtocolTest, ParsesLcountAndMerge) {
   EXPECT_EQ(hashed_or.value().shard_method, "hash");
   EXPECT_TRUE(hashed_or.value().shard_filter);
 
-  // Continuation form: no table, k >= 2.
-  auto cont_or = ParseCommand("LCOUNT K 3");
-  ASSERT_TRUE(cont_or.ok()) << cont_or.status().ToString();
-  EXPECT_EQ(cont_or.value().verb, Verb::kLcount);
-  EXPECT_TRUE(cont_or.value().table.empty());
-  EXPECT_EQ(cont_or.value().shard_k, 3u);
+  EXPECT_EQ(hashed_or.value().max_k, 0u);  // no length limit
+
+  auto limited_or = ParseCommand("LCOUNT sales K 1 MAXK 2 FILTER");
+  ASSERT_TRUE(limited_or.ok()) << limited_or.status().ToString();
+  EXPECT_EQ(limited_or.value().max_k, 2u);
+  EXPECT_TRUE(limited_or.value().shard_filter);
 
   auto merge_or = ParseCommand("MERGE K 2");
   ASSERT_TRUE(merge_or.ok()) << merge_or.status().ToString();
@@ -195,6 +195,7 @@ TEST(ProtocolTest, RejectsMalformedShardLines) {
       "LCOUNT",                        // nothing
       "LCOUNT K",                      // missing k
       "LCOUNT K 1",                    // a run must begin with a table
+      "LCOUNT K 2",                    // later iterations are MERGE K <k>
       "LCOUNT K 0",                    // k out of range
       "LCOUNT K 65",                   // k over the cap
       "LCOUNT K x",                    // not a number
@@ -202,6 +203,9 @@ TEST(ProtocolTest, RejectsMalformedShardLines) {
       "LCOUNT sales K 2",              // new runs begin at K 1
       "LCOUNT sales K 1 METHOD",       // missing method value
       "LCOUNT sales K 1 METHOD tree",  // unknown method
+      "LCOUNT sales K 1 MAXK",         // missing MAXK value
+      "LCOUNT sales K 1 MAXK 0",       // MAXK out of range
+      "LCOUNT sales K 1 MAXK two",     // MAXK not a number
       "LCOUNT sales K 1 BOGUS",        // unknown option
       "MERGE",                         // nothing
       "MERGE K",                       // missing k
@@ -622,7 +626,7 @@ TEST(MiningServerTest, ShardSessionCountsAndFilters) {
   ServerFixture fixture;
   auto client = fixture.Connect();
 
-  // Phase 1, k = 1: the full local item counts of TinyTxns, sorted,
+  // Iteration 1's count: the full local item counts of TinyTxns, sorted,
   // min_count = 1 (support is the coordinator's concern, not the shard's).
   auto begin = client->Exec("LCOUNT sales K 1");
   ASSERT_TRUE(begin.ok());
@@ -633,46 +637,44 @@ TEST(MiningServerTest, ShardSessionCountsAndFilters) {
   EXPECT_EQ(begin.value().payload,
             "0 6\n1 4\n2 4\n3 6\n4 4\n5 3\n6 2\n7 1\n");
 
-  // A malformed phase-2 batch (1-item lines for K 2) is drained and
-  // answered with ERR; the run survives.
+  // A malformed batch (1-item lines for K 2) is drained and answered with
+  // ERR; the run survives.
   auto bad_merge = client->Exec("MERGE K 2\n0\n.");
   ASSERT_TRUE(bad_merge.ok());
   EXPECT_FALSE(bad_merge.value().ok);
   EXPECT_EQ(bad_merge.value().code, "InvalidArgument");
 
-  // Phase 1, k = 2: the local R_1-join candidate counts.
-  auto pairs = client->Exec("LCOUNT K 2");
+  // Pass 1 keeps R_1 (no FILTER) and answers the local pair counts of R'_2.
+  auto pairs = client->Exec("MERGE K 1\n0\n1\n2\n3\n4\n5\n6\n.");
   ASSERT_TRUE(pairs.ok());
   ASSERT_TRUE(pairs.value().ok) << pairs.value().info;
-  EXPECT_NE(pairs.value().info.find("lcount k=2 rprime="), std::string::npos);
+  EXPECT_NE(pairs.value().info.find("merge k=1 rows="), std::string::npos);
+  EXPECT_NE(pairs.value().info.find(" rprime="), std::string::npos);
   // {0,1} occurs in transactions 10, 20 and 30.
   EXPECT_NE(pairs.value().payload.find("0 1 3\n"), std::string::npos)
       << pairs.value().payload;
 
-  // Phase 2, k = 2: the whole global C_2 rides in one request.
-  auto merged = client->Exec("MERGE K 2\n0 1\n3 4\n.");
-  ASSERT_TRUE(merged.ok());
-  ASSERT_TRUE(merged.value().ok) << merged.value().info;
-  EXPECT_NE(merged.value().info.find("merge k=2 rows="), std::string::npos);
-
-  // The run continues into k = 3 off the filtered R_2.
-  auto triples = client->Exec("LCOUNT K 3");
+  // Pass 2: the whole global C_2 rides in one request, and the reply
+  // carries the triples of R'_3 counted off the filtered R_2.
+  auto triples = client->Exec("MERGE K 2\n0 1\n3 4\n.");
   ASSERT_TRUE(triples.ok());
-  EXPECT_TRUE(triples.value().ok) << triples.value().info;
+  ASSERT_TRUE(triples.value().ok) << triples.value().info;
+  EXPECT_NE(triples.value().info.find("merge k=2 rows="), std::string::npos);
+  EXPECT_NE(triples.value().info.find(" rprime="), std::string::npos);
+  // R_2 = {0,1} in transactions 10, 20, 30 and {3,4} in 80, 90, 99.
+  EXPECT_EQ(triples.value().payload, "0 1 2 2\n0 1 3 1\n3 4 5 3\n");
 }
 
 TEST(MiningServerTest, ShardContinuationWithoutRunIsNotFound) {
   ServerFixture fixture;
   auto client = fixture.Connect();
 
-  for (const char* line : {"LCOUNT K 2", "MERGE K 2"}) {
-    auto response = client->Exec(line);
-    ASSERT_TRUE(response.ok()) << line;
-    EXPECT_FALSE(response.value().ok) << line;
-    EXPECT_EQ(response.value().code, "NotFound") << line;
-    EXPECT_NE(response.value().info.find("no shard run"), std::string::npos)
-        << response.value().info;
-  }
+  auto response = client->Exec("MERGE K 2");
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response.value().ok);
+  EXPECT_EQ(response.value().code, "NotFound");
+  EXPECT_NE(response.value().info.find("no shard run"), std::string::npos)
+      << response.value().info;
   auto pong = client->Exec("PING");  // protocol errors, connection alive
   ASSERT_TRUE(pong.ok());
   EXPECT_TRUE(pong.value().ok);

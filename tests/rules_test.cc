@@ -261,5 +261,34 @@ TEST(RulesObserverTest, EmptyInputNeverCallsBack) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RulesPropertyTest,
                          testing::Values(21, 22, 23, 24));
 
+// Lift metric sanity (computed during rule generation).
+TEST(RuleLiftTest, LiftMatchesDefinition) {
+  BruteForceMiner miner;
+  auto result =
+      miner.Mine(PaperExampleTransactions(), PaperExampleOptions());
+  ASSERT_TRUE(result.ok());
+  MiningOptions options = PaperExampleOptions();
+  auto rules = GenerateRules(result.value().itemsets, options).value();
+  ASSERT_FALSE(rules.empty());
+  const double n =
+      static_cast<double>(result.value().itemsets.num_transactions);
+  for (const auto& r : rules) {
+    const int64_t consequent_count =
+        result.value().itemsets.CountOf(r.consequent);
+    ASSERT_GT(consequent_count, 0);
+    const double expected =
+        r.confidence / (static_cast<double>(consequent_count) / n);
+    EXPECT_NEAR(r.lift, expected, 1e-12);
+    EXPECT_GT(r.lift, 0.0);
+  }
+  // F ==> D has confidence 1.0 and |D| = 6/10: lift = 1 / 0.6.
+  for (const auto& r : rules) {
+    if (r.antecedent == std::vector<ItemId>{5} &&
+        r.consequent == std::vector<ItemId>{3}) {
+      EXPECT_NEAR(r.lift, 1.0 / 0.6, 1e-12);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace setm

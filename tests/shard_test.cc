@@ -1,5 +1,5 @@
 // The scale-out subsystem: shard manifest codec, LocalShardBackend slices,
-// the two-phase distributed count coordinator, ShardedDatabase over file
+// the distributed count coordinator, ShardedDatabase over file
 // shards and RemoteShardBackend over live setm_served sessions. The core
 // contract under test is bit-identity: any shard count, either scratch
 // backing and either transport must reproduce single-node SETM exactly —
@@ -259,9 +259,10 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
     auto c2 = [&](bool with_floor) {
       Counts out;
       EXPECT_TRUE(backend.BeginRun(run).ok());
-      EXPECT_TRUE(backend.CountIteration(1).ok());
+      EXPECT_TRUE(backend.CountFirstIteration().ok());
       if (with_floor) backend.SetCountFloor(floor);
-      auto counts = backend.CountIteration(2);
+      // Without filter_r1, ApplyGlobalCk(1) keeps R_1 and ignores C_1.
+      auto counts = backend.ApplyGlobalCk(1, {});
       EXPECT_TRUE(counts.ok()) << counts.status().ToString();
       if (!counts.ok()) return out;
       for (const PatternCount& pc : counts.value().counts) {
@@ -284,70 +285,65 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
 
 // LCOUNT/MERGE put the iteration number and C_k on the wire, so the
 // backend must reject calls out of protocol order, and itemsets of the
-// wrong size, with a Status rather than read rows at the wrong width.
-TEST(LocalShardBackendTest, OutOfOrderIterationsAreRejected) {
-  Database db;
-  LocalShardBackend backend(&db, "s0");
-  backend.SetRows(RowsOf(QuestDb(34)));
-  ASSERT_TRUE(backend.BeginRun(ShardRunOptions{}).ok());
-  EXPECT_TRUE(backend.CountIteration(0).status().IsInvalidArgument());
-  EXPECT_TRUE(backend.ApplyGlobalCk(0, {}).status().IsInvalidArgument());
-  ASSERT_TRUE(backend.CountIteration(1).ok());
-  EXPECT_TRUE(backend.CountIteration(3).status().IsInvalidArgument());
-  // No count of iteration 2 yet.
-  EXPECT_TRUE(backend.ApplyGlobalCk(2, {{1, 2}}).status().IsInvalidArgument());
-  ASSERT_TRUE(backend.CountIteration(2).ok());
-  EXPECT_TRUE(
-      backend.ApplyGlobalCk(3, {{1, 2, 3}}).status().IsInvalidArgument());
-  EXPECT_TRUE(backend.ApplyGlobalCk(2, {{1, 2, 3}}).status().IsInvalidArgument());
-  EXPECT_TRUE(backend.ApplyGlobalCk(1, {{1, 2}}).status().IsInvalidArgument());
-  // The run is still usable in order.
-  auto stats = backend.ApplyGlobalCk(2, {{1, 2}});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  // One apply per count: a repeated MERGE K 2 is a client error.
-  EXPECT_TRUE(backend.ApplyGlobalCk(2, {{1, 2}}).status().IsInvalidArgument());
-  EXPECT_TRUE(backend.CountIteration(3).ok());
-}
-
-// CountIteration(k >= 2) only finishes the count that the previous pass
-// made: without that pass (ApplyGlobalCk(k-1), or CountIteration(1) when
-// R'_2 is counted there) there is nothing to finish, and the error names
-// the shard.
-TEST(LocalShardBackendTest, CountWithoutThePreviousPassIsInvalidArgument) {
+// wrong size, with a Status naming the shard rather than read rows at the
+// wrong width. The order is CountFirstIteration once, then ApplyGlobalCk(1),
+// (2), ...; a rejected call leaves the run usable in order.
+TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
   Database db;
   LocalShardBackend backend(&db, "s7");
-  backend.SetRows(RowsOf(QuestDb(35)));
-  const auto expect_invalid = [](const Result<shard::ShardLocalCounts>& r) {
+  backend.SetRows(RowsOf(QuestDb(34)));
+  const auto expect_invalid = [](const Result<shard::ShardReply>& r) {
     ASSERT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
     EXPECT_NE(r.status().message().find("shard s7"), std::string::npos)
         << r.status().message();
   };
+  const auto expect_arity = [](const Result<shard::ShardReply>& r,
+                               size_t k) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    for (const PatternCount& pc : r.value().counts) {
+      ASSERT_EQ(pc.items.size(), k);
+    }
+  };
   ASSERT_TRUE(backend.BeginRun(ShardRunOptions{}).ok());
-  expect_invalid(backend.CountIteration(2));  // no CountIteration(1)
-  ASSERT_TRUE(backend.CountIteration(1).ok());
-  auto c2 = backend.CountIteration(2);
-  ASSERT_TRUE(c2.ok()) << c2.status().ToString();
-  expect_invalid(backend.CountIteration(2));  // finished already
-  expect_invalid(backend.CountIteration(3));  // no ApplyGlobalCk(2)
+  EXPECT_TRUE(backend.ApplyGlobalCk(0, {}).status().IsInvalidArgument());
+  expect_invalid(backend.ApplyGlobalCk(1, {{1}}));  // no first count yet
+  ASSERT_TRUE(backend.CountFirstIteration().ok());
+  expect_invalid(backend.CountFirstIteration());    // once per run
+  expect_invalid(backend.ApplyGlobalCk(2, {{1, 2}}));  // pass 1 first
+  EXPECT_TRUE(backend.ApplyGlobalCk(1, {{1, 2}}).status().IsInvalidArgument());
+  expect_arity(backend.ApplyGlobalCk(1, {{1}, {2}, {3}}), 2);
+  expect_invalid(backend.ApplyGlobalCk(1, {{1}}));  // one pass per k
+  expect_invalid(backend.ApplyGlobalCk(3, {{1, 2, 3}}));
+  EXPECT_TRUE(
+      backend.ApplyGlobalCk(2, {{1, 2, 3}}).status().IsInvalidArgument());
+  expect_arity(backend.ApplyGlobalCk(2, {{1, 2}}), 3);
+  expect_invalid(backend.ApplyGlobalCk(2, {{1, 2}}));
+  expect_arity(backend.ApplyGlobalCk(3, {{1, 2, 3}}), 4);
 
-  // Under filter_r1, R'_2 is counted over the filtered R_1, by
-  // ApplyGlobalCk(1).
+  // Under filter_r1, ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it:
+  // only pairs of C_1's items remain.
   ShardRunOptions filtered;
   filtered.filter_r1 = true;
   ASSERT_TRUE(backend.BeginRun(filtered).ok());
-  ASSERT_TRUE(backend.CountIteration(1).ok());
-  expect_invalid(backend.CountIteration(2));
-  ASSERT_TRUE(backend.ApplyGlobalCk(1, {{1}, {2}, {3}}).ok());
-  EXPECT_TRUE(backend.CountIteration(2).ok());
+  ASSERT_TRUE(backend.CountFirstIteration().ok());
+  auto pairs = backend.ApplyGlobalCk(1, {{1}, {2}, {3}});
+  expect_arity(pairs, 2);
+  EXPECT_FALSE(pairs.value().counts.empty());
+  for (const PatternCount& pc : pairs.value().counts) {
+    EXPECT_GE(pc.items[0], 1) << pc.items[0] << " " << pc.items[1];
+    EXPECT_LE(pc.items[1], 3) << pc.items[0] << " " << pc.items[1];
+  }
 
   // Past the run's max_pattern_length no pass counts.
   ShardRunOptions short_run;
   short_run.max_pattern_length = 2;
   ASSERT_TRUE(backend.BeginRun(short_run).ok());
-  ASSERT_TRUE(backend.CountIteration(1).ok());
-  ASSERT_TRUE(backend.CountIteration(2).ok());
-  ASSERT_TRUE(backend.ApplyGlobalCk(2, {{1, 2}}).ok());
-  expect_invalid(backend.CountIteration(3));
+  ASSERT_TRUE(backend.CountFirstIteration().ok());
+  ASSERT_TRUE(backend.ApplyGlobalCk(1, {{1}, {2}}).ok());
+  auto last = backend.ApplyGlobalCk(2, {{1, 2}});
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last.value().r_prime_rows, 0u);
+  EXPECT_TRUE(last.value().counts.empty());
 }
 
 TEST(DistributedMineTest, NoShardsIsInvalidArgument) {
@@ -364,7 +360,7 @@ TEST(DistributedMineTest, NoShardsIsInvalidArgument) {
 /// A shard whose disk "goes away" at a chosen point in the protocol.
 class FailingBackend : public ShardBackend {
  public:
-  enum class FailAt { kBegin, kCount };
+  enum class FailAt { kBegin, kPass };
 
   FailingBackend(std::string name, FailAt fail_at, size_t fail_k)
       : name_(std::move(name)), fail_at_(fail_at), fail_k_(fail_k) {}
@@ -378,15 +374,15 @@ class FailingBackend : public ShardBackend {
     return real_.BeginRun(options);
   }
 
-  Result<shard::ShardLocalCounts> CountIteration(size_t k) override {
-    if (fail_at_ == FailAt::kCount && k >= fail_k_) {
-      return Status::IOError("read failed mid-count");
-    }
-    return real_.CountIteration(k);
+  Result<shard::ShardReply> CountFirstIteration() override {
+    return real_.CountFirstIteration();
   }
 
-  Result<shard::ShardFilterStats> ApplyGlobalCk(
+  Result<shard::ShardReply> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) override {
+    if (fail_at_ == FailAt::kPass && k >= fail_k_) {
+      return Status::IOError("read failed mid-pass");
+    }
     return real_.ApplyGlobalCk(k, ck);
   }
 
@@ -411,7 +407,7 @@ TEST(DistributedMineTest, DownShardIsUnavailableNamingTheShard) {
   std::vector<TransactionDb> slices = SplitTxns(txns, 3);
 
   for (FailingBackend::FailAt fail_at :
-       {FailingBackend::FailAt::kBegin, FailingBackend::FailAt::kCount}) {
+       {FailingBackend::FailAt::kBegin, FailingBackend::FailAt::kPass}) {
     Database db;
     LocalShardBackend healthy0(&db, "s0");
     healthy0.SetRows(RowsOf(slices[0]));
@@ -735,6 +731,110 @@ TEST(RemoteShardTest, SocketShardsMatchSingleNode) {
   EXPECT_TRUE(server.Stop().ok());
 }
 
+uint64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Global()->GetCounter(name, "")->Value();
+}
+
+/// A started server over one in-memory database.
+std::unique_ptr<MiningServer> StartServer(Database* db) {
+  ServerOptions server_options;
+  server_options.port = 0;
+  server_options.store_prefix = "";
+  auto server_or = MiningServer::Create(db, std::move(server_options));
+  EXPECT_TRUE(server_or.ok()) << server_or.status().ToString();
+  if (!server_or.ok()) return nullptr;
+  EXPECT_TRUE(server_or.value()->Start().ok());
+  return std::move(server_or).value();
+}
+
+// One shard call per iteration: a remote run of K iterations sends one
+// LCOUNT and K MERGEs, and local and remote runs match a single node, with
+// and without filter_r1, with and without a length limit.
+TEST(RemoteShardTest, OneLcountAndOneMergePerIteration) {
+  const TransactionDb txns = QuestDb(57);
+  Database db;
+  ASSERT_TRUE(LoadSalesTable(&db, "sales", txns, TableBacking::kMemory).ok());
+  std::unique_ptr<MiningServer> server = StartServer(&db);
+  ASSERT_NE(server, nullptr);
+
+  for (bool filter_r1 : {false, true}) {
+    for (size_t max_length : {size_t{0}, size_t{2}}) {
+      SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
+                   " max_length=" + std::to_string(max_length));
+      MiningOptions options;
+      options.min_support = 0.04;
+      options.filter_r1 = filter_r1;
+      options.max_pattern_length = max_length;
+      auto expected = SingleNode(txns, options);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+      Database local_db;
+      auto local = MineSlices(&local_db, SplitTxns(txns, 3), options,
+                              ShardRunOptions{});
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      EXPECT_TRUE(local.value().itemsets == expected.value().itemsets);
+      ExpectSameIterations(local.value(), expected.value());
+
+      const uint64_t lcounts = CounterValue("setm_srv_requests_lcount_total");
+      const uint64_t merges = CounterValue("setm_srv_requests_merge_total");
+      RemoteShardBackend backend("127.0.0.1", server->port(), "sales");
+      auto remote = DistributedMine({&backend}, options, CoordinatorOptions{});
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      EXPECT_TRUE(remote.value().itemsets == expected.value().itemsets);
+      ExpectSameIterations(remote.value(), expected.value());
+      // A sole shard's pages are the single node's, page for page.
+      for (size_t i = 0; i < expected.value().iterations.size(); ++i) {
+        EXPECT_EQ(remote.value().iterations[i].r_pages,
+                  expected.value().iterations[i].r_pages)
+            << "k=" << i + 1;
+      }
+      EXPECT_EQ(CounterValue("setm_srv_requests_lcount_total") - lcounts, 1u);
+      EXPECT_EQ(CounterValue("setm_srv_requests_merge_total") - merges,
+                remote.value().iterations.size());
+    }
+  }
+  EXPECT_TRUE(server->Stop().ok());
+}
+
+// A length-limited run counts no level past the limit, locally or on a
+// remote shard (LCOUNT carries the limit as MAXK): the count rows move by
+// exactly the R'_k rows the result reports (R_1's for k = 1).
+TEST(RemoteShardTest, LengthLimitCountsNoUnreadLevel) {
+  const TransactionDb txns = QuestDb(58);
+  Database db;
+  ASSERT_TRUE(LoadSalesTable(&db, "sales", txns, TableBacking::kMemory).ok());
+  std::unique_ptr<MiningServer> server = StartServer(&db);
+  ASSERT_NE(server, nullptr);
+
+  MiningOptions options;
+  options.min_support = 0.04;
+  options.max_pattern_length = 2;
+  const auto expect_counted_rows = [](const MiningResult& result,
+                                      uint64_t counted) {
+    ASSERT_EQ(result.iterations.size(), 2u);
+    uint64_t r_prime_rows = 0;
+    for (const IterationStats& stats : result.iterations) {
+      r_prime_rows += stats.r_prime_rows;
+    }
+    EXPECT_GT(result.iterations[1].r_prime_rows, 0u);
+    EXPECT_EQ(counted, r_prime_rows);
+  };
+
+  uint64_t before = CounterValue("setm_count_rows_total");
+  auto local = SingleNode(txns, options);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  expect_counted_rows(local.value(),
+                      CounterValue("setm_count_rows_total") - before);
+
+  before = CounterValue("setm_count_rows_total");
+  RemoteShardBackend backend("127.0.0.1", server->port(), "sales");
+  auto remote = DistributedMine({&backend}, options, CoordinatorOptions{});
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  expect_counted_rows(remote.value(),
+                      CounterValue("setm_count_rows_total") - before);
+  EXPECT_TRUE(server->Stop().ok());
+}
+
 TEST(RemoteShardTest, DeadEndpointIsUnavailableBeforeAnyCounting) {
   // Bind an ephemeral port, then shut the server down: the port is known
   // dead, so the eager connect in BeginRun must fail the whole run.
@@ -823,6 +923,10 @@ class ScriptedShardServer {
 // run as Corruption naming the shard, never wrap, saturate or overflow.
 TEST(RemoteShardTest, OutOfRangeRepliesAreCorruptionNamingTheShard) {
   const std::string k1_info = "OK lcount k=1 transactions=5 rprime=2 ";
+  const std::string k1_pairs =
+      "OK lcount k=1 transactions=2 rprime=3 rbytes=0 rpages=0\n1 2\n2 1\n"
+      ".\n";
+  const std::string merge_info = "rows=3 bytes=0 pages=0 ";
   const std::vector<std::vector<std::string>> scripts = {
       // An item beyond int32 would be cast to item 0.
       {k1_info + "rbytes=0 rpages=0\n4294967296 3\n.\n"},
@@ -838,10 +942,13 @@ TEST(RemoteShardTest, OutOfRangeRepliesAreCorruptionNamingTheShard) {
       {k1_info + "rbytes=18446744073709551616 rpages=0\n1 1\n.\n"},
       {"OK lcount k=1 transactions=4294967297 rprime=1 rbytes=0 "
        "rpages=0\n1 1\n.\n"},
-      // At k = 2 a count is still bounded by k = 1's transactions.
-      {"OK lcount k=1 transactions=2 rprime=3 rbytes=0 rpages=0\n1 2\n2 1\n"
-       ".\n",
-       "OK lcount k=2 rprime=1\n1 2 3\n.\n"},
+      // MERGE K 1 replies carry R'_2's counts, bounded by LCOUNT's
+      // transactions: a count above them, a triple, unsorted items and a
+      // missing rprime are each Corruption.
+      {k1_pairs, "OK merge k=1 " + merge_info + "rprime=1\n1 2 3\n.\n"},
+      {k1_pairs, "OK merge k=1 " + merge_info + "rprime=1\n1 2 3 1\n.\n"},
+      {k1_pairs, "OK merge k=1 " + merge_info + "rprime=1\n2 1 1\n.\n"},
+      {k1_pairs, "OK merge k=1 " + merge_info + "\n1 2 1\n.\n"},
   };
   for (const std::vector<std::string>& script : scripts) {
     ScriptedShardServer server(script);

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "core/paper_example.h"
+#include "core/setm.h"
 #include "sql/engine.h"
 
 namespace setm::sql {
@@ -197,6 +202,42 @@ TEST_F(SqlEngine2Test, EmptyTableAggregatesToNothing) {
 TEST_F(SqlEngine2Test, OrderByUnknownColumnFails) {
   MustRun("CREATE TABLE t (a INT)");
   EXPECT_FALSE(engine_.Execute("SELECT a FROM t ORDER BY zzz").ok());
+}
+
+// The Section 3.1 formulation of C_2, executed literally: a three-relation
+// FROM, an equality chain plus one inequality, GROUP BY on two columns and
+// HAVING COUNT(*) >= :minsupport, inserted into a MEMORY table. On the
+// paper's example it yields the example's six frequent pairs.
+TEST_F(SqlEngine2Test, Section31PairQueryOnThePaperExample) {
+  const TransactionDb txns = PaperExampleTransactions();
+  ASSERT_TRUE(
+      LoadSalesTable(&db_, "sales", txns, TableBacking::kMemory).ok());
+  const Params params = {
+      {"minsupport", Value::Int64(ResolveMinSupportCount(
+                         PaperExampleOptions(), txns.size()))}};
+  MustRun("CREATE MEMORY TABLE c1 (item1 INT, cnt BIGINT)");
+  MustRun(
+      "INSERT INTO c1 SELECT r1.item, COUNT(*) FROM sales r1 "
+      "GROUP BY r1.item HAVING COUNT(*) >= :minsupport",
+      params);
+  MustRun("CREATE MEMORY TABLE c2 (item1 INT, item2 INT, cnt BIGINT)");
+  MustRun(
+      "INSERT INTO c2 SELECT r1.item, r2.item, COUNT(*) "
+      "FROM c1 c, sales r1, sales r2 "
+      "WHERE r1.trans_id = r2.trans_id AND r1.item = c.item1 "
+      "AND r2.item > r1.item "
+      "GROUP BY r1.item, r2.item HAVING COUNT(*) >= :minsupport",
+      params);
+  auto r = MustRun("SELECT item1, item2, cnt FROM c2 ORDER BY item1, item2");
+  std::vector<std::tuple<int32_t, int32_t, int64_t>> pairs;
+  for (const Tuple& row : r.rows) {
+    pairs.emplace_back(row.value(0).AsInt32(), row.value(1).AsInt32(),
+                       row.value(2).AsInt64());
+  }
+  // AB, AC, BC, DE, DF and EF, each in three transactions.
+  const std::vector<std::tuple<int32_t, int32_t, int64_t>> expected = {
+      {0, 1, 3}, {0, 2, 3}, {1, 2, 3}, {3, 4, 3}, {3, 5, 3}, {4, 5, 3}};
+  EXPECT_EQ(pairs, expected);
 }
 
 TEST_F(SqlEngine2Test, DeleteThenReuseTable) {

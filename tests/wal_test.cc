@@ -18,7 +18,11 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/miner_registry.h"
+#include "core/setm.h"
+#include "datagen/quest_generator.h"
 #include "incremental/itemset_store.h"
+#include "obs/metrics.h"
 #include "persist/superblock.h"
 #include "persist/wal.h"
 #include "relational/database.h"
@@ -484,6 +488,54 @@ void TwoCommittedBatchesSnapshot(const TempDbFile& file,
   }
   CopyFile(file.path(), snap.path());
   CopyFile(file.wal_path(), snap.wal_path());
+  ASSERT_TRUE(db->Close().ok());
+}
+
+// The process-wide page counters count each main-file page once, as the
+// database's ledger does: the WAL decorator counts a page, the file under
+// it does not. A file-backed kHeap mine that spills nothing moves the
+// counters by exactly the reads and writes of MiningResult::io.
+TEST(WalBackendTest, PageCountersMatchTheLedger) {
+  TempDbFile file("wal_page_counters.db");
+  DatabaseOptions options = FileOptions(file);
+  options.pool_frames = 32;  // smaller than the mine's working set
+  auto db_or = Database::Open(options);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  std::unique_ptr<Database> db = std::move(db_or).value();
+  QuestOptions gen;
+  gen.seed = 1;
+  gen.num_transactions = 2000;
+  gen.avg_transaction_size = 8;
+  gen.num_items = 100;
+  auto sales = LoadSalesTable(db.get(), "sales",
+                              QuestGenerator(gen).Generate(),
+                              TableBacking::kHeap);
+  ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+  ASSERT_TRUE(db->Commit().ok());
+
+  auto* registry = obs::MetricsRegistry::Global();
+  const auto counter = [registry](const char* name) {
+    return registry->GetCounter(name, "")->Value();
+  };
+  const uint64_t reads = counter("setm_io_page_reads_total");
+  const uint64_t writes = counter("setm_io_page_writes_total");
+  const uint64_t spills = counter("setm_count_spilled_runs_total");
+  SetmOptions knobs;
+  knobs.storage = TableBacking::kHeap;
+  auto miner = MinerRegistry::Create("setm", db.get(), knobs);
+  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+  MiningRequest request;
+  request.table = sales.value();
+  request.options.min_support = 0.02;
+  auto result = miner.value()->Mine(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(counter("setm_count_spilled_runs_total"), spills);
+  const IoStats& io = result.value().io;
+  EXPECT_GT(io.page_reads, 0u);
+  EXPECT_GT(io.page_writes, 0u);
+  EXPECT_EQ(counter("setm_io_page_reads_total") - reads, io.page_reads);
+  EXPECT_EQ(counter("setm_io_page_writes_total") - writes, io.page_writes);
   ASSERT_TRUE(db->Close().ok());
 }
 

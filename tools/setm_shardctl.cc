@@ -14,10 +14,12 @@
 // (persist/shard_manifest.h) recording members, tid ranges and the epoch.
 //
 // `mine` opens every member listed in the manifest (local files in-process,
-// remote members over LCOUNT/MERGE) and runs the two-phase distributed
-// count. The answer is bit-identical to single-node SETM over the union of
-// the shards; with --format csv the rules are byte-identical to
-// `setm_mine --format csv` on the unsplit CSV.
+// remote members over LCOUNT/MERGE) and runs the distributed count: one
+// call per shard per iteration, so a remote member answers one LCOUNT,
+// which carries --max-k, and one MERGE per iteration. The answer is
+// bit-identical to single-node SETM over the union of the shards; with
+// --format csv the rules are byte-identical to `setm_mine --format csv`
+// on the unsplit CSV.
 //
 // `stats` probes every member (remote members answer a PING) and prints one
 // health line per shard.
