@@ -2,17 +2,28 @@
 // mode on the calibrated retail data.
 //
 // Expected shape: page reads fall as the pool grows (more of R_1/R_{k-1}
-// stays cached across the two join passes of each iteration, since R'_k is
-// streamed, never stored) and flatten once the working set fits; writes
-// are dominated by materialization and barely move.
+// stays cached between the one pass of each iteration and the next, since
+// R'_k is streamed, never stored) and flatten once the working set fits;
+// writes are R_k's pages, each written once, and barely move. Even the
+// smallest pool reads each iteration's inputs only once: at most the
+// one-scan bound Σ_{k≥2} (pages(R_{k-1}) + pages(R_1)).
+//
+// usage: ablation_buffer_pool [--smoke]
+//   --smoke: 16 and 4096 frames only. Exits 1 if the itemsets differ across
+//   pool sizes, a mine writes more pages than it allocates, or the smallest
+//   pool reads more than the one-scan bound (checked in both modes).
 
 #include <cstdio>
+#include <cstring>
+#include <optional>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/setm.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace setm;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::Banner(
       "ablation_buffer_pool",
       "Section 4.3 (the paper's analysis assumes pages re-read per pass)",
@@ -22,9 +33,14 @@ int main() {
   MiningOptions options;
   options.min_support = 0.005;
 
-  std::printf("%-12s %14s %14s %14s %12s\n", "pool frames", "reads",
-              "rand.reads", "writes", "hit-rate(%)");
-  for (size_t frames : {16u, 64u, 256u, 1024u, 4096u}) {
+  const std::vector<size_t> pool_sizes =
+      smoke ? std::vector<size_t>{16, 4096}
+            : std::vector<size_t>{16, 64, 256, 1024, 4096};
+  std::printf("%-12s %10s %10s %10s %10s %10s %12s\n", "pool frames",
+              "reads", "rand.reads", "writes", "allocated", "one-scan",
+              "hit-rate(%)");
+  std::optional<FrequentItemsets> first;
+  for (size_t frames : pool_sizes) {
     DatabaseOptions db_options;
     db_options.pool_frames = frames;
     db_options.temp_pool_frames = 64;
@@ -38,6 +54,11 @@ int main() {
       return 1;
     }
     const IoStats& io = result.value().io;
+    const auto& iterations = result.value().iterations;
+    uint64_t one_scan = 0;  // Σ_{k≥2} pages(R_{k-1}) + pages(R_1)
+    for (size_t i = 1; i < iterations.size(); ++i) {
+      one_scan += iterations[i - 1].r_pages + iterations[0].r_pages;
+    }
     const uint64_t hits = db.pool()->hits();
     const uint64_t misses = db.pool()->misses();
     const double hit_rate =
@@ -45,10 +66,37 @@ int main() {
             ? 100.0 * static_cast<double>(hits) /
                   static_cast<double>(hits + misses)
             : 0.0;
-    std::printf("%-12zu %14llu %14llu %14llu %12.1f\n", frames,
+    std::printf("%-12zu %10llu %10llu %10llu %10llu %10llu %12.1f\n", frames,
                 static_cast<unsigned long long>(io.page_reads),
                 static_cast<unsigned long long>(io.random_reads),
-                static_cast<unsigned long long>(io.page_writes), hit_rate);
+                static_cast<unsigned long long>(io.page_writes),
+                static_cast<unsigned long long>(io.pages_allocated),
+                static_cast<unsigned long long>(one_scan), hit_rate);
+
+    if (io.page_writes > io.pages_allocated) {
+      std::fprintf(stderr,
+                   "FAIL: %zu frames: %llu page writes for %llu pages "
+                   "allocated (a page written twice)\n",
+                   frames, static_cast<unsigned long long>(io.page_writes),
+                   static_cast<unsigned long long>(io.pages_allocated));
+      return 1;
+    }
+    if (frames == pool_sizes.front() && io.page_reads > one_scan) {
+      std::fprintf(stderr,
+                   "FAIL: %zu frames: %llu page reads exceed the one-scan "
+                   "bound of %llu\n",
+                   frames, static_cast<unsigned long long>(io.page_reads),
+                   static_cast<unsigned long long>(one_scan));
+      return 1;
+    }
+    if (!first.has_value()) {
+      first = std::move(result.value().itemsets);
+    } else if (!(result.value().itemsets == *first)) {
+      std::fprintf(stderr,
+                   "FAIL: itemsets at %zu frames differ from those at %zu\n",
+                   frames, pool_sizes.front());
+      return 1;
+    }
   }
   return 0;
 }

@@ -121,7 +121,6 @@ Status FilterByCk(const IntRelation& left, const IntRelation& r1,
                   BudgetedCount* next) {
   SETM_DCHECK(ck.k() + 1 == out->width());
   SETM_DCHECK(next == nullptr || next->k() == ck.k() + 1);
-  IntRowBatch batch(out);
   std::vector<int32_t> last;  // the previous row, for the order check
   const auto in_ck = [&](const int32_t* row) {
 #ifndef NDEBUG
@@ -150,7 +149,7 @@ Status FilterByCk(const IntRelation& left, const IntRelation& r1,
       }
       if (!in_ck(row)) return Status::OK();
       kept.push_back(row[1]);
-      return batch.Add(row);
+      return out->Append(row, 1);
     };
     SETM_RETURN_IF_ERROR(ForEachRow(left.Scan().get(), keep));
     SETM_RETURN_IF_ERROR(count_pairs());
@@ -158,13 +157,13 @@ Status FilterByCk(const IntRelation& left, const IntRelation& r1,
     const auto keep = [&](const int32_t* row, const ItemId* rest,
                           const ItemId* rest_end) -> Status {
       if (!in_ck(row)) return Status::OK();
-      SETM_RETURN_IF_ERROR(batch.Add(row));
+      SETM_RETURN_IF_ERROR(out->Append(row, 1));
       return next == nullptr ? Status::OK()
                              : next->AddExtensions(row + 1, rest, rest_end);
     };
     SETM_RETURN_IF_ERROR(JoinRkPrime(left, r1, keep));
   }
-  return batch.Flush();
+  return out->Finish();
 }
 
 }  // namespace setm

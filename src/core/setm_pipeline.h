@@ -172,7 +172,8 @@ Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs);
 /// k >= 2 R'_k is the join of `left` (R_{k-1}) with `r1`, so R_k comes out
 /// sorted on (trans_id, item_1..item_k) without a sort. For k == 1 (the
 /// filter_r1 ablation) `left` is R_1 itself, filtered as is; `out` is the
-/// new R_1, and R'_2 the pairs of each transaction's kept items.
+/// new R_1, and R'_2 the pairs of each transaction's kept items. `out` is
+/// Finish()ed, ready to scan.
 Status FilterByCk(const IntRelation& left, const IntRelation& r1,
                   const ItemsetCounts& ck, IntRelation* out,
                   BudgetedCount* next);

@@ -169,20 +169,42 @@ struct IntRows {
   }
 
   Status Spill(const Buffer& buffer, TableHeap* run) const {
-    return AppendIntRows(run, buffer.data(), width, buffer.size() / width);
+    return run->AppendRecords(reinterpret_cast<const char*>(buffer.data()),
+                              width * sizeof(int32_t), buffer.size() / width);
   }
 
+  /// Streams a run one page per FetchPage (the heap's PageReader), so each
+  /// page is pinned once. A record of any other length is Corruption.
   class Reader {
    public:
     Reader(const IntRows& rows, const TableHeap& run)
-        : cursor_(run, rows.width) {}
+        : pages_(run.ReadPages()),
+          width_(rows.width),
+          page_(kPageSize / sizeof(int32_t)) {}
 
-    Result<bool> Next() { return cursor_.Next(&row); }
+    Result<bool> Next() {
+      while (pos_ == end_) {
+        size_t count = 0;
+        auto more = pages_.Next(width_ * sizeof(int32_t),
+                                reinterpret_cast<char*>(page_.data()), &count);
+        if (!more.ok()) return more.status();
+        if (!more.value()) return false;
+        pos_ = 0;
+        end_ = count * width_;
+      }
+      row = page_.data() + pos_;
+      pos_ += width_;
+      return true;
+    }
 
     const int32_t* row = nullptr;
 
    private:
-    IntHeapCursor cursor_;
+    TableHeap::PageReader pages_;
+    size_t width_;
+    std::vector<int32_t> page_;  ///< the current page's rows
+    size_t pos_ = 0;             ///< next row's offset into page_, in ints
+    size_t end_ = 0;             ///< ints of page_ in use
   };
 
   int Compare(const Reader& a, const Reader& b) const {

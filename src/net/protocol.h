@@ -53,7 +53,10 @@ namespace setm::net {
 ///   OK <info>\n<payload lines...>\n.\n     every success, payload may be
 ///                                          empty; a payload line starting
 ///                                          with '.' is sent dot-stuffed
-///   ERR <Code> <message>\n                 single line, connection stays up
+///   ERR <Code> <message>\n                 single line, connection stays up;
+///                                          an APPEND or MERGE gets its one
+///                                          ERR after its ".", even when
+///                                          refused at its first line
 enum class Verb {
   kMine,
   kAppend,

@@ -101,9 +101,9 @@ struct MiningServer::Session {
   enum class State {
     kCommand,      ///< expecting a request line
     kAppend,       ///< collecting APPEND rows until "."
-    kAppendDrain,  ///< row error: swallow rows until ".", then answer ERR
+    kAppendDrain,  ///< refused or bad row: swallow rows until ".", then ERR
     kMerge,        ///< collecting MERGE itemsets until "."
-    kMergeDrain,   ///< itemset error: swallow until ".", then answer ERR
+    kMergeDrain,   ///< refused or bad itemset: swallow until ".", then ERR
     kClosing,      ///< QUIT/shutdown: flush, then close; input ignored
   };
 
@@ -564,10 +564,10 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
   if (session->job != nullptr) {
     stats_.rejected_busy.fetch_add(1);
     Srv().rejected_busy_total->Increment();
-    Send(session,
-         FrameError(Status::ResourceExhausted(
-             "a request is already in flight on this connection; wait for "
-             "its response (PING, STATS and QUIT are always served)")));
+    Refuse(session, cmd.verb,
+           Status::ResourceExhausted(
+               "a request is already in flight on this connection; wait for "
+               "its response (PING, STATS and QUIT are always served)"));
     return;
   }
 
@@ -575,7 +575,7 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
       cmd.verb == Verb::kAppend) {
     auto info_or = MinerRegistry::Info(cmd.algo);
     if (!info_or.ok()) {
-      Send(session, FrameError(info_or.status()));
+      Refuse(session, cmd.verb, info_or.status());
       return;
     }
   }
@@ -583,10 +583,9 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
   if (cmd.verb == Verb::kMerge) {
     // MERGE continues the connection's run; LCOUNT replaces it.
     if (session->shard_run == nullptr) {
-      Send(session,
-           FrameError(Status::NotFound(
-               "no shard run on this connection; start with "
-               "LCOUNT <table> K 1")));
+      Refuse(session, cmd.verb,
+             Status::NotFound("no shard run on this connection; start with "
+                              "LCOUNT <table> K 1"));
       return;
     }
     session->state = Session::State::kMerge;
@@ -626,6 +625,18 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
   }
   job->cmd = std::move(cmd);
   DispatchJob(session, std::move(job));
+}
+
+void MiningServer::Refuse(Session* session, Verb verb, Status error) {
+  if (verb == Verb::kAppend) {
+    session->state = Session::State::kAppendDrain;
+    session->append_error = std::move(error);
+  } else if (verb == Verb::kMerge) {
+    session->state = Session::State::kMergeDrain;
+    session->merge_error = std::move(error);
+  } else {
+    Send(session, FrameError(error));
+  }
 }
 
 void MiningServer::HandleAppendData(Session* session,

@@ -18,6 +18,7 @@
 #include "exec/job.h"
 #include "net/event_loop.h"
 #include "net/listener.h"
+#include "net/protocol.h"
 #include "relational/database.h"
 
 namespace setm {
@@ -52,7 +53,8 @@ struct ServerOptions {
   /// 0 disables.
   uint64_t request_timeout_ms = 0;
   /// Per-connection in-flight job limit is fixed at 1: a second MINE /
-  /// APPEND / RULES / EXPLAIN while one runs is rejected with ERR (PING,
+  /// APPEND / RULES / EXPLAIN / LCOUNT / MERGE while one runs is rejected
+  /// with one ERR, sent after the "." of an APPEND or MERGE payload (PING,
   /// STATS and QUIT are always served from the loop).
 
   // -- execution ------------------------------------------------------------
@@ -156,6 +158,10 @@ class MiningServer {
   void HandleCommand(Session* session, const std::string& line);
   void HandleAppendData(Session* session, const std::string& line);
   void HandleMergeData(Session* session, const std::string& line);
+  /// Answers a refused request with `error`: at once for a one-line verb,
+  /// after its "." for APPEND and MERGE, whose payload lines are drained
+  /// so that they are not read as commands.
+  void Refuse(Session* session, Verb verb, Status error);
   void DispatchJob(Session* session, std::shared_ptr<Job> job);
   void RunJobBody(const std::shared_ptr<Job>& job);  // job-pool thread
   Status ExecuteMineJob(Job* job);                   // under db_mutex_

@@ -344,18 +344,24 @@ Status Database::LoadPersistentState() {
   // page something still reaches — superblock slots, both manifest chains
   // and every attached heap chain. A free list entry that is actually live
   // (conceivable only after corruption, or a bug) would otherwise get
-  // reused while referenced; dropping it merely leaks a page.
+  // reused while referenced; dropping it merely leaks a page. With no free
+  // list and nothing to reclaim there is nothing to filter, and the heap
+  // chains, which HeapTable::Open has just walked, are not walked again.
   std::unordered_set<PageId> reachable = {kSuperblockPageId,
                                           kSuperblockSlotBPageId};
   reachable.insert(manifest_pages_.begin(), manifest_pages_.end());
   reachable.insert(spare_manifest_pages_.begin(), spare_manifest_pages_.end());
-  for (const std::string& name : catalog_->TableNames()) {
-    auto table_or = catalog_->GetTable(name);
-    if (!table_or.ok()) return table_or.status();
-    if (const auto* heap = dynamic_cast<const HeapTable*>(table_or.value())) {
-      std::vector<PageId> chain;
-      SETM_RETURN_IF_ERROR(heap->AppendChainPages(&chain));
-      reachable.insert(chain.begin(), chain.end());
+  if (!snapshot_or.value().free_pages.empty() ||
+      !unlogged_reclaim_candidates.empty()) {
+    for (const std::string& name : catalog_->TableNames()) {
+      auto table_or = catalog_->GetTable(name);
+      if (!table_or.ok()) return table_or.status();
+      if (const auto* heap =
+              dynamic_cast<const HeapTable*>(table_or.value())) {
+        std::vector<PageId> chain;
+        SETM_RETURN_IF_ERROR(heap->AppendChainPages(&chain));
+        reachable.insert(chain.begin(), chain.end());
+      }
     }
   }
   // Reclaim the old chains of unlogged tables: only pages nothing reachable

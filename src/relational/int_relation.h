@@ -2,8 +2,8 @@
 #define SETM_RELATIONAL_INT_RELATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -11,7 +11,8 @@
 #include "common/status.h"
 #include "relational/catalog.h"
 #include "relational/database.h"
-#include "storage/table_heap.h"
+#include "storage/buffer_pool.h"
+#include "storage/page.h"
 
 namespace setm {
 
@@ -65,94 +66,81 @@ class IntArrayCursor : public IntRowCursor {
   size_t pos_ = 0;
 };
 
-/// Appends `n` rows of `width` ints to `heap`, one record per row holding
-/// the row's bytes — the format IntHeapCursor reads, and the one an
-/// all-INT32 Tuple serializes to.
-Status AppendIntRows(TableHeap* heap, const int32_t* rows, size_t width,
-                     size_t n);
-
-/// Streams a TableHeap of `width`-int records one page per FetchPage (the
-/// heap's PageReader), so a relation scan or a sort-run read pins each page
-/// once. A record of any other length is Corruption.
-class IntHeapCursor : public IntRowCursor {
- public:
-  IntHeapCursor(const TableHeap& heap, size_t width);
-
-  Result<bool> Next(const int32_t** row) override;
-
- private:
-  TableHeap::PageReader pages_;
-  size_t width_;
-  std::vector<int32_t> page_;  ///< the current page's rows
-  size_t pos_ = 0;             ///< next row's offset into page_, in ints
-  size_t end_ = 0;             ///< ints of page_ in use
-};
-
 /// A relation of fixed-width all-INT32 rows: SETM's R_k, (trans_id,
 /// item_1..item_k) at width k+1 (paper Section 4.1). The hot mining path
 /// keeps its relations in this form; Table/Tuple serve the SQL engine.
 ///
-/// Both backings measure like the Table they replace, so IterationStats do
-/// not depend on the row path:
-///  - kMemory: one flat int32 array; size_bytes() and num_pages() are those
-///    of a MemTable holding the same rows.
-///  - kHeap: a TableHeap whose records are the rows' bytes, byte-identical
-///    to a HeapTable of SetmMiner::RkSchema(width - 1), appended and read a
-///    page at a time.
+/// Rows are appended, then Finish() seals the relation, and only then can
+/// it be scanned: a scan of an unfinished relation fails on its first
+/// Next(), and an append to a finished one fails. Both backings report the
+/// same ||R||, num_pages() = ceil(num_rows / RowsPerPage(width)), so
+/// IterationStats do not depend on the backing:
+///  - kMemory: one flat int32 array.
+///  - kHeap: packed pages, each a header (uint32 row count, uint32 width)
+///    and then up to RowsPerPage(width) rows back to back: no slot
+///    directory, so ||R_k|| is the paper's |R_k|·(k+1)·4 bytes / 4 KB up
+///    to the 8-byte header.
+///    Rows collect in a one-page buffer that is copied into a fresh pool
+///    page when it fills (and by Finish() for the last, partial page), so
+///    each page is written once and never fetched back while appending.
+///    The page ids stay in memory: a scratch relation is unlogged, never
+///    reopened, and needs no chain pointers. A scan fetches each page once
+///    through the buffer pool and checks its header first: a row count or
+///    width other than the relation's is Corruption.
 class IntRelation {
  public:
-  /// A scratch relation of `width` columns: in memory for kMemory, else a
-  /// heap in `db`'s buffer pool whose pages are tagged unlogged (scratch
-  /// never outlives the run, so it never needs the write-ahead log).
+  /// Observes every page the relation writes (see CreateInPool).
+  using PageHook = std::function<void(PageId)>;
+
+  /// A scratch relation of `width` columns: in memory for kMemory, else
+  /// packed pages in `db`'s buffer pool tagged unlogged (scratch never
+  /// outlives the run, so it never needs the write-ahead log).
   static Result<std::unique_ptr<IntRelation>> Create(Database* db,
                                                      TableBacking backing,
                                                      size_t width);
 
+  /// A kHeap relation of `width` columns in `pool` (kMemory for a null
+  /// pool). `page_hook`, if set, fires for each page as it is allocated.
+  static Result<std::unique_ptr<IntRelation>> CreateInPool(
+      BufferPool* pool, size_t width, PageHook page_hook = nullptr);
+
+  /// Rows of `width` ints on one packed page, the same for both backings.
+  static size_t RowsPerPage(size_t width);
+
   size_t width() const { return width_; }
 
   /// Appends `n` rows stored back to back in `rows` (n * width ints).
-  /// Heap relations pin their tail once per page per call, so callers
-  /// append in batches.
   Status Append(const int32_t* rows, size_t n);
 
+  /// Seals the relation: writes the last, partial page of a heap relation.
+  /// Call once, after the last Append and before Scan.
+  Status Finish();
+
   /// Cursor over the rows in append order. It reads the relation in place:
-  /// keep the relation alive, and append nothing, while it is in use.
+  /// keep the relation alive while it is in use.
   std::unique_ptr<IntRowCursor> Scan() const;
 
-  uint64_t num_rows() const;
-  uint64_t size_bytes() const { return num_rows() * width_ * sizeof(int32_t); }
-  /// The paper's ||R||: the heap chain's length, or ceil(size_bytes /
-  /// kPageSize) in memory.
+  uint64_t num_rows() const { return num_rows_; }
+  uint64_t size_bytes() const { return num_rows_ * width_ * sizeof(int32_t); }
+  /// The paper's ||R||: ceil(num_rows / RowsPerPage(width)).
   uint64_t num_pages() const;
 
  private:
-  explicit IntRelation(size_t width) : width_(width) {}
+  IntRelation(size_t width, BufferPool* pool, PageHook page_hook);
+
+  /// Copies the tail buffer into a fresh pool page and empties it.
+  Status WriteTail();
 
   size_t width_;
-  std::vector<int32_t> rows_;     ///< kMemory
-  std::optional<TableHeap> heap_; ///< kHeap
-};
-
-/// Collects rows and appends them to an IntRelation a batch (several
-/// pages) at a time. Call Flush() before reading the relation.
-class IntRowBatch {
- public:
-  explicit IntRowBatch(IntRelation* out) : out_(out) {}
-
-  /// Buffers one row of out->width() ints.
-  Status Add(const int32_t* row) {
-    rows_.insert(rows_.end(), row, row + out_->width());
-    return rows_.size() >= kBatchInts ? Flush() : Status::OK();
-  }
-
-  /// Appends the buffered rows.
-  Status Flush();
-
- private:
-  static constexpr size_t kBatchInts = 8 * kPageSize / sizeof(int32_t);
-
-  IntRelation* out_;
-  std::vector<int32_t> rows_;
+  size_t rows_per_page_;
+  uint64_t num_rows_ = 0;
+  bool finished_ = false;
+  std::vector<int32_t> rows_;    ///< kMemory
+  BufferPool* pool_;             ///< kHeap; null for kMemory
+  PageHook page_hook_;
+  std::vector<PageId> pages_;    ///< the written pages, in row order
+  std::unique_ptr<Page> tail_;   ///< the page being filled
+  size_t tail_rows_ = 0;
 };
 
 }  // namespace setm

@@ -87,7 +87,6 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
   r2_count_ = run_.filter_r1 ? nullptr : NewCount(2);
   // R_1 := the slice, already in (trans_id, item) order.
   const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
-  IntRowBatch batch(r1_.get());
   std::vector<ItemId> items;  // the current transaction's
   ShardReply out;
   for (size_t i = 0; i < slice.size(); ++i) {
@@ -97,14 +96,14 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
       items.clear();
     }
     items.push_back(row[1]);
-    SETM_RETURN_IF_ERROR(batch.Add(row));
+    SETM_RETURN_IF_ERROR(r1_->Append(row, 1));
     SETM_RETURN_IF_ERROR(counts->Add(&row[1]));
     const bool last = i + 1 == slice.size() || slice[i + 1].tid != row[0];
     if (last && r2_count_ != nullptr) {
       SETM_RETURN_IF_ERROR(CountPairs(items, r2_count_.get()));
     }
   }
-  SETM_RETURN_IF_ERROR(batch.Flush());
+  SETM_RETURN_IF_ERROR(r1_->Finish());
   run_rows_.clear();
   run_rows_.shrink_to_fit();
   out.r_rows = r1_->num_rows();
@@ -154,6 +153,8 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
       const IntRelation& left = r_prev_ != nullptr ? *r_prev_ : *r1_;
       SETM_RETURN_IF_ERROR(
           FilterByCk(left, *r1_, keys, rk.get(), next.get()));
+    } else {
+      SETM_RETURN_IF_ERROR(rk->Finish());
     }
     if (k == 1) {
       // The filter_r1 ablation: R_1 without the non-frequent items.

@@ -65,8 +65,8 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     and file-shard members use this).
 ///
 /// R_1 and R_k are fixed-width int32 relations (IntRelation) that never
-/// enter the catalog: flat arrays under kMemory, heap chains of unlogged
-/// pages under kHeap. Local counts, the C_k probe and (in the
+/// enter the catalog: flat arrays under kMemory, packed unlogged pages
+/// under kHeap. Local counts, the C_k probe and (in the
 /// coordinator) the merge of partial counts use packed itemset keys
 /// (ItemsetCounts), so no row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {

@@ -32,10 +32,11 @@ struct Rid {
 ///
 /// Records are addressed by Rid and never move within their page; deletion
 /// tombstones the slot. Inserts append to the tail page and allocate a new
-/// page when the record does not fit — exactly the sequential write pattern
-/// SETM's intermediate relations R_k rely on.
+/// page when the record does not fit. Heap tables and sort runs live here;
+/// SETM's scratch relations R_k use IntRelation's packed pages instead.
 ///
-/// Page-at-a-time I/O: AppendRecords pins the tail once per page it fills,
+/// Page-at-a-time I/O: AppendRecords pins the tail once per page it fills
+/// (fetching it back first, so an evicted tail is read once per call),
 /// and both readers (Iterator, PageReader) pin each page once, copy what
 /// they need and unpin it, so a scan costs one FetchPage per page rather
 /// than one per record. Every page a reader or Open() visits has its slot
@@ -69,8 +70,7 @@ class TableHeap {
   /// Appends `n` records of `record_size` bytes each, stored back to back
   /// in `records`. The page images, chain split points and page-hook calls
   /// are exactly those of `n` Insert calls, but the tail is pinned once per
-  /// page instead of once per record — the bulk write path of SETM's
-  /// fixed-width relations and sort runs.
+  /// page instead of once per record — the bulk write path of sort runs.
   Status AppendRecords(const char* records, size_t record_size, size_t n);
 
   /// Reads the record at `rid` into `*out`. NotFound for tombstoned slots.

@@ -237,6 +237,46 @@ TEST(SetmModesTest, HeapAndMemoryBackingsAgree) {
             mem_result.value().io.pages_allocated);
 }
 
+// ||R_k|| is one formula, ceil(|R_k| / rows per packed page), under both
+// backings, so IterationStats::r_pages does not depend on the backing, at
+// one shard or several.
+TEST(SetmModesTest, BackingsReportTheSameRPages) {
+  QuestOptions gen;
+  gen.seed = 3;
+  gen.num_transactions = 2000;
+  gen.avg_transaction_size = 8;
+  gen.num_items = 100;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<IterationStats> by_backing[2];
+    for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+      Database db;
+      SetmOptions knobs{backing};
+      knobs.num_threads = threads;
+      auto result = SetmMiner(&db, knobs).Mine(txns, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      by_backing[backing == TableBacking::kHeap] = result.value().iterations;
+    }
+    const auto& mem = by_backing[0];
+    const auto& heap = by_backing[1];
+    ASSERT_GE(mem.size(), 4u);
+    ASSERT_EQ(mem.size(), heap.size());
+    ASSERT_GT(mem[0].r_pages, 1u);
+    for (size_t i = 0; i < mem.size(); ++i) {
+      SCOPED_TRACE("k=" + std::to_string(i + 1));
+      EXPECT_EQ(mem[i].r_rows, heap[i].r_rows);
+      EXPECT_EQ(mem[i].r_pages, heap[i].r_pages);
+      if (threads == 1) {
+        const uint64_t per_page = IntRelation::RowsPerPage(i + 2);
+        EXPECT_EQ(heap[i].r_pages, (heap[i].r_rows + per_page - 1) / per_page);
+      }
+    }
+  }
+}
+
 TEST(SetmModesTest, FilterR1DoesNotChangeResults) {
   QuestOptions gen;
   gen.num_transactions = 250;
@@ -740,12 +780,13 @@ TEST(ItemsetCountsTest, OrdersAndCountsAcrossGrowth) {
 // Each iteration k >= 2 reads R_{k-1} and R_1 once, in the pass that
 // writes R_k and counts R'_{k+1}; iteration 1 only writes. Over a pool far
 // smaller than R_1, so no input stays cached between passes, a mine's page
-// reads stay within one scan of both inputs per iteration. The bound has
-// no slack term. The count does not spill at this size. The only other
-// reads are R_k's tail page, fetched back at most once per 8-page batch
-// append, a few pages per iteration; the k = 2 term covers them, since
-// R_1 joined with itself reads R_1 once for both inputs. Two scans per
-// iteration (a count pass and a filter pass) read about twice the bound.
+// reads stay within one scan of both inputs per iteration, with no slack
+// term: pass 2 joins R_1 with itself and reads it once for both inputs, so
+// the bound is pages(R_1) + Σ_{k≥3} (pages(R_{k-1}) + pages(R_1)). The
+// count does not spill at this size, so the mine allocates exactly R_k's
+// packed pages, and writes each of them at most once: a page is written
+// whole, straight from the one-page buffer it was filled in, and never
+// fetched back.
 TEST(SetmOnePassTest, EachIterationReadsItsInputsOnce) {
   QuestOptions gen;
   gen.seed = 3;
@@ -762,14 +803,19 @@ TEST(SetmOnePassTest, EachIterationReadsItsInputsOnce) {
       SetmMiner(&db, SetmOptions{TableBacking::kHeap}).Mine(txns, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& iterations = result.value().iterations;
+  const IoStats& io = result.value().io;
   ASSERT_GE(iterations.size(), 4u);
   ASSERT_GT(iterations[0].r_pages, 4 * db_options.pool_frames);
-  uint64_t one_scan = 0;  // Σ_{k≥2} pages(R_{k-1}) + pages(R_1)
-  for (size_t i = 1; i < iterations.size(); ++i) {
-    one_scan += iterations[i - 1].r_pages + iterations[0].r_pages;
+  uint64_t r_pages = 0;
+  uint64_t one_scan = iterations[0].r_pages;
+  for (size_t i = 0; i < iterations.size(); ++i) {
+    r_pages += iterations[i].r_pages;
+    if (i >= 2) one_scan += iterations[i - 1].r_pages + iterations[0].r_pages;
   }
-  EXPECT_GT(result.value().io.page_reads, 0u);
-  EXPECT_LE(result.value().io.page_reads, one_scan);
+  EXPECT_EQ(io.pages_allocated, r_pages);
+  EXPECT_LE(io.page_writes, io.pages_allocated);
+  EXPECT_GT(io.page_reads, 0u);
+  EXPECT_LE(io.page_reads, one_scan);
 }
 
 // The count table fills its budget: a mine of mine_heap's shape counts
@@ -981,6 +1027,8 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
     for (const Row& row : r1_rows) {
       ASSERT_TRUE(r1.value()->Append(row.data(), 1).ok());
     }
+    ASSERT_TRUE(left.value()->Finish().ok());
+    ASSERT_TRUE(r1.value()->Finish().ok());
 
     std::vector<Row> streamed;
     ASSERT_TRUE(JoinRkPrime(*left.value(), *r1.value(),

@@ -669,15 +669,63 @@ TEST(MiningServerTest, ShardContinuationWithoutRunIsNotFound) {
   ServerFixture fixture;
   auto client = fixture.Connect();
 
-  auto response = client->Exec("MERGE K 2");
+  // The itemsets and "." are drained: one ERR, after the ".", for the
+  // whole request.
+  auto response = client->Exec("MERGE K 2\n1 2\n3 4\n.");
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response.value().ok);
   EXPECT_EQ(response.value().code, "NotFound");
   EXPECT_NE(response.value().info.find("no shard run"), std::string::npos)
       << response.value().info;
-  auto pong = client->Exec("PING");  // protocol errors, connection alive
+  auto pong = client->Exec("PING");  // the next reply is the pong
   ASSERT_TRUE(pong.ok());
   EXPECT_TRUE(pong.value().ok);
+  EXPECT_EQ(pong.value().info, "pong");
+}
+
+TEST(MiningServerTest, RefusedAppendOrMergeIsAnsweredOnceAfterItsPayload) {
+  {
+    ServerFixture fixture;
+    auto client = fixture.Connect();
+    auto unknown = client->Exec("APPEND sales SUPPORT 3 ALGO nosuch\n"
+                                "101 3 4 5\n102 3 4\n.");
+    ASSERT_TRUE(unknown.ok());
+    EXPECT_FALSE(unknown.value().ok);
+    EXPECT_EQ(unknown.value().code, "NotFound") << unknown.value().info;
+    auto pong = client->Exec("PING");
+    ASSERT_TRUE(pong.ok());
+    EXPECT_TRUE(pong.value().ok);
+    EXPECT_EQ(pong.value().info, "pong");
+  }
+
+  // Busy: a MINE is parked mid-iteration while an APPEND and a MERGE come.
+  IterationGate gate;
+  ServerOptions options;
+  options.hooks.on_iteration = [&gate](const IterationStats& stats) {
+    gate.Hook(stats);
+  };
+  ServerFixture fixture(options);
+  auto client = fixture.Connect();
+  ASSERT_TRUE(client->SendLine("MINE sales SUPPORT 30%").ok());
+  ASSERT_TRUE(gate.AwaitEntered());
+  for (const char* request :
+       {"APPEND sales SUPPORT 3\n101 3 4 5\n102 3 4\n.",
+        "MERGE K 2\n0 1\n3 4\n."}) {
+    SCOPED_TRACE(request);
+    auto busy = client->Exec(request);
+    ASSERT_TRUE(busy.ok());
+    EXPECT_FALSE(busy.value().ok);
+    EXPECT_EQ(busy.value().code, "ResourceExhausted");
+    auto pong = client->Exec("PING");
+    ASSERT_TRUE(pong.ok());
+    EXPECT_TRUE(pong.value().ok);
+    EXPECT_EQ(pong.value().info, "pong");
+  }
+  gate.Open();
+  auto mine = client->ReadResponse();  // the parked job's answer
+  ASSERT_TRUE(mine.ok());
+  EXPECT_TRUE(mine.value().ok) << mine.value().info;
+  EXPECT_EQ(fixture.server->Stats().rejected_busy, 2u);
 }
 
 TEST(MiningServerTest, UnknownTableNamesAvailableTables) {

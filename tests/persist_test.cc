@@ -357,6 +357,34 @@ TEST(PersistTest, DropTableDoesNotResurrectOnReopen) {
             std::vector<std::string>{"keep"});
 }
 
+// Opening a database walks each heap chain once, in HeapTable::Open: with
+// no free list to filter, the reachability pass does not walk the chains
+// again, so a chain larger than the pool is read once, not twice.
+TEST(PersistTest, ReopenWalksEachHeapChainOnce) {
+  TempDbFile file("persist_walk_once.db");
+  uint64_t pages = 0;
+  {
+    auto db = Database::Open(FileOptions(file));
+    ASSERT_TRUE(db.ok());
+    auto t = (*db)->catalog()->CreateTable("t", TwoIntSchema(),
+                                           TableBacking::kHeap);
+    ASSERT_TRUE(t.ok());
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_TRUE(
+          t.value()->Insert(Tuple({Value::Int32(i), Value::Int32(i)})).ok());
+    }
+    pages = t.value()->num_pages();
+  }
+  DatabaseOptions options = FileOptions(file);
+  options.pool_frames = 8;
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_GT(pages, 4 * options.pool_frames);
+  const uint64_t reads = (*db)->io_stats()->page_reads;
+  EXPECT_GE(reads, pages);
+  EXPECT_LT(reads, pages + 8);  // plus the superblocks and the manifest
+}
+
 TEST(PersistTest, EmptyDatabaseReopensEmpty) {
   TempDbFile file("persist_empty.db");
   { ASSERT_TRUE(Database::Open(FileOptions(file)).ok()); }

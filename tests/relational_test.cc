@@ -1,11 +1,17 @@
 // Unit tests for src/relational: Value, Schema, Tuple serialization,
-// tables, catalog and the Database facade.
+// tables, catalog, the Database facade and IntRelation's packed pages.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "relational/catalog.h"
 #include "relational/database.h"
+#include "relational/int_relation.h"
 #include "relational/table.h"
+#include "storage/fault_injection.h"
+#include "storage/storage_backend.h"
 
 namespace setm {
 namespace {
@@ -274,6 +280,194 @@ TEST(DatabaseTest, OpenBadPathFails) {
   DatabaseOptions options;
   options.file_path = "/nonexistent-dir-xyz/db.bin";
   EXPECT_FALSE(Database::Open(options).ok());
+}
+
+// --------------------------------------------------------------------------
+// IntRelation
+// --------------------------------------------------------------------------
+
+/// `n` distinct rows of `width` ints.
+std::vector<int32_t> IntRows(size_t width, size_t n) {
+  std::vector<int32_t> rows(width * n);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<int32_t>(i * 7 + 1);
+  }
+  return rows;
+}
+
+/// Appends `rows` in calls of 1, 2, 3, ... rows, so calls straddle pages.
+Status AppendInSteps(IntRelation* relation, const std::vector<int32_t>& rows) {
+  const size_t width = relation->width();
+  const size_t n = rows.size() / width;
+  for (size_t done = 0, step = 1; done < n; done += step, ++step) {
+    step = std::min(step, n - done);
+    SETM_RETURN_IF_ERROR(relation->Append(rows.data() + done * width, step));
+  }
+  return Status::OK();
+}
+
+/// Scans `relation` to the end, or to the first error.
+Result<std::vector<int32_t>> ScanAll(const IntRelation& relation) {
+  std::vector<int32_t> out;
+  auto cursor = relation.Scan();
+  SETM_RETURN_IF_ERROR(ForEachRow(cursor.get(), [&](const int32_t* row) {
+    out.insert(out.end(), row, row + relation.width());
+    return Status::OK();
+  }));
+  return out;
+}
+
+// 0 rows, one full page, one page and a row, several pages: each width
+// round-trips through a 2-frame pool, so every page is evicted before it is
+// read. Each page is allocated and written once, and ||R|| is the same
+// formula under kMemory.
+TEST(IntRelationTest, PackedPagesRoundTripAtEveryWidth) {
+  for (size_t width = 2; width <= 9; ++width) {
+    const size_t per_page = IntRelation::RowsPerPage(width);
+    EXPECT_EQ(per_page, (kPageSize - 8) / (4 * width));
+    for (size_t n : {size_t{0}, per_page, per_page + 1, 4 * per_page + 5}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", " +
+                   std::to_string(n) + " rows");
+      const std::vector<int32_t> rows = IntRows(width, n);
+      IoStats stats;
+      MemoryBackend backend(&stats);
+      BufferPool pool(&backend, 2);
+      auto heap = IntRelation::CreateInPool(&pool, width);
+      ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+      ASSERT_TRUE(AppendInSteps(heap.value().get(), rows).ok());
+      ASSERT_TRUE(heap.value()->Finish().ok());
+      const uint64_t pages = (n + per_page - 1) / per_page;
+      EXPECT_EQ(heap.value()->num_rows(), n);
+      EXPECT_EQ(heap.value()->num_pages(), pages);
+      EXPECT_EQ(stats.pages_allocated, pages);
+      EXPECT_EQ(stats.page_reads, 0u);  // appending never reads back
+      auto scanned = ScanAll(*heap.value());
+      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+      EXPECT_EQ(scanned.value(), rows);
+      EXPECT_LE(stats.page_reads, pages);  // one fetch per page
+      ASSERT_TRUE(pool.FlushAll().ok());
+      EXPECT_EQ(stats.page_writes, pages);  // each page exactly once
+
+      Database db;
+      auto memory = IntRelation::Create(&db, TableBacking::kMemory, width);
+      ASSERT_TRUE(memory.ok());
+      ASSERT_TRUE(AppendInSteps(memory.value().get(), rows).ok());
+      ASSERT_TRUE(memory.value()->Finish().ok());
+      EXPECT_EQ(memory.value()->num_pages(), pages);
+      auto from_memory = ScanAll(*memory.value());
+      ASSERT_TRUE(from_memory.ok());
+      EXPECT_EQ(from_memory.value(), rows);
+    }
+  }
+}
+
+// A page header whose row count or width is not what the relation wrote
+// there is Corruption at that page, never rows read past the page.
+TEST(IntRelationTest, CorruptPageHeaderIsCorruption) {
+  constexpr size_t kWidth = 3;
+  const size_t per_page = IntRelation::RowsPerPage(kWidth);
+  struct Damage {
+    size_t field;  // 0: row count, 1: width
+    uint32_t value;
+  };
+  for (Damage damage : {Damage{0, 0}, Damage{0, uint32_t(per_page - 1)},
+                        Damage{0, uint32_t(per_page + 1)},
+                        Damage{0, UINT32_MAX}, Damage{1, kWidth + 1},
+                        Damage{1, 0}}) {
+    SCOPED_TRACE("field " + std::to_string(damage.field) + " = " +
+                 std::to_string(damage.value));
+    MemoryBackend backend;
+    BufferPool pool(&backend, 2);
+    auto relation = IntRelation::CreateInPool(&pool, kWidth);
+    ASSERT_TRUE(relation.ok());
+    const std::vector<int32_t> rows = IntRows(kWidth, 3 * per_page);
+    ASSERT_TRUE(relation.value()->Append(rows.data(), 3 * per_page).ok());
+    ASSERT_TRUE(relation.value()->Finish().ok());
+    ASSERT_EQ(backend.NumPages(), 3u);  // the relation's pages 0, 1, 2
+    {
+      auto guard = pool.FetchPage(1);
+      ASSERT_TRUE(guard.ok());
+      // The header: a uint32 row count, then a uint32 width.
+      guard.value().page()->As<uint32_t>()[damage.field] = damage.value;
+      guard.value().MarkDirty();
+    }
+    auto cursor = relation.value()->Scan();
+    const int32_t* row = nullptr;
+    for (size_t i = 0; i < per_page; ++i) {
+      auto more = cursor->Next(&row);
+      ASSERT_TRUE(more.ok() && more.value()) << i;
+    }
+    auto more = cursor->Next(&row);
+    ASSERT_FALSE(more.ok());
+    EXPECT_EQ(more.status().code(), StatusCode::kCorruption)
+        << more.status().ToString();
+  }
+}
+
+// Every I/O error surfaces as an error from Append, Finish or the scan's
+// Next, never as a relation that scans short: the backend fails at each
+// operation in turn of a write-then-scan through a 2-frame pool.
+TEST(IntRelationTest, IoErrorsSurfaceFromAppendFinishAndNext) {
+  constexpr size_t kWidth = 4;
+  const size_t n = 3 * IntRelation::RowsPerPage(kWidth) + 10;
+  const std::vector<int32_t> rows = IntRows(kWidth, n);
+  bool failed_in[3] = {false, false, false};  // Append, Finish, Next
+  for (uint64_t budget = 0;; ++budget) {
+    SCOPED_TRACE("failing after " + std::to_string(budget) + " ops");
+    MemoryBackend real;
+    FaultInjectionBackend flaky(&real, budget);
+    BufferPool pool(&flaky, 2);
+    auto relation = IntRelation::CreateInPool(&pool, kWidth);
+    ASSERT_TRUE(relation.ok());
+    // The step that failed, or 3 when none did.
+    const auto write_then_scan = [&]() -> size_t {
+      Status s = AppendInSteps(relation.value().get(), rows);
+      if (!s.ok()) {
+        EXPECT_TRUE(s.IsIOError()) << s.ToString();
+        return 0;
+      }
+      s = relation.value()->Finish();
+      if (!s.ok()) {
+        EXPECT_TRUE(s.IsIOError()) << s.ToString();
+        return 1;
+      }
+      auto scanned = ScanAll(*relation.value());
+      if (!scanned.ok()) {
+        EXPECT_TRUE(scanned.status().IsIOError())
+            << scanned.status().ToString();
+        return 2;
+      }
+      EXPECT_EQ(scanned.value(), rows);  // no error, so every row
+      return 3;
+    };
+    const size_t failed = write_then_scan();
+    flaky.Heal();  // the pool's flush on destruction succeeds
+    if (failed == 3) break;  // the budget now covers every op
+    failed_in[failed] = true;
+  }
+  EXPECT_TRUE(failed_in[0]);
+  EXPECT_TRUE(failed_in[1]);
+  EXPECT_TRUE(failed_in[2]);
+}
+
+// Rows reach a scan only once the relation is sealed: scanning before
+// Finish() is an error, not a stream missing the last page's rows, and
+// appending after it is an error too. Both backings.
+TEST(IntRelationTest, ScanBeforeFinishIsAnError) {
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    Database db;
+    auto relation = IntRelation::Create(&db, backing, 2);
+    ASSERT_TRUE(relation.ok());
+    const std::vector<int32_t> rows = IntRows(2, 10);
+    ASSERT_TRUE(relation.value()->Append(rows.data(), 10).ok());
+    auto early = ScanAll(*relation.value());
+    EXPECT_FALSE(early.ok());
+    ASSERT_TRUE(relation.value()->Finish().ok());
+    EXPECT_FALSE(relation.value()->Append(rows.data(), 1).ok());
+    auto scanned = ScanAll(*relation.value());
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_EQ(scanned.value(), rows);
+  }
 }
 
 }  // namespace
