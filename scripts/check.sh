@@ -33,6 +33,22 @@ if [[ -x "$cache_bench_bin" ]]; then
   "$cache_bench_bin" --smoke
 fi
 
+# Count-budget bench smoke: a C_k count budget sweep on the retail data;
+# itemsets must be identical at every budget, the 16 KiB budget must spill
+# and a budget that holds the unbounded count's peak table must not.
+count_bench_bin="build/$preset/bench/ablation_count_method"
+if [[ -x "$count_bench_bin" ]]; then
+  "$count_bench_bin" --smoke
+fi
+
+# Buffer-pool bench smoke: mines at 16 and 4096 pool frames must find the
+# same itemsets, write no more pages than they allocate, and at 16 frames
+# read within the one-scan-per-iteration bound.
+pool_bench_bin="build/$preset/bench/ablation_buffer_pool"
+if [[ -x "$pool_bench_bin" ]]; then
+  "$pool_bench_bin" --smoke
+fi
+
 # Persistence smoke: store a mined run into a database file in one
 # setm_mine invocation, append incrementally from a second invocation, and
 # assert bit-identical rules with fewer page reads than a full remine.

@@ -33,9 +33,12 @@ void FlushSortMetrics(const SortStats& stats) {
 }
 
 /// Upper bound on runs merged at once. The effective fan-in is further
-/// capped by the temp buffer pool capacity (each run needs its head page
-/// resident, like any real external sort); extra runs trigger cascaded
-/// merge passes.
+/// capped by the temp buffer pool capacity, as if each run kept its head
+/// page resident, like a textbook external sort; extra runs trigger
+/// cascaded merge passes. Neither run reader holds a pin (the slotted
+/// iterator and the packed cursor both copy a page and unpin it), so the
+/// cap bounds no pool frames. It stays so that the cascade depends on the
+/// rows and the pool alone and both front ends report identical SortStats.
 constexpr size_t kMaxFanIn = 64;
 
 size_t EffectiveFanIn(const ExecContext& ctx) {
@@ -52,17 +55,22 @@ namespace sort_internal {
 // The row kinds. What the one algorithm below (RunSort, RunMerge,
 // MergeRunGroup) asks of a row kind `Rows`:
 //   Buffer, Input                  rows awaiting a run; what Add() takes
+//   Run                            one spilled run (movable)
 //   size_t Push(Buffer*, Input)    buffers a row, returns its budget charge
 //   void Sort(Buffer*)             stable sort on the key
-//   Status Spill(const Buffer&, TableHeap*)   writes a sorted buffer as a run
-//   Reader(const Rows&, const TableHeap&)     streams one run: Next(), row
+//   Result<Run> NewRun(BufferPool*)          an empty run in the temp pool
+//   Status Spill(const Buffer&, Run*)        writes a sorted buffer as a run
+//   Reader(const Rows&, const Run&)          streams one run: Next(), row
 //   int Compare(const Reader&, const Reader&) orders two readers' rows
-//   Writer(const Rows&, TableHeap*)           Add(const Reader&), Finish()
+//   Writer(const Rows&, Run*)                Add(const Reader&), Finish()
+// A run can be read once Spill, or the Writer's Finish, has returned.
 
-/// Tuples of any schema, serialized into runs: the SQL engine's rows.
+/// Tuples of any schema, serialized into slotted TableHeap runs: the SQL
+/// engine's rows.
 struct TupleRows {
   using Buffer = std::vector<Tuple>;
   using Input = Tuple;
+  using Run = TableHeap;
 
   Schema schema;
   TupleComparator cmp;
@@ -77,7 +85,11 @@ struct TupleRows {
     std::stable_sort(buffer->begin(), buffer->end(), cmp);
   }
 
-  Status Spill(const Buffer& buffer, TableHeap* run) const {
+  Result<Run> NewRun(BufferPool* temp_pool) const {
+    return TableHeap::Create(temp_pool);
+  }
+
+  Status Spill(const Buffer& buffer, Run* run) const {
     Writer writer(*this, run);
     for (const Tuple& row : buffer) SETM_RETURN_IF_ERROR(writer.Add(row));
     return Status::OK();
@@ -85,7 +97,7 @@ struct TupleRows {
 
   class Reader {
    public:
-    Reader(const TupleRows& rows, const TableHeap& run)
+    Reader(const TupleRows& rows, const Run& run)
         : it_(run.Begin()), schema_(&rows.schema) {}
 
     Result<bool> Next() {
@@ -110,29 +122,31 @@ struct TupleRows {
 
   class Writer {
    public:
-    Writer(const TupleRows& rows, TableHeap* run)
+    Writer(const TupleRows& rows, Run* run)
         : schema_(&rows.schema), run_(run) {}
 
     Status Add(const Reader& reader) { return Add(reader.row); }
     Status Add(const Tuple& row) {
       record_.clear();
       row.SerializeTo(*schema_, &record_);
-      return run_->Insert(record_).status();
+      return run_->Insert(record_);
     }
     Status Finish() { return Status::OK(); }
 
    private:
     const Schema* schema_;
-    TableHeap* run_;
+    Run* run_;
     std::string record_;
   };
 };
 
-/// Fixed-width int32 rows stored back to back: SETM's relations. Runs hold
-/// each row's bytes as one record, written and read a page at a time.
+/// Fixed-width int32 rows stored back to back: SETM's relations. A run is
+/// a sealed IntRelation in the temp pool, so it has R_k's packed pages:
+/// each page written once, and read back with its header checked.
 struct IntRows {
   using Buffer = std::vector<int32_t>;
   using Input = const int32_t*;
+  using Run = std::unique_ptr<IntRelation>;
 
   size_t width;
   size_t key_begin;
@@ -168,43 +182,25 @@ struct IntRows {
     buffer->swap(sorted);
   }
 
-  Status Spill(const Buffer& buffer, TableHeap* run) const {
-    return run->AppendRecords(reinterpret_cast<const char*>(buffer.data()),
-                              width * sizeof(int32_t), buffer.size() / width);
+  Result<Run> NewRun(BufferPool* temp_pool) const {
+    return IntRelation::CreateInPool(temp_pool, width);
   }
 
-  /// Streams a run one page per FetchPage (the heap's PageReader), so each
-  /// page is pinned once. A record of any other length is Corruption.
+  Status Spill(const Buffer& buffer, Run* run) const {
+    SETM_RETURN_IF_ERROR((*run)->Append(buffer.data(), buffer.size() / width));
+    return (*run)->Finish();
+  }
+
   class Reader {
    public:
-    Reader(const IntRows& rows, const TableHeap& run)
-        : pages_(run.ReadPages()),
-          width_(rows.width),
-          page_(kPageSize / sizeof(int32_t)) {}
+    Reader(const IntRows&, const Run& run) : cursor_(run->Scan()) {}
 
-    Result<bool> Next() {
-      while (pos_ == end_) {
-        size_t count = 0;
-        auto more = pages_.Next(width_ * sizeof(int32_t),
-                                reinterpret_cast<char*>(page_.data()), &count);
-        if (!more.ok()) return more.status();
-        if (!more.value()) return false;
-        pos_ = 0;
-        end_ = count * width_;
-      }
-      row = page_.data() + pos_;
-      pos_ += width_;
-      return true;
-    }
+    Result<bool> Next() { return cursor_->Next(&row); }
 
     const int32_t* row = nullptr;
 
    private:
-    TableHeap::PageReader pages_;
-    size_t width_;
-    std::vector<int32_t> page_;  ///< the current page's rows
-    size_t pos_ = 0;             ///< next row's offset into page_, in ints
-    size_t end_ = 0;             ///< ints of page_ in use
+    std::unique_ptr<IntRowCursor> cursor_;
   };
 
   int Compare(const Reader& a, const Reader& b) const {
@@ -213,25 +209,13 @@ struct IntRows {
 
   class Writer {
    public:
-    Writer(const IntRows& rows, TableHeap* run) : rows_(&rows), run_(run) {}
+    Writer(const IntRows&, Run* run) : run_(run) {}
 
-    Status Add(const Reader& reader) {
-      batch_.insert(batch_.end(), reader.row, reader.row + rows_->width);
-      return batch_.size() >= kBatchInts ? Finish() : Status::OK();
-    }
-    /// Appends the batched rows.
-    Status Finish() {
-      SETM_RETURN_IF_ERROR(rows_->Spill(batch_, run_));
-      batch_.clear();
-      return Status::OK();
-    }
+    Status Add(const Reader& reader) { return (*run_)->Append(reader.row, 1); }
+    Status Finish() { return (*run_)->Finish(); }
 
    private:
-    static constexpr size_t kBatchInts = 8 * kPageSize / sizeof(int32_t);
-
-    const IntRows* rows_;
-    TableHeap* run_;
-    Buffer batch_;
+    Run* run_;
   };
 };
 
@@ -242,10 +226,12 @@ struct IntRows {
 template <typename Rows>
 class RunMerge {
  public:
-  RunMerge(const Rows* rows, std::vector<TableHeap> runs)
+  using Run = typename Rows::Run;
+
+  RunMerge(const Rows* rows, std::vector<Run> runs)
       : rows_(rows), runs_(std::move(runs)), live_(runs_.size(), false) {
     readers_.reserve(runs_.size());
-    for (const TableHeap& run : runs_) readers_.emplace_back(*rows_, run);
+    for (const Run& run : runs_) readers_.emplace_back(*rows_, run);
   }
 
   /// Reads every run's first row.
@@ -283,7 +269,7 @@ class RunMerge {
   }
 
   const Rows* rows_;
-  std::vector<TableHeap> runs_;
+  std::vector<Run> runs_;
   std::vector<typename Rows::Reader> readers_;
   std::vector<bool> live_;
   int current_ = -1;
@@ -292,13 +278,14 @@ class RunMerge {
 /// Merges one group of runs into a single fresh run in temp storage — the
 /// body of one cascaded-merge step.
 template <typename Rows>
-Result<TableHeap> MergeRunGroup(BufferPool* temp_pool, const Rows& rows,
-                                std::vector<TableHeap> group) {
+Result<typename Rows::Run> MergeRunGroup(
+    BufferPool* temp_pool, const Rows& rows,
+    std::vector<typename Rows::Run> group) {
   RunMerge<Rows> merge(&rows, std::move(group));
   SETM_RETURN_IF_ERROR(merge.Prime());
-  auto out_or = TableHeap::Create(temp_pool);
+  auto out_or = rows.NewRun(temp_pool);
   if (!out_or.ok()) return out_or.status();
-  TableHeap out = std::move(out_or).value();
+  typename Rows::Run out = std::move(out_or).value();
   typename Rows::Writer writer(rows, &out);
   while (true) {
     auto more = merge.Next();
@@ -315,6 +302,7 @@ template <typename Rows>
 class RunSort {
  public:
   using Buffer = typename Rows::Buffer;
+  using Run = typename Rows::Run;
 
   RunSort(ExecContext ctx, Rows rows) : ctx_(ctx), rows_(std::move(rows)) {}
 
@@ -345,7 +333,7 @@ class RunSort {
   /// Ends intake. Rows that never spilled come back sorted in `*memory`;
   /// otherwise `*runs` holds the sorted runs, cascaded down to at most the
   /// merge fan-in, for the caller's final streaming merge.
-  Status Finish(Buffer* memory, std::vector<TableHeap>* runs);
+  Status Finish(Buffer* memory, std::vector<Run>* runs);
 
   const Rows& rows() const { return rows_; }
   const SortStats& stats() const { return stats_; }
@@ -360,7 +348,7 @@ class RunSort {
   Rows rows_;
   Buffer buffer_;
   size_t buffer_bytes_ = 0;
-  std::vector<TableHeap> runs_;
+  std::vector<Run> runs_;
   SortStats stats_;
   bool finished_ = false;
 };
@@ -379,14 +367,14 @@ template <typename Rows>
 Status RunSort<Rows>::WriteRun(const Buffer& sorted) {
   ++stats_.runs;
   ++stats_.spilled_runs;
-  auto heap_or = TableHeap::Create(ctx_.temp_pool);
-  if (!heap_or.ok()) return heap_or.status();
-  runs_.push_back(std::move(heap_or).value());
+  auto run_or = rows_.NewRun(ctx_.temp_pool);
+  if (!run_or.ok()) return run_or.status();
+  runs_.push_back(std::move(run_or).value());
   return rows_.Spill(sorted, &runs_.back());
 }
 
 template <typename Rows>
-Status RunSort<Rows>::Finish(Buffer* memory, std::vector<TableHeap>* runs) {
+Status RunSort<Rows>::Finish(Buffer* memory, std::vector<Run>* runs) {
   if (finished_) {
     return Status::Internal("ExternalSort::Finish() called twice");
   }
@@ -409,14 +397,14 @@ Status RunSort<Rows>::Finish(Buffer* memory, std::vector<TableHeap>* runs) {
   const size_t fan_in = EffectiveFanIn(ctx_);
   while (runs_.size() > fan_in) {
     ++stats_.merge_passes;
-    std::vector<TableHeap> next;
+    std::vector<Run> next;
     for (size_t i = 0; i < runs_.size(); i += fan_in) {
       const size_t take = std::min(fan_in, runs_.size() - i);
       if (take == 1) {
         next.push_back(std::move(runs_[i]));
         continue;
       }
-      std::vector<TableHeap> group(
+      std::vector<Run> group(
           std::make_move_iterator(runs_.begin() + i),
           std::make_move_iterator(runs_.begin() + i + take));
       auto merged = MergeRunGroup(ctx_.temp_pool, rows_, std::move(group));
@@ -482,7 +470,7 @@ class TupleMergeIterator : public TupleIterator {
 /// The streaming final merge of spilled int runs.
 class IntMergeCursor : public IntRowCursor {
  public:
-  IntMergeCursor(IntRows rows, std::vector<TableHeap> runs)
+  IntMergeCursor(IntRows rows, std::vector<IntRows::Run> runs)
       : rows_(rows), merge_(&rows_, std::move(runs)) {}
 
   Status Prime() { return merge_.Prime(); }
@@ -547,7 +535,7 @@ const SortStats& IntRowSort::stats() const { return sort_->stats(); }
 
 Result<std::unique_ptr<IntRowCursor>> IntRowSort::Finish() {
   std::vector<int32_t> memory;
-  std::vector<TableHeap> runs;
+  std::vector<IntRows::Run> runs;
   SETM_RETURN_IF_ERROR(sort_->Finish(&memory, &runs));
   const IntRows& rows = sort_->rows();
   if (runs.empty()) {

@@ -31,16 +31,17 @@ struct IntRows;
 /// SETM is made of ("basic steps are sorting and merge scan join").
 ///
 /// Rows are buffered until the configured memory budget is reached, then
-/// stable-sorted and spilled as a run (a TableHeap in temp storage, so run
-/// I/O lands in the shared IoStats ledger). Finish() merges the runs with a
-/// bounded fan-in, cascading extra merge passes when the run count exceeds
-/// it. The overall sort is stable: equal keys keep arrival order.
+/// stable-sorted and spilled as a run in temp storage, so run I/O lands in
+/// the shared IoStats ledger. Finish() merges the runs with a bounded
+/// fan-in, cascading extra merge passes when the run count exceeds it. The
+/// overall sort is stable: equal keys keep arrival order.
 ///
 /// The algorithm exists once (exec/external_sort.cc, a template over the
-/// row buffer) and has two front ends: ExternalSort sorts Tuples for the
-/// SQL engine, IntRowSort sorts SETM's fixed-width int32 rows. A row's
-/// budget charge is its serialized size, so both front ends put the same
-/// rows in the same runs.
+/// row kind) and has two front ends: ExternalSort sorts Tuples for the
+/// SQL engine, into slotted TableHeap runs; IntRowSort sorts SETM's
+/// fixed-width int32 rows, into packed IntRelation runs. A row's budget
+/// charge is its serialized size, so both front ends put the same rows in
+/// the same runs.
 ///
 /// Run generation and the merge cascade are one serial loop on the calling
 /// thread: SETM mines run their sorts inside shard tasks that already sit
@@ -77,9 +78,11 @@ class ExternalSort {
 /// The external sort over fixed-width rows of `width` int32 columns, ordered
 /// on columns [key_begin, key_end). Each row is charged 4 bytes per column
 /// against the budget — the serialized size of the same row as an all-INT32
-/// Tuple — and runs hold the same record bytes, so an IntRowSort spills,
-/// merges and counts (SortStats, sort metrics) exactly as an ExternalSort
-/// of the equivalent Tuples.
+/// Tuple — so an IntRowSort spills, merges and counts (SortStats, sort
+/// metrics) exactly as an ExternalSort of the equivalent Tuples. Its runs
+/// are packed IntRelation pages in the temp pool (R_k's page format), so a
+/// run of n rows takes ceil(n / IntRelation::RowsPerPage(width)) pages,
+/// each written once: fewer than the same rows as slotted records.
 ///
 ///     IntRowSort sort(ctx, /*width=*/3, /*key_begin=*/1, /*key_end=*/3);
 ///     for (...) sort.Add(row);           // row: 3 ints

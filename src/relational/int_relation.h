@@ -101,6 +101,8 @@ class IntRelation {
 
   /// A kHeap relation of `width` columns in `pool` (kMemory for a null
   /// pool). `page_hook`, if set, fires for each page as it is allocated.
+  /// Create uses it for R_k, and IntRowSort for its spilled runs in the
+  /// temp pool.
   static Result<std::unique_ptr<IntRelation>> CreateInPool(
       BufferPool* pool, size_t width, PageHook page_hook = nullptr);
 

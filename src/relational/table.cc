@@ -111,9 +111,7 @@ Status HeapTable::Insert(const Tuple& tuple) {
   SETM_RETURN_IF_ERROR(CheckArity(tuple));
   scratch_.clear();
   tuple.SerializeTo(schema(), &scratch_);
-  auto rid_or = heap_.Insert(scratch_);
-  if (!rid_or.ok()) return rid_or.status();
-  return Status::OK();
+  return heap_.Insert(scratch_);
 }
 
 std::unique_ptr<TupleIterator> HeapTable::Scan() const {

@@ -1,7 +1,7 @@
 #include "storage/table_heap.h"
 
-#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 
@@ -19,10 +19,9 @@ struct HeapPageHeader {
 
 struct Slot {
   uint16_t offset;  // byte offset of the record within the page
-  uint16_t length;  // record length; kTombstone marks deletion
+  uint16_t length;  // record length
 };
 
-constexpr uint16_t kTombstone = 0xFFFF;
 constexpr size_t kHeaderSize = sizeof(HeapPageHeader);
 constexpr size_t kSlotSize = sizeof(Slot);
 
@@ -55,7 +54,7 @@ void InitHeapPage(Page* p) {
 }
 
 /// Checks the slot directory of heap page `id` before anyone trusts it: the
-/// directory ends inside the page and before the record area, and the live
+/// directory ends inside the page and before the record area, and the
 /// records lie after the directory, inside the page, and fit in it together
 /// (so a reader copying them all cannot overrun a page-sized buffer).
 Status CheckHeapPage(const Page* p, PageId id) {
@@ -71,10 +70,9 @@ Status CheckHeapPage(const Page* p, PageId id) {
                    std::to_string(h->free_space_end) +
                    " do not fit the page");
   }
-  size_t live_bytes = 0;
+  size_t record_bytes = 0;
   for (uint16_t i = 0; i < h->num_slots; ++i) {
     const Slot* slot = SlotAt(p, i);
-    if (slot->length == kTombstone) continue;
     if (slot->offset < slots_end ||
         size_t{slot->offset} + slot->length > kPageSize) {
       return corrupt("slot " + std::to_string(i) + " record [" +
@@ -82,10 +80,10 @@ Status CheckHeapPage(const Page* p, PageId id) {
                      std::to_string(slot->length) + ") lies outside the " +
                      "record area");
     }
-    live_bytes += slot->length;
+    record_bytes += slot->length;
   }
-  if (live_bytes > kPageSize - slots_end) {
-    return corrupt("live records overlap");
+  if (record_bytes > kPageSize - slots_end) {
+    return corrupt("records overlap");
   }
   return Status::OK();
 }
@@ -133,13 +131,8 @@ Result<TableHeap> TableHeap::Open(BufferPool* pool, PageId first_page) {
     if (!guard_or.ok()) return guard_or.status();
     const Page* p = guard_or.value().page();
     const HeapPageHeader* h = Header(p);
-    for (uint16_t i = 0; i < h->num_slots; ++i) {
-      const Slot* slot = SlotAt(p, i);
-      if (slot->length != kTombstone) {
-        ++live;
-        bytes += slot->length;
-      }
-    }
+    live += h->num_slots;
+    for (uint16_t i = 0; i < h->num_slots; ++i) bytes += SlotAt(p, i)->length;
     ++pages;
     last = cur;
     cur = h->next_page;
@@ -175,55 +168,22 @@ Status TableHeap::CollectChainPages(BufferPool* pool, PageId first,
   return Status::OK();
 }
 
-Result<Rid> TableHeap::Insert(std::string_view record) {
-  return Append(record.data(), record.size(), 1);
-}
-
-Status TableHeap::AppendRecords(const char* records, size_t record_size,
-                                size_t n) {
-  if (n == 0) return Status::OK();
-  return Append(records, record_size, n).status();
-}
-
-Result<Rid> TableHeap::Append(const char* records, size_t record_size,
-                              size_t n) {
-  if (record_size > kMaxRecordSize) {
-    return Status::InvalidArgument("record of " + std::to_string(record_size) +
+Status TableHeap::Insert(std::string_view record) {
+  if (record.size() > kMaxRecordSize) {
+    return Status::InvalidArgument("record of " +
+                                   std::to_string(record.size()) +
                                    " bytes exceeds page capacity");
   }
   auto guard_or = pool_->FetchPage(last_page_);
   if (!guard_or.ok()) return guard_or.status();
   PageGuard guard = std::move(guard_or).value();
-  const size_t per_record = record_size + kSlotSize;
-  size_t done = 0;
-  while (true) {
-    // Fill the tail with as many records as fit: the records a sequence of
-    // single inserts would place there before chaining a page.
-    Page* p = guard.page();
-    HeapPageHeader* h = Header(p);
-    const size_t fit = std::min(n - done, FreeSpace(p) / per_record);
-    for (size_t i = 0; i < fit; ++i) {
-      h->free_space_end = static_cast<uint16_t>(h->free_space_end - record_size);
-      Slot* slot = SlotAt(p, h->num_slots);
-      slot->offset = h->free_space_end;
-      slot->length = static_cast<uint16_t>(record_size);
-      std::memcpy(p->data + slot->offset, records + (done + i) * record_size,
-                  record_size);
-      ++h->num_slots;
-    }
-    if (fit > 0) guard.MarkDirty();
-    done += fit;
-    live_records_ += fit;
-    live_bytes_ += fit * record_size;
-    if (done == n) {
-      return Rid{guard.id(), static_cast<uint16_t>(h->num_slots - 1)};
-    }
+  if (FreeSpace(guard.page()) < record.size() + kSlotSize) {
     // Tail page is full: chain a fresh page.
     auto new_or = pool_->NewPage();
     if (!new_or.ok()) return new_or.status();
     PageGuard new_guard = std::move(new_or).value();
     InitHeapPage(new_guard.page());
-    h->next_page = new_guard.id();
+    Header(guard.page())->next_page = new_guard.id();
     guard.MarkDirty();
     new_guard.MarkDirty();
     last_page_ = new_guard.id();
@@ -231,97 +191,42 @@ Result<Rid> TableHeap::Append(const char* records, size_t record_size,
     if (page_hook_) page_hook_(new_guard.id());
     guard = std::move(new_guard);
   }
-}
-
-Status TableHeap::Get(const Rid& rid, std::string* out) const {
-  auto guard_or = FetchHeapPage(pool_, rid.page_id);
-  if (!guard_or.ok()) return guard_or.status();
-  const Page* p = guard_or.value().page();
-  const HeapPageHeader* h = Header(p);
-  if (rid.slot >= h->num_slots) {
-    return Status::NotFound("no slot " + std::to_string(rid.slot));
-  }
-  const Slot* slot = SlotAt(p, rid.slot);
-  if (slot->length == kTombstone) {
-    return Status::NotFound("record was deleted");
-  }
-  out->assign(p->data + slot->offset, slot->length);
-  return Status::OK();
-}
-
-Status TableHeap::Delete(const Rid& rid) {
-  auto guard_or = FetchHeapPage(pool_, rid.page_id);
-  if (!guard_or.ok()) return guard_or.status();
-  PageGuard guard = std::move(guard_or).value();
   Page* p = guard.page();
   HeapPageHeader* h = Header(p);
-  if (rid.slot >= h->num_slots) {
-    return Status::NotFound("no slot " + std::to_string(rid.slot));
-  }
-  Slot* slot = SlotAt(p, rid.slot);
-  if (slot->length != kTombstone) {
-    SETM_DCHECK(live_records_ > 0);
-    SETM_DCHECK(live_bytes_ >= slot->length);
-    live_bytes_ -= slot->length;
-    slot->length = kTombstone;
-    guard.MarkDirty();
-    --live_records_;
-  }
+  h->free_space_end = static_cast<uint16_t>(h->free_space_end - record.size());
+  Slot* slot = SlotAt(p, h->num_slots);
+  slot->offset = h->free_space_end;
+  slot->length = static_cast<uint16_t>(record.size());
+  std::memcpy(p->data + slot->offset, record.data(), record.size());
+  ++h->num_slots;
+  guard.MarkDirty();
+  ++live_records_;
+  live_bytes_ += record.size();
   return Status::OK();
 }
 
 Result<bool> TableHeap::Iterator::Next() {
-  if (on_page_) ++rid_.slot;
+  if (on_page_ && ++slot_ < Header(copy_.get())->num_slots) return true;
   while (true) {
-    if (on_page_) {
-      const Page* p = copy_.get();
-      for (; rid_.slot < Header(p)->num_slots; ++rid_.slot) {
-        if (SlotAt(p, rid_.slot)->length != kTombstone) return true;
-      }
+    if (next_page_ == kInvalidPageId) {
       on_page_ = false;
+      return false;
     }
-    if (next_page_ == kInvalidPageId) return false;
     auto guard_or = FetchHeapPage(pool_, next_page_);
     if (!guard_or.ok()) return guard_or.status();
     if (copy_ == nullptr) copy_ = std::make_unique<Page>();
     std::memcpy(copy_->data, guard_or.value().page()->data, kPageSize);
-    rid_ = Rid{next_page_, 0};
     next_page_ = Header(copy_.get())->next_page;
+    slot_ = 0;
     on_page_ = true;
+    if (Header(copy_.get())->num_slots > 0) return true;
   }
 }
 
 std::string_view TableHeap::Iterator::record() const {
   SETM_DCHECK(on_page_);
-  const Slot* slot = SlotAt(copy_.get(), rid_.slot);
+  const Slot* slot = SlotAt(copy_.get(), slot_);
   return std::string_view(copy_->data + slot->offset, slot->length);
-}
-
-Result<bool> TableHeap::PageReader::Next(size_t record_size, char* out,
-                                         size_t* count) {
-  *count = 0;
-  if (next_ == kInvalidPageId) return false;
-  auto guard_or = FetchHeapPage(pool_, next_);
-  if (!guard_or.ok()) return guard_or.status();
-  const Page* p = guard_or.value().page();
-  const HeapPageHeader* h = Header(p);
-  size_t n = 0;
-  for (uint16_t i = 0; i < h->num_slots; ++i) {
-    const Slot* slot = SlotAt(p, i);
-    if (slot->length == kTombstone) continue;
-    if (slot->length != record_size) {
-      return Status::Corruption(
-          "heap page " + std::to_string(next_) + " slot " + std::to_string(i) +
-          " holds a " + std::to_string(slot->length) +
-          "-byte record where " + std::to_string(record_size) +
-          " bytes were expected");
-    }
-    std::memcpy(out + n * record_size, p->data + slot->offset, record_size);
-    ++n;
-  }
-  *count = n;
-  next_ = h->next_page;
-  return true;
 }
 
 }  // namespace setm

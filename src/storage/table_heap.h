@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,33 +14,23 @@
 
 namespace setm {
 
-/// Physical address of a record in a table heap.
-struct Rid {
-  PageId page_id = kInvalidPageId;
-  uint16_t slot = 0;
-
-  bool operator==(const Rid& other) const {
-    return page_id == other.page_id && slot == other.slot;
-  }
-};
-
 /// An unordered collection of variable-length records stored in a chain of
 /// slotted pages, in the classic textbook layout:
 ///
 ///   [header | slot 0 | slot 1 | ... | free space ... | rec 1 | rec 0]
 ///
-/// Records are addressed by Rid and never move within their page; deletion
-/// tombstones the slot. Inserts append to the tail page and allocate a new
-/// page when the record does not fit. Heap tables and sort runs live here;
-/// SETM's scratch relations R_k use IntRelation's packed pages instead.
+/// Records are only appended, and read back by a scan in storage order.
+/// Insert appends to the tail page and chains a new page when the record
+/// does not fit. Two kinds of data live here: heap tables (HeapTable, the
+/// SQL engine's and SALES's rows) and ExternalSort's Tuple runs. Fixed-width
+/// int rows (SETM's R_k and IntRowSort's runs) use IntRelation's packed
+/// pages instead.
 ///
-/// Page-at-a-time I/O: AppendRecords pins the tail once per page it fills
-/// (fetching it back first, so an evicted tail is read once per call),
-/// and both readers (Iterator, PageReader) pin each page once, copy what
-/// they need and unpin it, so a scan costs one FetchPage per page rather
-/// than one per record. Every page a reader or Open() visits has its slot
-/// directory checked first: a directory or record reaching past the page
-/// is Corruption, never an out-of-bounds read.
+/// Page-at-a-time I/O: the iterator pins each page once, copies it and
+/// unpins it, so a scan costs one FetchPage per page rather than one per
+/// record. Every page the iterator or Open() visits has its slot directory
+/// checked first: a directory or record reaching past the page is
+/// Corruption, never an out-of-bounds read.
 class TableHeap {
  public:
   /// Observes every page id added to the chain — the seam the database uses
@@ -65,26 +54,14 @@ class TableHeap {
 
   /// Appends a record; fails with InvalidArgument if it can never fit in a
   /// page, IOError/ResourceExhausted on storage trouble.
-  Result<Rid> Insert(std::string_view record);
+  Status Insert(std::string_view record);
 
-  /// Appends `n` records of `record_size` bytes each, stored back to back
-  /// in `records`. The page images, chain split points and page-hook calls
-  /// are exactly those of `n` Insert calls, but the tail is pinned once per
-  /// page instead of once per record — the bulk write path of sort runs.
-  Status AppendRecords(const char* records, size_t record_size, size_t n);
-
-  /// Reads the record at `rid` into `*out`. NotFound for tombstoned slots.
-  Status Get(const Rid& rid, std::string* out) const;
-
-  /// Tombstones the record at `rid` (idempotent).
-  Status Delete(const Rid& rid);
-
-  /// Number of live (non-deleted) records.
+  /// Number of records.
   uint64_t live_records() const { return live_records_; }
 
-  /// Total bytes of live records (maintained on insert/delete; Open()
-  /// recomputes it from the chain walk, so it is always derived from the
-  /// heap itself rather than trusted from external metadata).
+  /// Total bytes of records (maintained on insert; Open() recomputes it
+  /// from the chain walk, so it is always derived from the heap itself
+  /// rather than trusted from external metadata).
   uint64_t live_bytes() const { return live_bytes_; }
 
   /// First page of the chain (persist this to re-open the heap).
@@ -107,7 +84,7 @@ class TableHeap {
   static Status CollectChainPages(BufferPool* pool, PageId first,
                                   std::vector<PageId>* out);
 
-  /// Forward cursor over live records in storage order. Each page is
+  /// Forward cursor over the records in storage order. Each page is
   /// pinned once: its image is checked, copied and unpinned, and the
   /// records are then served from the copy. I/O and corruption errors
   /// surface from Next() — the first call included — never as a silently
@@ -122,13 +99,11 @@ class TableHeap {
   ///     }
   class Iterator {
    public:
-    /// Advances to the next live record (the first one on the first call);
+    /// Advances to the next record (the first one on the first call);
     /// false at the end of the chain.
     Result<bool> Next();
     /// The current record's bytes, valid until the next Next().
     std::string_view record() const;
-    /// The current record's address.
-    const Rid& rid() const { return rid_; }
 
    private:
     friend class TableHeap;
@@ -137,41 +112,17 @@ class TableHeap {
 
     BufferPool* pool_;
     PageId next_page_;            ///< page to load once copy_ is exhausted
-    std::unique_ptr<Page> copy_;  ///< image of rid_.page_id
-    Rid rid_;
-    bool on_page_ = false;        ///< copy_ holds rid_.page_id
+    std::unique_ptr<Page> copy_;  ///< image of the current page
+    uint16_t slot_ = 0;           ///< the current record's slot in copy_
+    bool on_page_ = false;        ///< copy_ holds the current page
   };
 
   /// Cursor positioned before the first record. Performs no I/O.
   Iterator Begin() const { return Iterator(pool_, first_page_); }
 
-  /// Reads a heap of fixed-size records one page per FetchPage.
-  class PageReader {
-   public:
-    /// Copies the live records of the next page, back to back, into `out`
-    /// (room for kPageSize bytes) and sets `*count`, which is 0 for a page
-    /// of tombstones. False past the tail. A live record whose length is
-    /// not `record_size` is Corruption.
-    Result<bool> Next(size_t record_size, char* out, size_t* count);
-
-   private:
-    friend class TableHeap;
-    PageReader(BufferPool* pool, PageId first) : pool_(pool), next_(first) {}
-
-    BufferPool* pool_;
-    PageId next_;
-  };
-
-  /// Page reader positioned before the first page. Performs no I/O.
-  PageReader ReadPages() const { return PageReader(pool_, first_page_); }
-
  private:
   TableHeap(BufferPool* pool, PageId first, PageId last, uint64_t pages)
       : pool_(pool), first_page_(first), last_page_(last), num_pages_(pages) {}
-
-  /// Insert and AppendRecords: appends `n` >= 1 records and returns the
-  /// last one's address.
-  Result<Rid> Append(const char* records, size_t record_size, size_t n);
 
   BufferPool* pool_;
   PageId first_page_;

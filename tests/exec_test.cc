@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "core/itemset_counts.h"
+#include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/expression.h"
 #include "exec/external_sort.h"
@@ -398,6 +400,133 @@ TEST(IntRowSortApiTest, SortedRunsJoinTheMerge) {
   EXPECT_EQ(sort.stats().rows, all.size());
   EXPECT_GE(spilled_before_finish, 6u + 1);  // the six runs, after spills
   EXPECT_GE(sort.stats().merge_passes, 1u);
+}
+
+// Spilled int runs are packed IntRelation pages in the temp pool. A run of
+// n rows takes ceil(n / RowsPerPage(width)) pages, and each page is written
+// once: the merge reads runs back and never rewrites a page. These tests run
+// the cascade on a 6-frame temp pool, which merges two runs at a time.
+class SpillRunFormatTest : public testing::Test {
+ protected:
+  static constexpr size_t kFanIn = 2;
+
+  SpillRunFormatTest() : backend_(&stats_), pool_(&backend_, 6) {
+    ctx_.temp_pool = &pool_;
+  }
+
+  /// The temp pages a sort whose spilled runs hold `runs` rows (in spill
+  /// order) allocates: one packed page list per spilled run and per run
+  /// each cascade pass merges. Sets `*passes` to the cascade's passes.
+  static uint64_t PackedRunPages(std::vector<uint64_t> runs, size_t width,
+                                 uint64_t* passes) {
+    const uint64_t per_page = IntRelation::RowsPerPage(width);
+    const auto pages = [per_page](uint64_t rows) {
+      return (rows + per_page - 1) / per_page;
+    };
+    uint64_t total = 0;
+    for (uint64_t rows : runs) total += pages(rows);
+    *passes = 0;
+    while (runs.size() > kFanIn) {
+      ++*passes;
+      std::vector<uint64_t> next;
+      for (size_t i = 0; i < runs.size(); i += kFanIn) {
+        const size_t take = std::min(kFanIn, runs.size() - i);
+        uint64_t rows = 0;
+        for (size_t j = i; j < i + take; ++j) rows += runs[j];
+        if (take > 1) total += pages(rows);
+        next.push_back(rows);
+      }
+      runs = std::move(next);
+    }
+    return total;
+  }
+
+  /// Flushes the temp pool and checks that no page was written twice.
+  void ExpectEachPageWrittenOnce() {
+    ASSERT_TRUE(pool_.FlushAll().ok());
+    EXPECT_GT(stats_.page_writes.load(), 0u);
+    EXPECT_LE(stats_.page_writes.load(), stats_.pages_allocated.load());
+  }
+
+  IoStats stats_;
+  MemoryBackend backend_;
+  BufferPool pool_;
+  ExecContext ctx_;
+};
+
+TEST_F(SpillRunFormatTest, IntRowSortRunsArePackedPages) {
+  constexpr size_t kWidth = 3;
+  constexpr uint64_t kRunRows = 1000;
+  constexpr uint64_t kRows = 10500;  // ten full runs and one of 500 rows
+  ctx_.sort_memory_bytes = kRunRows * kWidth * sizeof(int32_t);
+  IntRowSort sort(ctx_, kWidth, /*key_begin=*/1, /*key_end=*/3);
+  Rng rng(17);
+  std::vector<std::vector<int32_t>> expected;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    const int32_t row[kWidth] = {static_cast<int32_t>(i),
+                                 static_cast<int32_t>(rng.Uniform(50)),
+                                 static_cast<int32_t>(rng.Uniform(50))};
+    ASSERT_TRUE(sort.Add(row).ok());
+    expected.emplace_back(row, row + kWidth);
+  }
+  auto cursor = sort.Finish();
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+
+  std::vector<uint64_t> runs(kRows / kRunRows, kRunRows);
+  runs.push_back(kRows % kRunRows);
+  uint64_t passes = 0;
+  const uint64_t pages = PackedRunPages(runs, kWidth, &passes);
+  EXPECT_EQ(sort.stats().spilled_runs, runs.size());
+  EXPECT_EQ(sort.stats().merge_passes, passes);
+  EXPECT_GE(passes, 2u);
+  EXPECT_EQ(stats_.pages_allocated.load(), pages);
+
+  std::vector<std::vector<int32_t>> actual;
+  ASSERT_TRUE(ForEachRow(cursor.value().get(), [&actual](const int32_t* r) {
+                actual.emplace_back(r, r + kWidth);
+                return Status::OK();
+              }).ok());
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return std::lexicographical_compare(
+                         a.begin() + 1, a.end(), b.begin() + 1, b.end());
+                   });
+  EXPECT_EQ(actual, expected);
+  // The final merge streams its output and writes no run.
+  EXPECT_EQ(stats_.pages_allocated.load(), pages);
+  ExpectEachPageWrittenOnce();
+}
+
+// The budgeted C_k count spills its (item_1, item_2, count) entries as
+// IntRowSort runs: the same page format, cascade and single write.
+TEST_F(SpillRunFormatTest, BudgetedCountRunsArePackedPages) {
+  // A budget of exactly a new k = 2 table's allocation never lets it grow,
+  // so every run holds the same number of entries.
+  const size_t budget = ItemsetCounts(2).bytes();
+  const uint64_t per_run = ItemsetCounts::MaxEntriesWithin(2, budget);
+  BudgetedCount count(ctx_, 2, budget);
+  std::vector<PatternCount> expected;
+  for (ItemId a = 0; a < 60; ++a) {
+    for (ItemId b = a + 1; b < 60; ++b) {
+      const ItemId pair[2] = {a, b};
+      ASSERT_TRUE(count.Add(pair).ok());
+      expected.push_back(PatternCount{{a, b}, 1});
+    }
+  }
+  const CountStats& stats = count.stats();
+  ASSERT_GT(stats.spilled_runs, 8u);
+  ASSERT_EQ(stats.spilled_entries, stats.spilled_runs * per_run);
+
+  std::vector<PatternCount> out;
+  ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+  EXPECT_EQ(out, expected);
+
+  uint64_t passes = 0;
+  const uint64_t pages = PackedRunPages(
+      std::vector<uint64_t>(stats.spilled_runs, per_run), 3, &passes);
+  EXPECT_GE(passes, 2u);
+  EXPECT_EQ(stats_.pages_allocated.load(), pages);
+  ExpectEachPageWrittenOnce();
 }
 
 TEST_F(ExternalSortTest, SortIteratorWrapsChild) {

@@ -336,32 +336,41 @@ class TableHeapTest : public testing::Test {
   BufferPool pool_;
 };
 
-TEST_F(TableHeapTest, InsertGetRoundTrip) {
+/// Every record of `heap`, in storage order.
+std::vector<std::string> ScanAll(const TableHeap& heap) {
+  std::vector<std::string> records;
+  auto it = heap.Begin();
+  while (true) {
+    auto more = it.Next();
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) return records;
+    records.emplace_back(it.record());
+  }
+}
+
+TEST_F(TableHeapTest, InsertScanRoundTrip) {
   auto heap = TableHeap::Create(&pool_);
   ASSERT_TRUE(heap.ok());
-  auto rid = heap->Insert("hello world");
-  ASSERT_TRUE(rid.ok());
-  std::string out;
-  ASSERT_TRUE(heap->Get(rid.value(), &out).ok());
-  EXPECT_EQ(out, "hello world");
+  ASSERT_TRUE(heap->Insert("hello world").ok());
+  EXPECT_EQ(ScanAll(*heap), std::vector<std::string>{"hello world"});
   EXPECT_EQ(heap->live_records(), 1u);
+  EXPECT_EQ(heap->live_bytes(), 11u);
 }
 
 TEST_F(TableHeapTest, EmptyRecordAllowed) {
   auto heap = TableHeap::Create(&pool_);
   ASSERT_TRUE(heap.ok());
-  auto rid = heap->Insert("");
-  ASSERT_TRUE(rid.ok());
-  std::string out = "sentinel";
-  ASSERT_TRUE(heap->Get(rid.value(), &out).ok());
-  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(heap->Insert("").ok());
+  ASSERT_TRUE(heap->Insert("x").ok());
+  EXPECT_EQ(ScanAll(*heap), (std::vector<std::string>{"", "x"}));
 }
 
 TEST_F(TableHeapTest, OversizedRecordRejected) {
   auto heap = TableHeap::Create(&pool_);
   ASSERT_TRUE(heap.ok());
   std::string big(kPageSize, 'x');
-  EXPECT_TRUE(heap->Insert(big).status().IsInvalidArgument());
+  EXPECT_TRUE(heap->Insert(big).IsInvalidArgument());
+  EXPECT_EQ(heap->live_records(), 0u);
 }
 
 TEST_F(TableHeapTest, SpansMultiplePages) {
@@ -373,56 +382,7 @@ TEST_F(TableHeapTest, SpansMultiplePages) {
   EXPECT_GT(heap->num_pages(), 1u);
   EXPECT_EQ(heap->live_records(), static_cast<uint64_t>(n));
   // All records iterable, in order.
-  int count = 0;
-  auto it = heap->Begin();
-  while (true) {
-    auto more = it.Next();
-    ASSERT_TRUE(more.ok());
-    if (!more.value()) break;
-    EXPECT_EQ(it.record(), record);
-    ++count;
-  }
-  EXPECT_EQ(count, n);
-}
-
-TEST_F(TableHeapTest, DeleteTombstonesRecord) {
-  auto heap = TableHeap::Create(&pool_);
-  ASSERT_TRUE(heap.ok());
-  auto r1 = heap->Insert("one");
-  auto r2 = heap->Insert("two");
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  ASSERT_TRUE(heap->Delete(r1.value()).ok());
-  std::string out;
-  EXPECT_TRUE(heap->Get(r1.value(), &out).IsNotFound());
-  ASSERT_TRUE(heap->Get(r2.value(), &out).ok());
-  EXPECT_EQ(out, "two");
-  EXPECT_EQ(heap->live_records(), 1u);
-  // Deleting again is a no-op.
-  ASSERT_TRUE(heap->Delete(r1.value()).ok());
-  EXPECT_EQ(heap->live_records(), 1u);
-}
-
-TEST_F(TableHeapTest, IteratorSkipsDeleted) {
-  auto heap = TableHeap::Create(&pool_);
-  ASSERT_TRUE(heap.ok());
-  std::vector<Rid> rids;
-  for (int i = 0; i < 10; ++i) {
-    auto rid = heap->Insert("rec" + std::to_string(i));
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(rid.value());
-  }
-  for (int i = 0; i < 10; i += 2) ASSERT_TRUE(heap->Delete(rids[i]).ok());
-  std::vector<std::string> seen;
-  auto it = heap->Begin();
-  while (true) {
-    auto more = it.Next();
-    ASSERT_TRUE(more.ok());
-    if (!more.value()) break;
-    seen.emplace_back(it.record());
-  }
-  EXPECT_EQ(seen, (std::vector<std::string>{"rec1", "rec3", "rec5", "rec7",
-                                            "rec9"}));
+  EXPECT_EQ(ScanAll(*heap), std::vector<std::string>(n, record));
 }
 
 TEST_F(TableHeapTest, ReopenFindsRecordsAndTail) {
@@ -438,177 +398,32 @@ TEST_F(TableHeapTest, ReopenFindsRecordsAndTail) {
   auto reopened = TableHeap::Open(&pool_, first);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->live_records(), 300u);
+  EXPECT_EQ(reopened->live_bytes(), 300u * 50);
   // Appends after reopen land on the tail page, not a fresh chain.
   ASSERT_TRUE(reopened->Insert("tail").ok());
   EXPECT_EQ(reopened->live_records(), 301u);
+  const std::vector<std::string> records = ScanAll(*reopened);
+  ASSERT_EQ(records.size(), 301u);
+  EXPECT_EQ(records.back(), "tail");
 }
 
-TEST_F(TableHeapTest, GetInvalidSlotFails) {
-  auto heap = TableHeap::Create(&pool_);
-  ASSERT_TRUE(heap.ok());
-  std::string out;
-  EXPECT_TRUE(heap->Get(Rid{heap->first_page(), 5}, &out).IsNotFound());
-}
-
-// --------------------------------------------------------------------------
-// Page-at-a-time heap I/O
-// --------------------------------------------------------------------------
-
-/// `n` records of `size` bytes, distinct by position.
-std::string Records(size_t n, size_t size) {
-  std::string out(n * size, '\0');
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<char>((i * 131 + i / size) & 0xFF);
-  }
-  return out;
-}
-
-/// Pages of `heap`, in chain order, as raw images.
-std::vector<std::string> PageImages(BufferPool* pool, const TableHeap& heap) {
-  std::vector<PageId> ids;
-  EXPECT_TRUE(heap.AppendChainPages(&ids).ok());
-  std::vector<std::string> images;
-  for (PageId id : ids) {
-    auto guard = pool->FetchPage(id);
-    EXPECT_TRUE(guard.ok());
-    images.emplace_back(guard.value().page()->data, kPageSize);
-  }
-  return images;
-}
-
-// AppendRecords must lay pages out exactly as one Insert per record —
-// images, split points, page-hook calls and live counters — while pinning
-// the tail once per page rather than once per record.
-TEST(TableHeapAppendTest, AppendRecordsMatchesPerRowInsert) {
-  constexpr size_t kSize = 12;  // an R_2 row: three INT32 columns
-  constexpr size_t kRows = 2000;
-  const std::string records = Records(kRows, kSize);
-
-  IoStats insert_stats;
-  MemoryBackend insert_backend(&insert_stats);
-  BufferPool insert_pool(&insert_backend, 64);
-  std::vector<PageId> insert_hooked;
-  auto by_insert = TableHeap::Create(
-      &insert_pool, [&](PageId id) { insert_hooked.push_back(id); });
-  ASSERT_TRUE(by_insert.ok());
-  ASSERT_TRUE(by_insert->Insert("a longer leading record").ok());
-  for (size_t i = 0; i < kRows; ++i) {
-    ASSERT_TRUE(
-        by_insert->Insert(std::string_view(records).substr(i * kSize, kSize))
-            .ok());
-  }
-
-  IoStats append_stats;
-  MemoryBackend append_backend(&append_stats);
-  BufferPool append_pool(&append_backend, 64);
-  std::vector<PageId> append_hooked;
-  auto by_append = TableHeap::Create(
-      &append_pool, [&](PageId id) { append_hooked.push_back(id); });
-  ASSERT_TRUE(by_append.ok());
-  ASSERT_TRUE(by_append->Insert("a longer leading record").ok());
-  const uint64_t fetches_before = append_pool.hits() + append_pool.misses();
-  // Uneven batches: a batch may end mid-page or exactly on a page boundary.
-  size_t done = 0;
-  size_t calls = 0;
-  for (size_t batch : {size_t{1}, size_t{0}, size_t{7}, size_t{336},
-                       size_t{900}, kRows}) {
-    const size_t n = std::min(batch, kRows - done);
-    ASSERT_TRUE(
-        by_append->AppendRecords(records.data() + done * kSize, kSize, n).ok());
-    done += n;
-    if (n > 0) ++calls;
-  }
-  ASSERT_EQ(done, kRows);
-  const uint64_t fetches =
-      append_pool.hits() + append_pool.misses() - fetches_before;
-
-  EXPECT_GT(by_append->num_pages(), 5u);
-  EXPECT_EQ(by_append->num_pages(), by_insert->num_pages());
-  EXPECT_EQ(by_append->live_records(), by_insert->live_records());
-  EXPECT_EQ(by_append->live_bytes(), by_insert->live_bytes());
-  EXPECT_EQ(by_append->last_page(), by_insert->last_page());
-  EXPECT_EQ(append_hooked, insert_hooked);
-  EXPECT_EQ(append_hooked.size(), by_append->num_pages());
-  EXPECT_EQ(PageImages(&append_pool, *by_append),
-            PageImages(&insert_pool, *by_insert));
-  // One tail fetch per non-empty call; chained pages come from NewPage.
-  EXPECT_EQ(fetches, calls);
-}
-
-TEST(TableHeapAppendTest, AppendRecordsRejectsOversizedRecords) {
-  IoStats stats;
-  MemoryBackend backend(&stats);
-  BufferPool pool(&backend, 4);
-  auto heap = TableHeap::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  const std::string big(kPageSize, 'x');
-  EXPECT_TRUE(heap->AppendRecords(big.data(), big.size(), 1).IsInvalidArgument());
-  EXPECT_TRUE(heap->AppendRecords(big.data(), big.size(), 0).ok());
-  EXPECT_EQ(heap->live_records(), 0u);
-}
-
-// The fixed-width reader returns every record in order with one FetchPage
-// per page.
-TEST(TableHeapAppendTest, PageReaderCopiesEachPageOnce) {
-  constexpr size_t kSize = 8;
-  constexpr size_t kRows = 1500;
-  const std::string records = Records(kRows, kSize);
-  IoStats stats;
-  MemoryBackend backend(&stats);
-  BufferPool pool(&backend, 4);
-  auto heap = TableHeap::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  ASSERT_TRUE(heap->AppendRecords(records.data(), kSize, kRows).ok());
-
-  const uint64_t fetches_before = pool.hits() + pool.misses();
-  TableHeap::PageReader reader = heap->ReadPages();
-  std::string read;
-  std::vector<char> page(kPageSize);
-  uint64_t pages = 0;
-  while (true) {
-    size_t count = 0;
-    auto more = reader.Next(kSize, page.data(), &count);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.value()) break;
-    read.append(page.data(), count * kSize);
-    ++pages;
-  }
-  EXPECT_EQ(read, records);
-  EXPECT_EQ(pages, heap->num_pages());
-  EXPECT_EQ(pool.hits() + pool.misses() - fetches_before, heap->num_pages());
-}
-
-TEST(TableHeapAppendTest, PageReaderRejectsWrongLengthRecord) {
-  IoStats stats;
-  MemoryBackend backend(&stats);
-  BufferPool pool(&backend, 4);
-  auto heap = TableHeap::Create(&pool);
-  ASSERT_TRUE(heap.ok());
-  const std::string records = Records(10, 8);
-  ASSERT_TRUE(heap->AppendRecords(records.data(), 8, 10).ok());
-  ASSERT_TRUE(heap->Insert("twelve bytes").ok());
-  TableHeap::PageReader reader = heap->ReadPages();
-  std::vector<char> page(kPageSize);
-  size_t count = 0;
-  auto more = reader.Next(8, page.data(), &count);
-  ASSERT_FALSE(more.ok());
-  EXPECT_TRUE(more.status().IsCorruption()) << more.status().ToString();
-}
-
-// A hand-corrupted slot directory must read as Corruption through every
-// entry point — Open, Get, Delete, the record iterator and the page reader
-// — never as an out-of-bounds read (the ASan+UBSan job runs this).
+// A hand-corrupted slot directory must read as Corruption through both
+// entry points, Open and the record iterator, never as an out-of-bounds
+// read (the ASan+UBSan job runs this).
 class CorruptHeapPageTest : public testing::Test {
  protected:
   CorruptHeapPageTest() : backend_(&stats_), pool_(&backend_, 2) {}
 
-  /// A one-page heap whose page has been overwritten by `corrupt`.
+  /// A one-page heap of 8-byte records whose page has been overwritten by
+  /// `corrupt`.
   template <typename Fn>
   PageId CorruptedHeap(Fn corrupt) {
     auto heap = TableHeap::Create(&pool_);
     EXPECT_TRUE(heap.ok());
-    const std::string records = Records(20, 8);
-    EXPECT_TRUE(heap->AppendRecords(records.data(), 8, 20).ok());
+    for (int i = 0; i < 20; ++i) {
+      const std::string record(8, static_cast<char>('a' + i));
+      EXPECT_TRUE(heap->Insert(record).ok());
+    }
     const PageId id = heap->first_page();
     auto guard = pool_.FetchPage(id);
     EXPECT_TRUE(guard.ok());
@@ -617,24 +432,14 @@ class CorruptHeapPageTest : public testing::Test {
     return id;
   }
 
-  /// Expects every reader of the heap rooted at `first` to fail cleanly.
-  void ExpectCorruptionEverywhere(PageId first) {
+  /// Expects Open of the heap rooted at `first` to fail cleanly, and a scan
+  /// that reaches the damaged page too: a live heap handle is rebuilt by
+  /// re-pointing a fresh heap's chain at it.
+  void ExpectCorruption(PageId first) {
     auto opened = TableHeap::Open(&pool_, first);
     ASSERT_FALSE(opened.ok());
     EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
 
-    // Point lookups check the page too.
-    auto heap = TableHeap::Create(&pool_);
-    ASSERT_TRUE(heap.ok());
-    std::string out;
-    EXPECT_TRUE(heap->Get(Rid{first, 0}, &out).IsCorruption());
-    EXPECT_TRUE(heap->Delete(Rid{first, 0}).IsCorruption());
-  }
-
-  /// Reads the damaged page through both cursors of a heap whose first
-  /// page is `first`: a live heap handle is rebuilt by re-pointing a fresh
-  /// heap's chain at it.
-  void ExpectCursorsFail(PageId first) {
     auto heap = TableHeap::Create(&pool_);
     ASSERT_TRUE(heap.ok());
     {
@@ -649,16 +454,6 @@ class CorruptHeapPageTest : public testing::Test {
     while (more.ok() && more.value()) more = it.Next();
     ASSERT_FALSE(more.ok());
     EXPECT_TRUE(more.status().IsCorruption()) << more.status().ToString();
-
-    TableHeap::PageReader reader = heap->ReadPages();
-    std::vector<char> page(kPageSize);
-    size_t count = 0;
-    Result<bool> page_more = true;
-    while (page_more.ok() && page_more.value()) {
-      page_more = reader.Next(8, page.data(), &count);
-    }
-    ASSERT_FALSE(page_more.ok());
-    EXPECT_TRUE(page_more.status().IsCorruption());
   }
 
   IoStats stats_;
@@ -676,8 +471,7 @@ TEST_F(CorruptHeapPageTest, SlotCountPastThePage) {
     const uint16_t slots = 2000;
     std::memcpy(p->data + kNumSlotsOffset, &slots, sizeof(slots));
   });
-  ExpectCorruptionEverywhere(id);
-  ExpectCursorsFail(id);
+  ExpectCorruption(id);
 }
 
 TEST_F(CorruptHeapPageTest, RecordPastThePage) {
@@ -685,8 +479,7 @@ TEST_F(CorruptHeapPageTest, RecordPastThePage) {
     const uint16_t offset = kPageSize - 4;  // 8-byte record, 4 bytes outside
     std::memcpy(p->data + kFirstSlotOffset, &offset, sizeof(offset));
   });
-  ExpectCorruptionEverywhere(id);
-  ExpectCursorsFail(id);
+  ExpectCorruption(id);
 }
 
 TEST_F(CorruptHeapPageTest, OverlappingRecords) {
@@ -702,8 +495,17 @@ TEST_F(CorruptHeapPageTest, OverlappingRecords) {
       std::memcpy(p->data + kFirstSlotOffset + 4 * i + 2, &length, 2);
     }
   });
-  ExpectCorruptionEverywhere(id);
-  ExpectCursorsFail(id);
+  ExpectCorruption(id);
+}
+
+// The heap once marked a deleted record with a length of 0xFFFF. Nothing
+// deletes any more, so such a slot is damage like any other.
+TEST_F(CorruptHeapPageTest, TombstoneLengthSlot) {
+  const PageId id = CorruptedHeap([](Page* p) {
+    const uint16_t length = 0xFFFF;
+    std::memcpy(p->data + kFirstSlotOffset + 2, &length, sizeof(length));
+  });
+  ExpectCorruption(id);
 }
 
 }  // namespace
