@@ -41,9 +41,10 @@ if [[ -x "$count_bench_bin" ]]; then
   "$count_bench_bin" --smoke
 fi
 
-# Buffer-pool bench smoke: mines at 16 and 4096 pool frames must find the
-# same itemsets, write no more pages than they allocate, and at 16 frames
-# read within the one-scan-per-iteration bound.
+# Buffer-pool bench smoke: mines at 16, 256 and 4096 pool frames must find
+# the same itemsets and write no more pages than they allocate plus the ids
+# they reuse; at 16 frames they read within the one-scan-per-iteration
+# bound, and at 256 at most 60% of that mine's pages.
 pool_bench_bin="build/$preset/bench/ablation_buffer_pool"
 if [[ -x "$pool_bench_bin" ]]; then
   "$pool_bench_bin" --smoke

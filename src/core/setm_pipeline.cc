@@ -116,7 +116,7 @@ Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs) {
   return Status::OK();
 }
 
-Status FilterByCk(const IntRelation& left, const IntRelation& r1,
+Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
                   const ItemsetCounts& ck, IntRelation* out,
                   BudgetedCount* next) {
   SETM_DCHECK(ck.k() + 1 == out->width());
@@ -151,7 +151,7 @@ Status FilterByCk(const IntRelation& left, const IntRelation& r1,
       kept.push_back(row[1]);
       return out->Append(row, 1);
     };
-    SETM_RETURN_IF_ERROR(ForEachRow(left.Scan().get(), keep));
+    SETM_RETURN_IF_ERROR(ForEachRow(left, keep));
     SETM_RETURN_IF_ERROR(count_pairs());
   } else {
     const auto keep = [&](const int32_t* row, const ItemId* rest,
@@ -161,7 +161,7 @@ Status FilterByCk(const IntRelation& left, const IntRelation& r1,
       return next == nullptr ? Status::OK()
                              : next->AddExtensions(row + 1, rest, rest_end);
     };
-    SETM_RETURN_IF_ERROR(JoinRkPrime(left, r1, keep));
+    SETM_RETURN_IF_ERROR(JoinRkPrime(left, ck.k(), r1, keep));
   }
   return out->Finish();
 }

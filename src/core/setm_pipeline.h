@@ -29,9 +29,10 @@ namespace setm {
 // Agrawal and Srikant 1994). The SQL engine's Tuple/Value path (and with
 // it setm-sql, the paper's SQL formulation) is not used here.
 
-/// Streams R'_k: the merge-scan join of `left` (R_{k-1}, width k) with `r1`
-/// (R_1, width 2) on trans_id, keeping extensions with q.item >
-/// p.item_{k-1}, projected to (trans_id, item_1..item_k). Calls
+/// Streams R'_k: the merge-scan join of `left`, a cursor over R_{k-1}'s k
+/// columns (trans_id, item_1..item_{k-1}), with `r1` (R_1, width 2) on
+/// trans_id, keeping extensions with q.item > p.item_{k-1}, projected to
+/// (trans_id, item_1..item_k). Calls
 /// `visit(row, rest, rest_end)` (returns a Status) once per row, in
 /// merge-join order — each left row followed by its transaction's
 /// qualifying R_1 items, in order — so the rows arrive sorted on
@@ -40,9 +41,8 @@ namespace setm {
 /// row's own extensions, R'_{k+1}'s rows should it be kept. Both are valid
 /// for the call only. Stops at the first error.
 template <typename Visit>
-Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
+Status JoinRkPrime(IntRowCursor* left, size_t k, const IntRelation& r1,
                    Visit visit) {
-  const size_t k = left.width();  // R_{k-1}: trans_id + k-1 items
   SETM_DCHECK(r1.width() == 2);
   auto r1_rows = r1.Scan();
   const int32_t* q = nullptr;  // the first R_1 row not yet gathered
@@ -57,7 +57,7 @@ Status JoinRkPrime(const IntRelation& left, const IntRelation& r1,
   std::optional<TransactionId> tid;  // the transaction `items` belongs to
   std::vector<ItemId> items;         // its R_1 items
   std::vector<int32_t> row(k + 1);   // the R'_k row being assembled
-  return ForEachRow(left.Scan().get(), [&](const int32_t* p) -> Status {
+  return ForEachRow(left, [&](const int32_t* p) -> Status {
     if (tid != p[0]) {
       tid = p[0];
       items.clear();
@@ -169,12 +169,14 @@ Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs);
 /// for ck.k() == k) the rows of R'_k whose items are in `ck` ("simple
 /// table look-ups on relation C_k"), in the order they arrive, and counts
 /// the kept rows' extensions, R'_{k+1}, into `next` unless it is null. For
-/// k >= 2 R'_k is the join of `left` (R_{k-1}) with `r1`, so R_k comes out
-/// sorted on (trans_id, item_1..item_k) without a sort. For k == 1 (the
-/// filter_r1 ablation) `left` is R_1 itself, filtered as is; `out` is the
-/// new R_1, and R'_2 the pairs of each transaction's kept items. `out` is
-/// Finish()ed, ready to scan.
-Status FilterByCk(const IntRelation& left, const IntRelation& r1,
+/// k >= 2 R'_k is the join of `left`, a scan of R_{k-1} (width k), with
+/// `r1`, so R_k comes out sorted on (trans_id, item_1..item_k) without a
+/// sort. For k == 1 (the filter_r1 ablation) `left` scans R_1 itself,
+/// filtered as is; `out` is the new R_1, and R'_2 the pairs of each
+/// transaction's kept items. `left` may be a last scan
+/// (IntRelation::LastScan) that releases R_{k-1} page by page while `out`
+/// grows. `out` is Finish()ed, ready to scan.
+Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
                   const ItemsetCounts& ck, IntRelation* out,
                   BudgetedCount* next);
 

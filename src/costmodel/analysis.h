@@ -71,8 +71,15 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// trans_id. The engine instead makes one pass per iteration: the join of
 /// R_{k-1} with R_1 streams R'_k, the C_k probe writes R_k, and the kept
 /// rows' extensions are counted as R'_{k+1} in the same pass. So it reads
-/// R_{k-1} and R_1 once per iteration, never writes R'_k and never sorts
-/// R_k. Nor does it sort R'_k for the count, as the paper charges: it
+/// R_{k-1} and R_1 at most once per iteration, never writes R'_k and
+/// never sorts R_k. The paper charges every pass a read of R_1 from disk;
+/// the engine keeps R_1 in the buffer pool's retained share (half the
+/// frames), so once R_1 fits there a pass reads only the pages of R_{k-1}
+/// the pool evicted, and R_1 not at all. A dead page is released in the
+/// pool unwritten: R_{k-1} behind pass k's last scan of it, R_1 and the
+/// last R_k at the end of the run, so only pages the pool evicts while
+/// live are written. Nor does it sort R'_k for the count, as the paper
+/// charges: it
 /// aggregates R'_k rows into a table within the sort budget and spills
 /// only sorted (itemset, count) entries, at most one per candidate per
 /// run, nothing when the candidates fit. Its measured pages do not map

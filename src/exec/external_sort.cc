@@ -4,6 +4,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "common/logging.h"
@@ -55,7 +56,8 @@ namespace sort_internal {
 // The row kinds. What the one algorithm below (RunSort, RunMerge,
 // MergeRunGroup) asks of a row kind `Rows`:
 //   Buffer, Input                  rows awaiting a run; what Add() takes
-//   Run                            one spilled run (movable)
+//   Run                            one spilled run (movable); dropping it
+//                                  releases its pages to the temp pool
 //   size_t Push(Buffer*, Input)    buffers a row, returns its budget charge
 //   void Sort(Buffer*)             stable sort on the key
 //   Result<Run> NewRun(BufferPool*)          an empty run in the temp pool
@@ -65,12 +67,49 @@ namespace sort_internal {
 //   Writer(const Rows&, Run*)                Add(const Reader&), Finish()
 // A run can be read once Spill, or the Writer's Finish, has returned.
 
+/// One spilled Tuple run: a TableHeap in the temp pool that releases its
+/// pages (BufferPool::ReleasePage) when the run is dropped, after the merge
+/// that reads it.
+class TupleRun {
+ public:
+  static Result<std::unique_ptr<TupleRun>> Create(BufferPool* pool) {
+    std::unique_ptr<TupleRun> run(new TupleRun(pool));
+    auto heap_or = TableHeap::Create(
+        pool, [pages = &run->pages_](PageId id) { pages->push_back(id); });
+    if (!heap_or.ok()) return heap_or.status();
+    run->heap_.emplace(std::move(heap_or).value());
+    return run;
+  }
+
+  ~TupleRun() {
+    for (PageId id : pages_) {
+      Status released = pool_->ReleasePage(id);
+      if (!released.ok()) {
+        SETM_LOG(kError) << "sort run page not released: "
+                         << released.ToString();
+      }
+    }
+  }
+
+  TupleRun(const TupleRun&) = delete;
+  TupleRun& operator=(const TupleRun&) = delete;
+
+  TableHeap& heap() { return *heap_; }
+
+ private:
+  explicit TupleRun(BufferPool* pool) : pool_(pool) {}
+
+  BufferPool* pool_;
+  std::vector<PageId> pages_;  ///< every page of the chain
+  std::optional<TableHeap> heap_;
+};
+
 /// Tuples of any schema, serialized into slotted TableHeap runs: the SQL
 /// engine's rows.
 struct TupleRows {
   using Buffer = std::vector<Tuple>;
   using Input = Tuple;
-  using Run = TableHeap;
+  using Run = std::unique_ptr<TupleRun>;
 
   Schema schema;
   TupleComparator cmp;
@@ -86,7 +125,7 @@ struct TupleRows {
   }
 
   Result<Run> NewRun(BufferPool* temp_pool) const {
-    return TableHeap::Create(temp_pool);
+    return TupleRun::Create(temp_pool);
   }
 
   Status Spill(const Buffer& buffer, Run* run) const {
@@ -98,7 +137,7 @@ struct TupleRows {
   class Reader {
    public:
     Reader(const TupleRows& rows, const Run& run)
-        : it_(run.Begin()), schema_(&rows.schema) {}
+        : it_(run->heap().Begin()), schema_(&rows.schema) {}
 
     Result<bool> Next() {
       auto more = it_.Next();
@@ -129,7 +168,7 @@ struct TupleRows {
     Status Add(const Tuple& row) {
       record_.clear();
       row.SerializeTo(*schema_, &record_);
-      return run_->Insert(record_);
+      return (*run_)->heap().Insert(record_);
     }
     Status Finish() { return Status::OK(); }
 
@@ -449,7 +488,7 @@ class VectorIterator : public TupleIterator {
 /// The streaming final merge of spilled Tuple runs.
 class TupleMergeIterator : public TupleIterator {
  public:
-  TupleMergeIterator(TupleRows rows, std::vector<TableHeap> runs)
+  TupleMergeIterator(TupleRows rows, std::vector<TupleRows::Run> runs)
       : rows_(std::move(rows)), merge_(&rows_, std::move(runs)) {}
 
   Status Prime() { return merge_.Prime(); }
@@ -501,7 +540,7 @@ const SortStats& ExternalSort::stats() const { return sort_->stats(); }
 
 Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
   std::vector<Tuple> memory;
-  std::vector<TableHeap> runs;
+  std::vector<TupleRows::Run> runs;
   SETM_RETURN_IF_ERROR(sort_->Finish(&memory, &runs));
   if (runs.empty()) {
     return std::unique_ptr<TupleIterator>(

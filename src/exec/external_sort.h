@@ -41,7 +41,10 @@ struct IntRows;
 /// SQL engine, into slotted TableHeap runs; IntRowSort sorts SETM's
 /// fixed-width int32 rows, into packed IntRelation runs. A row's budget
 /// charge is its serialized size, so both front ends put the same rows in
-/// the same runs.
+/// the same runs. A run releases its temp pages when it has been merged
+/// (or when the sorted stream is dropped), so a cascade reuses the page
+/// ids of the runs it merged and a dead run's dirty pages are never
+/// written.
 ///
 /// Run generation and the merge cascade are one serial loop on the calling
 /// thread: SETM mines run their sorts inside shard tasks that already sit

@@ -129,6 +129,8 @@ const char* VerbName(Verb verb) {
       return "lcount";
     case Verb::kMerge:
       return "merge";
+    case Verb::kRelease:
+      return "release";
     case Verb::kStats:
       return "stats";
     case Verb::kPing:
@@ -148,6 +150,13 @@ Result<Command> ParseCommand(const std::string& line) {
   if (verb == "PING") {
     if (tokens.size() != 1) return Status::InvalidArgument("PING takes no arguments");
     cmd.verb = Verb::kPing;
+    return cmd;
+  }
+  if (verb == "RELEASE") {
+    if (tokens.size() != 1) {
+      return Status::InvalidArgument("RELEASE takes no arguments");
+    }
+    cmd.verb = Verb::kRelease;
     return cmd;
   }
   if (verb == "QUIT") {

@@ -41,6 +41,11 @@ namespace setm::net {
 ///                             under FILTER) and answers the local counts
 ///                             of R'_{k+1} ("<item_1> ... <item_{k+1}>
 ///                             <count>" lines) counted in the same pass
+///   RELEASE                   ends the connection's shard run and frees
+///                             its R_1 and R_k at once, instead of at the
+///                             next LCOUNT or the disconnect; answers
+///                             "release run=1", or "release run=0" when
+///                             the connection holds no run
 ///   STATS [text|json|prom]
 ///   PING
 ///   QUIT
@@ -64,6 +69,7 @@ enum class Verb {
   kExplain,
   kLcount,
   kMerge,
+  kRelease,
   kStats,
   kPing,
   kQuit,

@@ -580,6 +580,20 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
     }
   }
 
+  if (cmd.verb == Verb::kRelease) {
+    // No job is in flight on this connection, so nothing else touches the
+    // run: EndRun frees R_1 and R_k here, even while the task of the job
+    // that last drove the run still holds a reference to the backend. A
+    // run keeps its relations in memory and its spilled counts in the
+    // thread-safe temp pool.
+    const bool had_run = session->shard_run != nullptr;
+    if (had_run) {
+      (void)session->shard_run->EndRun();
+      session->shard_run.reset();
+    }
+    Send(session, FrameOk(had_run ? "release run=1" : "release run=0", ""));
+    return;
+  }
   if (cmd.verb == Verb::kMerge) {
     // MERGE continues the connection's run; LCOUNT replaces it.
     if (session->shard_run == nullptr) {

@@ -53,9 +53,9 @@ struct ServerOptions {
   /// 0 disables.
   uint64_t request_timeout_ms = 0;
   /// Per-connection in-flight job limit is fixed at 1: a second MINE /
-  /// APPEND / RULES / EXPLAIN / LCOUNT / MERGE while one runs is rejected
-  /// with one ERR, sent after the "." of an APPEND or MERGE payload (PING,
-  /// STATS and QUIT are always served from the loop).
+  /// APPEND / RULES / EXPLAIN / LCOUNT / MERGE / RELEASE while one runs is
+  /// rejected with one ERR, sent after the "." of an APPEND or MERGE
+  /// payload (PING, STATS and QUIT are always served from the loop).
 
   // -- execution ------------------------------------------------------------
   /// Workers executing mining jobs. This pool is distinct from the
@@ -109,7 +109,8 @@ struct ServerStats {
 /// protocol (net/protocol.h) over a non-blocking listener, dispatching
 /// MINE / APPEND / RULES / EXPLAIN — and LCOUNT / MERGE, the shard half of
 /// the distributed count — onto a WorkerPool as cancellable jobs,
-/// and answering PING / STATS / QUIT inline. One instance serves one open Database; the database stays open
+/// and answering PING / STATS / QUIT and RELEASE (the end of a shard run)
+/// inline. One instance serves one open Database; the database stays open
 /// (buffer pool warm, stored runs fresh) across every client.
 ///
 /// Threading: the loop thread owns all sessions and the listener; jobs run

@@ -310,9 +310,9 @@ Result<PageId> WalBackend::AllocatePage() {
 Status WalBackend::ReadPage(PageId id, Page* out) {
   if (IsUnlogged(id)) {
     // Unlogged pages are written straight to the inner file, so the file is
-    // always current for them — the overlay cannot hold a newer image (a
-    // page only becomes allocatable for an unlogged chain after the
-    // checkpoint that cleared the overlay).
+    // always current for them — the overlay cannot hold a newer image: a
+    // page joins the free list either at the checkpoint that clears the
+    // overlay or as released scratch, which never reached the log.
     SETM_RETURN_IF_ERROR(inner_->ReadPage(id, out));
     AccountRead(id);
     return Status::OK();

@@ -183,6 +183,14 @@ Status Database::Init(DatabaseOptions options) {
       free_pages_.pop_back();
       return id;
     });
+    pool_->SetReleaseHook([this](PageId id) {
+      // Only scratch is released, and no durable image reaches scratch, so
+      // the id is free at once. It sheds its unlogged mark first: its next
+      // owner may be a logged table whose writes must reach the WAL.
+      static_cast<WalBackend*>(backend_.get())->ClearUnlogged(id);
+      std::lock_guard<std::mutex> lock(free_mutex_);
+      free_pages_.push_back(id);
+    });
   }
   return Status::OK();
 }
@@ -252,7 +260,10 @@ Status Database::InitializeFreshFile() {
 
 Status Database::LoadPersistentState() {
   if (superblock_.manifest_root == kInvalidPageId) {
-    return Status::OK();  // checkpointed before any DDL: empty catalog
+    // Checkpointed before any DDL: an empty catalog.
+    ReclaimUnreachable({kSuperblockPageId, kSuperblockSlotBPageId}, {},
+                       backend_->NumPages());
+    return Status::OK();
   }
   if (superblock_.manifest_root >= backend_->NumPages()) {
     return Status::Corruption(
@@ -289,9 +300,14 @@ Status Database::LoadPersistentState() {
     }
   }
 
-  // Old chains of unlogged heap tables: walked best-effort after every
-  // table is attached, then reclaimed page-by-page where provably safe.
-  std::vector<PageId> unlogged_reclaim_candidates;
+  // Attach every table, collecting the pages of each logged heap chain
+  // from the walk HeapTable::Open makes anyway.
+  const uint64_t file_pages = backend_->NumPages();
+  std::unordered_set<PageId> reachable = {kSuperblockPageId,
+                                          kSuperblockSlotBPageId};
+  reachable.insert(manifest_pages_.begin(), manifest_pages_.end());
+  reachable.insert(spare_manifest_pages_.begin(), spare_manifest_pages_.end());
+  std::vector<PageId> chain;
   for (const PersistedTableMeta& meta : snapshot_or.value().tables) {
     std::unique_ptr<Table> table;
     if (meta.backing == TableBacking::kMemory) {
@@ -301,24 +317,8 @@ Status Database::LoadPersistentState() {
     } else if (meta.unlogged) {
       // Unlogged chains were written without WAL protection, so after an
       // unclean exit their pages may be torn. The table's contract is
-      // "reopens empty": attach a fresh chain and try to reclaim the old
-      // one. A walk failure (torn link) downgrades to a leak, never to a
-      // failed open — and pages a torn link claims are filtered against
-      // everything reachable before they may be reused.
-      if (meta.first_page != kInvalidPageId &&
-          meta.first_page < backend_->NumPages()) {
-        std::vector<PageId> chain;
-        Status walk = TableHeap::CollectChainPages(pool_.get(),
-                                                   meta.first_page, &chain);
-        if (walk.ok()) {
-          unlogged_reclaim_candidates.insert(
-              unlogged_reclaim_candidates.end(), chain.begin(), chain.end());
-        } else {
-          SETM_LOG(kWarn) << "unlogged table '" << meta.name
-                          << "': old chain not reclaimed (" << walk.ToString()
-                          << "); its pages leak";
-        }
-      }
+      // "reopens empty": it gets a fresh chain, and the old one, which
+      // nothing reaches any more, is reclaimed below without being read.
       auto table_or = HeapTable::Create(meta.name, meta.schema, pool_.get(),
                                         UnloggedPageTagger());
       if (!table_or.ok()) return table_or.status();
@@ -331,77 +331,56 @@ Status Database::LoadPersistentState() {
             std::to_string(meta.first_page) + ", beyond the file's " +
             std::to_string(backend_->NumPages()) + " pages");
       }
-      auto table_or = HeapTable::Open(meta.name, meta.schema, pool_.get(),
-                                      meta.first_page, meta.row_count);
+      chain.clear();
+      auto table_or =
+          HeapTable::Open(meta.name, meta.schema, pool_.get(),
+                          meta.first_page, meta.row_count, &chain);
       if (!table_or.ok()) return table_or.status();
       table = std::move(table_or).value();
+      reachable.insert(chain.begin(), chain.end());
     }
     table->set_unlogged(meta.unlogged);
     SETM_RETURN_IF_ERROR(catalog_->AttachTable(std::move(table)));
   }
 
-  // Load the free-page list, but only after filtering it against every
-  // page something still reaches — superblock slots, both manifest chains
-  // and every attached heap chain. A free list entry that is actually live
-  // (conceivable only after corruption, or a bug) would otherwise get
-  // reused while referenced; dropping it merely leaks a page. With no free
-  // list and nothing to reclaim there is nothing to filter, and the heap
-  // chains, which HeapTable::Open has just walked, are not walked again.
-  std::unordered_set<PageId> reachable = {kSuperblockPageId,
-                                          kSuperblockSlotBPageId};
-  reachable.insert(manifest_pages_.begin(), manifest_pages_.end());
-  reachable.insert(spare_manifest_pages_.begin(), spare_manifest_pages_.end());
-  if (!snapshot_or.value().free_pages.empty() ||
-      !unlogged_reclaim_candidates.empty()) {
-    for (const std::string& name : catalog_->TableNames()) {
-      auto table_or = catalog_->GetTable(name);
-      if (!table_or.ok()) return table_or.status();
-      if (const auto* heap =
-              dynamic_cast<const HeapTable*>(table_or.value())) {
-        std::vector<PageId> chain;
-        SETM_RETURN_IF_ERROR(heap->AppendChainPages(&chain));
-        reachable.insert(chain.begin(), chain.end());
-      }
-    }
-  }
-  // Reclaim the old chains of unlogged tables: only pages nothing reachable
-  // claims may re-enter circulation (a torn unlogged page could hold a
-  // garbage next pointer into a live chain — those ids get dropped here).
-  // They join pending_free_, becoming allocatable after the next checkpoint.
-  if (!unlogged_reclaim_candidates.empty()) {
-    std::vector<PageId> reclaim;
-    for (PageId id : unlogged_reclaim_candidates) {
-      if (id > kSuperblockSlotBPageId && id < backend_->NumPages() &&
-          reachable.count(id) == 0) {
-        reachable.insert(id);  // dedup within the candidates themselves
-        reclaim.push_back(id);
-      }
-    }
-    SETM_LOG(kInfo) << "reclaimed " << reclaim.size()
-                    << " page(s) from unlogged table chains";
-    std::lock_guard<std::mutex> lock(free_mutex_);
-    pending_free_.insert(pending_free_.end(), reclaim.begin(), reclaim.end());
-  }
-
-  uint64_t filtered = 0;
-  {
-    std::lock_guard<std::mutex> lock(free_mutex_);
-    for (PageId id : snapshot_or.value().free_pages) {
-      if (id <= kSuperblockSlotBPageId || id >= backend_->NumPages() ||
-          reachable.count(id) != 0) {
-        ++filtered;
-        continue;
-      }
-      free_pages_.push_back(id);
-    }
-  }
-  if (filtered > 0) {
-    SETM_LOG(kWarn) << "dropped " << filtered
-                       << " free-list entr(ies) that are reachable or out of "
-                          "range (leaked, not reused)";
-  }
+  ReclaimUnreachable(reachable, snapshot_or.value().free_pages, file_pages);
   last_manifest_payload_ = std::move(payload_or).value();
   return Status::OK();
+}
+
+void Database::ReclaimUnreachable(const std::unordered_set<PageId>& reachable,
+                                  const std::vector<PageId>& recorded,
+                                  uint64_t file_pages) {
+  // Superblock slots, both manifest chains and the logged heap chains are
+  // all that a durable image references, so every other page below the
+  // file's end is free: the recorded free list, plus the orphans. Orphans
+  // are the old chains of unlogged tables, scratch pages (SETM's R_k) a
+  // killed mine never released, and the scratch pages of files whose
+  // writer never released them. No durable image reaches them, so they
+  // are allocatable at once.
+  uint64_t recorded_free = 0;
+  for (PageId id : recorded) {
+    if (id > kSuperblockSlotBPageId && id < file_pages &&
+        reachable.count(id) == 0) {
+      ++recorded_free;
+    }
+  }
+  if (recorded_free != recorded.size()) {
+    SETM_LOG(kWarn) << "dropped " << recorded.size() - recorded_free
+                    << " free-list entr(ies) that are reachable or out of "
+                       "range (leaked, not reused)";
+  }
+  // Pushed from the end down, so the lowest ids are handed out first and
+  // a relation written onto them runs in ascending, sequential order.
+  std::lock_guard<std::mutex> lock(free_mutex_);
+  for (PageId id = static_cast<PageId>(file_pages);
+       id > kSuperblockSlotBPageId + 1; --id) {
+    if (reachable.count(id - 1) == 0) free_pages_.push_back(id - 1);
+  }
+  if (free_pages_.size() > recorded_free) {
+    SETM_LOG(kInfo) << "reclaimed " << free_pages_.size() - recorded_free
+                    << " orphaned page(s) at open";
+  }
 }
 
 std::function<void(PageId)> Database::UnloggedPageTagger() {

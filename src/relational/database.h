@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "persist/superblock.h"
@@ -114,10 +115,12 @@ class Database {
 
   /// Page tagger for WAL-bypassing scratch storage: every tagged page is
   /// written straight to the main file instead of the write-ahead log.
-  /// Null (a no-op to pass around freely) for in-memory databases. Miners
-  /// hand this to HeapTable::Create for their intermediate relations
-  /// R_k / C_k — relations SETM drops at the end of the run, whose pages
-  /// would otherwise bloat the log with data nobody ever replays.
+  /// Null (a no-op to pass around freely) for in-memory databases.
+  /// IntRelation::Create tags the pages of SETM's R_1 and R_k with it —
+  /// relations the run drops, whose pages would otherwise bloat the log
+  /// with data nobody ever replays — and unlogged catalog tables tag their
+  /// chains. A scratch page released to the pool loses its tag and goes
+  /// straight back to the free list.
   std::function<void(PageId)> UnloggedPageTagger();
 
   /// Serializes the live catalog into the manifest chain, materializes this
@@ -174,9 +177,14 @@ class Database {
   /// runs the first checkpoint.
   Status InitializeFreshFile();
   /// Reopen path (after superblock selection and WAL replay): reads the
-  /// manifest, rebuilds the catalog with every table re-attached and loads
-  /// the free-page list (filtered against everything reachable).
+  /// manifest, rebuilds the catalog with every table re-attached and
+  /// rebuilds the free-page list from what nothing reaches.
   Status LoadPersistentState();
+  /// Puts every page in [2, file_pages) outside `reachable` on the free
+  /// list: the `recorded` free list of the manifest and the orphans.
+  void ReclaimUnreachable(const std::unordered_set<PageId>& reachable,
+                          const std::vector<PageId>& recorded,
+                          uint64_t file_pages);
 
   DatabaseOptions options_;
   IoStats stats_;
@@ -207,13 +215,17 @@ class Database {
   /// checkpoint skip the manifest rewrite (and the chain swap) when the
   /// catalog did not change, which is every data-only checkpoint.
   std::string last_manifest_payload_;
-  /// Free-page state. `free_pages_` are durably recorded free (allocatable
-  /// now); `pending_free_` were freed this epoch and become allocatable
-  /// only after the checkpoint that records them commits — reusing them
-  /// earlier would let WAL replay over pages the *previous* durable image
-  /// still references. Guarded by free_mutex_; the pool's allocation hook
-  /// runs under the pool mutex, so the order pool mutex -> free_mutex_ is
-  /// fixed and Checkpoint never calls the pool while holding free_mutex_.
+  /// Free-page state. `free_pages_` are allocatable now: pages no durable
+  /// image references — recorded free by a checkpoint, found unreachable
+  /// at open, or scratch released to the pool (the release hook). A live
+  /// scratch page is on neither list, so no checkpoint records it free.
+  /// `pending_free_` are the chains of dropped tables, which the previous
+  /// durable image may still reference: they become allocatable only after
+  /// the checkpoint that records them commits — reusing them earlier would
+  /// let WAL replay over pages that image still references. Guarded by
+  /// free_mutex_; the pool's allocation and release hooks run under the
+  /// pool mutex, so the order pool mutex -> free_mutex_ is fixed and
+  /// Checkpoint never calls the pool while holding free_mutex_.
   std::mutex free_mutex_;
   std::vector<PageId> free_pages_;
   std::vector<PageId> pending_free_;

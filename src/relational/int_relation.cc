@@ -5,6 +5,9 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
+#include "obs/metrics.h"
+
 namespace setm {
 
 namespace {
@@ -26,72 +29,99 @@ class UnfinishedCursor : public IntRowCursor {
   }
 };
 
+/// Sealed scratch pages held, in memory or in a pool.
+obs::Gauge* ScratchPagesGauge() {
+  static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GetGauge(
+      "setm_scratch_pages",
+      "Pages of sealed scratch relations (R_1, R_k, int sort runs) held");
+  return gauge;
+}
+
+}  // namespace
+
 /// Streams a kHeap relation's packed pages, one FetchPage per page: each
 /// page's header is checked against the rows the relation put there, its
-/// rows are copied out and the page is unpinned.
-class PackedPageCursor : public IntRowCursor {
+/// rows are copied out and the page is unpinned. A last scan owns the
+/// relation and then releases each page it has copied.
+class IntRelation::PageCursor : public IntRowCursor {
  public:
-  PackedPageCursor(BufferPool* pool, const std::vector<PageId>* pages,
-                   size_t width, uint64_t rows, size_t rows_per_page)
-      : pool_(pool),
-        pages_(pages),
-        width_(width),
-        rows_left_(rows),
-        rows_per_page_(rows_per_page),
+  /// Reads `rel` in place, or owns it when `last` is set.
+  PageCursor(const IntRelation* rel, std::unique_ptr<IntRelation> last)
+      : owned_(std::move(last)),
+        rel_(owned_ != nullptr ? owned_.get() : rel),
+        rows_left_(rel_->num_rows_),
         page_(std::make_unique<Page>()) {}
 
   Result<bool> Next(const int32_t** row) override {
     if (pos_ == end_) {
-      if (next_ == pages_->size()) return false;
-      SETM_RETURN_IF_ERROR(Load((*pages_)[next_++]));
+      if (next_ == rel_->pages_.size()) return false;
+      SETM_RETURN_IF_ERROR(Load(next_++));
     }
     *row = page_->As<int32_t>(kPackedHeaderSize) + pos_;
-    pos_ += width_;
+    pos_ += rel_->width_;
     return true;
   }
 
  private:
-  Status Load(PageId id) {
-    auto guard_or = pool_->FetchPage(id);
-    if (!guard_or.ok()) return guard_or.status();
-    const Page* p = guard_or.value().page();
-    const PackedPageHeader* h = p->As<PackedPageHeader>();
+  Status Load(size_t index) {
+    const PageId id = rel_->pages_[index];
+    const size_t width = rel_->width_;
     const uint64_t expected =
-        std::min<uint64_t>(rows_left_, rows_per_page_);
-    if (h->rows != expected || h->width != width_) {
-      return Status::Corruption(
-          "packed page " + std::to_string(id) + " holds " +
-          std::to_string(h->rows) + " rows of width " +
-          std::to_string(h->width) + " where " + std::to_string(expected) +
-          " rows of width " + std::to_string(width_) + " were written");
+        std::min<uint64_t>(rows_left_, rel_->rows_per_page_);
+    {
+      auto guard_or = rel_->pool_->FetchPage(id, rel_->hint_);
+      if (!guard_or.ok()) return guard_or.status();
+      const Page* p = guard_or.value().page();
+      const PackedPageHeader* h = p->As<PackedPageHeader>();
+      if (h->rows != expected || h->width != width) {
+        return Status::Corruption(
+            "packed page " + std::to_string(id) + " holds " +
+            std::to_string(h->rows) + " rows of width " +
+            std::to_string(h->width) + " where " + std::to_string(expected) +
+            " rows of width " + std::to_string(width) + " were written");
+      }
+      std::memcpy(page_->data, p->data,
+                  kPackedHeaderSize + expected * width * sizeof(int32_t));
     }
-    std::memcpy(page_->data, p->data,
-                kPackedHeaderSize + expected * width_ * sizeof(int32_t));
+    if (owned_ != nullptr) {
+      SETM_RETURN_IF_ERROR(rel_->pool_->ReleasePage(id));
+      owned_->released_ = index + 1;
+    }
     rows_left_ -= expected;
     pos_ = 0;
-    end_ = expected * width_;
+    end_ = expected * width;
     return Status::OK();
   }
 
-  BufferPool* pool_;
-  const std::vector<PageId>* pages_;
-  size_t width_;
+  std::unique_ptr<IntRelation> owned_;  ///< set for a last scan
+  const IntRelation* rel_;
   uint64_t rows_left_;  ///< rows on the pages not yet loaded
-  size_t rows_per_page_;
   size_t next_ = 0;     ///< index of the next page to load
   std::unique_ptr<Page> page_;  ///< copy of the current page
   size_t pos_ = 0;              ///< next row's offset into its rows, in ints
   size_t end_ = 0;              ///< ints of rows on the current page
 };
 
-}  // namespace
-
-IntRelation::IntRelation(size_t width, BufferPool* pool, PageHook page_hook)
+IntRelation::IntRelation(size_t width, BufferPool* pool, PageHook page_hook,
+                         PageHint hint)
     : width_(width),
       rows_per_page_(RowsPerPage(width)),
       pool_(pool),
-      page_hook_(std::move(page_hook)) {
+      page_hook_(std::move(page_hook)),
+      hint_(hint) {
   if (pool_ != nullptr) tail_ = std::make_unique<Page>();
+}
+
+IntRelation::~IntRelation() {
+  if (finished_) {
+    ScratchPagesGauge()->Add(-static_cast<int64_t>(num_pages()));
+  }
+  for (size_t i = released_; i < pages_.size(); ++i) {
+    Status released = pool_->ReleasePage(pages_[i]);
+    if (!released.ok()) {
+      SETM_LOG(kError) << "scratch page not released: " << released.ToString();
+    }
+  }
 }
 
 size_t IntRelation::RowsPerPage(size_t width) {
@@ -101,21 +131,22 @@ size_t IntRelation::RowsPerPage(size_t width) {
 
 Result<std::unique_ptr<IntRelation>> IntRelation::Create(Database* db,
                                                          TableBacking backing,
-                                                         size_t width) {
+                                                         size_t width,
+                                                         PageHint hint) {
   if (backing == TableBacking::kHeap) {
-    return CreateInPool(db->pool(), width, db->UnloggedPageTagger());
+    return CreateInPool(db->pool(), width, db->UnloggedPageTagger(), hint);
   }
   return CreateInPool(nullptr, width);
 }
 
 Result<std::unique_ptr<IntRelation>> IntRelation::CreateInPool(
-    BufferPool* pool, size_t width, PageHook page_hook) {
+    BufferPool* pool, size_t width, PageHook page_hook, PageHint hint) {
   if (RowsPerPage(width) == 0) {
     return Status::InvalidArgument("no page holds a row of " +
                                    std::to_string(width) + " ints");
   }
   return std::unique_ptr<IntRelation>(
-      new IntRelation(width, pool, std::move(page_hook)));
+      new IntRelation(width, pool, std::move(page_hook), hint));
 }
 
 Status IntRelation::Append(const int32_t* rows, size_t n) {
@@ -142,7 +173,7 @@ Status IntRelation::Append(const int32_t* rows, size_t n) {
 }
 
 Status IntRelation::WriteTail() {
-  auto guard_or = pool_->NewPage();
+  auto guard_or = pool_->NewPage(hint_);
   if (!guard_or.ok()) return guard_or.status();
   PageGuard guard = std::move(guard_or).value();
   PackedPageHeader* h = tail_->As<PackedPageHeader>();
@@ -161,14 +192,24 @@ Status IntRelation::Finish() {
   if (finished_) return Status::Internal("IntRelation finished twice");
   if (tail_rows_ > 0) SETM_RETURN_IF_ERROR(WriteTail());
   finished_ = true;
+  ScratchPagesGauge()->Add(static_cast<int64_t>(num_pages()));
   return Status::OK();
 }
 
 std::unique_ptr<IntRowCursor> IntRelation::Scan() const {
   if (!finished_) return std::make_unique<UnfinishedCursor>();
   if (pool_ == nullptr) return std::make_unique<IntArrayCursor>(&rows_, width_);
-  return std::make_unique<PackedPageCursor>(pool_, &pages_, width_, num_rows_,
-                                            rows_per_page_);
+  return std::make_unique<PageCursor>(this, nullptr);
+}
+
+std::unique_ptr<IntRowCursor> IntRelation::LastScan(
+    std::unique_ptr<IntRelation> relation) {
+  if (!relation->finished_) return std::make_unique<UnfinishedCursor>();
+  if (relation->pool_ == nullptr) {
+    return std::make_unique<IntArrayCursor>(std::move(relation->rows_),
+                                            relation->width_);
+  }
+  return std::make_unique<PageCursor>(nullptr, std::move(relation));
 }
 
 uint64_t IntRelation::num_pages() const {

@@ -87,6 +87,19 @@ class IntArrayCursor : public IntRowCursor {
 ///    reopened, and needs no chain pointers. A scan fetches each page once
 ///    through the buffer pool and checks its header first: a row count or
 ///    width other than the relation's is Corruption.
+///
+/// Page lifecycle (kHeap): a page is born in NewPage, dirty in the pool,
+/// and lives until the relation releases it (BufferPool::ReleasePage),
+/// which drops its frame unwritten and hands its id out again. A relation
+/// releases every page it still holds when it is destroyed. LastScan()
+/// releases earlier: it takes the relation, and each page goes back as
+/// soon as its rows are copied out, so SETM's pass k frees R_{k-1} while
+/// it writes R_k into the same ids. A relation created with
+/// PageHint::kRetain (R_1, which every pass rescans) keeps its frames in
+/// the pool's retained share.
+///
+/// Every sealed relation counts its num_pages() in the setm_scratch_pages
+/// gauge until it is destroyed.
 class IntRelation {
  public:
   /// Observes every page the relation writes (see CreateInPool).
@@ -94,17 +107,25 @@ class IntRelation {
 
   /// A scratch relation of `width` columns: in memory for kMemory, else
   /// packed pages in `db`'s buffer pool tagged unlogged (scratch never
-  /// outlives the run, so it never needs the write-ahead log).
-  static Result<std::unique_ptr<IntRelation>> Create(Database* db,
-                                                     TableBacking backing,
-                                                     size_t width);
+  /// outlives the run, so it never needs the write-ahead log), fetched
+  /// with `hint`.
+  static Result<std::unique_ptr<IntRelation>> Create(
+      Database* db, TableBacking backing, size_t width,
+      PageHint hint = PageHint::kNone);
 
   /// A kHeap relation of `width` columns in `pool` (kMemory for a null
   /// pool). `page_hook`, if set, fires for each page as it is allocated.
   /// Create uses it for R_k, and IntRowSort for its spilled runs in the
   /// temp pool.
   static Result<std::unique_ptr<IntRelation>> CreateInPool(
-      BufferPool* pool, size_t width, PageHook page_hook = nullptr);
+      BufferPool* pool, size_t width, PageHook page_hook = nullptr,
+      PageHint hint = PageHint::kNone);
+
+  /// Releases the pages the relation still holds.
+  ~IntRelation();
+
+  IntRelation(const IntRelation&) = delete;
+  IntRelation& operator=(const IntRelation&) = delete;
 
   /// Rows of `width` ints on one packed page, the same for both backings.
   static size_t RowsPerPage(size_t width);
@@ -122,13 +143,23 @@ class IntRelation {
   /// keep the relation alive while it is in use.
   std::unique_ptr<IntRowCursor> Scan() const;
 
+  /// The relation's last scan: takes `relation` and streams its rows like
+  /// Scan(), releasing each page once its rows are copied out. Pages the
+  /// cursor never reaches (an error, or a cursor dropped early) are
+  /// released with the cursor.
+  static std::unique_ptr<IntRowCursor> LastScan(
+      std::unique_ptr<IntRelation> relation);
+
   uint64_t num_rows() const { return num_rows_; }
   uint64_t size_bytes() const { return num_rows_ * width_ * sizeof(int32_t); }
   /// The paper's ||R||: ceil(num_rows / RowsPerPage(width)).
   uint64_t num_pages() const;
 
  private:
-  IntRelation(size_t width, BufferPool* pool, PageHook page_hook);
+  class PageCursor;
+
+  IntRelation(size_t width, BufferPool* pool, PageHook page_hook,
+              PageHint hint);
 
   /// Copies the tail buffer into a fresh pool page and empties it.
   Status WriteTail();
@@ -140,7 +171,9 @@ class IntRelation {
   std::vector<int32_t> rows_;    ///< kMemory
   BufferPool* pool_;             ///< kHeap; null for kMemory
   PageHook page_hook_;
+  PageHint hint_;
   std::vector<PageId> pages_;    ///< the written pages, in row order
+  size_t released_ = 0;          ///< pages_[0, released_) are released
   std::unique_ptr<Page> tail_;   ///< the page being filled
   size_t tail_rows_ = 0;
 };

@@ -80,12 +80,10 @@ Result<std::unique_ptr<HeapTable>> HeapTable::Create(
                     std::move(heap_or).value(), std::move(page_hook)));
 }
 
-Result<std::unique_ptr<HeapTable>> HeapTable::Open(std::string name,
-                                                   Schema schema,
-                                                   BufferPool* pool,
-                                                   PageId first_page,
-                                                   uint64_t expected_rows) {
-  auto heap_or = TableHeap::Open(pool, first_page);
+Result<std::unique_ptr<HeapTable>> HeapTable::Open(
+    std::string name, Schema schema, BufferPool* pool, PageId first_page,
+    uint64_t expected_rows, std::vector<PageId>* chain) {
+  auto heap_or = TableHeap::Open(pool, first_page, chain);
   if (!heap_or.ok()) return heap_or.status();
   const uint64_t walked = heap_or.value().live_records();
   if (walked < expected_rows) {
@@ -120,8 +118,8 @@ std::unique_ptr<TupleIterator> HeapTable::Scan() const {
 
 Status HeapTable::Truncate() {
   // Start a fresh chain. The old pages are abandoned: the database free
-  // list only takes the chains of dropped catalog tables, and returning a
-  // standalone table's pages is still open (ROADMAP direction 1).
+  // list takes them back only when a file is reopened, as pages nothing
+  // reaches.
   auto heap_or = TableHeap::Create(pool_, page_hook_);
   if (!heap_or.ok()) return heap_or.status();
   heap_ = std::move(heap_or).value();

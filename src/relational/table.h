@@ -118,11 +118,10 @@ class HeapTable : public Table {
   /// unclean exit after appends whose dirty pages were evicted to disk:
   /// those rows are intact, so the walk's counts win and the table opens
   /// (logged, not fatal — a crash must not make the file unopenable).
-  static Result<std::unique_ptr<HeapTable>> Open(std::string name,
-                                                 Schema schema,
-                                                 BufferPool* pool,
-                                                 PageId first_page,
-                                                 uint64_t expected_rows);
+  /// `chain`, if set, receives the chain's page ids from that walk.
+  static Result<std::unique_ptr<HeapTable>> Open(
+      std::string name, Schema schema, BufferPool* pool, PageId first_page,
+      uint64_t expected_rows, std::vector<PageId>* chain = nullptr);
 
   Status Insert(const Tuple& tuple) override;
   std::unique_ptr<TupleIterator> Scan() const override;

@@ -78,7 +78,8 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
         "CountFirstIteration twice in one run on shard " + name_);
   }
   std::unique_ptr<BudgetedCount> counts = NewCount(1);
-  auto r1_or = IntRelation::Create(db_, run_.storage, 2);
+  // Every pass rescans R_1: its pages stay in the pool's retained share.
+  auto r1_or = IntRelation::Create(db_, run_.storage, 2, PageHint::kRetain);
   if (!r1_or.ok()) return r1_or.status();
   r1_ = std::move(r1_or).value();
   r_prev_.reset();
@@ -141,7 +142,9 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     // R_1 stays as built; R'_2 was counted alongside it.
     next = std::move(r2_count_);
   } else {
-    auto rk_or = IntRelation::Create(db_, run_.storage, k + 1);
+    auto rk_or = IntRelation::Create(
+        db_, run_.storage, k + 1,
+        k == 1 ? PageHint::kRetain : PageHint::kNone);
     if (!rk_or.ok()) return rk_or.status();
     std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
     // The one pass of the iteration: the join (R_1 itself for k == 1), the
@@ -150,9 +153,18 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     // and leaves an empty count of R'_{k+1}.
     next = NewCount(k + 1);
     if (keys.size() != 0) {
-      const IntRelation& left = r_prev_ != nullptr ? *r_prev_ : *r1_;
-      SETM_RETURN_IF_ERROR(
-          FilterByCk(left, *r1_, keys, rk.get(), next.get()));
+      // Pass k >= 3 is R_{k-1}'s last use: the join releases each of its
+      // pages as it leaves it, and R_k reuses their ids. A failed pass has
+      // consumed its input, so it ends the run.
+      std::unique_ptr<IntRowCursor> left =
+          r_prev_ != nullptr ? IntRelation::LastScan(std::move(r_prev_))
+                             : r1_->Scan();
+      Status pass = FilterByCk(left.get(), *r1_, keys, rk.get(), next.get());
+      if (!pass.ok()) {
+        left.reset();
+        (void)EndRun();
+        return pass;
+      }
     } else {
       SETM_RETURN_IF_ERROR(rk->Finish());
     }

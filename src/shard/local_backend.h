@@ -66,7 +66,12 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///
 /// R_1 and R_k are fixed-width int32 relations (IntRelation) that never
 /// enter the catalog: flat arrays under kMemory, packed unlogged pages
-/// under kHeap. Local counts, the C_k probe and (in the
+/// under kHeap. The backend holds at most R_1, R_{k-1} and the R_k being
+/// written: R_1 is created with PageHint::kRetain, so its pages keep their
+/// frames in the pool's retained share; pass k >= 3 reads R_{k-1} with
+/// IntRelation::LastScan, releasing it page by page; EndRun releases the
+/// rest. A pass that fails ends the run. Local counts, the C_k probe and
+/// (in the
 /// coordinator) the merge of partial counts use packed itemset keys
 /// (ItemsetCounts), so no row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {

@@ -184,6 +184,7 @@ Result<ShardReply> RemoteShardBackend::CountFirstIteration() {
   }
   auto response_or = Exec(command);
   if (!response_or.ok()) return response_or.status();
+  run_open_ = true;  // the server may hold a run from here on
   const net::ClientResponse& response = response_or.value();
   if (!response.ok) return StatusFromError(response);
 
@@ -238,9 +239,20 @@ Result<ShardReply> RemoteShardBackend::ApplyGlobalCk(
 }
 
 Status RemoteShardBackend::EndRun() {
-  // The server releases a run when the connection starts a new one (or
-  // closes); nothing to send. Keeping the connection makes back-to-back
-  // runs cheap.
+  // Only a connection that sent LCOUNT can hold a run on the server; the
+  // connection itself stays open for the next run.
+  if (!run_open_ || client_ == nullptr) return Status::OK();
+  run_open_ = false;
+  auto response_or = Exec("RELEASE");
+  if (!response_or.ok()) return response_or.status();
+  const net::ClientResponse& response = response_or.value();
+  if (!response.ok) return StatusFromError(response);
+  uint64_t runs = 0;
+  SETM_RETURN_IF_ERROR(InfoField(response.info, "run", &runs));
+  if (runs > 1) {
+    return Status::Corruption("shard released " + std::to_string(runs) +
+                              " runs; a connection holds at most one");
+  }
   return Status::OK();
 }
 

@@ -15,8 +15,10 @@ namespace setm::shard {
 /// a LocalShardBackend over the named table, so a remote shard computes
 /// bit-identical counts to a local one — this class only moves them. A run
 /// is one LCOUNT (CountFirstIteration, carrying the run's options and
-/// length limit) and one MERGE per iteration (ApplyGlobalCk), whose reply
-/// holds R_k's size and the local counts of R'_{k+1}.
+/// length limit), one MERGE per iteration (ApplyGlobalCk), whose reply
+/// holds R_k's size and the local counts of R'_{k+1}, and one RELEASE
+/// (EndRun, once an LCOUNT was sent), which frees the server's R_1 and
+/// last R_k.
 ///
 /// One connection per backend, established at BeginRun (BlockingClient
 /// already retries transient refusals with backoff) and kept across runs.
@@ -52,6 +54,8 @@ class RemoteShardBackend : public ShardBackend {
   int timeout_ms_;
   ShardRunOptions run_;
   std::unique_ptr<net::BlockingClient> client_;
+  /// An LCOUNT reached the server and no RELEASE followed yet.
+  bool run_open_ = false;
   /// Occupancy from the last LCOUNT, reported by Health (a PING
   /// answers liveness; the protocol has no occupancy probe). The run's
   /// transactions also bound every count the shard reports in that run.

@@ -43,7 +43,9 @@ void PageGuard::Release() {
 // ---------------------------------------------------------------------------
 
 BufferPool::BufferPool(StorageBackend* backend, size_t capacity)
-    : backend_(backend), frames_(capacity == 0 ? 1 : capacity) {
+    : backend_(backend),
+      frames_(capacity == 0 ? 1 : capacity),
+      max_retained_(frames_.size() / kRetainedShareDivisor) {
   free_frames_.reserve(frames_.size());
   for (size_t i = frames_.size(); i > 0; --i) free_frames_.push_back(i - 1);
   obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
@@ -69,20 +71,31 @@ BufferPool::~BufferPool() {
   }
 }
 
-Result<PageGuard> BufferPool::FetchPage(PageId id) {
+PageGuard BufferPool::PinHitLocked(size_t idx, PageId id, PageHint hint) {
+  ++hits_;
+  metric_hits_->Increment();
+  Frame& f = frames_[idx];
+  if (f.pin_count == 0 && f.in_lru) {
+    lru_.erase(f.lru_pos);
+    f.in_lru = false;
+  }
+  RetainLocked(&f, hint);
+  ++f.pin_count;
+  return PageGuard(this, idx, id, &f.page);
+}
+
+void BufferPool::RetainLocked(Frame* f, PageHint hint) {
+  if (hint != PageHint::kRetain || f->retained) return;
+  if (retained_ < max_retained_) {
+    f->retained = true;
+    ++retained_;
+  }
+}
+
+Result<PageGuard> BufferPool::FetchPage(PageId id, PageHint hint) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = page_table_.find(id);
-  if (it != page_table_.end()) {
-    ++hits_;
-    metric_hits_->Increment();
-    Frame& f = frames_[it->second];
-    if (f.pin_count == 0 && f.in_lru) {
-      lru_.erase(f.lru_pos);
-      f.in_lru = false;
-    }
-    ++f.pin_count;
-    return PageGuard(this, it->second, id, &f.page);
-  }
+  if (it != page_table_.end()) return PinHitLocked(it->second, id, hint);
 
   ++misses_;
   metric_misses_->Increment();
@@ -101,6 +114,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
   f.pin_count = 1;
   f.dirty = false;
   f.in_lru = false;
+  RetainLocked(&f, hint);
   page_table_[id] = idx;
   return PageGuard(this, idx, id, &f.page);
 }
@@ -113,15 +127,7 @@ Result<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
   }
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
-    ++hits_;
-    metric_hits_->Increment();
-    Frame& f = frames_[it->second];
-    if (f.pin_count == 0 && f.in_lru) {
-      lru_.erase(f.lru_pos);
-      f.in_lru = false;
-    }
-    ++f.pin_count;
-    return PageGuard(this, it->second, id, &f.page);
+    return PinHitLocked(it->second, id, PageHint::kNone);
   }
 
   ++misses_;
@@ -144,11 +150,12 @@ Result<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
   return PageGuard(this, idx, id, &f.page);
 }
 
-Result<PageGuard> BufferPool::NewPage() {
+Result<PageGuard> BufferPool::NewPage(PageHint hint) {
   std::lock_guard<std::mutex> lock(mutex_);
   PageId id = kInvalidPageId;
   if (allocation_hook_) id = allocation_hook_();
   if (id != kInvalidPageId) {
+    backend_->AccountReuse();
     // Recycling a freed page. It may still be cached from its former life
     // (a retired manifest page, say); that stale frame must be reset, not
     // kept, or the new owner would see the old bytes.
@@ -164,6 +171,7 @@ Result<PageGuard> BufferPool::NewPage() {
       f.page.Clear();
       f.pin_count = 1;
       f.dirty = true;  // the zeroed image must reach the backend eventually
+      RetainLocked(&f, hint);
       return PageGuard(this, it->second, id, &f.page);
     }
   } else {
@@ -180,8 +188,35 @@ Result<PageGuard> BufferPool::NewPage() {
   f.pin_count = 1;
   f.dirty = true;  // a new page must reach the backend eventually
   f.in_lru = false;
+  RetainLocked(&f, hint);
   page_table_[id] = idx;
   return PageGuard(this, idx, id, &f.page);
+}
+
+Status BufferPool::ReleasePage(PageId id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = page_table_.find(id);
+  if (it != page_table_.end()) {
+    const size_t idx = it->second;
+    Frame& f = frames_[idx];
+    if (f.pin_count > 0) {
+      return Status::InvalidArgument("release of pinned page " +
+                                     std::to_string(id));
+    }
+    if (f.in_lru) lru_.erase(f.lru_pos);
+    if (f.retained) --retained_;
+    page_table_.erase(it);
+    f.id = kInvalidPageId;
+    f.dirty = false;  // dropped unwritten: nobody reads these bytes again
+    f.in_lru = false;
+    f.retained = false;
+    free_frames_.push_back(idx);
+  }
+  if (release_hook_) {
+    release_hook_(id);
+    return Status::OK();
+  }
+  return backend_->FreePage(id);
 }
 
 Status BufferPool::FlushPage(PageId id) {
@@ -245,11 +280,11 @@ void BufferPool::Unpin(size_t frame_index) {
   std::lock_guard<std::mutex> lock(mutex_);
   Frame& f = frames_[frame_index];
   SETM_CHECK(f.pin_count > 0);
-  if (--f.pin_count == 0) {
-    lru_.push_front(frame_index);
-    f.lru_pos = lru_.begin();
-    f.in_lru = true;
-  }
+  // A retained frame stays resident, invisible to eviction.
+  if (--f.pin_count > 0 || f.retained) return;
+  lru_.push_front(frame_index);
+  f.lru_pos = lru_.begin();
+  f.in_lru = true;
 }
 
 void BufferPool::MarkDirty(size_t frame_index) {

@@ -57,11 +57,33 @@ class PageGuard {
   Page* page_ = nullptr;
 };
 
-/// Fixed-capacity page cache over a StorageBackend with LRU replacement.
+/// How the pool keeps a page's frame once nothing pins it.
+enum class PageHint {
+  kNone,    ///< plain LRU
+  kRetain,  ///< stay resident while the retained share has room
+};
+
+/// Fixed-capacity page cache over a StorageBackend: LRU replacement plus a
+/// bounded retained share, and page release.
 ///
 /// All page traffic of the engine flows through a pool, so the backend's
 /// IoStats ledger reflects misses only — exactly the "page accesses" the
 /// paper counts. Pool capacity is the knob for the buffer-size ablation.
+///
+/// Replacement follows DBMIN's locality sets (Chou and DeWitt, VLDB 1985):
+/// a relation every pass rescans (SETM's R_1, a looping scan) is fetched
+/// with PageHint::kRetain, and its unpinned frames stay resident, off the
+/// LRU list, up to capacity / kRetainedShareDivisor frames; past that share
+/// they are plain LRU frames, so a looping relation larger than the share
+/// degrades to LRU instead of starving every other scan. Eviction only
+/// ever walks the LRU list, so retained frames cost it nothing. Pages
+/// fetched without a hint (heap tables, the SQL engine) are plain LRU.
+///
+/// ReleasePage ends a page's life: its frame goes back to the free frames
+/// without a write-back, dirty or not, and its id goes to the release hook
+/// or the backend's FreePage, to be handed out again before the backend
+/// grows. SETM's scratch relations release their pages when dropped, so a
+/// dirty page that dies in the pool is never written.
 ///
 /// Thread safety: all pool bookkeeping (page table, LRU, pin counts, frame
 /// metadata) is guarded by an internal mutex, so guards may be fetched and
@@ -79,8 +101,13 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Pins the given page, reading it from the backend on a miss.
-  Result<PageGuard> FetchPage(PageId id);
+  /// At most capacity / kRetainedShareDivisor frames hold kRetain pages
+  /// off the LRU list: half the pool.
+  static constexpr size_t kRetainedShareDivisor = 2;
+
+  /// Pins the given page, reading it from the backend on a miss. A kRetain
+  /// hint puts the frame in the retained share if the share has room.
+  Result<PageGuard> FetchPage(PageId id, PageHint hint = PageHint::kNone);
 
   /// Pins an already-allocated page *without* reading it from the backend
   /// on a miss, for callers that fully overwrite the page (manifest
@@ -98,8 +125,16 @@ class BufferPool {
 
   /// Allocates a fresh zeroed page in the backend and pins it (dirty).
   /// When an allocation hook is set (see SetAllocationHook) and yields a
-  /// recycled page id, that page is reused instead of extending the backend.
-  Result<PageGuard> NewPage();
+  /// recycled page id, that page is reused instead of extending the backend
+  /// and counted in the ledger's pages_reused. `hint` as for FetchPage.
+  Result<PageGuard> NewPage(PageHint hint = PageHint::kNone);
+
+  /// Ends page `id`'s life: drops its frame, if cached, without writing it
+  /// back, and gives the id to the release hook (see SetReleaseHook) or,
+  /// without one, to the backend's FreePage. The caller guarantees that
+  /// nothing needs the page's bytes again and nothing references it: only
+  /// scratch pages qualify. InvalidArgument while the page is pinned.
+  Status ReleasePage(PageId id);
 
   /// Installs a recycler consulted by NewPage before the backend: return a
   /// previously freed PageId to reuse it, or kInvalidPageId to fall through
@@ -110,6 +145,15 @@ class BufferPool {
   void SetAllocationHook(std::function<PageId()> hook) {
     std::lock_guard<std::mutex> lock(mutex_);
     allocation_hook_ = std::move(hook);
+  }
+
+  /// Installs the taker of released page ids, called by ReleasePage in
+  /// place of the backend's FreePage, with the pool mutex held (so it must
+  /// not call back into the pool). The database hands them to the free
+  /// list its allocation hook pops.
+  void SetReleaseHook(std::function<void(PageId)> hook) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    release_hook_ = std::move(hook);
   }
 
   /// Number of frames currently holding unflushed modifications — lets the
@@ -157,10 +201,16 @@ class BufferPool {
     // Position in lru_ when pin_count == 0 and the frame holds a page.
     std::list<size_t>::iterator lru_pos;
     bool in_lru = false;
+    bool retained = false;  // counted in retained_: never on the LRU list
   };
 
   void Unpin(size_t frame_index);
   void MarkDirty(size_t frame_index);
+  /// Pins the resident frame `idx` for a hit. Caller must hold mutex_.
+  PageGuard PinHitLocked(size_t idx, PageId id, PageHint hint);
+  /// Counts `f` in the retained share when `hint` asks and the share has
+  /// room. Caller must hold mutex_.
+  void RetainLocked(Frame* f, PageHint hint);
   /// Finds a frame to (re)use: a free frame, else the least recently used
   /// unpinned victim whose dirty write-back (if needed) succeeds. Victims
   /// with failing write-backs are skipped — they stay resident and dirty
@@ -173,7 +223,10 @@ class BufferPool {
 
   StorageBackend* backend_;
   std::function<PageId()> allocation_hook_;
+  std::function<void(PageId)> release_hook_;
   std::vector<Frame> frames_;
+  size_t max_retained_;
+  size_t retained_ = 0;  // frames with retained set
   mutable std::mutex mutex_;
   std::vector<size_t> free_frames_;
   std::list<size_t> lru_;  // front = most recently unpinned

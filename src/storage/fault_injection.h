@@ -40,6 +40,9 @@ class FaultInjectionBackend : public StorageBackend {
     SETM_RETURN_IF_ERROR(MaybeFail("WritePage"));
     return inner_->WritePage(id, page);
   }
+  /// Forwarded without counting as an operation: a release cannot fail on
+  /// real storage.
+  Status FreePage(PageId id) override { return inner_->FreePage(id); }
   Status Sync() override {
     SETM_RETURN_IF_ERROR(MaybeFail("Sync"));
     return inner_->Sync();

@@ -8,7 +8,7 @@ std::string IoStats::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "reads=%llu (seq=%llu rand=%llu) writes=%llu (seq=%llu "
-                "rand=%llu) alloc=%llu model_time=%.1fs",
+                "rand=%llu) alloc=%llu reused=%llu model_time=%.1fs",
                 static_cast<unsigned long long>(page_reads),
                 static_cast<unsigned long long>(sequential_reads),
                 static_cast<unsigned long long>(random_reads),
@@ -16,6 +16,7 @@ std::string IoStats::ToString() const {
                 static_cast<unsigned long long>(sequential_writes),
                 static_cast<unsigned long long>(random_writes),
                 static_cast<unsigned long long>(pages_allocated),
+                static_cast<unsigned long long>(pages_reused),
                 ModelSeconds());
   return buf;
 }
@@ -29,6 +30,7 @@ IoStats Diff(const IoStats& after, const IoStats& before) {
   d.sequential_writes = after.sequential_writes - before.sequential_writes;
   d.random_writes = after.random_writes - before.random_writes;
   d.pages_allocated = after.pages_allocated - before.pages_allocated;
+  d.pages_reused = after.pages_reused - before.pages_reused;
   return d;
 }
 

@@ -28,6 +28,9 @@ struct IoStats {
   std::atomic<uint64_t> sequential_writes{0};
   std::atomic<uint64_t> random_writes{0};
   std::atomic<uint64_t> pages_allocated{0};  ///< fresh pages handed out
+  /// Freed page ids handed out again instead of growing the backend: a
+  /// page is written at most once per allocation or reuse.
+  std::atomic<uint64_t> pages_reused{0};
 
   IoStats() = default;
   IoStats(const IoStats& other) { *this = other; }
@@ -49,6 +52,8 @@ struct IoStats {
     pages_allocated.store(
         other.pages_allocated.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
+    pages_reused.store(other.pages_reused.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
     return *this;
   }
 
@@ -79,6 +84,7 @@ struct IoStats {
         other.sequential_writes.load(std::memory_order_relaxed);
     random_writes += other.random_writes.load(std::memory_order_relaxed);
     pages_allocated += other.pages_allocated.load(std::memory_order_relaxed);
+    pages_reused += other.pages_reused.load(std::memory_order_relaxed);
     return *this;
   }
 

@@ -20,6 +20,7 @@ struct GlobalIoMetrics {
   obs::Counter* reads;
   obs::Counter* writes;
   obs::Counter* allocations;
+  obs::Counter* reuses;
 };
 
 const GlobalIoMetrics& IoMetrics() {
@@ -33,6 +34,9 @@ const GlobalIoMetrics& IoMetrics() {
     m.allocations = registry->GetCounter(
         "setm_io_pages_allocated_total",
         "Fresh pages allocated in storage backends");
+    m.reuses = registry->GetCounter(
+        "setm_io_pages_reused_total",
+        "Freed page ids handed out again instead of growing a backend");
     return m;
   }();
   return metrics;
@@ -82,25 +86,49 @@ void StorageBackend::AccountAllocation() {
   ++stats_->pages_allocated;
 }
 
+void StorageBackend::AccountReuse() {
+  if (stats_ == nullptr) return;
+  IoMetrics().reuses->Increment();
+  ++stats_->pages_reused;
+}
+
 // ---------------------------------------------------------------------------
 // MemoryBackend
 // ---------------------------------------------------------------------------
 
 Result<PageId> MemoryBackend::AllocatePage() {
   std::lock_guard<std::mutex> lock(mutex_);
+  auto page = std::make_unique<Page>();
+  page->Clear();
+  if (!free_ids_.empty()) {
+    const PageId id = free_ids_.back();
+    free_ids_.pop_back();
+    pages_[id] = std::move(page);
+    AccountReuse();
+    return id;
+  }
   if (pages_.size() >= static_cast<size_t>(kInvalidPageId)) {
     return Status::ResourceExhausted("page id space exhausted");
   }
-  auto page = std::make_unique<Page>();
-  page->Clear();
   pages_.push_back(std::move(page));
   AccountAllocation();
   return static_cast<PageId>(pages_.size() - 1);
 }
 
+Status MemoryBackend::FreePage(PageId id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (id >= pages_.size() || pages_[id] == nullptr) {
+    return Status::InvalidArgument("free of unallocated page " +
+                                   std::to_string(id));
+  }
+  pages_[id].reset();
+  free_ids_.push_back(id);
+  return Status::OK();
+}
+
 Status MemoryBackend::ReadPage(PageId id, Page* out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (id >= pages_.size()) {
+  if (id >= pages_.size() || pages_[id] == nullptr) {
     return Status::InvalidArgument("read of unallocated page " +
                                    std::to_string(id));
   }
@@ -111,7 +139,7 @@ Status MemoryBackend::ReadPage(PageId id, Page* out) {
 
 Status MemoryBackend::WritePage(PageId id, const Page& page) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (id >= pages_.size()) {
+  if (id >= pages_.size() || pages_[id] == nullptr) {
     return Status::InvalidArgument("write of unallocated page " +
                                    std::to_string(id));
   }
@@ -123,6 +151,11 @@ Status MemoryBackend::WritePage(PageId id, const Page& page) {
 uint64_t MemoryBackend::NumPages() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return pages_.size();
+}
+
+uint64_t MemoryBackend::LivePages() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return pages_.size() - free_ids_.size();
 }
 
 // ---------------------------------------------------------------------------

@@ -35,8 +35,18 @@ class StorageBackend {
   StorageBackend(const StorageBackend&) = delete;
   StorageBackend& operator=(const StorageBackend&) = delete;
 
-  /// Appends a zeroed page and returns its id.
+  /// Hands out a zeroed page: a freed id if the backend reuses them (see
+  /// FreePage), else a new one appended at the end.
   virtual Result<PageId> AllocatePage() = 0;
+
+  /// Gives page `id` back; its content is gone. A backend that reuses ids
+  /// (MemoryBackend) frees the page and hands the id out again; the default
+  /// keeps the page allocated and unused. The caller must hold no other
+  /// reference to the page.
+  virtual Status FreePage(PageId id) {
+    (void)id;
+    return Status::OK();
+  }
 
   /// Reads page `id` into `*out`. Fails with InvalidArgument for ids that
   /// were never allocated.
@@ -57,6 +67,10 @@ class StorageBackend {
 
   /// The shared I/O ledger (may be null).
   IoStats* stats() const { return stats_; }
+
+  /// Records in the ledger that a freed page id was handed out again, by
+  /// this backend or by an allocation hook in front of it (BufferPool).
+  void AccountReuse();
 
  protected:
   /// Classifies and records a read of `id` in the ledger.
@@ -91,17 +105,26 @@ class MemoryBackend : public StorageBackend {
  public:
   explicit MemoryBackend(IoStats* stats = nullptr) : StorageBackend(stats) {}
 
+  /// Reuses the most recently freed id before growing.
   Result<PageId> AllocatePage() override;
+  /// Frees the page's memory and keeps its id for reuse. A read or write
+  /// of a freed id is InvalidArgument until the id is allocated again.
+  Status FreePage(PageId id) override;
   Status ReadPage(PageId id, Page* out) override;
   Status WritePage(PageId id, const Page& page) override;
+  /// Ids ever handed out, freed ones included.
   uint64_t NumPages() const override;
+  /// Pages currently allocated: NumPages() less the freed ids.
+  uint64_t LivePages() const;
 
  private:
   /// Guards the page vector (growth in AllocatePage). Pages are held by
   /// unique_ptr so element addresses stay stable across growth; page data
-  /// is copied under the lock, which at 4 KiB is cheap at this scale.
+  /// is copied under the lock, which at 4 KiB is cheap at this scale. A
+  /// freed page's slot is null.
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<PageId> free_ids_;
 };
 
 /// File-backed page store using POSIX pread/pwrite on a single file.

@@ -113,7 +113,8 @@ Result<TableHeap> TableHeap::Create(BufferPool* pool, PageHook page_hook) {
   return heap;
 }
 
-Result<TableHeap> TableHeap::Open(BufferPool* pool, PageId first_page) {
+Result<TableHeap> TableHeap::Open(BufferPool* pool, PageId first_page,
+                                  std::vector<PageId>* chain) {
   PageId last = first_page;
   uint64_t pages = 0;
   uint64_t live = 0;
@@ -129,6 +130,7 @@ Result<TableHeap> TableHeap::Open(BufferPool* pool, PageId first_page) {
     }
     auto guard_or = FetchHeapPage(pool, cur);
     if (!guard_or.ok()) return guard_or.status();
+    if (chain != nullptr) chain->push_back(cur);
     const Page* p = guard_or.value().page();
     const HeapPageHeader* h = Header(p);
     live += h->num_slots;
@@ -144,23 +146,18 @@ Result<TableHeap> TableHeap::Open(BufferPool* pool, PageId first_page) {
 }
 
 Status TableHeap::AppendChainPages(std::vector<PageId>* out) const {
-  return CollectChainPages(pool_, first_page_, out);
-}
-
-Status TableHeap::CollectChainPages(BufferPool* pool, PageId first,
-                                    std::vector<PageId>* out) {
-  PageId cur = first;
+  PageId cur = first_page_;
   uint64_t seen = 0;
-  const uint64_t max_pages = pool->backend()->NumPages();
+  const uint64_t max_pages = pool_->backend()->NumPages();
   while (cur != kInvalidPageId) {
     if (seen >= max_pages || cur >= max_pages) {
       return Status::Corruption(
-          "heap page chain starting at page " + std::to_string(first) +
+          "heap page chain starting at page " + std::to_string(first_page_) +
           " does not terminate within the file's " +
           std::to_string(max_pages) + " pages (cycle or corrupt link)");
     }
     out->push_back(cur);
-    auto guard_or = pool->FetchPage(cur);
+    auto guard_or = pool_->FetchPage(cur);
     if (!guard_or.ok()) return guard_or.status();
     cur = Header(guard_or.value().page())->next_page;
     ++seen;

@@ -47,7 +47,9 @@ class TableHeap {
   /// not terminate within the backend's page count — a cycle or a next
   /// pointer into zeroed/foreign pages — fails with Corruption instead of
   /// looping forever, so reopening a damaged file stays a clean error.
-  static Result<TableHeap> Open(BufferPool* pool, PageId first_page);
+  /// `chain`, if set, receives the ids of the pages walked, in chain order.
+  static Result<TableHeap> Open(BufferPool* pool, PageId first_page,
+                                std::vector<PageId>* chain = nullptr);
 
   TableHeap(TableHeap&&) = default;
   TableHeap& operator=(TableHeap&&) = default;
@@ -73,16 +75,10 @@ class TableHeap {
   /// Number of pages in the chain — the ||R|| of the paper's formulas.
   uint64_t num_pages() const { return num_pages_; }
 
-  /// Appends every page id of the chain to `*out` (walks the chain; same
-  /// cycle guard as Open). Used to reclaim a dropped table's pages into the
-  /// database free list.
+  /// Appends every page id of the chain to `*out` (walks the chain, reading
+  /// only each page's next pointer; same cycle guard as Open). Used to
+  /// reclaim a dropped table's pages into the database free list.
   Status AppendChainPages(std::vector<PageId>* out) const;
-
-  /// Chain walk without constructing a heap — reads only each page's next
-  /// pointer, never its slots, so it is safe on chains whose record data a
-  /// crash may have torn (reclaiming an unlogged table's old chain).
-  static Status CollectChainPages(BufferPool* pool, PageId first,
-                                  std::vector<PageId>* out);
 
   /// Forward cursor over the records in storage order. Each page is
   /// pinned once: its image is checked, copied and unpinned, and the

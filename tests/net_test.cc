@@ -23,6 +23,7 @@
 #include "net/line_buffer.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 
 namespace setm::net {
@@ -188,6 +189,10 @@ TEST(ProtocolTest, ParsesLcountAndMerge) {
   ASSERT_TRUE(merge_or.ok()) << merge_or.status().ToString();
   EXPECT_EQ(merge_or.value().verb, Verb::kMerge);
   EXPECT_EQ(merge_or.value().shard_k, 2u);
+
+  auto release_or = ParseCommand("release");
+  ASSERT_TRUE(release_or.ok()) << release_or.status().ToString();
+  EXPECT_EQ(release_or.value().verb, Verb::kRelease);
 }
 
 TEST(ProtocolTest, RejectsMalformedShardLines) {
@@ -213,6 +218,7 @@ TEST(ProtocolTest, RejectsMalformedShardLines) {
       "MERGE K 65",                    // k over the cap
       "MERGE 2",                       // missing K keyword
       "MERGE K 2 EXTRA",               // trailing junk
+      "RELEASE K 2",                   // RELEASE takes no arguments
   };
   for (const char* line : bad) {
     auto cmd_or = ParseCommand(line);
@@ -663,6 +669,38 @@ TEST(MiningServerTest, ShardSessionCountsAndFilters) {
   EXPECT_NE(triples.value().info.find(" rprime="), std::string::npos);
   // R_2 = {0,1} in transactions 10, 20, 30 and {3,4} in 80, 90, 99.
   EXPECT_EQ(triples.value().payload, "0 1 2 2\n0 1 3 1\n3 4 5 3\n");
+}
+
+// RELEASE ends the connection's shard run at once: its R_1 leaves the
+// scratch pages the process holds, a MERGE after it finds no run, and a
+// second RELEASE has none to end.
+TEST(MiningServerTest, ReleaseEndsTheShardRun) {
+  ServerFixture fixture;
+  auto client = fixture.Connect();
+  obs::Gauge* scratch =
+      obs::MetricsRegistry::Global()->GetGauge("setm_scratch_pages", "");
+  const int64_t before = scratch->Value();
+
+  auto begin = client->Exec("LCOUNT sales K 1");
+  ASSERT_TRUE(begin.ok());
+  ASSERT_TRUE(begin.value().ok) << begin.value().info;
+  EXPECT_EQ(scratch->Value(), before + 1);  // R_1 of TinyTxns: one page
+
+  auto release = client->Exec("RELEASE");
+  ASSERT_TRUE(release.ok());
+  ASSERT_TRUE(release.value().ok) << release.value().info;
+  EXPECT_EQ(release.value().info, "release run=1");
+  EXPECT_EQ(scratch->Value(), before);
+
+  auto merge = client->Exec("MERGE K 1\n0\n.");
+  ASSERT_TRUE(merge.ok());
+  EXPECT_FALSE(merge.value().ok);
+  EXPECT_EQ(merge.value().code, "NotFound");
+
+  auto again = client->Exec("RELEASE");
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(again.value().ok) << again.value().info;
+  EXPECT_EQ(again.value().info, "release run=0");
 }
 
 TEST(MiningServerTest, ShardContinuationWithoutRunIsNotFound) {

@@ -858,8 +858,8 @@ TEST(UnloggedTest, AbandonedChainsAreReclaimedAcrossGenerations) {
     for (int i = 0; i < 2000; ++i) {
       ASSERT_TRUE(t->Insert(Tuple({Value::Int32(i), Value::Int32(i)})).ok());
     }
-    // The reclaimed pages become allocatable after the next checkpoint, so
-    // generation N reuses what generation N-1 abandoned.
+    // Reopen frees the abandoned chain at once, as pages nothing reaches,
+    // so generation N reuses what generation N-1 abandoned.
     ASSERT_TRUE((*db)->Checkpoint().ok());
     if (generation == 1) {
       pages_after_first_cycle = (*db)->pool()->backend()->NumPages();

@@ -835,6 +835,39 @@ TEST(RemoteShardTest, LengthLimitCountsNoUnreadLevel) {
   EXPECT_TRUE(server->Stop().ok());
 }
 
+// A remote run ends with RELEASE: the server frees the run's R_1 and last
+// R_k as soon as the coordinator is done, not at the next LCOUNT or the
+// disconnect, so while the connection stays open the scratch pages held in
+// the process (the setm_scratch_pages gauge) are back at their pre-run
+// count after every run.
+TEST(RemoteShardTest, EndRunReleasesTheServerRun) {
+  const TransactionDb txns = QuestDb(59);
+  Database db;
+  ASSERT_TRUE(LoadSalesTable(&db, "sales", txns, TableBacking::kMemory).ok());
+  std::unique_ptr<MiningServer> server = StartServer(&db);
+  ASSERT_NE(server, nullptr);
+  MiningOptions options;
+  options.min_support = 0.04;
+  auto expected = SingleNode(txns, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  obs::Gauge* scratch =
+      obs::MetricsRegistry::Global()->GetGauge("setm_scratch_pages", "");
+  const uint64_t releases = CounterValue("setm_srv_requests_release_total");
+  RemoteShardBackend backend("127.0.0.1", server->port(), "sales");
+  for (uint64_t run = 1; run <= 2; ++run) {
+    const int64_t before = scratch->Value();
+    auto remote = DistributedMine({&backend}, options, CoordinatorOptions{});
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    EXPECT_TRUE(remote.value().itemsets == expected.value().itemsets);
+    ASSERT_GE(remote.value().iterations.size(), 3u);
+    EXPECT_EQ(scratch->Value(), before) << "run " << run;
+    EXPECT_EQ(CounterValue("setm_srv_requests_release_total") - releases,
+              run);
+  }
+  EXPECT_TRUE(server->Stop().ok());
+}
+
 TEST(RemoteShardTest, DeadEndpointIsUnavailableBeforeAnyCounting) {
   // Bind an ephemeral port, then shut the server down: the port is known
   // dead, so the eager connect in BeginRun must fail the whole run.

@@ -58,6 +58,40 @@ TEST(MemoryBackendTest, UnallocatedAccessFails) {
   EXPECT_TRUE(backend.WritePage(3, page).IsInvalidArgument());
 }
 
+// A freed id is neither readable nor writable until it is allocated again;
+// reads and writes fail with a Status instead of touching the freed page
+// (ASan checks the "instead"). The next allocation reuses the id, zeroed,
+// counts it in pages_reused and does not grow the backend.
+TEST(MemoryBackendTest, FreedPageIsUnreachableUntilReused) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(backend.AllocatePage().ok());
+  Page page;
+  page.Clear();
+  page.data[9] = 'z';
+  ASSERT_TRUE(backend.WritePage(1, page).ok());
+  ASSERT_TRUE(backend.FreePage(1).ok());
+  EXPECT_EQ(backend.NumPages(), 3u);
+  EXPECT_EQ(backend.LivePages(), 2u);
+  Page out;
+  EXPECT_TRUE(backend.ReadPage(1, &out).IsInvalidArgument());
+  EXPECT_TRUE(backend.WritePage(1, page).IsInvalidArgument());
+  EXPECT_TRUE(backend.FreePage(1).IsInvalidArgument());
+  EXPECT_TRUE(backend.FreePage(7).IsInvalidArgument());
+  EXPECT_EQ(stats.page_reads, 0u);
+  EXPECT_EQ(stats.page_writes, 1u);
+
+  auto id = backend.AllocatePage();
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(id.value(), 1u);
+  EXPECT_EQ(backend.NumPages(), 3u);
+  EXPECT_EQ(backend.LivePages(), 3u);
+  EXPECT_EQ(stats.pages_allocated, 3u);
+  EXPECT_EQ(stats.pages_reused, 1u);
+  ASSERT_TRUE(backend.ReadPage(1, &out).ok());
+  EXPECT_EQ(out.data[9], 0);
+}
+
 TEST(MemoryBackendTest, SequentialVsRandomClassification) {
   IoStats stats;
   MemoryBackend backend(&stats);
@@ -237,6 +271,111 @@ TEST(BufferPoolTest, LruEvictsLeastRecentlyUnpinned) {
   EXPECT_EQ(pool.misses(), misses_before);
   ASSERT_TRUE(pool.FetchPage(b).ok());
   EXPECT_EQ(pool.misses(), misses_before + 1);
+}
+
+// A released page's frame is dropped without a write-back and its id goes
+// back to the backend, which hands it out again before growing. A pinned
+// page cannot be released.
+TEST(BufferPoolTest, ReleaseDropsTheFrameUnwrittenAndReusesTheId) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 4);
+  PageId id;
+  {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    id = guard.value().id();
+    guard.value().page()->data[3] = 7;
+    guard.value().MarkDirty();
+    EXPECT_TRUE(pool.ReleasePage(id).IsInvalidArgument());
+  }
+  EXPECT_EQ(pool.DirtyPageCount(), 1u);
+  ASSERT_TRUE(pool.ReleasePage(id).ok());
+  EXPECT_EQ(pool.DirtyPageCount(), 0u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(stats.page_writes, 0u);
+  EXPECT_EQ(backend.LivePages(), 0u);
+  EXPECT_FALSE(pool.FetchPage(id).ok());  // freed: nothing to read
+
+  auto again = pool.NewPage();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().id(), id);
+  EXPECT_EQ(again.value().page()->data[3], 0);
+  EXPECT_EQ(stats.pages_allocated, 1u);
+  EXPECT_EQ(stats.pages_reused, 1u);
+}
+
+// With an allocation and a release hook installed, released ids go to the
+// release hook and come back through the allocation hook, counted as
+// reused; the backend is never asked to free or grow.
+TEST(BufferPoolTest, ReleaseHookFeedsTheAllocationHook) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 4);
+  std::vector<PageId> free_ids;
+  pool.SetAllocationHook([&free_ids]() {
+    if (free_ids.empty()) return kInvalidPageId;
+    const PageId id = free_ids.back();
+    free_ids.pop_back();
+    return id;
+  });
+  pool.SetReleaseHook([&free_ids](PageId id) { free_ids.push_back(id); });
+  PageId id;
+  {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    id = guard.value().id();
+  }
+  ASSERT_TRUE(pool.ReleasePage(id).ok());
+  EXPECT_EQ(free_ids, std::vector<PageId>{id});
+  EXPECT_EQ(backend.LivePages(), 1u);
+  auto again = pool.NewPage();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().id(), id);
+  EXPECT_EQ(backend.NumPages(), 1u);
+  EXPECT_EQ(stats.pages_allocated, 1u);
+  EXPECT_EQ(stats.pages_reused, 1u);
+}
+
+// kRetain pages keep their frames through scans that evict everything
+// else, up to half the pool; past that share they are plain LRU frames.
+TEST(BufferPoolTest, RetainedShareSurvivesScansUpToHalfThePool) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  constexpr size_t kFrames = 8;
+  constexpr size_t kShare = kFrames / BufferPool::kRetainedShareDivisor;
+  BufferPool pool(&backend, kFrames);
+  std::vector<PageId> looped;  // one page more than the share
+  for (size_t i = 0; i <= kShare; ++i) {
+    auto guard = pool.NewPage(PageHint::kRetain);
+    ASSERT_TRUE(guard.ok());
+    looped.push_back(guard.value().id());
+  }
+  for (int scan = 0; scan < 3; ++scan) {
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(pool.NewPage().ok());
+  }
+  const uint64_t misses = pool.misses();
+  for (size_t i = 0; i < kShare; ++i) {
+    ASSERT_TRUE(pool.FetchPage(looped[i], PageHint::kRetain).ok());
+  }
+  EXPECT_EQ(pool.misses(), misses);  // the share stayed resident
+  ASSERT_TRUE(pool.FetchPage(looped[kShare], PageHint::kRetain).ok());
+  EXPECT_EQ(pool.misses(), misses + 1);  // the page past it was evicted
+
+  // Releasing a retained page frees its place in the share.
+  ASSERT_TRUE(pool.ReleasePage(looped[0]).ok());
+  ASSERT_TRUE(pool.ReleasePage(looped[kShare]).ok());
+  {
+    auto guard = pool.NewPage(PageHint::kRetain);
+    ASSERT_TRUE(guard.ok());
+    looped[0] = guard.value().id();
+  }
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(pool.NewPage().ok());
+  const uint64_t misses_after = pool.misses();
+  for (size_t i = 0; i < kShare; ++i) {
+    ASSERT_TRUE(pool.FetchPage(looped[i]).ok());
+  }
+  EXPECT_EQ(pool.misses(), misses_after);
 }
 
 TEST(BufferPoolTest, FlushAllPersistsDirtyFrames) {

@@ -61,6 +61,9 @@ struct SimDisk {
   std::vector<Page> pages_durable;
   std::string wal;
   std::string wal_durable;
+  /// Every page id allocated and read, in order (the R_1 residency test).
+  std::vector<PageId> allocations;
+  std::vector<PageId> reads;
 
   Status Tick(const char* op) {
     if (crashed) {
@@ -89,6 +92,8 @@ class CrashSimBackend : public StorageBackend {
     disk_->pages.emplace_back();
     disk_->pages.back().Clear();
     if (disk_->retain) disk_->pages_durable = disk_->pages;
+    disk_->allocations.push_back(
+        static_cast<PageId>(disk_->pages.size() - 1));
     return static_cast<PageId>(disk_->pages.size() - 1);
   }
   Status ReadPage(PageId id, Page* out) override {
@@ -97,6 +102,7 @@ class CrashSimBackend : public StorageBackend {
       return Status::InvalidArgument("page " + std::to_string(id) +
                                      " was never allocated");
     }
+    disk_->reads.push_back(id);
     *out = disk_->pages[id];
     return Status::OK();
   }
@@ -727,6 +733,402 @@ TEST(FreeListTest, SteadyStateStoreSavesDoNotGrowTheFile) {
         << sizes[g] << " bytes): free pages are not being reused";
   }
   ASSERT_TRUE(db->Close().ok());
+}
+
+// --------------------------------------------------------------------------
+// Scratch page lifecycle: SETM's R_1 and R_k pages are released when the
+// run is done with them, their ids are reused, and a kill mid-mine leaves
+// orphans that the next open reclaims.
+// --------------------------------------------------------------------------
+
+TransactionDb SmallQuest(uint32_t num_transactions, uint32_t num_items) {
+  QuestOptions gen;
+  gen.seed = 3;
+  gen.num_transactions = num_transactions;
+  gen.avg_transaction_size = 8;
+  gen.num_items = num_items;
+  return QuestGenerator(gen).Generate();
+}
+
+/// One kHeap SETM mine of `sales` at `min_support`, with `observer`.
+Result<MiningResult> MineHeap(Database* db, const Table* sales,
+                              double min_support,
+                              MiningObserver* observer = nullptr) {
+  SetmOptions knobs;
+  knobs.storage = TableBacking::kHeap;
+  auto miner = MinerRegistry::Create("setm", db, knobs);
+  if (!miner.ok()) return miner.status();
+  MiningRequest request;
+  request.table = sales;
+  request.options.min_support = min_support;
+  request.options.observer = observer;
+  return miner.value()->Mine(request);
+}
+
+/// The itemsets of a kHeap mine of `txns` on a fresh in-memory database.
+FrequentItemsets ReferenceItemsets(const TransactionDb& txns,
+                                   double min_support) {
+  Database db;
+  auto sales = LoadSalesTable(&db, "sales", txns, TableBacking::kHeap);
+  EXPECT_TRUE(sales.ok()) << sales.status().ToString();
+  auto result = MineHeap(&db, sales.value(), min_support);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  FrequentItemsets itemsets = std::move(result.value().itemsets);
+  itemsets.Normalize();
+  return itemsets;
+}
+
+/// SALES's (trans_id, item) rows, sorted.
+std::vector<std::pair<int32_t, int32_t>> SalesRows(const Table* sales) {
+  std::vector<std::pair<int32_t, int32_t>> rows;
+  auto it = sales->Scan();
+  Tuple row;
+  while (true) {
+    auto more = it->Next(&row);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) break;
+    rows.emplace_back(row.value(0).AsInt32(), row.value(1).AsInt32());
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<std::pair<int32_t, int32_t>> RowsOf(const TransactionDb& txns) {
+  std::vector<std::pair<int32_t, int32_t>> rows;
+  for (const Transaction& t : txns) {
+    for (ItemId item : t.items) rows.emplace_back(t.id, item);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Ten mines on a WAL file database, with a Commit after each: the first
+// mine grows the main file and the temp store to its footprint, and every
+// later one reuses those pages, so neither grows again and no later mine
+// allocates a fresh page. Every scratch page leaves the WAL backend's
+// unlogged set when it is released.
+TEST(ScratchLifecycleTest, RepeatedMinesDoNotGrowTheMainOrTempStore) {
+  TempDbFile file("scratch_repeated_mines.db");
+  DatabaseOptions options = FileOptions(file);
+  options.pool_frames = 32;              // scratch reaches the main file
+  options.sort_memory_bytes = 16 << 10;  // counts spill to the temp store
+  auto db_or = Database::Open(options);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  std::unique_ptr<Database> db = std::move(db_or).value();
+  auto sales = LoadSalesTable(db.get(), "sales", SmallQuest(2000, 100),
+                              TableBacking::kHeap);
+  ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+  ASSERT_TRUE(db->Commit().ok());
+  const auto* wal_backend = static_cast<const WalBackend*>(db->pool()->backend());
+
+  auto* registry = obs::MetricsRegistry::Global();
+  const uint64_t spills =
+      registry->GetCounter("setm_count_spilled_runs_total", "")->Value();
+  uint64_t main_pages = 0;
+  uint64_t temp_pages = 0;
+  FrequentItemsets first;
+  for (int mine = 0; mine < 10; ++mine) {
+    SCOPED_TRACE("mine " + std::to_string(mine));
+    auto result = MineHeap(db.get(), sales.value(), 0.02);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(db->Commit().ok());
+    EXPECT_EQ(wal_backend->UnloggedPageCount(), 0u);
+    FrequentItemsets itemsets = std::move(result.value().itemsets);
+    itemsets.Normalize();
+    if (mine == 0) {
+      main_pages = db->pool()->backend()->NumPages();
+      temp_pages = db->temp_pool()->backend()->NumPages();
+      EXPECT_GT(result.value().io.pages_allocated, 0u);
+      EXPECT_GT(temp_pages, 0u);
+      first = std::move(itemsets);
+      continue;
+    }
+    EXPECT_EQ(db->pool()->backend()->NumPages(), main_pages);
+    EXPECT_EQ(db->temp_pool()->backend()->NumPages(), temp_pages);
+    EXPECT_EQ(result.value().io.pages_allocated, 0u);
+    EXPECT_GT(result.value().io.pages_reused, 0u);
+    EXPECT_TRUE(itemsets == first);
+  }
+  EXPECT_GT(registry->GetCounter("setm_count_spilled_runs_total", "")->Value(),
+            spills);
+  ASSERT_TRUE(db->Close().ok());
+}
+
+// On an in-memory database a kHeap mine, serial or on three shards that
+// share one pool, hands every scratch page back: the main and temp
+// MemoryBackends hold as many live pages afterwards as before, and the
+// setm_scratch_pages gauge is back where it was.
+TEST(ScratchLifecycleTest, MemoryDatabaseGetsItsScratchPagesBack) {
+  const TransactionDb txns = SmallQuest(2000, 100);
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DatabaseOptions options;
+    options.pool_frames = 32;
+    options.sort_memory_bytes = 16 << 10;
+    Database db(options);
+    auto sales = LoadSalesTable(&db, "sales", txns, TableBacking::kHeap);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    const auto* main = static_cast<const MemoryBackend*>(db.pool()->backend());
+    const auto* temp =
+        static_cast<const MemoryBackend*>(db.temp_pool()->backend());
+    obs::Gauge* scratch =
+        obs::MetricsRegistry::Global()->GetGauge("setm_scratch_pages", "");
+    const uint64_t main_live = main->LivePages();
+    const uint64_t temp_live = temp->LivePages();
+    const int64_t scratch_pages = scratch->Value();
+
+    SetmOptions knobs;
+    knobs.storage = TableBacking::kHeap;
+    knobs.num_threads = threads;
+    auto miner = MinerRegistry::Create("setm", &db, knobs);
+    ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+    MiningRequest request;
+    request.table = sales.value();
+    request.options.min_support = 0.02;
+    auto result = miner.value()->Mine(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result.value().io.pages_allocated, 0u);
+    EXPECT_GT(main->NumPages(), main_live);
+    EXPECT_EQ(main->LivePages(), main_live);
+    EXPECT_EQ(temp->LivePages(), temp_live);
+    EXPECT_EQ(scratch->Value(), scratch_pages);
+  }
+}
+
+/// Records how many page reads the disk has seen at each iteration's end.
+class ReadMarks : public MiningObserver {
+ public:
+  explicit ReadMarks(const SimDisk* disk) : disk_(disk) {}
+  bool OnIteration(const IterationStats&) override {
+    marks.push_back(disk_->reads.size());
+    return true;
+  }
+  std::vector<size_t> marks;
+
+ private:
+  const SimDisk* disk_;
+};
+
+// R_1 keeps its frames in the pool's retained share: at a pool that holds
+// R_1 in half its frames but not R_{k-1}, the passes that scan a larger
+// R_{k-1} read it from storage and never read a page of R_1.
+TEST(ScratchLifecycleTest, R1StaysResidentWhilePassesReadRkMinus1) {
+  auto disk = std::make_shared<SimDisk>();
+  DatabaseOptions options = SimOptions(disk);
+  options.pool_frames = 48;
+  auto db_or = Database::Open(options);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  std::unique_ptr<Database> db = std::move(db_or).value();
+  auto sales = LoadSalesTable(db.get(), "sales", SmallQuest(1000, 60),
+                              TableBacking::kHeap);
+  ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+  ASSERT_TRUE(db->Commit().ok());
+
+  const size_t first_allocation = disk->allocations.size();
+  ReadMarks marks(disk.get());
+  auto result = MineHeap(db.get(), sales.value(), 0.02, &marks);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<IterationStats>& iterations = result.value().iterations;
+  ASSERT_GE(iterations.size(), 4u);
+  const uint64_t r1_pages = iterations[0].r_pages;
+  ASSERT_LE(r1_pages, options.pool_frames / BufferPool::kRetainedShareDivisor);
+  // R_1 is built first, on fresh pages at the end of the file.
+  ASSERT_GE(disk->allocations.size(), first_allocation + r1_pages);
+  const std::vector<PageId> r1(
+      disk->allocations.begin() + static_cast<ptrdiff_t>(first_allocation),
+      disk->allocations.begin() +
+          static_cast<ptrdiff_t>(first_allocation + r1_pages));
+
+  // Pass k (k >= 3) runs between the callbacks of iterations k-1 and k.
+  size_t passes_from_storage = 0;
+  for (size_t k = 3; k <= iterations.size(); ++k) {
+    const size_t begin = marks.marks[k - 2];
+    const size_t end = marks.marks[k - 1];
+    if (iterations[k - 2].r_pages > options.pool_frames && end > begin) {
+      ++passes_from_storage;  // R_{k-1} outgrew the pool and was reread
+    }
+    for (size_t i = begin; i < end; ++i) {
+      EXPECT_EQ(std::count(r1.begin(), r1.end(), disk->reads[i]), 0)
+          << "pass " << k << " read page " << disk->reads[i] << " of R_1";
+    }
+  }
+  EXPECT_GT(passes_from_storage, 0u);
+  ASSERT_TRUE(db->Close().ok());
+}
+
+/// Opens a simulated database of small pools and loads `txns` as SALES,
+/// with a logged table "t" beside it, then commits.
+Result<std::unique_ptr<Database>> OpenWithSales(std::shared_ptr<SimDisk> disk,
+                                                const TransactionDb& txns) {
+  DatabaseOptions options = SimOptions(std::move(disk));
+  options.pool_frames = 8;
+  auto db_or = Database::Open(options);
+  if (!db_or.ok()) return db_or.status();
+  std::unique_ptr<Database> db = std::move(db_or).value();
+  auto sales = LoadSalesTable(db.get(), "sales", txns, TableBacking::kHeap);
+  if (!sales.ok()) return sales.status();
+  auto t = db->catalog()->CreateTable("t", TwoIntSchema(), TableBacking::kHeap);
+  if (!t.ok()) return t.status();
+  SETM_RETURN_IF_ERROR(db->Commit());
+  return db;
+}
+
+/// Reopens what `dead` kept, checks SALES and a mine against the loaded
+/// transactions and `reference`, and returns the file's pages after that
+/// mine. `t_rows`, if set, receives the rows of table "t".
+uint64_t ReopenAndMine(const SimDisk& dead, const TransactionDb& txns,
+                       const FrequentItemsets& reference, double min_support,
+                       uint64_t* t_rows = nullptr) {
+  auto revived = Revive(dead);
+  DatabaseOptions options = SimOptions(revived);
+  options.pool_frames = 8;
+  auto db_or = Database::Open(options);
+  EXPECT_TRUE(db_or.ok()) << db_or.status().ToString();
+  if (!db_or.ok()) return 0;
+  std::unique_ptr<Database> db = std::move(db_or).value();
+  auto sales = db->catalog()->GetTable("sales");
+  EXPECT_TRUE(sales.ok()) << sales.status().ToString();
+  if (!sales.ok()) return 0;
+  EXPECT_TRUE(SalesRows(sales.value()) == RowsOf(txns));
+  if (t_rows != nullptr) {
+    auto t = db->catalog()->GetTable("t");
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    auto n = CountRows(t.value());
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    *t_rows = n.ok() ? n.value() : 0;
+  }
+  auto result = MineHeap(db.get(), sales.value(), min_support);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return 0;
+  FrequentItemsets itemsets = std::move(result.value().itemsets);
+  itemsets.Normalize();
+  EXPECT_TRUE(itemsets == reference);
+  const uint64_t pages = revived->pages.size();
+  EXPECT_TRUE(db->Close().ok());
+  return pages;
+}
+
+constexpr double kCrashMineSupport = 0.05;
+
+// A power cut at every operation of a mine: SALES reopens intact, a mine
+// of it finds the same itemsets, and the scratch pages the killed mine
+// left in the file are reclaimed at open, so that mine ends no larger than
+// a file whose mine was never interrupted.
+TEST(WalCrashMatrixTest, PowerCutMidMineReclaimsItsScratch) {
+  ScopedLogSilence quiet;
+  const TransactionDb txns = SmallQuest(300, 40);
+  const FrequentItemsets reference = ReferenceItemsets(txns, kCrashMineSupport);
+
+  // A clean run: the ops one mine takes, and the file after it.
+  auto clean = std::make_shared<SimDisk>();
+  auto clean_db = OpenWithSales(clean, txns);
+  ASSERT_TRUE(clean_db.ok()) << clean_db.status().ToString();
+  const Table* clean_sales =
+      clean_db.value()->catalog()->GetTable("sales").value();
+  clean->fuse = int64_t{1} << 40;
+  ASSERT_TRUE(
+      MineHeap(clean_db.value().get(), clean_sales, kCrashMineSupport).ok());
+  const int64_t mine_ops = (int64_t{1} << 40) - clean->fuse;
+  const uint64_t clean_pages = clean->pages.size();
+  clean->fuse = -1;
+  ASSERT_TRUE(clean_db.value()->Close().ok());
+  ASSERT_GT(mine_ops, 20);
+
+  for (bool retain : {false, true}) {
+    for (int64_t cut = 0; cut < mine_ops; cut += 1 + mine_ops / 40) {
+      SCOPED_TRACE("retain=" + std::to_string(retain) +
+                   " cut=" + std::to_string(cut));
+      auto disk = std::make_shared<SimDisk>();
+      disk->retain = retain;
+      {
+        auto db = OpenWithSales(disk, txns);
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        const Table* sales = db.value()->catalog()->GetTable("sales").value();
+        disk->fuse = cut;
+        EXPECT_FALSE(
+            MineHeap(db.value().get(), sales, kCrashMineSupport).ok());
+        (void)db.value()->Close();
+      }
+      ASSERT_TRUE(disk->crashed);
+      EXPECT_LE(ReopenAndMine(*disk, txns, reference, kCrashMineSupport),
+                clean_pages);
+    }
+  }
+}
+
+// A logged table that grows onto page ids a mine released logs its writes
+// like any other page: a power cut at every operation of its committed
+// batches keeps every committed batch and no torn one, SALES and a mine
+// reopen intact, and a mine after the reopen ends no larger than the file
+// of a run that was never cut.
+TEST(WalCrashMatrixTest, LoggedTableOnReusedScratchIdsSurvivesAPowerCut) {
+  ScopedLogSilence quiet;
+  const TransactionDb txns = SmallQuest(300, 40);
+  const FrequentItemsets reference = ReferenceItemsets(txns, kCrashMineSupport);
+  constexpr int kRows = 600;  // a batch spans pages
+  constexpr int kCommits = 3;
+  const auto append_batches = [&](Database* db, int* committed) -> Status {
+    auto t = db->catalog()->GetTable("t");
+    if (!t.ok()) return t.status();
+    for (int b = 0; b < kCommits; ++b) {
+      for (int i = 0; i < kRows; ++i) {
+        const int v = b * kRows + i;
+        SETM_RETURN_IF_ERROR(
+            t.value()->Insert(Tuple({Value::Int32(v), Value::Int32(v * 7)})));
+      }
+      SETM_RETURN_IF_ERROR(db->Commit());
+      ++*committed;
+    }
+    return Status::OK();
+  };
+
+  // A clean run: the batches land on released scratch ids (the file does
+  // not grow), and a second mine then needs this many pages.
+  auto clean = std::make_shared<SimDisk>();
+  int64_t batch_ops = 0;
+  uint64_t clean_pages = 0;
+  {
+    auto db = OpenWithSales(clean, txns);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const Table* sales = db.value()->catalog()->GetTable("sales").value();
+    ASSERT_TRUE(MineHeap(db.value().get(), sales, kCrashMineSupport).ok());
+    const uint64_t after_mine = clean->pages.size();
+    clean->fuse = int64_t{1} << 40;
+    int committed = 0;
+    ASSERT_TRUE(append_batches(db.value().get(), &committed).ok());
+    batch_ops = (int64_t{1} << 40) - clean->fuse;
+    clean->fuse = -1;
+    EXPECT_EQ(clean->pages.size(), after_mine);
+    ASSERT_TRUE(MineHeap(db.value().get(), sales, kCrashMineSupport).ok());
+    clean_pages = clean->pages.size();
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+
+  for (bool retain : {false, true}) {
+    for (int64_t cut = 0; cut <= batch_ops; ++cut) {
+      SCOPED_TRACE("retain=" + std::to_string(retain) +
+                   " cut=" + std::to_string(cut));
+      auto disk = std::make_shared<SimDisk>();
+      disk->retain = retain;
+      int committed = 0;
+      {
+        auto db = OpenWithSales(disk, txns);
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        const Table* sales = db.value()->catalog()->GetTable("sales").value();
+        ASSERT_TRUE(MineHeap(db.value().get(), sales, kCrashMineSupport).ok());
+        disk->fuse = cut;
+        (void)append_batches(db.value().get(), &committed);
+        (void)db.value()->Close();
+      }
+      uint64_t rows = 0;
+      EXPECT_LE(ReopenAndMine(*disk, txns, reference, kCrashMineSupport, &rows),
+                clean_pages);
+      EXPECT_EQ(rows % kRows, 0u) << "torn batch";
+      EXPECT_GE(rows, static_cast<uint64_t>(kRows) * committed)
+          << "committed batch lost";
+      EXPECT_LE(rows, static_cast<uint64_t>(kRows) * kCommits);
+    }
+  }
 }
 
 }  // namespace

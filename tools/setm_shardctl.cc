@@ -16,7 +16,8 @@
 // `mine` opens every member listed in the manifest (local files in-process,
 // remote members over LCOUNT/MERGE) and runs the distributed count: one
 // call per shard per iteration, so a remote member answers one LCOUNT,
-// which carries --max-k, and one MERGE per iteration. The answer is
+// which carries --max-k, one MERGE per iteration and one RELEASE, which
+// frees its run. The answer is
 // bit-identical to single-node SETM over the union of the shards; with
 // --format csv the rules are byte-identical to `setm_mine --format csv`
 // on the unsplit CSV.
