@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   for (size_t frames : pool_sizes) {
     DatabaseOptions db_options;
     db_options.pool_frames = frames;
-    db_options.temp_pool_frames = 64;
     db_options.sort_memory_bytes = 1 << 20;
     Database db(db_options);
     SetmMiner miner(&db, SetmOptions{TableBacking::kHeap});

@@ -6,15 +6,20 @@
 // kSortMerge counts within the sort budget; kHash is the unbounded case.
 //
 // Expected shape: identical itemsets at every budget. Small budgets spill
-// more runs and pay their temp-space traffic; each run holds at most one
-// entry per candidate, so spilled entries stay far below |R'_k|. Once the
-// budget holds every candidate nothing spills, and the pages match the
-// unbounded count's.
+// more runs and pay their page traffic; each run holds at most one entry
+// per candidate, so spilled entries stay far below |R'_k|. The runs are
+// scratch pages in the database's one pool, next to R_k, with R_k's
+// lifecycle: each page is written at most once per allocation or id reuse,
+// and a merged run's pages are released, unwritten if still in the pool.
+// At most 64 runs merge at once, so the count's runs cascade (merge
+// passes > 0) only past 64. Once the budget holds every candidate nothing
+// spills, and the pages match the unbounded count's.
 //
 // usage: ablation_count_method [--smoke]
 //   --smoke: the lowest minsup only. Exits 1 if the itemsets differ across
-//   budgets, the smallest budget does not spill, or a budget at or above
-//   the unbounded count's peak table bytes spills (checked in both modes).
+//   budgets, the smallest budget does not spill, a budget at or above the
+//   unbounded count's peak table bytes spills, or a mine writes more pages
+//   than it allocates plus the ids it reuses (checked in both modes).
 
 #include <cstdio>
 #include <cstring>
@@ -41,9 +46,10 @@ int main(int argc, char** argv) {
 
   obs::Gauge* peak =
       obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
-  std::printf("%-10s %-12s %10s %12s %10s %14s %12s %10s\n", "minsup(%)",
-              "budget", "time(s)", "accesses", "runs", "entries",
-              "table(KiB)", "patterns");
+  std::printf("%-10s %-12s %10s %10s %8s %12s %8s %8s %10s %12s %10s\n",
+              "minsup(%)", "budget", "time(s)", "accesses", "writes",
+              "alloc+reuse", "runs", "passes", "entries", "table(KiB)",
+              "patterns");
   for (double pct : bench::PaperMinSupSweep()) {
     if (smoke && pct != bench::PaperMinSupSweep().front()) break;
     MiningOptions options;
@@ -71,16 +77,35 @@ int main(int argc, char** argv) {
       const uint64_t runs = delta.Counter("setm_count_spilled_runs_total");
       // A SETM mine sorts nothing but the count's spilled entries.
       const uint64_t entries = delta.Counter("setm_sort_rows_total");
+      const uint64_t passes = delta.Counter("setm_sort_merge_passes_total");
+      const IoStats& io = result.io;
+      const uint64_t handed_out = io.pages_allocated + io.pages_reused;
       const std::string label =
           budget == kUnbounded ? "unbounded" : std::to_string(budget >> 10) +
                                                    " KiB";
-      std::printf("%-10.1f %-12s %10.3f %12llu %10llu %14llu %12.1f %10zu\n",
-                  pct, label.c_str(), seconds,
-                  static_cast<unsigned long long>(result.io.TotalAccesses()),
-                  static_cast<unsigned long long>(runs),
-                  static_cast<unsigned long long>(entries),
-                  static_cast<double>(peak->Value()) / 1024.0,
-                  result.itemsets.TotalPatterns());
+      std::printf(
+          "%-10.1f %-12s %10.3f %10llu %8llu %12llu %8llu %8llu %10llu "
+          "%12.1f %10zu\n",
+          pct, label.c_str(), seconds,
+          static_cast<unsigned long long>(io.TotalAccesses()),
+          static_cast<unsigned long long>(io.page_writes),
+          static_cast<unsigned long long>(handed_out),
+          static_cast<unsigned long long>(runs),
+          static_cast<unsigned long long>(passes),
+          static_cast<unsigned long long>(entries),
+          static_cast<double>(peak->Value()) / 1024.0,
+          result.itemsets.TotalPatterns());
+      // Spill pages share R_k's lifecycle: a reused id is written without
+      // a new allocation, so each write is paid for by one or the other.
+      if (io.page_writes > handed_out) {
+        std::fprintf(stderr,
+                     "FAIL: minsup %.1f%%: %s: %llu page writes for %llu "
+                     "pages allocated or reused (a page written twice)\n",
+                     pct, label.c_str(),
+                     static_cast<unsigned long long>(io.page_writes),
+                     static_cast<unsigned long long>(handed_out));
+        return 1;
+      }
       if (budget == kUnbounded) {
         unbounded_peak = peak->Value();
       } else {

@@ -43,7 +43,6 @@ int main() {
 
     DatabaseOptions sm_db;
     sm_db.pool_frames = 32;
-    sm_db.temp_pool_frames = 32;
     sm_db.sort_memory_bytes = 64 << 10;  // force external sorting
     SetmOptions sm_knobs;
     sm_knobs.storage = TableBacking::kHeap;

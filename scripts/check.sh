@@ -34,8 +34,9 @@ if [[ -x "$cache_bench_bin" ]]; then
 fi
 
 # Count-budget bench smoke: a C_k count budget sweep on the retail data;
-# itemsets must be identical at every budget, the 16 KiB budget must spill
-# and a budget that holds the unbounded count's peak table must not.
+# itemsets must be identical at every budget, the 16 KiB budget must spill,
+# a budget that holds the unbounded count's peak table must not, and no
+# mine may write more pages than it allocates plus the ids it reuses.
 count_bench_bin="build/$preset/bench/ablation_count_method"
 if [[ -x "$count_bench_bin" ]]; then
   "$count_bench_bin" --smoke

@@ -94,8 +94,8 @@ struct CountStats {
 /// The count, "sort R'_k on item_1..item_k; C_k := generate counts",
 /// within a memory budget. Each R'_k row's itemset is aggregated into an
 /// ItemsetCounts. When a new itemset would grow the table past the budget,
-/// the table's entries are sorted on their items and written to temp
-/// storage as one IntRowSort run of (item_1..item_k, count) rows, and the
+/// the table's entries are sorted on their items and written to scratch
+/// pages as one IntRowSort run of (item_1..item_k, count) rows, and the
 /// table is emptied. Finish() merges the runs with the table's remainder,
 /// sums the counts of equal itemsets and only then applies the count
 /// floor, so an itemset counted across runs survives on its total.
@@ -116,7 +116,7 @@ class BudgetedCount {
   static constexpr size_t kUnbounded = SIZE_MAX;
 
   /// Counts k-itemsets in at most `budget_bytes` of table (ItemsetCounts::
-  /// bytes()), spilling runs to `ctx`'s temp pool.
+  /// bytes()), spilling runs to scratch pages in `ctx`'s pool.
   BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes);
 
   size_t k() const { return k_; }

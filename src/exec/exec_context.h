@@ -2,23 +2,31 @@
 #define SETM_EXEC_EXEC_CONTEXT_H_
 
 #include <cstddef>
+#include <functional>
 
 #include "relational/database.h"
 #include "storage/buffer_pool.h"
 
 namespace setm {
 
-/// Resources physical operators draw on: the temp-space buffer pool for
-/// sort runs and the memory budget at which the external sort spills.
-/// Operators run on the calling thread; none of them uses a worker pool.
+/// Resources physical operators draw on: the buffer pool a sort spills its
+/// runs into, the tagger of those run pages, and the memory budget at which
+/// the external sort spills. Operators run on the calling thread; none of
+/// them uses a worker pool.
 struct ExecContext {
-  BufferPool* temp_pool = nullptr;
+  BufferPool* pool = nullptr;
+  /// Fires for each page a spilled run allocates (null: none).
+  std::function<void(PageId)> unlogged_page_tagger;
   size_t sort_memory_bytes = 1 << 20;
 
-  /// Context bound to a database's temp pool and configured sort budget.
+  /// Context bound to a database's one pool and configured sort budget.
+  /// Spilled runs are scratch pages next to SETM's R_k, tagged unlogged the
+  /// same way (Database::UnloggedPageTagger), so they never reach the
+  /// write-ahead log, and released to the pool once merged.
   static ExecContext From(Database* db) {
     ExecContext ctx;
-    ctx.temp_pool = db->temp_pool();
+    ctx.pool = db->pool();
+    ctx.unlogged_page_tagger = db->UnloggedPageTagger();
     ctx.sort_memory_bytes = db->options().sort_memory_bytes;
     return ctx;
   }

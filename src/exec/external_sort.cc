@@ -23,7 +23,7 @@ void FlushSortMetrics(const SortStats& stats) {
       "setm_sort_runs_total", "Sorted runs created by external sorts");
   static obs::Counter* spilled = obs::MetricsRegistry::Global()->GetCounter(
       "setm_sort_spilled_runs_total",
-      "Runs that overflowed the sort budget and spilled to temp storage");
+      "Runs that overflowed the sort budget and spilled to scratch pages");
   static obs::Counter* passes = obs::MetricsRegistry::Global()->GetCounter(
       "setm_sort_merge_passes_total",
       "Cascaded merge passes run by external sorts");
@@ -33,21 +33,13 @@ void FlushSortMetrics(const SortStats& stats) {
   passes->Increment(stats.merge_passes);
 }
 
-/// Upper bound on runs merged at once. The effective fan-in is further
-/// capped by the temp buffer pool capacity, as if each run kept its head
-/// page resident, like a textbook external sort; extra runs trigger
-/// cascaded merge passes. Neither run reader holds a pin (the slotted
-/// iterator and the packed cursor both copy a page and unpin it), so the
-/// cap bounds no pool frames. It stays so that the cascade depends on the
-/// rows and the pool alone and both front ends report identical SortStats.
+/// Runs merged at once; more runs cascade merge passes. No run reader
+/// holds a pin (the slotted iterator and the packed cursor both copy a page
+/// and unpin it), so the fan-in bounds no pool frames, only the linear scan
+/// over run heads in RunMerge::Next. It is a constant, so the cascade
+/// depends on the run count alone, at every pool size, and both front ends
+/// report identical SortStats.
 constexpr size_t kMaxFanIn = 64;
-
-size_t EffectiveFanIn(const ExecContext& ctx) {
-  const size_t frames =
-      ctx.temp_pool != nullptr ? ctx.temp_pool->capacity() : kMaxFanIn;
-  const size_t budget = frames > 4 ? frames - 4 : 2;  // leave output room
-  return std::max<size_t>(2, std::min(kMaxFanIn, budget));
-}
 
 }  // namespace
 
@@ -57,25 +49,30 @@ namespace sort_internal {
 // MergeRunGroup) asks of a row kind `Rows`:
 //   Buffer, Input                  rows awaiting a run; what Add() takes
 //   Run                            one spilled run (movable); dropping it
-//                                  releases its pages to the temp pool
+//                                  releases its pages to the pool
 //   size_t Push(Buffer*, Input)    buffers a row, returns its budget charge
 //   void Sort(Buffer*)             stable sort on the key
-//   Result<Run> NewRun(BufferPool*)          an empty run in the temp pool
+//   Result<Run> NewRun(const ExecContext&)   an empty run in ctx.pool, its
+//                                            pages tagged by the ctx's tagger
 //   Status Spill(const Buffer&, Run*)        writes a sorted buffer as a run
 //   Reader(const Rows&, const Run&)          streams one run: Next(), row
 //   int Compare(const Reader&, const Reader&) orders two readers' rows
 //   Writer(const Rows&, Run*)                Add(const Reader&), Finish()
 // A run can be read once Spill, or the Writer's Finish, has returned.
 
-/// One spilled Tuple run: a TableHeap in the temp pool that releases its
-/// pages (BufferPool::ReleasePage) when the run is dropped, after the merge
-/// that reads it.
+/// One spilled Tuple run: a TableHeap in the context's pool that releases
+/// its pages (BufferPool::ReleasePage) when the run is dropped, after the
+/// merge that reads it.
 class TupleRun {
  public:
-  static Result<std::unique_ptr<TupleRun>> Create(BufferPool* pool) {
-    std::unique_ptr<TupleRun> run(new TupleRun(pool));
+  static Result<std::unique_ptr<TupleRun>> Create(const ExecContext& ctx) {
+    std::unique_ptr<TupleRun> run(new TupleRun(ctx.pool));
     auto heap_or = TableHeap::Create(
-        pool, [pages = &run->pages_](PageId id) { pages->push_back(id); });
+        ctx.pool, [pages = &run->pages_,
+                   tag = ctx.unlogged_page_tagger](PageId id) {
+          pages->push_back(id);
+          if (tag) tag(id);
+        });
     if (!heap_or.ok()) return heap_or.status();
     run->heap_.emplace(std::move(heap_or).value());
     return run;
@@ -124,8 +121,8 @@ struct TupleRows {
     std::stable_sort(buffer->begin(), buffer->end(), cmp);
   }
 
-  Result<Run> NewRun(BufferPool* temp_pool) const {
-    return TupleRun::Create(temp_pool);
+  Result<Run> NewRun(const ExecContext& ctx) const {
+    return TupleRun::Create(ctx);
   }
 
   Status Spill(const Buffer& buffer, Run* run) const {
@@ -180,7 +177,7 @@ struct TupleRows {
 };
 
 /// Fixed-width int32 rows stored back to back: SETM's relations. A run is
-/// a sealed IntRelation in the temp pool, so it has R_k's packed pages:
+/// a sealed IntRelation in the context's pool, so it has R_k's packed pages:
 /// each page written once, and read back with its header checked.
 struct IntRows {
   using Buffer = std::vector<int32_t>;
@@ -221,8 +218,9 @@ struct IntRows {
     buffer->swap(sorted);
   }
 
-  Result<Run> NewRun(BufferPool* temp_pool) const {
-    return IntRelation::CreateInPool(temp_pool, width);
+  Result<Run> NewRun(const ExecContext& ctx) const {
+    return IntRelation::CreateInPool(ctx.pool, width,
+                                     ctx.unlogged_page_tagger);
   }
 
   Status Spill(const Buffer& buffer, Run* run) const {
@@ -314,15 +312,15 @@ class RunMerge {
   int current_ = -1;
 };
 
-/// Merges one group of runs into a single fresh run in temp storage — the
-/// body of one cascaded-merge step.
+/// Merges one group of runs into a single fresh run — the body of one
+/// cascaded-merge step.
 template <typename Rows>
 Result<typename Rows::Run> MergeRunGroup(
-    BufferPool* temp_pool, const Rows& rows,
+    const ExecContext& ctx, const Rows& rows,
     std::vector<typename Rows::Run> group) {
   RunMerge<Rows> merge(&rows, std::move(group));
   SETM_RETURN_IF_ERROR(merge.Prime());
-  auto out_or = rows.NewRun(temp_pool);
+  auto out_or = rows.NewRun(ctx);
   if (!out_or.ok()) return out_or.status();
   typename Rows::Run out = std::move(out_or).value();
   typename Rows::Writer writer(rows, &out);
@@ -406,7 +404,7 @@ template <typename Rows>
 Status RunSort<Rows>::WriteRun(const Buffer& sorted) {
   ++stats_.runs;
   ++stats_.spilled_runs;
-  auto run_or = rows_.NewRun(ctx_.temp_pool);
+  auto run_or = rows_.NewRun(ctx_);
   if (!run_or.ok()) return run_or.status();
   runs_.push_back(std::move(run_or).value());
   return rows_.Spill(sorted, &runs_.back());
@@ -433,12 +431,11 @@ Status RunSort<Rows>::Finish(Buffer* memory, std::vector<Run>* runs) {
   // Cascade merge passes while the run count exceeds the fan-in. Each pass
   // merges consecutive groups in run order into one run per group, so the
   // run-index stability tie-break holds across passes.
-  const size_t fan_in = EffectiveFanIn(ctx_);
-  while (runs_.size() > fan_in) {
+  while (runs_.size() > kMaxFanIn) {
     ++stats_.merge_passes;
     std::vector<Run> next;
-    for (size_t i = 0; i < runs_.size(); i += fan_in) {
-      const size_t take = std::min(fan_in, runs_.size() - i);
+    for (size_t i = 0; i < runs_.size(); i += kMaxFanIn) {
+      const size_t take = std::min(kMaxFanIn, runs_.size() - i);
       if (take == 1) {
         next.push_back(std::move(runs_[i]));
         continue;
@@ -446,7 +443,7 @@ Status RunSort<Rows>::Finish(Buffer* memory, std::vector<Run>* runs) {
       std::vector<Run> group(
           std::make_move_iterator(runs_.begin() + i),
           std::make_move_iterator(runs_.begin() + i + take));
-      auto merged = MergeRunGroup(ctx_.temp_pool, rows_, std::move(group));
+      auto merged = MergeRunGroup(ctx_, rows_, std::move(group));
       if (!merged.ok()) return merged.status();
       next.push_back(std::move(merged).value());
     }

@@ -16,7 +16,7 @@ namespace setm {
 struct SortStats {
   uint64_t rows = 0;           ///< rows sorted
   uint64_t runs = 0;           ///< sorted runs created (1 if fully in-memory)
-  uint64_t spilled_runs = 0;   ///< runs written to temp storage
+  uint64_t spilled_runs = 0;   ///< runs written to scratch pages
   uint64_t merge_passes = 0;   ///< intermediate merge passes (0 or more)
 };
 
@@ -31,17 +31,19 @@ struct IntRows;
 /// SETM is made of ("basic steps are sorting and merge scan join").
 ///
 /// Rows are buffered until the configured memory budget is reached, then
-/// stable-sorted and spilled as a run in temp storage, so run I/O lands in
-/// the shared IoStats ledger. Finish() merges the runs with a bounded
-/// fan-in, cascading extra merge passes when the run count exceeds it. The
-/// overall sort is stable: equal keys keep arrival order.
+/// stable-sorted and spilled as a run of scratch pages in the context's
+/// pool — the database's one pool, next to SETM's R_k — so run I/O lands in
+/// the database's IoStats ledger and, on a file database, in the main file
+/// and never in the write-ahead log. Finish() merges up to 64 runs at once,
+/// at every pool size, cascading extra merge passes when there are more.
+/// The overall sort is stable: equal keys keep arrival order.
 ///
 /// The algorithm exists once (exec/external_sort.cc, a template over the
 /// row kind) and has two front ends: ExternalSort sorts Tuples for the
 /// SQL engine, into slotted TableHeap runs; IntRowSort sorts SETM's
 /// fixed-width int32 rows, into packed IntRelation runs. A row's budget
 /// charge is its serialized size, so both front ends put the same rows in
-/// the same runs. A run releases its temp pages when it has been merged
+/// the same runs. A run releases its pages when it has been merged
 /// (or when the sorted stream is dropped), so a cascade reuses the page
 /// ids of the runs it merged and a dead run's dirty pages are never
 /// written.
@@ -83,7 +85,7 @@ class ExternalSort {
 /// against the budget — the serialized size of the same row as an all-INT32
 /// Tuple — so an IntRowSort spills, merges and counts (SortStats, sort
 /// metrics) exactly as an ExternalSort of the equivalent Tuples. Its runs
-/// are packed IntRelation pages in the temp pool (R_k's page format), so a
+/// are packed IntRelation pages in the context's pool (R_k's format), so a
 /// run of n rows takes ceil(n / IntRelation::RowsPerPage(width)) pages,
 /// each written once: fewer than the same rows as slotted records.
 ///
@@ -98,7 +100,7 @@ class IntRowSort {
   /// Buffers one row (width ints, copied).
   Status Add(const int32_t* row);
 
-  /// Writes `rows` (width ints each, already in key order) to temp storage
+  /// Writes `rows` (width ints each, already in key order) to scratch pages
   /// as one run, after spilling any buffered rows: for a caller that forms
   /// its own runs, such as the budgeted C_k count's aggregated entries.
   /// The rows count in stats().rows and the run in spilled_runs; Finish()

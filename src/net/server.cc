@@ -584,8 +584,8 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
     // No job is in flight on this connection, so nothing else touches the
     // run: EndRun frees R_1 and R_k here, even while the task of the job
     // that last drove the run still holds a reference to the backend. A
-    // run keeps its relations in memory and its spilled counts in the
-    // thread-safe temp pool.
+    // run keeps its relations in memory and its spilled counts in scratch
+    // pages of the database's thread-safe pool, which EndRun releases.
     const bool had_run = session->shard_run != nullptr;
     if (had_run) {
       (void)session->shard_run->EndRun();

@@ -139,10 +139,7 @@ Status Database::Init(DatabaseOptions options) {
   } else {
     backend_ = std::make_unique<MemoryBackend>(&stats_);
   }
-  temp_backend_ = std::make_unique<MemoryBackend>(&stats_);
   pool_ = std::make_unique<BufferPool>(backend_.get(), options_.pool_frames);
-  temp_pool_ = std::make_unique<BufferPool>(temp_backend_.get(),
-                                            options_.temp_pool_frames);
   catalog_ = std::make_unique<Catalog>(pool_.get());
   if (options_.worker_threads > 0) {
     workers_ = std::make_unique<WorkerPool>(options_.worker_threads);
@@ -354,8 +351,8 @@ void Database::ReclaimUnreachable(const std::unordered_set<PageId>& reachable,
   // Superblock slots, both manifest chains and the logged heap chains are
   // all that a durable image references, so every other page below the
   // file's end is free: the recorded free list, plus the orphans. Orphans
-  // are the old chains of unlogged tables, scratch pages (SETM's R_k) a
-  // killed mine never released, and the scratch pages of files whose
+  // are the old chains of unlogged tables, scratch pages (SETM's R_k,
+  // spilled sort runs) a killed mine never released, and the scratch pages of files whose
   // writer never released them. No durable image reaches them, so they
   // are allocatable at once.
   uint64_t recorded_free = 0;

@@ -23,10 +23,9 @@ class WorkerPool;
 
 /// Configuration of a Database instance.
 struct DatabaseOptions {
-  /// Buffer pool frames for base tables (default 256 frames = 1 MiB).
+  /// Buffer pool frames (default 256 frames = 1 MiB): base tables, SETM's
+  /// scratch relations and spilled sort runs all share them.
   size_t pool_frames = 256;
-  /// Buffer pool frames for temporary data (sort runs).
-  size_t temp_pool_frames = 64;
   /// Memory budget for in-memory sort runs, in bytes. The external sort
   /// spills once a run exceeds this budget.
   size_t sort_memory_bytes = 1 << 20;
@@ -67,7 +66,7 @@ struct DatabaseOptions {
 };
 
 /// Owns the full storage stack of one database instance: the I/O ledger,
-/// the main and temporary page stores, their buffer pools and the catalog.
+/// the page store, its buffer pool and the catalog.
 ///
 /// Typical setup:
 ///
@@ -105,7 +104,6 @@ class Database {
 
   Catalog* catalog() { return catalog_.get(); }
   BufferPool* pool() { return pool_.get(); }
-  BufferPool* temp_pool() { return temp_pool_.get(); }
   /// Shared worker pool, or null when options.worker_threads == 0.
   WorkerPool* worker_pool() { return workers_.get(); }
   const DatabaseOptions& options() const { return options_; }
@@ -116,9 +114,10 @@ class Database {
   /// Page tagger for WAL-bypassing scratch storage: every tagged page is
   /// written straight to the main file instead of the write-ahead log.
   /// Null (a no-op to pass around freely) for in-memory databases.
-  /// IntRelation::Create tags the pages of SETM's R_1 and R_k with it —
-  /// relations the run drops, whose pages would otherwise bloat the log
-  /// with data nobody ever replays — and unlogged catalog tables tag their
+  /// IntRelation::Create tags the pages of SETM's R_1 and R_k with it, and
+  /// ExecContext::From hands it to the sorts for their spilled runs —
+  /// scratch the run drops, whose pages would otherwise bloat the log with
+  /// data nobody ever replays — and unlogged catalog tables tag their
   /// chains. A scratch page released to the pool loses its tag and goes
   /// straight back to the free list.
   std::function<void(PageId)> UnloggedPageTagger();
@@ -150,7 +149,7 @@ class Database {
   /// Checkpoints written so far (diagnostics; 0 for in-memory databases).
   uint64_t checkpoint_count() const { return superblock_.checkpoint_seq; }
 
-  /// The cumulative I/O ledger for all page traffic (base + temp).
+  /// The cumulative I/O ledger for all page traffic.
   IoStats* io_stats() { return &stats_; }
   const IoStats& io_stats() const { return stats_; }
 
@@ -191,13 +190,11 @@ class Database {
   /// File-backed stack, declaration order = reverse destruction order:
   /// the pool flushes into backend_ (the WAL decorator) on destruction,
   /// which appends to wal_, which reads/writes the real file — so the
-  /// decorated pieces must outlive backend_, which must outlive the pools.
+  /// decorated pieces must outlive backend_, which must outlive the pool.
   std::unique_ptr<StorageBackend> inner_backend_;  ///< the real main file
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<StorageBackend> backend_;  ///< WalBackend (file) / memory
-  std::unique_ptr<StorageBackend> temp_backend_;
   std::unique_ptr<BufferPool> pool_;
-  std::unique_ptr<BufferPool> temp_pool_;
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<WorkerPool> workers_;
   bool persistent_ = false;

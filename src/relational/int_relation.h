@@ -114,9 +114,9 @@ class IntRelation {
       PageHint hint = PageHint::kNone);
 
   /// A kHeap relation of `width` columns in `pool` (kMemory for a null
-  /// pool). `page_hook`, if set, fires for each page as it is allocated.
-  /// Create uses it for R_k, and IntRowSort for its spilled runs in the
-  /// temp pool.
+  /// pool). `page_hook`, if set, fires for each page as it is allocated:
+  /// Create and IntRowSort's spilled runs pass the database's unlogged
+  /// tagger, so R_k and the runs beside it in the one pool skip the log.
   static Result<std::unique_ptr<IntRelation>> CreateInPool(
       BufferPool* pool, size_t width, PageHook page_hook = nullptr,
       PageHint hint = PageHint::kNone);

@@ -231,8 +231,8 @@ TEST(SetmModesTest, HeapAndMemoryBackingsAgree) {
   ASSERT_TRUE(heap_result.ok());
 
   EXPECT_TRUE(mem_result.value().itemsets == heap_result.value().itemsets);
-  // Heap mode produces real page traffic; memory mode touches only temp
-  // spill space (none at this size).
+  // Heap mode produces real page traffic; memory mode touches only the
+  // pages of spilled sort runs (none at this size).
   EXPECT_GT(heap_result.value().io.pages_allocated,
             mem_result.value().io.pages_allocated);
 }
@@ -430,7 +430,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, SetmIoLedgerTest,
                          testing::Values(size_t{1}, size_t{3}));
 
 // SETM's relations and sort runs move a page at a time: a kHeap mine on a
-// file database whose pools are far smaller than its relations fetches
+// file database whose one pool is far smaller than its relations fetches
 // pool pages at most twice per page it reads or writes. One FetchPage per
 // row anywhere on the path puts the ratio in the hundreds.
 class SetmPoolFetchTest : public testing::TestWithParam<CountMethod> {};
@@ -456,7 +456,6 @@ TEST_P(SetmPoolFetchTest, FetchesStayWithinTwicePageTraffic) {
     DatabaseOptions db_options;
     db_options.file_path = path;
     db_options.pool_frames = 16;
-    db_options.temp_pool_frames = 16;
     db_options.sort_memory_bytes = 64 << 10;
     auto db_or = Database::Open(db_options);
     ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
@@ -466,9 +465,8 @@ TEST_P(SetmPoolFetchTest, FetchesStayWithinTwicePageTraffic) {
     ASSERT_TRUE(db->Commit().ok());
 
     const auto fetches = [db] {
-      const BufferPool::PoolStats main = db->pool()->Stats();
-      const BufferPool::PoolStats temp = db->temp_pool()->Stats();
-      return main.hits + main.misses + temp.hits + temp.misses;
+      const BufferPool::PoolStats stats = db->pool()->Stats();
+      return stats.hits + stats.misses;
     };
     const uint64_t fetches_before = fetches();
     SetmOptions knobs{TableBacking::kHeap};

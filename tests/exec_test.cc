@@ -191,29 +191,70 @@ TEST_F(ExternalSortTest, SortIsStable) {
   }
 }
 
-// A tiny temp pool caps the merge fan-in, so a moderate run count forces
-// cascaded merge passes; order and stability must survive the cascade.
+// The merge fan-in is 64 runs at every pool size, since no run reader holds
+// a pin: even on an 8-frame pool, 64 spilled runs go straight into the
+// final merge and 65 take exactly one cascade pass. Each (int32, int32) row
+// is charged 8 bytes, so an 8-byte budget spills every row as its own run.
+TEST(SortFanInTest, SixtyFourRunsMergeAtOnceOnAnEightFramePool) {
+  DatabaseOptions options;
+  options.pool_frames = 8;
+  options.sort_memory_bytes = 8;
+  Database db(options);
+  for (int32_t runs : {64, 65}) {
+    SCOPED_TRACE("runs=" + std::to_string(runs));
+    ExternalSort tuples(ExecContext::From(&db), TwoIntSchema(),
+                        TupleComparator({0}));
+    IntRowSort ints(ExecContext::From(&db), 2, 0, 1);
+    std::vector<std::pair<int, int>> expected;
+    for (int32_t i = 0; i < runs; ++i) {
+      const int32_t row[2] = {(i * 37) % runs, i};  // keys: a permutation
+      ASSERT_TRUE(tuples.Add(Row(row[0], row[1])).ok());
+      ASSERT_TRUE(ints.Add(row).ok());
+      expected.emplace_back(row[0], row[1]);
+    }
+    std::sort(expected.begin(), expected.end());
+    auto tuple_it = tuples.Finish();
+    ASSERT_TRUE(tuple_it.ok()) << tuple_it.status().ToString();
+    auto int_it = ints.Finish();
+    ASSERT_TRUE(int_it.ok()) << int_it.status().ToString();
+    EXPECT_EQ(Drain(tuple_it.value().get()), expected);
+    std::vector<std::pair<int, int>> actual;
+    ASSERT_TRUE(ForEachRow(int_it.value().get(), [&actual](const int32_t* r) {
+                  actual.emplace_back(r[0], r[1]);
+                  return Status::OK();
+                }).ok());
+    EXPECT_EQ(actual, expected);
+    const uint64_t passes = runs > 64 ? 1 : 0;
+    for (const SortStats* stats : {&tuples.stats(), &ints.stats()}) {
+      EXPECT_EQ(stats->spilled_runs, static_cast<uint64_t>(runs));
+      EXPECT_EQ(stats->merge_passes, passes);
+    }
+  }
+}
+
+// More runs than the fan-in of 64 force cascaded merge passes, on a pool of
+// any size; order and stability must survive the cascade.
 TEST_F(ExternalSortTest, CascadedMergeKeepsOrderAndStability) {
   DatabaseOptions options;
-  options.temp_pool_frames = 8;  // effective fan-in: 8 - 4 = 4 runs
-  options.sort_memory_bytes = 256;
+  options.pool_frames = 8;
+  options.sort_memory_bytes = 16;  // two rows per run
   Database small(options);
   ExecContext ctx = ExecContext::From(&small);
 
   ExternalSort sort(ctx, TwoIntSchema(), TupleComparator({0}));  // key: a only
   // Payload b records arrival order within each key.
-  for (int round = 0; round < 400; ++round) {
+  for (int round = 0; round < 2100; ++round) {
     for (int key = 0; key < 4; ++key) {
       ASSERT_TRUE(sort.Add(Row(key, round)).ok());
     }
   }
   auto it = sort.Finish();
   ASSERT_TRUE(it.ok()) << it.status().ToString();
-  // Runs far exceed the fan-in of 4, so at least two cascade passes ran.
-  EXPECT_GT(sort.stats().spilled_runs, 16u);
+  // 4,200 runs exceed 64 * 64, so at least two cascade passes ran.
+  EXPECT_GT(sort.stats().spilled_runs, 64u * 64u);
   EXPECT_GE(sort.stats().merge_passes, 2u);
   auto rows = Drain(it.value().get());
-  ASSERT_EQ(rows.size(), 1600u);
+  ASSERT_EQ(rows.size(), 8400u);
   int prev_key = -1, prev_payload = -1;
   for (const auto& [key, payload] : rows) {
     if (key == prev_key) {
@@ -269,14 +310,15 @@ TEST_F(ExternalSortTest, SpillIoLandsInLedger) {
 }
 
 // IntRowSort is ExternalSort's algorithm over fixed-width int rows: on the
-// same rows, budget and temp pool it must produce the same order (stability
+// same rows, budget and pool it must produce the same order (stability
 // included) and the same SortStats, in memory and through cascaded merge
-// passes. The parameter is the sort budget in bytes.
+// passes. The parameter is the sort budget in bytes: 16 and 24 bytes hold
+// one and two 16-byte rows, so 8,300 rows spill more than 64 * 64 runs.
 class IntRowSortTest : public testing::TestWithParam<size_t> {};
 
 TEST_P(IntRowSortTest, MatchesExternalSort) {
   DatabaseOptions options;
-  options.temp_pool_frames = 8;  // effective fan-in: 4 runs
+  options.pool_frames = 8;
   options.sort_memory_bytes = GetParam();
   Database db(options);
   const ExecContext ctx = ExecContext::From(&db);
@@ -290,7 +332,7 @@ TEST_P(IntRowSortTest, MatchesExternalSort) {
   ExternalSort tuples(ctx, schema, TupleComparator({1, 2}));
   IntRowSort ints(ctx, 4, 1, 3);
   Rng rng(GetParam());
-  for (int32_t seq = 0; seq < 6000; ++seq) {
+  for (int32_t seq = 0; seq < 8300; ++seq) {
     const int32_t row[4] = {static_cast<int32_t>(rng.Uniform(1000)),
                             static_cast<int32_t>(rng.Uniform(12)),
                             static_cast<int32_t>(rng.Uniform(12)) - 6, seq};
@@ -320,7 +362,7 @@ TEST_P(IntRowSortTest, MatchesExternalSort) {
                 return Status::OK();
               }).ok());
   EXPECT_EQ(actual, expected);
-  ASSERT_EQ(actual.size(), 6000u);
+  ASSERT_EQ(actual.size(), 8300u);
 
   const SortStats& a = ints.stats();
   const SortStats& b = tuples.stats();
@@ -337,7 +379,7 @@ TEST_P(IntRowSortTest, MatchesExternalSort) {
 
 INSTANTIATE_TEST_SUITE_P(
     Budgets, IntRowSortTest,
-    testing::Values(size_t{1} << 20, size_t{320}, size_t{1000}),
+    testing::Values(size_t{1} << 20, size_t{16}, size_t{24}),
     [](const testing::TestParamInfo<size_t>& param_info) {
       return "Bytes" + std::to_string(param_info.param);
     });
@@ -359,10 +401,13 @@ TEST(IntRowSortApiTest, EmptyInputAndMisuse) {
 
 // A run handed over already sorted joins the one merge, after the rows
 // buffered before it: the output is the stable sort of every row in the
-// order it arrived, and the run counts as a spilled run of its rows.
+// order it arrived, and the run counts as a spilled run of its rows. The
+// 40 sorted runs and the rows spilled before each make more than 64 runs,
+// so the merge cascades.
 TEST(IntRowSortApiTest, SortedRunsJoinTheMerge) {
+  constexpr int kSortedRuns = 40;
   DatabaseOptions options;
-  options.temp_pool_frames = 8;  // effective fan-in: 4 runs
+  options.pool_frames = 8;
   options.sort_memory_bytes = 400;
   Database db(options);
   IntRowSort sort(ExecContext::From(&db), 2, 0, 1);
@@ -376,7 +421,7 @@ TEST(IntRowSortApiTest, SortedRunsJoinTheMerge) {
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(add(static_cast<int32_t>(rng.Uniform(20))).ok());
   }
-  for (int run = 0; run < 6; ++run) {
+  for (int run = 0; run < kSortedRuns; ++run) {
     std::vector<int32_t> sorted_run;
     for (int32_t key = 0; key < 20; key += 1 + run) {
       sorted_run.insert(sorted_run.end(),
@@ -398,25 +443,27 @@ TEST(IntRowSortApiTest, SortedRunsJoinTheMerge) {
                    [](const auto& a, const auto& b) { return a[0] < b[0]; });
   EXPECT_EQ(actual, all);
   EXPECT_EQ(sort.stats().rows, all.size());
-  EXPECT_GE(spilled_before_finish, 6u + 1);  // the six runs, after spills
+  // The sorted runs, each after the buffered rows it spilled.
+  EXPECT_GE(spilled_before_finish, 2u * kSortedRuns);
   EXPECT_GE(sort.stats().merge_passes, 1u);
 }
 
-// Spilled int runs are packed IntRelation pages in the temp pool. A run of
-// n rows takes ceil(n / RowsPerPage(width)) pages, and each page is written
-// once: the merge reads runs back and never rewrites a page. These tests run
-// the cascade on a 6-frame temp pool, which merges two runs at a time.
+// Spilled int runs are packed IntRelation pages in the context's pool. A
+// run of n rows takes ceil(n / RowsPerPage(width)) pages, and each page is
+// written once: the merge reads runs back and never rewrites a page. These
+// tests run the cascade on a 6-frame pool, which still merges 64 runs at a
+// time, so they spill more than 64 * 64 runs to cascade twice.
 class SpillRunFormatTest : public testing::Test {
  protected:
-  static constexpr size_t kFanIn = 2;
+  static constexpr size_t kFanIn = 64;
 
   SpillRunFormatTest() : backend_(&stats_), pool_(&backend_, 6) {
-    ctx_.temp_pool = &pool_;
+    ctx_.pool = &pool_;
   }
 
-  /// The temp pages a sort whose spilled runs hold `runs` rows (in spill
-  /// order) allocates: one packed page list per spilled run and per run
-  /// each cascade pass merges. Sets `*passes` to the cascade's passes.
+  /// The pages a sort whose spilled runs hold `runs` rows (in spill order)
+  /// allocates: one packed page list per spilled run and per run each
+  /// cascade pass merges. Sets `*passes` to the cascade's passes.
   static uint64_t PackedRunPages(std::vector<uint64_t> runs, size_t width,
                                  uint64_t* passes) {
     const uint64_t per_page = IntRelation::RowsPerPage(width);
@@ -447,7 +494,7 @@ class SpillRunFormatTest : public testing::Test {
     return stats_.pages_allocated.load() + stats_.pages_reused.load();
   }
 
-  /// Flushes the temp pool and checks that no page was written twice: each
+  /// Flushes the pool and checks that no page was written twice: each
   /// write is paid for by an allocation or a reuse.
   void ExpectEachPageWrittenOnce() {
     ASSERT_TRUE(pool_.FlushAll().ok());
@@ -463,8 +510,8 @@ class SpillRunFormatTest : public testing::Test {
 
 TEST_F(SpillRunFormatTest, IntRowSortRunsArePackedPages) {
   constexpr size_t kWidth = 3;
-  constexpr uint64_t kRunRows = 1000;
-  constexpr uint64_t kRows = 10500;  // ten full runs and one of 500 rows
+  constexpr uint64_t kRunRows = 2;
+  constexpr uint64_t kRows = 8401;  // 4,200 full runs and one of 1 row
   ctx_.sort_memory_bytes = kRunRows * kWidth * sizeof(int32_t);
   IntRowSort sort(ctx_, kWidth, /*key_begin=*/1, /*key_end=*/3);
   Rng rng(17);
@@ -511,17 +558,23 @@ TEST_F(SpillRunFormatTest, BudgetedCountRunsArePackedPages) {
   // so every run holds the same number of entries.
   const size_t budget = ItemsetCounts(2).bytes();
   const uint64_t per_run = ItemsetCounts::MaxEntriesWithin(2, budget);
+  // Enough items that their pairs spill more than 64 * 64 full runs.
+  ItemId items = 2;
+  while (static_cast<uint64_t>(items) * (items - 1) / 2 <=
+         (kFanIn * kFanIn + 1) * per_run) {
+    ++items;
+  }
   BudgetedCount count(ctx_, 2, budget);
   std::vector<PatternCount> expected;
-  for (ItemId a = 0; a < 60; ++a) {
-    for (ItemId b = a + 1; b < 60; ++b) {
+  for (ItemId a = 0; a < items; ++a) {
+    for (ItemId b = a + 1; b < items; ++b) {
       const ItemId pair[2] = {a, b};
       ASSERT_TRUE(count.Add(pair).ok());
       expected.push_back(PatternCount{{a, b}, 1});
     }
   }
   const CountStats& stats = count.stats();
-  ASSERT_GT(stats.spilled_runs, 8u);
+  ASSERT_GT(stats.spilled_runs, kFanIn * kFanIn);
   ASSERT_EQ(stats.spilled_entries, stats.spilled_runs * per_run);
 
   std::vector<PatternCount> out;

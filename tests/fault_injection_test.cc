@@ -188,9 +188,9 @@ TEST(FaultInjectionTest, ExternalSortSpillFailureIsReported) {
   IoStats stats;
   MemoryBackend real(&stats);
   FaultInjectionBackend flaky(&real, 8);
-  BufferPool temp_pool(&flaky, 8);
+  BufferPool pool(&flaky, 8);
   ExecContext ctx;
-  ctx.temp_pool = &temp_pool;
+  ctx.pool = &pool;
   ctx.sort_memory_bytes = 128;  // spill almost immediately
 
   Schema schema({Column{"a", ValueType::kInt32}});
@@ -337,20 +337,21 @@ TEST(FaultInjectionTest, HeapScanFirstPageFailureIsAnError) {
 // failure at any backend operation must surface from Finish() or from the
 // sorted stream — never as a stream that ends early. Both sort front ends
 // run every failure point from the first run read to a clean finish.
-constexpr int kSpillRows = 8192;
+constexpr int kSpillRows = 65 * 64;
 
-/// Sorts kSpillRows (key, arrival) rows through an 8-frame temp pool over
-/// `backend` (512 rows per run, so runs outgrow the pool and cascade).
+/// Sorts kSpillRows (key, arrival) rows through an 8-frame pool over
+/// `backend` (64 rows per run, so the 65 runs exceed the merge fan-in of 64
+/// and cascade).
 /// Returns the drained (key, payload) rows or the first error;
 /// `*ops_after_adds` receives the backend op count once intake is done.
 template <typename AddFn, typename DrainFn>
 Result<std::vector<std::pair<int, int>>> SpillSort(
     FaultInjectionBackend* backend, uint64_t* ops_after_adds, AddFn add,
     DrainFn drain) {
-  BufferPool temp_pool(backend, 8);
+  BufferPool pool(backend, 8);
   ExecContext ctx;
-  ctx.temp_pool = &temp_pool;
-  ctx.sort_memory_bytes = 4096;
+  ctx.pool = &pool;
+  ctx.sort_memory_bytes = 64 * 8;
   auto sort = add(ctx);
   *ops_after_adds = backend->ops();
   Result<std::vector<std::pair<int, int>>> rows = drain(&sort);

@@ -155,7 +155,6 @@ TEST(IntegrationTest, TinyPoolsStillProduceCorrectResults) {
   }
   DatabaseOptions starved;
   starved.pool_frames = 8;
-  starved.temp_pool_frames = 8;
   starved.sort_memory_bytes = 512;
   Database db(starved);
   SetmMiner miner(&db, SetmOptions{TableBacking::kHeap});

@@ -172,7 +172,6 @@ DatabaseOptions SimOptions(std::shared_ptr<SimDisk> disk,
   DatabaseOptions options;
   options.file_path = "sim.db";  // name only; the factories intercept all IO
   options.pool_frames = 64;
-  options.temp_pool_frames = 16;
   options.wal_commit_window_ms = window_ms;
   options.backend_factory =
       [disk](const std::string&) -> Result<std::unique_ptr<StorageBackend>> {
@@ -803,15 +802,17 @@ std::vector<std::pair<int32_t, int32_t>> RowsOf(const TransactionDb& txns) {
 }
 
 // Ten mines on a WAL file database, with a Commit after each: the first
-// mine grows the main file and the temp store to its footprint, and every
-// later one reuses those pages, so neither grows again and no later mine
-// allocates a fresh page. Every scratch page leaves the WAL backend's
-// unlogged set when it is released.
-TEST(ScratchLifecycleTest, RepeatedMinesDoNotGrowTheMainOrTempStore) {
+// mine grows the main file to its footprint, R_k's pages and the count's
+// spilled runs alike, and every later one reuses those pages, so the file
+// never grows again and no later mine allocates a fresh page. Every mine
+// spills, yet appends no page record to the WAL: spilled runs are scratch
+// pages, tagged unlogged like R_k. Every scratch page leaves the WAL
+// backend's unlogged set when it is released.
+TEST(ScratchLifecycleTest, RepeatedMinesDoNotGrowTheFile) {
   TempDbFile file("scratch_repeated_mines.db");
   DatabaseOptions options = FileOptions(file);
   options.pool_frames = 32;              // scratch reaches the main file
-  options.sort_memory_bytes = 16 << 10;  // counts spill to the temp store
+  options.sort_memory_bytes = 16 << 10;  // counts spill
   auto db_or = Database::Open(options);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   std::unique_ptr<Database> db = std::move(db_or).value();
@@ -821,43 +822,40 @@ TEST(ScratchLifecycleTest, RepeatedMinesDoNotGrowTheMainOrTempStore) {
   ASSERT_TRUE(db->Commit().ok());
   const auto* wal_backend = static_cast<const WalBackend*>(db->pool()->backend());
 
-  auto* registry = obs::MetricsRegistry::Global();
-  const uint64_t spills =
-      registry->GetCounter("setm_count_spilled_runs_total", "")->Value();
-  uint64_t main_pages = 0;
-  uint64_t temp_pages = 0;
+  obs::Counter* spilled_runs = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_count_spilled_runs_total", "");
+  uint64_t file_pages = 0;
   FrequentItemsets first;
   for (int mine = 0; mine < 10; ++mine) {
     SCOPED_TRACE("mine " + std::to_string(mine));
+    const uint64_t spills = spilled_runs->Value();
+    const uint64_t page_records = db->wal_stats().page_records;
     auto result = MineHeap(db.get(), sales.value(), 0.02);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_TRUE(db->Commit().ok());
+    EXPECT_GT(spilled_runs->Value(), spills);
+    EXPECT_EQ(db->wal_stats().page_records, page_records);
     EXPECT_EQ(wal_backend->UnloggedPageCount(), 0u);
     FrequentItemsets itemsets = std::move(result.value().itemsets);
     itemsets.Normalize();
     if (mine == 0) {
-      main_pages = db->pool()->backend()->NumPages();
-      temp_pages = db->temp_pool()->backend()->NumPages();
+      file_pages = db->pool()->backend()->NumPages();
       EXPECT_GT(result.value().io.pages_allocated, 0u);
-      EXPECT_GT(temp_pages, 0u);
       first = std::move(itemsets);
       continue;
     }
-    EXPECT_EQ(db->pool()->backend()->NumPages(), main_pages);
-    EXPECT_EQ(db->temp_pool()->backend()->NumPages(), temp_pages);
+    EXPECT_EQ(db->pool()->backend()->NumPages(), file_pages);
     EXPECT_EQ(result.value().io.pages_allocated, 0u);
     EXPECT_GT(result.value().io.pages_reused, 0u);
     EXPECT_TRUE(itemsets == first);
   }
-  EXPECT_GT(registry->GetCounter("setm_count_spilled_runs_total", "")->Value(),
-            spills);
   ASSERT_TRUE(db->Close().ok());
 }
 
 // On an in-memory database a kHeap mine, serial or on three shards that
-// share one pool, hands every scratch page back: the main and temp
-// MemoryBackends hold as many live pages afterwards as before, and the
-// setm_scratch_pages gauge is back where it was.
+// share one pool, hands every scratch page back, R_k's and the spilled
+// runs' alike: the MemoryBackend holds as many live pages afterwards as
+// before, and the setm_scratch_pages gauge is back where it was.
 TEST(ScratchLifecycleTest, MemoryDatabaseGetsItsScratchPagesBack) {
   const TransactionDb txns = SmallQuest(2000, 100);
   for (size_t threads : {size_t{1}, size_t{3}}) {
@@ -869,13 +867,13 @@ TEST(ScratchLifecycleTest, MemoryDatabaseGetsItsScratchPagesBack) {
     auto sales = LoadSalesTable(&db, "sales", txns, TableBacking::kHeap);
     ASSERT_TRUE(sales.ok()) << sales.status().ToString();
     const auto* main = static_cast<const MemoryBackend*>(db.pool()->backend());
-    const auto* temp =
-        static_cast<const MemoryBackend*>(db.temp_pool()->backend());
-    obs::Gauge* scratch =
-        obs::MetricsRegistry::Global()->GetGauge("setm_scratch_pages", "");
+    auto* registry = obs::MetricsRegistry::Global();
+    obs::Gauge* scratch = registry->GetGauge("setm_scratch_pages", "");
+    obs::Counter* spilled_runs =
+        registry->GetCounter("setm_count_spilled_runs_total", "");
     const uint64_t main_live = main->LivePages();
-    const uint64_t temp_live = temp->LivePages();
     const int64_t scratch_pages = scratch->Value();
+    const uint64_t spills = spilled_runs->Value();
 
     SetmOptions knobs;
     knobs.storage = TableBacking::kHeap;
@@ -889,8 +887,8 @@ TEST(ScratchLifecycleTest, MemoryDatabaseGetsItsScratchPagesBack) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GT(result.value().io.pages_allocated, 0u);
     EXPECT_GT(main->NumPages(), main_live);
+    EXPECT_GT(spilled_runs->Value(), spills);
     EXPECT_EQ(main->LivePages(), main_live);
-    EXPECT_EQ(temp->LivePages(), temp_live);
     EXPECT_EQ(scratch->Value(), scratch_pages);
   }
 }

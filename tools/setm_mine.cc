@@ -624,14 +624,8 @@ int main(int argc, char** argv) {
     // fair basis for cross-invocation page-count comparisons.
     std::fprintf(stderr, "db io: %s\n",
                  db->io_stats()->ToString().c_str());
-    // Both pools (base + temp) summed, matching the scope of `db io:`.
-    BufferPool::PoolStats pool = db->pool()->Stats();
-    const BufferPool::PoolStats temp = db->temp_pool()->Stats();
-    pool.hits += temp.hits;
-    pool.misses += temp.misses;
-    pool.evictions += temp.evictions;
-    pool.dirty_writebacks += temp.dirty_writebacks;
-    pool.eviction_retries += temp.eviction_retries;
+    // The database's one pool, matching the scope of `db io:`.
+    const BufferPool::PoolStats pool = db->pool()->Stats();
     const uint64_t fetches = pool.hits + pool.misses;
     std::fprintf(stderr,
                  "pool: hits=%llu misses=%llu hit_ratio=%.3f evictions=%llu "
