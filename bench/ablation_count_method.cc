@@ -1,9 +1,11 @@
 // A5 — ablation: the memory budget of the C_k count (Figure 4's "sort R'_k
 // on item_1..item_k; C_k := generate counts") on the calibrated retail data
-// in heap mode. The count aggregates R'_k rows into a table; when the table
-// would outgrow its budget it spills the table's (itemset, count) entries
-// as one sorted run, and the runs are merged and summed at the end.
-// kSortMerge counts within the sort budget; kHash is the unbounded case.
+// in heap mode. The count is keyed by (C_k id, C_1 rank): a dense array
+// when its counters fit the budget, else a hashed table that, when it
+// would outgrow its budget, spills its (key, count) entries as one sorted
+// run; the runs are merged and summed at the end. kSortMerge counts within
+// the sort budget; kHash is the unbounded case (dense up to the default
+// sort budget).
 //
 // Expected shape: identical itemsets at every budget. Small budgets spill
 // more runs and pay their page traffic; each run holds at most one entry
@@ -13,17 +15,24 @@
 // and a merged run's pages are released, unwritten if still in the pool.
 // At most 64 runs merge at once, so the count's runs cascade (merge
 // passes > 0) only past 64. Once the budget holds every candidate nothing
-// spills, and the pages match the unbounded count's.
+// spills, and the pages match the unbounded count's. Each row also prints
+// the mine's itemset-key hash probes, the bound sum over k >= 2 of
+// |R_{k-1}| (one C_{k-1} lookup per left row) and the (itemset, count)
+// entries the shard handed to the coordinator.
 //
 // usage: ablation_count_method [--smoke]
 //   --smoke: the lowest minsup only. Exits 1 if the itemsets differ across
 //   budgets, the smallest budget does not spill, a budget at or above the
-//   unbounded count's peak table bytes spills, or a mine writes more pages
-//   than it allocates plus the ids it reuses (checked in both modes).
+//   unbounded count's peak table bytes spills, a budget that holds every
+//   level's dense array makes more hash probes than the bound, or a mine
+//   writes more pages than it allocates plus the ids it reuses (checked in
+//   both modes).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,8 +40,39 @@
 #include "common/timer.h"
 #include "core/setm.h"
 
+namespace {
+
+using namespace setm;
+
+/// Bytes of the largest dense count a mine of `txns` with the frequent
+/// itemsets `frequent` over `levels` iterations allocates: C_1's counters
+/// and R'_2's triangle over the distinct items, and for k >= 2 one counter
+/// per C_k itemset and C_1 item above its last item.
+uint64_t LargestDenseCount(const TransactionDb& txns,
+                           const FrequentItemsets& frequent, size_t levels) {
+  std::set<ItemId> distinct;
+  for (const Transaction& t : txns) {
+    distinct.insert(t.items.begin(), t.items.end());
+  }
+  const uint64_t n = distinct.size();
+  uint64_t counters = std::max(n, n * (n - 1) / 2);
+  std::vector<ItemId> c1;
+  for (const PatternCount& pc : frequent.OfSize(1)) c1.push_back(pc.items[0]);
+  std::sort(c1.begin(), c1.end());
+  for (size_t k = 2; k < levels; ++k) {
+    uint64_t level = 0;
+    for (const PatternCount& pc : frequent.OfSize(k)) {
+      level += static_cast<uint64_t>(
+          c1.end() - std::upper_bound(c1.begin(), c1.end(), pc.items.back()));
+    }
+    counters = std::max(counters, level);
+  }
+  return counters * sizeof(int64_t);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace setm;
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::Banner(
       "ablation_count_method",
@@ -42,14 +82,17 @@ int main(int argc, char** argv) {
 
   const TransactionDb& txns = bench::RetailDb();
   constexpr size_t kUnbounded = 0;
-  const size_t kBudgets[] = {16 << 10, 256 << 10, 1 << 20, kUnbounded};
+  const size_t kBudgets[] = {16 << 10, 256 << 10, 1 << 20, 4 << 20,
+                             kUnbounded};
 
   obs::Gauge* peak =
       obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
-  std::printf("%-10s %-12s %10s %10s %8s %12s %8s %8s %10s %12s %10s\n",
-              "minsup(%)", "budget", "time(s)", "accesses", "writes",
-              "alloc+reuse", "runs", "passes", "entries", "table(KiB)",
-              "patterns");
+  std::printf(
+      "%-10s %-12s %10s %10s %8s %12s %8s %8s %10s %12s %10s %10s %10s "
+      "%10s\n",
+      "minsup(%)", "budget", "time(s)", "accesses", "writes", "alloc+reuse",
+      "runs", "passes", "spilled", "table(KiB)", "probes", "bound", "merged",
+      "patterns");
   for (double pct : bench::PaperMinSupSweep()) {
     if (smoke && pct != bench::PaperMinSupSweep().front()) break;
     MiningOptions options;
@@ -78,6 +121,12 @@ int main(int argc, char** argv) {
       // A SETM mine sorts nothing but the count's spilled entries.
       const uint64_t entries = delta.Counter("setm_sort_rows_total");
       const uint64_t passes = delta.Counter("setm_sort_merge_passes_total");
+      const uint64_t probes = delta.Counter("setm_itemset_probes_total");
+      const uint64_t merged = delta.Counter("setm_count_entries_total");
+      uint64_t bound = 0;  // sum over passes k >= 2 of |R_{k-1}|
+      for (size_t i = 0; i + 1 < result.iterations.size(); ++i) {
+        bound += result.iterations[i].r_rows;
+      }
       const IoStats& io = result.io;
       const uint64_t handed_out = io.pages_allocated + io.pages_reused;
       const std::string label =
@@ -85,7 +134,7 @@ int main(int argc, char** argv) {
                                                    " KiB";
       std::printf(
           "%-10.1f %-12s %10.3f %10llu %8llu %12llu %8llu %8llu %10llu "
-          "%12.1f %10zu\n",
+          "%12.1f %10llu %10llu %10llu %10zu\n",
           pct, label.c_str(), seconds,
           static_cast<unsigned long long>(io.TotalAccesses()),
           static_cast<unsigned long long>(io.page_writes),
@@ -94,6 +143,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(passes),
           static_cast<unsigned long long>(entries),
           static_cast<double>(peak->Value()) / 1024.0,
+          static_cast<unsigned long long>(probes),
+          static_cast<unsigned long long>(bound),
+          static_cast<unsigned long long>(merged),
           result.itemsets.TotalPatterns());
       // Spill pages share R_k's lifecycle: a reused id is written without
       // a new allocation, so each write is paid for by one or the other.
@@ -104,6 +156,23 @@ int main(int argc, char** argv) {
                      pct, label.c_str(),
                      static_cast<unsigned long long>(io.page_writes),
                      static_cast<unsigned long long>(handed_out));
+        return 1;
+      }
+      // Every level's count a dense array: one hash probe per left row at
+      // most (the C_{k-1} lookup), none for k = 2.
+      const uint64_t dense_bytes = LargestDenseCount(
+          txns, result.itemsets, result.iterations.size());
+      const size_t dense_ceiling =
+          budget == kUnbounded ? db_options.sort_memory_bytes : budget;
+      if (dense_bytes <= dense_ceiling && probes > bound) {
+        std::fprintf(stderr,
+                     "FAIL: minsup %.1f%%: %s holds the dense count (%llu "
+                     "bytes) yet made %llu hash probes, over the %llu left "
+                     "rows\n",
+                     pct, label.c_str(),
+                     static_cast<unsigned long long>(dense_bytes),
+                     static_cast<unsigned long long>(probes),
+                     static_cast<unsigned long long>(bound));
         return 1;
       }
       if (budget == kUnbounded) {

@@ -51,8 +51,15 @@ size_t ItemsetCounts::Slot(const ItemId* items) const {
   }
   const size_t mask = index_.size() - 1;
   size_t slot = static_cast<size_t>(h) & mask;
-  while (index_[slot] != kEmpty &&
-         !std::equal(items, items + k_, &keys_[index_[slot] * k_])) {
+  // An inline loop: std::equal on ints becomes a libc memcmp call.
+  const auto same = [&](uint32_t id) {
+    const ItemId* key = &keys_[id * k_];
+    for (size_t i = 0; i < k_; ++i) {
+      if (key[i] != items[i]) return false;
+    }
+    return true;
+  };
+  while (index_[slot] != kEmpty && !same(index_[slot])) {
     slot = (slot + 1) & mask;
   }
   return slot;
@@ -113,16 +120,6 @@ std::vector<uint32_t> ItemsetCounts::SortedIds() const {
                                         keys + b * k, keys + b * k + k);
   });
   return ids;
-}
-
-void ItemsetCounts::AppendAtLeast(int64_t min_count,
-                                  std::vector<PatternCount>* out) const {
-  ForEach([&](const ItemId* items, int64_t count) {
-    if (count >= min_count) {
-      out->push_back(PatternCount{std::vector<ItemId>(items, items + k_),
-                                  count});
-    }
-  });
 }
 
 }  // namespace setm

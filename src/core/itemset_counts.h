@@ -10,10 +10,10 @@
 namespace setm {
 
 /// Support counts of k-itemsets, keyed by the k items packed side by side.
-/// The SETM path's one itemset map: the budgeted local count
-/// (core/setm_pipeline.h), the C_k filter probe and the coordinator's merge
-/// of partial counts. A key is read straight out of an R_k row (its
-/// columns 1..k), so probing allocates nothing.
+/// The SETM path's one itemset map: the hashed C_k count of (C_k id, C_1
+/// rank) keys (core/setm_pipeline.h), the C_{k-1} id lookup of a pass and
+/// the coordinator's merge of partial counts. A key is read straight out
+/// of an R_k row (its columns 1..k), so probing allocates nothing.
 ///
 /// Layout: the entries are stored densely, in insertion order, as k keys
 /// in one array and an int64 count in another. A power-of-two index of
@@ -57,6 +57,13 @@ class ItemsetCounts {
     return id == kEmpty ? 0 : counts_[id];
   }
 
+  /// The entry id of `items` (k ints): its position in insertion order,
+  /// ForEach's; -1 when absent.
+  int64_t Find(const ItemId* items) const {
+    const uint32_t id = index_[Slot(items)];
+    return id == kEmpty ? -1 : int64_t{id};
+  }
+
   /// Calls `fn(const ItemId* items, int64_t count)` for every itemset, in
   /// insertion order.
   template <typename Fn>
@@ -69,9 +76,6 @@ class ItemsetCounts {
   void ForEachSorted(Fn fn) const {
     for (uint32_t id : SortedIds()) fn(&keys_[id * k_], counts_[id]);
   }
-
-  /// Appends every itemset counted at least `min_count` to `out`.
-  void AppendAtLeast(int64_t min_count, std::vector<PatternCount>* out) const;
 
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;

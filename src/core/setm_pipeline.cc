@@ -1,14 +1,17 @@
 #include "core/setm_pipeline.h"
 
+#include <numeric>
+#include <string>
+
 #include "obs/metrics.h"
 
 namespace setm {
 
 namespace {
 
-/// Appends `table`'s entries in item order as (item_1..item_k, count) rows.
-/// A run row's count is an int32, so a larger count takes several rows;
-/// the merge sums them like the counts of one itemset from several runs.
+/// Appends `table`'s entries in key order as (key, count) rows. A run row's
+/// count is an int32, so a larger count takes several rows; the merge sums
+/// them like the counts of one key from several runs.
 void AppendEntryRows(const ItemsetCounts& table, std::vector<int32_t>* rows) {
   constexpr int64_t kMaxRowCount = INT32_MAX;
   const size_t k = table.k();
@@ -33,6 +36,14 @@ struct Head {
   }
 };
 
+obs::Counter* ProbesCounter() {
+  static obs::Counter* probes = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_itemset_probes_total",
+      "Itemset-key hash probes on a shard: the C_{k-1} lookups of its "
+      "passes and the adds of a hashed C_k count");
+  return probes;
+}
+
 void FlushCountMetrics(const CountStats& stats) {
   static obs::Counter* rows = obs::MetricsRegistry::Global()->GetCounter(
       "setm_count_rows_total", "R'_k rows aggregated by the C_k count");
@@ -44,35 +55,131 @@ void FlushCountMetrics(const CountStats& stats) {
       "High-water mark of one C_k count table's allocated bytes");
   rows->Increment(stats.rows);
   spilled->Increment(stats.spilled_runs);
+  ProbesCounter()->Increment(stats.probes);
   peak->RaiseTo(static_cast<int64_t>(stats.peak_bytes));
 }
 
+/// A transaction's items as pass k >= 2 reads them: those in C_1, in order
+/// (a repeated SALES row repeated), with their C_1 ranks.
+class TransactionItems {
+ public:
+  /// Loads the transaction whose R_1 items are [first, last) (ascending).
+  void Load(const ItemId* first, const ItemId* last, const ItemRanks& c1) {
+    items_.clear();
+    ranks_.clear();
+    next_.clear();
+    after_.clear();
+    const size_t n = static_cast<size_t>(last - first);
+    for (size_t i = 0; i < n;) {
+      size_t j = i + 1;  // past every copy of first[i]
+      while (j < n && first[j] == first[i]) ++j;
+      const int32_t rank = c1.RankOf(first[i]);
+      if (rank != ItemRanks::kAbsent) {
+        const uint32_t run_end = static_cast<uint32_t>(items_.size() + j - i);
+        for (size_t copy = i; copy < j; ++copy) {
+          items_.push_back(first[i]);
+          ranks_.push_back(rank);
+          next_.push_back(run_end);
+          after_.push_back(n - j);
+        }
+      }
+      i = j;
+    }
+  }
+
+  size_t size() const { return items_.size(); }
+  ItemId item(size_t i) const { return items_[i]; }
+  const int32_t* ranks() const { return ranks_.data(); }
+  /// The first C_1 item greater than `item`.
+  size_t FirstAbove(ItemId item) const {
+    return static_cast<size_t>(
+        std::upper_bound(items_.begin(), items_.end(), item) -
+        items_.begin());
+  }
+  /// The first C_1 item greater than item i: where its extensions start.
+  size_t Next(size_t i) const { return next_[i]; }
+  /// The transaction's R_1 items, in C_1 or not, greater than item i: its
+  /// R'_{k+1} rows should a row ending in it be kept.
+  uint64_t RowsAfter(size_t i) const { return after_[i]; }
+
+ private:
+  std::vector<ItemId> items_;
+  std::vector<int32_t> ranks_;
+  std::vector<uint32_t> next_;
+  std::vector<uint64_t> after_;
+};
+
+/// "C_k holds {1 2 3}" for error messages.
+std::string Itemset(const std::vector<ItemId>& items) {
+  std::string out = "{";
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += std::to_string(items[i]);
+  }
+  return out + "}";
+}
+
 }  // namespace
+
+ItemRanks::ItemRanks(std::vector<ItemId> items) : items_(std::move(items)) {
+  SETM_DCHECK(std::adjacent_find(items_.begin(), items_.end(),
+                                 std::greater_equal<ItemId>()) ==
+              items_.end());
+  if (items_.empty()) return;
+  base_ = items_.front();
+  const uint64_t span =
+      static_cast<uint64_t>(int64_t{items_.back()} - base_) + 1;
+  if (span > kDenseSpanPerItem * items_.size() + kDenseSpanSlack) return;
+  table_.assign(span, kAbsent);
+  for (size_t rank = 0; rank < items_.size(); ++rank) {
+    table_[static_cast<size_t>(int64_t{items_[rank]} - base_)] =
+        static_cast<int32_t>(rank);
+  }
+}
+
+ExtensionSpace ExtensionSpace::Singletons(ItemRanks items) {
+  ExtensionSpace space;
+  space.last_rank = {-1};
+  space.alphabet = std::move(items);
+  return space;
+}
+
+ExtensionSpace ExtensionSpace::Pairs(ItemRanks items) {
+  ExtensionSpace space;
+  space.width = 1;
+  space.parents = items.items();
+  space.last_rank.resize(items.size());
+  std::iota(space.last_rank.begin(), space.last_rank.end(), 0);
+  space.alphabet = std::move(items);
+  return space;
+}
 
 BudgetedCount::BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes)
     : k_(k),
       budget_bytes_(budget_bytes),
       table_(k),
-      runs_(ctx, k + 1, /*key_begin=*/0, /*key_end=*/k),
-      key_(k) {}
+      runs_(ctx, k + 1, /*key_begin=*/0, /*key_end=*/k) {}
 
-Status BudgetedCount::SpillAndAdd(const ItemId* items) {
+Status BudgetedCount::SpillAndAdd(const ItemId* key) {
   std::vector<int32_t> run;
   AppendEntryRows(table_, &run);
   ++stats_.spilled_runs;
   stats_.spilled_entries += table_.size();
   SETM_RETURN_IF_ERROR(runs_.AddSortedRun(run));
   table_.Clear();
-  table_.Add(items, 1);  // an empty table takes any itemset without growing
+  ++stats_.probes;
+  table_.Add(key, 1);  // an empty table takes any key without growing
   return Status::OK();
 }
 
-Status BudgetedCount::Finish(int64_t min_count,
-                             std::vector<PatternCount>* out) {
+Status BudgetedCount::Finish(
+    int64_t min_count,
+    const std::function<void(const ItemId*, int64_t)>& emit) {
   stats_.peak_bytes = table_.bytes();  // the table never shrinks
-  FlushCountMetrics(stats_);
   if (stats_.spilled_runs == 0) {
-    table_.AppendAtLeast(min_count, out);
+    table_.ForEach([&](const ItemId* key, int64_t count) {
+      if (count >= min_count) emit(key, count);
+    });
     return Status::OK();
   }
   std::vector<int32_t> rest;
@@ -83,7 +190,7 @@ Status BudgetedCount::Finish(int64_t min_count,
   IntArrayCursor rest_cursor(&rest, k_ + 1);
   Head heads[2] = {{runs_or.value().get()}, {&rest_cursor}};
   for (Head& head : heads) SETM_RETURN_IF_ERROR(head.Advance());
-  std::vector<ItemId> items(k_);
+  std::vector<ItemId> key(k_);
   while (heads[0].row != nullptr || heads[1].row != nullptr) {
     const int32_t* first = heads[0].row;
     if (first == nullptr ||
@@ -92,54 +199,205 @@ Status BudgetedCount::Finish(int64_t min_count,
                                       first + k_))) {
       first = heads[1].row;
     }
-    items.assign(first, first + k_);
+    key.assign(first, first + k_);
     int64_t count = 0;
     for (Head& head : heads) {
       while (head.row != nullptr &&
-             std::equal(items.begin(), items.end(), head.row)) {
+             std::equal(key.begin(), key.end(), head.row)) {
         count += head.row[k_];
         SETM_RETURN_IF_ERROR(head.Advance());
       }
     }
-    if (count >= min_count) out->push_back(PatternCount{items, count});
+    if (count >= min_count) emit(key.data(), count);
   }
   return Status::OK();
 }
 
-Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs) {
+Status BudgetedCount::Finish(int64_t min_count,
+                             std::vector<PatternCount>* out) {
+  return Finish(min_count, [&](const ItemId* key, int64_t count) {
+    out->push_back(PatternCount{std::vector<ItemId>(key, key + k_), count});
+  });
+}
+
+ExtensionCount::ExtensionCount(ExecContext ctx, const ExtensionSpace* space,
+                               size_t budget_bytes)
+    : space_(space) {
+  const size_t ranks = space->alphabet.size();
+  const size_t dense_limit = std::min(budget_bytes, ctx.sort_memory_bytes);
+  const size_t max_counters = dense_limit / sizeof(int64_t);
+  offset_.resize(space->num_parents());
+  size_t counters = 0;
+  for (size_t id = 0; id < offset_.size() && counters <= max_counters; ++id) {
+    offset_[id] = static_cast<int64_t>(counters);
+    counters += ranks - static_cast<size_t>(space->last_rank[id] + 1);
+  }
+  if (counters <= max_counters) {
+    dense_.assign(counters, 0);
+    return;
+  }
+  offset_.clear();
+  offset_.shrink_to_fit();
+  hashed_ = std::make_unique<BudgetedCount>(ctx, 2, budget_bytes);
+}
+
+void ExtensionCount::Emit(uint32_t id, int32_t rank, int64_t count,
+                          std::vector<PatternCount>* out) const {
+  PatternCount pc;
+  pc.items.reserve(space_->width + 1);
+  const ItemId* parent = space_->parents.data() + id * space_->width;
+  pc.items.assign(parent, parent + space_->width);
+  pc.items.push_back(space_->alphabet.item(rank));
+  pc.count = count;
+  out->push_back(std::move(pc));
+}
+
+Status ExtensionCount::Finish(int64_t min_count,
+                              std::vector<PatternCount>* out) {
+  min_count = std::max<int64_t>(min_count, 1);
+  if (hashed_ == nullptr) {
+    stats_.peak_bytes = dense_.size() * sizeof(int64_t);
+    const int32_t ranks = static_cast<int32_t>(space_->alphabet.size());
+    for (uint32_t id = 0; id < offset_.size(); ++id) {
+      const int64_t* counts = dense_.data() + offset_[id];
+      for (int32_t rank = space_->last_rank[id] + 1; rank < ranks;
+           ++rank, ++counts) {
+        if (*counts >= min_count) Emit(id, rank, *counts, out);
+      }
+    }
+  } else {
+    SETM_RETURN_IF_ERROR(hashed_->Finish(
+        min_count, [&](const ItemId* key, int64_t count) {
+          Emit(static_cast<uint32_t>(key[0]), key[1], count, out);
+        }));
+    const CountStats& hashed = hashed_->stats();
+    stats_.spilled_runs = hashed.spilled_runs;
+    stats_.spilled_entries = hashed.spilled_entries;
+    stats_.peak_bytes = hashed.peak_bytes;
+    stats_.probes = hashed.probes;
+  }
+  FlushCountMetrics(stats_);
+  return Status::OK();
+}
+
+Status CountPairs(const int32_t* ranks, size_t n, ExtensionCount* pairs) {
   SETM_DCHECK(pairs->k() == 2);
-  const ItemId* end = items.data() + items.size();
-  for (const ItemId* it = items.data(); it != end; ++it) {
-    SETM_RETURN_IF_ERROR(
-        pairs->AddExtensions(it, std::upper_bound(it, end, *it), end));
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;  // a repeated item does not pair with itself
+    while (j < n && ranks[j] == ranks[i]) ++j;
+    for (size_t copy = i; copy < j; ++copy) {
+      pairs->AddRows(n - j);
+      SETM_RETURN_IF_ERROR(pairs->AddExtensions(
+          static_cast<uint32_t>(ranks[i]), ranks + j, ranks + n));
+    }
+    i = j;
   }
   return Status::OK();
+}
+
+Result<CandidateLevel> IndexCandidates(
+    size_t k, const std::vector<std::vector<ItemId>>& ck,
+    const CandidateLevel* prev) {
+  const std::string level = "C_" + std::to_string(k);
+  for (size_t id = 0; id < ck.size(); ++id) {
+    const std::vector<ItemId>& items = ck[id];
+    if (items.size() != k) {
+      return Status::InvalidArgument(level + " holds a " +
+                                     std::to_string(items.size()) +
+                                     "-itemset, " + Itemset(items));
+    }
+    if (std::adjacent_find(items.begin(), items.end(),
+                           std::greater_equal<ItemId>()) != items.end()) {
+      return Status::InvalidArgument(level + " holds " + Itemset(items) +
+                                     ", whose items are not ascending");
+    }
+    if (id > 0 && !(ck[id - 1] < items)) {
+      return Status::InvalidArgument(
+          level + " is not ascending without duplicates: " +
+          Itemset(ck[id - 1]) + " before " + Itemset(items));
+    }
+  }
+  CandidateLevel out;
+  out.k = k;
+  ExtensionSpace& space = out.space;
+  space.width = k;
+  space.parents.reserve(ck.size() * k);
+  for (const std::vector<ItemId>& items : ck) {
+    space.parents.insert(space.parents.end(), items.begin(), items.end());
+  }
+  space.last_rank.resize(ck.size());
+  if (k == 1) {
+    space.alphabet = ItemRanks(space.parents);
+    std::iota(space.last_rank.begin(), space.last_rank.end(), 0);
+    out.first_child = {0, static_cast<uint32_t>(ck.size())};
+    return out;
+  }
+  SETM_CHECK(prev != nullptr && prev->k + 1 == k);
+  space.alphabet = prev->space.alphabet;
+  // Both levels are in itemset order, so the prefixes of C_k walk C_{k-1}
+  // forwards: a merge finds each parent without hashing.
+  const std::vector<ItemId>& parents = prev->space.parents;
+  const size_t width = k - 1;
+  std::vector<uint32_t> children(prev->size(), 0);
+  size_t parent = 0;
+  for (size_t id = 0; id < ck.size(); ++id) {
+    const ItemId* prefix = ck[id].data();
+    const auto parent_less = [&](size_t p) {
+      return std::lexicographical_compare(
+          parents.begin() + p * width, parents.begin() + (p + 1) * width,
+          prefix, prefix + width);
+    };
+    while (parent < prev->size() && parent_less(parent)) ++parent;
+    if (parent == prev->size() ||
+        !std::equal(prefix, prefix + width, parents.begin() + parent * width)) {
+      const std::vector<ItemId> missing(prefix, prefix + width);
+      return Status::InvalidArgument(level + " holds " + Itemset(ck[id]) +
+                                     ", whose prefix " + Itemset(missing) +
+                                     " is not in C_" + std::to_string(k - 1));
+    }
+    const int32_t rank = space.alphabet.RankOf(ck[id].back());
+    if (rank == ItemRanks::kAbsent) {
+      return Status::InvalidArgument(level + " holds " + Itemset(ck[id]) +
+                                     ", whose last item is not in C_1");
+    }
+    space.last_rank[id] = rank;
+    ++children[parent];
+  }
+  out.first_child.resize(prev->size() + 1);
+  out.first_child[0] = 0;
+  std::partial_sum(children.begin(), children.end(),
+                   out.first_child.begin() + 1);
+  return out;
 }
 
 Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
-                  const ItemsetCounts& ck, IntRelation* out,
-                  BudgetedCount* next) {
-  SETM_DCHECK(ck.k() + 1 == out->width());
-  SETM_DCHECK(next == nullptr || next->k() == ck.k() + 1);
-  std::vector<int32_t> last;  // the previous row, for the order check
-  const auto in_ck = [&](const int32_t* row) {
+                  const CandidateLevel* prev, const CandidateLevel& ck,
+                  IntRelation* out, ExtensionCount* next) {
+  const size_t k = ck.k;
+  SETM_DCHECK(k + 1 == out->width());
+  SETM_DCHECK(next == nullptr || next->k() == k + 1);
+  const ItemRanks& c1 = ck.space.alphabet;
 #ifndef NDEBUG
-    // R_k is appended in arrival order and never sorted, so the rows must
-    // arrive in (trans_id, item_1..item_k) order.
+  // R_k is appended in arrival order and never sorted, so the rows must
+  // arrive in (trans_id, item_1..item_k) order.
+  std::vector<int32_t> last;
+  const auto check_order = [&](const int32_t* row) {
     const int32_t* end = row + out->width();
     SETM_CHECK(last.empty() || !std::lexicographical_compare(
                                    row, end, last.begin(), last.end()));
     last.assign(row, end);
-#endif
-    return ck.Count(row + 1) != 0;
   };
-  if (ck.k() == 1) {
+#else
+  const auto check_order = [](const int32_t*) {};
+#endif
+  if (k == 1) {
     // R'_2 pairs the kept items of a transaction, so they are gathered
-    // until the transaction ends.
+    // until the transaction ends. A C_1 item's id is its rank.
     std::optional<TransactionId> tid;
-    std::vector<ItemId> kept;
+    std::vector<int32_t> kept;
     const auto count_pairs = [&]() {
-      return next == nullptr ? Status::OK() : CountPairs(kept, next);
+      return next == nullptr ? Status::OK()
+                             : CountPairs(kept.data(), kept.size(), next);
     };
     const auto keep = [&](const int32_t* row) -> Status {
       if (tid != row[0]) {
@@ -147,22 +405,74 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
         tid = row[0];
         kept.clear();
       }
-      if (!in_ck(row)) return Status::OK();
-      kept.push_back(row[1]);
+      const int32_t rank = c1.RankOf(row[1]);
+      if (rank == ItemRanks::kAbsent) return Status::OK();
+      check_order(row);
+      kept.push_back(rank);
       return out->Append(row, 1);
     };
     SETM_RETURN_IF_ERROR(ForEachRow(left, keep));
     SETM_RETURN_IF_ERROR(count_pairs());
-  } else {
-    const auto keep = [&](const int32_t* row, const ItemId* rest,
-                          const ItemId* rest_end) -> Status {
-      if (!in_ck(row)) return Status::OK();
-      SETM_RETURN_IF_ERROR(out->Append(row, 1));
-      return next == nullptr ? Status::OK()
-                             : next->AddExtensions(row + 1, rest, rest_end);
-    };
-    SETM_RETURN_IF_ERROR(JoinRkPrime(left, ck.k(), r1, keep));
+    return out->Finish();
   }
+
+  // C_{k-1}'s ids by itemset, for left rows of k-1 >= 2 items.
+  uint64_t probes = 0;
+  std::optional<ItemsetCounts> prev_index;
+  if (k >= 3) {
+    SETM_CHECK(prev != nullptr && prev->k + 1 == k);
+    prev_index.emplace(k - 1);
+    for (size_t id = 0; id < prev->size(); ++id) {
+      prev_index->Add(prev->space.parents.data() + id * (k - 1), 1);
+    }
+    probes += prev->size();
+  }
+  const int32_t* child_rank = ck.space.last_rank.data();
+  const uint32_t* first_child = ck.first_child.data();
+  TransactionItems txn;
+  std::optional<TransactionId> tid;
+  std::vector<int32_t> row(k + 1);
+  const auto pass = [&](const int32_t* p, const ItemId* items,
+                        const ItemId* items_end) -> Status {
+    if (tid != p[0]) {
+      tid = p[0];
+      txn.Load(items, items_end, c1);
+    }
+    int64_t parent;
+    if (k == 2) {
+      parent = c1.RankOf(p[1]);
+      if (parent == ItemRanks::kAbsent) return Status::OK();
+    } else {
+      ++probes;
+      parent = prev_index->Find(p + 1);
+      if (parent < 0) return Status::OK();
+    }
+    uint32_t child = first_child[parent];
+    const uint32_t child_end = first_child[parent + 1];
+    if (child == child_end) return Status::OK();
+    // Merge the transaction's C_1 items above item_{k-1} with the parent's
+    // children, both ascending on rank: each match is an R'_k row in C_k.
+    const int32_t* ranks = txn.ranks();
+    for (size_t i = txn.FirstAbove(p[k - 1]); i < txn.size(); ++i) {
+      while (child_rank[child] < ranks[i]) {
+        if (++child == child_end) return Status::OK();
+      }
+      if (child_rank[child] != ranks[i]) continue;
+      std::copy_n(p, k, row.begin());
+      row[k] = txn.item(i);
+      check_order(row.data());
+      SETM_RETURN_IF_ERROR(out->Append(row.data(), 1));
+      if (next != nullptr) {
+        next->AddRows(txn.RowsAfter(i));
+        SETM_RETURN_IF_ERROR(next->AddExtensions(
+            child, ranks + txn.Next(i), ranks + txn.size()));
+      }
+    }
+    return Status::OK();
+  };
+  Status status = JoinLeftRows(left, r1, pass);
+  ProbesCounter()->Increment(probes);
+  SETM_RETURN_IF_ERROR(status);
   return out->Finish();
 }
 

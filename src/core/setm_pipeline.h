@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -19,30 +21,38 @@ namespace setm {
 // threaded as N, and each per-class run of ClassedSetmMiner), every
 // sharded database and every remote LCOUNT/MERGE request runs them there.
 // An R_k is an IntRelation of width k+1, (trans_id, item_1..item_k), kept
-// sorted on all of its columns; a C_k is an ItemsetCounts keyed by the k
-// items. R'_k is never stored. Each iteration k makes one pass, the one
-// that writes R_k: the merge-scan join of R_{k-1} with R_1 streams R'_k,
-// the rows whose items are in C_k are appended to R_k, and each kept
-// row's extensions, the rows of R'_{k+1}, go straight into the next
-// level's BudgetedCount. So C_{k+1} is counted without a join of its own
-// and each iteration reads R_{k-1} and R_1 once (the fusion of AprioriTid,
-// Agrawal and Srikant 1994). The SQL engine's Tuple/Value path (and with
-// it setm-sql, the paper's SQL formulation) is not used here.
+// sorted on all of its columns. R'_k is never stored. Each iteration k
+// makes one pass, the one that writes R_k: the merge-scan join of R_{k-1}
+// with R_1 streams R'_k, the rows whose items are in C_k are appended to
+// R_k, and each kept row's extensions, the rows of R'_{k+1}, go straight
+// into the next level's count. So C_{k+1} is counted without a join of its
+// own and each iteration reads R_{k-1} and R_1 once (the fusion of
+// AprioriTid, Agrawal and Srikant 1994).
+//
+// The pass works in candidate-id space, as AprioriTid's candidate ids and
+// Bodon's prefix trie of candidates (FIMI 2003) do. A C_k itemset's id is
+// its position in itemset order (CandidateLevel), so the children of one
+// C_{k-1} itemset have consecutive ids, ascending on their last item. Pass
+// k finds a left R_{k-1} row's C_{k-1} id once (a rank in C_1 for k = 2, a
+// hash probe for k >= 3), merges the transaction's items above the row's
+// last item against that parent's children instead of hashing each R'_k
+// row, and counts each kept row's extensions by the one-word key (C_k id,
+// rank of the extension item in C_1) (ExtensionCount). An extension by an
+// item outside C_1 only adds to |R'_{k+1}|: its support is at most that
+// item's, so it cannot be frequent. The SQL engine's Tuple/Value path (and
+// with it setm-sql, the paper's SQL formulation) is not used here.
 
-/// Streams R'_k: the merge-scan join of `left`, a cursor over R_{k-1}'s k
-/// columns (trans_id, item_1..item_{k-1}), with `r1` (R_1, width 2) on
-/// trans_id, keeping extensions with q.item > p.item_{k-1}, projected to
-/// (trans_id, item_1..item_k). Calls
-/// `visit(row, rest, rest_end)` (returns a Status) once per row, in
-/// merge-join order — each left row followed by its transaction's
-/// qualifying R_1 items, in order — so the rows arrive sorted on
-/// (trans_id, item_1..item_k) like the inputs. `row` is k+1 ints and
-/// [rest, rest_end) the transaction's R_1 items greater than item_k: the
-/// row's own extensions, R'_{k+1}'s rows should it be kept. Both are valid
-/// for the call only. Stops at the first error.
+/// Streams the merge-scan join of `left`, a cursor over R_{k-1}'s k columns
+/// (trans_id, item_1..item_{k-1}), with `r1` (R_1, width 2) on trans_id.
+/// Calls `visit(p, items, items_end)` (returns a Status) once per left row
+/// p, in `left`'s order, where [items, items_end) are p's transaction's R_1
+/// items, ascending (a repeated SALES row repeats its item). R'_k's rows
+/// for p are (p, q) for each of those items q > p.item_{k-1}, in order, so
+/// R'_k arrives sorted on (trans_id, item_1..item_k) like the inputs. The
+/// range is valid for the call only, and the same for every left row of a
+/// transaction. Stops at the first error.
 template <typename Visit>
-Status JoinRkPrime(IntRowCursor* left, size_t k, const IntRelation& r1,
-                   Visit visit) {
+Status JoinLeftRows(IntRowCursor* left, const IntRelation& r1, Visit visit) {
   SETM_DCHECK(r1.width() == 2);
   auto r1_rows = r1.Scan();
   const int32_t* q = nullptr;  // the first R_1 row not yet gathered
@@ -56,7 +66,6 @@ Status JoinRkPrime(IntRowCursor* left, size_t k, const IntRelation& r1,
   SETM_RETURN_IF_ERROR(next_q());
   std::optional<TransactionId> tid;  // the transaction `items` belongs to
   std::vector<ItemId> items;         // its R_1 items
-  std::vector<int32_t> row(k + 1);   // the R'_k row being assembled
   return ForEachRow(left, [&](const int32_t* p) -> Status {
     if (tid != p[0]) {
       tid = p[0];
@@ -66,119 +75,280 @@ Status JoinRkPrime(IntRowCursor* left, size_t k, const IntRelation& r1,
         SETM_RETURN_IF_ERROR(next_q());
       }
     }
-    // q.item > p.item_{k-1}: the items are in order, so the qualifying ones
-    // are a suffix.
-    std::copy_n(p, k, row.begin());
-    const ItemId* begin = items.data();
-    const ItemId* end = begin + items.size();
-    for (const ItemId* it = std::upper_bound(begin, end, p[k - 1]);
-         it != end; ++it) {
-      row[k] = *it;
-      // The row's extensions start past every copy of item_k: a
-      // transaction that repeats an item does not extend with it again.
-      SETM_RETURN_IF_ERROR(
-          visit(row.data(), std::upper_bound(it, end, *it), end));
-    }
-    return Status::OK();
+    return visit(p, items.data(), items.data() + items.size());
   });
 }
 
-/// What one BudgetedCount did.
+/// Dense ranks 0..n-1 of n distinct items in ascending order: C_1's items,
+/// or a shard's distinct items before C_1 is known.
+class ItemRanks {
+ public:
+  static constexpr int32_t kAbsent = -1;
+
+  ItemRanks() = default;
+  /// `items` ascending and distinct.
+  explicit ItemRanks(std::vector<ItemId> items);
+  /// The distinct items `item_of` gives the elements of `range`, in any
+  /// order and with repeats. Marks them in a bitmap when they span a range
+  /// at most a few times their number, else sorts a copy.
+  template <typename Range, typename ItemOf>
+  static ItemRanks Distinct(const Range& range, ItemOf item_of) {
+    if (range.begin() == range.end()) return ItemRanks();
+    int64_t lo = INT64_MAX;
+    int64_t hi = INT64_MIN;
+    size_t n = 0;
+    for (const auto& element : range) {
+      const int64_t item = item_of(element);
+      lo = std::min(lo, item);
+      hi = std::max(hi, item);
+      ++n;
+    }
+    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+    std::vector<ItemId> items;
+    if (span <= kDenseSpanPerItem * n + kDenseSpanSlack) {
+      std::vector<bool> seen(span);
+      for (const auto& element : range) {
+        seen[static_cast<size_t>(item_of(element) - lo)] = true;
+      }
+      for (size_t at = 0; at < span; ++at) {
+        if (seen[at]) items.push_back(static_cast<ItemId>(lo + int64_t(at)));
+      }
+    } else {
+      items.reserve(n);
+      for (const auto& element : range) items.push_back(item_of(element));
+      std::sort(items.begin(), items.end());
+      items.erase(std::unique(items.begin(), items.end()), items.end());
+    }
+    return ItemRanks(std::move(items));
+  }
+
+  size_t size() const { return items_.size(); }
+  const std::vector<ItemId>& items() const { return items_; }
+  ItemId item(int32_t rank) const { return items_[rank]; }
+
+  /// `item`'s rank, or kAbsent. A table lookup when the items span a range
+  /// at most a few times their number, else a binary search.
+  int32_t RankOf(ItemId item) const {
+    if (!table_.empty()) {
+      const uint64_t at = static_cast<uint64_t>(int64_t{item} - base_);
+      return at < table_.size() ? table_[at] : kAbsent;
+    }
+    const auto it = std::lower_bound(items_.begin(), items_.end(), item);
+    return it != items_.end() && *it == item
+               ? static_cast<int32_t>(it - items_.begin())
+               : kAbsent;
+  }
+
+ private:
+  /// A table or bitmap over the items' span is used while the span is at
+  /// most kDenseSpanPerItem entries per item, plus kDenseSpanSlack.
+  static constexpr uint64_t kDenseSpanPerItem = 4;
+  static constexpr uint64_t kDenseSpanSlack = 1024;
+
+  std::vector<ItemId> items_;
+  int64_t base_ = 0;            ///< the smallest item, table_[0]'s
+  std::vector<int32_t> table_;  ///< rank by item - base_; empty: search
+};
+
+/// The key space of a count of R'_k rows: every R'_k row is a parent, a
+/// (k-1)-itemset with a dense id, extended by one item of an alphabet with
+/// dense ranks. Parent ids follow itemset order and ranks item order, so
+/// (id, rank) order is itemset order.
+struct ExtensionSpace {
+  size_t width = 0;             ///< items per parent: k-1 for R'_k
+  std::vector<ItemId> parents;  ///< width items per parent, by id
+  /// Per parent, its last item's rank in `alphabet` (-1 for the empty
+  /// parent of C_1's count): its extensions rank above it.
+  std::vector<int32_t> last_rank;
+  ItemRanks alphabet;
+
+  size_t num_parents() const { return last_rank.size(); }
+  /// The key space of C_1's count: the empty itemset extended by `items`.
+  static ExtensionSpace Singletons(ItemRanks items);
+  /// The key space of R'_2's count: each of `items` extended by a larger one.
+  static ExtensionSpace Pairs(ItemRanks items);
+};
+
+/// What one count did.
 struct CountStats {
   uint64_t rows = 0;             ///< itemsets counted: the |R'_k| rows
   uint64_t spilled_runs = 0;     ///< runs of aggregated entries written
-  uint64_t spilled_entries = 0;  ///< (itemset, count) rows in those runs
+  uint64_t spilled_entries = 0;  ///< (key, count) rows in those runs
   uint64_t peak_bytes = 0;  ///< the table's largest allocation, at Finish()
+  uint64_t probes = 0;      ///< hash probes of its table
 };
 
-/// The count, "sort R'_k on item_1..item_k; C_k := generate counts",
-/// within a memory budget. Each R'_k row's itemset is aggregated into an
-/// ItemsetCounts. When a new itemset would grow the table past the budget,
-/// the table's entries are sorted on their items and written to scratch
-/// pages as one IntRowSort run of (item_1..item_k, count) rows, and the
-/// table is emptied. Finish() merges the runs with the table's remainder,
-/// sums the counts of equal itemsets and only then applies the count
-/// floor, so an itemset counted across runs survives on its total.
+/// The count, "sort R'_k on item_1..item_k; C_k := generate counts", of
+/// fixed-width int keys within a memory budget: ExtensionCount's hashed
+/// table, keyed by (parent id, extension rank). Each key is aggregated into
+/// an ItemsetCounts. When a new key would grow the table past the budget,
+/// the table's entries are sorted on their keys and written to scratch
+/// pages as one IntRowSort run of (key, count) rows, and the table is
+/// emptied. Finish() merges the runs with the table's remainder, sums the
+/// counts of equal keys and only then applies the count floor, so a key
+/// counted across runs survives on its total.
 ///
 /// With no spill this is hash aggregation; under a small budget it is
 /// early aggregation ahead of the paper's sort-merge (Graefe 1993, Larson
-/// 2002), which writes at most one row per itemset per run instead of one
-/// per R'_k row. Results are identical for every budget. The table fills
-/// its budget (ItemsetCounts::MaxEntriesWithin); a budget below the
-/// table's initial allocation spills every 32 new itemsets.
-///
-/// Finish() records rows and spilled runs in setm_count_rows_total and
-/// setm_count_spilled_runs_total, and raises the setm_mem_count_bytes
-/// high-water mark to peak_bytes.
+/// 2002), which writes at most one row per key per run instead of one per
+/// R'_k row. Results are identical for every budget. The table fills its
+/// budget (ItemsetCounts::MaxEntriesWithin); a budget below the table's
+/// initial allocation spills every 32 new keys.
 class BudgetedCount {
  public:
   /// No budget: the table grows as needed and never spills.
   static constexpr size_t kUnbounded = SIZE_MAX;
 
-  /// Counts k-itemsets in at most `budget_bytes` of table (ItemsetCounts::
-  /// bytes()), spilling runs to scratch pages in `ctx`'s pool.
+  /// Counts keys of `k` ints in at most `budget_bytes` of table
+  /// (ItemsetCounts::bytes()), spilling runs to scratch pages in `ctx`'s
+  /// pool.
   BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes);
 
   size_t k() const { return k_; }
 
-  /// Counts one occurrence of `items` (k ints).
-  Status Add(const ItemId* items) {
+  /// Counts one occurrence of `key` (k ints).
+  Status Add(const ItemId* key) {
     ++stats_.rows;
-    if (table_.TryAdd(items, 1, budget_bytes_)) return Status::OK();
-    return SpillAndAdd(items);
+    ++stats_.probes;
+    if (table_.TryAdd(key, 1, budget_bytes_)) return Status::OK();
+    return SpillAndAdd(key);
   }
 
-  /// Counts `prefix` (k-1 ints) extended by each item of [first, last):
-  /// the R'_k rows of one kept R_{k-1} row.
-  Status AddExtensions(const ItemId* prefix, const ItemId* first,
-                       const ItemId* last) {
-    std::copy_n(prefix, k_ - 1, key_.begin());
-    for (; first != last; ++first) {
-      key_[k_ - 1] = *first;
-      SETM_RETURN_IF_ERROR(Add(key_.data()));
-    }
-    return Status::OK();
-  }
-
-  /// Appends every itemset counted at least `min_count` times to `out`: in
-  /// item order after a spill, in insertion order otherwise. Call once.
-  /// A shard passes min_count = 1 (support is a global property, so local
-  /// counts must all survive to the merge) unless it is the run's only
-  /// shard, whose local counts are global: then it passes minsupport, as
-  /// the paper's single pipeline does.
+  /// Calls `emit(key, count)` for every key counted at least `min_count`
+  /// times: in key order after a spill, in insertion order otherwise. Call
+  /// once.
+  Status Finish(int64_t min_count,
+                const std::function<void(const ItemId*, int64_t)>& emit);
+  /// Finish() into PatternCounts whose items are the keys.
   Status Finish(int64_t min_count, std::vector<PatternCount>* out);
 
   const CountStats& stats() const { return stats_; }
 
  private:
-  Status SpillAndAdd(const ItemId* items);
+  Status SpillAndAdd(const ItemId* key);
 
   size_t k_;
   size_t budget_bytes_;
   ItemsetCounts table_;
-  IntRowSort runs_;  ///< rows: item_1..item_k, count; key: the items
+  IntRowSort runs_;  ///< rows: key, count; sort key: the key
   CountStats stats_;
-  std::vector<ItemId> key_;  ///< AddExtensions' itemset being counted
 };
 
-/// Counts the R'_2 rows of one transaction whose R_1 items are `items`
-/// (ascending): each item extended by every larger one.
-Status CountPairs(const std::vector<ItemId>& items, BudgetedCount* pairs);
+/// The count of R'_k in candidate-id space: each row is keyed by (parent
+/// id, extension rank) in an ExtensionSpace, and Finish() translates the
+/// keys back to itemsets. When the space's counters (one int64 per parent
+/// and alphabet item above its last one) fit both the budget and the sort
+/// budget, the count is a dense array that hashes nothing. Otherwise it is
+/// a BudgetedCount of (id, rank) keys within the budget, spilling runs in
+/// (id, rank) order, which is itemset order.
+///
+/// A shard passes min_count = 1 (support is a global property, so local
+/// counts must all survive to the merge) unless it is the run's only
+/// shard, whose local counts are global: then it passes minsupport, as
+/// the paper's single pipeline does. Finish() records rows and spilled
+/// runs in setm_count_rows_total and setm_count_spilled_runs_total, hash
+/// probes in setm_itemset_probes_total, and raises the setm_mem_count_bytes
+/// high-water mark to peak_bytes; a count dropped unfinished records
+/// nothing.
+class ExtensionCount {
+ public:
+  /// Counts rows over `space`, which must outlive the count, within
+  /// `budget_bytes` (BudgetedCount::kUnbounded: the hashed table never
+  /// spills). The dense array's ceiling is also `ctx.sort_memory_bytes`.
+  ExtensionCount(ExecContext ctx, const ExtensionSpace* space,
+                 size_t budget_bytes);
 
-/// The one pass of iteration k, the filter: appends to `out` (width k+1,
-/// for ck.k() == k) the rows of R'_k whose items are in `ck` ("simple
-/// table look-ups on relation C_k"), in the order they arrive, and counts
-/// the kept rows' extensions, R'_{k+1}, into `next` unless it is null. For
-/// k >= 2 R'_k is the join of `left`, a scan of R_{k-1} (width k), with
-/// `r1`, so R_k comes out sorted on (trans_id, item_1..item_k) without a
-/// sort. For k == 1 (the filter_r1 ablation) `left` scans R_1 itself,
-/// filtered as is; `out` is the new R_1, and R'_2 the pairs of each
+  /// The itemset size counted: the parents' plus one.
+  size_t k() const { return space_->width + 1; }
+
+  /// Counts `n` R'_k rows in |R'_k|; only those also passed to
+  /// AddExtensions can be frequent.
+  void AddRows(uint64_t n) { stats_.rows += n; }
+
+  /// Counts parent `id` extended by each alphabet rank in [first, last),
+  /// all above the parent's last rank.
+  Status AddExtensions(uint32_t id, const int32_t* first,
+                       const int32_t* last) {
+    if (hashed_ == nullptr) {
+      const int64_t shift = offset_[id] - space_->last_rank[id] - 1;
+      for (; first != last; ++first) ++dense_[shift + *first];
+      return Status::OK();
+    }
+    for (; first != last; ++first) {
+      const ItemId key[2] = {static_cast<ItemId>(id), *first};
+      SETM_RETURN_IF_ERROR(hashed_->Add(key));
+    }
+    return Status::OK();
+  }
+
+  /// Appends every itemset counted at least `min_count` times to `out`, in
+  /// itemset order when dense or after a spill. Call once.
+  Status Finish(int64_t min_count, std::vector<PatternCount>* out);
+
+  const CountStats& stats() const { return stats_; }
+
+ private:
+  /// Appends parent `id` extended by the alphabet item of rank `rank`.
+  void Emit(uint32_t id, int32_t rank, int64_t count,
+            std::vector<PatternCount>* out) const;
+
+  const ExtensionSpace* space_;
+  CountStats stats_;
+  /// Dense: parent id's counters start at offset_[id], one per rank above
+  /// its last rank.
+  std::vector<int64_t> offset_;
+  std::vector<int64_t> dense_;
+  std::unique_ptr<BudgetedCount> hashed_;  ///< null when dense
+};
+
+/// Counts the R'_2 rows of one transaction whose items have the ranks
+/// `ranks[0..n)` (ascending, a repeated item repeated) in `pairs`, whose
+/// parents are the ranked items themselves (ExtensionSpace::Pairs): each
+/// item extended by every larger one.
+Status CountPairs(const int32_t* ranks, size_t n, ExtensionCount* pairs);
+
+/// C_k with dense ids, as pass k and the count of R'_{k+1} use it.
+struct CandidateLevel {
+  size_t k = 0;
+  /// C_k's itemsets by id, their last items' ranks in C_1, and C_1: the key
+  /// space of R'_{k+1}'s count.
+  ExtensionSpace space;
+  /// C_k ids [first_child[p], first_child[p + 1]) extend C_{k-1} id p (for
+  /// k = 1, p = 0 is the empty itemset).
+  std::vector<uint32_t> first_child;
+
+  size_t size() const { return space.num_parents(); }
+};
+
+/// Gives `ck`, the k-itemsets of a global C_k, their dense ids.
+/// InvalidArgument unless every itemset has k ascending items, the list is
+/// ascending with no duplicate, every itemset's (k-1)-prefix is in `prev`
+/// (C_{k-1}; ignored for k = 1) and every last item is in C_1 (for k = 1,
+/// `ck` is C_1 itself).
+Result<CandidateLevel> IndexCandidates(
+    size_t k, const std::vector<std::vector<ItemId>>& ck,
+    const CandidateLevel* prev);
+
+/// The one pass of iteration k, the filter: appends to `out` (width k+1)
+/// the rows of R'_k whose items are in `ck` ("simple table look-ups on
+/// relation C_k"), in the order they arrive, and counts the kept rows'
+/// extensions, R'_{k+1}, into `next` (over ck.space) unless it is null.
+/// For k >= 2 R'_k is the join of `left`, a scan of R_{k-1} (width k),
+/// with `r1`, so R_k comes out sorted on (trans_id, item_1..item_k) without
+/// a sort. For k >= 3 a left row finds its C_{k-1} id with one hash probe
+/// of an index of `prev` (C_{k-1}; null for k <= 2), and for k = 2 by its
+/// item's C_1 rank; its R'_k rows in C_k are found by merging
+/// the transaction's C_1 items above its last item with the C_{k-1}
+/// itemset's children. For k == 1 (the filter_r1 ablation) `left` scans R_1
+/// itself, filtered as is; `out` is the new R_1, and R'_2 the pairs of each
 /// transaction's kept items. `left` may be a last scan
 /// (IntRelation::LastScan) that releases R_{k-1} page by page while `out`
-/// grows. `out` is Finish()ed, ready to scan.
+/// grows. `out` is Finish()ed, ready to scan. The index's hash probes,
+/// one per C_{k-1} itemset and one per left row, are recorded in
+/// setm_itemset_probes_total.
 Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
-                  const ItemsetCounts& ck, IntRelation* out,
-                  BudgetedCount* next);
+                  const CandidateLevel* prev, const CandidateLevel& ck,
+                  IntRelation* out, ExtensionCount* next);
 
 }  // namespace setm
 

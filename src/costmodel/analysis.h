@@ -69,7 +69,7 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// all sequential.
 /// This models the paper's plan, which stores R'_k and sorts R_k back on
 /// trans_id. The engine instead makes one pass per iteration: the join of
-/// R_{k-1} with R_1 streams R'_k, the C_k probe writes R_k, and the kept
+/// R_{k-1} with R_1 streams R'_k, the C_k filter writes R_k, and the kept
 /// rows' extensions are counted as R'_{k+1} in the same pass. So it reads
 /// R_{k-1} and R_1 at most once per iteration, never writes R'_k and
 /// never sorts R_k. The paper charges every pass a read of R_1 from disk;

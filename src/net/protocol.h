@@ -40,7 +40,11 @@ namespace setm::net {
 ///                             R_k (for k == 1, R_1 itself, rewritten only
 ///                             under FILTER) and answers the local counts
 ///                             of R'_{k+1} ("<item_1> ... <item_{k+1}>
-///                             <count>" lines) counted in the same pass
+///                             <count>" lines) counted in the same pass.
+///                             The itemsets must come in ascending order,
+///                             each extending a C_{k-1} itemset of the
+///                             run by a C_1 item; otherwise the answer is
+///                             ERR InvalidArgument and the run ends
 ///   RELEASE                   ends the connection's shard run and frees
 ///                             its R_1 and R_k at once, instead of at the
 ///                             next LCOUNT or the disconnect; answers

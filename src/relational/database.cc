@@ -31,7 +31,7 @@ class ScopedFlag {
 
 Database::~Database() {
   if (persistent_ && !closed_ && catalog_ != nullptr) {
-    Status s = Checkpoint();
+    Status s = Checkpoint(/*truncate_free_tail=*/true);
     if (!s.ok()) {
       SETM_LOG(kError) << "checkpoint on close failed (data since the last "
                           "successful checkpoint may be lost): "
@@ -413,10 +413,12 @@ Status Database::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
   if (!persistent_) return Status::OK();
-  return Checkpoint();
+  return Checkpoint(/*truncate_free_tail=*/true);
 }
 
-Status Database::Checkpoint() {
+Status Database::Checkpoint() { return Checkpoint(false); }
+
+Status Database::Checkpoint(bool truncate_free_tail) {
   if (!persistent_) return Status::OK();
   ScopedFlag checkpoint_scope(&in_checkpoint_);
 
@@ -453,13 +455,28 @@ Status Database::Checkpoint() {
   snapshot.free_pages.insert(snapshot.free_pages.end(), pending_copy.begin(),
                              pending_copy.end());
   std::sort(snapshot.free_pages.begin(), snapshot.free_pages.end());
+  // On close, the free tail, the free ids that end the file, is truncated
+  // once the new image is published, so the durable free list leaves it
+  // out. A crash before the truncation leaves a longer file, whose tail
+  // reopen reclaims as unreachable.
+  const uint64_t file_pages = inner_backend_->NumPages();
+  uint64_t kept_pages = file_pages;
+  while (truncate_free_tail && kept_pages > kSuperblockSlotBPageId + 1 &&
+         !snapshot.free_pages.empty() &&
+         snapshot.free_pages.back() + uint64_t{1} == kept_pages) {
+    snapshot.free_pages.pop_back();
+    --kept_pages;
+  }
   std::string payload = EncodeCatalogSnapshot(snapshot);
 
   // Nothing changed since the last checkpoint? Then there is nothing to
   // make durable: no manifest rewrite, no superblock flip, no file growth.
-  // (checkpoint_seq > 0 keeps the very first checkpoint unconditional.)
+  // (checkpoint_seq > 0 keeps the very first checkpoint unconditional; a
+  // free tail to truncate needs a superblock that records the shorter
+  // file.)
   if (superblock_.checkpoint_seq > 0 && payload == last_manifest_payload_ &&
-      pool_->DirtyPageCount() == 0 && !wal_->HasRecords()) {
+      kept_pages == file_pages && pool_->DirtyPageCount() == 0 &&
+      !wal_->HasRecords()) {
     return Status::OK();
   }
 
@@ -512,10 +529,14 @@ Status Database::Checkpoint() {
     return step;
   }
 
+  // A manifest rewrite that took fresh pages put them past the free tail,
+  // which then stays.
+  const bool truncate =
+      kept_pages < file_pages && inner_backend_->NumPages() == file_pages;
   Superblock next = superblock_;
   next.manifest_root = new_root;
   next.spare_manifest_root = new_spare_root;
-  next.page_count = inner_backend_->NumPages();
+  next.page_count = truncate ? kept_pages : inner_backend_->NumPages();
   next.checkpoint_seq = superblock_.checkpoint_seq + 1;
   next.free_page_count = snapshot.free_pages.size();
   Page slot_page;
@@ -564,7 +585,32 @@ Status Database::Checkpoint() {
     pending_free_.insert(pending_free_.end(), released.begin(),
                          released.end());
   }
+  // A log that failed to reset may still hold images of tail pages.
+  if (truncate && reset.ok()) TruncateFreeTail(file_pages, kept_pages);
   return Status::OK();
+}
+
+void Database::TruncateFreeTail(uint64_t file_pages, uint64_t kept_pages) {
+  // The allocation hook stands down for the whole checkpoint, so no tail
+  // page is handed out meanwhile, and the pool drops its frames first: it
+  // takes free_mutex_ under its own mutex, never the other way round.
+  Status s = pool_->DropPagesFrom(static_cast<PageId>(kept_pages));
+  if (s.ok()) {
+    std::lock_guard<std::mutex> lock(free_mutex_);
+    s = inner_backend_->Truncate(file_pages, kept_pages);
+    if (s.ok()) {
+      free_pages_.erase(std::remove_if(free_pages_.begin(), free_pages_.end(),
+                                       [&](PageId id) {
+                                         return id >= kept_pages;
+                                       }),
+                        free_pages_.end());
+    }
+  }
+  // Otherwise the tail stays in the file, free, and reopen reclaims it.
+  if (!s.ok() && s.code() != StatusCode::kNotSupported) {
+    SETM_LOG(kWarn) << "free tail of " << file_pages - kept_pages
+                    << " page(s) not truncated: " << s.ToString();
+  }
 }
 
 }  // namespace setm

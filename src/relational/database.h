@@ -144,6 +144,10 @@ class Database {
 
   /// Final checkpoint, with the Status surfaced (the destructor can only
   /// log). Idempotent; after Close() the destructor does nothing more.
+  /// It also gives the free pages that end the main file back to the file
+  /// system, so a mine's spilled scratch does not grow the file for good.
+  /// (A routine Checkpoint keeps them: under drop/create churn the next
+  /// epoch would only regrow them.)
   Status Close();
 
   /// Checkpoints written so far (diagnostics; 0 for in-memory databases).
@@ -184,6 +188,13 @@ class Database {
   void ReclaimUnreachable(const std::unordered_set<PageId>& reachable,
                           const std::vector<PageId>& recorded,
                           uint64_t file_pages);
+  /// Checkpoint(), and on close the truncation of the free tail.
+  Status Checkpoint(bool truncate_free_tail);
+  /// The closing checkpoint's last step: shrinks the main file from
+  /// `file_pages` to `kept_pages`, whose free tail the published image
+  /// left out, and drops those ids from the pool and the free list. A
+  /// failure is logged and leaves the tail free.
+  void TruncateFreeTail(uint64_t file_pages, uint64_t kept_pages);
 
   DatabaseOptions options_;
   IoStats stats_;

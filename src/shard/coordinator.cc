@@ -19,6 +19,7 @@ struct ShardMetrics {
   obs::Counter* runs;
   obs::Counter* failures;
   obs::Counter* iterations;
+  obs::Counter* entries;
 };
 
 ShardMetrics* Metrics() {
@@ -36,6 +37,9 @@ ShardMetrics* Metrics() {
         "setm_shard_iterations_total",
         "Coordinator iterations completed by every SETM mine, serial ones "
         "included");
+    m->entries = registry->GetCounter(
+        "setm_count_entries_total",
+        "(itemset, count) entries shards handed to the coordinator's merge");
     return m;
   }();
   return metrics;
@@ -93,11 +97,18 @@ Status CallShards(WorkerPool* pool, std::vector<ShardState>* states,
 /// minsupport. Survivors land in `itemsets` and (in canonical sorted order,
 /// so remote broadcast payloads are deterministic) in `ck`. A count of the
 /// wrong arity (a remote shard's bug) is Corruption, not a silent miss.
+/// For k = 2 a pair with an item outside C_1 (in `itemsets` already) is
+/// dropped: it reaches minsupport only when SALES repeats a (trans_id,
+/// item) row, and the shards count no larger itemset of an item outside
+/// C_1. `*entries` is the number of entries the shards handed over.
 Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
-                   uint64_t* c_size, FrequentItemsets* itemsets,
+                   uint64_t* c_size, uint64_t* entries,
+                   FrequentItemsets* itemsets,
                    std::vector<std::vector<ItemId>>* ck) {
   ItemsetCounts merged(k);
+  *entries = 0;
   for (ShardState& s : *states) {
+    *entries += s.reply.counts.size();
     for (const PatternCount& pc : s.reply.counts) {
       if (pc.items.size() != k || pc.count <= 0) {
         return Status::Corruption(
@@ -111,9 +122,14 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
     s.reply.counts.clear();
     s.reply.counts.shrink_to_fit();
   }
+  Metrics()->entries->Increment(*entries);
+  const auto in_c1 = [&](ItemId item) {
+    return itemsets->CountOf({item}) != 0;
+  };
   ck->clear();
   merged.ForEach([&](const ItemId* items, int64_t count) {
     if (count < minsup) return;
+    if (k == 2 && !(in_c1(items[0]) && in_c1(items[1]))) return;
     ck->emplace_back(items, items + k);
     itemsets->Add(ck->back(), count);
     ++*c_size;
@@ -123,7 +139,9 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
 }
 
 /// Attaches one completed iteration span with nested per-shard children.
+/// `entries` is the count entries the shards handed over for C_k.
 void RecordIterationTrace(obs::TraceSpan* trace, const IterationStats& stats,
+                          uint64_t entries,
                           const std::vector<ShardState>& states) {
   if (trace == nullptr) return;
   obs::TraceSpan* iter = trace->AddCompletedChild(
@@ -131,6 +149,7 @@ void RecordIterationTrace(obs::TraceSpan* trace, const IterationStats& stats,
   iter->AddCount("|R'|", stats.r_prime_rows);
   iter->AddCount("|R|", stats.r_rows);
   iter->AddCount("|C|", stats.c_size);
+  iter->AddCount("entries", entries);
   for (const ShardState& s : states) {
     iter->AddCompletedChild("shard " + s.backend->name(), s.last_seconds, 0);
   }
@@ -190,9 +209,11 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     if (!s.ok()) return fail(s);
   }
 
+  // The count entries merged into the current C_k.
+  uint64_t entries = 0;
   // Records a completed iteration and asks the observer whether to go on.
   auto finish_iteration = [&](const IterationStats& stats) {
-    RecordIterationTrace(coord.trace, stats, states);
+    RecordIterationTrace(coord.trace, stats, entries, states);
     result.iterations.push_back(stats);
     Metrics()->iterations->Increment();
     return NotifyIteration(options, stats);
@@ -222,7 +243,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
       stats.r_bytes += st.reply.r_bytes;
       stats.r_pages += st.reply.r_pages;
     }
-    s = MergeCounts(&states, 1, minsup, &stats.c_size, &result.itemsets, &ck);
+    s = MergeCounts(&states, 1, minsup, &stats.c_size, &entries,
+                    &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
     stats.seconds = iter_timer.ElapsedSeconds();
     s = finish_iteration(stats);
@@ -265,8 +287,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     for (const ShardState& st : states) {
       stats.r_prime_rows += st.reply.r_prime_rows;
     }
-    s = MergeCounts(&states, k + 1, minsup, &stats.c_size, &result.itemsets,
-                    &ck);
+    s = MergeCounts(&states, k + 1, minsup, &stats.c_size, &entries,
+                    &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
   }
 

@@ -56,14 +56,16 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
   return Status::OK();
 }
 
-std::unique_ptr<BudgetedCount> LocalShardBackend::NewCount(size_t k) const {
-  if (run_.max_pattern_length != 0 && k > run_.max_pattern_length) {
+std::unique_ptr<ExtensionCount> LocalShardBackend::NewCount(
+    const ExtensionSpace* space) const {
+  if (run_.max_pattern_length != 0 &&
+      space->width + 1 > run_.max_pattern_length) {
     return nullptr;
   }
   // Within the sort budget under kSortMerge, without one under kHash.
   const ExecContext ctx = ExecContext::From(db_);
-  return std::make_unique<BudgetedCount>(
-      ctx, k,
+  return std::make_unique<ExtensionCount>(
+      ctx, space,
       run_.count_method == CountMethod::kHash ? BudgetedCount::kUnbounded
                                               : ctx.sort_memory_bytes);
 }
@@ -77,32 +79,48 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
     return Status::InvalidArgument(
         "CountFirstIteration twice in one run on shard " + name_);
   }
-  std::unique_ptr<BudgetedCount> counts = NewCount(1);
   // Every pass rescans R_1: its pages stay in the pool's retained share.
   auto r1_or = IntRelation::Create(db_, run_.storage, 2, PageHint::kRetain);
   if (!r1_or.ok()) return r1_or.status();
   r1_ = std::move(r1_or).value();
   r_prev_.reset();
+  level_ = CandidateLevel{};
+  // R_1 := the slice, already in (trans_id, item) order. Its items, ranked
+  // among the slice's distinct items, key C_1's count and R'_2's.
+  const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
+  const ExtensionSpace singletons =
+      ExtensionSpace::Singletons(ItemRanks::Distinct(
+          slice, [](const ShardRow& row) { return row.item; }));
+  const ItemRanks& distinct = singletons.alphabet;
+  std::unique_ptr<ExtensionCount> counts = NewCount(&singletons);
   // R'_2 pairs the items of each transaction; under filter_r1 it is
   // counted over the filtered R_1 instead, by ApplyGlobalCk(1).
-  r2_count_ = run_.filter_r1 ? nullptr : NewCount(2);
-  // R_1 := the slice, already in (trans_id, item) order.
-  const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
-  std::vector<ItemId> items;  // the current transaction's
+  r2_count_.reset();
+  r2_space_ = ExtensionSpace{};
+  if (!run_.filter_r1) {
+    r2_space_ = ExtensionSpace::Pairs(distinct);
+    r2_count_ = NewCount(&r2_space_);
+  }
   ShardReply out;
-  for (size_t i = 0; i < slice.size(); ++i) {
-    const int32_t row[2] = {slice[i].tid, slice[i].item};
-    if (i == 0 || row[0] != slice[i - 1].tid) {
-      ++out.transactions;
-      items.clear();
+  std::vector<int32_t> ranks;  // the current transaction's items'
+  for (size_t begin = 0; begin < slice.size();) {
+    ++out.transactions;
+    ranks.clear();
+    size_t end = begin;
+    for (; end < slice.size() && slice[end].tid == slice[begin].tid; ++end) {
+      const int32_t row[2] = {slice[end].tid, slice[end].item};
+      SETM_RETURN_IF_ERROR(r1_->Append(row, 1));
+      ranks.push_back(distinct.RankOf(row[1]));
     }
-    items.push_back(row[1]);
-    SETM_RETURN_IF_ERROR(r1_->Append(row, 1));
-    SETM_RETURN_IF_ERROR(counts->Add(&row[1]));
-    const bool last = i + 1 == slice.size() || slice[i + 1].tid != row[0];
-    if (last && r2_count_ != nullptr) {
-      SETM_RETURN_IF_ERROR(CountPairs(items, r2_count_.get()));
+    // C_1's count extends the empty itemset by each item.
+    counts->AddRows(ranks.size());
+    SETM_RETURN_IF_ERROR(
+        counts->AddExtensions(0, ranks.data(), ranks.data() + ranks.size()));
+    if (r2_count_ != nullptr) {
+      SETM_RETURN_IF_ERROR(
+          CountPairs(ranks.data(), ranks.size(), r2_count_.get()));
     }
+    begin = end;
   }
   SETM_RETURN_IF_ERROR(r1_->Finish());
   run_rows_.clear();
@@ -128,16 +146,14 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
         (next_k_ == 0 ? std::string("CountFirstIteration")
                       : "ApplyGlobalCk(" + std::to_string(next_k_) + ")"));
   }
-  ItemsetCounts keys(k);
-  for (const std::vector<ItemId>& items : ck) {
-    if (items.size() != k) {
-      return Status::InvalidArgument(
-          "C_" + std::to_string(k) + " holds a " +
-          std::to_string(items.size()) + "-itemset");
-    }
-    keys.Add(items.data(), 1);
+  // Ids and child ranges trust C_k, which a remote coordinator sends.
+  auto level_or = IndexCandidates(k, ck, k == 1 ? nullptr : &level_);
+  if (!level_or.ok()) {
+    return Status::InvalidArgument(level_or.status().message() +
+                                   " on shard " + name_);
   }
-  std::unique_ptr<BudgetedCount> next;
+  CandidateLevel level = std::move(level_or).value();
+  std::unique_ptr<ExtensionCount> next;
   if (k == 1 && !run_.filter_r1) {
     // R_1 stays as built; R'_2 was counted alongside it.
     next = std::move(r2_count_);
@@ -148,20 +164,22 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     if (!rk_or.ok()) return rk_or.status();
     std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
     // The one pass of the iteration: the join (R_1 itself for k == 1), the
-    // C_k probe, R_k appended and R'_{k+1} counted. An empty global C_k
-    // still creates (and reports) an empty R_k, as Figure 4's loop does,
-    // and leaves an empty count of R'_{k+1}.
-    next = NewCount(k + 1);
-    if (keys.size() != 0) {
+    // C_k filter, R_k appended and R'_{k+1} counted by (C_k id, C_1 rank).
+    // An empty global C_k still creates (and reports) an empty R_k, as
+    // Figure 4's loop does, and leaves an empty count of R'_{k+1}.
+    next = NewCount(&level.space);
+    if (level.size() != 0) {
       // Pass k >= 3 is R_{k-1}'s last use: the join releases each of its
       // pages as it leaves it, and R_k reuses their ids. A failed pass has
       // consumed its input, so it ends the run.
       std::unique_ptr<IntRowCursor> left =
           r_prev_ != nullptr ? IntRelation::LastScan(std::move(r_prev_))
                              : r1_->Scan();
-      Status pass = FilterByCk(left.get(), *r1_, keys, rk.get(), next.get());
+      Status pass = FilterByCk(left.get(), *r1_, k >= 3 ? &level_ : nullptr,
+                               level, rk.get(), next.get());
       if (!pass.ok()) {
         left.reset();
+        next.reset();
         (void)EndRun();
         return pass;
       }
@@ -182,8 +200,19 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   out.r_pages = rk.num_pages();
   if (next != nullptr) {
     out.r_prime_rows = next->stats().rows;
-    SETM_RETURN_IF_ERROR(next->Finish(count_floor_, &out.counts));
+    // R_k is written, so a count that fails to finish ends the run too.
+    Status finish = next->Finish(count_floor_, &out.counts);
+    if (!finish.ok()) {
+      next.reset();
+      (void)EndRun();
+      return finish;
+    }
   }
+  // The count of R'_{k+1} reads its keys' itemsets from C_k's level (or
+  // from r2_space_): it is done before the level moves.
+  next.reset();
+  r2_space_ = ExtensionSpace{};
+  level_ = std::move(level);
   next_k_ = k + 1;
   return out;
 }
@@ -192,6 +221,8 @@ Status LocalShardBackend::EndRun() {
   r1_.reset();
   r_prev_.reset();
   r2_count_.reset();
+  r2_space_ = ExtensionSpace{};
+  level_ = CandidateLevel{};
   next_k_ = 0;
   run_rows_.clear();
   run_rows_.shrink_to_fit();

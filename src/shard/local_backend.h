@@ -36,19 +36,28 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///
 /// Each iteration makes one pass over its inputs, the one that writes its
 /// R_k, and that pass also counts the next iteration's R'_{k+1}, so R'_k
-/// is never stored and no join runs twice:
+/// is never stored and no join runs twice. Counts and probes work in
+/// candidate-id space (core/setm_pipeline.h):
 ///   - CountFirstIteration builds R_1 from the slice and counts C_1's
-///     items and R'_2, the item pairs of each transaction (under
-///     filter_r1, R'_2 waits for the filtered R_1).
-///   - ApplyGlobalCk(k) is FilterByCk: the merge-scan join of R_{k-1} with
-///     R_1, the C_k probe, R_k appended in join order (already its
-///     (trans_id, items) order), and each kept row's extensions counted
-///     into the BudgetedCount of R'_{k+1}, finished before it returns.
+///     items and R'_2, the item pairs of each transaction, both keyed by
+///     the items' ranks among the slice's distinct items; R'_2's count is
+///     a triangle of those ranks (under filter_r1, R'_2 waits for the
+///     filtered R_1).
+///   - ApplyGlobalCk(k) checks the global C_k and gives it dense ids in
+///     itemset order (IndexCandidates), then runs FilterByCk: the
+///     merge-scan join of R_{k-1} with R_1, one C_{k-1} lookup per R_{k-1}
+///     row, C_k membership by a sorted merge with that itemset's children,
+///     R_k appended in join order (already its (trans_id, items) order),
+///     and each kept row's extensions counted by (C_k id, C_1 rank) into
+///     the ExtensionCount of R'_{k+1}, finished before it returns.
 ///     ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it under
 ///     filter_r1, and otherwise finishes the count of R'_2 that
-///     CountFirstIteration made.
-/// A count's budget is the sort budget under kSortMerge and unbounded
-/// under kHash. No count is started past the run's max_pattern_length.
+///     CountFirstIteration made. The level is kept as the next call's
+///     C_{k-1}.
+/// A count is a dense array when its counters fit the sort budget, and
+/// otherwise a hashed table within the sort budget under kSortMerge and
+/// unbounded under kHash. No count is started past the run's
+/// max_pattern_length.
 /// CountFirstIteration comes once, first; then ApplyGlobalCk(1), (2), ...
 /// in order. Anything else is InvalidArgument naming the shard. EndRun
 /// (and so BeginRun) drops R'_2's count if ApplyGlobalCk(1) never came.
@@ -70,10 +79,8 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// written: R_1 is created with PageHint::kRetain, so its pages keep their
 /// frames in the pool's retained share; pass k >= 3 reads R_{k-1} with
 /// IntRelation::LastScan, releasing it page by page; EndRun releases the
-/// rest. A pass that fails ends the run. Local counts, the C_k probe and
-/// (in the
-/// coordinator) the merge of partial counts use packed itemset keys
-/// (ItemsetCounts), so no row or key passes through Tuple/Value.
+/// rest. A pass that fails ends the run; a malformed C_k is refused before
+/// anything changes. No row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {
  public:
   /// `db` is borrowed and must outlive the backend.
@@ -96,8 +103,9 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardHealth> Health() override;
 
  private:
-  /// A count of R'_k (null past max_pattern_length).
-  std::unique_ptr<BudgetedCount> NewCount(size_t k) const;
+  /// A count over `space`, of (width + 1)-itemsets (null past
+  /// max_pattern_length).
+  std::unique_ptr<ExtensionCount> NewCount(const ExtensionSpace* space) const;
 
   Database* db_;
   std::string name_;
@@ -114,9 +122,13 @@ class LocalShardBackend : public ShardBackend {
   std::unique_ptr<IntRelation> r_prev_;  ///< R_{k-1}; null means use r1
   /// The k the next ApplyGlobalCk must carry; 0 before CountFirstIteration.
   size_t next_k_ = 0;
-  /// R'_2, counted by CountFirstIteration and finished by ApplyGlobalCk(1)
-  /// (null under filter_r1, where ApplyGlobalCk(1) counts it).
-  std::unique_ptr<BudgetedCount> r2_count_;
+  /// The last C_k applied, with its ids: the next pass's C_{k-1}.
+  CandidateLevel level_;
+  /// R'_2, counted by CountFirstIteration over r2_space_ and finished by
+  /// ApplyGlobalCk(1) (null under filter_r1, where ApplyGlobalCk(1) counts
+  /// it).
+  ExtensionSpace r2_space_;
+  std::unique_ptr<ExtensionCount> r2_count_;
 };
 
 }  // namespace setm::shard

@@ -66,7 +66,7 @@ struct ShardHealth {
 ///   EndRun()
 ///
 /// Each ApplyGlobalCk is the iteration's one pass: the join of R_{k-1}
-/// with R_1, the C_k probe and the R_k append, counting R'_{k+1} as it
+/// with R_1, the C_k filter and the R_k append, counting R'_{k+1} as it
 /// goes. ApplyGlobalCk(1) rewrites R_1 only under filter_r1; otherwise it
 /// returns the counts of R'_2 that CountFirstIteration made alongside R_1.
 ///
@@ -101,8 +101,13 @@ class ShardBackend {
 
   /// The one pass of iteration k: keeps the local rows whose pattern
   /// survived the global minsupport filter (`ck` lists the surviving
-  /// itemsets, sorted) as R_k and returns R_k's size with the local counts
-  /// of R'_{k+1}. For k == 1 R_1 is filtered only under filter_r1.
+  /// itemsets) as R_k and returns R_k's size with the local counts of
+  /// R'_{k+1}. For k == 1 R_1 is filtered only under filter_r1. `ck` must
+  /// be ascending without duplicates, each itemset's items ascending, its
+  /// (k-1)-prefix in the C_{k-1} of the previous call and its last item in
+  /// C_1, as the coordinator's merge makes it: a shard gives C_k ids by
+  /// position and trusts them, so anything else is InvalidArgument naming
+  /// the shard, before the pass changes any state.
   virtual Result<ShardReply> ApplyGlobalCk(
       size_t k, const std::vector<std::vector<ItemId>>& ck) = 0;
 

@@ -219,6 +219,29 @@ Status BufferPool::ReleasePage(PageId id) {
   return backend_->FreePage(id);
 }
 
+Status BufferPool::DropPagesFrom(PageId first) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Frame& f : frames_) {
+    if (f.id != kInvalidPageId && f.id >= first &&
+        (f.pin_count > 0 || f.dirty)) {
+      return Status::InvalidArgument("page " + std::to_string(f.id) +
+                                     " past the truncation point is in use");
+    }
+  }
+  for (size_t idx = 0; idx < frames_.size(); ++idx) {
+    Frame& f = frames_[idx];
+    if (f.id == kInvalidPageId || f.id < first) continue;
+    if (f.in_lru) lru_.erase(f.lru_pos);
+    if (f.retained) --retained_;
+    page_table_.erase(f.id);
+    f.id = kInvalidPageId;
+    f.in_lru = false;
+    f.retained = false;
+    free_frames_.push_back(idx);
+  }
+  return Status::OK();
+}
+
 Status BufferPool::FlushPage(PageId id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = page_table_.find(id);

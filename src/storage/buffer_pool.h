@@ -136,6 +136,11 @@ class BufferPool {
   /// scratch pages qualify. InvalidArgument while the page is pinned.
   Status ReleasePage(PageId id);
 
+  /// Drops the cached frame of every page id >= `first`, unwritten: the
+  /// backend is about to lose those pages. InvalidArgument, dropping
+  /// nothing, if one of them is pinned or dirty.
+  Status DropPagesFrom(PageId first);
+
   /// Installs a recycler consulted by NewPage before the backend: return a
   /// previously freed PageId to reuse it, or kInvalidPageId to fall through
   /// to a fresh backend allocation. Called with the pool mutex held, so the

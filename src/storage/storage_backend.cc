@@ -231,6 +231,22 @@ Status FileBackend::WritePage(PageId id, const Page& page) {
   return Status::OK();
 }
 
+Status FileBackend::Truncate(uint64_t from, uint64_t to) {
+  std::lock_guard<std::mutex> lock(alloc_mutex_);
+  const uint64_t pages = num_pages_.load(std::memory_order_relaxed);
+  if (pages != from || to > from) {
+    return Status::InvalidArgument(
+        "truncate of " + path_ + " from " + std::to_string(from) + " to " +
+        std::to_string(to) + " pages, but it holds " + std::to_string(pages));
+  }
+  if (::ftruncate(fd_, static_cast<off_t>(to) * kPageSize) != 0) {
+    return Status::IOError("ftruncate(" + path_ + "): " +
+                           std::strerror(errno));
+  }
+  num_pages_.store(to, std::memory_order_release);
+  return Status::OK();
+}
+
 Status FileBackend::Sync() {
   if (::fdatasync(fd_) != 0) {
     return Status::IOError("fdatasync(" + path_ + "): " +

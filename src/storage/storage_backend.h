@@ -58,6 +58,16 @@ class StorageBackend {
   /// Number of pages allocated so far.
   virtual uint64_t NumPages() const = 0;
 
+  /// Shrinks the store from `from` pages to its first `to`, dropping the
+  /// pages past `to` and their ids, provided it still holds exactly `from`
+  /// (an allocation in between refuses the shrink with InvalidArgument).
+  /// The default, for stores that never shrink, is NotSupported.
+  virtual Status Truncate(uint64_t from, uint64_t to) {
+    (void)from;
+    (void)to;
+    return Status::NotSupported("this page store does not shrink");
+  }
+
   /// Forces every completed write to stable storage before returning.
   /// pwrite alone only reaches the OS page cache — a checkpoint's carefully
   /// ordered "data pages, then superblock" sequence is not ordered at the
@@ -144,6 +154,8 @@ class FileBackend : public StorageBackend {
   uint64_t NumPages() const override {
     return num_pages_.load(std::memory_order_acquire);
   }
+  /// ftruncate(2), under the allocation lock.
+  Status Truncate(uint64_t from, uint64_t to) override;
   /// fdatasync(2): file contents (and the size, which fdatasync covers when
   /// it changed) are on the device when this returns OK.
   Status Sync() override;

@@ -703,6 +703,66 @@ TEST(BudgetedCountTest, FloorAppliesAfterTheCrossRunSum) {
   EXPECT_EQ(out[0].count, 4);
 }
 
+// The count in candidate-id space, over the pairs of 200 items whose
+// 19,900 counters take 155 KiB: a dense array when the budget holds them,
+// else a hashed table of (id, rank) keys that spills within a 16 KiB
+// budget and never raises setm_mem_count_bytes past it. Both give every
+// pair that reaches the floor, translated back to items, in itemset order.
+TEST(ExtensionCountTest, DenseAndSpilledCountsAgreeWithinTheBudget) {
+  constexpr int32_t kItems = 200;
+  std::vector<ItemId> items(kItems);
+  for (int32_t rank = 0; rank < kItems; ++rank) items[rank] = 1000 + 2 * rank;
+  const ExtensionSpace space = ExtensionSpace::Pairs(ItemRanks(items));
+  std::vector<int32_t> ranks(kItems);
+  std::iota(ranks.begin(), ranks.end(), 0);
+  // Pair (a, b) is counted a % 3 + 1 times.
+  std::vector<PatternCount> expected;
+  for (int32_t a = 0; a < kItems; ++a) {
+    for (int32_t b = a + 1; a % 3 >= 1 && b < kItems; ++b) {
+      expected.push_back(PatternCount{{items[a], items[b]}, a % 3 + 1});
+    }
+  }
+  obs::Gauge* peak =
+      obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
+  for (size_t budget : {size_t{1} << 20, size_t{16} << 10}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    DatabaseOptions db_options;
+    db_options.sort_memory_bytes = budget;
+    Database db(db_options);
+    peak->Set(0);
+    ExtensionCount count(ExecContext::From(&db), &space, budget);
+    uint64_t added = 0;
+    for (int32_t round = 0; round < 3; ++round) {
+      for (int32_t a = 0; a < kItems; ++a) {
+        if (a % 3 < round) continue;
+        count.AddRows(kItems - a - 1);
+        ASSERT_TRUE(count
+                        .AddExtensions(static_cast<uint32_t>(a),
+                                       ranks.data() + a + 1,
+                                       ranks.data() + kItems)
+                        .ok());
+        added += kItems - a - 1;
+      }
+    }
+    std::vector<PatternCount> out;
+    ASSERT_TRUE(count.Finish(/*min_count=*/2, &out).ok());
+    EXPECT_EQ(out, expected);
+    const CountStats& stats = count.stats();
+    EXPECT_EQ(stats.rows, added);
+    EXPECT_LE(stats.peak_bytes, budget);
+    EXPECT_LE(peak->Value(), static_cast<int64_t>(budget));
+    if (budget == size_t{1} << 20) {
+      EXPECT_EQ(stats.peak_bytes, 19900 * sizeof(int64_t));
+      EXPECT_EQ(stats.probes, 0u);
+      EXPECT_EQ(stats.spilled_runs, 0u);
+    } else {
+      EXPECT_GE(stats.probes, added);
+      EXPECT_GT(stats.spilled_runs, 0u);
+      EXPECT_LT(stats.spilled_entries, added);
+    }
+  }
+}
+
 // The dense layout fills its budget: at the default 1 MiB, a table takes
 // over 30,000 distinct 3- or 4-itemsets before TryAdd refuses one, and
 // stays within the budget. Entry ids are 32 bits, so no budget buys more
@@ -818,9 +878,9 @@ TEST(SetmOnePassTest, EachIterationReadsItsInputsOnce) {
   EXPECT_LE(io.page_reads, one_scan);
 }
 
-// The count table fills its budget: a mine of mine_heap's shape counts
-// every level within the default 1 MiB without spilling a run.
-TEST(SetmOnePassTest, MineHeapShapeCountsWithoutSpilling) {
+// Quest data of the repo benchmark's mine_heap shape: 5,000 transactions
+// of ~10 of 400 items, 60 patterns.
+TransactionDb MineHeapShapeTxns() {
   QuestOptions gen;
   gen.seed = 1;
   gen.num_transactions = 5000;
@@ -828,7 +888,13 @@ TEST(SetmOnePassTest, MineHeapShapeCountsWithoutSpilling) {
   gen.avg_pattern_size = 4;
   gen.num_items = 400;
   gen.num_patterns = 60;
-  TransactionDb txns = QuestGenerator(gen).Generate();
+  return QuestGenerator(gen).Generate();
+}
+
+// The count table fills its budget: a mine of mine_heap's shape counts
+// every level within the default 1 MiB without spilling a run.
+TEST(SetmOnePassTest, MineHeapShapeCountsWithoutSpilling) {
+  TransactionDb txns = MineHeapShapeTxns();
   MiningOptions options;
   options.min_support = 0.02;
   Database db;  // default 1 MiB sort budget
@@ -845,6 +911,39 @@ TEST(SetmOnePassTest, MineHeapShapeCountsWithoutSpilling) {
   EXPECT_EQ(spilled->Value() - spilled_before, 0u);
   EXPECT_LE(peak->Value(),
             static_cast<int64_t>(DatabaseOptions{}.sort_memory_bytes));
+}
+
+// Counting in candidate-id space hashes at most once per R_{k-1} row: pass
+// k finds a left row's C_{k-1} id with one probe (none for k = 2, which
+// ranks the row's item in C_1), C_k membership is a sorted merge, and the
+// counts of mine_heap's shape fit the default budget as dense arrays. So a
+// mine makes at most sum over k >= 2 of |R_{k-1}| itemset-key hash probes:
+// 386,903 against a bound of 436,787 here. Hashing each candidate row's k
+// items twice, once to filter it and once to count its extensions, takes
+// ~2.6 M.
+TEST(SetmOnePassTest, ProbesAtMostOncePerLeftRow) {
+  TransactionDb txns = MineHeapShapeTxns();
+  MiningOptions options;
+  options.min_support = 0.02;
+  auto* registry = obs::MetricsRegistry::Global();
+  obs::Counter* probes = registry->GetCounter("setm_itemset_probes_total");
+  for (CountMethod method : {CountMethod::kSortMerge, CountMethod::kHash}) {
+    SCOPED_TRACE(method == CountMethod::kHash ? "hash" : "sort-merge");
+    Database db;
+    SetmOptions knobs{TableBacking::kHeap};
+    knobs.count_method = method;
+    const uint64_t probes_before = probes->Value();
+    auto result = SetmMiner(&db, knobs).Mine(txns, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const auto& iterations = result.value().iterations;
+    ASSERT_GE(iterations.size(), 4u);
+    uint64_t left_rows = 0;  // sum over passes k >= 2 of |R_{k-1}|
+    for (size_t i = 0; i + 1 < iterations.size(); ++i) {
+      left_rows += iterations[i].r_rows;
+    }
+    EXPECT_GT(probes->Value() - probes_before, 0u);
+    EXPECT_LE(probes->Value() - probes_before, left_rows);
+  }
 }
 
 // With max_pattern_length = 2 the pass that writes R_2 counts nothing:
@@ -879,8 +978,11 @@ TEST(SetmOnePassTest, NoCountPastMaxPatternLength) {
 
 // The fused count under the options that change its inputs: filter_r1
 // (R'_2 pairs the filtered R_1) and max_pattern_length (the last pass
-// counts nothing), serial and threaded, with a budget small enough to
-// spill, all equal to the oracle.
+// counts nothing), serial and threaded, with each form of the count: dense
+// arrays (the default budget), a hashed table that does not spill (kHash
+// under a sort budget too small for any dense array) and one that spills
+// (kSortMerge under 4 KiB, within which it stays), all equal to the
+// oracle.
 TEST(SetmOnePassTest, FilterR1AndMaxLengthMatchTheOracle) {
   QuestOptions gen;
   gen.seed = 12;
@@ -888,26 +990,65 @@ TEST(SetmOnePassTest, FilterR1AndMaxLengthMatchTheOracle) {
   gen.avg_transaction_size = 6;
   gen.num_items = 30;
   TransactionDb txns = QuestGenerator(gen).Generate();
-  for (bool filter_r1 : {false, true}) {
-    for (size_t max_length : {size_t{0}, size_t{1}, size_t{2}, size_t{3}}) {
-      MiningOptions options;
-      options.min_support = 0.02;
-      options.filter_r1 = filter_r1;
-      options.max_pattern_length = max_length;
-      auto oracle = BruteForceMiner().Mine(txns, options);
-      ASSERT_TRUE(oracle.ok());
-      for (size_t threads : {size_t{1}, size_t{3}}) {
-        SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
-                     " max_length=" + std::to_string(max_length) +
-                     " threads=" + std::to_string(threads));
-        DatabaseOptions db_options;
-        db_options.sort_memory_bytes = 4 << 10;
-        Database db(db_options);
-        SetmOptions knobs{TableBacking::kHeap};
-        knobs.num_threads = threads;
-        auto result = SetmMiner(&db, knobs).Mine(txns, options);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_TRUE(result.value().itemsets == oracle.value().itemsets);
+  enum class Count { kDense, kHashed, kSpilled };
+  auto* registry = obs::MetricsRegistry::Global();
+  obs::Counter* spilled = registry->GetCounter("setm_count_spilled_runs_total");
+  obs::Counter* probes = registry->GetCounter("setm_itemset_probes_total");
+  obs::Gauge* peak = registry->GetGauge("setm_mem_count_bytes");
+  for (Count count : {Count::kDense, Count::kHashed, Count::kSpilled}) {
+    for (bool filter_r1 : {false, true}) {
+      for (size_t max_length : {size_t{0}, size_t{1}, size_t{2}, size_t{3}}) {
+        MiningOptions options;
+        options.min_support = 0.02;
+        options.filter_r1 = filter_r1;
+        options.max_pattern_length = max_length;
+        auto oracle = BruteForceMiner().Mine(txns, options);
+        ASSERT_TRUE(oracle.ok());
+        for (size_t threads : {size_t{1}, size_t{3}}) {
+          SCOPED_TRACE("count=" + std::to_string(static_cast<int>(count)) +
+                       " filter_r1=" + std::to_string(filter_r1) +
+                       " max_length=" + std::to_string(max_length) +
+                       " threads=" + std::to_string(threads));
+          DatabaseOptions db_options;
+          SetmOptions knobs{TableBacking::kHeap};
+          knobs.num_threads = threads;
+          if (count == Count::kHashed) {
+            db_options.sort_memory_bytes = 64;
+            knobs.count_method = CountMethod::kHash;
+          } else if (count == Count::kSpilled) {
+            db_options.sort_memory_bytes = 4 << 10;
+          }
+          Database db(db_options);
+          const uint64_t spilled_before = spilled->Value();
+          const uint64_t probes_before = probes->Value();
+          peak->Set(0);
+          auto result = SetmMiner(&db, knobs).Mine(txns, options);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_TRUE(result.value().itemsets == oracle.value().itemsets);
+          const uint64_t runs = spilled->Value() - spilled_before;
+          switch (count) {
+            case Count::kDense:
+              EXPECT_EQ(runs, 0u);
+              if (max_length == 1) {
+                EXPECT_EQ(probes->Value(), probes_before);
+              }
+              break;
+            case Count::kHashed:
+              EXPECT_EQ(runs, 0u);
+              // C_1's count alone hashes every R_1 row.
+              EXPECT_GE(probes->Value() - probes_before,
+                        result.value().iterations[0].r_rows);
+              EXPECT_GT(peak->Value(), 64);
+              break;
+            case Count::kSpilled:
+              // R'_2's triangle of 30 items fits 4 KiB; C_2 x C_1 does not.
+              if (max_length == 0 || max_length >= 3) {
+                EXPECT_GT(runs, 0u);
+              }
+              EXPECT_LE(peak->Value(), 4 << 10);
+              break;
+          }
+        }
       }
     }
   }
@@ -959,6 +1100,48 @@ TEST(SetmOnePassTest, RepeatedSalesRowsNeverRepeatAnItem) {
       EXPECT_EQ(mined.itemsets.CountOf({1, 3}), 5);
       EXPECT_EQ(mined.itemsets.CountOf({2, 3}), 8);
       EXPECT_EQ(mined.itemsets.CountOf({1, 2, 3}), 8);
+    }
+  }
+}
+
+// With repeated SALES rows setm's row counts are not anti-monotone: in
+// {1, 1, 2} the pair {1, 2} counts twice and 2 once. An itemset with an
+// item outside C_1 is never frequent, though: no shard counts a larger
+// itemset by an item outside C_1, and the coordinator drops such a pair.
+// Here 2 (count 2) misses a minsupport of 3 that {1, 2} (count 4) would
+// reach.
+TEST(SetmOnePassTest, AnItemsetWithAnInfrequentItemIsNeverFrequent) {
+  for (bool filter_r1 : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
+                   " threads=" + std::to_string(threads));
+      Database db;
+      auto sales = db.catalog()->CreateTable(
+          "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
+      ASSERT_TRUE(sales.ok());
+      const auto insert = [&](int32_t tid, int32_t item) {
+        const Tuple row({Value::Int32(tid), Value::Int32(item)});
+        ASSERT_TRUE(sales.value()->Insert(row).ok());
+      };
+      for (int32_t tid = 1; tid <= 2; ++tid) {
+        for (int32_t item : {1, 1, 2, 3}) insert(tid, item);
+      }
+      for (int32_t tid = 3; tid <= 4; ++tid) {
+        insert(tid, 1);
+        insert(tid, 3);
+      }
+      MiningOptions options;
+      options.min_support_count = 3;
+      options.filter_r1 = filter_r1;
+      SetmOptions knobs;
+      knobs.num_threads = threads;
+      auto result = SetmMiner(&db, knobs).MineTable(*sales.value(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const FrequentItemsets& mined = result.value().itemsets;
+      EXPECT_EQ(mined.CountOf({1}), 6);
+      EXPECT_EQ(mined.CountOf({3}), 4);
+      EXPECT_EQ(mined.CountOf({1, 3}), 6);
+      EXPECT_EQ(mined.TotalPatterns(), 3u);
     }
   }
 }
@@ -1030,23 +1213,28 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
     ASSERT_TRUE(left.value()->Finish().ok());
     ASSERT_TRUE(r1.value()->Finish().ok());
 
+    // R'_k's rows, expanded from each left row and its transaction's items
+    // above the row's last item.
     std::vector<Row> streamed;
-    ASSERT_TRUE(JoinRkPrime(left.value()->Scan().get(), k, *r1.value(),
-                            [&](const int32_t* row, const ItemId* rest,
-                                const ItemId* rest_end) {
-                              streamed.emplace_back(row, row + k + 1);
-                              // The row's extensions: its transaction's R_1
-                              // items after its last item.
-                              Row extensions;
-                              for (const Row& q : r1_rows) {
-                                if (q[0] == row[0] && q[1] > row[k]) {
-                                  extensions.push_back(q[1]);
-                                }
-                              }
-                              EXPECT_EQ(Row(rest, rest_end), extensions)
-                                  << "trial " << trial;
-                              return Status::OK();
-                            })
+    ASSERT_TRUE(JoinLeftRows(left.value()->Scan().get(), *r1.value(),
+                             [&](const int32_t* p, const ItemId* items,
+                                 const ItemId* items_end) {
+                               // The transaction's R_1 items, in order.
+                               Row transaction;
+                               for (const Row& q : r1_rows) {
+                                 if (q[0] == p[0]) transaction.push_back(q[1]);
+                               }
+                               EXPECT_EQ(Row(items, items_end), transaction)
+                                   << "trial " << trial;
+                               for (const ItemId* it = std::upper_bound(
+                                        items, items_end, p[k - 1]);
+                                    it != items_end; ++it) {
+                                 Row row(p, p + k);
+                                 row.push_back(*it);
+                                 streamed.push_back(std::move(row));
+                               }
+                               return Status::OK();
+                             })
                     .ok());
     for (size_t i = 1; i < streamed.size(); ++i) {
       ASSERT_LT(streamed[i - 1], streamed[i]) << "trial " << trial;

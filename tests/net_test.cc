@@ -671,6 +671,46 @@ TEST(MiningServerTest, ShardSessionCountsAndFilters) {
   EXPECT_EQ(triples.value().payload, "0 1 2 2\n0 1 3 1\n3 4 5 3\n");
 }
 
+// The server's MERGE handler is a LocalShardBackend, which refuses a
+// malformed C_k naming the shard. A failed pass ends the connection's run.
+TEST(MiningServerTest, MalformedCkOverMergeIsRefused) {
+  ServerFixture fixture;
+  auto client = fixture.Connect();
+  const auto begin = [&] {
+    auto lcount = client->Exec("LCOUNT sales K 1");
+    ASSERT_TRUE(lcount.ok());
+    ASSERT_TRUE(lcount.value().ok) << lcount.value().info;
+  };
+  const auto expect_refused = [&](const std::string& request,
+                                  const std::string& what) {
+    auto reply = client->Exec(request);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_FALSE(reply.value().ok);
+    EXPECT_EQ(reply.value().code, "InvalidArgument");
+    EXPECT_NE(reply.value().info.find("shard srv:sales"), std::string::npos)
+        << reply.value().info;
+    EXPECT_NE(reply.value().info.find(what), std::string::npos)
+        << reply.value().info;
+    auto after = client->Exec("MERGE K 1\n0\n.");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.value().code, "NotFound");
+  };
+  begin();
+  expect_refused("MERGE K 1\n1\n0\n.", "ascending");
+  begin();
+  expect_refused("MERGE K 1\n0\n0\n.", "ascending");
+  begin();
+  auto c1 = client->Exec("MERGE K 1\n0\n1\n2\n3\n4\n.");
+  ASSERT_TRUE(c1.ok());
+  ASSERT_TRUE(c1.value().ok) << c1.value().info;
+  expect_refused("MERGE K 2\n0 1\n5 6\n.", "prefix {5} is not in C_1");
+  begin();
+  c1 = client->Exec("MERGE K 1\n0\n1\n2\n3\n4\n.");
+  ASSERT_TRUE(c1.ok());
+  ASSERT_TRUE(c1.value().ok) << c1.value().info;
+  expect_refused("MERGE K 2\n0 1\n3 6\n.", "last item is not in C_1");
+}
+
 // RELEASE ends the connection's shard run at once: its R_1 leaves the
 // scratch pages the process holds, a MERGE after it finds no run, and a
 // second RELEASE has none to end.

@@ -29,6 +29,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "persist/shard_manifest.h"
 #include "shard/coordinator.h"
 #include "shard/local_backend.h"
@@ -107,7 +108,8 @@ Result<MiningResult> MineSlices(Database* db,
                                 const std::vector<TransactionDb>& slices,
                                 const MiningOptions& options,
                                 const ShardRunOptions& run,
-                                WorkerPool* pool = nullptr) {
+                                WorkerPool* pool = nullptr,
+                                obs::TraceSpan* trace = nullptr) {
   std::vector<std::unique_ptr<LocalShardBackend>> owned;
   std::vector<ShardBackend*> backends;
   for (size_t i = 0; i < slices.size(); ++i) {
@@ -120,6 +122,7 @@ Result<MiningResult> MineSlices(Database* db,
   CoordinatorOptions coord;
   coord.run = run;
   coord.pool = pool;
+  coord.trace = trace;
   return DistributedMine(backends, options, coord);
 }
 
@@ -344,6 +347,101 @@ TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   EXPECT_EQ(last.value().r_prime_rows, 0u);
   EXPECT_TRUE(last.value().counts.empty());
+}
+
+// Each iteration span counts the (itemset, count) entries the shards
+// handed to the merge, as setm_count_entries_total does. From k = 3 on a
+// shard's entries extend a C_{k-1} itemset by a C_1 item, so no shard
+// hands over more than |C_{k-1}| x |C_1|, although most items here are
+// not in C_1.
+TEST(DistributedMineTest, IterationSpansCountMergedEntries) {
+  QuestOptions gen;
+  gen.seed = 36;
+  gen.num_transactions = 600;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 80;
+  gen.num_patterns = 12;
+  const TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.03;
+  obs::Counter* entries = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_count_entries_total");
+  const uint64_t before = entries->Value();
+  Database db;
+  obs::TraceSpan root("mine");
+  const size_t kShards = 3;
+  auto result = MineSlices(&db, SplitTxns(txns, kShards), options,
+                           ShardRunOptions{}, nullptr, &root);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const FrequentItemsets& frequent = result.value().itemsets;
+  ASSERT_LT(frequent.OfSize(1).size(), 40u);
+  ASSERT_EQ(root.children().size(), result.value().iterations.size());
+  ASSERT_GE(root.children().size(), 3u);
+  uint64_t spans = 0;
+  for (size_t i = 0; i < root.children().size(); ++i) {
+    const size_t k = i + 1;
+    SCOPED_TRACE("k=" + std::to_string(k));
+    uint64_t merged = UINT64_MAX;
+    for (const auto& [key, value] : root.children()[i]->counts()) {
+      if (key == "entries") merged = value;
+    }
+    ASSERT_NE(merged, UINT64_MAX);
+    spans += merged;
+    EXPECT_GE(merged, result.value().iterations[i].c_size);
+    if (k >= 3) {
+      EXPECT_LE(merged, kShards * frequent.OfSize(k - 1).size() *
+                            frequent.OfSize(1).size());
+    }
+  }
+  EXPECT_EQ(entries->Value() - before, spans);
+}
+
+// Pass k trusts its C_k for ids and child ranges, and a remote coordinator
+// sends it over MERGE, so a malformed C_k is refused with InvalidArgument
+// naming the shard: unsorted, duplicated, an itemset whose items are not
+// ascending, one whose (k-1)-prefix is not in the shard's C_{k-1}, and one
+// whose last item is not in C_1. A refused call changes nothing: the same
+// pass then runs on a well-formed C_k.
+TEST(LocalShardBackendTest, MalformedCkIsInvalidArgument) {
+  Database db;
+  LocalShardBackend backend(&db, "s9");
+  backend.SetRows(RowsOf(QuestDb(35)));
+  const auto expect_refused = [](const Result<shard::ShardReply>& r,
+                                 const std::string& what) {
+    ASSERT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("shard s9"), std::string::npos)
+        << r.status().message();
+    EXPECT_NE(r.status().message().find(what), std::string::npos)
+        << r.status().message();
+  };
+  for (bool filter_r1 : {false, true}) {
+    SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1));
+    ShardRunOptions run;
+    run.filter_r1 = filter_r1;
+    ASSERT_TRUE(backend.BeginRun(run).ok());
+    ASSERT_TRUE(backend.CountFirstIteration().ok());
+    expect_refused(backend.ApplyGlobalCk(1, {{3}, {1}, {2}}), "ascending");
+    expect_refused(backend.ApplyGlobalCk(1, {{1}, {2}, {2}}), "ascending");
+    ASSERT_TRUE(backend.ApplyGlobalCk(1, {{1}, {2}, {3}, {4}, {5}}).ok());
+
+    expect_refused(backend.ApplyGlobalCk(2, {{1, 3}, {1, 2}}), "ascending");
+    expect_refused(backend.ApplyGlobalCk(2, {{1, 2}, {1, 2}}), "ascending");
+    expect_refused(backend.ApplyGlobalCk(2, {{1, 2}, {3, 2}}),
+                   "items are not ascending");
+    expect_refused(backend.ApplyGlobalCk(2, {{0, 2}, {1, 2}}),
+                   "prefix {0} is not in C_1");
+    expect_refused(backend.ApplyGlobalCk(2, {{1, 2}, {1, 6}}),
+                   "last item is not in C_1");
+    auto pass2 = backend.ApplyGlobalCk(2, {{1, 2}, {1, 3}, {2, 3}, {2, 4}});
+    ASSERT_TRUE(pass2.ok()) << pass2.status().ToString();
+
+    expect_refused(backend.ApplyGlobalCk(3, {{1, 2, 3}, {3, 4, 5}}),
+                   "prefix {3 4} is not in C_2");
+    expect_refused(backend.ApplyGlobalCk(3, {{2, 3, 6}}),
+                   "last item is not in C_1");
+    auto pass3 = backend.ApplyGlobalCk(3, {{1, 2, 3}, {2, 3, 4}});
+    ASSERT_TRUE(pass3.ok()) << pass3.status().ToString();
+  }
 }
 
 TEST(DistributedMineTest, NoShardsIsInvalidArgument) {

@@ -852,6 +852,53 @@ TEST(ScratchLifecycleTest, RepeatedMinesDoNotGrowTheFile) {
   ASSERT_TRUE(db->Close().ok());
 }
 
+// Spilled runs and R_k pages reach the main file, and their released ids
+// stay free in it across Commit; Close gives the free tail back to the
+// file system. A database reopened after spilling mines is as long as it
+// was before them, and mines the same itemsets.
+TEST(ScratchLifecycleTest, CloseTruncatesTheFreeTail) {
+  TempDbFile file("scratch_free_tail.db");
+  DatabaseOptions options = FileOptions(file);
+  options.pool_frames = 32;              // scratch reaches the main file
+  options.sort_memory_bytes = 16 << 10;  // counts spill
+  uint64_t loaded_pages = 0;
+  {
+    auto db_or = Database::Open(options);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    auto sales = LoadSalesTable(db_or.value().get(), "sales",
+                                SmallQuest(2000, 100), TableBacking::kHeap);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    ASSERT_TRUE(db_or.value()->Close().ok());
+    loaded_pages = FileSize(file.path()) / kPageSize;
+  }
+  obs::Counter* spilled_runs = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_count_spilled_runs_total", "");
+  FrequentItemsets first;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto db_or = Database::Open(options);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    std::unique_ptr<Database> db = std::move(db_or).value();
+    EXPECT_EQ(db->pool()->backend()->NumPages(), loaded_pages);
+    auto sales = db->catalog()->GetTable("sales");
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    for (int mine = 0; mine < 3; ++mine) {
+      const uint64_t spills = spilled_runs->Value();
+      auto result = MineHeap(db.get(), sales.value(), 0.02);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_TRUE(db->Commit().ok());
+      EXPECT_GT(spilled_runs->Value(), spills);
+      FrequentItemsets itemsets = std::move(result.value().itemsets);
+      itemsets.Normalize();
+      if (round == 0 && mine == 0) first = itemsets;
+      EXPECT_TRUE(itemsets == first);
+    }
+    EXPECT_GT(FileSize(file.path()) / kPageSize, loaded_pages);
+    ASSERT_TRUE(db->Close().ok());
+    EXPECT_EQ(FileSize(file.path()) / kPageSize, loaded_pages);
+  }
+}
+
 // On an in-memory database a kHeap mine, serial or on three shards that
 // share one pool, hands every scratch page back, R_k's and the spilled
 // runs' alike: the MemoryBackend holds as many live pages afterwards as
