@@ -3,7 +3,8 @@
 // in heap mode. The count is keyed by (C_k id, C_1 rank): a dense array
 // when its counters fit the budget, else a hashed table that, when it
 // would outgrow its budget, spills its (key, count) entries as one sorted
-// run; the runs are merged and summed at the end. kSortMerge counts within
+// run; the runs are merged and summed at the end, and at every cascade
+// pass. kSortMerge counts within
 // the sort budget; kHash is the unbounded case (dense up to the default
 // sort budget).
 //
@@ -118,9 +119,9 @@ int main(int argc, char** argv) {
           bench::RunAlgo("setm", txns, options, knobs, db_options);
       const double seconds = timer.ElapsedSeconds();
       const uint64_t runs = delta.Counter("setm_count_spilled_runs_total");
-      // A SETM mine sorts nothing but the count's spilled entries.
-      const uint64_t entries = delta.Counter("setm_sort_rows_total");
-      const uint64_t passes = delta.Counter("setm_sort_merge_passes_total");
+      const uint64_t entries =
+          delta.Counter("setm_count_spilled_entries_total");
+      const uint64_t passes = delta.Counter("setm_count_merge_passes_total");
       const uint64_t probes = delta.Counter("setm_itemset_probes_total");
       const uint64_t merged = delta.Counter("setm_count_entries_total");
       uint64_t bound = 0;  // sum over passes k >= 2 of |R_{k-1}|

@@ -1,40 +1,85 @@
 #include "core/setm_pipeline.h"
 
+#include <iterator>
 #include <numeric>
 #include <string>
 
+#include "exec/external_sort.h"
 #include "obs/metrics.h"
 
 namespace setm {
 
 namespace {
 
-/// Appends `table`'s entries in key order as (key, count) rows. A run row's
-/// count is an int32, so a larger count takes several rows; the merge sums
-/// them like the counts of one key from several runs.
-void AppendEntryRows(const ItemsetCounts& table, std::vector<int32_t>* rows) {
+/// Appends `count` occurrences of `key` (k ints) as (key, count) rows. A
+/// run row's count is an int32, so a larger count takes several rows; a
+/// merge sums them like the counts of one key from several runs.
+void AppendEntry(const ItemId* key, size_t k, int64_t count,
+                 std::vector<int32_t>* rows) {
   constexpr int64_t kMaxRowCount = INT32_MAX;
-  const size_t k = table.k();
-  table.ForEachSorted([&](const ItemId* items, int64_t count) {
-    for (; count > 0; count -= kMaxRowCount) {
-      rows->insert(rows->end(), items, items + k);
-      rows->push_back(static_cast<int32_t>(std::min(count, kMaxRowCount)));
-    }
+  for (; count > 0; count -= kMaxRowCount) {
+    rows->insert(rows->end(), key, key + k);
+    rows->push_back(static_cast<int32_t>(std::min(count, kMaxRowCount)));
+  }
+}
+
+/// Appends `table`'s entries in key order as (key, count) rows.
+void AppendEntryRows(const ItemsetCounts& table, std::vector<int32_t>* rows) {
+  table.ForEachSorted([&](const ItemId* key, int64_t count) {
+    AppendEntry(key, table.k(), count, rows);
   });
 }
 
-/// A cursor and its current row (null once drained).
-struct Head {
-  IntRowCursor* cursor;
-  const int32_t* row = nullptr;
-
-  Status Advance() {
-    auto more = cursor->Next(&row);
+/// The summing k-way merge: reads `inputs`, cursors over (key, count) rows
+/// sorted on the key, and calls `fn(key, count)` (returns a Status) once
+/// per key, in key order, with its counts summed over every input. Inputs
+/// are few (at most kMergeFanIn runs and the table's remainder), so the
+/// heads are scanned linearly. Stops at the first error.
+template <typename Fn>
+Status SumByKey(size_t k, std::vector<std::unique_ptr<IntRowCursor>> inputs,
+                Fn fn) {
+  std::vector<const int32_t*> heads(inputs.size());  // null once drained
+  const auto advance = [&](size_t i) -> Status {
+    auto more = inputs[i]->Next(&heads[i]);
     if (!more.ok()) return more.status();
-    if (!more.value()) row = nullptr;
+    if (!more.value()) heads[i] = nullptr;
     return Status::OK();
+  };
+  for (size_t i = 0; i < inputs.size(); ++i) SETM_RETURN_IF_ERROR(advance(i));
+  std::vector<ItemId> key(k);
+  while (true) {
+    const int32_t* least = nullptr;
+    for (const int32_t* head : heads) {
+      if (head != nullptr &&
+          (least == nullptr ||
+           std::lexicographical_compare(head, head + k, least, least + k))) {
+        least = head;
+      }
+    }
+    if (least == nullptr) return Status::OK();
+    key.assign(least, least + k);
+    int64_t count = 0;
+    for (size_t i = 0; i < heads.size(); ++i) {
+      while (heads[i] != nullptr &&
+             std::equal(key.begin(), key.end(), heads[i])) {
+        count += heads[i][k];
+        SETM_RETURN_IF_ERROR(advance(i));
+      }
+    }
+    SETM_RETURN_IF_ERROR(fn(key.data(), count));
   }
-};
+}
+
+/// The last scans of `runs`, which they take, in order.
+std::vector<std::unique_ptr<IntRowCursor>> LastScans(
+    std::vector<std::unique_ptr<IntRelation>> runs) {
+  std::vector<std::unique_ptr<IntRowCursor>> cursors;
+  cursors.reserve(runs.size() + 1);
+  for (auto& run : runs) {
+    cursors.push_back(IntRelation::LastScan(std::move(run)));
+  }
+  return cursors;
+}
 
 obs::Counter* ProbesCounter() {
   static obs::Counter* probes = obs::MetricsRegistry::Global()->GetCounter(
@@ -50,11 +95,19 @@ void FlushCountMetrics(const CountStats& stats) {
   static obs::Counter* spilled = obs::MetricsRegistry::Global()->GetCounter(
       "setm_count_spilled_runs_total",
       "Runs of (itemset, count) entries the C_k count spilled");
+  static obs::Counter* entries = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_count_spilled_entries_total",
+      "(itemset, count) entries in the C_k count's spilled runs");
+  static obs::Counter* passes = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_count_merge_passes_total",
+      "Cascaded passes merging the C_k count's spilled runs");
   static obs::Gauge* peak = obs::MetricsRegistry::Global()->GetGauge(
       "setm_mem_count_bytes",
       "High-water mark of one C_k count table's allocated bytes");
   rows->Increment(stats.rows);
   spilled->Increment(stats.spilled_runs);
+  entries->Increment(stats.spilled_entries);
+  passes->Increment(stats.merge_passes);
   ProbesCounter()->Increment(stats.probes);
   peak->RaiseTo(static_cast<int64_t>(stats.peak_bytes));
 }
@@ -155,20 +208,59 @@ ExtensionSpace ExtensionSpace::Pairs(ItemRanks items) {
 }
 
 BudgetedCount::BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes)
-    : k_(k),
-      budget_bytes_(budget_bytes),
-      table_(k),
-      runs_(ctx, k + 1, /*key_begin=*/0, /*key_end=*/k) {}
+    : ctx_(std::move(ctx)), k_(k), budget_bytes_(budget_bytes), table_(k) {}
+
+Status BudgetedCount::WriteRun(const std::vector<int32_t>& rows) {
+  auto run_or =
+      IntRelation::CreateInPool(ctx_.pool, k_ + 1, ctx_.unlogged_page_tagger);
+  if (!run_or.ok()) return run_or.status();
+  std::unique_ptr<IntRelation> run = std::move(run_or).value();
+  SETM_RETURN_IF_ERROR(run->Append(rows.data(), rows.size() / (k_ + 1)));
+  SETM_RETURN_IF_ERROR(run->Finish());
+  runs_.push_back(std::move(run));
+  return Status::OK();
+}
 
 Status BudgetedCount::SpillAndAdd(const ItemId* key) {
-  std::vector<int32_t> run;
-  AppendEntryRows(table_, &run);
+  std::vector<int32_t> rows;
+  AppendEntryRows(table_, &rows);
   ++stats_.spilled_runs;
   stats_.spilled_entries += table_.size();
-  SETM_RETURN_IF_ERROR(runs_.AddSortedRun(run));
+  SETM_RETURN_IF_ERROR(WriteRun(rows));
   table_.Clear();
   ++stats_.probes;
   table_.Add(key, 1);  // an empty table takes any key without growing
+  return Status::OK();
+}
+
+Status BudgetedCount::MergePass() {
+  ++stats_.merge_passes;
+  std::vector<std::unique_ptr<IntRelation>> runs = std::move(runs_);
+  runs_.clear();
+  std::vector<int32_t> rows;
+  for (size_t i = 0; i < runs.size(); i += kMergeFanIn) {
+    const size_t take = std::min(kMergeFanIn, runs.size() - i);
+    if (take == 1) {
+      runs_.push_back(std::move(runs[i]));
+      continue;
+    }
+    std::vector<std::unique_ptr<IntRelation>> group(
+        std::make_move_iterator(runs.begin() + i),
+        std::make_move_iterator(runs.begin() + i + take));
+    auto run_or = IntRelation::CreateInPool(ctx_.pool, k_ + 1,
+                                            ctx_.unlogged_page_tagger);
+    if (!run_or.ok()) return run_or.status();
+    std::unique_ptr<IntRelation> run = std::move(run_or).value();
+    SETM_RETURN_IF_ERROR(SumByKey(
+        k_, LastScans(std::move(group)),
+        [&](const ItemId* key, int64_t count) {
+          rows.clear();
+          AppendEntry(key, k_, count, &rows);
+          return run->Append(rows.data(), rows.size() / (k_ + 1));
+        }));
+    SETM_RETURN_IF_ERROR(run->Finish());
+    runs_.push_back(std::move(run));
+  }
   return Status::OK();
 }
 
@@ -176,7 +268,7 @@ Status BudgetedCount::Finish(
     int64_t min_count,
     const std::function<void(const ItemId*, int64_t)>& emit) {
   stats_.peak_bytes = table_.bytes();  // the table never shrinks
-  if (stats_.spilled_runs == 0) {
+  if (runs_.empty()) {
     table_.ForEach([&](const ItemId* key, int64_t count) {
       if (count >= min_count) emit(key, count);
     });
@@ -185,32 +277,14 @@ Status BudgetedCount::Finish(
   std::vector<int32_t> rest;
   AppendEntryRows(table_, &rest);
   table_ = ItemsetCounts(k_);
-  auto runs_or = runs_.Finish();
-  if (!runs_or.ok()) return runs_or.status();
-  IntArrayCursor rest_cursor(&rest, k_ + 1);
-  Head heads[2] = {{runs_or.value().get()}, {&rest_cursor}};
-  for (Head& head : heads) SETM_RETURN_IF_ERROR(head.Advance());
-  std::vector<ItemId> key(k_);
-  while (heads[0].row != nullptr || heads[1].row != nullptr) {
-    const int32_t* first = heads[0].row;
-    if (first == nullptr ||
-        (heads[1].row != nullptr &&
-         std::lexicographical_compare(heads[1].row, heads[1].row + k_, first,
-                                      first + k_))) {
-      first = heads[1].row;
-    }
-    key.assign(first, first + k_);
-    int64_t count = 0;
-    for (Head& head : heads) {
-      while (head.row != nullptr &&
-             std::equal(key.begin(), key.end(), head.row)) {
-        count += head.row[k_];
-        SETM_RETURN_IF_ERROR(head.Advance());
-      }
-    }
-    if (count >= min_count) emit(key.data(), count);
-  }
-  return Status::OK();
+  while (runs_.size() > kMergeFanIn) SETM_RETURN_IF_ERROR(MergePass());
+  std::vector<std::unique_ptr<IntRowCursor>> inputs =
+      LastScans(std::move(runs_));
+  inputs.push_back(std::make_unique<IntArrayCursor>(std::move(rest), k_ + 1));
+  return SumByKey(k_, std::move(inputs), [&](const ItemId* key, int64_t count) {
+    if (count >= min_count) emit(key, count);
+    return Status::OK();
+  });
 }
 
 Status BudgetedCount::Finish(int64_t min_count,
@@ -273,6 +347,7 @@ Status ExtensionCount::Finish(int64_t min_count,
     const CountStats& hashed = hashed_->stats();
     stats_.spilled_runs = hashed.spilled_runs;
     stats_.spilled_entries = hashed.spilled_entries;
+    stats_.merge_passes = hashed.merge_passes;
     stats_.peak_bytes = hashed.peak_bytes;
     stats_.probes = hashed.probes;
   }

@@ -10,7 +10,7 @@
 
 #include "core/itemset_counts.h"
 #include "core/setm.h"
-#include "exec/external_sort.h"
+#include "exec/exec_context.h"
 #include "relational/int_relation.h"
 
 namespace setm {
@@ -173,7 +173,8 @@ struct ExtensionSpace {
 struct CountStats {
   uint64_t rows = 0;             ///< itemsets counted: the |R'_k| rows
   uint64_t spilled_runs = 0;     ///< runs of aggregated entries written
-  uint64_t spilled_entries = 0;  ///< (key, count) rows in those runs
+  uint64_t spilled_entries = 0;  ///< (key, count) entries in those runs
+  uint64_t merge_passes = 0;     ///< cascaded passes over the spilled runs
   uint64_t peak_bytes = 0;  ///< the table's largest allocation, at Finish()
   uint64_t probes = 0;      ///< hash probes of its table
 };
@@ -183,17 +184,22 @@ struct CountStats {
 /// table, keyed by (parent id, extension rank). Each key is aggregated into
 /// an ItemsetCounts. When a new key would grow the table past the budget,
 /// the table's entries are sorted on their keys and written to scratch
-/// pages as one IntRowSort run of (key, count) rows, and the table is
-/// emptied. Finish() merges the runs with the table's remainder, sums the
-/// counts of equal keys and only then applies the count floor, so a key
-/// counted across runs survives on its total.
+/// pages as one run of (key, count) rows, a packed IntRelation in the
+/// context's pool whose pages the merge releases as it reads them, and the
+/// table is emptied. A run holds each key once (a count above INT32_MAX
+/// takes several consecutive rows). Finish() merges the runs with the table's
+/// remainder in one summing k-way merge of at most kMergeFanIn runs
+/// (exec/external_sort.h): while more runs are left, it first merges
+/// groups of consecutive runs into summed runs, each key once per group.
+/// Only the final merge applies the count floor, so a key counted across
+/// runs survives on its total.
 ///
 /// With no spill this is hash aggregation; under a small budget it is
 /// early aggregation ahead of the paper's sort-merge (Graefe 1993, Larson
 /// 2002), which writes at most one row per key per run instead of one per
-/// R'_k row. Results are identical for every budget. The table fills its
-/// budget (ItemsetCounts::MaxEntriesWithin); a budget below the table's
-/// initial allocation spills every 32 new keys.
+/// R'_k row, and sums at every merge pass. Results are identical for every
+/// budget. The table fills its budget (ItemsetCounts::MaxEntriesWithin); a
+/// budget below the table's initial allocation spills every 32 new keys.
 class BudgetedCount {
  public:
   /// No budget: the table grows as needed and never spills.
@@ -201,7 +207,7 @@ class BudgetedCount {
 
   /// Counts keys of `k` ints in at most `budget_bytes` of table
   /// (ItemsetCounts::bytes()), spilling runs to scratch pages in `ctx`'s
-  /// pool.
+  /// pool, tagged by its unlogged-page tagger.
   BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes);
 
   size_t k() const { return k_; }
@@ -226,11 +232,17 @@ class BudgetedCount {
 
  private:
   Status SpillAndAdd(const ItemId* key);
+  /// Writes `rows`, (key, count) rows in key order, as a new run.
+  Status WriteRun(const std::vector<int32_t>& rows);
+  /// Sums groups of kMergeFanIn consecutive runs into one run each.
+  Status MergePass();
 
+  ExecContext ctx_;
   size_t k_;
   size_t budget_bytes_;
   ItemsetCounts table_;
-  IntRowSort runs_;  ///< rows: key, count; sort key: the key
+  /// Spilled runs in spill order: rows (key, count), sorted on the key.
+  std::vector<std::unique_ptr<IntRelation>> runs_;
   CountStats stats_;
 };
 
@@ -245,11 +257,12 @@ class BudgetedCount {
 /// A shard passes min_count = 1 (support is a global property, so local
 /// counts must all survive to the merge) unless it is the run's only
 /// shard, whose local counts are global: then it passes minsupport, as
-/// the paper's single pipeline does. Finish() records rows and spilled
-/// runs in setm_count_rows_total and setm_count_spilled_runs_total, hash
-/// probes in setm_itemset_probes_total, and raises the setm_mem_count_bytes
-/// high-water mark to peak_bytes; a count dropped unfinished records
-/// nothing.
+/// the paper's single pipeline does. Finish() records rows, spilled runs,
+/// spilled entries and merge passes in setm_count_rows_total,
+/// setm_count_spilled_runs_total, setm_count_spilled_entries_total and
+/// setm_count_merge_passes_total, hash probes in setm_itemset_probes_total,
+/// and raises the setm_mem_count_bytes high-water mark to peak_bytes; a
+/// count dropped unfinished records nothing.
 class ExtensionCount {
  public:
   /// Counts rows over `space`, which must outlive the count, within

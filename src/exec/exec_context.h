@@ -9,9 +9,9 @@
 
 namespace setm {
 
-/// Resources physical operators draw on: the buffer pool a sort spills its
-/// runs into, the tagger of those run pages, and the memory budget at which
-/// the external sort spills. Operators run on the calling thread; none of
+/// Resources physical operators draw on: the buffer pool the external sort
+/// and the C_k count spill their runs into, the tagger of those run pages,
+/// and the memory budget at which the sort spills. Operators run on the calling thread; none of
 /// them uses a worker pool.
 struct ExecContext {
   BufferPool* pool = nullptr;

@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "exec/exec_context.h"
-#include "relational/int_relation.h"
 #include "relational/table.h"
 #include "relational/tuple.h"
 
@@ -20,37 +19,32 @@ struct SortStats {
   uint64_t merge_passes = 0;   ///< intermediate merge passes (0 or more)
 };
 
-namespace sort_internal {
-template <typename Rows>
-class RunSort;
-struct TupleRows;
-struct IntRows;
-}  // namespace sort_internal
+/// Runs one merge reads at once, in the external sort's cascade and in the
+/// C_k count's (core/setm_pipeline.h BudgetedCount): more runs cascade
+/// merge passes. No run reader holds a pin (the slotted iterator and the
+/// packed cursor both copy a page and unpin it), so the fan-in bounds no
+/// pool frames, only the linear scan over run heads. It is a constant, so
+/// a cascade depends on the run count alone, at every pool size.
+inline constexpr size_t kMergeFanIn = 64;
 
-/// Bounded-memory external merge sort — one of the two primitives Algorithm
-/// SETM is made of ("basic steps are sorting and merge scan join").
+/// Bounded-memory external merge sort of Tuples for the SQL engine — one of
+/// the two primitives Algorithm SETM is made of ("basic steps are sorting
+/// and merge scan join"). SETM's own mining path sorts no row: its
+/// relations arrive in order, and the C_k count merges its own runs.
 ///
-/// Rows are buffered until the configured memory budget is reached, then
-/// stable-sorted and spilled as a run of scratch pages in the context's
-/// pool — the database's one pool, next to SETM's R_k — so run I/O lands in
-/// the database's IoStats ledger and, on a file database, in the main file
-/// and never in the write-ahead log. Finish() merges up to 64 runs at once,
-/// at every pool size, cascading extra merge passes when there are more.
-/// The overall sort is stable: equal keys keep arrival order.
-///
-/// The algorithm exists once (exec/external_sort.cc, a template over the
-/// row kind) and has two front ends: ExternalSort sorts Tuples for the
-/// SQL engine, into slotted TableHeap runs; IntRowSort sorts SETM's
-/// fixed-width int32 rows, into packed IntRelation runs. A row's budget
-/// charge is its serialized size, so both front ends put the same rows in
-/// the same runs. A run releases its pages when it has been merged
-/// (or when the sorted stream is dropped), so a cascade reuses the page
-/// ids of the runs it merged and a dead run's dirty pages are never
-/// written.
+/// Rows are buffered until their serialized size reaches the configured
+/// memory budget, then stable-sorted and spilled as a run of slotted
+/// TableHeap pages in the context's pool — the database's one pool — so
+/// run I/O lands in the database's IoStats ledger and, on a file database,
+/// in the main file and never in the write-ahead log. Finish() merges up to
+/// kMergeFanIn runs at once, at every pool size, cascading extra merge
+/// passes when there are more. The overall sort is stable: equal keys keep
+/// arrival order. A run releases its pages when it has been merged (or when
+/// the sorted stream is dropped), so a cascade reuses the page ids of the
+/// runs it merged and a dead run's dirty pages are never written.
 ///
 /// Run generation and the merge cascade are one serial loop on the calling
-/// thread: SETM mines run their sorts inside shard tasks that already sit
-/// on the worker pool, and the SQL engine's sorts are single-threaded.
+/// thread: the SQL engine's sorts are single-threaded.
 ///
 /// API misuse is reported through Status in every build mode: Add() after
 /// Finish() and a second Finish() fail with an Internal error instead of
@@ -63,6 +57,9 @@ struct IntRows;
 ///     auto it = sort.Finish().value();   // sorted stream
 class ExternalSort {
  public:
+  /// One spilled run: slotted pages that are released when it is dropped.
+  class Run;
+
   ExternalSort(ExecContext ctx, Schema schema, TupleComparator cmp);
   ~ExternalSort();
 
@@ -74,46 +71,20 @@ class ExternalSort {
   /// with an Internal status.
   Result<std::unique_ptr<TupleIterator>> Finish();
 
-  const SortStats& stats() const;
+  const SortStats& stats() const { return stats_; }
 
  private:
-  std::unique_ptr<sort_internal::RunSort<sort_internal::TupleRows>> sort_;
-};
+  /// Sorts the buffer and writes it as the next run.
+  Status SpillRun();
 
-/// The external sort over fixed-width rows of `width` int32 columns, ordered
-/// on columns [key_begin, key_end). Each row is charged 4 bytes per column
-/// against the budget — the serialized size of the same row as an all-INT32
-/// Tuple — so an IntRowSort spills, merges and counts (SortStats, sort
-/// metrics) exactly as an ExternalSort of the equivalent Tuples. Its runs
-/// are packed IntRelation pages in the context's pool (R_k's format), so a
-/// run of n rows takes ceil(n / IntRelation::RowsPerPage(width)) pages,
-/// each written once: fewer than the same rows as slotted records.
-///
-///     IntRowSort sort(ctx, /*width=*/3, /*key_begin=*/1, /*key_end=*/3);
-///     for (...) sort.Add(row);           // row: 3 ints
-///     auto cursor = sort.Finish().value();
-class IntRowSort {
- public:
-  IntRowSort(ExecContext ctx, size_t width, size_t key_begin, size_t key_end);
-  ~IntRowSort();
-
-  /// Buffers one row (width ints, copied).
-  Status Add(const int32_t* row);
-
-  /// Writes `rows` (width ints each, already in key order) to scratch pages
-  /// as one run, after spilling any buffered rows: for a caller that forms
-  /// its own runs, such as the budgeted C_k count's aggregated entries.
-  /// The rows count in stats().rows and the run in spilled_runs; Finish()
-  /// merges it with the other runs.
-  Status AddSortedRun(const std::vector<int32_t>& rows);
-
-  /// Completes the sort and returns the sorted rows.
-  Result<std::unique_ptr<IntRowCursor>> Finish();
-
-  const SortStats& stats() const;
-
- private:
-  std::unique_ptr<sort_internal::RunSort<sort_internal::IntRows>> sort_;
+  ExecContext ctx_;
+  Schema schema_;
+  TupleComparator cmp_;
+  std::vector<Tuple> buffer_;
+  size_t buffer_bytes_ = 0;
+  std::vector<std::unique_ptr<Run>> runs_;
+  SortStats stats_;
+  bool finished_ = false;
 };
 
 /// Volcano operator wrapping ExternalSort: drains `child` on first Next().

@@ -6,9 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/exec_context.h"
-#include "exec/external_sort.h"
-
 namespace setm {
 
 namespace {
@@ -48,19 +45,17 @@ std::vector<std::pair<const PatternCount*, int64_t>> CountStoredInDelta(
 }
 
 /// Counts the borderline candidates against the old partition: one scan of
-/// the SALES relation keeping rows with trans_id <= watermark, grouped into
-/// transactions via the external sort (the relation can exceed RAM, so
-/// grouping must go through the bounded-memory spill path, not an in-memory
-/// vector), each transaction tested against every candidate. Skipped
-/// entirely when no candidate exists.
+/// the SALES relation collects the (trans_id, item) rows with trans_id <=
+/// watermark into memory, as a SETM mine holds its SALES slice, sorts them
+/// into transactions and tests each transaction against every candidate.
+/// Skipped entirely when no candidate exists.
 Result<std::vector<int64_t>> CountCandidatesInOldPartition(
-    Database* db, const Table& sales, TransactionId watermark,
+    const Table& sales, TransactionId watermark,
     const std::vector<PatternCount>& candidates) {
   std::vector<int64_t> counts(candidates.size(), 0);
   if (candidates.empty()) return counts;
 
-  ExecContext ctx = ExecContext::From(db);
-  IntRowSort sort(ctx, /*width=*/2, /*key_begin=*/0, /*key_end=*/2);
+  std::vector<std::pair<TransactionId, ItemId>> rows;
   {
     auto it = sales.Scan();
     Tuple row;
@@ -68,34 +63,24 @@ Result<std::vector<int64_t>> CountCandidatesInOldPartition(
       auto more = it->Next(&row);
       if (!more.ok()) return more.status();
       if (!more.value()) break;
-      const int32_t pair[2] = {row.value(0).AsInt32(), row.value(1).AsInt32()};
-      if (pair[0] <= watermark) SETM_RETURN_IF_ERROR(sort.Add(pair));
+      const TransactionId tid = row.value(0).AsInt32();
+      if (tid <= watermark) rows.emplace_back(tid, row.value(1).AsInt32());
     }
   }
-  auto sorted_or = sort.Finish();
-  if (!sorted_or.ok()) return sorted_or.status();
+  std::sort(rows.begin(), rows.end());
 
   std::unordered_set<ItemId> txn_items;
-  bool in_txn = false;
-  TransactionId current = 0;
-  auto flush_txn = [&] {
-    if (!in_txn) return;
+  for (size_t begin = 0; begin < rows.size();) {
+    txn_items.clear();
+    size_t end = begin;
+    for (; end < rows.size() && rows[end].first == rows[begin].first; ++end) {
+      txn_items.insert(rows[end].second);
+    }
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (ContainsPattern(txn_items, candidates[c].items)) ++counts[c];
     }
-  };
-  SETM_RETURN_IF_ERROR(ForEachRow(
-      sorted_or.value().get(), [&](const int32_t* pair) {
-        if (!in_txn || pair[0] != current) {
-          flush_txn();
-          txn_items.clear();
-          current = pair[0];
-          in_txn = true;
-        }
-        txn_items.insert(pair[1]);
-        return Status::OK();
-      }));
-  flush_txn();
+    begin = end;
+  }
   return counts;
 }
 
@@ -142,8 +127,8 @@ Result<DeltaDerivation> DeriveWithDelta(Database* db,
       if (stored.itemsets.CountOf(pc.items) == 0) borderline.push_back(pc);
     }
   }
-  auto old_counts_or = CountCandidatesInOldPartition(
-      db, sales, stored.meta.watermark, borderline);
+  auto old_counts_or =
+      CountCandidatesInOldPartition(sales, stored.meta.watermark, borderline);
   if (!old_counts_or.ok()) return old_counts_or.status();
   const std::vector<int64_t>& old_counts = old_counts_or.value();
 

@@ -33,7 +33,7 @@ class UnfinishedCursor : public IntRowCursor {
 obs::Gauge* ScratchPagesGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GetGauge(
       "setm_scratch_pages",
-      "Pages of sealed scratch relations (R_1, R_k, int sort runs) held");
+      "Pages of sealed scratch relations (R_1, R_k, C_k count runs) held");
   return gauge;
 }
 

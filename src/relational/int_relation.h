@@ -17,7 +17,8 @@
 namespace setm {
 
 /// Pull stream of fixed-width all-INT32 rows — the row form of SETM's
-/// intermediate relations, read from an IntRelation or an IntRowSort.
+/// intermediate relations and of the C_k count's spilled runs, read from
+/// an IntRelation or an in-memory array.
 class IntRowCursor {
  public:
   virtual ~IntRowCursor() = default;
@@ -115,8 +116,9 @@ class IntRelation {
 
   /// A kHeap relation of `width` columns in `pool` (kMemory for a null
   /// pool). `page_hook`, if set, fires for each page as it is allocated:
-  /// Create and IntRowSort's spilled runs pass the database's unlogged
-  /// tagger, so R_k and the runs beside it in the one pool skip the log.
+  /// Create and the C_k count's spilled runs (BudgetedCount) pass the
+  /// database's unlogged tagger, so R_k and the runs beside it in the one
+  /// pool skip the log.
   static Result<std::unique_ptr<IntRelation>> CreateInPool(
       BufferPool* pool, size_t width, PageHook page_hook = nullptr,
       PageHint hint = PageHint::kNone);

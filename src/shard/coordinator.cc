@@ -97,16 +97,24 @@ Status CallShards(WorkerPool* pool, std::vector<ShardState>* states,
 /// minsupport. Survivors land in `itemsets` and (in canonical sorted order,
 /// so remote broadcast payloads are deterministic) in `ck`. A count of the
 /// wrong arity (a remote shard's bug) is Corruption, not a silent miss.
-/// For k = 2 a pair with an item outside C_1 (in `itemsets` already) is
-/// dropped: it reaches minsupport only when SALES repeats a (trans_id,
-/// item) row, and the shards count no larger itemset of an item outside
-/// C_1. `*entries` is the number of entries the shards handed over.
+/// So is, for k = 2, a pair with an item outside C_1 (`*ck` on entry): a
+/// shard drops those before it replies, since the shards count no larger
+/// itemset of an item outside C_1. `*entries` is the number of entries the
+/// shards handed over.
 Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
                    uint64_t* c_size, uint64_t* entries,
                    FrequentItemsets* itemsets,
                    std::vector<std::vector<ItemId>>* ck) {
   ItemsetCounts merged(k);
   *entries = 0;
+  // A shard ships only pairs of C_1's items (`*ck` holds C_1 at k == 2).
+  std::vector<ItemId> c1;
+  if (k == 2) {
+    for (const std::vector<ItemId>& itemset : *ck) c1.push_back(itemset[0]);
+  }
+  const auto in_c1 = [&c1](ItemId item) {
+    return std::binary_search(c1.begin(), c1.end(), item);
+  };
   for (ShardState& s : *states) {
     *entries += s.reply.counts.size();
     for (const PatternCount& pc : s.reply.counts) {
@@ -117,19 +125,21 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
             std::to_string(pc.items.size()) + "-itemset at iteration " +
             std::to_string(k));
       }
+      if (k == 2 && !(in_c1(pc.items[0]) && in_c1(pc.items[1]))) {
+        return Status::Corruption(
+            "shard '" + s.backend->name() + "' reported the pair {" +
+            std::to_string(pc.items[0]) + " " + std::to_string(pc.items[1]) +
+            "}, which has an item outside C_1");
+      }
       merged.Add(pc.items.data(), pc.count);
     }
     s.reply.counts.clear();
     s.reply.counts.shrink_to_fit();
   }
   Metrics()->entries->Increment(*entries);
-  const auto in_c1 = [&](ItemId item) {
-    return itemsets->CountOf({item}) != 0;
-  };
   ck->clear();
   merged.ForEach([&](const ItemId* items, int64_t count) {
     if (count < minsup) return;
-    if (k == 2 && !(in_c1(items[0]) && in_c1(items[1]))) return;
     ck->emplace_back(items, items + k);
     itemsets->Add(ck->back(), count);
     ++*c_size;

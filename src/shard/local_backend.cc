@@ -207,6 +207,19 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
       (void)EndRun();
       return finish;
     }
+    if (k == 1 && !run_.filter_r1) {
+      // R'_2 was counted over the slice's distinct items, before C_1 was
+      // known. A pair with an item outside C_1 cannot be frequent, so it is
+      // not shipped.
+      const ItemRanks& c1 = level.space.alphabet;
+      const auto outside_c1 = [&c1](const PatternCount& pair) {
+        return c1.RankOf(pair.items[0]) == ItemRanks::kAbsent ||
+               c1.RankOf(pair.items[1]) == ItemRanks::kAbsent;
+      };
+      out.counts.erase(std::remove_if(out.counts.begin(), out.counts.end(),
+                                      outside_c1),
+                       out.counts.end());
+    }
   }
   // The count of R'_{k+1} reads its keys' itemsets from C_k's level (or
   // from r2_space_): it is done before the level moves.

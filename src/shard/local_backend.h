@@ -52,8 +52,8 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     the ExtensionCount of R'_{k+1}, finished before it returns.
 ///     ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it under
 ///     filter_r1, and otherwise finishes the count of R'_2 that
-///     CountFirstIteration made. The level is kept as the next call's
-///     C_{k-1}.
+///     CountFirstIteration made and drops its pairs with an item outside
+///     C_1. The level is kept as the next call's C_{k-1}.
 /// A count is a dense array when its counters fit the sort budget, and
 /// otherwise a hashed table within the sort budget under kSortMerge and
 /// unbounded under kHash. No count is started past the run's

@@ -68,7 +68,8 @@ struct ShardHealth {
 /// Each ApplyGlobalCk is the iteration's one pass: the join of R_{k-1}
 /// with R_1, the C_k filter and the R_k append, counting R'_{k+1} as it
 /// goes. ApplyGlobalCk(1) rewrites R_1 only under filter_r1; otherwise it
-/// returns the counts of R'_2 that CountFirstIteration made alongside R_1.
+/// returns the counts of R'_2 that CountFirstIteration made alongside R_1,
+/// less every pair with an item outside C_1.
 ///
 /// Implementations: LocalShardBackend runs the SETM pipeline bodies in
 /// process over a SALES slice; RemoteShardBackend speaks LCOUNT/MERGE to a

@@ -524,7 +524,7 @@ class CounterDeltas : public MiningObserver {
   struct Delta {
     uint64_t count_rows = 0;
     uint64_t spilled_runs = 0;
-    uint64_t sort_rows = 0;
+    uint64_t spilled_entries = 0;
   };
 
   CounterDeltas() { last_ = Now(); }
@@ -533,7 +533,7 @@ class CounterDeltas : public MiningObserver {
     const Delta now = Now();
     deltas.push_back({now.count_rows - last_.count_rows,
                       now.spilled_runs - last_.spilled_runs,
-                      now.sort_rows - last_.sort_rows});
+                      now.spilled_entries - last_.spilled_entries});
     last_ = now;
     return true;
   }
@@ -545,7 +545,7 @@ class CounterDeltas : public MiningObserver {
     auto* registry = obs::MetricsRegistry::Global();
     return {registry->GetCounter("setm_count_rows_total")->Value(),
             registry->GetCounter("setm_count_spilled_runs_total")->Value(),
-            registry->GetCounter("setm_sort_rows_total")->Value()};
+            registry->GetCounter("setm_count_spilled_entries_total")->Value()};
   }
 
   Delta last_;
@@ -555,9 +555,10 @@ class CounterDeltas : public MiningObserver {
 // C_k count aggregates each R'_k row into a table within its budget. Under
 // kSortMerge the budget is the sort budget, 16 KiB here, below the
 // distinct-candidate footprint: the count spills runs of aggregated
-// (itemset, count) entries, the only rows a mine sorts, yet returns an
-// unbounded mine's itemsets and IterationStats. kHash counts without a
-// budget and sorts nothing, so a kMemory kHash mine moves no page at all.
+// (itemset, count) entries, the only rows a mine writes besides R_k, yet
+// returns an unbounded mine's itemsets and IterationStats. kHash counts
+// without a budget and spills nothing, so a kMemory kHash mine moves no
+// page at all.
 class SetmCountBudgetTest
     : public testing::TestWithParam<
           std::tuple<TableBacking, CountMethod, size_t>> {};
@@ -608,7 +609,7 @@ TEST_P(SetmCountBudgetTest, SpillsOnlyAggregatedEntriesWithinTheBudget) {
   ASSERT_EQ(iterations.size(), expected.iterations.size());
   ASSERT_EQ(deltas.deltas.size(), iterations.size());
   uint64_t spilled_runs = 0;
-  uint64_t sorted_rows = 0;
+  uint64_t spilled_entries = 0;
   for (size_t i = 0; i < iterations.size(); ++i) {
     const IterationStats& it = iterations[i];
     const IterationStats& want = expected.iterations[i];
@@ -639,13 +640,13 @@ TEST_P(SetmCountBudgetTest, SpillsOnlyAggregatedEntriesWithinTheBudget) {
     EXPECT_EQ(d.count_rows, counted_rows);
     // Each spilled run holds one entry per itemset it counted.
     if (d.spilled_runs == 0) {
-      EXPECT_EQ(d.sort_rows, 0u);
+      EXPECT_EQ(d.spilled_entries, 0u);
     } else {
-      EXPECT_GE(d.sort_rows, d.spilled_runs);
-      EXPECT_LE(d.sort_rows, candidates * d.spilled_runs);
+      EXPECT_GE(d.spilled_entries, d.spilled_runs);
+      EXPECT_LE(d.spilled_entries, candidates * d.spilled_runs);
     }
     spilled_runs += d.spilled_runs;
-    sorted_rows += d.sort_rows;
+    spilled_entries += d.spilled_entries;
   }
   if (method == CountMethod::kSortMerge) {
     EXPECT_GT(footprint, static_cast<int64_t>(kBudget));
@@ -653,7 +654,7 @@ TEST_P(SetmCountBudgetTest, SpillsOnlyAggregatedEntriesWithinTheBudget) {
     EXPECT_LE(peak->Value(), static_cast<int64_t>(kBudget));
   } else {
     EXPECT_EQ(spilled_runs, 0u);
-    EXPECT_EQ(sorted_rows, 0u);
+    EXPECT_EQ(spilled_entries, 0u);
   }
   if (storage == TableBacking::kMemory && method == CountMethod::kHash) {
     EXPECT_EQ(result.value().io.page_reads, 0u);
@@ -668,6 +669,48 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash),
                      testing::Values(size_t{1}, size_t{3})));
+
+// A SETM mine sorts no row: its relations arrive in order and the C_k
+// count merges its own spilled runs. A kHeap mine whose count spills under
+// a 16 KiB budget, with merge passes, leaves every external-sort counter
+// where it was.
+TEST(SetmCountSpillTest, SpillingMineSortsNothing) {
+  QuestOptions gen;
+  gen.seed = 21;
+  gen.num_transactions = 1500;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 40;
+  const TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  SetmOptions knobs{TableBacking::kHeap};
+  knobs.count_method = CountMethod::kSortMerge;
+  DatabaseOptions db_options;
+  db_options.sort_memory_bytes = 16 << 10;
+  Database db(db_options);
+  auto* registry = obs::MetricsRegistry::Global();
+  const std::vector<std::string> sort_counters = {
+      "setm_sort_rows_total", "setm_sort_runs_total",
+      "setm_sort_spilled_runs_total", "setm_sort_merge_passes_total"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : sort_counters) {
+    before.push_back(registry->GetCounter(name)->Value());
+  }
+  obs::Counter* spilled =
+      registry->GetCounter("setm_count_spilled_runs_total");
+  obs::Counter* passes =
+      registry->GetCounter("setm_count_merge_passes_total");
+  const uint64_t spilled_before = spilled->Value();
+  const uint64_t passes_before = passes->Value();
+  auto result = SetmMiner(&db, knobs).Mine(txns, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(spilled->Value(), spilled_before);
+  EXPECT_GT(passes->Value(), passes_before);
+  for (size_t i = 0; i < sort_counters.size(); ++i) {
+    EXPECT_EQ(registry->GetCounter(sort_counters[i])->Value(), before[i])
+        << sort_counters[i];
+  }
+}
 
 // The count floor applies to an itemset's total, after the runs are summed:
 // {7} is counted once in each of three spilled runs and once more in the

@@ -191,44 +191,33 @@ TEST_F(ExternalSortTest, SortIsStable) {
   }
 }
 
-// The merge fan-in is 64 runs at every pool size, since no run reader holds
-// a pin: even on an 8-frame pool, 64 spilled runs go straight into the
-// final merge and 65 take exactly one cascade pass. Each (int32, int32) row
-// is charged 8 bytes, so an 8-byte budget spills every row as its own run.
+// The merge fan-in is kMergeFanIn (64) runs at every pool size, since no
+// run reader holds a pin: even on an 8-frame pool, 64 spilled runs go
+// straight into the final merge and 65 take exactly one cascade pass. Each
+// (int32, int32) row is charged 8 bytes, so an 8-byte budget spills every
+// row as its own run.
 TEST(SortFanInTest, SixtyFourRunsMergeAtOnceOnAnEightFramePool) {
+  ASSERT_EQ(kMergeFanIn, 64u);
   DatabaseOptions options;
   options.pool_frames = 8;
   options.sort_memory_bytes = 8;
   Database db(options);
   for (int32_t runs : {64, 65}) {
     SCOPED_TRACE("runs=" + std::to_string(runs));
-    ExternalSort tuples(ExecContext::From(&db), TwoIntSchema(),
-                        TupleComparator({0}));
-    IntRowSort ints(ExecContext::From(&db), 2, 0, 1);
+    ExternalSort sort(ExecContext::From(&db), TwoIntSchema(),
+                      TupleComparator({0}));
     std::vector<std::pair<int, int>> expected;
     for (int32_t i = 0; i < runs; ++i) {
-      const int32_t row[2] = {(i * 37) % runs, i};  // keys: a permutation
-      ASSERT_TRUE(tuples.Add(Row(row[0], row[1])).ok());
-      ASSERT_TRUE(ints.Add(row).ok());
-      expected.emplace_back(row[0], row[1]);
+      const int key = (i * 37) % runs;  // keys: a permutation
+      ASSERT_TRUE(sort.Add(Row(key, i)).ok());
+      expected.emplace_back(key, i);
     }
     std::sort(expected.begin(), expected.end());
-    auto tuple_it = tuples.Finish();
-    ASSERT_TRUE(tuple_it.ok()) << tuple_it.status().ToString();
-    auto int_it = ints.Finish();
-    ASSERT_TRUE(int_it.ok()) << int_it.status().ToString();
-    EXPECT_EQ(Drain(tuple_it.value().get()), expected);
-    std::vector<std::pair<int, int>> actual;
-    ASSERT_TRUE(ForEachRow(int_it.value().get(), [&actual](const int32_t* r) {
-                  actual.emplace_back(r[0], r[1]);
-                  return Status::OK();
-                }).ok());
-    EXPECT_EQ(actual, expected);
-    const uint64_t passes = runs > 64 ? 1 : 0;
-    for (const SortStats* stats : {&tuples.stats(), &ints.stats()}) {
-      EXPECT_EQ(stats->spilled_runs, static_cast<uint64_t>(runs));
-      EXPECT_EQ(stats->merge_passes, passes);
-    }
+    auto it = sort.Finish();
+    ASSERT_TRUE(it.ok()) << it.status().ToString();
+    EXPECT_EQ(Drain(it.value().get()), expected);
+    EXPECT_EQ(sort.stats().spilled_runs, static_cast<uint64_t>(runs));
+    EXPECT_EQ(sort.stats().merge_passes, runs > 64 ? 1u : 0u);
   }
 }
 
@@ -309,167 +298,32 @@ TEST_F(ExternalSortTest, SpillIoLandsInLedger) {
             writes_before);
 }
 
-// IntRowSort is ExternalSort's algorithm over fixed-width int rows: on the
-// same rows, budget and pool it must produce the same order (stability
-// included) and the same SortStats, in memory and through cascaded merge
-// passes. The parameter is the sort budget in bytes: 16 and 24 bytes hold
-// one and two 16-byte rows, so 8,300 rows spill more than 64 * 64 runs.
-class IntRowSortTest : public testing::TestWithParam<size_t> {};
-
-TEST_P(IntRowSortTest, MatchesExternalSort) {
-  DatabaseOptions options;
-  options.pool_frames = 8;
-  options.sort_memory_bytes = GetParam();
-  Database db(options);
-  const ExecContext ctx = ExecContext::From(&db);
-
-  // Width 4, keyed on columns [1, 3); column 3 records arrival order, so
-  // the comparison also checks stability.
-  const Schema schema({Column{"t", ValueType::kInt32},
-                       Column{"i1", ValueType::kInt32},
-                       Column{"i2", ValueType::kInt32},
-                       Column{"seq", ValueType::kInt32}});
-  ExternalSort tuples(ctx, schema, TupleComparator({1, 2}));
-  IntRowSort ints(ctx, 4, 1, 3);
-  Rng rng(GetParam());
-  for (int32_t seq = 0; seq < 8300; ++seq) {
-    const int32_t row[4] = {static_cast<int32_t>(rng.Uniform(1000)),
-                            static_cast<int32_t>(rng.Uniform(12)),
-                            static_cast<int32_t>(rng.Uniform(12)) - 6, seq};
-    ASSERT_TRUE(ints.Add(row).ok());
-    ASSERT_TRUE(tuples
-                    .Add(Tuple({Value::Int32(row[0]), Value::Int32(row[1]),
-                                Value::Int32(row[2]), Value::Int32(row[3])}))
-                    .ok());
-  }
-  auto tuple_it = tuples.Finish();
-  ASSERT_TRUE(tuple_it.ok()) << tuple_it.status().ToString();
-  auto int_it = ints.Finish();
-  ASSERT_TRUE(int_it.ok()) << int_it.status().ToString();
-
-  std::vector<std::vector<int32_t>> expected;
-  Tuple t;
-  while (true) {
-    auto more = tuple_it.value()->Next(&t);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.value()) break;
-    expected.push_back({t.value(0).AsInt32(), t.value(1).AsInt32(),
-                        t.value(2).AsInt32(), t.value(3).AsInt32()});
-  }
-  std::vector<std::vector<int32_t>> actual;
-  ASSERT_TRUE(ForEachRow(int_it.value().get(), [&actual](const int32_t* r) {
-                actual.emplace_back(r, r + 4);
-                return Status::OK();
-              }).ok());
-  EXPECT_EQ(actual, expected);
-  ASSERT_EQ(actual.size(), 8300u);
-
-  const SortStats& a = ints.stats();
-  const SortStats& b = tuples.stats();
-  EXPECT_EQ(a.rows, b.rows);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.spilled_runs, b.spilled_runs);
-  EXPECT_EQ(a.merge_passes, b.merge_passes);
-  if (GetParam() < 4096) {
-    EXPECT_GE(a.merge_passes, 2u);
-  } else {
-    EXPECT_EQ(a.spilled_runs, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Budgets, IntRowSortTest,
-    testing::Values(size_t{1} << 20, size_t{16}, size_t{24}),
-    [](const testing::TestParamInfo<size_t>& param_info) {
-      return "Bytes" + std::to_string(param_info.param);
-    });
-
-TEST(IntRowSortApiTest, EmptyInputAndMisuse) {
-  Database db;
-  IntRowSort sort(ExecContext::From(&db), 2, 0, 2);
-  auto cursor = sort.Finish();
-  ASSERT_TRUE(cursor.ok());
-  const int32_t* row = nullptr;
-  auto more = cursor.value()->Next(&row);
-  ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(more.value());
-  const int32_t late[2] = {1, 2};
-  EXPECT_EQ(sort.Add(late).code(), StatusCode::kInternal);
-  EXPECT_EQ(sort.AddSortedRun({1, 2}).code(), StatusCode::kInternal);
-  EXPECT_EQ(sort.Finish().status().code(), StatusCode::kInternal);
-}
-
-// A run handed over already sorted joins the one merge, after the rows
-// buffered before it: the output is the stable sort of every row in the
-// order it arrived, and the run counts as a spilled run of its rows. The
-// 40 sorted runs and the rows spilled before each make more than 64 runs,
-// so the merge cascades.
-TEST(IntRowSortApiTest, SortedRunsJoinTheMerge) {
-  constexpr int kSortedRuns = 40;
-  DatabaseOptions options;
-  options.pool_frames = 8;
-  options.sort_memory_bytes = 400;
-  Database db(options);
-  IntRowSort sort(ExecContext::From(&db), 2, 0, 1);
-  Rng rng(5);
-  std::vector<std::vector<int32_t>> all;  // (key, arrival) in arrival order
-  const auto add = [&](int32_t key) {
-    const int32_t row[2] = {key, static_cast<int32_t>(all.size())};
-    all.push_back({row[0], row[1]});
-    return sort.Add(row);
-  };
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(add(static_cast<int32_t>(rng.Uniform(20))).ok());
-  }
-  for (int run = 0; run < kSortedRuns; ++run) {
-    std::vector<int32_t> sorted_run;
-    for (int32_t key = 0; key < 20; key += 1 + run) {
-      sorted_run.insert(sorted_run.end(),
-                        {key, static_cast<int32_t>(all.size())});
-      all.push_back({key, static_cast<int32_t>(all.size())});
-    }
-    ASSERT_TRUE(sort.AddSortedRun(sorted_run).ok());
-    ASSERT_TRUE(add(static_cast<int32_t>(rng.Uniform(20))).ok());
-  }
-  const uint64_t spilled_before_finish = sort.stats().spilled_runs;
-  auto cursor = sort.Finish();
-  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  std::vector<std::vector<int32_t>> actual;
-  ASSERT_TRUE(ForEachRow(cursor.value().get(), [&actual](const int32_t* r) {
-                actual.emplace_back(r, r + 2);
-                return Status::OK();
-              }).ok());
-  std::stable_sort(all.begin(), all.end(),
-                   [](const auto& a, const auto& b) { return a[0] < b[0]; });
-  EXPECT_EQ(actual, all);
-  EXPECT_EQ(sort.stats().rows, all.size());
-  // The sorted runs, each after the buffered rows it spilled.
-  EXPECT_GE(spilled_before_finish, 2u * kSortedRuns);
-  EXPECT_GE(sort.stats().merge_passes, 1u);
-}
-
-// Spilled int runs are packed IntRelation pages in the context's pool. A
-// run of n rows takes ceil(n / RowsPerPage(width)) pages, and each page is
-// written once: the merge reads runs back and never rewrites a page. These
-// tests run the cascade on a 6-frame pool, which still merges 64 runs at a
-// time, so they spill more than 64 * 64 runs to cascade twice.
+// The budgeted C_k count's spilled runs are packed IntRelation pages in the
+// context's pool. A run of n rows takes ceil(n / RowsPerPage(width)) pages,
+// and each page is written once: the merge reads runs back and never
+// rewrites a page. These tests run on a 6-frame pool, which still merges
+// kMergeFanIn runs at a time.
 class SpillRunFormatTest : public testing::Test {
  protected:
-  static constexpr size_t kFanIn = 64;
+  static constexpr size_t kFanIn = kMergeFanIn;
 
   SpillRunFormatTest() : backend_(&stats_), pool_(&backend_, 6) {
     ctx_.pool = &pool_;
   }
 
-  /// The pages a sort whose spilled runs hold `runs` rows (in spill order)
-  /// allocates: one packed page list per spilled run and per run each
-  /// cascade pass merges. Sets `*passes` to the cascade's passes.
+  /// Pages of a run of `rows` rows of `width` ints.
+  static uint64_t RunPages(uint64_t rows, size_t width) {
+    const uint64_t per_page = IntRelation::RowsPerPage(width);
+    return (rows + per_page - 1) / per_page;
+  }
+
+  /// The pages a count whose spilled runs hold `runs` rows (in spill order)
+  /// and share no key allocates: one packed page list per spilled run and
+  /// per run each cascade pass merges. Sets `*passes` to the cascade's
+  /// passes.
   static uint64_t PackedRunPages(std::vector<uint64_t> runs, size_t width,
                                  uint64_t* passes) {
-    const uint64_t per_page = IntRelation::RowsPerPage(width);
-    const auto pages = [per_page](uint64_t rows) {
-      return (rows + per_page - 1) / per_page;
-    };
+    const auto pages = [width](uint64_t rows) { return RunPages(rows, width); };
     uint64_t total = 0;
     for (uint64_t rows : runs) total += pages(rows);
     *passes = 0;
@@ -508,51 +362,9 @@ class SpillRunFormatTest : public testing::Test {
   ExecContext ctx_;
 };
 
-TEST_F(SpillRunFormatTest, IntRowSortRunsArePackedPages) {
-  constexpr size_t kWidth = 3;
-  constexpr uint64_t kRunRows = 2;
-  constexpr uint64_t kRows = 8401;  // 4,200 full runs and one of 1 row
-  ctx_.sort_memory_bytes = kRunRows * kWidth * sizeof(int32_t);
-  IntRowSort sort(ctx_, kWidth, /*key_begin=*/1, /*key_end=*/3);
-  Rng rng(17);
-  std::vector<std::vector<int32_t>> expected;
-  for (uint64_t i = 0; i < kRows; ++i) {
-    const int32_t row[kWidth] = {static_cast<int32_t>(i),
-                                 static_cast<int32_t>(rng.Uniform(50)),
-                                 static_cast<int32_t>(rng.Uniform(50))};
-    ASSERT_TRUE(sort.Add(row).ok());
-    expected.emplace_back(row, row + kWidth);
-  }
-  auto cursor = sort.Finish();
-  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-
-  std::vector<uint64_t> runs(kRows / kRunRows, kRunRows);
-  runs.push_back(kRows % kRunRows);
-  uint64_t passes = 0;
-  const uint64_t pages = PackedRunPages(runs, kWidth, &passes);
-  EXPECT_EQ(sort.stats().spilled_runs, runs.size());
-  EXPECT_EQ(sort.stats().merge_passes, passes);
-  EXPECT_GE(passes, 2u);
-  EXPECT_EQ(PagesHandedOut(), pages);
-
-  std::vector<std::vector<int32_t>> actual;
-  ASSERT_TRUE(ForEachRow(cursor.value().get(), [&actual](const int32_t* r) {
-                actual.emplace_back(r, r + kWidth);
-                return Status::OK();
-              }).ok());
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) {
-                     return std::lexicographical_compare(
-                         a.begin() + 1, a.end(), b.begin() + 1, b.end());
-                   });
-  EXPECT_EQ(actual, expected);
-  // The final merge streams its output and writes no run.
-  EXPECT_EQ(PagesHandedOut(), pages);
-  ExpectEachPageWrittenOnce();
-}
-
 // The budgeted C_k count spills its (item_1, item_2, count) entries as
-// IntRowSort runs: the same page format, cascade and single write.
+// packed runs, merged in a cascade that writes each page once. All keys
+// are distinct, so a merged run holds the rows of the runs it merged.
 TEST_F(SpillRunFormatTest, BudgetedCountRunsArePackedPages) {
   // A budget of exactly a new k = 2 table's allocation never lets it grow,
   // so every run holds the same number of entries.
@@ -585,7 +397,75 @@ TEST_F(SpillRunFormatTest, BudgetedCountRunsArePackedPages) {
   const uint64_t pages = PackedRunPages(
       std::vector<uint64_t>(stats.spilled_runs, per_run), 3, &passes);
   EXPECT_GE(passes, 2u);
+  EXPECT_EQ(stats.merge_passes, passes);
   EXPECT_EQ(PagesHandedOut(), pages);
+  ExpectEachPageWrittenOnce();
+}
+
+// The final merge reads kMergeFanIn runs plus the table's remainder: 64
+// spilled runs merge with no cascade pass, and one more run takes exactly
+// one, which merges the first 64 runs and passes the 65th on as it is.
+TEST_F(SpillRunFormatTest, SixtyFourRunsAndTheRemainderMergeAtOnce) {
+  const size_t budget = ItemsetCounts(1).bytes();
+  const uint64_t per_run = ItemsetCounts::MaxEntriesWithin(1, budget);
+  for (uint64_t runs : {kFanIn, kFanIn + 1}) {
+    SCOPED_TRACE("runs=" + std::to_string(runs));
+    const uint64_t handed_out_before = PagesHandedOut();
+    BudgetedCount count(ctx_, 1, budget);
+    std::vector<PatternCount> expected;
+    // runs * per_run distinct keys, and one more for the remainder: each
+    // run's last key finds the table full.
+    for (ItemId key = 0; key <= static_cast<ItemId>(runs * per_run); ++key) {
+      ASSERT_TRUE(count.Add(&key).ok());
+      expected.push_back(PatternCount{{key}, 1});
+    }
+    std::vector<PatternCount> out;
+    ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+    EXPECT_EQ(out, expected);
+    const CountStats& stats = count.stats();
+    EXPECT_EQ(stats.spilled_runs, runs);
+    EXPECT_EQ(stats.merge_passes, runs > kFanIn ? 1u : 0u);
+    const uint64_t merged = runs > kFanIn ? RunPages(kFanIn * per_run, 2) : 0;
+    EXPECT_EQ(PagesHandedOut() - handed_out_before,
+              runs * RunPages(per_run, 2) + merged);
+  }
+  ExpectEachPageWrittenOnce();
+}
+
+// Keys that repeat across runs are summed at every cascade pass, not only
+// in the final merge. Keys cycle through two sets of per_run keys, so the
+// runs alternate between the sets and every group of runs holds both:
+// each merged run holds every key once, on one page, and each key's total
+// is exact.
+TEST_F(SpillRunFormatTest, CascadeSumsKeysRepeatedAcrossRuns) {
+  const size_t budget = ItemsetCounts(1).bytes();
+  const uint64_t per_run = ItemsetCounts::MaxEntriesWithin(1, budget);
+  const ItemId keys = static_cast<ItemId>(2 * per_run);
+  ASSERT_LE(static_cast<uint64_t>(keys), IntRelation::RowsPerPage(2));
+  constexpr int64_t kCycles = 66;
+  BudgetedCount count(ctx_, 1, budget);
+  for (int64_t cycle = 0; cycle < kCycles; ++cycle) {
+    for (ItemId key = 0; key < keys; ++key) {
+      ASSERT_TRUE(count.Add(&key).ok());
+    }
+  }
+  const CountStats& stats = count.stats();
+  // Every key set but the last one's is spilled; the last is the table's.
+  const uint64_t runs = 2 * kCycles - 1;
+  ASSERT_EQ(stats.spilled_runs, runs);
+  ASSERT_EQ(stats.spilled_entries, runs * per_run);
+
+  std::vector<PatternCount> out;
+  ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+  std::vector<PatternCount> expected;
+  for (ItemId key = 0; key < keys; ++key) {
+    expected.push_back(PatternCount{{key}, kCycles});
+  }
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(stats.merge_passes, 1u);
+  // 131 runs merge as groups of 64, 64 and 3, each into one page.
+  const uint64_t groups = (runs + kFanIn - 1) / kFanIn;
+  EXPECT_EQ(PagesHandedOut(), runs * RunPages(per_run, 2) + groups);
   ExpectEachPageWrittenOnce();
 }
 

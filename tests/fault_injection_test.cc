@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "index/bplus_tree.h"
@@ -335,39 +336,37 @@ TEST(FaultInjectionTest, HeapScanFirstPageFailureIsAnError) {
 
 // Spilled runs are read back during the cascade and the final merge. A
 // failure at any backend operation must surface from Finish() or from the
-// sorted stream — never as a stream that ends early. Both sort front ends
-// run every failure point from the first run read to a clean finish.
+// sorted stream — never as a stream that ends early. The Tuple sort and
+// the C_k count's merge each run every failure point from the first run
+// read to a clean finish.
 constexpr int kSpillRows = 65 * 64;
 
-/// Sorts kSpillRows (key, arrival) rows through an 8-frame pool over
-/// `backend` (64 rows per run, so the 65 runs exceed the merge fan-in of 64
-/// and cascade).
-/// Returns the drained (key, payload) rows or the first error;
+using Rows = std::vector<std::pair<int, int>>;
+
+/// Feeds kSpillRows rows to a sort or count through an 8-frame pool over
+/// `backend`, with enough runs to exceed the merge fan-in of 64 and
+/// cascade. Returns the drained (key, value) rows or the first error;
 /// `*ops_after_adds` receives the backend op count once intake is done.
 template <typename AddFn, typename DrainFn>
-Result<std::vector<std::pair<int, int>>> SpillSort(
-    FaultInjectionBackend* backend, uint64_t* ops_after_adds, AddFn add,
-    DrainFn drain) {
+Result<Rows> SpillSort(FaultInjectionBackend* backend,
+                       uint64_t* ops_after_adds, AddFn add, DrainFn drain) {
   BufferPool pool(backend, 8);
   ExecContext ctx;
   ctx.pool = &pool;
   ctx.sort_memory_bytes = 64 * 8;
   auto sort = add(ctx);
   *ops_after_adds = backend->ops();
-  Result<std::vector<std::pair<int, int>>> rows = drain(&sort);
+  Result<Rows> rows = drain(&sort);
   backend->Heal();  // let the pool's final flush succeed quietly
   return rows;
 }
 
 int SpillKey(int i) { return (i * 7919) % 97; }
 
+/// Checks that `drain` returns `expected` on a clean backend and an
+/// IOError for every fault budget past intake.
 template <typename AddFn, typename DrainFn>
-void ExpectNoShortStream(AddFn add, DrainFn drain) {
-  std::vector<std::pair<int, int>> expected;
-  for (int i = 0; i < kSpillRows; ++i) expected.emplace_back(SpillKey(i), i);
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
+void ExpectNoShortStream(const Rows& expected, AddFn add, DrainFn drain) {
   IoStats clean_stats;
   MemoryBackend clean_real(&clean_stats);
   FaultInjectionBackend clean(&clean_real, ~0ull);
@@ -391,10 +390,14 @@ void ExpectNoShortStream(AddFn add, DrainFn drain) {
 }
 
 TEST(FaultInjectionTest, SpilledSortRunReadFailureIsAnError) {
-  using Rows = std::vector<std::pair<int, int>>;
+  Rows sorted;
+  for (int i = 0; i < kSpillRows; ++i) sorted.emplace_back(SpillKey(i), i);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
   const Schema schema({Column{"key", ValueType::kInt32},
                        Column{"payload", ValueType::kInt32}});
   ExpectNoShortStream(
+      sorted,
       [&schema](ExecContext ctx) {
         auto sort = std::make_shared<ExternalSort>(ctx, schema,
                                                    TupleComparator({0}));
@@ -417,23 +420,37 @@ TEST(FaultInjectionTest, SpilledSortRunReadFailureIsAnError) {
           rows.emplace_back(row.value(0).AsInt32(), row.value(1).AsInt32());
         }
       });
+
+  // The budgeted C_k count: a read failure in its cascade or final merge is
+  // an IOError from Finish(), never a short or partial count. Its table
+  // spills every 32 new keys (a zero budget), and the keys cycle through
+  // 1,031, so each run holds 32 keys with a count of one and the runs far
+  // exceed the fan-in.
+  constexpr int kKeys = 1031;
+  const auto key_of = [](int i) { return (i * 7919) % kKeys; };
+  std::vector<int> totals(kKeys, 0);
+  for (int i = 0; i < kSpillRows; ++i) ++totals[key_of(i)];
+  Rows counted;
+  for (int key = 0; key < kKeys; ++key) {
+    if (totals[key] > 0) counted.emplace_back(key, totals[key]);
+  }
   ExpectNoShortStream(
-      [](ExecContext ctx) {
-        auto sort = std::make_shared<IntRowSort>(ctx, 2, 0, 1);
+      counted,
+      [&key_of](ExecContext ctx) {
+        auto count = std::make_shared<BudgetedCount>(ctx, 1, /*budget=*/0);
         for (int i = 0; i < kSpillRows; ++i) {
-          const int32_t row[2] = {SpillKey(i), i};
-          EXPECT_TRUE(sort->Add(row).ok());
+          const ItemId key = key_of(i);
+          EXPECT_TRUE(count->Add(&key).ok());
         }
-        return sort;
+        EXPECT_GT(count->stats().spilled_runs, 64u);
+        return count;
       },
-      [](std::shared_ptr<IntRowSort>* sort) -> Result<Rows> {
-        auto cursor = (*sort)->Finish();
-        if (!cursor.ok()) return cursor.status();
+      [](std::shared_ptr<BudgetedCount>* count) -> Result<Rows> {
         Rows rows;
-        Status s = ForEachRow(cursor.value().get(), [&rows](const int32_t* r) {
-          rows.emplace_back(r[0], r[1]);
-          return Status::OK();
-        });
+        Status s = (*count)->Finish(
+            /*min_count=*/1, [&rows](const ItemId* key, int64_t total) {
+              rows.emplace_back(key[0], static_cast<int>(total));
+            });
         if (!s.ok()) return s;
         return rows;
       });

@@ -287,7 +287,7 @@ TEST(DatabaseTest, OpenBadPathFails) {
 // --------------------------------------------------------------------------
 
 /// `n` distinct rows of `width` ints.
-std::vector<int32_t> IntRows(size_t width, size_t n) {
+std::vector<int32_t> DistinctRows(size_t width, size_t n) {
   std::vector<int32_t> rows(width * n);
   for (size_t i = 0; i < rows.size(); ++i) {
     rows[i] = static_cast<int32_t>(i * 7 + 1);
@@ -328,7 +328,7 @@ TEST(IntRelationTest, PackedPagesRoundTripAtEveryWidth) {
     for (size_t n : {size_t{0}, per_page, per_page + 1, 4 * per_page + 5}) {
       SCOPED_TRACE("width " + std::to_string(width) + ", " +
                    std::to_string(n) + " rows");
-      const std::vector<int32_t> rows = IntRows(width, n);
+      const std::vector<int32_t> rows = DistinctRows(width, n);
       IoStats stats;
       MemoryBackend backend(&stats);
       BufferPool pool(&backend, 2);
@@ -380,7 +380,7 @@ TEST(IntRelationTest, CorruptPageHeaderIsCorruption) {
     BufferPool pool(&backend, 2);
     auto relation = IntRelation::CreateInPool(&pool, kWidth);
     ASSERT_TRUE(relation.ok());
-    const std::vector<int32_t> rows = IntRows(kWidth, 3 * per_page);
+    const std::vector<int32_t> rows = DistinctRows(kWidth, 3 * per_page);
     ASSERT_TRUE(relation.value()->Append(rows.data(), 3 * per_page).ok());
     ASSERT_TRUE(relation.value()->Finish().ok());
     ASSERT_EQ(backend.NumPages(), 3u);  // the relation's pages 0, 1, 2
@@ -410,7 +410,7 @@ TEST(IntRelationTest, CorruptPageHeaderIsCorruption) {
 TEST(IntRelationTest, IoErrorsSurfaceFromAppendFinishAndNext) {
   constexpr size_t kWidth = 4;
   const size_t n = 3 * IntRelation::RowsPerPage(kWidth) + 10;
-  const std::vector<int32_t> rows = IntRows(kWidth, n);
+  const std::vector<int32_t> rows = DistinctRows(kWidth, n);
   bool failed_in[3] = {false, false, false};  // Append, Finish, Next
   for (uint64_t budget = 0;; ++budget) {
     SCOPED_TRACE("failing after " + std::to_string(budget) + " ops");
@@ -458,7 +458,7 @@ TEST(IntRelationTest, ScanBeforeFinishIsAnError) {
     Database db;
     auto relation = IntRelation::Create(&db, backing, 2);
     ASSERT_TRUE(relation.ok());
-    const std::vector<int32_t> rows = IntRows(2, 10);
+    const std::vector<int32_t> rows = DistinctRows(2, 10);
     ASSERT_TRUE(relation.value()->Append(rows.data(), 10).ok());
     auto early = ScanAll(*relation.value());
     EXPECT_FALSE(early.ok());

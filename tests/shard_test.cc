@@ -262,10 +262,18 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
     auto c2 = [&](bool with_floor) {
       Counts out;
       EXPECT_TRUE(backend.BeginRun(run).ok());
-      EXPECT_TRUE(backend.CountFirstIteration().ok());
+      auto first = backend.CountFirstIteration();
+      EXPECT_TRUE(first.ok()) << first.status().ToString();
+      if (!first.ok()) return out;
       if (with_floor) backend.SetCountFloor(floor);
-      // Without filter_r1, ApplyGlobalCk(1) keeps R_1 and ignores C_1.
-      auto counts = backend.ApplyGlobalCk(1, {});
+      // Without filter_r1, ApplyGlobalCk(1) keeps R_1 and ships the pairs
+      // of C_1's items: here every item the slice counted.
+      std::vector<std::vector<ItemId>> c1;
+      for (const PatternCount& pc : first.value().counts) {
+        c1.push_back(pc.items);
+      }
+      std::sort(c1.begin(), c1.end());
+      auto counts = backend.ApplyGlobalCk(1, c1);
       EXPECT_TRUE(counts.ok()) << counts.status().ToString();
       if (!counts.ok()) return out;
       for (const PatternCount& pc : counts.value().counts) {
@@ -350,10 +358,11 @@ TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
 }
 
 // Each iteration span counts the (itemset, count) entries the shards
-// handed to the merge, as setm_count_entries_total does. From k = 3 on a
-// shard's entries extend a C_{k-1} itemset by a C_1 item, so no shard
-// hands over more than |C_{k-1}| x |C_1|, although most items here are
-// not in C_1.
+// handed to the merge, as setm_count_entries_total does. A shard ships
+// only pairs of C_1's items at k = 2, at most |C_1|(|C_1| - 1)/2, and from
+// k = 3 on its entries extend a C_{k-1} itemset by a C_1 item, so no shard
+// hands over more than |C_{k-1}| x |C_1|, although most items here are not
+// in C_1.
 TEST(DistributedMineTest, IterationSpansCountMergedEntries) {
   QuestOptions gen;
   gen.seed = 36;
@@ -388,12 +397,53 @@ TEST(DistributedMineTest, IterationSpansCountMergedEntries) {
     ASSERT_NE(merged, UINT64_MAX);
     spans += merged;
     EXPECT_GE(merged, result.value().iterations[i].c_size);
+    const uint64_t c1 = frequent.OfSize(1).size();
+    if (k == 2) {
+      EXPECT_LE(merged, kShards * c1 * (c1 - 1) / 2);
+    }
     if (k >= 3) {
-      EXPECT_LE(merged, kShards * frequent.OfSize(k - 1).size() *
-                            frequent.OfSize(1).size());
+      EXPECT_LE(merged, kShards * frequent.OfSize(k - 1).size() * c1);
     }
   }
   EXPECT_EQ(entries->Value() - before, spans);
+}
+
+/// A shard that also ships, from pass 1, a pair of items no transaction
+/// holds: a pair outside C_1, which a correct shard drops before replying.
+class PairOutsideC1Backend : public LocalShardBackend {
+ public:
+  using LocalShardBackend::LocalShardBackend;
+
+  Result<shard::ShardReply> ApplyGlobalCk(
+      size_t k, const std::vector<std::vector<ItemId>>& ck) override {
+    auto reply = LocalShardBackend::ApplyGlobalCk(k, ck);
+    if (reply.ok() && k == 1) {
+      reply.value().counts.push_back(PatternCount{{1000000, 1000001}, 1});
+    }
+    return reply;
+  }
+};
+
+// A shard ships only pairs of C_1's items, so the coordinator's merge
+// refuses any other pair as Corruption naming the shard, as it does a
+// count of the wrong arity, instead of dropping it.
+TEST(DistributedMineTest, PairOutsideC1IsCorruptionNamingTheShard) {
+  const std::vector<TransactionDb> slices = SplitTxns(QuestDb(37), 2);
+  Database db;
+  LocalShardBackend good(&db, "s0");
+  good.SetRows(RowsOf(slices[0]));
+  PairOutsideC1Backend bad(&db, "s1");
+  bad.SetRows(RowsOf(slices[1]));
+  MiningOptions options;
+  options.min_support = 0.04;
+  auto result =
+      DistributedMine({&good, &bad}, options, CoordinatorOptions{});
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  EXPECT_NE(result.status().message().find("shard 's1'"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("outside C_1"), std::string::npos)
+      << result.status().ToString();
 }
 
 // Pass k trusts its C_k for ids and child ranges, and a remote coordinator
