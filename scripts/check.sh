@@ -34,9 +34,11 @@ if [[ -x "$cache_bench_bin" ]]; then
 fi
 
 # Count-budget bench smoke: a C_k count budget sweep on the retail data;
-# itemsets must be identical at every budget, the 16 KiB budget must spill,
-# a budget that holds the unbounded count's peak table must not, and no
-# mine may write more pages than it allocates plus the ids it reuses.
+# itemsets must be identical at every budget, the 4 KiB budget (below C_1's
+# own count) must spill, a budget that holds the unbounded count's peak
+# table must not, a budget that holds every level's dense count must make
+# at most one hash probe per left row, and no mine may write more pages
+# than it allocates plus the ids it reuses.
 count_bench_bin="build/$preset/bench/ablation_count_method"
 if [[ -x "$count_bench_bin" ]]; then
   "$count_bench_bin" --smoke
@@ -49,6 +51,13 @@ fi
 pool_bench_bin="build/$preset/bench/ablation_buffer_pool"
 if [[ -x "$pool_bench_bin" ]]; then
   "$pool_bench_bin" --smoke
+fi
+
+# filter_r1 bench smoke: mines with and without filter_r1 must find the
+# same itemsets, and the filtered R_1 must pair no more R'_2 rows.
+filter_bench_bin="build/$preset/bench/ablation_filter_r1"
+if [[ -x "$filter_bench_bin" ]]; then
+  "$filter_bench_bin" --smoke
 fi
 
 # Persistence smoke: store a mined run into a database file in one

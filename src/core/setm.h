@@ -37,10 +37,11 @@ namespace setm {
 ///      R'_k in place.
 /// Steps 1 and 3 of iteration k and step 2 of iteration k+1 are one pass:
 /// the join that writes R_k also counts each kept row's extensions, the
-/// rows of R'_{k+1}. Iteration 1 builds R_1 and counts R'_2 alike. So each
-/// iteration reads R_{k-1} and R_1 once. The look-ups and the count use
-/// C_k's ids in itemset order rather than its itemsets (see
-/// core/setm_pipeline.h).
+/// rows of R'_{k+1}. Iteration 1 builds R_1 and counts C_1; its pass, once
+/// C_1 is known, reads R_1 and counts R'_2 over C_1's items (rewriting R_1
+/// without the other items under filter_r1). So each iteration reads
+/// R_{k-1} and R_1 once. The look-ups and the count use C_k's ids in
+/// itemset order rather than its itemsets (see core/setm_pipeline.h).
 /// The loop ends when R_k (equivalently C_k) is empty.
 ///
 ///     Database db;

@@ -112,8 +112,8 @@ void FlushCountMetrics(const CountStats& stats) {
   peak->RaiseTo(static_cast<int64_t>(stats.peak_bytes));
 }
 
-/// A transaction's items as pass k >= 2 reads them: those in C_1, in order
-/// (a repeated SALES row repeated), with their C_1 ranks.
+/// A transaction's items as a pass reads them: those in C_1, in order (a
+/// repeated SALES row repeated), with their C_1 ranks.
 class TransactionItems {
  public:
   /// Loads the transaction whose R_1 items are [first, last) (ascending).
@@ -122,10 +122,12 @@ class TransactionItems {
     ranks_.clear();
     next_.clear();
     after_.clear();
+    pairs_ = 0;
     const size_t n = static_cast<size_t>(last - first);
     for (size_t i = 0; i < n;) {
       size_t j = i + 1;  // past every copy of first[i]
       while (j < n && first[j] == first[i]) ++j;
+      pairs_ += (j - i) * (n - j);
       const int32_t rank = c1.RankOf(first[i]);
       if (rank != ItemRanks::kAbsent) {
         const uint32_t run_end = static_cast<uint32_t>(items_.size() + j - i);
@@ -154,12 +156,16 @@ class TransactionItems {
   /// The transaction's R_1 items, in C_1 or not, greater than item i: its
   /// R'_{k+1} rows should a row ending in it be kept.
   uint64_t RowsAfter(size_t i) const { return after_[i]; }
+  /// The transaction's R'_2 rows: each of its R_1 items, in C_1 or not,
+  /// paired with every greater one.
+  uint64_t Pairs() const { return pairs_; }
 
  private:
   std::vector<ItemId> items_;
   std::vector<int32_t> ranks_;
   std::vector<uint32_t> next_;
   std::vector<uint64_t> after_;
+  uint64_t pairs_ = 0;
 };
 
 /// "C_k holds {1 2 3}" for error messages.
@@ -193,16 +199,6 @@ ItemRanks::ItemRanks(std::vector<ItemId> items) : items_(std::move(items)) {
 ExtensionSpace ExtensionSpace::Singletons(ItemRanks items) {
   ExtensionSpace space;
   space.last_rank = {-1};
-  space.alphabet = std::move(items);
-  return space;
-}
-
-ExtensionSpace ExtensionSpace::Pairs(ItemRanks items) {
-  ExtensionSpace space;
-  space.width = 1;
-  space.parents = items.items();
-  space.last_rank.resize(items.size());
-  std::iota(space.last_rank.begin(), space.last_rank.end(), 0);
   space.alphabet = std::move(items);
   return space;
 }
@@ -355,21 +351,6 @@ Status ExtensionCount::Finish(int64_t min_count,
   return Status::OK();
 }
 
-Status CountPairs(const int32_t* ranks, size_t n, ExtensionCount* pairs) {
-  SETM_DCHECK(pairs->k() == 2);
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;  // a repeated item does not pair with itself
-    while (j < n && ranks[j] == ranks[i]) ++j;
-    for (size_t copy = i; copy < j; ++copy) {
-      pairs->AddRows(n - j);
-      SETM_RETURN_IF_ERROR(pairs->AddExtensions(
-          static_cast<uint32_t>(ranks[i]), ranks + j, ranks + n));
-    }
-    i = j;
-  }
-  return Status::OK();
-}
-
 Result<CandidateLevel> IndexCandidates(
     size_t k, const std::vector<std::vector<ItemId>>& ck,
     const CandidateLevel* prev) {
@@ -449,7 +430,7 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
                   IntRelation* out, ExtensionCount* next) {
   const size_t k = ck.k;
-  SETM_DCHECK(k + 1 == out->width());
+  SETM_DCHECK(out == nullptr ? k == 1 : k + 1 == out->width());
   SETM_DCHECK(next == nullptr || next->k() == k + 1);
   const ItemRanks& c1 = ck.space.alphabet;
 #ifndef NDEBUG
@@ -466,29 +447,40 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
   const auto check_order = [](const int32_t*) {};
 #endif
   if (k == 1) {
-    // R'_2 pairs the kept items of a transaction, so they are gathered
-    // until the transaction ends. A C_1 item's id is its rank.
+    // R'_2 pairs the items of a transaction that pass 2 joins, so they are
+    // gathered until the transaction ends. A C_1 item's id is its rank.
     std::optional<TransactionId> tid;
-    std::vector<int32_t> kept;
-    const auto count_pairs = [&]() {
-      return next == nullptr ? Status::OK()
-                             : CountPairs(kept.data(), kept.size(), next);
+    std::vector<ItemId> joined;
+    TransactionItems txn;
+    const auto count_pairs = [&]() -> Status {
+      if (next == nullptr) return Status::OK();
+      txn.Load(joined.data(), joined.data() + joined.size(), c1);
+      next->AddRows(txn.Pairs());
+      const int32_t* ranks = txn.ranks();
+      for (size_t i = 0; i < txn.size(); ++i) {
+        SETM_RETURN_IF_ERROR(
+            next->AddExtensions(static_cast<uint32_t>(ranks[i]),
+                                ranks + txn.Next(i), ranks + txn.size()));
+      }
+      return Status::OK();
     };
     const auto keep = [&](const int32_t* row) -> Status {
       if (tid != row[0]) {
         SETM_RETURN_IF_ERROR(count_pairs());
         tid = row[0];
-        kept.clear();
+        joined.clear();
       }
-      const int32_t rank = c1.RankOf(row[1]);
-      if (rank == ItemRanks::kAbsent) return Status::OK();
-      check_order(row);
-      kept.push_back(rank);
-      return out->Append(row, 1);
+      if (out != nullptr) {
+        if (c1.RankOf(row[1]) == ItemRanks::kAbsent) return Status::OK();
+        check_order(row);
+        SETM_RETURN_IF_ERROR(out->Append(row, 1));
+      }
+      joined.push_back(row[1]);
+      return Status::OK();
     };
     SETM_RETURN_IF_ERROR(ForEachRow(left, keep));
     SETM_RETURN_IF_ERROR(count_pairs());
-    return out->Finish();
+    return out == nullptr ? Status::OK() : out->Finish();
   }
 
   // C_{k-1}'s ids by itemset, for left rows of k-1 >= 2 items.

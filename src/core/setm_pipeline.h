@@ -80,7 +80,7 @@ Status JoinLeftRows(IntRowCursor* left, const IntRelation& r1, Visit visit) {
 }
 
 /// Dense ranks 0..n-1 of n distinct items in ascending order: C_1's items,
-/// or a shard's distinct items before C_1 is known.
+/// or the distinct items of a shard's slice, which key C_1's count.
 class ItemRanks {
  public:
   static constexpr int32_t kAbsent = -1;
@@ -165,8 +165,6 @@ struct ExtensionSpace {
   size_t num_parents() const { return last_rank.size(); }
   /// The key space of C_1's count: the empty itemset extended by `items`.
   static ExtensionSpace Singletons(ItemRanks items);
-  /// The key space of R'_2's count: each of `items` extended by a larger one.
-  static ExtensionSpace Pairs(ItemRanks items);
 };
 
 /// What one count did.
@@ -314,12 +312,6 @@ class ExtensionCount {
   std::unique_ptr<BudgetedCount> hashed_;  ///< null when dense
 };
 
-/// Counts the R'_2 rows of one transaction whose items have the ranks
-/// `ranks[0..n)` (ascending, a repeated item repeated) in `pairs`, whose
-/// parents are the ranked items themselves (ExtensionSpace::Pairs): each
-/// item extended by every larger one.
-Status CountPairs(const int32_t* ranks, size_t n, ExtensionCount* pairs);
-
 /// C_k with dense ids, as pass k and the count of R'_{k+1} use it.
 struct CandidateLevel {
   size_t k = 0;
@@ -352,9 +344,12 @@ Result<CandidateLevel> IndexCandidates(
 /// of an index of `prev` (C_{k-1}; null for k <= 2), and for k = 2 by its
 /// item's C_1 rank; its R'_k rows in C_k are found by merging
 /// the transaction's C_1 items above its last item with the C_{k-1}
-/// itemset's children. For k == 1 (the filter_r1 ablation) `left` scans R_1
-/// itself, filtered as is; `out` is the new R_1, and R'_2 the pairs of each
-/// transaction's kept items. `left` may be a last scan
+/// itemset's children. For k == 1 `left` scans R_1 itself and R'_2 pairs
+/// the items of each transaction in the R_1 that pass 2 joins: `out`, the
+/// rows of R_1 whose item is in C_1, under the filter_r1 ablation, and
+/// R_1 whole when `out` is null. Every such pair adds to |R'_2|, but only a
+/// pair of C_1 items is counted, keyed by (C_1 rank, C_1 rank), so the
+/// count is a triangle over C_1. `left` may be a last scan
 /// (IntRelation::LastScan) that releases R_{k-1} page by page while `out`
 /// grows. `out` is Finish()ed, ready to scan. The index's hash probes,
 /// one per C_{k-1} itemset and one per left row, are recorded in

@@ -98,9 +98,9 @@ Status CallShards(WorkerPool* pool, std::vector<ShardState>* states,
 /// so remote broadcast payloads are deterministic) in `ck`. A count of the
 /// wrong arity (a remote shard's bug) is Corruption, not a silent miss.
 /// So is, for k = 2, a pair with an item outside C_1 (`*ck` on entry): a
-/// shard drops those before it replies, since the shards count no larger
-/// itemset of an item outside C_1. `*entries` is the number of entries the
-/// shards handed over.
+/// shard counts R'_2 over C_1's items only, since the shards count no
+/// larger itemset of an item outside C_1. `*entries` is the number of
+/// entries the shards handed over.
 Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
                    uint64_t* c_size, uint64_t* entries,
                    FrequentItemsets* itemsets,
@@ -265,7 +265,7 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
   // One shard call per iteration: pass k writes every shard's R_k from the
   // global C_k (for k == 1, R_1 itself, filtered under filter_r1) and
   // returns the local counts of R'_{k+1}, merged here into C_{k+1}. Pass
-  // 1, which finishes R'_2's count, is timed with iteration 2.
+  // 1, which counts R'_2 from R_1, is timed with iteration 2.
   WallTimer iter_timer;
   for (size_t k = 1;; ++k) {
     // The pass always runs, C_k empty or not: every shard materializes its

@@ -86,21 +86,13 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
   r_prev_.reset();
   level_ = CandidateLevel{};
   // R_1 := the slice, already in (trans_id, item) order. Its items, ranked
-  // among the slice's distinct items, key C_1's count and R'_2's.
+  // among the slice's distinct items, key C_1's count.
   const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
   const ExtensionSpace singletons =
       ExtensionSpace::Singletons(ItemRanks::Distinct(
           slice, [](const ShardRow& row) { return row.item; }));
   const ItemRanks& distinct = singletons.alphabet;
   std::unique_ptr<ExtensionCount> counts = NewCount(&singletons);
-  // R'_2 pairs the items of each transaction; under filter_r1 it is
-  // counted over the filtered R_1 instead, by ApplyGlobalCk(1).
-  r2_count_.reset();
-  r2_space_ = ExtensionSpace{};
-  if (!run_.filter_r1) {
-    r2_space_ = ExtensionSpace::Pairs(distinct);
-    r2_count_ = NewCount(&r2_space_);
-  }
   ShardReply out;
   std::vector<int32_t> ranks;  // the current transaction's items'
   for (size_t begin = 0; begin < slice.size();) {
@@ -116,10 +108,6 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
     counts->AddRows(ranks.size());
     SETM_RETURN_IF_ERROR(
         counts->AddExtensions(0, ranks.data(), ranks.data() + ranks.size()));
-    if (r2_count_ != nullptr) {
-      SETM_RETURN_IF_ERROR(
-          CountPairs(ranks.data(), ranks.size(), r2_count_.get()));
-    }
     begin = end;
   }
   SETM_RETURN_IF_ERROR(r1_->Finish());
@@ -153,51 +141,51 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
                                    " on shard " + name_);
   }
   CandidateLevel level = std::move(level_or).value();
-  std::unique_ptr<ExtensionCount> next;
-  if (k == 1 && !run_.filter_r1) {
-    // R_1 stays as built; R'_2 was counted alongside it.
-    next = std::move(r2_count_);
-  } else {
+  // The one pass of the iteration: the join (R_1 itself for k == 1), the
+  // C_k filter, R_k appended and R'_{k+1} counted by (C_k id, C_1 rank).
+  std::unique_ptr<ExtensionCount> next = NewCount(&level.space);
+  // Pass 1 rewrites R_1 only under filter_r1; otherwise R_1 stays whole.
+  std::unique_ptr<IntRelation> rk;
+  if (k >= 2 || run_.filter_r1) {
     auto rk_or = IntRelation::Create(
         db_, run_.storage, k + 1,
         k == 1 ? PageHint::kRetain : PageHint::kNone);
     if (!rk_or.ok()) return rk_or.status();
-    std::unique_ptr<IntRelation> rk = std::move(rk_or).value();
-    // The one pass of the iteration: the join (R_1 itself for k == 1), the
-    // C_k filter, R_k appended and R'_{k+1} counted by (C_k id, C_1 rank).
-    // An empty global C_k still creates (and reports) an empty R_k, as
-    // Figure 4's loop does, and leaves an empty count of R'_{k+1}.
-    next = NewCount(&level.space);
-    if (level.size() != 0) {
-      // Pass k >= 3 is R_{k-1}'s last use: the join releases each of its
-      // pages as it leaves it, and R_k reuses their ids. A failed pass has
-      // consumed its input, so it ends the run.
-      std::unique_ptr<IntRowCursor> left =
-          r_prev_ != nullptr ? IntRelation::LastScan(std::move(r_prev_))
-                             : r1_->Scan();
-      Status pass = FilterByCk(left.get(), *r1_, k >= 3 ? &level_ : nullptr,
-                               level, rk.get(), next.get());
-      if (!pass.ok()) {
-        left.reset();
-        next.reset();
-        (void)EndRun();
-        return pass;
-      }
-    } else {
-      SETM_RETURN_IF_ERROR(rk->Finish());
-    }
-    if (k == 1) {
-      // The filter_r1 ablation: R_1 without the non-frequent items.
-      r1_ = std::move(rk);
-    } else {
-      r_prev_ = std::move(rk);
-    }
+    rk = std::move(rk_or).value();
   }
-  const IntRelation& rk = k == 1 ? *r1_ : *r_prev_;
+  // An empty global C_k still creates (and reports) an empty R_k, as
+  // Figure 4's loop does, and leaves an empty count of R'_{k+1}. A whole
+  // R_1 is still scanned under an empty C_1: pass 2 joins all of it, so
+  // |R'_2| counts all of its pairs.
+  if (rk == nullptr ? next != nullptr : level.size() != 0) {
+    // Pass k >= 3 is R_{k-1}'s last use: the join releases each of its
+    // pages as it leaves it, and R_k reuses their ids. A failed pass has
+    // consumed its input, so it ends the run.
+    std::unique_ptr<IntRowCursor> left =
+        r_prev_ != nullptr ? IntRelation::LastScan(std::move(r_prev_))
+                           : r1_->Scan();
+    Status pass = FilterByCk(left.get(), *r1_, k >= 3 ? &level_ : nullptr,
+                             level, rk.get(), next.get());
+    if (!pass.ok()) {
+      left.reset();
+      next.reset();
+      (void)EndRun();
+      return pass;
+    }
+  } else if (rk != nullptr) {
+    SETM_RETURN_IF_ERROR(rk->Finish());
+  }
+  if (k == 1 && rk != nullptr) {
+    // The filter_r1 ablation: R_1 without the non-frequent items.
+    r1_ = std::move(rk);
+  } else if (rk != nullptr) {
+    r_prev_ = std::move(rk);
+  }
+  const IntRelation& written = k == 1 ? *r1_ : *r_prev_;
   ShardReply out;
-  out.r_rows = rk.num_rows();
-  out.r_bytes = rk.size_bytes();
-  out.r_pages = rk.num_pages();
+  out.r_rows = written.num_rows();
+  out.r_bytes = written.size_bytes();
+  out.r_pages = written.num_pages();
   if (next != nullptr) {
     out.r_prime_rows = next->stats().rows;
     // R_k is written, so a count that fails to finish ends the run too.
@@ -207,24 +195,10 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
       (void)EndRun();
       return finish;
     }
-    if (k == 1 && !run_.filter_r1) {
-      // R'_2 was counted over the slice's distinct items, before C_1 was
-      // known. A pair with an item outside C_1 cannot be frequent, so it is
-      // not shipped.
-      const ItemRanks& c1 = level.space.alphabet;
-      const auto outside_c1 = [&c1](const PatternCount& pair) {
-        return c1.RankOf(pair.items[0]) == ItemRanks::kAbsent ||
-               c1.RankOf(pair.items[1]) == ItemRanks::kAbsent;
-      };
-      out.counts.erase(std::remove_if(out.counts.begin(), out.counts.end(),
-                                      outside_c1),
-                       out.counts.end());
-    }
   }
-  // The count of R'_{k+1} reads its keys' itemsets from C_k's level (or
-  // from r2_space_): it is done before the level moves.
+  // The count of R'_{k+1} reads its keys' itemsets from C_k's level: it is
+  // done before the level moves.
   next.reset();
-  r2_space_ = ExtensionSpace{};
   level_ = std::move(level);
   next_k_ = k + 1;
   return out;
@@ -233,8 +207,6 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
 Status LocalShardBackend::EndRun() {
   r1_.reset();
   r_prev_.reset();
-  r2_count_.reset();
-  r2_space_ = ExtensionSpace{};
   level_ = CandidateLevel{};
   next_k_ = 0;
   run_rows_.clear();

@@ -39,10 +39,7 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// is never stored and no join runs twice. Counts and probes work in
 /// candidate-id space (core/setm_pipeline.h):
 ///   - CountFirstIteration builds R_1 from the slice and counts C_1's
-///     items and R'_2, the item pairs of each transaction, both keyed by
-///     the items' ranks among the slice's distinct items; R'_2's count is
-///     a triangle of those ranks (under filter_r1, R'_2 waits for the
-///     filtered R_1).
+///     items, keyed by their ranks among the slice's distinct items.
 ///   - ApplyGlobalCk(k) checks the global C_k and gives it dense ids in
 ///     itemset order (IndexCandidates), then runs FilterByCk: the
 ///     merge-scan join of R_{k-1} with R_1, one C_{k-1} lookup per R_{k-1}
@@ -50,17 +47,18 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     R_k appended in join order (already its (trans_id, items) order),
 ///     and each kept row's extensions counted by (C_k id, C_1 rank) into
 ///     the ExtensionCount of R'_{k+1}, finished before it returns.
-///     ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it under
-///     filter_r1, and otherwise finishes the count of R'_2 that
-///     CountFirstIteration made and drops its pairs with an item outside
-///     C_1. The level is kept as the next call's C_{k-1}.
+///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of
+///     each transaction, as a triangle over C_1's ranks; under filter_r1
+///     the same scan rewrites R_1 without the items outside C_1. The level
+///     is kept as the next call's C_{k-1}. No count outlives the call that
+///     starts it: between calls a shard holds its relations and C_{k-1},
+///     never a partial count.
 /// A count is a dense array when its counters fit the sort budget, and
 /// otherwise a hashed table within the sort budget under kSortMerge and
 /// unbounded under kHash. No count is started past the run's
 /// max_pattern_length.
 /// CountFirstIteration comes once, first; then ApplyGlobalCk(1), (2), ...
-/// in order. Anything else is InvalidArgument naming the shard. EndRun
-/// (and so BeginRun) drops R'_2's count if ApplyGlobalCk(1) never came.
+/// in order. Anything else is InvalidArgument naming the shard.
 ///
 /// Local counts use min_count = 1 unless the coordinator sets a count floor
 /// (SetCountFloor): a sole shard's counts are global, so it counts with
@@ -124,11 +122,6 @@ class LocalShardBackend : public ShardBackend {
   size_t next_k_ = 0;
   /// The last C_k applied, with its ids: the next pass's C_{k-1}.
   CandidateLevel level_;
-  /// R'_2, counted by CountFirstIteration over r2_space_ and finished by
-  /// ApplyGlobalCk(1) (null under filter_r1, where ApplyGlobalCk(1) counts
-  /// it).
-  ExtensionSpace r2_space_;
-  std::unique_ptr<ExtensionCount> r2_count_;
 };
 
 }  // namespace setm::shard

@@ -67,9 +67,10 @@ struct ShardHealth {
 ///
 /// Each ApplyGlobalCk is the iteration's one pass: the join of R_{k-1}
 /// with R_1, the C_k filter and the R_k append, counting R'_{k+1} as it
-/// goes. ApplyGlobalCk(1) rewrites R_1 only under filter_r1; otherwise it
-/// returns the counts of R'_2 that CountFirstIteration made alongside R_1,
-/// less every pair with an item outside C_1.
+/// goes. ApplyGlobalCk(1) reads R_1 and returns the counts of R'_2, the
+/// pairs of C_1 items in each transaction; it rewrites R_1 only under
+/// filter_r1, and |R'_2| counts the pairs of the R_1 that pass 2 joins,
+/// items outside C_1 included when R_1 is kept whole.
 ///
 /// Implementations: LocalShardBackend runs the SETM pipeline bodies in
 /// process over a SALES slice; RemoteShardBackend speaks LCOUNT/MERGE to a
@@ -88,8 +89,7 @@ class ShardBackend {
   /// Starts a fresh run; any previous run's state is released.
   virtual Status BeginRun(const ShardRunOptions& options) = 0;
 
-  /// Iteration 1's count: builds the local R_1 and counts its items (and
-  /// R'_2, which ApplyGlobalCk(1) returns).
+  /// Iteration 1's count: builds the local R_1 and counts its items.
   virtual Result<ShardReply> CountFirstIteration() = 0;
 
   /// Lets this run's later counts drop candidates counted below `floor`.

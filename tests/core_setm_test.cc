@@ -754,8 +754,16 @@ TEST(BudgetedCountTest, FloorAppliesAfterTheCrossRunSum) {
 TEST(ExtensionCountTest, DenseAndSpilledCountsAgreeWithinTheBudget) {
   constexpr int32_t kItems = 200;
   std::vector<ItemId> items(kItems);
-  for (int32_t rank = 0; rank < kItems; ++rank) items[rank] = 1000 + 2 * rank;
-  const ExtensionSpace space = ExtensionSpace::Pairs(ItemRanks(items));
+  std::vector<std::vector<ItemId>> c1;
+  for (int32_t rank = 0; rank < kItems; ++rank) {
+    items[rank] = 1000 + 2 * rank;
+    c1.push_back({items[rank]});
+  }
+  // C_1's level is the key space of R'_2's count: each item extended by a
+  // larger one.
+  auto level = IndexCandidates(1, c1, nullptr);
+  ASSERT_TRUE(level.ok()) << level.status().ToString();
+  const ExtensionSpace& space = level.value().space;
   std::vector<int32_t> ranks(kItems);
   std::iota(ranks.begin(), ranks.end(), 0);
   // Pair (a, b) is counted a % 3 + 1 times.
@@ -1084,7 +1092,8 @@ TEST(SetmOnePassTest, FilterR1AndMaxLengthMatchTheOracle) {
               EXPECT_GT(peak->Value(), 64);
               break;
             case Count::kSpilled:
-              // R'_2's triangle of 30 items fits 4 KiB; C_2 x C_1 does not.
+              // R'_2's triangle over C_1's 30 items, 435 counters (3,480
+              // bytes), fits 4 KiB; C_2 x C_1 does not.
               if (max_length == 0 || max_length >= 3) {
                 EXPECT_GT(runs, 0u);
               }
@@ -1102,47 +1111,110 @@ TEST(SetmOnePassTest, FilterR1AndMaxLengthMatchTheOracle) {
 // twice: a row's extensions are the items greater than its last one, in
 // the fused count as in the join. Four transactions {1, 2, 2, 3} and one
 // {1, 3}: R'_2 = 4 x {12, 12, 13, 23, 23} + {13}, R'_3 = 4 x {123, 123},
-// R'_4 is empty.
+// R'_4 is empty. At a minsupport of 9, which no item reaches, C_1 is empty:
+// without filter_r1 pass 2 still joins the whole R_1, so |R'_2| counts its
+// 21 pairs, while filter_r1 empties R_1 and the mine stops after iteration
+// 1.
 TEST(SetmOnePassTest, RepeatedSalesRowsNeverRepeatAnItem) {
+  for (int64_t min_support : {2, 9}) {
+    for (bool filter_r1 : {false, true}) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{3}}) {
+        SCOPED_TRACE("min_support=" + std::to_string(min_support) +
+                     " filter_r1=" + std::to_string(filter_r1) +
+                     " threads=" + std::to_string(threads));
+        Database db;
+        auto sales = db.catalog()->CreateTable(
+            "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
+        ASSERT_TRUE(sales.ok());
+        const auto insert = [&](int32_t tid, int32_t item) {
+          const Tuple row({Value::Int32(tid), Value::Int32(item)});
+          ASSERT_TRUE(sales.value()->Insert(row).ok());
+        };
+        for (int32_t tid = 1; tid <= 4; ++tid) {
+          for (int32_t item : {1, 2, 2, 3}) insert(tid, item);
+        }
+        insert(5, 1);
+        insert(5, 3);
+        MiningOptions options;
+        options.min_support_count = min_support;
+        options.filter_r1 = filter_r1;
+        SetmOptions knobs;
+        knobs.num_threads = threads;
+        auto result = SetmMiner(&db, knobs).MineTable(*sales.value(), options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const MiningResult& mined = result.value();
+        std::vector<uint64_t> r_prime_rows;
+        for (const IterationStats& it : mined.iterations) {
+          r_prime_rows.push_back(it.r_prime_rows);
+        }
+        if (min_support == 9) {
+          const std::vector<uint64_t> whole_r1 = {18, 21};
+          EXPECT_EQ(r_prime_rows, filter_r1 ? std::vector<uint64_t>(1, 18)
+                                            : whole_r1);
+          EXPECT_EQ(mined.itemsets.TotalPatterns(), 0u);
+          continue;
+        }
+        EXPECT_EQ(r_prime_rows, (std::vector<uint64_t>{18, 21, 8, 0}));
+        ASSERT_EQ(mined.itemsets.MaxSize(), 3u);
+        EXPECT_EQ(mined.itemsets.OfSize(1).size(), 3u);
+        EXPECT_EQ(mined.itemsets.OfSize(2).size(), 3u);
+        EXPECT_EQ(mined.itemsets.OfSize(3).size(), 1u);
+        EXPECT_EQ(mined.itemsets.CountOf({2}), 8);
+        EXPECT_EQ(mined.itemsets.CountOf({1, 2}), 8);
+        EXPECT_EQ(mined.itemsets.CountOf({1, 3}), 5);
+        EXPECT_EQ(mined.itemsets.CountOf({2, 3}), 8);
+        EXPECT_EQ(mined.itemsets.CountOf({1, 2, 3}), 8);
+      }
+    }
+  }
+}
+
+// R'_2 is counted once C_1 is known, over C_1's ranks. Each of 300
+// transactions holds up to 3 of 12 common items and 3 items of its own, so
+// the 912 distinct items of the slice would make a triangle of 415,416
+// counters (3.2 MiB, 48,516 on each of 3 shards), far past a 16 KiB count
+// budget, while C_1's 12 items make 66. So under both filter_r1 settings
+// R'_2's count is a dense array: a mine that stops at k = 2 spills no run
+// and makes no itemset-key hash probe (C_1's count over the 912 items,
+// 7.1 KiB, is dense too). Every mine equals the oracle.
+TEST(SetmOnePassTest, PairsAreCountedOverC1NotTheSlicesItems) {
+  TransactionDb txns;
+  for (int32_t t = 0; t < 300; ++t) {
+    std::set<ItemId> items = {t % 12, (5 * t + 1) % 12, (7 * t + 3) % 12};
+    for (int32_t own = 0; own < 3; ++own) items.insert(1000 + 3 * t + own);
+    txns.push_back(Transaction{t, {items.begin(), items.end()}});
+  }
+  auto* registry = obs::MetricsRegistry::Global();
+  obs::Counter* spilled = registry->GetCounter("setm_count_spilled_runs_total");
+  obs::Counter* probes = registry->GetCounter("setm_itemset_probes_total");
   for (bool filter_r1 : {false, true}) {
-    for (size_t threads : {size_t{1}, size_t{2}}) {
-      SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
-                   " threads=" + std::to_string(threads));
-      Database db;
-      auto sales = db.catalog()->CreateTable(
-          "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
-      ASSERT_TRUE(sales.ok());
-      const auto insert = [&](int32_t tid, int32_t item) {
-        const Tuple row({Value::Int32(tid), Value::Int32(item)});
-        ASSERT_TRUE(sales.value()->Insert(row).ok());
-      };
-      for (int32_t tid = 1; tid <= 4; ++tid) {
-        for (int32_t item : {1, 2, 2, 3}) insert(tid, item);
-      }
-      insert(5, 1);
-      insert(5, 3);
+    for (size_t max_length : {size_t{2}, size_t{0}}) {
       MiningOptions options;
-      options.min_support_count = 2;
+      options.min_support_count = 10;
       options.filter_r1 = filter_r1;
-      SetmOptions knobs;
-      knobs.num_threads = threads;
-      auto result = SetmMiner(&db, knobs).MineTable(*sales.value(), options);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      const MiningResult& mined = result.value();
-      std::vector<uint64_t> r_prime_rows;
-      for (const IterationStats& it : mined.iterations) {
-        r_prime_rows.push_back(it.r_prime_rows);
+      options.max_pattern_length = max_length;
+      auto oracle = BruteForceMiner().Mine(txns, options);
+      ASSERT_TRUE(oracle.ok());
+      ASSERT_EQ(oracle.value().itemsets.OfSize(1).size(), 12u);
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1) +
+                     " max_length=" + std::to_string(max_length) +
+                     " threads=" + std::to_string(threads));
+        DatabaseOptions db_options;
+        db_options.sort_memory_bytes = 16 << 10;
+        Database db(db_options);
+        SetmOptions knobs{TableBacking::kHeap};
+        knobs.num_threads = threads;
+        const uint64_t spilled_before = spilled->Value();
+        const uint64_t probes_before = probes->Value();
+        auto result = SetmMiner(&db, knobs).Mine(txns, options);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result.value().itemsets == oracle.value().itemsets);
+        if (max_length == 2) {
+          EXPECT_EQ(spilled->Value() - spilled_before, 0u);
+          EXPECT_EQ(probes->Value() - probes_before, 0u);
+        }
       }
-      EXPECT_EQ(r_prime_rows, (std::vector<uint64_t>{18, 21, 8, 0}));
-      ASSERT_EQ(mined.itemsets.MaxSize(), 3u);
-      EXPECT_EQ(mined.itemsets.OfSize(1).size(), 3u);
-      EXPECT_EQ(mined.itemsets.OfSize(2).size(), 3u);
-      EXPECT_EQ(mined.itemsets.OfSize(3).size(), 1u);
-      EXPECT_EQ(mined.itemsets.CountOf({2}), 8);
-      EXPECT_EQ(mined.itemsets.CountOf({1, 2}), 8);
-      EXPECT_EQ(mined.itemsets.CountOf({1, 3}), 5);
-      EXPECT_EQ(mined.itemsets.CountOf({2, 3}), 8);
-      EXPECT_EQ(mined.itemsets.CountOf({1, 2, 3}), 8);
     }
   }
 }
