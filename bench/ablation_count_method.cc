@@ -20,18 +20,17 @@
 // C_1's ranks (59 items at 0.1%, a triangle of 13.4 KiB), so from 1%
 // minsup up 16 KiB holds every level's count; the sweep starts at 4 KiB,
 // below C_1's own count over the data's 992 distinct items (7.8 KiB),
-// which spills at every minsup. Each row also prints
-// the mine's itemset-key hash probes, the bound sum over k >= 2 of
-// |R_{k-1}| (one C_{k-1} lookup per left row) and the (itemset, count)
-// entries the shard handed to the coordinator.
+// which spills at every minsup. Each row also prints the mine's
+// itemset-key hash probes, only the adds of a hashed count (a pass reads a
+// left row's C_{k-1} id from the row, R_k being (trans_id, C_k id)), and
+// the (itemset, count) entries the shard handed to the coordinator.
 //
 // usage: ablation_count_method [--smoke]
 //   --smoke: the lowest minsup only. Exits 1 if the itemsets differ across
 //   budgets, the smallest budget does not spill, a budget at or above the
 //   unbounded count's peak table bytes spills, a budget that holds every
-//   level's dense array makes more hash probes than the bound, or a mine
-//   writes more pages than it allocates plus the ids it reuses (checked in
-//   both modes).
+//   level's dense array makes any hash probe, or a mine writes more pages
+//   than it allocates plus the ids it reuses (checked in both modes).
 
 #include <algorithm>
 #include <cstdio>
@@ -93,10 +92,9 @@ int main(int argc, char** argv) {
   obs::Gauge* peak =
       obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
   std::printf(
-      "%-10s %-12s %10s %10s %8s %12s %8s %8s %10s %12s %10s %10s %10s "
-      "%10s\n",
+      "%-10s %-12s %10s %10s %8s %12s %8s %8s %10s %12s %10s %10s %10s\n",
       "minsup(%)", "budget", "time(s)", "accesses", "writes", "alloc+reuse",
-      "runs", "passes", "spilled", "table(KiB)", "probes", "bound", "merged",
+      "runs", "passes", "spilled", "table(KiB)", "probes", "merged",
       "patterns");
   for (double pct : bench::PaperMinSupSweep()) {
     if (smoke && pct != bench::PaperMinSupSweep().front()) break;
@@ -128,10 +126,6 @@ int main(int argc, char** argv) {
       const uint64_t passes = delta.Counter("setm_count_merge_passes_total");
       const uint64_t probes = delta.Counter("setm_itemset_probes_total");
       const uint64_t merged = delta.Counter("setm_count_entries_total");
-      uint64_t bound = 0;  // sum over passes k >= 2 of |R_{k-1}|
-      for (size_t i = 0; i + 1 < result.iterations.size(); ++i) {
-        bound += result.iterations[i].r_rows;
-      }
       const IoStats& io = result.io;
       const uint64_t handed_out = io.pages_allocated + io.pages_reused;
       const std::string label =
@@ -139,7 +133,7 @@ int main(int argc, char** argv) {
                                                    " KiB";
       std::printf(
           "%-10.1f %-12s %10.3f %10llu %8llu %12llu %8llu %8llu %10llu "
-          "%12.1f %10llu %10llu %10llu %10zu\n",
+          "%12.1f %10llu %10llu %10zu\n",
           pct, label.c_str(), seconds,
           static_cast<unsigned long long>(io.TotalAccesses()),
           static_cast<unsigned long long>(io.page_writes),
@@ -149,7 +143,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(entries),
           static_cast<double>(peak->Value()) / 1024.0,
           static_cast<unsigned long long>(probes),
-          static_cast<unsigned long long>(bound),
           static_cast<unsigned long long>(merged),
           result.itemsets.TotalPatterns());
       // Spill pages share R_k's lifecycle: a reused id is written without
@@ -163,21 +156,18 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(handed_out));
         return 1;
       }
-      // Every level's count a dense array: one hash probe per left row at
-      // most (the C_{k-1} lookup), none for k = 2.
+      // Every level's count a dense array: nothing is hashed.
       const uint64_t dense_bytes = LargestDenseCount(
           txns, result.itemsets, result.iterations.size());
       const size_t dense_ceiling =
           budget == kUnbounded ? db_options.sort_memory_bytes : budget;
-      if (dense_bytes <= dense_ceiling && probes > bound) {
+      if (dense_bytes <= dense_ceiling && probes != 0) {
         std::fprintf(stderr,
                      "FAIL: minsup %.1f%%: %s holds the dense count (%llu "
-                     "bytes) yet made %llu hash probes, over the %llu left "
-                     "rows\n",
+                     "bytes) yet made %llu hash probes\n",
                      pct, label.c_str(),
                      static_cast<unsigned long long>(dense_bytes),
-                     static_cast<unsigned long long>(probes),
-                     static_cast<unsigned long long>(bound));
+                     static_cast<unsigned long long>(probes));
         return 1;
       }
       if (budget == kUnbounded) {

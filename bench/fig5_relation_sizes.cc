@@ -6,14 +6,23 @@
 // R_i sizes decrease with iteration, with the decrease delayed (possible
 // initial bump above R1's *byte* size) only at small minimum support;
 // R4 = 0 for every series (maximum pattern size 3).
+//
+// Sizes are the paper's: |R_k|·(k+1)·4 bytes, (trans_id, item_1..item_k)
+// per row, although the engine stores R_k (k >= 2) as (trans_id, C_k id).
+//
+// usage: fig5_relation_sizes [--smoke]
+//   --smoke: the lowest minsup only. Exits 1 if an iteration's bytes are
+//   not |R_k|·(k+1)·4 (checked in both modes).
 
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "core/setm.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace setm;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::Banner(
       "fig5_relation_sizes",
       "Figure 5 (Section 6.1): Size of relation R_i, retail data set",
@@ -24,6 +33,7 @@ int main() {
   std::printf("%-10s %12s %12s %12s %12s %10s\n", "minsup(%)", "R1 (KB)",
               "R2 (KB)", "R3 (KB)", "R4 (KB)", "|R1|rows");
   for (double pct : bench::PaperMinSupSweep()) {
+    if (smoke && pct != bench::PaperMinSupSweep().front()) break;
     Database db;
     SetmMiner miner(&db);
     MiningOptions options;
@@ -37,6 +47,14 @@ int main() {
     double kb[4] = {0, 0, 0, 0};
     uint64_t r1_rows = 0;
     for (const IterationStats& it : result.value().iterations) {
+      if (it.r_bytes != it.r_rows * (it.k + 1) * sizeof(int32_t)) {
+        std::fprintf(stderr,
+                     "FAIL: minsup %.1f%%: R_%zu is %llu bytes for %llu "
+                     "rows, not (k+1)*4 a row\n",
+                     pct, it.k, static_cast<unsigned long long>(it.r_bytes),
+                     static_cast<unsigned long long>(it.r_rows));
+        return 1;
+      }
       if (it.k >= 1 && it.k <= 4) {
         kb[it.k - 1] = static_cast<double>(it.r_bytes) / 1024.0;
       }

@@ -37,8 +37,8 @@ fi
 # itemsets must be identical at every budget, the 4 KiB budget (below C_1's
 # own count) must spill, a budget that holds the unbounded count's peak
 # table must not, a budget that holds every level's dense count must make
-# at most one hash probe per left row, and no mine may write more pages
-# than it allocates plus the ids it reuses.
+# no hash probe, and no mine may write more pages than it allocates plus
+# the ids it reuses.
 count_bench_bin="build/$preset/bench/ablation_count_method"
 if [[ -x "$count_bench_bin" ]]; then
   "$count_bench_bin" --smoke
@@ -58,6 +58,13 @@ fi
 filter_bench_bin="build/$preset/bench/ablation_filter_r1"
 if [[ -x "$filter_bench_bin" ]]; then
   "$filter_bench_bin" --smoke
+fi
+
+# Figure 5 bench smoke: every iteration must report R_k in the paper's
+# bytes, |R_k|*(k+1)*4, whatever width the engine stores it at.
+fig5_bench_bin="build/$preset/bench/fig5_relation_sizes"
+if [[ -x "$fig5_bench_bin" ]]; then
+  "$fig5_bench_bin" --smoke
 fi
 
 # Persistence smoke: store a mined run into a database file in one

@@ -11,9 +11,8 @@ namespace setm {
 
 /// Support counts of k-itemsets, keyed by the k items packed side by side.
 /// The SETM path's one itemset map: the hashed C_k count of (C_k id, C_1
-/// rank) keys (core/setm_pipeline.h), the C_{k-1} id lookup of a pass and
-/// the coordinator's merge of partial counts. A key is read straight out
-/// of an R_k row (its columns 1..k), so probing allocates nothing.
+/// rank) keys (core/setm_pipeline.h) and the coordinator's merge of partial
+/// counts. A key is read in place, so probing allocates nothing.
 ///
 /// Layout: the entries are stored densely, in insertion order, as k keys
 /// in one array and an int64 count in another. A power-of-two index of
@@ -55,13 +54,6 @@ class ItemsetCounts {
   int64_t Count(const ItemId* items) const {
     const uint32_t id = index_[Slot(items)];
     return id == kEmpty ? 0 : counts_[id];
-  }
-
-  /// The entry id of `items` (k ints): its position in insertion order,
-  /// ForEach's; -1 when absent.
-  int64_t Find(const ItemId* items) const {
-    const uint32_t id = index_[Slot(items)];
-    return id == kEmpty ? -1 : int64_t{id};
   }
 
   /// Calls `fn(const ItemId* items, int64_t count)` for every itemset, in

@@ -81,14 +81,6 @@ std::vector<std::unique_ptr<IntRowCursor>> LastScans(
   return cursors;
 }
 
-obs::Counter* ProbesCounter() {
-  static obs::Counter* probes = obs::MetricsRegistry::Global()->GetCounter(
-      "setm_itemset_probes_total",
-      "Itemset-key hash probes on a shard: the C_{k-1} lookups of its "
-      "passes and the adds of a hashed C_k count");
-  return probes;
-}
-
 void FlushCountMetrics(const CountStats& stats) {
   static obs::Counter* rows = obs::MetricsRegistry::Global()->GetCounter(
       "setm_count_rows_total", "R'_k rows aggregated by the C_k count");
@@ -101,6 +93,9 @@ void FlushCountMetrics(const CountStats& stats) {
   static obs::Counter* passes = obs::MetricsRegistry::Global()->GetCounter(
       "setm_count_merge_passes_total",
       "Cascaded passes merging the C_k count's spilled runs");
+  static obs::Counter* probes = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_itemset_probes_total",
+      "Itemset-key hash probes on a shard: the adds of a hashed C_k count");
   static obs::Gauge* peak = obs::MetricsRegistry::Global()->GetGauge(
       "setm_mem_count_bytes",
       "High-water mark of one C_k count table's allocated bytes");
@@ -108,7 +103,7 @@ void FlushCountMetrics(const CountStats& stats) {
   spilled->Increment(stats.spilled_runs);
   entries->Increment(stats.spilled_entries);
   passes->Increment(stats.merge_passes);
-  ProbesCounter()->Increment(stats.probes);
+  probes->Increment(stats.probes);
   peak->RaiseTo(static_cast<int64_t>(stats.peak_bytes));
 }
 
@@ -143,7 +138,6 @@ class TransactionItems {
   }
 
   size_t size() const { return items_.size(); }
-  ItemId item(size_t i) const { return items_[i]; }
   const int32_t* ranks() const { return ranks_.data(); }
   /// The first C_1 item greater than `item`.
   size_t FirstAbove(ItemId item) const {
@@ -430,12 +424,13 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
                   IntRelation* out, ExtensionCount* next) {
   const size_t k = ck.k;
-  SETM_DCHECK(out == nullptr ? k == 1 : k + 1 == out->width());
+  SETM_DCHECK(out == nullptr ? k == 1 : out->width() == 2);
   SETM_DCHECK(next == nullptr || next->k() == k + 1);
   const ItemRanks& c1 = ck.space.alphabet;
 #ifndef NDEBUG
   // R_k is appended in arrival order and never sorted, so the rows must
-  // arrive in (trans_id, item_1..item_k) order.
+  // arrive in (trans_id, item) order for k = 1 and (trans_id, C_k id)
+  // order, which is (trans_id, item_1..item_k) order, for k >= 2.
   std::vector<int32_t> last;
   const auto check_order = [&](const int32_t* row) {
     const int32_t* end = row + out->width();
@@ -483,36 +478,35 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
     return out == nullptr ? Status::OK() : out->Finish();
   }
 
-  // C_{k-1}'s ids by itemset, for left rows of k-1 >= 2 items.
-  uint64_t probes = 0;
-  std::optional<ItemsetCounts> prev_index;
-  if (k >= 3) {
-    SETM_CHECK(prev != nullptr && prev->k + 1 == k);
-    prev_index.emplace(k - 1);
-    for (size_t id = 0; id < prev->size(); ++id) {
-      prev_index->Add(prev->space.parents.data() + id * (k - 1), 1);
-    }
-    probes += prev->size();
-  }
+  // A left row names its C_{k-1} itemset: by its item's C_1 rank for
+  // k = 2, by its C_{k-1} id for k >= 3.
+  if (k >= 3) SETM_CHECK(prev != nullptr && prev->k + 1 == k);
   const int32_t* child_rank = ck.space.last_rank.data();
   const uint32_t* first_child = ck.first_child.data();
   TransactionItems txn;
   std::optional<TransactionId> tid;
-  std::vector<int32_t> row(k + 1);
   const auto pass = [&](const int32_t* p, const ItemId* items,
                         const ItemId* items_end) -> Status {
     if (tid != p[0]) {
       tid = p[0];
       txn.Load(items, items_end, c1);
     }
-    int64_t parent;
+    size_t parent;
+    ItemId last_item;
     if (k == 2) {
-      parent = c1.RankOf(p[1]);
-      if (parent == ItemRanks::kAbsent) return Status::OK();
+      const int32_t rank = c1.RankOf(p[1]);
+      if (rank == ItemRanks::kAbsent) return Status::OK();
+      parent = static_cast<size_t>(rank);
+      last_item = p[1];
     } else {
-      ++probes;
-      parent = prev_index->Find(p + 1);
-      if (parent < 0) return Status::OK();
+      if (p[1] < 0 || static_cast<size_t>(p[1]) >= prev->size()) {
+        return Status::Corruption(
+            "R_" + std::to_string(k - 1) + " names C_" +
+            std::to_string(k - 1) + " id " + std::to_string(p[1]) +
+            ", outside [0, " + std::to_string(prev->size()) + ")");
+      }
+      parent = static_cast<size_t>(p[1]);
+      last_item = prev->space.parents[parent * (k - 1) + k - 2];
     }
     uint32_t child = first_child[parent];
     const uint32_t child_end = first_child[parent + 1];
@@ -520,15 +514,14 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
     // Merge the transaction's C_1 items above item_{k-1} with the parent's
     // children, both ascending on rank: each match is an R'_k row in C_k.
     const int32_t* ranks = txn.ranks();
-    for (size_t i = txn.FirstAbove(p[k - 1]); i < txn.size(); ++i) {
+    for (size_t i = txn.FirstAbove(last_item); i < txn.size(); ++i) {
       while (child_rank[child] < ranks[i]) {
         if (++child == child_end) return Status::OK();
       }
       if (child_rank[child] != ranks[i]) continue;
-      std::copy_n(p, k, row.begin());
-      row[k] = txn.item(i);
-      check_order(row.data());
-      SETM_RETURN_IF_ERROR(out->Append(row.data(), 1));
+      const int32_t row[2] = {p[0], static_cast<int32_t>(child)};
+      check_order(row);
+      SETM_RETURN_IF_ERROR(out->Append(row, 1));
       if (next != nullptr) {
         next->AddRows(txn.RowsAfter(i));
         SETM_RETURN_IF_ERROR(next->AddExtensions(
@@ -537,9 +530,7 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
     }
     return Status::OK();
   };
-  Status status = JoinLeftRows(left, r1, pass);
-  ProbesCounter()->Increment(probes);
-  SETM_RETURN_IF_ERROR(status);
+  SETM_RETURN_IF_ERROR(JoinLeftRows(left, r1, pass));
   return out->Finish();
 }
 

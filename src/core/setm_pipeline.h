@@ -20,37 +20,44 @@ namespace setm {
 // shard::DistributedMine: every SetmMiner mine (serial as one shard,
 // threaded as N, and each per-class run of ClassedSetmMiner), every
 // sharded database and every remote LCOUNT/MERGE request runs them there.
-// An R_k is an IntRelation of width k+1, (trans_id, item_1..item_k), kept
-// sorted on all of its columns. R'_k is never stored. Each iteration k
-// makes one pass, the one that writes R_k: the merge-scan join of R_{k-1}
-// with R_1 streams R'_k, the rows whose items are in C_k are appended to
-// R_k, and each kept row's extensions, the rows of R'_{k+1}, go straight
-// into the next level's count. So C_{k+1} is counted without a join of its
-// own and each iteration reads R_{k-1} and R_1 once (the fusion of
-// AprioriTid, Agrawal and Srikant 1994).
+// R_1 is an IntRelation of width 2, (trans_id, item): SALES. Every R_k with
+// k >= 2 is stored in candidate-id space at width 2, (trans_id, C_k id),
+// where the id names the row's itemset (item_1..item_k) in C_k. Ids follow
+// itemset order, so R_k kept sorted on (trans_id, id) is sorted on
+// (trans_id, item_1..item_k), the paper's order: it holds the paper's rows
+// in 8 bytes each instead of (k+1)·4. R'_k is never stored. Each iteration
+// k makes one pass, the one that writes R_k: the merge-scan join of
+// R_{k-1} with R_1 streams R'_k, the rows whose items are in C_k are
+// appended to R_k, and each kept row's extensions, the rows of R'_{k+1},
+// go straight into the next level's count. So C_{k+1} is counted without a
+// join of its own and each iteration reads R_{k-1} and R_1 once (the
+// fusion of AprioriTid, Agrawal and Srikant 1994).
 //
 // The pass works in candidate-id space, as AprioriTid's candidate ids and
 // Bodon's prefix trie of candidates (FIMI 2003) do. A C_k itemset's id is
 // its position in itemset order (CandidateLevel), so the children of one
 // C_{k-1} itemset have consecutive ids, ascending on their last item. Pass
-// k finds a left R_{k-1} row's C_{k-1} id once (a rank in C_1 for k = 2, a
-// hash probe for k >= 3), merges the transaction's items above the row's
-// last item against that parent's children instead of hashing each R'_k
-// row, and counts each kept row's extensions by the one-word key (C_k id,
-// rank of the extension item in C_1) (ExtensionCount). An extension by an
-// item outside C_1 only adds to |R'_{k+1}|: its support is at most that
-// item's, so it cannot be frequent. The SQL engine's Tuple/Value path (and
-// with it setm-sql, the paper's SQL formulation) is not used here.
+// k reads a left R_{k-1} row's C_{k-1} id (its item's rank in C_1 for
+// k = 2, its id column for k >= 3, whose last item is read from C_{k-1}),
+// merges the transaction's items above the row's last item against that
+// parent's children instead of hashing each R'_k row, appends each match
+// as (trans_id, C_k id), and counts each kept row's extensions by the
+// one-word key (C_k id, rank of the extension item in C_1)
+// (ExtensionCount). An extension by an item outside C_1 only adds to
+// |R'_{k+1}|: its support is at most that item's, so it cannot be
+// frequent. The SQL engine's Tuple/Value path (and with it setm-sql, the
+// paper's SQL formulation) is not used here.
 
-/// Streams the merge-scan join of `left`, a cursor over R_{k-1}'s k columns
-/// (trans_id, item_1..item_{k-1}), with `r1` (R_1, width 2) on trans_id.
+/// Streams the merge-scan join of `left`, a cursor over R_{k-1} (rows whose
+/// first column is trans_id, sorted), with `r1` (R_1, width 2) on trans_id.
 /// Calls `visit(p, items, items_end)` (returns a Status) once per left row
 /// p, in `left`'s order, where [items, items_end) are p's transaction's R_1
 /// items, ascending (a repeated SALES row repeats its item). R'_k's rows
-/// for p are (p, q) for each of those items q > p.item_{k-1}, in order, so
-/// R'_k arrives sorted on (trans_id, item_1..item_k) like the inputs. The
-/// range is valid for the call only, and the same for every left row of a
-/// transaction. Stops at the first error.
+/// for p are p's itemset extended by each of those items q > its
+/// item_{k-1}, in order, so R'_k arrives sorted on (trans_id,
+/// item_1..item_k) like the inputs. The range is valid for the call only,
+/// and the same for every left row of a transaction. Stops at the first
+/// error.
 template <typename Visit>
 Status JoinLeftRows(IntRowCursor* left, const IntRelation& r1, Visit visit) {
   SETM_DCHECK(r1.width() == 2);
@@ -334,26 +341,27 @@ Result<CandidateLevel> IndexCandidates(
     size_t k, const std::vector<std::vector<ItemId>>& ck,
     const CandidateLevel* prev);
 
-/// The one pass of iteration k, the filter: appends to `out` (width k+1)
-/// the rows of R'_k whose items are in `ck` ("simple table look-ups on
-/// relation C_k"), in the order they arrive, and counts the kept rows'
-/// extensions, R'_{k+1}, into `next` (over ck.space) unless it is null.
-/// For k >= 2 R'_k is the join of `left`, a scan of R_{k-1} (width k),
-/// with `r1`, so R_k comes out sorted on (trans_id, item_1..item_k) without
-/// a sort. For k >= 3 a left row finds its C_{k-1} id with one hash probe
-/// of an index of `prev` (C_{k-1}; null for k <= 2), and for k = 2 by its
-/// item's C_1 rank; its R'_k rows in C_k are found by merging
-/// the transaction's C_1 items above its last item with the C_{k-1}
-/// itemset's children. For k == 1 `left` scans R_1 itself and R'_2 pairs
+/// The one pass of iteration k, the filter: appends to `out` (width 2) the
+/// rows of R'_k whose items are in `ck` ("simple table look-ups on
+/// relation C_k"), in the order they arrive, as (trans_id, C_k id), and
+/// counts the kept rows' extensions, R'_{k+1}, into `next` (over ck.space)
+/// unless it is null. For k >= 2 R'_k is the join of `left`, a scan of
+/// R_{k-1}, with `r1`, so R_k comes out sorted on (trans_id, C_k id), which
+/// is (trans_id, item_1..item_k) order, without a sort. For k >= 3 a left
+/// row is (trans_id, C_{k-1} id) in `prev` (C_{k-1}; null for k <= 2), and
+/// its last item is read from `prev`; an id outside [0, |C_{k-1}|) is
+/// Corruption. For k = 2 a left row is an R_1 row, (trans_id, item), and
+/// its C_1 id is the item's rank. A left row's R'_k rows in C_k are found
+/// by merging the transaction's C_1 items above its last item with the
+/// C_{k-1} itemset's children; nothing is hashed but `next`'s keys, when
+/// it is a hashed count. For k == 1 `left` scans R_1 itself and R'_2 pairs
 /// the items of each transaction in the R_1 that pass 2 joins: `out`, the
 /// rows of R_1 whose item is in C_1, under the filter_r1 ablation, and
 /// R_1 whole when `out` is null. Every such pair adds to |R'_2|, but only a
 /// pair of C_1 items is counted, keyed by (C_1 rank, C_1 rank), so the
 /// count is a triangle over C_1. `left` may be a last scan
 /// (IntRelation::LastScan) that releases R_{k-1} page by page while `out`
-/// grows. `out` is Finish()ed, ready to scan. The index's hash probes,
-/// one per C_{k-1} itemset and one per left row, are recorded in
-/// setm_itemset_probes_total.
+/// grows. `out` is Finish()ed, ready to scan.
 Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
                   IntRelation* out, ExtensionCount* next);

@@ -147,8 +147,12 @@ struct IterationStats {
   size_t k = 0;              ///< pattern length of this iteration
   uint64_t r_prime_rows = 0; ///< |R'_k| (candidate pattern tuples)
   uint64_t r_rows = 0;       ///< |R_k| after the support filter
-  uint64_t r_bytes = 0;      ///< size of R_k in bytes (Figure 5 plots KB)
-  uint64_t r_pages = 0;      ///< ||R_k|| in pages
+  /// The paper's size of R_k, |R_k|·(k+1)·4 bytes (Figure 5 plots KB).
+  uint64_t r_bytes = 0;
+  /// ||R_k||, the pages R_k takes as the miner stores it. SetmMiner keeps
+  /// R_1 as (trans_id, item) and R_k (k >= 2) as (trans_id, C_k id), so
+  /// ceil(|R_k| / 511) at every k; setm-sql reports its tables' pages.
+  uint64_t r_pages = 0;
   uint64_t c_size = 0;       ///< |C_k| (Figure 6)
   double seconds = 0.0;      ///< wall-clock for the iteration
 };

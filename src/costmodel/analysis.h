@@ -83,10 +83,13 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// aggregates R'_k rows into a table within the sort budget and spills
 /// only sorted (itemset, count) entries, at most one per candidate per
 /// run, nothing when the candidates fit. Its measured pages do not map
-/// term for term; the paper figures here stay unchanged. The relation
-/// sizes do: under kHeap a measured ||R_k|| (IterationStats::r_pages) is
-/// the paper's |R_k| x (k+1) x 4 bytes / 4 KB, rounded up per packed page
-/// whose 8-byte header leaves 4,088 bytes for rows (511 rows of R_1).
+/// term for term; the paper figures here stay unchanged. Neither do the
+/// relation sizes for k >= 2: IterationStats::r_bytes is the paper's
+/// |R_k| x (k+1) x 4 bytes, but the engine stores R_k as (trans_id, C_k
+/// id), 8 bytes a row at every k, so under kHeap a measured ||R_k||
+/// (IterationStats::r_pages) is ceil(|R_k| / 511): a packed page's 8-byte
+/// header leaves 4,088 bytes for rows. That is the paper's ||R_k|| for R_1
+/// and 2/(k+1) of it for R_k.
 struct SortMergeAnalysis {
   uint64_t r1_pages = 0;
   std::vector<uint64_t> r_prime_pages;  ///< ||R'_2||, ||R'_3||, ...

@@ -67,9 +67,12 @@ class IntArrayCursor : public IntRowCursor {
   size_t pos_ = 0;
 };
 
-/// A relation of fixed-width all-INT32 rows: SETM's R_k, (trans_id,
-/// item_1..item_k) at width k+1 (paper Section 4.1). The hot mining path
-/// keeps its relations in this form; Table/Tuple serve the SQL engine.
+/// A relation of fixed-width all-INT32 rows: SETM's R_1, (trans_id, item),
+/// and R_k (k >= 2), (trans_id, C_k id), both at width 2, where the paper's
+/// R_k (Section 4.1) is (trans_id, item_1..item_k) at width k+1
+/// (core/setm_pipeline.h); also the C_k count's spilled runs. The hot
+/// mining path keeps its relations in this form; Table/Tuple serve the SQL
+/// engine.
 ///
 /// Rows are appended, then Finish() seals the relation, and only then can
 /// it be scanned: a scan of an unfinished relation fails on its first
@@ -79,8 +82,8 @@ class IntArrayCursor : public IntRowCursor {
 ///  - kMemory: one flat int32 array.
 ///  - kHeap: packed pages, each a header (uint32 row count, uint32 width)
 ///    and then up to RowsPerPage(width) rows back to back: no slot
-///    directory, so ||R_k|| is the paper's |R_k|·(k+1)·4 bytes / 4 KB up
-///    to the 8-byte header.
+///    directory, so ||R|| is num_rows·width·4 bytes / 4 KB up to the
+///    8-byte header (511 rows of width 2 a page).
 ///    Rows collect in a one-page buffer that is copied into a fresh pool
 ///    page when it fills (and by Finish() for the last, partial page), so
 ///    each page is written once and never fetched back while appending.
@@ -154,7 +157,7 @@ class IntRelation {
 
   uint64_t num_rows() const { return num_rows_; }
   uint64_t size_bytes() const { return num_rows_ * width_ * sizeof(int32_t); }
-  /// The paper's ||R||: ceil(num_rows / RowsPerPage(width)).
+  /// ||R|| in pages: ceil(num_rows / RowsPerPage(width)).
   uint64_t num_pages() const;
 
  private:

@@ -145,11 +145,11 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   // C_k filter, R_k appended and R'_{k+1} counted by (C_k id, C_1 rank).
   std::unique_ptr<ExtensionCount> next = NewCount(&level.space);
   // Pass 1 rewrites R_1 only under filter_r1; otherwise R_1 stays whole.
+  // R_k (k >= 2) is (trans_id, C_k id), width 2 like R_1.
   std::unique_ptr<IntRelation> rk;
   if (k >= 2 || run_.filter_r1) {
     auto rk_or = IntRelation::Create(
-        db_, run_.storage, k + 1,
-        k == 1 ? PageHint::kRetain : PageHint::kNone);
+        db_, run_.storage, 2, k == 1 ? PageHint::kRetain : PageHint::kNone);
     if (!rk_or.ok()) return rk_or.status();
     rk = std::move(rk_or).value();
   }
@@ -184,7 +184,9 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   const IntRelation& written = k == 1 ? *r1_ : *r_prev_;
   ShardReply out;
   out.r_rows = written.num_rows();
-  out.r_bytes = written.size_bytes();
+  // The paper's |R_k|, (trans_id, item_1..item_k) per row; the pages are
+  // the engine's, of the width-2 relation.
+  out.r_bytes = written.num_rows() * (k + 1) * sizeof(int32_t);
   out.r_pages = written.num_pages();
   if (next != nullptr) {
     out.r_prime_rows = next->stats().rows;

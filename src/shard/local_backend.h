@@ -42,11 +42,13 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     items, keyed by their ranks among the slice's distinct items.
 ///   - ApplyGlobalCk(k) checks the global C_k and gives it dense ids in
 ///     itemset order (IndexCandidates), then runs FilterByCk: the
-///     merge-scan join of R_{k-1} with R_1, one C_{k-1} lookup per R_{k-1}
-///     row, C_k membership by a sorted merge with that itemset's children,
-///     R_k appended in join order (already its (trans_id, items) order),
-///     and each kept row's extensions counted by (C_k id, C_1 rank) into
-///     the ExtensionCount of R'_{k+1}, finished before it returns.
+///     merge-scan join of R_{k-1} with R_1, each R_{k-1} row's C_{k-1} id
+///     read from the row itself (an R_1 row's item ranked in C_1 for
+///     k = 2), C_k membership by a sorted merge with that itemset's
+///     children, R_k appended as (trans_id, C_k id) in join order (already
+///     its sorted order), and each kept row's extensions counted by (C_k
+///     id, C_1 rank) into the ExtensionCount of R'_{k+1}, finished before
+///     it returns.
 ///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of
 ///     each transaction, as a triangle over C_1's ranks; under filter_r1
 ///     the same scan rewrites R_1 without the items outside C_1. The level
@@ -73,7 +75,10 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///
 /// R_1 and R_k are fixed-width int32 relations (IntRelation) that never
 /// enter the catalog: flat arrays under kMemory, packed unlogged pages
-/// under kHeap. The backend holds at most R_1, R_{k-1} and the R_k being
+/// under kHeap. Both are width 2: R_1 is (trans_id, item) and R_k (k >= 2)
+/// is (trans_id, C_k id), 511 rows per page. A reply's r_bytes is the
+/// paper's |R_k|·(k+1)·4 bytes, and its r_pages the relation's pages
+/// (num_pages()). The backend holds at most R_1, R_{k-1} and the R_k being
 /// written: R_1 is created with PageHint::kRetain, so its pages keep their
 /// frames in the pool's retained share; pass k >= 3 reads R_{k-1} with
 /// IntRelation::LastScan, releasing it page by page; EndRun releases the

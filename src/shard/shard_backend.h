@@ -32,7 +32,8 @@ struct ShardReply {
   /// the coordinator sums them to resolve the global minsupport).
   uint64_t transactions = 0;
   /// The relation the call wrote: R_1 for CountFirstIteration and
-  /// ApplyGlobalCk(1), R_k for ApplyGlobalCk(k).
+  /// ApplyGlobalCk(1), R_k for ApplyGlobalCk(k). Its bytes are the paper's,
+  /// (k+1)·4 a row; its pages are the engine's, as stored.
   uint64_t r_rows = 0;
   uint64_t r_bytes = 0;
   uint64_t r_pages = 0;

@@ -269,8 +269,11 @@ TEST(SetmModesTest, BackingsReportTheSameRPages) {
       SCOPED_TRACE("k=" + std::to_string(i + 1));
       EXPECT_EQ(mem[i].r_rows, heap[i].r_rows);
       EXPECT_EQ(mem[i].r_pages, heap[i].r_pages);
+      // R_1 is (trans_id, item) and R_k (k >= 2) is (trans_id, C_k id):
+      // width 2 at every k. r_bytes stays the paper's (k+1) ints a row.
+      EXPECT_EQ(heap[i].r_bytes, heap[i].r_rows * (i + 2) * 4);
       if (threads == 1) {
-        const uint64_t per_page = IntRelation::RowsPerPage(i + 2);
+        const uint64_t per_page = IntRelation::RowsPerPage(2);
         EXPECT_EQ(heap[i].r_pages, (heap[i].r_rows + per_page - 1) / per_page);
       }
     }
@@ -964,15 +967,15 @@ TEST(SetmOnePassTest, MineHeapShapeCountsWithoutSpilling) {
             static_cast<int64_t>(DatabaseOptions{}.sort_memory_bytes));
 }
 
-// Counting in candidate-id space hashes at most once per R_{k-1} row: pass
-// k finds a left row's C_{k-1} id with one probe (none for k = 2, which
-// ranks the row's item in C_1), C_k membership is a sorted merge, and the
-// counts of mine_heap's shape fit the default budget as dense arrays. So a
-// mine makes at most sum over k >= 2 of |R_{k-1}| itemset-key hash probes:
-// 386,903 against a bound of 436,787 here. Hashing each candidate row's k
-// items twice, once to filter it and once to count its extensions, takes
-// ~2.6 M.
-TEST(SetmOnePassTest, ProbesAtMostOncePerLeftRow) {
+// Counting in candidate-id space hashes nothing while the counts are
+// dense: pass k reads a left row's C_{k-1} id from the row itself (R_k is
+// (trans_id, C_k id)) or, for k = 2, ranks its item in C_1, C_k membership
+// is a sorted merge, and the counts of mine_heap's shape fit the default
+// budget as dense arrays. So a mine makes no itemset-key hash probe under
+// either count method. Probing a hash index of C_{k-1} once per R_{k-1}
+// row took 386,903 here; hashing each candidate row's k items twice, once
+// to filter it and once to count its extensions, ~2.6 M.
+TEST(SetmOnePassTest, DenseCountsMakeNoItemsetProbes) {
   TransactionDb txns = MineHeapShapeTxns();
   MiningOptions options;
   options.min_support = 0.02;
@@ -986,15 +989,55 @@ TEST(SetmOnePassTest, ProbesAtMostOncePerLeftRow) {
     const uint64_t probes_before = probes->Value();
     auto result = SetmMiner(&db, knobs).Mine(txns, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GE(result.value().iterations.size(), 4u);
+    EXPECT_EQ(probes->Value() - probes_before, 0u);
+  }
+}
+
+// The page gate of the repo benchmark's mine_heap, on its data and
+// database: a file database at the default 1 MiB pool and sort budget, one
+// serial kHeap mine of SALES, the first on a freshly loaded database. Every
+// R_k is (trans_id, C_k id), so its pages are ceil(|R_k| / 511) at every k,
+// and the mine moves 877 pages (362 reads, 515 writes). With R_k stored as
+// (trans_id, item_1..item_k) it moved 3,141 (1,494 reads, 1,647 writes).
+TEST(SetmOnePassTest, MineHeapShapeStaysWithinItsPageBudget) {
+  const std::string path = testing::TempDir() + "/setm_mine_heap_pages.db";
+  const auto remove_files = [&path] {
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  };
+  remove_files();  // a crashed earlier run may have left them
+  TransactionDb txns = MineHeapShapeTxns();
+  MiningOptions options;
+  options.min_support = 0.02;
+  {
+    DatabaseOptions db_options;
+    db_options.file_path = path;
+    auto db_or = Database::Open(db_options);
+    ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+    Database* db = db_or.value().get();
+    auto sales = LoadSalesTable(db, "sales", txns, TableBacking::kHeap);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    SetmOptions knobs{TableBacking::kHeap};
+    knobs.count_method = CountMethod::kSortMerge;
+    auto result = SetmMiner(db, knobs).MineTable(*sales.value(), options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
     const auto& iterations = result.value().iterations;
     ASSERT_GE(iterations.size(), 4u);
-    uint64_t left_rows = 0;  // sum over passes k >= 2 of |R_{k-1}|
-    for (size_t i = 0; i + 1 < iterations.size(); ++i) {
-      left_rows += iterations[i].r_rows;
+    const uint64_t per_page = IntRelation::RowsPerPage(2);
+    ASSERT_EQ(per_page, 511u);
+    uint64_t r_pages = 0;
+    uint64_t packed = 0;
+    for (size_t i = 1; i < iterations.size(); ++i) {
+      r_pages += iterations[i].r_pages;
+      packed += (iterations[i].r_rows + per_page - 1) / per_page;
     }
-    EXPECT_GT(probes->Value() - probes_before, 0u);
-    EXPECT_LE(probes->Value() - probes_before, left_rows);
+    EXPECT_EQ(r_pages, packed);
+    const IoStats& io = result.value().io;
+    EXPECT_LE(io.page_reads + io.page_writes, 1000u)
+        << io.page_reads << " reads, " << io.page_writes << " writes";
   }
+  remove_files();
 }
 
 // With max_pattern_length = 2 the pass that writes R_2 counts nothing:
@@ -1366,6 +1409,45 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
     }
     std::sort(nested.begin(), nested.end());
     EXPECT_EQ(streamed, nested) << "trial " << trial << ", k = " << k;
+  }
+}
+
+// R_k (k >= 2) names each row's itemset by its C_k id, which pass k+1 uses
+// to index C_k. An id outside C_{k-1} is refused as Corruption naming the
+// relation and the id, after the rows before it were filtered as usual.
+TEST(SetmPipelineTest, FilterRefusesAnIdOutsideCkMinus1) {
+  auto c1 = IndexCandidates(1, {{1}, {2}, {3}}, nullptr);
+  ASSERT_TRUE(c1.ok()) << c1.status().ToString();
+  auto c2 = IndexCandidates(2, {{1, 2}, {1, 3}, {2, 3}}, &c1.value());
+  ASSERT_TRUE(c2.ok()) << c2.status().ToString();
+  auto c3 = IndexCandidates(3, {{1, 2, 3}}, &c2.value());
+  ASSERT_TRUE(c3.ok()) << c3.status().ToString();
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    for (int32_t id : {3, 1000, INT32_MAX, -1, INT32_MIN}) {
+      SCOPED_TRACE("id=" + std::to_string(id));
+      Database db;
+      auto r1 = IntRelation::Create(&db, backing, 2);
+      ASSERT_TRUE(r1.ok());
+      const std::vector<int32_t> r1_rows = {7, 1, 7, 2, 7, 3, 8, 1, 8, 2};
+      ASSERT_TRUE(r1.value()->Append(r1_rows.data(), 5).ok());
+      ASSERT_TRUE(r1.value()->Finish().ok());
+      auto r3 = IntRelation::Create(&db, backing, 2);
+      ASSERT_TRUE(r3.ok());
+      // (7, {1 2}) is kept as {1 2 3}; then transaction 8 names `id`.
+      IntArrayCursor r2(std::vector<int32_t>{7, 0, 8, id}, 2);
+      ExtensionCount next(ExecContext::From(&db), &c3.value().space,
+                          BudgetedCount::kUnbounded);
+      const Status status =
+          FilterByCk(&r2, *r1.value(), &c2.value(), c3.value(),
+                     r3.value().get(), &next);
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      EXPECT_NE(status.message().find("R_2"), std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find(" id " + std::to_string(id) + ","),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_EQ(r3.value()->num_rows(), 1u);
+    }
   }
 }
 

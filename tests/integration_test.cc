@@ -21,7 +21,7 @@ TEST(IntegrationTest, FileBackedDatabaseMinesCorrectly) {
   const std::string path = testing::TempDir() + "/setm_integration.db";
   QuestOptions gen;
   gen.seed = 900;
-  gen.num_transactions = 500;
+  gen.num_transactions = 2000;
   gen.avg_transaction_size = 5;
   gen.num_items = 30;
   TransactionDb txns = QuestGenerator(gen).Generate();
@@ -48,6 +48,7 @@ TEST(IntegrationTest, FileBackedDatabaseMinesCorrectly) {
     auto r = miner.Mine(txns, options);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.value().itemsets == expected);
+    ASSERT_GT(r.value().iterations[0].r_pages, db_options.pool_frames);
     EXPECT_GT(r.value().io.page_writes, 0u);
   }
   std::remove(path.c_str());

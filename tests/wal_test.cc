@@ -740,11 +740,12 @@ TEST(FreeListTest, SteadyStateStoreSavesDoNotGrowTheFile) {
 // orphans that the next open reclaims.
 // --------------------------------------------------------------------------
 
-TransactionDb SmallQuest(uint32_t num_transactions, uint32_t num_items) {
+TransactionDb SmallQuest(uint32_t num_transactions, uint32_t num_items,
+                         double avg_transaction_size = 8) {
   QuestOptions gen;
   gen.seed = 3;
   gen.num_transactions = num_transactions;
-  gen.avg_transaction_size = 8;
+  gen.avg_transaction_size = avg_transaction_size;
   gen.num_items = num_items;
   return QuestGenerator(gen).Generate();
 }
@@ -956,7 +957,9 @@ class ReadMarks : public MiningObserver {
 
 // R_1 keeps its frames in the pool's retained share: at a pool that holds
 // R_1 in half its frames but not R_{k-1}, the passes that scan a larger
-// R_{k-1} read it from storage and never read a page of R_1.
+// R_{k-1} read it from storage and never read a page of R_1. R_k is
+// (trans_id, C_k id), as narrow as R_1, so the transactions are dense
+// (10 items of 60 on average): R_1 takes 21 pages, R_2 93 and R_3 55.
 TEST(ScratchLifecycleTest, R1StaysResidentWhilePassesReadRkMinus1) {
   auto disk = std::make_shared<SimDisk>();
   DatabaseOptions options = SimOptions(disk);
@@ -964,7 +967,7 @@ TEST(ScratchLifecycleTest, R1StaysResidentWhilePassesReadRkMinus1) {
   auto db_or = Database::Open(options);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   std::unique_ptr<Database> db = std::move(db_or).value();
-  auto sales = LoadSalesTable(db.get(), "sales", SmallQuest(1000, 60),
+  auto sales = LoadSalesTable(db.get(), "sales", SmallQuest(1000, 60, 10),
                               TableBacking::kHeap);
   ASSERT_TRUE(sales.ok()) << sales.status().ToString();
   ASSERT_TRUE(db->Commit().ok());
