@@ -81,7 +81,7 @@ class DyingShard : public ShardBackend {
     return real_.CountFirstIteration();
   }
   Result<shard::ShardReply> ApplyGlobalCk(
-      size_t k, const std::vector<std::vector<ItemId>>& ck) override {
+      size_t k, const std::vector<CandidateKey>& ck) override {
     if (k >= 2) return Status::IOError("injected disk failure");
     return real_.ApplyGlobalCk(k, ck);
   }

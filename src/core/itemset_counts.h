@@ -9,18 +9,16 @@
 
 namespace setm {
 
-/// Support counts of k-itemsets, keyed by the k items packed side by side.
-/// The SETM path's one itemset map: the hashed C_k count of (C_k id, C_1
-/// rank) keys (core/setm_pipeline.h) and the coordinator's merge of partial
-/// counts. A key is read in place, so probing allocates nothing.
+/// Support counts of k-int keys packed side by side: the table of the
+/// hashed C_k count (core/setm_pipeline.h BudgetedCount), whose keys are
+/// (C_k id, C_1 rank). A key is read in place, so probing allocates
+/// nothing.
 ///
 /// Layout: the entries are stored densely, in insertion order, as k keys
 /// in one array and an int64 count in another. A power-of-two index of
 /// uint32 entry ids (linear probing, load at most one half) finds them.
 /// Entry capacity and index grow independently, so a table under a byte
 /// budget fills it: at 1 MiB it holds 32,768 entries for k = 3 or 4.
-///
-/// ForEach's order is insertion order: deterministic, but not sorted.
 class ItemsetCounts {
  public:
   /// A map of `k`-item keys (k >= 1).
@@ -57,13 +55,7 @@ class ItemsetCounts {
   }
 
   /// Calls `fn(const ItemId* items, int64_t count)` for every itemset, in
-  /// insertion order.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (size_t id = 0; id < size_; ++id) fn(&keys_[id * k_], counts_[id]);
-  }
-
-  /// ForEach in ascending item order.
+  /// ascending item order.
   template <typename Fn>
   void ForEachSorted(Fn fn) const {
     for (uint32_t id : SortedIds()) fn(&keys_[id * k_], counts_[id]);

@@ -9,11 +9,6 @@
 
 namespace setm {
 
-namespace {
-
-/// Appends `count` occurrences of `key` (k ints) as (key, count) rows. A
-/// run row's count is an int32, so a larger count takes several rows; a
-/// merge sums them like the counts of one key from several runs.
 void AppendEntry(const ItemId* key, size_t k, int64_t count,
                  std::vector<int32_t>* rows) {
   constexpr int64_t kMaxRowCount = INT32_MAX;
@@ -23,51 +18,13 @@ void AppendEntry(const ItemId* key, size_t k, int64_t count,
   }
 }
 
+namespace {
+
 /// Appends `table`'s entries in key order as (key, count) rows.
 void AppendEntryRows(const ItemsetCounts& table, std::vector<int32_t>* rows) {
   table.ForEachSorted([&](const ItemId* key, int64_t count) {
     AppendEntry(key, table.k(), count, rows);
   });
-}
-
-/// The summing k-way merge: reads `inputs`, cursors over (key, count) rows
-/// sorted on the key, and calls `fn(key, count)` (returns a Status) once
-/// per key, in key order, with its counts summed over every input. Inputs
-/// are few (at most kMergeFanIn runs and the table's remainder), so the
-/// heads are scanned linearly. Stops at the first error.
-template <typename Fn>
-Status SumByKey(size_t k, std::vector<std::unique_ptr<IntRowCursor>> inputs,
-                Fn fn) {
-  std::vector<const int32_t*> heads(inputs.size());  // null once drained
-  const auto advance = [&](size_t i) -> Status {
-    auto more = inputs[i]->Next(&heads[i]);
-    if (!more.ok()) return more.status();
-    if (!more.value()) heads[i] = nullptr;
-    return Status::OK();
-  };
-  for (size_t i = 0; i < inputs.size(); ++i) SETM_RETURN_IF_ERROR(advance(i));
-  std::vector<ItemId> key(k);
-  while (true) {
-    const int32_t* least = nullptr;
-    for (const int32_t* head : heads) {
-      if (head != nullptr &&
-          (least == nullptr ||
-           std::lexicographical_compare(head, head + k, least, least + k))) {
-        least = head;
-      }
-    }
-    if (least == nullptr) return Status::OK();
-    key.assign(least, least + k);
-    int64_t count = 0;
-    for (size_t i = 0; i < heads.size(); ++i) {
-      while (heads[i] != nullptr &&
-             std::equal(key.begin(), key.end(), heads[i])) {
-        count += heads[i][k];
-        SETM_RETURN_IF_ERROR(advance(i));
-      }
-    }
-    SETM_RETURN_IF_ERROR(fn(key.data(), count));
-  }
 }
 
 /// The last scans of `runs`, which they take, in order.
@@ -162,16 +119,6 @@ class TransactionItems {
   uint64_t pairs_ = 0;
 };
 
-/// "C_k holds {1 2 3}" for error messages.
-std::string Itemset(const std::vector<ItemId>& items) {
-  std::string out = "{";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(items[i]);
-  }
-  return out + "}";
-}
-
 }  // namespace
 
 ItemRanks::ItemRanks(std::vector<ItemId> items) : items_(std::move(items)) {
@@ -258,12 +205,6 @@ Status BudgetedCount::Finish(
     int64_t min_count,
     const std::function<void(const ItemId*, int64_t)>& emit) {
   stats_.peak_bytes = table_.bytes();  // the table never shrinks
-  if (runs_.empty()) {
-    table_.ForEach([&](const ItemId* key, int64_t count) {
-      if (count >= min_count) emit(key, count);
-    });
-    return Status::OK();
-  }
   std::vector<int32_t> rest;
   AppendEntryRows(table_, &rest);
   table_ = ItemsetCounts(k_);
@@ -274,13 +215,6 @@ Status BudgetedCount::Finish(
   return SumByKey(k_, std::move(inputs), [&](const ItemId* key, int64_t count) {
     if (count >= min_count) emit(key, count);
     return Status::OK();
-  });
-}
-
-Status BudgetedCount::Finish(int64_t min_count,
-                             std::vector<PatternCount>* out) {
-  return Finish(min_count, [&](const ItemId* key, int64_t count) {
-    out->push_back(PatternCount{std::vector<ItemId>(key, key + k_), count});
   });
 }
 
@@ -305,34 +239,27 @@ ExtensionCount::ExtensionCount(ExecContext ctx, const ExtensionSpace* space,
   hashed_ = std::make_unique<BudgetedCount>(ctx, 2, budget_bytes);
 }
 
-void ExtensionCount::Emit(uint32_t id, int32_t rank, int64_t count,
-                          std::vector<PatternCount>* out) const {
-  PatternCount pc;
-  pc.items.reserve(space_->width + 1);
-  const ItemId* parent = space_->parents.data() + id * space_->width;
-  pc.items.assign(parent, parent + space_->width);
-  pc.items.push_back(space_->alphabet.item(rank));
-  pc.count = count;
-  out->push_back(std::move(pc));
-}
-
-Status ExtensionCount::Finish(int64_t min_count,
-                              std::vector<PatternCount>* out) {
+Status ExtensionCount::Finish(int64_t min_count, std::vector<int32_t>* rows) {
   min_count = std::max<int64_t>(min_count, 1);
+  const ItemRanks& alphabet = space_->alphabet;
   if (hashed_ == nullptr) {
     stats_.peak_bytes = dense_.size() * sizeof(int64_t);
-    const int32_t ranks = static_cast<int32_t>(space_->alphabet.size());
+    const int32_t ranks = static_cast<int32_t>(alphabet.size());
     for (uint32_t id = 0; id < offset_.size(); ++id) {
       const int64_t* counts = dense_.data() + offset_[id];
       for (int32_t rank = space_->last_rank[id] + 1; rank < ranks;
            ++rank, ++counts) {
-        if (*counts >= min_count) Emit(id, rank, *counts, out);
+        if (*counts < min_count) continue;
+        const ItemId key[2] = {static_cast<ItemId>(id), alphabet.item(rank)};
+        AppendEntry(key, 2, *counts, rows);
       }
     }
   } else {
+    // (id, rank) order is (id, item) order: ranks follow items.
     SETM_RETURN_IF_ERROR(hashed_->Finish(
         min_count, [&](const ItemId* key, int64_t count) {
-          Emit(static_cast<uint32_t>(key[0]), key[1], count, out);
+          const ItemId entry[2] = {key[0], alphabet.item(key[1])};
+          AppendEntry(entry, 2, count, rows);
         }));
     const CountStats& hashed = hashed_->stats();
     stats_.spilled_runs = hashed.spilled_runs;
@@ -345,75 +272,60 @@ Status ExtensionCount::Finish(int64_t min_count,
   return Status::OK();
 }
 
-Result<CandidateLevel> IndexCandidates(
-    size_t k, const std::vector<std::vector<ItemId>>& ck,
-    const CandidateLevel* prev) {
-  const std::string level = "C_" + std::to_string(k);
-  for (size_t id = 0; id < ck.size(); ++id) {
-    const std::vector<ItemId>& items = ck[id];
-    if (items.size() != k) {
-      return Status::InvalidArgument(level + " holds a " +
-                                     std::to_string(items.size()) +
-                                     "-itemset, " + Itemset(items));
-    }
-    if (std::adjacent_find(items.begin(), items.end(),
-                           std::greater_equal<ItemId>()) != items.end()) {
-      return Status::InvalidArgument(level + " holds " + Itemset(items) +
-                                     ", whose items are not ascending");
-    }
-    if (id > 0 && !(ck[id - 1] < items)) {
-      return Status::InvalidArgument(
-          level + " is not ascending without duplicates: " +
-          Itemset(ck[id - 1]) + " before " + Itemset(items));
-    }
+Result<int32_t> CheckKey(const CandidateLevel* prev, const CandidateKey* last,
+                         CandidateKey key) {
+  const auto spell = [](CandidateKey k) {
+    return "(" + std::to_string(k.parent) + ", " + std::to_string(k.item) + ")";
+  };
+  const auto refuse = [&](const std::string& why) {
+    return Status::InvalidArgument(
+        "C_" + std::to_string(prev == nullptr ? 1 : prev->k + 1) + " key " +
+        spell(key) + " " + why);
+  };
+  if (last != nullptr && !(*last < key)) {
+    return refuse("follows " + spell(*last) + ": keys are not strictly "
+                  "ascending");
   }
+  // C_1's one parent is the empty itemset, id 0 of C_0.
+  const size_t parents = prev == nullptr ? 1 : prev->size();
+  if (key.parent < 0 || static_cast<size_t>(key.parent) >= parents) {
+    return refuse("names a parent outside C_" +
+                  std::to_string(prev == nullptr ? 0 : prev->k) +
+                  "'s ids [0, " + std::to_string(parents) + ")");
+  }
+  if (prev == nullptr) return 0;
+  const int32_t rank = prev->space.alphabet.RankOf(key.item);
+  if (rank == ItemRanks::kAbsent) return refuse("has an item outside C_1");
+  if (rank <= prev->space.last_rank[key.parent]) {
+    return refuse("has an item not above its parent's last item");
+  }
+  return rank;
+}
+
+Result<CandidateLevel> IndexCandidates(size_t k,
+                                       const std::vector<CandidateKey>& keys,
+                                       const CandidateLevel* prev) {
+  SETM_CHECK(k == 1 ? prev == nullptr : prev != nullptr && prev->k + 1 == k);
   CandidateLevel out;
   out.k = k;
-  ExtensionSpace& space = out.space;
-  space.width = k;
-  space.parents.reserve(ck.size() * k);
-  for (const std::vector<ItemId>& items : ck) {
-    space.parents.insert(space.parents.end(), items.begin(), items.end());
+  out.space.last_rank.resize(keys.size());
+  std::vector<uint32_t> children(k == 1 ? 1 : prev->size(), 0);
+  for (size_t id = 0; id < keys.size(); ++id) {
+    auto rank = CheckKey(prev, id > 0 ? &keys[id - 1] : nullptr, keys[id]);
+    if (!rank.ok()) return rank.status();
+    out.space.last_rank[id] = rank.value();
+    ++children[static_cast<size_t>(keys[id].parent)];
   }
-  space.last_rank.resize(ck.size());
   if (k == 1) {
-    space.alphabet = ItemRanks(space.parents);
-    std::iota(space.last_rank.begin(), space.last_rank.end(), 0);
-    out.first_child = {0, static_cast<uint32_t>(ck.size())};
-    return out;
+    // C_1 is the alphabet: an item's id is its rank.
+    std::vector<ItemId> items(keys.size());
+    for (size_t id = 0; id < keys.size(); ++id) items[id] = keys[id].item;
+    out.space.alphabet = ItemRanks(std::move(items));
+    std::iota(out.space.last_rank.begin(), out.space.last_rank.end(), 0);
+  } else {
+    out.space.alphabet = prev->space.alphabet;
   }
-  SETM_CHECK(prev != nullptr && prev->k + 1 == k);
-  space.alphabet = prev->space.alphabet;
-  // Both levels are in itemset order, so the prefixes of C_k walk C_{k-1}
-  // forwards: a merge finds each parent without hashing.
-  const std::vector<ItemId>& parents = prev->space.parents;
-  const size_t width = k - 1;
-  std::vector<uint32_t> children(prev->size(), 0);
-  size_t parent = 0;
-  for (size_t id = 0; id < ck.size(); ++id) {
-    const ItemId* prefix = ck[id].data();
-    const auto parent_less = [&](size_t p) {
-      return std::lexicographical_compare(
-          parents.begin() + p * width, parents.begin() + (p + 1) * width,
-          prefix, prefix + width);
-    };
-    while (parent < prev->size() && parent_less(parent)) ++parent;
-    if (parent == prev->size() ||
-        !std::equal(prefix, prefix + width, parents.begin() + parent * width)) {
-      const std::vector<ItemId> missing(prefix, prefix + width);
-      return Status::InvalidArgument(level + " holds " + Itemset(ck[id]) +
-                                     ", whose prefix " + Itemset(missing) +
-                                     " is not in C_" + std::to_string(k - 1));
-    }
-    const int32_t rank = space.alphabet.RankOf(ck[id].back());
-    if (rank == ItemRanks::kAbsent) {
-      return Status::InvalidArgument(level + " holds " + Itemset(ck[id]) +
-                                     ", whose last item is not in C_1");
-    }
-    space.last_rank[id] = rank;
-    ++children[parent];
-  }
-  out.first_child.resize(prev->size() + 1);
+  out.first_child.resize(children.size() + 1);
   out.first_child[0] = 0;
   std::partial_sum(children.begin(), children.end(),
                    out.first_child.begin() + 1);
@@ -425,7 +337,6 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
                   IntRelation* out, ExtensionCount* next) {
   const size_t k = ck.k;
   SETM_DCHECK(out == nullptr ? k == 1 : out->width() == 2);
-  SETM_DCHECK(next == nullptr || next->k() == k + 1);
   const ItemRanks& c1 = ck.space.alphabet;
 #ifndef NDEBUG
   // R_k is appended in arrival order and never sorted, so the rows must
@@ -506,7 +417,7 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
             ", outside [0, " + std::to_string(prev->size()) + ")");
       }
       parent = static_cast<size_t>(p[1]);
-      last_item = prev->space.parents[parent * (k - 1) + k - 2];
+      last_item = c1.item(prev->space.last_rank[parent]);
     }
     uint32_t child = first_child[parent];
     const uint32_t child_end = first_child[parent + 1];

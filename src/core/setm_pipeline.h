@@ -43,10 +43,10 @@ namespace setm {
 // parent's children instead of hashing each R'_k row, appends each match
 // as (trans_id, C_k id), and counts each kept row's extensions by the
 // one-word key (C_k id, rank of the extension item in C_1)
-// (ExtensionCount). An extension by an item outside C_1 only adds to
-// |R'_{k+1}|: its support is at most that item's, so it cannot be
-// frequent. The SQL engine's Tuple/Value path (and with it setm-sql, the
-// paper's SQL formulation) is not used here.
+// (ExtensionCount), handed over as (C_k id, item). An extension by an item
+// outside C_1 only adds to |R'_{k+1}|: its support is at most that item's,
+// so it cannot be frequent. The SQL engine's Tuple/Value path (and with it
+// setm-sql, the paper's SQL formulation) is not used here.
 
 /// Streams the merge-scan join of `left`, a cursor over R_{k-1} (rows whose
 /// first column is trans_id, sorted), with `r1` (R_1, width 2) on trans_id.
@@ -162,10 +162,8 @@ class ItemRanks {
 /// dense ranks. Parent ids follow itemset order and ranks item order, so
 /// (id, rank) order is itemset order.
 struct ExtensionSpace {
-  size_t width = 0;             ///< items per parent: k-1 for R'_k
-  std::vector<ItemId> parents;  ///< width items per parent, by id
-  /// Per parent, its last item's rank in `alphabet` (-1 for the empty
-  /// parent of C_1's count): its extensions rank above it.
+  /// Per parent, by id, its last item's rank in `alphabet` (-1 for the
+  /// empty parent of C_1's count): its extensions rank above it.
   std::vector<int32_t> last_rank;
   ItemRanks alphabet;
 
@@ -173,6 +171,56 @@ struct ExtensionSpace {
   /// The key space of C_1's count: the empty itemset extended by `items`.
   static ExtensionSpace Singletons(ItemRanks items);
 };
+
+/// Appends `count` occurrences of `key` (k ints) as (key, count) rows: the
+/// row form of the count's spilled runs and of a shard's counts. A row's
+/// count is an int32, so a larger count takes several consecutive rows,
+/// which a merge sums like the counts of one key from several inputs.
+void AppendEntry(const ItemId* key, size_t k, int64_t count,
+                 std::vector<int32_t>* rows);
+
+/// The summing k-way merge: reads `inputs`, cursors over (key, count) rows
+/// sorted on the key (k ints), and calls `fn(key, count)` (returns a
+/// Status) once per key, in key order, with its counts summed over every
+/// input. Inputs are few (at most kMergeFanIn runs and a table's
+/// remainder, or one reply per shard), so the heads are scanned linearly.
+/// The caller keeps the sums within int64. Stops at the first error. A
+/// template so that `fn` inlines: through a std::function the
+/// coordinator's merge takes two thirds longer.
+template <typename Fn>
+Status SumByKey(size_t k, std::vector<std::unique_ptr<IntRowCursor>> inputs,
+                Fn fn) {
+  std::vector<const int32_t*> heads(inputs.size());  // null once drained
+  const auto advance = [&](size_t i) -> Status {
+    auto more = inputs[i]->Next(&heads[i]);
+    if (!more.ok()) return more.status();
+    if (!more.value()) heads[i] = nullptr;
+    return Status::OK();
+  };
+  for (size_t i = 0; i < inputs.size(); ++i) SETM_RETURN_IF_ERROR(advance(i));
+  std::vector<ItemId> key(k);
+  while (true) {
+    const int32_t* least = nullptr;
+    for (const int32_t* head : heads) {
+      if (head != nullptr &&
+          (least == nullptr ||
+           std::lexicographical_compare(head, head + k, least, least + k))) {
+        least = head;
+      }
+    }
+    if (least == nullptr) return Status::OK();
+    key.assign(least, least + k);
+    int64_t count = 0;
+    for (size_t i = 0; i < heads.size(); ++i) {
+      while (heads[i] != nullptr &&
+             std::equal(key.begin(), key.end(), heads[i])) {
+        count += heads[i][k];
+        SETM_RETURN_IF_ERROR(advance(i));
+      }
+    }
+    SETM_RETURN_IF_ERROR(fn(key.data(), count));
+  }
+}
 
 /// What one count did.
 struct CountStats {
@@ -226,12 +274,9 @@ class BudgetedCount {
   }
 
   /// Calls `emit(key, count)` for every key counted at least `min_count`
-  /// times: in key order after a spill, in insertion order otherwise. Call
-  /// once.
+  /// times, in key order, spilled or not. Call once.
   Status Finish(int64_t min_count,
                 const std::function<void(const ItemId*, int64_t)>& emit);
-  /// Finish() into PatternCounts whose items are the keys.
-  Status Finish(int64_t min_count, std::vector<PatternCount>* out);
 
   const CountStats& stats() const { return stats_; }
 
@@ -252,12 +297,13 @@ class BudgetedCount {
 };
 
 /// The count of R'_k in candidate-id space: each row is keyed by (parent
-/// id, extension rank) in an ExtensionSpace, and Finish() translates the
-/// keys back to itemsets. When the space's counters (one int64 per parent
-/// and alphabet item above its last one) fit both the budget and the sort
-/// budget, the count is a dense array that hashes nothing. Otherwise it is
-/// a BudgetedCount of (id, rank) keys within the budget, spilling runs in
-/// (id, rank) order, which is itemset order.
+/// id, extension rank) in an ExtensionSpace, and Finish() hands the keys
+/// over as (parent id, item), the shard exchange's key. When the space's
+/// counters (one int64 per parent and alphabet item above its last one)
+/// fit both the budget and the sort budget, the count is a dense array
+/// that hashes nothing. Otherwise it is a BudgetedCount of (id, rank) keys
+/// within the budget, spilling runs in (id, rank) order, which is itemset
+/// order.
 ///
 /// A shard passes min_count = 1 (support is a global property, so local
 /// counts must all survive to the merge) unless it is the run's only
@@ -275,9 +321,6 @@ class ExtensionCount {
   /// spills). The dense array's ceiling is also `ctx.sort_memory_bytes`.
   ExtensionCount(ExecContext ctx, const ExtensionSpace* space,
                  size_t budget_bytes);
-
-  /// The itemset size counted: the parents' plus one.
-  size_t k() const { return space_->width + 1; }
 
   /// Counts `n` R'_k rows in |R'_k|; only those also passed to
   /// AddExtensions can be frequent.
@@ -299,17 +342,15 @@ class ExtensionCount {
     return Status::OK();
   }
 
-  /// Appends every itemset counted at least `min_count` times to `out`, in
-  /// itemset order when dense or after a spill. Call once.
-  Status Finish(int64_t min_count, std::vector<PatternCount>* out);
+  /// Appends a (parent id, item, count) row to `rows` for every key
+  /// counted at least `min_count` times, in key order, whether the count is
+  /// dense, hashed or spilled; a count above INT32_MAX takes consecutive
+  /// rows (AppendEntry). Call once.
+  Status Finish(int64_t min_count, std::vector<int32_t>* rows);
 
   const CountStats& stats() const { return stats_; }
 
  private:
-  /// Appends parent `id` extended by the alphabet item of rank `rank`.
-  void Emit(uint32_t id, int32_t rank, int64_t count,
-            std::vector<PatternCount>* out) const;
-
   const ExtensionSpace* space_;
   CountStats stats_;
   /// Dense: parent id's counters start at offset_[id], one per rank above
@@ -322,8 +363,8 @@ class ExtensionCount {
 /// C_k with dense ids, as pass k and the count of R'_{k+1} use it.
 struct CandidateLevel {
   size_t k = 0;
-  /// C_k's itemsets by id, their last items' ranks in C_1, and C_1: the key
-  /// space of R'_{k+1}'s count.
+  /// C_k's last items' ranks in C_1 by id, and C_1: the key space of
+  /// R'_{k+1}'s count.
   ExtensionSpace space;
   /// C_k ids [first_child[p], first_child[p + 1]) extend C_{k-1} id p (for
   /// k = 1, p = 0 is the empty itemset).
@@ -332,14 +373,22 @@ struct CandidateLevel {
   size_t size() const { return space.num_parents(); }
 };
 
-/// Gives `ck`, the k-itemsets of a global C_k, their dense ids.
-/// InvalidArgument unless every itemset has k ascending items, the list is
-/// ascending with no duplicate, every itemset's (k-1)-prefix is in `prev`
-/// (C_{k-1}; ignored for k = 1) and every last item is in C_1 (for k = 1,
-/// `ck` is C_1 itself).
-Result<CandidateLevel> IndexCandidates(
-    size_t k, const std::vector<std::vector<ItemId>>& ck,
-    const CandidateLevel* prev);
+/// The per-key check of C_k's keys against `prev`, C_{k-1} (null for
+/// k = 1), and `last`, the key before (null for the first): the keys
+/// strictly ascend; for k = 1 the parent is 0, the empty itemset; for
+/// k >= 2 the parent is an id of C_{k-1} and the item is in C_1 and above
+/// the parent's last item. Returns the item's rank in C_1 (0 for k = 1),
+/// or InvalidArgument naming the key.
+Result<int32_t> CheckKey(const CandidateLevel* prev, const CandidateKey* last,
+                         CandidateKey key);
+
+/// Gives C_k, whose keys `keys` extend `prev` (C_{k-1}; null for k = 1,
+/// whose keys extend the empty itemset and are C_1 itself), its dense ids:
+/// a key's id is its position. InvalidArgument unless every key passes
+/// CheckKey.
+Result<CandidateLevel> IndexCandidates(size_t k,
+                                       const std::vector<CandidateKey>& keys,
+                                       const CandidateLevel* prev);
 
 /// The one pass of iteration k, the filter: appends to `out` (width 2) the
 /// rows of R'_k whose items are in `ck` ("simple table look-ups on
@@ -349,9 +398,9 @@ Result<CandidateLevel> IndexCandidates(
 /// R_{k-1}, with `r1`, so R_k comes out sorted on (trans_id, C_k id), which
 /// is (trans_id, item_1..item_k) order, without a sort. For k >= 3 a left
 /// row is (trans_id, C_{k-1} id) in `prev` (C_{k-1}; null for k <= 2), and
-/// its last item is read from `prev`; an id outside [0, |C_{k-1}|) is
-/// Corruption. For k = 2 a left row is an R_1 row, (trans_id, item), and
-/// its C_1 id is the item's rank. A left row's R'_k rows in C_k are found
+/// its last item is C_1's item of that id's last rank in `prev`; an id
+/// outside [0, |C_{k-1}|) is Corruption. For k = 2 a left row is an R_1
+/// row, (trans_id, item), and its C_1 id is the item's rank. A left row's R'_k rows in C_k are found
 /// by merging the transaction's C_1 items above its last item with the
 /// C_{k-1} itemset's children; nothing is hashed but `next`'s keys, when
 /// it is a hashed count. For k == 1 `left` scans R_1 itself and R'_2 pairs

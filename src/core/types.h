@@ -36,6 +36,21 @@ struct PatternCount {
   }
 };
 
+/// A k-itemset's key in SETM's candidate-id space: the itemset with id
+/// `parent` in the sorted C_{k-1} (for k = 1, 0: the empty itemset) plus
+/// `item`. Ids follow itemset order, so key order is itemset order.
+struct CandidateKey {
+  int32_t parent = 0;
+  ItemId item = 0;
+
+  bool operator<(const CandidateKey& o) const {
+    return parent != o.parent ? parent < o.parent : item < o.item;
+  }
+  bool operator==(const CandidateKey& o) const {
+    return parent == o.parent && item == o.item;
+  }
+};
+
 /// Serializes an itemset into a flat hash key.
 std::string ItemsetKey(const std::vector<ItemId>& items);
 

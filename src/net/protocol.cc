@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace setm::net {
@@ -239,7 +240,8 @@ Result<Command> ParseCommand(const std::string& line) {
   if (verb == "MERGE") {
     if (tokens.size() != 3 || Upper(tokens[1]) != "K") {
       return Status::InvalidArgument(
-          "usage: MERGE K <k> (then one itemset per line, terminated by .)");
+          "usage: MERGE K <k> (then one \"<parent id> <item>\" key per "
+          "line, terminated by .)");
     }
     cmd.verb = Verb::kMerge;
     SETM_RETURN_IF_ERROR(ParsePositive(tokens[2], "K", 64, &cmd.shard_k));
@@ -306,29 +308,32 @@ Result<Transaction> ParseAppendRow(const std::string& line) {
   return t;
 }
 
-Result<std::vector<ItemId>> ParseItemsetLine(const std::string& line) {
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) {
-    return Status::InvalidArgument("empty itemset line");
+Result<CandidateKey> ParseKeyLine(const std::string& line, int64_t* count) {
+  const std::vector<std::string> tokens = Tokenize(line);
+  const size_t fields = count == nullptr ? 2 : 3;
+  if (tokens.size() != fields) {
+    return Status::InvalidArgument(
+        std::string("want \"<parent id> <item>") +
+        (count == nullptr ? "\"" : " <count>\"") + ", not " +
+        std::to_string(tokens.size()) + " fields: " + line);
   }
-  std::vector<ItemId> items;
-  items.reserve(tokens.size());
-  for (const std::string& token : tokens) {
+  long long values[3];
+  for (size_t i = 0; i < fields; ++i) {
+    const long long low = i < 2 ? 0 : 1;
+    const long long high = i < 2 ? INT32_MAX : INT64_MAX;
     char* end = nullptr;
-    long long v = std::strtoll(token.c_str(), &end, 10);
-    if (end != token.c_str() + token.size() || v < 0 || v > INT32_MAX) {
+    errno = 0;
+    values[i] = std::strtoll(tokens[i].c_str(), &end, 10);
+    if (end != tokens[i].c_str() + tokens[i].size() || errno == ERANGE ||
+        values[i] < low || values[i] > high) {
       return Status::InvalidArgument(
-          "itemset token not a non-negative 32-bit integer: " + token);
-    }
-    items.push_back(static_cast<ItemId>(v));
-  }
-  for (size_t i = 1; i < items.size(); ++i) {
-    if (items[i] <= items[i - 1]) {
-      return Status::InvalidArgument(
-          "itemset items must be strictly ascending: " + line);
+          std::string(i < 2 ? "id or item" : "count") + " not in [" +
+          std::to_string(low) + ", " + std::to_string(high) + "]: " + line);
     }
   }
-  return items;
+  if (count != nullptr) *count = values[2];
+  return CandidateKey{static_cast<int32_t>(values[0]),
+                      static_cast<ItemId>(values[1])};
 }
 
 std::string FrameOk(const std::string& info, const std::string& payload) {

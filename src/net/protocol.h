@@ -26,25 +26,31 @@ namespace setm::net {
 ///   LCOUNT <table> K 1 [METHOD sortmerge|hash] [FILTER] [MAXK <k>]
 ///                             begins a shard run over <table>: builds the
 ///                             local R_1 and answers the full local item
-///                             counts ("<item> <count>" lines), iteration
+///                             counts ("0 <item> <count>" lines: each item
+///                             extends the empty itemset, id 0), iteration
 ///                             1 of the distributed count. METHOD sets the
 ///                             run's count budget: sortmerge counts within
 ///                             the server's sort budget, spilling sorted
 ///                             runs; hash counts unbounded. MAXK is the
 ///                             run's longest pattern: no pass counts a
 ///                             longer level
-///   MERGE K <k>               then one surviving global itemset per line
-///                             ("<item_1> ... <item_k>", ascending),
+///   MERGE K <k>               then the key of one surviving global
+///                             candidate per line ("<parent id> <item>":
+///                             C_{k-1}'s itemset of that id, 0 the empty
+///                             one for k == 1, extended by the item),
 ///                             terminated by "."; the one pass of
 ///                             iteration k: filters the local join down to
 ///                             R_k (for k == 1, R_1 itself, rewritten only
 ///                             under FILTER) and answers the local counts
-///                             of R'_{k+1} ("<item_1> ... <item_{k+1}>
-///                             <count>" lines) counted in the same pass.
-///                             The itemsets must come in ascending order,
-///                             each extending a C_{k-1} itemset of the
-///                             run by a C_1 item; otherwise the answer is
-///                             ERR InvalidArgument and the run ends
+///                             of R'_{k+1} ("<C_k id> <item> <count>"
+///                             lines) counted in the same pass. A C_k id
+///                             is the key's position in the MERGE. The
+///                             keys must be strictly ascending, each
+///                             parent an id of the run's C_{k-1} and each
+///                             item in C_1 and above the parent's last
+///                             item; otherwise the answer is ERR
+///                             InvalidArgument and the run ends. Count
+///                             lines come in strictly ascending key order
 ///   RELEASE                   ends the connection's shard run and frees
 ///                             its R_1 and R_k at once, instead of at the
 ///                             next LCOUNT or the disconnect; answers
@@ -109,11 +115,13 @@ Result<Command> ParseCommand(const std::string& line);
 /// sorted and deduplicated; ids and items must be non-negative integers.
 Result<Transaction> ParseAppendRow(const std::string& line);
 
-/// Parses one MERGE data line: "<item_1> [<item_2> ...]" — one surviving
-/// global itemset. Items must be non-negative integers in strictly
-/// ascending order (the coordinator broadcasts canonical sorted itemsets;
-/// anything else is a protocol violation, not data to be repaired).
-Result<std::vector<ItemId>> ParseItemsetLine(const std::string& line);
+/// Parses one MERGE data line, "<parent id> <item>": the key of one
+/// surviving global candidate, both in [0, INT32_MAX]. With `count`, parses
+/// an LCOUNT/MERGE reply line, "<parent id> <item> <count>", whose count is
+/// in [1, INT64_MAX]. Whether the keys ascend and name candidates of the
+/// run is the receiver's check (IndexCandidates).
+Result<CandidateKey> ParseKeyLine(const std::string& line,
+                                  int64_t* count = nullptr);
 
 /// Frames a success response: "OK <info>\n" + dot-stuffed payload + ".\n".
 /// `payload` may be empty or multi-line (trailing newline optional).

@@ -102,8 +102,8 @@ struct MiningServer::Session {
     kCommand,      ///< expecting a request line
     kAppend,       ///< collecting APPEND rows until "."
     kAppendDrain,  ///< refused or bad row: swallow rows until ".", then ERR
-    kMerge,        ///< collecting MERGE itemsets until "."
-    kMergeDrain,   ///< refused or bad itemset: swallow until ".", then ERR
+    kMerge,        ///< collecting MERGE keys until "."
+    kMergeDrain,   ///< refused or bad key: swallow until ".", then ERR
     kClosing,      ///< QUIT/shutdown: flush, then close; input ignored
   };
 
@@ -131,7 +131,7 @@ struct MiningServer::Session {
   std::shared_ptr<shard::LocalShardBackend> shard_run;
   /// MERGE collection state.
   Command merge_cmd;
-  std::vector<std::vector<ItemId>> merge_keys;
+  std::vector<CandidateKey> merge_keys;
   Status merge_error;
   WallTimer activity;
 };
@@ -154,7 +154,7 @@ struct MiningServer::Job {
   /// LCOUNT (installed into the session on success), the session's current
   /// run for MERGE.
   std::shared_ptr<shard::LocalShardBackend> shard_backend;
-  std::vector<std::vector<ItemId>> merge_keys;            ///< MERGE input
+  std::vector<CandidateKey> merge_keys;                   ///< MERGE input
 
   // Worker-filled results.
   std::string response;  ///< fully framed (OK payload or ERR line)
@@ -199,23 +199,20 @@ class JobObserver : public MiningObserver {
   const ServerOptions* options_;
 };
 
-/// A shard reply's counts as "<item_1> ... <item_k> <count>" lines, sorted
-/// by itemset. Replies carry no timings, so responses to the same question
-/// are byte-identical.
-std::string RenderCounts(std::vector<PatternCount> counts) {
-  std::sort(counts.begin(), counts.end(),
-            [](const PatternCount& a, const PatternCount& b) {
-              return a.items < b.items;
-            });
+/// A shard reply's counts, (parent id, item, count) rows in key order, as
+/// "<parent id> <item> <count>" lines, one per key: the count's own merge
+/// sums the rows of a count above INT32_MAX back. Replies carry no
+/// timings, so responses to the same question are byte-identical.
+std::string RenderCounts(const std::vector<int32_t>& rows) {
   std::string payload;
-  for (const PatternCount& pattern : counts) {
-    for (ItemId item : pattern.items) {
-      payload += std::to_string(item);
-      payload += ' ';
-    }
-    payload += std::to_string(pattern.count);
-    payload += '\n';
-  }
+  std::vector<std::unique_ptr<IntRowCursor>> reply;
+  reply.push_back(std::make_unique<IntArrayCursor>(&rows, 3));
+  // An array cursor never fails, and neither does the line append.
+  (void)SumByKey(2, std::move(reply), [&](const ItemId* key, int64_t count) {
+    payload += std::to_string(key[0]) + ' ' + std::to_string(key[1]) + ' ' +
+               std::to_string(count) + '\n';
+    return Status::OK();
+  });
   return payload;
 }
 
@@ -606,7 +603,7 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
     session->merge_cmd = cmd;
     session->merge_keys.clear();
     session->merge_error = Status::OK();
-    return;  // itemsets follow; the response comes after "."
+    return;  // keys follow; the response comes after "."
   }
   if (cmd.verb == Verb::kLcount) {
     auto job = std::make_shared<Job>();
@@ -710,29 +707,30 @@ void MiningServer::HandleMergeData(Session* session,
   }
   if (session->state == Session::State::kMergeDrain) return;
 
+  Status refused;
   if (session->merge_keys.size() >= options_.max_append_rows) {
-    session->state = Session::State::kMergeDrain;
-    session->merge_error = Status::ResourceExhausted(
+    refused = Status::ResourceExhausted(
         "MERGE batch exceeds " + std::to_string(options_.max_append_rows) +
-        " itemsets");
-    return;
-  }
-  auto itemset_or = ParseItemsetLine(line);
-  if (itemset_or.ok() &&
-      itemset_or.value().size() != session->merge_cmd.shard_k) {
-    itemset_or = Status::InvalidArgument(
-        "MERGE K " + std::to_string(session->merge_cmd.shard_k) +
-        " itemset has " + std::to_string(itemset_or.value().size()) +
-        " items: " + line);
-  }
-  if (!itemset_or.ok()) {
+        " keys");
+  } else {
+    auto key_or = ParseKeyLine(line);
+    if (key_or.ok()) {
+      session->merge_keys.push_back(key_or.value());
+      return;
+    }
     stats_.parse_errors.fetch_add(1);
     Srv().parse_errors_total->Increment();
-    session->state = Session::State::kMergeDrain;
-    session->merge_error = itemset_or.status();
-    return;
+    refused = key_or.status();
   }
-  session->merge_keys.push_back(std::move(itemset_or).value());
+  // A refused key line ends the run, as a refused C_k does. No job is in
+  // flight while the keys are collected, so nothing else touches the run.
+  session->state = Session::State::kMergeDrain;
+  session->merge_error = std::move(refused);
+  session->merge_keys.clear();
+  if (session->shard_run != nullptr) {
+    (void)session->shard_run->EndRun();
+    session->shard_run.reset();
+  }
 }
 
 void MiningServer::DispatchJob(Session* session, std::shared_ptr<Job> job) {
@@ -932,7 +930,7 @@ Status MiningServer::ExecuteLcountJob(Job* job) {
                 static_cast<unsigned long long>(reply.r_prime_rows),
                 static_cast<unsigned long long>(reply.r_bytes),
                 static_cast<unsigned long long>(reply.r_pages));
-  job->response = FrameOk(info, RenderCounts(std::move(reply.counts)));
+  job->response = FrameOk(info, RenderCounts(reply.counts));
   job->shard_install = true;
   return Status::OK();
 }
@@ -950,7 +948,7 @@ Status MiningServer::ExecuteMergeJob(Job* job) {
                 static_cast<unsigned long long>(reply.r_bytes),
                 static_cast<unsigned long long>(reply.r_pages),
                 static_cast<unsigned long long>(reply.r_prime_rows));
-  job->response = FrameOk(info, RenderCounts(std::move(reply.counts)));
+  job->response = FrameOk(info, RenderCounts(reply.counts));
   return Status::OK();
 }
 

@@ -1,11 +1,12 @@
 #include "shard/coordinator.h"
 
-#include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/timer.h"
-#include "core/itemset_counts.h"
+#include "core/setm_pipeline.h"
 #include "exec/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -39,7 +40,8 @@ ShardMetrics* Metrics() {
         "included");
     m->entries = registry->GetCounter(
         "setm_count_entries_total",
-        "(itemset, count) entries shards handed to the coordinator's merge");
+        "(parent id, item) count keys shards handed to the coordinator's "
+        "merge");
     return m;
   }();
   return metrics;
@@ -71,7 +73,7 @@ struct ShardState {
 /// One shard call per shard, in parallel: CountFirstIteration when `ck` is
 /// null, else ApplyGlobalCk(k, *ck), the broadcast of the surviving C_k.
 Status CallShards(WorkerPool* pool, std::vector<ShardState>* states,
-                  size_t k, const std::vector<std::vector<ItemId>>* ck) {
+                  size_t k, const std::vector<CandidateKey>* ck) {
   TaskGroup group(pool);
   for (ShardState& s : *states) {
     ShardState* state = &s;
@@ -93,63 +95,85 @@ Status CallShards(WorkerPool* pool, std::vector<ShardState>* states,
   return group.Wait();
 }
 
-/// Sums every shard's partial counts of k-itemsets and applies the global
-/// minsupport. Survivors land in `itemsets` and (in canonical sorted order,
-/// so remote broadcast payloads are deterministic) in `ck`. A count of the
-/// wrong arity (a remote shard's bug) is Corruption, not a silent miss.
-/// So is, for k = 2, a pair with an item outside C_1 (`*ck` on entry): a
-/// shard counts R'_2 over C_1's items only, since the shards count no
-/// larger itemset of an item outside C_1. `*entries` is the number of
-/// entries the shards handed over.
-Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
-                   uint64_t* c_size, uint64_t* entries,
-                   FrequentItemsets* itemsets,
-                   std::vector<std::vector<ItemId>>* ck) {
-  ItemsetCounts merged(k);
-  *entries = 0;
-  // A shard ships only pairs of C_1's items (`*ck` holds C_1 at k == 2).
-  std::vector<ItemId> c1;
-  if (k == 2) {
-    for (const std::vector<ItemId>& itemset : *ck) c1.push_back(itemset[0]);
-  }
-  const auto in_c1 = [&c1](ItemId item) {
-    return std::binary_search(c1.begin(), c1.end(), item);
+/// Checks shard `s`'s (parent id, item, count) rows against `prev`,
+/// C_{k-1} (null for k = 1): each key passes IndexCandidates' per-key check
+/// (CheckKey), but for the consecutive rows of a count above INT32_MAX, and
+/// each count is positive, the reply's summing to at most its rprime and
+/// `*total`, every reply's so far, to at most INT64_MAX, so no merged sum
+/// overflows. Adds the keys to `*keys`. Else Corruption naming the shard.
+Status CheckReply(const ShardState& s, const CandidateLevel* prev,
+                  int64_t* total, uint64_t* keys) {
+  const auto refuse = [&](const std::string& why) {
+    return Status::Corruption("shard '" + s.backend->name() + "' reported " +
+                              why);
   };
-  for (ShardState& s : *states) {
-    *entries += s.reply.counts.size();
-    for (const PatternCount& pc : s.reply.counts) {
-      if (pc.items.size() != k || pc.count <= 0) {
-        return Status::Corruption(
-            "shard '" + s.backend->name() + "' reported a count of " +
-            std::to_string(pc.count) + " for a " +
-            std::to_string(pc.items.size()) + "-itemset at iteration " +
-            std::to_string(k));
-      }
-      if (k == 2 && !(in_c1(pc.items[0]) && in_c1(pc.items[1]))) {
-        return Status::Corruption(
-            "shard '" + s.backend->name() + "' reported the pair {" +
-            std::to_string(pc.items[0]) + " " + std::to_string(pc.items[1]) +
-            "}, which has an item outside C_1");
-      }
-      merged.Add(pc.items.data(), pc.count);
+  const std::vector<int32_t>& rows = s.reply.counts;
+  if (rows.size() % 3 != 0) return refuse("a partial count row");
+  std::optional<CandidateKey> last;
+  uint64_t counted = 0;
+  for (size_t at = 0; at < rows.size(); at += 3) {
+    const int32_t* row = rows.data() + at;
+    const CandidateKey key{row[0], row[1]};
+    if (!(last == key && row[-1] == INT32_MAX)) {  // not a split count
+      auto rank = CheckKey(prev, last ? &*last : nullptr, key);
+      if (!rank.ok()) return refuse(rank.status().message());
+      ++*keys;
+      last = key;
     }
-    s.reply.counts.clear();
-    s.reply.counts.shrink_to_fit();
+    if (row[2] < 1 ||
+        (counted += static_cast<uint64_t>(row[2])) > s.reply.r_prime_rows ||
+        *total > INT64_MAX - row[2]) {
+      return refuse("a count of " + std::to_string(row[2]) + " for key (" +
+                    std::to_string(key.parent) + ", " +
+                    std::to_string(key.item) + ") past rprime=" +
+                    std::to_string(s.reply.r_prime_rows) + " or INT64_MAX");
+    }
+    *total += row[2];
+  }
+  return Status::OK();
+}
+
+/// Sums every shard's partial counts of k-itemsets, keyed by (C_{k-1} id,
+/// item), and applies the global minsupport. `*level` is C_{k-1}'s level
+/// on entry (ignored for k = 1), against which each reply is checked, and
+/// C_k's on return. The checked replies are summed in the count's own
+/// k-way merge (SumByKey), so the survivors come out in key order: they
+/// are C_k's keys, `*ck`, the next broadcast as it is. Each is spelled out
+/// for `itemsets` as its parent's itemset, C_{k-1} being added to it in id
+/// order, plus its item. `*entries` counts the keys the shards handed over.
+Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
+                   CandidateLevel* level, uint64_t* c_size, uint64_t* entries,
+                   FrequentItemsets* itemsets, std::vector<CandidateKey>* ck) {
+  const CandidateLevel* prev = k == 1 ? nullptr : level;
+  *entries = 0;
+  int64_t total = 0;
+  std::vector<std::unique_ptr<IntRowCursor>> replies;
+  for (ShardState& s : *states) {
+    SETM_RETURN_IF_ERROR(CheckReply(s, prev, &total, entries));
+    replies.push_back(
+        std::make_unique<IntArrayCursor>(std::move(s.reply.counts), 3));
   }
   Metrics()->entries->Increment(*entries);
   ck->clear();
-  merged.ForEach([&](const ItemId* items, int64_t count) {
-    if (count < minsup) return;
-    ck->emplace_back(items, items + k);
-    itemsets->Add(ck->back(), count);
-    ++*c_size;
-  });
-  std::sort(ck->begin(), ck->end());
+  SETM_RETURN_IF_ERROR(SumByKey(
+      2, std::move(replies), [&](const ItemId* key, int64_t count) -> Status {
+        if (count < minsup) return Status::OK();
+        ck->push_back(CandidateKey{key[0], key[1]});
+        std::vector<ItemId> items;
+        if (k >= 2) items = itemsets->OfSize(k - 1)[key[0]].items;
+        items.push_back(key[1]);
+        itemsets->Add(std::move(items), count);
+        ++*c_size;
+        return Status::OK();
+      }));
+  auto level_or = IndexCandidates(k, *ck, prev);
+  if (!level_or.ok()) return level_or.status();
+  *level = std::move(level_or).value();
   return Status::OK();
 }
 
 /// Attaches one completed iteration span with nested per-shard children.
-/// `entries` is the count entries the shards handed over for C_k.
+/// `entries` is the count keys the shards handed over for C_k.
 void RecordIterationTrace(obs::TraceSpan* trace, const IterationStats& stats,
                           uint64_t entries,
                           const std::vector<ShardState>& states) {
@@ -232,7 +256,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
   // --- Iteration 1: R_1 slices and the global C_1. ------------------------
   int64_t minsup = 0;
   IterationStats stats;
-  std::vector<std::vector<ItemId>> ck;  // the global C_k, sorted
+  std::vector<CandidateKey> ck;  // the global C_k's keys, in key order
+  CandidateLevel level;          // C_k's ids: the next merge's parents
   {
     WallTimer iter_timer;
     Status s = CallShards(coord.pool, &states, 1, nullptr);
@@ -253,7 +278,7 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
       stats.r_bytes += st.reply.r_bytes;
       stats.r_pages += st.reply.r_pages;
     }
-    s = MergeCounts(&states, 1, minsup, &stats.c_size, &entries,
+    s = MergeCounts(&states, 1, minsup, &level, &stats.c_size, &entries,
                     &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
     stats.seconds = iter_timer.ElapsedSeconds();
@@ -297,7 +322,7 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     for (const ShardState& st : states) {
       stats.r_prime_rows += st.reply.r_prime_rows;
     }
-    s = MergeCounts(&states, k + 1, minsup, &stats.c_size, &entries,
+    s = MergeCounts(&states, k + 1, minsup, &level, &stats.c_size, &entries,
                     &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
   }

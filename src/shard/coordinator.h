@@ -37,13 +37,15 @@ struct CoordinatorOptions {
 ///   count    every shard builds its R_1 slice and counts its items with
 ///            min_count = 1 (a sole shard, whose counts are global, prunes
 ///            at minsupport from k = 2 on);
-///   merge    the coordinator sums partial counts of k-itemsets and
-///            applies the global minsupport — resolved from the summed
-///            per-shard transaction counts, exact because transactions
-///            never span shards;
-///   pass     the surviving C_k is broadcast, and in one call every shard
-///            filters its slice of the join down to R_k and returns its
-///            local counts of R'_{k+1}, which the next merge sums.
+///   merge    the coordinator sums the shards' counts, sorted on their
+///            (C_{k-1} id, item) keys, in one k-way merge and applies the
+///            global minsupport — resolved from the summed per-shard
+///            transaction counts, exact because transactions never span
+///            shards;
+///   pass     the surviving C_k's keys are broadcast, and in one call every
+///            shard filters its slice of the join down to R_k and returns
+///            its local counts of R'_{k+1}, which the next merge sums.
+///            Only the merge spells itemsets out, for the result.
 ///
 /// This is the one SETM iteration loop: SetmMiner runs every mine through
 /// it (one in-process shard when serial, one per thread when threaded).

@@ -57,9 +57,8 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
 }
 
 std::unique_ptr<ExtensionCount> LocalShardBackend::NewCount(
-    const ExtensionSpace* space) const {
-  if (run_.max_pattern_length != 0 &&
-      space->width + 1 > run_.max_pattern_length) {
+    const ExtensionSpace* space, size_t k) const {
+  if (run_.max_pattern_length != 0 && k > run_.max_pattern_length) {
     return nullptr;
   }
   // Within the sort budget under kSortMerge, without one under kHash.
@@ -92,7 +91,7 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
       ExtensionSpace::Singletons(ItemRanks::Distinct(
           slice, [](const ShardRow& row) { return row.item; }));
   const ItemRanks& distinct = singletons.alphabet;
-  std::unique_ptr<ExtensionCount> counts = NewCount(&singletons);
+  std::unique_ptr<ExtensionCount> counts = NewCount(&singletons, 1);
   ShardReply out;
   std::vector<int32_t> ranks;  // the current transaction's items'
   for (size_t begin = 0; begin < slice.size();) {
@@ -123,7 +122,7 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
 }
 
 Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
-    size_t k, const std::vector<std::vector<ItemId>>& ck) {
+    size_t k, const std::vector<CandidateKey>& ck) {
   if (!running_) {
     return Status::Internal("ApplyGlobalCk before BeginRun on shard " + name_);
   }
@@ -143,7 +142,7 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   CandidateLevel level = std::move(level_or).value();
   // The one pass of the iteration: the join (R_1 itself for k == 1), the
   // C_k filter, R_k appended and R'_{k+1} counted by (C_k id, C_1 rank).
-  std::unique_ptr<ExtensionCount> next = NewCount(&level.space);
+  std::unique_ptr<ExtensionCount> next = NewCount(&level.space, k + 1);
   // Pass 1 rewrites R_1 only under filter_r1; otherwise R_1 stays whole.
   // R_k (k >= 2) is (trans_id, C_k id), width 2 like R_1.
   std::unique_ptr<IntRelation> rk;
@@ -198,8 +197,8 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
       return finish;
     }
   }
-  // The count of R'_{k+1} reads its keys' itemsets from C_k's level: it is
-  // done before the level moves.
+  // The count of R'_{k+1} reads its key space from C_k's level: it is done
+  // before the level moves.
   next.reset();
   level_ = std::move(level);
   next_k_ = k + 1;

@@ -40,21 +40,23 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// candidate-id space (core/setm_pipeline.h):
 ///   - CountFirstIteration builds R_1 from the slice and counts C_1's
 ///     items, keyed by their ranks among the slice's distinct items.
-///   - ApplyGlobalCk(k) checks the global C_k and gives it dense ids in
-///     itemset order (IndexCandidates), then runs FilterByCk: the
-///     merge-scan join of R_{k-1} with R_1, each R_{k-1} row's C_{k-1} id
-///     read from the row itself (an R_1 row's item ranked in C_1 for
-///     k = 2), C_k membership by a sorted merge with that itemset's
-///     children, R_k appended as (trans_id, C_k id) in join order (already
-///     its sorted order), and each kept row's extensions counted by (C_k
-///     id, C_1 rank) into the ExtensionCount of R'_{k+1}, finished before
-///     it returns.
+///   - ApplyGlobalCk(k) checks the global C_k's (parent id, item) keys and
+///     gives them dense ids in itemset order (IndexCandidates), then runs
+///     FilterByCk: the merge-scan join of R_{k-1} with R_1, each R_{k-1}
+///     row's C_{k-1} id read from the row itself (an R_1 row's item ranked
+///     in C_1 for k = 2), C_k membership by a sorted merge with that
+///     itemset's children, R_k appended as (trans_id, C_k id) in join
+///     order (already its sorted order), and each kept row's extensions
+///     counted by (C_k id, C_1 rank) into the ExtensionCount of R'_{k+1},
+///     finished before it returns.
 ///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of
 ///     each transaction, as a triangle over C_1's ranks; under filter_r1
 ///     the same scan rewrites R_1 without the items outside C_1. The level
 ///     is kept as the next call's C_{k-1}. No count outlives the call that
 ///     starts it: between calls a shard holds its relations and C_{k-1},
 ///     never a partial count.
+/// Every count is handed over as (parent id, item, count) rows in key
+/// order, the exchange's one format: no itemset is spelled out here.
 /// A count is a dense array when its counters fit the sort budget, and
 /// otherwise a hashed table within the sort budget under kSortMerge and
 /// unbounded under kHash. No count is started past the run's
@@ -101,14 +103,14 @@ class LocalShardBackend : public ShardBackend {
   void SetCountFloor(int64_t floor) override { count_floor_ = floor; }
   Result<ShardReply> CountFirstIteration() override;
   Result<ShardReply> ApplyGlobalCk(
-      size_t k, const std::vector<std::vector<ItemId>>& ck) override;
+      size_t k, const std::vector<CandidateKey>& ck) override;
   Status EndRun() override;
   Result<ShardHealth> Health() override;
 
  private:
-  /// A count over `space`, of (width + 1)-itemsets (null past
-  /// max_pattern_length).
-  std::unique_ptr<ExtensionCount> NewCount(const ExtensionSpace* space) const;
+  /// A count of `k`-itemsets over `space` (null past max_pattern_length).
+  std::unique_ptr<ExtensionCount> NewCount(const ExtensionSpace* space,
+                                           size_t k) const;
 
   Database* db_;
   std::string name_;

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "core/setm_pipeline.h"
+#include "net/protocol.h"
+
 namespace setm::shard {
 
 namespace {
@@ -40,8 +43,13 @@ Status StatusFromError(const net::ClientResponse& response) {
 }
 
 /// A shard's trans_ids are distinct int32 values, so it cannot hold more
-/// transactions than this, and no itemset count can exceed its transactions.
+/// transactions than this.
 constexpr uint64_t kMaxShardTransactions = uint64_t{1} << 32;
+
+/// A reply's counts sum to at most its rprime and take a row per INT32_MAX
+/// (AppendEntry), so this bound on rprime keeps a reply within one row per
+/// line plus 2^21. No pass counts 2^52 rows: 52 days at 10^9 rows a second.
+constexpr uint64_t kMaxCountedRows = uint64_t{1} << 52;
 
 /// Pulls "<key>=<uint>" out of an info line. A missing field, a value that
 /// does not start with a digit (so no sign) and one beyond uint64 are
@@ -72,62 +80,40 @@ Status InfoField(const std::string& info, const std::string& key,
   return Status::OK();
 }
 
-/// Parses one "<item_1> ... <item_k> <count>" payload line. Items must be
-/// sorted and in [0, INT32_MAX], and the count in [1, max_count].
-Result<PatternCount> ParseCountLine(const std::string& line, size_t k,
-                                    uint64_t max_count) {
-  PatternCount pattern;
-  const char* p = line.c_str();
-  char* end = nullptr;
-  std::vector<long long> values;
-  while (true) {
-    while (*p == ' ' || *p == '\t') ++p;
-    if (*p == '\0') break;
-    errno = 0;
-    const long long value = std::strtoll(p, &end, 10);
-    if (end == p || errno == ERANGE) {
-      return Status::Corruption("bad shard count line: " + line);
-    }
-    values.push_back(value);
-    p = end;
+/// Reads a reply's rprime, the rows it counted, into `out` and its payload
+/// of "<parent id> <item> <count>" lines into (parent id, item, count)
+/// rows. The keys must be strictly ascending and the counts sum to at most
+/// rprime. Whether each key names a candidate is the coordinator's check.
+Status ParseCounts(const net::ClientResponse& response, ShardReply* out) {
+  SETM_RETURN_IF_ERROR(InfoField(response.info, "rprime", &out->r_prime_rows));
+  const uint64_t rprime = out->r_prime_rows;
+  if (rprime > kMaxCountedRows) {
+    return Status::Corruption("shard reported rprime=" +
+                              std::to_string(rprime) + ", more than 2^52");
   }
-  if (values.size() != k + 1) {
-    return Status::Corruption("shard count line has " +
-                              std::to_string(values.size()) +
-                              " fields, want " + std::to_string(k + 1) +
-                              ": " + line);
-  }
-  pattern.items.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    if (values[i] < 0 || values[i] > INT32_MAX ||
-        (i > 0 && values[i] <= values[i - 1])) {
-      return Status::Corruption("shard count line is not a sorted itemset: " +
-                                line);
-    }
-    pattern.items.push_back(static_cast<ItemId>(values[i]));
-  }
-  if (values[k] < 1 || static_cast<uint64_t>(values[k]) > max_count) {
-    return Status::Corruption("shard count line has a count outside [1, " +
-                              std::to_string(max_count) +
-                              "], the shard's transactions: " + line);
-  }
-  pattern.count = values[k];
-  return pattern;
-}
-
-/// Parses a reply payload of "<item_1> ... <item_k> <count>" lines.
-Status ParseCounts(const std::string& payload, size_t k, uint64_t max_count,
-                   std::vector<PatternCount>* counts) {
+  uint64_t counted = 0;
   size_t pos = 0;
-  while (pos < payload.size()) {
-    const size_t nl = payload.find('\n', pos);
-    const std::string line = payload.substr(
+  while (pos < response.payload.size()) {
+    const size_t nl = response.payload.find('\n', pos);
+    const std::string line = response.payload.substr(
         pos, nl == std::string::npos ? std::string::npos : nl - pos);
-    pos = nl == std::string::npos ? payload.size() : nl + 1;
+    pos = nl == std::string::npos ? response.payload.size() : nl + 1;
     if (line.empty()) continue;
-    auto pattern_or = ParseCountLine(line, k, max_count);
-    if (!pattern_or.ok()) return pattern_or.status();
-    counts->push_back(std::move(pattern_or).value());
+    int64_t count = 0;
+    auto key = net::ParseKeyLine(line, &count);
+    if (!key.ok()) return Status::Corruption(key.status().message());
+    const std::vector<int32_t>& rows = out->counts;
+    if (!rows.empty() && !(CandidateKey{rows[rows.size() - 3],
+                                        rows[rows.size() - 2]} < key.value())) {
+      return Status::Corruption("shard count keys do not ascend at: " + line);
+    }
+    if (static_cast<uint64_t>(count) > rprime - counted) {
+      return Status::Corruption("shard counts sum past rprime=" +
+                                std::to_string(rprime) + " at: " + line);
+    }
+    counted += static_cast<uint64_t>(count);
+    const ItemId entry[2] = {key.value().parent, key.value().item};
+    AppendEntry(entry, 2, count, &out->counts);
   }
   return Status::OK();
 }
@@ -191,7 +177,6 @@ Result<ShardReply> RemoteShardBackend::CountFirstIteration() {
   ShardReply out;
   SETM_RETURN_IF_ERROR(
       InfoField(response.info, "transactions", &out.transactions));
-  SETM_RETURN_IF_ERROR(InfoField(response.info, "rprime", &out.r_prime_rows));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "rbytes", &out.r_bytes));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "rpages", &out.r_pages));
   if (out.transactions > kMaxShardTransactions) {
@@ -199,28 +184,26 @@ Result<ShardReply> RemoteShardBackend::CountFirstIteration() {
         "shard reported " + std::to_string(out.transactions) +
         " transactions, more than the 2^32 distinct int32 trans_ids");
   }
+  SETM_RETURN_IF_ERROR(ParseCounts(response, &out));
   out.r_rows = out.r_prime_rows;  // R_1 is the slice it counted
   last_transactions_ = out.transactions;
   last_rows_ = out.r_rows;
   last_bytes_ = out.r_bytes;
-  SETM_RETURN_IF_ERROR(
-      ParseCounts(response.payload, 1, last_transactions_, &out.counts));
   return out;
 }
 
 Result<ShardReply> RemoteShardBackend::ApplyGlobalCk(
-    size_t k, const std::vector<std::vector<ItemId>>& ck) {
+    size_t k, const std::vector<CandidateKey>& ck) {
   // The whole exchange is one Exec: the command line, every surviving
-  // itemset and the "." terminator ride in a single send (the protocol is
+  // key and the "." terminator ride in a single send (the protocol is
   // line-oriented, not packet-oriented), so a large C_k does not become
   // thousands of TCP_NODELAY-sized packets.
   std::string command = "MERGE K " + std::to_string(k);
-  for (const std::vector<ItemId>& items : ck) {
+  for (const CandidateKey& key : ck) {
     command += '\n';
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (i > 0) command += ' ';
-      command += std::to_string(items[i]);
-    }
+    command += std::to_string(key.parent);
+    command += ' ';
+    command += std::to_string(key.item);
   }
   command += "\n.";
   auto response_or = Exec(command);
@@ -232,9 +215,7 @@ Result<ShardReply> RemoteShardBackend::ApplyGlobalCk(
   SETM_RETURN_IF_ERROR(InfoField(response.info, "rows", &out.r_rows));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "bytes", &out.r_bytes));
   SETM_RETURN_IF_ERROR(InfoField(response.info, "pages", &out.r_pages));
-  SETM_RETURN_IF_ERROR(InfoField(response.info, "rprime", &out.r_prime_rows));
-  SETM_RETURN_IF_ERROR(
-      ParseCounts(response.payload, k + 1, last_transactions_, &out.counts));
+  SETM_RETURN_IF_ERROR(ParseCounts(response, &out));
   return out;
 }
 

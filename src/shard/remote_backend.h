@@ -37,7 +37,7 @@ class RemoteShardBackend : public ShardBackend {
   Status BeginRun(const ShardRunOptions& options) override;
   Result<ShardReply> CountFirstIteration() override;
   Result<ShardReply> ApplyGlobalCk(
-      size_t k, const std::vector<std::vector<ItemId>>& ck) override;
+      size_t k, const std::vector<CandidateKey>& ck) override;
   Status EndRun() override;
   Result<ShardHealth> Health() override;
 
@@ -57,8 +57,7 @@ class RemoteShardBackend : public ShardBackend {
   /// An LCOUNT reached the server and no RELEASE followed yet.
   bool run_open_ = false;
   /// Occupancy from the last LCOUNT, reported by Health (a PING
-  /// answers liveness; the protocol has no occupancy probe). The run's
-  /// transactions also bound every count the shard reports in that run.
+  /// answers liveness; the protocol has no occupancy probe).
   uint64_t last_transactions_ = 0;
   uint64_t last_rows_ = 0;
   uint64_t last_bytes_ = 0;

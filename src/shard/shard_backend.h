@@ -40,10 +40,14 @@ struct ShardReply {
   /// Rows counted into `counts`: |R_1| for CountFirstIteration, |R'_{k+1}|
   /// for ApplyGlobalCk(k).
   uint64_t r_prime_rows = 0;
-  /// Local counts, one entry per distinct itemset this shard saw whose
-  /// count reached the floor: C_1's items for CountFirstIteration,
-  /// (k+1)-itemsets for ApplyGlobalCk(k).
-  std::vector<PatternCount> counts;
+  /// Local counts as (parent id, item, count) rows in strictly ascending
+  /// key order (CandidateKey), one key per itemset this shard saw whose
+  /// count reached the floor, and at most `r_prime_rows` in all: for
+  /// CountFirstIteration, C_1's items extending the empty itemset, id 0;
+  /// for ApplyGlobalCk(k), (k+1)-itemsets extending a C_k id of that call.
+  /// A count above INT32_MAX takes consecutive rows of its key, as in the
+  /// count's spilled runs (AppendEntry).
+  std::vector<int32_t> counts;
 };
 
 /// Per-shard health/occupancy, the dinomo-style membership view surfaced by
@@ -103,15 +107,16 @@ class ShardBackend {
 
   /// The one pass of iteration k: keeps the local rows whose pattern
   /// survived the global minsupport filter (`ck` lists the surviving
-  /// itemsets) as R_k and returns R_k's size with the local counts of
-  /// R'_{k+1}. For k == 1 R_1 is filtered only under filter_r1. `ck` must
-  /// be ascending without duplicates, each itemset's items ascending, its
-  /// (k-1)-prefix in the C_{k-1} of the previous call and its last item in
-  /// C_1, as the coordinator's merge makes it: a shard gives C_k ids by
-  /// position and trusts them, so anything else is InvalidArgument naming
-  /// the shard, before the pass changes any state.
+  /// itemsets' keys) as R_k and returns R_k's size with the local counts
+  /// of R'_{k+1}. For k == 1 R_1 is filtered only under filter_r1. `ck` is
+  /// C_k as the coordinator's merge emits it: (parent id, item) keys,
+  /// strictly ascending, each parent an id of the C_{k-1} of the previous
+  /// call (0, the empty itemset, for k == 1) and each item in C_1 and
+  /// above its parent's last item (IndexCandidates). A shard gives C_k ids
+  /// by position and trusts them, so anything else is InvalidArgument
+  /// naming the shard, before the pass changes any state.
   virtual Result<ShardReply> ApplyGlobalCk(
-      size_t k, const std::vector<std::vector<ItemId>>& ck) = 0;
+      size_t k, const std::vector<CandidateKey>& ck) = 0;
 
   /// Releases run state (scratch relations, remote session). Idempotent.
   virtual Status EndRun() = 0;

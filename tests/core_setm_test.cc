@@ -19,6 +19,7 @@
 #include "core/setm.h"
 #include "core/setm_pipeline.h"
 #include "datagen/quest_generator.h"
+#include "exec/external_sort.h"
 #include "obs/metrics.h"
 
 namespace setm {
@@ -742,26 +743,37 @@ TEST(BudgetedCountTest, FloorAppliesAfterTheCrossRunSum) {
   EXPECT_EQ(count.stats().rows, 3 * (per_run + 1) + 1);
 
   std::vector<PatternCount> out;
-  ASSERT_TRUE(count.Finish(/*min_count=*/4, &out).ok());
+  ASSERT_TRUE(count
+                  .Finish(/*min_count=*/4,
+                          [&out](const ItemId* key, int64_t total) {
+                            out.push_back(PatternCount{{key[0]}, total});
+                          })
+                  .ok());
   EXPECT_LE(count.stats().peak_bytes, budget);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].items, Items({7}));
   EXPECT_EQ(out[0].count, 4);
 }
 
+/// C_1's keys, each of `items` extending the empty itemset.
+std::vector<CandidateKey> C1Keys(const std::vector<ItemId>& items) {
+  std::vector<CandidateKey> keys;
+  for (ItemId item : items) keys.push_back(CandidateKey{0, item});
+  return keys;
+}
+
 // The count in candidate-id space, over the pairs of 200 items whose
 // 19,900 counters take 155 KiB: a dense array when the budget holds them,
 // else a hashed table of (id, rank) keys that spills within a 16 KiB
 // budget and never raises setm_mem_count_bytes past it. Both give every
-// pair that reaches the floor, translated back to items, in itemset order.
+// pair that reaches the floor as a (C_1 id, item, count) row, in key order.
 TEST(ExtensionCountTest, DenseAndSpilledCountsAgreeWithinTheBudget) {
   constexpr int32_t kItems = 200;
   std::vector<ItemId> items(kItems);
-  std::vector<std::vector<ItemId>> c1;
   for (int32_t rank = 0; rank < kItems; ++rank) {
     items[rank] = 1000 + 2 * rank;
-    c1.push_back({items[rank]});
   }
+  const std::vector<CandidateKey> c1 = C1Keys(items);
   // C_1's level is the key space of R'_2's count: each item extended by a
   // larger one.
   auto level = IndexCandidates(1, c1, nullptr);
@@ -769,11 +781,11 @@ TEST(ExtensionCountTest, DenseAndSpilledCountsAgreeWithinTheBudget) {
   const ExtensionSpace& space = level.value().space;
   std::vector<int32_t> ranks(kItems);
   std::iota(ranks.begin(), ranks.end(), 0);
-  // Pair (a, b) is counted a % 3 + 1 times.
-  std::vector<PatternCount> expected;
+  // Pair (a, b) is counted a % 3 + 1 times; a's C_1 id is its rank.
+  std::vector<int32_t> expected;
   for (int32_t a = 0; a < kItems; ++a) {
     for (int32_t b = a + 1; a % 3 >= 1 && b < kItems; ++b) {
-      expected.push_back(PatternCount{{items[a], items[b]}, a % 3 + 1});
+      expected.insert(expected.end(), {a, items[b], a % 3 + 1});
     }
   }
   obs::Gauge* peak =
@@ -798,7 +810,7 @@ TEST(ExtensionCountTest, DenseAndSpilledCountsAgreeWithinTheBudget) {
         added += kItems - a - 1;
       }
     }
-    std::vector<PatternCount> out;
+    std::vector<int32_t> out;
     ASSERT_TRUE(count.Finish(/*min_count=*/2, &out).ok());
     EXPECT_EQ(out, expected);
     const CountStats& stats = count.stats();
@@ -813,6 +825,76 @@ TEST(ExtensionCountTest, DenseAndSpilledCountsAgreeWithinTheBudget) {
       EXPECT_GE(stats.probes, added);
       EXPECT_GT(stats.spilled_runs, 0u);
       EXPECT_LT(stats.spilled_entries, added);
+    }
+  }
+}
+
+// Every count path hands its keys over in key order. The same random rows
+// under a dense budget, a hashed count that never spills (its counters
+// outgrow the sort budget, and the count has no budget) and a zero budget
+// that spills more than kMergeFanIn runs, so the merge cascades, give
+// identical, strictly ascending (parent id, item) rows, equal to a
+// brute-force map of the rows.
+TEST(ExtensionCountTest, EveryPathEmitsInKeyOrder) {
+  constexpr int32_t kItems = 100;  // 4,950 pairs: 39,600 bytes of counters
+  std::vector<ItemId> items(kItems);
+  for (int32_t rank = 0; rank < kItems; ++rank) items[rank] = 7 + 3 * rank;
+  auto level = IndexCandidates(1, C1Keys(items), nullptr);
+  ASSERT_TRUE(level.ok()) << level.status().ToString();
+  // Each row: a parent and a random ascending subset of the ranks above it.
+  Rng rng(20261019);
+  std::vector<std::pair<uint32_t, std::vector<int32_t>>> rows;
+  std::map<std::pair<int32_t, ItemId>, int64_t> brute;
+  for (int i = 0; i < 3000; ++i) {
+    const auto parent = static_cast<int32_t>(rng.Uniform(kItems - 1));
+    std::vector<int32_t> ranks;
+    for (int32_t rank = parent + 1; rank < kItems; ++rank) {
+      if (rng.Uniform(4) != 0) continue;
+      ranks.push_back(rank);
+      ++brute[{parent, items[rank]}];
+    }
+    rows.emplace_back(static_cast<uint32_t>(parent), std::move(ranks));
+  }
+  std::vector<int32_t> expected;
+  for (const auto& [key, count] : brute) {
+    expected.insert(expected.end(),
+                    {key.first, key.second, static_cast<int32_t>(count)});
+  }
+  struct Budget {
+    const char* name;
+    size_t sort_bytes;
+    size_t budget;
+  };
+  for (const Budget& b : {Budget{"dense", 1 << 20, 1 << 20},
+                          Budget{"hashed", 16 << 10, BudgetedCount::kUnbounded},
+                          Budget{"spilled", 16 << 10, 0}}) {
+    SCOPED_TRACE(b.name);
+    DatabaseOptions db_options;
+    db_options.sort_memory_bytes = b.sort_bytes;
+    Database db(db_options);
+    ExtensionCount count(ExecContext::From(&db), &level.value().space,
+                         b.budget);
+    for (const auto& [parent, ranks] : rows) {
+      ASSERT_TRUE(count
+                      .AddExtensions(parent, ranks.data(),
+                                     ranks.data() + ranks.size())
+                      .ok());
+    }
+    std::vector<int32_t> out;
+    ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+    EXPECT_EQ(out, expected);
+    for (size_t at = 3; at < out.size(); at += 3) {
+      ASSERT_TRUE((CandidateKey{out[at - 3], out[at - 2]} <
+                   CandidateKey{out[at], out[at + 1]}))
+          << "row " << at / 3;
+    }
+    const CountStats& stats = count.stats();
+    if (b.budget == 0) {
+      EXPECT_GT(stats.spilled_runs, kMergeFanIn);
+      EXPECT_GE(stats.merge_passes, 1u);
+    } else {
+      EXPECT_EQ(stats.spilled_runs, 0u);
+      EXPECT_EQ(stats.probes > 0, b.sort_bytes < (1 << 20));
     }
   }
 }
@@ -849,32 +931,29 @@ TEST(ItemsetCountsTest, FillsItsBudget) {
   EXPECT_EQ(ItemsetCounts::MaxEntriesWithin(8, SIZE_MAX), size_t{UINT32_MAX});
 }
 
-// Entries come back in insertion order from ForEach and in item order from
-// ForEachSorted, with their counts, across growth and Clear().
+// Entries come back in item order from ForEachSorted, with their counts,
+// across growth and Clear().
 TEST(ItemsetCountsTest, OrdersAndCountsAcrossGrowth) {
   ItemsetCounts table(2);
-  std::vector<std::vector<ItemId>> inserted;
   Rng rng(5);
   std::map<std::vector<ItemId>, int64_t> want;
   for (int i = 0; i < 5000; ++i) {
     std::vector<ItemId> items = {static_cast<ItemId>(rng.Uniform(100)),
                                  static_cast<ItemId>(rng.Uniform(100))};
-    if (want.count(items) == 0) inserted.push_back(items);
     want[items] += 1 + i % 3;
     table.Add(items.data(), 1 + i % 3);
   }
-  std::vector<std::vector<ItemId>> order;
-  table.ForEach([&](const ItemId* items, int64_t count) {
-    order.emplace_back(items, items + 2);
-    EXPECT_EQ(count, want[order.back()]);
-  });
-  EXPECT_EQ(order, inserted);
+  std::map<std::vector<ItemId>, int64_t> got;
   std::vector<std::vector<ItemId>> sorted;
-  table.ForEachSorted([&](const ItemId* items, int64_t) {
+  table.ForEachSorted([&](const ItemId* items, int64_t count) {
     sorted.emplace_back(items, items + 2);
+    got[sorted.back()] = count;
   });
-  std::sort(inserted.begin(), inserted.end());
-  EXPECT_EQ(sorted, inserted);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  EXPECT_EQ(sorted.size(), want.size());
+  std::vector<std::vector<ItemId>> inserted;
+  for (const auto& entry : want) inserted.push_back(entry.first);
 
   const size_t bytes = table.bytes();
   table.Clear();
@@ -1416,11 +1495,12 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
 // to index C_k. An id outside C_{k-1} is refused as Corruption naming the
 // relation and the id, after the rows before it were filtered as usual.
 TEST(SetmPipelineTest, FilterRefusesAnIdOutsideCkMinus1) {
-  auto c1 = IndexCandidates(1, {{1}, {2}, {3}}, nullptr);
+  // C_1 = {1}, {2}, {3}; C_2 = {1 2}, {1 3}, {2 3}; C_3 = {1 2 3}.
+  auto c1 = IndexCandidates(1, C1Keys({1, 2, 3}), nullptr);
   ASSERT_TRUE(c1.ok()) << c1.status().ToString();
-  auto c2 = IndexCandidates(2, {{1, 2}, {1, 3}, {2, 3}}, &c1.value());
+  auto c2 = IndexCandidates(2, {{0, 2}, {0, 3}, {1, 3}}, &c1.value());
   ASSERT_TRUE(c2.ok()) << c2.status().ToString();
-  auto c3 = IndexCandidates(3, {{1, 2, 3}}, &c2.value());
+  auto c3 = IndexCandidates(3, {{0, 3}}, &c2.value());
   ASSERT_TRUE(c3.ok()) << c3.status().ToString();
   for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
     for (int32_t id : {3, 1000, INT32_MAX, -1, INT32_MIN}) {

@@ -362,6 +362,15 @@ class SpillRunFormatTest : public testing::Test {
   ExecContext ctx_;
 };
 
+/// Finishes `count` with no floor into PatternCounts whose items are the
+/// keys, in the key order Finish() emits them.
+Status FinishInto(BudgetedCount* count, std::vector<PatternCount>* out) {
+  return count->Finish(/*min_count=*/1, [&](const ItemId* key, int64_t n) {
+    out->push_back(
+        PatternCount{std::vector<ItemId>(key, key + count->k()), n});
+  });
+}
+
 // The budgeted C_k count spills its (item_1, item_2, count) entries as
 // packed runs, merged in a cascade that writes each page once. All keys
 // are distinct, so a merged run holds the rows of the runs it merged.
@@ -390,7 +399,7 @@ TEST_F(SpillRunFormatTest, BudgetedCountRunsArePackedPages) {
   ASSERT_EQ(stats.spilled_entries, stats.spilled_runs * per_run);
 
   std::vector<PatternCount> out;
-  ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+  ASSERT_TRUE(FinishInto(&count, &out).ok());
   EXPECT_EQ(out, expected);
 
   uint64_t passes = 0;
@@ -420,7 +429,7 @@ TEST_F(SpillRunFormatTest, SixtyFourRunsAndTheRemainderMergeAtOnce) {
       expected.push_back(PatternCount{{key}, 1});
     }
     std::vector<PatternCount> out;
-    ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+    ASSERT_TRUE(FinishInto(&count, &out).ok());
     EXPECT_EQ(out, expected);
     const CountStats& stats = count.stats();
     EXPECT_EQ(stats.spilled_runs, runs);
@@ -456,7 +465,7 @@ TEST_F(SpillRunFormatTest, CascadeSumsKeysRepeatedAcrossRuns) {
   ASSERT_EQ(stats.spilled_entries, runs * per_run);
 
   std::vector<PatternCount> out;
-  ASSERT_TRUE(count.Finish(/*min_count=*/1, &out).ok());
+  ASSERT_TRUE(FinishInto(&count, &out).ok());
   std::vector<PatternCount> expected;
   for (ItemId key = 0; key < keys; ++key) {
     expected.push_back(PatternCount{{key}, kCycles});

@@ -227,27 +227,29 @@ TEST(ProtocolTest, RejectsMalformedShardLines) {
   }
 }
 
-TEST(ProtocolTest, ParsesItemsetLineStrictlyAscending) {
-  auto one_or = ParseItemsetLine("7");
-  ASSERT_TRUE(one_or.ok());
-  EXPECT_EQ(one_or.value(), (std::vector<ItemId>{7}));
-
-  auto three_or = ParseItemsetLine("1 3 12");
-  ASSERT_TRUE(three_or.ok());
-  EXPECT_EQ(three_or.value(), (std::vector<ItemId>{1, 3, 12}));
+TEST(ProtocolTest, ParsesMergeKeyLine) {
+  auto key_or = ParseKeyLine("3 12");
+  ASSERT_TRUE(key_or.ok()) << key_or.status().ToString();
+  EXPECT_EQ(key_or.value(), (CandidateKey{3, 12}));
+  auto max_or = ParseKeyLine(" 2147483647\t0 ");
+  ASSERT_TRUE(max_or.ok()) << max_or.status().ToString();
+  EXPECT_EQ(max_or.value(), (CandidateKey{INT32_MAX, 0}));
 
   const char* bad[] = {
-      "",         // empty
-      "x",        // not a number
-      "-1",       // negative item
-      "3 1",      // descending
-      "1 1",      // duplicate (itemsets are strictly ascending)
-      "1 2 x",    // trailing junk
+      "",              // empty
+      "7",             // one field
+      "1 2 3",         // three fields
+      "x 1",           // not a number
+      "1 2x",          // trailing junk
+      "-1 2",          // negative parent
+      "1 -2",          // negative item
+      "2147483648 1",  // parent beyond int32
+      "1 2147483648",  // item beyond int32
   };
   for (const char* line : bad) {
-    auto itemset_or = ParseItemsetLine(line);
-    EXPECT_FALSE(itemset_or.ok()) << "accepted: '" << line << "'";
-    EXPECT_EQ(itemset_or.status().code(), StatusCode::kInvalidArgument)
+    auto parsed_or = ParseKeyLine(line);
+    EXPECT_FALSE(parsed_or.ok()) << "accepted: '" << line << "'";
+    EXPECT_EQ(parsed_or.status().code(), StatusCode::kInvalidArgument)
         << line;
   }
 }
@@ -640,18 +642,15 @@ TEST(MiningServerTest, ShardSessionCountsAndFilters) {
   EXPECT_NE(begin.value().info.find("lcount k=1 transactions=10"),
             std::string::npos)
       << begin.value().info;
+  // Each item extends the empty itemset, id 0.
   EXPECT_EQ(begin.value().payload,
-            "0 6\n1 4\n2 4\n3 6\n4 4\n5 3\n6 2\n7 1\n");
+            "0 0 6\n0 1 4\n0 2 4\n0 3 6\n0 4 4\n0 5 3\n0 6 2\n0 7 1\n");
 
-  // A malformed batch (1-item lines for K 2) is drained and answered with
-  // ERR; the run survives.
-  auto bad_merge = client->Exec("MERGE K 2\n0\n.");
-  ASSERT_TRUE(bad_merge.ok());
-  EXPECT_FALSE(bad_merge.value().ok);
-  EXPECT_EQ(bad_merge.value().code, "InvalidArgument");
-
-  // Pass 1 keeps R_1 (no FILTER) and answers the local pair counts of R'_2.
-  auto pairs = client->Exec("MERGE K 1\n0\n1\n2\n3\n4\n5\n6\n.");
+  // Pass 1 keeps R_1 (no FILTER) and answers the local pair counts of R'_2,
+  // keyed by the first item's C_1 id: here C_1 is items 0..6, whose ids
+  // are the items themselves.
+  auto pairs =
+      client->Exec("MERGE K 1\n0 0\n0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n.");
   ASSERT_TRUE(pairs.ok());
   ASSERT_TRUE(pairs.value().ok) << pairs.value().info;
   EXPECT_NE(pairs.value().info.find("merge k=1 rows="), std::string::npos);
@@ -660,55 +659,78 @@ TEST(MiningServerTest, ShardSessionCountsAndFilters) {
   EXPECT_NE(pairs.value().payload.find("0 1 3\n"), std::string::npos)
       << pairs.value().payload;
 
-  // Pass 2: the whole global C_2 rides in one request, and the reply
-  // carries the triples of R'_3 counted off the filtered R_2.
+  // Pass 2: the whole global C_2, {0,1} and {3,4}, rides in one request,
+  // and the reply carries the triples of R'_3 counted off the filtered R_2,
+  // keyed by C_2 id: 0 is {0,1} and 1 is {3,4}.
   auto triples = client->Exec("MERGE K 2\n0 1\n3 4\n.");
   ASSERT_TRUE(triples.ok());
   ASSERT_TRUE(triples.value().ok) << triples.value().info;
   EXPECT_NE(triples.value().info.find("merge k=2 rows="), std::string::npos);
   EXPECT_NE(triples.value().info.find(" rprime="), std::string::npos);
   // R_2 = {0,1} in transactions 10, 20, 30 and {3,4} in 80, 90, 99.
-  EXPECT_EQ(triples.value().payload, "0 1 2 2\n0 1 3 1\n3 4 5 3\n");
+  EXPECT_EQ(triples.value().payload, "0 2 2\n0 3 1\n1 5 3\n");
 }
 
 // The server's MERGE handler is a LocalShardBackend, which refuses a
-// malformed C_k naming the shard. A failed pass ends the connection's run.
+// malformed C_k naming the shard, and a key line that is not two
+// non-negative int32 fields is refused as it is read. Either ends the
+// connection's run.
 TEST(MiningServerTest, MalformedCkOverMergeIsRefused) {
   ServerFixture fixture;
   auto client = fixture.Connect();
-  const auto begin = [&] {
+  const auto begin = [&](const std::string& c1) {
     auto lcount = client->Exec("LCOUNT sales K 1");
     ASSERT_TRUE(lcount.ok());
     ASSERT_TRUE(lcount.value().ok) << lcount.value().info;
+    if (c1.empty()) return;
+    auto pass1 = client->Exec(c1);
+    ASSERT_TRUE(pass1.ok());
+    ASSERT_TRUE(pass1.value().ok) << pass1.value().info;
   };
   const auto expect_refused = [&](const std::string& request,
-                                  const std::string& what) {
+                                  const std::string& what,
+                                  bool names_shard) {
+    SCOPED_TRACE(request);
     auto reply = client->Exec(request);
     ASSERT_TRUE(reply.ok());
     EXPECT_FALSE(reply.value().ok);
     EXPECT_EQ(reply.value().code, "InvalidArgument");
-    EXPECT_NE(reply.value().info.find("shard srv:sales"), std::string::npos)
+    EXPECT_EQ(reply.value().info.find("shard srv:sales") != std::string::npos,
+              names_shard)
         << reply.value().info;
     EXPECT_NE(reply.value().info.find(what), std::string::npos)
         << reply.value().info;
-    auto after = client->Exec("MERGE K 1\n0\n.");
+    auto after = client->Exec("MERGE K 1\n0 0\n.");
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after.value().code, "NotFound");
   };
-  begin();
-  expect_refused("MERGE K 1\n1\n0\n.", "ascending");
-  begin();
-  expect_refused("MERGE K 1\n0\n0\n.", "ascending");
-  begin();
-  auto c1 = client->Exec("MERGE K 1\n0\n1\n2\n3\n4\n.");
-  ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c1.value().ok) << c1.value().info;
-  expect_refused("MERGE K 2\n0 1\n5 6\n.", "prefix {5} is not in C_1");
-  begin();
-  c1 = client->Exec("MERGE K 1\n0\n1\n2\n3\n4\n.");
-  ASSERT_TRUE(c1.ok());
-  ASSERT_TRUE(c1.value().ok) << c1.value().info;
-  expect_refused("MERGE K 2\n0 1\n3 6\n.", "last item is not in C_1");
+  // C_1: items 0..4, ids 0..4.
+  const std::string c1 = "MERGE K 1\n0 0\n0 1\n0 2\n0 3\n0 4\n.";
+  const struct {
+    const char* c1;  // pass 1's MERGE first, or none
+    const char* request;
+    const char* what;
+    bool names_shard;
+  } cases[] = {
+      {"", "MERGE K 1\n0 1\n0 0\n.", "not strictly ascending", true},
+      {"", "MERGE K 1\n0 0\n0 0\n.", "not strictly ascending", true},
+      {"", "MERGE K 1\n1 0\n.", "outside C_0's ids [0, 1)", true},
+      {"", "MERGE K 1\n0\n.", "<parent id> <item>", false},
+      {"", "MERGE K 1\n0 0 0\n.", "<parent id> <item>", false},
+      {"", "MERGE K 1\n0 -1\n.", "not in [0, 2147483647]", false},
+      {"x", "MERGE K 2\n5 6\n.", "outside C_1's ids [0, 5)", true},
+      {"x", "MERGE K 2\n0 2\n0 1\n.", "not strictly ascending", true},
+      {"x", "MERGE K 2\n0 1\n0 1\n.", "not strictly ascending", true},
+      {"x", "MERGE K 2\n0 1\n3 6\n.", "item outside C_1", true},
+      {"x", "MERGE K 2\n1 1\n.", "not above its parent's last item", true},
+      {"x", "MERGE K 2\n1 0\n.", "not above its parent's last item", true},
+      {"x", "MERGE K 2\n0\n.", "<parent id> <item>", false},
+      {"x", "MERGE K 2\n0 1 2\n.", "<parent id> <item>", false},
+  };
+  for (const auto& c : cases) {
+    begin(std::string(c.c1).empty() ? "" : c1);
+    expect_refused(c.request, c.what, c.names_shard);
+  }
 }
 
 // RELEASE ends the connection's shard run at once: its R_1 leaves the

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -257,7 +258,7 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
     Database db;
     LocalShardBackend backend(&db, "s0");
     backend.SetRows(RowsOf(txns));
-    using Counts = std::vector<std::pair<std::vector<ItemId>, int64_t>>;
+    using Counts = std::vector<std::tuple<int32_t, ItemId, int32_t>>;
     // Sorted C_2 counts of one run, optionally with a floor set after k=1.
     auto c2 = [&](bool with_floor) {
       Counts out;
@@ -267,26 +268,26 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
       if (!first.ok()) return out;
       if (with_floor) backend.SetCountFloor(floor);
       // Without filter_r1, ApplyGlobalCk(1) keeps R_1 and ships the pairs
-      // of C_1's items: here every item the slice counted.
-      std::vector<std::vector<ItemId>> c1;
-      for (const PatternCount& pc : first.value().counts) {
-        c1.push_back(pc.items);
+      // of C_1's items: here every item the slice counted, in key order.
+      std::vector<CandidateKey> c1;
+      const std::vector<int32_t>& items = first.value().counts;
+      for (size_t at = 0; at < items.size(); at += 3) {
+        c1.push_back(CandidateKey{items[at], items[at + 1]});
       }
-      std::sort(c1.begin(), c1.end());
       auto counts = backend.ApplyGlobalCk(1, c1);
       EXPECT_TRUE(counts.ok()) << counts.status().ToString();
       if (!counts.ok()) return out;
-      for (const PatternCount& pc : counts.value().counts) {
-        out.emplace_back(pc.items, pc.count);
+      const std::vector<int32_t>& rows = counts.value().counts;
+      for (size_t at = 0; at < rows.size(); at += 3) {
+        out.emplace_back(rows[at], rows[at + 1], rows[at + 2]);
       }
-      std::sort(out.begin(), out.end());
       return out;
     };
     const Counts full = c2(false);
     const Counts floored = c2(true);
     Counts expected;
     for (const auto& entry : full) {
-      if (entry.second >= floor) expected.push_back(entry);
+      if (std::get<2>(entry) >= floor) expected.push_back(entry);
     }
     ASSERT_LT(expected.size(), full.size());  // the floor really prunes
     EXPECT_EQ(floored, expected);
@@ -295,10 +296,11 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
 }
 
 // LCOUNT/MERGE put the iteration number and C_k on the wire, so the
-// backend must reject calls out of protocol order, and itemsets of the
-// wrong size, with a Status naming the shard rather than read rows at the
-// wrong width. The order is CountFirstIteration once, then ApplyGlobalCk(1),
-// (2), ...; a rejected call leaves the run usable in order.
+// backend must reject calls out of protocol order, and keys that name no
+// parent of the level below, with a Status naming the shard rather than
+// read rows at the wrong level. The order is CountFirstIteration once,
+// then ApplyGlobalCk(1), (2), ...; a rejected call leaves the run usable in
+// order.
 TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
   Database db;
   LocalShardBackend backend(&db, "s7");
@@ -308,28 +310,35 @@ TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
     EXPECT_NE(r.status().message().find("shard s7"), std::string::npos)
         << r.status().message();
   };
-  const auto expect_arity = [](const Result<shard::ShardReply>& r,
-                               size_t k) {
+  // Every count row extends one of the `parents` ids of the C_k applied.
+  const auto expect_parents = [](const Result<shard::ShardReply>& r,
+                                 int32_t parents) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    for (const PatternCount& pc : r.value().counts) {
-      ASSERT_EQ(pc.items.size(), k);
+    const std::vector<int32_t>& rows = r.value().counts;
+    ASSERT_EQ(rows.size() % 3, 0u);
+    for (size_t at = 0; at < rows.size(); at += 3) {
+      ASSERT_GE(rows[at], 0);
+      ASSERT_LT(rows[at], parents);
     }
   };
   ASSERT_TRUE(backend.BeginRun(ShardRunOptions{}).ok());
   EXPECT_TRUE(backend.ApplyGlobalCk(0, {}).status().IsInvalidArgument());
-  expect_invalid(backend.ApplyGlobalCk(1, {{1}}));  // no first count yet
+  expect_invalid(backend.ApplyGlobalCk(1, {{0, 1}}));  // no first count yet
   ASSERT_TRUE(backend.CountFirstIteration().ok());
-  expect_invalid(backend.CountFirstIteration());    // once per run
-  expect_invalid(backend.ApplyGlobalCk(2, {{1, 2}}));  // pass 1 first
-  EXPECT_TRUE(backend.ApplyGlobalCk(1, {{1, 2}}).status().IsInvalidArgument());
-  expect_arity(backend.ApplyGlobalCk(1, {{1}, {2}, {3}}), 2);
-  expect_invalid(backend.ApplyGlobalCk(1, {{1}}));  // one pass per k
-  expect_invalid(backend.ApplyGlobalCk(3, {{1, 2, 3}}));
-  EXPECT_TRUE(
-      backend.ApplyGlobalCk(2, {{1, 2, 3}}).status().IsInvalidArgument());
-  expect_arity(backend.ApplyGlobalCk(2, {{1, 2}}), 3);
-  expect_invalid(backend.ApplyGlobalCk(2, {{1, 2}}));
-  expect_arity(backend.ApplyGlobalCk(3, {{1, 2, 3}}), 4);
+  expect_invalid(backend.CountFirstIteration());       // once per run
+  expect_invalid(backend.ApplyGlobalCk(2, {{0, 2}}));  // pass 1 first
+  // C_1's keys extend the empty itemset, id 0, only.
+  expect_invalid(backend.ApplyGlobalCk(1, {{1, 2}}));
+  // C_1 = {1}, {2}, {3}: ids 0, 1, 2.
+  expect_parents(backend.ApplyGlobalCk(1, {{0, 1}, {0, 2}, {0, 3}}), 3);
+  expect_invalid(backend.ApplyGlobalCk(1, {{0, 1}}));  // one pass per k
+  expect_invalid(backend.ApplyGlobalCk(3, {{0, 3}}));
+  expect_invalid(backend.ApplyGlobalCk(2, {{3, 4}}));  // C_1 has ids 0..2
+  // C_2 = {1 2}: id 0.
+  expect_parents(backend.ApplyGlobalCk(2, {{0, 2}}), 1);
+  expect_invalid(backend.ApplyGlobalCk(2, {{0, 2}}));
+  // C_3 = {1 2 3}.
+  expect_parents(backend.ApplyGlobalCk(3, {{0, 3}}), 1);
 
   // Under filter_r1, ApplyGlobalCk(1) rewrites R_1 and counts R'_2 over it:
   // only pairs of C_1's items remain.
@@ -337,12 +346,13 @@ TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
   filtered.filter_r1 = true;
   ASSERT_TRUE(backend.BeginRun(filtered).ok());
   ASSERT_TRUE(backend.CountFirstIteration().ok());
-  auto pairs = backend.ApplyGlobalCk(1, {{1}, {2}, {3}});
-  expect_arity(pairs, 2);
+  auto pairs = backend.ApplyGlobalCk(1, {{0, 1}, {0, 2}, {0, 3}});
+  expect_parents(pairs, 3);
   EXPECT_FALSE(pairs.value().counts.empty());
-  for (const PatternCount& pc : pairs.value().counts) {
-    EXPECT_GE(pc.items[0], 1) << pc.items[0] << " " << pc.items[1];
-    EXPECT_LE(pc.items[1], 3) << pc.items[0] << " " << pc.items[1];
+  const std::vector<int32_t>& rows = pairs.value().counts;
+  for (size_t at = 0; at < rows.size(); at += 3) {
+    EXPECT_GT(rows[at + 1], rows[at] + 1) << rows[at] << " " << rows[at + 1];
+    EXPECT_LE(rows[at + 1], 3) << rows[at] << " " << rows[at + 1];
   }
 
   // Past the run's max_pattern_length no pass counts.
@@ -350,14 +360,14 @@ TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
   short_run.max_pattern_length = 2;
   ASSERT_TRUE(backend.BeginRun(short_run).ok());
   ASSERT_TRUE(backend.CountFirstIteration().ok());
-  ASSERT_TRUE(backend.ApplyGlobalCk(1, {{1}, {2}}).ok());
-  auto last = backend.ApplyGlobalCk(2, {{1, 2}});
+  ASSERT_TRUE(backend.ApplyGlobalCk(1, {{0, 1}, {0, 2}}).ok());
+  auto last = backend.ApplyGlobalCk(2, {{0, 2}});
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   EXPECT_EQ(last.value().r_prime_rows, 0u);
   EXPECT_TRUE(last.value().counts.empty());
 }
 
-// Each iteration span counts the (itemset, count) entries the shards
+// Each iteration span counts the (parent id, item) count keys the shards
 // handed to the merge, as setm_count_entries_total does. A shard ships
 // only pairs of C_1's items at k = 2, at most |C_1|(|C_1| - 1)/2, and from
 // k = 3 on its entries extend a C_{k-1} itemset by a C_1 item, so no shard
@@ -408,50 +418,125 @@ TEST(DistributedMineTest, IterationSpansCountMergedEntries) {
   EXPECT_EQ(entries->Value() - before, spans);
 }
 
-/// A shard that also ships, from pass 1, a pair of items no transaction
-/// holds: a pair outside C_1, which a correct shard drops before replying.
-class PairOutsideC1Backend : public LocalShardBackend {
+/// A shard whose reply to one call, CountFirstIteration (pass 0) or
+/// ApplyGlobalCk(pass), is rewritten by `mutate` from the C_k it was given
+/// (empty for pass 0) and its real (parent id, item, count) rows.
+class BadReplyBackend : public LocalShardBackend {
  public:
-  using LocalShardBackend::LocalShardBackend;
+  using Mutate = std::function<std::vector<int32_t>(
+      const std::vector<CandidateKey>& ck, const std::vector<int32_t>& rows)>;
 
+  BadReplyBackend(Database* db, std::string name, size_t pass, Mutate mutate)
+      : LocalShardBackend(db, std::move(name)),
+        pass_(pass),
+        mutate_(std::move(mutate)) {}
+
+  Result<shard::ShardReply> CountFirstIteration() override {
+    return Rewrite(0, {}, LocalShardBackend::CountFirstIteration());
+  }
   Result<shard::ShardReply> ApplyGlobalCk(
-      size_t k, const std::vector<std::vector<ItemId>>& ck) override {
-    auto reply = LocalShardBackend::ApplyGlobalCk(k, ck);
-    if (reply.ok() && k == 1) {
-      reply.value().counts.push_back(PatternCount{{1000000, 1000001}, 1});
+      size_t k, const std::vector<CandidateKey>& ck) override {
+    return Rewrite(k, ck, LocalShardBackend::ApplyGlobalCk(k, ck));
+  }
+
+ private:
+  Result<shard::ShardReply> Rewrite(size_t pass,
+                                    const std::vector<CandidateKey>& ck,
+                                    Result<shard::ShardReply> reply) {
+    if (reply.ok() && pass == pass_) {
+      reply.value().counts = mutate_(ck, reply.value().counts);
     }
     return reply;
   }
+
+  size_t pass_;
+  Mutate mutate_;
 };
 
-// A shard ships only pairs of C_1's items, so the coordinator's merge
-// refuses any other pair as Corruption naming the shard, as it does a
-// count of the wrong arity, instead of dropping it.
-TEST(DistributedMineTest, PairOutsideC1IsCorruptionNamingTheShard) {
+// Count keys are checked at the merge, against the level the coordinator
+// broadcast, whoever sent them: a key whose parent is no id of C_{k-1}
+// (negative, or past its ids), whose item is outside C_1 or not above its
+// parent's last item, a repeated or descending key and a count of 0 are
+// each Corruption naming the shard, at every k, instead of a miss.
+TEST(DistributedMineTest, MalformedCountKeysAreCorruptionNamingTheShard) {
   const std::vector<TransactionDb> slices = SplitTxns(QuestDb(37), 2);
-  Database db;
-  LocalShardBackend good(&db, "s0");
-  good.SetRows(RowsOf(slices[0]));
-  PairOutsideC1Backend bad(&db, "s1");
-  bad.SetRows(RowsOf(slices[1]));
+  using Ck = std::vector<CandidateKey>;
+  using Rows = std::vector<int32_t>;
+  const struct {
+    const char* name;
+    size_t pass;
+    BadReplyBackend::Mutate mutate;
+    const char* what;
+  } cases[] = {
+      {"C_1 key with parent 1", 0,
+       [](const Ck&, const Rows&) { return Rows{1, 1, 1}; },
+       "outside C_0's ids [0, 1)"},
+      {"negative parent", 0,
+       [](const Ck&, const Rows&) { return Rows{-1, 1, 1}; },
+       "outside C_0's ids"},
+      {"parent past C_1's ids", 1,
+       [](const Ck&, const Rows&) { return Rows{INT32_MAX, 1, 1}; },
+       "outside C_1's ids"},
+      {"negative item", 1,
+       [](const Ck&, const Rows&) { return Rows{0, -1, 1}; },
+       "item outside C_1"},
+      {"item outside C_1", 1,
+       [](const Ck&, const Rows&) { return Rows{0, 1000000, 1}; },
+       "item outside C_1"},
+      {"item not above its parent's", 1,
+       [](const Ck& c1, const Rows&) { return Rows{0, c1[0].item, 1}; },
+       "not above its parent's last item"},
+      {"C_3 key not above its parent's", 2,
+       [](const Ck& c2, const Rows&) { return Rows{0, c2[0].item, 1}; },
+       "not above its parent's last item"},
+      {"parent past C_2's ids", 2,
+       [](const Ck& c2, const Rows&) {
+         return Rows{static_cast<int32_t>(c2.size()), 1, 1};
+       },
+       "outside C_2's ids"},
+      {"repeated key", 1,
+       [](const Ck&, const Rows& rows) {
+         return Rows{rows[0], rows[1], 1, rows[0], rows[1], 1};
+       },
+       "not strictly ascending"},
+      {"descending keys", 1,
+       [](const Ck&, const Rows& rows) {
+         return Rows{rows[3], rows[4], 1, rows[0], rows[1], 1};
+       },
+       "not strictly ascending"},
+      {"count of 0", 1,
+       [](const Ck&, const Rows& rows) { return Rows{rows[0], rows[1], 0}; },
+       "a count of 0"},
+      {"a partial row", 1,
+       [](const Ck&, const Rows& rows) { return Rows{rows[0], rows[1]}; },
+       "partial"},
+  };
   MiningOptions options;
   options.min_support = 0.04;
-  auto result =
-      DistributedMine({&good, &bad}, options, CoordinatorOptions{});
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
-  EXPECT_NE(result.status().message().find("shard 's1'"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("outside C_1"), std::string::npos)
-      << result.status().ToString();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Database db;
+    LocalShardBackend good(&db, "s0");
+    good.SetRows(RowsOf(slices[0]));
+    BadReplyBackend bad(&db, "s1", c.pass, c.mutate);
+    bad.SetRows(RowsOf(slices[1]));
+    auto result =
+        DistributedMine({&good, &bad}, options, CoordinatorOptions{});
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+    EXPECT_NE(result.status().message().find("shard 's1'"), std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find(c.what), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 // Pass k trusts its C_k for ids and child ranges, and a remote coordinator
 // sends it over MERGE, so a malformed C_k is refused with InvalidArgument
-// naming the shard: unsorted, duplicated, an itemset whose items are not
-// ascending, one whose (k-1)-prefix is not in the shard's C_{k-1}, and one
-// whose last item is not in C_1. A refused call changes nothing: the same
-// pass then runs on a well-formed C_k.
+// naming the shard: keys that are unsorted or repeated, a parent that is
+// no id of the shard's C_{k-1}, and an item outside C_1 or not above its
+// parent's last item. A refused call changes nothing: the same pass then
+// runs on a well-formed C_k.
 TEST(LocalShardBackendTest, MalformedCkIsInvalidArgument) {
   Database db;
   LocalShardBackend backend(&db, "s9");
@@ -464,32 +549,44 @@ TEST(LocalShardBackendTest, MalformedCkIsInvalidArgument) {
     EXPECT_NE(r.status().message().find(what), std::string::npos)
         << r.status().message();
   };
+  const std::string unsorted = "not strictly ascending";
   for (bool filter_r1 : {false, true}) {
     SCOPED_TRACE("filter_r1=" + std::to_string(filter_r1));
     ShardRunOptions run;
     run.filter_r1 = filter_r1;
     ASSERT_TRUE(backend.BeginRun(run).ok());
     ASSERT_TRUE(backend.CountFirstIteration().ok());
-    expect_refused(backend.ApplyGlobalCk(1, {{3}, {1}, {2}}), "ascending");
-    expect_refused(backend.ApplyGlobalCk(1, {{1}, {2}, {2}}), "ascending");
-    ASSERT_TRUE(backend.ApplyGlobalCk(1, {{1}, {2}, {3}, {4}, {5}}).ok());
+    expect_refused(backend.ApplyGlobalCk(1, {{0, 3}, {0, 1}, {0, 2}}),
+                   unsorted);
+    expect_refused(backend.ApplyGlobalCk(1, {{0, 1}, {0, 2}, {0, 2}}),
+                   unsorted);
+    expect_refused(backend.ApplyGlobalCk(1, {{0, 1}, {1, 2}}),
+                   "outside C_0's ids");
+    // C_1 = {1} .. {5}: ids 0 .. 4.
+    ASSERT_TRUE(
+        backend.ApplyGlobalCk(1, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
+            .ok());
 
-    expect_refused(backend.ApplyGlobalCk(2, {{1, 3}, {1, 2}}), "ascending");
-    expect_refused(backend.ApplyGlobalCk(2, {{1, 2}, {1, 2}}), "ascending");
-    expect_refused(backend.ApplyGlobalCk(2, {{1, 2}, {3, 2}}),
-                   "items are not ascending");
-    expect_refused(backend.ApplyGlobalCk(2, {{0, 2}, {1, 2}}),
-                   "prefix {0} is not in C_1");
-    expect_refused(backend.ApplyGlobalCk(2, {{1, 2}, {1, 6}}),
-                   "last item is not in C_1");
-    auto pass2 = backend.ApplyGlobalCk(2, {{1, 2}, {1, 3}, {2, 3}, {2, 4}});
+    expect_refused(backend.ApplyGlobalCk(2, {{0, 3}, {0, 2}}), unsorted);
+    expect_refused(backend.ApplyGlobalCk(2, {{0, 2}, {0, 2}}), unsorted);
+    expect_refused(backend.ApplyGlobalCk(2, {{0, 2}, {2, 2}}),
+                   "not above its parent's last item");
+    expect_refused(backend.ApplyGlobalCk(2, {{0, 2}, {5, 6}}),
+                   "outside C_1's ids [0, 5)");
+    expect_refused(backend.ApplyGlobalCk(2, {{-1, 2}}), "outside C_1's ids");
+    expect_refused(backend.ApplyGlobalCk(2, {{0, 2}, {0, 6}}),
+                   "item outside C_1");
+    // C_2 = {1 2}, {1 3}, {2 3}, {2 4}: ids 0 .. 3.
+    auto pass2 = backend.ApplyGlobalCk(2, {{0, 2}, {0, 3}, {1, 3}, {1, 4}});
     ASSERT_TRUE(pass2.ok()) << pass2.status().ToString();
 
-    expect_refused(backend.ApplyGlobalCk(3, {{1, 2, 3}, {3, 4, 5}}),
-                   "prefix {3 4} is not in C_2");
-    expect_refused(backend.ApplyGlobalCk(3, {{2, 3, 6}}),
-                   "last item is not in C_1");
-    auto pass3 = backend.ApplyGlobalCk(3, {{1, 2, 3}, {2, 3, 4}});
+    expect_refused(backend.ApplyGlobalCk(3, {{0, 3}, {4, 5}}),
+                   "outside C_2's ids [0, 4)");
+    expect_refused(backend.ApplyGlobalCk(3, {{2, 6}}), "item outside C_1");
+    expect_refused(backend.ApplyGlobalCk(3, {{1, 3}}),
+                   "not above its parent's last item");
+    // C_3 = {1 2 3}, {2 3 4}.
+    auto pass3 = backend.ApplyGlobalCk(3, {{0, 3}, {2, 4}});
     ASSERT_TRUE(pass3.ok()) << pass3.status().ToString();
   }
 }
@@ -527,7 +624,7 @@ class FailingBackend : public ShardBackend {
   }
 
   Result<shard::ShardReply> ApplyGlobalCk(
-      size_t k, const std::vector<std::vector<ItemId>>& ck) override {
+      size_t k, const std::vector<CandidateKey>& ck) override {
     if (fail_at_ == FailAt::kPass && k >= fail_k_) {
       return Status::IOError("read failed mid-pass");
     }
@@ -1101,35 +1198,61 @@ class ScriptedShardServer {
 };
 
 // Shard replies are untrusted input: every out-of-range value must fail the
-// run as Corruption naming the shard, never wrap, saturate or overflow.
+// run as Corruption naming the shard, never wrap, saturate, overflow or
+// over-allocate. A reply's counts are bounded by its own rprime, the rows
+// it counted, and its keys are checked against the level broadcast.
 TEST(RemoteShardTest, OutOfRangeRepliesAreCorruptionNamingTheShard) {
-  const std::string k1_info = "OK lcount k=1 transactions=5 rprime=2 ";
+  const std::string k1 = "OK lcount k=1 transactions=5 rprime=2 rbytes=0 "
+                         "rpages=0\n";
+  // C_1 = {1}, {2}: ids 0 and 1.
   const std::string k1_pairs =
-      "OK lcount k=1 transactions=2 rprime=3 rbytes=0 rpages=0\n1 2\n2 1\n"
-      ".\n";
-  const std::string merge_info = "rows=3 bytes=0 pages=0 ";
+      "OK lcount k=1 transactions=2 rprime=3 rbytes=0 rpages=0\n0 1 2\n"
+      "0 2 1\n.\n";
+  const std::string merge = "OK merge k=1 rows=3 bytes=0 pages=0 rprime=1\n";
   const std::vector<std::vector<std::string>> scripts = {
       // An item beyond int32 would be cast to item 0.
-      {k1_info + "rbytes=0 rpages=0\n4294967296 3\n.\n"},
+      {k1 + "0 4294967296 1\n.\n"},
+      // A parent beyond int32, or a negative parent or item.
+      {k1 + "2147483648 1 1\n.\n"},
+      {k1 + "-1 1 1\n.\n"},
+      {k1 + "0 -1 1\n.\n"},
       // A count beyond int64 saturates in strtoll.
-      {k1_info + "rbytes=0 rpages=0\n1 99999999999999999999\n.\n"},
-      // Two in-range int64 counts of one itemset overflow the merged sum.
-      {k1_info + "rbytes=0 rpages=0\n1 9223372036854775807\n"
-                 "1 9223372036854775807\n.\n"},
-      // A count above the shard's transactions.
-      {k1_info + "rbytes=0 rpages=0\n1 6\n.\n"},
-      // Info fields: negative, beyond uint64, beyond 2^32 transactions.
+      {k1 + "0 1 99999999999999999999\n.\n"},
+      // Two in-range int64 counts of one key would overflow the merged sum.
+      {k1 + "0 1 9223372036854775807\n0 1 9223372036854775807\n.\n"},
+      // A count above the reply's rprime, alone or in sum, and a count of 0.
+      {k1 + "0 1 3\n.\n"},
+      {k1 + "0 1 2\n0 2 1\n.\n"},
+      {k1 + "0 1 0\n.\n"},
+      // Two or four fields.
+      {k1 + "1 1\n.\n"},
+      {k1 + "0 1 1 1\n.\n"},
+      // A repeated or descending key.
+      {k1 + "0 1 1\n0 1 1\n.\n"},
+      {k1 + "0 2 1\n0 1 1\n.\n"},
+      // C_1's keys extend the empty itemset, id 0, only.
+      {k1 + "1 1 1\n.\n"},
+      // Info fields: negative, beyond uint64, beyond 2^32 transactions,
+      // rprime beyond 2^52.
       {"OK lcount k=1 transactions=-1 rprime=1 rbytes=0 rpages=0\n.\n"},
-      {k1_info + "rbytes=18446744073709551616 rpages=0\n1 1\n.\n"},
+      {"OK lcount k=1 transactions=5 rprime=2 rbytes=18446744073709551616 "
+       "rpages=0\n0 1 1\n.\n"},
       {"OK lcount k=1 transactions=4294967297 rprime=1 rbytes=0 "
-       "rpages=0\n1 1\n.\n"},
-      // MERGE K 1 replies carry R'_2's counts, bounded by LCOUNT's
-      // transactions: a count above them, a triple, unsorted items and a
-      // missing rprime are each Corruption.
-      {k1_pairs, "OK merge k=1 " + merge_info + "rprime=1\n1 2 3\n.\n"},
-      {k1_pairs, "OK merge k=1 " + merge_info + "rprime=1\n1 2 3 1\n.\n"},
-      {k1_pairs, "OK merge k=1 " + merge_info + "rprime=1\n2 1 1\n.\n"},
-      {k1_pairs, "OK merge k=1 " + merge_info + "\n1 2 1\n.\n"},
+       "rpages=0\n0 1 1\n.\n"},
+      {"OK lcount k=1 transactions=1 rprime=4503599627370497 rbytes=0 "
+       "rpages=0\n0 1 1\n.\n"},
+      // MERGE K 1 replies carry R'_2's counts, keyed by C_1 id and bounded
+      // by their own rprime: a count above it, a parent past C_1's ids, an
+      // item outside C_1 or not above its parent's, a wrong field count
+      // and a missing rprime are each Corruption.
+      {k1_pairs, merge + "0 2 2\n.\n"},
+      {k1_pairs, merge + "2 3 1\n.\n"},
+      {k1_pairs, merge + "0 3 1\n.\n"},
+      {k1_pairs, merge + "0 1 1\n.\n"},
+      {k1_pairs, merge + "1 2 1\n.\n"},
+      {k1_pairs, merge + "0 2\n.\n"},
+      {k1_pairs, merge + "0 2 1 1\n.\n"},
+      {k1_pairs, "OK merge k=1 rows=3 bytes=0 pages=0\n0 2 1\n.\n"},
   };
   for (const std::vector<std::string>& script : scripts) {
     ScriptedShardServer server(script);
@@ -1144,6 +1267,64 @@ TEST(RemoteShardTest, OutOfRangeRepliesAreCorruptionNamingTheShard) {
               std::string::npos)
         << result.status().ToString();
   }
+}
+
+// A SALES table may repeat a (trans_id, item) row, which setm counts row
+// by row, so an itemset's count can exceed the shard's transactions: {2}
+// is counted 8 times in 5 transactions here. Remote shards, one or two,
+// must agree with a local mine of the whole table in itemsets and in every
+// per-iteration stat.
+TEST(RemoteShardTest, RepeatedSalesRowsMatchALocalMine) {
+  Database db;
+  const auto table = [&](const std::string& name,
+                         std::vector<std::pair<int32_t, int32_t>> rows) {
+    auto sales = db.catalog()->CreateTable(name, SetmMiner::SalesSchema(),
+                                           TableBacking::kMemory);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    for (const auto& [tid, item] : rows) {
+      const Tuple row({Value::Int32(tid), Value::Int32(item)});
+      ASSERT_TRUE(sales.value()->Insert(row).ok());
+    }
+  };
+  // 4 x {1, 2, 2, 3} and 1 x {1, 3}, whole and split after transaction 2.
+  std::vector<std::pair<int32_t, int32_t>> whole;
+  for (int32_t tid = 1; tid <= 4; ++tid) {
+    for (int32_t item : {1, 2, 2, 3}) whole.emplace_back(tid, item);
+  }
+  whole.emplace_back(5, 1);
+  whole.emplace_back(5, 3);
+  table("sales", whole);
+  table("part0", {whole.begin(), whole.begin() + 8});
+  table("part1", {whole.begin() + 8, whole.end()});
+  std::unique_ptr<MiningServer> server = StartServer(&db);
+  ASSERT_NE(server, nullptr);
+
+  MiningOptions options;
+  options.min_support_count = 2;
+  auto sales = db.catalog()->ResolveTable("sales");
+  ASSERT_TRUE(sales.ok());
+  auto local = SetmMiner(&db).MineTable(*sales.value(), options);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_EQ(local.value().itemsets.TotalPatterns(), 7u);
+  ASSERT_EQ(local.value().itemsets.CountOf({2}), 8);
+
+  for (const std::vector<std::string>& tables :
+       {std::vector<std::string>{"sales"},
+        std::vector<std::string>{"part0", "part1"}}) {
+    SCOPED_TRACE(std::to_string(tables.size()) + " remote shards");
+    std::vector<std::unique_ptr<RemoteShardBackend>> owned;
+    std::vector<ShardBackend*> backends;
+    for (const std::string& name : tables) {
+      owned.push_back(std::make_unique<RemoteShardBackend>(
+          "127.0.0.1", server->port(), name));
+      backends.push_back(owned.back().get());
+    }
+    auto remote = DistributedMine(backends, options, CoordinatorOptions{});
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    EXPECT_TRUE(remote.value().itemsets == local.value().itemsets);
+    ExpectSameIterations(remote.value(), local.value());
+  }
+  EXPECT_TRUE(server->Stop().ok());
 }
 
 // --------------------------------------------------------------------------
