@@ -3,20 +3,22 @@
 //
 // Expected shape: page reads fall as the pool grows, and already at mid-size
 // pools: R_1, which every pass rescans, keeps its frames in the pool's
-// retained share (half the frames), so once it fits there a pass reads only
-// what R_{k-1} lost to eviction; reads reach 0 once the working set fits.
-// Writes are R_k's pages, each written at most once per allocation or id
-// reuse, and fall as the pool grows too: a scratch page released while
-// still in the pool (R_{k-1} as pass k leaves it, the rest at the end of
-// the run) is dropped unwritten. Even the smallest pool reads each
-// iteration's inputs only once: at most the one-scan bound
-// Σ_{k≥2} (pages(R_{k-1}) + pages(R_1)).
+// retained share (half the frames), and R_{k-1}'s last scan reads the pages
+// the pool still holds from their frames and the rest around the pool, so
+// once R_1 fits its share a pass reads only the part of R_{k-1} that did
+// not fit beside it; reads reach 0 once the working set fits. Writes are
+// R_k's pages, each written at most once per allocation or id reuse, and
+// fall as the pool grows too: R_k's head stays in the frames its pass
+// frees, the rest is written around the pool's unread scratch, and a
+// scratch page released while still in the pool is dropped unwritten.
+// Even the smallest pool reads each iteration's inputs only once: at most
+// the one-scan bound Σ_{k≥2} (pages(R_{k-1}) + pages(R_1)).
 //
 // usage: ablation_buffer_pool [--smoke]
 //   --smoke: 16, 256 and 4096 frames only. Exits 1 if the itemsets differ
 //   across pool sizes, a mine writes more pages than it allocates plus the
 //   ids it reuses, the smallest pool reads more than the one-scan bound, or
-//   the 256-frame mine reads more than 60% of the 16-frame mine's pages
+//   the 256-frame mine reads more than 20% of the 16-frame mine's pages
 //   (the pool policy at work; checked in both modes).
 
 #include <cstdio>
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
   // The mid-size pool whose reads must be at most kMidPoolReadShare of the
   // smallest pool's: R_1 fits its retained share there, R_{k-1} does not.
   constexpr size_t kMidPoolFrames = 256;
-  constexpr double kMidPoolReadShare = 0.6;
+  constexpr double kMidPoolReadShare = 0.2;
   std::printf("%-12s %10s %10s %10s %10s %10s %10s %12s\n", "pool frames",
               "reads", "rand.reads", "writes", "allocated", "reused",
               "one-scan", "hit-rate(%)");

@@ -47,7 +47,10 @@ fi
 # Buffer-pool bench smoke: mines at 16, 256 and 4096 pool frames must find
 # the same itemsets and write no more pages than they allocate plus the ids
 # they reuse; at 16 frames they read within the one-scan-per-iteration
-# bound, and at 256 at most 60% of that mine's pages.
+# bound, and at 256 at most 20% of that mine's pages (last scans read the
+# pool's head of R_{k-1} from its frames, and R_k goes around unread
+# scratch). Under the asan preset this also runs both scratch paths under
+# the sanitizers, as CI's sanitize job does.
 pool_bench_bin="build/$preset/bench/ablation_buffer_pool"
 if [[ -x "$pool_bench_bin" ]]; then
   "$pool_bench_bin" --smoke
@@ -99,7 +102,8 @@ fi
 # Observability smoke: a store/re-query pair with --trace and
 # --metrics prom must produce a full-mine trace with per-iteration read
 # deltas, a cache-filter trace with zero iteration spans, parseable
-# Prometheus exports and the pool:/wal: --stats ledger lines.
+# Prometheus exports and the pool:/wal: --stats ledger lines, the pool:
+# line with its bypass reads and writes.
 if [[ -x "$mine_bin" ]]; then
   scripts/smoke_observability.sh "$mine_bin"
 fi

@@ -18,7 +18,9 @@
 #      line well-formed, cumulative histogram buckets monotone with the
 #      +Inf bucket equal to _count, and the io/pool/wal/plan/mine families
 #      all present;
-#   4. the --stats ledger carries the pool: and wal: lines.
+#   4. the --stats ledger carries the pool: line, with the scratch pages
+#      read and written around the pool, and the wal: line; A's small pool
+#      moves some scratch pages around it.
 #
 #   usage: scripts/smoke_observability.sh path/to/setm_mine [workdir]
 set -euo pipefail
@@ -143,6 +145,7 @@ check_prom() {
 # loaded the store, so the WAL-append and iteration families (registered
 # lazily, on first use) are legitimately absent from its export.
 check_prom "$WORK/a.err" setm_io_page_reads_total setm_pool_hits_total \
+  setm_pool_bypass_reads_total setm_pool_bypass_writes_total \
   setm_wal_page_records_total setm_plan_requests_total \
   setm_mine_iterations_total
 check_prom "$WORK/b.err" setm_io_page_reads_total setm_pool_hits_total \
@@ -151,12 +154,17 @@ echo "Prometheus exports parse (unique names, monotone buckets)"
 
 # -- 4. the --stats ledger lines ----------------------------------------------
 for f in "$WORK/a.err" "$WORK/b.err"; do
-  grep -Eq "^pool: hits=[0-9]+ misses=[0-9]+ hit_ratio=[0-9.]+" "$f" || {
-    echo "FAIL: no pool: ledger line in $f"; exit 1;
+  grep -Eq "^pool: hits=[0-9]+ misses=[0-9]+ hit_ratio=[0-9.]+ .*bypass_reads=[0-9]+ bypass_writes=[0-9]+$" "$f" || {
+    echo "FAIL: no pool: ledger line with bypass counts in $f"; exit 1;
   }
   grep -Eq "^wal: records=[0-9]+ commits=[0-9]+ bytes=[0-9]+ fsyncs=[0-9]+" \
     "$f" || { echo "FAIL: no wal: ledger line in $f"; exit 1; }
 done
+grep -Eq "^pool: .*bypass_reads=[1-9][0-9]* bypass_writes=[1-9][0-9]*$" \
+  "$WORK/a.err" || {
+  echo "FAIL: A's $POOL-frame mine moved no scratch page around the pool:"
+  grep "^pool:" "$WORK/a.err"; exit 1;
+}
 echo "pool: and wal: ledger lines present"
 
 echo "observability smoke OK"

@@ -29,6 +29,17 @@ class UnfinishedCursor : public IntRowCursor {
   }
 };
 
+/// Corruption unless packed page `id` holds `rows` rows of `width`.
+Status CheckHeader(const Page& page, PageId id, uint64_t rows, size_t width) {
+  const PackedPageHeader* h = page.As<PackedPageHeader>();
+  if (h->rows == rows && h->width == width) return Status::OK();
+  return Status::Corruption(
+      "packed page " + std::to_string(id) + " holds " +
+      std::to_string(h->rows) + " rows of width " + std::to_string(h->width) +
+      " where " + std::to_string(rows) + " rows of width " +
+      std::to_string(width) + " were written");
+}
+
 /// Sealed scratch pages held, in memory or in a pool.
 obs::Gauge* ScratchPagesGauge() {
   static obs::Gauge* gauge = obs::MetricsRegistry::Global()->GetGauge(
@@ -39,10 +50,12 @@ obs::Gauge* ScratchPagesGauge() {
 
 }  // namespace
 
-/// Streams a kHeap relation's packed pages, one FetchPage per page: each
-/// page's header is checked against the rows the relation put there, its
-/// rows are copied out and the page is unpinned. A last scan owns the
-/// relation and then releases each page it has copied.
+/// Streams a kHeap relation's packed pages into its own page buffer, one at
+/// a time, and checks each page's header against the rows the relation put
+/// there. A scan copies the rows out of a FetchPage and unpins it. A last
+/// scan owns the relation and takes each page (BufferPool::TakePage): out
+/// of its frame if it is resident, else from the backend into the buffer,
+/// and the page is released either way.
 class IntRelation::PageCursor : public IntRowCursor {
  public:
   /// Reads `rel` in place, or owns it when `last` is set.
@@ -68,24 +81,17 @@ class IntRelation::PageCursor : public IntRowCursor {
     const size_t width = rel_->width_;
     const uint64_t expected =
         std::min<uint64_t>(rows_left_, rel_->rows_per_page_);
-    {
+    if (owned_ != nullptr) {
+      SETM_RETURN_IF_ERROR(rel_->pool_->TakePage(id, page_.get()));
+      owned_->released_ = index + 1;
+      SETM_RETURN_IF_ERROR(CheckHeader(*page_, id, expected, width));
+    } else {
       auto guard_or = rel_->pool_->FetchPage(id, rel_->hint_);
       if (!guard_or.ok()) return guard_or.status();
       const Page* p = guard_or.value().page();
-      const PackedPageHeader* h = p->As<PackedPageHeader>();
-      if (h->rows != expected || h->width != width) {
-        return Status::Corruption(
-            "packed page " + std::to_string(id) + " holds " +
-            std::to_string(h->rows) + " rows of width " +
-            std::to_string(h->width) + " where " + std::to_string(expected) +
-            " rows of width " + std::to_string(width) + " were written");
-      }
+      SETM_RETURN_IF_ERROR(CheckHeader(*p, id, expected, width));
       std::memcpy(page_->data, p->data,
                   kPackedHeaderSize + expected * width * sizeof(int32_t));
-    }
-    if (owned_ != nullptr) {
-      SETM_RETURN_IF_ERROR(rel_->pool_->ReleasePage(id));
-      owned_->released_ = index + 1;
     }
     rows_left_ -= expected;
     pos_ = 0;
@@ -173,17 +179,15 @@ Status IntRelation::Append(const int32_t* rows, size_t n) {
 }
 
 Status IntRelation::WriteTail() {
-  auto guard_or = pool_->NewPage(hint_);
-  if (!guard_or.ok()) return guard_or.status();
-  PageGuard guard = std::move(guard_or).value();
   PackedPageHeader* h = tail_->As<PackedPageHeader>();
   h->rows = static_cast<uint32_t>(tail_rows_);
   h->width = static_cast<uint32_t>(width_);
-  std::memcpy(guard.page()->data, tail_->data,
-              kPackedHeaderSize + tail_rows_ * width_ * sizeof(int32_t));
-  guard.MarkDirty();
-  if (page_hook_) page_hook_(guard.id());
-  pages_.push_back(guard.id());
+  // A partial last page: zero what earlier pages left past its rows.
+  const size_t used = kPackedHeaderSize + tail_rows_ * width_ * sizeof(int32_t);
+  std::memset(tail_->data + used, 0, kPageSize - used);
+  auto id_or = pool_->AddPage(*tail_, hint_, page_hook_);
+  if (!id_or.ok()) return id_or.status();
+  pages_.push_back(id_or.value());
   tail_rows_ = 0;
   return Status::OK();
 }

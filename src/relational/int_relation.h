@@ -84,21 +84,24 @@ class IntArrayCursor : public IntRowCursor {
 ///    and then up to RowsPerPage(width) rows back to back: no slot
 ///    directory, so ||R|| is num_rows·width·4 bytes / 4 KB up to the
 ///    8-byte header (511 rows of width 2 a page).
-///    Rows collect in a one-page buffer that is copied into a fresh pool
-///    page when it fills (and by Finish() for the last, partial page), so
-///    each page is written once and never fetched back while appending.
+///    Rows collect in a one-page buffer that goes to BufferPool::AddPage
+///    when it fills (and by Finish() for the last, partial page), so each
+///    page is written once and never fetched back while appending.
 ///    The page ids stay in memory: a scratch relation is unlogged, never
 ///    reopened, and needs no chain pointers. A scan fetches each page once
 ///    through the buffer pool and checks its header first: a row count or
 ///    width other than the relation's is Corruption.
 ///
-/// Page lifecycle (kHeap): a page is born in NewPage, dirty in the pool,
-/// and lives until the relation releases it (BufferPool::ReleasePage),
-/// which drops its frame unwritten and hands its id out again. A relation
-/// releases every page it still holds when it is destroyed. LastScan()
-/// releases earlier: it takes the relation, and each page goes back as
-/// soon as its rows are copied out, so SETM's pass k frees R_{k-1} while
-/// it writes R_k into the same ids. A relation created with
+/// Page lifecycle (kHeap): a page is born in AddPage, dirty in the pool,
+/// or, once the pool is full of scratch pages no one has read, written
+/// straight to the backend. It lives until the relation releases it
+/// (BufferPool::ReleasePage), which drops its frame, if any, unwritten and
+/// hands its id out again. A relation releases every page it still holds
+/// when it is destroyed. LastScan() releases earlier: it takes the
+/// relation, and each page is taken (BufferPool::TakePage: copied out of
+/// its frame, or read around the pool into the cursor's buffer) and goes
+/// back at once, so SETM's pass k frees R_{k-1} while it writes R_k into
+/// the same ids, and evicts nothing to read it. A relation created with
 /// PageHint::kRetain (R_1, which every pass rescans) keeps its frames in
 /// the pool's retained share.
 ///
@@ -149,9 +152,9 @@ class IntRelation {
   std::unique_ptr<IntRowCursor> Scan() const;
 
   /// The relation's last scan: takes `relation` and streams its rows like
-  /// Scan(), releasing each page once its rows are copied out. Pages the
-  /// cursor never reaches (an error, or a cursor dropped early) are
-  /// released with the cursor.
+  /// Scan(), each page taken from the pool (BufferPool::TakePage) and so
+  /// released as it is read. Pages the cursor never reaches (an error, or
+  /// a cursor dropped early) are released with the cursor.
   static std::unique_ptr<IntRowCursor> LastScan(
       std::unique_ptr<IntRelation> relation);
 
@@ -166,7 +169,8 @@ class IntRelation {
   IntRelation(size_t width, BufferPool* pool, PageHook page_hook,
               PageHint hint);
 
-  /// Copies the tail buffer into a fresh pool page and empties it.
+  /// Writes the tail buffer as a new page (BufferPool::AddPage) and empties
+  /// it.
   Status WriteTail();
 
   size_t width_;

@@ -61,6 +61,12 @@ BufferPool::BufferPool(StorageBackend* backend, size_t capacity)
   metric_eviction_retries_ = registry->GetCounter(
       "setm_pool_eviction_retries_total",
       "Eviction candidates skipped after a failed dirty write-back");
+  metric_bypass_reads_ = registry->GetCounter(
+      "setm_pool_bypass_reads_total",
+      "Scratch pages read for the last time from the backend into no frame");
+  metric_bypass_writes_ = registry->GetCounter(
+      "setm_pool_bypass_writes_total",
+      "Scratch pages written straight to the backend past unread scratch");
 }
 
 BufferPool::~BufferPool() {
@@ -114,6 +120,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id, PageHint hint) {
   f.pin_count = 1;
   f.dirty = false;
   f.in_lru = false;
+  f.added = false;
   RetainLocked(&f, hint);
   page_table_[id] = idx;
   return PageGuard(this, idx, id, &f.page);
@@ -146,72 +153,147 @@ Result<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
   // frame instead of flushing zeros over live data.
   f.dirty = false;
   f.in_lru = false;
+  f.added = false;
   page_table_[id] = idx;
   return PageGuard(this, idx, id, &f.page);
 }
 
-Result<PageGuard> BufferPool::NewPage(PageHint hint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PageId id = kInvalidPageId;
-  if (allocation_hook_) id = allocation_hook_();
-  if (id != kInvalidPageId) {
+Result<size_t> BufferPool::AllocateLocked(PageHint hint, bool bypass_added,
+                                          PageId* id) {
+  *id = kInvalidPageId;
+  if (allocation_hook_) *id = allocation_hook_();
+  size_t idx = kNoFrame;
+  if (*id != kInvalidPageId) {
     backend_->AccountReuse();
     // Recycling a freed page. It may still be cached from its former life
     // (a retired manifest page, say); that stale frame must be reset, not
-    // kept, or the new owner would see the old bytes.
-    auto it = page_table_.find(id);
+    // kept, or the new owner would see the old bytes. The caller sets them.
+    auto it = page_table_.find(*id);
     if (it != page_table_.end()) {
-      Frame& f = frames_[it->second];
+      idx = it->second;
+      Frame& f = frames_[idx];
       // Freed pages are unreferenced by contract, so nothing can hold a pin.
       SETM_CHECK(f.pin_count == 0);
       if (f.in_lru) {
         lru_.erase(f.lru_pos);
         f.in_lru = false;
       }
-      f.page.Clear();
-      f.pin_count = 1;
-      f.dirty = true;  // the zeroed image must reach the backend eventually
-      RetainLocked(&f, hint);
-      return PageGuard(this, it->second, id, &f.page);
     }
   } else {
     auto id_or = backend_->AllocatePage();
     if (!id_or.ok()) return id_or.status();
-    id = id_or.value();
+    *id = id_or.value();
   }
-  auto victim = GetVictimFrameLocked();
-  if (!victim.ok()) return victim.status();
-  const size_t idx = victim.value();
+  if (idx == kNoFrame) {
+    if (bypass_added && free_frames_.empty() && !lru_.empty() &&
+        frames_[lru_.back()].added && frames_[lru_.back()].dirty) {
+      return kNoFrame;
+    }
+    auto victim = GetVictimFrameLocked();
+    if (!victim.ok()) {
+      (void)GiveBackLocked(*id);
+      return victim.status();
+    }
+    idx = victim.value();
+    page_table_[*id] = idx;
+  }
+  Frame& f = frames_[idx];
+  f.id = *id;
+  f.pin_count = 0;
+  f.dirty = true;  // a new page must reach the backend eventually
+  f.added = false;
+  RetainLocked(&f, hint);
+  return idx;
+}
+
+Result<PageGuard> BufferPool::NewPage() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  PageId id;
+  auto idx_or = AllocateLocked(PageHint::kNone, /*bypass_added=*/false, &id);
+  if (!idx_or.ok()) return idx_or.status();
+  const size_t idx = idx_or.value();
   Frame& f = frames_[idx];
   f.page.Clear();
-  f.id = id;
   f.pin_count = 1;
-  f.dirty = true;  // a new page must reach the backend eventually
-  f.in_lru = false;
-  RetainLocked(&f, hint);
-  page_table_[id] = idx;
   return PageGuard(this, idx, id, &f.page);
 }
 
-Status BufferPool::ReleasePage(PageId id) {
+Result<PageId> BufferPool::AddPage(const Page& image, PageHint hint,
+                                   const std::function<void(PageId)>& on_id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  PageId id;
+  auto idx_or = AllocateLocked(hint, /*bypass_added=*/true, &id);
+  if (!idx_or.ok()) return idx_or.status();
+  const size_t idx = idx_or.value();
+  if (on_id) on_id(id);
+  if (idx == kNoFrame) {
+    Status write = backend_->WritePage(id, image);
+    if (!write.ok()) {
+      (void)GiveBackLocked(id);
+      return write;
+    }
+    ++bypass_writes_;
+    metric_bypass_writes_->Increment();
+    return id;
+  }
+  Frame& f = frames_[idx];
+  f.page = image;
+  f.added = true;
+  f.pin_count = 1;
+  UnpinLocked(idx);
+  return id;
+}
+
+Status BufferPool::TakePage(PageId id, Page* out) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = page_table_.find(id);
   if (it != page_table_.end()) {
     const size_t idx = it->second;
     Frame& f = frames_[idx];
     if (f.pin_count > 0) {
+      return Status::InvalidArgument("take of pinned page " +
+                                     std::to_string(id));
+    }
+    ++hits_;
+    metric_hits_->Increment();
+    *out = f.page;
+    DropFrameLocked(idx);
+  } else {
+    ++misses_;
+    metric_misses_->Increment();
+    SETM_RETURN_IF_ERROR(backend_->ReadPage(id, out));
+    ++bypass_reads_;
+    metric_bypass_reads_->Increment();
+  }
+  return GiveBackLocked(id);
+}
+
+Status BufferPool::ReleasePage(PageId id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = page_table_.find(id);
+  if (it != page_table_.end()) {
+    if (frames_[it->second].pin_count > 0) {
       return Status::InvalidArgument("release of pinned page " +
                                      std::to_string(id));
     }
-    if (f.in_lru) lru_.erase(f.lru_pos);
-    if (f.retained) --retained_;
-    page_table_.erase(it);
-    f.id = kInvalidPageId;
-    f.dirty = false;  // dropped unwritten: nobody reads these bytes again
-    f.in_lru = false;
-    f.retained = false;
-    free_frames_.push_back(idx);
+    DropFrameLocked(it->second);
   }
+  return GiveBackLocked(id);
+}
+
+void BufferPool::DropFrameLocked(size_t idx) {
+  Frame& f = frames_[idx];
+  if (f.in_lru) lru_.erase(f.lru_pos);
+  if (f.retained) --retained_;
+  page_table_.erase(f.id);
+  f.id = kInvalidPageId;
+  f.dirty = false;  // dropped unwritten: nobody reads these bytes again
+  f.in_lru = false;
+  f.retained = false;
+  free_frames_.push_back(idx);
+}
+
+Status BufferPool::GiveBackLocked(PageId id) {
   if (release_hook_) {
     release_hook_(id);
     return Status::OK();
@@ -229,15 +311,8 @@ Status BufferPool::DropPagesFrom(PageId first) {
     }
   }
   for (size_t idx = 0; idx < frames_.size(); ++idx) {
-    Frame& f = frames_[idx];
-    if (f.id == kInvalidPageId || f.id < first) continue;
-    if (f.in_lru) lru_.erase(f.lru_pos);
-    if (f.retained) --retained_;
-    page_table_.erase(f.id);
-    f.id = kInvalidPageId;
-    f.in_lru = false;
-    f.retained = false;
-    free_frames_.push_back(idx);
+    const Frame& f = frames_[idx];
+    if (f.id != kInvalidPageId && f.id >= first) DropFrameLocked(idx);
   }
   return Status::OK();
 }
@@ -277,6 +352,8 @@ BufferPool::PoolStats BufferPool::Stats() const {
   s.evictions = evictions_;
   s.dirty_writebacks = dirty_writebacks_;
   s.eviction_retries = eviction_retries_;
+  s.bypass_reads = bypass_reads_;
+  s.bypass_writes = bypass_writes_;
   return s;
 }
 
@@ -301,6 +378,10 @@ uint64_t BufferPool::DirtyPageCount() const {
 
 void BufferPool::Unpin(size_t frame_index) {
   std::lock_guard<std::mutex> lock(mutex_);
+  UnpinLocked(frame_index);
+}
+
+void BufferPool::UnpinLocked(size_t frame_index) {
   Frame& f = frames_[frame_index];
   SETM_CHECK(f.pin_count > 0);
   // A retained frame stays resident, invisible to eviction.

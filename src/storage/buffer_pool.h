@@ -79,6 +79,19 @@ enum class PageHint {
 /// ever walks the LRU list, so retained frames cost it nothing. Pages
 /// fetched without a hint (heap tables, the SQL engine) are plain LRU.
 ///
+/// DBMIN gives a straight-sequential reference one frame and never lets
+/// it displace a page another scan reads first. SETM's scratch relations
+/// (R_k, the count's spilled runs) are written once and read once, in
+/// order, and follow that rule once the pool is full. A page's last read
+/// (TakePage) copies it out of its frame if it is resident, and otherwise
+/// reads it from the backend straight into the caller's buffer, taking no
+/// frame. A page's write (AddPage) takes a free frame or the LRU victim's,
+/// unless the victim is itself a dirty AddPage page, scratch that a scan
+/// has still to read: the new page then goes straight to the backend. So
+/// the head of R_{k-1} that the pool holds when pass k starts is read from
+/// the pool, and as much of R_k as fits in the frames that frees stays
+/// there for pass k+1; nothing of either is written back and read again.
+///
 /// ReleasePage ends a page's life: its frame goes back to the free frames
 /// without a write-back, dirty or not, and its id goes to the release hook
 /// or the backend's FreePage, to be handed out again before the backend
@@ -126,8 +139,28 @@ class BufferPool {
   /// Allocates a fresh zeroed page in the backend and pins it (dirty).
   /// When an allocation hook is set (see SetAllocationHook) and yields a
   /// recycled page id, that page is reused instead of extending the backend
-  /// and counted in the ledger's pages_reused. `hint` as for FetchPage.
-  Result<PageGuard> NewPage(PageHint hint = PageHint::kNone);
+  /// and counted in the ledger's pages_reused.
+  Result<PageGuard> NewPage();
+
+  /// Allocates a page as NewPage does and fills it with `image`, unpinned:
+  /// the write of a scratch page. `hint` as for FetchPage. The page
+  /// is cached dirty in a free frame or in the LRU victim's frame, unless
+  /// that victim is a dirty page an earlier AddPage cached (a scratch page
+  /// not yet read): then the page is written straight to the backend (a
+  /// bypass write) and the victim stays. `on_id`, if set, sees the new id
+  /// before the page can reach the backend, with the pool mutex held (so
+  /// it must not call back into the pool). If the bypass write fails the
+  /// id is given back as ReleasePage gives it.
+  Result<PageId> AddPage(const Page& image, PageHint hint = PageHint::kNone,
+                         const std::function<void(PageId)>& on_id = nullptr);
+
+  /// A scratch page's last read: copies page `id` into `*out` and ends its
+  /// life as ReleasePage does. A resident page is copied out of its frame
+  /// (a hit); any other is read from the backend straight into `*out` (a
+  /// miss and a bypass read), taking no frame and evicting nothing.
+  /// InvalidArgument while the page is pinned. If the read fails the page
+  /// is not released: its owner still holds it.
+  Status TakePage(PageId id, Page* out);
 
   /// Ends page `id`'s life: drops its frame, if cached, without writing it
   /// back, and gives the id to the release hook (see SetReleaseHook) or,
@@ -185,6 +218,8 @@ class BufferPool {
     /// Poisoned-victim skips: eviction candidates whose dirty write-back
     /// failed and that were left resident for a later retry.
     uint64_t eviction_retries = 0;
+    uint64_t bypass_reads = 0;   ///< TakePage misses, read into no frame
+    uint64_t bypass_writes = 0;  ///< AddPage pages written past the pool
   };
   PoolStats Stats() const;
 
@@ -207,10 +242,30 @@ class BufferPool {
     std::list<size_t>::iterator lru_pos;
     bool in_lru = false;
     bool retained = false;  // counted in retained_: never on the LRU list
+    bool added = false;     // holds an AddPage page
   };
 
+  /// "No frame": AllocateLocked's answer when the page bypasses the pool.
+  static constexpr size_t kNoFrame = static_cast<size_t>(-1);
+
   void Unpin(size_t frame_index);
+  /// Unpins frame `frame_index`. Caller must hold mutex_.
+  void UnpinLocked(size_t frame_index);
   void MarkDirty(size_t frame_index);
+  /// The allocation path of NewPage and AddPage: hands out a page id in
+  /// `*id` (a recycled one from the allocation hook, counted as reused,
+  /// else a fresh backend page) and returns the frame now holding it,
+  /// dirty and unpinned, its bytes still to be set: the frame that caches
+  /// a recycled id's former life, else a free frame or the LRU victim's.
+  /// With `bypass_added` set, a dirty AddPage victim is kept and kNoFrame
+  /// returned. On failure the id is given back. Caller must hold mutex_.
+  Result<size_t> AllocateLocked(PageHint hint, bool bypass_added, PageId* id);
+  /// Drops the frame of unpinned page `idx` unwritten, dirty or not.
+  /// Caller must hold mutex_.
+  void DropFrameLocked(size_t idx);
+  /// Hands a dead page's id to the release hook or the backend's FreePage.
+  /// Caller must hold mutex_.
+  Status GiveBackLocked(PageId id);
   /// Pins the resident frame `idx` for a hit. Caller must hold mutex_.
   PageGuard PinHitLocked(size_t idx, PageId id, PageHint hint);
   /// Counts `f` in the retained share when `hint` asks and the share has
@@ -241,6 +296,8 @@ class BufferPool {
   uint64_t evictions_ = 0;
   uint64_t dirty_writebacks_ = 0;
   uint64_t eviction_retries_ = 0;
+  uint64_t bypass_reads_ = 0;
+  uint64_t bypass_writes_ = 0;
 
   // Process-wide series (resolved once at construction; all pools share
   // them, mirroring the instance counters above).
@@ -249,6 +306,8 @@ class BufferPool {
   obs::Counter* metric_evictions_;
   obs::Counter* metric_dirty_writebacks_;
   obs::Counter* metric_eviction_retries_;
+  obs::Counter* metric_bypass_reads_;
+  obs::Counter* metric_bypass_writes_;
 };
 
 }  // namespace setm

@@ -334,6 +334,70 @@ TEST(FaultInjectionTest, HeapScanFirstPageFailureIsAnError) {
   }
 }
 
+// Appends `pages` full pages of width-2 rows to `relation`; returns the
+// first failing Append.
+Status AppendPages(IntRelation* relation, size_t pages) {
+  const size_t rows = pages * IntRelation::RowsPerPage(2);
+  for (size_t i = 0; i < rows; ++i) {
+    const int32_t row[2] = {static_cast<int32_t>(i), 1};
+    SETM_RETURN_IF_ERROR(relation->Append(row, 1));
+  }
+  return Status::OK();
+}
+
+// A scratch relation whose pages outgrow a pool of unread scratch writes
+// the rest around the pool. When such a write fails, the append reports
+// it, and the failed page's id and every written page go back: nothing
+// stays allocated once the relation is gone.
+TEST(FaultInjectionTest, FailedBypassWriteLeaksNoPage) {
+  IoStats stats;
+  MemoryBackend real(&stats);
+  FaultInjectionBackend flaky(&real, ~0ull);
+  BufferPool pool(&flaky, 2);
+  {
+    auto relation = IntRelation::CreateInPool(&pool, 2);
+    ASSERT_TRUE(relation.ok());
+    ASSERT_TRUE(AppendPages(relation.value().get(), 3).ok());  // one around
+    EXPECT_EQ(pool.Stats().bypass_writes, 1u);
+    flaky.PoisonWrites(static_cast<PageId>(real.NumPages()));
+    Status failed = AppendPages(relation.value().get(), 1);
+    EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+    EXPECT_EQ(real.LivePages(), 3u);
+  }
+  EXPECT_EQ(real.LivePages(), 0u);
+  EXPECT_EQ(pool.DirtyPageCount(), 0u);
+}
+
+// A last scan that cannot read a page from around the pool fails instead
+// of ending early; the page it could not read, and the ones after it, are
+// released with the relation when the cursor goes.
+TEST(FaultInjectionTest, FailedLastScanReadLeavesThePageToTheRelation) {
+  constexpr size_t kPages = 4;
+  IoStats stats;
+  MemoryBackend real(&stats);
+  // Four allocations and the two writes around the pool succeed; the first
+  // read fails.
+  FaultInjectionBackend flaky(&real, kPages + 2);
+  BufferPool pool(&flaky, 2);
+  auto relation = IntRelation::CreateInPool(&pool, 2);
+  ASSERT_TRUE(relation.ok());
+  ASSERT_TRUE(AppendPages(relation.value().get(), kPages).ok());
+  ASSERT_TRUE(relation.value()->Finish().ok());
+  ASSERT_EQ(pool.Stats().bypass_writes, 2u);
+  auto cursor = IntRelation::LastScan(std::move(relation).value());
+  uint64_t rows = 0;
+  Status scan = ForEachRow(cursor.get(), [&rows](const int32_t*) {
+    ++rows;
+    return Status::OK();
+  });
+  EXPECT_TRUE(scan.IsIOError()) << scan.ToString();
+  // The two pages the pool held were read; the third was not.
+  EXPECT_EQ(rows, 2 * IntRelation::RowsPerPage(2));
+  EXPECT_EQ(real.LivePages(), 2u);
+  cursor.reset();
+  EXPECT_EQ(real.LivePages(), 0u);
+}
+
 // Spilled runs are read back during the cascade and the final merge. A
 // failure at any backend operation must surface from Finish() or from the
 // sorted stream — never as a stream that ends early. The Tuple sort and

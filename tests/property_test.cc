@@ -22,7 +22,9 @@ namespace {
 
 // --------------------------------------------------------------------------
 // Buffer pool fuzz: random page workloads must preserve page contents
-// exactly, regardless of pool size.
+// exactly, regardless of pool size. Scratch pages written with AddPage and
+// read for the last time with TakePage mix with pinned pages; once the live
+// pages outgrow the pool, both also take their around-the-pool paths.
 // --------------------------------------------------------------------------
 
 class BufferPoolFuzzTest : public testing::TestWithParam<size_t> {};
@@ -34,37 +36,62 @@ TEST_P(BufferPoolFuzzTest, ContentsSurviveArbitraryWorkloads) {
   BufferPool pool(&backend, pool_frames);
   Rng rng(1000 + pool_frames);
   std::map<PageId, uint64_t> reference;  // page -> stamp written at offset 0
+  const auto pick = [&rng, &reference] {
+    auto it = reference.begin();
+    std::advance(it, rng.Uniform(reference.size()));
+    return it;
+  };
 
   for (int op = 0; op < 3000; ++op) {
     const double dice = rng.NextDouble();
-    if (dice < 0.25 || reference.empty()) {
+    if (dice < 0.15 || reference.empty()) {
       auto guard = pool.NewPage();
       ASSERT_TRUE(guard.ok());
       const uint64_t stamp = rng.Next();
       *guard.value().page()->As<uint64_t>() = stamp;
       guard.value().MarkDirty();
       reference[guard.value().id()] = stamp;
-    } else if (dice < 0.65) {
+    } else if (dice < 0.3) {
+      // Scratch write: cached, or around a pool full of unread scratch.
+      Page image{};
+      const uint64_t stamp = rng.Next();
+      *image.As<uint64_t>() = stamp;
+      auto id = pool.AddPage(image);
+      ASSERT_TRUE(id.ok());
+      ASSERT_EQ(reference.count(id.value()), 0u) << "live id handed out";
+      reference[id.value()] = stamp;
+    } else if (dice < 0.55) {
       // Random read-back.
-      auto it = reference.begin();
-      std::advance(it, rng.Uniform(reference.size()));
+      auto it = pick();
       auto guard = pool.FetchPage(it->first);
       ASSERT_TRUE(guard.ok());
       ASSERT_EQ(*guard.value().page()->As<uint64_t>(), it->second)
           << "page " << it->first << " corrupted";
-    } else if (dice < 0.9) {
+    } else if (dice < 0.75) {
       // Rewrite.
-      auto it = reference.begin();
-      std::advance(it, rng.Uniform(reference.size()));
+      auto it = pick();
       auto guard = pool.FetchPage(it->first);
       ASSERT_TRUE(guard.ok());
       const uint64_t stamp = rng.Next();
       *guard.value().page()->As<uint64_t>() = stamp;
       guard.value().MarkDirty();
       it->second = stamp;
+    } else if (dice < 0.9) {
+      // Last read: the page leaves the pool and the backend.
+      auto it = pick();
+      Page out{};
+      ASSERT_TRUE(pool.TakePage(it->first, &out).ok());
+      ASSERT_EQ(*out.As<uint64_t>(), it->second)
+          << "page " << it->first << " corrupted";
+      reference.erase(it);
     } else {
       ASSERT_TRUE(pool.FlushAll().ok());
     }
+  }
+  EXPECT_EQ(backend.LivePages(), reference.size());
+  if (pool_frames <= 16) {  // the live pages outgrow the pool
+    EXPECT_GT(pool.Stats().bypass_writes, 0u);
+    EXPECT_GT(pool.Stats().bypass_reads, 0u);
   }
   // Final full verification straight from the backend after a flush.
   ASSERT_TRUE(pool.FlushAll().ok());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "storage/buffer_pool.h"
+#include "storage/fault_injection.h"
 #include "storage/storage_backend.h"
 #include "storage/table_heap.h"
 
@@ -347,9 +348,9 @@ TEST(BufferPoolTest, RetainedShareSurvivesScansUpToHalfThePool) {
   BufferPool pool(&backend, kFrames);
   std::vector<PageId> looped;  // one page more than the share
   for (size_t i = 0; i <= kShare; ++i) {
-    auto guard = pool.NewPage(PageHint::kRetain);
-    ASSERT_TRUE(guard.ok());
-    looped.push_back(guard.value().id());
+    auto id = pool.AddPage(Page{}, PageHint::kRetain);
+    ASSERT_TRUE(id.ok());
+    looped.push_back(id.value());
   }
   for (int scan = 0; scan < 3; ++scan) {
     for (int i = 0; i < 20; ++i) ASSERT_TRUE(pool.NewPage().ok());
@@ -366,9 +367,9 @@ TEST(BufferPoolTest, RetainedShareSurvivesScansUpToHalfThePool) {
   ASSERT_TRUE(pool.ReleasePage(looped[0]).ok());
   ASSERT_TRUE(pool.ReleasePage(looped[kShare]).ok());
   {
-    auto guard = pool.NewPage(PageHint::kRetain);
-    ASSERT_TRUE(guard.ok());
-    looped[0] = guard.value().id();
+    auto id = pool.AddPage(Page{}, PageHint::kRetain);
+    ASSERT_TRUE(id.ok());
+    looped[0] = id.value();
   }
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(pool.NewPage().ok());
   const uint64_t misses_after = pool.misses();
@@ -376,6 +377,258 @@ TEST(BufferPoolTest, RetainedShareSurvivesScansUpToHalfThePool) {
     ASSERT_TRUE(pool.FetchPage(looped[i]).ok());
   }
   EXPECT_EQ(pool.misses(), misses_after);
+}
+
+// A page image whose first byte is `tag`.
+Page TaggedPage(char tag) {
+  Page page{};
+  page.data[0] = tag;
+  return page;
+}
+
+// A scratch page's last read of a resident page copies it out of its
+// frame: a hit that reads nothing, and the page is released unwritten.
+TEST(BufferPoolTest, TakeOfAResidentPageIsAHit) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 4);
+  auto id = pool.AddPage(TaggedPage('r'));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(pool.DirtyPageCount(), 1u);
+  Page out{};
+  ASSERT_TRUE(pool.TakePage(id.value(), &out).ok());
+  EXPECT_EQ(out.data[0], 'r');
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(stats.page_reads, 0u);
+  EXPECT_EQ(stats.page_writes, 0u);
+  EXPECT_EQ(pool.DirtyPageCount(), 0u);
+  EXPECT_EQ(backend.LivePages(), 0u);  // released
+  EXPECT_EQ(pool.Stats().bypass_reads, 0u);
+}
+
+// The last read of an evicted page reads it from the backend into the
+// caller's buffer: one read, a miss, and no frame taken, so the pages the
+// pool holds stay there.
+TEST(BufferPoolTest, TakeOfAnEvictedPageReadsAroundThePool) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 2);
+  auto scratch = pool.AddPage(TaggedPage('s'));
+  ASSERT_TRUE(scratch.ok());
+  std::vector<PageId> resident;
+  for (int i = 0; i < 2; ++i) {  // the second evicts the scratch page
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    resident.push_back(guard.value().id());
+  }
+  ASSERT_EQ(stats.page_writes, 1u);
+  const BufferPool::PoolStats before = pool.Stats();
+  Page out{};
+  ASSERT_TRUE(pool.TakePage(scratch.value(), &out).ok());
+  EXPECT_EQ(out.data[0], 's');
+  const BufferPool::PoolStats after = pool.Stats();
+  EXPECT_EQ(stats.page_reads, 1u);
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.bypass_reads, 1u);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(backend.LivePages(), 2u);  // the taken page is released
+  for (PageId id : resident) ASSERT_TRUE(pool.FetchPage(id).ok());
+  EXPECT_EQ(pool.misses(), after.misses);  // both still resident
+}
+
+// A scratch page's write takes the LRU victim's frame when the victim is
+// clean or a dirty page of a base table, which is written back first.
+TEST(BufferPoolTest, AddEvictsACleanOrBaseTableVictim) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 1);
+  {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_EQ(stats.page_writes, 1u);
+  auto first = pool.AddPage(TaggedPage('1'));  // the victim is clean
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(pool.Stats().evictions, 1u);
+  EXPECT_EQ(stats.page_writes, 1u);
+
+  PageId table_page;
+  {
+    // NewPage never goes around: it evicts the scratch page.
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    table_page = guard.value().id();
+    guard.value().page()->data[0] = 't';
+    guard.value().MarkDirty();
+  }
+  EXPECT_EQ(stats.page_writes, 2u);
+  auto second = pool.AddPage(TaggedPage('2'));  // the victim is dirty
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(stats.page_writes, 3u);  // the table page's write-back
+  EXPECT_EQ(pool.Stats().bypass_writes, 0u);
+  Page raw;
+  ASSERT_TRUE(backend.ReadPage(table_page, &raw).ok());
+  EXPECT_EQ(raw.data[0], 't');
+  const uint64_t hits = pool.hits();
+  Page out{};
+  ASSERT_TRUE(pool.TakePage(second.value(), &out).ok());
+  EXPECT_EQ(out.data[0], '2');
+  EXPECT_EQ(pool.hits(), hits + 1);  // cached
+}
+
+// When the LRU victim is a scratch page an earlier AddPage cached and no
+// one has read, the new page goes straight to the backend and the victim
+// stays: the pages a scan reads first are never displaced by later ones.
+TEST(BufferPoolTest, AddWritesAroundAnUnreadScratchVictim) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 2);
+  std::vector<PageId> ids;
+  for (char tag : {'a', 'b', 'c', 'd'}) {
+    auto id = pool.AddPage(TaggedPage(tag));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  EXPECT_EQ(stats.page_writes, 2u);  // 'c' and 'd', each written once
+  const BufferPool::PoolStats added = pool.Stats();
+  EXPECT_EQ(added.bypass_writes, 2u);
+  EXPECT_EQ(added.evictions, 0u);
+  EXPECT_EQ(added.dirty_writebacks, 0u);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Page out{};
+    ASSERT_TRUE(pool.TakePage(ids[i], &out).ok());
+    EXPECT_EQ(out.data[0], "abcd"[i]);
+  }
+  const BufferPool::PoolStats taken = pool.Stats();
+  EXPECT_EQ(taken.hits, 2u);  // 'a' and 'b' were still resident
+  EXPECT_EQ(taken.misses, 2u);
+  EXPECT_EQ(taken.bypass_reads, 2u);
+  EXPECT_EQ(stats.page_reads, 2u);
+  EXPECT_EQ(stats.page_writes, 2u);
+  EXPECT_EQ(backend.LivePages(), 0u);
+}
+
+// A recycled id may still be cached from its former life (a retired
+// manifest page, a dropped table's page). AddPage, like NewPage, reuses
+// that frame for the id's new page, even when every other frame holds
+// unread scratch, and nothing is written.
+TEST(BufferPoolTest, AddReusesTheStaleFrameOfARecycledId) {
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 2);
+  std::vector<PageId> free_ids;
+  pool.SetAllocationHook([&free_ids]() {
+    if (free_ids.empty()) return kInvalidPageId;
+    const PageId id = free_ids.back();
+    free_ids.pop_back();
+    return id;
+  });
+  PageId stale;
+  {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok());
+    stale = guard.value().id();
+    guard.value().page()->data[0] = 'o';
+    guard.value().MarkDirty();
+  }
+  auto unread = pool.AddPage(TaggedPage('u'));
+  ASSERT_TRUE(unread.ok());
+  // The page is freed, but its frame is still cached, and dirty.
+  free_ids.push_back(stale);
+  auto recycled = pool.AddPage(TaggedPage('n'));
+  ASSERT_TRUE(recycled.ok());
+  EXPECT_EQ(recycled.value(), stale);
+  EXPECT_EQ(stats.pages_reused, 1u);
+  EXPECT_EQ(stats.page_writes, 0u);
+  EXPECT_EQ(pool.Stats().evictions, 0u);
+  EXPECT_EQ(pool.Stats().bypass_writes, 0u);
+  Page out{};
+  ASSERT_TRUE(pool.TakePage(stale, &out).ok());
+  EXPECT_EQ(out.data[0], 'n');
+  ASSERT_TRUE(pool.TakePage(unread.value(), &out).ok());
+  EXPECT_EQ(out.data[0], 'u');
+  EXPECT_EQ(pool.misses(), 0u);
+}
+
+// A bypass write that fails gives its id back (here to the backend, which
+// reuses it) and takes no frame: the pool still holds `capacity` pages.
+TEST(BufferPoolTest, FailedBypassWriteGivesItsIdBack) {
+  IoStats stats;
+  MemoryBackend real(&stats);
+  FaultInjectionBackend flaky(&real, ~0ull);
+  BufferPool pool(&flaky, 2);
+  std::vector<PageId> cached;
+  for (char tag : {'a', 'b'}) {
+    auto id = pool.AddPage(TaggedPage(tag));
+    ASSERT_TRUE(id.ok());
+    cached.push_back(id.value());
+  }
+  const PageId next = static_cast<PageId>(real.NumPages());
+  flaky.PoisonWrites(next);
+  auto failed = pool.AddPage(TaggedPage('c'));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_EQ(real.LivePages(), 2u);
+  EXPECT_EQ(pool.Stats().bypass_writes, 0u);
+
+  flaky.PoisonWrites(kInvalidPageId);
+  auto again = pool.AddPage(TaggedPage('c'));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), next);  // the id came back
+  for (PageId id : cached) {
+    Page out{};
+    ASSERT_TRUE(pool.TakePage(id, &out).ok());
+  }
+  EXPECT_EQ(pool.misses(), 0u);
+  std::vector<PageGuard> guards;
+  for (int i = 0; i < 2; ++i) {
+    auto guard = pool.NewPage();
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    guards.push_back(std::move(guard).value());
+  }
+}
+
+// A take whose backend read fails releases nothing: the page still
+// belongs to its owner, and a later take of it succeeds.
+TEST(BufferPoolTest, FailedTakeReadKeepsThePage) {
+  IoStats stats;
+  MemoryBackend real(&stats);
+  // Two allocations and the bypass write succeed; the read fails.
+  FaultInjectionBackend flaky(&real, 3);
+  BufferPool pool(&flaky, 1);
+  auto cached = pool.AddPage(TaggedPage('a'));
+  auto around = pool.AddPage(TaggedPage('b'));
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(around.ok());
+  Page out{};
+  Status failed = pool.TakePage(around.value(), &out);
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  EXPECT_EQ(real.LivePages(), 2u);
+  EXPECT_EQ(pool.Stats().bypass_reads, 0u);
+  EXPECT_EQ(pool.DirtyPageCount(), 1u);  // 'a' is still cached
+
+  flaky.Heal();
+  ASSERT_TRUE(pool.TakePage(around.value(), &out).ok());
+  EXPECT_EQ(out.data[0], 'b');
+  ASSERT_TRUE(pool.TakePage(cached.value(), &out).ok());
+  EXPECT_EQ(out.data[0], 'a');
+  EXPECT_EQ(real.LivePages(), 0u);
+}
+
+// A pinned page cannot be taken.
+TEST(BufferPoolTest, TakeOfAPinnedPageFails) {
+  MemoryBackend backend(nullptr);
+  BufferPool pool(&backend, 2);
+  auto id = pool.AddPage(TaggedPage('p'));
+  ASSERT_TRUE(id.ok());
+  auto guard = pool.FetchPage(id.value());
+  ASSERT_TRUE(guard.ok());
+  Page out{};
+  EXPECT_TRUE(pool.TakePage(id.value(), &out).IsInvalidArgument());
+  guard.value().Release();
+  EXPECT_TRUE(pool.TakePage(id.value(), &out).ok());
 }
 
 TEST(BufferPoolTest, FlushAllPersistsDirtyFrames) {

@@ -629,7 +629,8 @@ int main(int argc, char** argv) {
     const uint64_t fetches = pool.hits + pool.misses;
     std::fprintf(stderr,
                  "pool: hits=%llu misses=%llu hit_ratio=%.3f evictions=%llu "
-                 "writebacks=%llu retries=%llu\n",
+                 "writebacks=%llu retries=%llu bypass_reads=%llu "
+                 "bypass_writes=%llu\n",
                  static_cast<unsigned long long>(pool.hits),
                  static_cast<unsigned long long>(pool.misses),
                  fetches == 0 ? 0.0
@@ -637,7 +638,9 @@ int main(int argc, char** argv) {
                                     static_cast<double>(fetches),
                  static_cast<unsigned long long>(pool.evictions),
                  static_cast<unsigned long long>(pool.dirty_writebacks),
-                 static_cast<unsigned long long>(pool.eviction_retries));
+                 static_cast<unsigned long long>(pool.eviction_retries),
+                 static_cast<unsigned long long>(pool.bypass_reads),
+                 static_cast<unsigned long long>(pool.bypass_writes));
     const WalStats wal = db->wal_stats();
     std::fprintf(stderr, "wal: records=%llu commits=%llu bytes=%llu "
                          "fsyncs=%llu\n",
