@@ -8,7 +8,8 @@
 // R4 = 0 for every series (maximum pattern size 3).
 //
 // Sizes are the paper's: |R_k|·(k+1)·4 bytes, (trans_id, item_1..item_k)
-// per row, although the engine stores R_k (k >= 2) as (trans_id, C_k id).
+// per row, although the engine stores R_1 and R_k as one group per
+// transaction, its trans_id once and its ids as varint deltas.
 //
 // usage: fig5_relation_sizes [--smoke]
 //   --smoke: the lowest minsup only. Exits 1 if an iteration's bytes are

@@ -57,14 +57,19 @@ if [[ -x "$pool_bench_bin" ]]; then
 fi
 
 # filter_r1 bench smoke: mines with and without filter_r1 must find the
-# same itemsets, and the filtered R_1 must pair no more R'_2 rows.
+# same itemsets, and the filtered R_1 must pair no more R'_2 rows. Under
+# the asan preset this also runs the grouped page codec under the
+# sanitizers (filter_r1 rewrites R_1 through the encoder), as CI's
+# sanitize job does.
 filter_bench_bin="build/$preset/bench/ablation_filter_r1"
 if [[ -x "$filter_bench_bin" ]]; then
   "$filter_bench_bin" --smoke
 fi
 
 # Figure 5 bench smoke: every iteration must report R_k in the paper's
-# bytes, |R_k|*(k+1)*4, whatever width the engine stores it at.
+# bytes, |R_k|*(k+1)*4, however the engine stores it (one group per
+# transaction). Under the asan preset this also encodes and decodes every
+# R_k under the sanitizers, as CI's sanitize job does.
 fig5_bench_bin="build/$preset/bench/fig5_relation_sizes"
 if [[ -x "$fig5_bench_bin" ]]; then
   "$fig5_bench_bin" --smoke

@@ -32,8 +32,10 @@ mkdir -p "$WORK"
 STORE_MINSUP=2
 QUERY_MINSUP=3
 POOL=16   # small on purpose: iteration spans must show real page reads
+# 6,000 transactions, so that A's R_k outgrow the pool and its last scans
+# and R_k writes go around it (R_k is stored as one group per transaction).
 
-awk 'BEGIN{for(t=1;t<=2000;t++){print t","1; print t","2;
+awk 'BEGIN{for(t=1;t<=6000;t++){print t","1; print t","2;
   if(t%2==0)print t","3; if(t%3==0)print t","4;
   print t","(5+t%7); print t","(12+t%11)}}' > "$WORK/sales.csv"
 

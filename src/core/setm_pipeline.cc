@@ -332,35 +332,35 @@ Result<CandidateLevel> IndexCandidates(size_t k,
   return out;
 }
 
-Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
+Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
-                  IntRelation* out, ExtensionCount* next) {
+                  GroupedRelation* out, ExtensionCount* next) {
   const size_t k = ck.k;
-  SETM_DCHECK(out == nullptr ? k == 1 : out->width() == 2);
+  SETM_DCHECK(out != nullptr || k == 1);
   const ItemRanks& c1 = ck.space.alphabet;
-#ifndef NDEBUG
-  // R_k is appended in arrival order and never sorted, so the rows must
-  // arrive in (trans_id, item) order for k = 1 and (trans_id, C_k id)
-  // order, which is (trans_id, item_1..item_k) order, for k >= 2.
-  std::vector<int32_t> last;
-  const auto check_order = [&](const int32_t* row) {
-    const int32_t* end = row + out->width();
-    SETM_CHECK(last.empty() || !std::lexicographical_compare(
-                                   row, end, last.begin(), last.end()));
-    last.assign(row, end);
-  };
-#else
-  const auto check_order = [](const int32_t*) {};
-#endif
+  TransactionItems txn;
+  std::vector<int32_t> kept;  // the transaction's group of `out`
   if (k == 1) {
-    // R'_2 pairs the items of a transaction that pass 2 joins, so they are
-    // gathered until the transaction ends. A C_1 item's id is its rank.
-    std::optional<TransactionId> tid;
-    std::vector<ItemId> joined;
-    TransactionItems txn;
-    const auto count_pairs = [&]() -> Status {
-      if (next == nullptr) return Status::OK();
-      txn.Load(joined.data(), joined.data() + joined.size(), c1);
+    // R'_2 pairs the items of each transaction that pass 2 joins. A C_1
+    // item's id is its rank.
+    IdGroup t;
+    while (true) {
+      auto more = left->Next(&t);
+      if (!more.ok()) return more.status();
+      if (!more.value()) break;
+      const ItemId* items = t.begin;
+      const ItemId* items_end = t.end;
+      if (out != nullptr) {
+        kept.clear();
+        for (const ItemId* item = t.begin; item != t.end; ++item) {
+          if (c1.RankOf(*item) != ItemRanks::kAbsent) kept.push_back(*item);
+        }
+        SETM_RETURN_IF_ERROR(out->Append(t.tid, kept.data(), kept.size()));
+        items = kept.data();
+        items_end = items + kept.size();
+      }
+      if (next == nullptr) continue;
+      txn.Load(items, items_end, c1);
       next->AddRows(txn.Pairs());
       const int32_t* ranks = txn.ranks();
       for (size_t i = 0; i < txn.size(); ++i) {
@@ -368,78 +368,59 @@ Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
             next->AddExtensions(static_cast<uint32_t>(ranks[i]),
                                 ranks + txn.Next(i), ranks + txn.size()));
       }
-      return Status::OK();
-    };
-    const auto keep = [&](const int32_t* row) -> Status {
-      if (tid != row[0]) {
-        SETM_RETURN_IF_ERROR(count_pairs());
-        tid = row[0];
-        joined.clear();
-      }
-      if (out != nullptr) {
-        if (c1.RankOf(row[1]) == ItemRanks::kAbsent) return Status::OK();
-        check_order(row);
-        SETM_RETURN_IF_ERROR(out->Append(row, 1));
-      }
-      joined.push_back(row[1]);
-      return Status::OK();
-    };
-    SETM_RETURN_IF_ERROR(ForEachRow(left, keep));
-    SETM_RETURN_IF_ERROR(count_pairs());
+    }
     return out == nullptr ? Status::OK() : out->Finish();
   }
 
-  // A left row names its C_{k-1} itemset: by its item's C_1 rank for
-  // k = 2, by its C_{k-1} id for k >= 3.
+  // A left id names its C_{k-1} itemset: by its item's C_1 rank for k = 2,
+  // as its C_{k-1} id for k >= 3.
   if (k >= 3) SETM_CHECK(prev != nullptr && prev->k + 1 == k);
   const int32_t* child_rank = ck.space.last_rank.data();
   const uint32_t* first_child = ck.first_child.data();
-  TransactionItems txn;
-  std::optional<TransactionId> tid;
-  const auto pass = [&](const int32_t* p, const ItemId* items,
+  const auto pass = [&](const IdGroup& p, const ItemId* items,
                         const ItemId* items_end) -> Status {
-    if (tid != p[0]) {
-      tid = p[0];
-      txn.Load(items, items_end, c1);
-    }
-    size_t parent;
-    ItemId last_item;
-    if (k == 2) {
-      const int32_t rank = c1.RankOf(p[1]);
-      if (rank == ItemRanks::kAbsent) return Status::OK();
-      parent = static_cast<size_t>(rank);
-      last_item = p[1];
-    } else {
-      if (p[1] < 0 || static_cast<size_t>(p[1]) >= prev->size()) {
-        return Status::Corruption(
-            "R_" + std::to_string(k - 1) + " names C_" +
-            std::to_string(k - 1) + " id " + std::to_string(p[1]) +
-            ", outside [0, " + std::to_string(prev->size()) + ")");
-      }
-      parent = static_cast<size_t>(p[1]);
-      last_item = c1.item(prev->space.last_rank[parent]);
-    }
-    uint32_t child = first_child[parent];
-    const uint32_t child_end = first_child[parent + 1];
-    if (child == child_end) return Status::OK();
-    // Merge the transaction's C_1 items above item_{k-1} with the parent's
-    // children, both ascending on rank: each match is an R'_k row in C_k.
+    txn.Load(items, items_end, c1);
+    kept.clear();
     const int32_t* ranks = txn.ranks();
-    for (size_t i = txn.FirstAbove(last_item); i < txn.size(); ++i) {
-      while (child_rank[child] < ranks[i]) {
-        if (++child == child_end) return Status::OK();
+    for (const int32_t* id = p.begin; id != p.end; ++id) {
+      size_t parent;
+      ItemId last_item;
+      if (k == 2) {
+        const int32_t rank = c1.RankOf(*id);
+        if (rank == ItemRanks::kAbsent) continue;
+        parent = static_cast<size_t>(rank);
+        last_item = *id;
+      } else {
+        if (*id < 0 || static_cast<size_t>(*id) >= prev->size()) {
+          return Status::Corruption(
+              "R_" + std::to_string(k - 1) + " names C_" +
+              std::to_string(k - 1) + " id " + std::to_string(*id) +
+              ", outside [0, " + std::to_string(prev->size()) + ")");
+        }
+        parent = static_cast<size_t>(*id);
+        last_item = c1.item(prev->space.last_rank[parent]);
       }
-      if (child_rank[child] != ranks[i]) continue;
-      const int32_t row[2] = {p[0], static_cast<int32_t>(child)};
-      check_order(row);
-      SETM_RETURN_IF_ERROR(out->Append(row, 1));
-      if (next != nullptr) {
-        next->AddRows(txn.RowsAfter(i));
-        SETM_RETURN_IF_ERROR(next->AddExtensions(
-            child, ranks + txn.Next(i), ranks + txn.size()));
+      uint32_t child = first_child[parent];
+      const uint32_t child_end = first_child[parent + 1];
+      if (child == child_end) continue;
+      // Merge the transaction's C_1 items above item_{k-1} with the
+      // parent's children, both ascending on rank: each match is an R'_k
+      // row in C_k.
+      for (size_t i = txn.FirstAbove(last_item); i < txn.size(); ++i) {
+        while (child != child_end && child_rank[child] < ranks[i]) ++child;
+        if (child == child_end) break;
+        if (child_rank[child] != ranks[i]) continue;
+        kept.push_back(static_cast<int32_t>(child));
+        if (next != nullptr) {
+          next->AddRows(txn.RowsAfter(i));
+          SETM_RETURN_IF_ERROR(next->AddExtensions(
+              child, ranks + txn.Next(i), ranks + txn.size()));
+        }
       }
     }
-    return Status::OK();
+    // The parents ascend, and a parent's children follow the children of
+    // every parent below it, so the kept ids ascend too.
+    return out->Append(p.tid, kept.data(), kept.size());
   };
   SETM_RETURN_IF_ERROR(JoinLeftRows(left, r1, pass));
   return out->Finish();

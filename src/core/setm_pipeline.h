@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/itemset_counts.h"
@@ -15,75 +14,74 @@
 
 namespace setm {
 
-// The join/count/filter bodies of Algorithm SETM over fixed-width int32
-// rows. They iterate in one place, shard::LocalShardBackend under
+// The join/count/filter bodies of Algorithm SETM over transaction groups.
+// They iterate in one place, shard::LocalShardBackend under
 // shard::DistributedMine: every SetmMiner mine (serial as one shard,
 // threaded as N, and each per-class run of ClassedSetmMiner), every
 // sharded database and every remote LCOUNT/MERGE request runs them there.
-// R_1 is an IntRelation of width 2, (trans_id, item): SALES. Every R_k with
-// k >= 2 is stored in candidate-id space at width 2, (trans_id, C_k id),
-// where the id names the row's itemset (item_1..item_k) in C_k. Ids follow
-// itemset order, so R_k kept sorted on (trans_id, id) is sorted on
-// (trans_id, item_1..item_k), the paper's order: it holds the paper's rows
-// in 8 bytes each instead of (k+1)·4. R'_k is never stored. Each iteration
-// k makes one pass, the one that writes R_k: the merge-scan join of
-// R_{k-1} with R_1 streams R'_k, the rows whose items are in C_k are
-// appended to R_k, and each kept row's extensions, the rows of R'_{k+1},
-// go straight into the next level's count. So C_{k+1} is counted without a
-// join of its own and each iteration reads R_{k-1} and R_1 once (the
-// fusion of AprioriTid, Agrawal and Srikant 1994).
+// R_1 is a GroupedRelation of (trans_id, item): SALES. Every R_k with
+// k >= 2 is stored in candidate-id space, (trans_id, C_k id), where the id
+// names the row's itemset (item_1..item_k) in C_k. Ids follow itemset
+// order, so R_k kept sorted on (trans_id, id) is sorted on (trans_id,
+// item_1..item_k), the paper's order. Both are stored as one group per
+// transaction, its trans_id once and its ascending ids as varint deltas
+// (relational/int_relation.h), where the paper's rows take (k+1)·4 bytes
+// each. R'_k is never stored. Each iteration k makes one pass, the one
+// that writes R_k: the merge-scan join of R_{k-1} with R_1 streams R'_k a
+// transaction at a time, the rows whose items are in C_k are appended to
+// R_k as the transaction's group, and each kept row's extensions, the rows
+// of R'_{k+1}, go straight into the next level's count. So C_{k+1} is
+// counted without a join of its own and each iteration reads R_{k-1} and
+// R_1 once (the fusion of AprioriTid, Agrawal and Srikant 1994).
 //
 // The pass works in candidate-id space, as AprioriTid's candidate ids and
 // Bodon's prefix trie of candidates (FIMI 2003) do. A C_k itemset's id is
 // its position in itemset order (CandidateLevel), so the children of one
 // C_{k-1} itemset have consecutive ids, ascending on their last item. Pass
 // k reads a left R_{k-1} row's C_{k-1} id (its item's rank in C_1 for
-// k = 2, its id column for k >= 3, whose last item is read from C_{k-1}),
-// merges the transaction's items above the row's last item against that
-// parent's children instead of hashing each R'_k row, appends each match
-// as (trans_id, C_k id), and counts each kept row's extensions by the
-// one-word key (C_k id, rank of the extension item in C_1)
+// k = 2, its id for k >= 3, whose last item is read from C_{k-1}), merges
+// the transaction's items above the row's last item against that parent's
+// children instead of hashing each R'_k row, keeps each match's C_k id for
+// the transaction's R_k group, and counts each kept row's extensions by
+// the one-word key (C_k id, rank of the extension item in C_1)
 // (ExtensionCount), handed over as (C_k id, item). An extension by an item
 // outside C_1 only adds to |R'_{k+1}|: its support is at most that item's,
 // so it cannot be frequent. The SQL engine's Tuple/Value path (and with it
 // setm-sql, the paper's SQL formulation) is not used here.
 
-/// Streams the merge-scan join of `left`, a cursor over R_{k-1} (rows whose
-/// first column is trans_id, sorted), with `r1` (R_1, width 2) on trans_id.
-/// Calls `visit(p, items, items_end)` (returns a Status) once per left row
-/// p, in `left`'s order, where [items, items_end) are p's transaction's R_1
-/// items, ascending (a repeated SALES row repeats its item). R'_k's rows
-/// for p are p's itemset extended by each of those items q > its
-/// item_{k-1}, in order, so R'_k arrives sorted on (trans_id,
-/// item_1..item_k) like the inputs. The range is valid for the call only,
-/// and the same for every left row of a transaction. Stops at the first
+/// Streams the merge-scan join of `left`, a cursor over R_{k-1}, with `r1`
+/// (R_1) on trans_id, a transaction at a time. Calls `visit(p, items,
+/// items_end)` (returns a Status) once per left transaction p, in `left`'s
+/// order, where [items, items_end) are p's transaction's R_1 items,
+/// ascending (a repeated SALES row repeats its item), and empty when R_1
+/// has no such transaction. R'_k's rows for a left row (p.tid, id) are the
+/// id's itemset extended by each of those items above its item_{k-1}, in
+/// order, so R'_k arrives sorted on (trans_id, item_1..item_k) like the
+/// inputs. Both ranges are valid for the call only. Stops at the first
 /// error.
 template <typename Visit>
-Status JoinLeftRows(IntRowCursor* left, const IntRelation& r1, Visit visit) {
-  SETM_DCHECK(r1.width() == 2);
-  auto r1_rows = r1.Scan();
-  const int32_t* q = nullptr;  // the first R_1 row not yet gathered
+Status JoinLeftRows(GroupCursor* left, const GroupedRelation& r1,
+                    Visit visit) {
+  std::unique_ptr<GroupCursor> r1_groups = r1.Scan();
+  IdGroup q;  // the first R_1 transaction not below the left one
   bool q_valid = false;
   const auto next_q = [&]() -> Status {
-    auto more = r1_rows->Next(&q);
+    auto more = r1_groups->Next(&q);
     if (!more.ok()) return more.status();
     q_valid = more.value();
     return Status::OK();
   };
   SETM_RETURN_IF_ERROR(next_q());
-  std::optional<TransactionId> tid;  // the transaction `items` belongs to
-  std::vector<ItemId> items;         // its R_1 items
-  return ForEachRow(left, [&](const int32_t* p) -> Status {
-    if (tid != p[0]) {
-      tid = p[0];
-      items.clear();
-      while (q_valid && q[0] <= p[0]) {
-        if (q[0] == p[0]) items.push_back(q[1]);
-        SETM_RETURN_IF_ERROR(next_q());
-      }
-    }
-    return visit(p, items.data(), items.data() + items.size());
-  });
+  IdGroup p;
+  while (true) {
+    auto more = left->Next(&p);
+    if (!more.ok()) return more.status();
+    if (!more.value()) return Status::OK();
+    while (q_valid && q.tid < p.tid) SETM_RETURN_IF_ERROR(next_q());
+    const bool joined = q_valid && q.tid == p.tid;
+    SETM_RETURN_IF_ERROR(
+        visit(p, joined ? q.begin : nullptr, joined ? q.end : nullptr));
+  }
 }
 
 /// Dense ranks 0..n-1 of n distinct items in ascending order: C_1's items,
@@ -390,30 +388,30 @@ Result<CandidateLevel> IndexCandidates(size_t k,
                                        const std::vector<CandidateKey>& keys,
                                        const CandidateLevel* prev);
 
-/// The one pass of iteration k, the filter: appends to `out` (width 2) the
-/// rows of R'_k whose items are in `ck` ("simple table look-ups on
-/// relation C_k"), in the order they arrive, as (trans_id, C_k id), and
-/// counts the kept rows' extensions, R'_{k+1}, into `next` (over ck.space)
-/// unless it is null. For k >= 2 R'_k is the join of `left`, a scan of
-/// R_{k-1}, with `r1`, so R_k comes out sorted on (trans_id, C_k id), which
-/// is (trans_id, item_1..item_k) order, without a sort. For k >= 3 a left
-/// row is (trans_id, C_{k-1} id) in `prev` (C_{k-1}; null for k <= 2), and
-/// its last item is C_1's item of that id's last rank in `prev`; an id
-/// outside [0, |C_{k-1}|) is Corruption. For k = 2 a left row is an R_1
-/// row, (trans_id, item), and its C_1 id is the item's rank. A left row's R'_k rows in C_k are found
-/// by merging the transaction's C_1 items above its last item with the
-/// C_{k-1} itemset's children; nothing is hashed but `next`'s keys, when
-/// it is a hashed count. For k == 1 `left` scans R_1 itself and R'_2 pairs
-/// the items of each transaction in the R_1 that pass 2 joins: `out`, the
-/// rows of R_1 whose item is in C_1, under the filter_r1 ablation, and
-/// R_1 whole when `out` is null. Every such pair adds to |R'_2|, but only a
-/// pair of C_1 items is counted, keyed by (C_1 rank, C_1 rank), so the
-/// count is a triangle over C_1. `left` may be a last scan
-/// (IntRelation::LastScan) that releases R_{k-1} page by page while `out`
-/// grows. `out` is Finish()ed, ready to scan.
-Status FilterByCk(IntRowCursor* left, const IntRelation& r1,
+/// The one pass of iteration k, the filter: appends to `out` the rows of
+/// R'_k whose items are in `ck` ("simple table look-ups on relation C_k"),
+/// as one group (trans_id, C_k ids) per transaction, and counts the kept
+/// rows' extensions, R'_{k+1}, into `next` (over ck.space) unless it is
+/// null. For k >= 2 R'_k is the join of `left`, a scan of R_{k-1}, with
+/// `r1`, so R_k comes out sorted on (trans_id, C_k id), which is
+/// (trans_id, item_1..item_k) order, without a sort. For k >= 3 a left id
+/// is a C_{k-1} id in `prev` (C_{k-1}; null for k <= 2), and its last item
+/// is C_1's item of that id's last rank in `prev`; an id outside
+/// [0, |C_{k-1}|) is Corruption naming R_{k-1}. For k = 2 a left id is an
+/// R_1 item, and its C_1 id is the item's rank. A left row's R'_k rows in
+/// C_k are found by merging the transaction's C_1 items above its last item
+/// with the C_{k-1} itemset's children; nothing is hashed but `next`'s
+/// keys, when it is a hashed count. For k == 1 `left` scans R_1 itself and
+/// R'_2 pairs the items of each transaction in the R_1 that pass 2 joins:
+/// `out`, R_1 without the items outside C_1, under the filter_r1 ablation,
+/// and R_1 whole when `out` is null. Every such pair adds to |R'_2|, but
+/// only a pair of C_1 items is counted, keyed by (C_1 rank, C_1 rank), so
+/// the count is a triangle over C_1. `left` may be a last scan
+/// (GroupedRelation::LastScan) that releases R_{k-1} page by page while
+/// `out` grows. `out` is Finish()ed, ready to scan.
+Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
-                  IntRelation* out, ExtensionCount* next);
+                  GroupedRelation* out, ExtensionCount* next);
 
 }  // namespace setm
 

@@ -165,8 +165,10 @@ struct IterationStats {
   /// The paper's size of R_k, |R_k|·(k+1)·4 bytes (Figure 5 plots KB).
   uint64_t r_bytes = 0;
   /// ||R_k||, the pages R_k takes as the miner stores it. SetmMiner keeps
-  /// R_1 as (trans_id, item) and R_k (k >= 2) as (trans_id, C_k id), so
-  /// ceil(|R_k| / 511) at every k; setm-sql reports its tables' pages.
+  /// R_1, (trans_id, item), and R_k (k >= 2), (trans_id, C_k id), as one
+  /// group per transaction, trans_id once and the ids as varint deltas
+  /// (GroupedRelation), so this is the pages the groups encode into;
+  /// setm-sql reports its tables' pages.
   uint64_t r_pages = 0;
   uint64_t c_size = 0;       ///< |C_k| (Figure 6)
   double seconds = 0.0;      ///< wall-clock for the iteration

@@ -85,11 +85,12 @@ NestedLoopAnalysis AnalyzeNestedLoop(const HypotheticalDb& db);
 /// run, nothing when the candidates fit. Its measured pages do not map
 /// term for term; the paper figures here stay unchanged. Neither do the
 /// relation sizes for k >= 2: IterationStats::r_bytes is the paper's
-/// |R_k| x (k+1) x 4 bytes, but the engine stores R_k as (trans_id, C_k
-/// id), 8 bytes a row at every k, so under kHeap a measured ||R_k||
-/// (IterationStats::r_pages) is ceil(|R_k| / 511): a packed page's 8-byte
-/// header leaves 4,088 bytes for rows. That is the paper's ||R_k|| for R_1
-/// and 2/(k+1) of it for R_k.
+/// |R_k| x (k+1) x 4 bytes, but the engine stores R_1 and R_k as
+/// (trans_id, C_k id) groups, one per transaction, its trans_id once and
+/// its ids as varint deltas (GroupedRelation), so a measured ||R_k||
+/// (IterationStats::r_pages) is the pages those groups encode into: on
+/// mine_heap's data about a sixth of the paper's ||R_1|| and a tenth or
+/// less of its ||R_k||, a function of the data, not of |R_k| alone.
 struct SortMergeAnalysis {
   uint64_t r1_pages = 0;
   std::vector<uint64_t> r_prime_pages;  ///< ||R'_2||, ||R'_3||, ...

@@ -114,8 +114,8 @@ class Database {
   /// Page tagger for WAL-bypassing scratch storage: every tagged page is
   /// written straight to the main file instead of the write-ahead log.
   /// Null (a no-op to pass around freely) for in-memory databases.
-  /// IntRelation::Create tags the pages of SETM's R_1 and R_k with it, and
-  /// ExecContext::From hands it to the sorts for their spilled runs —
+  /// GroupedRelation::Create tags the pages of SETM's R_1 and R_k with it,
+  /// and ExecContext::From hands it to the sorts for their spilled runs —
   /// scratch the run drops, whose pages would otherwise bloat the log with
   /// data nobody ever replays — and unlogged catalog tables tag their
   /// chains. A scratch page released to the pool loses its tag and goes

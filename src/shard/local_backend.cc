@@ -79,9 +79,7 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
         "CountFirstIteration twice in one run on shard " + name_);
   }
   // Every pass rescans R_1: its pages stay in the pool's retained share.
-  auto r1_or = IntRelation::Create(db_, run_.storage, 2, PageHint::kRetain);
-  if (!r1_or.ok()) return r1_or.status();
-  r1_ = std::move(r1_or).value();
+  r1_ = GroupedRelation::Create(db_, run_.storage, "R_1", PageHint::kRetain);
   r_prev_.reset();
   level_ = CandidateLevel{};
   // R_1 := the slice, already in (trans_id, item) order. Its items, ranked
@@ -93,16 +91,19 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
   const ItemRanks& distinct = singletons.alphabet;
   std::unique_ptr<ExtensionCount> counts = NewCount(&singletons, 1);
   ShardReply out;
-  std::vector<int32_t> ranks;  // the current transaction's items'
+  std::vector<ItemId> items;   // the current transaction's
+  std::vector<int32_t> ranks;  // and their ranks
   for (size_t begin = 0; begin < slice.size();) {
     ++out.transactions;
+    items.clear();
     ranks.clear();
     size_t end = begin;
     for (; end < slice.size() && slice[end].tid == slice[begin].tid; ++end) {
-      const int32_t row[2] = {slice[end].tid, slice[end].item};
-      SETM_RETURN_IF_ERROR(r1_->Append(row, 1));
-      ranks.push_back(distinct.RankOf(row[1]));
+      items.push_back(slice[end].item);
+      ranks.push_back(distinct.RankOf(slice[end].item));
     }
+    SETM_RETURN_IF_ERROR(
+        r1_->Append(slice[begin].tid, items.data(), items.size()));
     // C_1's count extends the empty itemset by each item.
     counts->AddRows(ranks.size());
     SETM_RETURN_IF_ERROR(
@@ -113,7 +114,7 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
   run_rows_.clear();
   run_rows_.shrink_to_fit();
   out.r_rows = r1_->num_rows();
-  out.r_bytes = r1_->size_bytes();
+  out.r_bytes = r1_->num_rows() * 2 * sizeof(int32_t);
   out.r_pages = r1_->num_pages();
   out.r_prime_rows = counts->stats().rows;
   SETM_RETURN_IF_ERROR(counts->Finish(count_floor_, &out.counts));
@@ -144,13 +145,12 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   // C_k filter, R_k appended and R'_{k+1} counted by (C_k id, C_1 rank).
   std::unique_ptr<ExtensionCount> next = NewCount(&level.space, k + 1);
   // Pass 1 rewrites R_1 only under filter_r1; otherwise R_1 stays whole.
-  // R_k (k >= 2) is (trans_id, C_k id), width 2 like R_1.
-  std::unique_ptr<IntRelation> rk;
+  // R_k (k >= 2) is (trans_id, C_k id), grouped like R_1.
+  std::unique_ptr<GroupedRelation> rk;
   if (k >= 2 || run_.filter_r1) {
-    auto rk_or = IntRelation::Create(
-        db_, run_.storage, 2, k == 1 ? PageHint::kRetain : PageHint::kNone);
-    if (!rk_or.ok()) return rk_or.status();
-    rk = std::move(rk_or).value();
+    rk = GroupedRelation::Create(
+        db_, run_.storage, "R_" + std::to_string(k),
+        k == 1 ? PageHint::kRetain : PageHint::kNone);
   }
   // An empty global C_k still creates (and reports) an empty R_k, as
   // Figure 4's loop does, and leaves an empty count of R'_{k+1}. A whole
@@ -160,8 +160,8 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     // Pass k >= 3 is R_{k-1}'s last use: the join releases each of its
     // pages as it leaves it, and R_k reuses their ids. A failed pass has
     // consumed its input, so it ends the run.
-    std::unique_ptr<IntRowCursor> left =
-        r_prev_ != nullptr ? IntRelation::LastScan(std::move(r_prev_))
+    std::unique_ptr<GroupCursor> left =
+        r_prev_ != nullptr ? GroupedRelation::LastScan(std::move(r_prev_))
                            : r1_->Scan();
     Status pass = FilterByCk(left.get(), *r1_, k >= 3 ? &level_ : nullptr,
                              level, rk.get(), next.get());
@@ -180,11 +180,11 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   } else if (rk != nullptr) {
     r_prev_ = std::move(rk);
   }
-  const IntRelation& written = k == 1 ? *r1_ : *r_prev_;
+  const GroupedRelation& written = k == 1 ? *r1_ : *r_prev_;
   ShardReply out;
   out.r_rows = written.num_rows();
   // The paper's |R_k|, (trans_id, item_1..item_k) per row; the pages are
-  // the engine's, of the width-2 relation.
+  // the engine's, of the grouped relation.
   out.r_bytes = written.num_rows() * (k + 1) * sizeof(int32_t);
   out.r_pages = written.num_pages();
   if (next != nullptr) {

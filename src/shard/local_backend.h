@@ -45,8 +45,9 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     FilterByCk: the merge-scan join of R_{k-1} with R_1, each R_{k-1}
 ///     row's C_{k-1} id read from the row itself (an R_1 row's item ranked
 ///     in C_1 for k = 2), C_k membership by a sorted merge with that
-///     itemset's children, R_k appended as (trans_id, C_k id) in join
-///     order (already its sorted order), and each kept row's extensions
+///     itemset's children, R_k appended a transaction at a time as its
+///     group of C_k ids in join order (already its sorted order), and each
+///     kept row's extensions
 ///     counted by (C_k id, C_1 rank) into the ExtensionCount of R'_{k+1},
 ///     finished before it returns.
 ///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of
@@ -75,15 +76,16 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///     so a long-lived backend sees rows appended between runs (the server
 ///     and file-shard members use this).
 ///
-/// R_1 and R_k are fixed-width int32 relations (IntRelation) that never
-/// enter the catalog: flat arrays under kMemory, packed unlogged pages
-/// under kHeap. Both are width 2: R_1 is (trans_id, item) and R_k (k >= 2)
-/// is (trans_id, C_k id), 511 rows per page. A reply's r_bytes is the
-/// paper's |R_k|·(k+1)·4 bytes, and its r_pages the relation's pages
-/// (num_pages()). The backend holds at most R_1, R_{k-1} and the R_k being
-/// written: R_1 is created with PageHint::kRetain, so its pages keep their
-/// frames in the pool's retained share; pass k >= 3 reads R_{k-1} with
-/// IntRelation::LastScan, releasing it page by page; EndRun releases the
+/// R_1, (trans_id, item), and R_k (k >= 2), (trans_id, C_k id), are
+/// GroupedRelations that never enter the catalog: one group per
+/// transaction, its trans_id once and its ids as varint deltas, on page
+/// images in memory under kMemory and unlogged pages under kHeap. A
+/// reply's r_bytes is the paper's |R_k|·(k+1)·4 bytes, and its r_pages the
+/// relation's pages (num_pages()). The backend holds at most R_1, R_{k-1}
+/// and the R_k being written: R_1 is created with PageHint::kRetain, so
+/// its pages keep their frames in the pool's retained share; pass k >= 3
+/// reads R_{k-1} with GroupedRelation::LastScan, releasing it page by
+/// page; EndRun releases the
 /// rest. A pass that fails ends the run; a malformed C_k is refused before
 /// anything changes. No row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {
@@ -123,8 +125,8 @@ class LocalShardBackend : public ShardBackend {
   ShardRunOptions run_;
   int64_t count_floor_ = 1;         ///< local counts below it are dropped
 
-  std::unique_ptr<IntRelation> r1_;      ///< R_1 slice (filtered when asked)
-  std::unique_ptr<IntRelation> r_prev_;  ///< R_{k-1}; null means use r1
+  std::unique_ptr<GroupedRelation> r1_;  ///< R_1 slice (filtered when asked)
+  std::unique_ptr<GroupedRelation> r_prev_;  ///< R_{k-1}; null: use r1
   /// The k the next ApplyGlobalCk must carry; 0 before CountFirstIteration.
   size_t next_k_ = 0;
   /// The last C_k applied, with its ids: the next pass's C_{k-1}.

@@ -22,9 +22,9 @@ namespace setm {
 /// Records are only appended, and read back by a scan in storage order.
 /// Insert appends to the tail page and chains a new page when the record
 /// does not fit. Two kinds of data live here: heap tables (HeapTable, the
-/// SQL engine's and SALES's rows) and ExternalSort's Tuple runs. Fixed-width
-/// int rows (SETM's R_k and the C_k count's spilled runs) use
-/// IntRelation's packed pages instead.
+/// SQL engine's and SALES's rows) and ExternalSort's Tuple runs. SETM's R_1
+/// and R_k use GroupedRelation's pages of transaction groups, and the C_k
+/// count's spilled runs IntRelation's packed pages, instead.
 ///
 /// Page-at-a-time I/O: the iterator pins each page once, copies it and
 /// unpins it, so a scan costs one FetchPage per page rather than one per

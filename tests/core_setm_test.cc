@@ -238,9 +238,40 @@ TEST(SetmModesTest, HeapAndMemoryBackingsAgree) {
             mem_result.value().io.pages_allocated);
 }
 
-// ||R_k|| is one formula, ceil(|R_k| / rows per packed page), under both
-// backings, so IterationStats::r_pages does not depend on the backing, at
-// one shard or several.
+// The pages the grouped encoder writes for R_k as the paper defines it,
+// rebuilt from the transactions and the mined C_k: per transaction, the
+// ids (positions in itemset order) of the C_k itemsets it contains; R_1 is
+// the transactions' items. The transactions hold distinct items.
+uint64_t ReferenceRPages(const TransactionDb& txns,
+                         const FrequentItemsets& itemsets, size_t k) {
+  std::vector<std::vector<ItemId>> ck;
+  for (const PatternCount& pattern : itemsets.OfSize(k)) {
+    ck.push_back(pattern.items);
+  }
+  std::sort(ck.begin(), ck.end());
+  GroupedRelation rk(nullptr, "R_" + std::to_string(k));
+  std::vector<int32_t> ids;
+  for (const Transaction& txn : txns) {
+    ids.clear();
+    if (k == 1) {
+      ids = txn.items;
+    } else {
+      for (size_t id = 0; id < ck.size(); ++id) {
+        if (std::includes(txn.items.begin(), txn.items.end(), ck[id].begin(),
+                          ck[id].end())) {
+          ids.push_back(static_cast<int32_t>(id));
+        }
+      }
+    }
+    EXPECT_TRUE(rk.Append(txn.id, ids.data(), ids.size()).ok());
+  }
+  EXPECT_TRUE(rk.Finish().ok());
+  return rk.num_pages();
+}
+
+// ||R_k|| is the pages of R_k's groups under both backings, which hold the
+// same page images, so IterationStats::r_pages does not depend on the
+// backing, at one shard or several.
 TEST(SetmModesTest, BackingsReportTheSameRPages) {
   QuestOptions gen;
   gen.seed = 3;
@@ -253,6 +284,7 @@ TEST(SetmModesTest, BackingsReportTheSameRPages) {
   for (size_t threads : {size_t{1}, size_t{3}}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     std::vector<IterationStats> by_backing[2];
+    FrequentItemsets itemsets;
     for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
       Database db;
       SetmOptions knobs{backing};
@@ -260,6 +292,7 @@ TEST(SetmModesTest, BackingsReportTheSameRPages) {
       auto result = SetmMiner(&db, knobs).Mine(txns, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       by_backing[backing == TableBacking::kHeap] = result.value().iterations;
+      itemsets = result.value().itemsets;
     }
     const auto& mem = by_backing[0];
     const auto& heap = by_backing[1];
@@ -270,12 +303,10 @@ TEST(SetmModesTest, BackingsReportTheSameRPages) {
       SCOPED_TRACE("k=" + std::to_string(i + 1));
       EXPECT_EQ(mem[i].r_rows, heap[i].r_rows);
       EXPECT_EQ(mem[i].r_pages, heap[i].r_pages);
-      // R_1 is (trans_id, item) and R_k (k >= 2) is (trans_id, C_k id):
-      // width 2 at every k. r_bytes stays the paper's (k+1) ints a row.
+      // r_bytes stays the paper's (k+1) ints a row.
       EXPECT_EQ(heap[i].r_bytes, heap[i].r_rows * (i + 2) * 4);
       if (threads == 1) {
-        const uint64_t per_page = IntRelation::RowsPerPage(2);
-        EXPECT_EQ(heap[i].r_pages, (heap[i].r_rows + per_page - 1) / per_page);
+        EXPECT_EQ(heap[i].r_pages, ReferenceRPages(txns, itemsets, i + 1));
       }
     }
   }
@@ -459,7 +490,7 @@ TEST_P(SetmPoolFetchTest, FetchesStayWithinTwicePageTraffic) {
   {
     DatabaseOptions db_options;
     db_options.file_path = path;
-    db_options.pool_frames = 16;
+    db_options.pool_frames = 4;
     db_options.sort_memory_bytes = 64 << 10;
     auto db_or = Database::Open(db_options);
     ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
@@ -982,7 +1013,7 @@ TEST(ItemsetCountsTest, OrdersAndCountsAcrossGrowth) {
 TEST(SetmOnePassTest, EachIterationReadsItsInputsOnce) {
   QuestOptions gen;
   gen.seed = 3;
-  gen.num_transactions = 2000;
+  gen.num_transactions = 12000;
   gen.avg_transaction_size = 8;
   gen.num_items = 100;
   TransactionDb txns = QuestGenerator(gen).Generate();
@@ -1076,13 +1107,13 @@ TEST(SetmOnePassTest, DenseCountsMakeNoItemsetProbes) {
 // The page gate of the repo benchmark's mine_heap, on its data and
 // database: a file database at the default 1 MiB pool and sort budget, one
 // serial kHeap mine of SALES, the first on a freshly loaded database. Every
-// R_k is (trans_id, C_k id), so its pages are ceil(|R_k| / 511) at every k,
-// and the mine moves 361 pages (104 reads, 257 writes): the pool holds the
-// head of each R_k, a last scan reads it from the pool and R_{k+1}'s pages
-// write around it. While a full pool evicted the oldest resident R_{k-1}
-// page, the one pass k read next, it moved 877 (362 reads, 515 writes);
-// with R_k stored as (trans_id, item_1..item_k), 3,141 (1,494 reads, 1,647
-// writes).
+// R_k is stored as groups, one per transaction, so its pages are the
+// encoder's page count of its groups at every k: R_1 takes 17 pages and
+// Σ_{k≥2} ||R_k|| 118, the largest pass holding R_1, R_2 and R_3 in 79
+// frames, and the mine moves no page. The gate allows 32 (an eighth of the
+// pool) for data whose passes come near the pool's size.
+constexpr uint64_t kMineHeapPageBudget = 32;
+
 TEST(SetmOnePassTest, MineHeapShapeStaysWithinItsPageBudget) {
   const std::string path = testing::TempDir() + "/setm_mine_heap_pages.db";
   const auto remove_files = [&path] {
@@ -1107,17 +1138,17 @@ TEST(SetmOnePassTest, MineHeapShapeStaysWithinItsPageBudget) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const auto& iterations = result.value().iterations;
     ASSERT_GE(iterations.size(), 4u);
-    const uint64_t per_page = IntRelation::RowsPerPage(2);
-    ASSERT_EQ(per_page, 511u);
     uint64_t r_pages = 0;
-    uint64_t packed = 0;
+    uint64_t encoded = 0;
     for (size_t i = 1; i < iterations.size(); ++i) {
       r_pages += iterations[i].r_pages;
-      packed += (iterations[i].r_rows + per_page - 1) / per_page;
+      encoded += ReferenceRPages(txns, result.value().itemsets, i + 1);
     }
-    EXPECT_EQ(r_pages, packed);
+    EXPECT_EQ(r_pages, encoded);
+    EXPECT_EQ(iterations[0].r_pages,
+              ReferenceRPages(txns, result.value().itemsets, 1));
     const IoStats& io = result.value().io;
-    EXPECT_LE(io.page_reads + io.page_writes, 400u)
+    EXPECT_LE(io.page_reads + io.page_writes, kMineHeapPageBudget)
         << io.page_reads << " reads, " << io.page_writes << " writes";
   }
   remove_files();
@@ -1158,7 +1189,9 @@ class PageDeltas : public MiningObserver {
 // much of R_k as the pages pass k takes from the pool make room for. So
 // pass k >= 3 reads max(0, ||R_{k-1}|| - F) pages, pass 2 reads none (R_1
 // is resident), and pass k >= 2 writes max(0, ||R_k|| - F). Mined on a
-// committed database, whose SALES pages are clean and give way to R_k.
+// committed database, whose SALES pages are clean and give way to R_k. The
+// pools are small enough for R_2 and R_3 (33 and 29 pages beside R_1's 17)
+// to outgrow F; from ~80 frames up every pass fits.
 TEST(SetmOnePassTest, EachPassMovesOnlyWhatThePoolCannotHold) {
   const std::string path = testing::TempDir() + "/setm_exact_pages.db";
   const auto remove_files = [&path] {
@@ -1166,7 +1199,7 @@ TEST(SetmOnePassTest, EachPassMovesOnlyWhatThePoolCannotHold) {
     std::remove((path + ".wal").c_str());
   };
   TransactionDb txns = MineHeapShapeTxns();
-  for (size_t frames : {224, 256, 320}) {
+  for (size_t frames : {36, 40, 48}) {
     SCOPED_TRACE(std::to_string(frames) + " frames");
     remove_files();
     DatabaseOptions db_options;
@@ -1328,56 +1361,61 @@ TEST(SetmOnePassTest, FilterR1AndMaxLengthMatchTheOracle) {
 // R'_4 is empty. At a minsupport of 9, which no item reaches, C_1 is empty:
 // without filter_r1 pass 2 still joins the whole R_1, so |R'_2| counts its
 // 21 pairs, while filter_r1 empties R_1 and the mine stops after iteration
-// 1.
+// 1. Under kHeap the repeated ids, deltas of 0 in R_1's and R_k's groups,
+// go through pages of the pool.
 TEST(SetmOnePassTest, RepeatedSalesRowsNeverRepeatAnItem) {
-  for (int64_t min_support : {2, 9}) {
-    for (bool filter_r1 : {false, true}) {
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{3}}) {
-        SCOPED_TRACE("min_support=" + std::to_string(min_support) +
-                     " filter_r1=" + std::to_string(filter_r1) +
-                     " threads=" + std::to_string(threads));
-        Database db;
-        auto sales = db.catalog()->CreateTable(
-            "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
-        ASSERT_TRUE(sales.ok());
-        const auto insert = [&](int32_t tid, int32_t item) {
-          const Tuple row({Value::Int32(tid), Value::Int32(item)});
-          ASSERT_TRUE(sales.value()->Insert(row).ok());
-        };
-        for (int32_t tid = 1; tid <= 4; ++tid) {
-          for (int32_t item : {1, 2, 2, 3}) insert(tid, item);
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    for (int64_t min_support : {2, 9}) {
+      for (bool filter_r1 : {false, true}) {
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{3}}) {
+          SCOPED_TRACE("min_support=" + std::to_string(min_support) +
+                       " filter_r1=" + std::to_string(filter_r1) +
+                       " threads=" + std::to_string(threads) + " heap=" +
+                       std::to_string(backing == TableBacking::kHeap));
+          Database db;
+          auto sales = db.catalog()->CreateTable(
+              "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
+          ASSERT_TRUE(sales.ok());
+          const auto insert = [&](int32_t tid, int32_t item) {
+            const Tuple row({Value::Int32(tid), Value::Int32(item)});
+            ASSERT_TRUE(sales.value()->Insert(row).ok());
+          };
+          for (int32_t tid = 1; tid <= 4; ++tid) {
+            for (int32_t item : {1, 2, 2, 3}) insert(tid, item);
+          }
+          insert(5, 1);
+          insert(5, 3);
+          MiningOptions options;
+          options.min_support_count = min_support;
+          options.filter_r1 = filter_r1;
+          SetmOptions knobs{backing};
+          knobs.num_threads = threads;
+          auto result =
+              SetmMiner(&db, knobs).MineTable(*sales.value(), options);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          const MiningResult& mined = result.value();
+          std::vector<uint64_t> r_prime_rows;
+          for (const IterationStats& it : mined.iterations) {
+            r_prime_rows.push_back(it.r_prime_rows);
+          }
+          if (min_support == 9) {
+            const std::vector<uint64_t> whole_r1 = {18, 21};
+            EXPECT_EQ(r_prime_rows, filter_r1 ? std::vector<uint64_t>(1, 18)
+                                              : whole_r1);
+            EXPECT_EQ(mined.itemsets.TotalPatterns(), 0u);
+            continue;
+          }
+          EXPECT_EQ(r_prime_rows, (std::vector<uint64_t>{18, 21, 8, 0}));
+          ASSERT_EQ(mined.itemsets.MaxSize(), 3u);
+          EXPECT_EQ(mined.itemsets.OfSize(1).size(), 3u);
+          EXPECT_EQ(mined.itemsets.OfSize(2).size(), 3u);
+          EXPECT_EQ(mined.itemsets.OfSize(3).size(), 1u);
+          EXPECT_EQ(mined.itemsets.CountOf({2}), 8);
+          EXPECT_EQ(mined.itemsets.CountOf({1, 2}), 8);
+          EXPECT_EQ(mined.itemsets.CountOf({1, 3}), 5);
+          EXPECT_EQ(mined.itemsets.CountOf({2, 3}), 8);
+          EXPECT_EQ(mined.itemsets.CountOf({1, 2, 3}), 8);
         }
-        insert(5, 1);
-        insert(5, 3);
-        MiningOptions options;
-        options.min_support_count = min_support;
-        options.filter_r1 = filter_r1;
-        SetmOptions knobs;
-        knobs.num_threads = threads;
-        auto result = SetmMiner(&db, knobs).MineTable(*sales.value(), options);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        const MiningResult& mined = result.value();
-        std::vector<uint64_t> r_prime_rows;
-        for (const IterationStats& it : mined.iterations) {
-          r_prime_rows.push_back(it.r_prime_rows);
-        }
-        if (min_support == 9) {
-          const std::vector<uint64_t> whole_r1 = {18, 21};
-          EXPECT_EQ(r_prime_rows, filter_r1 ? std::vector<uint64_t>(1, 18)
-                                            : whole_r1);
-          EXPECT_EQ(mined.itemsets.TotalPatterns(), 0u);
-          continue;
-        }
-        EXPECT_EQ(r_prime_rows, (std::vector<uint64_t>{18, 21, 8, 0}));
-        ASSERT_EQ(mined.itemsets.MaxSize(), 3u);
-        EXPECT_EQ(mined.itemsets.OfSize(1).size(), 3u);
-        EXPECT_EQ(mined.itemsets.OfSize(2).size(), 3u);
-        EXPECT_EQ(mined.itemsets.OfSize(3).size(), 1u);
-        EXPECT_EQ(mined.itemsets.CountOf({2}), 8);
-        EXPECT_EQ(mined.itemsets.CountOf({1, 2}), 8);
-        EXPECT_EQ(mined.itemsets.CountOf({1, 3}), 5);
-        EXPECT_EQ(mined.itemsets.CountOf({2, 3}), 8);
-        EXPECT_EQ(mined.itemsets.CountOf({1, 2, 3}), 8);
       }
     }
   }
@@ -1530,37 +1568,64 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
     std::sort(left_rows.begin(), left_rows.end());
 
     Database db;
-    auto left = IntRelation::Create(&db, backing, k);
-    auto r1 = IntRelation::Create(&db, backing, 2);
-    ASSERT_TRUE(left.ok() && r1.ok());
+    // R_{k-1} names each left row's itemset by its position among the
+    // distinct itemsets, which follows itemset order, as a C_{k-1} id does.
+    std::vector<Row> itemsets;
     for (const Row& row : left_rows) {
-      ASSERT_TRUE(left.value()->Append(row.data(), 1).ok());
+      itemsets.emplace_back(row.begin() + 1, row.end());
     }
-    for (const Row& row : r1_rows) {
-      ASSERT_TRUE(r1.value()->Append(row.data(), 1).ok());
-    }
-    ASSERT_TRUE(left.value()->Finish().ok());
-    ASSERT_TRUE(r1.value()->Finish().ok());
+    std::sort(itemsets.begin(), itemsets.end());
+    itemsets.erase(std::unique(itemsets.begin(), itemsets.end()),
+                   itemsets.end());
+    // Groups of (trans_id, ids), a transaction at a time.
+    const auto grouped = [&](const std::vector<Row>& rows, auto id_of) {
+      auto relation = GroupedRelation::Create(&db, backing, "R");
+      for (size_t begin = 0; begin < rows.size();) {
+        std::vector<int32_t> ids;
+        size_t end = begin;
+        for (; end < rows.size() && rows[end][0] == rows[begin][0]; ++end) {
+          ids.push_back(id_of(rows[end]));
+        }
+        EXPECT_TRUE(
+            relation->Append(rows[begin][0], ids.data(), ids.size()).ok());
+        begin = end;
+      }
+      EXPECT_TRUE(relation->Finish().ok());
+      return relation;
+    };
+    auto left = grouped(left_rows, [&](const Row& row) {
+      return static_cast<int32_t>(
+          std::lower_bound(itemsets.begin(), itemsets.end(),
+                           Row(row.begin() + 1, row.end())) -
+          itemsets.begin());
+    });
+    auto r1 = grouped(r1_rows, [](const Row& row) { return row[1]; });
 
     // R'_k's rows, expanded from each left row and its transaction's items
     // above the row's last item.
     std::vector<Row> streamed;
-    ASSERT_TRUE(JoinLeftRows(left.value()->Scan().get(), *r1.value(),
-                             [&](const int32_t* p, const ItemId* items,
+    ASSERT_TRUE(JoinLeftRows(left->Scan().get(), *r1,
+                             [&](const IdGroup& p, const ItemId* items,
                                  const ItemId* items_end) {
                                // The transaction's R_1 items, in order.
                                Row transaction;
                                for (const Row& q : r1_rows) {
-                                 if (q[0] == p[0]) transaction.push_back(q[1]);
+                                 if (q[0] == p.tid) transaction.push_back(q[1]);
                                }
                                EXPECT_EQ(Row(items, items_end), transaction)
                                    << "trial " << trial;
-                               for (const ItemId* it = std::upper_bound(
-                                        items, items_end, p[k - 1]);
-                                    it != items_end; ++it) {
-                                 Row row(p, p + k);
-                                 row.push_back(*it);
-                                 streamed.push_back(std::move(row));
+                               for (const int32_t* id = p.begin; id != p.end;
+                                    ++id) {
+                                 const Row& itemset = itemsets[*id];
+                                 for (const ItemId* it = std::upper_bound(
+                                          items, items_end, itemset.back());
+                                      it != items_end; ++it) {
+                                   Row row{p.tid};
+                                   row.insert(row.end(), itemset.begin(),
+                                              itemset.end());
+                                   row.push_back(*it);
+                                   streamed.push_back(std::move(row));
+                                 }
                                }
                                return Status::OK();
                              })
@@ -1598,27 +1663,30 @@ TEST(SetmPipelineTest, FilterRefusesAnIdOutsideCkMinus1) {
     for (int32_t id : {3, 1000, INT32_MAX, -1, INT32_MIN}) {
       SCOPED_TRACE("id=" + std::to_string(id));
       Database db;
-      auto r1 = IntRelation::Create(&db, backing, 2);
-      ASSERT_TRUE(r1.ok());
-      const std::vector<int32_t> r1_rows = {7, 1, 7, 2, 7, 3, 8, 1, 8, 2};
-      ASSERT_TRUE(r1.value()->Append(r1_rows.data(), 5).ok());
-      ASSERT_TRUE(r1.value()->Finish().ok());
-      auto r3 = IntRelation::Create(&db, backing, 2);
-      ASSERT_TRUE(r3.ok());
+      auto r1 = GroupedRelation::Create(&db, backing, "R_1");
+      const std::vector<int32_t> items = {1, 2, 3};
+      ASSERT_TRUE(r1->Append(7, items.data(), 3).ok());
+      ASSERT_TRUE(r1->Append(8, items.data(), 2).ok());
+      ASSERT_TRUE(r1->Finish().ok());
       // (7, {1 2}) is kept as {1 2 3}; then transaction 8 names `id`.
-      IntArrayCursor r2(std::vector<int32_t>{7, 0, 8, id}, 2);
+      auto r2 = GroupedRelation::Create(&db, backing, "R_2");
+      const int32_t kept = 0;
+      ASSERT_TRUE(r2->Append(7, &kept, 1).ok());
+      ASSERT_TRUE(r2->Append(8, &id, 1).ok());
+      ASSERT_TRUE(r2->Finish().ok());
+      auto r3 = GroupedRelation::Create(&db, backing, "R_3");
       ExtensionCount next(ExecContext::From(&db), &c3.value().space,
                           BudgetedCount::kUnbounded);
       const Status status =
-          FilterByCk(&r2, *r1.value(), &c2.value(), c3.value(),
-                     r3.value().get(), &next);
+          FilterByCk(GroupedRelation::LastScan(std::move(r2)).get(), *r1,
+                     &c2.value(), c3.value(), r3.get(), &next);
       EXPECT_TRUE(status.IsCorruption()) << status.ToString();
       EXPECT_NE(status.message().find("R_2"), std::string::npos)
           << status.ToString();
       EXPECT_NE(status.message().find(" id " + std::to_string(id) + ","),
                 std::string::npos)
           << status.ToString();
-      EXPECT_EQ(r3.value()->num_rows(), 1u);
+      EXPECT_EQ(r3->num_rows(), 1u);
     }
   }
 }

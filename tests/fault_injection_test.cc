@@ -386,11 +386,10 @@ TEST(FaultInjectionTest, FailedLastScanReadLeavesThePageToTheRelation) {
   ASSERT_EQ(pool.Stats().bypass_writes, 2u);
   auto cursor = IntRelation::LastScan(std::move(relation).value());
   uint64_t rows = 0;
-  Status scan = ForEachRow(cursor.get(), [&rows](const int32_t*) {
-    ++rows;
-    return Status::OK();
-  });
-  EXPECT_TRUE(scan.IsIOError()) << scan.ToString();
+  const int32_t* row = nullptr;
+  Result<bool> more = cursor->Next(&row);
+  for (; more.ok() && more.value(); more = cursor->Next(&row)) ++rows;
+  EXPECT_TRUE(more.status().IsIOError()) << more.status().ToString();
   // The two pages the pool held were read; the third was not.
   EXPECT_EQ(rows, 2 * IntRelation::RowsPerPage(2));
   EXPECT_EQ(real.LivePages(), 2u);

@@ -21,7 +21,7 @@ TEST(IntegrationTest, FileBackedDatabaseMinesCorrectly) {
   const std::string path = testing::TempDir() + "/setm_integration.db";
   QuestOptions gen;
   gen.seed = 900;
-  gen.num_transactions = 2000;
+  gen.num_transactions = 8000;
   gen.avg_transaction_size = 5;
   gen.num_items = 30;
   TransactionDb txns = QuestGenerator(gen).Generate();

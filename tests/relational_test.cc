@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
+#include "common/random.h"
 
 #include "relational/catalog.h"
 #include "relational/database.h"
@@ -310,11 +316,13 @@ Status AppendInSteps(IntRelation* relation, const std::vector<int32_t>& rows) {
 Result<std::vector<int32_t>> ScanAll(const IntRelation& relation) {
   std::vector<int32_t> out;
   auto cursor = relation.Scan();
-  SETM_RETURN_IF_ERROR(ForEachRow(cursor.get(), [&](const int32_t* row) {
+  const int32_t* row = nullptr;
+  while (true) {
+    auto more = cursor->Next(&row);
+    if (!more.ok()) return more.status();
+    if (!more.value()) return out;
     out.insert(out.end(), row, row + relation.width());
-    return Status::OK();
-  }));
-  return out;
+  }
 }
 
 // 0 rows, one full page, one page and a row, several pages: each width
@@ -348,8 +356,7 @@ TEST(IntRelationTest, PackedPagesRoundTripAtEveryWidth) {
       ASSERT_TRUE(pool.FlushAll().ok());
       EXPECT_EQ(stats.page_writes, pages);  // each page exactly once
 
-      Database db;
-      auto memory = IntRelation::Create(&db, TableBacking::kMemory, width);
+      auto memory = IntRelation::CreateInPool(nullptr, width);
       ASSERT_TRUE(memory.ok());
       ASSERT_TRUE(AppendInSteps(memory.value().get(), rows).ok());
       ASSERT_TRUE(memory.value()->Finish().ok());
@@ -456,7 +463,8 @@ TEST(IntRelationTest, IoErrorsSurfaceFromAppendFinishAndNext) {
 TEST(IntRelationTest, ScanBeforeFinishIsAnError) {
   for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
     Database db;
-    auto relation = IntRelation::Create(&db, backing, 2);
+    auto relation = IntRelation::CreateInPool(
+        backing == TableBacking::kHeap ? db.pool() : nullptr, 2);
     ASSERT_TRUE(relation.ok());
     const std::vector<int32_t> rows = DistinctRows(2, 10);
     ASSERT_TRUE(relation.value()->Append(rows.data(), 10).ok());
@@ -468,6 +476,352 @@ TEST(IntRelationTest, ScanBeforeFinishIsAnError) {
     ASSERT_TRUE(scanned.ok());
     EXPECT_EQ(scanned.value(), rows);
   }
+}
+
+// --------------------------------------------------------------------------
+// GroupedRelation and its page codec
+// --------------------------------------------------------------------------
+
+/// One transaction of a grouped relation.
+struct Txn {
+  int32_t tid;
+  std::vector<int32_t> ids;
+};
+
+/// Appends `txns` to `relation` and seals it.
+Status AppendAll(GroupedRelation* relation, const std::vector<Txn>& txns) {
+  for (const Txn& t : txns) {
+    SETM_RETURN_IF_ERROR(relation->Append(t.tid, t.ids.data(), t.ids.size()));
+  }
+  return relation->Finish();
+}
+
+/// Streams `cursor` to the end, or to the first error.
+Result<std::vector<Txn>> Drain(GroupCursor* cursor) {
+  std::vector<Txn> out;
+  IdGroup group;
+  while (true) {
+    auto more = cursor->Next(&group);
+    if (!more.ok()) return more.status();
+    if (!more.value()) return out;
+    out.push_back(Txn{group.tid, std::vector<int32_t>(group.begin, group.end)});
+  }
+}
+
+/// `txns` without its empty transactions, which a relation does not store.
+std::vector<Txn> NonEmpty(const std::vector<Txn>& txns) {
+  std::vector<Txn> out;
+  for (const Txn& t : txns) {
+    if (!t.ids.empty()) out.push_back(t);
+  }
+  return out;
+}
+
+bool operator==(const Txn& a, const Txn& b) {
+  return a.tid == b.tid && a.ids == b.ids;
+}
+
+/// A random relation: ascending trans_ids from a random start (negative,
+/// INT32_MIN or near INT32_MAX), each with a few ids, a long run of ids, or
+/// none; ids ascending with repeats, spanning int32 at random.
+std::vector<Txn> RandomTxns(Rng* rng) {
+  std::vector<Txn> txns;
+  int64_t tid = rng->Bernoulli(0.2)   ? int64_t{INT32_MIN}
+                : rng->Bernoulli(0.2) ? int64_t{INT32_MAX} - 40
+                                      : rng->UniformRange(-1000, 1000);
+  const size_t n = rng->Uniform(60);
+  for (size_t t = 0; t < n && tid <= INT32_MAX; ++t) {
+    Txn txn{static_cast<int32_t>(tid), {}};
+    const size_t size = rng->Bernoulli(0.05)  ? 1500 + rng->Uniform(3000)
+                        : rng->Bernoulli(0.1) ? 0
+                                              : 1 + rng->Uniform(12);
+    const bool wide = rng->Bernoulli(0.3);
+    int64_t id = wide ? int64_t{INT32_MIN} + rng->Uniform(4)
+                      : rng->UniformRange(-50, 50);
+    for (size_t i = 0; i < size && id <= INT32_MAX; ++i) {
+      txn.ids.push_back(static_cast<int32_t>(id));
+      if (!rng->Bernoulli(0.2)) {  // else the next id repeats this one
+        id += wide ? rng->UniformRange(1, int64_t{1} << 30) : rng->Uniform(9);
+      }
+    }
+    txns.push_back(std::move(txn));
+    tid += 1 + rng->Uniform(rng->Bernoulli(0.1) ? 100000 : 3);
+  }
+  return txns;
+}
+
+// Groups round-trip through both backings, which hold identical page
+// images, and a last scan streams what a scan does. The fixed cases are an
+// empty relation, one group, a transaction longer than a page (continued
+// on the next pages with the same trans_id), equal adjacent ids, and
+// INT32_MIN, INT32_MAX and negative trans_ids and ids; 200 seeded random
+// relations follow. The heap side runs in a 2-frame pool, so most pages
+// are evicted before they are read.
+TEST(GroupedRelationTest, GroupsRoundTripOnBothBackings) {
+  std::vector<int32_t> long_run;
+  for (int32_t i = 0; i < 5000; ++i) long_run.push_back(i * 1000);
+  std::vector<std::vector<Txn>> cases = {
+      {},
+      {{7, {3}}},
+      {{-4, {1, 2}}, {0, long_run}, {1, {5, 5, 5}}},
+      {{INT32_MIN, {INT32_MIN, INT32_MIN, -1, 0, INT32_MAX}},
+       {-1, {-7, -7}},
+       {INT32_MAX, {INT32_MAX, INT32_MAX}}},
+  };
+  Rng rng(36);
+  for (int i = 0; i < 200; ++i) cases.push_back(RandomTxns(&rng));
+  size_t continued = 0;
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const std::vector<Txn>& txns = cases[c];
+    uint64_t ids = 0;
+    for (const Txn& t : txns) ids += t.ids.size();
+    GroupedRelation memory(nullptr, "R_1");
+    ASSERT_TRUE(AppendAll(&memory, txns).ok());
+    MemoryBackend backend;
+    BufferPool pool(&backend, 2);
+    auto heap = std::make_unique<GroupedRelation>(&pool, "R_1");
+    ASSERT_TRUE(AppendAll(heap.get(), txns).ok());
+    EXPECT_EQ(memory.num_rows(), ids);
+    EXPECT_EQ(heap->num_rows(), ids);
+    ASSERT_EQ(memory.num_pages(), heap->num_pages());
+    if (ids == 0) {
+      EXPECT_EQ(memory.num_pages(), 0u);
+    }
+    Page from_memory;
+    Page from_heap;
+    for (size_t i = 0; i < memory.num_pages(); ++i) {
+      ASSERT_TRUE(memory.pages().Copy(i, &from_memory).ok());
+      ASSERT_TRUE(heap->pages().Copy(i, &from_heap).ok());
+      EXPECT_EQ(std::memcmp(from_memory.data, from_heap.data, kPageSize), 0)
+          << "page " << i;
+    }
+    const std::vector<Txn> expected = NonEmpty(txns);
+    auto scanned = Drain(memory.Scan().get());
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_TRUE(scanned.value() == expected);
+    scanned = Drain(heap->Scan().get());
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_TRUE(scanned.value() == expected);
+    for (const Txn& t : expected) continued += t.ids.size() > 1500;
+    scanned = Drain(GroupedRelation::LastScan(std::move(heap)).get());
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_TRUE(scanned.value() == expected);
+    EXPECT_EQ(backend.LivePages(), 0u);  // the last scan released each page
+  }
+  EXPECT_GT(continued, 3u);
+}
+
+// Groups go in a transaction at a time, in trans_id order, with ascending
+// ids; a relation is scanned only once sealed and takes no group after.
+TEST(GroupedRelationTest, AppendsOutOfOrderAndScansBeforeFinishFail) {
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    Database db;
+    auto relation = GroupedRelation::Create(&db, backing, "R_2");
+    const std::vector<int32_t> ids = {1, 2, 2, 9};
+    ASSERT_TRUE(relation->Append(5, ids.data(), ids.size()).ok());
+    EXPECT_FALSE(relation->Append(5, ids.data(), 1).ok());
+    EXPECT_FALSE(relation->Append(4, ids.data(), 1).ok());
+    const std::vector<int32_t> descending = {3, 2};
+    EXPECT_FALSE(relation->Append(6, descending.data(), 2).ok());
+    EXPECT_FALSE(Drain(relation->Scan().get()).ok());
+    ASSERT_TRUE(relation->Finish().ok());
+    EXPECT_FALSE(relation->Append(7, ids.data(), 1).ok());
+    auto scanned = Drain(relation->Scan().get());
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_TRUE(scanned.value() == (std::vector<Txn>{{5, ids}}));
+  }
+}
+
+// Every I/O error surfaces from Append, Finish or the scan's Next, never as
+// a relation that scans short: the backend fails at each operation in turn
+// of a write-then-scan through a 2-frame pool.
+TEST(GroupedRelationTest, IoErrorsSurfaceFromAppendFinishAndNext) {
+  std::vector<Txn> txns;
+  for (int32_t tid = 0; tid < 2500; ++tid) {
+    txns.push_back({tid, {tid, tid + 1, tid + 300}});
+  }
+  bool failed_in[3] = {false, false, false};  // Append, Finish, Next
+  for (uint64_t budget = 0;; ++budget) {
+    SCOPED_TRACE("failing after " + std::to_string(budget) + " ops");
+    MemoryBackend real;
+    FaultInjectionBackend flaky(&real, budget);
+    BufferPool pool(&flaky, 2);
+    GroupedRelation relation(&pool, "R_2");
+    // The step that failed, or 3 when none did.
+    const auto write_then_scan = [&]() -> size_t {
+      for (const Txn& t : txns) {
+        Status s = relation.Append(t.tid, t.ids.data(), t.ids.size());
+        if (!s.ok()) {
+          EXPECT_TRUE(s.IsIOError()) << s.ToString();
+          return 0;
+        }
+      }
+      Status s = relation.Finish();
+      if (!s.ok()) {
+        EXPECT_TRUE(s.IsIOError()) << s.ToString();
+        return 1;
+      }
+      auto scanned = Drain(relation.Scan().get());
+      if (!scanned.ok()) {
+        EXPECT_TRUE(scanned.status().IsIOError())
+            << scanned.status().ToString();
+        return 2;
+      }
+      EXPECT_TRUE(scanned.value() == txns);  // no error, so every group
+      return 3;
+    };
+    const size_t failed = write_then_scan();
+    flaky.Heal();  // the pool's flush on destruction succeeds
+    if (failed == 3) break;  // the budget now covers every op
+    failed_in[failed] = true;
+  }
+  EXPECT_TRUE(failed_in[0]);
+  EXPECT_TRUE(failed_in[1]);
+  EXPECT_TRUE(failed_in[2]);
+}
+
+/// A page image: the header (bytes of groups, ids) and then `groups`.
+std::vector<uint8_t> PageImage(const std::vector<uint8_t>& groups,
+                               uint32_t ids) {
+  std::vector<uint8_t> page(kPageSize, 0);
+  const uint32_t header[2] = {static_cast<uint32_t>(groups.size()), ids};
+  std::memcpy(page.data(), header, sizeof(header));
+  std::copy(groups.begin(), groups.end(), page.begin() + sizeof(header));
+  return page;
+}
+
+/// Decodes `page` after `last`.
+Status DecodeAfter(const std::vector<uint8_t>& page, GroupPage::Position last) {
+  std::vector<GroupPage::Group> groups;
+  std::vector<int32_t> ids;
+  return GroupPage::Decode(page.data(), page.size(), &last, &groups, &ids);
+}
+
+// Each way a page can disagree with the format is Corruption, and a
+// well-formed page decodes. Groups are written by hand: zigzag trans_id,
+// n, zigzag first id, deltas (zigzag 5 is 10, 3 is 6, 1 is 2).
+TEST(GroupPageTest, EachMalformedPageIsCorruption) {
+  const GroupPage::Position none;
+  const GroupPage::Position after_5 = {true, 5, 4};  // tid 5, last id 4
+  // Transaction 5 with ids {1, 3}; then 6 with {1}.
+  const std::vector<uint8_t> good = {10, 2, 2, 2, 12, 1, 2};
+  EXPECT_TRUE(DecodeAfter(PageImage(good, 3), none).ok());
+  struct Bad {
+    std::string what;  // also a part of the message it must give
+    std::vector<uint8_t> page;
+    GroupPage::Position last;
+  };
+  std::vector<uint8_t> huge_header = PageImage(good, 3);
+  const uint32_t too_many_bytes = GroupPage::kCapacity + 1;
+  std::memcpy(huge_header.data(), &too_many_bytes, sizeof(too_many_bytes));
+  const std::vector<Bad> bad = {
+      {"trans_id 3 descends after 5", PageImage({10, 1, 2, 6, 1, 2}, 2),
+       none},
+      {"trans_id 3 descends after 5", PageImage({6, 1, 2}, 1), after_5},
+      {"id 3 descends after 4", PageImage({10, 1, 6}, 1), after_5},
+      {"repeats within a page", PageImage({10, 1, 2, 10, 1, 4}, 2), none},
+      {"pass INT32_MAX",
+       PageImage({10, 2, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 1}, 2), none},
+      {"varint overruns the page", PageImage({10, 0x81}, 0), none},
+      {"exceeds 32 bits", PageImage({0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1, 2}, 1),
+       none},
+      {"group of 5 ids overruns the page", PageImage({10, 5, 2, 1}, 5), none},
+      {"empty group", PageImage({10, 0, 12, 1, 2}, 1), none},
+      {"holds no group", PageImage({}, 0), none},
+      {"header counts 4 ids", PageImage(good, 4), none},
+      {"bytes of groups overrun the page", huge_header, none},
+      {"has no header", std::vector<uint8_t>(5, 0), none},
+  };
+  for (const Bad& b : bad) {
+    SCOPED_TRACE(b.what);
+    const Status status = DecodeAfter(b.page, b.last);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.message().find(b.what), std::string::npos)
+        << status.ToString();
+  }
+}
+
+// A damaged page of a sealed relation is Corruption naming the relation
+// and the page when a scan reaches it, after the transactions before it.
+TEST(GroupedRelationTest, DamagedPageIsCorruptionNamingTheRelation) {
+  MemoryBackend backend;
+  BufferPool pool(&backend, 4);
+  GroupedRelation relation(&pool, "R_3");
+  std::vector<Txn> txns;
+  for (int32_t tid = 0; tid < 3000; ++tid) txns.push_back({tid, {tid, tid}});
+  ASSERT_TRUE(AppendAll(&relation, txns).ok());
+  ASSERT_GE(relation.num_pages(), 3u);
+  {
+    auto guard = pool.FetchPage(1);  // the relation's second page
+    ASSERT_TRUE(guard.ok());
+    guard.value().page()->As<uint32_t>()[1] += 1;  // the header's ids
+    guard.value().MarkDirty();
+  }
+  auto cursor = relation.Scan();
+  IdGroup group;
+  size_t read = 0;
+  Result<bool> more = true;
+  while ((more = cursor->Next(&group)).ok() && more.value()) ++read;
+  ASSERT_FALSE(more.ok());
+  EXPECT_TRUE(more.status().IsCorruption()) << more.status().ToString();
+  EXPECT_NE(more.status().message().find("R_3 page 1"), std::string::npos)
+      << more.status().ToString();
+  EXPECT_GT(read, 0u);
+  EXPECT_LT(read, txns.size());
+}
+
+// The decoder's mutation loop: 20,000 copies of encoded pages, each with a
+// few bytes flipped or cut short, decode to OK or Corruption and never
+// read past the image, which sits in a buffer of exactly its length so
+// that AddressSanitizer sees any over-read.
+TEST(GroupPageTest, MutatedPagesDecodeOrAreCorruption) {
+  Rng rng(8);
+  std::vector<std::vector<uint8_t>> pages;
+  for (int r = 0; r < 6; ++r) {
+    GroupedRelation relation(nullptr, "R");
+    ASSERT_TRUE(AppendAll(&relation, RandomTxns(&rng)).ok());
+    Page page;
+    for (size_t i = 0; i < relation.num_pages(); ++i) {
+      ASSERT_TRUE(relation.pages().Copy(i, &page).ok());
+      const uint8_t* bytes = reinterpret_cast<const uint8_t*>(page.data);
+      pages.emplace_back(bytes, bytes + kPageSize);
+    }
+  }
+  ASSERT_GE(pages.size(), 6u);
+  size_t corrupt = 0;
+  size_t decoded = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::vector<uint8_t>& source = pages[rng.Uniform(pages.size())];
+    uint32_t used;
+    std::memcpy(&used, source.data(), sizeof(used));
+    // Mostly the header and groups; at times a short image.
+    const size_t size = rng.Bernoulli(0.3)
+                            ? rng.Uniform(GroupPage::kHeaderSize + used + 1)
+                            : kPageSize;
+    std::vector<uint8_t> image(source.begin(), source.begin() + size);
+    const size_t flips = rng.Bernoulli(0.3) ? 0 : 1 + rng.Uniform(3);
+    for (size_t f = 0; f < flips && size > 0; ++f) {
+      const size_t at =
+          rng.Uniform(std::min(size, GroupPage::kHeaderSize + used));
+      image[at] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+    }
+    std::unique_ptr<uint8_t[]> exact(new uint8_t[size]);
+    if (size > 0) std::memcpy(exact.get(), image.data(), size);
+    GroupPage::Position last;
+    std::vector<GroupPage::Group> groups;
+    std::vector<int32_t> ids;
+    const Status status =
+        GroupPage::Decode(exact.get(), size, &last, &groups, &ids);
+    if (status.ok()) {
+      ++decoded;
+    } else {
+      ASSERT_TRUE(status.IsCorruption()) << status.ToString();
+      ++corrupt;
+    }
+  }
+  EXPECT_GT(corrupt, 1000u);
+  EXPECT_GT(decoded, 1000u);
 }
 
 }  // namespace

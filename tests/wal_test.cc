@@ -503,7 +503,7 @@ void TwoCommittedBatchesSnapshot(const TempDbFile& file,
 TEST(WalBackendTest, PageCountersMatchTheLedger) {
   TempDbFile file("wal_page_counters.db");
   DatabaseOptions options = FileOptions(file);
-  options.pool_frames = 32;  // smaller than the mine's working set
+  options.pool_frames = 8;  // smaller than the mine's working set
   auto db_or = Database::Open(options);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   std::unique_ptr<Database> db = std::move(db_or).value();
@@ -958,12 +958,12 @@ class ReadMarks : public MiningObserver {
 // R_1 keeps its frames in the pool's retained share: at a pool that holds
 // R_1 in half its frames but not R_{k-1}, the passes that scan a larger
 // R_{k-1} read it from storage and never read a page of R_1. R_k is
-// (trans_id, C_k id), as narrow as R_1, so the transactions are dense
-// (10 items of 60 on average): R_1 takes 21 pages, R_2 93 and R_3 55.
+// grouped like R_1, so the transactions are dense (10 items of 60 on
+// average): R_1 takes 4 pages, R_2 13 and R_3 8, and the pool 10 frames.
 TEST(ScratchLifecycleTest, R1StaysResidentWhilePassesReadRkMinus1) {
   auto disk = std::make_shared<SimDisk>();
   DatabaseOptions options = SimOptions(disk);
-  options.pool_frames = 48;
+  options.pool_frames = 10;
   auto db_or = Database::Open(options);
   ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
   std::unique_ptr<Database> db = std::move(db_or).value();
@@ -1064,7 +1064,7 @@ constexpr double kCrashMineSupport = 0.05;
 // a file whose mine was never interrupted.
 TEST(WalCrashMatrixTest, PowerCutMidMineReclaimsItsScratch) {
   ScopedLogSilence quiet;
-  const TransactionDb txns = SmallQuest(300, 40);
+  const TransactionDb txns = SmallQuest(600, 40);
   const FrequentItemsets reference = ReferenceItemsets(txns, kCrashMineSupport);
 
   // A clean run: the ops one mine takes, and the file after it.
@@ -1111,7 +1111,7 @@ TEST(WalCrashMatrixTest, PowerCutMidMineReclaimsItsScratch) {
 // of a run that was never cut.
 TEST(WalCrashMatrixTest, LoggedTableOnReusedScratchIdsSurvivesAPowerCut) {
   ScopedLogSilence quiet;
-  const TransactionDb txns = SmallQuest(300, 40);
+  const TransactionDb txns = SmallQuest(600, 40);
   const FrequentItemsets reference = ReferenceItemsets(txns, kCrashMineSupport);
   constexpr int kRows = 600;  // a batch spans pages
   constexpr int kCommits = 3;
