@@ -9,11 +9,11 @@
 // and the IoStats page traffic of each path, plus a bit-identity check of
 // the resulting itemsets (the derivation is exact, not approximate).
 //
-// Expected shape: for small batches the delta path reads far fewer pages
-// (it mines only the delta partition and scans the old partition at most
-// once, for borderline candidates) and is correspondingly faster; as the
-// batch fraction grows the advantage shrinks until the planner's derivation
-// budget routes the update to a full mine anyway.
+// Expected shape: for small batches the delta path reads fewer pages (it
+// mines only the delta partition and scans the old partition at most once,
+// to count the borderline candidates through the SETM pipeline); as the
+// batch fraction grows the planner's derivation budget routes the update
+// to a full mine. Times are printed, not gated.
 //
 // usage: incremental_updates [--smoke]   (--smoke: tiny sizes for CI)
 

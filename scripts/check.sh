@@ -85,7 +85,9 @@ fi
 
 # Crash-recovery smoke: SIGKILL setm_mine mid-append at varied points, retry
 # each interrupted batch, and assert the recovered database is bit-identical
-# to a never-killed control.
+# to a never-killed control. Under the asan preset this also runs the delta
+# derive, its old-partition count included, under the sanitizers, as CI's
+# sanitize job does.
 if [[ -x "$mine_bin" ]]; then
   scripts/smoke_crash_recovery.sh "$mine_bin"
 fi

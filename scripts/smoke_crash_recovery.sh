@@ -30,7 +30,10 @@ BATCH_TXNS=1000
 # Deterministic correlated data: a frequent {1,2}(+3,+4) core plus
 # id-dependent filler — same shape as smoke_db_persist.sh but sized so one
 # append takes tens of milliseconds, giving the SIGKILLs below a real
-# window to land mid-flight.
+# window to land mid-flight. Item 23, in every fourth batch transaction
+# only, is frequent in each batch but in no stored run, so every derive
+# also counts its itemsets over the old partition, which the earlier
+# batches' 23s are part of and a killed batch's orphans are not.
 awk -v n="$BASE_TXNS" 'BEGIN{for(t=1;t<=n;t++){print t","1; print t","2;
   if(t%2==0)print t","3; if(t%3==0)print t","4;
   print t","(5+t%7); print t","(12+t%11)}}' > "$WORK/base.csv"
@@ -38,7 +41,8 @@ for ((b=1; b<=BATCHES; b++)); do
   awk -v lo=$((BASE_TXNS + (b-1)*BATCH_TXNS + 1)) \
       -v hi=$((BASE_TXNS + b*BATCH_TXNS)) \
     'BEGIN{for(t=lo;t<=hi;t++){print t","1; print t","2;
-      if(t%2==0)print t","3; print t","(5+t%7)}}' > "$WORK/batch_$b.csv"
+      if(t%2==0)print t","3; print t","(5+t%7); if(t%4==0)print t","23}}' \
+    > "$WORK/batch_$b.csv"
 done
 
 append_args() {  # $1 = db file, $2 = batch csv

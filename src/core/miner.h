@@ -41,10 +41,9 @@ struct SetmOptions {
   /// Memory budget of each shard's local C_k count, which aggregates the
   /// R'_k rows as the join produces them: kSortMerge bounds the count table
   /// by the sort budget and spills sorted (itemset, count) runs beyond it;
-  /// kHash lets the table grow and never spills. The coordinator's merge of
-  /// partial counts is always an unbounded hash merge (shards must combine
-  /// before the global minsupport filter); results are identical either
-  /// way.
+  /// kHash lets the table grow and never spills. The coordinator always
+  /// sums the shards' sorted count replies in one k-way merge before the
+  /// global minsupport filter. Results are identical either way.
   CountMethod count_method = CountMethod::kSortMerge;
   /// Degree of partition parallelism. SETM always runs under the shard
   /// coordinator (shard/coordinator.h): SALES is range-partitioned on

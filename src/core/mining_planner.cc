@@ -469,6 +469,7 @@ Result<PlanExecution> MiningPlanner::Execute(const PlanRequest& request) {
       tracing.emplace(exec_span, db_->io_stats(), request.options.observer);
       run.options.observer = &*tracing;
     }
+    run.trace = exec_span;  // the strategy's own spans go under it
   }
 
   Status status;
@@ -525,7 +526,7 @@ Status MiningPlanner::ExecuteDeltaDerive(const PlanRequest& request,
   if (!stored_or.ok()) return stored_or.status();
   auto derived_or =
       DeriveWithDelta(db_, stored_or.value(), out->plan.delta, *request.table,
-                      options_.setm, request.options);
+                      options_.setm, request.options, request.trace);
   if (!derived_or.ok()) return derived_or.status();
   out->result = std::move(derived_or.value().result);
   out->borderline_candidates = derived_or.value().borderline_candidates;

@@ -88,8 +88,9 @@ struct PlanRequest {
   MiningOptions options;
   /// Optional trace root (not owned; must outlive Execute). Execute hangs
   /// a "plan" child and one execution child ("load" / "derive" / "mine",
-  /// with per-iteration spans under "mine") off it and tags the root with
-  /// the chosen strategy. The caller Ends and renders the root.
+  /// the last two with per-iteration spans, "derive" also with its "old
+  /// partition" count) off it and tags the root with the chosen strategy.
+  /// The caller Ends and renders the root.
   obs::TraceSpan* trace = nullptr;
 };
 

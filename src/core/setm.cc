@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,11 +49,23 @@ namespace {
 /// Every SETM mine: SALES rows range-partitioned on trans_id into
 /// num_threads row-balanced slices (never splitting a transaction), one
 /// LocalShardBackend per slice, DistributedMine driving them. A serial mine
-/// is the one-shard case, run inline on the calling thread.
+/// is the one-shard case, run inline on the calling thread. A `lattice`
+/// count drops the rows of other items first.
 Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
                                      std::vector<shard::ShardRow> rows,
                                      const MiningOptions& options,
-                                     const IoStats& io_before) {
+                                     const IoStats& io_before,
+                                     const FrequentItemsets* lattice,
+                                     obs::TraceSpan* trace) {
+  if (lattice != nullptr) {
+    std::unordered_set<ItemId> items;
+    for (const PatternCount& pc : lattice->OfSize(1)) items.insert(pc.items[0]);
+    rows.erase(std::remove_if(rows.begin(), rows.end(),
+                              [&items](const shard::ShardRow& row) {
+                                return items.count(row.item) == 0;
+                              }),
+               rows.end());
+  }
   // Sort once (the backends keep this order), then cut at transaction
   // boundaries.
   std::sort(rows.begin(), rows.end());
@@ -94,6 +107,8 @@ Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
   shard::CoordinatorOptions coord;
   coord.run.storage = so.storage;
   coord.run.count_method = so.count_method;
+  coord.trace = trace;
+  coord.lattice = lattice;
   std::unique_ptr<WorkerPool> owned_pool;
   if (num_shards > 1) {
     coord.pool = db->worker_pool();
@@ -123,17 +138,18 @@ Result<MiningResult> SetmMiner::Mine(const TransactionDb& transactions,
     for (ItemId item : t.items) rows.push_back(shard::ShardRow{t.id, item});
   }
   return MinePartitioned(db_, setm_options_, std::move(rows), options,
-                         io_before);
+                         io_before, lattice_, trace_);
 }
 
 Result<MiningResult> SetmMiner::MineTable(const Table& sales,
-                                          const MiningOptions& options) {
+                                          const MiningOptions& options,
+                                          TransactionId max_tid) {
   // Snapshot before the SALES scan, so the result's ledger includes it.
   const IoStats io_before = *db_->io_stats();
   std::vector<shard::ShardRow> rows;
-  SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &rows));
+  SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &rows, max_tid));
   return MinePartitioned(db_, setm_options_, std::move(rows), options,
-                         io_before);
+                         io_before, lattice_, trace_);
 }
 
 }  // namespace setm

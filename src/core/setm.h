@@ -1,10 +1,12 @@
 #ifndef SETM_CORE_SETM_H_
 #define SETM_CORE_SETM_H_
 
+#include <cstdint>
 #include <memory>
 
 #include "core/miner.h"
 #include "core/types.h"
+#include "obs/trace.h"
 #include "relational/database.h"
 
 namespace setm {
@@ -49,19 +51,28 @@ namespace setm {
 ///     MiningResult result = miner.Mine(transactions, options).value();
 class SetmMiner {
  public:
-  explicit SetmMiner(Database* db, SetmOptions setm_options = {})
-      : db_(db), setm_options_(setm_options) {}
+  /// With a `lattice`, the miner counts its itemsets instead of mining
+  /// (shard::CoordinatorOptions::lattice): a result holds each member the
+  /// data holds, with its count whatever its support, and nothing else,
+  /// and only the rows of the lattice's items are read into R_1. With a
+  /// `trace`, every iteration is a child span of it. Both are borrowed.
+  explicit SetmMiner(Database* db, SetmOptions setm_options = {},
+                     const FrequentItemsets* lattice = nullptr,
+                     obs::TraceSpan* trace = nullptr)
+      : db_(db), setm_options_(setm_options), lattice_(lattice),
+        trace_(trace) {}
 
   /// Mines a transaction database (items within a transaction must be
   /// sorted and unique); its rows go straight into the shard slices.
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
-  /// Mines an existing relation with schema (trans_id INT32, item INT32);
-  /// rows need not be sorted. The result's I/O ledger includes the one
-  /// SALES scan.
+  /// Mines an existing relation with schema (trans_id INT32, item INT32),
+  /// its rows with trans_id <= `max_tid`; rows need not be sorted. The
+  /// result's I/O ledger includes the one SALES scan.
   Result<MiningResult> MineTable(const Table& sales,
-                                 const MiningOptions& options);
+                                 const MiningOptions& options,
+                                 TransactionId max_tid = INT32_MAX);
 
   /// The canonical SALES schema: (trans_id INT32, item INT32).
   static Schema SalesSchema();
@@ -72,6 +83,8 @@ class SetmMiner {
  private:
   Database* db_;
   SetmOptions setm_options_;
+  const FrequentItemsets* lattice_;
+  obs::TraceSpan* trace_;
 };
 
 /// Creates a catalog table `name` with the SALES schema and loads the

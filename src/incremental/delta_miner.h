@@ -6,6 +6,7 @@
 #include "core/setm.h"
 #include "core/types.h"
 #include "incremental/itemset_store.h"
+#include "obs/trace.h"
 #include "relational/database.h"
 
 namespace setm {
@@ -26,16 +27,18 @@ struct DeltaDerivation {
 /// one inequality: an itemset absent from a store mined at threshold s_old
 /// had old-partition count <= s_old - 1. With s the threshold for the
 /// combined database, such an itemset can only be globally frequent when
-/// its delta count is >= s - s_old + 1. So the derivation
+/// its delta count is >= s - s_old + 1. So the derivation, counting only
+/// through SetmMiner and so the shard coordinator,
 ///
-///   1. mines *only* the delta partition (through SetmMiner, and so the
-///      shard coordinator) at that reduced threshold;
-///   2. combines stored supports with exact delta counts for every stored
-///      itemset — decidable without touching old data;
-///   3. re-counts only the "borderline" itemsets (delta-frequent, not
-///      stored) against the old partition — the rows of `sales` with
-///      trans_id <= the stored watermark — in one scan, skipped when there
-///      are none.
+///   1. mines *only* the delta partition at that reduced threshold, the one
+///      count that `options.observer` and the result's iterations see;
+///   2. counts the stored itemsets over the delta, which settles their
+///      combined supports without touching old data;
+///   3. counts only the "borderline" itemsets (delta-frequent, not stored),
+///      with their prefixes and items, over the old partition — the rows of
+///      `sales` with trans_id <= the stored watermark, read in one scan —
+///      skipped when there are none; under `trace`, as its "old partition"
+///      child span.
 ///
 /// The result is exact, not approximate: incremental_test sweeps seeds,
 /// backings and batch sizes asserting bit-identical itemsets vs remining.
@@ -49,7 +52,8 @@ Result<DeltaDerivation> DeriveWithDelta(Database* db,
                                         const TransactionDb& delta,
                                         const Table& sales,
                                         const SetmOptions& setm,
-                                        const MiningOptions& options);
+                                        const MiningOptions& options,
+                                        obs::TraceSpan* trace = nullptr);
 
 }  // namespace setm
 

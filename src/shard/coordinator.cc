@@ -134,15 +134,17 @@ Status CheckReply(const ShardState& s, const CandidateLevel* prev,
 }
 
 /// Sums every shard's partial counts of k-itemsets, keyed by (C_{k-1} id,
-/// item), and applies the global minsupport. `*level` is C_{k-1}'s level
-/// on entry (ignored for k = 1), against which each reply is checked, and
-/// C_k's on return. The checked replies are summed in the count's own
-/// k-way merge (SumByKey), so the survivors come out in key order: they
-/// are C_k's keys, `*ck`, the next broadcast as it is. Each is spelled out
-/// for `itemsets` as its parent's itemset, C_{k-1} being added to it in id
-/// order, plus its item. `*entries` counts the keys the shards handed over.
+/// item), and applies the global minsupport and any `lattice`. `*level` is
+/// C_{k-1}'s level on entry (ignored for k = 1), against which each reply
+/// is checked, and C_k's on return. The checked replies are summed in the
+/// count's own k-way merge (SumByKey), so the survivors come out in key
+/// order: they are C_k's keys, `*ck`, the next broadcast as it is. Each key
+/// past minsupport is spelled out as its parent's itemset, C_{k-1} being
+/// added to `itemsets` in id order, plus its item. `*entries` counts the
+/// keys the shards handed over.
 Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
-                   CandidateLevel* level, uint64_t* c_size, uint64_t* entries,
+                   const FrequentItemsets* lattice, CandidateLevel* level,
+                   uint64_t* c_size, uint64_t* entries,
                    FrequentItemsets* itemsets, std::vector<CandidateKey>* ck) {
   const CandidateLevel* prev = k == 1 ? nullptr : level;
   *entries = 0;
@@ -158,10 +160,13 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
   SETM_RETURN_IF_ERROR(SumByKey(
       2, std::move(replies), [&](const ItemId* key, int64_t count) -> Status {
         if (count < minsup) return Status::OK();
-        ck->push_back(CandidateKey{key[0], key[1]});
         std::vector<ItemId> items;
         if (k >= 2) items = itemsets->OfSize(k - 1)[key[0]].items;
         items.push_back(key[1]);
+        if (lattice != nullptr && lattice->CountOf(items) == 0) {
+          return Status::OK();
+        }
+        ck->push_back(CandidateKey{key[0], key[1]});
         itemsets->Add(std::move(items), count);
         ++*c_size;
         return Status::OK();
@@ -267,7 +272,9 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
       num_transactions += st.reply.transactions;
     }
     result.itemsets.num_transactions = num_transactions;
-    minsup = ResolveMinSupportCount(options, num_transactions);
+    minsup = coord.lattice != nullptr
+                 ? 1  // a lattice count keeps members whatever their counts
+                 : ResolveMinSupportCount(options, num_transactions);
     // A sole shard's local counts are global: let it prune at minsupport.
     if (states.size() == 1) states[0].backend->SetCountFloor(minsup);
 
@@ -278,8 +285,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
       stats.r_bytes += st.reply.r_bytes;
       stats.r_pages += st.reply.r_pages;
     }
-    s = MergeCounts(&states, 1, minsup, &level, &stats.c_size, &entries,
-                    &result.itemsets, &ck);
+    s = MergeCounts(&states, 1, minsup, coord.lattice, &level,
+                    &stats.c_size, &entries, &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
     stats.seconds = iter_timer.ElapsedSeconds();
     s = finish_iteration(stats);
@@ -322,8 +329,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     for (const ShardState& st : states) {
       stats.r_prime_rows += st.reply.r_prime_rows;
     }
-    s = MergeCounts(&states, k + 1, minsup, &level, &stats.c_size, &entries,
-                    &result.itemsets, &ck);
+    s = MergeCounts(&states, k + 1, minsup, coord.lattice, &level,
+                    &stats.c_size, &entries, &result.itemsets, &ck);
     if (!s.ok()) return fail(s);
   }
 

@@ -28,6 +28,13 @@ struct CoordinatorOptions {
   /// iteration with nested per-shard spans. Must belong to the calling
   /// thread (TraceSpan is single-writer).
   obs::TraceSpan* trace = nullptr;
+  /// Optional lattice: counts its itemsets instead of mining. A merged key
+  /// survives iff its itemset is in the lattice, whatever its count (the
+  /// minsupport is 1), so the result holds exactly the members the shards'
+  /// data holds, with their counts. The lattice must hold every member's
+  /// prefix (the member without its last item) and each of its items, as
+  /// a downward-closed set or any SETM result does.
+  const FrequentItemsets* lattice = nullptr;
 };
 
 /// The distributed count over `shards` (Section 5's partitioned reading of
@@ -41,7 +48,7 @@ struct CoordinatorOptions {
 ///            (C_{k-1} id, item) keys, in one k-way merge and applies the
 ///            global minsupport — resolved from the summed per-shard
 ///            transaction counts, exact because transactions never span
-///            shards;
+///            shards — or, given a lattice, keeps its members;
 ///   pass     the surviving C_k's keys are broadcast, and in one call every
 ///            shard filters its slice of the join down to R_k and returns
 ///            its local counts of R'_{k+1}, which the next merge sums.

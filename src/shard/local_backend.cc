@@ -8,7 +8,8 @@
 
 namespace setm::shard {
 
-Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
+Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows,
+                   TransactionId max_tid) {
   if (sales.schema().NumColumns() != 2) {
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
   }
@@ -19,7 +20,8 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
     auto more = it->Next(&row);
     if (!more.ok()) return more.status();
     if (!more.value()) break;
-    rows->push_back(ShardRow{row.value(0).AsInt32(), row.value(1).AsInt32()});
+    const TransactionId tid = row.value(0).AsInt32();
+    if (tid <= max_tid) rows->push_back(ShardRow{tid, row.value(1).AsInt32()});
   }
   return Status::OK();
 }

@@ -1,6 +1,7 @@
 #ifndef SETM_SHARD_LOCAL_BACKEND_H_
 #define SETM_SHARD_LOCAL_BACKEND_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,9 +24,11 @@ struct ShardRow {
   }
 };
 
-/// Appends the (trans_id, item) pairs of a SALES-shaped table to `rows`;
-/// InvalidArgument unless the table has exactly two columns.
-Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
+/// Appends the (trans_id, item) pairs of a SALES-shaped table with
+/// trans_id <= `max_tid` to `rows`; InvalidArgument unless the table has
+/// exactly two columns.
+Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows,
+                   TransactionId max_tid = INT32_MAX);
 
 /// The in-process shard and the only place Algorithm SETM iterates: runs
 /// the pipeline bodies of core/setm_pipeline over one SALES slice and

@@ -373,6 +373,52 @@ TEST(DeltaDeriveTest, BorderlinePromotionIsExact) {
   EXPECT_EQ(updated.value().result.itemsets.CountOf({1, 2}), 3);
 }
 
+TEST(DeltaDeriveTest, RepeatedSalesRowsMatchAFullRemine) {
+  // SETM counts a repeated SALES row once per row
+  // (SetmOnePassTest.RepeatedSalesRowsNeverRepeatAnItem): item 7 twice in
+  // transactions 1 and 2 counts 4 for {7} and for {1,7}. The derive's
+  // counts over the delta and the old partition must be the same counts.
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    SCOPED_TRACE(backing == TableBacking::kHeap ? "heap" : "memory");
+    Database db;
+    auto sales = db.catalog()->CreateTable("sales", SetmMiner::SalesSchema(),
+                                           backing);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    const auto insert = [&](int32_t tid, int32_t item) {
+      const Tuple row({Value::Int32(tid), Value::Int32(item)});
+      ASSERT_TRUE(sales.value()->Insert(row).ok());
+    };
+    for (int32_t tid = 1; tid <= 10; ++tid) insert(tid, 1);
+    for (int32_t tid : {1, 1, 2, 2}) insert(tid, 7);
+    MiningOptions options;
+    options.min_support_count = 5;
+    const PlannerOptions planner_options = StoreOptions(backing);
+    MiningPlanner planner(&db, planner_options);
+    auto stored = Request(&planner, sales.value(), options);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    ASSERT_EQ(stored.value().result.itemsets.TotalPatterns(), 1u);
+
+    TransactionDb batch;
+    batch.push_back({11, {1, 7}});
+    batch.push_back({12, {7}});
+    auto updated = Request(&planner, sales.value(), options, &batch);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
+    EXPECT_EQ(updated.value().borderline_candidates, 2u);
+
+    // Oracle: a full remine of the combined SALES.
+    auto remine = SetmMiner(&db, planner_options.setm)
+                      .MineTable(*sales.value(), options);
+    ASSERT_TRUE(remine.ok()) << remine.status().ToString();
+    const FrequentItemsets& derived = updated.value().result.itemsets;
+    EXPECT_EQ(derived.TotalPatterns(), 3u);
+    EXPECT_EQ(derived.CountOf({1}), 11);
+    EXPECT_EQ(derived.CountOf({7}), 6);
+    EXPECT_EQ(derived.CountOf({1, 7}), 5);
+    EXPECT_TRUE(derived == remine.value().itemsets);
+  }
+}
+
 TEST(DeltaDeriveTest, ParallelDeltaMineMatchesSerial) {
   TransactionDb base = MakeQuestDb(404, 240);
   TransactionDb batch = MakeBatch(405, 24, MaxTransactionId(base));

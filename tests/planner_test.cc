@@ -376,6 +376,11 @@ TEST_P(PlannerTest, InterruptedAppendIsCompletedByRetryUnderEveryBudget) {
                                               ? PlanStrategy::kDeltaDerive
                                               : PlanStrategy::kFullMine);
     EXPECT_FALSE(exec.value().plan.orphans.empty());
+    // The derive counts borderline itemsets over the old partition while
+    // the orphans sit beyond the watermark: they must stay out of it.
+    if (budget > 0.0) {
+      EXPECT_GE(exec.value().borderline_candidates, 1u);
+    }
     EXPECT_TRUE(exec.value().result.itemsets ==
                 Oracle(combined, request.options));
     // The orphans were skipped, not inserted twice.
@@ -421,6 +426,63 @@ TEST_P(PlannerTest, InterruptedAppendRefusesADifferentBatchUnderEveryBudget) {
               std::string::npos)
         << exec.status().ToString();
     EXPECT_EQ(sales->num_rows(), rows);
+  }
+}
+
+/// The child of `span` named `name`, or null.
+const obs::TraceSpan* ChildNamed(const obs::TraceSpan& span,
+                                 const std::string& name) {
+  for (const auto& child : span.children()) {
+    if (child->name() == name) return child.get();
+  }
+  return nullptr;
+}
+
+// The derive's count over the old partition is its own span under
+// "derive", with one span per iteration, and it exists exactly when
+// something is borderline (the count is skipped otherwise).
+TEST_P(PlannerTest, OldPartitionCountIsTracedExactlyWhenBorderline) {
+  TransactionDb base = MakeQuestDb(32, 200);
+  Database db;
+  Table* sales = MakeSales(&db, base);
+  MiningPlanner planner(&db, Options());
+  PlanRequest request;
+  request.table = sales;
+  request.options.min_support_count = 5;
+  auto stored = planner.Execute(request);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_FALSE(stored.value().result.itemsets.OfSize(1).empty());
+
+  // A Quest batch has itemsets the store lacks; one-item baskets of a
+  // stored item have none.
+  TransactionDb quest = MakeBatch(33, 20, MaxTransactionId(base));
+  const ItemId item = stored.value().result.itemsets.OfSize(1)[0].items[0];
+  TransactionDb singles;
+  for (TransactionId i = 1; i <= 5; ++i) {
+    singles.push_back({MaxTransactionId(quest) + i, {item}});
+  }
+  for (TransactionDb* batch : {&quest, &singles}) {
+    obs::TraceSpan root("request", db.io_stats());
+    request.append = batch;
+    request.trace = &root;
+    auto exec = planner.Execute(request);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    root.End();
+    ASSERT_EQ(exec.value().plan.strategy, PlanStrategy::kDeltaDerive);
+    const uint64_t borderline = exec.value().borderline_candidates;
+    EXPECT_EQ(borderline > 0, batch == &quest);
+    const obs::TraceSpan* derive = ChildNamed(root, "derive");
+    ASSERT_NE(derive, nullptr) << root.Render();
+    const obs::TraceSpan* old_partition = ChildNamed(*derive, "old partition");
+    EXPECT_EQ(old_partition != nullptr, borderline > 0) << root.Render();
+    if (old_partition == nullptr) continue;
+    EXPECT_TRUE(old_partition->ended());
+    EXPECT_LE(old_partition->page_reads(), derive->page_reads());
+    ASSERT_FALSE(old_partition->children().empty()) << root.Render();
+    for (const auto& iteration : old_partition->children()) {
+      EXPECT_EQ(iteration->name().rfind("iteration k=", 0), 0u)
+          << iteration->name();
+    }
   }
 }
 

@@ -110,7 +110,8 @@ Result<MiningResult> MineSlices(Database* db,
                                 const MiningOptions& options,
                                 const ShardRunOptions& run,
                                 WorkerPool* pool = nullptr,
-                                obs::TraceSpan* trace = nullptr) {
+                                obs::TraceSpan* trace = nullptr,
+                                const FrequentItemsets* lattice = nullptr) {
   std::vector<std::unique_ptr<LocalShardBackend>> owned;
   std::vector<ShardBackend*> backends;
   for (size_t i = 0; i < slices.size(); ++i) {
@@ -124,6 +125,7 @@ Result<MiningResult> MineSlices(Database* db,
   coord.run = run;
   coord.pool = pool;
   coord.trace = trace;
+  coord.lattice = lattice;
   return DistributedMine(backends, options, coord);
 }
 
@@ -243,6 +245,74 @@ TEST(DistributedMineTest, SkewedShardsStayExact) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
   ExpectSameIterations(result.value(), expected.value());
+}
+
+/// SETM's count of `items` (sorted, distinct) over `txns`, whose items may
+/// repeat: one per combination of rows, the product over `items` of each
+/// transaction's rows of that item.
+int64_t RowCount(const TransactionDb& txns, const std::vector<ItemId>& items) {
+  int64_t total = 0;
+  for (const Transaction& t : txns) {
+    int64_t combinations = 1;
+    for (ItemId item : items) {
+      combinations *= std::count(t.items.begin(), t.items.end(), item);
+    }
+    total += combinations;
+  }
+  return total;
+}
+
+// Given a lattice, the coordinator counts exactly its members: each one the
+// data holds survives with SETM's count, however far below minsupport, and
+// nothing else is reported, over one shard (whose count floor stays 1) or
+// several, on SALES rows that repeat an item.
+TEST(DistributedMineTest, LatticeCountKeepsExactlyItsMembers) {
+  TransactionDb txns;
+  for (TransactionId tid = 1; tid <= 4; ++tid) {
+    txns.push_back({tid, {1, 2, 2, 3}});
+  }
+  txns.push_back({5, {1, 3}});
+  for (TransactionId tid = 6; tid <= 9; ++tid) txns.push_back({tid, {4, 5}});
+  // Downward closed. {9} is in no transaction, and 1 and 4 never meet, so
+  // no shard reports {1, 4}'s key.
+  FrequentItemsets lattice;
+  for (const std::vector<ItemId>& items :
+       std::vector<std::vector<ItemId>>{{1}, {2}, {3}, {4}, {9}, {1, 2},
+                                        {1, 3}, {1, 4}, {2, 3}, {1, 2, 3}}) {
+    lattice.Add(items, 1);
+  }
+  FrequentItemsets expected;
+  for (size_t k = 1; k <= lattice.MaxSize(); ++k) {
+    for (const PatternCount& pc : lattice.OfSize(k)) {
+      const int64_t count = RowCount(txns, pc.items);
+      if (count > 0) expected.Add(pc.items, count);
+    }
+  }
+  expected.Normalize();
+  ASSERT_EQ(expected.TotalPatterns(), 8u);
+  ASSERT_EQ(expected.CountOf({1, 2, 3}), 8);
+
+  MiningOptions options;
+  options.min_support_count = 1000;  // above every count
+  for (size_t num_shards : {size_t{1}, size_t{3}}) {
+    for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+      SCOPED_TRACE(std::to_string(num_shards) + " shards, " +
+                   (backing == TableBacking::kHeap ? "heap" : "memory"));
+      Database db;
+      ShardRunOptions run;
+      run.storage = backing;
+      auto result = MineSlices(&db, SplitTxns(txns, num_shards), options, run,
+                               nullptr, nullptr, &lattice);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const FrequentItemsets& counted = result.value().itemsets;
+      EXPECT_TRUE(counted == expected) << counted.TotalPatterns();
+      EXPECT_EQ(counted.CountOf({2}), 8);
+      EXPECT_EQ(counted.CountOf({9}), 0);     // a member absent from the data
+      EXPECT_EQ(counted.CountOf({1, 4}), 0);  // a key no shard reports
+      EXPECT_EQ(counted.CountOf({4, 5}), 0);  // a non-member
+      EXPECT_EQ(counted.CountOf({5}), 0);
+    }
+  }
 }
 
 // A sole shard's counts are global, so the coordinator lets it prune at
