@@ -10,9 +10,18 @@
 #      succeeds or reports the batch as already applied (watermark check);
 #      a corruption error is an instant failure;
 #   2. after all batches the killed database's stored run is bit-identical
-#      to the control's (rules and SALES row count);
-#   3. a stray kill never tears a batch: retries of partially-persisted
-#      batches are absorbed by the orphan scan, not double-counted.
+#      to the control's (rules and SALES row count), so no kill tears or
+#      double-applies a batch.
+#
+# What the kills land on: in practice either before the append's commit
+# (the retry finds the table as it was and applies the whole batch) or
+# after the store save (the retry is refused as already applied). No run
+# has been seen to stop between the commit and the save, which is the
+# one window that leaves crash orphans: committed rows beyond the stored
+# watermark. That path, Plan()'s tail scan of SALES beyond the watermark
+# and the retry that re-submits or refuses the orphans, is covered by
+# planner_test's InterruptedAppendIsCompletedByRetryUnderEveryBudget and
+# InterruptedAppendRefusesADifferentBatchUnderEveryBudget.
 #
 #   usage: scripts/smoke_crash_recovery.sh path/to/setm_mine [workdir]
 set -euo pipefail

@@ -10,7 +10,8 @@
 #   1. A's trace is a full-mine tree: a "request" root tagged
 #      strategy=full-mine with plan and mine children, one "iteration"
 #      span per pass, and at least one iteration carrying a non-zero
-#      page-read delta (the pool is sized to force real traffic);
+#      page-read delta (the pool is sized to force real traffic); the mine
+#      span carries the SALES intake's sales_rows and kept_rows, equal;
 #   2. B's trace is a cache-filter tree: strategy=cache-filter, a "load"
 #      child, and ZERO iteration spans — the no-mining guarantee made
 #      structural;
@@ -20,7 +21,12 @@
 #      all present;
 #   4. the --stats ledger carries the pool: line, with the scratch pages
 #      read and written around the pool, and the wal: line; A's small pool
-#      moves some scratch pages around it.
+#      moves some scratch pages around it;
+#   5. process C appends a batch with borderline itemsets (item 23, in no
+#      stored run) and derives: its "old partition" span carries the
+#      SALES intake's counts, sales_rows (rows scanned) and kept_rows
+#      (rows up to the watermark of the lattice's items), with
+#      0 < kept_rows < sales_rows.
 #
 #   usage: scripts/smoke_observability.sh path/to/setm_mine [workdir]
 set -euo pipefail
@@ -67,6 +73,11 @@ grep -q "^    plan " "$WORK/a.trace" || {
 }
 grep -q "^    mine .*algorithm=" "$WORK/a.trace" || {
   echo "FAIL: A's trace has no mine span"; cat "$WORK/a.trace"; exit 1
+}
+# A full mine keeps every SALES row it scans.
+grep -q "^    mine .* sales_rows=\([1-9][0-9]*\) kept_rows=\1$" "$WORK/a.trace" || {
+  echo "FAIL: A's mine span lacks sales_rows = kept_rows > 0"
+  cat "$WORK/a.trace"; exit 1
 }
 A_ITERS="$(grep -c "^      iteration .*k=" "$WORK/a.trace" || true)"
 if [[ "$A_ITERS" -lt 2 ]]; then
@@ -168,5 +179,27 @@ grep -Eq "^pool: .*bypass_reads=[1-9][0-9]* bypass_writes=[1-9][0-9]*$" \
   grep "^pool:" "$WORK/a.err"; exit 1;
 }
 echo "pool: and wal: ledger lines present"
+
+# -- 5. the derive's intake counts ---------------------------------------------
+awk 'BEGIN{for(t=6001;t<=6300;t++){print t","1; print t","2;
+  print t","(5+t%7); if(t%4==0)print t","23}}' > "$WORK/batch.csv"
+echo "== process C: append with borderline itemsets, tracing"
+"$SETM_MINE" --db "$WORK/sales.db" --append "$WORK/batch.csv" --incremental \
+  --store fi --minsup "$STORE_MINSUP" --pool-frames "$POOL" --format csv \
+  --trace > /dev/null 2> "$WORK/c.err"
+trace_of "$WORK/c.err" > "$WORK/c.trace"
+OLD="$(grep -m1 "^      old partition " "$WORK/c.trace" || true)"
+[[ -n "$OLD" ]] || {
+  echo "FAIL: C's derive has no old partition span"; cat "$WORK/c.trace"
+  exit 1
+}
+SALES_ROWS="$(sed -n 's/.* sales_rows=\([0-9]*\).*/\1/p' <<< "$OLD")"
+KEPT_ROWS="$(sed -n 's/.* kept_rows=\([0-9]*\).*/\1/p' <<< "$OLD")"
+if [[ -z "$SALES_ROWS" || -z "$KEPT_ROWS" || "$KEPT_ROWS" -le 0 ||
+      "$KEPT_ROWS" -ge "$SALES_ROWS" ]]; then
+  echo "FAIL: old partition span lacks 0 < kept_rows < sales_rows: $OLD"
+  exit 1
+fi
+echo "old partition intake: kept_rows=$KEPT_ROWS of sales_rows=$SALES_ROWS"
 
 echo "observability smoke OK"

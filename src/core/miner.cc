@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "relational/table.h"
+#include "shard/local_backend.h"
 
 namespace setm {
 
@@ -22,30 +23,19 @@ Status ValidateMiningRequest(const MiningRequest& request) {
 }
 
 Result<TransactionDb> TransactionsFromTable(const Table& sales) {
-  if (sales.schema().NumColumns() != 2) {
-    return Status::InvalidArgument("SALES must have schema (trans_id, item)");
-  }
-  std::vector<std::pair<TransactionId, ItemId>> rows;
-  rows.reserve(sales.num_rows());
-  auto it = sales.Scan();
-  Tuple row;
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    rows.emplace_back(row.value(0).AsInt32(), row.value(1).AsInt32());
-  }
-  std::sort(rows.begin(), rows.end());
+  shard::SalesIntake intake;
+  SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &intake));
+  const std::vector<shard::ShardRow> rows = intake.TakeSorted();
   // Duplicate (trans_id, item) rows are rejected, not silently merged: the
   // miners with a native table pipeline (setm, setm-sql) count every row,
   // so deduplicating here would make the same MiningRequest yield
   // different supports per algorithm. SALES is set-valued — a duplicate
   // row is malformed input, and the caller should hear about it.
   for (size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i] == rows[i - 1]) {
+    if (rows[i].tid == rows[i - 1].tid && rows[i].item == rows[i - 1].item) {
       return Status::InvalidArgument(
-          "SALES row (" + std::to_string(rows[i].first) + ", " +
-          std::to_string(rows[i].second) +
+          "SALES row (" + std::to_string(rows[i].tid) + ", " +
+          std::to_string(rows[i].item) +
           ") appears more than once; duplicate rows would be counted by "
           "row-oriented miners and must be removed first");
     }
@@ -54,10 +44,10 @@ Result<TransactionDb> TransactionsFromTable(const Table& sales) {
   TransactionDb txns;
   for (size_t i = 0; i < rows.size();) {
     Transaction t;
-    t.id = rows[i].first;
+    t.id = rows[i].tid;
     size_t j = i;
-    while (j < rows.size() && rows[j].first == t.id) {
-      t.items.push_back(rows[j].second);
+    while (j < rows.size() && rows[j].tid == t.id) {
+      t.items.push_back(rows[j].item);
       ++j;
     }
     txns.push_back(std::move(t));

@@ -106,7 +106,8 @@ class Miner {
 Status ValidateMiningRequest(const MiningRequest& request);
 
 /// Extracts the transaction database from a SALES-shaped relation
-/// (trans_id INT32, item INT32): one scan, grouped by trans_id, items
+/// (trans_id INT32, item INT32; another schema is InvalidArgument naming
+/// the column): one typed scan, grouped by trans_id, items
 /// sorted per transaction, transactions ordered by id. Duplicate
 /// (trans_id, item) rows are InvalidArgument — row-oriented miners would
 /// count them, so silently merging here would break cross-algorithm

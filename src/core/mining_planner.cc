@@ -279,14 +279,10 @@ Result<MiningPlan> MiningPlanner::Plan(const PlanRequest& request) {
     // table is empty).
     TransactionId existing_max = 0;
     if (table->num_rows() > 0) {
-      auto it = table->Scan();
-      Tuple row;
-      while (true) {
-        auto more = it->Next(&row);
-        if (!more.ok()) return more.status();
-        if (!more.value()) break;
-        existing_max = std::max(existing_max, row.value(0).AsInt32());
-      }
+      SETM_RETURN_IF_ERROR(ForEachInt32Pair(
+          *table, [&existing_max](TransactionId tid, ItemId) {
+            existing_max = std::max(existing_max, tid);
+          }));
     }
     plan.new_watermark = existing_max;
     if (has_batch) {
@@ -314,18 +310,13 @@ Result<MiningPlan> MiningPlanner::Plan(const PlanRequest& request) {
   if (!rows_match) {
     std::map<TransactionId, std::vector<ItemId>> tail;
     uint64_t tail_rows = 0;
-    auto it = table->Scan();
-    Tuple row;
-    while (true) {
-      auto more = it->Next(&row);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      const TransactionId tid = row.value(0).AsInt32();
-      if (tid > stored.watermark) {
-        tail[tid].push_back(row.value(1).AsInt32());
-        ++tail_rows;
-      }
-    }
+    SETM_RETURN_IF_ERROR(ForEachInt32Pair(
+        *table, [&](TransactionId tid, ItemId item) {
+          if (tid > stored.watermark) {
+            tail[tid].push_back(item);
+            ++tail_rows;
+          }
+        }));
     if (stored.source_rows != 0 &&
         stored.source_rows + tail_rows != table->num_rows()) {
       // The table changed at or below the watermark (or shrank) — the
@@ -554,6 +545,11 @@ Status MiningPlanner::ExecuteFullMine(const PlanRequest& request,
   auto mined_or = miner_or.value()->Mine(mine_request);
   if (!mined_or.ok()) return mined_or.status();
   out->result = std::move(mined_or).value();
+  if (request.trace != nullptr && out->result.sales_rows != 0) {
+    // A SETM mine's intake, on the "mine" span its iterations hang from.
+    request.trace->AddCount("sales_rows", out->result.sales_rows);
+    request.trace->AddCount("kept_rows", out->result.kept_rows);
+  }
 
   if (!out->plan.save_after_mine) return Status::OK();
   return SaveRun(request, out->plan, out->result.itemsets);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -46,29 +46,39 @@ Result<Table*> LoadSalesTable(Database* db, const std::string& name,
 
 namespace {
 
-/// Every SETM mine: SALES rows range-partitioned on trans_id into
+/// The items of a lattice count, the only ones its intake keeps; none
+/// without a lattice.
+std::optional<ItemRanks> LatticeItems(const FrequentItemsets* lattice) {
+  if (lattice == nullptr) return std::nullopt;
+  std::vector<ItemId> items;
+  for (const PatternCount& pc : lattice->OfSize(1)) {
+    items.push_back(pc.items[0]);
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  return ItemRanks(std::move(items));
+}
+
+/// Every SETM mine: the intake's rows range-partitioned on trans_id into
 /// num_threads row-balanced slices (never splitting a transaction), one
 /// LocalShardBackend per slice, DistributedMine driving them. A serial mine
-/// is the one-shard case, run inline on the calling thread. A `lattice`
-/// count drops the rows of other items first.
+/// is the one-shard case, run inline on the calling thread. The result
+/// and the trace carry the intake's counts: rows read and rows kept.
 Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
-                                     std::vector<shard::ShardRow> rows,
+                                     shard::SalesIntake* intake,
                                      const MiningOptions& options,
                                      const IoStats& io_before,
                                      const FrequentItemsets* lattice,
                                      obs::TraceSpan* trace) {
-  if (lattice != nullptr) {
-    std::unordered_set<ItemId> items;
-    for (const PatternCount& pc : lattice->OfSize(1)) items.insert(pc.items[0]);
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [&items](const shard::ShardRow& row) {
-                                return items.count(row.item) == 0;
-                              }),
-               rows.end());
+  const uint64_t sales_rows = intake->sales_rows();
+  const uint64_t kept_rows = intake->kept_rows();
+  if (trace != nullptr) {
+    trace->AddCount("sales_rows", sales_rows);
+    trace->AddCount("kept_rows", kept_rows);
   }
-  // Sort once (the backends keep this order), then cut at transaction
-  // boundaries.
-  std::sort(rows.begin(), rows.end());
+  // In (trans_id, item) order, which the backends keep; then cut at
+  // transaction boundaries.
+  std::vector<shard::ShardRow> rows = intake->TakeSorted();
   uint64_t num_transactions = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i == 0 || rows[i].tid != rows[i - 1].tid) ++num_transactions;
@@ -121,6 +131,8 @@ Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
   auto result = shard::DistributedMine(shards, options, coord);
   if (!result.ok()) return result.status();
   result.value().io = Diff(*db->io_stats(), io_before);
+  result.value().sales_rows = sales_rows;
+  result.value().kept_rows = kept_rows;
   return result;
 }
 
@@ -130,15 +142,15 @@ Result<MiningResult> SetmMiner::Mine(const TransactionDb& transactions,
                                      const MiningOptions& options) {
   const IoStats io_before = *db_->io_stats();
   SETM_RETURN_IF_ERROR(ValidateTransactions(transactions));
-  std::vector<shard::ShardRow> rows;
+  shard::SalesIntake intake(INT32_MAX, LatticeItems(lattice_));
   size_t total = 0;
   for (const Transaction& t : transactions) total += t.items.size();
-  rows.reserve(total);
+  intake.Reserve(total);
   for (const Transaction& t : transactions) {
-    for (ItemId item : t.items) rows.push_back(shard::ShardRow{t.id, item});
+    for (ItemId item : t.items) intake.Add(t.id, item);
   }
-  return MinePartitioned(db_, setm_options_, std::move(rows), options,
-                         io_before, lattice_, trace_);
+  return MinePartitioned(db_, setm_options_, &intake, options, io_before,
+                         lattice_, trace_);
 }
 
 Result<MiningResult> SetmMiner::MineTable(const Table& sales,
@@ -146,10 +158,10 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
                                           TransactionId max_tid) {
   // Snapshot before the SALES scan, so the result's ledger includes it.
   const IoStats io_before = *db_->io_stats();
-  std::vector<shard::ShardRow> rows;
-  SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &rows, max_tid));
-  return MinePartitioned(db_, setm_options_, std::move(rows), options,
-                         io_before, lattice_, trace_);
+  shard::SalesIntake intake(max_tid, LatticeItems(lattice_));
+  SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &intake));
+  return MinePartitioned(db_, setm_options_, &intake, options, io_before,
+                         lattice_, trace_);
 }
 
 }  // namespace setm

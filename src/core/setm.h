@@ -68,8 +68,11 @@ class SetmMiner {
                             const MiningOptions& options);
 
   /// Mines an existing relation with schema (trans_id INT32, item INT32),
-  /// its rows with trans_id <= `max_tid`; rows need not be sorted. The
-  /// result's I/O ledger includes the one SALES scan.
+  /// its rows with trans_id <= `max_tid`, read in one typed scan
+  /// (shard::ExtractRows). Rows need not be sorted: they are sorted only
+  /// if they arrive out of (trans_id, item) order. Another schema is
+  /// InvalidArgument. The result's I/O ledger includes the SALES scan, and
+  /// the trace its sales_rows and kept_rows.
   Result<MiningResult> MineTable(const Table& sales,
                                  const MiningOptions& options,
                                  TransactionId max_tid = INT32_MAX);

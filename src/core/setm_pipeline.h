@@ -130,6 +130,10 @@ class ItemRanks {
   size_t size() const { return items_.size(); }
   const std::vector<ItemId>& items() const { return items_; }
   ItemId item(int32_t rank) const { return items_[rank]; }
+  /// Bytes held: the items and, when the span is small, the table.
+  size_t bytes() const {
+    return (items_.capacity() + table_.capacity()) * sizeof(int32_t);
+  }
 
   /// `item`'s rank, or kAbsent. A table lookup when the items span a range
   /// at most a few times their number, else a binary search.

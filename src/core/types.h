@@ -180,6 +180,11 @@ struct MiningResult {
   std::vector<IterationStats> iterations;
   double total_seconds = 0.0;
   IoStats io;  ///< page traffic attributable to this mining run
+  /// A SETM mine's intake: the SALES rows scanned, and those kept after
+  /// the trans_id bound and a lattice's items. Zero for every other
+  /// miner, setm-sql included.
+  uint64_t sales_rows = 0;
+  uint64_t kept_rows = 0;
 };
 
 /// Validates a transaction database: ids strictly increasing is not

@@ -1,5 +1,7 @@
 #include "relational/table.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace setm {
@@ -49,7 +51,82 @@ class HeapTableIterator : public TupleIterator {
   const Schema* schema_;
 };
 
+/// (INT32, INT32) rows of a MemTable, read from its Values in place. The
+/// schema says INT32, but Insert checks only arity, so each Value's own
+/// type is checked too.
+class MemInt32PairCursor : public Int32PairCursor {
+ public:
+  explicit MemInt32PairCursor(const MemTable* table) : table_(table) {}
+
+  Result<bool> Next(int32_t* first, int32_t* second) override {
+    const std::vector<Tuple>& rows = table_->rows();
+    if (pos_ >= rows.size()) return false;
+    const Tuple& row = rows[pos_];
+    for (size_t c = 0; c < 2; ++c) {
+      if (row.value(c).type() != ValueType::kInt32) {
+        return Status::InvalidArgument(
+            "table '" + table_->name() + "' row " + std::to_string(pos_) +
+            " holds a " + std::string(ValueTypeName(row.value(c).type())) +
+            " in INT32 column '" + table_->schema().column(c).name + "'");
+      }
+    }
+    *first = row.value(0).AsInt32();
+    *second = row.value(1).AsInt32();
+    ++pos_;
+    return true;
+  }
+
+ private:
+  const MemTable* table_;
+  size_t pos_ = 0;
+};
+
+/// (INT32, INT32) rows of a HeapTable: two little-endian int32s from each
+/// record, which must be exactly their 8 bytes, as Tuple::Deserialize
+/// requires under the same schema.
+class HeapInt32PairCursor : public Int32PairCursor {
+ public:
+  HeapInt32PairCursor(TableHeap::Iterator it, const std::string* name)
+      : it_(std::move(it)), name_(name) {}
+
+  Result<bool> Next(int32_t* first, int32_t* second) override {
+    auto more = it_.Next();
+    if (!more.ok() || !more.value()) return more;
+    const std::string_view record = it_.record();
+    if (record.size() != 2 * sizeof(int32_t)) {
+      return Status::Corruption(
+          "table '" + *name_ + "' holds a record of " +
+          std::to_string(record.size()) +
+          " bytes where two INT32 columns take 8");
+    }
+    std::memcpy(first, record.data(), sizeof(int32_t));
+    std::memcpy(second, record.data() + sizeof(int32_t), sizeof(int32_t));
+    return true;
+  }
+
+ private:
+  TableHeap::Iterator it_;
+  const std::string* name_;
+};
+
 }  // namespace
+
+Result<std::unique_ptr<Int32PairCursor>> Table::ScanInt32Pairs() const {
+  if (schema_.NumColumns() != 2) {
+    return Status::InvalidArgument(
+        "table '" + name_ + "' has schema " + schema_.ToString() +
+        ", not two INT32 columns");
+  }
+  for (size_t c = 0; c < 2; ++c) {
+    const Column& column = schema_.column(c);
+    if (column.type != ValueType::kInt32) {
+      return Status::InvalidArgument(
+          "table '" + name_ + "' column '" + column.name + "' is " +
+          std::string(ValueTypeName(column.type)) + ", not INT32");
+    }
+  }
+  return NewInt32PairCursor();
+}
 
 // ---------------------------------------------------------------------------
 // MemTable
@@ -64,6 +141,10 @@ Status MemTable::Insert(const Tuple& tuple) {
 
 std::unique_ptr<TupleIterator> MemTable::Scan() const {
   return std::make_unique<MemTableIterator>(&rows_, &schema());
+}
+
+std::unique_ptr<Int32PairCursor> MemTable::NewInt32PairCursor() const {
+  return std::make_unique<MemInt32PairCursor>(this);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,6 +195,10 @@ Status HeapTable::Insert(const Tuple& tuple) {
 
 std::unique_ptr<TupleIterator> HeapTable::Scan() const {
   return std::make_unique<HeapTableIterator>(heap_.Begin(), &schema());
+}
+
+std::unique_ptr<Int32PairCursor> HeapTable::NewInt32PairCursor() const {
+  return std::make_unique<HeapInt32PairCursor>(heap_.Begin(), &name());
 }
 
 Status HeapTable::Truncate() {

@@ -1,6 +1,7 @@
 #ifndef SETM_RELATIONAL_TABLE_H_
 #define SETM_RELATIONAL_TABLE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,20 @@
 #include "storage/table_heap.h"
 
 namespace setm {
+
+/// Forward cursor over a relation of two INT32 columns, SALES's
+/// (trans_id, item) shape: each row's two values in storage order, read
+/// in place from the heap record or the MemTable row, with no Tuple or
+/// Value built per row.
+class Int32PairCursor {
+ public:
+  virtual ~Int32PairCursor() = default;
+
+  /// The next row's values; false at the end. A heap record that is not
+  /// exactly 8 bytes is Corruption and a MemTable value that is not INT32
+  /// InvalidArgument, each naming the table.
+  virtual Result<bool> Next(int32_t* first, int32_t* second) = 0;
+};
 
 /// A named relation. Two physical representations exist:
 ///  * MemTable  — a row vector; zero I/O, used for small relations like the
@@ -42,6 +57,11 @@ class Table {
   /// Full-scan iterator in storage order.
   virtual std::unique_ptr<TupleIterator> Scan() const = 0;
 
+  /// The typed scan of a relation of two INT32 columns, in storage order
+  /// and through the same pages as Scan(). InvalidArgument, naming the
+  /// column and its type, unless the schema is exactly two INT32 columns.
+  Result<std::unique_ptr<Int32PairCursor>> ScanInt32Pairs() const;
+
   /// Number of live rows.
   virtual uint64_t num_rows() const = 0;
 
@@ -57,6 +77,9 @@ class Table {
   virtual Status Truncate() = 0;
 
  protected:
+  /// ScanInt32Pairs' cursor, once the schema is checked.
+  virtual std::unique_ptr<Int32PairCursor> NewInt32PairCursor() const = 0;
+
   Status CheckArity(const Tuple& tuple) const {
     if (tuple.NumValues() != schema_.NumColumns()) {
       return Status::InvalidArgument(
@@ -95,10 +118,31 @@ class MemTable : public Table {
   const std::vector<Tuple>& rows() const { return rows_; }
   std::vector<Tuple>* mutable_rows() { return &rows_; }
 
+ protected:
+  std::unique_ptr<Int32PairCursor> NewInt32PairCursor() const override;
+
  private:
   std::vector<Tuple> rows_;
   uint64_t size_bytes_ = 0;
 };
+
+/// Calls fn(first, second) for each row of a relation of two INT32
+/// columns, in storage order, through one ScanInt32Pairs cursor; the
+/// cursor's error, or the schema's, ends the scan.
+template <typename Fn>
+Status ForEachInt32Pair(const Table& table, Fn fn) {
+  auto cursor_or = table.ScanInt32Pairs();
+  if (!cursor_or.ok()) return cursor_or.status();
+  Int32PairCursor& cursor = *cursor_or.value();
+  int32_t first = 0;
+  int32_t second = 0;
+  while (true) {
+    auto more = cursor.Next(&first, &second);
+    if (!more.ok()) return more.status();
+    if (!more.value()) return Status::OK();
+    fn(first, second);
+  }
+}
 
 /// Buffer-pool-backed table over a slotted-page heap.
 class HeapTable : public Table {
@@ -142,6 +186,9 @@ class HeapTable : public Table {
   Status AppendChainPages(std::vector<PageId>* out) const {
     return heap_.AppendChainPages(out);
   }
+
+ protected:
+  std::unique_ptr<Int32PairCursor> NewInt32PairCursor() const override;
 
  private:
   HeapTable(std::string name, Schema schema, BufferPool* pool, TableHeap heap,

@@ -8,22 +8,19 @@
 
 namespace setm::shard {
 
-Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows,
-                   TransactionId max_tid) {
-  if (sales.schema().NumColumns() != 2) {
-    return Status::InvalidArgument("SALES must have schema (trans_id, item)");
-  }
-  rows->reserve(rows->size() + sales.num_rows());
-  auto it = sales.Scan();
-  Tuple row;
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    const TransactionId tid = row.value(0).AsInt32();
-    if (tid <= max_tid) rows->push_back(ShardRow{tid, row.value(1).AsInt32()});
-  }
-  return Status::OK();
+std::vector<ShardRow> SalesIntake::TakeSorted() {
+  if (!sorted_) std::sort(rows_.begin(), rows_.end());
+  sorted_ = true;
+  std::vector<ShardRow> rows;
+  rows.swap(rows_);
+  return rows;
+}
+
+Status ExtractRows(const Table& sales, SalesIntake* intake) {
+  intake->Reserve(sales.num_rows());
+  return ForEachInt32Pair(sales, [intake](int32_t tid, int32_t item) {
+    intake->Add(tid, item);
+  });
 }
 
 LocalShardBackend::LocalShardBackend(Database* db, std::string name)
@@ -51,8 +48,9 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
   if (bound_to_table_) {
     auto table_or = db_->catalog()->ResolveTable(table_name_);
     if (!table_or.ok()) return table_or.status();
-    SETM_RETURN_IF_ERROR(ExtractRows(*table_or.value(), &run_rows_));
-    std::sort(run_rows_.begin(), run_rows_.end());
+    SalesIntake intake;
+    SETM_RETURN_IF_ERROR(ExtractRows(*table_or.value(), &intake));
+    run_rows_ = intake.TakeSorted();
   }
   running_ = true;
   return Status::OK();
@@ -228,14 +226,8 @@ Result<ShardHealth> LocalShardBackend::Health() {
     const Table& sales = *table_or.value();
     health.sales_rows = sales.num_rows();
     health.sales_bytes = sales.size_bytes();
-    auto it = sales.Scan();
-    Tuple row;
-    while (true) {
-      auto more = it->Next(&row);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      tids.insert(row.value(0).AsInt32());
-    }
+    SETM_RETURN_IF_ERROR(ForEachInt32Pair(
+        sales, [&tids](int32_t tid, int32_t) { tids.insert(tid); }));
   } else {
     health.sales_rows = rows_.size();
     health.sales_bytes = rows_.size() * sizeof(ShardRow);

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/setm.h"
@@ -24,11 +26,54 @@ struct ShardRow {
   }
 };
 
-/// Appends the (trans_id, item) pairs of a SALES-shaped table with
-/// trans_id <= `max_tid` to `rows`; InvalidArgument unless the table has
-/// exactly two columns.
-Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows,
-                   TransactionId max_tid = INT32_MAX);
+/// The SALES rows one mine keeps: those with trans_id <= max_tid and,
+/// for a lattice count, an item among the lattice's. Rows are kept as
+/// they arrive, counting the rows read and kept, and their (trans_id,
+/// item) order is checked as they go, so rows that arrive sorted are
+/// never sorted again.
+class SalesIntake {
+ public:
+  /// `items`, when given, are the only items kept; ItemRanks' lookup
+  /// takes memory in proportion to the items, not to their range.
+  explicit SalesIntake(TransactionId max_tid = INT32_MAX,
+                       std::optional<ItemRanks> items = std::nullopt)
+      : max_tid_(max_tid), items_(std::move(items)) {}
+
+  void Reserve(size_t rows) { rows_.reserve(rows); }
+
+  void Add(TransactionId tid, ItemId item) {
+    ++sales_rows_;
+    if (tid > max_tid_) return;
+    if (items_.has_value() && items_->RankOf(item) == ItemRanks::kAbsent) {
+      return;
+    }
+    const ShardRow row{tid, item};
+    if (!rows_.empty() && row < rows_.back()) sorted_ = false;
+    rows_.push_back(row);
+  }
+
+  /// Rows read, kept, and whether the kept rows arrived in order.
+  uint64_t sales_rows() const { return sales_rows_; }
+  uint64_t kept_rows() const { return rows_.size(); }
+  bool sorted() const { return sorted_; }
+
+  /// Hands over the kept rows in (trans_id, item) order, sorted here only
+  /// if they arrived out of it.
+  std::vector<ShardRow> TakeSorted();
+
+ private:
+  TransactionId max_tid_;
+  std::optional<ItemRanks> items_;
+  std::vector<ShardRow> rows_;
+  uint64_t sales_rows_ = 0;
+  bool sorted_ = true;
+};
+
+/// Reads every row of `sales`, a relation of two INT32 columns, into
+/// `intake` in one typed scan (Table::ScanInt32Pairs): no Tuple or Value
+/// per row. InvalidArgument, naming the column and its type, for a table
+/// of another shape; Corruption for a malformed record.
+Status ExtractRows(const Table& sales, SalesIntake* intake);
 
 /// The in-process shard and the only place Algorithm SETM iterates: runs
 /// the pipeline bodies of core/setm_pipeline over one SALES slice and

@@ -21,6 +21,8 @@
 #include "datagen/quest_generator.h"
 #include "exec/external_sort.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "shard/local_backend.h"
 
 namespace setm {
 namespace {
@@ -1688,6 +1690,155 @@ TEST(SetmPipelineTest, FilterRefusesAnIdOutsideCkMinus1) {
           << status.ToString();
       EXPECT_EQ(r3->num_rows(), 1u);
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// The SALES intake: one typed scan, filtered and order-checked as it reads.
+// --------------------------------------------------------------------------
+
+/// A SALES table holding `txns`' rows in the order given.
+Table* LoadRows(Database* db, const TransactionDb& txns,
+                TableBacking backing) {
+  auto sales = LoadSalesTable(db, "sales", txns, backing);
+  EXPECT_TRUE(sales.ok()) << sales.status().ToString();
+  return sales.ok() ? sales.value() : nullptr;
+}
+
+// A SALES table that is not (INT32, INT32) is refused by every reader,
+// naming the column and its type: once mined as garbage (trans_ids 2^32
+// and 2^32 + 1 and the item "apple" gave 2 transactions and 1 pattern).
+TEST(SetmIntakeTest, SalesOfOtherColumnTypesIsInvalidArgumentOnBothBackings) {
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    SCOPED_TRACE(backing == TableBacking::kHeap ? "heap" : "memory");
+    Database db;
+    auto sales = db.catalog()->CreateTable(
+        "sales",
+        Schema({Column{"trans_id", ValueType::kInt64},
+                Column{"item", ValueType::kString}}),
+        backing);
+    ASSERT_TRUE(sales.ok());
+    for (int64_t tid : {int64_t{1} << 32, (int64_t{1} << 32) + 1}) {
+      ASSERT_TRUE(sales.value()
+                      ->Insert(Tuple({Value::Int64(tid),
+                                      Value::String("apple")}))
+                      .ok());
+    }
+    MiningOptions options;
+    options.min_support_count = 1;
+    const auto expect_refused = [](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("'trans_id' is INT64"),
+                std::string::npos)
+          << status.ToString();
+    };
+    expect_refused(
+        SetmMiner(&db, SetmOptions{backing}).MineTable(*sales.value(), options)
+            .status());
+    expect_refused(TransactionsFromTable(*sales.value()).status());
+  }
+  // MemTable::Insert checks arity only: a STRING under an INT32 column.
+  Database db;
+  auto sales = db.catalog()->CreateTable("sales", SetmMiner::SalesSchema(),
+                                         TableBacking::kMemory);
+  ASSERT_TRUE(sales.ok());
+  ASSERT_TRUE(sales.value()
+                  ->Insert(Tuple({Value::Int32(1), Value::String("apple")}))
+                  .ok());
+  auto mined = SetmMiner(&db).MineTable(*sales.value(), {});
+  EXPECT_EQ(mined.status().code(), StatusCode::kInvalidArgument)
+      << mined.status().ToString();
+  EXPECT_EQ(TransactionsFromTable(*sales.value()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The intake sorts only on a descent. SALES loaded with its transactions
+// in descending trans_id order is the fallback: it mines what the oracle
+// mines, serial and threaded, on both backings.
+TEST(SetmIntakeTest, DescendingSalesMinesLikeTheOracle) {
+  QuestOptions gen;
+  gen.num_transactions = 300;
+  gen.avg_transaction_size = 5;
+  gen.num_items = 25;
+  gen.seed = 77;
+  const TransactionDb txns = QuestGenerator(gen).Generate();
+  const TransactionDb descending(txns.rbegin(), txns.rend());
+  MiningOptions options;
+  options.min_support = 0.03;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    for (const TransactionDb* order : {&txns, &descending}) {
+      Database db;
+      Table* sales = LoadRows(&db, *order, backing);
+      ASSERT_NE(sales, nullptr);
+      shard::SalesIntake intake;
+      ASSERT_TRUE(shard::ExtractRows(*sales, &intake).ok());
+      EXPECT_EQ(intake.sorted(), order == &txns);
+      EXPECT_EQ(intake.sales_rows(), sales->num_rows());
+      EXPECT_EQ(intake.kept_rows(), sales->num_rows());
+      const std::vector<shard::ShardRow> rows = intake.TakeSorted();
+      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " descending=" +
+                     std::to_string(order == &descending) + " heap=" +
+                     std::to_string(backing == TableBacking::kHeap));
+        SetmOptions knobs{backing};
+        knobs.num_threads = threads;
+        auto mined = SetmMiner(&db, knobs).MineTable(*sales, options);
+        ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+        EXPECT_TRUE(mined.value().itemsets == oracle.value().itemsets);
+      }
+    }
+  }
+}
+
+// A lattice count keeps only the rows of the lattice's items, and its
+// item lookup takes memory in proportion to the items: 0 beside INT32_MAX
+// is two items, not a 2^31-entry bitmap.
+TEST(SetmIntakeTest, LatticeOverZeroAndInt32MaxStaysSmall) {
+  const ItemRanks items(std::vector<ItemId>{0, INT32_MAX});
+  EXPECT_LE(items.bytes(), 64u);
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    SCOPED_TRACE(backing == TableBacking::kHeap ? "heap" : "memory");
+    TransactionDb txns;
+    for (TransactionId tid = 1; tid <= 6; ++tid) {
+      std::vector<ItemId> basket = {0, 7};
+      if (tid % 2 == 0) basket.push_back(INT32_MAX);
+      txns.push_back({tid, basket});
+    }
+    txns.push_back({7, {7, INT32_MAX}});
+    Database db;
+    Table* sales = LoadRows(&db, txns, backing);
+    ASSERT_NE(sales, nullptr);
+    // 17 rows; those past trans_id 6 and those of item 7 are dropped.
+    shard::SalesIntake intake(6, items);
+    ASSERT_TRUE(shard::ExtractRows(*sales, &intake).ok());
+    EXPECT_EQ(intake.sales_rows(), 17u);
+    EXPECT_EQ(intake.kept_rows(), 9u);
+    EXPECT_TRUE(intake.sorted());
+
+    FrequentItemsets lattice;
+    lattice.Add({0}, 1);
+    lattice.Add({INT32_MAX}, 1);
+    lattice.Add({0, INT32_MAX}, 1);
+    obs::TraceSpan span("count");
+    auto counted = SetmMiner(&db, SetmOptions{backing}, &lattice, &span)
+                       .MineTable(*sales, {}, 6);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    EXPECT_EQ(counted.value().itemsets.TotalPatterns(), 3u);
+    EXPECT_EQ(counted.value().itemsets.CountOf({0}), 6);
+    EXPECT_EQ(counted.value().itemsets.CountOf({INT32_MAX}), 3);
+    EXPECT_EQ(counted.value().itemsets.CountOf({0, INT32_MAX}), 3);
+    const auto& counts = span.counts();
+    EXPECT_NE(std::find(counts.begin(), counts.end(),
+                        std::make_pair(std::string("sales_rows"),
+                                       uint64_t{17})),
+              counts.end());
+    EXPECT_NE(std::find(counts.begin(), counts.end(),
+                        std::make_pair(std::string("kept_rows"), uint64_t{9})),
+              counts.end());
   }
 }
 

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "baselines/brute_force.h"
 #include "core/mining_planner.h"
 #include "core/paper_example.h"
 #include "core/setm.h"
@@ -371,6 +372,43 @@ TEST(DeltaDeriveTest, BorderlinePromotionIsExact) {
   EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
   EXPECT_GE(updated.value().borderline_candidates, 1u);
   EXPECT_EQ(updated.value().result.itemsets.CountOf({1, 2}), 3);
+}
+
+// SALES loaded with its transactions in descending trans_id order reaches
+// the intake's sort fallback on every scan: the store's mine, the old
+// partition's count and the remine all sort. The derive stays
+// bit-identical to the oracle and to a full remine.
+TEST(DeltaDeriveTest, DescendingSalesDerivesLikeAFullRemine) {
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    SCOPED_TRACE(backing == TableBacking::kHeap ? "heap" : "memory");
+    const TransactionDb base = MakeQuestDb(404, 250);
+    const TransactionDb descending(base.rbegin(), base.rend());
+    MiningOptions options;
+    options.min_support = 0.04;
+    Database db;
+    auto sales = LoadSalesTable(&db, "sales", descending, backing);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    const PlannerOptions planner_options = StoreOptions(backing);
+    MiningPlanner planner(&db, planner_options);
+    ASSERT_TRUE(Request(&planner, sales.value(), options).ok());
+
+    const TransactionDb batch = MakeBatch(405, 20, MaxTransactionId(base));
+    auto updated = Request(&planner, sales.value(), options, &batch);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(updated.value().plan.strategy, PlanStrategy::kDeltaDerive);
+    EXPECT_GT(updated.value().borderline_candidates, 0u);
+
+    TransactionDb combined = base;
+    combined.insert(combined.end(), batch.begin(), batch.end());
+    auto oracle = BruteForceMiner().Mine(combined, options);
+    ASSERT_TRUE(oracle.ok());
+    auto remine = SetmMiner(&db, planner_options.setm)
+                      .MineTable(*sales.value(), options);
+    ASSERT_TRUE(remine.ok()) << remine.status().ToString();
+    const FrequentItemsets& derived = updated.value().result.itemsets;
+    EXPECT_TRUE(derived == oracle.value().itemsets);
+    EXPECT_TRUE(derived == remine.value().itemsets);
+  }
 }
 
 TEST(DeltaDeriveTest, RepeatedSalesRowsMatchAFullRemine) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -477,6 +478,13 @@ TEST_P(PlannerTest, OldPartitionCountIsTracedExactlyWhenBorderline) {
     EXPECT_EQ(old_partition != nullptr, borderline > 0) << root.Render();
     if (old_partition == nullptr) continue;
     EXPECT_TRUE(old_partition->ended());
+    // The intake's counts: every SALES row read, and only those up to the
+    // watermark of the lattice's items kept.
+    std::map<std::string, uint64_t> counts(old_partition->counts().begin(),
+                                           old_partition->counts().end());
+    EXPECT_EQ(counts.count("sales_rows"), 1u) << root.Render();
+    EXPECT_GT(counts["kept_rows"], 0u) << root.Render();
+    EXPECT_LT(counts["kept_rows"], counts["sales_rows"]) << root.Render();
     EXPECT_LE(old_partition->page_reads(), derive->page_reads());
     ASSERT_FALSE(old_partition->children().empty()) << root.Render();
     for (const auto& iteration : old_partition->children()) {

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 #include "common/random.h"
 
@@ -223,6 +225,174 @@ TEST(HeapTableTest, PagesMatchSerializedVolume) {
   EXPECT_EQ((*t)->size_bytes(), 8000u);
   EXPECT_GE((*t)->num_pages(), 3u);
   EXPECT_LE((*t)->num_pages(), 4u);
+}
+
+// --------------------------------------------------------------------------
+// The typed (INT32, INT32) scan
+// --------------------------------------------------------------------------
+
+using Pairs = std::vector<std::pair<int32_t, int32_t>>;
+
+/// Every row of `table` through the Tuple scan.
+Pairs TupleScanPairs(const Table& table) {
+  Pairs out;
+  auto it = table.Scan();
+  Tuple row;
+  while (true) {
+    auto more = it->Next(&row);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !more.value()) break;
+    out.emplace_back(row.value(0).AsInt32(), row.value(1).AsInt32());
+  }
+  return out;
+}
+
+/// Every row of `table` through ScanInt32Pairs, or its first error.
+Result<Pairs> TypedScanPairs(const Table& table) {
+  Pairs out;
+  Status status = ForEachInt32Pair(
+      table, [&out](int32_t a, int32_t b) { out.emplace_back(a, b); });
+  if (!status.ok()) return status;
+  return out;
+}
+
+TEST(Int32PairScanTest, YieldsTheTupleScansRowsOnBothBackings) {
+  const int32_t extremes[] = {INT32_MIN, INT32_MIN + 1, -1, 0, 1,
+                              INT32_MAX - 1, INT32_MAX};
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto value = [&]() -> int32_t {
+      switch (rng.Uniform(3)) {
+        case 0:
+          return extremes[rng.Uniform(std::size(extremes))];
+        case 1:
+          return static_cast<int32_t>(rng.UniformRange(-50, 50));
+        default:
+          return static_cast<int32_t>(rng.Next());
+      }
+    };
+    // Up to ~2.5 heap pages, a quarter of the rows repeating an earlier one.
+    Pairs rows;
+    const uint64_t n = rng.Uniform(900);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (!rows.empty() && rng.Uniform(4) == 0) {
+        rows.push_back(rows[rng.Uniform(rows.size())]);
+      } else {
+        rows.emplace_back(value(), value());
+      }
+    }
+    IoStats stats;
+    MemoryBackend backend(&stats);
+    BufferPool pool(&backend, 16);
+    auto heap = HeapTable::Create("h", TwoIntSchema(), &pool);
+    ASSERT_TRUE(heap.ok());
+    MemTable mem("m", TwoIntSchema());
+    for (const auto& [a, b] : rows) {
+      const Tuple row({Value::Int32(a), Value::Int32(b)});
+      ASSERT_TRUE(heap.value()->Insert(row).ok());
+      ASSERT_TRUE(mem.Insert(row).ok());
+    }
+    for (const Table* table : {static_cast<const Table*>(heap.value().get()),
+                               static_cast<const Table*>(&mem)}) {
+      auto typed = TypedScanPairs(*table);
+      ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+      EXPECT_EQ(typed.value(), rows) << table->name();
+      EXPECT_EQ(typed.value(), TupleScanPairs(*table)) << table->name();
+    }
+  }
+}
+
+TEST(Int32PairScanTest, RecordsOfSevenOrNineBytesAreCorruption) {
+  // A (INT32, STRING) heap writes 6 + |s| bytes a record; reopened as two
+  // INT32 columns, "ab" reads as a pair and "a" or "abc" is malformed.
+  for (const std::string bad : {"a", "abc"}) {
+    SCOPED_TRACE(std::to_string(4 + 2 + bad.size()) + "-byte record");
+    IoStats stats;
+    MemoryBackend backend(&stats);
+    BufferPool pool(&backend, 16);
+    const Schema string_schema({Column{"a", ValueType::kInt32},
+                                Column{"s", ValueType::kString}});
+    auto odd = HeapTable::Create("odd", string_schema, &pool);
+    ASSERT_TRUE(odd.ok());
+    for (const auto& [a, s] : {std::pair<int32_t, std::string>{1, "ab"},
+                               std::pair<int32_t, std::string>{2, bad}}) {
+      ASSERT_TRUE(
+          odd.value()->Insert(Tuple({Value::Int32(a), Value::String(s)})).ok());
+    }
+    auto sales = HeapTable::Open("sales", TwoIntSchema(), &pool,
+                                 odd.value()->first_page(), 2);
+    ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+    auto cursor = sales.value()->ScanInt32Pairs();
+    ASSERT_TRUE(cursor.ok());
+    int32_t a = 0;
+    int32_t b = 0;
+    auto first = cursor.value()->Next(&a, &b);
+    ASSERT_TRUE(first.ok() && first.value()) << first.status().ToString();
+    EXPECT_EQ(a, 1);
+    auto second = cursor.value()->Next(&a, &b);
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(second.status().message().find("'sales'"), std::string::npos)
+        << second.status().ToString();
+    // The Tuple scan refuses the same record.
+    auto it = sales.value()->Scan();
+    Tuple row;
+    ASSERT_TRUE(it->Next(&row).ok());
+    EXPECT_EQ(it->Next(&row).status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(Int32PairScanTest, OtherColumnTypesAreInvalidArgumentOnBothBackings) {
+  struct Shape {
+    Schema schema;
+    std::string column;
+    std::string type;
+  };
+  const std::vector<Shape> shapes = {
+      {Schema({Column{"trans_id", ValueType::kInt64},
+               Column{"item", ValueType::kString}}),
+       "'trans_id'", "INT64"},
+      {Schema({Column{"trans_id", ValueType::kInt32},
+               Column{"item", ValueType::kDouble}}),
+       "'item'", "DOUBLE"},
+      {Schema({Column{"trans_id", ValueType::kInt32}}), "", "(trans_id"},
+  };
+  IoStats stats;
+  MemoryBackend backend(&stats);
+  BufferPool pool(&backend, 16);
+  for (const Shape& shape : shapes) {
+    auto heap = HeapTable::Create("h", shape.schema, &pool);
+    ASSERT_TRUE(heap.ok());
+    MemTable mem("m", shape.schema);
+    for (const Table* table : {static_cast<const Table*>(heap.value().get()),
+                               static_cast<const Table*>(&mem)}) {
+      auto cursor = table->ScanInt32Pairs();
+      ASSERT_FALSE(cursor.ok()) << table->name();
+      EXPECT_EQ(cursor.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(cursor.status().message().find(shape.column),
+                std::string::npos)
+          << cursor.status().ToString();
+      EXPECT_NE(cursor.status().message().find(shape.type), std::string::npos)
+          << cursor.status().ToString();
+    }
+  }
+}
+
+TEST(Int32PairScanTest, MemTableValueOfAnotherTypeIsInvalidArgument) {
+  // MemTable::Insert checks arity only, so a row can hold a STRING under
+  // an INT32 column; the typed scan refuses it rather than misread it.
+  MemTable t("sales", TwoIntSchema());
+  ASSERT_TRUE(t.Insert(Tuple({Value::Int32(1), Value::Int32(2)})).ok());
+  ASSERT_TRUE(
+      t.Insert(Tuple({Value::Int32(1), Value::String("apple")})).ok());
+  auto rows = TypedScanPairs(t);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  for (const char* part : {"'sales'", "STRING", "'b'"}) {
+    EXPECT_NE(rows.status().message().find(part), std::string::npos)
+        << rows.status().ToString();
+  }
 }
 
 // --------------------------------------------------------------------------
