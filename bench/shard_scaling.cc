@@ -30,28 +30,30 @@ namespace {
 
 using shard::LocalShardBackend;
 using shard::ShardBackend;
-using shard::ShardRow;
-
-/// Row-balanced split at transaction boundaries (the shardctl split rule).
-std::vector<std::vector<ShardRow>> SplitRows(const TransactionDb& txns,
-                                             size_t num_shards) {
+/// Row-balanced split at transaction boundaries (the shardctl split rule),
+/// each slice loaded into its own SALES table of `db`, s0, s1, ...: the
+/// names of the tables.
+std::vector<std::string> LoadSlices(Database* db, const TransactionDb& txns,
+                                    size_t num_shards) {
   size_t total_rows = 0;
   for (const Transaction& t : txns) total_rows += t.items.size();
-  std::vector<std::vector<ShardRow>> slices(num_shards);
+  std::vector<std::string> names;
   size_t begin = 0;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     const size_t target = (total_rows + num_shards - 1) / num_shards;
+    TransactionDb slice;
     size_t rows = 0;
-    while (begin < txns.size() && (rows < target || slices[shard].empty()) &&
+    while (begin < txns.size() && (rows < target || slice.empty()) &&
            txns.size() - begin > num_shards - shard - 1) {
-      for (ItemId item : txns[begin].items) {
-        slices[shard].push_back({txns[begin].id, item});
-      }
       rows += txns[begin].items.size();
+      slice.push_back(txns[begin]);
       ++begin;
     }
+    names.push_back("s" + std::to_string(shard));
+    SETM_CHECK(
+        LoadSalesTable(db, names.back(), slice, TableBacking::kMemory).ok());
   }
-  return slices;
+  return names;
 }
 
 /// This run's observations only: the slot histograms are process-cumulative,
@@ -89,7 +91,7 @@ class DyingShard : public ShardBackend {
   Result<shard::ShardHealth> Health() override {
     return shard::ShardHealth{};
   }
-  void SetRows(std::vector<ShardRow> rows) { real_.SetRows(std::move(rows)); }
+  void BindTable(std::string table) { real_.BindTable(std::move(table)); }
 
  private:
   std::string name_ = "dying-shard";
@@ -128,11 +130,11 @@ int Run(bool smoke) {
     Database db;
     std::vector<std::unique_ptr<LocalShardBackend>> owned;
     std::vector<ShardBackend*> backends;
-    auto slices = SplitRows(txns, num_shards);
-    for (size_t i = 0; i < slices.size(); ++i) {
+    const std::vector<std::string> tables = LoadSlices(&db, txns, num_shards);
+    for (size_t i = 0; i < tables.size(); ++i) {
       auto backend = std::make_unique<LocalShardBackend>(
           &db, "s" + std::to_string(i));
-      backend->SetRows(std::move(slices[i]));
+      backend->BindTable(tables[i]);
       backends.push_back(backend.get());
       owned.push_back(std::move(backend));
     }
@@ -183,13 +185,13 @@ int Run(bool smoke) {
   // the coordinator never silently drops a shard's transactions.
   {
     Database db;
-    auto slices = SplitRows(txns, 3);
+    const std::vector<std::string> tables = LoadSlices(&db, txns, 3);
     LocalShardBackend s0(&db, "s0");
-    s0.SetRows(std::move(slices[0]));
+    s0.BindTable(tables[0]);
     LocalShardBackend s1(&db, "s1");
-    s1.SetRows(std::move(slices[1]));
+    s1.BindTable(tables[1]);
     DyingShard bad(&db);
-    bad.SetRows(std::move(slices[2]));
+    bad.BindTable(tables[2]);
     auto result =
         shard::DistributedMine({&s0, &s1, &bad}, options, {});
     if (result.ok() || !result.status().IsUnavailable() ||

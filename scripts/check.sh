@@ -136,7 +136,10 @@ fi
 # Shard smoke: setm_shardctl splits a CSV 3 ways; the distributed mine over
 # file shards AND over three live setm_served daemons must be byte-identical
 # to single-node setm_mine; a killed daemon must surface as a clean
-# Unavailable naming the shard while the survivors keep serving.
+# Unavailable naming the shard while the survivors keep serving. Under the
+# asan preset this also runs the bound-shard intake (each file shard and
+# daemon reads its SALES table into R_1, counting C_1, at every BeginRun)
+# under the sanitizers, as CI's sanitize job does.
 shardctl_bin="build/$preset/tools/setm_shardctl"
 if [[ -x "$shardctl_bin" && -x "$mine_bin" && -x "$served_bin" \
       && -x "$loadgen_bin" ]]; then

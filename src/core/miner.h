@@ -55,6 +55,11 @@ struct SetmOptions {
   size_t num_threads = 1;
 };
 
+/// The most threads a mine is asked for by name: `setm_mine --threads` and
+/// the server's THREADS refuse more when they parse it, before any thread
+/// starts.
+inline constexpr size_t kMaxThreads = 64;
+
 /// One mining question, bundled: the data source, the logical options
 /// (support/confidence thresholds, observer) and optional physical-knob
 /// overrides. Exactly one source must be set.

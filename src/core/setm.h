@@ -18,11 +18,14 @@ namespace setm {
 /// Algorithm SETM (Figure 4 of the paper), implemented directly on the
 /// engine's two primitives: external sort and merge-scan join.
 ///
-/// Every mine runs under the shard coordinator (shard::DistributedMine):
-/// SALES is cut on trans_id into SetmOptions::num_threads in-process
-/// shard::LocalShardBackend slices, and a serial mine is simply the
-/// one-shard run, on the calling thread. The iteration below therefore
-/// lives once, in the backend and the coordinator.
+/// Every mine runs under the shard coordinator (shard::DistributedMine).
+/// SALES is read once, by shard::SalesIntake, which writes it as R_1, cut
+/// on trans_id into at most SetmOptions::num_threads shards, and counts
+/// C_1 in the same pass; R_1 is the only copy of SALES the mine holds. One
+/// in-process shard::LocalShardBackend per shard runs the iterations, and
+/// a serial mine is simply the one-shard run, on the calling thread. The
+/// iteration below therefore lives once, in the backend and the
+/// coordinator.
 ///
 /// Per iteration k:
 ///   1. R'_k := merge-scan join of R_{k-1} (sorted on trans_id, items) with
@@ -39,9 +42,10 @@ namespace setm {
 ///      R'_k in place.
 /// Steps 1 and 3 of iteration k and step 2 of iteration k+1 are one pass:
 /// the join that writes R_k also counts each kept row's extensions, the
-/// rows of R'_{k+1}. Iteration 1 builds R_1 and counts C_1; its pass, once
-/// C_1 is known, reads R_1 and counts R'_2 over C_1's items (rewriting R_1
-/// without the other items under filter_r1). So each iteration reads
+/// rows of R'_{k+1}. Iteration 1 is the intake's: R_1 written as SALES is
+/// read, and C_1 counted as R_1 is written; its pass, once C_1 is known,
+/// reads R_1 and counts R'_2 over C_1's items (rewriting R_1 without the
+/// other items under filter_r1). So each iteration reads
 /// R_{k-1} and R_1 once. The look-ups and the count use C_k's ids in
 /// itemset order rather than its itemsets (see core/setm_pipeline.h).
 /// The loop ends when R_k (equivalently C_k) is empty.
@@ -63,25 +67,26 @@ class SetmMiner {
         trace_(trace) {}
 
   /// Mines a transaction database (items within a transaction must be
-  /// sorted and unique); its rows go straight into the shard slices.
+  /// sorted and unique); its rows are written straight into the shards'
+  /// R_1s (shard::SalesIntake), and buffered and sorted once only when a
+  /// transaction's id is below the one before it.
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
   /// Mines an existing relation with schema (trans_id INT32, item INT32),
   /// its rows with trans_id <= `max_tid`, read in one typed scan
-  /// (shard::ExtractRows). Rows need not be sorted: they are sorted only
-  /// if they arrive out of (trans_id, item) order. Another schema is
-  /// InvalidArgument. The result's I/O ledger includes the SALES scan, and
-  /// the trace its sales_rows and kept_rows.
+  /// (shard::ExtractRows) into the shards' R_1s. Rows need not be sorted:
+  /// a transaction's items are sorted as its group is written, and rows
+  /// are buffered and sorted once only when a trans_id arrives below the
+  /// one before it. Another schema is InvalidArgument. The result's I/O
+  /// ledger includes the SALES scan, and the trace its sales_rows and
+  /// kept_rows.
   Result<MiningResult> MineTable(const Table& sales,
                                  const MiningOptions& options,
                                  TransactionId max_tid = INT32_MAX);
 
   /// The canonical SALES schema: (trans_id INT32, item INT32).
   static Schema SalesSchema();
-
-  /// Schema of R_k: (trans_id, item_1, .., item_k), all INT32.
-  static Schema RkSchema(size_t k);
 
  private:
   Database* db_;

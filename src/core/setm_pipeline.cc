@@ -129,19 +129,12 @@ ItemRanks::ItemRanks(std::vector<ItemId> items) : items_(std::move(items)) {
   base_ = items_.front();
   const uint64_t span =
       static_cast<uint64_t>(int64_t{items_.back()} - base_) + 1;
-  if (span > kDenseSpanPerItem * items_.size() + kDenseSpanSlack) return;
+  if (!DenseSpan(span, items_.size())) return;
   table_.assign(span, kAbsent);
   for (size_t rank = 0; rank < items_.size(); ++rank) {
     table_[static_cast<size_t>(int64_t{items_[rank]} - base_)] =
         static_cast<int32_t>(rank);
   }
-}
-
-ExtensionSpace ExtensionSpace::Singletons(ItemRanks items) {
-  ExtensionSpace space;
-  space.last_rank = {-1};
-  space.alphabet = std::move(items);
-  return space;
 }
 
 BudgetedCount::BudgetedCount(ExecContext ctx, size_t k, size_t budget_bytes)
@@ -158,7 +151,7 @@ Status BudgetedCount::WriteRun(const std::vector<int32_t>& rows) {
   return Status::OK();
 }
 
-Status BudgetedCount::SpillAndAdd(const ItemId* key) {
+Status BudgetedCount::SpillAndAdd(const ItemId* key, int64_t count) {
   std::vector<int32_t> rows;
   AppendEntryRows(table_, &rows);
   ++stats_.spilled_runs;
@@ -166,7 +159,7 @@ Status BudgetedCount::SpillAndAdd(const ItemId* key) {
   SETM_RETURN_IF_ERROR(WriteRun(rows));
   table_.Clear();
   ++stats_.probes;
-  table_.Add(key, 1);  // an empty table takes any key without growing
+  table_.Add(key, count);  // an empty table takes any key without growing
   return Status::OK();
 }
 
@@ -266,6 +259,74 @@ Status ExtensionCount::Finish(int64_t min_count, std::vector<int32_t>* rows) {
     stats_.spilled_entries = hashed.spilled_entries;
     stats_.merge_passes = hashed.merge_passes;
     stats_.peak_bytes = hashed.peak_bytes;
+    stats_.probes = hashed.probes;
+  }
+  FlushCountMetrics(stats_);
+  return Status::OK();
+}
+
+ItemCount::ItemCount(ExecContext ctx, size_t budget_bytes,
+                     uint64_t expected_rows)
+    : ctx_(std::move(ctx)),
+      budget_bytes_(budget_bytes),
+      expected_rows_(expected_rows),
+      max_counters_(std::min(budget_bytes, ctx_.sort_memory_bytes) /
+                    sizeof(int64_t)) {}
+
+Status ItemCount::AddOutside(const ItemId* items, size_t n) {
+  if (hashed_ == nullptr) {
+    const uint64_t span = static_cast<uint64_t>(items[n - 1]) + 1;
+    if (items[0] >= 0 && span <= max_counters_ &&
+        ItemRanks::DenseSpan(span, std::max(stats_.rows, expected_rows_))) {
+      // A quarter more room than before, within the ceiling: an array
+      // grown an item at a time is copied a logarithmic number of times.
+      if (span > dense_.capacity()) {
+        dense_.reserve(std::min<uint64_t>(
+            max_counters_,
+            std::max<uint64_t>(span,
+                               dense_.capacity() + dense_.capacity() / 4)));
+      }
+      dense_.resize(span);
+      stats_.peak_bytes = dense_.capacity() * sizeof(int64_t);
+      for (size_t i = 0; i < n; ++i) {
+        ++dense_[static_cast<size_t>(items[i])];
+      }
+      return Status::OK();
+    }
+    // The counts so far move into the hashed table, in item order.
+    hashed_ = std::make_unique<BudgetedCount>(ctx_, 2, budget_bytes_);
+    for (size_t item = 0; item < dense_.size(); ++item) {
+      if (dense_[item] == 0) continue;
+      const ItemId key[2] = {0, static_cast<ItemId>(item)};
+      SETM_RETURN_IF_ERROR(hashed_->Add(key, dense_[item]));
+    }
+    dense_ = std::vector<int64_t>();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const ItemId key[2] = {0, items[i]};
+    SETM_RETURN_IF_ERROR(hashed_->Add(key));
+  }
+  return Status::OK();
+}
+
+Status ItemCount::Finish(int64_t min_count, std::vector<int32_t>* rows) {
+  min_count = std::max<int64_t>(min_count, 1);
+  if (hashed_ == nullptr) {
+    for (size_t item = 0; item < dense_.size(); ++item) {
+      if (dense_[item] < min_count) continue;
+      const ItemId key[2] = {0, static_cast<ItemId>(item)};
+      AppendEntry(key, 2, dense_[item], rows);
+    }
+  } else {
+    SETM_RETURN_IF_ERROR(hashed_->Finish(
+        min_count, [rows](const ItemId* key, int64_t count) {
+          AppendEntry(key, 2, count, rows);
+        }));
+    const CountStats& hashed = hashed_->stats();
+    stats_.spilled_runs = hashed.spilled_runs;
+    stats_.spilled_entries = hashed.spilled_entries;
+    stats_.merge_passes = hashed.merge_passes;
+    stats_.peak_bytes = std::max(stats_.peak_bytes, hashed.peak_bytes);
     stats_.probes = hashed.probes;
   }
   FlushCountMetrics(stats_);

@@ -85,7 +85,7 @@ Status JoinLeftRows(GroupCursor* left, const GroupedRelation& r1,
 }
 
 /// Dense ranks 0..n-1 of n distinct items in ascending order: C_1's items,
-/// or the distinct items of a shard's slice, which key C_1's count.
+/// or the items of a lattice, the only ones its count reads.
 class ItemRanks {
  public:
   static constexpr int32_t kAbsent = -1;
@@ -93,50 +93,22 @@ class ItemRanks {
   ItemRanks() = default;
   /// `items` ascending and distinct.
   explicit ItemRanks(std::vector<ItemId> items);
-  /// The distinct items `item_of` gives the elements of `range`, in any
-  /// order and with repeats. Marks them in a bitmap when they span a range
-  /// at most a few times their number, else sorts a copy.
-  template <typename Range, typename ItemOf>
-  static ItemRanks Distinct(const Range& range, ItemOf item_of) {
-    if (range.begin() == range.end()) return ItemRanks();
-    int64_t lo = INT64_MAX;
-    int64_t hi = INT64_MIN;
-    size_t n = 0;
-    for (const auto& element : range) {
-      const int64_t item = item_of(element);
-      lo = std::min(lo, item);
-      hi = std::max(hi, item);
-      ++n;
-    }
-    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-    std::vector<ItemId> items;
-    if (span <= kDenseSpanPerItem * n + kDenseSpanSlack) {
-      std::vector<bool> seen(span);
-      for (const auto& element : range) {
-        seen[static_cast<size_t>(item_of(element) - lo)] = true;
-      }
-      for (size_t at = 0; at < span; ++at) {
-        if (seen[at]) items.push_back(static_cast<ItemId>(lo + int64_t(at)));
-      }
-    } else {
-      items.reserve(n);
-      for (const auto& element : range) items.push_back(item_of(element));
-      std::sort(items.begin(), items.end());
-      items.erase(std::unique(items.begin(), items.end()), items.end());
-    }
-    return ItemRanks(std::move(items));
+
+  /// The dense rule: a table over `span` consecutive items serves `n`
+  /// items (or rows) while it takes at most a few entries for each.
+  static bool DenseSpan(uint64_t span, uint64_t n) {
+    return span <= kDenseSpanPerItem * n + kDenseSpanSlack;
   }
 
   size_t size() const { return items_.size(); }
-  const std::vector<ItemId>& items() const { return items_; }
   ItemId item(int32_t rank) const { return items_[rank]; }
   /// Bytes held: the items and, when the span is small, the table.
   size_t bytes() const {
     return (items_.capacity() + table_.capacity()) * sizeof(int32_t);
   }
 
-  /// `item`'s rank, or kAbsent. A table lookup when the items span a range
-  /// at most a few times their number, else a binary search.
+  /// `item`'s rank, or kAbsent. A table lookup when the items' span passes
+  /// the dense rule, else a binary search.
   int32_t RankOf(ItemId item) const {
     if (!table_.empty()) {
       const uint64_t at = static_cast<uint64_t>(int64_t{item} - base_);
@@ -149,8 +121,8 @@ class ItemRanks {
   }
 
  private:
-  /// A table or bitmap over the items' span is used while the span is at
-  /// most kDenseSpanPerItem entries per item, plus kDenseSpanSlack.
+  /// A table over the items' span is used while the span is at most
+  /// kDenseSpanPerItem entries per item, plus kDenseSpanSlack.
   static constexpr uint64_t kDenseSpanPerItem = 4;
   static constexpr uint64_t kDenseSpanSlack = 1024;
 
@@ -164,14 +136,12 @@ class ItemRanks {
 /// dense ranks. Parent ids follow itemset order and ranks item order, so
 /// (id, rank) order is itemset order.
 struct ExtensionSpace {
-  /// Per parent, by id, its last item's rank in `alphabet` (-1 for the
-  /// empty parent of C_1's count): its extensions rank above it.
+  /// Per parent, by id, its last item's rank in `alphabet`: its
+  /// extensions rank above it.
   std::vector<int32_t> last_rank;
   ItemRanks alphabet;
 
   size_t num_parents() const { return last_rank.size(); }
-  /// The key space of C_1's count: the empty itemset extended by `items`.
-  static ExtensionSpace Singletons(ItemRanks items);
 };
 
 /// Appends `count` occurrences of `key` (k ints) as (key, count) rows: the
@@ -267,12 +237,12 @@ class BudgetedCount {
 
   size_t k() const { return k_; }
 
-  /// Counts one occurrence of `key` (k ints).
-  Status Add(const ItemId* key) {
-    ++stats_.rows;
+  /// Counts `count` occurrences of `key` (k ints).
+  Status Add(const ItemId* key, int64_t count = 1) {
+    stats_.rows += static_cast<uint64_t>(count);
     ++stats_.probes;
-    if (table_.TryAdd(key, 1, budget_bytes_)) return Status::OK();
-    return SpillAndAdd(key);
+    if (table_.TryAdd(key, count, budget_bytes_)) return Status::OK();
+    return SpillAndAdd(key, count);
   }
 
   /// Calls `emit(key, count)` for every key counted at least `min_count`
@@ -283,7 +253,7 @@ class BudgetedCount {
   const CountStats& stats() const { return stats_; }
 
  private:
-  Status SpillAndAdd(const ItemId* key);
+  Status SpillAndAdd(const ItemId* key, int64_t count);
   /// Writes `rows`, (key, count) rows in key order, as a new run.
   Status WriteRun(const std::vector<int32_t>& rows);
   /// Sums groups of kMergeFanIn consecutive runs into one run each.
@@ -360,6 +330,54 @@ class ExtensionCount {
   std::vector<int64_t> offset_;
   std::vector<int64_t> dense_;
   std::unique_ptr<BudgetedCount> hashed_;  ///< null when dense
+};
+
+/// C_1's count, taken as R_1 is written: each row counted by its item,
+/// with no alphabet known in advance. The counters are a dense array by
+/// item, from item 0, while the largest item passes ItemRanks' dense rule
+/// for the rows expected or counted, whichever is more, and the array fits
+/// ExtensionCount's dense ceiling (the budget and the sort budget). Past
+/// either, or at a negative item, the counts move into a BudgetedCount of
+/// (0, item) keys within the budget, which spills like any count. Finish()
+/// hands over (0, item, count) rows, C_1's keys extending the empty
+/// itemset, and records the ledger as ExtensionCount::Finish does; a
+/// count dropped unfinished records nothing.
+class ItemCount {
+ public:
+  /// Counts within `budget_bytes` (BudgetedCount::kUnbounded: the hashed
+  /// table never spills) about `expected_rows` rows.
+  ItemCount(ExecContext ctx, size_t budget_bytes, uint64_t expected_rows);
+
+  /// Counts one transaction's `n` items, ascending.
+  Status Add(const ItemId* items, size_t n) {
+    stats_.rows += n;
+    if (hashed_ == nullptr &&
+        (n == 0 || (items[0] >= 0 &&
+                    static_cast<size_t>(items[n - 1]) < dense_.size()))) {
+      for (size_t i = 0; i < n; ++i) ++dense_[static_cast<size_t>(items[i])];
+      return Status::OK();
+    }
+    return AddOutside(items, n);
+  }
+
+  /// As ExtensionCount::Finish: a (0, item, count) row for every item
+  /// counted at least `min_count` times, in item order. Call once.
+  Status Finish(int64_t min_count, std::vector<int32_t>* rows);
+
+  const CountStats& stats() const { return stats_; }
+
+ private:
+  /// Counts items the dense array does not reach: grows it, or moves the
+  /// count into the hashed table.
+  Status AddOutside(const ItemId* items, size_t n);
+
+  ExecContext ctx_;
+  size_t budget_bytes_;
+  uint64_t expected_rows_;
+  size_t max_counters_;  ///< the dense ceiling
+  CountStats stats_;
+  std::vector<int64_t> dense_;             ///< by item
+  std::unique_ptr<BudgetedCount> hashed_;  ///< null while dense
 };
 
 /// C_k with dense ids, as pass k and the count of R'_{k+1} use it.

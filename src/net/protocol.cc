@@ -5,6 +5,8 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "core/miner.h"
+
 namespace setm::net {
 
 namespace {
@@ -103,7 +105,8 @@ Status ParseMineArgs(const std::vector<std::string>& tokens, Command* out) {
     if (key == "ALGO") {
       out->algo = value;
     } else if (key == "THREADS") {
-      SETM_RETURN_IF_ERROR(ParsePositive(value, "THREADS", 64, &out->threads));
+      SETM_RETURN_IF_ERROR(
+          ParsePositive(value, "THREADS", kMaxThreads, &out->threads));
     } else if (key == "MAXK") {
       SETM_RETURN_IF_ERROR(ParsePositive(value, "MAXK", 64, &out->max_k));
     } else {

@@ -41,7 +41,8 @@ struct CoordinatorOptions {
 /// Algorithm SETM, stretched across databases), in the shape of Count
 /// Distribution: local counts are exchanged once per pass.
 ///
-///   count    every shard builds its R_1 slice and counts its items with
+///   count    every shard reports its R_1, which its intake wrote, and the
+///            counts of its items, taken as R_1 was written, with
 ///            min_count = 1 (a sole shard, whose counts are global, prunes
 ///            at minsupport from k = 2 on);
 ///   merge    the coordinator sums the shards' counts, sorted on their

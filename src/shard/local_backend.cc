@@ -4,20 +4,122 @@
 #include <unordered_set>
 #include <utility>
 
-#include "exec/exec_context.h"
+#include "obs/metrics.h"
 
 namespace setm::shard {
 
-std::vector<ShardRow> SalesIntake::TakeSorted() {
-  if (!sorted_) std::sort(rows_.begin(), rows_.end());
-  sorted_ = true;
-  std::vector<ShardRow> rows;
-  rows.swap(rows_);
-  return rows;
+namespace {
+
+/// The budget of a count: the sort budget under kSortMerge, none under
+/// kHash.
+size_t CountBudget(const ExecContext& ctx, CountMethod method) {
+  return method == CountMethod::kHash ? BudgetedCount::kUnbounded
+                                      : ctx.sort_memory_bytes;
+}
+
+}  // namespace
+
+SalesIntake::SalesIntake(ExecContext ctx, const ShardRunOptions& run,
+                         size_t num_shards, uint64_t expected_rows,
+                         TransactionId max_tid,
+                         std::optional<ItemRanks> items)
+    : ctx_(std::move(ctx)),
+      run_(run),
+      num_shards_(std::max<size_t>(1, num_shards)),
+      share_((expected_rows + num_shards_ - 1) / num_shards_),
+      max_tid_(max_tid),
+      items_(std::move(items)) {}
+
+void SalesIntake::Begin(TransactionId tid, ItemId item) {
+  if (!descended_ && !group_.empty() && tid < tid_) Descend();
+  if (descended_) {
+    buffered_.emplace_back(tid, item);
+    return;
+  }
+  if (!group_.empty()) WriteGroup();
+  // The transaction opens the next shard once the current one holds its
+  // share of the expected rows, scaled by the fraction of the rows read so
+  // far that were kept, so a lattice's thinning keeps every shard busy.
+  if (shards_.empty() || (shard_rows_ * sales_rows_ >= share_ * kept_rows_ &&
+                          shards_.size() < num_shards_)) {
+    OpenShard();
+  }
+  tid_ = tid;
+  group_.push_back(item);
+}
+
+void SalesIntake::OpenShard() {
+  ShardSlice shard;
+  shard.r1 = std::make_unique<GroupedRelation>(
+      run_.storage == TableBacking::kHeap ? ctx_.pool : nullptr, "R_1",
+      ctx_.unlogged_page_tagger, PageHint::kRetain);
+  shard.c1 = std::make_unique<ItemCount>(
+      ctx_, CountBudget(ctx_, run_.count_method), share_);
+  shards_.push_back(std::move(shard));
+  shard_rows_ = 0;
+}
+
+void SalesIntake::WriteGroup() {
+  if (!std::is_sorted(group_.begin(), group_.end())) {
+    std::sort(group_.begin(), group_.end());
+  }
+  ShardSlice& shard = shards_.back();
+  ++shard.transactions;
+  shard_rows_ += group_.size();
+  if (status_.ok()) {
+    status_ = shard.r1->Append(tid_, group_.data(), group_.size());
+  }
+  if (status_.ok()) status_ = shard.c1->Add(group_.data(), group_.size());
+  group_.clear();
+}
+
+void SalesIntake::Descend() {
+  descended_ = true;
+  buffered_.reserve(kept_rows_);
+  for (ShardSlice& shard : shards_) {
+    if (status_.ok()) status_ = shard.r1->Finish();
+    if (!status_.ok()) break;
+    std::unique_ptr<GroupCursor> groups =
+        GroupedRelation::LastScan(std::move(shard.r1));
+    IdGroup group;
+    while (true) {
+      auto more = groups->Next(&group);
+      if (!more.ok()) status_ = more.status();
+      if (!more.ok() || !more.value()) break;
+      for (const ItemId* item = group.begin; item != group.end; ++item) {
+        buffered_.emplace_back(group.tid, *item);
+      }
+    }
+  }
+  shards_.clear();
+  for (ItemId item : group_) buffered_.emplace_back(tid_, item);
+  group_.clear();
+}
+
+Result<std::vector<ShardSlice>> SalesIntake::Finish() {
+  if (descended_) {
+    static obs::Gauge* intake_bytes = obs::MetricsRegistry::Global()->GetGauge(
+        "setm_mem_intake_bytes",
+        "High-water mark of the SALES rows a mine's intake buffers: only "
+        "SALES out of trans_id order is buffered");
+    intake_bytes->RaiseTo(static_cast<int64_t>(
+        buffered_.capacity() * sizeof(buffered_[0])));
+    std::sort(buffered_.begin(), buffered_.end());
+    descended_ = false;
+    for (const auto& [tid, item] : buffered_) Keep(tid, item);
+    buffered_.clear();
+    buffered_.shrink_to_fit();
+  }
+  if (!group_.empty()) WriteGroup();
+  if (shards_.empty()) OpenShard();  // an empty SALES: one empty R_1
+  for (ShardSlice& shard : shards_) {
+    if (status_.ok()) status_ = shard.r1->Finish();
+  }
+  if (!status_.ok()) return status_;
+  return std::move(shards_);
 }
 
 Status ExtractRows(const Table& sales, SalesIntake* intake) {
-  intake->Reserve(sales.num_rows());
   return ForEachInt32Pair(sales, [intake](int32_t tid, int32_t item) {
     intake->Add(tid, item);
   });
@@ -26,31 +128,23 @@ Status ExtractRows(const Table& sales, SalesIntake* intake) {
 LocalShardBackend::LocalShardBackend(Database* db, std::string name)
     : db_(db), name_(std::move(name)) {}
 
-void LocalShardBackend::SetRows(std::vector<ShardRow> rows) {
-  if (!std::is_sorted(rows.begin(), rows.end())) {
-    std::sort(rows.begin(), rows.end());
-  }
-  rows_ = std::move(rows);
-  bound_to_table_ = false;
-}
-
-void LocalShardBackend::BindTable(std::string table_name) {
-  table_name_ = std::move(table_name);
-  bound_to_table_ = true;
-  rows_.clear();
-  rows_.shrink_to_fit();
-}
-
 Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
-  SETM_RETURN_IF_ERROR(EndRun());
+  if (running_) SETM_RETURN_IF_ERROR(EndRun());
   run_ = options;
   count_floor_ = 1;
-  if (bound_to_table_) {
+  if (!table_name_.empty()) {
     auto table_or = db_->catalog()->ResolveTable(table_name_);
     if (!table_or.ok()) return table_or.status();
-    SalesIntake intake;
-    SETM_RETURN_IF_ERROR(ExtractRows(*table_or.value(), &intake));
-    run_rows_ = intake.TakeSorted();
+    const Table& sales = *table_or.value();
+    SalesIntake intake(ExecContext::From(db_), run_, 1, sales.num_rows());
+    SETM_RETURN_IF_ERROR(ExtractRows(sales, &intake));
+    auto slices_or = intake.Finish();
+    if (!slices_or.ok()) return slices_or.status();
+    slice_ = std::move(slices_or.value().front());
+  } else if (slice_.r1 == nullptr) {
+    return Status::Internal("BeginRun on shard " + name_ +
+                            ", which has no slice: SetSlice or BindTable "
+                            "first");
   }
   running_ = true;
   return Status::OK();
@@ -61,12 +155,9 @@ std::unique_ptr<ExtensionCount> LocalShardBackend::NewCount(
   if (run_.max_pattern_length != 0 && k > run_.max_pattern_length) {
     return nullptr;
   }
-  // Within the sort budget under kSortMerge, without one under kHash.
   const ExecContext ctx = ExecContext::From(db_);
   return std::make_unique<ExtensionCount>(
-      ctx, space,
-      run_.count_method == CountMethod::kHash ? BudgetedCount::kUnbounded
-                                              : ctx.sort_memory_bytes);
+      ctx, space, CountBudget(ctx, run_.count_method));
 }
 
 Result<ShardReply> LocalShardBackend::CountFirstIteration() {
@@ -78,46 +169,16 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
     return Status::InvalidArgument(
         "CountFirstIteration twice in one run on shard " + name_);
   }
-  // Every pass rescans R_1: its pages stay in the pool's retained share.
-  r1_ = GroupedRelation::Create(db_, run_.storage, "R_1", PageHint::kRetain);
-  r_prev_.reset();
-  level_ = CandidateLevel{};
-  // R_1 := the slice, already in (trans_id, item) order. Its items, ranked
-  // among the slice's distinct items, key C_1's count.
-  const std::vector<ShardRow>& slice = bound_to_table_ ? run_rows_ : rows_;
-  const ExtensionSpace singletons =
-      ExtensionSpace::Singletons(ItemRanks::Distinct(
-          slice, [](const ShardRow& row) { return row.item; }));
-  const ItemRanks& distinct = singletons.alphabet;
-  std::unique_ptr<ExtensionCount> counts = NewCount(&singletons, 1);
+  // R_1 and C_1's count were taken in the intake's one pass over SALES.
+  const GroupedRelation& r1 = *slice_.r1;
   ShardReply out;
-  std::vector<ItemId> items;   // the current transaction's
-  std::vector<int32_t> ranks;  // and their ranks
-  for (size_t begin = 0; begin < slice.size();) {
-    ++out.transactions;
-    items.clear();
-    ranks.clear();
-    size_t end = begin;
-    for (; end < slice.size() && slice[end].tid == slice[begin].tid; ++end) {
-      items.push_back(slice[end].item);
-      ranks.push_back(distinct.RankOf(slice[end].item));
-    }
-    SETM_RETURN_IF_ERROR(
-        r1_->Append(slice[begin].tid, items.data(), items.size()));
-    // C_1's count extends the empty itemset by each item.
-    counts->AddRows(ranks.size());
-    SETM_RETURN_IF_ERROR(
-        counts->AddExtensions(0, ranks.data(), ranks.data() + ranks.size()));
-    begin = end;
-  }
-  SETM_RETURN_IF_ERROR(r1_->Finish());
-  run_rows_.clear();
-  run_rows_.shrink_to_fit();
-  out.r_rows = r1_->num_rows();
-  out.r_bytes = r1_->num_rows() * 2 * sizeof(int32_t);
-  out.r_pages = r1_->num_pages();
-  out.r_prime_rows = counts->stats().rows;
-  SETM_RETURN_IF_ERROR(counts->Finish(count_floor_, &out.counts));
+  out.transactions = slice_.transactions;
+  out.r_rows = r1.num_rows();
+  out.r_bytes = r1.num_rows() * 2 * sizeof(int32_t);
+  out.r_pages = r1.num_pages();
+  out.r_prime_rows = slice_.c1->stats().rows;
+  SETM_RETURN_IF_ERROR(slice_.c1->Finish(count_floor_, &out.counts));
+  slice_.c1.reset();
   next_k_ = 1;
   return out;
 }
@@ -162,9 +223,10 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     // consumed its input, so it ends the run.
     std::unique_ptr<GroupCursor> left =
         r_prev_ != nullptr ? GroupedRelation::LastScan(std::move(r_prev_))
-                           : r1_->Scan();
-    Status pass = FilterByCk(left.get(), *r1_, k >= 3 ? &level_ : nullptr,
-                             level, rk.get(), next.get());
+                           : slice_.r1->Scan();
+    Status pass =
+        FilterByCk(left.get(), *slice_.r1, k >= 3 ? &level_ : nullptr, level,
+                   rk.get(), next.get());
     if (!pass.ok()) {
       left.reset();
       next.reset();
@@ -176,11 +238,11 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
   }
   if (k == 1 && rk != nullptr) {
     // The filter_r1 ablation: R_1 without the non-frequent items.
-    r1_ = std::move(rk);
+    slice_.r1 = std::move(rk);
   } else if (rk != nullptr) {
     r_prev_ = std::move(rk);
   }
-  const GroupedRelation& written = k == 1 ? *r1_ : *r_prev_;
+  const GroupedRelation& written = k == 1 ? *slice_.r1 : *r_prev_;
   ShardReply out;
   out.r_rows = written.num_rows();
   // The paper's |R_k|, (trans_id, item_1..item_k) per row; the pages are
@@ -206,33 +268,28 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
 }
 
 Status LocalShardBackend::EndRun() {
-  r1_.reset();
+  slice_ = ShardSlice{};
   r_prev_.reset();
   level_ = CandidateLevel{};
   next_k_ = 0;
-  run_rows_.clear();
-  run_rows_.shrink_to_fit();
   running_ = false;
   return Status::OK();
 }
 
 Result<ShardHealth> LocalShardBackend::Health() {
+  if (table_name_.empty()) {
+    return Status::NotFound("shard " + name_ + " is bound to no table");
+  }
+  auto table_or = db_->catalog()->ResolveTable(table_name_);
+  if (!table_or.ok()) return table_or.status();
+  const Table& sales = *table_or.value();
   ShardHealth health;
   health.reachable = true;
+  health.sales_rows = sales.num_rows();
+  health.sales_bytes = sales.size_bytes();
   std::unordered_set<TransactionId> tids;
-  if (bound_to_table_) {
-    auto table_or = db_->catalog()->ResolveTable(table_name_);
-    if (!table_or.ok()) return table_or.status();
-    const Table& sales = *table_or.value();
-    health.sales_rows = sales.num_rows();
-    health.sales_bytes = sales.size_bytes();
-    SETM_RETURN_IF_ERROR(ForEachInt32Pair(
-        sales, [&tids](int32_t tid, int32_t) { tids.insert(tid); }));
-  } else {
-    health.sales_rows = rows_.size();
-    health.sales_bytes = rows_.size() * sizeof(ShardRow);
-    for (const ShardRow& row : rows_) tids.insert(row.tid);
-  }
+  SETM_RETURN_IF_ERROR(ForEachInt32Pair(
+      sales, [&tids](int32_t tid, int32_t) { tids.insert(tid); }));
   health.transactions = tids.size();
   return health;
 }

@@ -10,63 +10,98 @@
 
 #include "core/setm.h"
 #include "core/setm_pipeline.h"
+#include "exec/exec_context.h"
 #include "relational/int_relation.h"
 #include "shard/shard_backend.h"
 
 namespace setm::shard {
 
-/// One SALES row of a shard's slice.
-struct ShardRow {
-  TransactionId tid = 0;
-  ItemId item = 0;
-
-  /// (trans_id, item) order: the order R_1 is kept in.
-  bool operator<(const ShardRow& o) const {
-    return tid != o.tid ? tid < o.tid : item < o.item;
-  }
+/// One shard's SALES as the intake wrote it: its R_1 and C_1's count of
+/// R_1's rows, taken in the same pass.
+struct ShardSlice {
+  std::unique_ptr<GroupedRelation> r1;  ///< sealed: (trans_id, item) groups
+  std::unique_ptr<ItemCount> c1;        ///< not yet finished
+  uint64_t transactions = 0;
 };
 
-/// The SALES rows one mine keeps: those with trans_id <= max_tid and,
-/// for a lattice count, an item among the lattice's. Rows are kept as
-/// they arrive, counting the rows read and kept, and their (trans_id,
-/// item) order is checked as they go, so rows that arrive sorted are
-/// never sorted again.
+/// The one pass over a mine's SALES, which writes it as R_1: keeps the
+/// rows with trans_id <= max_tid and, for a lattice count, an item of the
+/// lattice, and appends each kept transaction as one group of its shard's
+/// R_1 (PageHint::kRetain: every pass rescans it), counting C_1 in the
+/// same pass. A transaction opens the next of at most `num_shards` shards
+/// once the current one holds its share of `expected_rows` (scaled by the
+/// fraction of rows kept so far), so no shard is empty (but the one shard
+/// of an empty SALES). Rows in ascending trans_id
+/// order are held a transaction at a time. At the first trans_id below the
+/// one before it, the intake reads back and releases what it wrote and
+/// buffers every row, to sort them once at Finish() and write the R_1s
+/// and counts from them; the buffer raises setm_mem_intake_bytes.
 class SalesIntake {
  public:
-  /// `items`, when given, are the only items kept; ItemRanks' lookup
-  /// takes memory in proportion to the items, not to their range.
-  explicit SalesIntake(TransactionId max_tid = INT32_MAX,
-                       std::optional<ItemRanks> items = std::nullopt)
-      : max_tid_(max_tid), items_(std::move(items)) {}
+  /// R_1 is in memory or in `ctx`'s pool as `run.storage` says, and C_1 is
+  /// counted as `run.count_method` says. `items`, when given, are the only
+  /// items kept; ItemRanks' lookup takes memory in proportion to the
+  /// items, not to their range.
+  SalesIntake(ExecContext ctx, const ShardRunOptions& run, size_t num_shards,
+              uint64_t expected_rows, TransactionId max_tid = INT32_MAX,
+              std::optional<ItemRanks> items = std::nullopt);
 
-  void Reserve(size_t rows) { rows_.reserve(rows); }
-
+  /// Reads one SALES row.
   void Add(TransactionId tid, ItemId item) {
     ++sales_rows_;
     if (tid > max_tid_) return;
     if (items_.has_value() && items_->RankOf(item) == ItemRanks::kAbsent) {
       return;
     }
-    const ShardRow row{tid, item};
-    if (!rows_.empty() && row < rows_.back()) sorted_ = false;
-    rows_.push_back(row);
+    ++kept_rows_;
+    Keep(tid, item);
   }
 
-  /// Rows read, kept, and whether the kept rows arrived in order.
-  uint64_t sales_rows() const { return sales_rows_; }
-  uint64_t kept_rows() const { return rows_.size(); }
-  bool sorted() const { return sorted_; }
+  /// Writes the last group and seals every shard: the slices in trans_id
+  /// order, at least one. The first error of any R_1 append or count.
+  /// Call once.
+  Result<std::vector<ShardSlice>> Finish();
 
-  /// Hands over the kept rows in (trans_id, item) order, sorted here only
-  /// if they arrived out of it.
-  std::vector<ShardRow> TakeSorted();
+  /// Rows read and rows kept.
+  uint64_t sales_rows() const { return sales_rows_; }
+  uint64_t kept_rows() const { return kept_rows_; }
 
  private:
+  /// A kept row: continues the open group, or Begin()s another.
+  void Keep(TransactionId tid, ItemId item) {
+    if (tid == tid_ && !group_.empty()) {
+      group_.push_back(item);
+    } else {
+      Begin(tid, item);
+    }
+  }
+  /// A kept row that does not continue the open group: starts the next
+  /// transaction, in the next shard once the current one holds its share,
+  /// descends, or is buffered after a descent.
+  void Begin(TransactionId tid, ItemId item);
+  /// Opens the next shard: its R_1 and C_1's count.
+  void OpenShard();
+  /// Appends the open group to the current shard and empties it.
+  void WriteGroup();
+  /// The first descent: moves every row written so far into the buffer.
+  void Descend();
+
+  ExecContext ctx_;
+  ShardRunOptions run_;
+  size_t num_shards_;
+  uint64_t share_;  ///< rows a shard holds before the next one opens
   TransactionId max_tid_;
   std::optional<ItemRanks> items_;
-  std::vector<ShardRow> rows_;
   uint64_t sales_rows_ = 0;
-  bool sorted_ = true;
+  uint64_t kept_rows_ = 0;
+
+  std::vector<ShardSlice> shards_;
+  uint64_t shard_rows_ = 0;  ///< rows in shards_.back()
+  TransactionId tid_ = 0;    ///< the open group's transaction
+  std::vector<ItemId> group_;
+  bool descended_ = false;
+  std::vector<std::pair<TransactionId, ItemId>> buffered_;
+  Status status_;  ///< the first failed append or count
 };
 
 /// Reads every row of `sales`, a relation of two INT32 columns, into
@@ -76,7 +111,7 @@ class SalesIntake {
 Status ExtractRows(const Table& sales, SalesIntake* intake);
 
 /// The in-process shard and the only place Algorithm SETM iterates: runs
-/// the pipeline bodies of core/setm_pipeline over one SALES slice and
+/// the pipeline bodies of core/setm_pipeline over one shard's R_1 and
 /// reports its local counts. Every SetmMiner mine — serial (one backend)
 /// or threaded (one per thread) — runs here under DistributedMine, and so
 /// does the server-side implementation of LCOUNT/MERGE, so local, threaded,
@@ -86,8 +121,8 @@ Status ExtractRows(const Table& sales, SalesIntake* intake);
 /// R_k, and that pass also counts the next iteration's R'_{k+1}, so R'_k
 /// is never stored and no join runs twice. Counts and probes work in
 /// candidate-id space (core/setm_pipeline.h):
-///   - CountFirstIteration builds R_1 from the slice and counts C_1's
-///     items, keyed by their ranks among the slice's distinct items.
+///   - CountFirstIteration reports the slice's R_1, which the intake wrote,
+///     and finishes C_1's count, which the intake took as it wrote R_1.
 ///   - ApplyGlobalCk(k) checks the global C_k's (parent id, item) keys and
 ///     gives them dense ids in itemset order (IndexCandidates), then runs
 ///     FilterByCk: the merge-scan join of R_{k-1} with R_1, each R_{k-1}
@@ -117,12 +152,12 @@ Status ExtractRows(const Table& sales, SalesIntake* intake);
 /// (SetCountFloor): a sole shard's counts are global, so it counts with
 /// the global minsupport from k = 2 on, like the paper's single pipeline.
 ///
-/// The slice comes from one of two sources, chosen before BeginRun:
-///   - SetRows(rows): a fixed in-memory slice, held (sorted) across runs
-///     (SetmMiner and tests use this).
-///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun,
-///     so a long-lived backend sees rows appended between runs (the server
-///     and file-shard members use this).
+/// The slice is one ShardSlice, an R_1 and its C_1 count, held for one
+/// run: SetmMiner's intake writes every in-process shard's and hands it
+/// over (SetSlice) before BeginRun, and a backend bound to a catalog table
+/// (BindTable: the server and file-shard members) runs the same intake,
+/// as one shard, over that table at every BeginRun, so a long-lived
+/// backend sees rows appended between runs.
 ///
 /// R_1, (trans_id, item), and R_k (k >= 2), (trans_id, C_k id), are
 /// GroupedRelations that never enter the catalog: one group per
@@ -130,23 +165,25 @@ Status ExtractRows(const Table& sales, SalesIntake* intake);
 /// images in memory under kMemory and unlogged pages under kHeap. A
 /// reply's r_bytes is the paper's |R_k|·(k+1)·4 bytes, and its r_pages the
 /// relation's pages (num_pages()). The backend holds at most R_1, R_{k-1}
-/// and the R_k being written: R_1 is created with PageHint::kRetain, so
-/// its pages keep their frames in the pool's retained share; pass k >= 3
-/// reads R_{k-1} with GroupedRelation::LastScan, releasing it page by
-/// page; EndRun releases the
-/// rest. A pass that fails ends the run; a malformed C_k is refused before
-/// anything changes. No row or key passes through Tuple/Value.
+/// and the R_k being written: the intake creates R_1 with
+/// PageHint::kRetain, so its pages keep their frames in the pool's
+/// retained share; pass k >= 3 reads R_{k-1} with
+/// GroupedRelation::LastScan, releasing it page by page; EndRun releases
+/// the rest. A pass that fails ends the run; a malformed C_k is refused
+/// before anything changes. No row or key passes through Tuple/Value.
 class LocalShardBackend : public ShardBackend {
  public:
   /// `db` is borrowed and must outlive the backend.
   LocalShardBackend(Database* db, std::string name);
 
-  /// Fixes the slice directly, sorting it unless already in (trans_id,
-  /// item) order.
-  void SetRows(std::vector<ShardRow> rows);
+  /// Hands over the next run's slice, written by a SalesIntake. Call
+  /// between runs; the run that takes it ends with it.
+  void SetSlice(ShardSlice slice) { slice_ = std::move(slice); }
 
-  /// Binds the slice to a catalog table, re-read at every BeginRun.
-  void BindTable(std::string table_name);
+  /// Binds the slice to a catalog table, read at every BeginRun.
+  void BindTable(std::string table_name) {
+    table_name_ = std::move(table_name);
+  }
 
   const std::string& name() const override { return name_; }
   Status BeginRun(const ShardRunOptions& options) override;
@@ -164,17 +201,16 @@ class LocalShardBackend : public ShardBackend {
 
   Database* db_;
   std::string name_;
-  std::string table_name_;
-  bool bound_to_table_ = false;
+  std::string table_name_;  ///< the bound table; empty: SetSlice
   bool running_ = false;
 
-  std::vector<ShardRow> rows_;      ///< sorted slice when SetRows-sourced
-  std::vector<ShardRow> run_rows_;  ///< BindTable run's slice, freed by k=1
   ShardRunOptions run_;
-  int64_t count_floor_ = 1;         ///< local counts below it are dropped
+  int64_t count_floor_ = 1;  ///< local counts below it are dropped
 
-  std::unique_ptr<GroupedRelation> r1_;  ///< R_1 slice (filtered when asked)
-  std::unique_ptr<GroupedRelation> r_prev_;  ///< R_{k-1}; null: use r1
+  /// The run's R_1 (filtered when asked) and, until CountFirstIteration,
+  /// its C_1 count.
+  ShardSlice slice_;
+  std::unique_ptr<GroupedRelation> r_prev_;  ///< R_{k-1}; null: use R_1
   /// The k the next ApplyGlobalCk must carry; 0 before CountFirstIteration.
   size_t next_k_ = 0;
   /// The last C_k applied, with its ids: the next pass's C_{k-1}.

@@ -28,7 +28,7 @@ struct ShardRunOptions {
 /// so local counts use min_count = 1 unless the coordinator set a count
 /// floor (ShardBackend::SetCountFloor).
 struct ShardReply {
-  /// Transactions in this shard's SALES slice (CountFirstIteration only;
+  /// Transactions in this shard's R_1 (CountFirstIteration only;
   /// the coordinator sums them to resolve the global minsupport).
   uint64_t transactions = 0;
   /// The relation the call wrote: R_1 for CountFirstIteration and
@@ -63,7 +63,7 @@ struct ShardHealth {
 /// backend through the same iteration protocol, one call per iteration:
 ///
 ///   BeginRun(options)
-///   CountFirstIteration()    -> local R_1 + item counts + |D_shard|
+///   CountFirstIteration()    -> local R_1's size + item counts + |D_shard|
 ///   [SetCountFloor(minsup)]  -> only when this is the sole shard
 ///   for k = 1, 2, ...:
 ///     ApplyGlobalCk(k, C_k)  -> local R_k from the global C_k, and the
@@ -78,7 +78,7 @@ struct ShardHealth {
 /// items outside C_1 included when R_1 is kept whole.
 ///
 /// Implementations: LocalShardBackend runs the SETM pipeline bodies in
-/// process over a SALES slice; RemoteShardBackend speaks LCOUNT/MERGE to a
+/// process over its shard's R_1; RemoteShardBackend speaks LCOUNT/MERGE to a
 /// setm_served instance. Both produce identical numbers by construction —
 /// the server's handler *is* a LocalShardBackend.
 ///
@@ -94,7 +94,10 @@ class ShardBackend {
   /// Starts a fresh run; any previous run's state is released.
   virtual Status BeginRun(const ShardRunOptions& options) = 0;
 
-  /// Iteration 1's count: builds the local R_1 and counts its items.
+  /// Iteration 1's count: reports the local R_1, written from the shard's
+  /// SALES in BeginRun or before it (shard::SalesIntake), and its items'
+  /// counts, taken as R_1 was written; no row of SALES or R_1 is read
+  /// again for it.
   virtual Result<ShardReply> CountFirstIteration() = 0;
 
   /// Lets this run's later counts drop candidates counted below `floor`.

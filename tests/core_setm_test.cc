@@ -932,6 +932,93 @@ TEST(ExtensionCountTest, EveryPathEmitsInKeyOrder) {
   }
 }
 
+// C_1's count, taken with no alphabet known in advance: a dense array over
+// the items' span while it passes the dense rule and fits the budget, which
+// widens as items arrive below and above it, else a hashed table of (0,
+// item) keys that spills within the budget. Every form gives each item
+// counted at least min_count times as a (0, item, count) row, in item
+// order, and counts every row.
+TEST(ItemCountTest, DenseWideningHashedAndSpilledCountsAgree) {
+  // 1,000 items reached from the middle out, each item i counted i % 3 + 1
+  // times, in transactions of up to 7 ascending items.
+  std::vector<ItemId> order;
+  for (int32_t step = 0; step < 500; ++step) {
+    order.push_back(500 + step);
+    order.push_back(499 - step);
+  }
+  std::vector<std::vector<ItemId>> txns;
+  for (int32_t round = 0; round < 3; ++round) {
+    for (size_t at = 0; at < order.size(); at += 7) {
+      std::vector<ItemId> txn;
+      for (size_t i = at; i < std::min(order.size(), at + 7); ++i) {
+        if (order[i] % 3 >= round) txn.push_back(order[i]);
+      }
+      std::sort(txn.begin(), txn.end());
+      txns.push_back(txn);
+    }
+  }
+  // The same counts with one item far past the others: a span the dense
+  // rule refuses.
+  std::vector<std::vector<ItemId>> sparse = txns;
+  sparse.push_back({1 << 24});
+  const auto expected = [](const std::vector<std::vector<ItemId>>& in,
+                           int64_t min_count) {
+    std::map<ItemId, int64_t> counts;
+    for (const auto& txn : in) {
+      for (ItemId item : txn) ++counts[item];
+    }
+    std::vector<int32_t> rows;
+    for (const auto& [item, count] : counts) {
+      if (count >= min_count) {
+        rows.insert(rows.end(), {0, item, static_cast<int32_t>(count)});
+      }
+    }
+    return rows;
+  };
+  enum class Form { kDense, kHashed, kSpilled };
+  const struct {
+    const char* name;
+    const std::vector<std::vector<ItemId>>* txns;
+    size_t budget;
+    Form form;
+  } cases[] = {
+      {"dense", &txns, size_t{1} << 20, Form::kDense},
+      {"span past the dense rule", &sparse, size_t{1} << 20, Form::kHashed},
+      {"4 KiB budget", &txns, size_t{4} << 10, Form::kSpilled},
+  };
+  obs::Gauge* peak =
+      obs::MetricsRegistry::Global()->GetGauge("setm_mem_count_bytes");
+  for (const auto& c : cases) {
+    for (int64_t min_count : {int64_t{1}, int64_t{3}}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   " min_count=" + std::to_string(min_count));
+      DatabaseOptions db_options;
+      db_options.sort_memory_bytes = c.budget;
+      Database db(db_options);
+      peak->Set(0);
+      ItemCount count(ExecContext::From(&db), c.budget, /*expected_rows=*/0);
+      uint64_t rows = 0;
+      for (const auto& txn : *c.txns) {
+        ASSERT_TRUE(count.Add(txn.data(), txn.size()).ok());
+        rows += txn.size();
+      }
+      std::vector<int32_t> out;
+      ASSERT_TRUE(count.Finish(min_count, &out).ok());
+      EXPECT_EQ(out, expected(*c.txns, min_count));
+      const CountStats& stats = count.stats();
+      EXPECT_EQ(stats.rows, rows);
+      EXPECT_LE(stats.peak_bytes, c.budget);
+      EXPECT_EQ(peak->Value(), static_cast<int64_t>(stats.peak_bytes));
+      EXPECT_EQ(stats.probes == 0, c.form == Form::kDense);
+      EXPECT_EQ(stats.spilled_runs > 0, c.form == Form::kSpilled);
+      if (c.form == Form::kDense) {
+        // The widened array stays within a quarter of the items' span.
+        EXPECT_LE(stats.peak_bytes, 1250 * sizeof(int64_t));
+      }
+    }
+  }
+}
+
 // The dense layout fills its budget: at the default 1 MiB, a table takes
 // over 30,000 distinct 3- or 4-itemsets before TryAdd refuses one, and
 // stays within the budget. Entry ids are 32 bits, so no budget buys more
@@ -1753,9 +1840,41 @@ TEST(SetmIntakeTest, SalesOfOtherColumnTypesIsInvalidArgumentOnBothBackings) {
             StatusCode::kInvalidArgument);
 }
 
-// The intake sorts only on a descent. SALES loaded with its transactions
-// in descending trans_id order is the fallback: it mines what the oracle
-// mines, serial and threaded, on both backings.
+/// Transactions as (trans_id, items) pairs, which compare.
+using Spelled = std::vector<std::pair<TransactionId, std::vector<ItemId>>>;
+
+Spelled Spell(const TransactionDb& txns) {
+  Spelled out;
+  for (const Transaction& t : txns) out.emplace_back(t.id, t.items);
+  return out;
+}
+
+/// The transactions of the intake's R_1s, read back in shard order, each
+/// shard's transaction count checked against its R_1.
+Spelled ReadBack(std::vector<shard::ShardSlice> slices) {
+  Spelled txns;
+  for (shard::ShardSlice& slice : slices) {
+    std::unique_ptr<GroupCursor> groups =
+        GroupedRelation::LastScan(std::move(slice.r1));
+    uint64_t transactions = 0;
+    IdGroup group;
+    while (true) {
+      auto more = groups->Next(&group);
+      EXPECT_TRUE(more.ok()) << more.status().ToString();
+      if (!more.ok() || !more.value()) break;
+      txns.emplace_back(group.tid,
+                        std::vector<ItemId>(group.begin, group.end));
+      ++transactions;
+    }
+    EXPECT_EQ(slice.transactions, transactions);
+  }
+  return txns;
+}
+
+// The intake writes R_1 as it reads SALES and buffers rows only past a
+// descent. SALES loaded with its transactions in descending trans_id order
+// is the fallback: the intake's R_1 is SALES sorted, and it mines what the
+// oracle mines, serial and threaded, on both backings.
 TEST(SetmIntakeTest, DescendingSalesMinesLikeTheOracle) {
   QuestOptions gen;
   gen.num_transactions = 300;
@@ -1768,18 +1887,25 @@ TEST(SetmIntakeTest, DescendingSalesMinesLikeTheOracle) {
   options.min_support = 0.03;
   auto oracle = BruteForceMiner().Mine(txns, options);
   ASSERT_TRUE(oracle.ok());
+  obs::Gauge* buffered =
+      obs::MetricsRegistry::Global()->GetGauge("setm_mem_intake_bytes");
   for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
     for (const TransactionDb* order : {&txns, &descending}) {
       Database db;
       Table* sales = LoadRows(&db, *order, backing);
       ASSERT_NE(sales, nullptr);
-      shard::SalesIntake intake;
+      buffered->Set(0);
+      shard::ShardRunOptions run;
+      run.storage = backing;
+      shard::SalesIntake intake(ExecContext::From(&db), run, 1,
+                                sales->num_rows());
       ASSERT_TRUE(shard::ExtractRows(*sales, &intake).ok());
-      EXPECT_EQ(intake.sorted(), order == &txns);
       EXPECT_EQ(intake.sales_rows(), sales->num_rows());
       EXPECT_EQ(intake.kept_rows(), sales->num_rows());
-      const std::vector<shard::ShardRow> rows = intake.TakeSorted();
-      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+      auto slices = intake.Finish();
+      ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+      EXPECT_EQ(buffered->Value() > 0, order == &descending);
+      EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(txns));
       for (size_t threads : {size_t{1}, size_t{3}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " descending=" +
                      std::to_string(order == &descending) + " heap=" +
@@ -1813,11 +1939,21 @@ TEST(SetmIntakeTest, LatticeOverZeroAndInt32MaxStaysSmall) {
     Table* sales = LoadRows(&db, txns, backing);
     ASSERT_NE(sales, nullptr);
     // 17 rows; those past trans_id 6 and those of item 7 are dropped.
-    shard::SalesIntake intake(6, items);
+    shard::ShardRunOptions run;
+    run.storage = backing;
+    shard::SalesIntake intake(ExecContext::From(&db), run, 1,
+                              sales->num_rows(), 6, items);
     ASSERT_TRUE(shard::ExtractRows(*sales, &intake).ok());
     EXPECT_EQ(intake.sales_rows(), 17u);
     EXPECT_EQ(intake.kept_rows(), 9u);
-    EXPECT_TRUE(intake.sorted());
+    auto slices = intake.Finish();
+    ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+    TransactionDb kept;
+    for (TransactionId tid = 1; tid <= 6; ++tid) {
+      kept.push_back({tid, tid % 2 == 0 ? std::vector<ItemId>{0, INT32_MAX}
+                                        : std::vector<ItemId>{0}});
+    }
+    EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(kept));
 
     FrequentItemsets lattice;
     lattice.Add({0}, 1);
@@ -1839,6 +1975,190 @@ TEST(SetmIntakeTest, LatticeOverZeroAndInt32MaxStaysSmall) {
     EXPECT_NE(std::find(counts.begin(), counts.end(),
                         std::make_pair(std::string("kept_rows"), uint64_t{9})),
               counts.end());
+  }
+}
+
+/// Same k, |R'_k|, |R_k|, R_k bytes and |C_k| at every iteration: the
+/// sums over shards, whatever the cut.
+void ExpectSameIterations(const MiningResult& got, const MiningResult& want) {
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  for (size_t i = 0; i < want.iterations.size(); ++i) {
+    const IterationStats& e = want.iterations[i];
+    const IterationStats& r = got.iterations[i];
+    EXPECT_EQ(r.k, e.k);
+    EXPECT_EQ(r.r_prime_rows, e.r_prime_rows) << "k=" << e.k;
+    EXPECT_EQ(r.r_rows, e.r_rows) << "k=" << e.k;
+    EXPECT_EQ(r.r_bytes, e.r_bytes) << "k=" << e.k;
+    EXPECT_EQ(r.c_size, e.c_size) << "k=" << e.k;
+  }
+}
+
+// The intake cuts SALES into shards at transaction boundaries only: a
+// transaction longer than a shard's share of the rows stays whole, there
+// are never more shards than transactions, and an empty SALES is one empty
+// shard. Every shard but the last holds its share of the rows, the shards'
+// transactions sum to |D|, none is empty, and the mine
+// at 1, 3 and 8 threads equals the oracle, with the 1-thread mine's
+// per-iteration stats.
+TEST(SetmIntakeTest, ShardsAreCutAtTransactionBoundaries) {
+  // 39 pairs, each pair's itemset also in transaction 20, which holds 45
+  // items: more than a third of the 123 rows.
+  TransactionDb long_one;
+  for (TransactionId tid = 1; tid <= 40; ++tid) {
+    if (tid == 20) {
+      std::vector<ItemId> items(45);
+      std::iota(items.begin(), items.end(), 0);
+      long_one.push_back({tid, items});
+    } else {
+      long_one.push_back({tid, {tid % 8, 8 + tid % 5}});
+    }
+  }
+  const TransactionDb few = {{1, {1, 2, 3}}, {2, {1, 2}}, {3, {2, 3}},
+                             {4, {1, 3, 4}}, {5, {1, 2, 3, 4}}};
+  const TransactionDb empty;
+  const struct {
+    const char* name;
+    const TransactionDb* txns;
+  } inputs[] = {{"a transaction past a shard's share", &long_one},
+                {"fewer transactions than threads", &few},
+                {"empty SALES", &empty}};
+  MiningOptions options;
+  options.min_support_count = 2;
+  for (const auto& input : inputs) {
+    const TransactionDb& txns = *input.txns;
+    auto oracle = BruteForceMiner().Mine(txns, options);
+    ASSERT_TRUE(oracle.ok());
+    for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+      Database db;
+      Table* sales = LoadRows(&db, txns, backing);
+      ASSERT_NE(sales, nullptr);
+      MiningResult serial;
+      for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+        SCOPED_TRACE(std::string(input.name) +
+                     " threads=" + std::to_string(threads) + " heap=" +
+                     std::to_string(backing == TableBacking::kHeap));
+        shard::ShardRunOptions run;
+        run.storage = backing;
+        shard::SalesIntake intake(ExecContext::From(&db), run, threads,
+                                  sales->num_rows());
+        ASSERT_TRUE(shard::ExtractRows(*sales, &intake).ok());
+        auto slices = intake.Finish();
+        ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+        ASSERT_GE(slices.value().size(), 1u);
+        EXPECT_LE(slices.value().size(),
+                  std::max<size_t>(1, std::min(threads, txns.size())));
+        // Every shard but the last holds its share of the rows.
+        const uint64_t share = (sales->num_rows() + threads - 1) / threads;
+        uint64_t transactions = 0;
+        for (const shard::ShardSlice& slice : slices.value()) {
+          EXPECT_TRUE(slice.transactions > 0 || txns.empty());
+          if (&slice != &slices.value().back()) {
+            EXPECT_GE(slice.r1->num_rows(), share);
+          }
+          transactions += slice.transactions;
+        }
+        EXPECT_EQ(transactions, txns.size());
+        EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(txns));
+
+        SetmOptions knobs{backing};
+        knobs.num_threads = threads;
+        auto from_table = SetmMiner(&db, knobs).MineTable(*sales, options);
+        ASSERT_TRUE(from_table.ok()) << from_table.status().ToString();
+        auto from_txns = SetmMiner(&db, knobs).Mine(txns, options);
+        ASSERT_TRUE(from_txns.ok()) << from_txns.status().ToString();
+        EXPECT_TRUE(from_table.value().itemsets == oracle.value().itemsets);
+        EXPECT_TRUE(from_txns.value().itemsets == oracle.value().itemsets);
+        if (threads == 1) serial = from_table.value();
+        ExpectSameIterations(from_table.value(), serial);
+        ExpectSameIterations(from_txns.value(), serial);
+      }
+    }
+  }
+}
+
+// The descent fallback after R_1's pages have left the pool: over an
+// 8-frame pool, 3 threads' R_1s are written to disk before a trans_id
+// below the ones before it arrives, after the first shard switch. The
+// intake reads its groups back, releases every R_1 page it wrote, and
+// mines what the oracle mines; so does Mine() over transactions out of id
+// order. The scratch pages are back at their count before the mine.
+TEST(SetmIntakeTest, DescentAfterR1PagesLeftThePoolLeaksNoPage) {
+  QuestOptions gen;
+  gen.seed = 5;
+  gen.num_transactions = 8000;
+  gen.avg_transaction_size = 5;
+  gen.num_items = 100;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+  // Ids 2..8001 ascend; id 1 comes last.
+  for (Transaction& t : txns) ++t.id;
+  txns.push_back({1, {3, 5, 8}});
+  TransactionDb halves(txns.begin() + 4000, txns.end());
+  halves.insert(halves.end(), txns.begin(), txns.begin() + 4000);
+  MiningOptions options;
+  options.min_support = 0.03;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  auto* registry = obs::MetricsRegistry::Global();
+  obs::Gauge* scratch = registry->GetGauge("setm_scratch_pages");
+  obs::Gauge* buffered = registry->GetGauge("setm_mem_intake_bytes");
+  DatabaseOptions db_options;
+  db_options.pool_frames = 8;
+  Database db(db_options);
+  Table* sales = LoadRows(&db, txns, TableBacking::kHeap);
+  ASSERT_NE(sales, nullptr);
+  SetmOptions knobs{TableBacking::kHeap};
+  knobs.num_threads = 3;
+  for (bool table : {true, false}) {
+    SCOPED_TRACE(table ? "SALES table" : "transactions in two halves");
+    const int64_t scratch_before = scratch->Value();
+    buffered->Set(0);
+    auto mined = table ? SetmMiner(&db, knobs).MineTable(*sales, options)
+                       : SetmMiner(&db, knobs).Mine(halves, options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    EXPECT_TRUE(mined.value().itemsets == oracle.value().itemsets);
+    EXPECT_GT(mined.value().iterations[0].r_pages,
+              2 * db_options.pool_frames);
+    EXPECT_GT(buffered->Value(), 0);
+    EXPECT_EQ(scratch->Value(), scratch_before);
+  }
+}
+
+// The intake holds no row of SALES that arrives in trans_id order: an
+// in-order kHeap mine at 5,000 and 50,000 transactions leaves the
+// setm_mem_intake_bytes high-water mark at 0, its pool the only home of
+// its rows; the same SALES in descending order buffers them.
+TEST(SetmIntakeTest, InOrderSalesBuffersNoRow) {
+  obs::Gauge* buffered =
+      obs::MetricsRegistry::Global()->GetGauge("setm_mem_intake_bytes");
+  MiningOptions options;
+  options.min_support = 0.05;
+  for (size_t n : {size_t{5000}, size_t{50000}}) {
+    QuestOptions gen;
+    gen.seed = 9;
+    gen.num_transactions = n;
+    gen.avg_transaction_size = 5;
+    gen.num_items = 100;
+    const TransactionDb txns = QuestGenerator(gen).Generate();
+    const TransactionDb descending(txns.rbegin(), txns.rend());
+    for (const TransactionDb* order : {&txns, &descending}) {
+      SCOPED_TRACE(std::to_string(n) + " transactions" +
+                   (order == &txns ? "" : ", descending"));
+      Database db;
+      Table* sales = LoadRows(&db, *order, TableBacking::kHeap);
+      ASSERT_NE(sales, nullptr);
+      buffered->Set(0);
+      auto mined = SetmMiner(&db, SetmOptions{TableBacking::kHeap})
+                       .MineTable(*sales, options);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      ASSERT_GE(mined.value().iterations.size(), 2u);
+      if (order == &txns) {
+        EXPECT_EQ(buffered->Value(), 0);
+      } else {
+        EXPECT_GE(buffered->Value(),
+                  static_cast<int64_t>(sales->num_rows() * 2 *
+                                       sizeof(int32_t)));
+      }
+    }
   }
 }
 

@@ -162,6 +162,22 @@ TEST(ProtocolTest, RejectsMalformedLines) {
   }
 }
 
+// THREADS shares its bound with `setm_mine --threads`: kMaxThreads is
+// accepted, one more is refused as the line is parsed.
+TEST(ProtocolTest, ThreadsAreBoundedByKMaxThreads) {
+  const std::string line = "MINE sales SUPPORT 2% THREADS ";
+  auto most = ParseCommand(line + std::to_string(kMaxThreads));
+  ASSERT_TRUE(most.ok()) << most.status().ToString();
+  EXPECT_EQ(most.value().threads, kMaxThreads);
+  auto past = ParseCommand(line + std::to_string(kMaxThreads + 1));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.status().message().find(
+                "THREADS must be in [1," + std::to_string(kMaxThreads) + "]"),
+            std::string::npos)
+      << past.status().ToString();
+}
+
 TEST(ProtocolTest, ParsesLcountAndMerge) {
   // Begin form: table, K 1, optional METHOD / FILTER in either order.
   auto begin_or = ParseCommand("LCOUNT sales K 1");

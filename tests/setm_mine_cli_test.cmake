@@ -51,3 +51,26 @@ if(NOT diff EQUAL 0)
   message(FATAL_ERROR "rule output differs from golden "
                       "${GOLDEN_DIR}/paper_example_rules.csv; got:\n${actual}")
 endif()
+
+# --threads is bounded by kMaxThreads (64), the server's THREADS bound:
+# a larger count is a usage error, refused while the arguments are parsed,
+# so no thread is started for it.
+foreach(threads 65 100000)
+  execute_process(
+    COMMAND "${SETM_MINE}"
+            --input "${WORK_DIR}/paper_example.csv"
+            --minsup 30 --minconf 70 --format csv --threads ${threads}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE exit_code)
+  if(NOT exit_code EQUAL 2)
+    message(FATAL_ERROR "setm_mine --threads ${threads} exited with "
+                        "${exit_code}, expected 2 (usage error)")
+  endif()
+  if(NOT err MATCHES "--threads must be in \\[1,64\\]")
+    message(FATAL_ERROR "setm_mine --threads ${threads} printed: ${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "setm_mine --threads ${threads} mined: ${out}")
+  endif()
+endforeach()

@@ -48,7 +48,7 @@ using shard::LocalShardBackend;
 using shard::RemoteShardBackend;
 using shard::ShardBackend;
 using shard::ShardedDatabase;
-using shard::ShardRow;
+using shard::SalesIntake;
 using shard::ShardRunOptions;
 
 TransactionDb QuestDb(uint64_t seed, uint32_t num_transactions = 200) {
@@ -81,12 +81,24 @@ std::vector<TransactionDb> SplitTxns(const TransactionDb& txns,
   return slices;
 }
 
-std::vector<ShardRow> RowsOf(const TransactionDb& txns) {
-  std::vector<ShardRow> rows;
-  for (const Transaction& t : txns) {
-    for (ItemId item : t.items) rows.push_back({t.id, item});
+/// Loads `slice`'s rows, repeated items included, into a SALES table of
+/// its own in `db` and binds `backend` to it: the backend reads it at
+/// every BeginRun.
+void BindSlice(Database* db, LocalShardBackend* backend,
+               const TransactionDb& slice) {
+  static int tables = 0;
+  const std::string name = "slice" + std::to_string(tables++);
+  auto table = db->catalog()->CreateTable(name, SetmMiner::SalesSchema(),
+                                          TableBacking::kMemory);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  for (const Transaction& t : slice) {
+    for (ItemId item : t.items) {
+      ASSERT_TRUE(table.value()
+                      ->Insert(Tuple({Value::Int32(t.id), Value::Int32(item)}))
+                      .ok());
+    }
   }
-  return rows;
+  backend->BindTable(name);
 }
 
 /// The reference: 1-thread "setm", i.e. the one-shard coordinator run,
@@ -104,7 +116,7 @@ Result<MiningResult> SingleNode(const TransactionDb& txns,
   return miner.value()->Mine(request);
 }
 
-/// Runs the coordinator over SetRows-sourced local backends, one per slice.
+/// Runs the coordinator over local backends bound to one table per slice.
 Result<MiningResult> MineSlices(Database* db,
                                 const std::vector<TransactionDb>& slices,
                                 const MiningOptions& options,
@@ -117,7 +129,7 @@ Result<MiningResult> MineSlices(Database* db,
   for (size_t i = 0; i < slices.size(); ++i) {
     auto backend = std::make_unique<LocalShardBackend>(
         db, "s" + std::to_string(i));
-    backend->SetRows(RowsOf(slices[i]));
+    BindSlice(db, backend.get(), slices[i]);
     backends.push_back(backend.get());
     owned.push_back(std::move(backend));
   }
@@ -327,7 +339,7 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
     run.count_method = method;
     Database db;
     LocalShardBackend backend(&db, "s0");
-    backend.SetRows(RowsOf(txns));
+    BindSlice(&db, &backend, txns);
     using Counts = std::vector<std::tuple<int32_t, ItemId, int32_t>>;
     // Sorted C_2 counts of one run, optionally with a floor set after k=1.
     auto c2 = [&](bool with_floor) {
@@ -365,6 +377,43 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
   }
 }
 
+// An in-process shard's slice, as the intake wrote it, serves one run: the
+// run reports its R_1 and C_1 counts, and a second BeginRun without a new
+// slice is refused naming the shard. A backend bound to no table has no
+// health to report.
+TEST(LocalShardBackendTest, AHandedSliceServesOneRun) {
+  const TransactionDb txns = QuestDb(36);
+  Database db;
+  SalesIntake intake(ExecContext::From(&db), ShardRunOptions{}, 1, 0);
+  uint64_t rows = 0;
+  for (const Transaction& t : txns) {
+    for (ItemId item : t.items) intake.Add(t.id, item);
+    rows += t.items.size();
+  }
+  auto slices = intake.Finish();
+  ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+  ASSERT_EQ(slices.value().size(), 1u);
+  LocalShardBackend backend(&db, "s3");
+  backend.SetSlice(std::move(slices.value().front()));
+  ASSERT_TRUE(backend.BeginRun(ShardRunOptions{}).ok());
+  auto first = backend.CountFirstIteration();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().transactions, txns.size());
+  EXPECT_EQ(first.value().r_rows, rows);
+  EXPECT_EQ(first.value().r_prime_rows, rows);
+  int64_t counted = 0;
+  for (size_t at = 0; at < first.value().counts.size(); at += 3) {
+    counted += first.value().counts[at + 2];
+  }
+  EXPECT_EQ(counted, static_cast<int64_t>(rows));
+  ASSERT_TRUE(backend.EndRun().ok());
+  const Status again = backend.BeginRun(ShardRunOptions{});
+  EXPECT_FALSE(again.ok());
+  EXPECT_NE(again.message().find("shard s3"), std::string::npos)
+      << again.ToString();
+  EXPECT_TRUE(backend.Health().status().IsNotFound());
+}
+
 // LCOUNT/MERGE put the iteration number and C_k on the wire, so the
 // backend must reject calls out of protocol order, and keys that name no
 // parent of the level below, with a Status naming the shard rather than
@@ -374,7 +423,7 @@ TEST(LocalShardBackendTest, CountFloorPrunesShippedCounts) {
 TEST(LocalShardBackendTest, IterationOrderIsEnforced) {
   Database db;
   LocalShardBackend backend(&db, "s7");
-  backend.SetRows(RowsOf(QuestDb(34)));
+  BindSlice(&db, &backend, QuestDb(34));
   const auto expect_invalid = [](const Result<shard::ShardReply>& r) {
     ASSERT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
     EXPECT_NE(r.status().message().find("shard s7"), std::string::npos)
@@ -587,9 +636,9 @@ TEST(DistributedMineTest, MalformedCountKeysAreCorruptionNamingTheShard) {
     SCOPED_TRACE(c.name);
     Database db;
     LocalShardBackend good(&db, "s0");
-    good.SetRows(RowsOf(slices[0]));
+    BindSlice(&db, &good, slices[0]);
     BadReplyBackend bad(&db, "s1", c.pass, c.mutate);
-    bad.SetRows(RowsOf(slices[1]));
+    BindSlice(&db, &bad, slices[1]);
     auto result =
         DistributedMine({&good, &bad}, options, CoordinatorOptions{});
     ASSERT_FALSE(result.ok());
@@ -610,7 +659,7 @@ TEST(DistributedMineTest, MalformedCountKeysAreCorruptionNamingTheShard) {
 TEST(LocalShardBackendTest, MalformedCkIsInvalidArgument) {
   Database db;
   LocalShardBackend backend(&db, "s9");
-  backend.SetRows(RowsOf(QuestDb(35)));
+  BindSlice(&db, &backend, QuestDb(35));
   const auto expect_refused = [](const Result<shard::ShardReply>& r,
                                  const std::string& what) {
     ASSERT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
@@ -706,7 +755,7 @@ class FailingBackend : public ShardBackend {
     return shard::ShardHealth{};
   }
 
-  void SetRows(std::vector<ShardRow> rows) { real_.SetRows(std::move(rows)); }
+  void Bind(const TransactionDb& slice) { BindSlice(&db_, &real_, slice); }
   Database* db() { return &db_; }
 
  private:
@@ -725,11 +774,11 @@ TEST(DistributedMineTest, DownShardIsUnavailableNamingTheShard) {
        {FailingBackend::FailAt::kBegin, FailingBackend::FailAt::kPass}) {
     Database db;
     LocalShardBackend healthy0(&db, "s0");
-    healthy0.SetRows(RowsOf(slices[0]));
+    BindSlice(&db, &healthy0, slices[0]);
     LocalShardBackend healthy1(&db, "s1");
-    healthy1.SetRows(RowsOf(slices[1]));
+    BindSlice(&db, &healthy1, slices[1]);
     FailingBackend bad("flaky-shard", fail_at, 2);
-    bad.SetRows(RowsOf(slices[2]));
+    bad.Bind(slices[2]);
 
     MiningOptions options;
     options.min_support = 0.04;
@@ -812,7 +861,7 @@ TEST(DistributedMineTest, CancelledRunLeavesNoCountBehind) {
   for (size_t i = 0; i < slices.size(); ++i) {
     owned.push_back(
         std::make_unique<LocalShardBackend>(&db, "s" + std::to_string(i)));
-    owned.back()->SetRows(RowsOf(slices[i]));
+    BindSlice(&db, owned.back().get(), slices[i]);
     backends.push_back(owned.back().get());
   }
   CoordinatorOptions coord;

@@ -203,8 +203,9 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       const char* v = need_value("--threads");
       if (v == nullptr) return false;
       long n = std::atol(v);
-      if (n < 1) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
+      if (n < 1 || static_cast<size_t>(n) > kMaxThreads) {
+        std::fprintf(stderr, "--threads must be in [1,%zu]: %s\n",
+                     kMaxThreads, v);
         return false;
       }
       out->threads = static_cast<size_t>(n);

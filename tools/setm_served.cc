@@ -33,6 +33,7 @@
 #include <memory>
 #include <string>
 
+#include "core/miner.h"
 #include "net/server.h"
 #include "relational/database.h"
 
@@ -145,6 +146,10 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       if (!parse_count("--job-threads", 1, &out->job_threads)) return false;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       if (!parse_count("--threads", 1, &out->threads)) return false;
+      if (out->threads > kMaxThreads) {  // THREADS' bound
+        std::fprintf(stderr, "--threads must be in [1,%zu]\n", kMaxThreads);
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--store") == 0) {
       const char* v = need_value("--store");
       if (v == nullptr) return false;
