@@ -118,11 +118,14 @@ fi
 # Server smoke: setm_served on a seeded database, concurrent clients
 # byte-identical to the CLI, cache-filter traces without iteration spans,
 # parseable STATS prom, survival of a client killed mid-MINE, graceful
-# SIGTERM shutdown.
+# SIGTERM shutdown. Under the asan preset this also runs the server's
+# sessions under the sanitizers, every UBSan finding fatal, as CI's
+# sanitize job does.
 served_bin="build/$preset/tools/setm_served"
 loadgen_bin="build/$preset/tools/setm_loadgen"
 if [[ -x "$served_bin" && -x "$loadgen_bin" && -x "$mine_bin" ]]; then
-  scripts/smoke_server.sh "$served_bin" "$loadgen_bin" "$mine_bin"
+  UBSAN_OPTIONS=halt_on_error=1 \
+    scripts/smoke_server.sh "$served_bin" "$loadgen_bin" "$mine_bin"
 fi
 
 # Server load bench smoke: N concurrent in-process clients over a mixed

@@ -128,9 +128,11 @@ Result<MiningResult> SetmMiner::Mine(const TransactionDb& transactions,
 
 Result<MiningResult> SetmMiner::MineTable(const Table& sales,
                                           const MiningOptions& options,
-                                          TransactionId max_tid) {
+                                          TransactionId max_tid,
+                                          uint64_t max_tid_rows) {
   return MinePartitioned(db_, setm_options_, options, lattice_, trace_,
-                         sales.num_rows(), max_tid,
+                         max_tid_rows != 0 ? max_tid_rows : sales.num_rows(),
+                         max_tid,
                          [&sales](shard::SalesIntake* intake) {
                            return shard::ExtractRows(sales, intake);
                          });

@@ -80,10 +80,12 @@ class SetmMiner {
   /// are buffered and sorted once only when a trans_id arrives below the
   /// one before it. Another schema is InvalidArgument. The result's I/O
   /// ledger includes the SALES scan, and the trace its sales_rows and
-  /// kept_rows.
+  /// kept_rows. Shards are cut from `max_tid_rows`, the rows at or below
+  /// `max_tid` (0: every row of `sales`).
   Result<MiningResult> MineTable(const Table& sales,
                                  const MiningOptions& options,
-                                 TransactionId max_tid = INT32_MAX);
+                                 TransactionId max_tid = INT32_MAX,
+                                 uint64_t max_tid_rows = 0);
 
   /// The canonical SALES schema: (trans_id INT32, item INT32).
   static Schema SalesSchema();

@@ -69,8 +69,12 @@ Result<DeltaDerivation> DeriveWithDelta(Database* db,
   if (!borderline.empty()) {
     obs::TraceSpan* span =
         trace != nullptr ? trace->StartChild("old partition") : nullptr;
+    // The shards are cut from the old partition's rows, which the planner
+    // checked equal the store's source_rows (0 in a store from before
+    // that column: the table's rows).
     auto in_old = SetmMiner(db, setm, &lattice, span)
-                      .MineTable(sales, {}, stored.meta.watermark);
+                      .MineTable(sales, {}, stored.meta.watermark,
+                                 stored.meta.source_rows);
     if (span != nullptr) span->End();
     if (!in_old.ok()) return in_old.status();
     for (PatternCount& pc : borderline) {

@@ -13,8 +13,12 @@
 namespace setm::net {
 
 /// The setm_served wire protocol: line-oriented text, LF- or CRLF-
-/// terminated, one request per line (APPEND additionally streams data
-/// lines). Keywords are case-insensitive; table names are not.
+/// terminated, one request per line. Keywords are case-insensitive; table
+/// names are not. APPEND and MERGE, the payload verbs, follow their request
+/// line with data lines up to a "." line, and share one rule: the response
+/// comes after the "."; a refused request, a malformed line or a line past
+/// the one batch cap (ServerOptions::max_append_rows, rows or keys) drains
+/// the rest of the payload and is answered with one ERR after the ".".
 ///
 ///   MINE <table> SUPPORT <spec> [ALGO <name>] [THREADS <n>] [MAXK <k>]
 ///   APPEND <table> SUPPORT <spec> [ALGO <name>] [THREADS <n>] [MAXK <k>]
@@ -69,8 +73,8 @@ namespace setm::net {
 ///                                          empty; a payload line starting
 ///                                          with '.' is sent dot-stuffed
 ///   ERR <Code> <message>\n                 single line, connection stays up;
-///                                          an APPEND or MERGE gets its one
-///                                          ERR after its ".", even when
+///                                          a payload verb gets its one ERR
+///                                          after its ".", even when
 ///                                          refused at its first line
 enum class Verb {
   kMine,

@@ -94,17 +94,43 @@ obs::Counter* VerbCounter(Verb verb) {
       "requests by verb");
 }
 
+/// An APPEND's or MERGE's payload: its lines up to ".", parsed as they
+/// arrive, or drained after the first refused line. APPEND's lines are
+/// transactions, MERGE's are candidate keys; both share the batch cap.
+struct Payload {
+  Command cmd;
+  /// The verb's line parser, chosen when the command arrives: parses one
+  /// line into `rows` or `keys`.
+  Status (*parse)(const std::string& line, Payload* payload) = nullptr;
+  size_t lines = 0;                ///< lines parsed
+  TransactionDb rows;              ///< APPEND
+  std::vector<CandidateKey> keys;  ///< MERGE
+  Status error;  ///< the refusal answered after "." (kPayloadDrain)
+};
+
+Status ParseRowInto(const std::string& line, Payload* payload) {
+  auto row_or = ParseAppendRow(line);
+  if (!row_or.ok()) return row_or.status();
+  payload->rows.push_back(std::move(row_or).value());
+  return Status::OK();
+}
+
+Status ParseKeyInto(const std::string& line, Payload* payload) {
+  auto key_or = ParseKeyLine(line);
+  if (!key_or.ok()) return key_or.status();
+  payload->keys.push_back(key_or.value());
+  return Status::OK();
+}
+
 }  // namespace
 
 /// One connected client, owned by the loop thread.
 struct MiningServer::Session {
   enum class State {
-    kCommand,      ///< expecting a request line
-    kAppend,       ///< collecting APPEND rows until "."
-    kAppendDrain,  ///< refused or bad row: swallow rows until ".", then ERR
-    kMerge,        ///< collecting MERGE keys until "."
-    kMergeDrain,   ///< refused or bad key: swallow until ".", then ERR
-    kClosing,      ///< QUIT/shutdown: flush, then close; input ignored
+    kCommand,       ///< expecting a request line
+    kPayload,       ///< collecting APPEND rows or MERGE keys until "."
+    kPayloadDrain,  ///< refused or bad line: swallow lines until ".", then ERR
+    kClosing,       ///< QUIT/shutdown: flush, then close; input ignored
   };
 
   Session(uint64_t id_in, int fd_in, const ServerOptions& options)
@@ -122,17 +148,11 @@ struct MiningServer::Session {
   std::shared_ptr<Job> job;
   /// The last successful MINE/APPEND answer, the input RULES works on.
   std::shared_ptr<const FrequentItemsets> last_itemsets;
-  /// APPEND collection state.
-  Command append_cmd;
-  TransactionDb append_batch;
-  Status append_error;
+  /// The APPEND or MERGE being collected (kPayload, kPayloadDrain).
+  Payload payload;
   /// The connection's shard run (installed by a successful LCOUNT, driven
   /// by MERGE requests, replaced by the next LCOUNT).
   std::shared_ptr<shard::LocalShardBackend> shard_run;
-  /// MERGE collection state.
-  Command merge_cmd;
-  std::vector<CandidateKey> merge_keys;
-  Status merge_error;
   WallTimer activity;
 };
 
@@ -143,7 +163,6 @@ struct MiningServer::Session {
 struct MiningServer::Job {
   uint64_t id = 0;
   uint64_t session_id = 0;
-  Verb verb = Verb::kMine;
   Command cmd;
   CancelFlag cancel;
   std::atomic<bool> timed_out{false};
@@ -199,21 +218,31 @@ class JobObserver : public MiningObserver {
   const ServerOptions* options_;
 };
 
-/// A shard reply's counts, (parent id, item, count) rows in key order, as
+/// An LCOUNT or MERGE answer: the info line of the relation the call wrote,
+/// then its counts, (parent id, item, count) rows in key order, as
 /// "<parent id> <item> <count>" lines, one per key: the count's own merge
 /// sums the rows of a count above INT32_MAX back. Replies carry no
 /// timings, so responses to the same question are byte-identical.
-std::string RenderCounts(const std::vector<int32_t>& rows) {
+std::string FrameShardReply(const Command& cmd,
+                            const shard::ShardReply& reply) {
+  const auto n = [](uint64_t v) { return std::to_string(v); };
+  const std::string info =
+      cmd.verb == Verb::kLcount
+          ? "lcount k=1 transactions=" + n(reply.transactions) +
+                " rprime=" + n(reply.r_prime_rows) +
+                " rbytes=" + n(reply.r_bytes) + " rpages=" + n(reply.r_pages)
+          : "merge k=" + n(cmd.shard_k) + " rows=" + n(reply.r_rows) +
+                " bytes=" + n(reply.r_bytes) + " pages=" + n(reply.r_pages) +
+                " rprime=" + n(reply.r_prime_rows);
   std::string payload;
-  std::vector<std::unique_ptr<IntRowCursor>> reply;
-  reply.push_back(std::make_unique<IntArrayCursor>(&rows, 3));
+  std::vector<std::unique_ptr<IntRowCursor>> rows;
+  rows.push_back(std::make_unique<IntArrayCursor>(&reply.counts, 3));
   // An array cursor never fails, and neither does the line append.
-  (void)SumByKey(2, std::move(reply), [&](const ItemId* key, int64_t count) {
-    payload += std::to_string(key[0]) + ' ' + std::to_string(key[1]) + ' ' +
-               std::to_string(count) + '\n';
+  (void)SumByKey(2, std::move(rows), [&](const ItemId* key, int64_t count) {
+    payload += n(key[0]) + ' ' + n(key[1]) + ' ' + n(count) + '\n';
     return Status::OK();
   });
-  return payload;
+  return FrameOk(info, payload);
 }
 
 }  // namespace
@@ -503,13 +532,9 @@ void MiningServer::ProcessLines(uint64_t session_id) {
       case Session::State::kCommand:
         HandleCommand(session, line);
         break;
-      case Session::State::kAppend:
-      case Session::State::kAppendDrain:
-        HandleAppendData(session, line);
-        break;
-      case Session::State::kMerge:
-      case Session::State::kMergeDrain:
-        HandleMergeData(session, line);
+      case Session::State::kPayload:
+      case Session::State::kPayloadDrain:
+        HandleData(session, line);
         break;
       case Session::State::kClosing:
         break;  // input after QUIT is ignored
@@ -591,40 +616,27 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
     Send(session, FrameOk(had_run ? "release run=1" : "release run=0", ""));
     return;
   }
-  if (cmd.verb == Verb::kMerge) {
+  if (cmd.verb == Verb::kAppend || cmd.verb == Verb::kMerge) {
     // MERGE continues the connection's run; LCOUNT replaces it.
-    if (session->shard_run == nullptr) {
+    if (cmd.verb == Verb::kMerge && session->shard_run == nullptr) {
       Refuse(session, cmd.verb,
              Status::NotFound("no shard run on this connection; start with "
                               "LCOUNT <table> K 1"));
       return;
     }
-    session->state = Session::State::kMerge;
-    session->merge_cmd = cmd;
-    session->merge_keys.clear();
-    session->merge_error = Status::OK();
-    return;  // keys follow; the response comes after "."
-  }
-  if (cmd.verb == Verb::kLcount) {
-    auto job = std::make_shared<Job>();
-    job->verb = Verb::kLcount;
-    job->shard_backend =
-        std::make_shared<shard::LocalShardBackend>(db_, "srv:" + cmd.table);
-    job->cmd = std::move(cmd);
-    DispatchJob(session, std::move(job));
-    return;
-  }
-
-  if (cmd.verb == Verb::kAppend) {
-    session->state = Session::State::kAppend;
-    session->append_cmd = cmd;
-    session->append_batch.clear();
-    session->append_error = Status::OK();
-    return;  // rows follow; the response comes after "."
+    session->state = Session::State::kPayload;
+    session->payload = Payload{};
+    session->payload.parse =
+        cmd.verb == Verb::kMerge ? ParseKeyInto : ParseRowInto;
+    session->payload.cmd = std::move(cmd);
+    return;  // lines follow; the response comes after "."
   }
 
   auto job = std::make_shared<Job>();
-  job->verb = cmd.verb;
+  if (cmd.verb == Verb::kLcount) {
+    job->shard_backend =
+        std::make_shared<shard::LocalShardBackend>(db_, "srv:" + cmd.table);
+  }
   if (cmd.verb == Verb::kRules) {
     if (session->last_itemsets == nullptr) {
       Send(session,
@@ -639,95 +651,55 @@ void MiningServer::HandleCommand(Session* session, const std::string& line) {
 }
 
 void MiningServer::Refuse(Session* session, Verb verb, Status error) {
-  if (verb == Verb::kAppend) {
-    session->state = Session::State::kAppendDrain;
-    session->append_error = std::move(error);
-  } else if (verb == Verb::kMerge) {
-    session->state = Session::State::kMergeDrain;
-    session->merge_error = std::move(error);
+  if (verb == Verb::kAppend || verb == Verb::kMerge) {
+    session->state = Session::State::kPayloadDrain;
+    session->payload.error = std::move(error);
   } else {
     Send(session, FrameError(error));
   }
 }
 
-void MiningServer::HandleAppendData(Session* session,
-                                    const std::string& line) {
+void MiningServer::HandleData(Session* session, const std::string& line) {
+  Payload& payload = session->payload;
   if (line == ".") {
-    if (session->state == Session::State::kAppendDrain) {
-      session->state = Session::State::kCommand;
-      Send(session, FrameError(session->append_error));
+    const bool refused = session->state == Session::State::kPayloadDrain;
+    session->state = Session::State::kCommand;
+    if (refused) {
+      Send(session, FrameError(payload.error));
       return;
     }
-    session->state = Session::State::kCommand;
     auto job = std::make_shared<Job>();
-    job->verb = Verb::kAppend;
-    job->cmd = session->append_cmd;
-    job->append_batch = std::move(session->append_batch);
-    session->append_batch.clear();
+    job->cmd = std::move(payload.cmd);
+    job->append_batch = std::move(payload.rows);
+    job->merge_keys = std::move(payload.keys);
+    if (job->cmd.verb == Verb::kMerge) job->shard_backend = session->shard_run;
     DispatchJob(session, std::move(job));
     return;
   }
-  if (session->state == Session::State::kAppendDrain) return;
+  if (session->state == Session::State::kPayloadDrain) return;
 
-  if (session->append_batch.size() >= options_.max_append_rows) {
-    session->state = Session::State::kAppendDrain;
-    session->append_error = Status::ResourceExhausted(
-        "APPEND batch exceeds " + std::to_string(options_.max_append_rows) +
-        " rows");
-    return;
-  }
-  auto row_or = ParseAppendRow(line);
-  if (!row_or.ok()) {
-    stats_.parse_errors.fetch_add(1);
-    Srv().parse_errors_total->Increment();
-    session->state = Session::State::kAppendDrain;
-    session->append_error = row_or.status();
-    return;
-  }
-  session->append_batch.push_back(std::move(row_or).value());
-}
-
-void MiningServer::HandleMergeData(Session* session,
-                                   const std::string& line) {
-  if (line == ".") {
-    if (session->state == Session::State::kMergeDrain) {
-      session->state = Session::State::kCommand;
-      Send(session, FrameError(session->merge_error));
-      return;
-    }
-    session->state = Session::State::kCommand;
-    auto job = std::make_shared<Job>();
-    job->verb = Verb::kMerge;
-    job->cmd = session->merge_cmd;
-    job->shard_backend = session->shard_run;
-    job->merge_keys = std::move(session->merge_keys);
-    session->merge_keys.clear();
-    DispatchJob(session, std::move(job));
-    return;
-  }
-  if (session->state == Session::State::kMergeDrain) return;
-
+  const bool merge = payload.cmd.verb == Verb::kMerge;
   Status refused;
-  if (session->merge_keys.size() >= options_.max_append_rows) {
+  if (payload.lines >= options_.max_append_rows) {
     refused = Status::ResourceExhausted(
-        "MERGE batch exceeds " + std::to_string(options_.max_append_rows) +
-        " keys");
+        std::string(merge ? "MERGE" : "APPEND") + " batch exceeds " +
+        std::to_string(options_.max_append_rows) + (merge ? " keys" : " rows"));
   } else {
-    auto key_or = ParseKeyLine(line);
-    if (key_or.ok()) {
-      session->merge_keys.push_back(key_or.value());
+    refused = payload.parse(line, &payload);
+    if (refused.ok()) {
+      ++payload.lines;
       return;
     }
     stats_.parse_errors.fetch_add(1);
     Srv().parse_errors_total->Increment();
-    refused = key_or.status();
   }
+  session->state = Session::State::kPayloadDrain;
+  payload.error = std::move(refused);
+  payload.rows.clear();
+  payload.keys.clear();
   // A refused key line ends the run, as a refused C_k does. No job is in
   // flight while the keys are collected, so nothing else touches the run.
-  session->state = Session::State::kMergeDrain;
-  session->merge_error = std::move(refused);
-  session->merge_keys.clear();
-  if (session->shard_run != nullptr) {
+  if (merge && session->shard_run != nullptr) {
     (void)session->shard_run->EndRun();
     session->shard_run.reset();
   }
@@ -747,11 +719,11 @@ void MiningServer::RunJobBody(const std::shared_ptr<Job>& job) {
   Status status;
   if (job->cancel.cancelled()) {
     status = Status::Cancelled("request cancelled before it started");
-  } else if (job->verb == Verb::kRules) {
+  } else if (job->cmd.verb == Verb::kRules) {
     // Pure in-memory work on a shared snapshot: no database, no mutex.
     if (options_.trace) {
       job->trace_root = std::make_unique<obs::TraceSpan>("request");
-      job->trace_root->AddTag("verb", VerbName(job->verb));
+      job->trace_root->AddTag("verb", VerbName(job->cmd.verb));
     }
     status = ExecuteRulesJob(job.get());
   } else {
@@ -764,29 +736,18 @@ void MiningServer::RunJobBody(const std::shared_ptr<Job>& job) {
       if (options_.trace) {
         job->trace_root =
             std::make_unique<obs::TraceSpan>("request", db_->io_stats());
-        job->trace_root->AddTag("verb", VerbName(job->verb));
+        job->trace_root->AddTag("verb", VerbName(job->cmd.verb));
         job->trace_root->AddTag("table", job->cmd.table);
       }
-      switch (job->verb) {
-        case Verb::kExplain:
-          status = ExecuteExplainJob(job.get());
-          break;
-        case Verb::kLcount:
-          status = ExecuteLcountJob(job.get());
-          break;
-        case Verb::kMerge:
-          status = ExecuteMergeJob(job.get());
-          break;
-        default:
-          status = ExecuteMineJob(job.get());
-          break;
-      }
+      const Verb verb = job->cmd.verb;
+      status = verb == Verb::kLcount || verb == Verb::kMerge
+                   ? ExecuteShardJob(job.get())
+                   : ExecutePlannerJob(job.get());
       // A failed shard job leaves the run unusable (the iteration protocol
       // is a lock-step sequence); release its scratch while the mutex is
       // still held and have FinishJob drop the session's handle.
       if (!status.ok() && job->shard_backend != nullptr) {
         job->shard_backend->EndRun();
-        job->shard_install = false;
         job->shard_teardown = true;
       }
     }
@@ -813,13 +774,14 @@ void MiningServer::RunJobBody(const std::shared_ptr<Job>& job) {
   completions_->Notify(job->id);
 }
 
-Status MiningServer::ExecuteMineJob(Job* job) {
-  auto table_or = db_->catalog()->ResolveTable(job->cmd.table);
+Status MiningServer::ExecutePlannerJob(Job* job) {
+  const Command& cmd = job->cmd;
+  auto table_or = db_->catalog()->ResolveTable(cmd.table);
   if (!table_or.ok()) return table_or.status();
 
-  auto info_or = MinerRegistry::Info(job->cmd.algo);
+  auto info_or = MinerRegistry::Info(cmd.algo);
   if (!info_or.ok()) return info_or.status();
-  size_t threads = job->cmd.threads;
+  size_t threads = cmd.threads;
   if (threads == 0) {
     threads = info_or.value().honors_threads ? options_.default_mine_threads
                                              : 1;
@@ -833,18 +795,18 @@ Status MiningServer::ExecuteMineJob(Job* job) {
   PlannerOptions planner_options;
   planner_options.store_prefix = options_.store_prefix;
   planner_options.store_backing = backing;
-  planner_options.algorithm = job->cmd.algo;
+  planner_options.algorithm = cmd.algo;
   planner_options.setm.storage = backing;
   planner_options.setm.num_threads = threads;
   planner_options.full_remine_fraction = options_.full_remine_fraction;
 
   PlanRequest request;
   request.table = table_or.value();
-  request.options.min_support = job->cmd.min_support;
-  request.options.min_support_count = job->cmd.min_support_count;
-  request.options.max_pattern_length = job->cmd.max_k;
+  request.options.min_support = cmd.min_support;
+  request.options.min_support_count = cmd.min_support_count;
+  request.options.max_pattern_length = cmd.max_k;
   request.options.observer = &observer;
-  if (job->verb == Verb::kAppend && !job->append_batch.empty()) {
+  if (cmd.verb == Verb::kAppend && !job->append_batch.empty()) {
     request.append = &job->append_batch;
   }
   request.trace = job->trace_root.get();
@@ -852,6 +814,15 @@ Status MiningServer::ExecuteMineJob(Job* job) {
   // A planner per job is cheap (the cache keys on catalog relations, which
   // are shared); per-request ALGO/THREADS never leak into another request.
   MiningPlanner planner(db_, planner_options);
+  if (cmd.verb == Verb::kExplain) {
+    auto plan_or = planner.Plan(request);
+    if (!plan_or.ok()) return plan_or.status();
+    const MiningPlan& plan = plan_or.value();
+    job->response = FrameOk(
+        std::string("explain strategy=") + PlanStrategyName(plan.strategy),
+        plan.Explain());
+    return Status::OK();
+  }
   auto exec_or = planner.Execute(request);
   if (!exec_or.ok()) return exec_or.status();
   PlanExecution exec = std::move(exec_or).value();
@@ -864,7 +835,7 @@ Status MiningServer::ExecuteMineJob(Job* job) {
   // The info line is deterministic — no timing, no strategy — so answers to
   // the same question are byte-identical no matter which plan served them.
   char info[160];
-  if (job->verb == Verb::kAppend) {
+  if (cmd.verb == Verb::kAppend) {
     std::snprintf(info, sizeof(info),
                   "appended=%zu patterns=%zu transactions=%llu",
                   job->append_batch.size(), itemsets->TotalPatterns(),
@@ -880,75 +851,28 @@ Status MiningServer::ExecuteMineJob(Job* job) {
   return Status::OK();
 }
 
-Status MiningServer::ExecuteExplainJob(Job* job) {
-  auto table_or = db_->catalog()->ResolveTable(job->cmd.table);
-  if (!table_or.ok()) return table_or.status();
-
-  PlannerOptions planner_options;
-  planner_options.store_prefix = options_.store_prefix;
-  planner_options.store_backing =
-      db_->persistent() ? TableBacking::kHeap : TableBacking::kMemory;
-  planner_options.algorithm = job->cmd.algo;
-  planner_options.full_remine_fraction = options_.full_remine_fraction;
-
-  PlanRequest request;
-  request.table = table_or.value();
-  request.options.min_support = job->cmd.min_support;
-  request.options.min_support_count = job->cmd.min_support_count;
-  request.options.max_pattern_length = job->cmd.max_k;
-
-  MiningPlanner planner(db_, planner_options);
-  auto plan_or = planner.Plan(request);
-  if (!plan_or.ok()) return plan_or.status();
-  const MiningPlan& plan = plan_or.value();
-  job->response =
-      FrameOk(std::string("explain strategy=") + PlanStrategyName(plan.strategy),
-              plan.Explain());
-  return Status::OK();
-}
-
-Status MiningServer::ExecuteLcountJob(Job* job) {
-  // A new run. Scratch stays in memory regardless of the database's
-  // backing: shard relations are per-request transients, and the remote
-  // coordinator retries elsewhere on failure, so durability buys nothing.
-  shard::ShardRunOptions run;
-  run.storage = TableBacking::kMemory;
-  run.count_method = job->cmd.shard_method == "hash" ? CountMethod::kHash
-                                                     : CountMethod::kSortMerge;
-  run.filter_r1 = job->cmd.shard_filter;
-  run.max_pattern_length = job->cmd.max_k;
-  job->shard_backend->BindTable(job->cmd.table);
-  SETM_RETURN_IF_ERROR(job->shard_backend->BeginRun(run));
-  auto reply_or = job->shard_backend->CountFirstIteration();
+Status MiningServer::ExecuteShardJob(Job* job) {
+  const Command& cmd = job->cmd;
+  if (cmd.verb == Verb::kLcount) {
+    // A new run. Scratch stays in memory regardless of the database's
+    // backing: shard relations are per-request transients, and the remote
+    // coordinator retries elsewhere on failure, so durability buys nothing.
+    shard::ShardRunOptions run;
+    run.storage = TableBacking::kMemory;
+    run.count_method = cmd.shard_method == "hash" ? CountMethod::kHash
+                                                  : CountMethod::kSortMerge;
+    run.filter_r1 = cmd.shard_filter;
+    run.max_pattern_length = cmd.max_k;
+    job->shard_backend->BindTable(cmd.table);
+    SETM_RETURN_IF_ERROR(job->shard_backend->BeginRun(run));
+  }
+  auto reply_or =
+      cmd.verb == Verb::kLcount
+          ? job->shard_backend->CountFirstIteration()
+          : job->shard_backend->ApplyGlobalCk(cmd.shard_k, job->merge_keys);
   if (!reply_or.ok()) return reply_or.status();
-  shard::ShardReply reply = std::move(reply_or).value();
-  char info[160];
-  std::snprintf(info, sizeof(info),
-                "lcount k=1 transactions=%llu rprime=%llu rbytes=%llu "
-                "rpages=%llu",
-                static_cast<unsigned long long>(reply.transactions),
-                static_cast<unsigned long long>(reply.r_prime_rows),
-                static_cast<unsigned long long>(reply.r_bytes),
-                static_cast<unsigned long long>(reply.r_pages));
-  job->response = FrameOk(info, RenderCounts(reply.counts));
-  job->shard_install = true;
-  return Status::OK();
-}
-
-Status MiningServer::ExecuteMergeJob(Job* job) {
-  auto reply_or = job->shard_backend->ApplyGlobalCk(job->cmd.shard_k,
-                                                    job->merge_keys);
-  if (!reply_or.ok()) return reply_or.status();
-  shard::ShardReply reply = std::move(reply_or).value();
-  char info[160];
-  std::snprintf(info, sizeof(info),
-                "merge k=%zu rows=%llu bytes=%llu pages=%llu rprime=%llu",
-                job->cmd.shard_k,
-                static_cast<unsigned long long>(reply.r_rows),
-                static_cast<unsigned long long>(reply.r_bytes),
-                static_cast<unsigned long long>(reply.r_pages),
-                static_cast<unsigned long long>(reply.r_prime_rows));
-  job->response = FrameOk(info, RenderCounts(reply.counts));
+  job->response = FrameShardReply(cmd, reply_or.value());
+  job->shard_install = cmd.verb == Verb::kLcount;
   return Status::OK();
 }
 

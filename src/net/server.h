@@ -44,7 +44,8 @@ struct ServerOptions {
   /// Outgoing backlog cap per connection; exceeded = close (the client is
   /// requesting payloads and not reading them).
   size_t max_write_buffer_bytes = 8u << 20;
-  /// Per-APPEND batch row cap.
+  /// Batch cap of a payload verb: the most rows an APPEND and the most keys
+  /// a MERGE may carry; the line past it is refused with one ERR after ".".
   size_t max_append_rows = 1u << 20;
   /// Close connections with no traffic and no running job after this long.
   /// 0 disables.
@@ -157,18 +158,21 @@ class MiningServer {
   void OnSessionEvent(uint64_t session_id, uint32_t events);
   void ProcessLines(uint64_t session_id);
   void HandleCommand(Session* session, const std::string& line);
-  void HandleAppendData(Session* session, const std::string& line);
-  void HandleMergeData(Session* session, const std::string& line);
+  /// One line of an APPEND's or MERGE's payload: parses it into the
+  /// batch, refuses it past the batch cap, or drains it after a refusal;
+  /// "." dispatches the batch or answers the refusal.
+  void HandleData(Session* session, const std::string& line);
   /// Answers a refused request with `error`: at once for a one-line verb,
   /// after its "." for APPEND and MERGE, whose payload lines are drained
   /// so that they are not read as commands.
   void Refuse(Session* session, Verb verb, Status error);
   void DispatchJob(Session* session, std::shared_ptr<Job> job);
   void RunJobBody(const std::shared_ptr<Job>& job);  // job-pool thread
-  Status ExecuteMineJob(Job* job);                   // under db_mutex_
-  Status ExecuteExplainJob(Job* job);                // under db_mutex_
-  Status ExecuteLcountJob(Job* job);                 // under db_mutex_
-  Status ExecuteMergeJob(Job* job);                  // under db_mutex_
+  /// MINE, APPEND and EXPLAIN: one planner request built from the command,
+  /// executed, or for EXPLAIN only planned.
+  Status ExecutePlannerJob(Job* job);  // under db_mutex_
+  /// LCOUNT (a new run and its first count) and MERGE (the run's next pass).
+  Status ExecuteShardJob(Job* job);    // under db_mutex_
   Status ExecuteRulesJob(Job* job);
   void DrainCompletions();
   void FinishJob(uint64_t job_id);

@@ -42,9 +42,9 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
     db->backends_.push_back(db->owned_backends_.back().get());
   }
 
-  const size_t fanout = db->options_.fanout_threads != 0
-                            ? db->options_.fanout_threads
-                            : db->backends_.size();
+  // One fan-out thread per shard: shard calls are I/O plus compute, and
+  // each shard has exactly one in flight.
+  const size_t fanout = db->backends_.size();
   if (fanout > 1) db->fanout_ = std::make_unique<WorkerPool>(fanout);
   return db;
 }

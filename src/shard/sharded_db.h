@@ -21,10 +21,6 @@ struct ShardedDatabaseOptions {
   /// Options for each file member's Database (file_path is overwritten with
   /// the member's path).
   DatabaseOptions db_options;
-  /// Fan-out threads driving the shards concurrently. 0 = one thread per
-  /// shard (bounded by the shard count), which is the right default: shard
-  /// calls are I/O-plus-compute and there is exactly one in flight each.
-  size_t fanout_threads = 0;
   /// Scratch/count knobs forwarded to every shard.
   ShardRunOptions run;
   /// Connect/receive timeout for remote members, milliseconds.

@@ -605,6 +605,52 @@ TEST(MiningServerTest, AppendBadRowDrainsBatchAndReportsOnce) {
   EXPECT_TRUE(pong.value().ok);
 }
 
+// max_append_rows caps APPEND rows and MERGE keys alike: the line past the
+// cap is refused, the rest of the payload is drained, and the one ERR comes
+// after the ".". A capped MERGE ends the connection's shard run.
+TEST(MiningServerTest, BatchCapRefusesAppendRowsAndMergeKeysOnce) {
+  ServerOptions options;
+  options.max_append_rows = 2;
+  ServerFixture fixture(options);
+  auto client = fixture.Connect();
+  const auto expect_pong = [&] {
+    auto pong = client->Exec("PING");
+    ASSERT_TRUE(pong.ok());
+    EXPECT_TRUE(pong.value().ok);
+    EXPECT_EQ(pong.value().info, "pong");
+  };
+
+  auto append = client->Exec(
+      "APPEND sales SUPPORT 3\n101 3 4 5\n102 3 4\n103 4 5\n104 5\n.");
+  ASSERT_TRUE(append.ok());
+  EXPECT_FALSE(append.value().ok);
+  EXPECT_EQ(append.value().code, "ResourceExhausted");
+  EXPECT_EQ(append.value().info, "APPEND batch exceeds 2 rows");
+  expect_pong();
+
+  auto lcount = client->Exec("LCOUNT sales K 1");
+  ASSERT_TRUE(lcount.ok());
+  ASSERT_TRUE(lcount.value().ok) << lcount.value().info;
+  auto merge = client->Exec("MERGE K 1\n0 0\n0 1\n0 2\n0 3\n.");
+  ASSERT_TRUE(merge.ok());
+  EXPECT_FALSE(merge.value().ok);
+  EXPECT_EQ(merge.value().code, "ResourceExhausted");
+  EXPECT_EQ(merge.value().info, "MERGE batch exceeds 2 keys");
+  expect_pong();
+  auto after = client->Exec("MERGE K 2\n0 1\n.");
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.value().ok);
+  EXPECT_EQ(after.value().code, "NotFound") << after.value().info;
+
+  // A batch at the cap is served.
+  auto at_cap = client->Exec("APPEND sales SUPPORT 3\n101 3 4 5\n102 3 4\n.");
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_TRUE(at_cap.value().ok) << at_cap.value().info;
+  EXPECT_EQ(at_cap.value().info.rfind("appended=2 ", 0), 0u)
+      << at_cap.value().info;
+  expect_pong();
+}
+
 TEST(MiningServerTest, StatsFormatsRender) {
   ServerFixture fixture;
   auto client = fixture.Connect();

@@ -494,6 +494,53 @@ TEST_P(PlannerTest, OldPartitionCountIsTracedExactlyWhenBorderline) {
   }
 }
 
+// A threaded derive cuts its old-partition count into one shard per
+// thread: the intake's share is the old partition's rows (the store's
+// source_rows), not the table's, which also holds the rows past the
+// watermark that the derive folds in.
+TEST_P(PlannerTest, ThreadedOldPartitionCountHasAShardPerThread) {
+  TransactionDb base = MakeQuestDb(34, 300);
+  Database db;
+  Table* sales = MakeSales(&db, base);
+  PlannerOptions options = Options();
+  options.setm.num_threads = 4;
+  options.full_remine_fraction = 1.0;
+  MiningPlanner planner(&db, options);
+  PlanRequest request;
+  request.table = sales;
+  request.options.min_support_count = 5;
+  ASSERT_TRUE(planner.Execute(request).ok());
+
+  // Rows past the watermark without a store refresh: the derive's delta,
+  // 40% of the combined database, so the table holds 5/3 of the old rows.
+  TransactionDb tail = MakeBatch(35, 200, MaxTransactionId(base));
+  AppendWithoutRefresh(&db, sales, tail);
+  obs::TraceSpan root("request", db.io_stats());
+  request.trace = &root;
+  auto exec = planner.Execute(request);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  root.End();
+  ASSERT_EQ(exec.value().plan.strategy, PlanStrategy::kDeltaDerive);
+  ASSERT_GT(exec.value().borderline_candidates, 0u);
+  TransactionDb combined = base;
+  combined.insert(combined.end(), tail.begin(), tail.end());
+  EXPECT_TRUE(exec.value().result.itemsets ==
+              Oracle(combined, request.options));
+
+  const obs::TraceSpan* derive = ChildNamed(root, "derive");
+  ASSERT_NE(derive, nullptr) << root.Render();
+  const obs::TraceSpan* old_partition = ChildNamed(*derive, "old partition");
+  ASSERT_NE(old_partition, nullptr) << root.Render();
+  ASSERT_FALSE(old_partition->children().empty()) << root.Render();
+  for (const auto& iteration : old_partition->children()) {
+    size_t shards = 0;
+    for (const auto& child : iteration->children()) {
+      if (child->name().rfind("shard ", 0) == 0) ++shards;
+    }
+    EXPECT_EQ(shards, 4u) << iteration->name() << "\n" << root.Render();
+  }
+}
+
 TEST_P(PlannerTest, RequestsNeedExactlyOneSource) {
   TransactionDb txns = MakeQuestDb(23, 10);
   Database db;

@@ -27,6 +27,7 @@
 // grace deadline (--grace-ms) bounds the wait unconditionally.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -92,12 +93,19 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       }
       return argv[++i];
     };
-    auto parse_count = [&](const char* flag, size_t min_v, size_t* dst) {
+    // A count in [min_v, max_v]; the refusal names the range.
+    auto parse_count = [&](const char* flag, size_t min_v, size_t* dst,
+                           size_t max_v = SIZE_MAX) {
       const char* v = need_value(flag);
       if (v == nullptr) return false;
       long n = std::atol(v);
-      if (n < static_cast<long>(min_v)) {
-        std::fprintf(stderr, "%s must be >= %zu\n", flag, min_v);
+      if (n < static_cast<long>(min_v) || static_cast<size_t>(n) > max_v) {
+        if (max_v == SIZE_MAX) {
+          std::fprintf(stderr, "%s must be >= %zu\n", flag, min_v);
+        } else {
+          std::fprintf(stderr, "%s must be in [%zu,%zu]\n", flag, min_v,
+                       max_v);
+        }
         return false;
       }
       *dst = static_cast<size_t>(n);
@@ -143,11 +151,13 @@ bool ParseArgs(int argc, char** argv, Args* out) {
       if (v == nullptr) return false;
       out->grace_ms = static_cast<uint64_t>(std::atoll(v));
     } else if (std::strcmp(argv[i], "--job-threads") == 0) {
-      if (!parse_count("--job-threads", 1, &out->job_threads)) return false;
+      // Each job thread is started with the daemon.
+      if (!parse_count("--job-threads", 1, &out->job_threads, kMaxThreads)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!parse_count("--threads", 1, &out->threads)) return false;
-      if (out->threads > kMaxThreads) {  // THREADS' bound
-        std::fprintf(stderr, "--threads must be in [1,%zu]\n", kMaxThreads);
+      // THREADS' bound.
+      if (!parse_count("--threads", 1, &out->threads, kMaxThreads)) {
         return false;
       }
     } else if (std::strcmp(argv[i], "--store") == 0) {
