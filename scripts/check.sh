@@ -101,9 +101,12 @@ fi
 
 # Cross-algorithm smoke: every algorithm in `setm_mine --algo list` must
 # reproduce the SETM golden rules on the paper example and match the SETM
-# output on a deterministic Quest-style workload.
+# output on a deterministic Quest-style workload. Under the asan preset
+# this also runs the pass kernel (setm at --threads 4 too, counting
+# sibling extensions only) under the sanitizers, every UBSan finding
+# fatal, as CI's sanitize job does.
 if [[ -x "$mine_bin" ]]; then
-  scripts/smoke_algos.sh "$mine_bin"
+  UBSAN_OPTIONS=halt_on_error=1 scripts/smoke_algos.sh "$mine_bin"
 fi
 
 # Observability smoke: a store/re-query pair with --trace and

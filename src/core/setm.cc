@@ -80,6 +80,10 @@ Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
     trace->AddCount("sales_rows", intake.sales_rows());
     trace->AddCount("kept_rows", intake.kept_rows());
   }
+  // Without a lattice, and with no (trans_id, item) row repeated, every
+  // C_k holds each k-itemset that reaches minsupport and counts are
+  // supports: the passes may count sibling extensions only.
+  const bool anti_monotone = lattice == nullptr && !intake.repeated_rows();
   const size_t num_shards = slices.size();
   std::vector<std::unique_ptr<shard::LocalShardBackend>> backends;
   std::vector<shard::ShardBackend*> shards;
@@ -87,6 +91,7 @@ Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
   for (size_t i = 0; i < num_shards; ++i) {
     auto backend = std::make_unique<shard::LocalShardBackend>(
         db, "s" + std::to_string(i));
+    slices[i].anti_monotone = anti_monotone;
     backend->SetSlice(std::move(slices[i]));
     shards.push_back(backend.get());
     backends.push_back(std::move(backend));

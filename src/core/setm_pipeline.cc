@@ -64,59 +64,76 @@ void FlushCountMetrics(const CountStats& stats) {
   peak->RaiseTo(static_cast<int64_t>(stats.peak_bytes));
 }
 
-/// A transaction's items as a pass reads them: those in C_1, in order (a
-/// repeated SALES row repeated), with their C_1 ranks.
-class TransactionItems {
+/// A transaction's R_1 items as a pass reads them, by C_1 rank: the ranks
+/// of its C_1 items in order (a repeated SALES row repeated), and one table
+/// indexed by C_1 rank that holds, for each of them, its copies, where
+/// they end in that order and the transaction's R_1 rows above it. A load
+/// costs O(the transaction's items): it clears only the entries that the
+/// transaction before it set.
+class TransactionRanks {
  public:
+  explicit TransactionRanks(size_t c1_size) : at_(c1_size) {}
+
   /// Loads the transaction whose R_1 items are [first, last) (ascending).
   void Load(const ItemId* first, const ItemId* last, const ItemRanks& c1) {
-    items_.clear();
+    for (int32_t rank : ranks_) at_[static_cast<size_t>(rank)].copies = 0;
     ranks_.clear();
-    next_.clear();
-    after_.clear();
     pairs_ = 0;
-    const size_t n = static_cast<size_t>(last - first);
-    for (size_t i = 0; i < n;) {
-      size_t j = i + 1;  // past every copy of first[i]
+    repeats_ = false;
+    // A group's ids are counted in a uint32 (GroupPage).
+    const uint32_t n = static_cast<uint32_t>(last - first);
+    for (uint32_t i = 0; i < n;) {
+      uint32_t j = i + 1;  // past every copy of first[i]
       while (j < n && first[j] == first[i]) ++j;
-      pairs_ += (j - i) * (n - j);
+      pairs_ += uint64_t{j - i} * (n - j);
       const int32_t rank = c1.RankOf(first[i]);
       if (rank != ItemRanks::kAbsent) {
-        const uint32_t run_end = static_cast<uint32_t>(items_.size() + j - i);
-        for (size_t copy = i; copy < j; ++copy) {
-          items_.push_back(first[i]);
-          ranks_.push_back(rank);
-          next_.push_back(run_end);
-          after_.push_back(n - j);
-        }
+        repeats_ = repeats_ || j - i > 1;
+        for (uint32_t copy = i; copy < j; ++copy) ranks_.push_back(rank);
+        at_[static_cast<size_t>(rank)] =
+            Entry{j - i, static_cast<uint32_t>(ranks_.size()), n - j};
       }
       i = j;
     }
   }
 
-  size_t size() const { return items_.size(); }
+  /// The transaction's C_1 items, copies included, and their ranks.
+  size_t size() const { return ranks_.size(); }
   const int32_t* ranks() const { return ranks_.data(); }
-  /// The first C_1 item greater than `item`.
-  size_t FirstAbove(ItemId item) const {
-    return static_cast<size_t>(
-        std::upper_bound(items_.begin(), items_.end(), item) -
-        items_.begin());
+  /// The copies of the C_1 item of `rank`: 0 when the transaction lacks
+  /// it.
+  uint32_t Copies(int32_t rank) const {
+    return at_[static_cast<size_t>(rank)].copies;
   }
-  /// The first C_1 item greater than item i: where its extensions start.
-  size_t Next(size_t i) const { return next_[i]; }
-  /// The transaction's R_1 items, in C_1 or not, greater than item i: its
-  /// R'_{k+1} rows should a row ending in it be kept.
-  uint64_t RowsAfter(size_t i) const { return after_[i]; }
+  /// Where the C_1 items above the present item of `rank` start in
+  /// ranks().
+  size_t FirstAbove(int32_t rank) const {
+    const Entry& at = at_[static_cast<size_t>(rank)];
+    SETM_DCHECK(at.copies != 0);
+    return at.next;
+  }
+  /// The transaction's R_1 rows, in C_1 or not, above the present item of
+  /// `rank`: the R'_{k+1} rows of a kept row that ends in it.
+  uint64_t RowsAfter(int32_t rank) const {
+    return at_[static_cast<size_t>(rank)].after;
+  }
   /// The transaction's R'_2 rows: each of its R_1 items, in C_1 or not,
   /// paired with every greater one.
   uint64_t Pairs() const { return pairs_; }
+  /// Whether a C_1 item has more than one copy.
+  bool repeats() const { return repeats_; }
 
  private:
-  std::vector<ItemId> items_;
+  struct Entry {
+    uint32_t copies = 0;  ///< 0: the transaction lacks the item
+    uint32_t next = 0;    ///< the position in ranks_ past its copies
+    uint32_t after = 0;   ///< R_1 rows above it
+  };
+
+  std::vector<Entry> at_;  ///< by C_1 rank
   std::vector<int32_t> ranks_;
-  std::vector<uint32_t> next_;
-  std::vector<uint64_t> after_;
   uint64_t pairs_ = 0;
+  bool repeats_ = false;
 };
 
 }  // namespace
@@ -217,18 +234,18 @@ ExtensionCount::ExtensionCount(ExecContext ctx, const ExtensionSpace* space,
   const size_t ranks = space->alphabet.size();
   const size_t dense_limit = std::min(budget_bytes, ctx.sort_memory_bytes);
   const size_t max_counters = dense_limit / sizeof(int64_t);
-  offset_.resize(space->num_parents());
+  shift_.resize(space->num_parents());
   size_t counters = 0;
-  for (size_t id = 0; id < offset_.size() && counters <= max_counters; ++id) {
-    offset_[id] = static_cast<int64_t>(counters);
+  for (size_t id = 0; id < shift_.size() && counters <= max_counters; ++id) {
+    shift_[id] = static_cast<int64_t>(counters) - space->last_rank[id] - 1;
     counters += ranks - static_cast<size_t>(space->last_rank[id] + 1);
   }
   if (counters <= max_counters) {
     dense_.assign(counters, 0);
     return;
   }
-  offset_.clear();
-  offset_.shrink_to_fit();
+  shift_.clear();
+  shift_.shrink_to_fit();
   hashed_ = std::make_unique<BudgetedCount>(ctx, 2, budget_bytes);
 }
 
@@ -238,13 +255,12 @@ Status ExtensionCount::Finish(int64_t min_count, std::vector<int32_t>* rows) {
   if (hashed_ == nullptr) {
     stats_.peak_bytes = dense_.size() * sizeof(int64_t);
     const int32_t ranks = static_cast<int32_t>(alphabet.size());
-    for (uint32_t id = 0; id < offset_.size(); ++id) {
-      const int64_t* counts = dense_.data() + offset_[id];
-      for (int32_t rank = space_->last_rank[id] + 1; rank < ranks;
-           ++rank, ++counts) {
-        if (*counts < min_count) continue;
+    for (uint32_t id = 0; id < shift_.size(); ++id) {
+      for (int32_t rank = space_->last_rank[id] + 1; rank < ranks; ++rank) {
+        const int64_t count = dense_[shift_[id] + rank];
+        if (count < min_count) continue;
         const ItemId key[2] = {static_cast<ItemId>(id), alphabet.item(rank)};
-        AppendEntry(key, 2, *counts, rows);
+        AppendEntry(key, 2, count, rows);
       }
     }
   } else {
@@ -395,15 +411,17 @@ Result<CandidateLevel> IndexCandidates(size_t k,
 
 Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
-                  GroupedRelation* out, ExtensionCount* next) {
+                  bool anti_monotone, GroupedRelation* out,
+                  ExtensionCount* next) {
   const size_t k = ck.k;
   SETM_DCHECK(out != nullptr || k == 1);
   const ItemRanks& c1 = ck.space.alphabet;
-  TransactionItems txn;
+  TransactionRanks txn(c1.size());
   std::vector<int32_t> kept;  // the transaction's group of `out`
   if (k == 1) {
     // R'_2 pairs the items of each transaction that pass 2 joins. A C_1
-    // item's id is its rank.
+    // item's id is its rank, and every C_1 item is a sibling of every
+    // other.
     IdGroup t;
     while (true) {
       auto more = left->Next(&t);
@@ -425,9 +443,9 @@ Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
       next->AddRows(txn.Pairs());
       const int32_t* ranks = txn.ranks();
       for (size_t i = 0; i < txn.size(); ++i) {
-        SETM_RETURN_IF_ERROR(
-            next->AddExtensions(static_cast<uint32_t>(ranks[i]),
-                                ranks + txn.Next(i), ranks + txn.size()));
+        SETM_RETURN_IF_ERROR(next->AddExtensions(
+            static_cast<uint32_t>(ranks[i]), ranks + txn.FirstAbove(ranks[i]),
+            ranks + txn.size()));
       }
     }
     return out == nullptr ? Status::OK() : out->Finish();
@@ -438,19 +456,21 @@ Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
   if (k >= 3) SETM_CHECK(prev != nullptr && prev->k + 1 == k);
   const int32_t* child_rank = ck.space.last_rank.data();
   const uint32_t* first_child = ck.first_child.data();
+  std::vector<int32_t> siblings;  // a left row's kept children's ranks
   const auto pass = [&](const IdGroup& p, const ItemId* items,
                         const ItemId* items_end) -> Status {
     txn.Load(items, items_end, c1);
+    // Copies break the sibling rule, and a copy's sibling would be its own
+    // rank, outside its parent's counters.
+    SETM_CHECK(!(anti_monotone && txn.repeats()));
     kept.clear();
     const int32_t* ranks = txn.ranks();
     for (const int32_t* id = p.begin; id != p.end; ++id) {
       size_t parent;
-      ItemId last_item;
       if (k == 2) {
         const int32_t rank = c1.RankOf(*id);
         if (rank == ItemRanks::kAbsent) continue;
         parent = static_cast<size_t>(rank);
-        last_item = *id;
       } else {
         if (*id < 0 || static_cast<size_t>(*id) >= prev->size()) {
           return Status::Corruption(
@@ -459,24 +479,41 @@ Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
               ", outside [0, " + std::to_string(prev->size()) + ")");
         }
         parent = static_cast<size_t>(*id);
-        last_item = c1.item(prev->space.last_rank[parent]);
       }
       uint32_t child = first_child[parent];
       const uint32_t child_end = first_child[parent + 1];
       if (child == child_end) continue;
-      // Merge the transaction's C_1 items above item_{k-1} with the
-      // parent's children, both ascending on rank: each match is an R'_k
-      // row in C_k.
-      for (size_t i = txn.FirstAbove(last_item); i < txn.size(); ++i) {
-        while (child != child_end && child_rank[child] < ranks[i]) ++child;
-        if (child == child_end) break;
-        if (child_rank[child] != ranks[i]) continue;
-        kept.push_back(static_cast<int32_t>(child));
-        if (next != nullptr) {
-          next->AddRows(txn.RowsAfter(i));
-          SETM_RETURN_IF_ERROR(next->AddExtensions(
-              child, ranks + txn.Next(i), ranks + txn.size()));
+      // The row's R'_k rows in C_k are the parent's children whose last
+      // item the transaction holds, each once per copy: one look-up in the
+      // rank table per child.
+      const size_t row_begin = kept.size();
+      for (; child != child_end; ++child) {
+        for (uint32_t copy = txn.Copies(child_rank[child]); copy != 0;
+             --copy) {
+          kept.push_back(static_cast<int32_t>(child));
         }
+      }
+      if (next == nullptr) continue;
+      // Each kept row adds all of its R'_{k+1} rows to |R'_{k+1}|, and
+      // counts as extensions its later kept siblings' ranks under
+      // anti_monotone (see the header), else every C_1 item above it.
+      if (anti_monotone) {
+        siblings.clear();
+        for (size_t j = row_begin; j < kept.size(); ++j) {
+          siblings.push_back(child_rank[kept[j]]);
+        }
+      }
+      for (size_t j = row_begin; j < kept.size(); ++j) {
+        const int32_t rank = child_rank[kept[j]];
+        next->AddRows(txn.RowsAfter(rank));
+        const int32_t* first =
+            anti_monotone ? siblings.data() + (j - row_begin) + 1
+                          : ranks + txn.FirstAbove(rank);
+        const int32_t* last =
+            anti_monotone ? siblings.data() + siblings.size()
+                          : ranks + txn.size();
+        SETM_RETURN_IF_ERROR(next->AddExtensions(
+            static_cast<uint32_t>(kept[j]), first, last));
       }
     }
     // The parents ascend, and a parent's children follow the children of

@@ -38,16 +38,31 @@ namespace setm {
 // Bodon's prefix trie of candidates (FIMI 2003) do. A C_k itemset's id is
 // its position in itemset order (CandidateLevel), so the children of one
 // C_{k-1} itemset have consecutive ids, ascending on their last item. Pass
-// k reads a left R_{k-1} row's C_{k-1} id (its item's rank in C_1 for
-// k = 2, its id for k >= 3, whose last item is read from C_{k-1}), merges
-// the transaction's items above the row's last item against that parent's
-// children instead of hashing each R'_k row, keeps each match's C_k id for
-// the transaction's R_k group, and counts each kept row's extensions by
-// the one-word key (C_k id, rank of the extension item in C_1)
-// (ExtensionCount), handed over as (C_k id, item). An extension by an item
-// outside C_1 only adds to |R'_{k+1}|: its support is at most that item's,
-// so it cannot be frequent. The SQL engine's Tuple/Value path (and with it
-// setm-sql, the paper's SQL formulation) is not used here.
+// k loads each transaction's items into one table indexed by C_1 rank (each
+// item's copies and the R_1 rows above it), reads a left R_{k-1} row's
+// C_{k-1} id (its item's rank in C_1 for k = 2, its id for k >= 3) and
+// keeps that parent's children whose last item the transaction holds, a
+// table look-up per child. Nothing is hashed per R'_k row. Each match's C_k
+// id goes into the transaction's R_k group, and each kept row's extensions
+// are counted by the one-word key (C_k id, rank of the extension item in
+// C_1) (ExtensionCount), handed over as (C_k id, item). An extension by an
+// item outside C_1 only adds to |R'_{k+1}|: its support is at most that
+// item's, so it cannot be frequent.
+//
+// When counts are anti-monotone (no itemset counts more than a subset of
+// it) and C_k holds every k-itemset that reaches minsupport, an extension
+// X + {i} of a kept row X = P + {x} can be frequent only if its sibling
+// P + {i} is in C_k (the join of Apriori, Agrawal and Srikant 1994), and
+// a transaction holding X + {i} keeps P + {i} as well. Then a kept row
+// counts only the ranks of its parent's children that the transaction
+// keeps after it, and a count ships no key that the merge would drop.
+// That holds for a mine of SALES that repeats no (trans_id, item) row and
+// has no lattice (shard::ShardSlice::anti_monotone): its counts are
+// supports. A repeated row breaks it ({1, 2, 2, 3} counts {1, 2, 3} twice
+// and {1, 3} once), and so does a lattice, whose C_k holds only its
+// members. Every other run counts each C_1 item above x. |R'_{k+1}| is
+// counted whole either way. The SQL engine's Tuple/Value path (and with
+// it setm-sql, the paper's SQL formulation) is not used here.
 
 /// Streams the merge-scan join of `left`, a cursor over R_{k-1}, with `r1`
 /// (R_1) on trans_id, a transaction at a time. Calls `visit(p, items,
@@ -303,7 +318,7 @@ class ExtensionCount {
   Status AddExtensions(uint32_t id, const int32_t* first,
                        const int32_t* last) {
     if (hashed_ == nullptr) {
-      const int64_t shift = offset_[id] - space_->last_rank[id] - 1;
+      const int64_t shift = shift_[id];
       for (; first != last; ++first) ++dense_[shift + *first];
       return Status::OK();
     }
@@ -325,9 +340,9 @@ class ExtensionCount {
  private:
   const ExtensionSpace* space_;
   CountStats stats_;
-  /// Dense: parent id's counters start at offset_[id], one per rank above
-  /// its last rank.
-  std::vector<int64_t> offset_;
+  /// Dense: parent id's counter of rank r is dense_[shift_[id] + r], one
+  /// per rank above its last rank.
+  std::vector<int64_t> shift_;
   std::vector<int64_t> dense_;
   std::unique_ptr<BudgetedCount> hashed_;  ///< null when dense
 };
@@ -417,23 +432,29 @@ Result<CandidateLevel> IndexCandidates(size_t k,
 /// null. For k >= 2 R'_k is the join of `left`, a scan of R_{k-1}, with
 /// `r1`, so R_k comes out sorted on (trans_id, C_k id), which is
 /// (trans_id, item_1..item_k) order, without a sort. For k >= 3 a left id
-/// is a C_{k-1} id in `prev` (C_{k-1}; null for k <= 2), and its last item
-/// is C_1's item of that id's last rank in `prev`; an id outside
+/// is a C_{k-1} id in `prev` (C_{k-1}; null for k <= 2); an id outside
 /// [0, |C_{k-1}|) is Corruption naming R_{k-1}. For k = 2 a left id is an
 /// R_1 item, and its C_1 id is the item's rank. A left row's R'_k rows in
-/// C_k are found by merging the transaction's C_1 items above its last item
-/// with the C_{k-1} itemset's children; nothing is hashed but `next`'s
-/// keys, when it is a hashed count. For k == 1 `left` scans R_1 itself and
-/// R'_2 pairs the items of each transaction in the R_1 that pass 2 joins:
-/// `out`, R_1 without the items outside C_1, under the filter_r1 ablation,
-/// and R_1 whole when `out` is null. Every such pair adds to |R'_2|, but
-/// only a pair of C_1 items is counted, keyed by (C_1 rank, C_1 rank), so
-/// the count is a triangle over C_1. `left` may be a last scan
-/// (GroupedRelation::LastScan) that releases R_{k-1} page by page while
-/// `out` grows. `out` is Finish()ed, ready to scan.
+/// C_k are its C_{k-1} itemset's children whose last item the transaction
+/// holds, found through the transaction's table by C_1 rank, one look-up
+/// per child; nothing is hashed but `next`'s keys, when it is a hashed
+/// count. With `anti_monotone` (C_k holds every k-itemset that reaches
+/// minsupport and counts are anti-monotone; see above) a kept row's
+/// extensions are its later kept siblings only, else every C_1 item above
+/// its last one; either way each kept row adds all of its R'_{k+1} rows to
+/// |R'_{k+1}|.
+/// For k == 1 `left` scans R_1 itself and R'_2 pairs the items of each
+/// transaction in the R_1 that pass 2 joins: `out`, R_1 without the items
+/// outside C_1, under the filter_r1 ablation, and R_1 whole when `out` is
+/// null. Every such pair adds to |R'_2|, but only a pair of C_1 items is
+/// counted, keyed by (C_1 rank, C_1 rank), so the count is a triangle over
+/// C_1. `left` may be a last scan (GroupedRelation::LastScan) that
+/// releases R_{k-1} page by page while `out` grows. `out` is Finish()ed,
+/// ready to scan.
 Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
-                  GroupedRelation* out, ExtensionCount* next);
+                  bool anti_monotone, GroupedRelation* out,
+                  ExtensionCount* next);
 
 }  // namespace setm
 

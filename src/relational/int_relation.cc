@@ -305,18 +305,23 @@ Status GroupPage::Decode(const uint8_t* data, size_t size, Position* last,
   if (header.bytes == 0) return Status::Corruption("the page holds no group");
   const uint8_t* p = data + kHeaderSize;
   const uint8_t* const end = p + header.bytes;
-  const auto get = [&](uint32_t* v) -> Status {
+  // A varint that fails leaves its reason in `why`; the Status is made
+  // once, on the way out, not per id.
+  const char* why = nullptr;
+  const auto get = [&](uint32_t* v) -> bool {
     if (p != end && *p < 0x80) {  // the one-byte varint of most deltas
       *v = *p++;
-      return Status::OK();
+      return true;
     }
-    const char* why = GetVarint(&p, end, v);
-    return why == nullptr ? Status::OK() : Status::Corruption(why);
+    why = GetVarint(&p, end, v);
+    return why == nullptr;
   };
+  // Every id takes at least one byte, so the header's count is trusted
+  // only that far.
+  ids->reserve(std::min<size_t>(header.ids, header.bytes));
   while (p != end) {
     uint32_t tid_code, n, first_code;
-    SETM_RETURN_IF_ERROR(get(&tid_code));
-    SETM_RETURN_IF_ERROR(get(&n));
+    if (!get(&tid_code) || !get(&n)) return Status::Corruption(why);
     const int32_t tid = UnZigZag(tid_code);
     if (n == 0) {
       return Status::Corruption("trans_id " + std::to_string(tid) +
@@ -328,7 +333,7 @@ Status GroupPage::Decode(const uint8_t* data, size_t size, Position* last,
                                 "'s group of " + std::to_string(n) +
                                 " ids overruns the page");
     }
-    SETM_RETURN_IF_ERROR(get(&first_code));
+    if (!get(&first_code)) return Status::Corruption(why);
     int64_t id = UnZigZag(first_code);
     if (last->any && tid <= last->tid) {
       if (tid < last->tid) {
@@ -351,7 +356,7 @@ Status GroupPage::Decode(const uint8_t* data, size_t size, Position* last,
     ids->push_back(static_cast<int32_t>(id));
     for (uint32_t j = 1; j < n; ++j) {
       uint32_t delta;
-      SETM_RETURN_IF_ERROR(get(&delta));
+      if (!get(&delta)) return Status::Corruption(why);
       id += delta;
       if (id > INT32_MAX) {
         return Status::Corruption("trans_id " + std::to_string(tid) +

@@ -1,6 +1,7 @@
 #include "shard/local_backend.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
 #include <utility>
 
@@ -60,8 +61,14 @@ void SalesIntake::OpenShard() {
 }
 
 void SalesIntake::WriteGroup() {
-  if (!std::is_sorted(group_.begin(), group_.end())) {
+  // One scan finds the usual group strictly ascending: sorted, and no
+  // item repeated.
+  if (std::adjacent_find(group_.begin(), group_.end(),
+                         std::greater_equal<ItemId>()) != group_.end()) {
     std::sort(group_.begin(), group_.end());
+    if (std::adjacent_find(group_.begin(), group_.end()) != group_.end()) {
+      repeated_rows_ = true;
+    }
   }
   ShardSlice& shard = shards_.back();
   ++shard.transactions;
@@ -224,9 +231,9 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     std::unique_ptr<GroupCursor> left =
         r_prev_ != nullptr ? GroupedRelation::LastScan(std::move(r_prev_))
                            : slice_.r1->Scan();
-    Status pass =
-        FilterByCk(left.get(), *slice_.r1, k >= 3 ? &level_ : nullptr, level,
-                   rk.get(), next.get());
+    Status pass = FilterByCk(left.get(), *slice_.r1,
+                             k >= 3 ? &level_ : nullptr, level,
+                             slice_.anti_monotone, rk.get(), next.get());
     if (!pass.ok()) {
       left.reset();
       next.reset();

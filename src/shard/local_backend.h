@@ -22,6 +22,12 @@ struct ShardSlice {
   std::unique_ptr<GroupedRelation> r1;  ///< sealed: (trans_id, item) groups
   std::unique_ptr<ItemCount> c1;        ///< not yet finished
   uint64_t transactions = 0;
+  /// Every C_k of the run holds each k-itemset that reaches minsupport,
+  /// and counts are supports: a mine with no lattice of SALES that repeats
+  /// no (trans_id, item) row in any shard. Its passes count only sibling
+  /// extensions (FilterByCk). The intake leaves it false; the mine that
+  /// knows the whole run sets it.
+  bool anti_monotone = false;
 };
 
 /// The one pass over a mine's SALES, which writes it as R_1: keeps the
@@ -65,6 +71,8 @@ class SalesIntake {
   /// Rows read and rows kept.
   uint64_t sales_rows() const { return sales_rows_; }
   uint64_t kept_rows() const { return kept_rows_; }
+  /// Whether a kept (trans_id, item) row repeated. Valid after Finish().
+  bool repeated_rows() const { return repeated_rows_; }
 
  private:
   /// A kept row: continues the open group, or Begin()s another.
@@ -94,6 +102,7 @@ class SalesIntake {
   std::optional<ItemRanks> items_;
   uint64_t sales_rows_ = 0;
   uint64_t kept_rows_ = 0;
+  bool repeated_rows_ = false;
 
   std::vector<ShardSlice> shards_;
   uint64_t shard_rows_ = 0;  ///< rows in shards_.back()
@@ -127,12 +136,17 @@ Status ExtractRows(const Table& sales, SalesIntake* intake);
 ///     gives them dense ids in itemset order (IndexCandidates), then runs
 ///     FilterByCk: the merge-scan join of R_{k-1} with R_1, each R_{k-1}
 ///     row's C_{k-1} id read from the row itself (an R_1 row's item ranked
-///     in C_1 for k = 2), C_k membership by a sorted merge with that
-///     itemset's children, R_k appended a transaction at a time as its
-///     group of C_k ids in join order (already its sorted order), and each
-///     kept row's extensions
-///     counted by (C_k id, C_1 rank) into the ExtensionCount of R'_{k+1},
-///     finished before it returns.
+///     in C_1 for k = 2), C_k membership by looking that itemset's
+///     children up in the transaction's table by C_1 rank, R_k appended a
+///     transaction at a time as its group of C_k ids in join order
+///     (already its sorted order), and each kept row's extensions counted
+///     by (C_k id, C_1 rank) into the ExtensionCount of R'_{k+1}, finished
+///     before it returns. Under the slice's anti_monotone a kept row's
+///     extensions are only its kept siblings above it, the only ones that
+///     can reach minsupport when counts are supports and C_k holds every
+///     frequent k-itemset; every other run (a lattice count, a bound
+///     table, SALES with a repeated row) counts each C_1 item above the
+///     row's last one.
 ///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of
 ///     each transaction, as a triangle over C_1's ranks; under filter_r1
 ///     the same scan rewrites R_1 without the items outside C_1. The level

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@
 #include "exec/external_sort.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/coordinator.h"
 #include "shard/local_backend.h"
 
 namespace setm {
@@ -1510,6 +1512,86 @@ TEST(SetmOnePassTest, RepeatedSalesRowsNeverRepeatAnItem) {
   }
 }
 
+// With repeated SALES rows counts are not supports, and a sibling-only
+// count would be wrong. Two transactions {1, 2, 2, 3}, one {1} and one {3}
+// at a minsupport of 3: {1, 2} and {2, 3} count 4 each and {1, 2, 3}
+// counts 4, but {1, 3} counts 2, so {1, 2}'s sibling {1, 3} is not in C_2.
+// The intake sees the repeat, so every pass counts each C_1 item above a
+// kept row's last one, and {1, 2, 3} is found.
+TEST(SetmOnePassTest, RepeatedSalesRowsCountEveryExtension) {
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " heap=" +
+                   std::to_string(backing == TableBacking::kHeap));
+      Database db;
+      auto sales = db.catalog()->CreateTable(
+          "sales", SetmMiner::SalesSchema(), TableBacking::kMemory);
+      ASSERT_TRUE(sales.ok());
+      const auto insert = [&](int32_t tid, int32_t item) {
+        const Tuple row({Value::Int32(tid), Value::Int32(item)});
+        ASSERT_TRUE(sales.value()->Insert(row).ok());
+      };
+      for (int32_t tid = 1; tid <= 2; ++tid) {
+        for (int32_t item : {1, 2, 2, 3}) insert(tid, item);
+      }
+      insert(3, 1);
+      insert(4, 3);
+      MiningOptions options;
+      options.min_support_count = 3;
+      SetmOptions knobs{backing};
+      knobs.num_threads = threads;
+      auto result = SetmMiner(&db, knobs).MineTable(*sales.value(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const FrequentItemsets& mined = result.value().itemsets;
+      EXPECT_EQ(mined.CountOf({1}), 3);
+      EXPECT_EQ(mined.CountOf({2}), 4);
+      EXPECT_EQ(mined.CountOf({3}), 3);
+      EXPECT_EQ(mined.CountOf({1, 2}), 4);
+      EXPECT_EQ(mined.CountOf({2, 3}), 4);
+      EXPECT_EQ(mined.CountOf({1, 3}), 0);
+      EXPECT_EQ(mined.CountOf({1, 2, 3}), 4);
+      EXPECT_EQ(mined.TotalPatterns(), 6u);
+    }
+  }
+}
+
+// A lattice count's C_k holds only the lattice's members, so a sibling
+// may be missing from it although the extension is a member: here the
+// lattice holds {1, 2, 3} with its prefixes and items but not {1, 3}. Its
+// passes count each C_1 item above a kept row's last one, and {1, 2, 3}
+// is counted.
+TEST(SetmOnePassTest, LatticeCountsEveryExtension) {
+  TransactionDb txns;
+  for (TransactionId tid = 1; tid <= 3; ++tid) txns.push_back({tid, {1, 2, 3}});
+  txns.push_back({4, {1, 3}});
+  txns.push_back({5, {1, 3}});
+  txns.push_back({6, {2, 3}});
+  FrequentItemsets lattice;
+  for (const std::vector<ItemId>& items :
+       std::vector<std::vector<ItemId>>{{1}, {2}, {3}, {1, 2}, {1, 2, 3}}) {
+    lattice.Add(items, 1);
+  }
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " heap=" +
+                   std::to_string(backing == TableBacking::kHeap));
+      Database db;
+      SetmOptions knobs{backing};
+      knobs.num_threads = threads;
+      auto result = SetmMiner(&db, knobs, &lattice).Mine(txns, {});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const FrequentItemsets& counted = result.value().itemsets;
+      EXPECT_EQ(counted.CountOf({1}), 5);
+      EXPECT_EQ(counted.CountOf({2}), 4);
+      EXPECT_EQ(counted.CountOf({3}), 6);
+      EXPECT_EQ(counted.CountOf({1, 2}), 3);
+      EXPECT_EQ(counted.CountOf({1, 2, 3}), 3);
+      EXPECT_EQ(counted.TotalPatterns(), 5u);
+    }
+  }
+}
+
+
 // R'_2 is counted once C_1 is known, over C_1's ranks. Each of 300
 // transactions holds up to 3 of 12 common items and 3 items of its own, so
 // the 912 distinct items of the slice would make a triangle of 415,416
@@ -1768,7 +1850,7 @@ TEST(SetmPipelineTest, FilterRefusesAnIdOutsideCkMinus1) {
                           BudgetedCount::kUnbounded);
       const Status status =
           FilterByCk(GroupedRelation::LastScan(std::move(r2)).get(), *r1,
-                     &c2.value(), c3.value(), r3.get(), &next);
+                     &c2.value(), c3.value(), false, r3.get(), &next);
       EXPECT_TRUE(status.IsCorruption()) << status.ToString();
       EXPECT_NE(status.message().find("R_2"), std::string::npos)
           << status.ToString();
@@ -1990,6 +2072,175 @@ void ExpectSameIterations(const MiningResult& got, const MiningResult& want) {
     EXPECT_EQ(r.r_rows, e.r_rows) << "k=" << e.k;
     EXPECT_EQ(r.r_bytes, e.r_bytes) << "k=" << e.k;
     EXPECT_EQ(r.c_size, e.c_size) << "k=" << e.k;
+  }
+}
+
+/// The per-iteration stats a mine of `txns` must report, from its frequent
+/// itemsets: |R'_k| (R'_2 pairs every R_1 item, and R'_k for k >= 3
+/// extends each (k-1)-itemset a transaction holds by each of its items
+/// above the itemset's last one), |R_k| (the k-itemsets each transaction
+/// holds) and |C_k|, up to the first empty level.
+std::vector<IterationStats> ReferenceIterations(
+    const TransactionDb& txns, const FrequentItemsets& frequent) {
+  std::vector<IterationStats> out;
+  for (size_t k = 1; k == 1 || out.back().c_size != 0; ++k) {
+    IterationStats it;
+    it.k = k;
+    it.c_size = frequent.OfSize(k).size();
+    for (const Transaction& t : txns) {
+      const uint64_t n = t.items.size();
+      if (k == 1) {
+        it.r_prime_rows += n;
+      } else if (k == 2) {
+        it.r_prime_rows += n * (n - 1) / 2;
+      } else {
+        for (const PatternCount& s : frequent.OfSize(k - 1)) {
+          if (!std::includes(t.items.begin(), t.items.end(),
+                             s.items.begin(), s.items.end())) {
+            continue;
+          }
+          it.r_prime_rows += static_cast<uint64_t>(
+              t.items.end() - std::upper_bound(t.items.begin(), t.items.end(),
+                                               s.items.back()));
+        }
+      }
+      if (k == 1) {
+        it.r_rows += n;
+        continue;
+      }
+      for (const PatternCount& s : frequent.OfSize(k)) {
+        it.r_rows += std::includes(t.items.begin(), t.items.end(),
+                                   s.items.begin(), s.items.end());
+      }
+    }
+    out.push_back(it);
+  }
+  return out;
+}
+
+/// Σ_p n_p (n_p - 1) / 2 over the sibling groups of `level`, sorted
+/// itemsets of one size: the itemsets sharing all but their last item.
+uint64_t SiblingPairs(const std::vector<PatternCount>& level) {
+  uint64_t pairs = 0;
+  for (size_t i = 0; i < level.size();) {
+    size_t j = i + 1;
+    while (j < level.size() &&
+           std::equal(level[i].items.begin(), level[i].items.end() - 1,
+                      level[j].items.begin())) {
+      ++j;
+    }
+    pairs += (j - i) * (j - i - 1) / 2;
+    i = j;
+  }
+  return pairs;
+}
+
+/// The "entries" of each iteration span under `trace`, in k order.
+std::vector<uint64_t> SpanEntries(const obs::TraceSpan& trace) {
+  std::vector<uint64_t> entries;
+  for (const auto& child : trace.children()) {
+    uint64_t merged = UINT64_MAX;
+    for (const auto& [key, value] : child->counts()) {
+      if (key == "entries") merged = value;
+    }
+    entries.push_back(merged);
+  }
+  return entries;
+}
+
+// A mine of SALES that repeats no row, with no lattice, counts only
+// Apriori's join candidates: a kept row's extensions are its kept
+// siblings above it. So at k >= 3 each of 3 shards hands the merge at
+// most one key per pair of siblings in C_{k-1}, Σ_p n_p (n_p - 1) / 2,
+// where a count of every C_1 extension would hand over keys up to
+// |C_{k-1}| x |C_1|. The mine still equals the oracle, with the
+// per-iteration stats the oracle's itemsets imply (|R'_k| counted whole),
+// on both backings. The same slices run with every extension counted, as
+// bound shards do, give the same answer and stats from more keys.
+TEST(SetmOnePassTest, ShardsShipOnlyJoinCandidates) {
+  QuestOptions gen;
+  gen.seed = 43;
+  gen.num_transactions = 800;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 100;
+  gen.num_patterns = 20;
+  const TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  const FrequentItemsets& frequent = oracle.value().itemsets;
+  ASSERT_GE(frequent.MaxSize(), 4u);
+  const std::vector<IterationStats> want = ReferenceIterations(txns, frequent);
+  constexpr size_t kShards = 3;
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    SCOPED_TRACE(backing == TableBacking::kHeap ? "heap" : "memory");
+    Database db;
+    SetmOptions knobs{backing};
+    knobs.num_threads = kShards;
+    obs::TraceSpan pruned("mine");
+    auto result = SetmMiner(&db, knobs, nullptr, &pruned).Mine(txns, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result.value().itemsets == frequent);
+    const std::vector<IterationStats>& got = result.value().iterations;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("k=" + std::to_string(want[i].k));
+      EXPECT_EQ(got[i].k, want[i].k);
+      EXPECT_EQ(got[i].r_prime_rows, want[i].r_prime_rows);
+      EXPECT_EQ(got[i].r_rows, want[i].r_rows);
+      EXPECT_EQ(got[i].c_size, want[i].c_size);
+    }
+
+    // The same cut with every extension counted.
+    shard::ShardRunOptions run;
+    run.storage = backing;
+    shard::SalesIntake intake(ExecContext::From(&db), run, kShards,
+                              result.value().sales_rows);
+    for (const Transaction& t : txns) {
+      for (ItemId item : t.items) intake.Add(t.id, item);
+    }
+    auto slices = intake.Finish();
+    ASSERT_TRUE(slices.ok()) << slices.status().ToString();
+    ASSERT_EQ(slices.value().size(), kShards);
+    std::vector<std::unique_ptr<shard::LocalShardBackend>> owned;
+    std::vector<shard::ShardBackend*> backends;
+    for (size_t i = 0; i < kShards; ++i) {
+      owned.push_back(std::make_unique<shard::LocalShardBackend>(
+          &db, "s" + std::to_string(i)));
+      EXPECT_FALSE(slices.value()[i].anti_monotone);
+      owned.back()->SetSlice(std::move(slices.value()[i]));
+      backends.push_back(owned.back().get());
+    }
+    shard::CoordinatorOptions coord;
+    coord.run = run;
+    obs::TraceSpan whole("mine");
+    coord.trace = &whole;
+    auto control = shard::DistributedMine(backends, options, coord);
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    EXPECT_TRUE(control.value().itemsets == frequent);
+    ExpectSameIterations(control.value(), result.value());
+
+    const std::vector<uint64_t> entries = SpanEntries(pruned);
+    const std::vector<uint64_t> all = SpanEntries(whole);
+    ASSERT_EQ(entries.size(), got.size());
+    ASSERT_EQ(all.size(), got.size());
+    uint64_t shipped = 0;
+    uint64_t shipped_all = 0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const size_t k = i + 1;
+      SCOPED_TRACE("k=" + std::to_string(k));
+      EXPECT_GE(entries[i], got[i].c_size);
+      EXPECT_LE(entries[i], all[i]);
+      if (k <= 2) {
+        EXPECT_EQ(entries[i], all[i]);  // C_1's items are all siblings
+        continue;
+      }
+      EXPECT_LE(entries[i], kShards * SiblingPairs(frequent.OfSize(k - 1)));
+      shipped += entries[i];
+      shipped_all += all[i];
+    }
+    EXPECT_LT(2 * shipped, shipped_all);
   }
 }
 
