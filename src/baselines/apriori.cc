@@ -86,11 +86,13 @@ Result<MiningResult> AprioriMiner::Mine(const TransactionDb& transactions,
 
   const std::vector<Chunk> chunks =
       SplitChunks(transactions.size(), std::max<size_t>(1, num_threads_));
-  // One chunk counts inline on the calling thread.
+  // One chunk counts inline on the calling thread. Of more, the waiting
+  // caller counts one (TaskGroup::Wait), so an owned pool has a thread
+  // fewer than the chunks.
   WorkerPool* pool = chunks.size() > 1 ? pool_ : nullptr;
   std::unique_ptr<WorkerPool> owned_pool;
   if (pool == nullptr && chunks.size() > 1) {
-    owned_pool = std::make_unique<WorkerPool>(chunks.size());
+    owned_pool = std::make_unique<WorkerPool>(chunks.size() - 1);
     pool = owned_pool.get();
   }
 

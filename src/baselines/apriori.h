@@ -29,8 +29,8 @@ class WorkerPool;
 class AprioriMiner {
  public:
   /// `pool` (optional, borrowed) runs the chunk tasks; without one, a
-  /// private pool of `num_threads` workers is spun up per Mine call when
-  /// num_threads > 1.
+  /// private pool of `num_threads - 1` workers is spun up per Mine call
+  /// when num_threads > 1, and the waiting caller counts a chunk too.
   explicit AprioriMiner(size_t num_threads = 1, WorkerPool* pool = nullptr)
       : num_threads_(num_threads), pool_(pool) {}
 

@@ -19,13 +19,24 @@ namespace setm {
 /// engine's two primitives: external sort and merge-scan join.
 ///
 /// Every mine runs under the shard coordinator (shard::DistributedMine).
-/// SALES is read once, by shard::SalesIntake, which writes it as R_1, cut
-/// on trans_id into at most SetmOptions::num_threads shards, and counts
-/// C_1 in the same pass; R_1 is the only copy of SALES the mine holds. One
-/// in-process shard::LocalShardBackend per shard runs the iterations, and
-/// a serial mine is simply the one-shard run, on the calling thread. The
-/// iteration below therefore lives once, in the backend and the
-/// coordinator.
+/// SALES is read by shard::SalesIntake, which writes it as R_1, cut on
+/// trans_id into at most SetmOptions::num_threads shards, and counts C_1
+/// in the same pass; R_1 is the only copy of SALES the mine holds. A
+/// threaded mine of a TransactionDb or a MemTable reads SALES on the
+/// workers: it cuts the source into num_threads contiguous ranges, each
+/// cut moved past the rows (transactions) that continue the trans_id
+/// before it, and one intake per range writes one shard. It keeps those
+/// shards, the empty ones dropped, when each range's largest trans_id is
+/// below the next range's smallest; otherwise it reads SALES again as one
+/// intake, which cuts the shards as it reads and sorts SALES that
+/// descends. Heap SALES is read as one range. One in-process
+/// shard::LocalShardBackend per shard runs the iterations, and a serial
+/// mine is simply the one-shard run, on the calling thread. The iteration
+/// below therefore lives once, in the backend and the coordinator.
+///
+/// The workers are the database's pool, or one of num_threads - 1
+/// threads owned by the mine: the thread that waits on a fan-out runs its
+/// share of the tasks (TaskGroup::Wait).
 ///
 /// Per iteration k:
 ///   1. R'_k := merge-scan join of R_{k-1} (sorted on trans_id, items) with
@@ -68,20 +79,22 @@ class SetmMiner {
 
   /// Mines a transaction database (items within a transaction must be
   /// sorted and unique); its rows are written straight into the shards'
-  /// R_1s (shard::SalesIntake), and buffered and sorted once only when a
-  /// transaction's id is below the one before it.
+  /// R_1s (shard::SalesIntake), threaded on ranges of transactions, and
+  /// buffered and sorted once only when a transaction's id is below the
+  /// one before it.
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
   /// Mines an existing relation with schema (trans_id INT32, item INT32),
-  /// its rows with trans_id <= `max_tid`, read in one typed scan
-  /// (shard::ExtractRows) into the shards' R_1s. Rows need not be sorted:
-  /// a transaction's items are sorted as its group is written, and rows
-  /// are buffered and sorted once only when a trans_id arrives below the
-  /// one before it. Another schema is InvalidArgument. The result's I/O
-  /// ledger includes the SALES scan, and the trace its sales_rows and
-  /// kept_rows. Shards are cut from `max_tid_rows`, the rows at or below
-  /// `max_tid` (0: every row of `sales`).
+  /// its rows with trans_id <= `max_tid`, read in typed scans
+  /// (shard::ExtractRows), one a row range of a MemTable, into the shards'
+  /// R_1s. Rows need not be sorted: a transaction's items are sorted as its
+  /// group is written, and rows are buffered and sorted once only when a
+  /// trans_id arrives below the one before it. Another schema is
+  /// InvalidArgument. The result's I/O ledger includes the SALES scan, and
+  /// the trace its sales_rows and kept_rows. Shards are cut from
+  /// `max_tid_rows`, the rows at or below `max_tid` (0: every row of
+  /// `sales`); the last range reads on through the rows past them.
   Result<MiningResult> MineTable(const Table& sales,
                                  const MiningOptions& options,
                                  TransactionId max_tid = INT32_MAX,

@@ -412,6 +412,26 @@ Status GroupedRelation::Append(int32_t tid, const int32_t* ids, size_t n) {
   num_rows_ += n;
   const uint32_t tid_code = ZigZag(tid);
   const size_t tid_size = VarintSize(tid_code);
+  // Writes ids [i, i + m) to the tail page as one group.
+  const auto put = [&](size_t i, size_t m) {
+    uint8_t* start = reinterpret_cast<uint8_t*>(tail_.data) +
+                     GroupPage::kHeaderSize + tail_bytes_;
+    uint8_t* p = PutVarint(start, tid_code);
+    p = PutVarint(p, static_cast<uint32_t>(m));
+    p = PutVarint(p, ZigZag(ids[i]));
+    for (size_t j = i + 1; j < i + m; ++j) {
+      p = PutVarint(p, Delta(ids[j - 1], ids[j]));
+    }
+    tail_bytes_ += static_cast<size_t>(p - start);
+    tail_ids_ += static_cast<uint32_t>(m);
+  };
+  // The usual group fits the tail at the widest varints, 5 bytes an id:
+  // written at once, as the sizing below would write it.
+  if (tid_size + VarintSize(static_cast<uint32_t>(n)) + 5 * n <=
+      GroupPage::kCapacity - tail_bytes_) {
+    put(0, n);
+    return Status::OK();
+  }
   for (size_t i = 0; i < n;) {
     // The ids [i, i + m) that fit the tail page as one group.
     const size_t room = GroupPage::kCapacity - tail_bytes_;
@@ -429,16 +449,7 @@ Status GroupedRelation::Append(int32_t tid, const int32_t* ids, size_t n) {
       }
       body += delta;
     }
-    uint8_t* start = reinterpret_cast<uint8_t*>(tail_.data) +
-                     GroupPage::kHeaderSize + tail_bytes_;
-    uint8_t* p = PutVarint(start, tid_code);
-    p = PutVarint(p, static_cast<uint32_t>(m));
-    p = PutVarint(p, ZigZag(ids[i]));
-    for (size_t j = i + 1; j < i + m; ++j) {
-      p = PutVarint(p, Delta(ids[j - 1], ids[j]));
-    }
-    tail_bytes_ += static_cast<size_t>(p - start);
-    tail_ids_ += static_cast<uint32_t>(m);
+    put(i, m);
     i += m;
     // The rest of the transaction continues on the next page.
     if (i < n) SETM_RETURN_IF_ERROR(WriteTail());

@@ -1,5 +1,6 @@
 #include "relational/table.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -56,11 +57,12 @@ class HeapTableIterator : public TupleIterator {
 /// type is checked too.
 class MemInt32PairCursor : public Int32PairCursor {
  public:
-  explicit MemInt32PairCursor(const MemTable* table) : table_(table) {}
+  MemInt32PairCursor(const MemTable* table, uint64_t begin, uint64_t end)
+      : table_(table), pos_(begin), end_(end) {}
 
   Result<bool> Next(int32_t* first, int32_t* second) override {
     const std::vector<Tuple>& rows = table_->rows();
-    if (pos_ >= rows.size()) return false;
+    if (pos_ >= rows.size() || pos_ >= end_) return false;
     const Tuple& row = rows[pos_];
     for (size_t c = 0; c < 2; ++c) {
       if (row.value(c).type() != ValueType::kInt32) {
@@ -78,7 +80,8 @@ class MemInt32PairCursor : public Int32PairCursor {
 
  private:
   const MemTable* table_;
-  size_t pos_ = 0;
+  uint64_t pos_;
+  uint64_t end_;
 };
 
 /// (INT32, INT32) rows of a HeapTable: two little-endian int32s from each
@@ -86,10 +89,17 @@ class MemInt32PairCursor : public Int32PairCursor {
 /// requires under the same schema.
 class HeapInt32PairCursor : public Int32PairCursor {
  public:
-  HeapInt32PairCursor(TableHeap::Iterator it, const std::string* name)
-      : it_(std::move(it)), name_(name) {}
+  HeapInt32PairCursor(TableHeap::Iterator it, const std::string* name,
+                      uint64_t begin, uint64_t end)
+      : it_(std::move(it)), name_(name), skip_(begin), left_(end - begin) {}
 
   Result<bool> Next(int32_t* first, int32_t* second) override {
+    for (; skip_ > 0; --skip_) {
+      auto more = it_.Next();
+      if (!more.ok() || !more.value()) return more;
+    }
+    if (left_ == 0) return false;
+    --left_;
     auto more = it_.Next();
     if (!more.ok() || !more.value()) return more;
     const std::string_view record = it_.record();
@@ -107,11 +117,14 @@ class HeapInt32PairCursor : public Int32PairCursor {
  private:
   TableHeap::Iterator it_;
   const std::string* name_;
+  uint64_t skip_;  ///< records before the range, not yet read past
+  uint64_t left_;  ///< rows of the range not yet returned
 };
 
 }  // namespace
 
-Result<std::unique_ptr<Int32PairCursor>> Table::ScanInt32Pairs() const {
+Result<std::unique_ptr<Int32PairCursor>> Table::ScanInt32Pairs(
+    uint64_t begin, uint64_t end) const {
   if (schema_.NumColumns() != 2) {
     return Status::InvalidArgument(
         "table '" + name_ + "' has schema " + schema_.ToString() +
@@ -125,7 +138,7 @@ Result<std::unique_ptr<Int32PairCursor>> Table::ScanInt32Pairs() const {
           std::string(ValueTypeName(column.type)) + ", not INT32");
     }
   }
-  return NewInt32PairCursor();
+  return NewInt32PairCursor(begin, std::max(begin, end));
 }
 
 // ---------------------------------------------------------------------------
@@ -143,8 +156,9 @@ std::unique_ptr<TupleIterator> MemTable::Scan() const {
   return std::make_unique<MemTableIterator>(&rows_, &schema());
 }
 
-std::unique_ptr<Int32PairCursor> MemTable::NewInt32PairCursor() const {
-  return std::make_unique<MemInt32PairCursor>(this);
+std::unique_ptr<Int32PairCursor> MemTable::NewInt32PairCursor(
+    uint64_t begin, uint64_t end) const {
+  return std::make_unique<MemInt32PairCursor>(this, begin, end);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,8 +211,10 @@ std::unique_ptr<TupleIterator> HeapTable::Scan() const {
   return std::make_unique<HeapTableIterator>(heap_.Begin(), &schema());
 }
 
-std::unique_ptr<Int32PairCursor> HeapTable::NewInt32PairCursor() const {
-  return std::make_unique<HeapInt32PairCursor>(heap_.Begin(), &name());
+std::unique_ptr<Int32PairCursor> HeapTable::NewInt32PairCursor(
+    uint64_t begin, uint64_t end) const {
+  return std::make_unique<HeapInt32PairCursor>(heap_.Begin(), &name(), begin,
+                                               end);
 }
 
 Status HeapTable::Truncate() {

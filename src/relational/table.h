@@ -58,9 +58,13 @@ class Table {
   virtual std::unique_ptr<TupleIterator> Scan() const = 0;
 
   /// The typed scan of a relation of two INT32 columns, in storage order
-  /// and through the same pages as Scan(). InvalidArgument, naming the
-  /// column and its type, unless the schema is exactly two INT32 columns.
-  Result<std::unique_ptr<Int32PairCursor>> ScanInt32Pairs() const;
+  /// and through the same pages as Scan(): its rows [begin, end), the
+  /// rows up to the last when `end` is past it. A MemTable starts at row
+  /// `begin`; a HeapTable reads past the records before it.
+  /// InvalidArgument, naming the column and its type, unless the schema is
+  /// exactly two INT32 columns.
+  Result<std::unique_ptr<Int32PairCursor>> ScanInt32Pairs(
+      uint64_t begin = 0, uint64_t end = UINT64_MAX) const;
 
   /// Number of live rows.
   virtual uint64_t num_rows() const = 0;
@@ -78,7 +82,8 @@ class Table {
 
  protected:
   /// ScanInt32Pairs' cursor, once the schema is checked.
-  virtual std::unique_ptr<Int32PairCursor> NewInt32PairCursor() const = 0;
+  virtual std::unique_ptr<Int32PairCursor> NewInt32PairCursor(
+      uint64_t begin, uint64_t end) const = 0;
 
   Status CheckArity(const Tuple& tuple) const {
     if (tuple.NumValues() != schema_.NumColumns()) {
@@ -119,19 +124,21 @@ class MemTable : public Table {
   std::vector<Tuple>* mutable_rows() { return &rows_; }
 
  protected:
-  std::unique_ptr<Int32PairCursor> NewInt32PairCursor() const override;
+  std::unique_ptr<Int32PairCursor> NewInt32PairCursor(
+      uint64_t begin, uint64_t end) const override;
 
  private:
   std::vector<Tuple> rows_;
   uint64_t size_bytes_ = 0;
 };
 
-/// Calls fn(first, second) for each row of a relation of two INT32
-/// columns, in storage order, through one ScanInt32Pairs cursor; the
+/// Calls fn(first, second) for each row [begin, end) of a relation of two
+/// INT32 columns, in storage order, through one ScanInt32Pairs cursor; the
 /// cursor's error, or the schema's, ends the scan.
 template <typename Fn>
-Status ForEachInt32Pair(const Table& table, Fn fn) {
-  auto cursor_or = table.ScanInt32Pairs();
+Status ForEachInt32Pair(const Table& table, Fn fn, uint64_t begin = 0,
+                        uint64_t end = UINT64_MAX) {
+  auto cursor_or = table.ScanInt32Pairs(begin, end);
   if (!cursor_or.ok()) return cursor_or.status();
   Int32PairCursor& cursor = *cursor_or.value();
   int32_t first = 0;
@@ -188,7 +195,8 @@ class HeapTable : public Table {
   }
 
  protected:
-  std::unique_ptr<Int32PairCursor> NewInt32PairCursor() const override;
+  std::unique_ptr<Int32PairCursor> NewInt32PairCursor(
+      uint64_t begin, uint64_t end) const override;
 
  private:
   HeapTable(std::string name, Schema schema, BufferPool* pool, TableHeap heap,

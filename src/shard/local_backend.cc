@@ -32,6 +32,8 @@ SalesIntake::SalesIntake(ExecContext ctx, const ShardRunOptions& run,
       items_(std::move(items)) {}
 
 void SalesIntake::Begin(TransactionId tid, ItemId item) {
+  low_tid_ = std::min(low_tid_, tid);
+  high_tid_ = std::max(high_tid_, tid);
   if (!descended_ && !group_.empty() && tid < tid_) Descend();
   if (descended_) {
     buffered_.emplace_back(tid, item);
@@ -126,10 +128,11 @@ Result<std::vector<ShardSlice>> SalesIntake::Finish() {
   return std::move(shards_);
 }
 
-Status ExtractRows(const Table& sales, SalesIntake* intake) {
-  return ForEachInt32Pair(sales, [intake](int32_t tid, int32_t item) {
-    intake->Add(tid, item);
-  });
+Status ExtractRows(const Table& sales, SalesIntake* intake, uint64_t begin,
+                   uint64_t end) {
+  return ForEachInt32Pair(
+      sales, [intake](int32_t tid, int32_t item) { intake->Add(tid, item); },
+      begin, end);
 }
 
 LocalShardBackend::LocalShardBackend(Database* db, std::string name)

@@ -41,7 +41,10 @@ struct ShardSlice {
 /// order are held a transaction at a time. At the first trans_id below the
 /// one before it, the intake reads back and releases what it wrote and
 /// buffers every row, to sort them once at Finish() and write the R_1s
-/// and counts from them; the buffer raises setm_mem_intake_bytes.
+/// and counts from them; the buffer raises setm_mem_intake_bytes. A
+/// threaded SetmMiner mine runs one one-shard intake per range of SALES,
+/// each on its own thread, and concatenates their slices when the ranges'
+/// trans_ids ascend (low_tid, high_tid); an intake is used by one thread.
 class SalesIntake {
  public:
   /// R_1 is in memory or in `ctx`'s pool as `run.storage` says, and C_1 is
@@ -71,6 +74,9 @@ class SalesIntake {
   /// Rows read and rows kept.
   uint64_t sales_rows() const { return sales_rows_; }
   uint64_t kept_rows() const { return kept_rows_; }
+  /// The smallest and largest kept trans_id; valid once a row is kept.
+  TransactionId low_tid() const { return low_tid_; }
+  TransactionId high_tid() const { return high_tid_; }
   /// Whether a kept (trans_id, item) row repeated. Valid after Finish().
   bool repeated_rows() const { return repeated_rows_; }
 
@@ -102,6 +108,8 @@ class SalesIntake {
   std::optional<ItemRanks> items_;
   uint64_t sales_rows_ = 0;
   uint64_t kept_rows_ = 0;
+  TransactionId low_tid_ = INT32_MAX;
+  TransactionId high_tid_ = INT32_MIN;
   bool repeated_rows_ = false;
 
   std::vector<ShardSlice> shards_;
@@ -113,11 +121,13 @@ class SalesIntake {
   Status status_;  ///< the first failed append or count
 };
 
-/// Reads every row of `sales`, a relation of two INT32 columns, into
-/// `intake` in one typed scan (Table::ScanInt32Pairs): no Tuple or Value
-/// per row. InvalidArgument, naming the column and its type, for a table
-/// of another shape; Corruption for a malformed record.
-Status ExtractRows(const Table& sales, SalesIntake* intake);
+/// Reads the rows [begin, end) of `sales`, a relation of two INT32
+/// columns, every row by default, into `intake` in one typed scan
+/// (Table::ScanInt32Pairs): no Tuple or Value per row. InvalidArgument,
+/// naming the column and its type, for a table of another shape;
+/// Corruption for a malformed record.
+Status ExtractRows(const Table& sales, SalesIntake* intake,
+                   uint64_t begin = 0, uint64_t end = UINT64_MAX);
 
 /// The in-process shard and the only place Algorithm SETM iterates: runs
 /// the pipeline bodies of core/setm_pipeline over one shard's R_1 and
@@ -167,8 +177,9 @@ Status ExtractRows(const Table& sales, SalesIntake* intake);
 /// the global minsupport from k = 2 on, like the paper's single pipeline.
 ///
 /// The slice is one ShardSlice, an R_1 and its C_1 count, held for one
-/// run: SetmMiner's intake writes every in-process shard's and hands it
-/// over (SetSlice) before BeginRun, and a backend bound to a catalog table
+/// run: SetmMiner's intakes, on the mine's workers, write every in-process
+/// shard's and hand it over (SetSlice) before BeginRun, and a backend
+/// bound to a catalog table
 /// (BindTable: the server and file-shard members) runs the same intake,
 /// as one shard, over that table at every BeginRun, so a long-lived
 /// backend sees rows appended between runs.

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -2073,6 +2074,208 @@ void ExpectSameIterations(const MiningResult& got, const MiningResult& want) {
     EXPECT_EQ(r.r_bytes, e.r_bytes) << "k=" << e.k;
     EXPECT_EQ(r.c_size, e.c_size) << "k=" << e.k;
   }
+}
+
+/// A memory SALES table of `rows`, (trans_id, item), in the order given.
+using SalesRows = std::vector<std::pair<TransactionId, ItemId>>;
+Table* LoadPairs(Database* db, const SalesRows& rows) {
+  auto sales = db->catalog()->CreateTable("sales", SetmMiner::SalesSchema(),
+                                          TableBacking::kMemory);
+  EXPECT_TRUE(sales.ok()) << sales.status().ToString();
+  if (!sales.ok()) return nullptr;
+  for (const auto& [tid, item] : rows) {
+    EXPECT_TRUE(
+        sales.value()->Insert(Tuple({Value::Int32(tid), Value::Int32(item)}))
+            .ok());
+  }
+  return sales.value();
+}
+
+/// Mines `sales` (MineTable, up to `max_tid`) and, when given, `txns`
+/// (Mine), the same SALES, at 1 to 4 threads with R_1 in memory and in the
+/// pool. Each mine finds `want` and reports the one-thread MineTable's
+/// iteration stats.
+void ExpectThreadSweep(const Table& sales, const TransactionDb* txns,
+                       const MiningOptions& options,
+                       const FrequentItemsets& want,
+                       const FrequentItemsets* lattice = nullptr,
+                       TransactionId max_tid = INT32_MAX,
+                       uint64_t max_tid_rows = 0) {
+  Database db;
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    std::optional<MiningResult> serial;
+    for (size_t threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " heap=" +
+                   std::to_string(backing == TableBacking::kHeap));
+      SetmOptions knobs{backing};
+      knobs.num_threads = threads;
+      SetmMiner miner(&db, knobs, lattice);
+      auto table = miner.MineTable(sales, options, max_tid, max_tid_rows);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      EXPECT_TRUE(table.value().itemsets == want);
+      if (!serial.has_value()) serial = table.value();
+      ExpectSameIterations(table.value(), *serial);
+      EXPECT_EQ(table.value().sales_rows, serial->sales_rows);
+      EXPECT_EQ(table.value().kept_rows, serial->kept_rows);
+      if (txns == nullptr) continue;
+      auto mined = miner.Mine(*txns, options);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      EXPECT_TRUE(mined.value().itemsets == want);
+      ExpectSameIterations(mined.value(), *serial);
+    }
+  }
+}
+
+/// SALES rows of `txns`, in their order.
+SalesRows RowsOf(const TransactionDb& txns) {
+  SalesRows rows;
+  for (const Transaction& t : txns) {
+    for (ItemId item : t.items) rows.emplace_back(t.id, item);
+  }
+  return rows;
+}
+
+TransactionDb ThreadedIntakeTxns() {
+  QuestOptions gen;
+  gen.seed = 44;
+  gen.num_transactions = 240;
+  gen.avg_transaction_size = 6;
+  gen.num_items = 40;
+  gen.num_patterns = 10;
+  return QuestGenerator(gen).Generate();
+}
+
+// A threaded mine reads SALES on its workers, one intake per contiguous
+// range, cut where a new trans_id starts. A table's row cuts fall inside
+// transactions and move past them; a TransactionDb that spells each
+// transaction as two entries of one trans_id is cut only between ids.
+// Either mines what the oracle mines.
+TEST(SetmThreadedIntakeTest, TransactionsStraddlingACutStayWhole) {
+  const TransactionDb txns = ThreadedIntakeTxns();
+  MiningOptions options;
+  options.min_support = 0.03;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_GE(oracle.value().itemsets.MaxSize(), 3u);
+  TransactionDb halves;
+  for (const Transaction& t : txns) {
+    const auto middle =
+        t.items.begin() + static_cast<std::ptrdiff_t>(t.items.size() / 2);
+    halves.push_back({t.id, std::vector<ItemId>(t.items.begin(), middle)});
+    halves.push_back({t.id, std::vector<ItemId>(middle, t.items.end())});
+  }
+  Database db;
+  Table* sales = LoadPairs(&db, RowsOf(txns));
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &halves, options, oracle.value().itemsets);
+}
+
+// Ranges each ascending but descending from one to the next (the
+// transactions' quarters loaded last first), and a transaction whose rows
+// open and close SALES: some range's largest trans_id is not below the
+// next range's smallest, so the mine reads SALES again as one intake, which
+// buffers and sorts it.
+TEST(SetmThreadedIntakeTest, SalesDescendingAcrossRangesFallsBack) {
+  const TransactionDb txns = ThreadedIntakeTxns();
+  MiningOptions options;
+  options.min_support = 0.03;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  TransactionDb quarters;
+  for (size_t q = 4; q-- > 0;) {
+    quarters.insert(quarters.end(),
+                    txns.begin() + static_cast<std::ptrdiff_t>(
+                                       q * txns.size() / 4),
+                    txns.begin() + static_cast<std::ptrdiff_t>(
+                                       (q + 1) * txns.size() / 4));
+  }
+  {
+    Database db;
+    Table* sales = LoadPairs(&db, RowsOf(quarters));
+    ASSERT_NE(sales, nullptr);
+    ExpectThreadSweep(*sales, &quarters, options, oracle.value().itemsets);
+  }
+  SalesRows split = RowsOf(txns);
+  std::rotate(split.begin(), split.begin() + 1, split.end());
+  Database db;
+  Table* sales = LoadPairs(&db, split);
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, nullptr, options, oracle.value().itemsets);
+}
+
+// A mine up to a max_tid watermark cuts its ranges from the rows at or
+// below it; the last range reads on through the newer rows and drops them.
+TEST(SetmThreadedIntakeTest, MaxTidWatermarkMinesTheOldRows) {
+  const TransactionDb txns = ThreadedIntakeTxns();
+  const TransactionDb old(txns.begin(), txns.begin() + 150);
+  const TransactionId watermark = old.back().id;
+  MiningOptions options;
+  options.min_support = 0.03;
+  auto oracle = BruteForceMiner().Mine(old, options);
+  ASSERT_TRUE(oracle.ok());
+  const SalesRows rows = RowsOf(txns);
+  const uint64_t old_rows = RowsOf(old).size();
+  ASSERT_LT(old_rows, rows.size());
+  Database db;
+  Table* sales = LoadPairs(&db, rows);
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, nullptr, options, oracle.value().itemsets,
+                    nullptr, watermark, old_rows);
+  // The same watermark with the shards cut from every row.
+  ExpectThreadSweep(*sales, nullptr, options, oracle.value().itemsets,
+                    nullptr, watermark);
+}
+
+// A lattice count keeps only the lattice's items, here none of the middle
+// transactions' rows: at 3 and 4 threads a middle range keeps nothing, and
+// its empty shard is dropped. The counts are the oracle's.
+TEST(SetmThreadedIntakeTest, LatticeCountLeavingARangeEmpty) {
+  TransactionDb txns;
+  TransactionId tid = 0;
+  for (int i = 0; i < 10; ++i) txns.push_back({++tid, {1, 2, 3}});
+  for (int i = 0; i < 50; ++i) txns.push_back({++tid, {5, 6}});
+  for (int i = 0; i < 10; ++i) txns.push_back({++tid, {1, 2}});
+  MiningOptions all;
+  all.min_support_count = 1;
+  auto oracle = BruteForceMiner().Mine(txns, all);
+  ASSERT_TRUE(oracle.ok());
+  FrequentItemsets lattice;
+  FrequentItemsets want;
+  for (const std::vector<ItemId>& items :
+       std::vector<std::vector<ItemId>>{
+           {1}, {2}, {3}, {9}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}}) {
+    lattice.Add(items, 1);
+    const int64_t count = oracle.value().itemsets.CountOf(items);
+    if (count > 0) want.Add(items, count);
+  }
+  EXPECT_EQ(want.CountOf({1, 2}), 20);
+  EXPECT_EQ(want.CountOf({1, 2, 3}), 10);
+  Database db;
+  Table* sales = LoadPairs(&db, RowsOf(txns));
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &txns, {}, want, &lattice);
+}
+
+// A (trans_id, item) row repeated in one range turns sibling-only counts
+// off in every shard. Transaction 1 is {1, 2, 2, 3} (in the TransactionDb,
+// entries {1, 2, 3} and {2} of one trans_id), 2 and 3 are {1, 2, 3}, 4 is
+// {1} and 5 is {3}; at a minsupport of 4, {1, 3} counts 3 and misses C_2,
+// while {1, 2, 3} counts 2 + 1 + 1. Transactions 2 and 3 repeat nothing,
+// but their shards must count {1, 2} extended by 3, which is no sibling.
+TEST(SetmThreadedIntakeTest, RepeatedRowInOneRangeCountsEveryExtension) {
+  const TransactionDb txns = {{1, {1, 2, 3}}, {1, {2}},    {2, {1, 2, 3}},
+                              {3, {1, 2, 3}}, {4, {1}},    {5, {3}}};
+  MiningOptions options;
+  options.min_support_count = 4;
+  FrequentItemsets want;
+  for (const std::vector<ItemId>& items : std::vector<std::vector<ItemId>>{
+           {1}, {2}, {3}, {1, 2}, {2, 3}, {1, 2, 3}}) {
+    want.Add(items, 4);
+  }
+  Database db;
+  Table* sales = LoadPairs(&db, RowsOf(txns));
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &txns, options, want);
 }
 
 /// The per-iteration stats a mine of `txns` must report, from its frequent

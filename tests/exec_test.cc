@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <thread>
 
 #include "common/random.h"
 #include "core/itemset_counts.h"
@@ -11,6 +14,7 @@
 #include "exec/expression.h"
 #include "exec/external_sort.h"
 #include "exec/operators.h"
+#include "exec/worker_pool.h"
 #include "relational/database.h"
 #include "relational/table.h"
 
@@ -635,6 +639,123 @@ TEST(HelpersTest, Collect) {
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 2u);
   EXPECT_EQ(rows.value()[1].value(0).AsInt32(), 3);
+}
+
+// --------------------------------------------------------------------------
+// WorkerPool / TaskGroup
+// --------------------------------------------------------------------------
+
+/// A one-worker pool whose worker is held on a latch until Release(), so
+/// every group task is left to the waiting caller.
+class HeldPoolTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::promise<void> holding;
+    pool_.Submit([this, &holding] {
+      holding.set_value();
+      released_.wait();
+    });
+    holding.get_future().wait();
+  }
+  void TearDown() override { Release(); }
+
+  void Release() {
+    if (!released_set_) release_.set_value();
+    released_set_ = true;
+  }
+
+  static uint64_t Observations(const char* histogram) {
+    return obs::MetricsRegistry::Global()
+        ->GetHistogram(histogram, "")
+        ->Snapshot()
+        .count;
+  }
+
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  bool released_set_ = false;
+  WorkerPool pool_{1};
+};
+
+// The only worker is busy, so the group completes on the calling thread:
+// Wait runs every unstarted task itself before it blocks.
+TEST_F(HeldPoolTest, WaitRunsTheGroupOnTheCaller) {
+  TaskGroup group(&pool_);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  for (int i = 0; i < 3; ++i) {
+    group.Submit([&] {
+      if (std::this_thread::get_id() == caller) ++on_caller;
+      return Status::OK();
+    });
+  }
+  EXPECT_TRUE(group.Wait().ok());
+  EXPECT_EQ(on_caller.load(), 3);
+}
+
+// A group destroyed while its runners are still queued behind the held
+// worker: the runners find its queue drained and run nothing (ASan and
+// TSan check that they touch no freed group). Each task is observed once,
+// by the caller that ran it, and the drained runners record nothing.
+TEST_F(HeldPoolTest, GroupOutlivedByItsQueuedRunners) {
+  const uint64_t waits = Observations("setm_worker_queue_wait_micros");
+  const uint64_t runs = Observations("setm_worker_task_micros");
+  int ran = 0;
+  {
+    TaskGroup group(&pool_);
+    for (int i = 0; i < 4; ++i) {
+      group.Submit([&ran] {
+        ++ran;
+        return Status::OK();
+      });
+    }
+  }
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(Observations("setm_worker_queue_wait_micros") - waits, 4u);
+  EXPECT_EQ(Observations("setm_worker_task_micros") - runs, 4u);
+  // Once released, the worker runs the four runners, which find the queue
+  // drained, and then a last task; only the held task's run and the last
+  // task add observations.
+  Release();
+  std::promise<void> drained;
+  pool_.Submit([&drained] { drained.set_value(); });
+  drained.get_future().wait();
+  while (Observations("setm_worker_task_micros") - runs < 6) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(Observations("setm_worker_queue_wait_micros") - waits, 5u);
+  EXPECT_EQ(Observations("setm_worker_task_micros") - runs, 6u);
+}
+
+// An error from a task the waiting caller ran is the group's.
+TEST_F(HeldPoolTest, CallerRunTaskErrorIsReturned) {
+  TaskGroup group(&pool_);
+  group.Submit([] { return Status::OK(); });
+  group.Submit([] { return Status::InvalidArgument("task 2 failed"); });
+  group.Submit([] { return Status::OK(); });
+  const Status s = group.Wait();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(s.message(), "task 2 failed");
+  EXPECT_EQ(group.Wait().message(), "task 2 failed");
+}
+
+// Groups on one pool see only their own tasks, and the caller and the
+// workers together run each task exactly once.
+TEST(TaskGroupTest, GroupsShareAPoolAndRunEachTaskOnce) {
+  WorkerPool pool(2);
+  std::vector<std::atomic<int>> hits(64);
+  TaskGroup first(&pool);
+  TaskGroup second(&pool);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    TaskGroup& group = i % 2 == 0 ? first : second;
+    group.Submit([&hits, i] {
+      ++hits[i];
+      return i == 7 ? Status::Internal("odd one out") : Status::OK();
+    });
+  }
+  EXPECT_TRUE(first.Wait().ok());
+  EXPECT_EQ(second.Wait().code(), StatusCode::kInternal);
+  for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 }  // namespace

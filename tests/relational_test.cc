@@ -247,11 +247,14 @@ Pairs TupleScanPairs(const Table& table) {
   return out;
 }
 
-/// Every row of `table` through ScanInt32Pairs, or its first error.
-Result<Pairs> TypedScanPairs(const Table& table) {
+/// The rows [begin, end) of `table`, every row by default, through
+/// ScanInt32Pairs, or its first error.
+Result<Pairs> TypedScanPairs(const Table& table, uint64_t begin = 0,
+                             uint64_t end = UINT64_MAX) {
   Pairs out;
   Status status = ForEachInt32Pair(
-      table, [&out](int32_t a, int32_t b) { out.emplace_back(a, b); });
+      table, [&out](int32_t a, int32_t b) { out.emplace_back(a, b); },
+      begin, end);
   if (!status.ok()) return status;
   return out;
 }
@@ -299,6 +302,17 @@ TEST(Int32PairScanTest, YieldsTheTupleScansRowsOnBothBackings) {
       ASSERT_TRUE(typed.ok()) << typed.status().ToString();
       EXPECT_EQ(typed.value(), rows) << table->name();
       EXPECT_EQ(typed.value(), TupleScanPairs(*table)) << table->name();
+      // A row range, its ends anywhere up to past the last row.
+      const uint64_t begin = rng.Uniform(n + 2);
+      const uint64_t end = rng.Uniform(n + 2);
+      auto range = TypedScanPairs(*table, begin, end);
+      ASSERT_TRUE(range.ok()) << range.status().ToString();
+      const uint64_t from = std::min(begin, n);
+      const Pairs want(rows.begin() + static_cast<std::ptrdiff_t>(from),
+                       rows.begin() + static_cast<std::ptrdiff_t>(
+                                          std::max(from, std::min(end, n))));
+      EXPECT_EQ(range.value(), want)
+          << table->name() << " [" << begin << ", " << end << ")";
     }
   }
 }
