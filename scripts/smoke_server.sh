@@ -6,7 +6,11 @@
 #   phase 1   one client full-mines at a low support (write-back stores it);
 #   phase 2   TWO CONCURRENT clients re-ask at a higher support — both must
 #             be answered from the shared result cache;
-#   phase 3   a client is hard-killed mid-MINE; the daemon must cancel the
+#   phase 3   a client APPENDs a batch at the cold support, one-item
+#             transactions among its rows, and asks for the rules; the
+#             batch's new items make the derive count borderline itemsets
+#             over the old rows;
+#   phase 4   a client is hard-killed mid-MINE; the daemon must cancel the
 #             orphaned job and keep serving;
 #   shutdown  SIGTERM must exit 0 with the served-requests summary.
 #
@@ -20,7 +24,10 @@
 #   3. STATS prom parses exactly like the CLI's --metrics prom export
 #      (unique # TYPE names, well-formed samples, monotone cumulative
 #      buckets) and carries the setm_srv_* server families;
-#   4. after the mid-MINE kill the daemon still answers, and its final
+#   4. the rules after the APPEND are byte-identical to `setm_mine
+#      --format csv` remining the combined CSV, and the APPEND's trace block
+#      is a delta-derive with an "old partition" span;
+#   5. after the mid-MINE kill the daemon still answers, and its final
 #      summary counts the disconnect.
 #
 #   usage: scripts/smoke_server.sh setm_served setm_loadgen setm_mine [workdir]
@@ -183,8 +190,46 @@ for family in setm_srv_requests_total setm_srv_connections_total \
 done
 echo "STATS prom parses (unique names, monotone buckets, srv families)"
 
-# -- 4. hard-killed client mid-MINE -------------------------------------------
-echo "== phase 3: kill a client mid-MINE"
+# -- 4. APPEND: delta derive against a remine of the combined CSV -------------
+# The stored run answers the cold support, so an APPEND at that support is
+# derived. Every third transaction holds one item; transactions holding
+# the new items 30 and 31 make them borderline, counted over the old rows.
+echo "== phase 3: APPEND a batch at ${COLD_MINSUP}% and ask for the rules"
+{
+  echo "!send APPEND sales SUPPORT ${COLD_MINSUP}%"
+  for t in $(seq 2001 2040); do
+    if (( t % 3 == 0 )); then
+      echo "!send $t $((5 + t % 7))"
+    elif (( t % 5 == 0 )); then
+      echo "!send $t 1 30 31"
+    else
+      echo "!send $t 1 2 $((12 + t % 11))"
+    fi
+  done
+  echo "."
+  echo "RULES ${MINCONF}"
+  echo "QUIT"
+} > "$WORK/append.script"
+"$LOADGEN" --connect "127.0.0.1:$PORT" --payload-only --fail-on-err \
+  < "$WORK/append.script" > "$WORK/append.out"
+{
+  cat "$WORK/sales.csv"
+  awk '/^!send [0-9]/{for (i = 3; i <= NF; i++) print $2 "," $i}' \
+    "$WORK/append.script"
+} > "$WORK/combined.csv"
+"$SETM_MINE" --input "$WORK/combined.csv" --minsup "$COLD_MINSUP" \
+  --minconf "$MINCONF" --format csv > "$WORK/rules_combined_cli.csv" 2>/dev/null
+awk '/^antecedent,consequent,/{p=1} p' "$WORK/append.out" \
+  > "$WORK/rules_append.csv"
+cmp -s "$WORK/rules_append.csv" "$WORK/rules_combined_cli.csv" || {
+  echo "FAIL: the rules after APPEND differ from a remine of the combined CSV"
+  diff "$WORK/rules_combined_cli.csv" "$WORK/rules_append.csv" | head -10
+  exit 1
+}
+echo "rules after APPEND byte-identical to the remine ($(wc -l < "$WORK/rules_combined_cli.csv") rule lines)"
+
+# -- 5. hard-killed client mid-MINE -------------------------------------------
+echo "== phase 4: kill a client mid-MINE"
 printf '!send MINE sales SUPPORT 0.1%%\n!abort\n' \
   | "$LOADGEN" --connect "127.0.0.1:$PORT" > /dev/null || true
 sleep 0.5
@@ -215,5 +260,24 @@ DISCONNECTS="$(grep -Eo "[0-9]+ disconnects" "$WORK/server.err" | grep -Eo "^[0-
   echo "FAIL: the killed client was not counted as a disconnect"; exit 1
 }
 echo "graceful shutdown: $(grep -E '^served' "$WORK/server.err")"
+
+# The APPEND's trace block, read once the daemon has exited: a derive whose
+# borderline itemsets were counted over the old partition.
+awk '
+  /^trace:$/ { blk=1; append=0; next }
+  blk && /^[^ ]/ { blk=0; next }
+  blk && /verb=append/ {
+    append=1
+    if (/strategy=delta-derive/) derive++
+  }
+  blk && append && /^ +old partition / { old++ }
+  END {
+    printf "APPEND trace: %d delta-derive block(s), %d old-partition span(s)\n", derive, old
+    exit !(derive == 1 && old == 1)
+  }
+' "$WORK/server.err" || {
+  echo "FAIL: the APPEND was not a delta derive with an old-partition span"
+  echo "(server trace was $WORK/server.err)"; exit 1
+}
 
 echo "server smoke OK"

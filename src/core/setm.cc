@@ -71,10 +71,12 @@ struct IntakeResult {
 /// Reads SALES, `ranges` in source order, through `read(intake, begin,
 /// end)`. Two or more ranges are read in parallel on `pool`, one
 /// one-shard SalesIntake each, and their slices are concatenated, empty
-/// ones dropped, if every range's largest kept trans_id is below the next
-/// range's smallest. Otherwise, and for a single range, one intake reads
-/// the whole source and cuts it into at most `num_shards` shards as it
-/// reads, buffering and sorting SALES that descends.
+/// ones dropped, if no range descends and every range's largest kept
+/// trans_id is below the next range's smallest. Otherwise, and for a
+/// single range, one intake reads the whole source and cuts it into at
+/// most `num_shards` shards as it reads. After disordered ranges it
+/// buffers every row, to sort them; a single range is read once more,
+/// buffered, if its rows descend (ReadSalesInto).
 template <typename Read>
 Result<IntakeResult> ReadSales(const ExecContext& ctx,
                          const shard::ShardRunOptions& run, size_t num_shards,
@@ -95,6 +97,7 @@ Result<IntakeResult> ReadSales(const ExecContext& ctx,
       std::vector<shard::ShardSlice>* part = &parts[i];
       group.Submit([&read, intake, range, part] {
         SETM_RETURN_IF_ERROR(read(intake, range.begin, range.end));
+        if (intake->descended()) return Status::OK();
         auto slices = intake->Finish();
         if (!slices.ok()) return slices.status();
         *part = std::move(slices).value();
@@ -105,6 +108,7 @@ Result<IntakeResult> ReadSales(const ExecContext& ctx,
     bool ordered = true;
     const shard::SalesIntake* before = nullptr;
     for (const auto& intake : intakes) {
+      if (intake->descended()) ordered = false;
       if (intake->kept_rows() == 0) continue;
       if (before != nullptr && before->high_tid() >= intake->low_tid()) {
         ordered = false;
@@ -129,7 +133,10 @@ Result<IntakeResult> ReadSales(const ExecContext& ctx,
   for (const SalesRange& range : ranges) expected_rows += range.expected_rows;
   shard::SalesIntake intake(ctx, run, num_shards, expected_rows, max_tid,
                             items);
-  SETM_RETURN_IF_ERROR(read(&intake, ranges.front().begin, ranges.back().end));
+  if (ranges.size() > 1) intake.Reread();  // disordered ranges
+  SETM_RETURN_IF_ERROR(shard::ReadSalesInto(&intake, [&] {
+    return read(&intake, ranges.front().begin, ranges.back().end);
+  }));
   auto slices = intake.Finish();
   if (!slices.ok()) return slices.status();
   out.slices = std::move(slices).value();

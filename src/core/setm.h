@@ -21,15 +21,17 @@ namespace setm {
 /// Every mine runs under the shard coordinator (shard::DistributedMine).
 /// SALES is read by shard::SalesIntake, which writes it as R_1, cut on
 /// trans_id into at most SetmOptions::num_threads shards, and counts C_1
-/// in the same pass; R_1 is the only copy of SALES the mine holds. A
+/// in the same pass; R_1 is the only copy of SALES the mine holds, less
+/// the transactions of one row, which join nothing (C_1 counts them). A
 /// threaded mine of a TransactionDb or a MemTable reads SALES on the
 /// workers: it cuts the source into num_threads contiguous ranges, each
 /// cut moved past the rows (transactions) that continue the trans_id
 /// before it, and one intake per range writes one shard. It keeps those
 /// shards, the empty ones dropped, when each range's largest trans_id is
 /// below the next range's smallest; otherwise it reads SALES again as one
-/// intake, which cuts the shards as it reads and sorts SALES that
-/// descends. Heap SALES is read as one range. One in-process
+/// intake, which cuts the shards as it reads, buffered to be sorted. One
+/// intake over SALES that descends reads it a second time, buffered.
+/// Heap SALES is read as one range. One in-process
 /// shard::LocalShardBackend per shard runs the iterations, and a serial
 /// mine is simply the one-shard run, on the calling thread. The iteration
 /// below therefore lives once, in the backend and the coordinator.
@@ -56,10 +58,10 @@ namespace setm {
 /// rows of R'_{k+1}. Iteration 1 is the intake's: R_1 written as SALES is
 /// read, and C_1 counted as R_1 is written; its pass, once C_1 is known,
 /// reads R_1 and counts R'_2 over C_1's items (rewriting R_1 without the
-/// other items under filter_r1). So each iteration reads
-/// R_{k-1} and R_1 once. The look-ups and the count use C_k's ids in
-/// itemset order rather than its itemsets (see core/setm_pipeline.h).
-/// The loop ends when R_k (equivalently C_k) is empty.
+/// other items under filter_r1). So each iteration reads R_{k-1} and R_1 once;
+/// pass 2 joins R_1 with itself and reads it once. The look-ups and the count
+/// use C_k's ids in itemset order rather than its itemsets (see
+/// core/setm_pipeline.h). The loop ends when R_k (equivalently C_k) is empty.
 ///
 ///     Database db;
 ///     SetmMiner miner(&db);
@@ -80,8 +82,8 @@ class SetmMiner {
   /// Mines a transaction database (items within a transaction must be
   /// sorted and unique); its rows are written straight into the shards'
   /// R_1s (shard::SalesIntake), threaded on ranges of transactions, and
-  /// buffered and sorted once only when a transaction's id is below the
-  /// one before it.
+  /// read again, buffered and sorted once, only when a transaction's id is
+  /// below the one before it.
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
@@ -89,8 +91,8 @@ class SetmMiner {
   /// its rows with trans_id <= `max_tid`, read in typed scans
   /// (shard::ExtractRows), one a row range of a MemTable, into the shards'
   /// R_1s. Rows need not be sorted: a transaction's items are sorted as its
-  /// group is written, and rows are buffered and sorted once only when a
-  /// trans_id arrives below the one before it. Another schema is
+  /// group is written, and rows are read again, buffered and sorted once,
+  /// only when a trans_id arrives below the one before it. Another schema is
   /// InvalidArgument. The result's I/O ledger includes the SALES scan, and
   /// the trace its sales_rows and kept_rows. Shards are cut from
   /// `max_tid_rows`, the rows at or below `max_tid` (0: every row of

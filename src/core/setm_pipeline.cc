@@ -409,7 +409,7 @@ Result<CandidateLevel> IndexCandidates(size_t k,
   return out;
 }
 
-Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
+Status FilterByCk(GroupCursor* left, const GroupedRelation* r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
                   bool anti_monotone, GroupedRelation* out,
                   ExtensionCount* next) {
@@ -434,7 +434,11 @@ Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
         for (const ItemId* item = t.begin; item != t.end; ++item) {
           if (c1.RankOf(*item) != ItemRanks::kAbsent) kept.push_back(*item);
         }
-        SETM_RETURN_IF_ERROR(out->Append(t.tid, kept.data(), kept.size()));
+        // A transaction left with one row joins nothing, as in the
+        // intake.
+        if (kept.size() > 1) {
+          SETM_RETURN_IF_ERROR(out->Append(t.tid, kept.data(), kept.size()));
+        }
         items = kept.data();
         items_end = items + kept.size();
       }

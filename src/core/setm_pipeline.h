@@ -19,8 +19,11 @@ namespace setm {
 // shard::DistributedMine: every SetmMiner mine (serial as one shard,
 // threaded as N, and each per-class run of ClassedSetmMiner), every
 // sharded database and every remote LCOUNT/MERGE request runs them there.
-// R_1 is a GroupedRelation of (trans_id, item): SALES. Every R_k with
-// k >= 2 is stored in candidate-id space, (trans_id, C_k id), where the id
+// R_1 is a GroupedRelation of (trans_id, item): the transactions of SALES
+// with two rows or more. A one-row transaction is no row of any R'_k with
+// k >= 2, so the intake counts it in C_1, |R_1| and |D| but does not write
+// it (the transaction trimming of DHP, Park, Chen and Yu 1995). Every R_k
+// with k >= 2 is stored in candidate-id space, (trans_id, C_k id), where the id
 // names the row's itemset (item_1..item_k) in C_k. Ids follow itemset
 // order, so R_k kept sorted on (trans_id, id) is sorted on (trans_id,
 // item_1..item_k), the paper's order. Both are stored as one group per
@@ -32,7 +35,8 @@ namespace setm {
 // R_k as the transaction's group, and each kept row's extensions, the rows
 // of R'_{k+1}, go straight into the next level's count. So C_{k+1} is
 // counted without a join of its own and each iteration reads R_{k-1} and
-// R_1 once (the fusion of AprioriTid, Agrawal and Srikant 1994).
+// R_1 once (the fusion of AprioriTid, Agrawal and Srikant 1994). Pass 2
+// joins R_1 with itself, so it reads R_1 once in all.
 //
 // The pass works in candidate-id space, as AprioriTid's candidate ids and
 // Bodon's prefix trie of candidates (FIMI 2003) do. A C_k itemset's id is
@@ -69,15 +73,17 @@ namespace setm {
 /// items_end)` (returns a Status) once per left transaction p, in `left`'s
 /// order, where [items, items_end) are p's transaction's R_1 items,
 /// ascending (a repeated SALES row repeats its item), and empty when R_1
-/// has no such transaction. R'_k's rows for a left row (p.tid, id) are the
-/// id's itemset extended by each of those items above its item_{k-1}, in
-/// order, so R'_k arrives sorted on (trans_id, item_1..item_k) like the
-/// inputs. Both ranges are valid for the call only. Stops at the first
-/// error.
+/// has no such transaction. A null `r1` means `left` is R_1 itself, the
+/// self-join of pass 2: p's items are p's own ids, and R_1 is read once.
+/// R'_k's rows for a left row (p.tid, id) are the id's itemset extended by
+/// each of those items above its item_{k-1}, in order, so R'_k arrives
+/// sorted on (trans_id, item_1..item_k) like the inputs. Both ranges are
+/// valid for the call only. Stops at the first error.
 template <typename Visit>
-Status JoinLeftRows(GroupCursor* left, const GroupedRelation& r1,
+Status JoinLeftRows(GroupCursor* left, const GroupedRelation* r1,
                     Visit visit) {
-  std::unique_ptr<GroupCursor> r1_groups = r1.Scan();
+  std::unique_ptr<GroupCursor> r1_groups =
+      r1 != nullptr ? r1->Scan() : nullptr;
   IdGroup q;  // the first R_1 transaction not below the left one
   bool q_valid = false;
   const auto next_q = [&]() -> Status {
@@ -86,16 +92,22 @@ Status JoinLeftRows(GroupCursor* left, const GroupedRelation& r1,
     q_valid = more.value();
     return Status::OK();
   };
-  SETM_RETURN_IF_ERROR(next_q());
+  if (r1_groups != nullptr) SETM_RETURN_IF_ERROR(next_q());
   IdGroup p;
   while (true) {
     auto more = left->Next(&p);
     if (!more.ok()) return more.status();
     if (!more.value()) return Status::OK();
-    while (q_valid && q.tid < p.tid) SETM_RETURN_IF_ERROR(next_q());
-    const bool joined = q_valid && q.tid == p.tid;
-    SETM_RETURN_IF_ERROR(
-        visit(p, joined ? q.begin : nullptr, joined ? q.end : nullptr));
+    const ItemId* items = p.begin;
+    const ItemId* items_end = p.end;
+    if (r1_groups != nullptr) {
+      while (q_valid && q.tid < p.tid) SETM_RETURN_IF_ERROR(next_q());
+      const bool joined = q_valid && q.tid == p.tid;
+      items = joined ? q.begin : nullptr;
+      items_end = joined ? q.end : nullptr;
+    }
+    // The one call site of the pass body, so that it inlines.
+    SETM_RETURN_IF_ERROR(visit(p, items, items_end));
   }
 }
 
@@ -430,7 +442,8 @@ Result<CandidateLevel> IndexCandidates(size_t k,
 /// as one group (trans_id, C_k ids) per transaction, and counts the kept
 /// rows' extensions, R'_{k+1}, into `next` (over ck.space) unless it is
 /// null. For k >= 2 R'_k is the join of `left`, a scan of R_{k-1}, with
-/// `r1`, so R_k comes out sorted on (trans_id, C_k id), which is
+/// `r1`, R_1; for k = 2 `left` scans R_1 and `r1` is null, the self-join
+/// (JoinLeftRows). So R_k comes out sorted on (trans_id, C_k id), which is
 /// (trans_id, item_1..item_k) order, without a sort. For k >= 3 a left id
 /// is a C_{k-1} id in `prev` (C_{k-1}; null for k <= 2); an id outside
 /// [0, |C_{k-1}|) is Corruption naming R_{k-1}. For k = 2 a left id is an
@@ -445,13 +458,14 @@ Result<CandidateLevel> IndexCandidates(size_t k,
 /// |R'_{k+1}|.
 /// For k == 1 `left` scans R_1 itself and R'_2 pairs the items of each
 /// transaction in the R_1 that pass 2 joins: `out`, R_1 without the items
-/// outside C_1, under the filter_r1 ablation, and R_1 whole when `out` is
-/// null. Every such pair adds to |R'_2|, but only a pair of C_1 items is
+/// outside C_1 and the transactions left with one row, under the filter_r1
+/// ablation, and R_1 whole when `out` is null; `r1` is unused. Every such
+/// pair adds to |R'_2|, but only a pair of C_1 items is
 /// counted, keyed by (C_1 rank, C_1 rank), so the count is a triangle over
 /// C_1. `left` may be a last scan (GroupedRelation::LastScan) that
 /// releases R_{k-1} page by page while `out` grows. `out` is Finish()ed,
 /// ready to scan.
-Status FilterByCk(GroupCursor* left, const GroupedRelation& r1,
+Status FilterByCk(GroupCursor* left, const GroupedRelation* r1,
                   const CandidateLevel* prev, const CandidateLevel& ck,
                   bool anti_monotone, GroupedRelation* out,
                   ExtensionCount* next);

@@ -178,7 +178,8 @@ Status MergeCounts(std::vector<ShardState>* states, size_t k, int64_t minsup,
 }
 
 /// Attaches one completed iteration span with nested per-shard children.
-/// `entries` is the count keys the shards handed over for C_k.
+/// `entries` is the count keys the shards handed over for C_k; `pages` the
+/// engine's pages of R_k (for k = 1, of R_1's transactions that can join).
 void RecordIterationTrace(obs::TraceSpan* trace, const IterationStats& stats,
                           uint64_t entries,
                           const std::vector<ShardState>& states) {
@@ -187,6 +188,7 @@ void RecordIterationTrace(obs::TraceSpan* trace, const IterationStats& stats,
       "iteration k=" + std::to_string(stats.k), stats.seconds, 0);
   iter->AddCount("|R'|", stats.r_prime_rows);
   iter->AddCount("|R|", stats.r_rows);
+  iter->AddCount("pages", stats.r_pages);  // R_k's, as stored
   iter->AddCount("|C|", stats.c_size);
   iter->AddCount("entries", entries);
   for (const ShardState& s : states) {

@@ -34,21 +34,43 @@ SalesIntake::SalesIntake(ExecContext ctx, const ShardRunOptions& run,
 void SalesIntake::Begin(TransactionId tid, ItemId item) {
   low_tid_ = std::min(low_tid_, tid);
   high_tid_ = std::max(high_tid_, tid);
-  if (!descended_ && !group_.empty() && tid < tid_) Descend();
-  if (descended_) {
+  if (buffering_) {
     buffered_.emplace_back(tid, item);
+    return;
+  }
+  if (descended_) return;
+  if (!group_.empty() && tid < tid_) {
+    // What was written is dropped; SALES is read again (Reread).
+    descended_ = true;
+    shards_.clear();
+    group_.clear();
     return;
   }
   if (!group_.empty()) WriteGroup();
   // The transaction opens the next shard once the current one holds its
   // share of the expected rows, scaled by the fraction of the rows read so
   // far that were kept, so a lattice's thinning keeps every shard busy.
-  if (shards_.empty() || (shard_rows_ * sales_rows_ >= share_ * kept_rows_ &&
-                          shards_.size() < num_shards_)) {
+  if (shards_.empty() ||
+      (shards_.back().rows * sales_rows_ >= share_ * kept_rows_ &&
+       shards_.size() < num_shards_)) {
     OpenShard();
   }
   tid_ = tid;
   group_.push_back(item);
+}
+
+void SalesIntake::Reread() {
+  SETM_CHECK(!buffering_);
+  buffered_.reserve(kept_rows_);  // after a descent, the rows to come
+  sales_rows_ = 0;
+  kept_rows_ = 0;
+  low_tid_ = INT32_MAX;
+  high_tid_ = INT32_MIN;
+  repeated_rows_ = false;
+  shards_.clear();
+  group_.clear();
+  descended_ = false;
+  buffering_ = true;
 }
 
 void SalesIntake::OpenShard() {
@@ -59,7 +81,6 @@ void SalesIntake::OpenShard() {
   shard.c1 = std::make_unique<ItemCount>(
       ctx_, CountBudget(ctx_, run_.count_method), share_);
   shards_.push_back(std::move(shard));
-  shard_rows_ = 0;
 }
 
 void SalesIntake::WriteGroup() {
@@ -74,39 +95,18 @@ void SalesIntake::WriteGroup() {
   }
   ShardSlice& shard = shards_.back();
   ++shard.transactions;
-  shard_rows_ += group_.size();
-  if (status_.ok()) {
+  shard.rows += group_.size();
+  // A one-row transaction has no pair to join: C_1 is its only count.
+  if (status_.ok() && group_.size() > 1) {
     status_ = shard.r1->Append(tid_, group_.data(), group_.size());
   }
   if (status_.ok()) status_ = shard.c1->Add(group_.data(), group_.size());
   group_.clear();
 }
 
-void SalesIntake::Descend() {
-  descended_ = true;
-  buffered_.reserve(kept_rows_);
-  for (ShardSlice& shard : shards_) {
-    if (status_.ok()) status_ = shard.r1->Finish();
-    if (!status_.ok()) break;
-    std::unique_ptr<GroupCursor> groups =
-        GroupedRelation::LastScan(std::move(shard.r1));
-    IdGroup group;
-    while (true) {
-      auto more = groups->Next(&group);
-      if (!more.ok()) status_ = more.status();
-      if (!more.ok() || !more.value()) break;
-      for (const ItemId* item = group.begin; item != group.end; ++item) {
-        buffered_.emplace_back(group.tid, *item);
-      }
-    }
-  }
-  shards_.clear();
-  for (ItemId item : group_) buffered_.emplace_back(tid_, item);
-  group_.clear();
-}
-
 Result<std::vector<ShardSlice>> SalesIntake::Finish() {
-  if (descended_) {
+  SETM_CHECK(!descended_);
+  if (buffering_) {
     static obs::Gauge* intake_bytes = obs::MetricsRegistry::Global()->GetGauge(
         "setm_mem_intake_bytes",
         "High-water mark of the SALES rows a mine's intake buffers: only "
@@ -114,7 +114,7 @@ Result<std::vector<ShardSlice>> SalesIntake::Finish() {
     intake_bytes->RaiseTo(static_cast<int64_t>(
         buffered_.capacity() * sizeof(buffered_[0])));
     std::sort(buffered_.begin(), buffered_.end());
-    descended_ = false;
+    buffering_ = false;
     for (const auto& [tid, item] : buffered_) Keep(tid, item);
     buffered_.clear();
     buffered_.shrink_to_fit();
@@ -147,7 +147,8 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
     if (!table_or.ok()) return table_or.status();
     const Table& sales = *table_or.value();
     SalesIntake intake(ExecContext::From(db_), run_, 1, sales.num_rows());
-    SETM_RETURN_IF_ERROR(ExtractRows(sales, &intake));
+    SETM_RETURN_IF_ERROR(ReadSalesInto(
+        &intake, [&] { return ExtractRows(sales, &intake); }));
     auto slices_or = intake.Finish();
     if (!slices_or.ok()) return slices_or.status();
     slice_ = std::move(slices_or.value().front());
@@ -180,15 +181,17 @@ Result<ShardReply> LocalShardBackend::CountFirstIteration() {
         "CountFirstIteration twice in one run on shard " + name_);
   }
   // R_1 and C_1's count were taken in the intake's one pass over SALES.
-  const GroupedRelation& r1 = *slice_.r1;
+  // |R_1| is every row the intake kept; R_1's pages hold only the
+  // transactions of two rows or more.
   ShardReply out;
   out.transactions = slice_.transactions;
-  out.r_rows = r1.num_rows();
-  out.r_bytes = r1.num_rows() * 2 * sizeof(int32_t);
-  out.r_pages = r1.num_pages();
+  out.r_rows = slice_.rows;
+  out.r_bytes = slice_.rows * 2 * sizeof(int32_t);
+  out.r_pages = slice_.r1->num_pages();
   out.r_prime_rows = slice_.c1->stats().rows;
   SETM_RETURN_IF_ERROR(slice_.c1->Finish(count_floor_, &out.counts));
   slice_.c1.reset();
+  if (run_.filter_r1) c1_counts_ = out.counts;
   next_k_ = 1;
   return out;
 }
@@ -234,7 +237,8 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     std::unique_ptr<GroupCursor> left =
         r_prev_ != nullptr ? GroupedRelation::LastScan(std::move(r_prev_))
                            : slice_.r1->Scan();
-    Status pass = FilterByCk(left.get(), *slice_.r1,
+    // Pass 2 is R_1's self-join: its left scan is R_1.
+    Status pass = FilterByCk(left.get(), k >= 3 ? slice_.r1.get() : nullptr,
                              k >= 3 ? &level_ : nullptr, level,
                              slice_.anti_monotone, rk.get(), next.get());
     if (!pass.ok()) {
@@ -247,17 +251,28 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
     SETM_RETURN_IF_ERROR(rk->Finish());
   }
   if (k == 1 && rk != nullptr) {
-    // The filter_r1 ablation: R_1 without the non-frequent items.
+    // The filter_r1 ablation: R_1 without the non-frequent items. Its
+    // |R_1| is the rows of C_1's items, C_1's local count of them: the
+    // intake wrote no one-row transaction, and the filter writes none.
     slice_.r1 = std::move(rk);
+    slice_.rows = 0;
+    for (size_t row = 0; row < c1_counts_.size(); row += 3) {
+      if (level.space.alphabet.RankOf(c1_counts_[row + 1]) !=
+          ItemRanks::kAbsent) {
+        slice_.rows += static_cast<uint64_t>(c1_counts_[row + 2]);
+      }
+    }
+    c1_counts_ = {};
   } else if (rk != nullptr) {
     r_prev_ = std::move(rk);
   }
   const GroupedRelation& written = k == 1 ? *slice_.r1 : *r_prev_;
+  const uint64_t rows = k == 1 ? slice_.rows : written.num_rows();
   ShardReply out;
-  out.r_rows = written.num_rows();
+  out.r_rows = rows;
   // The paper's |R_k|, (trans_id, item_1..item_k) per row; the pages are
   // the engine's, of the grouped relation.
-  out.r_bytes = written.num_rows() * (k + 1) * sizeof(int32_t);
+  out.r_bytes = rows * (k + 1) * sizeof(int32_t);
   out.r_pages = written.num_pages();
   if (next != nullptr) {
     out.r_prime_rows = next->stats().rows;
@@ -279,6 +294,7 @@ Result<ShardReply> LocalShardBackend::ApplyGlobalCk(
 
 Status LocalShardBackend::EndRun() {
   slice_ = ShardSlice{};
+  c1_counts_.clear();
   r_prev_.reset();
   level_ = CandidateLevel{};
   next_k_ = 0;

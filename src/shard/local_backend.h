@@ -19,9 +19,13 @@ namespace setm::shard {
 /// One shard's SALES as the intake wrote it: its R_1 and C_1's count of
 /// R_1's rows, taken in the same pass.
 struct ShardSlice {
-  std::unique_ptr<GroupedRelation> r1;  ///< sealed: (trans_id, item) groups
-  std::unique_ptr<ItemCount> c1;        ///< not yet finished
+  /// Sealed: (trans_id, item) groups of the transactions with two rows or
+  /// more. A one-row transaction is no row of any R'_k with k >= 2, so it
+  /// is counted (in `transactions`, `rows` and C_1) but not written.
+  std::unique_ptr<GroupedRelation> r1;
+  std::unique_ptr<ItemCount> c1;  ///< not yet finished
   uint64_t transactions = 0;
+  uint64_t rows = 0;  ///< |R_1|: every kept row, one-row transactions too
   /// Every C_k of the run holds each k-itemset that reaches minsupport,
   /// and counts are supports: a mine with no lattice of SALES that repeats
   /// no (trans_id, item) row in any shard. Its passes count only sibling
@@ -32,18 +36,22 @@ struct ShardSlice {
 
 /// The one pass over a mine's SALES, which writes it as R_1: keeps the
 /// rows with trans_id <= max_tid and, for a lattice count, an item of the
-/// lattice, and appends each kept transaction as one group of its shard's
-/// R_1 (PageHint::kRetain: every pass rescans it), counting C_1 in the
-/// same pass. A transaction opens the next of at most `num_shards` shards
+/// lattice, and appends each kept transaction of two rows or more as one
+/// group of its shard's R_1 (PageHint::kRetain: every pass rescans it),
+/// counting C_1 in the same pass. A transaction that keeps one row joins
+/// nothing in any later pass, so it only adds to C_1's count, the shard's
+/// transactions and |R_1| (the transaction trimming of DHP, Park, Chen and
+/// Yu 1995). A transaction opens the next of at most `num_shards` shards
 /// once the current one holds its share of `expected_rows` (scaled by the
 /// fraction of rows kept so far), so no shard is empty (but the one shard
-/// of an empty SALES). Rows in ascending trans_id
-/// order are held a transaction at a time. At the first trans_id below the
-/// one before it, the intake reads back and releases what it wrote and
-/// buffers every row, to sort them once at Finish() and write the R_1s
-/// and counts from them; the buffer raises setm_mem_intake_bytes. A
-/// threaded SetmMiner mine runs one one-shard intake per range of SALES,
-/// each on its own thread, and concatenates their slices when the ranges'
+/// of an empty SALES). Rows in ascending trans_id order are held a
+/// transaction at a time. At the first trans_id below the one before it
+/// the intake descends: it drops what it wrote and keeps nothing more, and
+/// the caller reads SALES again after Reread() (ReadSalesInto), which
+/// buffers every row to sort them once at Finish() and write the R_1s and
+/// counts from them; the buffer raises setm_mem_intake_bytes. A threaded
+/// SetmMiner mine runs one one-shard intake per range of SALES, each on
+/// its own thread, and concatenates their slices when the ranges'
 /// trans_ids ascend (low_tid, high_tid); an intake is used by one thread.
 class SalesIntake {
  public:
@@ -66,9 +74,20 @@ class SalesIntake {
     Keep(tid, item);
   }
 
+  /// Whether a kept trans_id came below the one before it: the intake has
+  /// dropped what it wrote, and Finish() waits for Reread() and a second
+  /// reading of SALES.
+  bool descended() const { return descended_; }
+
+  /// Forgets every row read and buffers each row from the next one on, to
+  /// sort them at Finish(): call after a descent, or before the first row
+  /// of SALES known to descend. The caller then reads SALES from its first
+  /// row.
+  void Reread();
+
   /// Writes the last group and seals every shard: the slices in trans_id
   /// order, at least one. The first error of any R_1 append or count.
-  /// Call once.
+  /// Call once, not after a descent that no Reread() followed.
   Result<std::vector<ShardSlice>> Finish();
 
   /// Rows read and rows kept.
@@ -91,14 +110,12 @@ class SalesIntake {
   }
   /// A kept row that does not continue the open group: starts the next
   /// transaction, in the next shard once the current one holds its share,
-  /// descends, or is buffered after a descent.
+  /// is buffered, or descends.
   void Begin(TransactionId tid, ItemId item);
   /// Opens the next shard: its R_1 and C_1's count.
   void OpenShard();
   /// Appends the open group to the current shard and empties it.
   void WriteGroup();
-  /// The first descent: moves every row written so far into the buffer.
-  void Descend();
 
   ExecContext ctx_;
   ShardRunOptions run_;
@@ -113,13 +130,24 @@ class SalesIntake {
   bool repeated_rows_ = false;
 
   std::vector<ShardSlice> shards_;
-  uint64_t shard_rows_ = 0;  ///< rows in shards_.back()
-  TransactionId tid_ = 0;    ///< the open group's transaction
+  TransactionId tid_ = 0;  ///< the open group's transaction
   std::vector<ItemId> group_;
   bool descended_ = false;
+  bool buffering_ = false;  ///< since Reread(): every row is buffered
   std::vector<std::pair<TransactionId, ItemId>> buffered_;
   Status status_;  ///< the first failed append or count
 };
+
+/// Reads SALES into `intake` through `read()`, which Adds its rows in
+/// source order, and when they descend reads them once more after
+/// SalesIntake::Reread(). The first error of `read`.
+template <typename Read>
+Status ReadSalesInto(SalesIntake* intake, Read read) {
+  SETM_RETURN_IF_ERROR(read());
+  if (!intake->descended()) return Status::OK();
+  intake->Reread();
+  return read();
+}
 
 /// Reads the rows [begin, end) of `sales`, a relation of two INT32
 /// columns, every row by default, into `intake` in one typed scan
@@ -142,27 +170,30 @@ Status ExtractRows(const Table& sales, SalesIntake* intake,
 /// candidate-id space (core/setm_pipeline.h):
 ///   - CountFirstIteration reports the slice's R_1, which the intake wrote,
 ///     and finishes C_1's count, which the intake took as it wrote R_1.
+///     Its |R_1| (r_rows, r_bytes) is every row the intake kept, the
+///     one-row transactions that R_1 does not hold included (the slice's
+///     rows, C_1's count of rows); its r_pages are R_1's own.
 ///   - ApplyGlobalCk(k) checks the global C_k's (parent id, item) keys and
 ///     gives them dense ids in itemset order (IndexCandidates), then runs
-///     FilterByCk: the merge-scan join of R_{k-1} with R_1, each R_{k-1}
-///     row's C_{k-1} id read from the row itself (an R_1 row's item ranked
-///     in C_1 for k = 2), C_k membership by looking that itemset's
-///     children up in the transaction's table by C_1 rank, R_k appended a
-///     transaction at a time as its group of C_k ids in join order
-///     (already its sorted order), and each kept row's extensions counted
-///     by (C_k id, C_1 rank) into the ExtensionCount of R'_{k+1}, finished
-///     before it returns. Under the slice's anti_monotone a kept row's
-///     extensions are only its kept siblings above it, the only ones that
-///     can reach minsupport when counts are supports and C_k holds every
-///     frequent k-itemset; every other run (a lattice count, a bound
-///     table, SALES with a repeated row) counts each C_1 item above the
-///     row's last one.
-///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of
-///     each transaction, as a triangle over C_1's ranks; under filter_r1
-///     the same scan rewrites R_1 without the items outside C_1. The level
-///     is kept as the next call's C_{k-1}. No count outlives the call that
-///     starts it: between calls a shard holds its relations and C_{k-1},
-///     never a partial count.
+///     FilterByCk: the merge-scan join of R_{k-1} with R_1 (R_1 with itself for
+///     k = 2, read once), each R_{k-1} row's C_{k-1} id read from the row
+///     itself (an R_1 row's item ranked in C_1 for k = 2), C_k membership by
+///     looking that itemset's children up in the transaction's table by C_1
+///     rank, R_k appended a transaction at a time as its group of C_k ids in
+///     join order (already its sorted order), and each kept row's extensions
+///     counted by (C_k id, C_1 rank) into the ExtensionCount of R'_{k+1},
+///     finished before it returns. Under the slice's anti_monotone a kept row's
+///     extensions are only its kept siblings above it, the only ones that can
+///     reach minsupport when counts are supports and C_k holds every frequent
+///     k-itemset; every other run (a lattice count, a bound table, SALES with a
+///     repeated row) counts each C_1 item above the row's last one.
+///     ApplyGlobalCk(1) scans R_1 once and counts R'_2, the item pairs of each
+///     transaction, as a triangle over C_1's ranks; under filter_r1 the same
+///     scan rewrites R_1 without the items outside C_1, and its |R_1| is the
+///     rows of C_1's items, read from C_1's local count. The level is kept as
+///     the next call's C_{k-1}. No count outlives the call that starts it:
+///     between calls a shard holds its relations and C_{k-1}, never a partial
+///     count.
 /// Every count is handed over as (parent id, item, count) rows in key
 /// order, the exchange's one format: no itemset is spelled out here.
 /// A count is a dense array when its counters fit the sort budget, and
@@ -235,6 +266,9 @@ class LocalShardBackend : public ShardBackend {
   /// The run's R_1 (filtered when asked) and, until CountFirstIteration,
   /// its C_1 count.
   ShardSlice slice_;
+  /// Under filter_r1, C_1's local count from CountFirstIteration until
+  /// ApplyGlobalCk(1): the filtered |R_1|.
+  std::vector<int32_t> c1_counts_;
   std::unique_ptr<GroupedRelation> r_prev_;  ///< R_{k-1}; null: use R_1
   /// The k the next ApplyGlobalCk must carry; 0 before CountFirstIteration.
   size_t next_k_ = 0;

@@ -28,12 +28,14 @@ struct ShardRunOptions {
 /// so local counts use min_count = 1 unless the coordinator set a count
 /// floor (ShardBackend::SetCountFloor).
 struct ShardReply {
-  /// Transactions in this shard's R_1 (CountFirstIteration only;
-  /// the coordinator sums them to resolve the global minsupport).
+  /// Transactions in this shard's slice of SALES, those of one row that
+  /// R_1 leaves out included (CountFirstIteration only; the coordinator
+  /// sums them to resolve the global minsupport).
   uint64_t transactions = 0;
   /// The relation the call wrote: R_1 for CountFirstIteration and
-  /// ApplyGlobalCk(1), R_k for ApplyGlobalCk(k). Its bytes are the paper's,
-  /// (k+1)·4 a row; its pages are the engine's, as stored.
+  /// ApplyGlobalCk(1), R_k for ApplyGlobalCk(k). Its rows and bytes are the
+  /// paper's, (k+1)·4 bytes a row, R_1's one-row transactions included;
+  /// its pages are the engine's, as stored.
   uint64_t r_rows = 0;
   uint64_t r_bytes = 0;
   uint64_t r_pages = 0;

@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <iterator>
+#include <new>
 
 #include "common/logging.h"
 
@@ -45,6 +46,10 @@ void PageGuard::Release() {
 BufferPool::BufferPool(StorageBackend* backend, size_t capacity)
     : backend_(backend),
       frames_(capacity == 0 ? 1 : capacity),
+      // Uninitialized: every path that hands out a frame sets its page's
+      // bytes first (a read, a clear or a copy of an image).
+      pages_(static_cast<Page*>(::operator new[](
+          frames_.size() * sizeof(Page), std::align_val_t{kPageSize}))),
       max_retained_(frames_.size() / kRetainedShareDivisor) {
   free_frames_.reserve(frames_.size());
   for (size_t i = frames_.size(); i > 0; --i) free_frames_.push_back(i - 1);
@@ -87,7 +92,7 @@ PageGuard BufferPool::PinHitLocked(size_t idx, PageId id, PageHint hint) {
   }
   RetainLocked(&f, hint);
   ++f.pin_count;
-  return PageGuard(this, idx, id, &f.page);
+  return PageGuard(this, idx, id, &pages_[idx]);
 }
 
 void BufferPool::RetainLocked(Frame* f, PageHint hint) {
@@ -109,7 +114,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id, PageHint hint) {
   if (!victim.ok()) return victim.status();
   const size_t idx = victim.value();
   Frame& f = frames_[idx];
-  Status read = backend_->ReadPage(id, &f.page);
+  Status read = backend_->ReadPage(id, &pages_[idx]);
   if (!read.ok()) {
     // The victim was already detached from the LRU and the page table; if
     // it were dropped here the pool would shrink by one frame forever.
@@ -123,7 +128,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id, PageHint hint) {
   f.added = false;
   RetainLocked(&f, hint);
   page_table_[id] = idx;
-  return PageGuard(this, idx, id, &f.page);
+  return PageGuard(this, idx, id, &pages_[idx]);
 }
 
 Result<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
@@ -143,7 +148,7 @@ Result<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
   if (!victim.ok()) return victim.status();
   const size_t idx = victim.value();
   Frame& f = frames_[idx];
-  f.page.Clear();
+  pages_[idx].Clear();
   f.id = id;
   f.pin_count = 1;
   // Deliberately clean: the disk still holds the page's previous (valid)
@@ -155,7 +160,7 @@ Result<PageGuard> BufferPool::FetchPageForOverwrite(PageId id) {
   f.in_lru = false;
   f.added = false;
   page_table_[id] = idx;
-  return PageGuard(this, idx, id, &f.page);
+  return PageGuard(this, idx, id, &pages_[idx]);
 }
 
 Result<size_t> BufferPool::AllocateLocked(PageHint hint, bool bypass_added,
@@ -213,9 +218,9 @@ Result<PageGuard> BufferPool::NewPage() {
   if (!idx_or.ok()) return idx_or.status();
   const size_t idx = idx_or.value();
   Frame& f = frames_[idx];
-  f.page.Clear();
+  pages_[idx].Clear();
   f.pin_count = 1;
-  return PageGuard(this, idx, id, &f.page);
+  return PageGuard(this, idx, id, &pages_[idx]);
 }
 
 Result<PageId> BufferPool::AddPage(const Page& image, PageHint hint,
@@ -237,7 +242,7 @@ Result<PageId> BufferPool::AddPage(const Page& image, PageHint hint,
     return id;
   }
   Frame& f = frames_[idx];
-  f.page = image;
+  pages_[idx] = image;
   f.added = true;
   f.pin_count = 1;
   UnpinLocked(idx);
@@ -256,7 +261,7 @@ Status BufferPool::TakePage(PageId id, Page* out) {
     }
     ++hits_;
     metric_hits_->Increment();
-    *out = f.page;
+    *out = pages_[idx];
     DropFrameLocked(idx);
   } else {
     ++misses_;
@@ -323,7 +328,7 @@ Status BufferPool::FlushPage(PageId id) {
   if (it == page_table_.end()) return Status::OK();
   Frame& f = frames_[it->second];
   if (f.dirty) {
-    SETM_RETURN_IF_ERROR(backend_->WritePage(f.id, f.page));
+    SETM_RETURN_IF_ERROR(backend_->WritePage(f.id, pages_[it->second]));
     f.dirty = false;
     ++dirty_writebacks_;
     metric_dirty_writebacks_->Increment();
@@ -333,9 +338,10 @@ Status BufferPool::FlushPage(PageId id) {
 
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (Frame& f : frames_) {
+  for (size_t idx = 0; idx < frames_.size(); ++idx) {
+    Frame& f = frames_[idx];
     if (f.id != kInvalidPageId && f.dirty) {
-      SETM_RETURN_IF_ERROR(backend_->WritePage(f.id, f.page));
+      SETM_RETURN_IF_ERROR(backend_->WritePage(f.id, pages_[idx]));
       f.dirty = false;
       ++dirty_writebacks_;
       metric_dirty_writebacks_->Increment();
@@ -417,7 +423,7 @@ Result<size_t> BufferPool::GetVictimFrameLocked() {
     Frame& f = frames_[idx];
     SETM_CHECK(f.pin_count == 0);
     if (f.dirty) {
-      Status write = backend_->WritePage(f.id, f.page);
+      Status write = backend_->WritePage(f.id, pages_[idx]);
       if (!write.ok()) {
         ++eviction_retries_;
         metric_eviction_retries_->Increment();

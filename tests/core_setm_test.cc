@@ -20,6 +20,7 @@
 #include "core/rules.h"
 #include "core/setm.h"
 #include "core/setm_pipeline.h"
+#include "core/setm_sql.h"
 #include "datagen/quest_generator.h"
 #include "exec/external_sort.h"
 #include "obs/metrics.h"
@@ -1776,7 +1777,7 @@ TEST(SetmJoinTest, StreamedJoinMatchesNestedLoopInOrder) {
     // R'_k's rows, expanded from each left row and its transaction's items
     // above the row's last item.
     std::vector<Row> streamed;
-    ASSERT_TRUE(JoinLeftRows(left->Scan().get(), *r1,
+    ASSERT_TRUE(JoinLeftRows(left->Scan().get(), r1.get(),
                              [&](const IdGroup& p, const ItemId* items,
                                  const ItemId* items_end) {
                                // The transaction's R_1 items, in order.
@@ -1850,7 +1851,7 @@ TEST(SetmPipelineTest, FilterRefusesAnIdOutsideCkMinus1) {
       ExtensionCount next(ExecContext::From(&db), &c3.value().space,
                           BudgetedCount::kUnbounded);
       const Status status =
-          FilterByCk(GroupedRelation::LastScan(std::move(r2)).get(), *r1,
+          FilterByCk(GroupedRelation::LastScan(std::move(r2)).get(), r1.get(),
                      &c2.value(), c3.value(), false, r3.get(), &next);
       EXPECT_TRUE(status.IsCorruption()) << status.ToString();
       EXPECT_NE(status.message().find("R_2"), std::string::npos)
@@ -1932,32 +1933,47 @@ Spelled Spell(const TransactionDb& txns) {
   return out;
 }
 
-/// The transactions of the intake's R_1s, read back in shard order, each
-/// shard's transaction count checked against its R_1.
+/// The transactions of `txns` that R_1 holds: those of two items or more.
+TransactionDb Joinable(const TransactionDb& txns) {
+  TransactionDb out;
+  for (const Transaction& t : txns) {
+    if (t.items.size() > 1) out.push_back(t);
+  }
+  return out;
+}
+
+/// The transactions of the intake's R_1s, read back in shard order. Each
+/// shard's R_1 holds transactions of two rows or more, and its transaction
+/// and row counts also cover those of one row that it did not write.
 Spelled ReadBack(std::vector<shard::ShardSlice> slices) {
   Spelled txns;
   for (shard::ShardSlice& slice : slices) {
     std::unique_ptr<GroupCursor> groups =
         GroupedRelation::LastScan(std::move(slice.r1));
     uint64_t transactions = 0;
+    uint64_t rows = 0;
     IdGroup group;
     while (true) {
       auto more = groups->Next(&group);
       EXPECT_TRUE(more.ok()) << more.status().ToString();
       if (!more.ok() || !more.value()) break;
+      EXPECT_GT(group.end - group.begin, 1) << "trans_id " << group.tid;
       txns.emplace_back(group.tid,
                         std::vector<ItemId>(group.begin, group.end));
       ++transactions;
+      rows += static_cast<uint64_t>(group.end - group.begin);
     }
-    EXPECT_EQ(slice.transactions, transactions);
+    EXPECT_GE(slice.transactions, transactions);
+    EXPECT_EQ(slice.rows - rows, slice.transactions - transactions);
   }
   return txns;
 }
 
-// The intake writes R_1 as it reads SALES and buffers rows only past a
-// descent. SALES loaded with its transactions in descending trans_id order
-// is the fallback: the intake's R_1 is SALES sorted, and it mines what the
-// oracle mines, serial and threaded, on both backings.
+// The intake writes R_1 as it reads SALES and buffers rows only after a
+// descent, when SALES is read again. SALES loaded with its transactions in
+// descending trans_id order is the fallback: the intake's R_1 is SALES
+// sorted, and it mines what the oracle mines, serial and threaded, on both
+// backings.
 TEST(SetmIntakeTest, DescendingSalesMinesLikeTheOracle) {
   QuestOptions gen;
   gen.num_transactions = 300;
@@ -1982,13 +1998,19 @@ TEST(SetmIntakeTest, DescendingSalesMinesLikeTheOracle) {
       run.storage = backing;
       shard::SalesIntake intake(ExecContext::From(&db), run, 1,
                                 sales->num_rows());
-      ASSERT_TRUE(shard::ExtractRows(*sales, &intake).ok());
+      int reads = 0;
+      ASSERT_TRUE(shard::ReadSalesInto(&intake, [&] {
+                    ++reads;
+                    return shard::ExtractRows(*sales, &intake);
+                  }).ok());
+      EXPECT_EQ(reads, order == &descending ? 2 : 1);
       EXPECT_EQ(intake.sales_rows(), sales->num_rows());
       EXPECT_EQ(intake.kept_rows(), sales->num_rows());
       auto slices = intake.Finish();
       ASSERT_TRUE(slices.ok()) << slices.status().ToString();
       EXPECT_EQ(buffered->Value() > 0, order == &descending);
-      EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(txns));
+      EXPECT_EQ(slices.value().front().transactions, txns.size());
+      EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(Joinable(txns)));
       for (size_t threads : {size_t{1}, size_t{3}}) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " descending=" +
                      std::to_string(order == &descending) + " heap=" +
@@ -2036,7 +2058,7 @@ TEST(SetmIntakeTest, LatticeOverZeroAndInt32MaxStaysSmall) {
       kept.push_back({tid, tid % 2 == 0 ? std::vector<ItemId>{0, INT32_MAX}
                                         : std::vector<ItemId>{0}});
     }
-    EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(kept));
+    EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(Joinable(kept)));
 
     FrequentItemsets lattice;
     lattice.Add({0}, 1);
@@ -2093,14 +2115,15 @@ Table* LoadPairs(Database* db, const SalesRows& rows) {
 
 /// Mines `sales` (MineTable, up to `max_tid`) and, when given, `txns`
 /// (Mine), the same SALES, at 1 to 4 threads with R_1 in memory and in the
-/// pool. Each mine finds `want` and reports the one-thread MineTable's
-/// iteration stats.
+/// pool. Each mine finds `want` and reports the iteration stats of
+/// `reference`, when given, else of the one-thread MineTable.
 void ExpectThreadSweep(const Table& sales, const TransactionDb* txns,
                        const MiningOptions& options,
                        const FrequentItemsets& want,
                        const FrequentItemsets* lattice = nullptr,
                        TransactionId max_tid = INT32_MAX,
-                       uint64_t max_tid_rows = 0) {
+                       uint64_t max_tid_rows = 0,
+                       const MiningResult* reference = nullptr) {
   Database db;
   for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
     std::optional<MiningResult> serial;
@@ -2114,14 +2137,16 @@ void ExpectThreadSweep(const Table& sales, const TransactionDb* txns,
       ASSERT_TRUE(table.ok()) << table.status().ToString();
       EXPECT_TRUE(table.value().itemsets == want);
       if (!serial.has_value()) serial = table.value();
-      ExpectSameIterations(table.value(), *serial);
+      const MiningResult& iterations =
+          reference != nullptr ? *reference : *serial;
+      ExpectSameIterations(table.value(), iterations);
       EXPECT_EQ(table.value().sales_rows, serial->sales_rows);
       EXPECT_EQ(table.value().kept_rows, serial->kept_rows);
       if (txns == nullptr) continue;
       auto mined = miner.Mine(*txns, options);
       ASSERT_TRUE(mined.ok()) << mined.status().ToString();
       EXPECT_TRUE(mined.value().itemsets == want);
-      ExpectSameIterations(mined.value(), *serial);
+      ExpectSameIterations(mined.value(), iterations);
     }
   }
 }
@@ -2507,12 +2532,12 @@ TEST(SetmIntakeTest, ShardsAreCutAtTransactionBoundaries) {
         for (const shard::ShardSlice& slice : slices.value()) {
           EXPECT_TRUE(slice.transactions > 0 || txns.empty());
           if (&slice != &slices.value().back()) {
-            EXPECT_GE(slice.r1->num_rows(), share);
+            EXPECT_GE(slice.rows, share);
           }
           transactions += slice.transactions;
         }
         EXPECT_EQ(transactions, txns.size());
-        EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(txns));
+        EXPECT_EQ(ReadBack(std::move(slices).value()), Spell(Joinable(txns)));
 
         SetmOptions knobs{backing};
         knobs.num_threads = threads;
@@ -2533,7 +2558,7 @@ TEST(SetmIntakeTest, ShardsAreCutAtTransactionBoundaries) {
 // The descent fallback after R_1's pages have left the pool: over an
 // 8-frame pool, 3 threads' R_1s are written to disk before a trans_id
 // below the ones before it arrives, after the first shard switch. The
-// intake reads its groups back, releases every R_1 page it wrote, and
+// intake releases every R_1 page it wrote, reads SALES again buffered, and
 // mines what the oracle mines; so does Mine() over transactions out of id
 // order. The scratch pages are back at their count before the mine.
 TEST(SetmIntakeTest, DescentAfterR1PagesLeftThePoolLeaksNoPage) {
@@ -2613,6 +2638,219 @@ TEST(SetmIntakeTest, InOrderSalesBuffersNoRow) {
                                        sizeof(int32_t)));
       }
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Transaction trimming: R_1 holds the transactions that can join.
+// --------------------------------------------------------------------------
+
+/// The transactions of `rows` up to `max_tid`, in trans_id order, the rows
+/// of one trans_id merged wherever they stand.
+TransactionDb TransactionsOf(SalesRows rows,
+                             TransactionId max_tid = INT32_MAX) {
+  std::sort(rows.begin(), rows.end());
+  TransactionDb txns;
+  for (const auto& [tid, item] : rows) {
+    if (tid > max_tid) break;
+    if (txns.empty() || txns.back().id != tid) txns.push_back({tid, {}});
+    txns.back().items.push_back(item);
+  }
+  return txns;
+}
+
+/// setm-sql's mine of `rows`, the paper's SQL statements over a SALES
+/// table of them: the reference for every iteration's |R'_k|, |R_k|, its
+/// bytes and |C_k|, which R_1's trimming must leave as they are.
+MiningResult SqlReference(const SalesRows& rows,
+                          const MiningOptions& options) {
+  Database db;
+  Table* sales = LoadPairs(&db, rows);
+  EXPECT_NE(sales, nullptr);
+  if (sales == nullptr) return MiningResult{};
+  auto mined = SetmSqlMiner(&db).MineTable(*sales, options);
+  EXPECT_TRUE(mined.ok()) << mined.status().ToString();
+  return mined.ok() ? std::move(mined).value() : MiningResult{};
+}
+
+/// Quest transactions at even ids, each followed by a one-item transaction.
+TransactionDb WithOneItemTransactions() {
+  QuestOptions gen;
+  gen.seed = 31;
+  gen.num_transactions = 300;
+  gen.avg_transaction_size = 5;
+  gen.num_items = 25;
+  TransactionDb txns;
+  for (const Transaction& t : QuestGenerator(gen).Generate()) {
+    const TransactionId tid = 2 * t.id;
+    txns.push_back({tid, t.items});
+    txns.push_back({tid + 1, {static_cast<ItemId>(tid % 25)}});
+  }
+  return txns;
+}
+
+// SALES in which half the transactions hold one item mines what the
+// oracle mines, serially and threaded, from a table and from transactions,
+// with setm-sql's iteration figures. Those transactions add to |R_1| but
+// not to R_1's pages: a kHeap R_1 takes the pages of the same SALES
+// without them.
+TEST(SetmTrimTest, OneItemTransactionsMineLikeTheOracle) {
+  const TransactionDb txns = WithOneItemTransactions();
+  MiningOptions options;
+  options.min_support = 0.02;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_GE(oracle.value().itemsets.MaxSize(), 3u);
+  const MiningResult reference = SqlReference(RowsOf(txns), options);
+  Database db;
+  Table* sales = LoadPairs(&db, RowsOf(txns));
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &txns, options, oracle.value().itemsets,
+                    nullptr, INT32_MAX, 0, &reference);
+
+  const TransactionDb joinable = Joinable(txns);
+  ASSERT_LE(joinable.size(), txns.size() / 2);
+  std::optional<uint64_t> r1_pages;
+  for (const TransactionDb* input : {&txns, &joinable}) {
+    Database heap_db;
+    auto mined = SetmMiner(&heap_db, SetmOptions{TableBacking::kHeap})
+                     .Mine(*input, options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    const IterationStats& first = mined.value().iterations.front();
+    EXPECT_EQ(first.r_rows, RowsOf(*input).size());
+    EXPECT_GT(first.r_pages, 0u);
+    if (!r1_pages.has_value()) r1_pages = first.r_pages;
+    EXPECT_EQ(first.r_pages, *r1_pages);
+  }
+}
+
+// SALES made only of one-item transactions writes an empty R_1 and reports
+// setm-sql's iterations: C_1, then an empty R'_2 and C_2.
+TEST(SetmTrimTest, OnlyOneItemTransactionsReportSetmSqlsIterations) {
+  TransactionDb txns;
+  for (TransactionId tid = 1; tid <= 200; ++tid) {
+    txns.push_back({tid, {static_cast<ItemId>(tid % 10)}});
+  }
+  MiningOptions options;
+  options.min_support_count = 15;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_EQ(oracle.value().itemsets.TotalPatterns(), 10u);
+  const MiningResult reference = SqlReference(RowsOf(txns), options);
+  ASSERT_EQ(reference.iterations.size(), 2u);
+  Database db;
+  Table* sales = LoadPairs(&db, RowsOf(txns));
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &txns, options, oracle.value().itemsets,
+                    nullptr, INT32_MAX, 0, &reference);
+  for (TableBacking backing : {TableBacking::kMemory, TableBacking::kHeap}) {
+    auto mined = SetmMiner(&db, SetmOptions{backing}).MineTable(*sales,
+                                                                options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    EXPECT_EQ(mined.value().iterations.front().r_rows, 200u);
+    EXPECT_EQ(mined.value().iterations.front().r_pages, 0u);
+  }
+}
+
+// SALES whose one-item transactions come first, then the first row of
+// transaction 100, then a descent to transaction 21 and, later, the rest of
+// transaction 100: the intake drops what it wrote and reads SALES again,
+// buffered, so neither the one-item transactions nor transaction 100's
+// first row is lost.
+TEST(SetmTrimTest, DescentAfterOneItemTransactions) {
+  QuestOptions gen;
+  gen.seed = 8;
+  gen.num_transactions = 100;
+  gen.avg_transaction_size = 5;
+  gen.num_items = 20;
+  const TransactionDb quest = QuestGenerator(gen).Generate();
+  TransactionDb entries;
+  for (TransactionId tid = 1; tid <= 20; ++tid) {
+    entries.push_back({tid, {static_cast<ItemId>(tid % 6)}});
+  }
+  entries.push_back({100, {1}});
+  for (TransactionId tid = 21; tid < 100; ++tid) {
+    entries.push_back({tid, quest[static_cast<size_t>(tid)].items});
+  }
+  entries.push_back({100, {2, 3}});
+  for (TransactionId tid = 101; tid <= 120; ++tid) {
+    entries.push_back({tid, quest[static_cast<size_t>(tid - 100)].items});
+  }
+  const SalesRows rows = RowsOf(entries);
+  const TransactionDb txns = TransactionsOf(rows);
+  ASSERT_EQ(txns.size(), 120u);
+  MiningOptions options;
+  options.min_support = 0.05;
+  auto oracle = BruteForceMiner().Mine(txns, options);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_GE(oracle.value().itemsets.MaxSize(), 2u);
+  const MiningResult reference = SqlReference(rows, options);
+  Database db;
+  Table* sales = LoadPairs(&db, rows);
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &entries, options, oracle.value().itemsets,
+                    nullptr, INT32_MAX, 0, &reference);
+}
+
+// A max_tid watermark over SALES with one-item transactions mines the rows
+// up to it like the oracle and setm-sql mine those rows alone.
+TEST(SetmTrimTest, MaxTidWatermarkOverOneItemTransactions) {
+  const TransactionDb txns = WithOneItemTransactions();
+  const TransactionDb old(txns.begin(), txns.begin() + 352);
+  const TransactionId watermark = old.back().id;
+  ASSERT_EQ(old.back().items.size(), 1u);
+  MiningOptions options;
+  options.min_support = 0.02;
+  auto oracle = BruteForceMiner().Mine(old, options);
+  ASSERT_TRUE(oracle.ok());
+  const MiningResult reference = SqlReference(RowsOf(old), options);
+  const SalesRows rows = RowsOf(txns);
+  Database db;
+  Table* sales = LoadPairs(&db, rows);
+  ASSERT_NE(sales, nullptr);
+  ExpectThreadSweep(*sales, &old, options, oracle.value().itemsets, nullptr,
+                    watermark, RowsOf(old).size(), &reference);
+}
+
+// Pass 2 is R_1's self-join and reads R_1 once. On a pool that holds every
+// relation, a kHeap mine fetches SALES's pages once (the intake), R_1's in
+// passes 1 and 2, and in each pass k >= 3 that runs those of R_{k-1} and
+// R_1: nothing else, and no page twice in one pass.
+TEST(SetmTrimTest, EachPassFetchesItsInputsOnce) {
+  QuestOptions gen;
+  gen.seed = 12;
+  gen.num_transactions = 3000;
+  gen.avg_transaction_size = 8;
+  gen.num_items = 60;
+  const TransactionDb txns = QuestGenerator(gen).Generate();
+  MiningOptions options;
+  options.min_support = 0.02;
+  Database db;
+  auto sales = LoadSalesTable(&db, "sales", txns, TableBacking::kHeap);
+  ASSERT_TRUE(sales.ok()) << sales.status().ToString();
+  const auto fetches = [&db] {
+    const BufferPool::PoolStats stats = db.pool()->Stats();
+    return stats.hits + stats.misses;
+  };
+  uint64_t before = fetches();
+  ASSERT_TRUE(ForEachInt32Pair(*sales.value(), [](int32_t, int32_t) {}).ok());
+  const uint64_t sales_pages = fetches() - before;
+  for (size_t max_k : {size_t{2}, size_t{0}}) {
+    SCOPED_TRACE("max_pattern_length=" + std::to_string(max_k));
+    options.max_pattern_length = max_k;
+    before = fetches();
+    auto mined = SetmMiner(&db, SetmOptions{TableBacking::kHeap})
+                     .MineTable(*sales.value(), options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    const std::vector<IterationStats>& it = mined.value().iterations;
+    ASSERT_GE(it.size(), max_k == 0 ? 4u : 2u);
+    const uint64_t r1_pages = it[0].r_pages;
+    ASSERT_GT(r1_pages, 0u);
+    uint64_t want = sales_pages + 2 * r1_pages;
+    for (size_t i = 2; i < it.size(); ++i) {  // pass k = i + 1
+      if (it[i].c_size != 0) want += it[i - 1].r_pages + r1_pages;
+    }
+    EXPECT_EQ(fetches() - before, want);
   }
 }
 

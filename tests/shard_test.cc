@@ -414,6 +414,45 @@ TEST(LocalShardBackendTest, AHandedSliceServesOneRun) {
   EXPECT_TRUE(backend.Health().status().IsNotFound());
 }
 
+// A bound table's intake writes only the transactions of two rows or more
+// to R_1, and reads a descending table again: the shard still reports
+// every row in |R_1|, in order or not. Pass 1 reports |R_1| as every row
+// kept, and under filter_r1 as the rows of C_1's items (C_1's local count
+// of them), although the one-row transactions were never written.
+TEST(LocalShardBackendTest, OneRowTransactionsStayInTheReportedR1) {
+  const TransactionDb txns = {{1, {1, 2, 3}}, {2, {4}},    {3, {1, 9}},
+                              {4, {2}},       {5, {1, 2}}, {6, {9}}};
+  const TransactionDb descending(txns.rbegin(), txns.rend());
+  const std::vector<CandidateKey> c1 = {{0, 1}, {0, 2}};
+  for (const TransactionDb* order : {&txns, &descending}) {
+    for (bool filter : {false, true}) {
+      SCOPED_TRACE(std::string(order == &txns ? "ascending" : "descending") +
+                   (filter ? ", filter_r1" : ""));
+      Database db;
+      LocalShardBackend backend(&db, "s2");
+      BindSlice(&db, &backend, *order);
+      ShardRunOptions run;
+      run.filter_r1 = filter;
+      ASSERT_TRUE(backend.BeginRun(run).ok());
+      auto first = backend.CountFirstIteration();
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      EXPECT_EQ(first.value().transactions, 6u);
+      EXPECT_EQ(first.value().r_rows, 10u);
+      EXPECT_EQ(first.value().r_bytes, 10u * 2 * sizeof(int32_t));
+      EXPECT_EQ(first.value().r_pages, 1u);
+      auto pass1 = backend.ApplyGlobalCk(1, c1);
+      ASSERT_TRUE(pass1.ok()) << pass1.status().ToString();
+      // Filtered: {1 2} of 1, {1} of 3, {2} of 4, {1 2} of 5.
+      const uint64_t rows = filter ? 6 : 10;
+      EXPECT_EQ(pass1.value().r_rows, rows);
+      EXPECT_EQ(pass1.value().r_bytes, rows * 2 * sizeof(int32_t));
+      // R'_2: the pairs of the R_1 that pass 2 joins.
+      EXPECT_EQ(pass1.value().r_prime_rows, filter ? 2u : 5u);
+      ASSERT_TRUE(backend.EndRun().ok());
+    }
+  }
+}
+
 // LCOUNT/MERGE put the iteration number and C_k on the wire, so the
 // backend must reject calls out of protocol order, and keys that name no
 // parent of the level below, with a Status naming the shard rather than

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <cstdio>
 #include <string>
@@ -714,6 +715,113 @@ TEST(BufferPoolTest, ConcurrentFetchAndEvictIsSafe) {
   }
   EXPECT_EQ(stats.page_reads.load(),
             pool.misses() + kThreads * kPagesPerThread);
+}
+
+/// A MemoryBackend that records the page ids it is asked to write, in
+/// order.
+class RecordingBackend : public MemoryBackend {
+ public:
+  RecordingBackend() : MemoryBackend(nullptr) {}
+  Status WritePage(PageId id, const Page& page) override {
+    writes.push_back(id);
+    return MemoryBackend::WritePage(id, page);
+  }
+  std::vector<PageId> writes;
+};
+
+/// Pins a new page of the pool, tagged `tag` and dirty; its id in `*id`
+/// and its frame's page in `*frame`.
+void NewTaggedPage(BufferPool* pool, char tag, PageId* id,
+                   const Page** frame = nullptr) {
+  auto guard = pool->NewPage();
+  ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+  guard.value().page()->data[0] = tag;
+  guard.value().MarkDirty();
+  *id = guard.value().id();
+  if (frame != nullptr) *frame = guard.value().page();
+}
+
+// The pool keeps its pages in one page-aligned array, apart from the frame
+// headers. FlushAll writes exactly the dirty resident pages, each once, in
+// frame order, after evictions and after a released frame's reuse have
+// placed pages out of id order; clean pages are not written.
+TEST(BufferPoolTest, FlushAllWritesTheDirtyPagesInFrameOrder) {
+  RecordingBackend backend;
+  BufferPool pool(&backend, 4);
+  // Frames 0..3 take pages 0..3; pages 4 and 5 evict the least recently
+  // used, 0 and 1, into frames 0 and 1.
+  PageId p[6];
+  const Page* frame[6];
+  for (int i = 0; i < 6; ++i) {
+    NewTaggedPage(&pool, static_cast<char>('a' + i), &p[i], &frame[i]);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(frame[i]) % kPageSize, 0u);
+  }
+  EXPECT_EQ(frame[4], frame[0]);
+  EXPECT_EQ(frame[5], frame[1]);
+  EXPECT_EQ(backend.writes, (std::vector<PageId>{p[0], p[1]}));
+  backend.writes.clear();
+  EXPECT_EQ(pool.DirtyPageCount(), 4u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(backend.writes, (std::vector<PageId>{p[4], p[5], p[2], p[3]}));
+
+  // Page 5's frame is released, and page 0 read back into it.
+  ASSERT_TRUE(pool.ReleasePage(p[5]).ok());
+  for (int i : {0, 3}) {
+    auto guard = pool.FetchPage(p[i]);
+    ASSERT_TRUE(guard.ok());
+    guard.value().page()->data[0] = static_cast<char>('A' + i);
+    guard.value().MarkDirty();
+    if (i == 0) {
+      EXPECT_EQ(guard.value().page(), frame[5]);
+    }
+  }
+  backend.writes.clear();
+  EXPECT_EQ(pool.DirtyPageCount(), 2u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(backend.writes, (std::vector<PageId>{p[0], p[3]}));
+  Page raw;
+  ASSERT_TRUE(backend.ReadPage(p[0], &raw).ok());
+  EXPECT_EQ(raw.data[0], 'A');
+  backend.writes.clear();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_TRUE(backend.writes.empty());
+  EXPECT_EQ(pool.DirtyPageCount(), 0u);
+}
+
+// DropPagesFrom drops the frames of the pages at and past its first id,
+// unwritten, and refuses, dropping nothing, while one of them is pinned or
+// dirty.
+TEST(BufferPoolTest, DropPagesFromRefusesPinnedOrDirtyPages) {
+  RecordingBackend backend;
+  BufferPool pool(&backend, 4);
+  PageId p[3];
+  for (int i = 0; i < 3; ++i) {
+    NewTaggedPage(&pool, static_cast<char>('a' + i), &p[i]);
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  {
+    auto pinned = pool.FetchPage(p[2]);
+    ASSERT_TRUE(pinned.ok());
+    EXPECT_TRUE(pool.DropPagesFrom(p[1]).IsInvalidArgument());
+  }
+  {
+    auto guard = pool.FetchPage(p[1]);
+    ASSERT_TRUE(guard.ok());
+    guard.value().MarkDirty();
+  }
+  EXPECT_TRUE(pool.DropPagesFrom(p[1]).IsInvalidArgument());
+  const uint64_t misses = pool.misses();
+  for (PageId id : p) ASSERT_TRUE(pool.FetchPage(id).ok());
+  EXPECT_EQ(pool.misses(), misses);  // nothing was dropped
+  backend.writes.clear();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(backend.writes, (std::vector<PageId>{p[1]}));
+  ASSERT_TRUE(pool.DropPagesFrom(p[1]).ok());
+  EXPECT_EQ(pool.DirtyPageCount(), 0u);
+  ASSERT_TRUE(pool.FetchPage(p[0]).ok());
+  EXPECT_EQ(pool.misses(), misses);
+  for (PageId id : {p[1], p[2]}) ASSERT_TRUE(pool.FetchPage(id).ok());
+  EXPECT_EQ(pool.misses(), misses + 2);
 }
 
 // --------------------------------------------------------------------------
